@@ -26,6 +26,7 @@ import (
 	"os"
 	"regexp"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -89,22 +90,37 @@ type sample struct {
 }
 
 // benchLine matches `BenchmarkName-8   123   456 ns/op [789 B/op 12 allocs/op]`.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+(.*)$`)
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+\d+\s+(.*)$`)
+
+// benchHost is where a bench run was measured, as the output itself states
+// it: the distinct values of its "cpu:" lines and of the -N GOMAXPROCS suffix
+// of its benchmark names (go test omits the suffix when GOMAXPROCS is 1).
+type benchHost struct {
+	cpus  []string
+	procs []int
+}
 
 // parseBench collects per-benchmark samples from `go test -bench` output.
 // The trailing -N GOMAXPROCS suffix is stripped so names are stable across
-// machines.
-func parseBench(r io.Reader) (map[string][]sample, []string, error) {
+// machines; it is reported in the benchHost instead.
+func parseBench(r io.Reader) (map[string][]sample, []string, benchHost, error) {
 	samples := make(map[string][]sample)
 	var order []string
+	var host benchHost
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
+		if cpu, ok := strings.CutPrefix(sc.Text(), "cpu: "); ok {
+			if !slices.Contains(host.cpus, cpu) {
+				host.cpus = append(host.cpus, cpu)
+			}
+			continue
+		}
 		m := benchLine.FindStringSubmatch(sc.Text())
 		if m == nil {
 			continue
 		}
-		name, rest := m[1], m[2]
+		name, rest := m[1], m[3]
 		var s sample
 		ok := false
 		fields := strings.Fields(rest)
@@ -125,12 +141,19 @@ func parseBench(r io.Reader) (map[string][]sample, []string, error) {
 		if !ok {
 			continue
 		}
+		procs := 1
+		if m[2] != "" {
+			procs, _ = strconv.Atoi(m[2]) // the pattern admits digits only
+		}
+		if !slices.Contains(host.procs, procs) {
+			host.procs = append(host.procs, procs)
+		}
 		if _, seen := samples[name]; !seen {
 			order = append(order, name)
 		}
 		samples[name] = append(samples[name], s)
 	}
-	return samples, order, sc.Err()
+	return samples, order, host, sc.Err()
 }
 
 func median(xs []float64) float64 {
@@ -211,8 +234,13 @@ func mannWhitneyP(a, b []float64) float64 {
 
 // baselineFile is the schema of the committed BENCH_*.json baselines.
 type baselineFile struct {
-	Recorded   string                   `json:"recorded"`
-	Go         string                   `json:"go"`
+	Recorded string `json:"recorded"`
+	Go       string `json:"go"`
+	// CPU and GOMAXPROCS say where the numbers were measured: the bench
+	// output's "cpu:" line and the -N suffix its benchmark names carried.
+	// Without them a baseline from a bigger machine reads as a regression.
+	CPU        string                   `json:"cpu,omitempty"`
+	GOMAXPROCS int                      `json:"gomaxprocs"`
 	Note       string                   `json:"note,omitempty"`
 	Benchmarks map[string]baselineEntry `json:"benchmarks"`
 }
@@ -234,15 +262,24 @@ func runBaseline(inPath, outPath, note string, sel *regexp.Regexp) error {
 		defer f.Close()
 		in = f
 	}
-	samples, order, err := parseBench(in)
+	samples, order, host, err := parseBench(in)
 	if err != nil {
 		return err
+	}
+	if len(host.cpus) > 1 || len(host.procs) > 1 {
+		return fmt.Errorf("the bench output mixes machines (cpu %q, GOMAXPROCS %v); a baseline records one", host.cpus, host.procs)
 	}
 	bf := baselineFile{
 		Recorded:   time.Now().UTC().Format("2006-01-02"),
 		Go:         runtime.Version(),
 		Note:       note,
 		Benchmarks: make(map[string]baselineEntry),
+	}
+	if len(host.cpus) == 1 {
+		bf.CPU = host.cpus[0]
+	}
+	if len(host.procs) == 1 {
+		bf.GOMAXPROCS = host.procs[0]
 	}
 	for _, name := range order {
 		if sel != nil && !sel.MatchString(name) {
@@ -295,7 +332,8 @@ func runGate(w io.Writer, oldPath, newPath string, sel *regexp.Regexp, threshold
 			return nil, nil, err
 		}
 		defer f.Close()
-		return parseBench(f)
+		samples, order, _, err := parseBench(f)
+		return samples, order, err
 	}
 	oldS, _, err := parse(oldPath)
 	if err != nil {

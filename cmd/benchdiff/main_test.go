@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"math"
 	"os"
 	"strings"
@@ -40,7 +41,7 @@ BenchmarkCoverSetCount-8 	 1000000	        99.9 ns/op	       0 B/op	       0 all
 `
 
 func TestParseBench(t *testing.T) {
-	samples, order, err := parseBench(strings.NewReader(oldRun))
+	samples, order, _, err := parseBench(strings.NewReader(oldRun))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,5 +179,46 @@ func TestGateFailsWhenHeadRunIsEmpty(t *testing.T) {
 	var out strings.Builder
 	if _, err := runGate(&out, oldPath, newPath, nil, 15, 0.05); err == nil {
 		t.Fatal("an empty head run must error (broken suite), not pass silently")
+	}
+}
+
+// TestBaselineRecordsWhereItWasMeasured asserts a baseline carries the cpu:
+// line and the GOMAXPROCS suffix of the run it was written from, and that a
+// run mixing two machines is refused rather than averaged.
+func TestBaselineRecordsWhereItWasMeasured(t *testing.T) {
+	run := "goos: linux\ncpu: Intel(R) Xeon(R) Processor @ 2.10GHz\n" + strings.TrimPrefix(oldRun, "\ngoos: linux\n") +
+		"pkg: repro/internal/core\ncpu: Intel(R) Xeon(R) Processor @ 2.10GHz\n"
+	out := t.TempDir() + "/BENCH.json"
+	if err := runBaseline(writeTemp(t, run), out, "note", nil); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bf baselineFile
+	if err := json.Unmarshal(blob, &bf); err != nil {
+		t.Fatal(err)
+	}
+	if bf.CPU != "Intel(R) Xeon(R) Processor @ 2.10GHz" || bf.GOMAXPROCS != 8 {
+		t.Fatalf("baseline records cpu %q, gomaxprocs %d; want the run's cpu line and 8", bf.CPU, bf.GOMAXPROCS)
+	}
+	if e := bf.Benchmarks["BenchmarkPlannerCold"]; e.Samples != 6 || e.NsPerOp != 1811046.5 {
+		t.Fatalf("PlannerCold entry = %+v", e)
+	}
+
+	// No suffix means GOMAXPROCS=1.
+	if err := runBaseline(writeTemp(t, "BenchmarkSolo \t 10\t 5 ns/op\n"), out, "", nil); err != nil {
+		t.Fatal(err)
+	}
+	blob, _ = os.ReadFile(out)
+	bf = baselineFile{}
+	if err := json.Unmarshal(blob, &bf); err != nil || bf.GOMAXPROCS != 1 || bf.CPU != "" {
+		t.Fatalf("suffix-less run: gomaxprocs %d cpu %q err %v; want 1 and no cpu", bf.GOMAXPROCS, bf.CPU, err)
+	}
+
+	mixed := run + "BenchmarkPlannerCold-2 \t 10\t 5 ns/op\n"
+	if err := runBaseline(writeTemp(t, mixed), out, "", nil); err == nil {
+		t.Fatal("a run mixing GOMAXPROCS 8 and 2 produced a baseline")
 	}
 }

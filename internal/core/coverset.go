@@ -196,6 +196,29 @@ func (s *CoverSet) IntersectMin(o *CoverSet) int {
 	return -1
 }
 
+// IntersectsBelow reports whether s and o share a member smaller than limit,
+// reading only the words that hold indexes below it. A reducer r that holds
+// two inputs owns their pair exactly when their membership rows do not
+// intersect below r, so this is owner election from r's side: it never looks
+// past r's own word.
+func (s *CoverSet) IntersectsBelow(o *CoverSet, limit int) bool {
+	// last is the highest word of both sets that holds an index below limit.
+	last := min(len(s.words), len(o.words), (limit+63)>>6) - 1
+	if last < 0 {
+		return false
+	}
+	for i := 0; i < last; i++ {
+		if s.words[i]&o.words[i] != 0 {
+			return true
+		}
+	}
+	w := s.words[last] & o.words[last]
+	if below := limit - last<<6; below < 64 {
+		w &= 1<<uint(below) - 1
+	}
+	return w != 0
+}
+
 // CountAndNot returns |s \ o| without materializing the difference.
 func (s *CoverSet) CountAndNot(o *CoverSet) int {
 	c := 0

@@ -90,6 +90,28 @@ func TestCoverSetSetOps(t *testing.T) {
 	}
 }
 
+// TestCoverSetIntersectsBelowMatchesIntersectMin pins IntersectsBelow to its
+// definition: the sets share a member below limit exactly when their
+// smallest common member is below limit.
+func TestCoverSetIntersectsBelowMatchesIntersectMin(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(300)
+		a, b := NewCoverSet(n), NewCoverSet(1+rng.Intn(300))
+		for k := 0; k < 4; k++ {
+			a.Add(rng.Intn(n))
+			b.Add(rng.Intn(b.Len()))
+		}
+		min := a.IntersectMin(b)
+		for _, limit := range []int{-1, 0, 1, 63, 64, 65, n - 1, n, n + 70} {
+			want := min >= 0 && min < limit
+			if got := a.IntersectsBelow(b, limit); got != want {
+				t.Fatalf("trial %d: IntersectsBelow(limit=%d) = %v, IntersectMin = %d", trial, limit, got, min)
+			}
+		}
+	}
+}
+
 func TestCoverSetGrowPreservesMembers(t *testing.T) {
 	s := NewCoverSet(10)
 	s.AddAll([]int{0, 3, 9})

@@ -3,9 +3,9 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/mr"
@@ -75,136 +75,89 @@ func (e *AuditError) Unwrap() []error {
 	return errs
 }
 
-// Trace is the concurrent log of processed pairs one execution produces. The
-// compiled reducers record every pair they process; the auditor replays the
-// log against the schema's promises. Tests may also fabricate traces to probe
-// the auditor itself.
+// Trace is the log of processed pairs one execution produces. The compiled
+// reducers log every pair they process; the auditor replays the log against
+// the schema's promises. Tests may also fabricate traces to probe the auditor
+// itself.
 //
-// Two storage modes exist. NewTrace builds the sparse mode: a mutex-guarded
-// map, fine for fabricated traces and small runs. newDenseTrace (used by the
-// executor, which knows the instance shape up front) stores the first
-// recording reducer of each pair in a flat array updated by compare-and-swap,
-// so the reduce-phase hot path records without taking a lock; only duplicate
-// recordings — absent in healthy runs — fall back to the mutex.
+// A trace has exactly two forms. The executor writes the sharded form: one
+// private append-only log per reducer, filled by the reduce call without any
+// synchronization and published once when the call succeeds, so the per-pair
+// hot loop touches no atomic and no shared cache line. NewTrace builds the
+// sparse form — a mutex-guarded map from pair to the reducers that processed
+// it — which fabricated traces use and which is the one reference
+// representation: whenever the sharded form is not exactly what the schema
+// prescribes, CheckTrace converts it to the sparse form and runs the generic
+// check on that.
 type Trace struct {
-	mu    sync.Mutex
-	pairs map[[2]int][]int // sparse mode: pair -> reducers that processed it
-
-	// Dense mode. For X2Y, cols is the Y-side width and pairs live in a
-	// rows×cols grid; for A2A, tri is the input count and pairs (a < b)
-	// live in the strictly-upper-triangle layout, halving the array. Either
-	// way first[slot] holds reducer+1 of the first recording, 0 when
-	// unrecorded. dups collects recordings beyond the first; dupCount gates
-	// the slow path so healthy replays never lock.
-	cols     int
-	tri      int
-	first    []int32
-	recorded atomic.Int64
-	dupCount atomic.Int64
-	dups     map[[2]int][]int
+	mu     sync.Mutex       // guards pairs
+	pairs  map[[2]int][]int // sparse form: pair -> reducers that processed it
+	shards [][]pairEntry    // sharded form: shards[r] is what reducer r processed, in order
 }
+
+// pairEntry is one logged pair: for A2A the two input IDs with a < b, for
+// X2Y the X-side ID then the Y-side ID.
+type pairEntry struct{ a, b int32 }
 
 // NewTrace returns an empty sparse trace.
 func NewTrace() *Trace {
 	return &Trace{pairs: make(map[[2]int][]int)}
 }
 
-// newDenseTrace returns a grid-mode trace for first coordinates in
-// [0, rows) and second coordinates in [0, cols) — the X2Y shape.
-func newDenseTrace(rows, cols int) *Trace {
-	return &Trace{cols: cols, first: make([]int32, rows*cols)}
+// newShardedTrace returns an empty sharded trace for a job of numReducers
+// reducers.
+func newShardedTrace(numReducers int) *Trace {
+	return &Trace{shards: make([][]pairEntry, numReducers)}
 }
 
-// newTriTrace returns a triangular-mode trace for A2A pairs a < b over m
-// inputs: m(m-1)/2 slots instead of m².
-func newTriTrace(m int) *Trace {
-	return &Trace{tri: m, first: make([]int32, m*(m-1)/2)}
-}
-
-// dense reports whether the trace uses dense storage.
-func (t *Trace) dense() bool { return t.first != nil }
-
-// slot maps a pair to its dense offset, or -1 when the pair is outside the
-// trace's universe (a healthy compiled job never records such a pair; the
-// dups map keeps the event for the audit to flag).
-func (t *Trace) slot(a, b int) int {
-	if t.tri > 0 {
-		if a < 0 || b <= a || b >= t.tri {
-			return -1
-		}
-		return a*(2*t.tri-a-1)/2 + (b - a - 1)
-	}
-	if a < 0 || b < 0 || b >= t.cols {
-		return -1
-	}
-	if idx := a*t.cols + b; idx < len(t.first) {
-		return idx
-	}
-	return -1
-}
-
-// Record logs that the given reducer processed the pair (a, b). For A2A pairs
-// the caller passes a < b; for X2Y, a is the X-side ID and b the Y-side ID.
+// Record logs into a sparse trace that the given reducer processed the pair
+// (a, b). For A2A pairs the caller passes a < b; for X2Y, a is the X-side ID
+// and b the Y-side ID.
 func (t *Trace) Record(reducer, a, b int) {
-	if t.dense() {
-		if idx := t.slot(a, b); idx >= 0 &&
-			atomic.CompareAndSwapInt32(&t.first[idx], 0, int32(reducer)+1) {
-			t.recorded.Add(1)
-			return
-		}
-		// A duplicate recording (or an out-of-range pair a healthy compiled
-		// job can never produce): the slow path keeps every event.
-		t.mu.Lock()
-		if t.dups == nil {
-			t.dups = make(map[[2]int][]int)
-		}
-		t.dups[[2]int{a, b}] = append(t.dups[[2]int{a, b}], reducer)
-		t.mu.Unlock()
-		t.dupCount.Add(1)
-		return
-	}
 	t.mu.Lock()
 	t.pairs[[2]int{a, b}] = append(t.pairs[[2]int{a, b}], reducer)
 	t.mu.Unlock()
 }
 
-// Pairs returns how many distinct pairs were recorded.
-func (t *Trace) Pairs() int64 {
-	if t.dense() {
-		n := t.recorded.Load()
-		if t.dupCount.Load() > 0 {
-			t.mu.Lock()
-			for p := range t.dups {
-				idx := t.slot(p[0], p[1])
-				if idx < 0 || atomic.LoadInt32(&t.first[idx]) == 0 {
-					n++ // out-of-range pair kept only in dups
-				}
-			}
-			t.mu.Unlock()
-		}
-		return n
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return int64(len(t.pairs))
+// publish stores the log of a successful reduce call as the reducer's shard.
+// A reduce attempt that fails never publishes, so the trace describes exactly
+// the attempts whose output the engine kept. Reducers write distinct shards,
+// and the engine's completion orders those writes before the audit's reads,
+// so the sharded form needs no lock.
+func (t *Trace) publish(reducer int, log []pairEntry) {
+	t.shards[reducer] = log
 }
 
-// processedBy returns the reducers that processed the pair.
-func (t *Trace) processedBy(a, b int) []int {
-	if t.dense() {
-		var got []int
-		if idx := t.slot(a, b); idx >= 0 {
-			if f := atomic.LoadInt32(&t.first[idx]); f != 0 {
-				got = append(got, int(f)-1)
-			}
-		}
-		if t.dupCount.Load() > 0 {
-			t.mu.Lock()
-			got = append(got, t.dups[[2]int{a, b}]...)
-			t.mu.Unlock()
-		}
-		return got
+// Pairs returns how many pairs were logged: distinct pairs for the sparse
+// form, log entries for the sharded form (the same number whenever the trace
+// passes the audit).
+func (t *Trace) Pairs() int64 {
+	if t.shards == nil {
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		return int64(len(t.pairs))
 	}
+	var n int64
+	for _, log := range t.shards {
+		n += int64(len(log))
+	}
+	return n
+}
+
+// sparse converts a sharded trace to the sparse reference form.
+func (t *Trace) sparse() *Trace {
+	s := NewTrace()
+	for r, log := range t.shards {
+		for _, e := range log {
+			p := [2]int{int(e.a), int(e.b)}
+			s.pairs[p] = append(s.pairs[p], r)
+		}
+	}
+	return s
+}
+
+// processedBy returns the reducers a sparse trace holds for the pair.
+func (t *Trace) processedBy(a, b int) []int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.pairs[[2]int{a, b}]
@@ -224,6 +177,12 @@ type schemaIndex struct {
 	// aBits/xBits/yBits are the bitset rows matching the assignments.
 	aBits, xBits, yBits []core.CoverSet
 	numA, numX, numY    int
+
+	// sweepOnce guards owned/ownedEnd, the result of the one ascending
+	// reducer sweep every audit of this schema shares (see sweep).
+	sweepOnce sync.Once
+	owned     []pairEntry
+	ownedEnd  []int
 
 	// preOnce/preErr cache PreCheck, which depends only on schema and shape,
 	// so batch audits sharing the index pay for it once.
@@ -299,53 +258,96 @@ func (idx *schemaIndex) pairIndex(i, j int) int {
 	return i*idx.numY + j
 }
 
-// sweepOwners visits every required pair the schema covers exactly once, at
-// its owner, by scanning reducers in ascending index order: the first
-// reducer containing a pair is, by definition, the pair's owning reducer.
-// This replaces the per-pair set intersections of the old verification loop
-// (O(m² · replication) work) with O(Σ |reducer members|²) work at O(1) per
-// visit — the popcount at the end prices coverage. The returned bitset over
-// pair indexes marks covered pairs; the caller must release it with
-// core.PutCoverSet.
-func (idx *schemaIndex) sweepOwners(visit func(i, j, owner int)) *core.CoverSet {
-	covered := core.GetCoverSet(idx.requiredPairCount())
-	for r, red := range idx.schema.Reducers {
-		if idx.schema.Problem == core.ProblemA2A {
-			for a := 0; a < len(red.Inputs); a++ {
-				for b := a + 1; b < len(red.Inputs); b++ {
-					i, j := red.Inputs[a], red.Inputs[b]
-					if i > j {
-						i, j = j, i
-					}
-					if i == j {
-						continue // a corrupted schema can duplicate a member
-					}
-					p := idx.pairIndex(i, j)
-					if covered.Contains(p) {
-						continue
-					}
-					covered.Add(p)
-					if visit != nil {
-						visit(i, j, r)
-					}
-				}
-			}
-			continue
-		}
-		for _, x := range red.XInputs {
-			for _, y := range red.YInputs {
-				p := idx.pairIndex(x, y)
-				if covered.Contains(p) {
-					continue
-				}
+// sweep derives the owner of every pair the schema covers, once per index,
+// by scanning reducers in ascending index order: the first reducer containing
+// a pair is, by definition, the pair's owning reducer. This replaces the
+// per-pair set intersections of the old verification loop (O(m² ·
+// replication) work) with O(Σ |reducer members|²) work at O(1) per visit.
+//
+// The result is kept as one flat list grouped by owner: owned[ownedEnd[r-1]:
+// ownedEnd[r]] holds reducer r's pairs in sorted-member order (members
+// ascending and de-duplicated; for X2Y, X-side outer and Y-side inner) —
+// the order a compiled reducer processes them in. PreCheck prices coverage
+// from the list's length, the reducers pre-size their logs from it, and
+// CheckTrace compares it with the trace shard by shard, so a whole audited
+// run pays for one sweep.
+func (idx *schemaIndex) sweep() {
+	idx.sweepOnce.Do(func() {
+		required := idx.requiredPairCount()
+		covered := core.GetCoverSet(required)
+		defer core.PutCoverSet(covered)
+		owned := make([]pairEntry, 0, required)
+		ends := make([]int, len(idx.schema.Reducers))
+		claim := func(p, i, j int) {
+			if !covered.Contains(p) {
 				covered.Add(p)
-				if visit != nil {
-					visit(x, y, r)
+				owned = append(owned, pairEntry{int32(i), int32(j)})
+			}
+		}
+		for r, red := range idx.schema.Reducers {
+			if idx.schema.Problem == core.ProblemA2A {
+				members := sortedMembers(red.Inputs)
+				for a, i := range members {
+					base := idx.pairIndex(i, i+1) - (i + 1) // pairIndex(i, j) == base + j
+					for _, j := range members[a+1:] {
+						claim(base+j, i, j)
+					}
+				}
+			} else {
+				xs, ys := sortedMembers(red.XInputs), sortedMembers(red.YInputs)
+				for _, x := range xs {
+					for _, y := range ys {
+						claim(idx.pairIndex(x, y), x, y)
+					}
 				}
 			}
+			ends[r] = len(owned)
+		}
+		idx.owned, idx.ownedEnd = owned, ends
+	})
+}
+
+// sortedMembers returns a reducer's member list ascending and without
+// duplicates: the list itself when it already is (every solver emits such
+// lists), a repaired copy when a corrupted schema lists members out of order
+// or twice.
+func sortedMembers(ids []int) []int {
+	for k := 1; k < len(ids); k++ {
+		if ids[k-1] >= ids[k] {
+			out := slices.Clone(ids)
+			slices.Sort(out)
+			return slices.Compact(out)
 		}
 	}
-	return covered
+	return ids
+}
+
+// ownedBy returns the pairs the sweep assigns to reducer r, in the order a
+// compiled reducer processes them.
+func (idx *schemaIndex) ownedBy(r int) []pairEntry {
+	idx.sweep()
+	start := 0
+	if r > 0 {
+		start = idx.ownedEnd[r-1]
+	}
+	return idx.owned[start:idx.ownedEnd[r]]
+}
+
+// conforms is the audit's fast replay: the trace is exactly what the schema
+// prescribes when every required pair has an owner and every reducer's shard
+// equals the sweep's list for that reducer entry for entry and length for
+// length — every pair once, at its owner, and nothing else.
+func (idx *schemaIndex) conforms(shards [][]pairEntry) bool {
+	idx.sweep()
+	if len(idx.owned) != idx.requiredPairCount() || len(shards) != len(idx.ownedEnd) {
+		return false
+	}
+	for r := range shards {
+		if !slices.Equal(shards[r], idx.ownedBy(r)) {
+			return false
+		}
+	}
+	return true
 }
 
 // owner returns the owning reducer of a required pair: the lowest-indexed
@@ -453,9 +455,13 @@ func (a *Auditor) preCheck() error {
 			})
 		}
 	}
-	covered := a.idx.sweepOwners(nil)
-	if covered.Count() != a.idx.requiredPairCount() {
+	a.idx.sweep()
+	if len(a.idx.owned) != a.idx.requiredPairCount() {
 		// Slow path only on failure: name every uncovered pair.
+		covered := core.GetCoverSet(a.idx.requiredPairCount())
+		for _, e := range a.idx.owned {
+			covered.Add(a.idx.pairIndex(int(e.a), int(e.b)))
+		}
 		a.requiredPairs(func(i, j int) {
 			if !covered.Contains(a.idx.pairIndex(i, j)) {
 				violations = append(violations, Violation{
@@ -464,8 +470,8 @@ func (a *Auditor) preCheck() error {
 				})
 			}
 		})
+		core.PutCoverSet(covered)
 	}
-	core.PutCoverSet(covered)
 	if len(violations) > 0 {
 		return &AuditError{Violations: violations}
 	}
@@ -473,10 +479,20 @@ func (a *Auditor) preCheck() error {
 }
 
 // CheckTrace verifies that the run processed every required pair exactly
-// once, at its owning reducer.
+// once, at its owning reducer. A sharded trace that is exactly what the
+// schema prescribes passes on a sequence comparison; anything else is
+// converted to the sparse form and named pair by pair.
 func (a *Auditor) CheckTrace(tr *Trace) error {
+	if tr.shards != nil {
+		if a.idx.conforms(tr.shards) {
+			return nil
+		}
+		obsSlowReplays.Inc()
+		tr = tr.sparse()
+	}
 	var violations []Violation
-	flag := func(i, j, owner int, got []int) {
+	a.requiredPairs(func(i, j int) {
+		owner, got := a.idx.owner(i, j), tr.processedBy(i, j)
 		switch {
 		case len(got) == 0:
 			violations = append(violations, Violation{
@@ -494,35 +510,7 @@ func (a *Auditor) CheckTrace(tr *Trace) error {
 				Detail: fmt.Sprintf("pair (%d,%d) processed at reducer %d, owner is %d", i, j, got[0], owner),
 			})
 		}
-	}
-	if tr.dense() && tr.dupCount.Load() == 0 {
-		// Fast replay: the ascending reducer sweep visits every covered pair
-		// once, at its owner, so conformance is one lock-free array load per
-		// pair. Violations re-derive their detail through the slow accessors.
-		covered := a.idx.sweepOwners(func(i, j, owner int) {
-			var f int32
-			if idx := tr.slot(i, j); idx >= 0 {
-				f = atomic.LoadInt32(&tr.first[idx])
-			}
-			if f == 0 || int(f)-1 != owner {
-				flag(i, j, owner, tr.processedBy(i, j))
-			}
-		})
-		if covered.Count() != a.idx.requiredPairCount() {
-			// Pairs the schema never covers: owner is -1; anything the trace
-			// holds for them is a wrong-owner processing.
-			a.requiredPairs(func(i, j int) {
-				if !covered.Contains(a.idx.pairIndex(i, j)) {
-					flag(i, j, -1, tr.processedBy(i, j))
-				}
-			})
-		}
-		core.PutCoverSet(covered)
-	} else {
-		a.requiredPairs(func(i, j int) {
-			flag(i, j, a.idx.owner(i, j), tr.processedBy(i, j))
-		})
-	}
+	})
 	if len(violations) > 0 {
 		return &AuditError{Violations: violations}
 	}

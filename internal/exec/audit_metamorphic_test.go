@@ -6,7 +6,12 @@ package exec
 // rest of the repo leans on, so it is itself tested by perturbation.
 
 import (
+	"context"
 	"errors"
+	"fmt"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -195,4 +200,172 @@ func TestAuditorRejectsOutOfRangeSchema(t *testing.T) {
 		t.Error("A2A schema accepted by NewAuditorX2Y")
 	}
 	_ = set
+}
+
+// The sharded trace the executor writes and the sparse trace fabricated
+// tests write are two forms of one log. The tests below feed the same events
+// to both and require the same verdict from CheckTrace, violation for
+// violation: the sharded form's sequence comparison may only ever be a
+// shortcut to what the sparse reference check would have said.
+
+// traceEvent is one logged fact: reducer r processed the pair (a, b).
+type traceEvent struct{ r, a, b int }
+
+// executedEvents compiles the request, runs it on the engine without the
+// audit, and returns what the compiled reducers logged, reducer by reducer.
+func executedEvents(t *testing.T, req Request) (*compilation, []traceEvent) {
+	t.Helper()
+	c, err := compile(req, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mr.NewEngine().RunStream(context.Background(), c.job(), c.source(), nil, mr.StreamOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	var events []traceEvent
+	for r, log := range c.trace.shards {
+		for _, e := range log {
+			events = append(events, traceEvent{r, int(e.a), int(e.b)})
+		}
+	}
+	return c, events
+}
+
+// bothForms builds a sparse and a sharded trace from the same events.
+func bothForms(numReducers int, events []traceEvent) (sparse, sharded *Trace) {
+	sparse, sharded = NewTrace(), newShardedTrace(numReducers)
+	logs := make([][]pairEntry, numReducers)
+	for _, e := range events {
+		sparse.Record(e.r, e.a, e.b)
+		logs[e.r] = append(logs[e.r], pairEntry{int32(e.a), int32(e.b)})
+	}
+	for r, log := range logs {
+		sharded.publish(r, log)
+	}
+	return sparse, sharded
+}
+
+// violationKeys renders an audit verdict as a sorted multiset.
+func violationKeys(t *testing.T, err error) []string {
+	t.Helper()
+	if err == nil {
+		return nil
+	}
+	var ae *AuditError
+	if !errors.As(err, &ae) {
+		t.Fatalf("verdict is not an *AuditError: %v", err)
+	}
+	keys := make([]string, len(ae.Violations))
+	for i, v := range ae.Violations {
+		keys[i] = fmt.Sprintf("%s r=%d (%d,%d) %s", violationClass(v), v.Reducer, v.A, v.B, v.Detail)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// assertFormsAgree checks both forms of the events against the auditor and
+// returns the sharded form's verdict — as an error and as a multiset equal
+// to the sparse form's — and how many slow replays it took.
+func assertFormsAgree(t *testing.T, aud *Auditor, numReducers int, events []traceEvent) (verdict []string, slowReplays uint64, err error) {
+	t.Helper()
+	sparse, sharded := bothForms(numReducers, events)
+	want := violationKeys(t, aud.CheckTrace(sparse))
+	before := obsSlowReplays.Value()
+	err = aud.CheckTrace(sharded)
+	slowReplays = obsSlowReplays.Value() - before
+	if got := violationKeys(t, err); !reflect.DeepEqual(got, want) {
+		t.Fatalf("the two trace forms disagree:\n  sparse:  %v\n  sharded: %v", want, got)
+	}
+	return want, slowReplays, err
+}
+
+func TestShardedTraceAgreesWithSparseOnExecutedSchemas(t *testing.T) {
+	equal := func(n int) []core.Size {
+		sizes := make([]core.Size, n)
+		for i := range sizes {
+			sizes[i] = 2
+		}
+		return sizes
+	}
+	hand, handSet := validSchema(t)
+	duplicated, _ := validSchema(t)
+	duplicated.Reducers[0].Inputs = []int{0, 1, 1, 2}
+	unsorted, _ := validSchema(t)
+	unsorted.Reducers[0].Inputs = []int{2, 0, 1}
+	unsorted.Reducers[2].Inputs = []int{3, 1}
+	dropped, _ := validSchema(t)
+	dropped.Reducers[3] = core.Reducer{Inputs: []int{2}, Load: 2}
+	xSizes, ySizes := []core.Size{7, 2, 1, 3}, []core.Size{1, 2, 1, 1, 2}
+
+	cases := []struct {
+		name    string
+		req     Request
+		healthy bool // the run conforms, so the sharded form must not need a slow replay
+	}{
+		{"hand-built", Request{Schema: hand, Inputs: makeInputs(handSet.Sizes())}, true},
+		{"solved a2a", Request{Schema: solveA2A(t, equal(30), 10), Inputs: makeInputs(equal(30))}, true},
+		{"solved x2y", Request{Schema: solveX2Y(t, xSizes, ySizes, 10), XInputs: makeInputs(xSizes), YInputs: makeInputs(ySizes)}, true},
+		{"duplicated member", Request{Schema: duplicated, Inputs: makeInputs(handSet.Sizes())}, true},
+		{"unsorted members", Request{Schema: unsorted, Inputs: makeInputs(handSet.Sizes())}, true},
+		{"dropped member", Request{Schema: dropped, Inputs: makeInputs(handSet.Sizes())}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.req.Name, tc.req.Pair = tc.name, pairIDs
+			c, events := executedEvents(t, tc.req)
+			verdict, slow, _ := assertFormsAgree(t, c.auditor, c.schema.NumReducers(), events)
+			if tc.healthy && (len(verdict) != 0 || slow != 0) {
+				t.Fatalf("healthy run: verdict %v, %d slow replays; want none", verdict, slow)
+			}
+			if !tc.healthy && (len(verdict) == 0 || slow != 1) {
+				t.Fatalf("corrupted run: verdict %v, %d slow replays; want violations from one slow replay", verdict, slow)
+			}
+		})
+	}
+}
+
+func TestShardedTraceAgreesWithSparseOnFabricatedMisbehaviour(t *testing.T) {
+	ms, set := validSchema(t)
+	c, healthy := executedEvents(t, Request{Name: "fabricated", Schema: ms, Inputs: makeInputs(set.Sizes()), Pair: pairIDs})
+	n := ms.NumReducers()
+	without := func(a, b int) []traceEvent {
+		var out []traceEvent
+		for _, e := range healthy {
+			if e.a != a || e.b != b {
+				out = append(out, e)
+			}
+		}
+		return out
+	}
+	cases := []struct {
+		name   string
+		events []traceEvent
+		class  error // nil: the reference check has nothing to say
+	}{
+		// (0,1) is owned by reducer 0; reducer 1 holds input 0 but not 1.
+		{"pair at a non-owner", append(without(0, 1), traceEvent{1, 0, 1}), ErrWrongOwner},
+		{"pair at two reducers", append(slices.Clone(healthy), traceEvent{3, 0, 1}), ErrDuplicatePair},
+		{"pair at one reducer twice", append(slices.Clone(healthy), traceEvent{0, 0, 1}), ErrDuplicatePair},
+		{"pair missing", without(1, 3), ErrUncoveredPair},
+		{"pairs out of order", append(without(0, 1), traceEvent{0, 0, 1}), nil},
+		{"extra pair outside the instance", append(slices.Clone(healthy), traceEvent{2, 1, 9}), nil},
+		{"extra reversed pair", append(slices.Clone(healthy), traceEvent{0, 2, 1}), nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			verdict, slow, err := assertFormsAgree(t, c.auditor, n, tc.events)
+			if slow != 1 {
+				t.Fatalf("%d slow replays, want 1: the shards are not what the schema prescribes", slow)
+			}
+			if tc.class == nil {
+				if err != nil {
+					t.Fatalf("verdict %v, want none (the reference check only names required pairs)", verdict)
+				}
+				return
+			}
+			if !errors.Is(err, tc.class) || len(verdict) != 1 {
+				t.Fatalf("verdict %v, want exactly one %v", verdict, tc.class)
+			}
+		})
+	}
 }

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -226,5 +227,42 @@ func assertGoldenRun(t *testing.T, want, got goldenRun) {
 	gb, _ := json.Marshal(got.Counters)
 	if string(wb) != string(gb) {
 		t.Errorf("%s: counters drifted from the seed engine:\n  seed: %s\n  got:  %s", got.Name, wb, gb)
+	}
+}
+
+// TestGoldenRunsTakeTheAuditFastPath asserts that healthy executions are
+// audited by sequence comparison alone — pland_exec_audit_slow_replays_total
+// does not move over the golden scenarios, single and batched — and that a
+// run whose trace is not what the schema prescribes moves it by exactly one.
+func TestGoldenRunsTakeTheAuditFastPath(t *testing.T) {
+	reqs := compatScenarios(t)
+	before := obsSlowReplays.Value()
+	for _, req := range reqs {
+		if res, err := Run(req); err != nil || !res.Audited {
+			t.Fatalf("%s: audited=%v err=%v", req.Name, res != nil && res.Audited, err)
+		}
+	}
+	if _, err := RunBatch(context.Background(), append(reqs, reqs[0]), BatchOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := obsSlowReplays.Value() - before; got != 0 {
+		t.Fatalf("healthy runs took %d slow replays, want 0", got)
+	}
+
+	// Corrupt a real run's trace: the first reducer with work loses its
+	// first entry.
+	c, _ := executedEvents(t, reqs[0])
+	for r, log := range c.trace.shards {
+		if len(log) > 0 {
+			c.trace.shards[r] = log[1:]
+			break
+		}
+	}
+	err := c.auditor.CheckTrace(c.trace)
+	if !errors.Is(err, ErrUncoveredPair) {
+		t.Fatalf("corrupted trace: err = %v, want ErrUncoveredPair", err)
+	}
+	if got := obsSlowReplays.Value() - before; got != 1 {
+		t.Fatalf("corrupted trace took %d slow replays, want 1", got)
 	}
 }

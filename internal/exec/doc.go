@@ -23,7 +23,10 @@
 //     PairFunc once per required pair it owns. A schema may cover a pair at
 //     several reducers; the pair's owner is the lowest-indexed reducer
 //     assigned both inputs (mr.LowestCommonReducer), so every pair is
-//     processed exactly once across the whole job.
+//     processed exactly once across the whole job. A reducer elects its
+//     pairs from the per-input membership bitsets: both inputs reached it,
+//     so it owns the pair exactly when their rows share no lower-indexed
+//     reducer, and it never reads a row past its own index.
 //   - The job's engine-level capacity is the byte image of the schema's
 //     routing: the largest per-reducer load the compiled assignments can
 //     produce (framing and key overhead included). The schema-level capacity
@@ -42,6 +45,24 @@
 // the loads the schema routed (ErrLoadMismatch). Violations are typed and
 // aggregated in an AuditError, usable both as a production guard and as a
 // test oracle.
+//
+// The audit is always on, so it is built to cost a healthy run almost
+// nothing. PreCheck derives every pair's owner in one ascending sweep over
+// the reducers (the first reducer containing a pair owns it) and keeps the
+// result as one list of owned pairs per reducer, in the order that reducer
+// will process them. Each reduce call appends the pairs it processes to a
+// private slice and publishes it when the call succeeds — no atomics, no
+// shared cache line in the per-pair loop, and nothing left behind by a failed
+// attempt the engine retries. The post-run check of a healthy run is then a
+// sequence comparison: reducer r's log must equal the sweep's list for r,
+// entry for entry and length for length, which is exactly "every pair once,
+// at its owner, nothing else". The two sides derive owners differently — the
+// reducers from the membership bitsets, the auditor from the sweep — so the
+// comparison is a cross-check, not a tautology. Any mismatch converts the
+// logs to the sparse map form fabricated traces use and runs the generic
+// pair-by-pair check on it, which names every violation; the
+// pland_exec_audit_slow_replays_total counter says how often that happens
+// (never, for a healthy run).
 //
 // RunBatch executes many independent jobs under a bounded worker pool, for
 // service-style traffic and for applications that decompose into many small

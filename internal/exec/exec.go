@@ -2,11 +2,12 @@ package exec
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"time"
 
@@ -76,9 +77,12 @@ type Request struct {
 	MaxAttempts int
 	// Engine runs the job; nil means a fresh mr.Engine.
 	Engine *mr.Engine
-	// NoAudit skips the conformance harness. The audit costs one trace entry
-	// per required pair, so very large instances whose schemas are already
-	// trusted can opt out.
+	// NoAudit skips the post-run conformance check (the schema's own
+	// PreCheck always runs). What it saves is small: the reducers log their
+	// pairs either way — eight bytes per pair, appended to a private
+	// per-reducer slice, which is also where PairsProcessed comes from — and
+	// the check of a healthy run is one sequential comparison of those logs
+	// against the owned-pair lists PreCheck already derived.
 	NoAudit bool
 }
 
@@ -207,6 +211,9 @@ type compilation struct {
 	idx     *schemaIndex
 	auditor *Auditor
 	trace   *Trace
+	// keys holds the shuffle key of every reducer, built once per compile so
+	// neither the mapper nor the load computation formats one per copy.
+	keys []string
 	// expectedLoads is the byte image of the schema's routing per reducer;
 	// expectedCopies is the matching record count per reducer.
 	expectedLoads  []int64
@@ -246,7 +253,6 @@ func compile(req Request, shared *schemaIndex) (*compilation, error) {
 		} else {
 			c.idx, err = newSchemaIndexA2A(schema, numA)
 		}
-		c.trace = newTriTrace(numA)
 	case core.ProblemX2Y:
 		if req.Source != nil {
 			return nil, fmt.Errorf("%w: streaming input (Source) supports A2A jobs only (job %q)", ErrBadInputs, req.Name)
@@ -259,12 +265,16 @@ func compile(req Request, shared *schemaIndex) (*compilation, error) {
 		} else {
 			c.idx, err = newSchemaIndexX2Y(schema, len(req.XInputs), len(req.YInputs))
 		}
-		c.trace = newDenseTrace(len(req.XInputs), len(req.YInputs))
 	default:
 		return nil, fmt.Errorf("exec: unknown problem %v (job %q)", schema.Problem, req.Name)
 	}
 	if err != nil {
 		return nil, err
+	}
+	c.trace = newShardedTrace(schema.NumReducers())
+	c.keys = make([]string, schema.NumReducers())
+	for r := range c.keys {
+		c.keys[r] = mr.ReducerKey(r)
 	}
 	c.buildRecords()
 	c.computeExpectedLoads()
@@ -357,7 +367,11 @@ func (c *compilation) assignmentsFor(side byte, id int) ([]int, error) {
 // framedSize returns len(frameRecord(side, id, data)) for a data payload of
 // dataLen bytes, without building the frame.
 func framedSize(id, dataLen int) int64 {
-	return int64(3 + len(strconv.Itoa(id)) + dataLen)
+	digits := 1
+	for v := id; v >= 10; v /= 10 {
+		digits++
+	}
+	return int64(3 + digits + dataLen)
 }
 
 // computeExpectedLoads derives, per reducer, the exact engine byte load the
@@ -373,10 +387,8 @@ func (c *compilation) computeExpectedLoads() {
 		for id, rs := range assign {
 			sz := framedSize(id, dataLen(id))
 			for _, r := range rs {
-				if r >= 0 && r < n {
-					loads[r] += int64(len(mr.ReducerKey(r))) + sz
-					copies[r]++
-				}
+				loads[r] += int64(len(c.keys[r])) + sz
+				copies[r]++
 			}
 		}
 	}
@@ -476,21 +488,36 @@ func (c *compilation) mapper() mr.Mapper {
 			return err
 		}
 		for _, r := range rs {
-			emit(mr.Pair{Key: mr.ReducerKey(r), Value: record})
+			emit(mr.Pair{Key: c.keys[r], Value: record})
 		}
 		return nil
 	})
 }
 
 // reducer reconstructs the records of one partition, elects this reducer's
-// owned pairs, logs them into the trace, and applies the user PairFunc.
+// owned pairs, logs them, and applies the user PairFunc.
+//
+// Owner election runs on the membership bitsets, independently of the
+// auditor's sweep (two derivations, one cross-check). Both records of a
+// candidate pair reached this reducer, so both rows contain it, and the
+// reducer owns the pair exactly when the rows share no lower-indexed
+// reducer.
+//
+// The log is private to the call and published only when the call succeeds:
+// the hot loop shares nothing, and a failed attempt that the engine retries
+// leaves no entries behind.
 func (c *compilation) reducer() mr.Reducer {
+	n := c.schema.NumReducers()
 	return mr.ReducerFunc(func(key string, values [][]byte, emit func([]byte)) error {
 		self, err := mr.ParseReducerKey(key)
+		if err == nil && (self < 0 || self >= n) {
+			err = fmt.Errorf("the schema has %d reducers", n)
+		}
 		if err != nil {
 			return fmt.Errorf("exec: unexpected reducer key %q: %w", key, err)
 		}
-		var aRecs, bRecs []Record // A2A uses aRecs only; X2Y splits by side
+		aRecs := make([]Record, 0, len(values)) // A2A uses aRecs only; X2Y splits by side
+		var bRecs []Record
 		for _, v := range values {
 			side, id, data, err := parseRecord(v)
 			if err != nil {
@@ -507,32 +534,36 @@ func (c *compilation) reducer() mr.Reducer {
 		}
 		aRecs = sortAndDedupeRecords(aRecs)
 		bRecs = sortAndDedupeRecords(bRecs)
+		log := make([]pairEntry, 0, len(c.idx.ownedBy(self)))
 		if c.schema.Problem == core.ProblemA2A {
-			for i := 0; i < len(aRecs); i++ {
-				for j := i + 1; j < len(aRecs); j++ {
-					a, b := aRecs[i], aRecs[j]
-					if a.ID == b.ID || c.auditor.Owner(a.ID, b.ID) != self {
+			rows := c.idx.aBits
+			for i, a := range aRecs {
+				rowA := &rows[a.ID]
+				for _, b := range aRecs[i+1:] {
+					if rowA.IntersectsBelow(&rows[b.ID], self) {
 						continue
 					}
-					c.trace.Record(self, a.ID, b.ID)
+					log = append(log, pairEntry{int32(a.ID), int32(b.ID)})
 					if err := c.req.Pair(a, b, emit); err != nil {
 						return fmt.Errorf("exec: pair (%d,%d): %w", a.ID, b.ID, err)
 					}
 				}
 			}
-			return nil
-		}
-		for _, x := range aRecs {
-			for _, y := range bRecs {
-				if c.auditor.Owner(x.ID, y.ID) != self {
-					continue
-				}
-				c.trace.Record(self, x.ID, y.ID)
-				if err := c.req.Pair(x, y, emit); err != nil {
-					return fmt.Errorf("exec: pair (x=%d,y=%d): %w", x.ID, y.ID, err)
+		} else {
+			for _, x := range aRecs {
+				rowX := &c.idx.xBits[x.ID]
+				for _, y := range bRecs {
+					if rowX.IntersectsBelow(&c.idx.yBits[y.ID], self) {
+						continue
+					}
+					log = append(log, pairEntry{int32(x.ID), int32(y.ID)})
+					if err := c.req.Pair(x, y, emit); err != nil {
+						return fmt.Errorf("exec: pair (x=%d,y=%d): %w", x.ID, y.ID, err)
+					}
 				}
 			}
 		}
+		c.trace.publish(self, log)
 		return nil
 	})
 }
@@ -543,13 +574,6 @@ func (c *compilation) reducer() mr.Reducer {
 // double-process pairs — duplicate processing is the audit's signal for a
 // pair covered at two owners, not for a doubled assignment).
 func sortAndDedupeRecords(recs []Record) []Record {
-	sort.Slice(recs, func(i, j int) bool { return recs[i].ID < recs[j].ID })
-	out := recs[:0]
-	for i, r := range recs {
-		if i > 0 && r.ID == recs[i-1].ID {
-			continue
-		}
-		out = append(out, r)
-	}
-	return out
+	slices.SortFunc(recs, func(x, y Record) int { return cmp.Compare(x.ID, y.ID) })
+	return slices.CompactFunc(recs, func(x, y Record) bool { return x.ID == y.ID })
 }

@@ -236,9 +236,18 @@ func TestRecordFramingRoundTrip(t *testing.T) {
 		{sideX, 12345, "payload"},
 		{sideY, 7, "with|pipes|inside"},
 	} {
-		side, id, data, err := parseRecord(frameRecord(tc.side, tc.id, []byte(tc.data)))
+		framed := frameRecord(tc.side, tc.id, []byte(tc.data))
+		side, id, data, err := parseRecord(framed)
 		if err != nil || side != tc.side || id != tc.id || string(data) != tc.data {
 			t.Errorf("round trip (%c,%d,%q) = (%c,%d,%q), err %v", tc.side, tc.id, tc.data, side, id, data, err)
+		}
+		if got := framedSize(tc.id, len(tc.data)); got != int64(len(framed)) {
+			t.Errorf("framedSize(%d, %d) = %d, the frame is %d bytes", tc.id, len(tc.data), got, len(framed))
+		}
+	}
+	for _, id := range []int{9, 10, 99, 100, 999999, 1000000} {
+		if got, want := framedSize(id, 0), int64(len(frameRecord(sideA, id, nil))); got != want {
+			t.Errorf("framedSize(%d, 0) = %d, the frame is %d bytes", id, got, want)
 		}
 	}
 	for _, bad := range []string{"", "a", "a|", "a|12", "a|x|data"} {
@@ -313,5 +322,40 @@ func TestRunBatchEmpty(t *testing.T) {
 	results, err := RunBatch(context.Background(), nil, BatchOptions{})
 	if err != nil || len(results) != 0 {
 		t.Errorf("empty batch = %v, %v", results, err)
+	}
+}
+
+// TestRetriedReduceAttemptLeavesNoTraceEntries is the regression test for a
+// retried reduce task poisoning the audit: the engine discards a failed
+// attempt's output and the retry succeeds, so the trace must describe the
+// retry alone. Before the per-call logs, the failed attempt's entries stayed
+// in the shared trace and a correct run failed with ErrDuplicatePair.
+func TestRetriedReduceAttemptLeavesNoTraceEntries(t *testing.T) {
+	sizes := make([]core.Size, 12)
+	for i := range sizes {
+		sizes[i] = 2
+	}
+	schema := solveA2A(t, sizes, 16)
+	calls := 0 // Workers: 1 serializes the reduce tasks, so no lock is needed
+	flaky := func(a, b Record, emit func([]byte)) error {
+		calls++
+		if calls == 3 {
+			return errors.New("injected pair failure")
+		}
+		return pairIDs(a, b, emit)
+	}
+	res, err := Run(Request{
+		Name: "retry", Schema: schema, Inputs: makeInputs(sizes),
+		Pair: flaky, Workers: 1, MaxAttempts: 2,
+	})
+	if err != nil {
+		t.Fatalf("a run whose only failure was retried successfully failed: %v", err)
+	}
+	want := len(sizes) * (len(sizes) - 1) / 2
+	if !res.Audited || res.PairsProcessed != int64(want) || len(res.Output) != want {
+		t.Fatalf("audited=%v pairs=%d outputs=%d, want true/%d/%d", res.Audited, res.PairsProcessed, len(res.Output), want, want)
+	}
+	if calls != want+3 {
+		t.Fatalf("pair function ran %d times, want %d (the failed attempt made 3 calls)", calls, want+3)
 	}
 }

@@ -8,7 +8,8 @@ import (
 
 // Process-wide executor series on obs.Default. Everything here sits outside
 // the engine's map/reduce hot loops: runs and pairs are counted once per Run,
-// verify latency once per audit, violations only on audit failure.
+// verify latency once per audit, violations and slow replays only when an
+// audit finds something.
 var (
 	obsRunsVec = obs.Default.CounterVec("pland_exec_runs_total",
 		"Schema-driven executions, by outcome (ok, error, audit_failed).", "outcome")
@@ -24,6 +25,9 @@ var (
 
 	obsViolations = obs.Default.CounterVec("pland_exec_audit_violations_total",
 		"Conformance violations found by audits, by class.", "class")
+
+	obsSlowReplays = obs.Default.Counter("pland_exec_audit_slow_replays_total",
+		"Post-run audits whose trace was not exactly what the schema prescribes and was replayed pair by pair; healthy runs never add to it.")
 
 	obsSpillRuns = obs.Default.Counter("pland_exec_spill_runs_total",
 		"Sorted run files written by memory-budgeted executions.")

@@ -9,14 +9,28 @@
 //	Source → map workers → per-partition accumulators → reduce → Sink
 //
 // RunStream pulls records one at a time from a Source (so the whole input
-// never has to be materialized), fans them out to MapParallelism map workers,
-// and routes every emitted pair to the accumulator goroutine of its reduce
-// partition — one goroutine pipeline per partition, with hash tables pre-sized
-// from the job's declared PartitionHints. Reduce tasks run as partitions
-// complete, gated by a ReduceParallelism semaphore, and write either to the
-// caller's Sink or into the collected Result.Output. Every channel operation
-// selects on ctx.Done(), so cancellation propagates mid-pipeline without
-// waiting for a stage to drain.
+// never has to be materialized), fans them out to MapParallelism map workers
+// — one per processor by default — and routes every emitted pair to the
+// accumulator goroutine of its reduce partition — one goroutine pipeline per
+// partition, with hash tables pre-sized from the job's declared
+// PartitionHints. Reduce tasks run as partitions complete, gated by a
+// ReduceParallelism semaphore, and write either to the caller's Sink or into
+// the collected Result.Output. Every channel operation selects on
+// ctx.Done(), so cancellation propagates mid-pipeline without waiting for a
+// stage to drain.
+//
+// Records cross the reader → map and map → partition boundaries in chunks of
+// up to 64 records (closed early at 64 KiB of payload), so the cost of a
+// channel operation is paid per chunk, not per record. The reader fills one
+// chunk at a time; each map worker keeps one pending chunk per partition,
+// hands it over when it is full, and flushes the partial ones when the input
+// ends. Chunking is invisible in the results: pairs are still inserted,
+// counted, capacity-checked and charged to the memory budget one at a time,
+// and the provenance order below does not depend on how they travelled.
+// What is parked between stages stays bounded by StreamOptions.BufferSize:
+// channel capacities are counted in chunks and cut accordingly (with the
+// default BufferSize of 64 each channel holds one chunk), and a BufferSize
+// below the chunk length shrinks the chunks to it.
 //
 // The slice-based Engine.Run is a thin adapter: it wraps its input in a
 // SliceSource and calls RunStream with default options. Both paths produce
@@ -39,8 +53,8 @@
 //
 // Each map emission carries its provenance: the source record index and the
 // emission ordinal. Values within a key group are ordered by that provenance,
-// so output is deterministic regardless of MapParallelism, buffering, or how
-// many times a partition spilled.
+// so output is deterministic regardless of MapParallelism, buffering,
+// chunking, or how many times a partition spilled.
 //
 // The paper assumes a production MapReduce stack; its cost model depends only
 // on the data shipped from mappers to reducers and on per-reducer load, which

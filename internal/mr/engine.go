@@ -23,19 +23,21 @@ func (e *Engine) Run(job *Job, inputs [][]byte) (*Result, error) {
 }
 
 // runMapTask applies the mapper to one record, retrying up to the job's
-// attempt budget, and returns the emissions of the successful attempt.
-func runMapTask(job *Job, record []byte) ([]Pair, error) {
+// attempt budget, and returns the emissions of the successful attempt. They
+// are collected in buf's storage, overwriting its contents, so a caller can
+// reuse one buffer across records.
+func runMapTask(job *Job, record []byte, buf []Pair) ([]Pair, error) {
 	var lastErr error
+	emit := func(p Pair) { buf = append(buf, p) }
 	for attempt := 0; attempt < job.attempts(); attempt++ {
-		var buffered []Pair
-		emit := func(p Pair) { buffered = append(buffered, p) }
+		buf = buf[:0]
 		if err := job.Mapper.Map(record, emit); err != nil {
 			lastErr = err
 			continue
 		}
-		return buffered, nil
+		return buf, nil
 	}
-	return nil, fmt.Errorf("failed after %d attempts: %w", job.attempts(), lastErr)
+	return buf[:0], fmt.Errorf("failed after %d attempts: %w", job.attempts(), lastErr)
 }
 
 // runReduceTask applies the reducer to one key group, retrying up to the

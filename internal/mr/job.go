@@ -75,8 +75,10 @@ type Job struct {
 	// Partitioner routes keys to partitions; nil means HashPartitioner.
 	Partitioner Partitioner
 	// MapParallelism and ReduceParallelism bound the number of concurrently
-	// running map and reduce tasks; 0 means the number of partitions (i.e.
-	// fully parallel), 1 means sequential deterministic execution.
+	// running map and reduce tasks. For map tasks 0 means one worker per
+	// processor (GOMAXPROCS), never more than the number of partitions; for
+	// reduce tasks 0 means the number of partitions (i.e. fully parallel).
+	// 1 means sequential execution. Output does not depend on either.
 	MapParallelism    int
 	ReduceParallelism int
 	// ReducerCapacity, when positive, makes the engine fail the job if any

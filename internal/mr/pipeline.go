@@ -1,11 +1,14 @@
 package mr
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -13,18 +16,42 @@ import (
 )
 
 // The streaming pipeline: a reader goroutine pulls records from the Source
-// into a bounded channel, map workers apply the mapper and route each
-// emitted pair to its partition's bounded channel, and one goroutine per
-// reduce partition accumulates pairs into a pre-sized hash table — spilling
-// sorted runs to disk when the run's memory budget is exceeded — then
-// groups, optionally combines, and reduces, emitting output to the Sink (or
-// the collected Result). Every channel operation selects on the run
-// context, so cancellation tears the whole pipeline down promptly.
+// and hands them, a chunk at a time, to the map workers through a bounded
+// channel; the workers apply the mapper and collect each emitted pair in a
+// chunk for its partition, handing full chunks to that partition's bounded
+// channel; and one goroutine per reduce partition accumulates pairs into a
+// pre-sized hash table — spilling sorted runs to disk when the run's memory
+// budget is exceeded — then groups, optionally combines, and reduces,
+// emitting output to the Sink (or the collected Result). Every channel
+// operation selects on the run context, so cancellation tears the whole
+// pipeline down promptly.
+//
+// Records cross stage boundaries in chunks so that a channel operation — a
+// lock, and often a goroutine wake-up — is paid once per chunk, not once per
+// record. A chunk is closed by record count or by bytes, whichever comes
+// first, and partial chunks are flushed when the input ends.
 
-// srcRecord is one input record tagged with its index.
-type srcRecord struct {
-	idx  int64
-	data []byte
+const (
+	// chunkRecords is how many records (reader side) or pairs (map side) one
+	// chunk holds at most. StreamOptions.BufferSize below it shrinks chunks
+	// to BufferSize, so BufferSize 1 is a record-at-a-time pipeline.
+	chunkRecords = 64
+	// chunkBytes closes a chunk early once its payload reaches this many
+	// bytes, so chunks of large records stay small in memory.
+	chunkBytes = 64 << 10
+)
+
+// recordChunk is a run of consecutive input records; recs[i] is input record
+// first+i.
+type recordChunk struct {
+	first int64
+	recs  [][]byte
+}
+
+// pairChunk is one map worker's pending pairs for one partition.
+type pairChunk struct {
+	pairs []streamPair
+	bytes int64
 }
 
 // pipeline is the state of one RunStream call.
@@ -37,7 +64,9 @@ type pipeline struct {
 	opts   StreamOptions
 	res    *Result
 
-	parts  []chan streamPair
+	chunkLen int // records per chunk: min(chunkRecords, BufferSize)
+
+	parts  []chan []streamPair
 	states []*partitionState
 
 	memUsed atomic.Int64 // in-memory shuffle bytes across partitions
@@ -134,15 +163,30 @@ func (p *pipeline) fail(err error) {
 	})
 }
 
+// cancelled reports, without blocking, whether the run has been cancelled or
+// has failed. Stages poll it between the records of a chunk, so a chunk does
+// not delay cancellation.
+func (p *pipeline) cancelled() bool {
+	select {
+	case <-p.ctx.Done():
+		return true
+	default:
+		return false
+	}
+}
+
 // run drives the pipeline to completion.
 func (p *pipeline) run() (*Result, error) {
 	job := p.job
 	n := job.NumReducers
-	p.parts = make([]chan streamPair, n)
+	p.parts = make([]chan []streamPair, n)
 	p.states = make([]*partitionState, n)
-	buf := p.opts.bufferSize()
+	// Channels carry chunks, so their capacity is BufferSize divided by the
+	// chunk length: a channel still parks at most BufferSize records.
+	p.chunkLen = min(chunkRecords, p.opts.bufferSize())
+	buf := p.opts.bufferSize() / p.chunkLen
 	for i := range p.parts {
-		p.parts[i] = make(chan streamPair, buf)
+		p.parts[i] = make(chan []streamPair, buf)
 		p.states[i] = &partitionState{part: i, hint: job.hint(i)}
 		p.states[i].groups = make(map[string][]valueRec, p.states[i].hint.keysHint())
 	}
@@ -151,16 +195,14 @@ func (p *pipeline) run() (*Result, error) {
 	endMap := p.opts.stage("map")
 
 	// Stage 1: reader.
-	mapIn := make(chan srcRecord, buf)
+	mapIn := make(chan recordChunk, buf)
 	go p.readSource(mapIn)
 
-	// Stage 2: map workers.
+	// Stage 2: map workers. Mapping is CPU work, so by default there is one
+	// worker per processor (and never more than one per partition).
 	workers := job.MapParallelism
 	if workers <= 0 {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
+		workers = min(n, runtime.GOMAXPROCS(0))
 	}
 	var mapWG sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -216,71 +258,125 @@ func (p *pipeline) run() (*Result, error) {
 	return p.res, nil
 }
 
-// readSource pulls records from the source into the map stage.
-func (p *pipeline) readSource(mapIn chan<- srcRecord) {
+// readSource pulls records from the source into the map stage, a chunk at a
+// time; the last, partial chunk goes out when the input ends.
+func (p *pipeline) readSource(mapIn chan<- recordChunk) {
 	defer close(mapIn)
-	var idx int64
+	chunk := recordChunk{recs: make([][]byte, 0, p.chunkLen)}
+	var bytes int
+	send := func() bool {
+		select {
+		case mapIn <- chunk:
+			p.inRecords.Add(int64(len(chunk.recs)))
+			chunk = recordChunk{first: chunk.first + int64(len(chunk.recs)), recs: make([][]byte, 0, p.chunkLen)}
+			bytes = 0
+			return true
+		case <-p.ctx.Done():
+			return false
+		}
+	}
 	for {
 		rec, err := p.src.Next()
 		if err != nil {
 			if !errors.Is(err, io.EOF) {
-				p.fail(fmt.Errorf("mr: reading input record %d: %w", idx, err))
+				p.fail(fmt.Errorf("mr: reading input record %d: %w", chunk.first+int64(len(chunk.recs)), err))
+				return
+			}
+			if len(chunk.recs) > 0 {
+				send()
 			}
 			return
 		}
-		select {
-		case mapIn <- srcRecord{idx: idx, data: rec}:
-			p.inRecords.Add(1)
-			idx++
-		case <-p.ctx.Done():
+		chunk.recs = append(chunk.recs, rec)
+		bytes += len(rec)
+		if (len(chunk.recs) >= p.chunkLen || bytes >= chunkBytes) && !send() {
 			return
 		}
 	}
 }
 
-// mapWorker maps records and routes the emissions to their partitions.
-func (p *pipeline) mapWorker(mapIn <-chan srcRecord) {
+// mapWorker maps records and routes the emissions to their partitions. It
+// keeps one pending chunk per partition, hands a chunk over when it is full,
+// and flushes the partial ones once the input is exhausted.
+func (p *pipeline) mapWorker(mapIn <-chan recordChunk) {
 	job := p.job
 	part := job.partitioner()
 	n := job.NumReducers
+	pending := make([]pairChunk, n)
+	send := func(idx int) bool {
+		select {
+		case p.parts[idx] <- pending[idx].pairs:
+			pending[idx] = pairChunk{}
+			return true
+		case <-p.ctx.Done():
+			return false
+		}
+	}
+	var emitted []Pair // reused across records
 	for {
-		var rec srcRecord
+		var chunk recordChunk
 		var ok bool
 		select {
-		case rec, ok = <-mapIn:
-			if !ok {
-				return
-			}
+		case chunk, ok = <-mapIn:
 		case <-p.ctx.Done():
 			return
 		}
-		buffered, err := runMapTask(job, rec.data)
-		if err != nil {
-			p.fail(fmt.Errorf("mr: map task over record %d: %w", rec.idx, err))
-			return
+		if !ok {
+			break
 		}
-		var bytes int64
-		for i, pr := range buffered {
-			idx := part(pr.Key, n)
-			if idx < 0 || idx >= n {
-				idx = 0
-			}
-			sp := streamPair{Pair: pr, rec: rec.idx, emit: int32(i)}
-			select {
-			case p.parts[idx] <- sp:
-			case <-p.ctx.Done():
+		var records, bytes int64
+		for i, rec := range chunk.recs {
+			if p.cancelled() {
 				return
 			}
-			bytes += int64(pr.Size())
+			recIdx := chunk.first + int64(i)
+			var err error
+			emitted, err = runMapTask(job, rec, emitted)
+			if err != nil {
+				p.fail(fmt.Errorf("mr: map task over record %d: %w", recIdx, err))
+				return
+			}
+			for e, pr := range emitted {
+				idx := part(pr.Key, n)
+				if idx < 0 || idx >= n {
+					idx = 0
+				}
+				pc := &pending[idx]
+				if pc.pairs == nil {
+					pc.pairs = make([]streamPair, 0, p.pendingCap(idx))
+				}
+				size := int64(pr.Size())
+				pc.pairs = append(pc.pairs, streamPair{Pair: pr, rec: recIdx, emit: int32(e)})
+				pc.bytes += size
+				bytes += size
+				if (len(pc.pairs) >= p.chunkLen || pc.bytes >= chunkBytes) && !send(idx) {
+					return
+				}
+			}
+			records += int64(len(emitted))
 		}
-		p.mapRecords.Add(int64(len(buffered)))
+		p.mapRecords.Add(records)
 		p.mapBytes.Add(bytes)
 	}
+	for idx := range pending {
+		if len(pending[idx].pairs) > 0 && !send(idx) {
+			return
+		}
+	}
+}
+
+// pendingCap sizes a fresh pending chunk: a full chunk, or the partition's
+// whole declared input when that is smaller.
+func (p *pipeline) pendingCap(part int) int {
+	if r := p.states[part].hint.Records; r > 0 && r < p.chunkLen {
+		return r
+	}
+	return p.chunkLen
 }
 
 // partitionWorker accumulates one partition's pairs (spilling under memory
 // pressure), then combines and reduces them.
-func (p *pipeline) partitionWorker(st *partitionState, in <-chan streamPair, reduceSem chan struct{}) {
+func (p *pipeline) partitionWorker(st *partitionState, in <-chan []streamPair, reduceSem chan struct{}) {
 	defer func() {
 		// Whatever happened, stop charging this partition's buffer against
 		// the budget.
@@ -290,34 +386,43 @@ func (p *pipeline) partitionWorker(st *partitionState, in <-chan streamPair, red
 	job := p.job
 	checkCapacity := job.ReducerCapacity > 0 && job.Combiner == nil
 	for {
-		var sp streamPair
+		var chunk []streamPair
 		var ok bool
 		select {
-		case sp, ok = <-in:
+		case chunk, ok = <-in:
 		case <-p.ctx.Done():
 			return
 		}
 		if !ok {
 			break
 		}
-		size := int64(sp.Size())
-		st.records++
-		st.load += size
-		if checkCapacity && st.load > job.ReducerCapacity {
-			p.fail(fmt.Errorf("%w: partition %d holds %d bytes > capacity %d (job %q)",
-				ErrOverCapacity, st.part, st.load, job.ReducerCapacity, job.Name))
-			return
-		}
-		vals, seen := st.groups[sp.Key]
-		if !seen && len(st.groups) == 0 && st.hint.keysHint() == 1 && st.hint.Records > 0 {
-			vals = make([]valueRec, 0, st.hint.Records)
-		}
-		st.groups[sp.Key] = append(vals, valueRec{data: sp.Value, rec: sp.rec, emit: sp.emit})
-		st.memBytes += size
-		if p.memUsed.Add(size) > p.opts.MemoryBudget && p.opts.MemoryBudget > 0 && st.memBytes > 0 {
-			if err := p.spill(st); err != nil {
-				p.fail(err)
+		// Pairs arrive in chunks but are inserted — and the capacity bound
+		// and the memory budget checked — one at a time, exactly as if each
+		// had crossed the channel alone.
+		for i := range chunk {
+			sp := &chunk[i]
+			size := int64(sp.Size())
+			st.records++
+			st.load += size
+			if checkCapacity && st.load > job.ReducerCapacity {
+				p.fail(fmt.Errorf("%w: partition %d holds %d bytes > capacity %d (job %q)",
+					ErrOverCapacity, st.part, st.load, job.ReducerCapacity, job.Name))
 				return
+			}
+			vals, seen := st.groups[sp.Key]
+			if !seen && len(st.groups) == 0 && st.hint.keysHint() == 1 && st.hint.Records > 0 {
+				vals = make([]valueRec, 0, st.hint.Records)
+			}
+			st.groups[sp.Key] = append(vals, valueRec{data: sp.Value, rec: sp.rec, emit: sp.emit})
+			st.memBytes += size
+			if p.memUsed.Add(size) > p.opts.MemoryBudget && p.opts.MemoryBudget > 0 && st.memBytes > 0 {
+				if err := p.spill(st); err != nil {
+					p.fail(err)
+					return
+				}
+				if p.cancelled() {
+					return
+				}
 			}
 		}
 	}
@@ -436,11 +541,11 @@ func (st *partitionState) forEachGroup(fn func(key string, values [][]byte) erro
 		sort.Strings(keys)
 		for _, k := range keys {
 			vals := st.groups[k]
-			sort.Slice(vals, func(i, j int) bool {
-				if vals[i].rec != vals[j].rec {
-					return vals[i].rec < vals[j].rec
+			slices.SortFunc(vals, func(a, b valueRec) int {
+				if c := cmp.Compare(a.rec, b.rec); c != 0 {
+					return c
 				}
-				return vals[i].emit < vals[j].emit
+				return cmp.Compare(a.emit, b.emit)
 			})
 			values := make([][]byte, len(vals))
 			for i, v := range vals {

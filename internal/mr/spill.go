@@ -2,13 +2,15 @@ package mr
 
 import (
 	"bufio"
+	"cmp"
 	"container/heap"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // Spill-to-disk: when a streaming run exceeds its memory budget, a partition
@@ -28,20 +30,21 @@ type streamPair struct {
 	emit int32
 }
 
-// pairLess orders pairs by (key, record index, emission index).
-func pairLess(a, b *streamPair) bool {
-	if a.Key != b.Key {
-		return a.Key < b.Key
+// comparePairs orders pairs by (key, record index, emission index).
+func comparePairs(a, b *streamPair) int {
+	if c := strings.Compare(a.Key, b.Key); c != 0 {
+		return c
 	}
-	if a.rec != b.rec {
-		return a.rec < b.rec
+	if c := cmp.Compare(a.rec, b.rec); c != 0 {
+		return c
 	}
-	return a.emit < b.emit
+	return cmp.Compare(a.emit, b.emit)
 }
 
-// sortPairs sorts into the merge order.
+// sortPairs sorts into the merge order. Provenance tags are unique within a
+// run, so the order is total and an unstable sort is deterministic.
 func sortPairs(pairs []streamPair) {
-	sort.Slice(pairs, func(i, j int) bool { return pairLess(&pairs[i], &pairs[j]) })
+	slices.SortFunc(pairs, func(a, b streamPair) int { return comparePairs(&a, &b) })
 }
 
 // spillRun is one sorted run file of a partition.
@@ -191,7 +194,7 @@ type mergeHeap struct {
 }
 
 func (h *mergeHeap) Len() int           { return len(h.heads) }
-func (h *mergeHeap) Less(i, j int) bool { return pairLess(&h.heads[i], &h.heads[j]) }
+func (h *mergeHeap) Less(i, j int) bool { return comparePairs(&h.heads[i], &h.heads[j]) < 0 }
 func (h *mergeHeap) Push(x any)         { panic("mr: mergeHeap.Push unused") }
 func (h *mergeHeap) Pop() any           { panic("mr: mergeHeap.Pop unused") }
 func (h *mergeHeap) Swap(i, j int) {

@@ -57,19 +57,32 @@ type StreamOptions struct {
 	// in-memory table to a sorted run file and continues; runs are merged
 	// back at reduce time. Zero or negative means unbounded: nothing spills.
 	//
-	// The budget covers the shuffle only. Each reduce task still materializes
-	// one key group at a time, so the peak memory of a run is roughly
-	// MemoryBudget + ReduceParallelism x the largest per-partition key group
-	// (for schema-driven jobs: the reducer capacity q).
+	// The budget is checked on every inserted pair, however the pair
+	// travelled: a budget smaller than one record spills each record into its
+	// own run.
+	//
+	// The budget covers the partition tables only. Pairs in flight between
+	// stages are not charged to it; they are bounded separately (see
+	// BufferSize). Each reduce task still materializes one key group at a
+	// time, so the peak memory of a run is roughly MemoryBudget + what is in
+	// flight + ReduceParallelism x the largest per-partition key group (for
+	// schema-driven jobs: the reducer capacity q).
 	MemoryBudget int64
 	// SpillDir is the directory spill runs are written under; "" means the
 	// OS temp dir. Each run creates (lazily, on first spill) one private
 	// "mr-spill-*" subdirectory and removes it when the run ends, whatever
 	// the outcome.
 	SpillDir string
-	// BufferSize is the capacity of the bounded channels between pipeline
-	// stages; 0 means a small default. Larger buffers absorb burstier
-	// mappers at the cost of memory.
+	// BufferSize bounds how many records each channel between pipeline
+	// stages parks (the reader → map channel, and every map → partition
+	// channel); 0 means a small default (64). Records travel in chunks of up
+	// to 64 records or 64 KiB of payload, so a channel's capacity is
+	// BufferSize divided by the chunk length, and a BufferSize below 64
+	// shrinks the chunks to BufferSize (1 is a record-at-a-time pipeline).
+	// Besides the channels, the reader holds one chunk being filled and each
+	// map worker one per partition; those are flushed when full and when the
+	// input ends. Larger buffers absorb burstier mappers at the cost of
+	// memory.
 	BufferSize int
 	// OnSpill, when non-nil, is invoked after each spilled run with the
 	// partition and the bytes written to the run file (metrics hook).
@@ -79,7 +92,7 @@ type StreamOptions struct {
 	OnStage func(stage string) func()
 }
 
-// defaultStageBuffer is the per-partition channel capacity when
+// defaultStageBuffer is the per-channel record bound when
 // StreamOptions.BufferSize is unset.
 const defaultStageBuffer = 64
 

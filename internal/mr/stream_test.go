@@ -1,6 +1,7 @@
 package mr
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -135,25 +137,7 @@ func flatStrings(res *Result) []string {
 // parallelism — stronger than the seed engine's worker-slot ordering.
 func TestRunStreamDeterministicUnderParallelism(t *testing.T) {
 	inputs := streamInputs(120, 5, 3)
-	concatReducer := ReducerFunc(func(key string, values [][]byte, emit func([]byte)) error {
-		var sb strings.Builder
-		sb.WriteString(key)
-		sb.WriteByte(':')
-		for _, v := range values {
-			sb.Write(v)
-		}
-		emit([]byte(sb.String()))
-		return nil
-	})
-	orderMapper := MapperFunc(func(record []byte, emit func(Pair)) error {
-		for i, w := range strings.Fields(string(record)) {
-			emit(Pair{Key: w, Value: []byte(fmt.Sprintf("[%d]", i))})
-		}
-		return nil
-	})
-	job := func() *Job {
-		return &Job{Name: "order", Mapper: orderMapper, Reducer: concatReducer, NumReducers: 6, MapParallelism: 8}
-	}
+	job := func() *Job { return orderSensitiveJob(6, 8) }
 	base := flatStrings(runStream(t, job(), inputs, StreamOptions{}))
 	for i := 0; i < 5; i++ {
 		again := flatStrings(runStream(t, job(), inputs, StreamOptions{}))
@@ -466,5 +450,116 @@ func TestMergePairsAcrossRuns(t *testing.T) {
 	want := []string{"a=r1a,r2a", "b=m-b,r2b", "c=r1c", "d=m-d"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("merge produced %v, want %v", got, want)
+	}
+}
+
+// orderSensitiveJob emits position-tagged values and concatenates each key's
+// values in arrival order, so any drift in the provenance order of the
+// shuffle changes the output bytes.
+func orderSensitiveJob(reducers, mapParallelism int) *Job {
+	return &Job{
+		Name: "order",
+		Mapper: MapperFunc(func(record []byte, emit func(Pair)) error {
+			for i, w := range strings.Fields(string(record)) {
+				emit(Pair{Key: w, Value: []byte(fmt.Sprintf("[%s#%d]", record[:4], i))})
+			}
+			return nil
+		}),
+		Reducer: ReducerFunc(func(key string, values [][]byte, emit func([]byte)) error {
+			emit([]byte(key + ":" + string(bytes.Join(values, nil))))
+			return nil
+		}),
+		NumReducers:    reducers,
+		MapParallelism: mapParallelism,
+	}
+}
+
+// TestChunkedShuffleIdenticalAcrossMapParallelism pins the chunked stages to
+// the record-at-a-time contract: whatever the number of map workers and
+// whatever the chunk length (BufferSize 1 is a chunk of one), output bytes
+// and shuffle counters are identical.
+func TestChunkedShuffleIdenticalAcrossMapParallelism(t *testing.T) {
+	inputs := streamInputs(700, 9, 11) // several chunks per worker and per partition
+	base := runStream(t, orderSensitiveJob(5, 1), inputs, StreamOptions{BufferSize: 1})
+	want := flatStrings(base)
+	for _, par := range []int{1, 2, 8} {
+		for _, buf := range []int{0, 1, 7, 1000} {
+			got := runStream(t, orderSensitiveJob(5, par), inputs, StreamOptions{BufferSize: buf})
+			if !reflect.DeepEqual(flatStrings(got), want) {
+				t.Fatalf("MapParallelism %d, BufferSize %d: output differs from the record-at-a-time run", par, buf)
+			}
+			if got.Counters.ShuffleRecords != base.Counters.ShuffleRecords ||
+				got.Counters.ShuffleBytes != base.Counters.ShuffleBytes ||
+				got.Counters.MapInputRecords != base.Counters.MapInputRecords ||
+				!reflect.DeepEqual(got.Counters.ReducerLoads, base.Counters.ReducerLoads) {
+				t.Fatalf("MapParallelism %d, BufferSize %d: counters drifted:\n  base: %+v\n  got:  %+v", par, buf, base.Counters, got.Counters)
+			}
+		}
+	}
+}
+
+// TestBudgetBelowOneRecordSpillsEveryRecord asserts the memory budget is
+// still checked per inserted record, not per chunk: with a budget no record
+// fits in, every shuffled record becomes its own run file.
+func TestBudgetBelowOneRecordSpillsEveryRecord(t *testing.T) {
+	inputs := streamInputs(300, 6, 12)
+	want := flatStrings(runStream(t, orderSensitiveJob(4, 1), inputs, StreamOptions{}))
+	for _, par := range []int{1, 8} {
+		got := runStream(t, orderSensitiveJob(4, par), inputs, StreamOptions{MemoryBudget: 1, SpillDir: t.TempDir()})
+		if got.Counters.SpillRuns != got.Counters.ShuffleRecords {
+			t.Fatalf("MapParallelism %d: %d spill runs for %d shuffled records, want one each",
+				par, got.Counters.SpillRuns, got.Counters.ShuffleRecords)
+		}
+		if !reflect.DeepEqual(flatStrings(got), want) {
+			t.Fatalf("MapParallelism %d: fully spilled output differs from the in-memory run", par)
+		}
+	}
+}
+
+// TestRunStreamCancelMidChunk cancels while the reader holds a partial chunk
+// (the source has stalled short of a chunk boundary), the map workers hold
+// partial pending chunks, and partitions are spilling: the run must return
+// promptly, leave no spill directory, and leak no goroutine.
+func TestRunStreamCancelMidChunk(t *testing.T) {
+	goroutines := runtime.NumGoroutine()
+	spillDir := t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	src := &blockingSource{ctx: ctx, limit: 5*chunkRecords + chunkRecords/2}
+	spilled := make(chan struct{})
+	var once sync.Once
+	done := make(chan error, 1)
+	go func() {
+		_, err := NewEngine().RunStream(ctx, wordCountJob(2), src, nil, StreamOptions{
+			MemoryBudget: 1, SpillDir: spillDir,
+			OnSpill: func(int, int64) { once.Do(func() { close(spilled) }) },
+		})
+		done <- err
+	}()
+	select {
+	case <-spilled:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the pipeline never spilled")
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("RunStream returned %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("RunStream did not return promptly after cancellation")
+	}
+	if leftovers, _ := filepath.Glob(filepath.Join(spillDir, "mr-spill-*")); len(leftovers) != 0 {
+		t.Fatalf("spill directories leaked after cancellation: %v", leftovers)
+	}
+	// The reader and the map workers exit on their own once they see the
+	// cancellation; give them a moment.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > goroutines {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before the run, %d after: the pipeline leaked", goroutines, runtime.NumGoroutine())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
