@@ -263,7 +263,18 @@ func BenchmarkExecBatch(b *testing.B) {
 // reducer-side record reads, two per owned pair. The schema is planned once
 // before the timer via the canonicalization cache, so iterations measure
 // execution, not solving.
-func BenchmarkExecStream(b *testing.B) {
+func BenchmarkExecStream(b *testing.B) { benchExecStream(b) }
+
+// BenchmarkExecStreamSpill is the BenchmarkExecStream instance under a memory
+// budget no record fits in: every shuffled record is written to its own run
+// file and every partition reduces by merging its runs, so the spill writer,
+// the run reader and the k-way merge — the grouping code of every run, here
+// with one cursor per record — are what the timer sees besides the pairs.
+func BenchmarkExecStreamSpill(b *testing.B) {
+	benchExecStream(b, assign.MemoryBudget(1), assign.SpillDir(b.TempDir()))
+}
+
+func benchExecStream(b *testing.B, extra ...assign.Option) {
 	const (
 		numDocs = 1500 // C(1500,2) = 1,124,250 pairs per iteration
 		recSize = 16
@@ -292,7 +303,7 @@ func BenchmarkExecStream(b *testing.B) {
 	}
 	var similar int64
 	opts := func() []assign.Option {
-		return []assign.Option{
+		return append([]assign.Option{
 			assign.Named("bench-exec-stream"),
 			assign.Capacity(100 * recSize),
 			assign.Source(newSource(), sizes),
@@ -309,7 +320,7 @@ func BenchmarkExecStream(b *testing.B) {
 				return nil
 			}),
 			assign.Each(func(rec []byte) error { similar++; return nil }),
-		}
+		}, extra...)
 	}
 	const wantPairs = int64(numDocs) * (numDocs - 1) / 2
 	warm, err := assign.Execute(context.Background(), opts()...)

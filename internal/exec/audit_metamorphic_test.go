@@ -219,7 +219,7 @@ func executedEvents(t *testing.T, req Request) (*compilation, []traceEvent) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mr.NewEngine().RunStream(context.Background(), c.job(), c.source(), nil, mr.StreamOptions{}); err != nil {
+	if _, err := mr.Run(context.Background(), c.job(), &c.in, nil, mr.StreamOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	var events []traceEvent

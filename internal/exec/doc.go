@@ -12,8 +12,12 @@
 //
 // Run compiles a Request as follows:
 //
-//   - Every input byte slice becomes one engine record, framed with its side
+//   - Every input payload becomes one engine record, framed with its side
 //     ("a" for the A2A set, "x"/"y" for the X2Y sides) and its input ID.
+//     Framing has one path: records are framed as the engine pulls them and
+//     checked against their declared size, whether the request carries
+//     slices (the A2A set; or the X side then the Y side, IDs per side, with
+//     the payload lengths as the declared sizes) or an A2A Source.
 //   - The mapper looks the record's ID up in the schema's assignments
 //     (mr.AssignmentsA2A / mr.AssignmentsX2Y) and emits one copy of the
 //     record per assigned reducer, keyed with mr.ReducerKey, routed by
@@ -22,8 +26,8 @@
 //   - The reducer reconstructs the records it received and invokes the user
 //     PairFunc once per required pair it owns. A schema may cover a pair at
 //     several reducers; the pair's owner is the lowest-indexed reducer
-//     assigned both inputs (mr.LowestCommonReducer), so every pair is
-//     processed exactly once across the whole job. A reducer elects its
+//     assigned both inputs, so every pair is processed exactly once across
+//     the whole job. A reducer elects its
 //     pairs from the per-input membership bitsets: both inputs reached it,
 //     so it owns the pair exactly when their rows share no lower-indexed
 //     reducer, and it never reads a row past its own index.

@@ -75,8 +75,6 @@ type Request struct {
 	Workers int
 	// MaxAttempts is passed through to the engine's task retry budget.
 	MaxAttempts int
-	// Engine runs the job; nil means a fresh mr.Engine.
-	Engine *mr.Engine
 	// NoAudit skips the post-run conformance check (the schema's own
 	// PreCheck always runs). What it saves is small: the reducers log their
 	// pairs either way — eight bytes per pair, appended to a private
@@ -151,10 +149,6 @@ func run(req Request, shared *schemaIndex) (*Result, error) {
 		obsRunsOK.Inc()
 		return res, nil
 	}
-	eng := req.Engine
-	if eng == nil {
-		eng = mr.NewEngine()
-	}
 	var sink mr.Sink
 	if req.Sink != nil {
 		sink = mr.SinkFunc(func(_ int, rec []byte) error { return req.Sink(rec) })
@@ -172,7 +166,7 @@ func run(req Request, shared *schemaIndex) (*Result, error) {
 	}
 	endStream := sp.Stage("exec_stream")
 	obsPipelineDepth.Inc()
-	runRes, err := eng.RunStream(req.Ctx, c.job(), c.source(), sink, opts)
+	runRes, err := mr.Run(req.Ctx, c.job(), &c.in, sink, opts)
 	obsPipelineDepth.Dec()
 	endStream()
 	if err != nil {
@@ -207,7 +201,7 @@ func run(req Request, shared *schemaIndex) (*Result, error) {
 type compilation struct {
 	req     Request
 	schema  *core.MappingSchema
-	records [][]byte
+	in      framingSource // the run's input stream
 	idx     *schemaIndex
 	auditor *Auditor
 	trace   *Trace
@@ -220,9 +214,9 @@ type compilation struct {
 	expectedCopies []int
 }
 
-// compile validates the request and derives records, the schema index (or
-// adopts the shared one when it matches this schema and shape), the auditor,
-// and the engine job.
+// compile validates the request and derives the input stream, the schema
+// index (or adopts the shared one when it matches this schema and shape), the
+// auditor, and the engine job.
 func compile(req Request, shared *schemaIndex) (*compilation, error) {
 	schema := req.schema()
 	if schema == nil {
@@ -235,7 +229,7 @@ func compile(req Request, shared *schemaIndex) (*compilation, error) {
 	var err error
 	switch schema.Problem {
 	case core.ProblemA2A:
-		numA := len(req.Inputs)
+		c.in = framingSource{src: mr.NewSliceSource(req.Inputs), sizes: payloadSizes(req.Inputs), sides: [2]byte{sideA, sideA}}
 		if req.Source != nil {
 			if req.Inputs != nil {
 				return nil, fmt.Errorf("%w: Source and Inputs are mutually exclusive (job %q)", ErrBadInputs, req.Name)
@@ -243,8 +237,10 @@ func compile(req Request, shared *schemaIndex) (*compilation, error) {
 			if len(req.InputSizes) == 0 {
 				return nil, fmt.Errorf("%w: Source requires InputSizes (job %q)", ErrBadInputs, req.Name)
 			}
-			numA = len(req.InputSizes)
+			c.in.src, c.in.sizes = req.Source, req.InputSizes
 		}
+		numA := len(c.in.sizes)
+		c.in.split = numA
 		if numA == 0 || req.XInputs != nil || req.YInputs != nil {
 			return nil, fmt.Errorf("%w: A2A jobs take Inputs only (job %q)", ErrBadInputs, req.Name)
 		}
@@ -260,6 +256,8 @@ func compile(req Request, shared *schemaIndex) (*compilation, error) {
 		if len(req.XInputs) == 0 || len(req.YInputs) == 0 || req.Inputs != nil {
 			return nil, fmt.Errorf("%w: X2Y jobs take XInputs and YInputs (job %q)", ErrBadInputs, req.Name)
 		}
+		recs := slices.Concat(req.XInputs, req.YInputs)
+		c.in = framingSource{src: mr.NewSliceSource(recs), sizes: payloadSizes(recs), split: len(req.XInputs), sides: [2]byte{sideX, sideY}}
 		if shared.matches(schema, 0, len(req.XInputs), len(req.YInputs)) {
 			c.idx = shared
 		} else {
@@ -271,12 +269,12 @@ func compile(req Request, shared *schemaIndex) (*compilation, error) {
 	if err != nil {
 		return nil, err
 	}
+	c.in.name = req.Name
 	c.trace = newShardedTrace(schema.NumReducers())
 	c.keys = make([]string, schema.NumReducers())
 	for r := range c.keys {
 		c.keys[r] = mr.ReducerKey(r)
 	}
-	c.buildRecords()
 	c.computeExpectedLoads()
 	c.auditor = &Auditor{idx: c.idx, expectedLoads: c.expectedLoads}
 	return c, nil
@@ -288,6 +286,8 @@ func compile(req Request, shared *schemaIndex) (*compilation, error) {
 //	"x|<id>|<data>"   (X2Y, X side)    "y|<id>|<data>"   (X2Y, Y side)
 //
 // The data may contain any bytes; only the first two separators are parsed.
+// Records are framed one at a time as the engine pulls them (framingSource),
+// whether the request carries slices or a Source.
 
 const (
 	sideA byte = 'a'
@@ -319,49 +319,34 @@ func parseRecord(rec []byte) (side byte, id int, data []byte, err error) {
 	return rec[0], id, rec[2+cut+1:], nil
 }
 
-// buildRecords frames all request inputs into engine records. Streaming
-// requests frame lazily in the source instead.
-func (c *compilation) buildRecords() {
-	if c.req.Source != nil {
-		return
+// payloadSizes returns the byte size of every record.
+func payloadSizes(recs [][]byte) []int {
+	sizes := make([]int, len(recs))
+	for i, data := range recs {
+		sizes[i] = len(data)
 	}
-	if c.schema.Problem == core.ProblemA2A {
-		c.records = make([][]byte, 0, len(c.req.Inputs))
-		for id, data := range c.req.Inputs {
-			c.records = append(c.records, frameRecord(sideA, id, data))
-		}
-		return
-	}
-	c.records = make([][]byte, 0, len(c.req.XInputs)+len(c.req.YInputs))
-	for id, data := range c.req.XInputs {
-		c.records = append(c.records, frameRecord(sideX, id, data))
-	}
-	for id, data := range c.req.YInputs {
-		c.records = append(c.records, frameRecord(sideY, id, data))
-	}
+	return sizes
 }
 
-// assignmentsFor returns the reducer list of one framed record.
+// assignmentsFor returns the reducer list of one framed record. A side that
+// is not of the schema's problem has no assignments, so every ID of it is out
+// of range.
 func (c *compilation) assignmentsFor(side byte, id int) ([]int, error) {
+	var assign [][]int
 	switch side {
 	case sideA:
-		if c.schema.Problem != core.ProblemA2A || id < 0 || id >= len(c.idx.aAssign) {
-			return nil, fmt.Errorf("exec: record side %q ID %d out of range", side, id)
-		}
-		return c.idx.aAssign[id], nil
+		assign = c.idx.aAssign
 	case sideX:
-		if c.schema.Problem != core.ProblemX2Y || id < 0 || id >= len(c.idx.xAssign) {
-			return nil, fmt.Errorf("exec: record side %q ID %d out of range", side, id)
-		}
-		return c.idx.xAssign[id], nil
+		assign = c.idx.xAssign
 	case sideY:
-		if c.schema.Problem != core.ProblemX2Y || id < 0 || id >= len(c.idx.yAssign) {
-			return nil, fmt.Errorf("exec: record side %q ID %d out of range", side, id)
-		}
-		return c.idx.yAssign[id], nil
+		assign = c.idx.yAssign
 	default:
 		return nil, fmt.Errorf("exec: unknown record side %q", side)
 	}
+	if id < 0 || id >= len(assign) {
+		return nil, fmt.Errorf("exec: record side %q ID %d out of range", side, id)
+	}
+	return assign[id], nil
 }
 
 // framedSize returns len(frameRecord(side, id, data)) for a data payload of
@@ -377,15 +362,14 @@ func framedSize(id, dataLen int) int64 {
 // computeExpectedLoads derives, per reducer, the exact engine byte load the
 // compiled assignments will produce — reducer key plus framed record, for
 // every assigned copy — and the expected record count per reducer (the
-// engine's partition pre-sizing hints). Streaming requests use the declared
-// InputSizes in place of the materialized data.
+// engine's partition pre-sizing hints), from the declared sizes.
 func (c *compilation) computeExpectedLoads() {
 	n := c.schema.NumReducers()
 	loads := make([]int64, n)
 	copies := make([]int, n)
-	add := func(assign [][]int, side byte, dataLen func(id int) int) {
+	add := func(assign [][]int, sizes []int) {
 		for id, rs := range assign {
-			sz := framedSize(id, dataLen(id))
+			sz := framedSize(id, sizes[id])
 			for _, r := range rs {
 				loads[r] += int64(len(c.keys[r])) + sz
 				copies[r]++
@@ -393,14 +377,10 @@ func (c *compilation) computeExpectedLoads() {
 		}
 	}
 	if c.schema.Problem == core.ProblemA2A {
-		if c.req.Source != nil {
-			add(c.idx.aAssign, sideA, func(id int) int { return c.req.InputSizes[id] })
-		} else {
-			add(c.idx.aAssign, sideA, func(id int) int { return len(c.req.Inputs[id]) })
-		}
+		add(c.idx.aAssign, c.in.sizes)
 	} else {
-		add(c.idx.xAssign, sideX, func(id int) int { return len(c.req.XInputs[id]) })
-		add(c.idx.yAssign, sideY, func(id int) int { return len(c.req.YInputs[id]) })
+		add(c.idx.xAssign, c.in.sizes[:c.in.split])
+		add(c.idx.yAssign, c.in.sizes[c.in.split:])
 	}
 	c.expectedLoads = loads
 	c.expectedCopies = copies
@@ -416,12 +396,11 @@ func (c *compilation) job() *mr.Job {
 			capacity = l
 		}
 	}
-	// The schema declares each partition's exact shape: one reducer key,
-	// expectedCopies[r] records, expectedLoads[r] bytes. The streaming engine
-	// pre-sizes its per-partition hash tables from these hints.
-	hints := make([]mr.PartitionHint, len(c.expectedLoads))
+	// The schema declares how many records each partition receives; the
+	// engine pre-sizes its per-partition buffers from that.
+	hints := make([]mr.PartitionHint, len(c.expectedCopies))
 	for r := range hints {
-		hints[r] = mr.PartitionHint{Keys: 1, Records: c.expectedCopies[r], Bytes: c.expectedLoads[r]}
+		hints[r] = mr.PartitionHint{Records: c.expectedCopies[r]}
 	}
 	return &mr.Job{
 		Name:              c.req.Name,
@@ -436,24 +415,19 @@ func (c *compilation) job() *mr.Job {
 	}
 }
 
-// source returns the engine source of the run: the pre-framed records, or a
-// framing adapter over the request's streaming Source that assigns IDs in
-// arrival order and enforces the declared sizes.
-func (c *compilation) source() mr.Source {
-	if c.req.Source == nil {
-		return mr.NewSliceSource(c.records)
-	}
-	return &framingSource{src: c.req.Source, sizes: c.req.InputSizes, name: c.req.Name}
-}
-
 // framingSource adapts a raw record stream into framed engine records,
-// validating each record against its declared size. The schema (and its
-// audit) were planned for the declared sizes, so a mismatch fails fast
-// rather than executing a job whose routing no longer matches its inputs.
+// assigning sides and IDs in arrival order and validating each record
+// against its declared size. The schema (and its audit) were planned for the
+// declared sizes, so a mismatch fails fast rather than executing a job whose
+// routing no longer matches its inputs.
 type framingSource struct {
 	src   mr.Source
-	sizes []int
+	sizes []int // of every record, in stream order
 	name  string
+	// The first split records are side sides[0], the rest sides[1]; IDs
+	// count from 0 within each: the A2A set, or the X side then the Y side.
+	split int
+	sides [2]byte
 	i     int
 }
 
@@ -471,9 +445,12 @@ func (s *framingSource) Next() ([]byte, error) {
 	if len(rec) != s.sizes[s.i] {
 		return nil, fmt.Errorf("exec: record %d of job %q is %d bytes, declared %d", s.i, s.name, len(rec), s.sizes[s.i])
 	}
-	framed := frameRecord(sideA, s.i, rec)
+	side, id := s.sides[0], s.i
+	if s.i >= s.split {
+		side, id = s.sides[1], s.i-s.split
+	}
 	s.i++
-	return framed, nil
+	return frameRecord(side, id, rec), nil
 }
 
 // mapper replicates every record to the reducers its schema assignment names.

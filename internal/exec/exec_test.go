@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/a2a"
 	"repro/internal/core"
+	"repro/internal/mr"
 	"repro/internal/planner"
 	"repro/internal/x2y"
 )
@@ -223,6 +224,73 @@ func TestRunPairDataRoundTrips(t *testing.T) {
 	sort.Strings(joined)
 	if !strings.Contains(strings.Join(joined, " "), "al|pha+be|ta") {
 		t.Errorf("outputs = %v", joined)
+	}
+}
+
+// TestSliceRequestsFrameEveryRecordUnderItsOwnID pins what the one framing
+// path must keep for slice requests of both problems: every payload reaches
+// the PairFunc under the ID it has in its own slice (X2Y IDs restart at 0 on
+// the Y side), and each reducer receives exactly the bytes of its schema
+// members framed one by one — two-digit IDs and unequal sides included.
+func TestSliceRequestsFrameEveryRecordUnderItsOwnID(t *testing.T) {
+	payloads := func(tag string, n int) ([][]byte, []core.Size) {
+		data, sizes := make([][]byte, n), make([]core.Size, n)
+		for i := range data {
+			data[i] = []byte(fmt.Sprintf("%s%d|%s", tag, i, strings.Repeat("*", i%4)))
+			sizes[i] = core.Size(len(data[i]))
+		}
+		return data, sizes
+	}
+	aData, aSizes := payloads("a", 14)
+	xData, xSizes := payloads("x", 13)
+	yData, ySizes := payloads("y", 11)
+	a2aSchema, x2ySchema := solveA2A(t, aSizes, 40), solveX2Y(t, xSizes, ySizes, 40)
+
+	// frames is the shuffle load of one reducer: its key plus the frame, for
+	// each member.
+	frames := func(r int, side byte, ids []int, data [][]byte) (load int64) {
+		for _, id := range ids {
+			load += int64(len(mr.ReducerKey(r)) + len(frameRecord(side, id, data[id])))
+		}
+		return load
+	}
+	for _, tc := range []struct {
+		req        Request
+		left       [][]byte
+		right      [][]byte
+		wantPairs  int
+		wantLoadOf func(r int, red core.Reducer) int64
+	}{
+		{
+			Request{Name: "a2a-slices", Schema: a2aSchema, Inputs: aData}, aData, aData, 14 * 13 / 2,
+			func(r int, red core.Reducer) int64 { return frames(r, sideA, red.Inputs, aData) },
+		},
+		{
+			Request{Name: "x2y-slices", Schema: x2ySchema, XInputs: xData, YInputs: yData}, xData, yData, 13 * 11,
+			func(r int, red core.Reducer) int64 {
+				return frames(r, sideX, red.XInputs, xData) + frames(r, sideY, red.YInputs, yData)
+			},
+		},
+	} {
+		tc.req.Pair = func(a, b Record, emit func([]byte)) error {
+			if !bytes.Equal(a.Data, tc.left[a.ID]) || !bytes.Equal(b.Data, tc.right[b.ID]) {
+				return fmt.Errorf("pair (%d,%d) carries %q/%q", a.ID, b.ID, a.Data, b.Data)
+			}
+			emit(nil)
+			return nil
+		}
+		res, err := Run(tc.req)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.req.Name, err)
+		}
+		if len(res.Output) != tc.wantPairs || !res.Audited {
+			t.Errorf("%s: %d pairs (audited=%v), want %d audited", tc.req.Name, len(res.Output), res.Audited, tc.wantPairs)
+		}
+		for r, red := range tc.req.Schema.Reducers {
+			if got, want := res.Counters.ReducerLoads[r], tc.wantLoadOf(r, red); got != want {
+				t.Errorf("%s: reducer %d received %d bytes, its framed members are %d", tc.req.Name, r, got, want)
+			}
+		}
 	}
 }
 

@@ -12,22 +12,11 @@ import (
 type Counters struct {
 	// MapInputRecords is the number of input records fed to mappers.
 	MapInputRecords int64
-	// MapOutputRecords and MapOutputBytes describe what the mappers emitted
-	// before combining.
+	// MapOutputRecords and MapOutputBytes describe what the mappers emitted.
 	MapOutputRecords int64
 	MapOutputBytes   int64
-	// CombineInputRecords/Bytes and CombineOutputRecords/Bytes describe the
-	// combine phase: what the combiner consumed (the raw map output) and what
-	// it emitted into the shuffle. All four stay zero when the job has no
-	// combiner, so shuffle accounting can attribute the gap between map output
-	// and shuffle volume to combining: the savings are input minus output.
-	CombineInputRecords  int64
-	CombineInputBytes    int64
-	CombineOutputRecords int64
-	CombineOutputBytes   int64
-	// ShuffleRecords and ShuffleBytes describe what actually crossed the
-	// map-to-reduce boundary (after the optional combiner). ShuffleBytes is
-	// the communication cost.
+	// ShuffleRecords and ShuffleBytes describe what crossed the map-to-reduce
+	// boundary. ShuffleBytes is the communication cost.
 	ShuffleRecords int64
 	ShuffleBytes   int64
 	// ReduceInputKeys is the number of distinct keys seen by reducers.
@@ -48,23 +37,9 @@ type Counters struct {
 	ReducerLoads []int64
 	// MaxReducerLoad is the largest entry of ReducerLoads.
 	MaxReducerLoad int64
-	// MapWall, CombineWall, and ReduceWall are the wall-clock durations of
-	// the phases; CombineWall stays zero when the job has no combiner.
-	MapWall     time.Duration
-	CombineWall time.Duration
-	ReduceWall  time.Duration
-}
-
-// CombineSavedRecords returns how many intermediate records the combiner
-// removed before the shuffle; 0 when the job had no combiner.
-func (c *Counters) CombineSavedRecords() int64 {
-	return c.CombineInputRecords - c.CombineOutputRecords
-}
-
-// CombineSavedBytes returns how many shuffle bytes the combiner saved; 0 when
-// the job had no combiner.
-func (c *Counters) CombineSavedBytes() int64 {
-	return c.CombineInputBytes - c.CombineOutputBytes
+	// MapWall and ReduceWall are the wall-clock durations of the phases.
+	MapWall    time.Duration
+	ReduceWall time.Duration
 }
 
 // Merge folds the counters of another, independently executed job into c.
@@ -77,10 +52,6 @@ func (c *Counters) Merge(o *Counters) {
 	c.MapInputRecords += o.MapInputRecords
 	c.MapOutputRecords += o.MapOutputRecords
 	c.MapOutputBytes += o.MapOutputBytes
-	c.CombineInputRecords += o.CombineInputRecords
-	c.CombineInputBytes += o.CombineInputBytes
-	c.CombineOutputRecords += o.CombineOutputRecords
-	c.CombineOutputBytes += o.CombineOutputBytes
 	c.ShuffleRecords += o.ShuffleRecords
 	c.ShuffleBytes += o.ShuffleBytes
 	c.ReduceInputKeys += o.ReduceInputKeys
@@ -94,23 +65,12 @@ func (c *Counters) Merge(o *Counters) {
 		c.MaxReducerLoad = o.MaxReducerLoad
 	}
 	c.MapWall += o.MapWall
-	c.CombineWall += o.CombineWall
 	c.ReduceWall += o.ReduceWall
 }
 
 // CommunicationCost returns the shuffle volume in bytes — the quantity the
 // paper's schemas minimise for a given number of reducers.
 func (c *Counters) CommunicationCost() int64 { return c.ShuffleBytes }
-
-// ReplicationRate returns the shuffle volume divided by the map input volume
-// approximated by MapOutputBytes when no combiner ran; callers that know the
-// true input size should divide themselves.
-func (c *Counters) ReplicationRate() float64 {
-	if c.MapOutputBytes == 0 {
-		return 0
-	}
-	return float64(c.ShuffleBytes) / float64(c.MapOutputBytes)
-}
 
 // LoadImbalance returns MaxReducerLoad divided by the mean reducer load; 1.0
 // is perfectly balanced. It returns 0 when nothing was shuffled.

@@ -8,16 +8,19 @@
 //
 //	Source → map workers → per-partition accumulators → reduce → Sink
 //
-// RunStream pulls records one at a time from a Source (so the whole input
-// never has to be materialized), fans them out to MapParallelism map workers
-// — one per processor by default — and routes every emitted pair to the
+// Run is the one way in. It pulls records one at a time from a Source (so
+// the whole input never has to be materialized; a caller holding a slice
+// wraps it in a SliceSource), fans them out to MapParallelism map workers —
+// one per processor by default — and routes every emitted pair to the
 // accumulator goroutine of its reduce partition — one goroutine pipeline per
-// partition, with hash tables pre-sized from the job's declared
-// PartitionHints. Reduce tasks run as partitions complete, gated by a
-// ReduceParallelism semaphore, and write either to the caller's Sink or into
-// the collected Result.Output. Every channel operation selects on
-// ctx.Done(), so cancellation propagates mid-pipeline without waiting for a
-// stage to drain.
+// partition, with a buffer pre-sized from the job's declared PartitionHints.
+// Reduce tasks run as partitions complete, gated by a ReduceParallelism
+// semaphore, and write either to the caller's Sink or into the collected
+// Result.Output. Every channel operation selects on ctx.Done(), so
+// cancellation propagates mid-pipeline without waiting for a stage to drain,
+// and Run returns only once its goroutines are gone: the Source is not
+// pulled again after that (a Next call already in flight is the one thing
+// Run does not wait for).
 //
 // Records cross the reader → map and map → partition boundaries in chunks of
 // up to 64 records (closed early at 64 KiB of payload), so the cost of a
@@ -32,22 +35,25 @@
 // default BufferSize of 64 each channel holds one chunk), and a BufferSize
 // below the chunk length shrinks the chunks to it.
 //
-// The slice-based Engine.Run is a thin adapter: it wraps its input in a
-// SliceSource and calls RunStream with default options. Both paths produce
-// identical Counters and identical per-partition output.
+// # Grouping, and spill to disk
 //
-// # Spill to disk
+// There is one grouping path, and it is sort-merge; the engine keeps no hash
+// table. A partition appends the pairs it receives to a buffer. At reduce
+// time it sorts the buffer by (key, provenance) and walks it, handing each
+// run of equal keys to the reducer.
 //
 // StreamOptions.MemoryBudget bounds the bytes of map output buffered in
 // memory across all partitions. When an insert pushes the engine over budget,
-// the inserting partition writes its table out as a sorted run file
+// the inserting partition sorts its buffer, writes it out as a run file
 // (uvarint-framed key/value records in a private temp directory under
-// StreamOptions.SpillDir) and starts over empty; at reduce time the partition
-// k-way merges its run files with the in-memory remainder, so grouping and
-// output are byte-identical to an unbounded run. Spill volume is reported in
-// Counters (SpillRuns, SpillPartitions, SpillBytes) and surfaced per run via
-// the OnSpill hook. The temp directory is removed when the run ends, on every
-// path — success, error, or cancellation.
+// StreamOptions.SpillDir) and starts over empty; the reduce-time walk is then
+// a k-way merge of the partition's run files with the sorted remainder — the
+// same code over more cursors — so grouping and output are byte-identical to
+// an unbounded run. A run file is read back defensively: a length prefix the
+// rest of the file cannot hold is an error, not an allocation. Spill volume
+// is reported in Counters (SpillRuns, SpillPartitions, SpillBytes) and
+// surfaced per run via the OnSpill hook. The temp directory is removed when
+// the run ends, on every path — success, error, or cancellation.
 //
 // # Determinism
 //

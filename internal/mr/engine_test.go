@@ -2,6 +2,7 @@ package mr
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -35,13 +36,19 @@ func wordCountJob(reducers int) *Job {
 	}
 }
 
+// runSlice feeds a record slice through Run with default options and collects
+// the output in the Result.
+func runSlice(job *Job, inputs [][]byte) (*Result, error) {
+	return Run(context.Background(), job, NewSliceSource(inputs), nil, StreamOptions{})
+}
+
 func runWordCount(t *testing.T, job *Job, inputs []string) map[string]int {
 	t.Helper()
 	recs := make([][]byte, len(inputs))
 	for i, s := range inputs {
 		recs[i] = []byte(s)
 	}
-	res, err := NewEngine().Run(job, recs)
+	res, err := runSlice(job, recs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +100,7 @@ func TestWordCountDeterministicSequential(t *testing.T) {
 func TestCountersAccounting(t *testing.T) {
 	job := wordCountJob(2)
 	recs := [][]byte{[]byte("x y"), []byte("y z")}
-	res, err := NewEngine().Run(job, recs)
+	res, err := runSlice(job, recs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,14 +140,13 @@ func TestCountersAccounting(t *testing.T) {
 }
 
 func TestJobValidation(t *testing.T) {
-	e := NewEngine()
-	if _, err := e.Run(&Job{Reducer: countReducer, NumReducers: 1}, nil); !errors.Is(err, ErrNoMapper) {
+	if _, err := runSlice(&Job{Reducer: countReducer, NumReducers: 1}, nil); !errors.Is(err, ErrNoMapper) {
 		t.Errorf("missing mapper: %v", err)
 	}
-	if _, err := e.Run(&Job{Mapper: wordCountMapper, NumReducers: 1}, nil); !errors.Is(err, ErrNoReducer) {
+	if _, err := runSlice(&Job{Mapper: wordCountMapper, NumReducers: 1}, nil); !errors.Is(err, ErrNoReducer) {
 		t.Errorf("missing reducer: %v", err)
 	}
-	if _, err := e.Run(&Job{Mapper: wordCountMapper, Reducer: countReducer}, nil); !errors.Is(err, ErrBadReducers) {
+	if _, err := runSlice(&Job{Mapper: wordCountMapper, Reducer: countReducer}, nil); !errors.Is(err, ErrBadReducers) {
 		t.Errorf("missing reducers: %v", err)
 	}
 }
@@ -152,7 +158,7 @@ func TestMapErrorPropagates(t *testing.T) {
 		Reducer:     countReducer,
 		NumReducers: 1,
 	}
-	if _, err := NewEngine().Run(job, [][]byte{[]byte("x")}); err == nil || !strings.Contains(err.Error(), "boom") {
+	if _, err := runSlice(job, [][]byte{[]byte("x")}); err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Errorf("map error not propagated: %v", err)
 	}
 }
@@ -164,7 +170,7 @@ func TestReduceErrorPropagates(t *testing.T) {
 		Reducer:     ReducerFunc(func(string, [][]byte, func([]byte)) error { return errors.New("kaboom") }),
 		NumReducers: 2,
 	}
-	if _, err := NewEngine().Run(job, [][]byte{[]byte("x y")}); err == nil || !strings.Contains(err.Error(), "kaboom") {
+	if _, err := runSlice(job, [][]byte{[]byte("x y")}); err == nil || !strings.Contains(err.Error(), "kaboom") {
 		t.Errorf("reduce error not propagated: %v", err)
 	}
 }
@@ -172,95 +178,15 @@ func TestReduceErrorPropagates(t *testing.T) {
 func TestReducerCapacityEnforced(t *testing.T) {
 	job := wordCountJob(1)
 	job.ReducerCapacity = 3 // far below the shuffle volume
-	_, err := NewEngine().Run(job, [][]byte{[]byte("alpha beta gamma")})
+	_, err := runSlice(job, [][]byte{[]byte("alpha beta gamma")})
 	if !errors.Is(err, ErrOverCapacity) {
 		t.Errorf("capacity violation not reported: %v", err)
-	}
-}
-
-type summingCombiner struct{}
-
-func (summingCombiner) Combine(key string, values [][]byte, emit func(Pair)) error {
-	total := 0
-	for _, v := range values {
-		n, err := strconv.Atoi(string(v))
-		if err != nil {
-			return err
-		}
-		total += n
-	}
-	emit(Pair{Key: key, Value: []byte(strconv.Itoa(total))})
-	return nil
-}
-
-func TestCombinerReducesShuffleVolume(t *testing.T) {
-	inputs := [][]byte{[]byte("w w w w w w w w w w")}
-	plain := wordCountJob(1)
-	resPlain, err := NewEngine().Run(plain, inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sumReducer := ReducerFunc(func(key string, values [][]byte, emit func([]byte)) error {
-		total := 0
-		for _, v := range values {
-			n, _ := strconv.Atoi(string(v))
-			total += n
-		}
-		emit([]byte(fmt.Sprintf("%s=%d", key, total)))
-		return nil
-	})
-	combined := &Job{Name: "wc+combiner", Mapper: wordCountMapper, Reducer: sumReducer,
-		Combiner: summingCombiner{}, NumReducers: 1}
-	resComb, err := NewEngine().Run(combined, inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resComb.Counters.ShuffleBytes >= resPlain.Counters.ShuffleBytes {
-		t.Errorf("combiner did not reduce shuffle: %d vs %d", resComb.Counters.ShuffleBytes, resPlain.Counters.ShuffleBytes)
-	}
-	if got := string(resComb.FlatOutput()[0]); got != "w=10" {
-		t.Errorf("combined output = %q, want w=10", got)
-	}
-	if resComb.Counters.ShuffleRecords != 1 {
-		t.Errorf("ShuffleRecords = %d, want 1", resComb.Counters.ShuffleRecords)
-	}
-
-	// Combine-phase accounting: the combiner consumed the raw map output and
-	// emitted exactly what was shuffled, so the savings are the difference.
-	cc := resComb.Counters
-	if cc.CombineInputRecords != cc.MapOutputRecords {
-		t.Errorf("CombineInputRecords = %d, want MapOutputRecords %d", cc.CombineInputRecords, cc.MapOutputRecords)
-	}
-	if cc.CombineOutputRecords != cc.ShuffleRecords {
-		t.Errorf("CombineOutputRecords = %d, want ShuffleRecords %d", cc.CombineOutputRecords, cc.ShuffleRecords)
-	}
-	if cc.CombineInputBytes != cc.MapOutputBytes || cc.CombineOutputBytes != cc.ShuffleBytes {
-		t.Errorf("combine bytes = %d->%d, want %d->%d",
-			cc.CombineInputBytes, cc.CombineOutputBytes, cc.MapOutputBytes, cc.ShuffleBytes)
-	}
-	if got := cc.CombineSavedRecords(); got != 9 {
-		t.Errorf("CombineSavedRecords() = %d, want 9 (10 emissions folded to 1)", got)
-	}
-	if cc.CombineSavedBytes() != cc.MapOutputBytes-cc.ShuffleBytes {
-		t.Errorf("CombineSavedBytes() = %d, want %d", cc.CombineSavedBytes(), cc.MapOutputBytes-cc.ShuffleBytes)
-	}
-	if cc.CombineWall < 0 {
-		t.Errorf("CombineWall = %v, want >= 0", cc.CombineWall)
-	}
-	// A combiner-less job records no combine activity.
-	pc := resPlain.Counters
-	if pc.CombineInputRecords != 0 || pc.CombineOutputRecords != 0 || pc.CombineWall != 0 {
-		t.Errorf("plain job recorded combine activity: %+v", pc)
-	}
-	if pc.CombineSavedRecords() != 0 || pc.CombineSavedBytes() != 0 {
-		t.Errorf("plain job reports combine savings: %d/%d", pc.CombineSavedRecords(), pc.CombineSavedBytes())
 	}
 }
 
 func TestCountersMerge(t *testing.T) {
 	a := Counters{
 		MapInputRecords: 2, MapOutputRecords: 4, MapOutputBytes: 40,
-		CombineInputRecords: 4, CombineInputBytes: 40, CombineOutputRecords: 2, CombineOutputBytes: 20,
 		ShuffleRecords: 2, ShuffleBytes: 20,
 		ReduceInputKeys: 2, ReduceOutputRecords: 2, ReduceOutputBytes: 10,
 		ReducerLoads: []int64{12, 8}, MaxReducerLoad: 12,
@@ -281,9 +207,6 @@ func TestCountersMerge(t *testing.T) {
 	if a.MaxReducerLoad != 30 {
 		t.Errorf("merged MaxReducerLoad = %d, want 30", a.MaxReducerLoad)
 	}
-	if a.CombineSavedRecords() != 2 {
-		t.Errorf("merged CombineSavedRecords = %d, want 2", a.CombineSavedRecords())
-	}
 	var sum int64
 	for _, l := range a.ReducerLoads {
 		sum += l
@@ -291,20 +214,6 @@ func TestCountersMerge(t *testing.T) {
 	if sum != a.ShuffleBytes {
 		t.Errorf("merged loads sum %d != shuffle bytes %d", sum, a.ShuffleBytes)
 	}
-}
-
-func TestCombinerErrorPropagates(t *testing.T) {
-	job := wordCountJob(1)
-	job.Combiner = combinerFunc(func(string, [][]byte, func(Pair)) error { return errors.New("combust") })
-	if _, err := NewEngine().Run(job, [][]byte{[]byte("a")}); err == nil || !strings.Contains(err.Error(), "combust") {
-		t.Errorf("combiner error not propagated: %v", err)
-	}
-}
-
-type combinerFunc func(key string, values [][]byte, emit func(Pair)) error
-
-func (f combinerFunc) Combine(key string, values [][]byte, emit func(Pair)) error {
-	return f(key, values, emit)
 }
 
 func TestHashPartitionerStableAndInRange(t *testing.T) {
@@ -413,7 +322,7 @@ func TestSchemaDrivenJobRoutesCopiesExactly(t *testing.T) {
 	})
 	job := &Job{Name: "schema", Mapper: mapper, Reducer: reducer,
 		NumReducers: ms.NumReducers(), Partitioner: SchemaPartitioner}
-	res, err := NewEngine().Run(job, [][]byte{[]byte("0"), []byte("1"), []byte("2")})
+	res, err := runSlice(job, [][]byte{[]byte("0"), []byte("1"), []byte("2")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +341,7 @@ func TestSchemaDrivenJobRoutesCopiesExactly(t *testing.T) {
 }
 
 func TestRunWithNoInputs(t *testing.T) {
-	res, err := NewEngine().Run(wordCountJob(2), nil)
+	res, err := runSlice(wordCountJob(2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,11 +360,11 @@ func TestParallelAndSequentialAgree(t *testing.T) {
 	par := wordCountJob(5)
 	par.MapParallelism, par.ReduceParallelism = 8, 5
 
-	resSeq, err := NewEngine().Run(seq, inputs)
+	resSeq, err := runSlice(seq, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resPar, err := NewEngine().Run(par, inputs)
+	resPar, err := runSlice(par, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,15 +1,16 @@
 package mr_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"repro/internal/mr"
 )
 
-// A word count on the in-memory engine with a single reduce partition (so
+// A word count on the engine with a single reduce partition (so
 // the output order is the sorted key order).
-func ExampleEngine_Run() {
+func ExampleRun() {
 	mapper := mr.MapperFunc(func(record []byte, emit func(mr.Pair)) error {
 		for _, w := range strings.Fields(string(record)) {
 			emit(mr.Pair{Key: w, Value: []byte("1")})
@@ -21,10 +22,10 @@ func ExampleEngine_Run() {
 		return nil
 	})
 	job := &mr.Job{Name: "wordcount", Mapper: mapper, Reducer: reducer, NumReducers: 1}
-	res, err := mr.NewEngine().Run(job, [][]byte{
+	res, err := mr.Run(context.Background(), job, mr.NewSliceSource([][]byte{
 		[]byte("to be or not"),
 		[]byte("to be"),
-	})
+	}), nil, mr.StreamOptions{})
 	if err != nil {
 		fmt.Println("error:", err)
 		return

@@ -29,13 +29,6 @@ type Reducer interface {
 	Reduce(key string, values [][]byte, emit func([]byte)) error
 }
 
-// Combiner optionally pre-aggregates the values of a key on the map side
-// before the shuffle, reducing communication. It has reducer semantics but
-// must emit pairs (so its output can be shuffled again).
-type Combiner interface {
-	Combine(key string, values [][]byte, emit func(Pair)) error
-}
-
 // MapperFunc adapts a function to the Mapper interface.
 type MapperFunc func(record []byte, emit func(Pair)) error
 
@@ -68,8 +61,6 @@ type Job struct {
 	// Mapper and Reducer are required.
 	Mapper  Mapper
 	Reducer Reducer
-	// Combiner is optional.
-	Combiner Combiner
 	// NumReducers is the number of reduce partitions; it must be positive.
 	NumReducers int
 	// Partitioner routes keys to partitions; nil means HashPartitioner.
@@ -90,30 +81,17 @@ type Job struct {
 	// Retries model the fault tolerance of a real MapReduce stack and are
 	// exercised by the failure-injection tests.
 	MaxAttempts int
-	// PartitionHints optionally pre-sizes the per-partition hash tables of a
-	// streaming run from the planned schema's declared loads, indexed by
-	// partition. Missing or short hints are harmless: tables grow as usual.
+	// PartitionHints optionally pre-sizes the per-partition buffers of a run
+	// from the planned schema's declared record counts, indexed by partition.
+	// Missing or short hints are harmless: buffers grow as usual.
 	PartitionHints []PartitionHint
 }
 
-// PartitionHint declares the expected shape of one reduce partition's input,
-// derived from the planned schema (a schema-driven partition holds exactly
-// one key whose load is bounded by the reducer capacity q).
+// PartitionHint declares the expected size of one reduce partition's input,
+// derived from the planned schema.
 type PartitionHint struct {
-	// Keys is the expected number of distinct keys in the partition.
-	Keys int
 	// Records is the expected number of intermediate records.
 	Records int
-	// Bytes is the expected shuffle load in Pair.Size bytes.
-	Bytes int64
-}
-
-// keysHint returns the usable key-count hint (never negative).
-func (h PartitionHint) keysHint() int {
-	if h.Keys > 0 {
-		return h.Keys
-	}
-	return 0
 }
 
 // hint returns the partition's declared hint, or a zero hint.

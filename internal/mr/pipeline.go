@@ -1,15 +1,12 @@
 package mr
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
-	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,12 +16,12 @@ import (
 // and hands them, a chunk at a time, to the map workers through a bounded
 // channel; the workers apply the mapper and collect each emitted pair in a
 // chunk for its partition, handing full chunks to that partition's bounded
-// channel; and one goroutine per reduce partition accumulates pairs into a
-// pre-sized hash table — spilling sorted runs to disk when the run's memory
-// budget is exceeded — then groups, optionally combines, and reduces,
-// emitting output to the Sink (or the collected Result). Every channel
-// operation selects on the run context, so cancellation tears the whole
-// pipeline down promptly.
+// channel; and one goroutine per reduce partition accumulates pairs in a
+// pre-sized buffer — spilling it as a sorted run to disk when the run's
+// memory budget is exceeded — then sorts what is left, merges it with the
+// partition's runs into key groups, and reduces them, emitting output to the
+// Sink (or the collected Result). Every channel operation selects on the run
+// context, so cancellation tears the whole pipeline down promptly.
 //
 // Records cross stage boundaries in chunks so that a channel operation — a
 // lock, and often a goroutine wake-up — is paid once per chunk, not once per
@@ -41,6 +38,14 @@ const (
 	chunkBytes = 64 << 10
 )
 
+// The states of pipeline.srcGate: the reader moves it from idle to inNext
+// around every Source.Next call, and Run closes it on the way out.
+const (
+	srcIdle int32 = iota
+	srcInNext
+	srcClosed
+)
+
 // recordChunk is a run of consecutive input records; recs[i] is input record
 // first+i.
 type recordChunk struct {
@@ -54,7 +59,7 @@ type pairChunk struct {
 	bytes int64
 }
 
-// pipeline is the state of one RunStream call.
+// pipeline is the state of one Run call.
 type pipeline struct {
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -65,6 +70,8 @@ type pipeline struct {
 	res    *Result
 
 	chunkLen int // records per chunk: min(chunkRecords, BufferSize)
+
+	srcGate atomic.Int32 // srcIdle, srcInNext or srcClosed
 
 	parts  []chan []streamPair
 	states []*partitionState
@@ -86,51 +93,36 @@ type pipeline struct {
 	spillRuns       atomic.Int64
 	spillBytes      atomic.Int64
 	spillPartitions atomic.Int64
-
-	combineWall atomic.Int64 // summed per-partition combine nanoseconds
 }
 
 // partitionState accumulates one reduce partition.
 type partitionState struct {
-	part   int
-	groups map[string][]valueRec
-	// firstKey pre-sizes the single-key fast path (schema-driven jobs have
-	// exactly one key per partition).
-	hint PartitionHint
+	part int
+	// buf holds the pairs that arrived since the last spill, in arrival
+	// order; memBytes is what they charge against the memory budget.
+	buf      []streamPair
+	memBytes int64
+	runs     []spillRun
+	mem      memCursor // over buf, at reduce time
 
-	memBytes int64 // in-memory pair bytes of this partition
-	load     int64 // arrival shuffle bytes (pre-combine)
-	records  int64 // arrival shuffle records (pre-combine)
-	spills   []spillRun
-	spillSeq int
-	spilled  bool
+	load    int64 // shuffle bytes received
+	records int64 // shuffle records received
 
-	// Finalize results, folded into the run counters at the end.
-	shuffleRecords int64 // post-combine (== records without a combiner)
-	shuffleBytes   int64 // post-combine (== load without a combiner)
-	reduceKeys     int64
-	outRecords     int64
-	outBytes       int64
-	combineInRecs  int64
-	combineInBytes int64
-	combineOutRecs int64
-	combineOutByte int64
+	// Reduce results, folded into the run counters at the end.
+	reduceKeys int64
+	outRecords int64
+	outBytes   int64
 }
 
-// valueRec is one buffered value with its provenance tag.
-type valueRec struct {
-	data []byte
-	rec  int64
-	emit int32
-}
-
-// RunStream executes the job as a streaming pipeline: records are pulled
-// from src, shuffled through bounded per-partition channels, and output
-// records are pushed to sink as reduce partitions complete. When sink is
-// nil the output is collected per partition into the Result (Run's
-// behaviour). The context cancels the run mid-pipeline; spill files are
-// always removed before RunStream returns.
-func (e *Engine) RunStream(ctx context.Context, job *Job, src Source, sink Sink, opts StreamOptions) (*Result, error) {
+// Run executes the job as a streaming pipeline: records are pulled from src,
+// shuffled through bounded per-partition channels, and output records are
+// pushed to sink as reduce partitions complete. When sink is nil the output
+// is collected per partition into the Result. The context cancels the run
+// mid-pipeline. When Run returns, the run's spill files are removed and every
+// goroutine it started has exited — sink is not written and src is not pulled
+// again — except a reader blocked inside a src.Next call, which exits, without
+// another pull, when that call returns.
+func Run(ctx context.Context, job *Job, src Source, sink Sink, opts StreamOptions) (*Result, error) {
 	if err := job.validate(); err != nil {
 		return nil, err
 	}
@@ -187,26 +179,28 @@ func (p *pipeline) run() (*Result, error) {
 	buf := p.opts.bufferSize() / p.chunkLen
 	for i := range p.parts {
 		p.parts[i] = make(chan []streamPair, buf)
-		p.states[i] = &partitionState{part: i, hint: job.hint(i)}
-		p.states[i].groups = make(map[string][]valueRec, p.states[i].hint.keysHint())
+		p.states[i] = &partitionState{part: i, buf: make([]streamPair, 0, job.hint(i).Records)}
 	}
 
 	start := time.Now()
 	endMap := p.opts.stage("map")
 
-	// Stage 1: reader.
+	// Stage 1: reader. Stage 2: map workers. Mapping is CPU work, so by
+	// default there is one worker per processor (and never more than one per
+	// partition).
 	mapIn := make(chan recordChunk, buf)
-	go p.readSource(mapIn)
-
-	// Stage 2: map workers. Mapping is CPU work, so by default there is one
-	// worker per processor (and never more than one per partition).
 	workers := job.MapParallelism
 	if workers <= 0 {
 		workers = min(n, runtime.GOMAXPROCS(0))
 	}
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		p.readSource(mapIn)
+	}()
 	var mapWG sync.WaitGroup
+	mapWG.Add(workers)
 	for w := 0; w < workers; w++ {
-		mapWG.Add(1)
 		go func() {
 			defer mapWG.Done()
 			p.mapWorker(mapIn)
@@ -222,7 +216,6 @@ func (p *pipeline) run() (*Result, error) {
 	}
 	reduceSem := make(chan struct{}, reduceWorkers)
 	var partWG sync.WaitGroup
-	var mapDone atomic.Pointer[time.Time] // set when the map stage ends
 	for i := range p.parts {
 		partWG.Add(1)
 		go func(i int) {
@@ -233,19 +226,29 @@ func (p *pipeline) run() (*Result, error) {
 
 	// Close the partition channels when every map worker is done; this is
 	// the end of the map stage.
+	var mapDone time.Time
+	mapClosed := make(chan struct{})
 	go func() {
+		defer close(mapClosed)
 		mapWG.Wait()
-		t := time.Now()
-		mapDone.Store(&t)
+		mapDone = time.Now()
 		endMap()
 		for _, ch := range p.parts {
 			close(ch)
 		}
 	}()
 
+	// The partition workers leave early when the run fails or is cancelled;
+	// the map workers and the reader must be gone too before the caller gets
+	// its Source back. The one thing not waited for is a Next call already in
+	// flight, which may never return: closing the gate stops the reader from
+	// starting another, and it exits when that call does.
 	partWG.Wait()
-	endReduce := p.opts.stage("reduce")
-	endReduce()
+	<-mapClosed
+	if p.srcGate.Swap(srcClosed) == srcIdle {
+		<-readerDone
+	}
+	p.opts.stage("reduce")()
 
 	if p.err != nil {
 		return nil, p.err
@@ -254,12 +257,14 @@ func (p *pipeline) run() (*Result, error) {
 		// The parent context was cancelled (no internal stage failed first).
 		return nil, err
 	}
-	p.collectCounters(start, mapDone.Load())
+	p.collectCounters(start, mapDone)
 	return p.res, nil
 }
 
 // readSource pulls records from the source into the map stage, a chunk at a
-// time; the last, partial chunk goes out when the input ends.
+// time; the last, partial chunk goes out when the input ends. It checks for
+// cancellation before every pull, so a failed run stops reading at once, and
+// passes the source gate around it, so no pull starts after Run has returned.
 func (p *pipeline) readSource(mapIn chan<- recordChunk) {
 	defer close(mapIn)
 	chunk := recordChunk{recs: make([][]byte, 0, p.chunkLen)}
@@ -275,8 +280,11 @@ func (p *pipeline) readSource(mapIn chan<- recordChunk) {
 			return false
 		}
 	}
-	for {
+	for !p.cancelled() && p.srcGate.CompareAndSwap(srcIdle, srcInNext) {
 		rec, err := p.src.Next()
+		if !p.srcGate.CompareAndSwap(srcInNext, srcIdle) {
+			return // Run is gone; nobody is left to take the record or the error
+		}
 		if err != nil {
 			if !errors.Is(err, io.EOF) {
 				p.fail(fmt.Errorf("mr: reading input record %d: %w", chunk.first+int64(len(chunk.recs)), err))
@@ -368,14 +376,14 @@ func (p *pipeline) mapWorker(mapIn <-chan recordChunk) {
 // pendingCap sizes a fresh pending chunk: a full chunk, or the partition's
 // whole declared input when that is smaller.
 func (p *pipeline) pendingCap(part int) int {
-	if r := p.states[part].hint.Records; r > 0 && r < p.chunkLen {
+	if r := p.job.hint(part).Records; r > 0 && r < p.chunkLen {
 		return r
 	}
 	return p.chunkLen
 }
 
 // partitionWorker accumulates one partition's pairs (spilling under memory
-// pressure), then combines and reduces them.
+// pressure), then groups and reduces them.
 func (p *pipeline) partitionWorker(st *partitionState, in <-chan []streamPair, reduceSem chan struct{}) {
 	defer func() {
 		// Whatever happened, stop charging this partition's buffer against
@@ -384,7 +392,6 @@ func (p *pipeline) partitionWorker(st *partitionState, in <-chan []streamPair, r
 		st.memBytes = 0
 	}()
 	job := p.job
-	checkCapacity := job.ReducerCapacity > 0 && job.Combiner == nil
 	for {
 		var chunk []streamPair
 		var ok bool
@@ -400,20 +407,15 @@ func (p *pipeline) partitionWorker(st *partitionState, in <-chan []streamPair, r
 		// and the memory budget checked — one at a time, exactly as if each
 		// had crossed the channel alone.
 		for i := range chunk {
-			sp := &chunk[i]
-			size := int64(sp.Size())
+			size := int64(chunk[i].Size())
 			st.records++
 			st.load += size
-			if checkCapacity && st.load > job.ReducerCapacity {
+			if job.ReducerCapacity > 0 && st.load > job.ReducerCapacity {
 				p.fail(fmt.Errorf("%w: partition %d holds %d bytes > capacity %d (job %q)",
 					ErrOverCapacity, st.part, st.load, job.ReducerCapacity, job.Name))
 				return
 			}
-			vals, seen := st.groups[sp.Key]
-			if !seen && len(st.groups) == 0 && st.hint.keysHint() == 1 && st.hint.Records > 0 {
-				vals = make([]valueRec, 0, st.hint.Records)
-			}
-			st.groups[sp.Key] = append(vals, valueRec{data: sp.Value, rec: sp.rec, emit: sp.emit})
+			st.buf = append(st.buf, chunk[i])
 			st.memBytes += size
 			if p.memUsed.Add(size) > p.opts.MemoryBudget && p.opts.MemoryBudget > 0 && st.memBytes > 0 {
 				if err := p.spill(st); err != nil {
@@ -427,8 +429,8 @@ func (p *pipeline) partitionWorker(st *partitionState, in <-chan []streamPair, r
 		}
 	}
 
-	// Input complete: group, combine, reduce. The reduce step materializes
-	// one key group at a time and runs user code, so it is bounded by the
+	// Input complete: group and reduce. The reduce step materializes one key
+	// group at a time and runs user code, so it is bounded by the
 	// reduce-parallelism semaphore.
 	select {
 	case reduceSem <- struct{}{}:
@@ -436,39 +438,33 @@ func (p *pipeline) partitionWorker(st *partitionState, in <-chan []streamPair, r
 		return
 	}
 	defer func() { <-reduceSem }()
-	if err := p.finalizePartition(st); err != nil {
+	if err := p.reducePartition(st); err != nil {
 		p.fail(err)
 	}
 }
 
-// spill writes the partition's in-memory table as one sorted run file and
-// clears it.
+// spill writes the partition's buffer as one sorted run file and empties it.
 func (p *pipeline) spill(st *partitionState) error {
 	dir, err := p.ensureSpillDir()
 	if err != nil {
 		return err
 	}
-	pairs := make([]streamPair, 0, len(st.groups))
-	for k, vals := range st.groups {
-		for _, v := range vals {
-			pairs = append(pairs, streamPair{Pair: Pair{Key: k, Value: v.data}, rec: v.rec, emit: v.emit})
-		}
-	}
-	run, err := writeSpillRun(dir, st.part, st.spillSeq, pairs)
+	run, err := writeSpillRun(dir, st.part, len(st.runs), st.buf)
 	if err != nil {
 		return err
 	}
-	st.spillSeq++
-	st.spills = append(st.spills, run)
-	p.memUsed.Add(-st.memBytes)
-	st.memBytes = 0
-	st.groups = make(map[string][]valueRec, st.hint.keysHint())
-	p.spillRuns.Add(1)
-	p.spillBytes.Add(run.bytes)
-	if !st.spilled {
-		st.spilled = true
+	if len(st.runs) == 0 {
 		p.spillPartitions.Add(1)
 	}
+	st.runs = append(st.runs, run)
+	// The budget is a promise about resident bytes: drop the references, not
+	// just the length, so the spilled payloads can be collected.
+	clear(st.buf)
+	st.buf = st.buf[:0]
+	p.memUsed.Add(-st.memBytes)
+	st.memBytes = 0
+	p.spillRuns.Add(1)
+	p.spillBytes.Add(run.bytes)
 	if p.opts.OnSpill != nil {
 		p.opts.OnSpill(st.part, run.bytes)
 	}
@@ -501,11 +497,11 @@ func (p *pipeline) removeSpillDir() {
 	}
 }
 
-// groupCursors returns the cursors the partition's key groups merge from:
-// every spill run plus the sorted in-memory table.
-func (st *partitionState) groupCursors() ([]pairCursor, error) {
-	cursors := make([]pairCursor, 0, len(st.spills)+1)
-	for _, run := range st.spills {
+// cursors opens what the partition's key groups merge from: every spill run
+// plus the sorted buffer. mergePairs closes them.
+func (st *partitionState) cursors() ([]pairCursor, error) {
+	cursors := make([]pairCursor, 0, len(st.runs)+1)
+	for _, run := range st.runs {
 		c, err := openRun(run)
 		if err != nil {
 			for _, open := range cursors {
@@ -515,106 +511,21 @@ func (st *partitionState) groupCursors() ([]pairCursor, error) {
 		}
 		cursors = append(cursors, c)
 	}
-	if len(st.groups) > 0 {
-		pairs := make([]streamPair, 0, len(st.groups))
-		for k, vals := range st.groups {
-			for _, v := range vals {
-				pairs = append(pairs, streamPair{Pair: Pair{Key: k, Value: v.data}, rec: v.rec, emit: v.emit})
-			}
-		}
-		sortPairs(pairs)
-		cursors = append(cursors, &memCursor{pairs: pairs})
-	}
-	return cursors, nil
+	sortPairs(st.buf)
+	st.mem.pairs = st.buf
+	return append(cursors, &st.mem), nil
 }
 
-// forEachGroup yields the partition's key groups in deterministic (key, then
-// provenance) order, merging spill runs with the in-memory table. The
-// common no-spill path avoids the merge machinery: keys are sorted and each
-// group's values ordered by provenance in place.
-func (st *partitionState) forEachGroup(fn func(key string, values [][]byte) error) error {
-	if len(st.spills) == 0 {
-		keys := make([]string, 0, len(st.groups))
-		for k := range st.groups {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			vals := st.groups[k]
-			slices.SortFunc(vals, func(a, b valueRec) int {
-				if c := cmp.Compare(a.rec, b.rec); c != 0 {
-					return c
-				}
-				return cmp.Compare(a.emit, b.emit)
-			})
-			values := make([][]byte, len(vals))
-			for i, v := range vals {
-				values[i] = v.data
-			}
-			if err := fn(k, values); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	cursors, err := st.groupCursors()
+// reducePartition reduces one completed partition, key group by key group in
+// (key, then provenance) order, streaming its output.
+func (p *pipeline) reducePartition(st *partitionState) error {
+	job := p.job
+	cursors, err := st.cursors()
 	if err != nil {
 		return err
 	}
-	return mergePairs(cursors, fn)
-}
-
-// finalizePartition combines (optionally) and reduces one completed
-// partition, streaming its output.
-func (p *pipeline) finalizePartition(st *partitionState) error {
-	job := p.job
-
-	if job.Combiner != nil {
-		// Combine consumes the partition's full map output and emits the
-		// pairs that are "shuffled": counters and the capacity bound apply
-		// to the combined volume, exactly as in a map-side combine.
-		combineStart := time.Now()
-		st.combineInRecs = st.records
-		st.combineInBytes = st.load
-		var combined []streamPair
-		var seq int32
-		err := st.forEachGroup(func(key string, values [][]byte) error {
-			emit := func(pr Pair) {
-				combined = append(combined, streamPair{Pair: pr, rec: 0, emit: seq})
-				seq++
-			}
-			if err := job.Combiner.Combine(key, values, emit); err != nil {
-				return fmt.Errorf("mr: combine key %q: %w", key, err)
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		p.combineWall.Add(int64(time.Since(combineStart)))
-		// Replace the accumulated state with the combined pairs.
-		p.memUsed.Add(-st.memBytes)
-		st.memBytes = 0
-		st.spills = nil
-		st.groups = make(map[string][]valueRec, st.hint.keysHint())
-		for _, sp := range combined {
-			st.shuffleRecords++
-			st.shuffleBytes += int64(sp.Size())
-			st.groups[sp.Key] = append(st.groups[sp.Key], valueRec{data: sp.Value, rec: sp.rec, emit: sp.emit})
-		}
-		st.combineOutRecs = st.shuffleRecords
-		st.combineOutByte = st.shuffleBytes
-		if job.ReducerCapacity > 0 && st.shuffleBytes > job.ReducerCapacity {
-			return fmt.Errorf("%w: partition %d holds %d bytes > capacity %d (job %q)",
-				ErrOverCapacity, st.part, st.shuffleBytes, job.ReducerCapacity, job.Name)
-		}
-	} else {
-		st.shuffleRecords = st.records
-		st.shuffleBytes = st.load
-	}
-
 	var collected [][]byte
-	err := st.forEachGroup(func(key string, values [][]byte) error {
+	err = mergePairs(cursors, func(key string, values [][]byte) error {
 		if err := p.ctx.Err(); err != nil {
 			return err
 		}
@@ -655,32 +566,25 @@ func (p *pipeline) finalizePartition(st *partitionState) error {
 }
 
 // collectCounters folds the per-partition states into the result counters.
-func (p *pipeline) collectCounters(start time.Time, mapDone *time.Time) {
+func (p *pipeline) collectCounters(start, mapDone time.Time) {
 	c := &p.res.Counters
 	job := p.job
 	c.MapInputRecords = p.inRecords.Load()
 	c.MapOutputRecords = p.mapRecords.Load()
 	c.MapOutputBytes = p.mapBytes.Load()
-	if mapDone != nil {
-		c.MapWall = mapDone.Sub(start)
-		c.ReduceWall = time.Since(*mapDone)
-	}
-	c.CombineWall = time.Duration(p.combineWall.Load())
+	c.MapWall = mapDone.Sub(start)
+	c.ReduceWall = time.Since(mapDone)
 	c.ReducerLoads = make([]int64, job.NumReducers)
 	for _, st := range p.states {
-		c.ReducerLoads[st.part] = st.shuffleBytes
-		if st.shuffleBytes > c.MaxReducerLoad {
-			c.MaxReducerLoad = st.shuffleBytes
+		c.ReducerLoads[st.part] = st.load
+		if st.load > c.MaxReducerLoad {
+			c.MaxReducerLoad = st.load
 		}
-		c.ShuffleRecords += st.shuffleRecords
-		c.ShuffleBytes += st.shuffleBytes
+		c.ShuffleRecords += st.records
+		c.ShuffleBytes += st.load
 		c.ReduceInputKeys += st.reduceKeys
 		c.ReduceOutputRecords += st.outRecords
 		c.ReduceOutputBytes += st.outBytes
-		c.CombineInputRecords += st.combineInRecs
-		c.CombineInputBytes += st.combineInBytes
-		c.CombineOutputRecords += st.combineOutRecs
-		c.CombineOutputBytes += st.combineOutByte
 	}
 	c.SpillRuns = p.spillRuns.Load()
 	c.SpillBytes = p.spillBytes.Load()

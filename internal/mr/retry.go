@@ -1,26 +1,6 @@
 package mr
 
-import (
-	"context"
-	"fmt"
-)
-
-// Engine executes jobs. The zero value is ready to use.
-type Engine struct{}
-
-// NewEngine returns a ready-to-use engine.
-func NewEngine() *Engine { return &Engine{} }
-
-// Run executes the job over the given input records and returns the output
-// and counters. It is a thin adapter over RunStream: the records are fed
-// through a SliceSource and the output is collected per partition, so Run
-// keeps its fully materialized signature while execution itself streams.
-// Map tasks process one input record each; intermediate pairs are
-// partitioned with the job's partitioner, grouped by key, and handed to
-// reduce tasks, one per partition.
-func (e *Engine) Run(job *Job, inputs [][]byte) (*Result, error) {
-	return e.RunStream(context.Background(), job, NewSliceSource(inputs), nil, StreamOptions{})
-}
+import "fmt"
 
 // runMapTask applies the mapper to one record, retrying up to the job's
 // attempt budget, and returns the emissions of the successful attempt. They

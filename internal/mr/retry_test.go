@@ -68,7 +68,7 @@ func TestMapRetrySucceedsWithoutDuplicates(t *testing.T) {
 		MaxAttempts: 3,
 	}
 	inputs := [][]byte{[]byte("a"), []byte("b"), []byte("c")}
-	res, err := NewEngine().Run(job, inputs)
+	res, err := runSlice(job, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestMapRetryExhaustedFailsJob(t *testing.T) {
 		NumReducers: 1,
 		MaxAttempts: 2,
 	}
-	_, err := NewEngine().Run(job, [][]byte{[]byte("a")})
+	_, err := runSlice(job, [][]byte{[]byte("a")})
 	if err == nil || !strings.Contains(err.Error(), "failed after 2 attempts") {
 		t.Errorf("expected exhaustion error, got %v", err)
 	}
@@ -107,7 +107,7 @@ func TestReduceRetrySucceedsWithoutDuplicates(t *testing.T) {
 		NumReducers: 2,
 		MaxAttempts: 2,
 	}
-	res, err := NewEngine().Run(job, [][]byte{[]byte("x y x")})
+	res, err := runSlice(job, [][]byte{[]byte("x y x")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestReduceRetryExhaustedFailsJob(t *testing.T) {
 		NumReducers: 1,
 		MaxAttempts: 3,
 	}
-	_, err := NewEngine().Run(job, [][]byte{[]byte("x")})
+	_, err := runSlice(job, [][]byte{[]byte("x")})
 	if err == nil || !strings.Contains(err.Error(), "failed after 3 attempts") {
 		t.Errorf("expected exhaustion error, got %v", err)
 	}
@@ -145,7 +145,7 @@ func TestSingleAttemptIsDefault(t *testing.T) {
 	if job.attempts() != 1 {
 		t.Fatalf("attempts() = %d, want 1", job.attempts())
 	}
-	_, err := NewEngine().Run(job, [][]byte{[]byte("a")})
+	_, err := runSlice(job, [][]byte{[]byte("a")})
 	if err == nil {
 		t.Error("a single-attempt job with a failing mapper should fail")
 	}
@@ -171,7 +171,7 @@ func TestRetryWithParallelWorkers(t *testing.T) {
 	for i := range inputs {
 		inputs[i] = []byte(fmt.Sprintf("rec%02d", i))
 	}
-	res, err := NewEngine().Run(job, inputs)
+	res, err := runSlice(job, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}

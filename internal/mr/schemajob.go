@@ -67,23 +67,3 @@ func AssignmentsX2Y(ms *core.MappingSchema, numX, numY int) (x, y [][]int) {
 	}
 	return x, y
 }
-
-// LowestCommonReducer returns the smallest reducer index present in both
-// assignment lists, or -1 when they share none. The lists must be ascending,
-// which is how AssignmentsA2A and AssignmentsX2Y produce them. A schema may
-// assign a required pair of inputs to several reducers; applications use the
-// lowest shared reducer as the pair's owner so its output is emitted once.
-func LowestCommonReducer(a, b []int) int {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			return a[i]
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return -1
-}

@@ -4,7 +4,9 @@ import "io"
 
 // Source yields the input records of a job one at a time, so a run never
 // needs the whole input materialized. Next returns the next record, or
-// io.EOF after the last one. The engine calls Next from a single goroutine.
+// io.EOF after the last one. The engine calls Next from a single goroutine
+// and starts no call after Run has returned. A call still in flight when the
+// run fails or is cancelled is not waited for, and its result is dropped.
 type Source interface {
 	Next() ([]byte, error)
 }
@@ -49,19 +51,19 @@ type SinkFunc func(partition int, rec []byte) error
 // Write implements Sink.
 func (f SinkFunc) Write(partition int, rec []byte) error { return f(partition, rec) }
 
-// StreamOptions tunes one RunStream call.
+// StreamOptions tunes one Run call.
 type StreamOptions struct {
 	// MemoryBudget bounds the bytes of shuffled intermediate pairs the run
 	// holds in memory across all partitions (measured in Pair.Size units).
 	// When the budget is exceeded, the inserting partition spills its
-	// in-memory table to a sorted run file and continues; runs are merged
-	// back at reduce time. Zero or negative means unbounded: nothing spills.
+	// buffer to a sorted run file and continues; runs are merged back at
+	// reduce time. Zero or negative means unbounded: nothing spills.
 	//
 	// The budget is checked on every inserted pair, however the pair
 	// travelled: a budget smaller than one record spills each record into its
 	// own run.
 	//
-	// The budget covers the partition tables only. Pairs in flight between
+	// The budget covers the partition buffers only. Pairs in flight between
 	// stages are not charged to it; they are bounded separately (see
 	// BufferSize). Each reduce task still materializes one key group at a
 	// time, so the peak memory of a run is roughly MemoryBudget + what is in

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -34,95 +35,64 @@ func streamInputs(records, wordsPerRecord int, seed int64) [][]byte {
 
 func runStream(t *testing.T, job *Job, inputs [][]byte, opts StreamOptions) *Result {
 	t.Helper()
-	res, err := NewEngine().RunStream(context.Background(), job, NewSliceSource(inputs), nil, opts)
+	res, err := Run(context.Background(), job, NewSliceSource(inputs), nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res
 }
 
-// TestSpilledRunMatchesInMemoryRun is the spill-path property test: a tiny
-// memory budget forces every partition through sorted run files, and the
-// output must equal the unbounded in-memory run record for record.
+// TestSpilledRunMatchesInMemoryRun is the grouping property test. Every run
+// groups by sort-merge — the unbounded one over its sorted buffer alone, a
+// budgeted one over sorted run files too — so for a hash-partitioned job with
+// many keys per partition and order-sensitive values, the output bytes, the
+// order of the key groups within each partition and the counters must not
+// depend on the memory budget or on the number of map workers.
 func TestSpilledRunMatchesInMemoryRun(t *testing.T) {
-	inputs := streamInputs(200, 8, 1)
-	want := runStream(t, wordCountJob(7), inputs, StreamOptions{})
+	inputs := streamInputs(40, 6, 1)
+	// deterministic strips what legitimately varies: wall clocks and spill
+	// volume.
+	deterministic := func(c Counters) Counters {
+		c.MapWall, c.ReduceWall = 0, 0
+		c.SpillRuns, c.SpillPartitions, c.SpillBytes = 0, 0, 0
+		return c
+	}
+	want := runStream(t, orderSensitiveJob(7, 1), inputs, StreamOptions{})
 	if want.Counters.SpillRuns != 0 {
 		t.Fatalf("unbounded run spilled %d runs", want.Counters.SpillRuns)
 	}
-
-	var spillCalls atomic.Int64
-	got := runStream(t, wordCountJob(7), inputs, StreamOptions{
-		MemoryBudget: 64, // bytes: far below the shuffle volume
-		SpillDir:     t.TempDir(),
-		OnSpill:      func(partition int, runBytes int64) { spillCalls.Add(1) },
-	})
-	if got.Counters.SpillRuns == 0 {
-		t.Fatal("budgeted run did not spill")
+	if want.Counters.ReduceInputKeys < 3*7 {
+		t.Fatalf("only %d keys over 7 partitions: not a many-keys-per-partition job", want.Counters.ReduceInputKeys)
 	}
-	if got.Counters.SpillPartitions == 0 || got.Counters.SpillBytes == 0 {
-		t.Fatalf("spill counters incomplete: %+v", got.Counters)
-	}
-	if spillCalls.Load() != got.Counters.SpillRuns {
-		t.Fatalf("OnSpill fired %d times for %d runs", spillCalls.Load(), got.Counters.SpillRuns)
-	}
-	if len(got.Output) != len(want.Output) {
-		t.Fatalf("partition count drifted: %d vs %d", len(got.Output), len(want.Output))
-	}
-	for p := range want.Output {
-		if len(got.Output[p]) != len(want.Output[p]) {
-			t.Fatalf("partition %d: %d records, in-memory run had %d", p, len(got.Output[p]), len(want.Output[p]))
-		}
-		for i := range want.Output[p] {
-			if string(got.Output[p][i]) != string(want.Output[p][i]) {
-				t.Fatalf("partition %d record %d: %q, in-memory run had %q",
-					p, i, got.Output[p][i], want.Output[p][i])
+	for _, budget := range []int64{0, 1, 256} { // unbounded; below one record; mid: a few runs per partition
+		for _, par := range []int{1, 2, 8} {
+			var spillCalls atomic.Int64
+			got := runStream(t, orderSensitiveJob(7, par), inputs, StreamOptions{
+				MemoryBudget: budget,
+				SpillDir:     t.TempDir(),
+				OnSpill:      func(partition int, runBytes int64) { spillCalls.Add(1) },
+			})
+			if (got.Counters.SpillRuns > 0) != (budget > 0) {
+				t.Fatalf("budget %d, MapParallelism %d: %d spill runs", budget, par, got.Counters.SpillRuns)
+			}
+			if budget > 0 && (got.Counters.SpillPartitions == 0 || got.Counters.SpillBytes == 0) {
+				t.Fatalf("budget %d, MapParallelism %d: spill counters incomplete: %+v", budget, par, got.Counters)
+			}
+			if spillCalls.Load() != got.Counters.SpillRuns {
+				t.Fatalf("budget %d, MapParallelism %d: OnSpill fired %d times for %d runs",
+					budget, par, spillCalls.Load(), got.Counters.SpillRuns)
+			}
+			// Per partition and in order: a slip in group order shows here.
+			if !reflect.DeepEqual(got.Output, want.Output) {
+				t.Fatalf("budget %d, MapParallelism %d: output differs from the unbounded sequential run", budget, par)
+			}
+			if !reflect.DeepEqual(deterministic(got.Counters), deterministic(want.Counters)) {
+				t.Fatalf("budget %d, MapParallelism %d: counters drifted:\n  want: %+v\n  got:  %+v",
+					budget, par, want.Counters, got.Counters)
 			}
 		}
 	}
-	// Shuffle accounting must be identical too: spilling is invisible to the
-	// communication counters.
-	if got.Counters.ShuffleBytes != want.Counters.ShuffleBytes ||
-		got.Counters.ShuffleRecords != want.Counters.ShuffleRecords ||
-		!reflect.DeepEqual(got.Counters.ReducerLoads, want.Counters.ReducerLoads) {
-		t.Fatalf("shuffle counters drifted:\n  unbounded: %+v\n  budgeted:  %+v", want.Counters, got.Counters)
-	}
 }
-
-// TestSpilledRunWithCombinerMatches exercises the spill + combine path: runs
-// are merged back before the combiner sees the groups.
-func TestSpilledRunWithCombinerMatches(t *testing.T) {
-	inputs := streamInputs(150, 6, 2)
-	job := func() *Job {
-		j := wordCountJob(5)
-		j.Combiner = summingCombiner{}
-		j.Reducer = sumReducer
-		return j
-	}
-	want := runStream(t, job(), inputs, StreamOptions{})
-	got := runStream(t, job(), inputs, StreamOptions{MemoryBudget: 64, SpillDir: t.TempDir()})
-	if got.Counters.SpillRuns == 0 {
-		t.Fatal("budgeted run did not spill")
-	}
-	if !reflect.DeepEqual(flatStrings(got), flatStrings(want)) {
-		t.Fatalf("combined output drifted:\n  unbounded: %v\n  budgeted:  %v", flatStrings(want), flatStrings(got))
-	}
-	if got.Counters.ShuffleBytes != want.Counters.ShuffleBytes {
-		t.Fatalf("post-combine shuffle drifted: %d vs %d", got.Counters.ShuffleBytes, want.Counters.ShuffleBytes)
-	}
-}
-
-// sumReducer sums numeric values (the combiner's partial counts).
-var sumReducer = ReducerFunc(func(key string, values [][]byte, emit func([]byte)) error {
-	total := 0
-	for _, v := range values {
-		n := 0
-		fmt.Sscanf(string(v), "%d", &n)
-		total += n
-	}
-	emit([]byte(fmt.Sprintf("%s=%d", key, total)))
-	return nil
-})
 
 func flatStrings(res *Result) []string {
 	var out []string
@@ -179,7 +149,7 @@ func TestRunStreamCancellation(t *testing.T) {
 	job := wordCountJob(4)
 	done := make(chan error, 1)
 	go func() {
-		_, err := NewEngine().RunStream(ctx, job, src, nil, StreamOptions{MemoryBudget: 16, SpillDir: spillDir})
+		_, err := Run(ctx, job, src, nil, StreamOptions{MemoryBudget: 16, SpillDir: spillDir})
 		done <- err
 	}()
 	// Give the pipeline a moment to ingest (and spill) the finite prefix,
@@ -189,10 +159,10 @@ func TestRunStreamCancellation(t *testing.T) {
 	select {
 	case err := <-done:
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("RunStream returned %v, want context.Canceled", err)
+			t.Fatalf("Run returned %v, want context.Canceled", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("RunStream did not return promptly after cancellation")
+		t.Fatal("Run did not return promptly after cancellation")
 	}
 	// The run's private mr-spill-* directory must be gone.
 	leftovers, err := filepath.Glob(filepath.Join(spillDir, "mr-spill-*"))
@@ -218,7 +188,7 @@ func TestRunStreamCancelDuringReduce(t *testing.T) {
 	job := &Job{Name: "slow", Mapper: wordCountMapper, Reducer: slowReducer, NumReducers: 3}
 	done := make(chan error, 1)
 	go func() {
-		_, err := NewEngine().RunStream(ctx, job, NewSliceSource(streamInputs(20, 4, 4)), nil, StreamOptions{})
+		_, err := Run(ctx, job, NewSliceSource(streamInputs(20, 4, 4)), nil, StreamOptions{})
 		done <- err
 	}()
 	<-started
@@ -226,10 +196,10 @@ func TestRunStreamCancelDuringReduce(t *testing.T) {
 	select {
 	case err := <-done:
 		if err == nil {
-			t.Fatal("RunStream succeeded despite cancellation")
+			t.Fatal("Run succeeded despite cancellation")
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("RunStream did not return after cancellation during reduce")
+		t.Fatal("Run did not return after cancellation during reduce")
 	}
 }
 
@@ -244,9 +214,9 @@ func TestRunStreamSourceError(t *testing.T) {
 		}
 		return []byte("a b c"), nil
 	})
-	_, err := NewEngine().RunStream(context.Background(), wordCountJob(2), src, nil, StreamOptions{})
+	_, err := Run(context.Background(), wordCountJob(2), src, nil, StreamOptions{})
 	if !errors.Is(err, boom) {
-		t.Fatalf("RunStream returned %v, want the source error", err)
+		t.Fatalf("Run returned %v, want the source error", err)
 	}
 }
 
@@ -254,10 +224,10 @@ func TestRunStreamSourceError(t *testing.T) {
 func TestRunStreamSinkError(t *testing.T) {
 	boom := errors.New("sink full")
 	sink := SinkFunc(func(partition int, rec []byte) error { return boom })
-	_, err := NewEngine().RunStream(context.Background(), wordCountJob(2),
+	_, err := Run(context.Background(), wordCountJob(2),
 		NewSliceSource(streamInputs(10, 3, 5)), sink, StreamOptions{})
 	if !errors.Is(err, boom) {
-		t.Fatalf("RunStream returned %v, want the sink error", err)
+		t.Fatalf("Run returned %v, want the sink error", err)
 	}
 }
 
@@ -272,7 +242,7 @@ func TestRunStreamSinkMatchesCollected(t *testing.T) {
 		perPart[partition] = append(perPart[partition], string(rec))
 		return nil
 	})
-	res, err := NewEngine().RunStream(context.Background(), wordCountJob(5),
+	res, err := Run(context.Background(), wordCountJob(5),
 		NewSliceSource(inputs), sink, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -347,7 +317,7 @@ func TestRunStreamConcurrentHammer(t *testing.T) {
 			defer wg.Done()
 			job := wordCountJob(6)
 			job.MapParallelism = 4
-			res, err := NewEngine().RunStream(context.Background(), job,
+			res, err := Run(context.Background(), job,
 				NewSliceSource(inputs), nil, StreamOptions{MemoryBudget: 128, SpillDir: dir, BufferSize: 4})
 			if err != nil {
 				errs[i] = err
@@ -381,9 +351,6 @@ func TestSpillRunRoundTrip(t *testing.T) {
 	run, err := writeSpillRun(t.TempDir(), 0, 0, pairs)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if run.pairs != int64(len(pairs)) {
-		t.Fatalf("run recorded %d pairs, want %d", run.pairs, len(pairs))
 	}
 	c, err := openRun(run)
 	if err != nil {
@@ -530,7 +497,7 @@ func TestRunStreamCancelMidChunk(t *testing.T) {
 	var once sync.Once
 	done := make(chan error, 1)
 	go func() {
-		_, err := NewEngine().RunStream(ctx, wordCountJob(2), src, nil, StreamOptions{
+		_, err := Run(ctx, wordCountJob(2), src, nil, StreamOptions{
 			MemoryBudget: 1, SpillDir: spillDir,
 			OnSpill: func(int, int64) { once.Do(func() { close(spilled) }) },
 		})
@@ -545,10 +512,10 @@ func TestRunStreamCancelMidChunk(t *testing.T) {
 	select {
 	case err := <-done:
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("RunStream returned %v, want context.Canceled", err)
+			t.Fatalf("Run returned %v, want context.Canceled", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("RunStream did not return promptly after cancellation")
+		t.Fatal("Run did not return promptly after cancellation")
 	}
 	if leftovers, _ := filepath.Glob(filepath.Join(spillDir, "mr-spill-*")); len(leftovers) != 0 {
 		t.Fatalf("spill directories leaked after cancellation: %v", leftovers)
@@ -562,4 +529,130 @@ func TestRunStreamCancelMidChunk(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// TestSourceNotPulledAfterRunReturns pins the lifetime of the reader: once
+// Run has returned — because a map task failed, the sink failed, or the
+// caller cancelled mid-run — the caller owns its Source again (it may close
+// the file behind it), so no Next call may start any more, and the goroutines
+// of the run are gone.
+func TestSourceNotPulledAfterRunReturns(t *testing.T) {
+	boom := errors.New("boom")
+	failingMapper := MapperFunc(func([]byte, func(Pair)) error { return boom })
+	failingSink := SinkFunc(func(int, []byte) error { return boom })
+	cases := []struct {
+		name     string
+		mapper   Mapper
+		sink     Sink
+		records  int
+		cancelAt int // the pull that cancels the caller's context; 0 = never
+		want     error
+	}{
+		{"map error", failingMapper, nil, 100 * chunkRecords, 0, boom},
+		{"sink error", wordCountMapper, failingSink, 10 * chunkRecords, 0, boom},
+		{"mid-run cancel", wordCountMapper, nil, 100 * chunkRecords, chunkRecords + chunkRecords/2, context.Canceled},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			goroutines := runtime.NumGoroutine()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var returned atomic.Bool
+			var late atomic.Int64
+			pulls := 0
+			src := SourceFunc(func() ([]byte, error) {
+				if returned.Load() {
+					late.Add(1)
+				}
+				pulls++
+				if pulls == tc.cancelAt {
+					cancel()
+				}
+				if pulls > tc.records {
+					return nil, io.EOF
+				}
+				// A source slower than the pipeline: the run ends while the
+				// reader is part-way through a chunk.
+				runtime.Gosched()
+				return []byte("a b c"), nil
+			})
+			job := &Job{Name: tc.name, Mapper: tc.mapper, Reducer: countReducer, NumReducers: 3}
+			_, err := Run(ctx, job, src, tc.sink, StreamOptions{})
+			returned.Store(true)
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("Run returned %v, want %v", err, tc.want)
+			}
+			// Goroutines that have signalled Run may still be unwinding.
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > goroutines {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines before the run, %d after: the pipeline leaked", goroutines, runtime.NumGoroutine())
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if n := late.Load(); n != 0 {
+				t.Fatalf("the source was pulled %d times after Run returned", n)
+			}
+		})
+	}
+}
+
+// FuzzSpillRun feeds the run reader bytes it did not write. A run file is
+// read back on every spilled reduce, so whatever is in it — a torn write, a
+// flipped bit — must come out as pairs or as an error: never a panic, never
+// an allocation larger than the file. The bytes follow a well-formed run, so
+// the reader must also deliver that prefix intact before it meets them.
+func FuzzSpillRun(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0x01})                                                       // key length, no key
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}) // key length 2^64-1
+	f.Add([]byte{0x01, 'k', 0xff, 0xff, 0xff, 0xff, 0x7f})                    // value length 32 GiB
+	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80}) // varint overflow
+	f.Add([]byte{0x01, 'k', 0x01, 'v', 0x00})                                 // frame cut before its last field
+	f.Add([]byte{0x01, 'k', 0x01, 'v', 0x03, 0x00})                           // one more well-formed frame
+
+	prefix := []streamPair{ // TestSpillRunRoundTrip's pairs, in merge order
+		{Pair: Pair{Key: "a", Value: []byte("0")}, rec: 0, emit: 0},
+		{Pair: Pair{Key: "a", Value: []byte("1")}, rec: 0, emit: 1},
+		{Pair: Pair{Key: "a", Value: []byte{}}, rec: 2, emit: 0},
+		{Pair: Pair{Key: "b", Value: []byte("2")}, rec: 1, emit: 0},
+	}
+	run, err := writeSpillRun(f.TempDir(), 0, 0, slices.Clone(prefix))
+	if err != nil {
+		f.Fatal(err)
+	}
+	wellFormed, err := os.ReadFile(run.path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, garbage []byte) {
+		fuzzed := spillRun{path: filepath.Join(t.TempDir(), "fuzzed.run"), bytes: int64(len(wellFormed) + len(garbage))}
+		if err := os.WriteFile(fuzzed.path, append(slices.Clip(wellFormed), garbage...), 0o600); err != nil {
+			t.Fatal(err)
+		}
+		c, err := openRun(fuzzed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.close()
+		var read int
+		for i := 0; ; i++ {
+			p, err := c.next()
+			if err != nil {
+				if i < len(prefix) {
+					t.Fatalf("pair %d of the well-formed prefix: %v", i, err)
+				}
+				if err != io.EOF && !strings.Contains(err.Error(), "reading spill run") {
+					t.Fatalf("error %q does not say what was being read", err)
+				}
+				return
+			}
+			if i < len(prefix) && !reflect.DeepEqual(p, prefix[i]) {
+				t.Fatalf("pair %d = %+v, want %+v", i, p, prefix[i])
+			}
+			if read += len(p.Key) + len(p.Value); int64(read) > fuzzed.bytes {
+				t.Fatalf("read %d payload bytes out of a %d-byte file", read, fuzzed.bytes)
+			}
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package skewjoin
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -50,7 +51,7 @@ func HashJoinBaseline(x, y *workload.Relation, numReducers int, q core.Size, cou
 		Reducer:     lightReducer(Config{CountOnly: countOnly}),
 		NumReducers: numReducers,
 	}
-	runRes, err := mr.NewEngine().Run(job, records)
+	runRes, err := mr.Run(context.Background(), job, mr.NewSliceSource(records), nil, mr.StreamOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("skewjoin: baseline run: %w", err)
 	}

@@ -206,7 +206,7 @@ func runLight(plan *Plan, x, y *workload.Relation, cfg Config) ([][]byte, *mr.Co
 		Partitioner:       mr.SchemaPartitioner,
 		ReduceParallelism: cfg.Workers,
 	}
-	runRes, err := mr.NewEngine().RunStream(context.Background(), job,
+	runRes, err := mr.Run(context.Background(), job,
 		mr.NewSliceSource(encodeRelations(x, y)), nil,
 		mr.StreamOptions{MemoryBudget: cfg.MemoryBudget, SpillDir: cfg.SpillDir})
 	if err != nil {

@@ -189,6 +189,10 @@ type ExecuteRequest struct {
 	// ReturnPairs includes the processed pair IDs in the result (capped
 	// server-side).
 	ReturnPairs bool `json:"return_pairs,omitempty"`
+	// MemoryBudget, when positive, bounds the execution's in-memory shuffle
+	// bytes; over-budget reduce partitions spill to disk on the server. The
+	// output is unchanged and the result reports the spill volume.
+	MemoryBudget int64 `json:"memory_budget,omitempty"`
 }
 
 // ExecuteResult is the answer of an execute call or a succeeded "execute"
@@ -203,8 +207,13 @@ type ExecuteResult struct {
 	ShuffleRecords int64                 `json:"shuffle_records"`
 	ShuffleBytes   int64                 `json:"shuffle_bytes"`
 	MaxReducerLoad int64                 `json:"max_reducer_load"`
-	Audited        bool                  `json:"audited"`
-	ElapsedMicros  int64                 `json:"elapsed_us"`
+	// Spill figures are zero unless the request set a MemoryBudget the run
+	// exceeded.
+	SpillRuns       int64 `json:"spill_runs,omitempty"`
+	SpillPartitions int64 `json:"spill_partitions,omitempty"`
+	SpillBytes      int64 `json:"spill_bytes,omitempty"`
+	Audited         bool  `json:"audited"`
+	ElapsedMicros   int64 `json:"elapsed_us"`
 	// RequestID is the server's X-Request-ID for the call that produced this
 	// result; it matches the server's request log line. TraceID is the trace
 	// from the response's traceparent header (empty on older servers); fetch
