@@ -44,7 +44,7 @@ func run(args []string, out io.Writer) error {
 		verify    = fs.Bool("verify", true, "check the result against the nested-loop reference")
 		showPairs = fs.Int("show", 5, "print up to this many similar pairs")
 		memBudget = fs.Int64("membudget", 0, "in-memory shuffle budget in bytes; over-budget partitions spill to disk (0 = unbounded)")
-		spillDir  = fs.String("spilldir", "", "directory for spill run files (default: OS temp dir)")
+		spillDir  = fs.String("spilldir", "", "directory for spill files (default: OS temp dir)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -41,7 +41,7 @@ func run(args []string, out io.Writer) error {
 		seed      = fs.Int64("seed", 42, "workload seed")
 		baseline  = fs.Bool("baseline", true, "also run the plain hash-join baseline for comparison")
 		memBudget = fs.Int64("membudget", 0, "in-memory shuffle budget in bytes; over-budget partitions spill to disk (0 = unbounded)")
-		spillDir  = fs.String("spilldir", "", "directory for spill run files (default: OS temp dir)")
+		spillDir  = fs.String("spilldir", "", "directory for spill files (default: OS temp dir)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -62,11 +62,11 @@ type Request struct {
 	// error fails the run.
 	Sink func(rec []byte) error
 	// MemoryBudget, when positive, bounds the in-memory shuffle bytes of the
-	// run; over-budget partitions spill sorted run files to SpillDir (the OS
+	// run; over-budget partitions spill sorted runs to SpillDir (the OS
 	// temp dir when empty) and merge them back at reduce time. Spill volume
 	// is reported in Counters and the pland_exec_spill_* metrics.
 	MemoryBudget int64
-	// SpillDir is where spill run files go; "" means the OS temp dir.
+	// SpillDir is where spill files go; "" means the OS temp dir.
 	SpillDir string
 	// Pair is the per-pair user logic; it is required.
 	Pair PairFunc

@@ -30,9 +30,9 @@ var (
 		"Post-run audits whose trace was not exactly what the schema prescribes and was replayed pair by pair; healthy runs never add to it.")
 
 	obsSpillRuns = obs.Default.Counter("pland_exec_spill_runs_total",
-		"Sorted run files written by memory-budgeted executions.")
+		"Sorted runs spilled by memory-budgeted executions.")
 	obsSpillBytes = obs.Default.Counter("pland_exec_spill_bytes_total",
-		"Bytes written to spill run files by memory-budgeted executions.")
+		"Bytes written to spill files by memory-budgeted executions.")
 	obsSpillPartitions = obs.Default.Counter("pland_exec_spill_partitions_total",
 		"Reduce partitions that spilled at least once, summed over runs.")
 

@@ -82,7 +82,7 @@ func TestRunStreamingSourceMatchesMaterialized(t *testing.T) {
 }
 
 // TestRunSpillsUnderBudgetAndStillAudits is the exec-level spill property:
-// a tiny memory budget forces run files, the output is unchanged, and the
+// a tiny memory budget forces spilled runs, the output is unchanged, and the
 // conformance audit still passes (loads are counted at arrival, not spill).
 func TestRunSpillsUnderBudgetAndStillAudits(t *testing.T) {
 	sizes := streamSizes(24)

@@ -44,16 +44,25 @@
 //
 // StreamOptions.MemoryBudget bounds the bytes of map output buffered in
 // memory across all partitions. When an insert pushes the engine over budget,
-// the inserting partition sorts its buffer, writes it out as a run file
-// (uvarint-framed key/value records in a private temp directory under
-// StreamOptions.SpillDir) and starts over empty; the reduce-time walk is then
-// a k-way merge of the partition's run files with the sorted remainder — the
-// same code over more cursors — so grouping and output are byte-identical to
-// an unbounded run. A run file is read back defensively: a length prefix the
-// rest of the file cannot hold is an error, not an allocation. Spill volume
+// the inserting partition sorts its buffer, appends it as one run
+// (uvarint-framed key/value records) to the partition's spill file and starts
+// over empty. A partition has one spill file, created on its first spill in a
+// private temp directory under StreamOptions.SpillDir and held open until the
+// partition is done; where each run lies in it — offset and length — is kept
+// in memory. The reduce-time walk is then a k-way merge of the partition's
+// runs, each read through its own section of that one descriptor, with the
+// sorted remainder — the same code over more cursors — so grouping and output
+// are byte-identical to an unbounded run. A sorted run costs no file and no
+// descriptor of its own: a Run call holds at most one descriptor per
+// partition that spilled, however often it spilled, and the buffers runs are
+// written and read through come from a pool, sized to the run (64 KiB at
+// most). A run is read back defensively: a length prefix the rest of the run
+// cannot hold is an error, not an allocation, and a run that ends before its
+// recorded length has been read is an error, not a shorter run. Spill volume
 // is reported in Counters (SpillRuns, SpillPartitions, SpillBytes) and
-// surfaced per run via the OnSpill hook. The temp directory is removed when
-// the run ends, on every path — success, error, or cancellation.
+// surfaced per run via the OnSpill hook. The files are closed and the temp
+// directory removed when the Run call ends, on every path — success, error,
+// or cancellation.
 //
 // # Determinism
 //

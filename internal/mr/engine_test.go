@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -274,6 +275,24 @@ func TestAssignmentsA2A(t *testing.T) {
 				t.Errorf("assignments[%d] = %v, want %v", i, assign[i], want[i])
 			}
 		}
+	}
+}
+
+// TestAssignmentsSkipStrayIDsAndDoNotAlias covers what a well-formed schema
+// never shows: IDs outside the declared input range are skipped, an input no
+// reducer holds keeps a nil list, and — the lists being cut from one backing
+// array — growing one list does not write into the next.
+func TestAssignmentsSkipStrayIDsAndDoNotAlias(t *testing.T) {
+	ms := &core.MappingSchema{Problem: core.ProblemA2A, Reducers: []core.Reducer{
+		{Inputs: []int{-1, 0, 2, 4}}, {Inputs: []int{0}},
+	}}
+	assign := AssignmentsA2A(ms, 4)
+	if want := [][]int{{0, 1}, nil, {0}, nil}; !reflect.DeepEqual(assign, want) {
+		t.Fatalf("assignments = %v, want %v", assign, want)
+	}
+	_ = append(assign[0], 9)
+	if assign[2][0] != 0 {
+		t.Fatalf("appending to input 0's list overwrote input 2's: %v", assign)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -102,8 +103,8 @@ type partitionState struct {
 	// order; memBytes is what they charge against the memory budget.
 	buf      []streamPair
 	memBytes int64
-	runs     []spillRun
-	mem      memCursor // over buf, at reduce time
+	spill    *spillFile // the runs spilled so far; nil until the first
+	mem      memCursor  // over buf, at reduce time
 
 	load    int64 // shuffle bytes received
 	records int64 // shuffle records received
@@ -387,9 +388,12 @@ func (p *pipeline) pendingCap(part int) int {
 func (p *pipeline) partitionWorker(st *partitionState, in <-chan []streamPair, reduceSem chan struct{}) {
 	defer func() {
 		// Whatever happened, stop charging this partition's buffer against
-		// the budget.
+		// the budget, and give back its spill file's descriptor.
 		p.memUsed.Add(-st.memBytes)
 		st.memBytes = 0
+		if st.spill != nil {
+			st.spill.close()
+		}
 	}()
 	job := p.job
 	for {
@@ -443,20 +447,23 @@ func (p *pipeline) partitionWorker(st *partitionState, in <-chan []streamPair, r
 	}
 }
 
-// spill writes the partition's buffer as one sorted run file and empties it.
+// spill appends the partition's buffer to its spill file as one sorted run
+// and empties it. The first spill creates the file.
 func (p *pipeline) spill(st *partitionState) error {
-	dir, err := p.ensureSpillDir()
-	if err != nil {
-		return err
-	}
-	run, err := writeSpillRun(dir, st.part, len(st.runs), st.buf)
-	if err != nil {
-		return err
-	}
-	if len(st.runs) == 0 {
+	if st.spill == nil {
+		dir, err := p.ensureSpillDir()
+		if err != nil {
+			return err
+		}
+		if st.spill, err = createSpillFile(dir, st.part); err != nil {
+			return err
+		}
 		p.spillPartitions.Add(1)
 	}
-	st.runs = append(st.runs, run)
+	run, err := st.spill.appendRun(st.buf)
+	if err != nil {
+		return err
+	}
 	// The budget is a promise about resident bytes: drop the references, not
 	// just the length, so the spilled payloads can be collected.
 	clear(st.buf)
@@ -497,35 +504,27 @@ func (p *pipeline) removeSpillDir() {
 	}
 }
 
-// cursors opens what the partition's key groups merge from: every spill run
-// plus the sorted buffer. mergePairs closes them.
-func (st *partitionState) cursors() ([]pairCursor, error) {
-	cursors := make([]pairCursor, 0, len(st.runs)+1)
-	for _, run := range st.runs {
-		c, err := openRun(run)
-		if err != nil {
-			for _, open := range cursors {
-				open.close()
-			}
-			return nil, err
-		}
-		cursors = append(cursors, c)
-	}
+// cursors opens what the partition's key groups merge from: the sorted
+// buffer plus every spilled run. mergePairs closes them.
+func (st *partitionState) cursors() []pairCursor {
 	sortPairs(st.buf)
 	st.mem.pairs = st.buf
-	return append(cursors, &st.mem), nil
+	cursors := []pairCursor{&st.mem}
+	if st.spill != nil {
+		cursors = slices.Grow(cursors, len(st.spill.runs))
+		for _, run := range st.spill.runs {
+			cursors = append(cursors, st.spill.open(run))
+		}
+	}
+	return cursors
 }
 
 // reducePartition reduces one completed partition, key group by key group in
 // (key, then provenance) order, streaming its output.
 func (p *pipeline) reducePartition(st *partitionState) error {
 	job := p.job
-	cursors, err := st.cursors()
-	if err != nil {
-		return err
-	}
 	var collected [][]byte
-	err = mergePairs(cursors, func(key string, values [][]byte) error {
+	err := mergePairs(st.cursors(), func(key string, values [][]byte) error {
 		if err := p.ctx.Err(); err != nil {
 			return err
 		}

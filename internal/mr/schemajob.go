@@ -37,33 +37,44 @@ func SchemaPartitioner(key string, n int) int {
 // reducer indexes the input must be sent to. Mappers use this to emit one
 // copy of the input per assigned reducer.
 func AssignmentsA2A(ms *core.MappingSchema, numInputs int) [][]int {
-	out := make([][]int, numInputs)
-	for r, red := range ms.Reducers {
-		for _, id := range red.Inputs {
-			if id >= 0 && id < numInputs {
-				out[id] = append(out[id], r)
-			}
-		}
-	}
-	return out
+	return assignments(ms.Reducers, numInputs, func(red *core.Reducer) []int { return red.Inputs })
 }
 
 // AssignmentsX2Y returns the per-input reducer assignments for an X2Y schema,
 // one slice per side.
 func AssignmentsX2Y(ms *core.MappingSchema, numX, numY int) (x, y [][]int) {
-	x = make([][]int, numX)
-	y = make([][]int, numY)
-	for r, red := range ms.Reducers {
-		for _, id := range red.XInputs {
-			if id >= 0 && id < numX {
-				x[id] = append(x[id], r)
-			}
-		}
-		for _, id := range red.YInputs {
-			if id >= 0 && id < numY {
-				y[id] = append(y[id], r)
+	return assignments(ms.Reducers, numX, func(red *core.Reducer) []int { return red.XInputs }),
+		assignments(ms.Reducers, numY, func(red *core.Reducer) []int { return red.YInputs })
+}
+
+// assignments inverts one side of a schema: out[id] lists, in increasing
+// order, the reducers whose side holds input id; IDs outside [0, n) are
+// skipped. A counting pass sizes every list first, so the lists are cut from
+// one backing array instead of being grown one append at a time.
+func assignments(reducers []core.Reducer, n int, side func(*core.Reducer) []int) [][]int {
+	counts := make([]int, n)
+	total := 0
+	for r := range reducers {
+		for _, id := range side(&reducers[r]) {
+			if id >= 0 && id < n {
+				counts[id]++
+				total++
 			}
 		}
 	}
-	return x, y
+	out := make([][]int, n)
+	backing := make([]int, total)
+	for id, c := range counts {
+		if c > 0 { // an unassigned input keeps a nil list
+			out[id], backing = backing[:0:c], backing[c:]
+		}
+	}
+	for r := range reducers {
+		for _, id := range side(&reducers[r]) {
+			if id >= 0 && id < n {
+				out[id] = append(out[id], r)
+			}
+		}
+	}
+	return out
 }

@@ -11,13 +11,15 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // Grouping is sort-merge, spilled or not: a partition buffers its pairs in
 // arrival order, and reduce time sorts the buffer by (key, record index,
 // emission index) and walks it group by group. When a run exceeds its memory
-// budget the partition writes the sorted buffer out as one run file of
-// length-prefixed frames and keeps going; reduce time is then a k-way merge
+// budget the partition appends the sorted buffer to its spill file as one run
+// of length-prefixed frames and keeps going; reduce time is then a k-way merge
 // of the partition's runs with the sorted buffer — the same walk over more
 // cursors — so a spilled run produces byte-identical output to an unbounded
 // one.
@@ -49,69 +51,127 @@ func sortPairs(pairs []streamPair) {
 	slices.SortFunc(pairs, func(a, b streamPair) int { return comparePairs(&a, &b) })
 }
 
-// spillRun is one sorted run file of a partition.
-type spillRun struct {
-	path  string
-	bytes int64 // file bytes written
+// spillFile is a partition's append-only spill file: its sorted runs back to
+// back, in the order they were spilled, and where each one lies. The file is
+// created on the partition's first spill and stays open until the partition
+// is done, so a partition costs one descriptor however many runs it wrote.
+type spillFile struct {
+	f    *os.File
+	runs []spillRun // contiguous from offset 0: the next run starts where the last ends
 }
 
-// writeSpillRun sorts the pairs and writes them as one run file.
-func writeSpillRun(dir string, partition, seq int, pairs []streamPair) (spillRun, error) {
-	sortPairs(pairs)
-	run := spillRun{path: filepath.Join(dir, fmt.Sprintf("p%06d-r%06d.run", partition, seq))}
-	f, err := os.Create(run.path)
+// spillRun is one sorted run: a section of its partition's spill file.
+type spillRun struct {
+	off, bytes int64
+}
+
+func createSpillFile(dir string, partition int) (*spillFile, error) {
+	f, err := os.OpenFile(filepath.Join(dir, fmt.Sprintf("p%06d.spill", partition)), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o600)
 	if err != nil {
-		return run, fmt.Errorf("mr: creating spill run: %w", err)
+		return nil, fmt.Errorf("mr: creating spill file: %w", err)
 	}
-	w := bufio.NewWriterSize(f, 64<<10)
-	var scratch [binary.MaxVarintLen64]byte
-	put := func(v uint64) error {
-		n := binary.PutUvarint(scratch[:], v)
-		run.bytes += int64(n)
-		_, werr := w.Write(scratch[:n])
-		return werr
-	}
-	writeFrame := func(p *streamPair) error {
-		if werr := put(uint64(len(p.Key))); werr != nil {
-			return werr
-		}
-		if _, werr := w.WriteString(p.Key); werr != nil {
-			return werr
-		}
-		if werr := put(uint64(len(p.Value))); werr != nil {
-			return werr
-		}
-		if _, werr := w.Write(p.Value); werr != nil {
-			return werr
-		}
-		if werr := put(uint64(p.rec)); werr != nil {
-			return werr
-		}
-		if werr := put(uint64(p.emit)); werr != nil {
-			return werr
-		}
-		run.bytes += int64(len(p.Key) + len(p.Value))
-		return nil
+	return &spillFile{f: f}, nil
+}
+
+// close releases the descriptor. The file holds nothing that outlives the
+// run, and every run in it has been read back or abandoned by now, so a
+// close error has nobody to matter to.
+func (s *spillFile) close() { _ = s.f.Close() }
+
+// uvarintLen is the encoded length of v.
+func uvarintLen(v uint64) int64 { return int64(bits.Len64(v|1)+6) / 7 }
+
+// appendRun sorts the pairs and appends them to the file as one run of
+// length-prefixed frames.
+func (s *spillFile) appendRun(pairs []streamPair) (spillRun, error) {
+	sortPairs(pairs)
+	var run spillRun
+	if n := len(s.runs); n > 0 {
+		run.off = s.runs[n-1].off + s.runs[n-1].bytes
 	}
 	for i := range pairs {
-		if err = writeFrame(&pairs[i]); err != nil {
-			break
-		}
+		p := &pairs[i]
+		run.bytes += uvarintLen(uint64(len(p.Key))) + int64(len(p.Key)) +
+			uvarintLen(uint64(len(p.Value))) + int64(len(p.Value)) +
+			uvarintLen(uint64(p.rec)) + uvarintLen(uint64(p.emit))
 	}
-	if err == nil {
-		err = w.Flush()
+	w := getRunWriter(s.f, run.bytes)
+	defer putRunWriter(w)
+	// Write errors are sticky in a bufio.Writer: Flush reports the first.
+	var scratch [binary.MaxVarintLen64]byte
+	for i := range pairs {
+		p := &pairs[i]
+		w.Write(binary.AppendUvarint(scratch[:0], uint64(len(p.Key))))
+		w.WriteString(p.Key)
+		w.Write(binary.AppendUvarint(scratch[:0], uint64(len(p.Value))))
+		w.Write(p.Value)
+		w.Write(binary.AppendUvarint(scratch[:0], uint64(p.rec)))
+		w.Write(binary.AppendUvarint(scratch[:0], uint64(p.emit)))
 	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(run.path)
+	if err := w.Flush(); err != nil {
+		// Part of the run may be in the file, past the last indexed run:
+		// the error fails the Run call, so nothing is appended behind it.
 		return run, fmt.Errorf("mr: writing spill run: %w", err)
 	}
+	s.runs = append(s.runs, run)
 	return run, nil
 }
 
-// pairCursor yields streamPairs in merge order from one source: a run file
+// Run buffers are pooled, and sized to the run they serve: a fully spilled
+// partition reads all of its runs at once, and a run is often far smaller than
+// the 64 KiB that is worth buffering of a large one. Class c holds buffers of
+// 1<<(c+minRunBufBits) bytes.
+const (
+	minRunBufBits = 6
+	maxRunBufBits = 16
+)
+
+var (
+	runReaders, runWriters [maxRunBufBits - minRunBufBits + 1]sync.Pool
+	// runBuffersOut counts the buffers taken and not yet returned: zero
+	// whenever no run is in flight, which is what the tests hold it to.
+	runBuffersOut atomic.Int64
+)
+
+// runBufClass is the smallest class whose buffers hold n bytes, or the
+// largest class.
+func runBufClass(n int64) int {
+	return min(max(bits.Len64(uint64(max(n, 1)-1)), minRunBufBits), maxRunBufBits) - minRunBufBits
+}
+
+func getRunWriter(f io.Writer, runBytes int64) *bufio.Writer {
+	runBuffersOut.Add(1)
+	c := runBufClass(runBytes)
+	if w, _ := runWriters[c].Get().(*bufio.Writer); w != nil {
+		w.Reset(f)
+		return w
+	}
+	return bufio.NewWriterSize(f, 1<<(c+minRunBufBits))
+}
+
+func putRunWriter(w *bufio.Writer) {
+	w.Reset(nil) // drops the file, and a failed write's sticky error
+	runWriters[runBufClass(int64(w.Size()))].Put(w)
+	runBuffersOut.Add(-1)
+}
+
+func getRunReader(src io.Reader, runBytes int64) *bufio.Reader {
+	runBuffersOut.Add(1)
+	c := runBufClass(runBytes)
+	if r, _ := runReaders[c].Get().(*bufio.Reader); r != nil {
+		r.Reset(src)
+		return r
+	}
+	return bufio.NewReaderSize(src, 1<<(c+minRunBufBits))
+}
+
+func putRunReader(r *bufio.Reader) {
+	r.Reset(nil)
+	runReaders[runBufClass(int64(r.Size()))].Put(r)
+	runBuffersOut.Add(-1)
+}
+
+// pairCursor yields streamPairs in merge order from one source: a spilled run
 // or the sorted in-memory buffer.
 type pairCursor interface {
 	// next advances to the next pair, returning io.EOF at the end.
@@ -119,32 +179,35 @@ type pairCursor interface {
 	// keyRun returns how many pairs, counting the one next just returned,
 	// the cursor knows to share that pair's key; 1 when it cannot tell.
 	keyRun() int
-	close() error
+	// close releases what the cursor holds; closing twice is harmless.
+	close()
 }
 
-// runCursor reads one spill run back. The file's bytes are not trusted: a
-// length prefix is checked against what is left of the bytes the run was
-// written with before anything is allocated for it, so a torn or corrupted
-// run is an error, not a panic.
+// runCursor reads one spill run back through a section of the partition's
+// file. The file's bytes are not trusted: a length prefix is checked against
+// what is left of the bytes the run was written with before anything is
+// allocated for it, and a run that ends before those bytes are used up — the
+// file is shorter than its index says, or was cut on a frame boundary — has
+// lost pairs, so a torn or corrupted run is an error, not a panic and not a
+// shorter run.
 type runCursor struct {
-	f    *os.File
-	r    *bufio.Reader
-	left int64 // of the run's written bytes, those not yet consumed
-	err  error // the first read error; every later read is a no-op
+	sec  io.SectionReader
+	r    *bufio.Reader // pooled; nil once closed
+	left int64         // of the run's written bytes, those not yet consumed
+	err  error         // the first read error; every later read is a no-op
 }
 
-func openRun(run spillRun) (*runCursor, error) {
-	f, err := os.Open(run.path)
-	if err != nil {
-		return nil, fmt.Errorf("mr: opening spill run: %w", err)
-	}
-	return &runCursor{f: f, r: bufio.NewReaderSize(f, 64<<10), left: run.bytes}, nil
+// open starts a cursor over one of the file's runs.
+func (s *spillFile) open(run spillRun) *runCursor {
+	c := &runCursor{sec: *io.NewSectionReader(s.f, run.off, run.bytes), left: run.bytes}
+	c.r = getRunReader(&c.sec, run.bytes)
+	return c
 }
 
 func (c *runCursor) next() (p streamPair, _ error) {
 	klen := c.uvarint()
-	if c.err == io.EOF {
-		return p, io.EOF // a run ends between frames, nowhere else
+	if c.err == io.EOF && c.left == 0 {
+		return p, io.EOF // a run ends between frames, with its bytes used up, nowhere else
 	}
 	p.Key = string(c.bytes(klen))
 	p.Value = c.bytes(c.uvarint())
@@ -159,9 +222,11 @@ func (c *runCursor) next() (p streamPair, _ error) {
 }
 
 func (c *runCursor) uvarint() (v uint64) {
-	if c.err == nil {
-		v, c.err = binary.ReadUvarint(c.r)
-		c.left -= int64(bits.Len64(v|1)+6) / 7 // its canonical encoded length: never more than was read
+	if c.err != nil {
+		return 0
+	}
+	if v, c.err = binary.ReadUvarint(c.r); c.err == nil {
+		c.left -= uvarintLen(v) // its canonical encoded length: never more than was read
 	}
 	return v
 }
@@ -179,8 +244,14 @@ func (c *runCursor) bytes(n uint64) []byte {
 	return buf
 }
 
-func (c *runCursor) keyRun() int  { return 1 }
-func (c *runCursor) close() error { return c.f.Close() }
+func (c *runCursor) keyRun() int { return 1 }
+
+func (c *runCursor) close() {
+	if c.r != nil {
+		putRunReader(c.r)
+		c.r = nil
+	}
+}
 
 // memCursor yields a sorted in-memory pair slice.
 type memCursor struct {
@@ -208,7 +279,7 @@ func (c *memCursor) keyRun() int {
 	return n
 }
 
-func (c *memCursor) close() error { return nil }
+func (c *memCursor) close() {}
 
 // mergeHeap is a min-heap of cursors ordered by their buffered head pairs.
 type mergeHeap struct {
@@ -241,8 +312,8 @@ func (h *mergeHeap) down(i int) {
 // mergePairs streams the union of the cursors in (key, rec, emit) order,
 // invoking fn once per key with the values in deterministic order. It takes
 // over the cursors slice, closes each cursor as soon as it is exhausted — so
-// a group's reduce call does not hold the files its values came from — and
-// closes the rest before returning.
+// a group's reduce call does not hold the buffers its values came through —
+// and closes the rest before returning.
 func mergePairs(cursors []pairCursor, fn func(key string, values [][]byte) error) error {
 	// The heap is filtered into the front of cursors: it never holds more
 	// cursors than have been read, so it overwrites no unread one.

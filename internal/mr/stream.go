@@ -56,8 +56,9 @@ type StreamOptions struct {
 	// MemoryBudget bounds the bytes of shuffled intermediate pairs the run
 	// holds in memory across all partitions (measured in Pair.Size units).
 	// When the budget is exceeded, the inserting partition spills its
-	// buffer to a sorted run file and continues; runs are merged back at
-	// reduce time. Zero or negative means unbounded: nothing spills.
+	// buffer as one sorted run — a section appended to the partition's spill
+	// file — and continues; runs are merged back at reduce time. Zero or
+	// negative means unbounded: nothing spills.
 	//
 	// The budget is checked on every inserted pair, however the pair
 	// travelled: a budget smaller than one record spills each record into its
@@ -70,10 +71,12 @@ type StreamOptions struct {
 	// flight + ReduceParallelism x the largest per-partition key group (for
 	// schema-driven jobs: the reducer capacity q).
 	MemoryBudget int64
-	// SpillDir is the directory spill runs are written under; "" means the
-	// OS temp dir. Each run creates (lazily, on first spill) one private
-	// "mr-spill-*" subdirectory and removes it when the run ends, whatever
-	// the outcome.
+	// SpillDir is the directory spill files are written under; "" means the
+	// OS temp dir. Each Run call creates (lazily, on first spill) one private
+	// "mr-spill-*" subdirectory and removes it when it ends, whatever the
+	// outcome. In it every partition that spills keeps one file, open from
+	// its first spill until it has been reduced, so a Run holds at most one
+	// descriptor per partition, however many runs it spilled.
 	SpillDir string
 	// BufferSize bounds how many records each channel between pipeline
 	// stages parks (the reader → map channel, and every map → partition
@@ -87,7 +90,9 @@ type StreamOptions struct {
 	// memory.
 	BufferSize int
 	// OnSpill, when non-nil, is invoked after each spilled run with the
-	// partition and the bytes written to the run file (metrics hook).
+	// partition and the bytes the run added to the partition's spill file
+	// (metrics hook). Partitions spill concurrently, so it may be called from
+	// several goroutines at once.
 	OnSpill func(partition int, runBytes int64)
 	// OnStage, when non-nil, is invoked at the start of each pipeline phase
 	// ("map", "reduce") and the returned function at its end (tracing hook).

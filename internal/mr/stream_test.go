@@ -44,7 +44,7 @@ func runStream(t *testing.T, job *Job, inputs [][]byte, opts StreamOptions) *Res
 
 // TestSpilledRunMatchesInMemoryRun is the grouping property test. Every run
 // groups by sort-merge — the unbounded one over its sorted buffer alone, a
-// budgeted one over sorted run files too — so for a hash-partitioned job with
+// budgeted one over spilled runs too — so for a hash-partitioned job with
 // many keys per partition and order-sensitive values, the output bytes, the
 // order of the key groups within each partition and the counters must not
 // depend on the memory budget or on the number of map workers.
@@ -340,22 +340,45 @@ func TestRunStreamConcurrentHammer(t *testing.T) {
 	}
 }
 
-// TestSpillRunRoundTrip exercises the run-file codec directly.
+// newSpillFile creates an empty spill file that is closed when the test ends.
+func newSpillFile(t testing.TB) *spillFile {
+	t.Helper()
+	s, err := createSpillFile(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.close)
+	return s
+}
+
+func appendRun(t testing.TB, s *spillFile, pairs ...streamPair) spillRun {
+	t.Helper()
+	run, err := s.appendRun(pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return run
+}
+
+// TestSpillRunRoundTrip exercises the run codec directly, on the second and
+// third of three runs in one file: a run is read from its own offset, and
+// ends at its own length with more of the file behind it.
 func TestSpillRunRoundTrip(t *testing.T) {
-	pairs := []streamPair{
-		{Pair: Pair{Key: "b", Value: []byte("2")}, rec: 1, emit: 0},
-		{Pair: Pair{Key: "a", Value: []byte("1")}, rec: 0, emit: 1},
-		{Pair: Pair{Key: "a", Value: []byte("0")}, rec: 0, emit: 0},
-		{Pair: Pair{Key: "a", Value: nil}, rec: 2, emit: 0},
+	s := newSpillFile(t)
+	other := streamPair{Pair: Pair{Key: "zz", Value: []byte("not this run's")}, rec: 9}
+	appendRun(t, s, other)
+	run := appendRun(t, s,
+		streamPair{Pair: Pair{Key: "b", Value: []byte("2")}, rec: 1, emit: 0},
+		streamPair{Pair: Pair{Key: "a", Value: []byte("1")}, rec: 0, emit: 1},
+		streamPair{Pair: Pair{Key: "a", Value: []byte("0")}, rec: 0, emit: 0},
+		streamPair{Pair: Pair{Key: "a", Value: nil}, rec: 2, emit: 0},
+	)
+	empty := appendRun(t, s)
+	appendRun(t, s, other)
+	if want := (spillRun{off: s.runs[0].bytes, bytes: 23}); run != want || empty != (spillRun{off: want.off + 23}) {
+		t.Fatalf("runs indexed at %+v and %+v, want %+v and an empty one behind it", run, empty, want)
 	}
-	run, err := writeSpillRun(t.TempDir(), 0, 0, pairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := openRun(run)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := s.open(run)
 	defer c.close()
 	wantOrder := []string{"a/0/0", "a/0/1", "a/2/0", "b/1/0"}
 	for i, want := range wantOrder {
@@ -368,42 +391,67 @@ func TestSpillRunRoundTrip(t *testing.T) {
 			t.Fatalf("pair %d = %s, want %s", i, got, want)
 		}
 	}
-	if _, err := c.next(); !errors.Is(err, io.EOF) {
+	if _, err := c.next(); err != io.EOF {
 		t.Fatalf("expected io.EOF at end of run, got %v", err)
+	}
+	ec := s.open(empty)
+	defer ec.close()
+	if _, err := ec.next(); err != io.EOF {
+		t.Fatalf("expected io.EOF from an empty run, got %v", err)
 	}
 }
 
-// TestMergePairsAcrossRuns merges two run files with an in-memory cursor.
+// TestTruncatedRunIsAnError pins that a run which ends early is never read as
+// a shorter run: the file cut on a frame boundary (where the first varint of
+// the next frame meets a clean EOF), cut inside a frame, and gone altogether.
+func TestTruncatedRunIsAnError(t *testing.T) {
+	for _, tc := range []struct {
+		keep      int64 // bytes of the 12-byte run left in the file
+		wantPairs int
+	}{{6, 1}, {9, 1}, {0, 0}} {
+		s := newSpillFile(t)
+		run := appendRun(t, s,
+			streamPair{Pair: Pair{Key: "a", Value: []byte("x")}, rec: 1},
+			streamPair{Pair: Pair{Key: "b", Value: []byte("y")}, rec: 2},
+		)
+		if run.bytes != 12 {
+			t.Fatalf("the run is %d bytes, want two 6-byte frames", run.bytes)
+		}
+		if err := s.f.Truncate(tc.keep); err != nil {
+			t.Fatal(err)
+		}
+		c := s.open(run)
+		for i := 0; i < tc.wantPairs; i++ {
+			if _, err := c.next(); err != nil {
+				t.Fatalf("%d bytes kept: pair %d: %v", tc.keep, i, err)
+			}
+		}
+		_, err := c.next()
+		if !errors.Is(err, io.ErrUnexpectedEOF) || !strings.HasPrefix(err.Error(), "mr: reading spill run: ") {
+			t.Fatalf("%d bytes kept: after %d pairs got %v, want mr: reading spill run: unexpected EOF", tc.keep, tc.wantPairs, err)
+		}
+		c.close()
+	}
+}
+
+// TestMergePairsAcrossRuns merges two runs of one file with an in-memory
+// cursor.
 func TestMergePairsAcrossRuns(t *testing.T) {
-	dir := t.TempDir()
-	run1, err := writeSpillRun(dir, 0, 0, []streamPair{
-		{Pair: Pair{Key: "a", Value: []byte("r1a")}, rec: 0, emit: 0},
-		{Pair: Pair{Key: "c", Value: []byte("r1c")}, rec: 1, emit: 0},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	run2, err := writeSpillRun(dir, 0, 1, []streamPair{
-		{Pair: Pair{Key: "a", Value: []byte("r2a")}, rec: 2, emit: 0},
-		{Pair: Pair{Key: "b", Value: []byte("r2b")}, rec: 3, emit: 0},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c1, err := openRun(run1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := openRun(run2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSpillFile(t)
+	run1 := appendRun(t, s,
+		streamPair{Pair: Pair{Key: "a", Value: []byte("r1a")}, rec: 0, emit: 0},
+		streamPair{Pair: Pair{Key: "c", Value: []byte("r1c")}, rec: 1, emit: 0},
+	)
+	run2 := appendRun(t, s,
+		streamPair{Pair: Pair{Key: "a", Value: []byte("r2a")}, rec: 2, emit: 0},
+		streamPair{Pair: Pair{Key: "b", Value: []byte("r2b")}, rec: 3, emit: 0},
+	)
 	mem := &memCursor{pairs: []streamPair{
 		{Pair: Pair{Key: "b", Value: []byte("m-b")}, rec: 0, emit: 1},
 		{Pair: Pair{Key: "d", Value: []byte("m-d")}, rec: 4, emit: 0},
 	}}
 	var got []string
-	err = mergePairs([]pairCursor{c1, c2, mem}, func(key string, values [][]byte) error {
+	err := mergePairs([]pairCursor{s.open(run1), s.open(run2), mem}, func(key string, values [][]byte) error {
 		var vs []string
 		for _, v := range values {
 			vs = append(vs, string(v))
@@ -417,6 +465,9 @@ func TestMergePairsAcrossRuns(t *testing.T) {
 	want := []string{"a=r1a,r2a", "b=m-b,r2b", "c=r1c", "d=m-d"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("merge produced %v, want %v", got, want)
+	}
+	if n := runBuffersOut.Load(); n != 0 {
+		t.Fatalf("%d run buffers not returned to the pool after the merge", n)
 	}
 }
 
@@ -467,7 +518,7 @@ func TestChunkedShuffleIdenticalAcrossMapParallelism(t *testing.T) {
 
 // TestBudgetBelowOneRecordSpillsEveryRecord asserts the memory budget is
 // still checked per inserted record, not per chunk: with a budget no record
-// fits in, every shuffled record becomes its own run file.
+// fits in, every shuffled record becomes its own run.
 func TestBudgetBelowOneRecordSpillsEveryRecord(t *testing.T) {
 	inputs := streamInputs(300, 6, 12)
 	want := flatStrings(runStream(t, orderSensitiveJob(4, 1), inputs, StreamOptions{}))
@@ -486,10 +537,10 @@ func TestBudgetBelowOneRecordSpillsEveryRecord(t *testing.T) {
 // TestRunStreamCancelMidChunk cancels while the reader holds a partial chunk
 // (the source has stalled short of a chunk boundary), the map workers hold
 // partial pending chunks, and partitions are spilling: the run must return
-// promptly, leave no spill directory, and leak no goroutine.
+// promptly and leave no spill directory, descriptor, run buffer or goroutine.
 func TestRunStreamCancelMidChunk(t *testing.T) {
-	goroutines := runtime.NumGoroutine()
 	spillDir := t.TempDir()
+	leaks := watchLeaks(t, spillDir)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	src := &blockingSource{ctx: ctx, limit: 5*chunkRecords + chunkRecords/2}
@@ -517,18 +568,7 @@ func TestRunStreamCancelMidChunk(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Run did not return promptly after cancellation")
 	}
-	if leftovers, _ := filepath.Glob(filepath.Join(spillDir, "mr-spill-*")); len(leftovers) != 0 {
-		t.Fatalf("spill directories leaked after cancellation: %v", leftovers)
-	}
-	// The reader and the map workers exit on their own once they see the
-	// cancellation; give them a moment.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > goroutines {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines before the run, %d after: the pipeline leaked", goroutines, runtime.NumGoroutine())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	leaks.check()
 }
 
 // TestSourceNotPulledAfterRunReturns pins the lifetime of the reader: once
@@ -597,11 +637,14 @@ func TestSourceNotPulledAfterRunReturns(t *testing.T) {
 	}
 }
 
-// FuzzSpillRun feeds the run reader bytes it did not write. A run file is
-// read back on every spilled reduce, so whatever is in it — a torn write, a
-// flipped bit — must come out as pairs or as an error: never a panic, never
-// an allocation larger than the file. The bytes follow a well-formed run, so
-// the reader must also deliver that prefix intact before it meets them.
+// FuzzSpillRun feeds the run reader bytes it did not write. A run is read
+// back on every spilled reduce, so whatever is in its section of the file — a
+// torn write, a flipped bit — must come out as pairs or as an error: never a
+// panic, never an allocation larger than the section. The bytes follow a
+// well-formed run in the same section, so the reader must also deliver that
+// prefix intact before it meets them; and another well-formed run follows the
+// section, which must read back whole and alone: what is wrong with one run
+// stays in it.
 func FuzzSpillRun(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x01})                                                       // key length, no key
@@ -617,23 +660,24 @@ func FuzzSpillRun(f *testing.F) {
 		{Pair: Pair{Key: "a", Value: []byte{}}, rec: 2, emit: 0},
 		{Pair: Pair{Key: "b", Value: []byte("2")}, rec: 1, emit: 0},
 	}
-	run, err := writeSpillRun(f.TempDir(), 0, 0, slices.Clone(prefix))
-	if err != nil {
-		f.Fatal(err)
-	}
-	wellFormed, err := os.ReadFile(run.path)
-	if err != nil {
-		f.Fatal(err)
-	}
+	s := newSpillFile(f) // one file for all executions, emptied before each
 	f.Fuzz(func(t *testing.T, garbage []byte) {
-		fuzzed := spillRun{path: filepath.Join(t.TempDir(), "fuzzed.run"), bytes: int64(len(wellFormed) + len(garbage))}
-		if err := os.WriteFile(fuzzed.path, append(slices.Clip(wellFormed), garbage...), 0o600); err != nil {
+		if err := s.f.Truncate(0); err != nil {
 			t.Fatal(err)
 		}
-		c, err := openRun(fuzzed)
-		if err != nil {
+		if _, err := s.f.Seek(0, io.SeekStart); err != nil {
 			t.Fatal(err)
 		}
+		s.runs = nil
+		appendRun(t, s, slices.Clone(prefix)...)
+		if _, err := s.f.Write(garbage); err != nil {
+			t.Fatal(err)
+		}
+		s.runs[0].bytes += int64(len(garbage))
+		fuzzed := s.runs[0]
+		intact := appendRun(t, s, slices.Clone(prefix)...)
+
+		c := s.open(fuzzed)
 		defer c.close()
 		var read int
 		for i := 0; ; i++ {
@@ -645,13 +689,26 @@ func FuzzSpillRun(f *testing.F) {
 				if err != io.EOF && !strings.Contains(err.Error(), "reading spill run") {
 					t.Fatalf("error %q does not say what was being read", err)
 				}
-				return
+				break
 			}
 			if i < len(prefix) && !reflect.DeepEqual(p, prefix[i]) {
 				t.Fatalf("pair %d = %+v, want %+v", i, p, prefix[i])
 			}
 			if read += len(p.Key) + len(p.Value); int64(read) > fuzzed.bytes {
-				t.Fatalf("read %d payload bytes out of a %d-byte file", read, fuzzed.bytes)
+				t.Fatalf("read %d payload bytes out of a %d-byte section", read, fuzzed.bytes)
+			}
+		}
+
+		next := s.open(intact)
+		defer next.close()
+		for i := 0; i <= len(prefix); i++ {
+			p, err := next.next()
+			if i == len(prefix) {
+				if err != io.EOF {
+					t.Fatalf("the run behind the fuzzed section does not end after its %d pairs: %+v, %v", i, p, err)
+				}
+			} else if err != nil || !reflect.DeepEqual(p, prefix[i]) {
+				t.Fatalf("pair %d of the run behind the fuzzed section = %+v, %v, want %+v", i, p, err, prefix[i])
 			}
 		}
 	})

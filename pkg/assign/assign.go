@@ -132,7 +132,7 @@ func Collect(dst *[][]byte) Option {
 }
 
 // MemoryBudget bounds the in-memory shuffle bytes of Execute's pipeline.
-// Partitions over budget spill sorted run files to the spill directory and
+// Partitions over budget spill sorted runs to the spill directory and
 // merge them back at reduce time; output is unchanged. Spill volume is
 // reported in Execution.Spill* and the pland_exec_spill_* metrics. Zero (the
 // default) means unbounded.
@@ -140,9 +140,10 @@ func MemoryBudget(bytes int64) Option {
 	return func(r *request) { r.memBudget = bytes }
 }
 
-// SpillDir sets where over-budget partitions spill their run files; ""
-// (the default) uses the OS temp dir. Each run keeps its files in a private
-// mr-spill-* subdirectory, removed when the run ends.
+// SpillDir sets where over-budget partitions keep their spill files; ""
+// (the default) uses the OS temp dir. Each run keeps its files — one per
+// partition that spilled — in a private mr-spill-* subdirectory, removed when
+// the run ends.
 func SpillDir(dir string) Option {
 	return func(r *request) { r.spillDir = dir }
 }

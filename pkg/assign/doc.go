@@ -43,7 +43,7 @@
 //	    assign.Each(func(rec []byte) error { return out.Write(rec) }))
 //
 // MemoryBudget bounds the bytes of shuffled data held in memory: over-budget
-// reduce partitions spill sorted run files to a temp directory (SpillDir)
+// reduce partitions spill sorted runs to a temp directory (SpillDir)
 // and merge them back at reduce time, so results are identical to an
 // unbounded run; the Execution reports SpillRuns, SpillPartitions, and
 // SpillBytes. ExecuteStream is the pull-side equivalent — it returns a

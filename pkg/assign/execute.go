@@ -35,7 +35,7 @@ type Execution struct {
 	ReducerLoads   []int64
 	MaxReducerLoad int64
 	// SpillRuns, SpillPartitions, and SpillBytes describe spill-to-disk
-	// activity under MemoryBudget: sorted run files written, distinct
+	// activity under MemoryBudget: sorted runs written, distinct
 	// partitions that spilled, and total file bytes. All zero for unbounded
 	// runs.
 	SpillRuns       int64
