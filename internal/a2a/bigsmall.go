@@ -55,27 +55,33 @@ func BigSmallSplit(set *core.InputSet, q core.Size, policy binpack.Policy) (*cor
 		return ms, nil // a single (big) input: nothing to cover
 	}
 
-	// Step 2: pair the big input with bins of small inputs that fit in the
-	// residual capacity q - w_B.
-	residual := q - bigSize
+	// Both packings come first, so the reducer list is sized once: one
+	// reducer per residual bin, one per pair of q/2 bins.
 	smallItems := binpack.ItemsFromIDs(set, smallIDs)
-	residualPacking, err := binpack.Pack(smallItems, residual, policy)
+	residualPacking, err := binpack.Pack(smallItems, q-bigSize, policy)
 	if err != nil {
 		return nil, fmt.Errorf("a2a: packing small inputs next to the big input: %w", err)
 	}
+	var halfBins []binpack.Bin
+	if len(smallIDs) >= 2 {
+		halfPacking, err := binpack.Pack(smallItems, q/2, policy)
+		if err != nil {
+			return nil, fmt.Errorf("a2a: packing small inputs into q/2 bins: %w", err)
+		}
+		halfBins = halfPacking.Bins
+	}
+	ms.Reducers = make([]core.Reducer, 0, len(residualPacking.Bins)+BinPackPairReducerCount(len(halfBins)))
+
+	// Step 2: pair the big input with bins of small inputs that fit in the
+	// residual capacity q - w_B.
 	for _, bin := range residualPacking.Bins {
 		ids := append([]int{big}, bin.Items...)
 		ms.AddReducerA2A(set, ids)
 	}
 
 	// Step 3: cover the small-small pairs.
-	if len(smallIDs) >= 2 {
-		halfPacking, err := binpack.Pack(smallItems, q/2, policy)
-		if err != nil {
-			return nil, fmt.Errorf("a2a: packing small inputs into q/2 bins: %w", err)
-		}
-		smallSchema := pairBins(set, q, algorithm, halfPacking.Bins)
-		ms.Reducers = append(ms.Reducers, smallSchema.Reducers...)
+	if len(halfBins) > 0 {
+		ms.Reducers = append(ms.Reducers, pairBins(set, q, algorithm, halfBins).Reducers...)
 	}
 	return ms, nil
 }

@@ -48,22 +48,28 @@ func EqualSized(set *core.InputSet, q core.Size) (*core.MappingSchema, error) {
 		// k == 1: no reducer can hold two inputs, so no pair can ever meet.
 		return nil, fmt.Errorf("%w: capacity %d holds only one input of size %d", core.ErrInfeasible, q, w)
 	}
-	// Build the groups: consecutive runs of `half` input IDs.
+	// The groups are consecutive runs of `half` input IDs: group g is
+	// [g*half, min((g+1)*half, m)), and m > k >= 2*half makes at least three
+	// of them. A reducer is two such runs, the lower group first, so its
+	// member list is written once, already ascending, and priced by count.
 	numGroups := (m + half - 1) / half
-	groups := make([][]int, numGroups)
-	for i := 0; i < m; i++ {
-		g := i / half
-		groups[g] = append(groups[g], i)
-	}
-	ms := &core.MappingSchema{Problem: core.ProblemA2A, Capacity: q, Algorithm: algorithm}
-	if numGroups == 1 {
-		ms.AddReducerA2A(set, groups[0])
-		return ms, nil
+	ms := &core.MappingSchema{
+		Problem:   core.ProblemA2A,
+		Capacity:  q,
+		Algorithm: algorithm,
+		Reducers:  make([]core.Reducer, 0, numGroups*(numGroups-1)/2),
 	}
 	for a := 0; a < numGroups; a++ {
 		for b := a + 1; b < numGroups; b++ {
-			ids := append(append([]int(nil), groups[a]...), groups[b]...)
-			ms.AddReducerA2A(set, ids)
+			bEnd := min((b+1)*half, m)
+			ids := make([]int, 0, half+bEnd-b*half)
+			for id := a * half; id < (a+1)*half; id++ {
+				ids = append(ids, id)
+			}
+			for id := b * half; id < bEnd; id++ {
+				ids = append(ids, id)
+			}
+			ms.Reducers = append(ms.Reducers, core.Reducer{Inputs: ids, Load: core.Size(len(ids)) * w})
 		}
 	}
 	return ms, nil

@@ -2,6 +2,7 @@ package a2a
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -126,5 +127,37 @@ func TestEqualSizedNearLowerBound(t *testing.T) {
 	ratio := float64(ms.NumReducers()) / float64(lb.Reducers)
 	if ratio > 4.5 {
 		t.Errorf("equal-sized algorithm used %d reducers, %.2fx the lower bound %d", ms.NumReducers(), ratio, lb.Reducers)
+	}
+}
+
+// TestEqualSizedMatchesGroupPairReference rebuilds the schema the slow way —
+// materialised groups, one AddReducerA2A (copy, sort, re-price) per pair of
+// groups — and expects EqualSized's directly written reducers to be the same.
+func TestEqualSizedMatchesGroupPairReference(t *testing.T) {
+	for m := 2; m <= 60; m++ {
+		for _, w := range []core.Size{1, 3} {
+			for k := 2; k < m; k++ {
+				q := core.Size(k)*w + w/2
+				set, _ := core.UniformInputSet(m, w)
+				got, err := EqualSized(set, q)
+				if err != nil {
+					t.Fatalf("m=%d w=%d q=%d: %v", m, w, q, err)
+				}
+				half := k / 2
+				groups := make([][]int, (m+half-1)/half)
+				for i := 0; i < m; i++ {
+					groups[i/half] = append(groups[i/half], i)
+				}
+				want := &core.MappingSchema{Problem: core.ProblemA2A, Capacity: q, Algorithm: "a2a/equal-sized"}
+				for a := range groups {
+					for b := a + 1; b < len(groups); b++ {
+						want.AddReducerA2A(set, append(append([]int(nil), groups[a]...), groups[b]...))
+					}
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("m=%d w=%d q=%d: schema differs from the group-pair reference", m, w, q)
+				}
+			}
+		}
 	}
 }

@@ -3,6 +3,7 @@ package a2a
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/core"
 )
@@ -15,9 +16,17 @@ var ErrTooLargeForExact = errors.New("a2a: instance too large for the exact solv
 // returned schema is the best one found (valid, but possibly not optimal).
 var ErrNodeBudget = errors.New("a2a: exact solver node budget exhausted")
 
+// maxExactInputs is the search's hard ceiling: it keeps every set of inputs —
+// a reducer's members, the inputs one input is already covered with — in one
+// machine word.
+const maxExactInputs = 64
+
 // ExactOptions configures the exact solver.
 type ExactOptions struct {
-	// MaxInputs caps the instance size; 0 means the default of 12.
+	// MaxInputs caps the instance size; 0 means the default of 12. Values
+	// above 64 act as 64: the search keeps input sets in one machine word,
+	// and an instance with more inputs is ErrTooLargeForExact whatever the
+	// option says.
 	MaxInputs int
 	// MaxNodes caps the number of explored search nodes; 0 means the default
 	// of 2 million.
@@ -27,13 +36,25 @@ type ExactOptions struct {
 // Exact computes a minimum-reducer mapping schema by branch and bound. At
 // every node it picks the lexicographically first uncovered pair and branches
 // on all ways to cover it: adding the missing input(s) to an existing reducer
-// that still has room, or opening a new reducer with exactly that pair.
-// Branches that cannot beat the incumbent (seeded with the best heuristic
-// schema) are pruned.
+// that still has room (reducers in the order they were opened), or opening a
+// new reducer with exactly that pair. Branches that cannot beat the incumbent
+// (seeded with the best heuristic schema) are pruned.
+//
+// The search state is one uint64 per reducer (its members) and one per input
+// (the inputs it is already covered with); a branch is applied and undone by
+// mask and a node allocates nothing, so the cost of a call is its node count
+// times a few dozen nanoseconds. That representation is why no instance above
+// 64 inputs is attempted.
 //
 // The A2A mapping schema problem is NP-complete, so Exact is intended for the
 // small instances used to measure approximation ratios (experiment T8).
 func Exact(set *core.InputSet, q core.Size, opts ExactOptions) (*core.MappingSchema, error) {
+	ms, _, err := exact(set, q, opts)
+	return ms, err
+}
+
+// exact is Exact that also reports how many search nodes it visited.
+func exact(set *core.InputSet, q core.Size, opts ExactOptions) (*core.MappingSchema, int, error) {
 	const algorithm = "a2a/exact"
 	if opts.MaxInputs == 0 {
 		opts.MaxInputs = 12
@@ -41,70 +62,107 @@ func Exact(set *core.InputSet, q core.Size, opts ExactOptions) (*core.MappingSch
 	if opts.MaxNodes == 0 {
 		opts.MaxNodes = 2_000_000
 	}
-	if set.Len() > opts.MaxInputs {
-		return nil, fmt.Errorf("%w: %d inputs > limit %d", ErrTooLargeForExact, set.Len(), opts.MaxInputs)
+	if limit := min(opts.MaxInputs, maxExactInputs); set.Len() > limit {
+		return nil, 0, fmt.Errorf("%w: %d inputs > limit %d", ErrTooLargeForExact, set.Len(), limit)
 	}
 	if set.Len() == 0 {
-		return emptySchema(q, algorithm), nil
+		return emptySchema(q, algorithm), 0, nil
 	}
 	if err := CheckFeasible(set, q); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	m := set.Len()
 	if m == 1 {
-		return emptySchema(q, algorithm), nil
+		return emptySchema(q, algorithm), 0, nil
 	}
 	if set.TotalSize() <= q {
-		return singleReducer(set, q, algorithm), nil
+		return singleReducer(set, q, algorithm), 0, nil
 	}
 
 	// Incumbent: best heuristic schema available.
 	incumbent, err := Solve(set, q)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	best := incumbent.NumReducers()
-	bestReducers := cloneReducerSets(incumbent)
 
-	bounds := LowerBounds(set, q)
-
-	s := &exactSearch{
-		set:      set,
-		q:        q,
-		m:        m,
-		best:     best,
-		bestSets: bestReducers,
-		maxNodes: opts.MaxNodes,
-		lower:    bounds.Reducers,
+	// The search never holds more than best reducers, so nothing grows after
+	// this.
+	s := &wordSearch{
+		q:         q,
+		sizes:     set.Sizes(),
+		full:      ^uint64(0) >> (64 - uint(m)),
+		rows:      make([]uint64, m),
+		remaining: m * (m - 1) / 2,
+		members:   make([]uint64, best),
+		loads:     make([]core.Size, best),
+		best:      best,
+		bestSets:  make([]uint64, best),
+		maxNodes:  opts.MaxNodes,
+		lower:     LowerBounds(set, q).Reducers,
 	}
-	s.search(newCoverage(m), nil, nil)
+	for i := range s.rows {
+		s.rows[i] = 1 << uint(i)
+	}
+	for r, red := range incumbent.Reducers {
+		for _, id := range red.Inputs {
+			s.bestSets[r] |= 1 << uint(id)
+		}
+	}
+	s.search(0)
 
-	ms := &core.MappingSchema{Problem: core.ProblemA2A, Capacity: q, Algorithm: algorithm}
-	for _, ids := range s.bestSets {
-		ms.AddReducerA2A(set, ids)
+	ms := &core.MappingSchema{
+		Problem:   core.ProblemA2A,
+		Capacity:  q,
+		Algorithm: algorithm,
+		Reducers:  make([]core.Reducer, 0, s.best),
+	}
+	for _, mask := range s.bestSets[:s.best] {
+		red := core.Reducer{Inputs: make([]int, 0, bits.OnesCount64(mask))}
+		for ; mask != 0; mask &= mask - 1 {
+			id := bits.TrailingZeros64(mask)
+			red.Inputs = append(red.Inputs, id)
+			red.Load += s.sizes[id]
+		}
+		ms.Reducers = append(ms.Reducers, red)
 	}
 	if s.exhausted {
-		return ms, ErrNodeBudget
+		return ms, s.nodes, ErrNodeBudget
 	}
-	return ms, nil
+	return ms, s.nodes, nil
 }
 
-type exactSearch struct {
-	set       *core.InputSet
-	q         core.Size
-	m         int
-	best      int
-	bestSets  [][]int
+// wordSearch is the branch and bound's state. Sets of inputs are bit masks
+// over the input IDs.
+type wordSearch struct {
+	q     core.Size
+	sizes []core.Size
+	full  uint64 // every input
+
+	// rows[i] holds the inputs i is already covered with, and i itself, so a
+	// row equal to full has no pair left to cover.
+	rows      []uint64
+	remaining int // uncovered pairs
+
+	// The open reducers are members[:n] and loads[:n].
+	members []uint64
+	loads   []core.Size
+	n       int
+
+	// bestSets[:best] is the best schema found so far.
+	best     int
+	bestSets []uint64
+
 	nodes     int
 	maxNodes  int
 	exhausted bool
 	lower     int
 }
 
-// search explores assignments. reducers holds the current reducer member
-// lists; loads the matching loads. cov tracks covered pairs and is mutated
-// in place with explicit undo.
-func (s *exactSearch) search(cov *coverage, reducers [][]int, loads []core.Size) {
+// search explores the ways to complete the current partial schema. from is a
+// row below which every row is full: coverage only grows down a path, so a
+// node resumes the first-uncovered scan at its parent's row.
+func (s *wordSearch) search(from int) {
 	if s.exhausted || s.best == s.lower {
 		return
 	}
@@ -113,32 +171,36 @@ func (s *exactSearch) search(cov *coverage, reducers [][]int, loads []core.Size)
 		s.exhausted = true
 		return
 	}
-	if cov.remaining == 0 {
-		if len(reducers) < s.best {
-			s.best = len(reducers)
-			s.bestSets = make([][]int, len(reducers))
-			for i, r := range reducers {
-				s.bestSets[i] = append([]int(nil), r...)
-			}
+	if s.remaining == 0 {
+		if s.n < s.best {
+			s.best = s.n
+			copy(s.bestSets, s.members[:s.n])
 		}
 		return
 	}
-	if len(reducers) >= s.best {
+	if s.n >= s.best {
 		return
 	}
-	i, j := cov.firstUncoveredFrom(0, 1)
-	wi, wj := s.set.Size(i), s.set.Size(j)
+	// The lexicographically first uncovered pair: rows are symmetric, so the
+	// first row that is not full misses no input below itself.
+	i := from
+	for s.rows[i] == s.full {
+		i++
+	}
+	j := bits.TrailingZeros64(^s.rows[i])
+	bi, bj := uint64(1)<<uint(i), uint64(1)<<uint(j)
+	wi, wj := s.sizes[i], s.sizes[j]
 
 	// Option A: place the pair into an existing reducer.
-	for r := range reducers {
-		hasI, hasJ := contains(reducers[r], i), contains(reducers[r], j)
+	members, loads := s.members[:s.n], s.loads[:s.n]
+	for r, was := range members {
 		var extra core.Size
-		switch {
-		case hasI && hasJ:
+		switch was & (bi | bj) {
+		case bi | bj:
 			continue // the pair would already be covered; cannot happen
-		case hasI:
+		case bi:
 			extra = wj
-		case hasJ:
+		case bj:
 			extra = wi
 		default:
 			extra = wi + wj
@@ -146,79 +208,58 @@ func (s *exactSearch) search(cov *coverage, reducers [][]int, loads []core.Size)
 		if loads[r]+extra > s.q {
 			continue
 		}
-		// Apply.
-		added := make([]int, 0, 2)
-		if !hasI {
-			added = append(added, i)
+		var metI, metJ uint64
+		now := was
+		if now&bi == 0 {
+			metI = s.join(i, now)
+			now |= bi
 		}
-		if !hasJ {
-			added = append(added, j)
+		if now&bj == 0 {
+			metJ = s.join(j, now)
+			now |= bj
 		}
-		newlyCovered := applyAdd(cov, reducers[r], added)
-		reducers[r] = append(reducers[r], added...)
+		members[r] = now
 		loads[r] += extra
 
-		s.search(cov, reducers, loads)
+		s.search(i)
 
-		// Undo.
-		reducers[r] = reducers[r][:len(reducers[r])-len(added)]
+		members[r] = was
 		loads[r] -= extra
-		undoCover(cov, newlyCovered)
+		s.leave(j, metJ)
+		s.leave(i, metI)
 	}
 
 	// Option B: open a new reducer with exactly this pair.
-	if len(reducers)+1 < s.best && wi+wj <= s.q {
-		cov.cover(i, j)
-		reducers = append(reducers, []int{i, j})
-		loads = append(loads, wi+wj)
-		s.search(cov, reducers, loads)
-		cov.uncover(i, j)
-		// The appended slices are local to this call frame; nothing to undo.
+	if s.n+1 < s.best && wi+wj <= s.q {
+		s.members[s.n] = bi | bj
+		s.loads[s.n] = wi + wj
+		s.n++
+		s.join(j, bi)
+		s.search(i)
+		s.leave(j, bi)
+		s.n--
 	}
 }
 
-// applyAdd covers every new pair formed by the added inputs with the existing
-// members (and with each other) and returns the list of pairs that were newly
-// covered so they can be undone.
-func applyAdd(cov *coverage, members []int, added []int) [][2]int {
-	var newly [][2]int
-	for _, a := range added {
-		for _, b := range members {
-			if !cov.covered(a, b) {
-				cov.cover(a, b)
-				newly = append(newly, [2]int{a, b})
-			}
-		}
+// join covers input a with every one of members it is not covered with yet
+// and returns those, for leave to undo.
+func (s *wordSearch) join(a int, members uint64) uint64 {
+	met := members &^ s.rows[a]
+	s.rows[a] |= met
+	ba := uint64(1) << uint(a)
+	for w := met; w != 0; w &= w - 1 {
+		s.rows[bits.TrailingZeros64(w)] |= ba
 	}
-	if len(added) == 2 {
-		a, b := added[0], added[1]
-		if !cov.covered(a, b) {
-			cov.cover(a, b)
-			newly = append(newly, [2]int{a, b})
-		}
-	}
-	return newly
+	s.remaining -= bits.OnesCount64(met)
+	return met
 }
 
-func undoCover(cov *coverage, pairs [][2]int) {
-	for _, p := range pairs {
-		cov.uncover(p[0], p[1])
+// leave undoes the join of a that returned met.
+func (s *wordSearch) leave(a int, met uint64) {
+	s.rows[a] &^= met
+	ba := uint64(1) << uint(a)
+	for w := met; w != 0; w &= w - 1 {
+		s.rows[bits.TrailingZeros64(w)] &^= ba
 	}
-}
-
-func contains(ids []int, x int) bool {
-	for _, id := range ids {
-		if id == x {
-			return true
-		}
-	}
-	return false
-}
-
-func cloneReducerSets(ms *core.MappingSchema) [][]int {
-	out := make([][]int, len(ms.Reducers))
-	for i, r := range ms.Reducers {
-		out[i] = append([]int(nil), r.Inputs...)
-	}
-	return out
+	s.remaining += bits.OnesCount64(met)
 }

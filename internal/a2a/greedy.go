@@ -26,29 +26,39 @@ func Greedy(set *core.InputSet, q core.Size) (*core.MappingSchema, error) {
 	cov := newCoverage(m)
 	ms := &core.MappingSchema{Problem: core.ProblemA2A, Capacity: q, Algorithm: algorithm}
 
+	// gain[x] is how many of the open reducer's members x is not yet covered
+	// with — what adding x would newly cover. It is kept incrementally: a
+	// joining input is covered with members only, so no outsider's row
+	// changes, and the one thing that moves is that every x still uncovered
+	// with the newcomer gains one. (Members' entries go stale; they are
+	// skipped.)
+	gain := make([]int, m)
+	bump := func(joined int) {
+		row := cov.row(joined)
+		for x := row.NextAbsent(0); x < m; x = row.NextAbsent(x + 1) {
+			gain[x]++
+		}
+	}
 	memberSet := core.GetCoverSet(m)
 	defer core.PutCoverSet(memberSet)
+	var members []int
 	for cov.remaining > 0 {
 		i, j := cov.firstUncovered()
-		members := []int{i, j}
+		members = append(members[:0], i, j)
 		memberSet.Clear()
 		memberSet.Add(i)
 		memberSet.Add(j)
 		load := set.Size(i) + set.Size(j)
 		cov.cover(i, j)
+		clear(gain)
+		bump(i)
+		bump(j)
 
 		for {
 			best, bestGain := -1, 0
-			for x := 0; x < m; x++ {
-				if memberSet.Contains(x) || load+set.Size(x) > q {
-					continue
-				}
-				// The candidate's gain is how many current members it is not
-				// yet covered with: |members \ coveredWith(x)|, one popcount
-				// over the bitset rows instead of a per-member scan.
-				gain := memberSet.CountAndNot(cov.row(x))
-				if gain > bestGain {
-					best, bestGain = x, gain
+			for x, g := range gain {
+				if g > bestGain && !memberSet.Contains(x) && load+set.Size(x) <= q {
+					best, bestGain = x, g
 				}
 			}
 			if best == -1 {
@@ -60,6 +70,7 @@ func Greedy(set *core.InputSet, q core.Size) (*core.MappingSchema, error) {
 			members = append(members, best)
 			memberSet.Add(best)
 			load += set.Size(best)
+			bump(best)
 		}
 		ms.AddReducerA2A(set, members)
 	}
@@ -68,8 +79,8 @@ func Greedy(set *core.InputSet, q core.Size) (*core.MappingSchema, error) {
 
 // coverage tracks which unordered pairs of 0..m-1 are already covered, as
 // one symmetric bitset row per input: rows[i] holds every j already covered
-// with i. Rows make the greedy gain computation a popcount and the
-// first-uncovered scans word-at-a-time.
+// with i. Rows make the first-uncovered scans, and Greedy's walk over the
+// inputs a newcomer is still uncovered with, word-at-a-time.
 type coverage struct {
 	m         int
 	rows      []core.CoverSet
@@ -95,13 +106,6 @@ func newCoverage(m int) *coverage {
 // row exposes input i's covered-with row for bitset queries.
 func (c *coverage) row(i int) *core.CoverSet { return &c.rows[i] }
 
-func (c *coverage) covered(i, j int) bool {
-	if i == j {
-		return true
-	}
-	return c.rows[i].Contains(j)
-}
-
 func (c *coverage) cover(i, j int) {
 	if i == j || c.rows[i].Contains(j) {
 		return
@@ -109,18 +113,6 @@ func (c *coverage) cover(i, j int) {
 	c.rows[i].Add(j)
 	c.rows[j].Add(i)
 	c.remaining--
-}
-
-// uncover reverts a cover call. It is used by the exact solver's
-// backtracking; note that it does not adjust the scan cursor, so callers that
-// uncover must use firstUncoveredFrom rather than firstUncovered.
-func (c *coverage) uncover(i, j int) {
-	if i == j || !c.rows[i].Contains(j) {
-		return
-	}
-	c.rows[i].Remove(j)
-	c.rows[j].Remove(i)
-	c.remaining++
 }
 
 // firstUncoveredFrom scans for the first uncovered pair at or after (i0, j0)

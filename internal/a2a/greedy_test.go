@@ -3,9 +3,11 @@ package a2a
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/workload"
 )
 
 func TestGreedyValidOnSmallInstance(t *testing.T) {
@@ -107,5 +109,125 @@ func TestCoverageBookkeeping(t *testing.T) {
 	c.uncover(3, 3) // no-op
 	if c.remaining != 6 {
 		t.Error("uncovering a self pair changed the count")
+	}
+}
+
+// refGreedy is Greedy as it was before it kept gains incrementally: every
+// pass recomputes every candidate's gain as a popcount of the member set
+// against the candidate's coverage row.
+func refGreedy(set *core.InputSet, q core.Size) *core.MappingSchema {
+	m := set.Len()
+	cov := newCoverage(m)
+	ms := &core.MappingSchema{Problem: core.ProblemA2A, Capacity: q, Algorithm: "a2a/greedy"}
+	memberSet := core.NewCoverSet(m)
+	for cov.remaining > 0 {
+		i, j := cov.firstUncovered()
+		members := []int{i, j}
+		memberSet.Clear()
+		memberSet.Add(i)
+		memberSet.Add(j)
+		load := set.Size(i) + set.Size(j)
+		cov.cover(i, j)
+		for {
+			best, bestGain := -1, 0
+			for x := 0; x < m; x++ {
+				if memberSet.Contains(x) || load+set.Size(x) > q {
+					continue
+				}
+				if gain := memberSet.CountAndNot(cov.row(x)); gain > bestGain {
+					best, bestGain = x, gain
+				}
+			}
+			if best == -1 {
+				break
+			}
+			for _, y := range members {
+				cov.cover(best, y)
+			}
+			members = append(members, best)
+			memberSet.Add(best)
+			load += set.Size(best)
+		}
+		ms.AddReducerA2A(set, members)
+	}
+	return ms
+}
+
+// zipfSizes draws n sizes in [1, max] with a heavy tail, like the benchmark's
+// a2a_zipf and a2a_big regimes.
+func zipfSizes(rng *rand.Rand, n int, max core.Size) []core.Size {
+	sizes, err := workload.Sizes(workload.SizeSpec{Dist: workload.Zipf, Min: 1, Max: max, Skew: 1.5}, n, rng.Int63())
+	if err != nil {
+		panic(err)
+	}
+	return sizes
+}
+
+// halfBinsCapacity is the q at which the sizes fill about bins bins of q/2.
+func halfBinsCapacity(sizes []core.Size, bins int, floor core.Size) core.Size {
+	var total core.Size
+	for _, w := range sizes {
+		total += w
+	}
+	return max(2*(total+core.Size(bins)-1)/core.Size(bins), floor)
+}
+
+// regimeInstance draws one instance shaped like the benchmark's A2A regimes
+// at a size the planner still runs Greedy on: 0 is a2a_zipf, 1 is a2a_big
+// (one input above q/2), 2 is equal-sized, 3 is tiny.
+func regimeInstance(rng *rand.Rand, regime int) (*core.InputSet, core.Size) {
+	var sizes []core.Size
+	var q core.Size
+	switch regime {
+	case 0:
+		sizes = zipfSizes(rng, 200+rng.Intn(100), 30)
+		q = halfBinsCapacity(sizes, 24, 60)
+	case 1:
+		sizes = zipfSizes(rng, 280+rng.Intn(40), 20)
+		q = halfBinsCapacity(sizes, 16, 40)
+		sizes[rng.Intn(len(sizes))] = q/2 + 1 + core.Size(rng.Intn(int(q/8)))
+	case 2:
+		w := core.Size(1 + rng.Intn(40))
+		sizes = make([]core.Size, 150+rng.Intn(100))
+		for i := range sizes {
+			sizes[i] = w
+		}
+		q = 12*w + core.Size(rng.Intn(int(w)))
+	default:
+		q = core.Size(24 + rng.Intn(40))
+		sizes = make([]core.Size, 8+rng.Intn(5))
+		for i := range sizes {
+			sizes[i] = q/8 + core.Size(rng.Intn(int(q/2-q/8)+1))
+		}
+	}
+	return core.MustNewInputSet(sizes), q
+}
+
+// TestGreedyMatchesPopcountReference holds the incremental gains to the
+// recomputed ones: same argmax, same lowest-ID tie-break, so the same schema.
+func TestGreedyMatchesPopcountReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	check := func(set *core.InputSet, q core.Size) {
+		t.Helper()
+		got, err := Greedy(set, q)
+		if err != nil {
+			t.Fatalf("sizes=%v q=%d: %v", set.Sizes(), q, err)
+		}
+		if want := refGreedy(set, q); !reflect.DeepEqual(got, want) {
+			t.Fatalf("sizes=%v q=%d: schema differs from the reference (%d reducers, reference %d)",
+				set.Sizes(), q, got.NumReducers(), want.NumReducers())
+		}
+	}
+	for trial := 0; trial < 300; trial++ {
+		m := 2 + rng.Intn(90) // crosses the 64-bit word boundary of a row
+		q := core.Size(20 + rng.Intn(40))
+		sizes := make([]core.Size, m)
+		for i := range sizes {
+			sizes[i] = core.Size(1 + rng.Int63n(int64(q/2)))
+		}
+		check(core.MustNewInputSet(sizes), q)
+	}
+	for trial := 0; trial < 24; trial++ {
+		check(regimeInstance(rng, trial%4))
 	}
 }

@@ -49,9 +49,11 @@ func SolveWithOptions(set *core.InputSet, q core.Size, opts Options) (*core.Mapp
 	// In the medium-sized-input regime (inputs larger than q/4 but any three
 	// still fitting together) the bin-packing and grouping constructions
 	// degenerate to one pair per reducer; the Steiner-triple cover packs
-	// three inputs per reducer there. Build it too and keep the cheaper
-	// schema.
-	if usable, profitable := TripleCoverApplicable(set, q); usable && profitable {
+	// three inputs per reducer there. Keep the cheaper schema — and build the
+	// cover only when its reducer count, known from m alone, says it can be
+	// (outside the medium regime it is C(m,2)/3 reducers against a handful).
+	if usable, profitable := TripleCoverApplicable(set, q); usable && profitable &&
+		tripleCoverReducers(set.Len()) <= primary.NumReducers() {
 		triple, err := TripleCover(set, q)
 		if err == nil && betterSchema(triple, primary, set) {
 			return triple, nil

@@ -44,14 +44,14 @@ func TripleCover(set *core.InputSet, q core.Size) (*core.MappingSchema, error) {
 		}
 	}
 
-	// Embed the m inputs into m' >= m points, m' ≡ 3 (mod 6).
-	mp := m
-	for mp%6 != 3 {
-		mp++
-	}
-	triples := boseTriples(mp)
+	triples := boseTriples(paddedPoints(m))
 
-	ms := &core.MappingSchema{Problem: core.ProblemA2A, Capacity: q, Algorithm: algorithm}
+	ms := &core.MappingSchema{
+		Problem:   core.ProblemA2A,
+		Capacity:  q,
+		Algorithm: algorithm,
+		Reducers:  make([]core.Reducer, 0, tripleCoverReducers(m)),
+	}
 	for _, tr := range triples {
 		ids := make([]int, 0, 3)
 		for _, p := range tr {
@@ -74,15 +74,49 @@ var ErrTriplesDoNotFit = fmt.Errorf("a2a: three largest inputs exceed the reduce
 // checkTriplesFit verifies that the three largest inputs fit in one reducer,
 // which implies every triple does.
 func checkTriplesFit(set *core.InputSet, q core.Size) error {
-	ids := set.IDsBySizeDescending()
-	var sum core.Size
-	for i := 0; i < 3 && i < len(ids); i++ {
-		sum += set.Size(ids[i])
+	var a, b, c core.Size // the three largest sizes, a >= b >= c
+	for i := 0; i < set.Len(); i++ {
+		switch w := set.Size(i); {
+		case w > a:
+			a, b, c = w, a, b
+		case w > b:
+			b, c = w, b
+		case w > c:
+			c = w
+		}
 	}
-	if sum > q {
+	if sum := a + b + c; sum > q {
 		return fmt.Errorf("%w: %d > q=%d", ErrTriplesDoNotFit, sum, q)
 	}
 	return nil
+}
+
+// paddedPoints embeds m inputs into the smallest m' >= m with m' ≡ 3 (mod 6),
+// the point counts the Bose construction exists for.
+func paddedPoints(m int) int {
+	for m%6 != 3 {
+		m++
+	}
+	return m
+}
+
+// tripleCoverReducers returns how many reducers TripleCover builds for m >= 3
+// inputs that do not fit one reducer, without building them. The system on
+// m' = paddedPoints(m) points has m'(m'-1)/6 triples, and TripleCover drops
+// those holding two or more of the d = m'-m padding points. Every pair of
+// points lies in exactly one triple, so the C(d,2) padding pairs name one
+// dropped triple each — except that a triple made of padding alone is named
+// by three of them. The padding is the last d <= 5 points, and the only
+// triple that fits inside those is the last row {(t-1,0), (t-1,1), (t-1,2)},
+// all padding once d >= 3.
+func tripleCoverReducers(m int) int {
+	mp := paddedPoints(m)
+	d := mp - m
+	dropped := d * (d - 1) / 2
+	if d >= 3 {
+		dropped -= 2
+	}
+	return mp*(mp-1)/6 - dropped
 }
 
 // boseTriples returns the triples of a Steiner triple system on n points,
@@ -95,7 +129,7 @@ func boseTriples(n int) [][3]int {
 	t := n / 3 // odd because n ≡ 3 (mod 6)
 	inv2 := (t + 1) / 2
 	point := func(i, k int) int { return i*3 + k }
-	var out [][3]int
+	out := make([][3]int, 0, n*(n-1)/6)
 	for i := 0; i < t; i++ {
 		out = append(out, [3]int{point(i, 0), point(i, 1), point(i, 2)})
 	}

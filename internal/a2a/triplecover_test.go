@@ -3,6 +3,7 @@ package a2a
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -200,5 +201,113 @@ func TestTripleCoverRandomMediumInstances(t *testing.T) {
 		if ms.NumReducers() < lb.Reducers {
 			t.Fatalf("m=%d q=%d: %d reducers below bound %d", m, q, ms.NumReducers(), lb.Reducers)
 		}
+	}
+}
+
+// TestTripleCoverReducerCountMatchesConstruction holds the closed-form count
+// Solve decides on to the construction, over every padding residue.
+func TestTripleCoverReducerCountMatchesConstruction(t *testing.T) {
+	for m := 3; m <= 200; m++ {
+		set, _ := core.UniformInputSet(m, 1)
+		ms, err := TripleCover(set, 3)
+		if err != nil {
+			t.Fatalf("m=%d: %v", m, err)
+		}
+		if got := tripleCoverReducers(m); got != ms.NumReducers() {
+			t.Errorf("m=%d: counted %d reducers, TripleCover built %d", m, got, ms.NumReducers())
+		}
+	}
+}
+
+// TestCheckTriplesFitSumsTheThreeLargest compares the one-pass selection with
+// a full sort, duplicates and sets of fewer than three inputs included.
+func TestCheckTriplesFitSumsTheThreeLargest(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 500; trial++ {
+		sizes := make([]core.Size, 1+rng.Intn(8))
+		for i := range sizes {
+			sizes[i] = core.Size(1 + rng.Intn(6))
+		}
+		set := core.MustNewInputSet(sizes)
+		var sum core.Size
+		for i, id := range set.IDsBySizeDescending() {
+			if i < 3 {
+				sum += set.Size(id)
+			}
+		}
+		if err := checkTriplesFit(set, sum); err != nil {
+			t.Fatalf("sizes=%v q=%d: %v", sizes, sum, err)
+		}
+		if err := checkTriplesFit(set, sum-1); !errors.Is(err, ErrTriplesDoNotFit) {
+			t.Fatalf("sizes=%v q=%d: err = %v, want ErrTriplesDoNotFit", sizes, sum-1, err)
+		}
+	}
+}
+
+// refSolveWithOptions is SolveWithOptions as it was before it counted first:
+// the triple cover is built whenever it applies and then compared.
+func refSolveWithOptions(set *core.InputSet, q core.Size, opts Options) (*core.MappingSchema, error) {
+	if err := CheckFeasible(set, q); err != nil {
+		return nil, err
+	}
+	if set.Len() <= 1 {
+		return emptySchema(q, "a2a/solve"), nil
+	}
+	if set.TotalSize() <= q {
+		return singleReducer(set, q, "a2a/single-reducer"), nil
+	}
+	primary, err := solvePrimary(set, q, opts)
+	if err != nil {
+		return nil, err
+	}
+	if usable, profitable := TripleCoverApplicable(set, q); usable && profitable {
+		triple, err := TripleCover(set, q)
+		if err == nil && betterSchema(triple, primary, set) {
+			return triple, nil
+		}
+	}
+	return primary, nil
+}
+
+// TestSolveMatchesBuildBothReference: skipping the triple cover on its count
+// never changes which schema Solve returns — in the medium regime where the
+// cover wins, around its boundary, and on the benchmark's regime shapes.
+func TestSolveMatchesBuildBothReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	triples := 0
+	check := func(set *core.InputSet, q core.Size) {
+		t.Helper()
+		for _, policy := range []binpack.Policy{binpack.FirstFitDecreasing, binpack.BestFitDecreasing, binpack.WorstFitDecreasing} {
+			opts := Options{Policy: policy, PreferEqualSized: true}
+			got, gotErr := SolveWithOptions(set, q, opts)
+			want, wantErr := refSolveWithOptions(set, q, opts)
+			if (gotErr == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want) {
+				t.Fatalf("sizes=%v q=%d %v: Solve differs from the build-both reference (err %v, reference %v)",
+					set.Sizes(), q, policy, gotErr, wantErr)
+			}
+			if got != nil && got.Algorithm == "a2a/triple-cover" {
+				triples++
+			}
+		}
+	}
+	for trial := 0; trial < 400; trial++ {
+		// Sizes between q/8 and q/2 put about half the draws in the medium
+		// regime and the rest on either side of it.
+		q := core.Size(24 + rng.Intn(100))
+		sizes := make([]core.Size, 3+rng.Intn(30))
+		lo, hi := q/8, q/3
+		if trial%2 == 1 {
+			lo, hi = q/4+1, q/3
+		}
+		for i := range sizes {
+			sizes[i] = lo + core.Size(rng.Int63n(int64(hi-lo)+1))
+		}
+		check(core.MustNewInputSet(sizes), q)
+	}
+	for trial := 0; trial < 16; trial++ {
+		check(regimeInstance(rng, trial%4))
+	}
+	if triples == 0 {
+		t.Error("the triple cover never won; the medium regime was not exercised")
 	}
 }

@@ -11,9 +11,10 @@
 package binpack
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 )
@@ -154,6 +155,12 @@ var ErrItemTooLarge = errors.New("binpack: item larger than bin capacity")
 
 // Pack packs the items into bins of the given capacity using the selected
 // policy. It returns ErrItemTooLarge if any single item exceeds the capacity.
+//
+// The decreasing policies pack in order of decreasing size, ties by ascending
+// ID. Items that already arrive in that order are packed as given, without a
+// copy or a sort, so a caller that packs one item list at many capacities
+// orders it once (core.InputSet.IDsBySizeDescending is that order). items is
+// never modified.
 func Pack(items []Item, capacity core.Size, policy Policy) (*Packing, error) {
 	for _, it := range items {
 		if it.Size > capacity {
@@ -163,10 +170,13 @@ func Pack(items []Item, capacity core.Size, policy Policy) (*Packing, error) {
 			return nil, fmt.Errorf("binpack: item %d has non-positive size %d", it.ID, it.Size)
 		}
 	}
-	ordered := append([]Item(nil), items...)
+	ordered := items
 	switch policy {
 	case FirstFitDecreasing, BestFitDecreasing, WorstFitDecreasing:
-		sortDecreasing(ordered)
+		if !slices.IsSortedFunc(items, bySizeDecreasing) {
+			ordered = slices.Clone(items)
+			slices.SortFunc(ordered, bySizeDecreasing)
+		}
 	}
 	p := &Packing{Capacity: capacity, Policy: policy}
 	switch policy {
@@ -203,13 +213,13 @@ func ItemsFromIDs(set *core.InputSet, ids []int) []Item {
 	return items
 }
 
-func sortDecreasing(items []Item) {
-	sort.SliceStable(items, func(i, j int) bool {
-		if items[i].Size != items[j].Size {
-			return items[i].Size > items[j].Size
-		}
-		return items[i].ID < items[j].ID
-	})
+// bySizeDecreasing orders items by decreasing size, ties by ascending ID.
+// Items that compare equal are identical, so an unstable sort is enough.
+func bySizeDecreasing(a, b Item) int {
+	if c := cmp.Compare(b.Size, a.Size); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ID, b.ID)
 }
 
 func packFirstFit(p *Packing, items []Item) {

@@ -3,6 +3,9 @@ package binpack
 import (
 	"errors"
 	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -330,5 +333,64 @@ func TestPackPreservesItemsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPackDecreasingIgnoresInputOrder: the decreasing policies pack in one
+// total order (size down, ID up), so the same items give the same packing
+// however they arrive — shuffled, ascending, or already decreasing, which is
+// the case Pack takes as given without copying or sorting. The expected order
+// is the stable reflection sort Pack used before; the caller's slice is never
+// written to.
+func TestPackDecreasingIgnoresInputOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 200; trial++ {
+		capacity := core.Size(10 + rng.Intn(40))
+		base := make([]Item, 1+rng.Intn(60))
+		for i := range base {
+			// A handful of distinct sizes, so most items tie on size.
+			base[i] = Item{ID: i, Size: 1 + core.Size(rng.Intn(6))*capacity/8}
+		}
+		decreasing := slices.Clone(base)
+		sort.SliceStable(decreasing, func(i, j int) bool {
+			if decreasing[i].Size != decreasing[j].Size {
+				return decreasing[i].Size > decreasing[j].Size
+			}
+			return decreasing[i].ID < decreasing[j].ID
+		})
+		ascending := slices.Clone(decreasing)
+		slices.Reverse(ascending)
+		shuffled := slices.Clone(base)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+
+		for _, policy := range []Policy{FirstFitDecreasing, BestFitDecreasing, WorstFitDecreasing} {
+			// First-Fit over the reference order is what FFD must equal.
+			want, err := Pack(decreasing, capacity, policy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if policy == FirstFitDecreasing {
+				ff, _ := Pack(decreasing, capacity, FirstFit)
+				if !reflect.DeepEqual(ff.Bins, want.Bins) {
+					t.Fatalf("trial %d: FFD of decreasing input is not First-Fit in that order", trial)
+				}
+			}
+			for name, in := range map[string][]Item{"ascending": ascending, "shuffled": shuffled, "id-order": base} {
+				before := slices.Clone(in)
+				got, err := Pack(in, capacity, policy)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d %v: %s input packs differently from decreasing input", trial, policy, name)
+				}
+				if !slices.Equal(in, before) {
+					t.Fatalf("trial %d %v: Pack reordered its %s input", trial, policy, name)
+				}
+			}
+			if err := want.Validate(base); err != nil {
+				t.Fatalf("trial %d %v: %v", trial, policy, err)
+			}
+		}
 	}
 }

@@ -3,6 +3,7 @@ package binpack
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 )
@@ -54,8 +55,8 @@ func PackExact(items []Item, capacity core.Size, opts ExactOptions) (*Packing, e
 		return &Packing{Capacity: capacity}, nil
 	}
 
-	ordered := append([]Item(nil), items...)
-	sortDecreasing(ordered)
+	ordered := slices.Clone(items)
+	slices.SortFunc(ordered, bySizeDecreasing)
 
 	// Start from the FFD solution as the incumbent upper bound.
 	incumbent, err := Pack(items, capacity, FirstFitDecreasing)

@@ -1,6 +1,9 @@
 package core
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Canonical fingerprint support. The mapping-schema problems are invariant
 // under permutations of the input IDs: only the multiset of sizes matters.
@@ -18,7 +21,7 @@ const (
 // solution of the other by renaming IDs along the canonical permutations.
 func (s *InputSet) CanonicalSizes() []Size {
 	out := s.Sizes()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -30,11 +33,9 @@ func (s *InputSet) CanonicalPermutation() []int {
 	for i := range ids {
 		ids[i] = i
 	}
-	sort.SliceStable(ids, func(a, b int) bool {
-		if s.inputs[ids[a]].Size != s.inputs[ids[b]].Size {
-			return s.inputs[ids[a]].Size < s.inputs[ids[b]].Size
-		}
-		return ids[a] < ids[b]
+	// IDs start ascending, so a stable sort by size alone breaks ties by ID.
+	slices.SortStableFunc(ids, func(a, b int) int {
+		return cmp.Compare(s.inputs[a].Size, s.inputs[b].Size)
 	})
 	return ids
 }

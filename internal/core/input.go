@@ -1,10 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Size is the size of an input in abstract units. The paper measures the
@@ -132,11 +133,9 @@ func (s *InputSet) IDsBySizeDescending() []int {
 	for i := range ids {
 		ids[i] = i
 	}
-	sort.SliceStable(ids, func(a, b int) bool {
-		if s.inputs[ids[a]].Size != s.inputs[ids[b]].Size {
-			return s.inputs[ids[a]].Size > s.inputs[ids[b]].Size
-		}
-		return ids[a] < ids[b]
+	// IDs start ascending, so a stable sort by size alone breaks ties by ID.
+	slices.SortStableFunc(ids, func(a, b int) int {
+		return cmp.Compare(s.inputs[b].Size, s.inputs[a].Size)
 	})
 	return ids
 }
@@ -204,7 +203,7 @@ func (s *InputSet) StatsFor(q Size) Stats {
 		sq += d * d
 		sizes[i] = in.Size
 	}
-	sort.Slice(sizes, func(i, j int) bool { return sizes[i] < sizes[j] })
+	slices.Sort(sizes)
 	st := Stats{
 		Count:  n,
 		Total:  s.total,

@@ -72,7 +72,9 @@ type Budget struct {
 	// do not depend on wall-clock scheduling.
 	Timeout time.Duration
 	// ExactMaxInputs caps the instance size the exact solvers attempt;
-	// 0 means DefaultExactMaxInputs, negative disables them.
+	// 0 means DefaultExactMaxInputs, negative disables them. a2a.Exact has a
+	// ceiling of 64 inputs of its own: above it the member fails at once
+	// with a2a.ErrTooLargeForExact and the race goes on without it.
 	ExactMaxInputs int
 	// ExactMaxNodes caps the exact solvers' search nodes; 0 means
 	// DefaultExactMaxNodes.
@@ -117,7 +119,11 @@ type Result struct {
 	// is Schema reducers minus that bound (0 means provably optimal).
 	LowerBoundReducers int
 	Gap                int
-	// Candidates is how many portfolio members finished in time.
+	// Candidates is how many portfolio members finished in time. Members
+	// that provably repeat another are not run and not counted: on an
+	// equal-sized A2A set the policy variants of a2a/solve never read their
+	// policy, so a large one reports 1 (just a2a/solve) where unequal sizes
+	// report 3.
 	Candidates int
 	// CacheHit reports whether the plan was served from the cache, and
 	// SharedFlight whether it piggybacked on a concurrent identical solve.
@@ -326,12 +332,19 @@ func portfolio(cn *canonical, set, ySet *core.InputSet, budget Budget) []candida
 	if cn.problem == core.ProblemA2A {
 		cands := []candidate{
 			{"a2a/solve", func() (*core.MappingSchema, error) { return a2a.Solve(set, q) }},
-			{"a2a/solve-bfd", func() (*core.MappingSchema, error) {
-				return a2a.SolveWithOptions(set, q, a2a.Options{Policy: binpack.BestFitDecreasing, PreferEqualSized: true})
-			}},
-			{"a2a/solve-wfd", func() (*core.MappingSchema, error) {
-				return a2a.SolveWithOptions(set, q, a2a.Options{Policy: binpack.WorstFitDecreasing, PreferEqualSized: true})
-			}},
+		}
+		// On an equal-sized set the dispatch goes to EqualSized and
+		// TripleCover, which take no packing policy: the two policy variants
+		// would rebuild a2a/solve's schema and lose the name tie-break.
+		if set.MinSize() != set.MaxSize() {
+			cands = append(cands,
+				candidate{"a2a/solve-bfd", func() (*core.MappingSchema, error) {
+					return a2a.SolveWithOptions(set, q, a2a.Options{Policy: binpack.BestFitDecreasing, PreferEqualSized: true})
+				}},
+				candidate{"a2a/solve-wfd", func() (*core.MappingSchema, error) {
+					return a2a.SolveWithOptions(set, q, a2a.Options{Policy: binpack.WorstFitDecreasing, PreferEqualSized: true})
+				}},
+			)
 		}
 		if set.Len() <= defaultGreedyMaxInputs {
 			cands = append(cands, candidate{"a2a/greedy", func() (*core.MappingSchema, error) { return a2a.Greedy(set, q) }})

@@ -3,10 +3,12 @@ package planner
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/a2a"
+	"repro/internal/binpack"
 	"repro/internal/core"
 	"repro/internal/workload"
 	"repro/internal/x2y"
@@ -299,5 +301,104 @@ func TestDefaultPlannerSharedFacade(t *testing.T) {
 	}
 	if err := res.Schema.ValidateA2A(set); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestEqualSizedPolicyMembersAreDuplicates is the licence for leaving
+// a2a/solve-bfd and a2a/solve-wfd out of the race on an equal-sized set: the
+// dispatch never reads the policy there, so all three members build one and
+// the same schema — and the race then reports one candidate fewer per
+// skipped member.
+func TestEqualSizedPolicyMembersAreDuplicates(t *testing.T) {
+	for _, tc := range []struct {
+		m    int
+		w, q core.Size
+	}{
+		{40, 3, 30},   // grouping
+		{30, 30, 100}, // medium regime: the triple cover wins
+		{500, 7, 440}, // greedy and exact stay out
+		{9, 5, 10},    // one pair per reducer
+	} {
+		set, err := core.UniformInputSet(tc.m, tc.w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, err := a2a.Solve(set, tc.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, policy := range []binpack.Policy{binpack.BestFitDecreasing, binpack.WorstFitDecreasing} {
+			ms, err := a2a.SolveWithOptions(set, tc.q, a2a.Options{Policy: policy, PreferEqualSized: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(ms, base) {
+				t.Errorf("m=%d w=%d q=%d: the %v member's schema differs from a2a/solve's", tc.m, tc.w, tc.q, policy)
+			}
+		}
+
+		req := a2aRequest(set, tc.q)
+		req.Budget = Budget{Timeout: -1}
+		cn, err := canonicalize(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		canonSet, _, err := cn.inputSets()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range portfolio(cn, canonSet, nil, req.Budget) {
+			if c.name == "a2a/solve-bfd" || c.name == "a2a/solve-wfd" {
+				t.Errorf("m=%d w=%d q=%d: %s raced on an equal-sized set", tc.m, tc.w, tc.q, c.name)
+			}
+		}
+		res, err := New(Config{}).Plan(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.m == 500 && res.Candidates != 1 {
+			t.Errorf("m=500: %d candidates, want 1 (a2a/solve alone)", res.Candidates)
+		}
+	}
+
+	// One different size and the policy members are back.
+	sizes := make([]core.Size, 500)
+	for i := range sizes {
+		sizes[i] = 7
+	}
+	sizes[0] = 8
+	req := a2aRequest(core.MustNewInputSet(sizes), 440)
+	req.Budget = Budget{Timeout: -1}
+	res, err := New(Config{}).Plan(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Candidates != 3 {
+		t.Errorf("different-sized set: %d candidates, want 3", res.Candidates)
+	}
+}
+
+// TestPlanAboveExactCeiling: a budget that asks the exact member for more
+// than its 64 inputs costs the race that member and nothing else.
+func TestPlanAboveExactCeiling(t *testing.T) {
+	sizes := make([]core.Size, 65)
+	for i := range sizes {
+		sizes[i] = core.Size(1 + i%7)
+	}
+	set := core.MustNewInputSet(sizes)
+	if _, err := a2a.Exact(set, 24, a2a.ExactOptions{MaxInputs: 100}); !errors.Is(err, a2a.ErrTooLargeForExact) {
+		t.Fatalf("a2a.Exact on 65 inputs: err = %v, want ErrTooLargeForExact", err)
+	}
+	req := a2aRequest(set, 24)
+	req.Budget = Budget{Timeout: -1, ExactMaxInputs: 100}
+	res, err := New(Config{}).Plan(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Schema.ValidateA2A(set); err != nil {
+		t.Error(err)
+	}
+	if res.Winner == "a2a/exact" || res.Candidates != 4 {
+		t.Errorf("winner %q with %d candidates, want a constructive winner among 4 (the exact member errs)", res.Winner, res.Candidates)
 	}
 }

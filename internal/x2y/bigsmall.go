@@ -54,7 +54,9 @@ func BigSmallSplit(xs, ys *core.InputSet, q core.Size, policy binpack.Policy) (*
 	}
 
 	ms := &core.MappingSchema{Problem: core.ProblemX2Y, Capacity: q, Algorithm: algorithm}
-	yItems := binpack.ItemsFromInputSet(ys)
+	// Every big input packs the same Y items, only at its own capacity: put
+	// them in packing order once.
+	yItems := packOrderItems(ys, policy)
 
 	// Step 2: every big X input meets all of Y via residual-capacity bins.
 	for _, bx := range bigX {

@@ -3,7 +3,8 @@ package x2y
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"repro/internal/binpack"
 	"repro/internal/core"
@@ -34,92 +35,118 @@ func GridSplit(xs, ys *core.InputSet, q, xShare core.Size, policy binpack.Policy
 	if err := CheckFeasible(xs, ys, q); err != nil {
 		return nil, err
 	}
+	xPack, yPack, err := packSplit(xs, ys, binpack.ItemsFromInputSet(xs), binpack.ItemsFromInputSet(ys), q, xShare, policy)
+	if err != nil {
+		return nil, err
+	}
+	return buildGrid(q, algorithm, xPack.Bins, yPack.Bins), nil
+}
+
+// packSplit packs the two sides' items into bins of capacity xShare and
+// q-xShare. The packings alone price the grid: b_x*b_y reducers, and since
+// every X-bin meets every Y-bin, communication b_y*ΣX + b_x*ΣY.
+func packSplit(xs, ys *core.InputSet, xItems, yItems []binpack.Item, q, xShare core.Size, policy binpack.Policy) (xPack, yPack *binpack.Packing, err error) {
 	yShare := q - xShare
 	if xShare <= 0 || yShare <= 0 {
-		return nil, fmt.Errorf("x2y: invalid capacity split %d/%d for q=%d", xShare, yShare, q)
+		return nil, nil, fmt.Errorf("x2y: invalid capacity split %d/%d for q=%d", xShare, yShare, q)
 	}
 	if xs.MaxSize() > xShare {
-		return nil, fmt.Errorf("%w: max X size %d > X share %d", ErrHasBigInputs, xs.MaxSize(), xShare)
+		return nil, nil, fmt.Errorf("%w: max X size %d > X share %d", ErrHasBigInputs, xs.MaxSize(), xShare)
 	}
 	if ys.MaxSize() > yShare {
-		return nil, fmt.Errorf("%w: max Y size %d > Y share %d", ErrHasBigInputs, ys.MaxSize(), yShare)
+		return nil, nil, fmt.Errorf("%w: max Y size %d > Y share %d", ErrHasBigInputs, ys.MaxSize(), yShare)
 	}
-	xPack, err := binpack.Pack(binpack.ItemsFromInputSet(xs), xShare, policy)
-	if err != nil {
-		return nil, fmt.Errorf("x2y: packing X side: %w", err)
+	if xPack, err = binpack.Pack(xItems, xShare, policy); err != nil {
+		return nil, nil, fmt.Errorf("x2y: packing X side: %w", err)
 	}
-	yPack, err := binpack.Pack(binpack.ItemsFromInputSet(ys), yShare, policy)
-	if err != nil {
-		return nil, fmt.Errorf("x2y: packing Y side: %w", err)
+	if yPack, err = binpack.Pack(yItems, yShare, policy); err != nil {
+		return nil, nil, fmt.Errorf("x2y: packing Y side: %w", err)
 	}
-	ms := &core.MappingSchema{Problem: core.ProblemX2Y, Capacity: q, Algorithm: algorithm}
-	// Sort and price every bin once; each of the b_x*b_y reducers then just
-	// copies the two pre-sorted member lists and sums the two bin loads,
-	// instead of re-sorting and re-pricing per reducer.
-	sortBins := func(bins []binpack.Bin, set *core.InputSet) ([][]int, []core.Size) {
+	return xPack, yPack, nil
+}
+
+// buildGrid assigns every (X-bin, Y-bin) pair to one reducer. Every bin is
+// sorted once and comes priced from its packing; each of the b_x*b_y reducers
+// then just copies the two pre-sorted member lists and sums the two bin
+// loads, instead of re-sorting and re-pricing per reducer.
+func buildGrid(q core.Size, algorithm string, xBins, yBins []binpack.Bin) *core.MappingSchema {
+	sortBins := func(bins []binpack.Bin) [][]int {
 		ids := make([][]int, len(bins))
-		loads := make([]core.Size, len(bins))
 		for i, b := range bins {
-			cp := append([]int(nil), b.Items...)
-			sort.Ints(cp)
-			ids[i] = cp
-			for _, id := range cp {
-				loads[i] += set.Size(id)
-			}
+			ids[i] = slices.Clone(b.Items)
+			slices.Sort(ids[i])
 		}
-		return ids, loads
+		return ids
 	}
-	xIDs, xLoads := sortBins(xPack.Bins, xs)
-	yIDs, yLoads := sortBins(yPack.Bins, ys)
-	ms.Reducers = make([]core.Reducer, 0, len(xIDs)*len(yIDs))
+	xIDs, yIDs := sortBins(xBins), sortBins(yBins)
+	ms := &core.MappingSchema{
+		Problem:   core.ProblemX2Y,
+		Capacity:  q,
+		Algorithm: algorithm,
+		Reducers:  make([]core.Reducer, 0, len(xIDs)*len(yIDs)),
+	}
 	for i := range xIDs {
 		for j := range yIDs {
 			ms.Reducers = append(ms.Reducers, core.Reducer{
-				XInputs: append([]int(nil), xIDs[i]...),
-				YInputs: append([]int(nil), yIDs[j]...),
-				Load:    xLoads[i] + yLoads[j],
+				XInputs: slices.Clone(xIDs[i]),
+				YInputs: slices.Clone(yIDs[j]),
+				Load:    xBins[i].Load + yBins[j].Load,
 			})
 		}
 	}
-	return ms, nil
+	return ms
+}
+
+// packOrderItems returns the side's pack items in the order policy packs them
+// in — decreasing size for the decreasing policies, ID order otherwise — so
+// that a sweep of Packs over one side sorts it once: binpack.Pack takes
+// decreasing input as it comes.
+func packOrderItems(set *core.InputSet, policy binpack.Policy) []binpack.Item {
+	switch policy {
+	case binpack.FirstFitDecreasing, binpack.BestFitDecreasing, binpack.WorstFitDecreasing:
+		return binpack.ItemsFromIDs(set, set.IDsBySizeDescending())
+	}
+	return binpack.ItemsFromInputSet(set)
 }
 
 // GridWithSplit tries a set of candidate capacity splits between the X and Y
 // sides and returns the schema with the fewest reducers (ties broken by
-// smaller communication). Candidates always include the even split and splits
-// proportional to the two sides' total sizes, plus a small sweep in between.
+// smaller communication, then by candidate order). Candidates always include
+// the even split and splits proportional to the two sides' total sizes, plus
+// a small sweep in between. Each candidate is packed and priced from its two
+// packings; only the winner's reducers are built.
 func GridWithSplit(xs, ys *core.InputSet, q core.Size, policy binpack.Policy) (*core.MappingSchema, error) {
+	algorithm := "x2y/grid-best-split/" + policy.String()
 	if xs.Len() == 0 || ys.Len() == 0 {
-		return emptySchema(q, "x2y/grid-best-split/"+policy.String()), nil
+		return emptySchema(q, algorithm), nil
 	}
 	if err := CheckFeasible(xs, ys, q); err != nil {
 		return nil, err
 	}
-	candidates := splitCandidates(xs, ys, q)
-	var best *core.MappingSchema
-	var bestCost core.Cost
-	total := xs.TotalSize() + ys.TotalSize()
+	xItems, yItems := packOrderItems(xs, policy), packOrderItems(ys, policy)
+	var bestX, bestY *binpack.Packing
+	var bestReducers int
+	var bestComm core.Size
 	var firstErr error
-	for _, s := range candidates {
-		ms, err := GridSplit(xs, ys, q, s, policy)
+	for _, s := range splitCandidates(xs, ys, q) {
+		xPack, yPack, err := packSplit(xs, ys, xItems, yItems, q, s, policy)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
 			continue
 		}
-		cost := core.SchemaCost(ms, total)
-		if best == nil ||
-			cost.Reducers < bestCost.Reducers ||
-			(cost.Reducers == bestCost.Reducers && cost.Communication < bestCost.Communication) {
-			best, bestCost = ms, cost
+		bx, by := xPack.NumBins(), yPack.NumBins()
+		reducers := GridReducerCount(bx, by)
+		comm := core.Size(by)*xs.TotalSize() + core.Size(bx)*ys.TotalSize()
+		if bestX == nil || reducers < bestReducers || (reducers == bestReducers && comm < bestComm) {
+			bestX, bestY, bestReducers, bestComm = xPack, yPack, reducers, comm
 		}
 	}
-	if best == nil {
+	if bestX == nil {
 		return nil, firstErr
 	}
-	best.Algorithm = "x2y/grid-best-split/" + policy.String()
-	return best, nil
+	return buildGrid(q, algorithm, bestX.Bins, bestY.Bins), nil
 }
 
 // splitCandidates proposes X-side capacity shares to try.
@@ -139,10 +166,14 @@ func splitCandidates(xs, ys *core.InputSet, q core.Size) []core.Size {
 	}
 	add(q / 2)
 	add((q + 1) / 2)
-	// Proportional to total sizes.
-	totX, totY := xs.TotalSize(), ys.TotalSize()
+	// Proportional to total sizes: q*ΣX/(ΣX+ΣY). With byte-sized inputs the
+	// product leaves 64 bits (8 GiB times 2 TiB is 2^74), so it is kept in
+	// 128; the quotient is below q and fits again.
+	totX, totY := uint64(xs.TotalSize()), uint64(ys.TotalSize())
 	if totX+totY > 0 {
-		add(q * totX / (totX + totY))
+		hi, lo := bits.Mul64(uint64(q), totX)
+		share, _ := bits.Div64(hi, lo, totX+totY)
+		add(core.Size(share))
 	}
 	// A coarse sweep of eighths.
 	for i := core.Size(1); i < 8; i++ {

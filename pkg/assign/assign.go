@@ -176,7 +176,10 @@ func NoCache() Option {
 
 // ExactBudget tunes the exact branch-and-bound portfolio members: the
 // largest instance they attempt and their search-node cap. maxInputs < 0
-// disables them; zeros keep the defaults.
+// disables them; zeros keep the defaults (12 inputs, 200,000 nodes). The A2A
+// member keeps its search state in machine words and has a ceiling of 64
+// inputs: a larger maxInputs raises the limit to 64, and beyond that the
+// member sits the race out, leaving it to the constructive members.
 func ExactBudget(maxInputs, maxNodes int) Option {
 	return func(r *request) {
 		r.exactMaxInputs, r.exactMaxNodes, r.exactSet = maxInputs, maxNodes, true
@@ -222,6 +225,8 @@ type Result struct {
 	LowerBoundReducers int
 	Gap                int
 	// Candidates is how many portfolio members finished within the budget.
+	// Members that would provably repeat another's schema are not run, so an
+	// equal-sized A2A set reports fewer than a different-sized one.
 	Candidates int
 	// CacheHit reports whether the plan was served from the cache, and
 	// SharedFlight whether it piggybacked on a concurrent identical solve.
