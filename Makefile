@@ -4,7 +4,7 @@ BASE ?= origin/main
 THRESHOLD ?= 15
 # The benchmarks the regression gate watches. Keep in sync with the
 # bench-regression job in .github/workflows/ci.yml.
-BENCH_MATCH := ^Benchmark(PlannerCold|PlannerCached|ExecBatch|ExecStream|ExecStreamSpill|SessionDelta|CoverSet|Auditor)
+BENCH_MATCH := ^Benchmark(PlannerCold|PlannerCached|SchemaJSON|ExecBatch|ExecStream|ExecStreamSpill|SessionDelta|CoverSet|Auditor)
 
 .PHONY: test bench bench-compare baselines
 
@@ -14,7 +14,7 @@ test: ## tier-1: build everything, run every test
 bench: ## one pass over the regression-gated benchmark suite (stdout)
 	@$(GO) test -run '^$$' -bench 'BenchmarkCoverSet' -count=$(BENCH_COUNT) -benchtime=0.2s ./internal/core \
 	  && $(GO) test -run '^$$' -bench 'BenchmarkAuditor' -count=$(BENCH_COUNT) -benchtime=0.2s ./internal/exec \
-	  && $(GO) test -run '^$$' -bench 'BenchmarkPlannerCold$$|BenchmarkPlannerCached$$|BenchmarkExecBatch$$|BenchmarkExecStream$$|BenchmarkExecStreamSpill$$' -count=$(BENCH_COUNT) -benchtime=0.3s . \
+	  && $(GO) test -run '^$$' -bench 'BenchmarkPlannerCold$$|BenchmarkPlannerCached$$|BenchmarkSchemaJSON$$|BenchmarkExecBatch$$|BenchmarkExecStream$$|BenchmarkExecStreamSpill$$' -count=$(BENCH_COUNT) -benchtime=0.3s . \
 	  && $(GO) test -run '^$$' -bench 'BenchmarkSessionDelta' -count=$(BENCH_COUNT) -benchtime=0.3s ./internal/stream
 
 # Both targets below keep their intermediate files in a private mktemp
@@ -34,8 +34,8 @@ baselines: ## regenerate the committed BENCH_*.json from a fresh suite run
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(MAKE) bench > "$$tmp/bench.txt"; \
 	$(GO) run ./cmd/benchdiff -mode=baseline -in "$$tmp/bench.txt" -out BENCH_core.json \
-	  -match '^Benchmark(CoverSet|Auditor|PlannerCold|PlannerCached|ExecBatch)' \
-	  -note "bitset core hot paths: CoverSet primitives, auditor verification, planner cold/cached solves, batch execution; regenerate with 'make baselines'"; \
+	  -match '^Benchmark(CoverSet|Auditor|PlannerCold|PlannerCached|SchemaJSON|ExecBatch)' \
+	  -note "bitset core hot paths: CoverSet primitives, auditor verification, planner cold/cached solves, the mapping-schema JSON codec on a 33 KB reply, batch execution; regenerate with 'make baselines'"; \
 	$(GO) run ./cmd/benchdiff -mode=baseline -in "$$tmp/bench.txt" -out BENCH_stream.json \
 	  -match '^BenchmarkSessionDelta' \
 	  -note "m=1k churn (remove oldest, add replacement) at q=1024, uniform sizes [1,64]: incremental repair vs cheapest full re-solve per delta; regenerate with 'make baselines'"; \

@@ -11,6 +11,7 @@ package repro_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"testing"
@@ -199,6 +200,51 @@ func BenchmarkPlannerCached(b *testing.B) {
 			b.Fatal("expected a cache hit")
 		}
 	}
+}
+
+// BenchmarkSchemaJSON measures the mapping-schema codec on the reply pland
+// sends most: the plan of about 400 Zipf-sized inputs at a capacity that packs
+// them into 20 half-capacity bins (190 reducers, some 6,000 IDs, 33 KB). Both
+// directions go through encoding/json, as cmd/pland's encoder and
+// plandclient's decoder do, so its own scans of a Marshaler's output and an
+// Unmarshaler's input are in the numbers.
+func BenchmarkSchemaJSON(b *testing.B) {
+	sizes, err := workload.Sizes(workload.SizeSpec{Dist: workload.Zipf, Min: 1, Max: 30, Skew: 1.5}, 403, 64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	set := core.MustNewInputSet(sizes)
+	res, err := planner.Plan(context.Background(), planner.Request{
+		Problem: core.ProblemA2A, Set: set, Capacity: 2 * ((set.TotalSize() + 19) / 20),
+		Budget: planner.Budget{Timeout: -1},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	data, err := json.Marshal(res.Schema)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(data)))
+		for i := 0; i < b.N; i++ {
+			out, err := json.Marshal(res.Schema)
+			if err != nil || len(out) != len(data) {
+				b.Fatalf("encoded %d bytes, want %d: %v", len(out), len(data), err)
+			}
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(data)))
+		for i := 0; i < b.N; i++ {
+			var back core.MappingSchema
+			if err := json.Unmarshal(data, &back); err != nil || len(back.Reducers) != len(res.Schema.Reducers) {
+				b.Fatalf("decoded %d reducers, want %d: %v", len(back.Reducers), len(res.Schema.Reducers), err)
+			}
+		}
+	})
 }
 
 // BenchmarkExecBatch measures the schema-driven execution layer under

@@ -391,3 +391,61 @@ func TestUnknownEndpointGetsEnvelope(t *testing.T) {
 		t.Errorf("error code = %q, want not_found", code)
 	}
 }
+
+// TestTrailingDataAfterBodyRejected: a request body is one JSON value. Bytes
+// after it used to be ignored — a second object, or plain garbage, answered
+// 200 — on every route that reads a body; white space may still follow.
+func TestTrailingDataAfterBodyRejected(t *testing.T) {
+	srv := newTestServer(t)
+	send := func(method, path, body string) *http.Response {
+		t.Helper()
+		req, err := http.NewRequest(method, srv.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { resp.Body.Close() })
+		return resp
+	}
+	// PATCH needs a session to address; creating one with a clean body is the
+	// route's own positive control.
+	var sess struct {
+		ID string `json:"id"`
+	}
+	const createBody = `{"capacity":20,"sizes":[5,3,7,2,6]}`
+	if resp := send(http.MethodPost, "/v2/sessions", createBody); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("creating the session: status %d", resp.StatusCode)
+	} else if err := json.NewDecoder(resp.Body).Decode(&sess); err != nil || sess.ID == "" {
+		t.Fatalf("creating the session: id %q, %v", sess.ID, err)
+	}
+
+	const planBody = `{"problem":"A2A","capacity":10,"sizes":[1,2,3]}`
+	routes := []struct {
+		method, path, body string
+		ok                 int
+	}{
+		{http.MethodPost, "/v1/plan", planBody, http.StatusOK},
+		{http.MethodPost, "/v1/execute", `{"problem":"A2A","capacity":10,"inputs":["aaa","bb","c"]}`, http.StatusOK},
+		{http.MethodPost, "/v2/sessions", createBody, http.StatusCreated},
+		{http.MethodPatch, "/v2/sessions/" + sess.ID, `{"deltas":[{"op":"add","size":4}]}`, http.StatusOK},
+		{http.MethodPost, "/v2/jobs", `{"type":"plan","plan":` + planBody + `}`, http.StatusAccepted},
+	}
+	for _, rt := range routes {
+		for _, tail := range []string{` {"capacity":0}`, `]]]garbage`, "\n{}", `0`, `,`} {
+			resp := send(rt.method, rt.path, rt.body+tail)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s %s with %q after the body: status %d, want 400", rt.method, rt.path, tail, resp.StatusCode)
+				continue
+			}
+			if code := decodeErrorEnvelope(t, resp); code != "bad_request" {
+				t.Errorf("%s %s with %q after the body: code %q, want bad_request", rt.method, rt.path, tail, code)
+			}
+		}
+		if resp := send(rt.method, rt.path, rt.body+" \t\r\n\n"); resp.StatusCode != rt.ok {
+			t.Errorf("%s %s with white space after the body: status %d, want %d", rt.method, rt.path, resp.StatusCode, rt.ok)
+		}
+	}
+}

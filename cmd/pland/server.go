@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"sync"
@@ -308,12 +309,17 @@ type planResponse struct {
 	ElapsedMicros int64 `json:"elapsed_us"`
 }
 
-// decodeBody decodes a JSON body under the server's size cap.
+// decodeBody decodes a JSON body under the server's size cap. The body is
+// one JSON value: Decode stops after the first, so whatever follows it is
+// looked at too and only white space is let through.
 func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, v any) *apiError {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return badRequestf("decoding request: %v", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return badRequestf("decoding request: unexpected data after the request body")
 	}
 	return nil
 }

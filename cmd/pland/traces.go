@@ -117,9 +117,15 @@ func (c *cluster) fetchPeerTraces(ctx context.Context, id string) []obs.TraceRec
 			if err != nil {
 				return
 			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
+			// The decoder below stops at the value's closing brace; a chunked
+			// body has not reported EOF by then, and closing it so makes
+			// net/http drop the connection instead of keeping it for the next
+			// probe. Read on a little, on every path.
+			defer func() {
 				_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+				resp.Body.Close()
+			}()
+			if resp.StatusCode != http.StatusOK {
 				return
 			}
 			var tr traceResponse

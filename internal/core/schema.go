@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
@@ -111,12 +112,22 @@ func (ms *MappingSchema) AddReducerX2Y(xs, ys *InputSet, xIDs, yIDs []int) {
 // capacity and every pair of distinct inputs shares at least one reducer.
 // When the set has a single input, an empty schema is valid (there is no pair
 // to cover).
+//
+// Coverage is kept by rows: row i is a bit set of the inputs j >= i known to
+// share a reducer with input i. A reducer with more members than a row has
+// words ORs its member mask into the row of each member — at most m/64 words
+// a member, where marking its pairs one by one is a bit per co-member; a
+// smaller reducer has fewer pairs than that and marks them. The first
+// uncovered pair is then the first zero past the diagonal of the first row
+// that has one.
 func (ms *MappingSchema) ValidateA2A(set *InputSet) error {
 	if ms.Problem != ProblemA2A {
 		return fmt.Errorf("core: ValidateA2A called on %v schema", ms.Problem)
 	}
 	m := set.Len()
-	covered := newPairSet(m)
+	words := (m + 63) / 64
+	rows := make([]uint64, m*words)
+	members := make([]uint64, words)
 	for r, red := range ms.Reducers {
 		if err := ms.checkLoad(r, red); err != nil {
 			return err
@@ -134,16 +145,42 @@ func (ms *MappingSchema) ValidateA2A(set *InputSet) error {
 		if load > ms.Capacity {
 			return fmt.Errorf("%w: reducer %d holds %d > q=%d", ErrCapacityExceeded, r, load, ms.Capacity)
 		}
-		for i := 0; i < len(red.Inputs); i++ {
-			for j := i + 1; j < len(red.Inputs); j++ {
-				covered.add(red.Inputs[i], red.Inputs[j])
+		if len(red.Inputs) <= words {
+			for i, a := range red.Inputs {
+				for _, b := range red.Inputs[i+1:] {
+					lo, hi := min(a, b), max(a, b)
+					rows[lo*words+hi>>6] |= 1 << (hi & 63)
+				}
 			}
+			continue
+		}
+		last := 0 // the last word of the mask that is not empty
+		for _, id := range red.Inputs {
+			members[id>>6] |= 1 << (id & 63)
+			last = max(last, id>>6)
+		}
+		for _, id := range red.Inputs {
+			row := rows[id*words : (id+1)*words]
+			for w := id >> 6; w <= last; w++ {
+				row[w] |= members[w]
+			}
+		}
+		for _, id := range red.Inputs {
+			members[id>>6] = 0
 		}
 	}
 	for i := 0; i < m; i++ {
-		for j := i + 1; j < m; j++ {
-			if !covered.has(i, j) {
-				return fmt.Errorf("%w: pair (%d,%d)", ErrPairUncovered, i, j)
+		row := rows[i*words : (i+1)*words]
+		for w := i >> 6; w < words; w++ {
+			missing := ^row[w]
+			if w == i>>6 {
+				missing &= ^uint64(1) << (i & 63) // only j > i
+			}
+			if w == words-1 && m&63 != 0 {
+				missing &= 1<<(m&63) - 1 // only j < m
+			}
+			if missing != 0 {
+				return fmt.Errorf("%w: pair (%d,%d)", ErrPairUncovered, i, w<<6+bits.TrailingZeros64(missing))
 			}
 		}
 	}

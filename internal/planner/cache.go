@@ -10,18 +10,34 @@ import (
 
 // cachedPlan is the canonical solution stored per canonical instance. The
 // schema references canonical IDs and is immutable once stored; lookups
-// materialize a fresh copy over the requester's IDs.
+// materialize a fresh copy over the requester's IDs through byInput (the A2A
+// set or the canonical X side) and byYInput (the canonical Y side).
 type cachedPlan struct {
 	schema     *core.MappingSchema
+	byInput    inputIndex
+	byYInput   inputIndex
 	winner     string
 	lowerBound int
 	candidates int
 }
 
+// newCachedPlan wraps the winning schema of cn's portfolio race.
+func newCachedPlan(cn *canonical, schema *core.MappingSchema, winner string, lowerBound, candidates int) *cachedPlan {
+	plan := &cachedPlan{schema: schema, winner: winner, lowerBound: lowerBound, candidates: candidates}
+	if cn.problem == core.ProblemA2A {
+		plan.byInput = newInputIndex(len(cn.sizes), schema.Reducers, func(r *core.Reducer) []int { return r.Inputs })
+	} else {
+		plan.byInput = newInputIndex(len(cn.sizes), schema.Reducers, func(r *core.Reducer) []int { return r.XInputs })
+		plan.byYInput = newInputIndex(len(cn.ySizes), schema.Reducers, func(r *core.Reducer) []int { return r.YInputs })
+	}
+	return plan
+}
+
 // entry is one cache slot: the canonical instance it answers (kept to rule
 // out fingerprint collisions) and its plan. weight approximates the entry's
-// retained memory in words (canonical sizes plus every input-ID reference of
-// the schema), so eviction can bound bytes as well as entry count.
+// retained memory in words (canonical sizes, every input-ID reference of the
+// schema, and the plan's input indexes at two int32 a word), so eviction can
+// bound bytes as well as entry count.
 type entry struct {
 	hash    uint64
 	problem core.Problem
@@ -37,6 +53,9 @@ func entryWeight(cn *canonical, plan *cachedPlan) int {
 	w := len(cn.sizes) + len(cn.ySizes)
 	for _, r := range plan.schema.Reducers {
 		w += len(r.Inputs) + len(r.XInputs) + len(r.YInputs)
+	}
+	for _, ix := range []*inputIndex{&plan.byInput, &plan.byYInput} {
+		w += (len(ix.first) + len(ix.reducer) + len(ix.offset)) / 2
 	}
 	if w < 1 {
 		w = 1

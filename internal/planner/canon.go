@@ -107,35 +107,107 @@ func (cn *canonical) matches(problem core.Problem, q core.Size, sizes, ySizes []
 		slices.Equal(cn.sizes, sizes) && slices.Equal(cn.ySizes, ySizes)
 }
 
-// materialize translates a schema over canonical IDs into one over the
-// request's original IDs, using the stored permutations. The returned schema
-// is a fresh deep copy; cached schemas are never handed out directly.
-func (cn *canonical) materialize(req Request, canon *core.MappingSchema) *core.MappingSchema {
+// materialize translates the plan's schema over canonical IDs into one over
+// the request's original IDs, using the stored permutations. The returned
+// schema is a fresh deep copy; cached schemas are never handed out directly.
+// Its ID lists are sections of one array, each capped at its length, and come
+// out ascending without a sort: original IDs are dealt out in ascending order
+// through the plan's input -> reducers index. Loads are the cached ones — a
+// permutation maps every input to one of its own size.
+func (cn *canonical) materialize(plan *cachedPlan) *core.MappingSchema {
+	canon := plan.schema
 	ms := &core.MappingSchema{Problem: canon.Problem, Capacity: canon.Capacity, Algorithm: canon.Algorithm}
-	switch cn.problem {
-	case core.ProblemA2A:
-		for _, r := range canon.Reducers {
-			ms.AddReducerA2A(req.Set, mapIDs(r.Inputs, cn.perm))
+	if len(canon.Reducers) == 0 {
+		return ms
+	}
+	ms.Reducers = make([]core.Reducer, len(canon.Reducers))
+	for r := range canon.Reducers {
+		ms.Reducers[r].Load = canon.Reducers[r].Load
+	}
+	nx := len(plan.byInput.reducer)
+	ids := make([]int, nx+len(plan.byYInput.reducer))
+	if cn.problem == core.ProblemA2A {
+		plan.byInput.relabel(cn.perm, ids)
+		for r := range ms.Reducers {
+			ms.Reducers[r].Inputs = plan.byInput.list(ids, r)
 		}
-	case core.ProblemX2Y:
-		for _, r := range canon.Reducers {
-			xIDs := mapIDs(r.XInputs, cn.perm)
-			yIDs := mapIDs(r.YInputs, cn.yPerm)
-			if cn.swapped {
-				// perm maps to original Y IDs, yPerm to original X IDs.
-				ms.AddReducerX2Y(req.X, req.Y, yIDs, xIDs)
-			} else {
-				ms.AddReducerX2Y(req.X, req.Y, xIDs, yIDs)
-			}
+		return ms
+	}
+	xIDs, yIDs := ids[:nx], ids[nx:]
+	plan.byInput.relabel(cn.perm, xIDs)
+	plan.byYInput.relabel(cn.yPerm, yIDs)
+	for r := range ms.Reducers {
+		red := &ms.Reducers[r]
+		red.XInputs, red.YInputs = plan.byInput.list(xIDs, r), plan.byYInput.list(yIDs, r)
+		if cn.swapped {
+			// perm maps to original Y IDs, yPerm to original X IDs.
+			red.XInputs, red.YInputs = red.YInputs, red.XInputs
 		}
 	}
 	return ms
 }
 
-func mapIDs(canonIDs, perm []int) []int {
-	out := make([]int, len(canonIDs))
-	for i, c := range canonIDs {
-		out[i] = perm[c]
+// inputIndex is one side of a cached schema transposed: for every canonical
+// input the reducers that hold it, and for every reducer where its list lies
+// when the side's lists are laid end to end. It is built once per plan and
+// read by every materialize.
+type inputIndex struct {
+	// reducer[first[c]:first[c+1]] are the reducers holding canonical input c,
+	// ascending, one entry per occurrence in a list.
+	first   []int32
+	reducer []int32
+	// offset[r]:offset[r+1] bounds reducer r's list.
+	offset []int32
+}
+
+// newInputIndex transposes the lists list(r) of the schema's reducers over n
+// canonical inputs.
+func newInputIndex(n int, reducers []core.Reducer, list func(*core.Reducer) []int) inputIndex {
+	ix := inputIndex{first: make([]int32, n+1), offset: make([]int32, len(reducers)+1)}
+	for r := range reducers {
+		ids := list(&reducers[r])
+		ix.offset[r+1] = ix.offset[r] + int32(len(ids))
+		for _, c := range ids {
+			ix.first[c+1]++
+		}
 	}
-	return out
+	for c := 0; c < n; c++ {
+		ix.first[c+1] += ix.first[c]
+	}
+	ix.reducer = make([]int32, ix.first[n])
+	next := slices.Clone(ix.first[:n])
+	for r := range reducers {
+		for _, c := range list(&reducers[r]) {
+			ix.reducer[next[c]] = int32(r)
+			next[c]++
+		}
+	}
+	return ix
+}
+
+// relabel fills ids, the side's lists laid end to end, with original IDs:
+// perm maps canonical position to original ID, and walking the original IDs
+// upwards leaves every list ascending.
+func (ix *inputIndex) relabel(perm []int, ids []int) {
+	canonOf := make([]int32, len(perm))
+	for c, id := range perm {
+		canonOf[id] = int32(c)
+	}
+	next := slices.Clone(ix.offset[:len(ix.offset)-1])
+	for id, c := range canonOf {
+		for _, r := range ix.reducer[ix.first[c]:ix.first[c+1]] {
+			ids[next[r]] = id
+			next[r]++
+		}
+	}
+}
+
+// list cuts reducer r's list from the filled ids; an empty one is nil, as a
+// reducer built by core.AddReducerA2A has it.
+func (ix *inputIndex) list(ids []int, r int) []int {
+	lo, hi := ix.offset[r], ix.offset[r+1]
+	if lo == hi {
+		return nil
+	}
+	return ids[lo:hi:hi]
 }

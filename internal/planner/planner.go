@@ -294,7 +294,7 @@ func (p *Planner) solveAndRecord(ctx context.Context, req Request, cn *canonical
 // finish materializes the canonical plan for the request and fills the
 // result envelope.
 func (p *Planner) finish(req Request, cn *canonical, plan *cachedPlan, hit, shared bool, start time.Time) *Result {
-	schema := cn.materialize(req, plan.schema)
+	schema := cn.materialize(plan)
 	var total core.Size
 	if req.Problem == core.ProblemA2A {
 		total = req.Set.TotalSize()
@@ -470,7 +470,7 @@ func (p *Planner) solvePortfolio(ctx context.Context, cn *canonical, budget Budg
 	} else {
 		lower = x2y.LowerBounds(set, ySet, cn.q).Reducers
 	}
-	return &cachedPlan{schema: best, winner: bestName, lowerBound: lower, candidates: finished}, nil
+	return newCachedPlan(cn, best, bestName, lower, finished), nil
 }
 
 // schemaLess reports whether schema a (from member na) beats schema b (from

@@ -740,7 +740,14 @@ func (c *Client) doOnce(ctx context.Context, method, path string, body []byte, o
 	if err != nil {
 		return callMeta{}, &transportError{method: method, path: path, err: err}
 	}
-	defer resp.Body.Close()
+	// Whatever reads the body below may stop short of EOF: the decoder stops
+	// at the value's closing brace, before the newline the server's encoder
+	// adds and before a chunked body's terminator. Closing the body there
+	// makes net/http drop the connection, so read on a little first.
+	defer func() {
+		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
+		resp.Body.Close()
+	}()
 	meta := callMeta{requestID: resp.Header.Get("X-Request-ID")}
 	if rtc, ok := obs.ParseTraceparent(resp.Header.Get(obs.TraceparentHeader)); ok {
 		meta.traceID = rtc.TraceID

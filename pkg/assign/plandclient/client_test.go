@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -226,5 +228,113 @@ func TestNonEnvelopeErrorBody(t *testing.T) {
 	}
 	if ae.StatusCode != http.StatusBadGateway || ae.Message != "plain text failure" {
 		t.Errorf("APIError = %+v", ae)
+	}
+}
+
+// TestConnectionReusedAfterEveryReply: whatever doOnce does with a reply —
+// decode it, decode an error envelope, keep it raw, ignore it — must leave the
+// connection reusable. json.Decoder stops at the value's closing brace; once a
+// body is large enough to be chunked its EOF has not been read by then, and
+// closing it there made net/http dial again for the next call: one dial per
+// schema-carrying reply.
+func TestConnectionReusedAfterEveryReply(t *testing.T) {
+	big := &assign.MappingSchema{Problem: assign.ProblemA2A, Capacity: 1000}
+	for r := 0; r < 190; r++ {
+		ids := make([]int, 30)
+		for i := range ids {
+			ids[i] = 1000 + 31*r + i
+		}
+		big.Reducers = append(big.Reducers, assign.Reducer{Inputs: ids, Load: 900})
+	}
+	// The bodies end in the newline json.Encoder adds in cmd/pland; with no
+	// Content-Length the server chunks what does not fit its 2 KB buffer.
+	bigBody, _ := json.Marshal(PlanResult{Schema: big, Reducers: len(big.Reducers), Winner: "stub"})
+	smallBody, _ := json.Marshal(PlanResult{Reducers: 3, Winner: "stub"})
+	if len(bigBody) <= 4<<10 || len(smallBody) >= 1<<10 {
+		t.Fatalf("stub replies are %d and %d bytes; want one over 4 KB and one under 1 KB", len(bigBody), len(smallBody))
+	}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req PlanRequest // capacity picks the reply; execute and cache bodies decode into it too
+		if r.Method != http.MethodGet {
+			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+				t.Errorf("stub: decoding %s %s: %v", r.Method, r.URL.Path, err)
+			}
+		}
+		switch {
+		case r.URL.Path == "/readyz" || r.Method == http.MethodPut:
+			fmt.Fprintln(w, `{"status":"ok"}`)
+		case r.Method == http.MethodPost && req.Capacity == 0:
+			w.WriteHeader(http.StatusUnprocessableEntity)
+			fmt.Fprintln(w, `{"error":{"code":"unprocessable","message":"no capacity"}}`)
+		case r.Method == http.MethodPost && req.Capacity <= 100:
+			w.Write(append(smallBody[:len(smallBody):len(smallBody)], '\n'))
+		default:
+			w.Write(append(bigBody[:len(bigBody):len(bigBody)], '\n'))
+			// The chunk that ends the body goes out when the handler returns.
+			// Hold it back a moment, so the client has decoded the value
+			// before it arrives, as it has when the value is 33 KB.
+			w.(http.Flusher).Flush()
+			time.Sleep(time.Millisecond)
+		}
+	}))
+	defer srv.Close()
+
+	dials := 0 // one client goroutine, so dials happen on it
+	var dialer net.Dialer
+	tr := &http.Transport{DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+		dials++
+		return dialer.DialContext(ctx, network, addr)
+	}}
+	defer tr.CloseIdleConnections()
+	c := New(srv.URL, WithHTTPClient(&http.Client{Transport: tr}))
+	ctx := context.Background()
+	plan := func(capacity assign.Size) (*PlanResult, error) {
+		return c.Plan(ctx, PlanRequest{Problem: "A2A", Capacity: capacity, Sizes: []assign.Size{1, 2}})
+	}
+	wantBig := func(ms *assign.MappingSchema) error {
+		if !reflect.DeepEqual(ms, big) {
+			return fmt.Errorf("decoded a schema of %d reducers, not the stub's", ms.NumReducers())
+		}
+		return nil
+	}
+	calls := []func() error{
+		func() error {
+			res, err := plan(1000)
+			if err != nil {
+				return err
+			}
+			return wantBig(res.Schema)
+		},
+		func() error { _, err := plan(10); return err },
+		func() error {
+			if _, err := plan(0); !IsCode(err, CodeUnprocessable) {
+				return fmt.Errorf("err = %v, want the stub's unprocessable", err)
+			}
+			return nil
+		},
+		func() error {
+			res, err := c.Execute(ctx, ExecuteRequest{Problem: "A2A", Capacity: 1000, Inputs: []string{"a", "bb"}})
+			if err != nil {
+				return err
+			}
+			return wantBig(res.Schema)
+		},
+		func() error {
+			raw, err := c.FleetCacheGet(ctx, "some key")
+			if err == nil && len(raw) != len(bigBody) {
+				err = fmt.Errorf("raw reply of %d bytes, want %d", len(raw), len(bigBody))
+			}
+			return err
+		},
+		func() error { return c.FleetCachePut(ctx, "some key", bigBody) },
+		func() error { return c.Ready(ctx) },
+	}
+	for i := 0; i < 200; i++ {
+		if err := calls[i%len(calls)](); err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+	}
+	if dials != 1 {
+		t.Errorf("200 calls dialed %d times, want 1: replies are leaving their connections unusable", dials)
 	}
 }
