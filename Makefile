@@ -2,11 +2,12 @@ GO ?= go
 BENCH_COUNT ?= 6
 BASE ?= origin/main
 THRESHOLD ?= 15
-# The benchmarks the regression gate watches. Keep in sync with the
-# bench-regression job in .github/workflows/ci.yml.
+# The benchmarks the regression gate watches. This is the one place they are
+# listed: bench-compare and CI's bench-regression job both go through
+# bench-gate.
 BENCH_MATCH := ^Benchmark(PlannerCold|PlannerCached|SchemaJSON|ExecBatch|ExecStream|ExecStreamSpill|SessionDelta|CoverSet|Auditor)
 
-.PHONY: test bench bench-compare baselines
+.PHONY: test bench bench-gate bench-compare baselines
 
 test: ## tier-1: build everything, run every test
 	$(GO) build ./... && $(GO) test ./...
@@ -21,14 +22,18 @@ bench: ## one pass over the regression-gated benchmark suite (stdout)
 # directory that is removed on exit, so two runs on one box do not clobber
 # each other.
 
+bench-gate: ## compare two `make bench` outputs: make bench-gate OLD=base.txt NEW=head.txt
+	@test -n "$(OLD)" -a -n "$(NEW)" || { echo "usage: make bench-gate OLD=<file> NEW=<file>" >&2; exit 2; }
+	$(GO) run ./cmd/benchdiff -mode=gate -old "$(OLD)" -new "$(NEW)" \
+	  -threshold $(THRESHOLD) -match '$(BENCH_MATCH)'
+
 bench-compare: ## bench BASE (temp worktree) and HEAD, fail on significant >THRESHOLD% slowdown
 	@set -e; tmp=$$(mktemp -d); \
 	trap 'git worktree remove --force "$$tmp/base" 2>/dev/null || true; rm -rf "$$tmp"' EXIT; \
 	git worktree add --detach "$$tmp/base" $(BASE); \
 	(cd "$$tmp/base" && $(MAKE) -f $(CURDIR)/Makefile bench > "$$tmp/base.txt") || true; \
 	$(MAKE) bench > "$$tmp/head.txt"; \
-	$(GO) run ./cmd/benchdiff -mode=gate -old "$$tmp/base.txt" -new "$$tmp/head.txt" \
-	  -threshold $(THRESHOLD) -match '$(BENCH_MATCH)'
+	$(MAKE) bench-gate OLD="$$tmp/base.txt" NEW="$$tmp/head.txt"
 
 baselines: ## regenerate the committed BENCH_*.json from a fresh suite run
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \

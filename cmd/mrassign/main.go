@@ -65,7 +65,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		ms, err := a2a.SolveWithOptions(set, capacity, a2a.Options{Policy: pol, PreferEqualSized: true})
+		ms, err := a2a.SolveWithOptions(set, capacity, a2a.Options{Policy: pol})
 		if err != nil {
 			return err
 		}
@@ -93,7 +93,7 @@ func run(args []string) error {
 		if err != nil {
 			return fmt.Errorf("-ysizes: %w", err)
 		}
-		ms, err := x2y.SolveWithOptions(xSet, ySet, capacity, x2y.Options{Policy: pol, OptimizeSplit: true})
+		ms, err := x2y.SolveWithOptions(xSet, ySet, capacity, x2y.Options{Policy: pol})
 		if err != nil {
 			return err
 		}

@@ -3,15 +3,11 @@ package main
 import (
 	"bytes"
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"log/slog"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -138,12 +134,13 @@ func (c *cluster) probe(ctx context.Context, peer string) error {
 	return nil
 }
 
-// routeKeyed forwards a keyed request (/v2/sessions/{id}, /v2/jobs/{id}) to
-// its ring owner when that is another node. It reports true when the request
-// was fully handled here (proxied, or failed); false means the caller serves
-// it locally — because this node owns the key, the request already hopped
-// once, or rerouting around a dead owner landed back on this node.
-func (s *server) routeKeyed(w http.ResponseWriter, r *http.Request, key string) bool {
+// forwardToOwner proxies a request to the ring owner of key — the {id} of a
+// keyed route, or the ID a create was just given, which then travels as pin —
+// when that is another node. It reports true when the request was fully
+// handled here (proxied, or failed); false means the caller serves it locally
+// — because the node is not clustered, owns the key, the request already
+// hopped once, or rerouting around a dead owner landed back on this node.
+func (s *server) forwardToOwner(w http.ResponseWriter, r *http.Request, key, pin string) bool {
 	c := s.cluster
 	if c == nil || r.Header.Get(headerForwarded) != "" {
 		return false
@@ -152,7 +149,7 @@ func (s *server) routeKeyed(w http.ResponseWriter, r *http.Request, key string) 
 	if !ok || owner == c.self {
 		return false
 	}
-	return c.forward(w, r, key, owner, "")
+	return c.forward(w, r, key, owner, pin)
 }
 
 // forward proxies the request to target, rerouting around peers that fail at
@@ -175,8 +172,8 @@ func (c *cluster) forward(w http.ResponseWriter, r *http.Request, key, target, p
 		c.log.Warn("peer unreachable; rerouting", "peer", target, "key", key, "error", err)
 		next, ok := c.ring.Owner(key, c.health.Alive)
 		if !ok || next == target {
-			writeAPIError(w, &apiError{Status: http.StatusBadGateway, Code: codePeerUnreachable,
-				Message: fmt.Sprintf("owner %s unreachable and no live successor", target)})
+			writeAPIError(w, newAPIError(http.StatusBadGateway, plandclient.CodePeerUnreachable,
+				fmt.Sprintf("owner %s unreachable and no live successor", target), nil))
 			return true
 		}
 		if next == c.self {
@@ -249,143 +246,91 @@ func pinnedID(r *http.Request) string {
 	return id
 }
 
-// newJobID mirrors the job manager's 16-byte random hex IDs for cluster
-// submissions, where the ID must exist before enqueue so placement can route
-// the create to the ID's owner.
-func newJobID() string {
-	var b [16]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		panic(fmt.Sprintf("pland: reading random job ID: %v", err))
-	}
-	return hex.EncodeToString(b[:])
-}
+// newJobID mirrors the job manager's 16-byte random hex IDs: the ID must
+// exist before enqueue so placement can route the create to the ID's owner.
+func newJobID() string { return randomHex(16) }
 
-// planKey canonicalizes a plan request into its fleet-cache key: problem,
-// capacity, and the size multiset(s), independent of input order (and of the
-// X/Y side labels, which the planner also treats symmetrically). The timeout
-// is deliberately not part of the key, matching the node-local canonical
-// cache: an already-solved isomorphic instance is served as solved. The key
-// is a 128-bit FNV-1a of the canonical string, so collisions are negligible
-// and the key is URL- and ring-friendly.
-func planKey(body planRequest) (string, bool) {
-	var b strings.Builder
-	writeSide := func(sizes []assign.Size) string {
-		sorted := append([]assign.Size(nil), sizes...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		var sb strings.Builder
-		for i, sz := range sorted {
-			if i > 0 {
-				sb.WriteByte(',')
-			}
-			sb.WriteString(strconv.FormatInt(int64(sz), 10))
-		}
-		return sb.String()
-	}
-	switch strings.ToLower(body.Problem) {
-	case "a2a":
-		if len(body.Sizes) == 0 {
-			return "", false
-		}
-		fmt.Fprintf(&b, "a2a|%d|%s", body.Capacity, writeSide(body.Sizes))
-	case "x2y":
-		if len(body.XSizes) == 0 || len(body.YSizes) == 0 {
-			return "", false
-		}
-		x, y := writeSide(body.XSizes), writeSide(body.YSizes)
-		if x > y {
-			x, y = y, x
-		}
-		fmt.Fprintf(&b, "x2y|%d|%s|%s", body.Capacity, x, y)
-	default:
-		return "", false
-	}
-	h := fnv.New128a()
-	_, _ = io.WriteString(h, b.String())
-	return "p-" + hex.EncodeToString(h.Sum(nil)), true
-}
-
-// planFleet is handlePlan's solve path under clustering: the canonical key's
-// ring owner holds the one fleet-wide cache shard for the instance, so the
-// probe goes there before this node spends a solve, and the solved result is
-// published back there afterwards. Cold solves always run locally — only
-// cache traffic crosses the wire — and every fleet failure degrades to the
-// single-node path.
-func (s *server) planFleet(ctx context.Context, body planRequest) (*planResponse, *apiError) {
+// planFleet is handlePlan's solve path under clustering: the ring owner of
+// the instance's canonical key holds the one fleet-wide cache shard for it, so
+// the probe goes there before this node spends a solve, and a solve is
+// published back there afterwards. What travels is the planner's canonical
+// plan (assign.Planner.ExportPlan): a hit is that plan imported into this
+// node's planner — which checks it against this request's own sizes before
+// believing it — followed by the ordinary cache hit, relabelled for this
+// request's input IDs like any other. Cold solves always run locally — only
+// cache traffic crosses the wire — and every fleet failure, a cached value
+// that does not import included, degrades to the single-node path.
+func (s *server) planFleet(ctx context.Context, body plandclient.PlanRequest) (*plandclient.PlanResult, *apiError) {
 	c := s.cluster
-	key, keyed := "", false
-	if c != nil && !body.NoCache {
-		key, keyed = planKey(body)
-	}
-	if !keyed {
+	if c == nil || body.NoCache {
 		return s.runPlan(ctx, body, s.cfg.MaxTimeout)
+	}
+	opts, aerr := s.planOptions(body)
+	if aerr != nil {
+		return nil, aerr
+	}
+	// NoCache asks for the key alone: the planner's cache is not read, so no
+	// plan is encoded only to be dropped.
+	key, _, err := s.planner.ExportPlan(append(opts, assign.NoCache())...)
+	if err != nil {
+		return nil, planError(err)
 	}
 	owner, ok := c.ring.Owner(key, c.health.Alive)
 	if !ok {
 		return s.runPlan(ctx, body, s.cfg.MaxTimeout)
 	}
+	var cached []byte
+	probeFailed := false
 	if owner == c.self {
-		if raw, hit := c.cache.Get(key); hit {
-			if resp := decodeCached(raw); resp != nil {
-				return resp, nil
+		cached, _ = c.cache.Get(key)
+	} else {
+		cctx, csp := obs.StartSpan(ctx, "fleet_cache_get")
+		csp.SetAttr("peer", owner)
+		cached, err = c.clients[owner].FleetCacheGet(cctx, key)
+		switch {
+		case err != nil:
+			csp.SetError(err.Error())
+			probeFailed = true
+			obsFleetProbes.With("error").Inc()
+			if plandclient.IsCode(err, plandclient.CodeTransport) {
+				c.health.MarkDown(owner)
+			}
+		case cached == nil:
+			obsFleetProbes.With("miss").Inc()
+		}
+		csp.End()
+	}
+	imported := false
+	if cached != nil {
+		if err := s.planner.ImportPlan(cached, opts...); err != nil {
+			obsFleetProbes.With("error").Inc()
+			c.log.Warn("fleet cache value refused; solving locally", "peer", owner, "key", key, "error", err)
+		} else {
+			imported = true
+			if owner != c.self {
+				obsFleetProbes.With("hit").Inc()
 			}
 		}
-		resp, aerr := s.runPlan(ctx, body, s.cfg.MaxTimeout)
-		if aerr == nil {
-			if raw, err := marshalCached(resp); err == nil {
-				c.cache.Put(key, raw)
-			}
-		}
-		return resp, aerr
-	}
-	cctx, csp := obs.StartSpan(ctx, "fleet_cache_get")
-	csp.SetAttr("peer", owner)
-	raw, err := c.clients[owner].FleetCacheGet(cctx, key)
-	if err != nil {
-		csp.SetError(err.Error())
-	}
-	csp.End()
-	switch {
-	case err != nil:
-		obsFleetProbes.With("error").Inc()
-		if plandclient.IsCode(err, plandclient.CodeTransport) {
-			c.health.MarkDown(owner)
-		}
-	case raw != nil:
-		if resp := decodeCached(raw); resp != nil {
-			obsFleetProbes.With("hit").Inc()
-			return resp, nil
-		}
-		obsFleetProbes.With("error").Inc()
-	default:
-		obsFleetProbes.With("miss").Inc()
 	}
 	resp, aerr := s.runPlan(ctx, body, s.cfg.MaxTimeout)
-	if aerr == nil && err == nil {
-		if raw, merr := marshalCached(resp); merr == nil {
+	if aerr != nil {
+		return nil, aerr
+	}
+	resp.FleetCacheHit = imported && resp.CacheHit
+	if imported || probeFailed {
+		return resp, nil
+	}
+	if _, plan, err := s.planner.ExportPlan(opts...); err == nil && plan != nil {
+		if owner == c.self {
+			c.cache.Put(key, plan)
+		} else {
 			// Capture the request's trace identity now: the publish outlives
 			// the request context but should still correlate on the peer.
 			tc, _ := obs.TraceContextFrom(ctx)
-			go c.publish(owner, key, raw, obs.RequestID(ctx), tc)
+			go c.publish(owner, key, plan, obs.RequestID(ctx), tc)
 		}
 	}
-	return resp, aerr
-}
-
-// marshalCached and decodeCached are the fleet-cache value codec: the full
-// planResponse JSON, with the hit flag stamped on the way out.
-func marshalCached(resp *planResponse) ([]byte, error) {
-	cp := *resp
-	cp.FleetCacheHit = false
-	return json.Marshal(cp)
-}
-
-func decodeCached(raw []byte) *planResponse {
-	var resp planResponse
-	if err := json.Unmarshal(raw, &resp); err != nil || resp.Schema == nil {
-		return nil
-	}
-	resp.FleetCacheHit = true
-	return &resp
+	return resp, nil
 }
 
 // publish ships a freshly solved result to the key owner's cache shard,
@@ -404,58 +349,41 @@ func (c *cluster) publish(owner, key string, raw []byte, rid string, tc obs.Trac
 	}
 }
 
-// handleFleetCache serves GET and PUT /internal/cache/{key}: this node's
-// shard of the fleet plan cache. Values are opaque JSON documents; ownership
-// is the caller's concern (peers only probe keys this node owns).
-func (s *server) handleFleetCache(w http.ResponseWriter, r *http.Request) {
+// getFleetCache and putFleetCache serve /internal/cache/{key}: this node's
+// shard of the fleet plan cache. Values are opaque JSON documents here — it is
+// the planner importing one that decides whether to believe it — and
+// ownership is the caller's concern (peers only probe keys this node owns).
+func (s *server) getFleetCache(w http.ResponseWriter, r *http.Request) {
 	if s.cluster == nil {
 		writeAPIError(w, notFound("not clustered"))
 		return
 	}
-	key := strings.TrimPrefix(r.URL.Path, "/internal/cache/")
-	if key == "" || strings.Contains(key, "/") {
-		writeAPIError(w, notFound("no such cache key"))
+	raw, ok := s.cluster.cache.Get(r.PathValue("key"))
+	if !ok {
+		writeAPIError(w, notFound("cache miss"))
 		return
 	}
-	switch r.Method {
-	case http.MethodGet:
-		raw, ok := s.cluster.cache.Get(key)
-		if !ok {
-			writeAPIError(w, notFound("cache miss"))
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(raw)
-	case http.MethodPut:
-		raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-		if err != nil {
-			writeAPIError(w, badRequestf("reading cache value: %v", err))
-			return
-		}
-		if !json.Valid(raw) {
-			writeAPIError(w, badRequestf("cache value is not valid JSON"))
-			return
-		}
-		s.cluster.cache.Put(key, raw)
-		w.WriteHeader(http.StatusNoContent)
-	default:
-		writeAPIError(w, methodNotAllowed("GET or PUT"))
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(raw)
+}
+
+func (s *server) putFleetCache(w http.ResponseWriter, r *http.Request) {
+	if s.cluster == nil {
+		writeAPIError(w, notFound("not clustered"))
+		return
 	}
-}
-
-// handoffRequest mirrors plandclient.HandoffRequest on the receiving side.
-type handoffRequest struct {
-	ID          string               `json:"id"`
-	State       *assign.SessionState `json:"state"`
-	Fingerprint string               `json:"fingerprint"`
-	Meta        json.RawMessage      `json:"meta,omitempty"`
-}
-
-type handoffResponse struct {
-	ID          string `json:"id"`
-	Fingerprint string `json:"fingerprint"`
-	Inputs      int    `json:"inputs"`
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err != nil {
+		writeAPIError(w, badRequestf("reading cache value: %v", err))
+		return
+	}
+	if !json.Valid(raw) {
+		writeAPIError(w, badRequestf("cache value is not valid JSON"))
+		return
+	}
+	s.cluster.cache.Put(r.PathValue("key"), raw)
+	w.WriteHeader(http.StatusNoContent)
 }
 
 // handleHandoff serves POST /internal/handoff: a draining peer ships one
@@ -466,13 +394,8 @@ type handoffResponse struct {
 // -max-sessions: refusing would drop live client state to enforce a soft
 // capacity bound.
 func (s *server) handleHandoff(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeAPIError(w, methodNotAllowed("POST"))
-		return
-	}
-	var body handoffRequest
-	if aerr := s.decodeBody(w, r, &body); aerr != nil {
-		writeAPIError(w, aerr)
+	var body plandclient.HandoffRequest
+	if !s.decodeBody(w, r, &body) {
 		return
 	}
 	if body.ID == "" || body.State == nil {
@@ -486,24 +409,21 @@ func (s *server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	}
 	if got := body.State.Fingerprint(); got != want {
 		obsHandoffs.With("refused").Inc()
-		writeAPIError(w, &apiError{Status: http.StatusUnprocessableEntity, Code: codeUnprocessable,
-			Message: fmt.Sprintf("handoff fingerprint mismatch: sender stamped %016x, state is %016x", want, got)})
+		writeAPIError(w, newAPIError(http.StatusUnprocessableEntity, plandclient.CodeUnprocessable,
+			fmt.Sprintf("handoff fingerprint mismatch: sender stamped %016x, state is %016x", want, got), nil))
 		return
 	}
-	s.sessMu.Lock()
-	_, dup := s.sessions[body.ID]
-	s.sessMu.Unlock()
-	if dup {
+	if s.holdsSession(body.ID) {
 		obsHandoffs.With("refused").Inc()
-		writeAPIError(w, &apiError{Status: http.StatusConflict, Code: codeConflict,
-			Message: fmt.Sprintf("session %s already lives here", body.ID)})
+		writeAPIError(w, newAPIError(http.StatusConflict, plandclient.CodeConflict,
+			fmt.Sprintf("session %s already lives here", body.ID), nil))
 		return
 	}
 	entry, err := s.installSession(body.ID, body.State, nil, body.Meta)
 	if err != nil {
 		obsHandoffs.With("refused").Inc()
-		writeAPIError(w, &apiError{Status: http.StatusUnprocessableEntity, Code: codeUnprocessable,
-			Message: fmt.Sprintf("restoring handed-off session: %v", err)})
+		writeAPIError(w, newAPIError(http.StatusUnprocessableEntity, plandclient.CodeUnprocessable,
+			fmt.Sprintf("restoring handed-off session: %v", err), nil))
 		return
 	}
 	if s.wal != nil {
@@ -513,7 +433,7 @@ func (s *server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	}
 	obsHandoffs.With("received").Inc()
 	s.log.Info("session handed off here", "session", body.ID, "inputs", entry.sess.Len())
-	writeJSON(w, http.StatusCreated, handoffResponse{
+	writeJSON(w, http.StatusCreated, plandclient.HandoffResult{
 		ID:          body.ID,
 		Fingerprint: fmt.Sprintf("%016x", want),
 		Inputs:      entry.sess.Len(),
@@ -530,13 +450,7 @@ func (s *server) handoffSessions(ctx context.Context) {
 	if c == nil {
 		return
 	}
-	s.sessMu.Lock()
-	entries := make([]*sessionEntry, 0, len(s.sessions))
-	for _, e := range s.sessions {
-		entries = append(entries, e)
-	}
-	s.sessMu.Unlock()
-	for _, e := range entries {
+	for _, e := range s.liveSessions() {
 		target, ok := c.ring.Successor(e.id, c.self, c.health.Alive)
 		if !ok {
 			obsHandoffs.With("send_failed").Inc()

@@ -5,8 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -221,7 +224,7 @@ func TestHandoffFingerprintVerification(t *testing.T) {
 
 	post := func(id, fp string) *http.Response {
 		t.Helper()
-		body, err := json.Marshal(handoffRequest{ID: id, State: st, Fingerprint: fp})
+		body, err := json.Marshal(plandclient.HandoffRequest{ID: id, State: st, Fingerprint: fp})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +241,7 @@ func TestHandoffFingerprintVerification(t *testing.T) {
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("mismatched fingerprint accepted: HTTP %d", resp.StatusCode)
 	}
-	if code := decodeErrorEnvelope(t, resp); code != codeUnprocessable {
+	if code := decodeErrorEnvelope(t, resp); code != plandclient.CodeUnprocessable {
 		t.Fatalf("error code = %s", code)
 	}
 
@@ -248,7 +251,7 @@ func TestHandoffFingerprintVerification(t *testing.T) {
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("valid handoff refused: HTTP %d", resp.StatusCode)
 	}
-	var out handoffResponse
+	var out plandclient.HandoffResult
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
@@ -300,20 +303,63 @@ func TestReadyzLifecycle(t *testing.T) {
 	}
 }
 
+// fleetKeyOwner returns the fleet key of the instance and the index of the
+// node whose shard holds it.
+func fleetKeyOwner(t *testing.T, servers []*server, httpSrvs []*httptest.Server, req plandclient.PlanRequest) (string, int) {
+	t.Helper()
+	opts, aerr := servers[0].planOptions(req)
+	if aerr != nil {
+		t.Fatalf("planOptions: %v", aerr)
+	}
+	key, _, err := servers[0].planner.ExportPlan(append(opts, assign.NoCache())...)
+	if err != nil {
+		t.Fatalf("ExportPlan: %v", err)
+	}
+	return key, nodeIndex(t, httpSrvs, servers[0].cluster.ring.Lookup(key))
+}
+
+// awaitPublished waits for the asynchronous publish of a solve to reach the
+// owner's shard.
+func awaitPublished(t *testing.T, owner *server, key string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if _, ok := owner.cluster.cache.Get(key); ok {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("solved result never reached the owner's cache shard")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// validateFor checks a served plan against the sets of the request it was
+// served for: the paper's contract is about the requester's inputs, whoever
+// solved the instance first.
+func validateFor(t *testing.T, req plandclient.PlanRequest, got *plandclient.PlanResult) {
+	t.Helper()
+	var err error
+	if req.Problem == "A2A" {
+		err = got.Schema.ValidateA2A(assign.MustNewInputSet(req.Sizes))
+	} else {
+		err = got.Schema.ValidateX2Y(assign.MustNewInputSet(req.XSizes), assign.MustNewInputSet(req.YSizes))
+	}
+	if err != nil {
+		t.Fatalf("schema served for %+v is not valid for it: %v", req, err)
+	}
+}
+
 // TestFleetPlanCache: one node's solve serves the whole fleet. The canonical
 // key's owner holds the cache shard; a solve elsewhere publishes to it, and
-// later isomorphic requests — through any node — come back as fleet hits.
+// later isomorphic requests — through any node — come back as fleet hits that
+// are valid for the requester's own input order.
 func TestFleetPlanCache(t *testing.T) {
 	servers, httpSrvs := newTestCluster(t, 3)
 	ctx := context.Background()
 
 	req := plandclient.PlanRequest{Problem: "A2A", Capacity: 10, Sizes: []assign.Size{3, 3, 2, 2, 4, 1}}
-	key, ok := planKey(planRequest{Problem: req.Problem, Capacity: req.Capacity, Sizes: req.Sizes})
-	if !ok {
-		t.Fatal("planKey rejected a valid request")
-	}
-	owner := servers[0].cluster.ring.Lookup(key)
-	ownerIdx := nodeIndex(t, httpSrvs, owner)
+	key, ownerIdx := fleetKeyOwner(t, servers, httpSrvs, req)
 	solverIdx := (ownerIdx + 1) % len(httpSrvs) // deliberately not the owner
 
 	first, err := plandclient.New(httpSrvs[solverIdx].URL).Plan(ctx, req)
@@ -323,15 +369,7 @@ func TestFleetPlanCache(t *testing.T) {
 	if first.FleetCacheHit {
 		t.Fatal("first solve reported a fleet cache hit")
 	}
-
-	// The publish to the owner's shard is asynchronous; wait for it.
-	deadline := time.Now().Add(5 * time.Second)
-	for servers[ownerIdx].cluster.cache.Len() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("solved result never reached the owner's cache shard")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	awaitPublished(t, servers[ownerIdx], key)
 
 	// An isomorphic instance (same multiset, different order) through the
 	// owner and through a third node must both be fleet hits now.
@@ -348,6 +386,7 @@ func TestFleetPlanCache(t *testing.T) {
 		if got.Reducers != first.Reducers || got.Communication != first.Communication {
 			t.Fatalf("fleet-cached result diverged: %+v vs %+v", got, first)
 		}
+		validateFor(t, iso, got)
 	}
 
 	// NoCache opts out of the fleet layer entirely.
@@ -359,6 +398,131 @@ func TestFleetPlanCache(t *testing.T) {
 	}
 	if got.FleetCacheHit {
 		t.Fatal("no_cache request served from the fleet cache")
+	}
+}
+
+// TestFleetHitsAreValidForTheRequester: the fleet cache is keyed on the
+// canonical instance, so what it serves must be relabelled for each
+// requester. Forty random A2A instances are solved on one node and asked for
+// again, shuffled, through another; an X2Y instance comes back with its sides
+// swapped and each side shuffled. Every answer is a fleet hit and every
+// answer satisfies the constraints of the request it answers.
+func TestFleetHitsAreValidForTheRequester(t *testing.T) {
+	servers, httpSrvs := newTestCluster(t, 3)
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(19))
+
+	// served solves req on a node that does not own it and returns what a
+	// third node then serves for the isomorphic again.
+	served := func(req, again plandclient.PlanRequest) *plandclient.PlanResult {
+		t.Helper()
+		key, ownerIdx := fleetKeyOwner(t, servers, httpSrvs, req)
+		first, err := plandclient.New(httpSrvs[(ownerIdx+1)%3].URL).Plan(ctx, req)
+		if err != nil {
+			t.Fatalf("Plan %+v: %v", req, err)
+		}
+		validateFor(t, req, first)
+		awaitPublished(t, servers[ownerIdx], key)
+		got, err := plandclient.New(httpSrvs[(ownerIdx+2)%3].URL).Plan(ctx, again)
+		if err != nil {
+			t.Fatalf("Plan %+v: %v", again, err)
+		}
+		if !got.FleetCacheHit {
+			t.Fatalf("%+v after %+v was not a fleet hit", again, req)
+		}
+		if got.Reducers != first.Reducers || got.Communication != first.Communication {
+			t.Fatalf("fleet hit reports %d reducers / %d communication, the solve %d / %d",
+				got.Reducers, got.Communication, first.Reducers, first.Communication)
+		}
+		validateFor(t, again, got)
+		return got
+	}
+
+	shuffled := func(sizes []assign.Size) []assign.Size {
+		out := append([]assign.Size(nil), sizes...)
+		rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+		return out
+	}
+	for i := 0; i < 40; i++ {
+		sizes := make([]assign.Size, 6+rng.Intn(10))
+		for j := range sizes {
+			sizes[j] = assign.Size(1 + rng.Intn(9))
+		}
+		req := plandclient.PlanRequest{Problem: "A2A", Capacity: 20, Sizes: sizes, TimeoutMS: -1}
+		again := req
+		again.Sizes = shuffled(sizes)
+		served(req, again)
+	}
+
+	req := plandclient.PlanRequest{Problem: "X2Y", Capacity: 12, TimeoutMS: -1,
+		XSizes: []assign.Size{7, 2, 1, 5, 3}, YSizes: []assign.Size{1, 2, 4, 1, 3, 2, 5}}
+	mirrored := req
+	mirrored.XSizes, mirrored.YSizes = shuffled(req.YSizes), shuffled(req.XSizes)
+	served(req, mirrored)
+}
+
+// TestFleetCacheValueIsNotTrusted: PUT /internal/cache/{key} takes any JSON,
+// so what comes out of a shard is checked before it is served. A value in the
+// parent commit's format (a whole plan response over the publisher's input
+// IDs, captured from that build) and a plan whose schema breaks the capacity
+// both read as a miss: the request is solved locally, the outcome is counted
+// as an error, and the solve replaces the bad value.
+func TestFleetCacheValueIsNotTrusted(t *testing.T) {
+	parentValue, err := os.ReadFile(filepath.Join("testdata", "fleet_value_parent.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const overloaded = `{"sizes":[1,2,2,3,3,4],"schema":{"problem":"A2A","capacity":10,` +
+		`"reducers":[{"inputs":[0,1,2,3,4,5],"load":15}]},"winner":"nobody","lower_bound_reducers":1,"candidates":1}`
+	for name, bad := range map[string]string{"parent format": string(parentValue), "over capacity": overloaded} {
+		t.Run(name, func(t *testing.T) {
+			servers, httpSrvs := newTestCluster(t, 3)
+			ctx := context.Background()
+			req := plandclient.PlanRequest{Problem: "A2A", Capacity: 10, Sizes: []assign.Size{3, 3, 2, 2, 4, 1}}
+			key, ownerIdx := fleetKeyOwner(t, servers, httpSrvs, req)
+			if err := plandclient.New(httpSrvs[ownerIdx].URL).FleetCachePut(ctx, key, json.RawMessage(bad)); err != nil {
+				t.Fatalf("FleetCachePut: %v", err)
+			}
+			stored, _ := servers[ownerIdx].cluster.cache.Get(key) // the value as the PUT left it
+			refused := obsFleetProbes.With("error").Value()
+			// Through a node that probes the owner over the wire, then through
+			// the owner, which reads its own shard.
+			for _, idx := range []int{(ownerIdx + 1) % 3, ownerIdx} {
+				if idx == ownerIdx {
+					// The first solve's publish replaces the bad value; put it
+					// back once that has landed.
+					for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+						if v, _ := servers[ownerIdx].cluster.cache.Get(key); !bytes.Equal(v, stored) {
+							break
+						}
+						if time.Now().After(deadline) {
+							t.Fatal("the local solve was never published over the bad value")
+						}
+					}
+					servers[ownerIdx].cluster.cache.Put(key, stored)
+				}
+				got, err := plandclient.New(httpSrvs[idx].URL).Plan(ctx, req)
+				if err != nil {
+					t.Fatalf("Plan via node %d with a bad value cached: %v", idx, err)
+				}
+				if got.FleetCacheHit || got.CacheHit {
+					t.Fatalf("node %d served the bad value: %+v", idx, got)
+				}
+				validateFor(t, req, got)
+			}
+			if got := obsFleetProbes.With("error").Value(); got != refused+2 {
+				t.Fatalf(`pland_fleet_probe_total{outcome="error"} moved by %d, want 2`, got-refused)
+			}
+			// The owner's own solve put a good value back: a third node hits.
+			got, err := plandclient.New(httpSrvs[(ownerIdx+2)%3].URL).Plan(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.FleetCacheHit {
+				t.Fatal("the local solve did not replace the bad value")
+			}
+			validateFor(t, req, got)
+		})
 	}
 }
 

@@ -217,13 +217,7 @@ func (s *server) checkpoint() error {
 	if err != nil {
 		return err
 	}
-	s.sessMu.Lock()
-	entries := make([]*sessionEntry, 0, len(s.sessions))
-	for _, e := range s.sessions {
-		entries = append(entries, e)
-	}
-	s.sessMu.Unlock()
-	for _, e := range entries {
+	for _, e := range s.liveSessions() {
 		if err := e.sess.WriteSnapshot(); err != nil && !errors.Is(err, assign.ErrSessionClosed) {
 			return err
 		}
@@ -252,11 +246,7 @@ func (s *server) checkpoint() error {
 // runCheckpointer compacts on a timer, skipping ticks with nothing to do.
 func (s *server) runCheckpointer() {
 	defer s.checkpointWG.Done()
-	interval := s.cfg.CheckpointInterval
-	if interval <= 0 {
-		interval = time.Minute
-	}
-	t := time.NewTicker(interval)
+	t := time.NewTicker(s.cfg.CheckpointInterval)
 	defer t.Stop()
 	for {
 		select {

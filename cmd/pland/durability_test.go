@@ -198,7 +198,7 @@ func TestCrashReenqueuesJobs(t *testing.T) {
 	// A journaled-but-unfinished job (accepted, then the process died before
 	// a worker finished it) must come back. Journaling it directly pins the
 	// exact on-disk state such a job leaves without racing a live worker.
-	queuedBody := jobSubmitRequest{Type: jobTypePlan, Plan: &planRequest{
+	queuedBody := jobSubmitRequest{Type: jobTypePlan, Plan: &plandclient.PlanRequest{
 		Problem: "A2A", Capacity: 10, Sizes: []assign.Size{4, 4, 1}, TimeoutMS: -1,
 	}}
 	s1.journalJobSubmit(context.Background(), "j-queued", jobTypePlan, queuedBody)

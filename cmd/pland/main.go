@@ -36,6 +36,11 @@
 //	GET    /readyz           readiness probe: 503 before boot recovery
 //	                         finished and from the moment a drain starts;
 //	                         fleet peers probe it to route around this node
+//	POST   /internal/handoff a draining fleet peer ships one live session
+//	                         here; installed once its fingerprint verifies
+//	GET    /internal/cache/{key} this node's shard of the fleet plan cache:
+//	PUT    /internal/cache/{key} a canonical plan by canonical instance key,
+//	                         probed and published by peers
 //	GET    /metrics          Prometheus text exposition of every pland series
 //	GET    /debug/traces     retained-trace summaries from the flight recorder
 //	                         (?route=, ?status=error, ?min_ms=, ?limit=)
@@ -59,6 +64,9 @@
 // rest — in a fixed -trace-buffer ring served by /debug/traces.
 //
 // Every error is the same JSON envelope: {"error":{"code":"...","message":"..."}}.
+//
+// The list above is for people; routes.go is the table the service is built
+// from, and a test holds the two together.
 //
 // Example:
 //
@@ -119,57 +127,60 @@ func splitPeers(s string) []string {
 
 func main() {
 	fs := flag.NewFlagSet("pland", flag.ContinueOnError)
+	// Every limit is a field of the server's config, bound here onto a copy
+	// of its defaults; what is left are the flags main itself acts on.
+	cfg := defaultServerConfig()
 	var (
-		addr        = fs.String("addr", ":8080", "listen address")
-		cacheSize   = fs.Int("cache", assign.DefaultCacheEntries, "canonical plan cache capacity (0 disables)")
-		timeout     = fs.Duration("timeout", assign.DefaultTimeout, "default per-request planning budget")
-		maxTimeout  = fs.Duration("max-timeout", 10*time.Second, "largest per-request budget a synchronous client may ask for")
-		maxBody     = fs.Int64("max-body", 8<<20, "largest accepted request body in bytes")
-		maxInputs   = fs.Int("max-inputs", 200_000, "largest accepted instance size (total inputs)")
-		maxExec     = fs.Int("max-exec-inputs", 1000, "largest instance execute runs (pair work is quadratic)")
-		jobWorkers  = fs.Int("job-workers", 0, "v2 job worker pool size (0 = GOMAXPROCS)")
-		queueDepth  = fs.Int("queue-depth", 64, "v2 job queue depth; beyond it submits get 429")
-		resultTTL   = fs.Duration("result-ttl", 15*time.Minute, "how long finished v2 job results are retained for polling")
-		maxJobTO    = fs.Duration("max-job-timeout", 5*time.Minute, "largest planning budget a v2 job may ask for")
-		drain       = fs.Duration("drain", 30*time.Second, "shutdown drain deadline for in-flight requests and jobs")
-		maxSess     = fs.Int("max-sessions", 64, "largest number of live v2 sessions")
-		maxSessIn   = fs.Int("max-session-inputs", 10_000, "largest live input count per session")
-		debugAddr   = fs.String("debug-addr", "", "separate listener for /metrics, /debug/pprof, and /debug/traces (default: served on -addr)")
-		logFormat   = fs.String("log-format", "text", `log output format: "text" or "json"`)
-		dataDir     = fs.String("data-dir", "", "directory for the durability WAL; empty runs in-memory only")
-		fsyncMode   = fs.String("fsync", "interval", `WAL fsync policy: "always", "interval", or "never"`)
-		fsyncEvery  = fs.Duration("fsync-interval", 100*time.Millisecond, "fsync cadence under -fsync=interval")
-		ckptEvery   = fs.Duration("checkpoint-interval", time.Minute, "WAL snapshot-checkpoint and compaction cadence")
-		self        = fs.String("self", "", "this node's advertised base URL in a -peers fleet (e.g. http://10.0.0.1:8080)")
-		peers       = fs.String("peers", "", "comma-separated base URLs of every fleet node including this one; empty runs single-node")
-		healthInt   = fs.Duration("health-interval", 500*time.Millisecond, "peer readiness probe cadence")
-		healthFail  = fs.Int("health-fail", 2, "consecutive failed probes before a peer is routed around")
-		drainGrace  = fs.Duration("drain-grace", time.Second, "pause after /readyz flips to 503 before the listener closes, so peers stop forwarding here (clustered only)")
-		fleetCache  = fs.Int("fleet-cache", 0, "fleet plan-cache shard capacity in entries (0 = default)")
-		traceSample = fs.Float64("trace-sample", 0.05, "fraction of fast successful traces the flight recorder keeps (errored/slow traces are always kept)")
-		traceSlow   = fs.Duration("trace-slow", 250*time.Millisecond, "latency at or above which a trace is always retained")
-		traceBuf    = fs.Int("trace-buffer", 512, "flight-recorder capacity in retained traces")
+		addr       = fs.String("addr", ":8080", "listen address")
+		cacheSize  = fs.Int("cache", assign.DefaultCacheEntries, "canonical plan cache capacity (0 disables)")
+		drain      = fs.Duration("drain", 30*time.Second, "shutdown drain deadline for in-flight requests and jobs")
+		drainGrace = fs.Duration("drain-grace", time.Second, "pause after /readyz flips to 503 before the listener closes, so peers stop forwarding here (clustered only)")
+		logFormat  = fs.String("log-format", "text", `log output format: "text" or "json"`)
 	)
+	fs.DurationVar(&cfg.DefaultTimeout, "timeout", cfg.DefaultTimeout, "default per-request planning budget")
+	fs.DurationVar(&cfg.MaxTimeout, "max-timeout", cfg.MaxTimeout, "largest per-request budget a synchronous client may ask for")
+	fs.Int64Var(&cfg.MaxBodyBytes, "max-body", cfg.MaxBodyBytes, "largest accepted request body in bytes")
+	fs.IntVar(&cfg.MaxInputs, "max-inputs", cfg.MaxInputs, "largest accepted instance size (total inputs)")
+	fs.IntVar(&cfg.MaxExecInputs, "max-exec-inputs", cfg.MaxExecInputs, "largest instance execute runs (pair work is quadratic)")
+	fs.IntVar(&cfg.JobWorkers, "job-workers", cfg.JobWorkers, "v2 job worker pool size (0 = GOMAXPROCS)")
+	fs.IntVar(&cfg.QueueDepth, "queue-depth", cfg.QueueDepth, "v2 job queue depth; beyond it submits get 429")
+	fs.DurationVar(&cfg.ResultTTL, "result-ttl", cfg.ResultTTL, "how long finished v2 job results are retained for polling")
+	fs.DurationVar(&cfg.MaxJobTimeout, "max-job-timeout", cfg.MaxJobTimeout, "largest planning budget a v2 job may ask for")
+	fs.IntVar(&cfg.MaxSessions, "max-sessions", cfg.MaxSessions, "largest number of live v2 sessions")
+	fs.IntVar(&cfg.MaxSessionInputs, "max-session-inputs", cfg.MaxSessionInputs, "largest live input count per session")
+	fs.StringVar(&cfg.DebugAddr, "debug-addr", cfg.DebugAddr, "separate listener for /metrics, /debug/pprof, and /debug/traces (default: served on -addr)")
+	fs.StringVar(&cfg.DataDir, "data-dir", cfg.DataDir, "directory for the durability WAL; empty runs in-memory only")
+	fs.Func("fsync", `WAL fsync policy: "always", "interval", or "never" (default "`+cfg.Fsync.String()+`")`, func(v string) (err error) {
+		cfg.Fsync, err = wal.ParsePolicy(v)
+		return err
+	})
+	fs.DurationVar(&cfg.FsyncInterval, "fsync-interval", cfg.FsyncInterval, "fsync cadence under -fsync=interval")
+	fs.DurationVar(&cfg.CheckpointInterval, "checkpoint-interval", cfg.CheckpointInterval, "WAL snapshot-checkpoint and compaction cadence")
+	fs.StringVar(&cfg.Self, "self", cfg.Self, "this node's advertised base URL in a -peers fleet (e.g. http://10.0.0.1:8080)")
+	fs.Func("peers", "comma-separated base URLs of every fleet node including this one; empty runs single-node", func(v string) error {
+		cfg.Peers = splitPeers(v)
+		return nil
+	})
+	fs.DurationVar(&cfg.HealthInterval, "health-interval", cfg.HealthInterval, "peer readiness probe cadence")
+	fs.IntVar(&cfg.HealthFailAfter, "health-fail", cfg.HealthFailAfter, "consecutive failed probes before a peer is routed around")
+	fs.IntVar(&cfg.FleetCacheEntries, "fleet-cache", cfg.FleetCacheEntries, "fleet plan-cache shard capacity in entries (0 = default)")
+	fs.Float64Var(&cfg.TraceSampleRate, "trace-sample", cfg.TraceSampleRate, "fraction of fast successful traces the flight recorder keeps (errored/slow traces are always kept)")
+	fs.DurationVar(&cfg.TraceSlow, "trace-slow", cfg.TraceSlow, "latency at or above which a trace is always retained")
+	fs.IntVar(&cfg.TraceBufferEntries, "trace-buffer", cfg.TraceBufferEntries, "flight-recorder capacity in retained traces")
 	if err := fs.Parse(os.Args[1:]); err != nil {
 		os.Exit(2)
 	}
-	var lh slog.Handler
 	switch *logFormat {
 	case "text":
-		lh = slog.NewTextHandler(os.Stderr, nil)
+		cfg.Logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
 	case "json":
-		lh = slog.NewJSONHandler(os.Stderr, nil)
+		cfg.Logger = slog.New(slog.NewJSONHandler(os.Stderr, nil))
 	default:
 		fmt.Fprintf(os.Stderr, "pland: -log-format must be text or json, got %q\n", *logFormat)
 		os.Exit(2)
 	}
-	logger := slog.New(lh)
+	logger := cfg.Logger
 	slog.SetDefault(logger)
-	fsyncPolicy, err := wal.ParsePolicy(*fsyncMode)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pland: %v\n", err)
-		os.Exit(2)
-	}
 	entries := *cacheSize
 	if entries == 0 {
 		entries = -1 // PlannerConfig uses negative to disable, 0 for the default
@@ -177,45 +188,19 @@ func main() {
 	pl := assign.NewPlanner(assign.PlannerConfig{CacheEntries: entries})
 	// With -data-dir, whatever a previous process journaled is recovered,
 	// verified, and audited here, before the listener opens.
-	srv, err := newDurableServer(pl, serverConfig{
-		DefaultTimeout:     *timeout,
-		MaxTimeout:         *maxTimeout,
-		MaxBodyBytes:       *maxBody,
-		MaxInputs:          *maxInputs,
-		MaxExecInputs:      *maxExec,
-		JobWorkers:         *jobWorkers,
-		QueueDepth:         *queueDepth,
-		ResultTTL:          *resultTTL,
-		MaxJobTimeout:      *maxJobTO,
-		MaxSessions:        *maxSess,
-		MaxSessionInputs:   *maxSessIn,
-		DebugAddr:          *debugAddr,
-		Logger:             logger,
-		DataDir:            *dataDir,
-		Fsync:              fsyncPolicy,
-		FsyncInterval:      *fsyncEvery,
-		CheckpointInterval: *ckptEvery,
-		Self:               *self,
-		Peers:              splitPeers(*peers),
-		HealthInterval:     *healthInt,
-		HealthFailAfter:    *healthFail,
-		FleetCacheEntries:  *fleetCache,
-		TraceSampleRate:    *traceSample,
-		TraceSlow:          *traceSlow,
-		TraceBufferEntries: *traceBuf,
-	})
+	srv, err := newDurableServer(pl, cfg)
 	if err != nil {
-		logger.Error("starting server", "dir", *dataDir, "error", err)
+		logger.Error("starting server", "dir", cfg.DataDir, "error", err)
 		os.Exit(1)
 	}
 	if srv.cluster != nil {
 		srv.cluster.health.Start()
-		logger.Info("cluster member", "self", *self, "peers", *peers,
-			"health_interval", *healthInt, "health_fail", *healthFail)
+		logger.Info("cluster member", "self", cfg.Self, "peers", strings.Join(cfg.Peers, ","),
+			"health_interval", cfg.HealthInterval, "health_fail", cfg.HealthFailAfter)
 	}
 	logger.Info("listening", "addr", *addr, "cache_entries", *cacheSize,
-		"default_budget", *timeout, "queue_depth", *queueDepth,
-		"data_dir", *dataDir, "fsync", fsyncPolicy.String())
+		"default_budget", cfg.DefaultTimeout, "queue_depth", cfg.QueueDepth,
+		"data_dir", cfg.DataDir, "fsync", cfg.Fsync.String())
 	hs := &http.Server{
 		Addr:              *addr,
 		Handler:           srv,
@@ -231,13 +216,13 @@ func main() {
 	// The debug listener serves /metrics and pprof away from API traffic so
 	// a scrape or a profile never competes with a solve for the API port.
 	var ds *http.Server
-	if *debugAddr != "" {
+	if cfg.DebugAddr != "" {
 		ds = &http.Server{
-			Addr:              *debugAddr,
+			Addr:              cfg.DebugAddr,
 			Handler:           srv.debugMux(),
 			ReadHeaderTimeout: 10 * time.Second,
 		}
-		logger.Info("debug listener", "addr", *debugAddr)
+		logger.Info("debug listener", "addr", cfg.DebugAddr)
 		go func() {
 			if err := ds.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				logger.Error("debug listener failed", "error", err)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/pkg/assign"
+	"repro/pkg/assign/plandclient"
 )
 
 // newTestServerCfg spins a full server (planner, job manager, mux) behind
@@ -32,14 +33,14 @@ func newTestServer(t *testing.T) *httptest.Server {
 	return newTestServerCfg(t, serverConfig{})
 }
 
-func postPlan(t *testing.T, srv *httptest.Server, body string) (*http.Response, planResponse) {
+func postPlan(t *testing.T, srv *httptest.Server, body string) (*http.Response, plandclient.PlanResult) {
 	t.Helper()
 	resp, err := http.Post(srv.URL+"/v1/plan", "application/json", bytes.NewBufferString(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { resp.Body.Close() })
-	var out planResponse
+	var out plandclient.PlanResult
 	if resp.StatusCode == http.StatusOK {
 		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 			t.Fatalf("decoding response: %v", err)
@@ -221,14 +222,14 @@ func TestPlanBudgetExhaustionMapsToGatewayTimeout(t *testing.T) {
 	}
 }
 
-func postExecute(t *testing.T, srv *httptest.Server, body string) (*http.Response, executeResponse) {
+func postExecute(t *testing.T, srv *httptest.Server, body string) (*http.Response, plandclient.ExecuteResult) {
 	t.Helper()
 	resp, err := http.Post(srv.URL+"/v1/execute", "application/json", bytes.NewBufferString(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { resp.Body.Close() })
-	var out executeResponse
+	var out plandclient.ExecuteResult
 	if resp.StatusCode == http.StatusOK {
 		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 			t.Fatalf("decoding execute response: %v", err)

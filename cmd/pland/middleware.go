@@ -3,17 +3,14 @@ package main
 import (
 	"log/slog"
 	"net/http"
-	"net/http/pprof"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/obs"
 )
 
-// HTTP surface series on obs.Default. Route labels come from a small fixed
-// vocabulary — IDs are normalized away — so the label sets stay bounded no
-// matter what clients request.
+// HTTP surface series on obs.Default. Route labels are the routing table's
+// (see routeLabels).
 var (
 	obsHTTPRequests = obs.Default.CounterVec("pland_http_requests_total",
 		"HTTP requests served, by normalized route and status code.", "route", "status")
@@ -27,32 +24,6 @@ var (
 // sane value, generated otherwise, and always echoed on the response so a
 // client can quote it when reporting a failure.
 const requestIDHeader = "X-Request-ID"
-
-// routeLabel collapses a request path onto the bounded route vocabulary.
-func routeLabel(path string) string {
-	switch path {
-	case "/v1/plan", "/v1/execute", "/v1/stats",
-		"/v2/jobs", "/v2/sessions", "/healthz", "/readyz",
-		"/internal/handoff", "/metrics":
-		return path
-	}
-	if path == "/debug/traces" {
-		return path
-	}
-	switch {
-	case strings.HasPrefix(path, "/v2/jobs/"):
-		return "/v2/jobs/{id}"
-	case strings.HasPrefix(path, "/v2/sessions/"):
-		return "/v2/sessions/{id}"
-	case strings.HasPrefix(path, "/internal/cache/"):
-		return "/internal/cache/{key}"
-	case strings.HasPrefix(path, "/debug/traces/"):
-		return "/debug/traces/{id}"
-	case strings.HasPrefix(path, "/debug/pprof"):
-		return "/debug/pprof"
-	}
-	return "other"
-}
 
 // validRequestID accepts inbound correlation IDs that are short and plain
 // ASCII; anything else (empty, oversized, control bytes, quote/backslash that
@@ -97,11 +68,17 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 // per-request trace-root span that stage spans report into (joining the
 // inbound traceparent's trace when one arrives), per-route request counters
 // and latency histograms, the flight recorder, and one structured log line
-// per request.
-func withObs(logger *slog.Logger, rec *obs.Recorder, next http.Handler) http.Handler {
+// per request. It wraps the mux rather than each route so that the replies
+// the mux writes itself (a redirect to the clean path) carry a request ID and
+// are counted too; the route is the label of the pattern the mux will match.
+func withObs(logger *slog.Logger, rec *obs.Recorder, next *http.ServeMux) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		route := routeLabel(r.URL.Path)
+		_, pattern := next.Handler(r)
+		route, ok := routeLabels[pattern]
+		if !ok {
+			route = "other"
+		}
 
 		id := r.Header.Get(requestIDHeader)
 		if !validRequestID(id) {
@@ -151,23 +128,10 @@ func withObs(logger *slog.Logger, rec *obs.Recorder, next http.Handler) http.Han
 	})
 }
 
-// registerDebug mounts the metrics, pprof, and trace endpoints on mux. They
-// sit on the main listener by default and move to -debug-addr when one is
-// given.
-func (s *server) registerDebug(mux *http.ServeMux) {
-	mux.Handle("/metrics", obs.Handler(obs.Default))
-	mux.HandleFunc("/debug/traces", s.handleTraces)
-	mux.HandleFunc("/debug/traces/", s.handleTrace)
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-}
-
-// debugMux builds the standalone handler the -debug-addr listener serves.
+// debugMux builds the standalone handler the -debug-addr listener serves:
+// the routing table's debug rows, which sit on the main listener otherwise.
 func (s *server) debugMux() *http.ServeMux {
 	mux := http.NewServeMux()
-	s.registerDebug(mux)
+	s.mount(mux, true)
 	return mux
 }

@@ -14,32 +14,6 @@ import (
 	"repro/pkg/assign"
 )
 
-func TestRouteLabel(t *testing.T) {
-	cases := map[string]string{
-		"/v1/plan":           "/v1/plan",
-		"/v1/execute":        "/v1/execute",
-		"/v1/stats":          "/v1/stats",
-		"/v2/jobs":           "/v2/jobs",
-		"/v2/jobs/abc123":    "/v2/jobs/{id}",
-		"/v2/sessions":       "/v2/sessions",
-		"/v2/sessions/s-1":   "/v2/sessions/{id}",
-		"/healthz":           "/healthz",
-		"/metrics":           "/metrics",
-		"/debug/pprof/":      "/debug/pprof",
-		"/debug/pprof/heap":  "/debug/pprof",
-		"/debug/traces":      "/debug/traces",
-		"/debug/traces/abcd": "/debug/traces/{id}",
-		"/":                  "other",
-		"/no/such/endpoint":  "other",
-		"/v2/jobs/a/b/extra": "/v2/jobs/{id}",
-	}
-	for path, want := range cases {
-		if got := routeLabel(path); got != want {
-			t.Errorf("routeLabel(%q) = %q, want %q", path, got, want)
-		}
-	}
-}
-
 func TestRequestIDHeader(t *testing.T) {
 	srv := newTestServer(t)
 

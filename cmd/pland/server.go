@@ -16,6 +16,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/wal"
 	"repro/pkg/assign"
+	"repro/pkg/assign/plandclient"
 )
 
 // serverConfig bounds what one request — synchronous or queued — may cost
@@ -101,37 +102,57 @@ type server struct {
 	checkpointWG   sync.WaitGroup
 }
 
+// defaultServerConfig is the one list of defaults: main binds its flags onto
+// a copy of it, and newServer takes from it whatever limit a caller left
+// unset. A field that is absent here defaults to its zero value, which the
+// package it configures reads as its own default (0 job workers is
+// GOMAXPROCS, 0 fleet-cache entries is shard.DefaultCacheEntries).
+func defaultServerConfig() serverConfig {
+	return serverConfig{
+		DefaultTimeout:     assign.DefaultTimeout,
+		MaxTimeout:         10 * time.Second,
+		MaxBodyBytes:       8 << 20,
+		MaxInputs:          200_000,
+		MaxExecInputs:      1000,
+		QueueDepth:         64,
+		ResultTTL:          15 * time.Minute,
+		MaxJobTimeout:      5 * time.Minute,
+		MaxSessions:        64,
+		MaxSessionInputs:   10_000,
+		TraceSampleRate:    0.05,
+		TraceSlow:          250 * time.Millisecond,
+		TraceBufferEntries: 512,
+		Fsync:              wal.SyncInterval,
+		FsyncInterval:      100 * time.Millisecond,
+		CheckpointInterval: time.Minute,
+		HealthInterval:     500 * time.Millisecond,
+		HealthFailAfter:    2,
+	}
+}
+
+// orDefault replaces a limit that is not positive with its default.
+func orDefault[T ~int | ~int64](v *T, def T) {
+	if *v <= 0 {
+		*v = def
+	}
+}
+
 func newServer(pl *assign.Planner, cfg serverConfig) *server {
-	if cfg.DefaultTimeout <= 0 {
-		cfg.DefaultTimeout = assign.DefaultTimeout
-	}
-	if cfg.MaxTimeout < cfg.DefaultTimeout {
-		cfg.MaxTimeout = cfg.DefaultTimeout
-	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 8 << 20
-	}
-	if cfg.MaxInputs <= 0 {
-		cfg.MaxInputs = 200_000
-	}
-	if cfg.MaxExecInputs <= 0 {
-		cfg.MaxExecInputs = 1000
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 64
-	}
-	if cfg.ResultTTL <= 0 {
-		cfg.ResultTTL = 15 * time.Minute
-	}
-	if cfg.MaxJobTimeout < cfg.MaxTimeout {
-		cfg.MaxJobTimeout = cfg.MaxTimeout
-	}
-	if cfg.MaxSessions <= 0 {
-		cfg.MaxSessions = 64
-	}
-	if cfg.MaxSessionInputs <= 0 {
-		cfg.MaxSessionInputs = 10_000
-	}
+	def := defaultServerConfig()
+	orDefault(&cfg.DefaultTimeout, def.DefaultTimeout)
+	// The two caps are not defaulted but held to an order: a synchronous
+	// request may ask for at least the default budget, a job for at least what
+	// a synchronous request may.
+	cfg.MaxTimeout = max(cfg.MaxTimeout, cfg.DefaultTimeout)
+	cfg.MaxJobTimeout = max(cfg.MaxJobTimeout, cfg.MaxTimeout)
+	orDefault(&cfg.MaxBodyBytes, def.MaxBodyBytes)
+	orDefault(&cfg.MaxInputs, def.MaxInputs)
+	orDefault(&cfg.MaxExecInputs, def.MaxExecInputs)
+	orDefault(&cfg.QueueDepth, def.QueueDepth)
+	orDefault(&cfg.ResultTTL, def.ResultTTL)
+	orDefault(&cfg.MaxSessions, def.MaxSessions)
+	orDefault(&cfg.MaxSessionInputs, def.MaxSessionInputs)
+	orDefault(&cfg.CheckpointInterval, def.CheckpointInterval)
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
 	}
@@ -156,19 +177,9 @@ func newServer(pl *assign.Planner, cfg serverConfig) *server {
 		ResultTTL:  cfg.ResultTTL,
 		OnFinish:   s.jobFinished,
 	})
-	s.mux.HandleFunc("/v1/plan", s.handlePlan)
-	s.mux.HandleFunc("/v1/execute", s.handleExecute)
-	s.mux.HandleFunc("/v1/stats", s.handleStats)
-	s.mux.HandleFunc("/v2/jobs", s.handleJobs)
-	s.mux.HandleFunc("/v2/jobs/", s.handleJob)
-	s.mux.HandleFunc("/v2/sessions", s.handleSessions)
-	s.mux.HandleFunc("/v2/sessions/", s.handleSession)
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/readyz", s.handleReadyz)
-	s.mux.HandleFunc("/internal/handoff", s.handleHandoff)
-	s.mux.HandleFunc("/internal/cache/", s.handleFleetCache)
+	s.mount(s.mux, false)
 	if cfg.DebugAddr == "" {
-		s.registerDebug(s.mux)
+		s.mount(s.mux, true)
 	}
 	s.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, notFound("no such endpoint"))
@@ -206,54 +217,36 @@ func (s *server) Close(ctx context.Context) error {
 	return err
 }
 
-// Error envelope: every handler failure, v1 and v2, is
-// {"error":{"code":"...","message":"..."}} with a stable machine-readable
-// code and the HTTP status carried out of band.
-const (
-	codeBadRequest       = "bad_request"
-	codeMethodNotAllowed = "method_not_allowed"
-	codeNotFound         = "not_found"
-	codeConflict         = "conflict"
-	codeQueueFull        = "queue_full"
-	codeSessionLimit     = "session_limit"
-	codeUnprocessable    = "unprocessable"
-	codePlanTimeout      = "plan_timeout"
-	codeCanceled         = "canceled"
-	codeShuttingDown     = "shutting_down"
-	codePeerUnreachable  = "peer_unreachable"
-	codeInternal         = "internal"
-)
-
-// apiError is one handler failure. It implements error (and unwraps to its
-// cause) so it can round-trip through the jobs manager intact.
+// apiError is one handler failure: the error body the wire carries (every
+// failure, v1 and v2, is the envelope {"error":{"code":"...","message":"..."}}
+// with a stable machine-readable code from plandclient's Code constants) plus
+// the HTTP status, which travels out of band. It implements error (and
+// unwraps to its cause) so it can round-trip through the jobs manager intact.
 type apiError struct {
-	Status  int    `json:"-"`
-	Code    string `json:"code"`
-	Message string `json:"message"`
-	cause   error
+	plandclient.ErrorBody
+	Status int `json:"-"`
+	cause  error
 }
 
 func (e *apiError) Error() string { return e.Message }
 func (e *apiError) Unwrap() error { return e.cause }
 
-type errorEnvelope struct {
-	Error *apiError `json:"error"`
+func newAPIError(status int, code, message string, cause error) *apiError {
+	return &apiError{ErrorBody: plandclient.ErrorBody{Code: code, Message: message}, Status: status, cause: cause}
 }
 
 func badRequestf(format string, args ...any) *apiError {
-	return &apiError{Status: http.StatusBadRequest, Code: codeBadRequest, Message: fmt.Sprintf(format, args...)}
-}
-
-func methodNotAllowed(want string) *apiError {
-	return &apiError{Status: http.StatusMethodNotAllowed, Code: codeMethodNotAllowed, Message: want + " required"}
+	return newAPIError(http.StatusBadRequest, plandclient.CodeBadRequest, fmt.Sprintf(format, args...), nil)
 }
 
 func notFound(msg string) *apiError {
-	return &apiError{Status: http.StatusNotFound, Code: codeNotFound, Message: msg}
+	return newAPIError(http.StatusNotFound, plandclient.CodeNotFound, msg, nil)
 }
 
 func writeAPIError(w http.ResponseWriter, e *apiError) {
-	writeJSON(w, e.Status, errorEnvelope{Error: e})
+	writeJSON(w, e.Status, struct {
+		Error *apiError `json:"error"`
+	}{e})
 }
 
 // planError maps a planning failure to an envelope: budget/context
@@ -261,77 +254,32 @@ func writeAPIError(w http.ResponseWriter, e *apiError) {
 // instance) is unprocessable.
 func planError(err error) *apiError {
 	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		return &apiError{Status: http.StatusGatewayTimeout, Code: codePlanTimeout, Message: err.Error(), cause: err}
+		return newAPIError(http.StatusGatewayTimeout, plandclient.CodePlanTimeout, err.Error(), err)
 	}
-	return &apiError{Status: http.StatusUnprocessableEntity, Code: codeUnprocessable, Message: err.Error(), cause: err}
+	return newAPIError(http.StatusUnprocessableEntity, plandclient.CodeUnprocessable, err.Error(), err)
 }
 
-// planRequest is the JSON body of POST /v1/plan and of the "plan" payload
-// of a v2 job.
-type planRequest struct {
-	// Problem is "A2A" or "X2Y".
-	Problem string `json:"problem"`
-	// Capacity is the reducer capacity q.
-	Capacity assign.Size `json:"capacity"`
-	// Sizes holds the A2A input sizes; XSizes/YSizes the X2Y sides.
-	Sizes  []assign.Size `json:"sizes,omitempty"`
-	XSizes []assign.Size `json:"x_sizes,omitempty"`
-	YSizes []assign.Size `json:"y_sizes,omitempty"`
-	// TimeoutMS optionally overrides the planning budget, capped by the
-	// server's -max-timeout (synchronous) or -max-job-timeout (v2 jobs). A
-	// negative value requests the deterministic await-all mode (every
-	// portfolio member is awaited; each is individually bounded). It only
-	// shapes a fresh solve: an isomorphic instance already cached (or in
-	// flight) is served as previously solved regardless of this value —
-	// combine with NoCache to force a re-solve under this request's budget.
-	TimeoutMS int `json:"timeout_ms,omitempty"`
-	// NoCache skips the canonicalization cache for this request.
-	NoCache bool `json:"no_cache,omitempty"`
-}
-
-// planResponse is the JSON answer of POST /v1/plan and the result of a
-// succeeded "plan" job.
-type planResponse struct {
-	Schema             *assign.MappingSchema `json:"schema"`
-	Reducers           int                   `json:"reducers"`
-	Communication      assign.Size           `json:"communication"`
-	ReplicationRate    float64               `json:"replication_rate"`
-	MaxLoad            assign.Size           `json:"max_load"`
-	Winner             string                `json:"winner"`
-	LowerBoundReducers int                   `json:"lower_bound_reducers"`
-	Gap                int                   `json:"gap"`
-	Candidates         int                   `json:"candidates"`
-	CacheHit           bool                  `json:"cache_hit"`
-	SharedFlight       bool                  `json:"shared_flight"`
-	// FleetCacheHit marks a result served from the fleet-wide cluster cache
-	// rather than a local solve (see planFleet in cluster.go).
-	FleetCacheHit bool  `json:"fleet_cache_hit,omitempty"`
-	ElapsedMicros int64 `json:"elapsed_us"`
-}
-
-// decodeBody decodes a JSON body under the server's size cap. The body is
-// one JSON value: Decode stops after the first, so whatever follows it is
-// looked at too and only white space is let through.
-func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, v any) *apiError {
+// decodeBody decodes a JSON body under the server's size cap, or answers 400
+// and reports false. The body is one JSON value: Decode stops after the
+// first, so whatever follows it is looked at too and only white space is let
+// through.
+func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		return badRequestf("decoding request: %v", err)
+		writeAPIError(w, badRequestf("decoding request: %v", err))
+		return false
 	}
 	if _, err := dec.Token(); err != io.EOF {
-		return badRequestf("decoding request: unexpected data after the request body")
+		writeAPIError(w, badRequestf("decoding request: unexpected data after the request body"))
+		return false
 	}
-	return nil
+	return true
 }
 
 func (s *server) handlePlan(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeAPIError(w, methodNotAllowed("POST"))
-		return
-	}
-	var body planRequest
-	if aerr := s.decodeBody(w, r, &body); aerr != nil {
-		writeAPIError(w, aerr)
+	var body plandclient.PlanRequest
+	if !s.decodeBody(w, r, &body) {
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.MaxTimeout)
@@ -364,7 +312,7 @@ func validSizes(field string, sizes []assign.Size) *apiError {
 // submit can fail malformed jobs fast and cheaply. Validation failures map
 // uniformly to 400; failures from planning itself (e.g. infeasible
 // instances) map to 422 later.
-func (s *server) validatePlan(body planRequest) *apiError {
+func (s *server) validatePlan(body plandclient.PlanRequest) *apiError {
 	if body.Capacity <= 0 {
 		return badRequestf("capacity must be positive, got %d", body.Capacity)
 	}
@@ -385,7 +333,7 @@ func (s *server) validatePlan(body planRequest) *apiError {
 }
 
 // planOptions assembles the SDK options for a validated request.
-func (s *server) planOptions(body planRequest) ([]assign.Option, *apiError) {
+func (s *server) planOptions(body plandclient.PlanRequest) ([]assign.Option, *apiError) {
 	if aerr := s.validatePlan(body); aerr != nil {
 		return nil, aerr
 	}
@@ -405,7 +353,7 @@ func (s *server) planOptions(body planRequest) ([]assign.Option, *apiError) {
 // runPlan is the one core both /v1/plan and "plan" jobs execute; maxBudget
 // is the cap the surface grants (MaxTimeout synchronously, MaxJobTimeout
 // for jobs).
-func (s *server) runPlan(ctx context.Context, body planRequest, maxBudget time.Duration) (*planResponse, *apiError) {
+func (s *server) runPlan(ctx context.Context, body plandclient.PlanRequest, maxBudget time.Duration) (*plandclient.PlanResult, *apiError) {
 	opts, aerr := s.planOptions(body)
 	if aerr != nil {
 		return nil, aerr
@@ -415,7 +363,7 @@ func (s *server) runPlan(ctx context.Context, body planRequest, maxBudget time.D
 	if err != nil {
 		return nil, planError(err)
 	}
-	return &planResponse{
+	return &plandclient.PlanResult{
 		Schema:             res.Schema,
 		Reducers:           res.Cost.Reducers,
 		Communication:      res.Cost.Communication,
@@ -449,62 +397,12 @@ func requestBudget(timeoutMS int, def, max time.Duration) time.Duration {
 	}
 }
 
-// executeRequest is the JSON body of POST /v1/execute and of the "execute"
-// payload of a v2 job. Input sizes are the payload byte lengths, so the
-// planned schema's capacity bound is about the very bytes that are shuffled.
-type executeRequest struct {
-	// Problem is "A2A" or "X2Y".
-	Problem string `json:"problem"`
-	// Capacity is the reducer capacity q in bytes.
-	Capacity assign.Size `json:"capacity"`
-	// Inputs holds the A2A payloads; XInputs/YInputs the X2Y sides.
-	Inputs  []string `json:"inputs,omitempty"`
-	XInputs []string `json:"x_inputs,omitempty"`
-	YInputs []string `json:"y_inputs,omitempty"`
-	// TimeoutMS and NoCache tune the planning step exactly as in /v1/plan.
-	TimeoutMS int  `json:"timeout_ms,omitempty"`
-	NoCache   bool `json:"no_cache,omitempty"`
-	// ReturnPairs includes the processed pair IDs in the response (capped).
-	ReturnPairs bool `json:"return_pairs,omitempty"`
-	// MemoryBudget, when positive, bounds the execution's in-memory shuffle
-	// bytes; over-budget reduce partitions spill sorted runs to disk
-	// and merge them back at reduce time. Output is unchanged; the response
-	// reports the realized spill volume.
-	MemoryBudget int64 `json:"memory_budget,omitempty"`
-}
-
-// executeResponse is the JSON answer of POST /v1/execute and the result of
-// a succeeded "execute" job.
-type executeResponse struct {
-	Schema         *assign.MappingSchema `json:"schema"`
-	Reducers       int                   `json:"reducers"`
-	Winner         string                `json:"winner"`
-	CacheHit       bool                  `json:"cache_hit"`
-	Pairs          int64                 `json:"pairs"`
-	PairIDs        []string              `json:"pair_ids,omitempty"`
-	ShuffleRecords int64                 `json:"shuffle_records"`
-	ShuffleBytes   int64                 `json:"shuffle_bytes"`
-	MaxReducerLoad int64                 `json:"max_reducer_load"`
-	// Spill figures are zero unless the request set a memory_budget the run
-	// exceeded.
-	SpillRuns       int64 `json:"spill_runs,omitempty"`
-	SpillPartitions int64 `json:"spill_partitions,omitempty"`
-	SpillBytes      int64 `json:"spill_bytes,omitempty"`
-	Audited         bool  `json:"audited"`
-	ElapsedMicros   int64 `json:"elapsed_us"`
-}
-
 // maxReturnedPairs caps the pair list a single response may carry.
 const maxReturnedPairs = 10_000
 
 func (s *server) handleExecute(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeAPIError(w, methodNotAllowed("POST"))
-		return
-	}
-	var body executeRequest
-	if aerr := s.decodeBody(w, r, &body); aerr != nil {
-		writeAPIError(w, aerr)
+	var body plandclient.ExecuteRequest
+	if !s.decodeBody(w, r, &body) {
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.MaxTimeout)
@@ -533,7 +431,7 @@ func validPayloads(field string, in []string) *apiError {
 
 // validateExecute checks the wire request without materializing payload
 // copies — v2 submit runs it synchronously for every job.
-func (s *server) validateExecute(body executeRequest) *apiError {
+func (s *server) validateExecute(body plandclient.ExecuteRequest) *apiError {
 	if body.Capacity <= 0 {
 		return badRequestf("capacity must be positive, got %d", body.Capacity)
 	}
@@ -555,7 +453,7 @@ func (s *server) validateExecute(body executeRequest) *apiError {
 
 // executeOptions assembles the SDK options for a validated request, minus
 // the pair logic.
-func (s *server) executeOptions(body executeRequest) ([]assign.Option, *apiError) {
+func (s *server) executeOptions(body plandclient.ExecuteRequest) ([]assign.Option, *apiError) {
 	if aerr := s.validateExecute(body); aerr != nil {
 		return nil, aerr
 	}
@@ -583,7 +481,7 @@ func (s *server) executeOptions(body executeRequest) ([]assign.Option, *apiError
 }
 
 // runExecute is the one core both /v1/execute and "execute" jobs run.
-func (s *server) runExecute(ctx context.Context, body executeRequest, maxBudget time.Duration) (*executeResponse, *apiError) {
+func (s *server) runExecute(ctx context.Context, body plandclient.ExecuteRequest, maxBudget time.Duration) (*plandclient.ExecuteResult, *apiError) {
 	start := time.Now()
 	opts, aerr := s.executeOptions(body)
 	if aerr != nil {
@@ -611,11 +509,11 @@ func (s *server) runExecute(ctx context.Context, body executeRequest, maxBudget 
 		default:
 			// The schema was planned and validated moments ago, so an
 			// execution or audit failure is a server-side defect.
-			return nil, &apiError{Status: http.StatusInternalServerError, Code: codeInternal,
-				Message: fmt.Sprintf("executing plan: %v", err), cause: err}
+			return nil, newAPIError(http.StatusInternalServerError, plandclient.CodeInternal,
+				fmt.Sprintf("executing plan: %v", err), err)
 		}
 	}
-	resp := &executeResponse{
+	resp := &plandclient.ExecuteResult{
 		Schema:          ex.Plan.Schema,
 		Reducers:        ex.Plan.Schema.NumReducers(),
 		Winner:          ex.Plan.Winner,
@@ -668,10 +566,6 @@ type statsResponse struct {
 }
 
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeAPIError(w, methodNotAllowed("GET"))
-		return
-	}
 	s.sessMu.Lock()
 	live := len(s.sessions)
 	s.sessMu.Unlock()

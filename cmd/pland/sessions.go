@@ -9,11 +9,11 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 
 	"repro/internal/obs"
 	"repro/pkg/assign"
+	"repro/pkg/assign/plandclient"
 )
 
 // sessionEntry is one live session of the v2 API plus its rebuild-job
@@ -31,124 +31,26 @@ type sessionEntry struct {
 	rebuildJob string // last submitted rebuild job ID, "" when none
 }
 
-// sessionCreateRequest is the JSON body of POST /v2/sessions.
-type sessionCreateRequest struct {
-	// Capacity is the reducer capacity q. Required.
-	Capacity assign.Size `json:"capacity"`
-	// Sizes optionally seeds the session with an initial A2A instance,
-	// planned once through the portfolio before the session goes live.
-	Sizes []assign.Size `json:"sizes,omitempty"`
-	// MigrationBudget, RebuildThreshold, and Headroom tune the maintenance
-	// layer; zero keeps each default (see pkg/assign).
-	MigrationBudget  assign.Size `json:"migration_budget,omitempty"`
-	RebuildThreshold float64     `json:"rebuild_threshold,omitempty"`
-	Headroom         assign.Size `json:"headroom,omitempty"`
-	// TimeoutMS and NoCache shape the session's replans exactly as in
-	// /v1/plan; a negative TimeoutMS requests deterministic await-all mode.
-	TimeoutMS int  `json:"timeout_ms,omitempty"`
-	NoCache   bool `json:"no_cache,omitempty"`
-}
-
-// sessionDelta is one delta of a PATCH batch.
-type sessionDelta struct {
-	// Op is "add", "remove", or "resize".
-	Op string `json:"op"`
-	// Size is the input size for "add" and the new size for "resize".
-	Size assign.Size `json:"size,omitempty"`
-	// ID addresses the input for "remove" and "resize".
-	ID *int `json:"id,omitempty"`
-}
-
-// sessionPatchRequest is the JSON body of PATCH /v2/sessions/{id}.
-type sessionPatchRequest struct {
-	Deltas []sessionDelta `json:"deltas"`
-}
-
-// sessionDeltaResult reports one applied (or failed) delta.
-type sessionDeltaResult struct {
-	assign.DeltaReport
-	Error *apiError `json:"error,omitempty"`
-}
-
-// sessionPatchResponse is the answer of a PATCH: per-delta results in order
-// (processing stops at the first failure), the session's stats afterwards,
-// and the rebuild job this batch scheduled, if any.
-type sessionPatchResponse struct {
-	Applied      int                  `json:"applied"`
-	Results      []sessionDeltaResult `json:"results"`
-	Stats        assign.SessionStats  `json:"stats"`
-	RebuildJobID string               `json:"rebuild_job_id,omitempty"`
-}
-
-// sessionResponse is the JSON view of one session.
-type sessionResponse struct {
-	ID    string              `json:"id"`
-	Stats assign.SessionStats `json:"stats"`
-	// Schema, IDs, and Sizes are the consistent snapshot (GET and create
-	// only). IDs maps the schema's dense input indexes to the session's
-	// stable input IDs.
-	Schema *assign.MappingSchema `json:"schema,omitempty"`
-	IDs    []int                 `json:"ids,omitempty"`
-	Sizes  []assign.Size         `json:"sizes,omitempty"`
-	// RebuildJobID is the in-flight or last-submitted rebuild job; poll it
-	// via GET /v2/jobs/{id}.
-	RebuildJobID string `json:"rebuild_job_id,omitempty"`
-	// Node is the cluster node serving this session (clustered servers only).
-	// Fingerprint is the hex state fingerprint of the snapshot this view came
-	// from (schema views only): equal fingerprints mean replay-identical
-	// sessions, which is how the cluster e2e asserts a handed-off session
-	// survived a node's death intact.
-	Node        string `json:"node,omitempty"`
-	Fingerprint string `json:"fingerprint,omitempty"`
-}
-
-// sessionListResponse is the answer of GET /v2/sessions.
-type sessionListResponse struct {
-	Sessions []sessionResponse `json:"sessions"`
-	Count    int               `json:"count"`
-	Limit    int               `json:"limit"`
-}
-
-// newSessionID returns a 8-byte random hex session ID.
-func newSessionID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		panic(fmt.Sprintf("pland: reading random session ID: %v", err))
+// randomHex returns n random bytes in hex, the stuff session and job IDs are
+// made of.
+func randomHex(n int) string {
+	b := make([]byte, n)
+	if _, err := rand.Read(b); err != nil {
+		panic(fmt.Sprintf("pland: reading a random ID: %v", err))
 	}
-	return "s-" + hex.EncodeToString(b[:])
+	return hex.EncodeToString(b)
 }
 
-// handleSessions serves POST (create) and GET (list) /v2/sessions.
-func (s *server) handleSessions(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost:
-		s.createSession(w, r)
-	case http.MethodGet:
-		s.listSessions(w)
-	default:
-		writeAPIError(w, methodNotAllowed("POST or GET"))
-	}
-}
+func newSessionID() string { return "s-" + randomHex(8) }
 
+// createSession serves POST /v2/sessions. The route drew the ID before
+// anything else: under clustering it decided the owning node, and the journal
+// needs it to stamp the very first snapshot (NewSession journals one as the
+// session goes live).
 func (s *server) createSession(w http.ResponseWriter, r *http.Request) {
-	// The ID is drawn before anything else: under clustering it decides the
-	// owning node (the create is forwarded there with the ID pinned), and the
-	// journal needs it to stamp the very first snapshot (NewSession journals
-	// one as the session goes live).
-	id := pinnedID(r)
-	if id == "" {
-		id = newSessionID()
-		if c := s.cluster; c != nil && r.Header.Get(headerForwarded) == "" {
-			if owner, ok := c.ring.Owner(id, c.health.Alive); ok && owner != c.self {
-				if c.forward(w, r, id, owner, id) {
-					return
-				}
-			}
-		}
-	}
-	var body sessionCreateRequest
-	if aerr := s.decodeBody(w, r, &body); aerr != nil {
-		writeAPIError(w, aerr)
+	id := r.PathValue("id")
+	var body plandclient.SessionCreateRequest
+	if !s.decodeBody(w, r, &body) {
 		return
 	}
 	if body.Capacity <= 0 {
@@ -169,8 +71,8 @@ func (s *server) createSession(w http.ResponseWriter, r *http.Request) {
 	s.sessMu.Lock()
 	if len(s.sessions) >= s.cfg.MaxSessions {
 		s.sessMu.Unlock()
-		writeAPIError(w, &apiError{Status: http.StatusTooManyRequests, Code: codeSessionLimit,
-			Message: fmt.Sprintf("session limit (%d) reached; DELETE one first", s.cfg.MaxSessions)})
+		writeAPIError(w, newAPIError(http.StatusTooManyRequests, plandclient.CodeSessionLimit,
+			fmt.Sprintf("session limit (%d) reached; DELETE one first", s.cfg.MaxSessions), nil))
 		return
 	}
 	s.sessMu.Unlock()
@@ -217,84 +119,100 @@ func (s *server) createSession(w http.ResponseWriter, r *http.Request) {
 		// NewSession already journaled the initial snapshot; without a close
 		// record recovery would resurrect this never-served session.
 		s.journalSessionClose(r.Context(), id)
-		writeAPIError(w, &apiError{Status: http.StatusTooManyRequests, Code: codeSessionLimit,
-			Message: fmt.Sprintf("session limit (%d) reached; DELETE one first", s.cfg.MaxSessions)})
+		writeAPIError(w, newAPIError(http.StatusTooManyRequests, plandclient.CodeSessionLimit,
+			fmt.Sprintf("session limit (%d) reached; DELETE one first", s.cfg.MaxSessions), nil))
 		return
 	}
 	s.sessions[entry.id] = entry
 	s.sessMu.Unlock()
-	writeJSON(w, http.StatusCreated, s.sessionView(entry, true))
+	writeJSON(w, http.StatusCreated, s.sessionView(entry))
 }
 
-func (s *server) listSessions(w http.ResponseWriter) {
-	s.sessMu.Lock()
-	entries := make([]*sessionEntry, 0, len(s.sessions))
-	for _, e := range s.sessions {
-		entries = append(entries, e)
-	}
-	limit := s.cfg.MaxSessions
-	s.sessMu.Unlock()
+// listSessions serves GET /v2/sessions.
+func (s *server) listSessions(w http.ResponseWriter, r *http.Request) {
+	entries := s.liveSessions()
 	sort.Slice(entries, func(i, j int) bool { return entries[i].id < entries[j].id })
 	node := ""
 	if s.cluster != nil {
 		node = s.cluster.self
 	}
-	resp := sessionListResponse{Sessions: make([]sessionResponse, 0, len(entries)), Count: len(entries), Limit: limit}
+	resp := plandclient.SessionList{Sessions: make([]plandclient.Session, 0, len(entries)), Count: len(entries), Limit: s.cfg.MaxSessions}
 	for _, e := range entries {
-		resp.Sessions = append(resp.Sessions, sessionResponse{ID: e.id, Stats: e.sess.Stats(), RebuildJobID: s.activeRebuild(e), Node: node})
+		resp.Sessions = append(resp.Sessions, plandclient.Session{ID: e.id, Stats: e.sess.Stats(), RebuildJobID: s.activeRebuild(e), Node: node})
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleSession serves GET, PATCH, and DELETE /v2/sessions/{id}.
-func (s *server) handleSession(w http.ResponseWriter, r *http.Request) {
-	id := strings.TrimPrefix(r.URL.Path, "/v2/sessions/")
-	if id == "" || strings.Contains(id, "/") {
-		writeAPIError(w, notFound("no such session"))
-		return
-	}
+// holdsSession reports whether the session lives on this node.
+func (s *server) holdsSession(id string) bool {
 	s.sessMu.Lock()
-	entry := s.sessions[id]
+	defer s.sessMu.Unlock()
+	return s.sessions[id] != nil
+}
+
+// liveSessions snapshots the registered sessions, so that callers work on
+// them without holding the registry's lock.
+func (s *server) liveSessions() []*sessionEntry {
+	s.sessMu.Lock()
+	defer s.sessMu.Unlock()
+	entries := make([]*sessionEntry, 0, len(s.sessions))
+	for _, e := range s.sessions {
+		entries = append(entries, e)
+	}
+	return entries
+}
+
+// liveSession resolves the route's {id} to its session. The route has
+// already forwarded what the ring places elsewhere, so an ID not found here
+// is answered 404, by this function, and nil comes back.
+func (s *server) liveSession(w http.ResponseWriter, r *http.Request) *sessionEntry {
+	s.sessMu.Lock()
+	entry := s.sessions[r.PathValue("id")]
 	s.sessMu.Unlock()
 	if entry == nil {
-		// Not here: under clustering the ring says who serves it (a session
-		// present locally — pinned here or handed off here — always serves
-		// locally, so routing never bounces a live session away).
-		if s.routeKeyed(w, r, id) {
-			return
-		}
 		writeAPIError(w, notFound("no such session"))
-		return
 	}
-	switch r.Method {
-	case http.MethodGet:
-		writeJSON(w, http.StatusOK, s.sessionView(entry, true))
-	case http.MethodPatch:
-		s.patchSession(w, r, entry)
-	case http.MethodDelete:
-		s.sessMu.Lock()
-		delete(s.sessions, id)
-		s.sessMu.Unlock()
-		stats := entry.sess.Stats()
-		s.cancelRebuild(entry) // don't leave a zombie solve on the job queue
-		entry.sess.Close()
-		// The close record goes in only after Close: a checkpoint snapshot
-		// either landed before it (superseded by the close) or hit ErrClosed,
-		// so recovery can never resurrect a deleted session.
-		s.journalSessionClose(r.Context(), id)
-		writeJSON(w, http.StatusOK, sessionResponse{ID: entry.id, Stats: stats})
-	default:
-		writeAPIError(w, methodNotAllowed("GET, PATCH, or DELETE"))
+	return entry
+}
+
+// getSession serves GET /v2/sessions/{id}.
+func (s *server) getSession(w http.ResponseWriter, r *http.Request) {
+	if entry := s.liveSession(w, r); entry != nil {
+		writeJSON(w, http.StatusOK, s.sessionView(entry))
 	}
 }
 
-// patchSession applies a delta batch in order, stopping at the first
-// failure, then schedules a background rebuild on the job queue when the
-// batch pushed drift past the threshold.
-func (s *server) patchSession(w http.ResponseWriter, r *http.Request, entry *sessionEntry) {
-	var body sessionPatchRequest
-	if aerr := s.decodeBody(w, r, &body); aerr != nil {
-		writeAPIError(w, aerr)
+// deleteSession serves DELETE /v2/sessions/{id}.
+func (s *server) deleteSession(w http.ResponseWriter, r *http.Request) {
+	entry := s.liveSession(w, r)
+	if entry == nil {
+		return
+	}
+	s.sessMu.Lock()
+	delete(s.sessions, entry.id)
+	s.sessMu.Unlock()
+	stats := entry.sess.Stats()
+	s.cancelRebuild(entry) // don't leave a zombie solve on the job queue
+	entry.sess.Close()
+	// The close record goes in only after Close: a checkpoint snapshot
+	// either landed before it (superseded by the close) or hit ErrClosed,
+	// so recovery can never resurrect a deleted session.
+	s.journalSessionClose(r.Context(), entry.id)
+	writeJSON(w, http.StatusOK, plandclient.Session{ID: entry.id, Stats: stats})
+}
+
+// patchSession serves PATCH /v2/sessions/{id}: it applies a delta batch in
+// order, stopping at the first failure, then schedules a background rebuild
+// on the job queue when the batch pushed drift past the threshold.
+func (s *server) patchSession(w http.ResponseWriter, r *http.Request) {
+	entry := s.liveSession(w, r)
+	if entry == nil {
+		return
+	}
+	var body struct {
+		Deltas []plandclient.SessionDelta `json:"deltas"`
+	}
+	if !s.decodeBody(w, r, &body) {
 		return
 	}
 	if len(body.Deltas) == 0 {
@@ -307,7 +225,7 @@ func (s *server) patchSession(w http.ResponseWriter, r *http.Request, entry *ses
 	// spans would let a large batch blow the span-children cap for no
 	// diagnostic gain (the response already reports per-delta outcomes).
 	endDelta := obs.SpanFrom(r.Context()).Stage("delta")
-	resp := sessionPatchResponse{Results: make([]sessionDeltaResult, 0, len(body.Deltas))}
+	resp := plandclient.SessionPatchResult{Results: make([]plandclient.SessionDeltaResult, 0, len(body.Deltas))}
 	for i, d := range body.Deltas {
 		var (
 			rep assign.DeltaReport
@@ -336,11 +254,11 @@ func (s *server) patchSession(w http.ResponseWriter, r *http.Request, entry *ses
 			err = fmt.Errorf(`delta %d: op must be "add", "remove", or "resize", got %q`, i, d.Op)
 		}
 		if err != nil {
-			resp.Results = append(resp.Results, sessionDeltaResult{Error: deltaError(err)})
+			resp.Results = append(resp.Results, plandclient.SessionDeltaResult{Error: deltaError(err)})
 			break
 		}
 		resp.Applied++
-		resp.Results = append(resp.Results, sessionDeltaResult{DeltaReport: rep})
+		resp.Results = append(resp.Results, plandclient.SessionDeltaResult{DeltaReport: rep})
 	}
 	endDelta()
 	resp.RebuildJobID = s.maybeScheduleRebuild(r.Context(), entry)
@@ -349,15 +267,15 @@ func (s *server) patchSession(w http.ResponseWriter, r *http.Request, entry *ses
 }
 
 // deltaError classifies a per-delta failure into the stable envelope codes.
-func deltaError(err error) *apiError {
+func deltaError(err error) *plandclient.ErrorBody {
+	code := plandclient.CodeUnprocessable
 	switch {
 	case errors.Is(err, assign.ErrUnknownID):
-		return &apiError{Status: http.StatusNotFound, Code: codeNotFound, Message: err.Error(), cause: err}
+		code = plandclient.CodeNotFound
 	case errors.Is(err, assign.ErrSessionClosed):
-		return &apiError{Status: http.StatusConflict, Code: codeConflict, Message: err.Error(), cause: err}
-	default:
-		return &apiError{Status: http.StatusUnprocessableEntity, Code: codeUnprocessable, Message: err.Error(), cause: err}
+		code = plandclient.CodeConflict
 	}
+	return &plandclient.ErrorBody{Code: code, Message: err.Error()}
 }
 
 // activeRebuild returns the entry's rebuild job ID while it is queued or
@@ -411,23 +329,17 @@ func (s *server) maybeScheduleRebuild(submitCtx context.Context, entry *sessionE
 	return snap.ID
 }
 
-// sessionView renders a session, optionally with its schema snapshot.
-func (s *server) sessionView(entry *sessionEntry, withSchema bool) sessionResponse {
-	resp := sessionResponse{ID: entry.id, RebuildJobID: s.activeRebuild(entry)}
+// sessionView renders a session with its schema snapshot (the list view, the
+// only one without, is built where it is served).
+func (s *server) sessionView(entry *sessionEntry) plandclient.Session {
+	snap := entry.sess.Snapshot()
+	resp := plandclient.Session{ID: entry.id, RebuildJobID: s.activeRebuild(entry),
+		Stats: snap.Stats, Schema: snap.Schema, IDs: snap.IDs, Sizes: snap.Sizes}
 	if s.cluster != nil {
 		resp.Node = s.cluster.self
 	}
-	if withSchema {
-		snap := entry.sess.Snapshot()
-		resp.Stats = snap.Stats
-		resp.Schema = snap.Schema
-		resp.IDs = snap.IDs
-		resp.Sizes = snap.Sizes
-		if st := entry.sess.State(); st != nil {
-			resp.Fingerprint = fmt.Sprintf("%016x", st.Fingerprint())
-		}
-	} else {
-		resp.Stats = entry.sess.Stats()
+	if st := entry.sess.State(); st != nil {
+		resp.Fingerprint = fmt.Sprintf("%016x", st.Fingerprint())
 	}
 	return resp
 }

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -24,10 +23,6 @@ type tracesResponse struct {
 // handleTraces serves GET /debug/traces: summaries of retained traces on
 // this node, filterable by ?route=, ?status=error, ?min_ms=, ?limit=.
 func (s *server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeAPIError(w, methodNotAllowed("GET"))
-		return
-	}
 	q := r.URL.Query()
 	f := obs.TraceFilter{Route: q.Get("route")}
 	if q.Get("status") == "error" {
@@ -68,15 +63,7 @@ type traceResponse struct {
 // half of the trace) and merges, unless ?local=1 stops the recursion.
 // ?format=chrome renders Chrome trace-event JSON for Perfetto.
 func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeAPIError(w, methodNotAllowed("GET"))
-		return
-	}
-	id := strings.TrimPrefix(r.URL.Path, "/debug/traces/")
-	if id == "" || strings.Contains(id, "/") {
-		writeAPIError(w, notFound("no such trace"))
-		return
-	}
+	id := r.PathValue("id")
 	records := s.recorder.Get(id)
 	if s.cluster != nil && r.URL.Query().Get("local") != "1" {
 		records = append(records, s.cluster.fetchPeerTraces(r.Context(), id)...)

@@ -4,11 +4,11 @@ import (
 	"context"
 	"errors"
 	"net/http"
-	"strings"
 	"time"
 
 	"repro/internal/jobs"
 	"repro/internal/obs"
+	"repro/pkg/assign/plandclient"
 )
 
 // Job kinds of the v2 API.
@@ -18,17 +18,22 @@ const (
 )
 
 // jobSubmitRequest is the JSON body of POST /v2/jobs: one job of either
-// kind, with the same payload the synchronous v1 endpoint takes.
+// kind, with the same payload the synchronous v1 endpoint takes. (The client
+// builds it through SubmitPlan and SubmitExecute and exports no type for it.)
 type jobSubmitRequest struct {
 	// Type is "plan" or "execute".
 	Type string `json:"type"`
 	// Plan is the job payload when Type is "plan".
-	Plan *planRequest `json:"plan,omitempty"`
+	Plan *plandclient.PlanRequest `json:"plan,omitempty"`
 	// Execute is the job payload when Type is "execute".
-	Execute *executeRequest `json:"execute,omitempty"`
+	Execute *plandclient.ExecuteRequest `json:"execute,omitempty"`
 }
 
-// jobResponse is the JSON view of one job, returned by every v2 endpoint.
+// jobResponse is the JSON view of one job, returned by every v2 endpoint. It
+// is plandclient.Job seen from the writing side — the one wire type that
+// stays two, because the server encodes the result value it holds where the
+// client keeps the raw bytes to decode by job type — and wire_test.go holds
+// the two to the same fields.
 type jobResponse struct {
 	ID    string `json:"id"`
 	Type  string `json:"type"`
@@ -39,12 +44,12 @@ type jobResponse struct {
 	StartedAt  *time.Time `json:"started_at,omitempty"`
 	FinishedAt *time.Time `json:"finished_at,omitempty"`
 	ExpiresAt  *time.Time `json:"expires_at,omitempty"`
-	// Result is the planResponse or executeResponse once State is
-	// "succeeded".
+	// Result is the plan or execute result (a rebuild report for a session's
+	// rebuild job) once State is "succeeded".
 	Result any `json:"result,omitempty"`
 	// Error carries the failure code and message once State is "failed" or
 	// "canceled".
-	Error *apiError `json:"error,omitempty"`
+	Error *plandclient.ErrorBody `json:"error,omitempty"`
 }
 
 // jobView converts a manager snapshot into the wire shape.
@@ -71,9 +76,9 @@ func jobView(snap jobs.Snapshot) jobResponse {
 		// context error when queued, a plan_timeout-shaped wrapper when the
 		// running portfolio was cut short): the client asked, the client
 		// gets the canceled code it can branch on.
-		resp.Error = &apiError{Code: codeCanceled, Message: "job canceled"}
+		resp.Error = &plandclient.ErrorBody{Code: plandclient.CodeCanceled, Message: "job canceled"}
 	case snap.Err != nil:
-		resp.Error = jobError(snap.Err)
+		resp.Error = &jobError(snap.Err).ErrorBody
 	}
 	return resp
 }
@@ -87,40 +92,20 @@ func jobError(err error) *apiError {
 	case errors.As(err, &aerr):
 		return aerr
 	case errors.Is(err, jobs.ErrShutdown):
-		return &apiError{Status: http.StatusServiceUnavailable, Code: codeShuttingDown, Message: err.Error()}
+		return newAPIError(http.StatusServiceUnavailable, plandclient.CodeShuttingDown, err.Error(), nil)
 	default:
-		return &apiError{Status: http.StatusInternalServerError, Code: codeInternal, Message: err.Error()}
+		return newAPIError(http.StatusInternalServerError, plandclient.CodeInternal, err.Error(), nil)
 	}
 }
 
-// handleJobs serves POST /v2/jobs: validate synchronously (a malformed job
-// fails fast with 400), then enqueue the solve itself. A full queue pushes
-// back with 429 rather than buffering without bound.
-func (s *server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeAPIError(w, methodNotAllowed("POST"))
-		return
-	}
-	// Under clustering the job ID is drawn up front so placement can route
-	// the create to the ID's ring owner, exactly like session creation; the
-	// owner enqueues it under the pinned ID so polls route the same way.
-	var pinned string
-	if s.cluster != nil {
-		pinned = pinnedID(r)
-		if pinned == "" {
-			pinned = newJobID()
-			if c := s.cluster; r.Header.Get(headerForwarded) == "" {
-				if owner, ok := c.ring.Owner(pinned, c.health.Alive); ok && owner != c.self {
-					if c.forward(w, r, pinned, owner, pinned) {
-						return
-					}
-				}
-			}
-		}
-	}
+// submitJob serves POST /v2/jobs: validate synchronously (a malformed job
+// fails fast with 400), then enqueue the solve itself under the ID the route
+// drew — placement routed the create to that ID's ring owner, exactly like
+// session creation, so polls route the same way. A full queue pushes back
+// with 429 rather than buffering without bound.
+func (s *server) submitJob(w http.ResponseWriter, r *http.Request) {
 	var body jobSubmitRequest
-	if aerr := s.decodeBody(w, r, &body); aerr != nil {
-		writeAPIError(w, aerr)
+	if !s.decodeBody(w, r, &body) {
 		return
 	}
 	run, aerr := s.buildJobFunc(body)
@@ -128,27 +113,18 @@ func (s *server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, aerr)
 		return
 	}
-	run = s.traceJobFunc(body.Type, r.Context(), run)
-	var (
-		snap jobs.Snapshot
-		err  error
-	)
-	if pinned != "" {
-		snap, err = s.jobs.Restore(pinned, body.Type, run)
-	} else {
-		snap, err = s.jobs.Submit(body.Type, run)
-	}
+	snap, err := s.jobs.Restore(r.PathValue("id"), body.Type, s.traceJobFunc(body.Type, r.Context(), run))
 	switch {
 	case errors.Is(err, jobs.ErrQueueFull):
-		writeAPIError(w, &apiError{Status: http.StatusTooManyRequests, Code: codeQueueFull,
-			Message: "job queue is full, retry later"})
+		writeAPIError(w, newAPIError(http.StatusTooManyRequests, plandclient.CodeQueueFull,
+			"job queue is full, retry later", nil))
 		return
 	case errors.Is(err, jobs.ErrShutdown):
-		writeAPIError(w, &apiError{Status: http.StatusServiceUnavailable, Code: codeShuttingDown,
-			Message: "server is shutting down"})
+		writeAPIError(w, newAPIError(http.StatusServiceUnavailable, plandclient.CodeShuttingDown,
+			"server is shutting down", nil))
 		return
 	case err != nil:
-		writeAPIError(w, &apiError{Status: http.StatusInternalServerError, Code: codeInternal, Message: err.Error()})
+		writeAPIError(w, newAPIError(http.StatusInternalServerError, plandclient.CodeInternal, err.Error(), nil))
 		return
 	}
 	s.journalJobSubmit(r.Context(), snap.ID, body.Type, body)
@@ -168,15 +144,9 @@ func (s *server) buildJobFunc(body jobSubmitRequest) (jobs.Func, *apiError) {
 		if aerr := s.validatePlan(req); aerr != nil {
 			return nil, aerr
 		}
-		return func(ctx context.Context) (any, error) {
-			jctx, cancel := context.WithTimeout(ctx, s.cfg.MaxJobTimeout)
-			defer cancel()
-			resp, aerr := s.runPlan(jctx, req, s.cfg.MaxJobTimeout)
-			if aerr != nil {
-				return nil, aerr
-			}
-			return resp, nil
-		}, nil
+		return jobRun(s, func(ctx context.Context) (*plandclient.PlanResult, *apiError) {
+			return s.runPlan(ctx, req, s.cfg.MaxJobTimeout)
+		}), nil
 	case jobTypeExecute:
 		if body.Execute == nil {
 			return nil, badRequestf(`job type "execute" needs an "execute" payload`)
@@ -185,17 +155,25 @@ func (s *server) buildJobFunc(body jobSubmitRequest) (jobs.Func, *apiError) {
 		if aerr := s.validateExecute(req); aerr != nil {
 			return nil, aerr
 		}
-		return func(ctx context.Context) (any, error) {
-			jctx, cancel := context.WithTimeout(ctx, s.cfg.MaxJobTimeout)
-			defer cancel()
-			resp, aerr := s.runExecute(jctx, req, s.cfg.MaxJobTimeout)
-			if aerr != nil {
-				return nil, aerr
-			}
-			return resp, nil
-		}, nil
+		return jobRun(s, func(ctx context.Context) (*plandclient.ExecuteResult, *apiError) {
+			return s.runExecute(ctx, req, s.cfg.MaxJobTimeout)
+		}), nil
 	default:
 		return nil, badRequestf(`job type must be "plan" or "execute", got %q`, body.Type)
+	}
+}
+
+// jobRun makes a job of one of the two cores the synchronous endpoints run,
+// under the job budget instead of the request's.
+func jobRun[T any](s *server, run func(context.Context) (*T, *apiError)) jobs.Func {
+	return func(ctx context.Context) (any, error) {
+		jctx, cancel := context.WithTimeout(ctx, s.cfg.MaxJobTimeout)
+		defer cancel()
+		resp, aerr := run(jctx)
+		if aerr != nil {
+			return nil, aerr
+		}
+		return resp, nil
 	}
 }
 
@@ -228,41 +206,33 @@ func (s *server) traceJobFunc(kind string, submitCtx context.Context, fn jobs.Fu
 	}
 }
 
-// handleJob serves GET and DELETE /v2/jobs/{id}.
-func (s *server) handleJob(w http.ResponseWriter, r *http.Request) {
-	id := strings.TrimPrefix(r.URL.Path, "/v2/jobs/")
-	if id == "" || strings.Contains(id, "/") {
-		writeAPIError(w, notFound("no such job"))
+// holdsJob reports whether the job is queued, running or retained on this
+// node.
+func (s *server) holdsJob(id string) bool {
+	_, err := s.jobs.Get(id)
+	return err == nil
+}
+
+// getJob serves GET /v2/jobs/{id}.
+func (s *server) getJob(w http.ResponseWriter, r *http.Request) {
+	snap, err := s.jobs.Get(r.PathValue("id"))
+	if err != nil {
+		writeAPIError(w, notFound("no such job (unknown ID, or result expired)"))
 		return
 	}
-	// A job present locally always serves locally — rebuild jobs enqueue on
-	// their session's node under manager-drawn IDs, so ring position must not
-	// bounce their polls away. Only a local miss consults the ring.
-	if _, err := s.jobs.Get(id); err != nil {
-		if s.routeKeyed(w, r, id) {
-			return
-		}
-	}
-	switch r.Method {
-	case http.MethodGet:
-		snap, err := s.jobs.Get(id)
-		if err != nil {
-			writeAPIError(w, notFound("no such job (unknown ID, or result expired)"))
-			return
-		}
-		writeJSON(w, http.StatusOK, jobView(snap))
-	case http.MethodDelete:
-		snap, err := s.jobs.Cancel(id)
-		switch {
-		case errors.Is(err, jobs.ErrNotFound):
-			writeAPIError(w, notFound("no such job (unknown ID, or result expired)"))
-		case errors.Is(err, jobs.ErrFinished):
-			writeAPIError(w, &apiError{Status: http.StatusConflict, Code: codeConflict,
-				Message: "job already finished in state " + string(snap.State)})
-		default:
-			writeJSON(w, http.StatusOK, jobView(snap))
-		}
+	writeJSON(w, http.StatusOK, jobView(snap))
+}
+
+// cancelJob serves DELETE /v2/jobs/{id}.
+func (s *server) cancelJob(w http.ResponseWriter, r *http.Request) {
+	snap, err := s.jobs.Cancel(r.PathValue("id"))
+	switch {
+	case errors.Is(err, jobs.ErrNotFound):
+		writeAPIError(w, notFound("no such job (unknown ID, or result expired)"))
+	case errors.Is(err, jobs.ErrFinished):
+		writeAPIError(w, newAPIError(http.StatusConflict, plandclient.CodeConflict,
+			"job already finished in state "+string(snap.State), nil))
 	default:
-		writeAPIError(w, methodNotAllowed("GET or DELETE"))
+		writeJSON(w, http.StatusOK, jobView(snap))
 	}
 }

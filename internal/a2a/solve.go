@@ -11,16 +11,12 @@ type Options struct {
 	// algorithms. The zero value is binpack.FirstFit; most callers want
 	// binpack.FirstFitDecreasing, which DefaultOptions selects.
 	Policy binpack.Policy
-	// PreferEqualSized enables the specialised grouping algorithm when every
-	// input has the same size. Enabled by DefaultOptions.
-	PreferEqualSized bool
 }
 
-// DefaultOptions returns the options Solve uses when the caller passes the
-// zero Options value: First-Fit-Decreasing packing and the equal-sized
-// specialisation enabled.
+// DefaultOptions returns the options Solve uses: First-Fit-Decreasing
+// packing.
 func DefaultOptions() Options {
-	return Options{Policy: binpack.FirstFitDecreasing, PreferEqualSized: true}
+	return Options{Policy: binpack.FirstFitDecreasing}
 }
 
 // Solve computes a mapping schema for an A2A instance, dispatching to the
@@ -64,7 +60,7 @@ func SolveWithOptions(set *core.InputSet, q core.Size, opts Options) (*core.Mapp
 
 // solvePrimary runs the dispatch between the paper's constructive algorithms.
 func solvePrimary(set *core.InputSet, q core.Size, opts Options) (*core.MappingSchema, error) {
-	if opts.PreferEqualSized && set.MinSize() == set.MaxSize() {
+	if set.MinSize() == set.MaxSize() {
 		return EqualSized(set, q)
 	}
 	if set.MaxSize() > q/2 {

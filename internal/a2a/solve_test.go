@@ -84,7 +84,7 @@ func TestSolveWithOptionsZeroValuePolicy(t *testing.T) {
 
 func TestDefaultOptions(t *testing.T) {
 	o := DefaultOptions()
-	if o.Policy != binpack.FirstFitDecreasing || !o.PreferEqualSized {
+	if o.Policy != binpack.FirstFitDecreasing {
 		t.Errorf("DefaultOptions() = %+v", o)
 	}
 }

@@ -278,7 +278,7 @@ func TestSolveMatchesBuildBothReference(t *testing.T) {
 	check := func(set *core.InputSet, q core.Size) {
 		t.Helper()
 		for _, policy := range []binpack.Policy{binpack.FirstFitDecreasing, binpack.BestFitDecreasing, binpack.WorstFitDecreasing} {
-			opts := Options{Policy: policy, PreferEqualSized: true}
+			opts := Options{Policy: policy}
 			got, gotErr := SolveWithOptions(set, q, opts)
 			want, wantErr := refSolveWithOptions(set, q, opts)
 			if (gotErr == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want) {

@@ -112,59 +112,6 @@ func (s *CoverSet) Clear() {
 	}
 }
 
-// CopyFrom makes s an exact copy of o (same universe, same members),
-// reusing s's storage when possible.
-func (s *CoverSet) CopyFrom(o *CoverSet) {
-	s.Reset(o.n)
-	copy(s.words, o.words)
-}
-
-// And intersects s with o in place. The universes must match in word count;
-// extra words of the larger operand are treated as absent (cleared).
-func (s *CoverSet) And(o *CoverSet) {
-	n := len(s.words)
-	if len(o.words) < n {
-		n = len(o.words)
-	}
-	for i := 0; i < n; i++ {
-		s.words[i] &= o.words[i]
-	}
-	for i := n; i < len(s.words); i++ {
-		s.words[i] = 0
-	}
-}
-
-// Or unions o into s in place; members of o beyond s's universe are dropped.
-func (s *CoverSet) Or(o *CoverSet) {
-	n := len(s.words)
-	if len(o.words) < n {
-		n = len(o.words)
-	}
-	for i := 0; i < n; i++ {
-		s.words[i] |= o.words[i]
-	}
-	s.trim()
-}
-
-// AndNot removes every member of o from s in place.
-func (s *CoverSet) AndNot(o *CoverSet) {
-	n := len(s.words)
-	if len(o.words) < n {
-		n = len(o.words)
-	}
-	for i := 0; i < n; i++ {
-		s.words[i] &^= o.words[i]
-	}
-}
-
-// trim clears the tail bits beyond n in the last word, which Or can set when
-// o's universe is larger than a word-aligned s. Kept cheap: one mask.
-func (s *CoverSet) trim() {
-	if r := uint(s.n) & 63; r != 0 && len(s.words) > 0 {
-		s.words[len(s.words)-1] &= (1 << r) - 1
-	}
-}
-
 // Intersects reports whether s and o share a member, short-circuiting on the
 // first common word.
 func (s *CoverSet) Intersects(o *CoverSet) bool {
@@ -235,28 +182,6 @@ func (s *CoverSet) CountAndNot(o *CoverSet) int {
 	return c
 }
 
-// CountAnd returns |s ∩ o| without materializing the intersection.
-func (s *CoverSet) CountAnd(o *CoverSet) int {
-	c := 0
-	n := len(s.words)
-	if len(o.words) < n {
-		n = len(o.words)
-	}
-	for i := 0; i < n; i++ {
-		c += bits.OnesCount64(s.words[i] & o.words[i])
-	}
-	return c
-}
-
-// ForEach calls fn for every member in ascending order.
-func (s *CoverSet) ForEach(fn func(i int)) {
-	for wi, w := range s.words {
-		for ; w != 0; w &= w - 1 {
-			fn(wi<<6 + bits.TrailingZeros64(w))
-		}
-	}
-}
-
 // ForEachAnd calls fn for every member of s ∩ o in ascending order.
 func (s *CoverSet) ForEachAnd(o *CoverSet, fn func(i int)) {
 	n := len(s.words)
@@ -297,39 +222,6 @@ func (s *CoverSet) NextAbsent(from int) int {
 		}
 		w = ^s.words[wi]
 	}
-}
-
-// NextPresent returns the smallest member >= from, or n when there is none.
-func (s *CoverSet) NextPresent(from int) int {
-	if from < 0 {
-		from = 0
-	}
-	if from >= s.n {
-		return s.n
-	}
-	wi := from >> 6
-	w := s.words[wi] &^ ((1 << (uint(from) & 63)) - 1)
-	for {
-		if w != 0 {
-			return wi<<6 + bits.TrailingZeros64(w)
-		}
-		wi++
-		if wi >= len(s.words) {
-			return s.n
-		}
-		w = s.words[wi]
-	}
-}
-
-// AppendMembers appends the members in ascending order to dst and returns it,
-// converting the bitset back to the sorted-slice exchange representation.
-func (s *CoverSet) AppendMembers(dst []int) []int {
-	for wi, w := range s.words {
-		for ; w != 0; w &= w - 1 {
-			dst = append(dst, wi<<6+bits.TrailingZeros64(w))
-		}
-	}
-	return dst
 }
 
 // AddAll sets every listed bit (out-of-range indexes ignored).

@@ -6,7 +6,12 @@ import (
 	"testing"
 )
 
-func members(s *CoverSet) []int { return s.AppendMembers(nil) }
+// members lists the set ascending: its intersection with itself.
+func members(s *CoverSet) []int {
+	var out []int
+	s.ForEachAnd(s, func(i int) { out = append(out, i) })
+	return out
+}
 
 func TestCoverSetBasics(t *testing.T) {
 	s := NewCoverSet(130)
@@ -50,32 +55,11 @@ func TestCoverSetSetOps(t *testing.T) {
 	a.AddAll([]int{1, 5, 64, 100, 199})
 	b.AddAll([]int{5, 64, 70, 199})
 
-	and := NewCoverSet(200)
-	and.CopyFrom(a)
-	and.And(b)
-	if got := members(and); !equalInts(got, []int{5, 64, 199}) {
-		t.Errorf("And = %v", got)
-	}
-	or := NewCoverSet(200)
-	or.CopyFrom(a)
-	or.Or(b)
-	if got := members(or); !equalInts(got, []int{1, 5, 64, 70, 100, 199}) {
-		t.Errorf("Or = %v", got)
-	}
-	diff := NewCoverSet(200)
-	diff.CopyFrom(a)
-	diff.AndNot(b)
-	if got := members(diff); !equalInts(got, []int{1, 100}) {
-		t.Errorf("AndNot = %v", got)
-	}
 	if !a.Intersects(b) {
 		t.Error("Intersects = false for overlapping sets")
 	}
 	if got := a.IntersectMin(b); got != 5 {
 		t.Errorf("IntersectMin = %d, want 5", got)
-	}
-	if got := a.CountAnd(b); got != 3 {
-		t.Errorf("CountAnd = %d, want 3", got)
 	}
 	if got := a.CountAndNot(b); got != 2 {
 		t.Errorf("CountAndNot = %d, want 2", got)
@@ -145,7 +129,7 @@ func TestCoverSetGrowAfterShrinkingResetHasNoPhantomMembers(t *testing.T) {
 	}
 }
 
-func TestCoverSetNextAbsentPresent(t *testing.T) {
+func TestCoverSetNextAbsent(t *testing.T) {
 	s := NewCoverSet(140)
 	for i := 0; i < 130; i++ {
 		s.Add(i)
@@ -170,12 +154,6 @@ func TestCoverSetNextAbsentPresent(t *testing.T) {
 	if got := full.NextAbsent(0); got != 64 {
 		t.Errorf("NextAbsent on full set = %d, want 64 (n)", got)
 	}
-	if got := s.NextPresent(67); got != 68 {
-		t.Errorf("NextPresent(67) = %d, want 68", got)
-	}
-	if got := s.NextPresent(130); got != 140 {
-		t.Errorf("NextPresent(130) = %d, want 140 (n)", got)
-	}
 }
 
 func TestCoverSetForEach(t *testing.T) {
@@ -184,27 +162,9 @@ func TestCoverSetForEach(t *testing.T) {
 	a.AddAll([]int{2, 64, 128, 256})
 	b.AddAll([]int{2, 128, 257})
 	var got []int
-	a.ForEach(func(i int) { got = append(got, i) })
-	if !equalInts(got, []int{2, 64, 128, 256}) {
-		t.Errorf("ForEach = %v", got)
-	}
-	got = nil
 	a.ForEachAnd(b, func(i int) { got = append(got, i) })
 	if !equalInts(got, []int{2, 128}) {
 		t.Errorf("ForEachAnd = %v", got)
-	}
-}
-
-func TestCoverSetOrTrimsForeignTail(t *testing.T) {
-	// s has a 70-bit universe (tail bits 70..127 of the last word unused);
-	// o is larger and has bits set in that tail range. Or must not leak them
-	// into s's count.
-	s := NewCoverSet(70)
-	o := NewCoverSet(128)
-	o.AddAll([]int{69, 71, 100})
-	s.Or(o)
-	if got := members(s); !equalInts(got, []int{69}) {
-		t.Errorf("Or leaked out-of-universe bits: %v", got)
 	}
 }
 
@@ -266,19 +226,6 @@ func refIntersect(a, b []int) []int {
 		}
 	}
 	return out
-}
-
-func refUnion(a, b []int) []int {
-	out := append(append([]int(nil), a...), b...)
-	sort.Ints(out)
-	dedup := out[:0]
-	for i, v := range out {
-		if i > 0 && v == out[i-1] {
-			continue
-		}
-		dedup = append(dedup, v)
-	}
-	return dedup
 }
 
 // TestCoverSetMatchesReferenceRandomized drives a CoverSet and the sorted-

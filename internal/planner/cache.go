@@ -136,12 +136,8 @@ func (c *cache) startFlight(cn *canonical) (plan *cachedPlan, waitFor *flight, m
 	s := c.shard(cn.hash)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.entries[cn.hash]; ok {
-		e := el.Value.(*entry)
-		if cn.matches(e.problem, e.q, e.sizes, e.ySizes) {
-			s.order.MoveToFront(el)
-			return e.plan, nil, nil
-		}
+	if plan := s.lookup(cn); plan != nil {
+		return plan, nil, nil
 	}
 	if f, ok := s.inflight[cn.hash]; ok {
 		if cn.matches(f.problem, f.q, f.sizes, f.ySizes) {
@@ -161,28 +157,64 @@ func (c *cache) finishFlight(cn *canonical, f *flight, plan *cachedPlan, err err
 	s := c.shard(cn.hash)
 	s.mu.Lock()
 	delete(s.inflight, cn.hash)
-	// A plan too heavy for the whole shard budget is served but not
-	// retained; everything else is stored, evicting from the LRU end while
-	// either bound is exceeded (never the entry just inserted).
 	if err == nil && plan != nil {
-		if w := entryWeight(cn, plan); w <= s.weightCap {
-			if el, ok := s.entries[cn.hash]; ok {
-				s.remove(el)
-			}
-			e := &entry{hash: cn.hash, problem: cn.problem, q: cn.q, sizes: cn.sizes, ySizes: cn.ySizes,
-				plan: plan, weight: w}
-			s.entries[cn.hash] = s.order.PushFront(e)
-			obsCacheEntries.Inc()
-			s.weight += e.weight
-			for s.order.Len() > 1 && (s.order.Len() > s.capacity || s.weight > s.weightCap) {
-				s.remove(s.order.Back())
-				obsCacheEvictions.Inc()
-			}
-		}
+		s.store(cn, plan)
 	}
 	s.mu.Unlock()
 	f.plan, f.err = plan, err
 	close(f.done)
+}
+
+// get returns the plan cached for the canonical instance, or nil, and marks
+// it recently used.
+func (c *cache) get(cn *canonical) *cachedPlan {
+	s := c.shard(cn.hash)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.lookup(cn)
+}
+
+// put stores a plan that did not come out of a flight (see ImportPlan).
+func (c *cache) put(cn *canonical, plan *cachedPlan) {
+	s := c.shard(cn.hash)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.store(cn, plan)
+}
+
+// lookup is get under the shard lock, which the caller holds.
+func (s *cacheShard) lookup(cn *canonical) *cachedPlan {
+	if el, ok := s.entries[cn.hash]; ok {
+		e := el.Value.(*entry)
+		if cn.matches(e.problem, e.q, e.sizes, e.ySizes) {
+			s.order.MoveToFront(el)
+			return e.plan
+		}
+	}
+	return nil
+}
+
+// store retains the plan under the shard lock, which the caller holds. A plan
+// too heavy for the whole shard budget is served but not retained; everything
+// else is stored, evicting from the LRU end while either bound is exceeded
+// (never the entry just inserted).
+func (s *cacheShard) store(cn *canonical, plan *cachedPlan) {
+	w := entryWeight(cn, plan)
+	if w > s.weightCap {
+		return
+	}
+	if el, ok := s.entries[cn.hash]; ok {
+		s.remove(el)
+	}
+	e := &entry{hash: cn.hash, problem: cn.problem, q: cn.q, sizes: cn.sizes, ySizes: cn.ySizes,
+		plan: plan, weight: w}
+	s.entries[cn.hash] = s.order.PushFront(e)
+	obsCacheEntries.Inc()
+	s.weight += e.weight
+	for s.order.Len() > 1 && (s.order.Len() > s.capacity || s.weight > s.weightCap) {
+		s.remove(s.order.Back())
+		obsCacheEvictions.Inc()
+	}
 }
 
 // remove drops the element from the order list, the index, and the weight

@@ -106,14 +106,16 @@ func (b Budget) exactMaxNodes() int {
 	return b.ExactMaxNodes
 }
 
-// Result is the outcome of one Plan call.
+// Result is the outcome of one Plan call. pkg/assign exports it as
+// assign.Result, so its shape is under that package's compatibility contract.
 type Result struct {
 	// Schema is the winning mapping schema, expressed over the request's
-	// original input IDs.
+	// original input IDs. It is owned by the caller.
 	Schema *core.MappingSchema
 	// Cost prices the schema.
 	Cost core.Cost
-	// Winner names the portfolio member that produced the schema.
+	// Winner names the portfolio member that produced the schema. The set of
+	// member names is not part of the compatibility contract.
 	Winner string
 	// LowerBoundReducers is the instance's proved reducer lower bound and Gap
 	// is Schema reducers minus that bound (0 means provably optimal).
@@ -339,10 +341,10 @@ func portfolio(cn *canonical, set, ySet *core.InputSet, budget Budget) []candida
 		if set.MinSize() != set.MaxSize() {
 			cands = append(cands,
 				candidate{"a2a/solve-bfd", func() (*core.MappingSchema, error) {
-					return a2a.SolveWithOptions(set, q, a2a.Options{Policy: binpack.BestFitDecreasing, PreferEqualSized: true})
+					return a2a.SolveWithOptions(set, q, a2a.Options{Policy: binpack.BestFitDecreasing})
 				}},
 				candidate{"a2a/solve-wfd", func() (*core.MappingSchema, error) {
-					return a2a.SolveWithOptions(set, q, a2a.Options{Policy: binpack.WorstFitDecreasing, PreferEqualSized: true})
+					return a2a.SolveWithOptions(set, q, a2a.Options{Policy: binpack.WorstFitDecreasing})
 				}},
 			)
 		}
@@ -363,10 +365,10 @@ func portfolio(cn *canonical, set, ySet *core.InputSet, budget Budget) []candida
 	cands := []candidate{
 		{"x2y/solve", func() (*core.MappingSchema, error) { return x2y.Solve(set, ySet, q) }},
 		{"x2y/solve-bfd", func() (*core.MappingSchema, error) {
-			return x2y.SolveWithOptions(set, ySet, q, x2y.Options{Policy: binpack.BestFitDecreasing, OptimizeSplit: true})
+			return x2y.SolveWithOptions(set, ySet, q, x2y.Options{Policy: binpack.BestFitDecreasing})
 		}},
 		{"x2y/solve-wfd", func() (*core.MappingSchema, error) {
-			return x2y.SolveWithOptions(set, ySet, q, x2y.Options{Policy: binpack.WorstFitDecreasing, OptimizeSplit: true})
+			return x2y.SolveWithOptions(set, ySet, q, x2y.Options{Policy: binpack.WorstFitDecreasing})
 		}},
 	}
 	if set.Len()+ySet.Len() <= defaultGreedyMaxInputs {

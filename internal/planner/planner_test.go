@@ -328,7 +328,7 @@ func TestEqualSizedPolicyMembersAreDuplicates(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, policy := range []binpack.Policy{binpack.BestFitDecreasing, binpack.WorstFitDecreasing} {
-			ms, err := a2a.SolveWithOptions(set, tc.q, a2a.Options{Policy: policy, PreferEqualSized: true})
+			ms, err := a2a.SolveWithOptions(set, tc.q, a2a.Options{Policy: policy})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -147,7 +147,7 @@ func Run(docs []workload.Document, cfg Config) (*Result, error) {
 // exactly the algorithm they name.
 func buildSchema(set *core.InputSet, cfg Config) (*core.MappingSchema, error) {
 	if policy, defaulted := binpack.ResolvePolicy(cfg.Policy, cfg.PolicySet); !defaulted {
-		return a2a.SolveWithOptions(set, cfg.Capacity, a2a.Options{Policy: policy, PreferEqualSized: true})
+		return a2a.SolveWithOptions(set, cfg.Capacity, a2a.Options{Policy: policy})
 	}
 	res, err := planner.Plan(context.Background(), planner.Request{
 		Problem: core.ProblemA2A, Set: set, Capacity: cfg.Capacity,

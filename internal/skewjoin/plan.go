@@ -221,8 +221,7 @@ func fillNegative(n int) []int {
 // ablations measure the named heuristic.
 func heavySchema(xSet, ySet *core.InputSet, cfg Config) (*core.MappingSchema, error) {
 	if policy, defaulted := binpack.ResolvePolicy(cfg.Policy, cfg.PolicySet); !defaulted {
-		return x2y.SolveWithOptions(xSet, ySet, cfg.Capacity,
-			x2y.Options{Policy: policy, OptimizeSplit: true})
+		return x2y.SolveWithOptions(xSet, ySet, cfg.Capacity, x2y.Options{Policy: policy})
 	}
 	res, err := planner.Plan(context.Background(), planner.Request{
 		Problem: core.ProblemX2Y, X: xSet, Y: ySet, Capacity: cfg.Capacity,

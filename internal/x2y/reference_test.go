@@ -121,8 +121,7 @@ func refBigSmallSplit(xs, ys *core.InputSet, q core.Size, policy binpack.Policy)
 	return ms, nil
 }
 
-// refSolve is SolveWithOptions' dispatch (split optimisation on) over the
-// reference constructions.
+// refSolve is SolveWithOptions' dispatch over the reference constructions.
 func refSolve(xs, ys *core.InputSet, q core.Size, policy binpack.Policy) (*core.MappingSchema, error) {
 	if err := CheckFeasible(xs, ys, q); err != nil {
 		return nil, err
@@ -141,7 +140,7 @@ func refSolve(xs, ys *core.InputSet, q core.Size, policy binpack.Policy) (*core.
 func checkSolveMatchesReference(t *testing.T, xs, ys *core.InputSet, q core.Size) {
 	t.Helper()
 	for _, policy := range binpack.Policies() {
-		got, gotErr := SolveWithOptions(xs, ys, q, Options{Policy: policy, OptimizeSplit: true})
+		got, gotErr := SolveWithOptions(xs, ys, q, Options{Policy: policy})
 		want, wantErr := refSolve(xs, ys, q, policy)
 		if (gotErr == nil) != (wantErr == nil) {
 			t.Fatalf("x=%v y=%v q=%d %v: err = %v, reference %v", xs.Sizes(), ys.Sizes(), q, policy, gotErr, wantErr)

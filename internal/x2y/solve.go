@@ -10,21 +10,19 @@ type Options struct {
 	// Policy selects the bin-packing heuristic used by the grid and
 	// big/small algorithms. DefaultOptions uses First-Fit-Decreasing.
 	Policy binpack.Policy
-	// OptimizeSplit enables trying multiple capacity splits between the X
-	// and Y sides (GridWithSplit) instead of the fixed even split. Enabled
-	// by DefaultOptions.
-	OptimizeSplit bool
 }
 
-// DefaultOptions returns the options Solve uses for the zero Options value.
+// DefaultOptions returns the options Solve uses: First-Fit-Decreasing
+// packing.
 func DefaultOptions() Options {
-	return Options{Policy: binpack.FirstFitDecreasing, OptimizeSplit: true}
+	return Options{Policy: binpack.FirstFitDecreasing}
 }
 
 // Solve computes a mapping schema for an X2Y instance, dispatching to
-// BigSmallSplit when either side has inputs larger than q/2 and to the grid
-// algorithm otherwise. It returns core.ErrInfeasible (wrapped) when no schema
-// exists.
+// BigSmallSplit when either side has inputs larger than q/2 and otherwise to
+// the grid algorithm over the best split of the capacity between the X and Y
+// sides (GridWithSplit; Grid is the paper's fixed even split). It returns
+// core.ErrInfeasible (wrapped) when no schema exists.
 func Solve(xs, ys *core.InputSet, q core.Size) (*core.MappingSchema, error) {
 	return SolveWithOptions(xs, ys, q, DefaultOptions())
 }
@@ -43,8 +41,5 @@ func SolveWithOptions(xs, ys *core.InputSet, q core.Size, opts Options) (*core.M
 	if xs.MaxSize() > q/2 || ys.MaxSize() > q/2 {
 		return BigSmallSplit(xs, ys, q, opts.Policy)
 	}
-	if opts.OptimizeSplit {
-		return GridWithSplit(xs, ys, q, opts.Policy)
-	}
-	return Grid(xs, ys, q, opts.Policy)
+	return GridWithSplit(xs, ys, q, opts.Policy)
 }

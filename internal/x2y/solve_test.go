@@ -72,21 +72,9 @@ func TestSolveEmptySide(t *testing.T) {
 	}
 }
 
-func TestSolveWithoutSplitOptimisation(t *testing.T) {
-	xs := core.MustNewInputSet([]core.Size{3, 2, 4, 3})
-	ys := core.MustNewInputSet([]core.Size{5, 4, 3, 5})
-	ms, err := SolveWithOptions(xs, ys, 12, Options{Policy: binpack.BestFitDecreasing})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ms.ValidateX2Y(xs, ys); err != nil {
-		t.Errorf("ValidateX2Y: %v", err)
-	}
-}
-
 func TestDefaultOptions(t *testing.T) {
 	o := DefaultOptions()
-	if o.Policy != binpack.FirstFitDecreasing || !o.OptimizeSplit {
+	if o.Policy != binpack.FirstFitDecreasing {
 		t.Errorf("DefaultOptions() = %+v", o)
 	}
 }

@@ -210,31 +210,13 @@ func Named(name string) Option {
 	return func(r *request) { r.name = name }
 }
 
-// Result is the outcome of one Plan call.
-type Result struct {
-	// Schema is the winning mapping schema, expressed over the instance's
-	// original input IDs. It is owned by the caller.
-	Schema *MappingSchema
-	// Cost prices the schema.
-	Cost Cost
-	// Winner names the portfolio member that produced the schema. The set of
-	// member names is not part of the compatibility contract.
-	Winner string
-	// LowerBoundReducers is the instance's proved reducer lower bound, and
-	// Gap is Schema reducers minus that bound: 0 means provably optimal.
-	LowerBoundReducers int
-	Gap                int
-	// Candidates is how many portfolio members finished within the budget.
-	// Members that would provably repeat another's schema are not run, so an
-	// equal-sized A2A set reports fewer than a different-sized one.
-	Candidates int
-	// CacheHit reports whether the plan was served from the cache, and
-	// SharedFlight whether it piggybacked on a concurrent identical solve.
-	CacheHit     bool
-	SharedFlight bool
-	// Elapsed is the wall-clock planning time of this call.
-	Elapsed time.Duration
-}
+// Result is the outcome of one Plan call: the winning Schema over the
+// instance's original input IDs (owned by the caller), its Cost, the Winner
+// that produced it, the proved LowerBoundReducers with the Gap to it (0 means
+// provably optimal), how many Candidates finished within the budget, whether
+// the plan was a CacheHit or rode a SharedFlight, and the Elapsed planning
+// time. The set of Winner names is not part of the compatibility contract.
+type Result = planner.Result
 
 // ErrNoInstance is returned when a call names no instance (none of A2A,
 // X2Y, Inputs, XYInputs was given).
@@ -276,6 +258,16 @@ func sizesOf(field string, payloads [][]byte) (*InputSet, error) {
 		return nil, fmt.Errorf("assign: %s: %w", field, err)
 	}
 	return set, nil
+}
+
+// requestOf applies the options and translates them into the internal
+// planner's request.
+func requestOf(opts []Option) (planner.Request, error) {
+	r, err := build(opts)
+	if err != nil {
+		return planner.Request{}, err
+	}
+	return r.plannerRequest()
 }
 
 // plannerRequest translates the accumulated options into the internal
@@ -333,32 +325,37 @@ func Plan(ctx context.Context, opts ...Option) (*Result, error) {
 
 // Plan plans on this planner. See the package-level Plan.
 func (pl *Planner) Plan(ctx context.Context, opts ...Option) (*Result, error) {
-	r, err := build(opts)
+	preq, err := requestOf(opts)
 	if err != nil {
 		return nil, err
 	}
-	preq, err := r.plannerRequest()
-	if err != nil {
-		return nil, err
-	}
-	return pl.plan(ctx, preq)
+	return pl.p.Plan(ctx, preq)
 }
 
-// plan runs a prepared planner request and converts the result.
-func (pl *Planner) plan(ctx context.Context, preq planner.Request) (*Result, error) {
-	res, err := pl.p.Plan(ctx, preq)
+// ExportPlan returns the key under which planners — the nodes of a pland
+// fleet — share the instance the options describe: it is the same for every
+// reordering of the inputs and, for X2Y, for the two sides swapped. When this
+// planner's cache holds the instance, plan is its solution in the canonical
+// form ImportPlan takes, and nil otherwise; with NoCache among the options
+// the cache is not consulted and only the key comes back.
+func (pl *Planner) ExportPlan(opts ...Option) (key string, plan []byte, err error) {
+	preq, err := requestOf(opts)
 	if err != nil {
-		return nil, err
+		return "", nil, err
 	}
-	return &Result{
-		Schema:             res.Schema,
-		Cost:               res.Cost,
-		Winner:             res.Winner,
-		LowerBoundReducers: res.LowerBoundReducers,
-		Gap:                res.Gap,
-		Candidates:         res.Candidates,
-		CacheHit:           res.CacheHit,
-		SharedFlight:       res.SharedFlight,
-		Elapsed:            res.Elapsed,
-	}, nil
+	return pl.p.ExportPlan(preq)
+}
+
+// ImportPlan offers this planner a plan another planner exported for the
+// instance the options describe. It is stored only if it answers exactly that
+// instance and its schema is valid for it — every required pair covered, no
+// reducer above the capacity — so the next Plan is a cache hit over the
+// caller's own input IDs; otherwise the error says what was wrong and the
+// cache is untouched.
+func (pl *Planner) ImportPlan(plan []byte, opts ...Option) error {
+	preq, err := requestOf(opts)
+	if err != nil {
+		return err
+	}
+	return pl.p.ImportPlan(preq, plan)
 }

@@ -200,3 +200,43 @@ func TestTimeoutOptionStillReturnsBaseline(t *testing.T) {
 		t.Fatalf("schema invalid: %v", err)
 	}
 }
+
+// TestExportImportPlan: one planner's solve, exported, lets another answer
+// the mirrored and shuffled instance from its cache with a schema that is
+// valid for the sides as the second caller numbered them; a plan for another
+// instance is refused and the options are checked like Plan's.
+func TestExportImportPlan(t *testing.T) {
+	ctx := context.Background()
+	xs, ys := []assign.Size{7, 2, 1}, []assign.Size{1, 2, 1, 1}
+	solver, other := assign.NewPlanner(assign.PlannerConfig{}), assign.NewPlanner(assign.PlannerConfig{})
+	if _, err := solver.Plan(ctx, assign.X2Y(xs, ys), assign.Capacity(10), assign.Deterministic()); err != nil {
+		t.Fatal(err)
+	}
+	key, plan, err := solver.ExportPlan(assign.X2Y(xs, ys), assign.Capacity(10))
+	if err != nil || plan == nil {
+		t.Fatalf("ExportPlan = %q, %s, %v", key, plan, err)
+	}
+	mirrored := []assign.Option{assign.X2Y([]assign.Size{1, 1, 2, 1}, []assign.Size{1, 7, 2}), assign.Capacity(10)}
+	if otherKey, held, err := other.ExportPlan(mirrored...); err != nil || otherKey != key || held != nil {
+		t.Fatalf("ExportPlan of the mirrored instance on a fresh planner = %q, %s, %v; want key %q alone", otherKey, held, err, key)
+	}
+	if err := other.ImportPlan(plan, mirrored...); err != nil {
+		t.Fatalf("ImportPlan: %v", err)
+	}
+	res, err := other.Plan(ctx, mirrored...)
+	if err != nil || !res.CacheHit {
+		t.Fatalf("Plan after ImportPlan = %+v, %v; want a cache hit", res, err)
+	}
+	if err := res.Schema.ValidateX2Y(assign.MustNewInputSet([]assign.Size{1, 1, 2, 1}), assign.MustNewInputSet([]assign.Size{1, 7, 2})); err != nil {
+		t.Fatalf("imported plan invalid for the mirrored request: %v", err)
+	}
+	if err := other.ImportPlan(plan, assign.X2Y(xs, ys), assign.Capacity(11)); err == nil {
+		t.Error("a plan for capacity 10 was imported for capacity 11")
+	}
+	if _, _, err := other.ExportPlan(assign.Capacity(10)); !errors.Is(err, assign.ErrNoInstance) {
+		t.Errorf("ExportPlan without an instance = %v", err)
+	}
+	if err := other.ImportPlan(plan, assign.A2A(xs)); err == nil {
+		t.Error("ImportPlan without a capacity succeeded")
+	}
+}

@@ -88,7 +88,7 @@ func (pl *Planner) planForExecute(ctx context.Context, opts []Option) (*request,
 	if err != nil {
 		return nil, nil, err
 	}
-	plan, err := pl.plan(ctx, preq)
+	plan, err := pl.p.Plan(ctx, preq)
 	if err != nil {
 		return nil, nil, err
 	}

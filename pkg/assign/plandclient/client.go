@@ -110,6 +110,23 @@ func (e *APIError) Error() string {
 	return msg
 }
 
+// ErrorBody is the error object of the wire: what the envelope
+// {"error":{"code":"...","message":"..."}} of every failed call carries, and
+// what a failed job or a failed session delta carries inside an otherwise
+// successful reply. The HTTP status travels out of band.
+type ErrorBody struct {
+	Code    string `json:"code"`
+	Message string `json:"message"`
+}
+
+// apiError is the body as the *APIError the Err methods return, nil for nil.
+func (e *ErrorBody) apiError() error {
+	if e == nil {
+		return nil
+	}
+	return &APIError{Code: e.Code, Message: e.Message}
+}
+
 // Error codes the server emits; compare against APIError.Code.
 const (
 	CodeBadRequest       = "bad_request"
@@ -132,6 +149,10 @@ const (
 	CodeTransport = "transport"
 )
 
+// The request and result types below are the wire itself: pland decodes and
+// encodes these very structs, so a field exists on both sides or on neither.
+// Fields tagged `json:"-"` are the client's own.
+
 // PlanRequest is the body of POST /v1/plan and of "plan" jobs.
 type PlanRequest struct {
 	// Problem is "A2A" or "X2Y".
@@ -142,10 +163,15 @@ type PlanRequest struct {
 	Sizes  []assign.Size `json:"sizes,omitempty"`
 	XSizes []assign.Size `json:"x_sizes,omitempty"`
 	YSizes []assign.Size `json:"y_sizes,omitempty"`
-	// TimeoutMS overrides the planning budget (capped server-side); negative
-	// requests the deterministic await-all mode.
+	// TimeoutMS optionally overrides the planning budget, capped by the
+	// server's -max-timeout (synchronous) or -max-job-timeout (v2 jobs). A
+	// negative value requests the deterministic await-all mode (every
+	// portfolio member is awaited; each is individually bounded). It only
+	// shapes a fresh solve: an isomorphic instance already cached (or in
+	// flight) is served as previously solved regardless of this value —
+	// combine with NoCache to force a re-solve under this request's budget.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
-	// NoCache skips the server's canonicalization cache.
+	// NoCache skips the server's canonicalization cache for this request.
 	NoCache bool `json:"no_cache,omitempty"`
 }
 
@@ -176,22 +202,27 @@ type PlanResult struct {
 }
 
 // ExecuteRequest is the body of POST /v1/execute and of "execute" jobs.
-// Input sizes are the payload byte lengths.
+// Input sizes are the payload byte lengths, so the planned schema's capacity
+// bound is about the very bytes that are shuffled.
 type ExecuteRequest struct {
-	Problem  string      `json:"problem"`
+	// Problem is "A2A" or "X2Y".
+	Problem string `json:"problem"`
+	// Capacity is the reducer capacity q in bytes.
 	Capacity assign.Size `json:"capacity"`
-	Inputs   []string    `json:"inputs,omitempty"`
-	XInputs  []string    `json:"x_inputs,omitempty"`
-	YInputs  []string    `json:"y_inputs,omitempty"`
-	// TimeoutMS and NoCache tune the planning step.
+	// Inputs holds the A2A payloads; XInputs/YInputs the X2Y sides.
+	Inputs  []string `json:"inputs,omitempty"`
+	XInputs []string `json:"x_inputs,omitempty"`
+	YInputs []string `json:"y_inputs,omitempty"`
+	// TimeoutMS and NoCache tune the planning step exactly as in PlanRequest.
 	TimeoutMS int  `json:"timeout_ms,omitempty"`
 	NoCache   bool `json:"no_cache,omitempty"`
 	// ReturnPairs includes the processed pair IDs in the result (capped
 	// server-side).
 	ReturnPairs bool `json:"return_pairs,omitempty"`
 	// MemoryBudget, when positive, bounds the execution's in-memory shuffle
-	// bytes; over-budget reduce partitions spill to disk on the server. The
-	// output is unchanged and the result reports the spill volume.
+	// bytes; over-budget reduce partitions spill sorted runs to disk on the
+	// server and merge them back at reduce time. The output is unchanged and
+	// the result reports the realized spill volume.
 	MemoryBudget int64 `json:"memory_budget,omitempty"`
 }
 
@@ -246,10 +277,7 @@ type Job struct {
 	// with PlanResult or ExecuteResult.
 	Result json.RawMessage `json:"result,omitempty"`
 	// Error is the failure reason once State is "failed" or "canceled".
-	Error *struct {
-		Code    string `json:"code"`
-		Message string `json:"message"`
-	} `json:"error,omitempty"`
+	Error *ErrorBody `json:"error,omitempty"`
 	// RequestID is the server's X-Request-ID of the call this view came from
 	// (submit or poll), not a property of the job itself. TraceID is that
 	// call's trace from the response's traceparent header.
@@ -264,59 +292,36 @@ func (j *Job) Terminal() bool {
 
 // Err converts a failed or canceled job's error payload into an *APIError
 // (nil when the job carries no error).
-func (j *Job) Err() error {
-	if j.Error == nil {
-		return nil
-	}
-	return &APIError{Code: j.Error.Code, Message: j.Error.Message}
-}
+func (j *Job) Err() error { return j.Error.apiError() }
 
 // PlanResult decodes a succeeded "plan" job's result.
-func (j *Job) PlanResult() (*PlanResult, error) {
-	if j.State != StateSucceeded {
-		return nil, fmt.Errorf("plandclient: job %s is %s, not succeeded", j.ID, j.State)
-	}
-	var out PlanResult
-	if err := json.Unmarshal(j.Result, &out); err != nil {
-		return nil, fmt.Errorf("plandclient: decoding plan result: %w", err)
-	}
-	out.RequestID, out.TraceID = j.RequestID, j.TraceID
-	return &out, nil
-}
+func (j *Job) PlanResult() (*PlanResult, error) { return jobResult[PlanResult](j, "plan") }
 
 // ExecuteResult decodes a succeeded "execute" job's result.
-func (j *Job) ExecuteResult() (*ExecuteResult, error) {
+func (j *Job) ExecuteResult() (*ExecuteResult, error) { return jobResult[ExecuteResult](j, "execute") }
+
+// jobResult decodes a succeeded job's result; it came with the poll that
+// returned the job, so it carries that call's identity.
+func jobResult[R any, P reply[R]](j *Job, kind string) (*R, error) {
 	if j.State != StateSucceeded {
 		return nil, fmt.Errorf("plandclient: job %s is %s, not succeeded", j.ID, j.State)
 	}
-	var out ExecuteResult
-	if err := json.Unmarshal(j.Result, &out); err != nil {
-		return nil, fmt.Errorf("plandclient: decoding execute result: %w", err)
+	out := new(R)
+	if err := json.Unmarshal(j.Result, out); err != nil {
+		return nil, fmt.Errorf("plandclient: decoding %s result: %w", kind, err)
 	}
-	out.RequestID, out.TraceID = j.RequestID, j.TraceID
-	return &out, nil
+	P(out).stamp(callMeta{requestID: j.RequestID, traceID: j.TraceID})
+	return out, nil
 }
 
 // Plan solves synchronously via POST /v1/plan.
 func (c *Client) Plan(ctx context.Context, req PlanRequest) (*PlanResult, error) {
-	var out PlanResult
-	meta, err := c.do(ctx, http.MethodPost, "/v1/plan", req, &out)
-	if err != nil {
-		return nil, err
-	}
-	out.RequestID, out.TraceID = meta.requestID, meta.traceID
-	return &out, nil
+	return call[PlanResult](ctx, c, http.MethodPost, "/v1/plan", req)
 }
 
 // Execute plans and runs synchronously via POST /v1/execute.
 func (c *Client) Execute(ctx context.Context, req ExecuteRequest) (*ExecuteResult, error) {
-	var out ExecuteResult
-	meta, err := c.do(ctx, http.MethodPost, "/v1/execute", req, &out)
-	if err != nil {
-		return nil, err
-	}
-	out.RequestID, out.TraceID = meta.requestID, meta.traceID
-	return &out, nil
+	return call[ExecuteResult](ctx, c, http.MethodPost, "/v1/execute", req)
 }
 
 // jobSubmit mirrors the server's POST /v2/jobs body.
@@ -329,48 +334,24 @@ type jobSubmit struct {
 // SubmitPlan enqueues an asynchronous "plan" job and returns its queued
 // state. A full queue surfaces as an *APIError with CodeQueueFull.
 func (c *Client) SubmitPlan(ctx context.Context, req PlanRequest) (*Job, error) {
-	var out Job
-	meta, err := c.do(ctx, http.MethodPost, "/v2/jobs", jobSubmit{Type: "plan", Plan: &req}, &out)
-	if err != nil {
-		return nil, err
-	}
-	out.RequestID, out.TraceID = meta.requestID, meta.traceID
-	return &out, nil
+	return call[Job](ctx, c, http.MethodPost, "/v2/jobs", jobSubmit{Type: "plan", Plan: &req})
 }
 
 // SubmitExecute enqueues an asynchronous "execute" job.
 func (c *Client) SubmitExecute(ctx context.Context, req ExecuteRequest) (*Job, error) {
-	var out Job
-	meta, err := c.do(ctx, http.MethodPost, "/v2/jobs", jobSubmit{Type: "execute", Execute: &req}, &out)
-	if err != nil {
-		return nil, err
-	}
-	out.RequestID, out.TraceID = meta.requestID, meta.traceID
-	return &out, nil
+	return call[Job](ctx, c, http.MethodPost, "/v2/jobs", jobSubmit{Type: "execute", Execute: &req})
 }
 
 // GetJob polls one job's state via GET /v2/jobs/{id}.
 func (c *Client) GetJob(ctx context.Context, id string) (*Job, error) {
-	var out Job
-	meta, err := c.do(ctx, http.MethodGet, "/v2/jobs/"+id, nil, &out)
-	if err != nil {
-		return nil, err
-	}
-	out.RequestID, out.TraceID = meta.requestID, meta.traceID
-	return &out, nil
+	return call[Job](ctx, c, http.MethodGet, "/v2/jobs/"+id, nil)
 }
 
 // CancelJob cancels a queued or running job via DELETE /v2/jobs/{id}. A
 // running job reports canceled only once its solver observes the
 // cancellation — follow with WaitJob to see the final state.
 func (c *Client) CancelJob(ctx context.Context, id string) (*Job, error) {
-	var out Job
-	meta, err := c.do(ctx, http.MethodDelete, "/v2/jobs/"+id, nil, &out)
-	if err != nil {
-		return nil, err
-	}
-	out.RequestID, out.TraceID = meta.requestID, meta.traceID
-	return &out, nil
+	return call[Job](ctx, c, http.MethodDelete, "/v2/jobs/"+id, nil)
 }
 
 // backoff is the delay schedule WaitJob polling and the transport-retry
@@ -437,17 +418,10 @@ func (c *Client) PlanAsync(ctx context.Context, req PlanRequest, poll time.Durat
 	if err != nil {
 		return nil, err
 	}
-	final, err := c.WaitJob(ctx, job.ID, poll)
-	if err != nil {
+	if job, err = c.waitSucceeded(ctx, job, poll); err != nil {
 		return nil, err
 	}
-	if final.State != StateSucceeded {
-		if jerr := final.Err(); jerr != nil {
-			return nil, jerr
-		}
-		return nil, fmt.Errorf("plandclient: job %s ended %s", final.ID, final.State)
-	}
-	return final.PlanResult()
+	return job.PlanResult()
 }
 
 // ExecuteAsync submits an "execute" job and waits for its decoded result.
@@ -456,6 +430,15 @@ func (c *Client) ExecuteAsync(ctx context.Context, req ExecuteRequest, poll time
 	if err != nil {
 		return nil, err
 	}
+	if job, err = c.waitSucceeded(ctx, job, poll); err != nil {
+		return nil, err
+	}
+	return job.ExecuteResult()
+}
+
+// waitSucceeded waits for a submitted job and returns it only if it
+// succeeded; a job that ended otherwise becomes its error.
+func (c *Client) waitSucceeded(ctx context.Context, job *Job, poll time.Duration) (*Job, error) {
 	final, err := c.WaitJob(ctx, job.ID, poll)
 	if err != nil {
 		return nil, err
@@ -466,21 +449,23 @@ func (c *Client) ExecuteAsync(ctx context.Context, req ExecuteRequest, poll time
 		}
 		return nil, fmt.Errorf("plandclient: job %s ended %s", final.ID, final.State)
 	}
-	return final.ExecuteResult()
+	return final, nil
 }
 
 // SessionCreateRequest is the body of POST /v2/sessions.
 type SessionCreateRequest struct {
 	// Capacity is the reducer capacity q. Required.
 	Capacity assign.Size `json:"capacity"`
-	// Sizes optionally seeds the session with an initial A2A instance.
+	// Sizes optionally seeds the session with an initial A2A instance,
+	// planned once through the portfolio before the session goes live.
 	Sizes []assign.Size `json:"sizes,omitempty"`
 	// MigrationBudget, RebuildThreshold, and Headroom tune the maintenance
-	// layer; zero keeps each server default.
+	// layer; zero keeps each default (see pkg/assign).
 	MigrationBudget  assign.Size `json:"migration_budget,omitempty"`
 	RebuildThreshold float64     `json:"rebuild_threshold,omitempty"`
 	Headroom         assign.Size `json:"headroom,omitempty"`
-	// TimeoutMS and NoCache shape the session's replans.
+	// TimeoutMS and NoCache shape the session's replans exactly as in
+	// PlanRequest; a negative TimeoutMS requests deterministic await-all mode.
 	TimeoutMS int  `json:"timeout_ms,omitempty"`
 	NoCache   bool `json:"no_cache,omitempty"`
 }
@@ -512,9 +497,12 @@ type Session struct {
 // SessionDelta is one delta of an UpdateSession batch; build with AddDelta,
 // RemoveDelta, and ResizeDelta.
 type SessionDelta struct {
-	Op   string      `json:"op"`
+	// Op is "add", "remove", or "resize".
+	Op string `json:"op"`
+	// Size is the input size for "add" and the new size for "resize".
 	Size assign.Size `json:"size,omitempty"`
-	ID   *int        `json:"id,omitempty"`
+	// ID addresses the input for "remove" and "resize".
+	ID *int `json:"id,omitempty"`
 }
 
 // AddDelta inserts a new input of the given size.
@@ -532,20 +520,12 @@ func ResizeDelta(id int, size assign.Size) SessionDelta {
 // price, or the error that stopped the batch.
 type SessionDeltaResult struct {
 	assign.DeltaReport
-	Error *struct {
-		Code    string `json:"code"`
-		Message string `json:"message"`
-	} `json:"error,omitempty"`
+	Error *ErrorBody `json:"error,omitempty"`
 }
 
 // Err converts a failed delta's error payload into an *APIError (nil when
 // the delta was applied).
-func (r *SessionDeltaResult) Err() error {
-	if r.Error == nil {
-		return nil
-	}
-	return &APIError{Code: r.Error.Code, Message: r.Error.Message}
-}
+func (r *SessionDeltaResult) Err() error { return r.Error.apiError() }
 
 // SessionPatchResult is the answer of PATCH /v2/sessions/{id}.
 type SessionPatchResult struct {
@@ -563,7 +543,8 @@ type SessionPatchResult struct {
 	TraceID   string `json:"-"`
 }
 
-// SessionList is the answer of GET /v2/sessions.
+// SessionList is the answer of GET /v2/sessions: every live session without
+// its schema, ordered by ID, and the server's session limit.
 type SessionList struct {
 	Sessions []Session `json:"sessions"`
 	Count    int       `json:"count"`
@@ -577,35 +558,17 @@ type SessionList struct {
 // CreateSession opens a live session via POST /v2/sessions. A server at its
 // session limit surfaces as an *APIError with CodeSessionLimit.
 func (c *Client) CreateSession(ctx context.Context, req SessionCreateRequest) (*Session, error) {
-	var out Session
-	meta, err := c.do(ctx, http.MethodPost, "/v2/sessions", req, &out)
-	if err != nil {
-		return nil, err
-	}
-	out.RequestID, out.TraceID = meta.requestID, meta.traceID
-	return &out, nil
+	return call[Session](ctx, c, http.MethodPost, "/v2/sessions", req)
 }
 
 // ListSessions lists the live sessions via GET /v2/sessions.
 func (c *Client) ListSessions(ctx context.Context) (*SessionList, error) {
-	var out SessionList
-	meta, err := c.do(ctx, http.MethodGet, "/v2/sessions", nil, &out)
-	if err != nil {
-		return nil, err
-	}
-	out.RequestID, out.TraceID = meta.requestID, meta.traceID
-	return &out, nil
+	return call[SessionList](ctx, c, http.MethodGet, "/v2/sessions", nil)
 }
 
 // GetSession fetches a session's current schema and drift stats.
 func (c *Client) GetSession(ctx context.Context, id string) (*Session, error) {
-	var out Session
-	meta, err := c.do(ctx, http.MethodGet, "/v2/sessions/"+id, nil, &out)
-	if err != nil {
-		return nil, err
-	}
-	out.RequestID, out.TraceID = meta.requestID, meta.traceID
-	return &out, nil
+	return call[Session](ctx, c, http.MethodGet, "/v2/sessions/"+id, nil)
 }
 
 // UpdateSession applies a delta batch via PATCH /v2/sessions/{id}. The call
@@ -615,24 +578,12 @@ func (c *Client) UpdateSession(ctx context.Context, id string, deltas ...Session
 	body := struct {
 		Deltas []SessionDelta `json:"deltas"`
 	}{Deltas: deltas}
-	var out SessionPatchResult
-	meta, err := c.do(ctx, http.MethodPatch, "/v2/sessions/"+id, body, &out)
-	if err != nil {
-		return nil, err
-	}
-	out.RequestID, out.TraceID = meta.requestID, meta.traceID
-	return &out, nil
+	return call[SessionPatchResult](ctx, c, http.MethodPatch, "/v2/sessions/"+id, body)
 }
 
 // DeleteSession closes a session via DELETE /v2/sessions/{id}.
 func (c *Client) DeleteSession(ctx context.Context, id string) (*Session, error) {
-	var out Session
-	meta, err := c.do(ctx, http.MethodDelete, "/v2/sessions/"+id, nil, &out)
-	if err != nil {
-		return nil, err
-	}
-	out.RequestID, out.TraceID = meta.requestID, meta.traceID
-	return &out, nil
+	return call[Session](ctx, c, http.MethodDelete, "/v2/sessions/"+id, nil)
 }
 
 // Transport-retry budget: how many round trips one call may cost, and the
@@ -670,6 +621,33 @@ type callMeta struct {
 	traceID   string
 }
 
+// reply is a pointer to one of the reply types that say which call produced
+// them.
+type reply[R any] interface {
+	*R
+	stamp(callMeta)
+}
+
+func (r *PlanResult) stamp(m callMeta)         { r.RequestID, r.TraceID = m.requestID, m.traceID }
+func (r *ExecuteResult) stamp(m callMeta)      { r.RequestID, r.TraceID = m.requestID, m.traceID }
+func (r *Job) stamp(m callMeta)                { r.RequestID, r.TraceID = m.requestID, m.traceID }
+func (r *Session) stamp(m callMeta)            { r.RequestID, r.TraceID = m.requestID, m.traceID }
+func (r *SessionPatchResult) stamp(m callMeta) { r.RequestID, r.TraceID = m.requestID, m.traceID }
+func (r *SessionList) stamp(m callMeta)        { r.RequestID, r.TraceID = m.requestID, m.traceID }
+func (r *HandoffResult) stamp(m callMeta)      { r.RequestID, r.TraceID = m.requestID, m.traceID }
+
+// call is do for the calls that answer with one of those types: the reply is
+// decoded into a new R and stamped with the identity of the call.
+func call[R any, P reply[R]](ctx context.Context, c *Client, method, path string, body any) (*R, error) {
+	out := new(R)
+	meta, err := c.do(ctx, method, path, body, P(out))
+	if err != nil {
+		return nil, err
+	}
+	P(out).stamp(meta)
+	return out, nil
+}
+
 // do performs a round trip: JSON request body (when non-nil), JSON response
 // into out on 2xx (out may be nil to discard), and the server's error
 // envelope as *APIError otherwise. Transport failures are retried per
@@ -701,10 +679,8 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) (ca
 			}
 			return meta, err
 		}
-		if !retryableTransport(method, terr.err) || attempt >= retryAttempts || ctx.Err() != nil {
-			return meta, &APIError{Code: CodeTransport, Message: "pland unreachable: " + terr.Error(), Attempts: attempt}
-		}
-		if serr := c.sleep(ctx, bo.next()); serr != nil {
+		if !retryableTransport(method, terr.err) || attempt >= retryAttempts || ctx.Err() != nil ||
+			c.sleep(ctx, bo.next()) != nil {
 			return meta, &APIError{Code: CodeTransport, Message: "pland unreachable: " + terr.Error(), Attempts: attempt}
 		}
 	}
@@ -753,7 +729,7 @@ func (c *Client) doOnce(ctx context.Context, method, path string, body []byte, o
 		meta.traceID = rtc.TraceID
 	}
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		return meta, decodeAPIError(resp)
+		return meta, decodeAPIError(resp, meta)
 	}
 	if out == nil {
 		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
@@ -767,28 +743,22 @@ func (c *Client) doOnce(ctx context.Context, method, path string, body []byte, o
 
 // decodeAPIError parses the unified error envelope; a non-envelope body
 // still yields a usable *APIError with the raw text.
-func decodeAPIError(resp *http.Response) error {
-	rid := resp.Header.Get("X-Request-ID")
-	var tid string
-	if tc, ok := obs.ParseTraceparent(resp.Header.Get(obs.TraceparentHeader)); ok {
-		tid = tc.TraceID
-	}
+func decodeAPIError(resp *http.Response, meta callMeta) error {
+	ae := &APIError{StatusCode: resp.StatusCode, Code: CodeInternal, RequestID: meta.requestID, TraceID: meta.traceID}
 	raw, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 	if err != nil {
-		return &APIError{StatusCode: resp.StatusCode, Code: CodeInternal, Message: err.Error(), RequestID: rid, TraceID: tid}
+		ae.Message = err.Error()
+		return ae
 	}
 	var env struct {
-		Error struct {
-			Code    string `json:"code"`
-			Message string `json:"message"`
-		} `json:"error"`
+		Error ErrorBody `json:"error"`
 	}
 	if err := json.Unmarshal(raw, &env); err != nil || env.Error.Code == "" {
-		return &APIError{StatusCode: resp.StatusCode, Code: CodeInternal,
-			Message: strings.TrimSpace(string(raw)), RequestID: rid, TraceID: tid}
+		ae.Message = strings.TrimSpace(string(raw))
+		return ae
 	}
-	return &APIError{StatusCode: resp.StatusCode, Code: env.Error.Code,
-		Message: env.Error.Message, RequestID: rid, TraceID: tid}
+	ae.Code, ae.Message = env.Error.Code, env.Error.Message
+	return ae
 }
 
 // IsCode reports whether err is an *APIError with the given code.

@@ -75,10 +75,7 @@ func (s *stubPland) handler() http.Handler {
 		}
 		if r.Method == http.MethodDelete {
 			json.NewEncoder(w).Encode(Job{ID: id, State: StateCanceled,
-				Error: &struct {
-					Code    string `json:"code"`
-					Message string `json:"message"`
-				}{Code: CodeCanceled, Message: "job canceled"}})
+				Error: &ErrorBody{Code: CodeCanceled, Message: "job canceled"}})
 			return
 		}
 		job := Job{ID: id, Type: "plan"}
@@ -89,10 +86,7 @@ func (s *stubPland) handler() http.Handler {
 			job.State = StateRunning
 		case failing:
 			job.State = StateFailed
-			job.Error = &struct {
-				Code    string `json:"code"`
-				Message string `json:"message"`
-			}{Code: CodePlanTimeout, Message: "budget exhausted"}
+			job.Error = &ErrorBody{Code: CodePlanTimeout, Message: "budget exhausted"}
 		default:
 			job.State = StateSucceeded
 			job.Result = json.RawMessage(`{"reducers":4,"winner":"stub-async"}`)

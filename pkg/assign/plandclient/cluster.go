@@ -62,13 +62,7 @@ type HandoffResult struct {
 // The receiving node verifies the fingerprint, restores the session
 // (journaling it into its own WAL when durable), and serves it from then on.
 func (c *Client) Handoff(ctx context.Context, req HandoffRequest) (*HandoffResult, error) {
-	var out HandoffResult
-	meta, err := c.do(ctx, http.MethodPost, "/internal/handoff", req, &out)
-	if err != nil {
-		return nil, err
-	}
-	out.RequestID, out.TraceID = meta.requestID, meta.traceID
-	return &out, nil
+	return call[HandoffResult](ctx, c, http.MethodPost, "/internal/handoff", req)
 }
 
 // FleetCacheGet probes this node's shard of the fleet plan cache for a
