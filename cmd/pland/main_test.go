@@ -291,6 +291,20 @@ func TestExecuteEndToEndX2Y(t *testing.T) {
 	}
 }
 
+// TestExecuteOfOneInputIsAudited: a single input requires no pair, so the
+// planned schema has no reducer and nothing runs; the schema's static check
+// still passed, and the reply says audited.
+func TestExecuteOfOneInputIsAudited(t *testing.T) {
+	srv := newTestServer(t)
+	resp, out := postExecute(t, srv, `{"problem":"A2A","capacity":10,"inputs":["alone"],"return_pairs":true}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d", resp.StatusCode)
+	}
+	if !out.Audited || out.Pairs != 0 || out.Reducers != 0 || len(out.PairIDs) != 0 {
+		t.Errorf("audited=%v pairs=%d reducers=%d pair_ids=%v, want true/0/0/none", out.Audited, out.Pairs, out.Reducers, out.PairIDs)
+	}
+}
+
 func TestExecuteRejectsBadRequests(t *testing.T) {
 	srv := newTestServer(t)
 	cases := []struct {

@@ -81,14 +81,15 @@ func (e *AuditError) Unwrap() []error {
 // itself.
 //
 // A trace has exactly two forms. The executor writes the sharded form: one
-// private append-only log per reducer, filled by the reduce call without any
+// append-only log per reducer, filled by the reduce call without any
 // synchronization and published once when the call succeeds, so the per-pair
-// hot loop touches no atomic and no shared cache line. NewTrace builds the
-// sparse form — a mutex-guarded map from pair to the reducers that processed
-// it — which fabricated traces use and which is the one reference
-// representation: whenever the sharded form is not exactly what the schema
-// prescribes, CheckTrace converts it to the sparse form and runs the generic
-// check on that.
+// hot loop touches no atomic and no shared cache line. The logs of one run
+// are sections of a single pooled buffer (see compilation.logSection).
+// NewTrace builds the sparse form — a mutex-guarded map from pair to the
+// reducers that processed it — which fabricated traces use and which is the
+// one reference representation: whenever the sharded form is not exactly what
+// the schema prescribes, CheckTrace converts it to the sparse form and runs
+// the generic check on that.
 type Trace struct {
 	mu     sync.Mutex       // guards pairs
 	pairs  map[[2]int][]int // sparse form: pair -> reducers that processed it
@@ -98,6 +99,8 @@ type Trace struct {
 // pairEntry is one logged pair: for A2A the two input IDs with a < b, for
 // X2Y the X-side ID then the Y-side ID.
 type pairEntry struct{ a, b int32 }
+
+const pairEntryBytes = 8
 
 // NewTrace returns an empty sparse trace.
 func NewTrace() *Trace {
@@ -163,20 +166,54 @@ func (t *Trace) processedBy(a, b int) []int {
 	return t.pairs[[2]int{a, b}]
 }
 
+// traceLogs recycles the buffers runs cut their per-reducer logs from (eight
+// bytes per required pair, which a fresh allocation would also have to
+// clear). The buffers are held through pointers so Put does not allocate a
+// slice header per run.
+var traceLogs sync.Pool
+
+// getTraceLog returns a buffer of n entries with arbitrary contents: every
+// section is appended to from length zero, so nothing stale is ever read.
+func getTraceLog(n int) []pairEntry {
+	if p, _ := traceLogs.Get().(*[]pairEntry); p != nil && cap(*p) >= n {
+		return (*p)[:n]
+	}
+	return make([]pairEntry, n)
+}
+
+// putTraceLog gives a buffer back once nothing reads the trace cut from it
+// any more. One larger than the compile cache's bound is left to the
+// collector, so the pool never pins more than a cached index may.
+func putTraceLog(log []pairEntry) {
+	if int64(cap(log))*pairEntryBytes <= maxCacheBytes {
+		traceLogs.Put(&log)
+	}
+}
+
+// shape is the instance a schema is executed over: the size of the A2A set,
+// or of the X and Y sides.
+type shape struct{ numA, numX, numY int }
+
 // schemaIndex holds everything derived from a schema and an instance shape
 // that is independent of the request's payload bytes: the per-input reducer
-// assignment slices the mappers replicate along, and the bitset membership
-// rows (one CoverSet over reducer indexes per input) that owner election,
-// coverage checks, and trace replay run on. Batch execution builds it once
-// per distinct schema and shares it across jobs.
+// assignment slices the mappers replicate along, the bitset membership rows
+// (one CoverSet over reducer indexes per input) that owner election, coverage
+// checks, and trace replay run on, the owned-pair lists and the static
+// verdict. It is immutable once built (the lazy parts are guarded), so a
+// Compiler hands one index to every run of the same schema; a retained index
+// is built over a private copy of the schema, never the caller's.
 type schemaIndex struct {
 	schema *core.MappingSchema
+	shape
 	// aAssign holds A2A per-input assignments; xAssign/yAssign the X2Y sides.
 	aAssign          [][]int
 	xAssign, yAssign [][]int
 	// aBits/xBits/yBits are the bitset rows matching the assignments.
 	aBits, xBits, yBits []core.CoverSet
-	numA, numX, numY    int
+	// keys holds the shuffle key of every reducer for compiled runs, so
+	// neither the mapper nor the load computation formats one per copy;
+	// auditors built without a run have none.
+	keys []string
 
 	// sweepOnce guards owned/ownedEnd, the result of the one ascending
 	// reducer sweep every audit of this schema shares (see sweep).
@@ -185,7 +222,7 @@ type schemaIndex struct {
 	ownedEnd  []int
 
 	// preOnce/preErr cache PreCheck, which depends only on schema and shape,
-	// so batch audits sharing the index pay for it once.
+	// so runs sharing the index pay for it once.
 	preOnce sync.Once
 	preErr  error
 }
@@ -211,9 +248,9 @@ func newSchemaIndexA2A(schema *core.MappingSchema, numInputs int) (*schemaIndex,
 	assign := mr.AssignmentsA2A(schema, numInputs)
 	return &schemaIndex{
 		schema:  schema,
+		shape:   shape{numA: numInputs},
 		aAssign: assign,
 		aBits:   bitRows(assign, schema.NumReducers()),
-		numA:    numInputs,
 	}, nil
 }
 
@@ -229,16 +266,30 @@ func newSchemaIndexX2Y(schema *core.MappingSchema, numX, numY int) (*schemaIndex
 	n := schema.NumReducers()
 	return &schemaIndex{
 		schema:  schema,
+		shape:   shape{numX: numX, numY: numY},
 		xAssign: x, yAssign: y,
 		xBits: bitRows(x, n), yBits: bitRows(y, n),
-		numX: numX, numY: numY,
 	}, nil
 }
 
-// matches reports whether the index was built for this schema and shape.
-func (idx *schemaIndex) matches(schema *core.MappingSchema, numA, numX, numY int) bool {
-	return idx != nil && idx.schema == schema &&
-		idx.numA == numA && idx.numX == numX && idx.numY == numY
+// newSchemaIndex builds the index a compiled run needs: the problem's index
+// plus the reducer keys.
+func newSchemaIndex(schema *core.MappingSchema, sh shape) (*schemaIndex, error) {
+	var idx *schemaIndex
+	var err error
+	if schema.Problem == core.ProblemA2A {
+		idx, err = newSchemaIndexA2A(schema, sh.numA)
+	} else {
+		idx, err = newSchemaIndexX2Y(schema, sh.numX, sh.numY)
+	}
+	if err != nil {
+		return nil, err
+	}
+	idx.keys = make([]string, schema.NumReducers())
+	for r := range idx.keys {
+		idx.keys[r] = mr.ReducerKey(r)
+	}
+	return idx, nil
 }
 
 // requiredPairCount returns how many pairs the instance requires covered.
@@ -268,9 +319,9 @@ func (idx *schemaIndex) pairIndex(i, j int) int {
 // ownedEnd[r]] holds reducer r's pairs in sorted-member order (members
 // ascending and de-duplicated; for X2Y, X-side outer and Y-side inner) —
 // the order a compiled reducer processes them in. PreCheck prices coverage
-// from the list's length, the reducers pre-size their logs from it, and
-// CheckTrace compares it with the trace shard by shard, so a whole audited
-// run pays for one sweep.
+// from the list's length, a run cuts its reducers' logs to it, and CheckTrace
+// compares it with the trace shard by shard, so every audited run of one
+// index shares one sweep.
 func (idx *schemaIndex) sweep() {
 	idx.sweepOnce.Do(func() {
 		required := idx.requiredPairCount()
@@ -322,15 +373,20 @@ func sortedMembers(ids []int) []int {
 	return ids
 }
 
-// ownedBy returns the pairs the sweep assigns to reducer r, in the order a
-// compiled reducer processes them.
-func (idx *schemaIndex) ownedBy(r int) []pairEntry {
+// ownedRange returns where reducer r's pairs lie in the sweep's list.
+func (idx *schemaIndex) ownedRange(r int) (start, end int) {
 	idx.sweep()
-	start := 0
 	if r > 0 {
 		start = idx.ownedEnd[r-1]
 	}
-	return idx.owned[start:idx.ownedEnd[r]]
+	return start, idx.ownedEnd[r]
+}
+
+// ownedBy returns the pairs the sweep assigns to reducer r, in the order a
+// compiled reducer processes them.
+func (idx *schemaIndex) ownedBy(r int) []pairEntry {
+	start, end := idx.ownedRange(r)
+	return idx.owned[start:end]
 }
 
 // conforms is the audit's fast replay: the trace is exactly what the schema
@@ -438,8 +494,8 @@ func (a *Auditor) requiredPairs(fn func(i, j int)) {
 // PreCheck verifies the schema's own promises before anything runs: every
 // declared reducer load is within the capacity q and every required pair has
 // an owning reducer. It returns an *AuditError listing every violation.
-// The result is cached on the shared index, so batch jobs over one schema
-// pay for the pair sweep once.
+// The result is cached on the index, so runs that share one pay for the
+// pair sweep once.
 func (a *Auditor) PreCheck() error {
 	a.idx.preOnce.Do(func() { a.idx.preErr = a.preCheck() })
 	return a.idx.preErr

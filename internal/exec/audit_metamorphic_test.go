@@ -127,7 +127,7 @@ func TestAuditFlagsLoadMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Compile the real expected loads, then perturb the measured counters.
-	c, err := compile(Request{Name: "loads", Schema: ms, Inputs: makeInputs(set.Sizes()), Pair: pairIDs}, nil)
+	c, err := compile(Request{Name: "loads", Schema: ms, Inputs: makeInputs(set.Sizes()), Pair: pairIDs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,10 +215,11 @@ type traceEvent struct{ r, a, b int }
 // audit, and returns what the compiled reducers logged, reducer by reducer.
 func executedEvents(t *testing.T, req Request) (*compilation, []traceEvent) {
 	t.Helper()
-	c, err := compile(req, nil)
+	c, err := compile(req)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.takeLog() // never released: the callers read the shards
 	if _, err := mr.Run(context.Background(), c.job(), &c.in, nil, mr.StreamOptions{}); err != nil {
 		t.Fatal(err)
 	}

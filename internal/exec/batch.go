@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-
-	"repro/internal/core"
 )
 
 // BatchOptions tunes RunBatch.
@@ -25,7 +23,8 @@ type BatchOptions struct {
 // their job index and name) into the returned error. Cancelling the context
 // stops dispatching new jobs, cancels the running ones mid-pipeline (unless
 // a job carries its own Ctx), and marks every undispatched job failed with
-// the context's error.
+// the context's error. Jobs that bring no Compiler share one for the batch, so
+// a schema many of them run is compiled by the first to get there.
 func RunBatch(ctx context.Context, reqs []Request, opts BatchOptions) ([]*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -39,7 +38,10 @@ func RunBatch(ctx context.Context, reqs []Request, opts BatchOptions) ([]*Result
 	}
 	results := make([]*Result, len(reqs))
 	errs := make([]error, len(reqs))
-	shared := sharedIndexes(reqs)
+	// The requests at hand say what repeats, so the batch's compiler keeps
+	// every schema from its first sight on.
+	compiler := newCompiler(true)
+	defer compiler.purge()
 
 	var wg sync.WaitGroup
 	idx := make(chan int)
@@ -54,7 +56,10 @@ func RunBatch(ctx context.Context, reqs []Request, opts BatchOptions) ([]*Result
 					// not just undispatched ones.
 					r.Ctx = ctx
 				}
-				res, err := run(r, shared[i])
+				if r.Compiler == nil {
+					r.Compiler = compiler
+				}
+				res, err := Run(r)
 				if err != nil {
 					errs[i] = fmt.Errorf("exec: batch job %d (%q): %w", i, reqs[i].Name, err)
 					continue
@@ -77,62 +82,4 @@ dispatch:
 	close(idx)
 	wg.Wait()
 	return results, errors.Join(errs...)
-}
-
-// indexKey identifies a reusable schema index: the schema identity plus the
-// instance shape the assignments were derived for.
-type indexKey struct {
-	schema           *core.MappingSchema
-	numA, numX, numY int
-}
-
-// sharedIndexes builds, once per (schema, shape) that more than one job
-// uses, the schema index those jobs share — service-style batches typically
-// run many jobs against one planned schema, and rebuilding the per-input
-// assignment rows per job dominated small-job batch profiles. Jobs with a
-// unique schema keep compiling their index inside the worker pool, so
-// all-distinct batches lose no parallelism. The result is aligned with
-// reqs; entries are nil for jobs that compile their own index (unique
-// schema, no schema, bad ID ranges, ...) and compile reports any error with
-// the job name attached.
-func sharedIndexes(reqs []Request) []*schemaIndex {
-	keys := make([]indexKey, len(reqs))
-	uses := make(map[indexKey]int)
-	for i := range reqs {
-		schema := reqs[i].schema()
-		if schema == nil {
-			continue
-		}
-		switch schema.Problem {
-		case core.ProblemA2A:
-			keys[i] = indexKey{schema: schema, numA: len(reqs[i].Inputs)}
-		case core.ProblemX2Y:
-			keys[i] = indexKey{schema: schema, numX: len(reqs[i].XInputs), numY: len(reqs[i].YInputs)}
-		default:
-			continue
-		}
-		uses[keys[i]]++
-	}
-	built := make(map[indexKey]*schemaIndex)
-	out := make([]*schemaIndex, len(reqs))
-	for i, key := range keys {
-		if key.schema == nil || uses[key] < 2 {
-			continue
-		}
-		sh, ok := built[key]
-		if !ok {
-			var err error
-			if key.schema.Problem == core.ProblemA2A {
-				sh, err = newSchemaIndexA2A(key.schema, key.numA)
-			} else {
-				sh, err = newSchemaIndexX2Y(key.schema, key.numX, key.numY)
-			}
-			if err != nil {
-				sh = nil
-			}
-			built[key] = sh
-		}
-		out[i] = sh
-	}
-	return out
 }

@@ -177,14 +177,14 @@ func TestRunMatchesSeedGolden(t *testing.T) {
 }
 
 // TestRunBatchMatchesSeedGolden runs the same scenarios through RunBatch
-// (shared-schema index hoisting included) and asserts against the same
+// (the batch's shared compile cache included) and asserts against the same
 // fixture: the batch path and the single-run path must agree with the seed.
 func TestRunBatchMatchesSeedGolden(t *testing.T) {
 	if *updateGolden {
 		t.Skip("fixture is written by TestRunMatchesSeedGolden")
 	}
 	reqs := compatScenarios(t)
-	// Duplicate the A2A job so the batch path exercises the shared index.
+	// Duplicate the A2A job so two jobs of the batch share a compiled index.
 	reqs = append(reqs, reqs[0])
 	results, err := RunBatch(context.Background(), reqs, BatchOptions{})
 	if err != nil {

@@ -54,10 +54,15 @@
 // nothing. PreCheck derives every pair's owner in one ascending sweep over
 // the reducers (the first reducer containing a pair owns it) and keeps the
 // result as one list of owned pairs per reducer, in the order that reducer
-// will process them. Each reduce call appends the pairs it processes to a
-// private slice and publishes it when the call succeeds — no atomics, no
+// will process them. A run takes one buffer with an entry per owned pair
+// from a pool; each reduce call appends the pairs it processes to its
+// reducer's section of it — capped at what the reducer owns, so a reducer
+// that processes more grows into a private copy rather than into its
+// neighbour — and publishes the log when the call succeeds: no atomics, no
 // shared cache line in the per-pair loop, and nothing left behind by a failed
-// attempt the engine retries. The post-run check of a healthy run is then a
+// attempt the engine retries, which starts the section again. The buffer
+// goes back to the pool when the audit is done with it; a Result holds no
+// reference to it. The post-run check of a healthy run is then a
 // sequence comparison: reducer r's log must equal the sweep's list for r,
 // entry for entry and length for length, which is exactly "every pair once,
 // at its owner, nothing else". The two sides derive owners differently — the
@@ -68,7 +73,37 @@
 // pland_exec_audit_slow_replays_total counter says how often that happens
 // (never, for a healthy run).
 //
+// # Compiled once
+//
+// What a run derives from the schema and the instance shape alone — the
+// per-input assignments, the membership bitsets, the reducer keys, the
+// owned-pair lists, PreCheck's verdict — does not depend on the payload, so a
+// Compiler, handed over in Request.Compiler, keeps it across runs. The cache
+// is keyed by a hash of the schema's content (problem, capacity, every
+// reducer's load and ID lists) and the shape, and a hit counts only after a
+// full comparison with the private deep copy of the schema the entry was
+// compiled from: callers own the schemas they pass in and may change them
+// between runs, and a key is a hint, never evidence. A schema is retained the
+// second time it is seen, through a fixed-size table of recently missed
+// hashes, so executions that never repeat pay one hash each and leave nothing
+// behind. Retained bytes are bounded by an unexported constant, least
+// recently used first out; an index larger than the bound, or whose schema
+// fails PreCheck, is compiled for its run and never kept. NoAudit and
+// MemoryBudget change what a run does with the index, not the index, and do
+// not enter into the key. What depends on the payload — the expected byte
+// loads, the engine capacity, the partition hints — is computed per run; the
+// ID-range check and PreCheck either run or are answered by an entry that
+// passed them for the same content and shape. The two derivations of every
+// owner are still both made, the reducers' in every run and the sweep's once
+// per retained index, and Check still compares every logged pair with every
+// owned pair. A nil Compiler compiles per call; each assign.Planner owns one
+// beside its plan cache. pland_exec_compile_total{outcome} counts hits,
+// misses and uncacheable compilations, pland_exec_compile_cache_bytes what is
+// retained.
+//
 // RunBatch executes many independent jobs under a bounded worker pool, for
 // service-style traffic and for applications that decompose into many small
-// schema-driven jobs (the skew join runs one per heavy key).
+// schema-driven jobs (the skew join runs one per heavy key). Jobs that bring
+// no Compiler share one for the batch, which keeps schemas from their first
+// sight on.
 package exec

@@ -70,6 +70,10 @@ type Request struct {
 	SpillDir string
 	// Pair is the per-pair user logic; it is required.
 	Pair PairFunc
+	// Compiler, when non-nil, is asked for the schema's index and may answer
+	// with the one an earlier run of the same schema left in it; nil compiles
+	// the schema for this run alone.
+	Compiler *Compiler
 	// Workers bounds reduce-phase parallelism; 0 means one worker per
 	// reducer.
 	Workers int
@@ -77,10 +81,10 @@ type Request struct {
 	MaxAttempts int
 	// NoAudit skips the post-run conformance check (the schema's own
 	// PreCheck always runs). What it saves is small: the reducers log their
-	// pairs either way — eight bytes per pair, appended to a private
-	// per-reducer slice, which is also where PairsProcessed comes from — and
-	// the check of a healthy run is one sequential comparison of those logs
-	// against the owned-pair lists PreCheck already derived.
+	// pairs either way — eight bytes per pair, appended to the reducer's
+	// section of the run's log, which is also where PairsProcessed comes from
+	// — and the check of a healthy run is one sequential comparison of those
+	// logs against the owned-pair lists PreCheck already derived.
 	NoAudit bool
 }
 
@@ -121,16 +125,9 @@ func (r *Request) schema() *core.MappingSchema {
 // NoAudit is set — audits the run against the schema. See the package
 // documentation for the compilation contract.
 func Run(req Request) (*Result, error) {
-	return run(req, nil)
-}
-
-// run is Run with an optional pre-built schema index (RunBatch hoists index
-// construction for jobs that share one schema); a nil or mismatched index is
-// ignored and compiled per call.
-func run(req Request, shared *schemaIndex) (*Result, error) {
 	sp := obs.SpanFrom(req.Ctx)
 	endCompile := sp.Stage("exec_compile")
-	c, err := compile(req, shared)
+	c, err := compile(req)
 	if err != nil {
 		endCompile()
 		obsRunsError.Inc()
@@ -145,10 +142,14 @@ func run(req Request, shared *schemaIndex) (*Result, error) {
 	endCompile()
 	res := &Result{Schema: c.schema}
 	if c.schema.NumReducers() == 0 {
-		// No reducers and PreCheck passed: there is no required pair.
+		// No reducers and PreCheck passed: there is no required pair, and
+		// that is all an audit of this run could establish.
+		res.Audited = !req.NoAudit
 		obsRunsOK.Inc()
 		return res, nil
 	}
+	c.takeLog()
+	defer putTraceLog(c.log)
 	var sink mr.Sink
 	if req.Sink != nil {
 		sink = mr.SinkFunc(func(_ int, rec []byte) error { return req.Sink(rec) })
@@ -205,9 +206,8 @@ type compilation struct {
 	idx     *schemaIndex
 	auditor *Auditor
 	trace   *Trace
-	// keys holds the shuffle key of every reducer, built once per compile so
-	// neither the mapper nor the load computation formats one per copy.
-	keys []string
+	// log is the buffer the reducers' trace logs are cut from (logSection).
+	log []pairEntry
 	// expectedLoads is the byte image of the schema's routing per reducer;
 	// expectedCopies is the matching record count per reducer.
 	expectedLoads  []int64
@@ -215,9 +215,9 @@ type compilation struct {
 }
 
 // compile validates the request and derives the input stream, the schema
-// index (or adopts the shared one when it matches this schema and shape), the
+// index (from the request's Compiler, which may have it already), the
 // auditor, and the engine job.
-func compile(req Request, shared *schemaIndex) (*compilation, error) {
+func compile(req Request) (*compilation, error) {
 	schema := req.schema()
 	if schema == nil {
 		return nil, fmt.Errorf("%w (job %q)", ErrNoSchema, req.Name)
@@ -226,7 +226,7 @@ func compile(req Request, shared *schemaIndex) (*compilation, error) {
 		return nil, fmt.Errorf("%w (job %q)", ErrNoPairFunc, req.Name)
 	}
 	c := &compilation{req: req, schema: schema}
-	var err error
+	var sh shape
 	switch schema.Problem {
 	case core.ProblemA2A:
 		c.in = framingSource{src: mr.NewSliceSource(req.Inputs), sizes: payloadSizes(req.Inputs), sides: [2]byte{sideA, sideA}}
@@ -244,11 +244,7 @@ func compile(req Request, shared *schemaIndex) (*compilation, error) {
 		if numA == 0 || req.XInputs != nil || req.YInputs != nil {
 			return nil, fmt.Errorf("%w: A2A jobs take Inputs only (job %q)", ErrBadInputs, req.Name)
 		}
-		if shared.matches(schema, numA, 0, 0) {
-			c.idx = shared
-		} else {
-			c.idx, err = newSchemaIndexA2A(schema, numA)
-		}
+		sh = shape{numA: numA}
 	case core.ProblemX2Y:
 		if req.Source != nil {
 			return nil, fmt.Errorf("%w: streaming input (Source) supports A2A jobs only (job %q)", ErrBadInputs, req.Name)
@@ -258,23 +254,18 @@ func compile(req Request, shared *schemaIndex) (*compilation, error) {
 		}
 		recs := slices.Concat(req.XInputs, req.YInputs)
 		c.in = framingSource{src: mr.NewSliceSource(recs), sizes: payloadSizes(recs), split: len(req.XInputs), sides: [2]byte{sideX, sideY}}
-		if shared.matches(schema, 0, len(req.XInputs), len(req.YInputs)) {
-			c.idx = shared
-		} else {
-			c.idx, err = newSchemaIndexX2Y(schema, len(req.XInputs), len(req.YInputs))
-		}
+		sh = shape{numX: len(req.XInputs), numY: len(req.YInputs)}
 	default:
 		return nil, fmt.Errorf("exec: unknown problem %v (job %q)", schema.Problem, req.Name)
 	}
+	idx, outcome, err := req.Compiler.index(schema, sh)
 	if err != nil {
 		return nil, err
 	}
+	outcome.Inc()
+	c.idx = idx
 	c.in.name = req.Name
 	c.trace = newShardedTrace(schema.NumReducers())
-	c.keys = make([]string, schema.NumReducers())
-	for r := range c.keys {
-		c.keys[r] = mr.ReducerKey(r)
-	}
 	c.computeExpectedLoads()
 	c.auditor = &Auditor{idx: c.idx, expectedLoads: c.expectedLoads}
 	return c, nil
@@ -371,7 +362,7 @@ func (c *compilation) computeExpectedLoads() {
 		for id, rs := range assign {
 			sz := framedSize(id, sizes[id])
 			for _, r := range rs {
-				loads[r] += int64(len(c.keys[r])) + sz
+				loads[r] += int64(len(c.idx.keys[r])) + sz
 				copies[r]++
 			}
 		}
@@ -465,7 +456,7 @@ func (c *compilation) mapper() mr.Mapper {
 			return err
 		}
 		for _, r := range rs {
-			emit(mr.Pair{Key: c.keys[r], Value: record})
+			emit(mr.Pair{Key: c.idx.keys[r], Value: record})
 		}
 		return nil
 	})
@@ -480,9 +471,9 @@ func (c *compilation) mapper() mr.Mapper {
 // reducer owns the pair exactly when the rows share no lower-indexed
 // reducer.
 //
-// The log is private to the call and published only when the call succeeds:
-// the hot loop shares nothing, and a failed attempt that the engine retries
-// leaves no entries behind.
+// The log is the call's own (logSection) and published only when the call
+// succeeds: the hot loop shares nothing, and a failed attempt that the engine
+// retries leaves no entries behind.
 func (c *compilation) reducer() mr.Reducer {
 	n := c.schema.NumReducers()
 	return mr.ReducerFunc(func(key string, values [][]byte, emit func([]byte)) error {
@@ -511,7 +502,7 @@ func (c *compilation) reducer() mr.Reducer {
 		}
 		aRecs = sortAndDedupeRecords(aRecs)
 		bRecs = sortAndDedupeRecords(bRecs)
-		log := make([]pairEntry, 0, len(c.idx.ownedBy(self)))
+		log := c.logSection(self)
 		if c.schema.Problem == core.ProblemA2A {
 			rows := c.idx.aBits
 			for i, a := range aRecs {
@@ -543,6 +534,27 @@ func (c *compilation) reducer() mr.Reducer {
 		c.trace.publish(self, log)
 		return nil
 	})
+}
+
+// takeLog readies the run's trace log: one pooled buffer with an entry per
+// pair the schema covers. Run gives it back when it returns — after the
+// audit, which on a failure has copied what it names into the sparse form;
+// the engine waits for every reduce call before it returns, also when it
+// fails, and a Result holds no reference to the trace.
+func (c *compilation) takeLog() {
+	c.idx.sweep()
+	c.log = getTraceLog(len(c.idx.owned))
+}
+
+// logSection returns reducer r's part of the run's log, empty and capped at
+// the pairs r owns: a conforming reducer fills it exactly, and one that
+// processes more than it owns grows into a private reallocation instead of
+// its neighbour's part, so it is still logged, and still named by the audit.
+// The engine retries a reduce task on the task's own goroutine, so a section
+// has one writer at a time, and a retry starts it again from empty.
+func (c *compilation) logSection(r int) []pairEntry {
+	start, end := c.idx.ownedRange(r)
+	return c.log[start:start:end]
 }
 
 // sortAndDedupeRecords orders records by ID so pair enumeration is

@@ -148,6 +148,15 @@ func TestRunZeroReducerSchema(t *testing.T) {
 	if len(res.Output) != 0 || res.PairsProcessed != 0 {
 		t.Errorf("empty schema produced output: %+v", res)
 	}
+	// PreCheck passed and no pair is required: the run is audited, and only
+	// NoAudit says otherwise.
+	if !res.Audited {
+		t.Error("a run with nothing to do was not reported as audited")
+	}
+	res, err = Run(Request{Name: "empty", Schema: schema, Inputs: makeInputs([]core.Size{5}), Pair: pairIDs, NoAudit: true})
+	if err != nil || res.Audited {
+		t.Errorf("NoAudit run: audited=%v err=%v, want false/nil", res != nil && res.Audited, err)
+	}
 }
 
 func TestRunRequestValidation(t *testing.T) {

@@ -7,9 +7,9 @@ import (
 )
 
 // Process-wide executor series on obs.Default. Everything here sits outside
-// the engine's map/reduce hot loops: runs and pairs are counted once per Run,
-// verify latency once per audit, violations and slow replays only when an
-// audit finds something.
+// the engine's map/reduce hot loops: runs, compile outcomes and pairs are
+// counted once per Run, verify latency once per audit, violations and slow
+// replays only when an audit finds something.
 var (
 	obsRunsVec = obs.Default.CounterVec("pland_exec_runs_total",
 		"Schema-driven executions, by outcome (ok, error, audit_failed).", "outcome")
@@ -35,6 +35,15 @@ var (
 		"Bytes written to spill files by memory-budgeted executions.")
 	obsSpillPartitions = obs.Default.Counter("pland_exec_spill_partitions_total",
 		"Reduce partitions that spilled at least once, summed over runs.")
+
+	obsCompileVec = obs.Default.CounterVec("pland_exec_compile_total",
+		"Schema compilations, by outcome: hit (served from a compile cache after verification), miss (compiled, and retained from the second sight on), uncacheable (compiled without a cache, over its byte bound, or failing the static check).", "outcome")
+	obsCompileHit         = obsCompileVec.With("hit")
+	obsCompileMiss        = obsCompileVec.With("miss")
+	obsCompileUncacheable = obsCompileVec.With("uncacheable")
+
+	obsCompileCacheBytes = obs.Default.Gauge("pland_exec_compile_cache_bytes",
+		"Estimated bytes of compiled schema indexes retained by compile caches.")
 
 	obsPipelineDepth = obs.Default.Gauge("pland_exec_pipeline_depth",
 		"Streaming execution pipelines currently running.")

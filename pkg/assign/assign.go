@@ -109,6 +109,15 @@ func XYInputs(x, y [][]byte) Option {
 // at a time and never materialized as a whole — combined with MemoryBudget
 // this executes instances far larger than memory. Streaming input is
 // A2A-only.
+//
+// The run pulls src from one goroutine and starts no pull after Execute has
+// returned, so from then on the caller owns src again. What is not waited for
+// is a Next call in flight when the run fails or is cancelled: Execute
+// returns without it, its result is dropped, and the goroutine that made it
+// exits when it returns. A Next that can block forever therefore parks that
+// one goroutine behind every cancelled run; give such a source a way to be
+// unblocked (a deadline, or closing what it reads from) and use it once
+// Execute is back.
 func Source(src RecordSource, sizes []Size) Option {
 	return func(r *request) {
 		r.setProblem(ProblemA2A)

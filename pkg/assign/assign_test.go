@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/pkg/assign"
 )
 
@@ -152,6 +154,88 @@ func TestExecuteX2Y(t *testing.T) {
 	}
 	if !ex.Audited {
 		t.Error("run was not audited")
+	}
+}
+
+// TestExecuteSingleInputIsAudited: one input requires no pair, so its schema
+// has no reducer and nothing runs — but the static check passed, and Audited
+// is false only under NoAudit.
+func TestExecuteSingleInputIsAudited(t *testing.T) {
+	pair := assign.Pair(func(a, b assign.Record, emit func([]byte)) error { return errors.New("no pair exists") })
+	for _, tc := range []struct {
+		extra []assign.Option
+		want  bool
+	}{{nil, true}, {[]assign.Option{assign.NoAudit()}, false}} {
+		opts := append([]assign.Option{assign.Inputs([][]byte{[]byte("alone")}), assign.Capacity(10), pair}, tc.extra...)
+		ex, err := assign.Execute(context.Background(), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ex.Audited != tc.want || ex.PairsProcessed != 0 || len(ex.Output) != 0 {
+			t.Errorf("audited=%v pairs=%d outputs=%d, want %v/0/0", ex.Audited, ex.PairsProcessed, len(ex.Output), tc.want)
+		}
+	}
+}
+
+// TestExecuteConcurrentlyThroughOnePlanner executes one plan from several
+// goroutines while others execute plans of their own, all through one
+// planner and therefore one compile cache: every run is audited over its own
+// instance's pairs, and the shared plan's runs are served from the cache
+// (each from a schema copy of its own, so each hit is a verified one). CI
+// runs it with -race -count=10.
+func TestExecuteConcurrentlyThroughOnePlanner(t *testing.T) {
+	const sharers, loners, rounds = 4, 4, 4
+	hits := obs.Default.CounterVec("pland_exec_compile_total", "", "outcome").With("hit")
+	before := hits.Value()
+	pl := assign.NewPlanner(assign.PlannerConfig{})
+	execute := func(n int) error {
+		payloads := make([][]byte, n)
+		for i := range payloads {
+			payloads[i] = []byte(strings.Repeat("x", 1+i%5))
+		}
+		var pairs atomic.Int64
+		ex, err := pl.Execute(context.Background(),
+			assign.Inputs(payloads),
+			assign.Capacity(24),
+			assign.Deterministic(),
+			assign.Pair(func(a, b assign.Record, emit func([]byte)) error {
+				if len(a.Data) != 1+a.ID%5 || len(b.Data) != 1+b.ID%5 {
+					return fmt.Errorf("pair (%d,%d) carries %q/%q", a.ID, b.ID, a.Data, b.Data)
+				}
+				pairs.Add(1)
+				return nil
+			}),
+		)
+		if err != nil {
+			return err
+		}
+		if want := int64(n * (n - 1) / 2); !ex.Audited || ex.PairsProcessed != want || pairs.Load() != want {
+			return fmt.Errorf("m=%d: audited=%v processed=%d called=%d, want %d pairs", n, ex.Audited, ex.PairsProcessed, pairs.Load(), want)
+		}
+		return nil
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < sharers+loners; g++ {
+		n := 40
+		if g >= sharers {
+			n = 41 + g // a plan nobody else executes
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				if err := execute(n); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	// A schema is retained on its second sight, and every sharer may reach
+	// that one before the first of them has finished compiling.
+	if got, want := hits.Value()-before, uint64(sharers*rounds-(sharers+1)+loners*(rounds-2)); got < want {
+		t.Errorf("%d compile-cache hits, want at least %d", got, want)
 	}
 }
 

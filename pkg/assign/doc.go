@@ -27,6 +27,11 @@
 //	        return nil
 //	    }))
 //
+// A planner that executes the same plan again does not compile it again:
+// what the executor derives from a schema alone is kept beside the plan
+// cache, from the schema's second execution on, and checked against the
+// schema at hand before every reuse.
+//
 // # Streaming execution
 //
 // Execute also has a fully streaming form. The Source option feeds input

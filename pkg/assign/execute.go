@@ -65,7 +65,7 @@ func (pl *Planner) Execute(ctx context.Context, opts ...Option) (*Execution, err
 	if err != nil {
 		return nil, err
 	}
-	res, err := exec.Run(r.execRequest(ctx, plan, r.outputSink()))
+	res, err := exec.Run(pl.execRequest(ctx, r, plan, r.outputSink()))
 	if err != nil {
 		return nil, err
 	}
@@ -96,7 +96,7 @@ func (pl *Planner) planForExecute(ctx context.Context, opts []Option) (*request,
 }
 
 // execRequest assembles the executor request of a planned run.
-func (r *request) execRequest(ctx context.Context, plan *Result, sink func([]byte) error) exec.Request {
+func (pl *Planner) execRequest(ctx context.Context, r *request, plan *Result, sink func([]byte) error) exec.Request {
 	name := r.name
 	if name == "" {
 		name = "assign-execute"
@@ -114,6 +114,7 @@ func (r *request) execRequest(ctx context.Context, plan *Result, sink func([]byt
 		Sink:         sink,
 		MemoryBudget: r.memBudget,
 		SpillDir:     r.spillDir,
+		Compiler:     pl.compiler,
 	}
 	if r.src != nil {
 		req.Inputs = nil
@@ -250,7 +251,7 @@ func (pl *Planner) ExecuteStream(ctx context.Context, opts ...Option) (*StreamEx
 	}
 	go func() {
 		defer cancel()
-		res, err := exec.Run(r.execRequest(runCtx, plan, sink))
+		res, err := exec.Run(pl.execRequest(runCtx, r, plan, sink))
 		if err != nil {
 			s.err = err
 		} else {

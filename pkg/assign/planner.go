@@ -1,6 +1,7 @@
 package assign
 
 import (
+	"repro/internal/exec"
 	"repro/internal/planner"
 )
 
@@ -16,7 +17,8 @@ const (
 // PlannerConfig configures NewPlanner. The zero value uses the defaults.
 type PlannerConfig struct {
 	// CacheEntries is the canonical-plan cache capacity; 0 means
-	// DefaultCacheEntries, negative disables caching entirely.
+	// DefaultCacheEntries, negative disables caching entirely — of plans,
+	// and of what Execute compiles from them.
 	CacheEntries int
 	// CacheShards spreads cache locking; 0 means a sensible default.
 	CacheShards int
@@ -31,23 +33,30 @@ type PlannerConfig struct {
 // Plan and Execute, which share one process-wide planner.
 type Planner struct {
 	p *planner.Planner
+	// compiler keeps what Execute derives from a planned schema, beside the
+	// plan cache and under the same switch: nil when caching is disabled.
+	compiler *exec.Compiler
 }
 
 // NewPlanner builds an isolated planner. Use it when the process-wide cache
 // sharing of the package-level functions is unwanted (e.g. per-tenant
 // isolation, or tests that must not observe each other's cache).
 func NewPlanner(cfg PlannerConfig) *Planner {
-	return &Planner{p: planner.New(planner.Config{
+	pl := &Planner{p: planner.New(planner.Config{
 		CacheEntries:       cfg.CacheEntries,
 		Shards:             cfg.CacheShards,
 		MaxCacheableInputs: cfg.MaxCacheableInputs,
 	})}
+	if cfg.CacheEntries >= 0 {
+		pl.compiler = exec.NewCompiler()
+	}
+	return pl
 }
 
 // Default is the process-wide planner behind the package-level Plan and
 // Execute; sharing it means isomorphic instances across callers hit one
 // cache.
-var Default = &Planner{p: planner.Default}
+var Default = &Planner{p: planner.Default, compiler: exec.NewCompiler()}
 
 // Stats is a snapshot of a planner's counters.
 type Stats = planner.Stats

@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"runtime"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -266,6 +268,65 @@ func TestExecuteCancelledContextStopsRun(t *testing.T) {
 	}
 	if leftovers, _ := filepath.Glob(filepath.Join(spillDir, "mr-spill-*")); len(leftovers) != 0 {
 		t.Fatalf("spill directories leaked after cancellation: %v", leftovers)
+	}
+}
+
+// TestExecuteLeavesABlockedSourceBehind pins the one thing a cancelled run
+// does not wait for, as Source documents it: a Next call that blocks. Execute
+// returns while the call is still blocked; once the call is released its
+// result goes nowhere, no further call starts, and the goroutine that made
+// it is gone.
+func TestExecuteLeavesABlockedSourceBehind(t *testing.T) {
+	payloads := streamPayloads(32)
+	goroutines := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var pulls atomic.Int64
+	blocked, release, released := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	src := assign.RecordSourceFunc(func() ([]byte, error) {
+		switch n := int(pulls.Add(1)); {
+		case n <= len(payloads)/2:
+			return payloads[n-1], nil
+		case n == len(payloads)/2+1:
+			defer close(released)
+			close(blocked)
+			<-release // an upstream that never answers
+			return payloads[n-1], nil
+		default:
+			return nil, errors.New("pulled after the run was over")
+		}
+	})
+	done := make(chan error, 1)
+	go func() {
+		_, err := assign.Execute(ctx,
+			assign.Source(src, payloadSizes(payloads)),
+			assign.Capacity(150),
+			assign.Pair(pairIDRecords),
+			assign.Deterministic(),
+		)
+		done <- err
+	}()
+	<-blocked
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("Execute returned %v, want context.Canceled", err)
+	}
+	select {
+	case <-released:
+		t.Fatal("the blocked Next returned before it was released")
+	default: // Execute is back and the call is still parked
+	}
+	close(release)
+	<-released
+	// The reader has its record and nobody to give it to; all that is left of
+	// it is the return. Yield until the scheduler has let it.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before the run, %d after the blocked call returned", goroutines, runtime.NumGoroutine())
+		}
+	}
+	if n := pulls.Load(); n != int64(len(payloads)/2+1) {
+		t.Fatalf("%d pulls, want %d: the source was pulled after Execute returned", n, len(payloads)/2+1)
 	}
 }
 

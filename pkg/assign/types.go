@@ -31,7 +31,8 @@ type (
 	PairFunc = exec.PairFunc
 	// RecordSource streams input records one at a time (Next returns io.EOF
 	// after the last record), so an execution never materializes its whole
-	// input. Use with the Source option.
+	// input. Use with the Source option, which says what a run guarantees
+	// about a Next call that blocks.
 	RecordSource = mr.Source
 	// RecordSourceFunc adapts a function to RecordSource.
 	RecordSourceFunc = mr.SourceFunc

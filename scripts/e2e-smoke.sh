@@ -52,10 +52,20 @@ tid=$(tr -d '\r' <"$WORK/plan.headers" | awk -F': ' 'tolower($1)=="traceparent"{
 [ -n "$tid" ] || fail "no traceparent on /v1/plan"
 grep -q '"schema"' "$WORK/plan.json" || fail "plan response has no schema"
 
-# Plan-and-run: the execution must come back audited.
+# Plan-and-run: the execution must come back audited. The same instance goes
+# in three times: the executor's compile cache retains a schema the second
+# time it sees it, so the third run is a hit (asserted on /metrics below).
+for i in 1 2 3; do
+  curl -fsS "$BASE/v1/execute" \
+    -d '{"problem":"A2A","capacity":10,"inputs":["aaa","bbb","cc","d"]}' |
+    grep -q '"audited":true' || fail "execute $i was not audited"
+done
+
+# One input requires no pair and runs nothing; it is an audited run all the
+# same.
 curl -fsS "$BASE/v1/execute" \
-  -d '{"problem":"A2A","capacity":10,"inputs":["aaa","bbb","cc","d"]}' |
-  grep -q '"audited":true' || fail "execute was not audited"
+  -d '{"problem":"A2A","capacity":10,"inputs":["alone"]}' |
+  grep -q '"audited":true' || fail "one-input execute was not audited"
 
 # Streamed execute: a memory budget far below the shuffle volume forces the
 # pipelined engine to spill sorted runs to disk, merge them back at reduce
@@ -113,6 +123,8 @@ assert_nonzero 'pland_jobs_finished_total{state="succeeded"}'
 assert_nonzero 'pland_jobs_run_seconds_count'
 assert_nonzero 'pland_exec_runs_total{outcome="ok"}'
 assert_nonzero 'pland_exec_pairs_total'
+assert_nonzero 'pland_exec_compile_total{outcome="hit"}'
+grep -q '^pland_exec_compile_cache_bytes ' "$WORK/metrics.txt" || fail "no pland_exec_compile_cache_bytes gauge"
 assert_nonzero 'pland_exec_spill_runs_total'
 assert_nonzero 'pland_exec_spill_bytes_total'
 assert_nonzero 'pland_exec_spill_partitions_total'
