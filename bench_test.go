@@ -313,7 +313,7 @@ func BenchmarkExecStream(b *testing.B) { benchExecStream(b) }
 
 // BenchmarkExecStreamSpill is the BenchmarkExecStream instance under a memory
 // budget no record fits in: every shuffled record is appended to its
-// partition's spill file as a run of its own — 43,500 runs in at most 435
+// partition's spill file as a run of its own — 25,500 runs in at most 272
 // files — and every partition reduces by merging its runs, so the spill
 // writer, the run reader and the k-way merge — the grouping code of every
 // run, here with one cursor per record — are what the timer sees besides the

@@ -3,12 +3,13 @@ package a2a
 import (
 	"errors"
 	"fmt"
+	"iter"
 
 	"repro/internal/core"
 )
 
-// ErrNotEqualSized is returned by EqualSized when the inputs do not all share
-// one size.
+// ErrNotEqualSized is returned by EqualSized and AffinePlane when the inputs
+// do not all share one size.
 var ErrNotEqualSized = errors.New("a2a: inputs are not all the same size")
 
 // EqualSized implements the paper's grouping algorithm for the special case
@@ -23,56 +24,58 @@ var ErrNotEqualSized = errors.New("a2a: inputs are not all the same size")
 // than two inputs fit in a reducer and m >= 2 the instance is infeasible.
 func EqualSized(set *core.InputSet, q core.Size) (*core.MappingSchema, error) {
 	const algorithm = "a2a/equal-sized"
-	if set.Len() == 0 {
-		return emptySchema(q, algorithm), nil
+	k, done, err := equalSizedInstance(set, q, algorithm)
+	if k == 0 {
+		return done, err
+	}
+	// The groups are consecutive runs of `half` input IDs, and m > k >= 2*half
+	// makes at least three of them.
+	half := k / 2
+	g := (set.Len() + half - 1) / half
+	return binsOnBlocks(set, q, algorithm, half, g*(g-1)/2, groupPairs(g)), nil
+}
+
+// groupPairs yields every pair of g groups, the lower group first.
+func groupPairs(g int) iter.Seq[[]int] {
+	return func(yield func([]int) bool) {
+		pair := make([]int, 2)
+		for a := 0; a < g; a++ {
+			for b := a + 1; b < g; b++ {
+				pair[0], pair[1] = a, b
+				if !yield(pair) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// equalSizedInstance checks what EqualSized and AffinePlane both require —
+// one size w for every input, and two inputs fitting q — and settles the
+// instances that need no design: it returns the finished schema (or the
+// error) with k = 0 for those, and k = floor(q/w) for the rest, where
+// 2 <= k < m.
+func equalSizedInstance(set *core.InputSet, q core.Size, algorithm string) (k int, done *core.MappingSchema, err error) {
+	m := set.Len()
+	if m == 0 {
+		return 0, emptySchema(q, algorithm), nil
 	}
 	w := set.Size(0)
-	for i := 1; i < set.Len(); i++ {
+	for i := 1; i < m; i++ {
 		if set.Size(i) != w {
-			return nil, fmt.Errorf("%w: input %d has size %d, input 0 has size %d", ErrNotEqualSized, i, set.Size(i), w)
+			return 0, nil, fmt.Errorf("%w: input %d has size %d, input 0 has size %d", ErrNotEqualSized, i, set.Size(i), w)
 		}
 	}
 	if err := CheckFeasible(set, q); err != nil {
-		return nil, err
+		return 0, nil, err
 	}
-	m := set.Len()
 	if m == 1 {
-		return emptySchema(q, algorithm), nil
+		return 0, emptySchema(q, algorithm), nil
 	}
-	k := int(q / w) // inputs per reducer
-	if k >= m {
-		return singleReducer(set, q, algorithm), nil
+	if k = int(q / w); k >= m {
+		return 0, singleReducer(set, q, algorithm), nil
 	}
-	half := k / 2
-	if half < 1 {
-		// k == 1: no reducer can hold two inputs, so no pair can ever meet.
-		return nil, fmt.Errorf("%w: capacity %d holds only one input of size %d", core.ErrInfeasible, q, w)
-	}
-	// The groups are consecutive runs of `half` input IDs: group g is
-	// [g*half, min((g+1)*half, m)), and m > k >= 2*half makes at least three
-	// of them. A reducer is two such runs, the lower group first, so its
-	// member list is written once, already ascending, and priced by count.
-	numGroups := (m + half - 1) / half
-	ms := &core.MappingSchema{
-		Problem:   core.ProblemA2A,
-		Capacity:  q,
-		Algorithm: algorithm,
-		Reducers:  make([]core.Reducer, 0, numGroups*(numGroups-1)/2),
-	}
-	for a := 0; a < numGroups; a++ {
-		for b := a + 1; b < numGroups; b++ {
-			bEnd := min((b+1)*half, m)
-			ids := make([]int, 0, half+bEnd-b*half)
-			for id := a * half; id < (a+1)*half; id++ {
-				ids = append(ids, id)
-			}
-			for id := b * half; id < bEnd; id++ {
-				ids = append(ids, id)
-			}
-			ms.Reducers = append(ms.Reducers, core.Reducer{Inputs: ids, Load: core.Size(len(ids)) * w})
-		}
-	}
-	return ms, nil
+	return k, nil, nil
 }
 
 // EqualSizedReducerCount returns the number of reducers EqualSized will use
@@ -89,10 +92,14 @@ func EqualSizedReducerCount(m int, w, q core.Size) (int, error) {
 	if k >= m {
 		return 1, nil
 	}
+	reducers, _ := equalSizedPrice(m, k)
+	return reducers, nil
+}
+
+// equalSizedPrice is what EqualSized builds for m > k >= 2 inputs at k per
+// reducer: C(g, 2) reducers, and g-1 copies of every input.
+func equalSizedPrice(m, k int) (reducers, copies int) {
 	half := k / 2
 	g := (m + half - 1) / half
-	if g == 1 {
-		return 1, nil
-	}
-	return g * (g - 1) / 2, nil
+	return g * (g - 1) / 2, m * (g - 1)
 }

@@ -20,9 +20,10 @@ func DefaultOptions() Options {
 }
 
 // Solve computes a mapping schema for an A2A instance, dispatching to the
-// appropriate algorithm: the equal-sized grouping algorithm when every input
-// has the same size, BigSmallSplit when an input exceeds q/2, and BinPackPair
-// otherwise. It returns core.ErrInfeasible (wrapped) when no schema exists.
+// appropriate algorithm: when every input has the same size, the equal-sized
+// grouping algorithm or the affine plane, whichever prices lower;
+// BigSmallSplit when an input exceeds q/2, and BinPackPair otherwise. It
+// returns core.ErrInfeasible (wrapped) when no schema exists.
 func Solve(set *core.InputSet, q core.Size) (*core.MappingSchema, error) {
 	return SolveWithOptions(set, q, DefaultOptions())
 }
@@ -61,12 +62,30 @@ func SolveWithOptions(set *core.InputSet, q core.Size, opts Options) (*core.Mapp
 // solvePrimary runs the dispatch between the paper's constructive algorithms.
 func solvePrimary(set *core.InputSet, q core.Size, opts Options) (*core.MappingSchema, error) {
 	if set.MinSize() == set.MaxSize() {
-		return EqualSized(set, q)
+		return solveEqualSized(set, q)
 	}
 	if set.MaxSize() > q/2 {
 		return BigSmallSplit(set, q, opts.Policy)
 	}
 	return BinPackPair(set, q, opts.Policy)
+}
+
+// solveEqualSized builds AffinePlane where its count beats EqualSized's —
+// fewer reducers, or as many with less communication — and ships no more
+// copies; EqualSized everywhere else. Both are priced from m and k alone and
+// only the winner is built, so neither the reducer count nor the
+// communication of the equal-sized dispatch is ever worse than EqualSized's.
+func solveEqualSized(set *core.InputSet, q core.Size) (*core.MappingSchema, error) {
+	m, k := set.Len(), int(q/set.Size(0))
+	if k >= 2 && k < m {
+		if pl, ok := bestPlane(m, k); ok {
+			reducers, copies := equalSizedPrice(m, k)
+			if pl.copies <= copies && (pl.reducers < reducers || pl.reducers == reducers && pl.copies < copies) {
+				return AffinePlane(set, q)
+			}
+		}
+	}
+	return EqualSized(set, q)
 }
 
 // betterSchema reports whether a is strictly better than b: fewer reducers,

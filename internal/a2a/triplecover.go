@@ -2,6 +2,7 @@ package a2a
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 )
@@ -17,8 +18,8 @@ import (
 // system: the m inputs are embedded into m' >= m points with m' ≡ 3 (mod 6),
 // the Bose construction yields m'(m'-1)/6 triples covering every pair of
 // points exactly once, and each triple (restricted to the real inputs it
-// contains) becomes one reducer. Triples left with fewer than two real
-// inputs cover nothing and are dropped.
+// contains) becomes one reducer: binsOnBlocks with one input per bin.
+// Triples left with fewer than two real inputs cover nothing and are dropped.
 //
 // It returns ErrTriplesDoNotFit when some three inputs exceed q together (the
 // construction would violate the capacity), and handles the degenerate m <= 2
@@ -44,27 +45,17 @@ func TripleCover(set *core.InputSet, q core.Size) (*core.MappingSchema, error) {
 		}
 	}
 
-	triples := boseTriples(paddedPoints(m))
-
-	ms := &core.MappingSchema{
-		Problem:   core.ProblemA2A,
-		Capacity:  q,
-		Algorithm: algorithm,
-		Reducers:  make([]core.Reducer, 0, tripleCoverReducers(m)),
-	}
-	for _, tr := range triples {
-		ids := make([]int, 0, 3)
-		for _, p := range tr {
-			if p < m {
-				ids = append(ids, p)
+	triples := func(yield func([]int) bool) {
+		points := make([]int, 3)
+		for _, tr := range boseTriples(paddedPoints(m)) {
+			copy(points, tr[:])
+			slices.Sort(points)
+			if !yield(points) {
+				return
 			}
 		}
-		if len(ids) < 2 {
-			continue
-		}
-		ms.AddReducerA2A(set, ids)
 	}
-	return ms, nil
+	return binsOnBlocks(set, q, algorithm, 1, tripleCoverReducers(m), triples), nil
 }
 
 // ErrTriplesDoNotFit is returned by TripleCover when the three largest inputs

@@ -18,5 +18,5 @@ func ExampleSimulate() {
 		return
 	}
 	fmt.Printf("tasks=%d speedup=%.2f\n", sched.Tasks, sched.Speedup)
-	// Output: tasks=28 speedup=4.00
+	// Output: tasks=20 speedup=4.00
 }

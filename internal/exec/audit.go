@@ -318,10 +318,10 @@ func (idx *schemaIndex) pairIndex(i, j int) int {
 // The result is kept as one flat list grouped by owner: owned[ownedEnd[r-1]:
 // ownedEnd[r]] holds reducer r's pairs in sorted-member order (members
 // ascending and de-duplicated; for X2Y, X-side outer and Y-side inner) —
-// the order a compiled reducer processes them in. PreCheck prices coverage
-// from the list's length, a run cuts its reducers' logs to it, and CheckTrace
-// compares it with the trace shard by shard, so every audited run of one
-// index shares one sweep.
+// the order a compiled reducer processes them in. A compiled run's PreCheck
+// prices coverage from the list's length, the run cuts its reducers' logs to
+// it, and CheckTrace compares it with the trace shard by shard, so every
+// audited run of one index shares one sweep.
 func (idx *schemaIndex) sweep() {
 	idx.sweepOnce.Do(func() {
 		required := idx.requiredPairCount()
@@ -356,6 +356,30 @@ func (idx *schemaIndex) sweep() {
 		}
 		idx.owned, idx.ownedEnd = owned, ends
 	})
+}
+
+// cover marks in covered, which starts empty, every required pair some
+// reducer covers. It is the sweep without owners: it lists no pair, which is
+// all a static check needs — C(m,2) bits instead of eight bytes per pair.
+func (idx *schemaIndex) cover(covered *core.CoverSet) {
+	for _, red := range idx.schema.Reducers {
+		if idx.schema.Problem == core.ProblemA2A {
+			members := sortedMembers(red.Inputs)
+			for a, i := range members {
+				base := idx.pairIndex(i, i+1) - (i + 1) // pairIndex(i, j) == base + j
+				for _, j := range members[a+1:] {
+					covered.Add(base + j)
+				}
+			}
+		} else {
+			xs, ys := sortedMembers(red.XInputs), sortedMembers(red.YInputs)
+			for _, x := range xs {
+				for _, y := range ys {
+					covered.Add(idx.pairIndex(x, y))
+				}
+			}
+		}
+	}
 }
 
 // sortedMembers returns a reducer's member list ascending and without
@@ -495,7 +519,8 @@ func (a *Auditor) requiredPairs(fn func(i, j int)) {
 // declared reducer load is within the capacity q and every required pair has
 // an owning reducer. It returns an *AuditError listing every violation.
 // The result is cached on the index, so runs that share one pay for the
-// pair sweep once.
+// pair sweep once. On an auditor built by NewAuditor or NewAuditorX2Y, which
+// no run follows, it only counts the covered pairs and lists none.
 func (a *Auditor) PreCheck() error {
 	a.idx.preOnce.Do(func() { a.idx.preErr = a.preCheck() })
 	return a.idx.preErr
@@ -511,13 +536,27 @@ func (a *Auditor) preCheck() error {
 			})
 		}
 	}
-	a.idx.sweep()
-	if len(a.idx.owned) != a.idx.requiredPairCount() {
-		// Slow path only on failure: name every uncovered pair.
-		covered := core.GetCoverSet(a.idx.requiredPairCount())
-		for _, e := range a.idx.owned {
-			covered.Add(a.idx.pairIndex(int(e.a), int(e.b)))
+	required := a.idx.requiredPairCount()
+	var covered *core.CoverSet
+	if a.idx.keys != nil {
+		// A compiled run needs the owned-pair lists anyway: count them.
+		a.idx.sweep()
+		if len(a.idx.owned) != required {
+			covered = core.GetCoverSet(required)
+			for _, e := range a.idx.owned {
+				covered.Add(a.idx.pairIndex(int(e.a), int(e.b)))
+			}
 		}
+	} else {
+		// A static check needs only the count: mark the pairs, list none.
+		covered = core.GetCoverSet(required)
+		if a.idx.cover(covered); covered.Count() == required {
+			core.PutCoverSet(covered)
+			covered = nil
+		}
+	}
+	if covered != nil {
+		// Slow path only on failure: name every uncovered pair.
 		a.requiredPairs(func(i, j int) {
 			if !covered.Contains(a.idx.pairIndex(i, j)) {
 				violations = append(violations, Violation{

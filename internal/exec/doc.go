@@ -73,6 +73,13 @@
 // pland_exec_audit_slow_replays_total counter says how often that happens
 // (never, for a healthy run).
 //
+// A static check that no run follows — NewAuditor or NewAuditorX2Y, then
+// PreCheck, as session restores and recovery do — needs only how many
+// required pairs are covered, not who owns them: it walks the reducers the
+// same way over a C(m,2)-bit set and lists no pair, so it costs m²/16 bytes
+// instead of eight per pair (6 MB against 400 MB at 10,000 inputs). Its
+// verdicts, uncovered pairs named on failure included, are the sweep's.
+//
 // # Compiled once
 //
 // What a run derives from the schema and the instance shape alone — the

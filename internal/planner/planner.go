@@ -335,8 +335,8 @@ func portfolio(cn *canonical, set, ySet *core.InputSet, budget Budget) []candida
 		cands := []candidate{
 			{"a2a/solve", func() (*core.MappingSchema, error) { return a2a.Solve(set, q) }},
 		}
-		// On an equal-sized set the dispatch goes to EqualSized and
-		// TripleCover, which take no packing policy: the two policy variants
+		// On an equal-sized set the dispatch goes to EqualSized, AffinePlane
+		// and TripleCover, which take no packing policy: the two policy variants
 		// would rebuild a2a/solve's schema and lose the name tie-break.
 		if set.MinSize() != set.MaxSize() {
 			cands = append(cands,

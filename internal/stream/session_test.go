@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/stream"
+	"repro/internal/workload"
 )
 
 // solveReplan is the test ReplanFunc: the paper's baseline constructive
@@ -355,5 +356,66 @@ func TestMigrationCost(t *testing.T) {
 	disjointNew := schema([]int{2, 3})
 	if got := stream.MigrationCost(disjointOld, disjointNew, ids, ids, size); got != 10 {
 		t.Fatalf("disjoint migration = %d, want full new load 10", got)
+	}
+}
+
+// TestAffinePlaneSessionSurvivesChurn opens a session whose initial plan is
+// the affine plane — 80 equal inputs at 20 per reducer, planned at the full
+// capacity: the 20 lines of AG(2,4) over bins of 5 — and drives it through a
+// churn trace with an audit after every delta. An arrival joins the reducers
+// of one live input, which meet every other input because its n+1 lines meet
+// every other bin; planned at the full capacity, no line has slack, so
+// arrivals also pack fresh reducers.
+func TestAffinePlaneSessionSurvivesChurn(t *testing.T) {
+	const m = 80
+	initial := make([]core.Size, m)
+	for i := range initial {
+		initial[i] = 5
+	}
+	var planned []string
+	s := newSession(t, stream.Config{
+		Capacity: 100,
+		Headroom: -1,
+		Initial:  initial,
+		Replan: func(ctx context.Context, sizes []core.Size, q core.Size) (*core.MappingSchema, error) {
+			ms, err := solveReplan(ctx, sizes, q)
+			if err == nil {
+				planned = append(planned, ms.Algorithm)
+			}
+			return ms, err
+		},
+	})
+	if len(planned) != 1 || planned[0] != "a2a/affine-plane" {
+		t.Fatalf("initial plans %v, want one a2a/affine-plane", planned)
+	}
+	if st := s.Stats(); st.Reducers != 20 || st.ReplicationRate != 5 {
+		t.Fatalf("initial schema: %d reducers, replication %v; want 20 and 5", st.Reducers, st.ReplicationRate)
+	}
+	audit(t, s)
+	trace, err := workload.Churn(workload.ChurnSpec{
+		Initial: m,
+		Steps:   300,
+		Sizes:   workload.SizeSpec{Dist: workload.Uniform, Min: 1, Max: 10},
+	}, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ev := range trace {
+		switch ev.Op {
+		case workload.OpAdd:
+			id, _, aerr := s.Add(ev.Size)
+			if aerr == nil && id != ev.ID {
+				t.Fatalf("step %d: Add returned id %d, trace says %d", i, id, ev.ID)
+			}
+			err = aerr
+		case workload.OpRemove:
+			_, err = s.Remove(ev.ID)
+		case workload.OpResize:
+			_, err = s.Resize(ev.ID, ev.Size)
+		}
+		if err != nil {
+			t.Fatalf("step %d (%v %d): %v", i, ev.Op, ev.ID, err)
+		}
+		audit(t, s)
 	}
 }

@@ -239,6 +239,46 @@ func TestExecuteConcurrentlyThroughOnePlanner(t *testing.T) {
 	}
 }
 
+// TestExecuteEqualSizedJoinOnTheAffinePlane executes the similarity-join
+// shape — 1,500 equal 16-byte records, q = 1,600, so 100 per reducer — end to
+// end. The plan is the affine plane of order 16: 272 reducers, each record
+// shipped 17 times (25,500 shuffled records), and every one of the
+// C(1500,2) pairs processed once, audited on the fast path.
+func TestExecuteEqualSizedJoinOnTheAffinePlane(t *testing.T) {
+	const m = 1500
+	slow := obs.Default.Counter("pland_exec_audit_slow_replays_total", "")
+	before := slow.Value()
+	payloads := make([][]byte, m)
+	for i := range payloads {
+		payloads[i] = []byte(fmt.Sprintf("%016d", i))
+	}
+	var pairs atomic.Int64
+	ex, err := assign.NewPlanner(assign.PlannerConfig{}).Execute(context.Background(),
+		assign.Inputs(payloads),
+		assign.Capacity(100*16),
+		assign.Pair(func(a, b assign.Record, emit func([]byte)) error {
+			pairs.Add(1)
+			return nil
+		}),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ex.Plan.Schema.Algorithm; got != "a2a/affine-plane" {
+		t.Errorf("planned with %q, want a2a/affine-plane", got)
+	}
+	if ex.Plan.Cost.Reducers != 272 || ex.Plan.Cost.ReplicationRate != 17 || ex.ShuffleRecords != 25500 {
+		t.Errorf("%d reducers, replication %v, %d shuffled records; want 272, 17 and 25500",
+			ex.Plan.Cost.Reducers, ex.Plan.Cost.ReplicationRate, ex.ShuffleRecords)
+	}
+	if want := int64(m * (m - 1) / 2); !ex.Audited || ex.PairsProcessed != want || pairs.Load() != want {
+		t.Errorf("audited=%v processed=%d called=%d, want %d pairs", ex.Audited, ex.PairsProcessed, pairs.Load(), want)
+	}
+	if got := slow.Value() - before; got != 0 {
+		t.Errorf("%d audits fell back to the pair-by-pair replay", got)
+	}
+}
+
 func TestExecuteValidation(t *testing.T) {
 	ctx := context.Background()
 	pair := assign.Pair(func(a, b assign.Record, emit func([]byte)) error { return nil })

@@ -3,6 +3,7 @@ package assign_test
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 
 	"repro/pkg/assign"
@@ -155,4 +156,43 @@ func TestSessionFromPayloads(t *testing.T) {
 		}
 	}
 	validateSession(t, s)
+}
+
+// TestRestoreSessionDoesNotListThePairs restores a 5,000-input session and
+// bounds what the restore allocates. Its static audit needs only how many of
+// the C(5000,2) = 12,497,500 required pairs the schema covers: a C(m,2)-bit
+// set of 1.6 MB. Listing each covered pair at its owner, as a compiled run
+// does, would add 8 B per pair, 100 MB, to a restore that runs nothing —
+// 400 MB at pland's 10,000-input session cap, paid once per session at boot.
+func TestRestoreSessionDoesNotListThePairs(t *testing.T) {
+	const m = 5000
+	sizes := make([]assign.Size, m)
+	for i := range sizes {
+		sizes[i] = assign.Size(1 + i*37%64)
+	}
+	pl := assign.NewPlanner(assign.PlannerConfig{})
+	s, err := pl.NewSession(context.Background(),
+		assign.A2A(sizes), assign.Capacity(4096), assign.Deterministic(), assign.ManualRebuild())
+	if err != nil {
+		t.Fatalf("NewSession: %v", err)
+	}
+	st := s.State()
+	s.Close()
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	restored, err := pl.RestoreSession(st, nil, assign.ManualRebuild())
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("RestoreSession: %v", err)
+	}
+	defer restored.Close()
+	// The rest of a restore — the session's own structure, its snapshot and
+	// the auditor's membership rows — came to 35 MB when this was written.
+	const bound = 64 << 20
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > bound {
+		t.Fatalf("restoring %d inputs on %d reducers allocated %.1f MB, over the %d MB bound",
+			m, restored.Stats().Reducers, float64(alloc)/(1<<20), bound>>20)
+	}
 }
