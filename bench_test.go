@@ -1,12 +1,10 @@
-// Package repro's root-level benchmarks regenerate every experiment of
-// EXPERIMENTS.md (one benchmark per table/figure, T1..T15) plus
-// micro-benchmarks of the core algorithms. Run with:
+// Package repro's root-level benchmarks time the solvers, the planner, the
+// schema codec and the executor on fixed instances. Run with:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench=. -benchmem .
 //
-// The experiment benchmarks execute the same code as cmd/experiments at a
-// reduced scale so a full -bench=. pass stays fast; the printed tables in
-// EXPERIMENTS.md come from the full-scale binary.
+// The end-to-end ruler with per-layer metrics is ./benchmark; these are the
+// micro-benchmarks beside it.
 package repro_test
 
 import (
@@ -20,7 +18,6 @@ import (
 	"repro/internal/binpack"
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/experiments"
 	"repro/internal/planner"
 	"repro/internal/simjoin"
 	"repro/internal/skewjoin"
@@ -28,56 +25,6 @@ import (
 	"repro/internal/x2y"
 	"repro/pkg/assign"
 )
-
-// benchParams keeps the per-iteration work of the experiment benchmarks
-// modest; the shapes match the full-scale tables.
-func benchParams() experiments.Params {
-	return experiments.Params{Seed: 42, Scale: 0.1, Workers: 16}
-}
-
-func runExperiment(b *testing.B, id string) {
-	b.Helper()
-	var exp experiments.Experiment
-	for _, e := range experiments.All() {
-		if e.ID == id {
-			exp = e
-			break
-		}
-	}
-	if exp.Run == nil {
-		b.Fatalf("unknown experiment %s", id)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tbl, err := exp.Run(benchParams())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if tbl.NumRows() == 0 {
-			b.Fatalf("%s produced no rows", id)
-		}
-	}
-}
-
-// One benchmark per table/figure of EXPERIMENTS.md.
-
-func BenchmarkT1A2AEqualSized(b *testing.B)         { runExperiment(b, "T1") }
-func BenchmarkT2A2ADifferentSized(b *testing.B)     { runExperiment(b, "T2") }
-func BenchmarkT3CommunicationTradeoff(b *testing.B) { runExperiment(b, "T3") }
-func BenchmarkT4ParallelismTradeoff(b *testing.B)   { runExperiment(b, "T4") }
-func BenchmarkT5X2YSweep(b *testing.B)              { runExperiment(b, "T5") }
-func BenchmarkT6SkewJoin(b *testing.B)              { runExperiment(b, "T6") }
-func BenchmarkT7SimilarityJoin(b *testing.B)        { runExperiment(b, "T7") }
-func BenchmarkT8ApproximationRatio(b *testing.B)    { runExperiment(b, "T8") }
-func BenchmarkT9BigInputs(b *testing.B)             { runExperiment(b, "T9") }
-func BenchmarkT10BinPackAblation(b *testing.B)      { runExperiment(b, "T10") }
-func BenchmarkT11SpeedupCurves(b *testing.B)        { runExperiment(b, "T11") }
-func BenchmarkT12PruningAblation(b *testing.B)      { runExperiment(b, "T12") }
-func BenchmarkT13MediumInputs(b *testing.B)         { runExperiment(b, "T13") }
-func BenchmarkT14Portfolio(b *testing.B)            { runExperiment(b, "T14") }
-func BenchmarkT15StreamChurn(b *testing.B)          { runExperiment(b, "T15") }
-
-// Micro-benchmarks of the building blocks.
 
 func BenchmarkA2ABinPackPair(b *testing.B) {
 	for _, m := range []int{100, 1000, 5000} {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/a2a"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/simjoin"
 	"repro/internal/skewjoin"
@@ -111,42 +110,35 @@ func TestPipelineX2YSkewJoin(t *testing.T) {
 	}
 }
 
-// TestPipelineScheduleOnCluster closes the loop between the schema algorithms
-// and the cluster simulator: the small-q schema must offer at least as much
-// speedup at a large worker pool as the large-q schema, and both speedups are
-// bounded by the pool size.
-func TestPipelineScheduleOnCluster(t *testing.T) {
+// TestPipelineSmallerCapacityTradesWorkForSpeedup prices the paper's
+// parallelism tradeoff with the LPT makespan core.CostWithWorkers reports: on
+// a 64-worker pool the small-q schema must speed up at least as much as the
+// large-q schema (speedup = total work / makespan), neither beyond the pool
+// size, and pay for it with more total work (communication).
+func TestPipelineSmallerCapacityTradesWorkForSpeedup(t *testing.T) {
 	set, err := workload.InputSet(workload.SizeSpec{Dist: workload.Zipf, Min: 1, Max: 20, Skew: 1.5}, 400, 31)
 	if err != nil {
 		t.Fatal(err)
 	}
-	model := cluster.DefaultCostModel()
-	schemaSmall, err := a2a.Solve(set, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	schemaLarge, err := a2a.Solve(set, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const pool = 64
-	small, err := cluster.Simulate(schemaSmall, pool, model)
-	if err != nil {
-		t.Fatal(err)
+	cost := func(q core.Size) core.Cost {
+		ms, err := a2a.Solve(set, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return core.CostWithWorkers(ms, set.TotalSize(), pool)
 	}
-	large, err := cluster.Simulate(schemaLarge, pool, model)
-	if err != nil {
-		t.Fatal(err)
+	speedup := func(c core.Cost) float64 { return float64(c.Communication) / float64(c.Makespan) }
+	small, large := cost(64), cost(512)
+	if speedup(small) > pool || speedup(large) > pool {
+		t.Errorf("speedups %.2f/%.2f exceed the pool size", speedup(small), speedup(large))
 	}
-	if small.Speedup > float64(pool) || large.Speedup > float64(pool) {
-		t.Errorf("speedups %v/%v exceed the pool size", small.Speedup, large.Speedup)
+	if speedup(small) < speedup(large) {
+		t.Errorf("small-q schema (%d reducers) should parallelise at least as well as large-q (%d reducers): %.2f vs %.2f",
+			small.Reducers, large.Reducers, speedup(small), speedup(large))
 	}
-	if small.Speedup+1e-9 < large.Speedup {
-		t.Errorf("small-q schema (%d tasks) should parallelise at least as well as large-q (%d tasks): %v vs %v",
-			small.Tasks, large.Tasks, small.Speedup, large.Speedup)
-	}
-	if small.TotalWork <= large.TotalWork {
-		t.Errorf("small-q schema should have more total work: %v vs %v", small.TotalWork, large.TotalWork)
+	if small.Communication <= large.Communication {
+		t.Errorf("small-q schema should have more total work: %d vs %d", small.Communication, large.Communication)
 	}
 }
 

@@ -46,8 +46,10 @@ type ExactOptions struct {
 // times a few dozen nanoseconds. That representation is why no instance above
 // 64 inputs is attempted.
 //
-// The A2A mapping schema problem is NP-complete, so Exact is intended for the
-// small instances used to measure approximation ratios (experiment T8).
+// The A2A mapping schema problem is NP-complete, so Exact is intended for
+// small instances: the planner races it up to planner.Budget.ExactMaxInputs,
+// and the tests hold the heuristics and the lower bounds to its proved
+// optimum.
 func Exact(set *core.InputSet, q core.Size, opts ExactOptions) (*core.MappingSchema, error) {
 	ms, _, err := exact(set, q, opts)
 	return ms, err

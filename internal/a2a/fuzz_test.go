@@ -46,40 +46,3 @@ func FuzzSolve(f *testing.F) {
 		}
 	})
 }
-
-// FuzzPruneRedundant checks that pruning any schema the solver or the greedy
-// baseline produces keeps it valid and never increases its cost.
-func FuzzPruneRedundant(f *testing.F) {
-	f.Add([]byte{2, 2, 2, 2, 5}, byte(10))
-	f.Add([]byte{1, 2, 3, 4, 5, 6}, byte(12))
-	f.Fuzz(func(t *testing.T, raw []byte, qRaw byte) {
-		if len(raw) > 32 {
-			raw = raw[:32]
-		}
-		q := core.Size(qRaw)%100 + 4
-		sizes := make([]core.Size, 0, len(raw))
-		for _, b := range raw {
-			sizes = append(sizes, core.Size(b)%(q/2)+1)
-		}
-		if len(sizes) == 0 {
-			return
-		}
-		set, err := core.NewInputSet(sizes)
-		if err != nil {
-			return
-		}
-		ms, err := Greedy(set, q)
-		if err != nil {
-			return
-		}
-		pruned := PruneRedundant(ms, set)
-		if verr := pruned.ValidateA2A(set); verr != nil {
-			t.Fatalf("pruned schema invalid for sizes=%v q=%d: %v", sizes, q, verr)
-		}
-		before := core.SchemaCost(ms, set.TotalSize())
-		after := core.SchemaCost(pruned, set.TotalSize())
-		if after.Communication > before.Communication || after.Reducers > before.Reducers {
-			t.Fatalf("pruning increased cost: %+v -> %+v", before, after)
-		}
-	})
-}

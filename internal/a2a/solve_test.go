@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/binpack"
 	"repro/internal/core"
+	"repro/internal/workload"
 )
 
 func TestSolveDispatchesEqualSized(t *testing.T) {
@@ -121,6 +122,40 @@ func TestSolveAlwaysValidProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSolveTradesReducersForParallelism asserts the paper's capacity
+// tradeoffs on Zipf sizes: as q grows, Solve never uses more reducers and
+// never ships more data (fewer copies per input), and its largest reducer
+// load never shrinks (less parallelism).
+func TestSolveTradesReducersForParallelism(t *testing.T) {
+	spec := workload.SizeSpec{Dist: workload.Zipf, Min: 1, Max: 30, Skew: 1.5}
+	for _, seed := range []int64{1, 2, 3, 7, 42} {
+		set, err := workload.InputSet(spec, 1000, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var prev core.Cost
+		for i, q := range []core.Size{64, 96, 128, 192, 256, 384, 512} {
+			ms, err := Solve(set, q)
+			if err != nil {
+				t.Fatalf("seed=%d q=%d: %v", seed, q, err)
+			}
+			cost := core.CostWithWorkers(ms, set.TotalSize(), 32)
+			if i > 0 {
+				if cost.Reducers > prev.Reducers {
+					t.Errorf("seed=%d q=%d: %d reducers, more than %d at the smaller q", seed, q, cost.Reducers, prev.Reducers)
+				}
+				if cost.Communication > prev.Communication {
+					t.Errorf("seed=%d q=%d: communication %d, more than %d at the smaller q", seed, q, cost.Communication, prev.Communication)
+				}
+				if cost.MaxLoad < prev.MaxLoad {
+					t.Errorf("seed=%d q=%d: max load %d, less than %d at the smaller q", seed, q, cost.MaxLoad, prev.MaxLoad)
+				}
+			}
+			prev = cost
+		}
 	}
 }
 

@@ -68,8 +68,8 @@ type Budget struct {
 	// 0 means DefaultTimeout. A negative Timeout waits for every member:
 	// each is individually bounded (the heuristics are polynomial, exact
 	// search is node-capped), so the race result becomes fully
-	// deterministic — the mode the applications use so experiment tables
-	// do not depend on wall-clock scheduling.
+	// deterministic — the mode the applications use so their output does
+	// not depend on wall-clock scheduling.
 	Timeout time.Duration
 	// ExactMaxInputs caps the instance size the exact solvers attempt;
 	// 0 means DefaultExactMaxInputs, negative disables them. a2a.Exact has a

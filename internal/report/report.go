@@ -1,6 +1,5 @@
-// Package report renders experiment results as aligned text tables and CSV,
-// which is all the experiment binaries and benchmarks need to regenerate the
-// paper-style tables and figure series.
+// Package report renders aligned text tables: the one-row result summaries
+// that cmd/simjoin, cmd/skewjoin and cmd/mrassign print.
 package report
 
 import (
@@ -34,9 +33,6 @@ func (t *Table) AddRow(values ...interface{}) {
 	}
 	t.rows = append(t.rows, row)
 }
-
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
 
 func formatCell(v interface{}) string {
 	switch x := v.(type) {
@@ -92,20 +88,6 @@ func (t *Table) WriteText(w io.Writer) error {
 	}
 	_, err := fmt.Fprintln(w)
 	return err
-}
-
-// WriteCSV renders the table as CSV (no quoting; cells must not contain
-// commas, which holds for every numeric table this repository produces).
-func (t *Table) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, strings.Join(t.Columns, ",")); err != nil {
-		return err
-	}
-	for _, row := range t.rows {
-		if _, err := fmt.Fprintln(w, strings.Join(row, ",")); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // String renders the table as text.

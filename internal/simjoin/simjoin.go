@@ -152,7 +152,7 @@ func buildSchema(set *core.InputSet, cfg Config) (*core.MappingSchema, error) {
 	res, err := planner.Plan(context.Background(), planner.Request{
 		Problem: core.ProblemA2A, Set: set, Capacity: cfg.Capacity,
 		// Await every portfolio member so results stay deterministic
-		// under load (experiment tables depend on it).
+		// under load.
 		Budget: planner.Budget{Timeout: -1},
 	})
 	if err != nil {

@@ -74,33 +74,38 @@ func smallCorpus(t *testing.T, n int) []workload.Document {
 	return docs
 }
 
+// TestRunMatchesNestedLoopReference checks the join against the reference at
+// several capacities: the schema changes with q (73 reducers down to one), the
+// similar pairs must not.
 func TestRunMatchesNestedLoopReference(t *testing.T) {
 	docs := smallCorpus(t, 40)
-	cfg := Config{Capacity: 600, Threshold: 0.3, Similarity: Jaccard}
-	res, err := Run(docs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := NestedLoopReference(docs, cfg)
-	if len(res.Pairs) != len(want) {
-		t.Fatalf("got %d pairs, reference has %d", len(res.Pairs), len(want))
-	}
-	for i := range want {
-		if res.Pairs[i].I != want[i].I || res.Pairs[i].J != want[i].J {
-			t.Fatalf("pair %d = (%d,%d), want (%d,%d)", i, res.Pairs[i].I, res.Pairs[i].J, want[i].I, want[i].J)
+	want := NestedLoopReference(docs, Config{Threshold: 0.3, Similarity: Jaccard})
+	for _, q := range []core.Size{300, 600, 1200, 2400} {
+		cfg := Config{Capacity: q, Threshold: 0.3, Similarity: Jaccard}
+		res, err := Run(docs, cfg)
+		if err != nil {
+			t.Fatalf("q=%d: %v", q, err)
 		}
-		if math.Abs(res.Pairs[i].Score-want[i].Score) > 1e-6 {
-			t.Fatalf("pair %d score %v, want %v", i, res.Pairs[i].Score, want[i].Score)
+		if len(res.Pairs) != len(want) {
+			t.Fatalf("q=%d: got %d pairs, reference has %d", q, len(res.Pairs), len(want))
 		}
-	}
-	if res.Schema == nil || res.Schema.NumReducers() == 0 {
-		t.Error("expected a non-trivial schema")
-	}
-	if res.Counters.ShuffleBytes == 0 {
-		t.Error("expected non-zero communication")
-	}
-	if res.SchemaCost.Reducers != res.Schema.NumReducers() {
-		t.Error("schema cost reducer count mismatch")
+		for i := range want {
+			if res.Pairs[i].I != want[i].I || res.Pairs[i].J != want[i].J {
+				t.Fatalf("q=%d: pair %d = (%d,%d), want (%d,%d)", q, i, res.Pairs[i].I, res.Pairs[i].J, want[i].I, want[i].J)
+			}
+			if math.Abs(res.Pairs[i].Score-want[i].Score) > 1e-6 {
+				t.Fatalf("q=%d: pair %d score %v, want %v", q, i, res.Pairs[i].Score, want[i].Score)
+			}
+		}
+		if res.Schema == nil || res.Schema.NumReducers() == 0 {
+			t.Errorf("q=%d: expected a non-trivial schema", q)
+		}
+		if res.Counters.ShuffleBytes == 0 {
+			t.Errorf("q=%d: expected non-zero communication", q)
+		}
+		if res.SchemaCost.Reducers != res.Schema.NumReducers() {
+			t.Errorf("q=%d: schema cost reducer count mismatch", q)
+		}
 	}
 }
 

@@ -28,7 +28,7 @@ type BaselineResult struct {
 // HashJoinBaseline runs the ordinary repartition (hash) join with the given
 // number of reducers and reports its load profile against the capacity q.
 // Unlike Run it never fails on capacity: it reports the violation instead, so
-// experiments can show how badly the heavy hitters overload a single reducer.
+// cmd/skewjoin can show how badly the heavy hitters overload a single reducer.
 func HashJoinBaseline(x, y *workload.Relation, numReducers int, q core.Size, countOnly bool) (*BaselineResult, error) {
 	if x == nil || y == nil || len(x.Tuples) == 0 || len(y.Tuples) == 0 {
 		return nil, ErrEmptyRelation

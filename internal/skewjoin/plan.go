@@ -226,7 +226,7 @@ func heavySchema(xSet, ySet *core.InputSet, cfg Config) (*core.MappingSchema, er
 	res, err := planner.Plan(context.Background(), planner.Request{
 		Problem: core.ProblemX2Y, X: xSet, Y: ySet, Capacity: cfg.Capacity,
 		// Await every portfolio member so results stay deterministic
-		// under load (experiment tables depend on it).
+		// under load.
 		Budget: planner.Budget{Timeout: -1},
 	})
 	if err != nil {

@@ -338,34 +338,3 @@ func migrationCost(before, after []*red, size func(InputID) core.Size) core.Size
 	}
 	return moved
 }
-
-// MigrationCost estimates the bytes that must move to turn one schema's
-// placement into another's, with each schema's dense input IDs translated
-// through its own dense-to-external ID slice and priced by size. It is the
-// same greedy max-byte-overlap matching the rebuild swap reports, exposed so
-// experiments can price full-replan churn the same way.
-func MigrationCost(oldSchema, newSchema *core.MappingSchema, oldIDs, newIDs []InputID, size func(InputID) core.Size) core.Size {
-	toReds := func(ms *core.MappingSchema, ids []InputID) []*red {
-		reds := make([]*red, 0, len(ms.Reducers))
-		for _, pr := range ms.Reducers {
-			ext := make([]InputID, 0, len(pr.Inputs))
-			for _, dense := range pr.Inputs {
-				if dense >= 0 && dense < len(ids) {
-					ext = append(ext, ids[dense])
-				}
-			}
-			sort.Ints(ext)
-			r := &red{}
-			for i, e := range ext {
-				if i > 0 && e == ext[i-1] {
-					continue
-				}
-				r.members = append(r.members, e)
-				r.load += size(e)
-			}
-			reds = append(reds, r)
-		}
-		return reds
-	}
-	return migrationCost(toReds(oldSchema, oldIDs), toReds(newSchema, newIDs), size)
-}

@@ -326,39 +326,6 @@ func TestCloseStopsTheSession(t *testing.T) {
 	}
 }
 
-func TestMigrationCost(t *testing.T) {
-	sizes := []core.Size{4, 6, 3, 7}
-	ids := []int{0, 1, 2, 3}
-	size := func(id int) core.Size { return sizes[id] }
-	schema := func(groups ...[]int) *core.MappingSchema {
-		ms := &core.MappingSchema{Problem: core.ProblemA2A, Capacity: 20}
-		for _, g := range groups {
-			var load core.Size
-			for _, id := range g {
-				load += sizes[id]
-			}
-			ms.Reducers = append(ms.Reducers, core.Reducer{Inputs: g, Load: load})
-		}
-		return ms
-	}
-	same := schema([]int{0, 1}, []int{2, 3})
-	if got := stream.MigrationCost(same, same, ids, ids, size); got != 0 {
-		t.Fatalf("identical schemas migrate %d bytes, want 0", got)
-	}
-	swapped := schema([]int{0, 2}, []int{1, 3})
-	// Matching pairs {0,1}->{0,2} and {2,3}->{1,3} leaves inputs 2 and 1 (or
-	// 6 and 3 bytes) to move depending on the greedy order; either way the
-	// cost is the bytes not already in place.
-	if got := stream.MigrationCost(same, swapped, ids, ids, size); got <= 0 || got > 13 {
-		t.Fatalf("swap migration = %d, want in (0, 13]", got)
-	}
-	disjointOld := schema([]int{0, 1})
-	disjointNew := schema([]int{2, 3})
-	if got := stream.MigrationCost(disjointOld, disjointNew, ids, ids, size); got != 10 {
-		t.Fatalf("disjoint migration = %d, want full new load 10", got)
-	}
-}
-
 // TestAffinePlaneSessionSurvivesChurn opens a session whose initial plan is
 // the affine plane — 80 equal inputs at 20 per reducer, planned at the full
 // capacity: the 20 lines of AG(2,4) over bins of 5 — and drives it through a

@@ -1,8 +1,9 @@
-// Package workload generates deterministic synthetic workloads for the
-// experiments: input-size distributions for the mapping-schema algorithms,
-// document corpora for the similarity-join application, and skewed relations
-// for the skew-join application. Every generator takes an explicit seed so
-// experiments are reproducible.
+// Package workload generates deterministic synthetic workloads for the tests,
+// the root benchmarks and the application CLIs: input-size distributions for
+// the mapping-schema algorithms, document corpora for the similarity-join
+// application, skewed relations for the skew-join application, and churn
+// traces for live sessions. Every generator takes an explicit seed so runs are
+// reproducible.
 package workload
 
 import (
