@@ -1,5 +1,6 @@
-// Command mrassign computes a mapping schema for a described instance of the
-// A2A or X2Y mapping-schema problem and prints its reducers and cost.
+// Command mrassign plans a mapping schema for a described instance of the A2A
+// or X2Y mapping-schema problem through pkg/assign's solver portfolio and
+// prints its reducers, cost, winning member and reducer lower bound.
 //
 // Examples:
 //
@@ -9,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -16,12 +18,9 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/a2a"
-	"repro/internal/binpack"
-	"repro/internal/core"
 	"repro/internal/report"
 	"repro/internal/workload"
-	"repro/internal/x2y"
+	"repro/pkg/assign"
 )
 
 func main() {
@@ -43,7 +42,6 @@ func run(args []string) error {
 		dist    = fs.String("dist", "uniform", "generated size distribution: constant, uniform, zipf, exponential, bimodal")
 		maxSize = fs.Int64("max", 20, "maximum generated size")
 		seed    = fs.Int64("seed", 42, "generator seed")
-		policy  = fs.String("policy", "ffd", "bin-packing policy: ff, ffd, bfd, nf, wfd")
 		verbose = fs.Bool("v", false, "print every reducer's input list")
 		asJSON  = fs.Bool("json", false, "print the schema as JSON instead of a table")
 	)
@@ -53,29 +51,17 @@ func run(args []string) error {
 	if *q <= 0 {
 		return fmt.Errorf("-q must be positive")
 	}
-	pol, err := parsePolicy(*policy)
-	if err != nil {
-		return err
-	}
-	capacity := core.Size(*q)
 
+	var instance assign.Option
+	var validate func(*assign.MappingSchema) error
 	switch strings.ToLower(*problem) {
 	case "a2a":
-		set, err := a2aInputs(*sizes, *m, *dist, core.Size(*maxSize), *seed)
+		set, err := a2aInputs(*sizes, *m, *dist, assign.Size(*maxSize), *seed)
 		if err != nil {
 			return err
 		}
-		ms, err := a2a.SolveWithOptions(set, capacity, a2a.Options{Policy: pol})
-		if err != nil {
-			return err
-		}
-		if err := ms.ValidateA2A(set); err != nil {
-			return fmt.Errorf("internal error: produced schema is invalid: %w", err)
-		}
-		if *asJSON {
-			return printJSON(ms)
-		}
-		printSchema(ms, core.SchemaCost(ms, set.TotalSize()), a2a.LowerBounds(set, capacity).Reducers, *verbose)
+		instance = assign.A2A(set.Sizes())
+		validate = func(ms *assign.MappingSchema) error { return ms.ValidateA2A(set) }
 	case "x2y":
 		xs, err := parseSizes(*xsizes)
 		if err != nil {
@@ -85,38 +71,40 @@ func run(args []string) error {
 		if err != nil {
 			return fmt.Errorf("-ysizes: %w", err)
 		}
-		xSet, err := core.NewInputSet(xs)
+		xSet, err := assign.NewInputSet(xs)
 		if err != nil {
 			return fmt.Errorf("-xsizes: %w", err)
 		}
-		ySet, err := core.NewInputSet(ys)
+		ySet, err := assign.NewInputSet(ys)
 		if err != nil {
 			return fmt.Errorf("-ysizes: %w", err)
 		}
-		ms, err := x2y.SolveWithOptions(xSet, ySet, capacity, x2y.Options{Policy: pol})
-		if err != nil {
-			return err
-		}
-		if err := ms.ValidateX2Y(xSet, ySet); err != nil {
-			return fmt.Errorf("internal error: produced schema is invalid: %w", err)
-		}
-		if *asJSON {
-			return printJSON(ms)
-		}
-		printSchema(ms, core.SchemaCost(ms, xSet.TotalSize()+ySet.TotalSize()), x2y.LowerBounds(xSet, ySet, capacity).Reducers, *verbose)
+		instance = assign.X2Y(xs, ys)
+		validate = func(ms *assign.MappingSchema) error { return ms.ValidateX2Y(xSet, ySet) }
 	default:
 		return fmt.Errorf("unknown problem %q (want a2a or x2y)", *problem)
 	}
+	res, err := assign.Plan(context.Background(), instance, assign.Capacity(assign.Size(*q)), assign.Deterministic())
+	if err != nil {
+		return err
+	}
+	if err := validate(res.Schema); err != nil {
+		return fmt.Errorf("internal error: produced schema is invalid: %w", err)
+	}
+	if *asJSON {
+		return printJSON(res.Schema)
+	}
+	printSchema(res, *verbose)
 	return nil
 }
 
-func a2aInputs(sizesFlag string, m int, dist string, maxSize core.Size, seed int64) (*core.InputSet, error) {
+func a2aInputs(sizesFlag string, m int, dist string, maxSize assign.Size, seed int64) (*assign.InputSet, error) {
 	if sizesFlag != "" {
 		sizes, err := parseSizes(sizesFlag)
 		if err != nil {
 			return nil, fmt.Errorf("-sizes: %w", err)
 		}
-		return core.NewInputSet(sizes)
+		return assign.NewInputSet(sizes)
 	}
 	if m <= 0 {
 		return nil, fmt.Errorf("provide either -sizes or -m")
@@ -128,37 +116,20 @@ func a2aInputs(sizesFlag string, m int, dist string, maxSize core.Size, seed int
 	return workload.InputSet(workload.SizeSpec{Dist: d, Min: 1, Max: maxSize, Skew: 1.5}, m, seed)
 }
 
-func parseSizes(s string) ([]core.Size, error) {
+func parseSizes(s string) ([]assign.Size, error) {
 	if strings.TrimSpace(s) == "" {
 		return nil, fmt.Errorf("no sizes given")
 	}
 	parts := strings.Split(s, ",")
-	out := make([]core.Size, 0, len(parts))
+	out := make([]assign.Size, 0, len(parts))
 	for _, p := range parts {
 		n, err := strconv.ParseInt(strings.TrimSpace(p), 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("bad size %q: %w", p, err)
 		}
-		out = append(out, core.Size(n))
+		out = append(out, assign.Size(n))
 	}
 	return out, nil
-}
-
-func parsePolicy(s string) (binpack.Policy, error) {
-	switch strings.ToLower(s) {
-	case "ff", "first-fit":
-		return binpack.FirstFit, nil
-	case "ffd", "first-fit-decreasing":
-		return binpack.FirstFitDecreasing, nil
-	case "bfd", "best-fit-decreasing":
-		return binpack.BestFitDecreasing, nil
-	case "nf", "next-fit":
-		return binpack.NextFit, nil
-	case "wfd", "worst-fit-decreasing":
-		return binpack.WorstFitDecreasing, nil
-	default:
-		return 0, fmt.Errorf("unknown policy %q", s)
-	}
 }
 
 func parseDistribution(s string) (workload.Distribution, error) {
@@ -179,23 +150,24 @@ func parseDistribution(s string) (workload.Distribution, error) {
 }
 
 // printJSON writes the schema in its JSON hand-off format (see
-// core.MappingSchema.MarshalJSON) for consumption by external drivers.
-func printJSON(ms *core.MappingSchema) error {
+// assign.MappingSchema.MarshalJSON) for consumption by external drivers.
+func printJSON(ms *assign.MappingSchema) error {
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	return enc.Encode(ms)
 }
 
-func printSchema(ms *core.MappingSchema, cost core.Cost, lbReducers int, verbose bool) {
+func printSchema(res *assign.Result, verbose bool) {
+	ms, cost := res.Schema, res.Cost
 	tbl := report.NewTable("Mapping schema ("+ms.Algorithm+")",
-		"problem", "q", "reducers", "lb_reducers", "communication", "replication", "max_load")
-	tbl.AddRow(ms.Problem, ms.Capacity, cost.Reducers, lbReducers, cost.Communication, cost.ReplicationRate, cost.MaxLoad)
+		"problem", "q", "winner", "reducers", "lb_reducers", "communication", "replication", "max_load")
+	tbl.AddRow(ms.Problem, ms.Capacity, res.Winner, cost.Reducers, res.LowerBoundReducers, cost.Communication, cost.ReplicationRate, cost.MaxLoad)
 	fmt.Print(tbl.String())
 	if !verbose {
 		return
 	}
 	for i, r := range ms.Reducers {
-		if ms.Problem == core.ProblemA2A {
+		if ms.Problem == assign.ProblemA2A {
 			fmt.Printf("reducer %d (load %d): %v\n", i, r.Load, r.Inputs)
 		} else {
 			fmt.Printf("reducer %d (load %d): X=%v Y=%v\n", i, r.Load, r.XInputs, r.YInputs)

@@ -3,7 +3,6 @@ package main
 import (
 	"testing"
 
-	"repro/internal/binpack"
 	"repro/internal/workload"
 )
 
@@ -20,25 +19,6 @@ func TestParseSizes(t *testing.T) {
 	}
 	if _, err := parseSizes("3,x"); err == nil {
 		t.Error("accepted non-numeric size")
-	}
-}
-
-func TestParsePolicy(t *testing.T) {
-	cases := map[string]binpack.Policy{
-		"ff":                   binpack.FirstFit,
-		"FFD":                  binpack.FirstFitDecreasing,
-		"bfd":                  binpack.BestFitDecreasing,
-		"nf":                   binpack.NextFit,
-		"worst-fit-decreasing": binpack.WorstFitDecreasing,
-	}
-	for in, want := range cases {
-		got, err := parsePolicy(in)
-		if err != nil || got != want {
-			t.Errorf("parsePolicy(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	if _, err := parsePolicy("magic"); err == nil {
-		t.Error("accepted unknown policy")
 	}
 }
 
@@ -104,14 +84,14 @@ func TestRunA2AAndX2Y(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	cases := [][]string{
-		{"-q", "0", "-sizes", "1,2"},                                   // bad capacity
-		{"-problem", "nope", "-q", "5", "-sizes", "1,2"},               // bad problem
-		{"-problem", "a2a", "-q", "5", "-sizes", "9,9"},                // infeasible
-		{"-problem", "a2a", "-q", "5", "-policy", "zz", "-sizes", "1"}, // bad policy
-		{"-problem", "x2y", "-q", "5", "-xsizes", "", "-ysizes", "1"},  // missing X sizes
-		{"-problem", "x2y", "-q", "5", "-xsizes", "1", "-ysizes", ""},  // missing Y sizes
-		{"-problem", "x2y", "-q", "5", "-xsizes", "0", "-ysizes", "1"}, // invalid X size
-		{"-problem", "a2a", "-q", "5", "-sizes", "0"},                  // invalid size
+		{"-q", "0", "-sizes", "1,2"},                                    // bad capacity
+		{"-problem", "nope", "-q", "5", "-sizes", "1,2"},                // bad problem
+		{"-problem", "a2a", "-q", "5", "-sizes", "9,9"},                 // infeasible
+		{"-problem", "a2a", "-q", "5", "-policy", "ffd", "-sizes", "1"}, // no such flag
+		{"-problem", "x2y", "-q", "5", "-xsizes", "", "-ysizes", "1"},   // missing X sizes
+		{"-problem", "x2y", "-q", "5", "-xsizes", "1", "-ysizes", ""},   // missing Y sizes
+		{"-problem", "x2y", "-q", "5", "-xsizes", "0", "-ysizes", "1"},  // invalid X size
+		{"-problem", "a2a", "-q", "5", "-sizes", "0"},                   // invalid size
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {

@@ -70,7 +70,12 @@ func TestBigSmallSplitBigInputMeetsEverySmall(t *testing.T) {
 	}
 	// The big input (ID 0) must appear in at least ceil(smallTotal/(q-w0))
 	// reducers.
-	counts := core.ReplicationCounts(ms, set.Len())
+	counts := make([]int, set.Len())
+	for _, r := range ms.Reducers {
+		for _, id := range r.Inputs {
+			counts[id]++
+		}
+	}
 	smallTotal := set.TotalSize() - set.Size(0)
 	room := q - set.Size(0)
 	minReplicas := int((smallTotal + room - 1) / room)
@@ -96,7 +101,7 @@ func TestBigSmallSplitRandomInstancesValid(t *testing.T) {
 			sizes[i] = core.Size(1 + rng.Int63n(int64(maxSmall)))
 		}
 		set := core.MustNewInputSet(sizes)
-		for _, pol := range binpack.Policies() {
+		for _, pol := range policies {
 			ms, err := BigSmallSplit(set, q, pol)
 			if err != nil {
 				t.Fatalf("q=%d sizes=%v policy=%v: %v", q, sizes, pol, err)

@@ -5,18 +5,12 @@ import (
 	"repro/internal/core"
 )
 
-// Options configures Solve.
+// Options configures SolveWithOptions.
 type Options struct {
-	// Policy is the bin-packing heuristic used by the bin-packing-based
-	// algorithms. The zero value is binpack.FirstFit; most callers want
-	// binpack.FirstFitDecreasing, which DefaultOptions selects.
+	// Policy is the bin-packing heuristic of BinPackPair and BigSmallSplit.
+	// The zero value is binpack.FirstFitDecreasing, the paper's; the planner
+	// also races the other two.
 	Policy binpack.Policy
-}
-
-// DefaultOptions returns the options Solve uses: First-Fit-Decreasing
-// packing.
-func DefaultOptions() Options {
-	return Options{Policy: binpack.FirstFitDecreasing}
 }
 
 // Solve computes a mapping schema for an A2A instance, dispatching to the
@@ -25,7 +19,7 @@ func DefaultOptions() Options {
 // BigSmallSplit when an input exceeds q/2, and BinPackPair otherwise. It
 // returns core.ErrInfeasible (wrapped) when no schema exists.
 func Solve(set *core.InputSet, q core.Size) (*core.MappingSchema, error) {
-	return SolveWithOptions(set, q, DefaultOptions())
+	return SolveWithOptions(set, q, Options{})
 }
 
 // SolveWithOptions is Solve with explicit options.

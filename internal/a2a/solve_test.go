@@ -3,6 +3,7 @@ package a2a
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -72,21 +73,30 @@ func TestSolveInfeasible(t *testing.T) {
 	}
 }
 
+// TestSolveWithOptionsZeroValuePolicy: the zero Options is Solve.
 func TestSolveWithOptionsZeroValuePolicy(t *testing.T) {
 	set := core.MustNewInputSet([]core.Size{3, 4, 5, 3, 4, 5})
-	ms, err := SolveWithOptions(set, 12, Options{Policy: binpack.FirstFit})
+	ms, err := SolveWithOptions(set, 12, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := ms.ValidateA2A(set); err != nil {
 		t.Errorf("ValidateA2A: %v", err)
 	}
+	want, err := Solve(set, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ms, want) {
+		t.Errorf("SolveWithOptions(Options{}) = %s, Solve = %s", ms.Algorithm, want.Algorithm)
+	}
 }
 
+// TestDefaultOptions: the zero Options packs with the paper's
+// First-Fit-Decreasing.
 func TestDefaultOptions(t *testing.T) {
-	o := DefaultOptions()
-	if o.Policy != binpack.FirstFitDecreasing {
-		t.Errorf("DefaultOptions() = %+v", o)
+	if o := (Options{}); o.Policy != binpack.FirstFitDecreasing {
+		t.Errorf("Options{} = %+v, want First-Fit-Decreasing", o)
 	}
 }
 

@@ -277,7 +277,7 @@ func TestSolveMatchesBuildBothReference(t *testing.T) {
 	triples := 0
 	check := func(set *core.InputSet, q core.Size) {
 		t.Helper()
-		for _, policy := range []binpack.Policy{binpack.FirstFitDecreasing, binpack.BestFitDecreasing, binpack.WorstFitDecreasing} {
+		for _, policy := range policies {
 			opts := Options{Policy: policy}
 			got, gotErr := SolveWithOptions(set, q, opts)
 			want, wantErr := refSolveWithOptions(set, q, opts)

@@ -4,10 +4,8 @@
 // The bin-packing-based algorithms in "Assignment of Different-Sized Inputs
 // in MapReduce" first pack inputs into bins of size q/2 (or q - w for a big
 // input of size w) and then combine bins into reducers. This package provides
-// the classical online and offline heuristics (First-Fit, First-Fit
-// Decreasing, Best-Fit Decreasing, Next-Fit, Worst-Fit) as well as an exact
-// branch-and-bound packer for small instances and the standard lower bounds,
-// so that the approximation quality of the heuristics can be measured.
+// the three decreasing-order heuristics the planner races: First-Fit
+// Decreasing (the paper's), Best-Fit Decreasing and Worst-Fit Decreasing.
 package binpack
 
 import (
@@ -38,8 +36,6 @@ type Bin struct {
 type Packing struct {
 	Capacity core.Size
 	Bins     []Bin
-	// Policy names the algorithm that produced the packing.
-	Policy Policy
 }
 
 // NumBins returns the number of bins used.
@@ -93,61 +89,35 @@ func (p *Packing) Validate(items []Item) error {
 	return nil
 }
 
-// Policy selects a packing heuristic.
+// Policy selects a packing heuristic. Every policy packs the items in order
+// of decreasing size; they differ in which open bin an item goes to.
 type Policy int
 
 const (
-	// FirstFit places each item (in the given order) into the first bin it
-	// fits in, opening a new bin if none fits.
-	FirstFit Policy = iota
-	// FirstFitDecreasing sorts items by decreasing size and then applies
-	// First-Fit. This is the heuristic the paper's bin-pack-and-pair
-	// algorithms assume.
-	FirstFitDecreasing
-	// BestFitDecreasing sorts items by decreasing size and places each item
-	// into the fullest bin it still fits in.
+	// FirstFitDecreasing places each item into the first bin it fits in.
+	// This is the heuristic the paper's bin-pack-and-pair algorithms assume,
+	// and the zero Policy.
+	FirstFitDecreasing Policy = iota
+	// BestFitDecreasing places each item into the fullest bin it still fits
+	// in.
 	BestFitDecreasing
-	// NextFit keeps only one open bin and closes it as soon as an item does
-	// not fit.
-	NextFit
-	// WorstFitDecreasing sorts items by decreasing size and places each item
-	// into the emptiest bin it fits in; it tends to balance loads.
+	// WorstFitDecreasing places each item into the emptiest bin it fits in;
+	// it tends to balance loads.
 	WorstFitDecreasing
 )
 
 // String implements fmt.Stringer.
 func (p Policy) String() string {
 	switch p {
-	case FirstFit:
-		return "first-fit"
 	case FirstFitDecreasing:
 		return "first-fit-decreasing"
 	case BestFitDecreasing:
 		return "best-fit-decreasing"
-	case NextFit:
-		return "next-fit"
 	case WorstFitDecreasing:
 		return "worst-fit-decreasing"
 	default:
 		return fmt.Sprintf("Policy(%d)", int(p))
 	}
-}
-
-// Policies lists every heuristic, in a stable order, for ablation sweeps.
-func Policies() []Policy {
-	return []Policy{FirstFit, FirstFitDecreasing, BestFitDecreasing, NextFit, WorstFitDecreasing}
-}
-
-// ResolvePolicy interprets an application-config policy field paired with an
-// "explicitly chosen" flag: the zero value (FirstFit) without the flag means
-// no choice was made and resolves to First-Fit-Decreasing, the paper's
-// default. defaulted reports whether that fallback applied — applications
-// use it to decide between a specific heuristic and the planner portfolio.
-func ResolvePolicy(p Policy, explicit bool) (policy Policy, defaulted bool) {
-	if !explicit && p == FirstFit {
-		return FirstFitDecreasing, true
-	}
-	return p, false
 }
 
 // ErrItemTooLarge is returned when some item is larger than the bin capacity.
@@ -156,11 +126,11 @@ var ErrItemTooLarge = errors.New("binpack: item larger than bin capacity")
 // Pack packs the items into bins of the given capacity using the selected
 // policy. It returns ErrItemTooLarge if any single item exceeds the capacity.
 //
-// The decreasing policies pack in order of decreasing size, ties by ascending
-// ID. Items that already arrive in that order are packed as given, without a
-// copy or a sort, so a caller that packs one item list at many capacities
-// orders it once (core.InputSet.IDsBySizeDescending is that order). items is
-// never modified.
+// Items are packed in order of decreasing size, ties by ascending ID. Items
+// that already arrive in that order are packed as given, without a copy or a
+// sort, so a caller that packs one item list at many capacities orders it
+// once (core.InputSet.IDsBySizeDescending is that order). items is never
+// modified.
 func Pack(items []Item, capacity core.Size, policy Policy) (*Packing, error) {
 	for _, it := range items {
 		if it.Size > capacity {
@@ -171,21 +141,16 @@ func Pack(items []Item, capacity core.Size, policy Policy) (*Packing, error) {
 		}
 	}
 	ordered := items
-	switch policy {
-	case FirstFitDecreasing, BestFitDecreasing, WorstFitDecreasing:
-		if !slices.IsSortedFunc(items, bySizeDecreasing) {
-			ordered = slices.Clone(items)
-			slices.SortFunc(ordered, bySizeDecreasing)
-		}
+	if !slices.IsSortedFunc(items, bySizeDecreasing) {
+		ordered = slices.Clone(items)
+		slices.SortFunc(ordered, bySizeDecreasing)
 	}
-	p := &Packing{Capacity: capacity, Policy: policy}
+	p := &Packing{Capacity: capacity}
 	switch policy {
-	case FirstFit, FirstFitDecreasing:
+	case FirstFitDecreasing:
 		packFirstFit(p, ordered)
 	case BestFitDecreasing:
 		packBestFit(p, ordered)
-	case NextFit:
-		packNextFit(p, ordered)
 	case WorstFitDecreasing:
 		packWorstFit(p, ordered)
 	default:
@@ -256,17 +221,6 @@ func packBestFit(p *Packing, items []Item) {
 		}
 		p.Bins[best].Items = append(p.Bins[best].Items, it.ID)
 		p.Bins[best].Load += it.Size
-	}
-}
-
-func packNextFit(p *Packing, items []Item) {
-	for _, it := range items {
-		if n := len(p.Bins); n > 0 && p.Bins[n-1].Load+it.Size <= p.Capacity {
-			p.Bins[n-1].Items = append(p.Bins[n-1].Items, it.ID)
-			p.Bins[n-1].Load += it.Size
-			continue
-		}
-		p.Bins = append(p.Bins, Bin{Items: []int{it.ID}, Load: it.Size})
 	}
 }
 

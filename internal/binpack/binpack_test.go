@@ -13,6 +13,9 @@ import (
 	"repro/internal/core"
 )
 
+// policies lists every heuristic.
+var policies = []Policy{FirstFitDecreasing, BestFitDecreasing, WorstFitDecreasing}
+
 func items(sizes ...core.Size) []Item {
 	out := make([]Item, len(sizes))
 	for i, s := range sizes {
@@ -29,7 +32,7 @@ func TestPackRejectsOversizedItem(t *testing.T) {
 }
 
 func TestPackRejectsNonPositiveItem(t *testing.T) {
-	if _, err := Pack([]Item{{ID: 0, Size: 0}}, 10, FirstFit); err == nil {
+	if _, err := Pack([]Item{{ID: 0, Size: 0}}, 10, FirstFitDecreasing); err == nil {
 		t.Error("Pack() accepted a zero-size item")
 	}
 }
@@ -54,34 +57,12 @@ func TestFirstFitDecreasingClassic(t *testing.T) {
 	}
 }
 
-func TestNextFitUsesMoreBins(t *testing.T) {
-	in := items(6, 5, 6, 5, 6, 5)
-	nf, err := Pack(in, 11, NextFit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ffd, err := Pack(in, 11, FirstFitDecreasing)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nf.NumBins() < ffd.NumBins() {
-		t.Errorf("NextFit used %d bins, FFD %d; NextFit should not beat FFD here", nf.NumBins(), ffd.NumBins())
-	}
-	if ffd.NumBins() != 3 {
-		t.Errorf("FFD bins = %d, want 3", ffd.NumBins())
-	}
-}
-
 func TestAllPoliciesProduceValidPackings(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.Intn(60)
 		capacity := core.Size(20 + rng.Intn(80))
-		in := make([]Item, n)
-		for i := range in {
-			in[i] = Item{ID: i, Size: core.Size(1 + rng.Int63n(int64(capacity)))}
-		}
-		for _, pol := range Policies() {
+		in := randomItems(rng, 1+rng.Intn(60), capacity)
+		for _, pol := range policies {
 			p, err := Pack(in, capacity, pol)
 			if err != nil {
 				t.Fatalf("%v: %v", pol, err)
@@ -89,15 +70,15 @@ func TestAllPoliciesProduceValidPackings(t *testing.T) {
 			if err := p.Validate(in); err != nil {
 				t.Fatalf("%v produced invalid packing: %v", pol, err)
 			}
-			if p.NumBins() < SizeLowerBound(in, capacity) {
-				t.Fatalf("%v produced %d bins below the size lower bound %d", pol, p.NumBins(), SizeLowerBound(in, capacity))
+			if lb := sizeBound(in, capacity); p.NumBins() < lb {
+				t.Fatalf("%v produced %d bins below the size lower bound %d", pol, p.NumBins(), lb)
 			}
 		}
 	}
 }
 
 func TestPolicyString(t *testing.T) {
-	for _, pol := range Policies() {
+	for _, pol := range policies {
 		if strings.HasPrefix(pol.String(), "Policy(") {
 			t.Errorf("policy %d has no name", int(pol))
 		}
@@ -123,7 +104,7 @@ func TestMaxLoad(t *testing.T) {
 
 func TestValidateCatchesCorruptPackings(t *testing.T) {
 	in := items(3, 4)
-	p, err := Pack(in, 10, FirstFit)
+	p, err := Pack(in, 10, FirstFitDecreasing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,119 +151,108 @@ func TestItemsFromInputSet(t *testing.T) {
 	}
 }
 
-func TestSizeLowerBound(t *testing.T) {
-	if got := SizeLowerBound(items(5, 5, 5), 10); got != 2 {
-		t.Errorf("SizeLowerBound = %d, want 2", got)
+// optimalBins is the reference optimum: the fewest bins over all subsets of
+// the items, by the O(2ⁿ·n) subset DP that keeps, per subset, the fewest bins
+// and then the smallest load of the last one. Every item must fit; n ≤ 14.
+func optimalBins(in []Item, capacity core.Size) int {
+	if len(in) == 0 {
+		return 0
 	}
-	if got := SizeLowerBound(nil, 10); got != 0 {
-		t.Errorf("SizeLowerBound(nil) = %d, want 0", got)
+	type state struct {
+		bins int
+		load core.Size
 	}
-	if got := SizeLowerBound(items(1), 0); got != 0 {
-		t.Errorf("SizeLowerBound(capacity=0) = %d, want 0", got)
+	best := make([]state, 1<<len(in))
+	best[0] = state{bins: 1}
+	for mask := 1; mask < len(best); mask++ {
+		best[mask] = state{bins: len(in) + 1}
+		for i, it := range in {
+			if mask&(1<<i) == 0 {
+				continue
+			}
+			s := best[mask^(1<<i)]
+			if s.load+it.Size <= capacity {
+				s.load += it.Size
+			} else {
+				s = state{s.bins + 1, it.Size}
+			}
+			if s.bins < best[mask].bins || s.bins == best[mask].bins && s.load < best[mask].load {
+				best[mask] = s
+			}
+		}
 	}
+	return best[len(best)-1].bins
 }
 
-func TestL2LowerBoundBeatsL1OnBigItems(t *testing.T) {
-	// Six items of size 6 with capacity 10: L1 = ceil(36/10) = 4, but no two
-	// items fit together so the true optimum (and L2) is 6.
-	in := items(6, 6, 6, 6, 6, 6)
-	if l1 := SizeLowerBound(in, 10); l1 != 4 {
-		t.Fatalf("L1 = %d, want 4", l1)
+// sizeBound is the trivial lower bound ⌈Σ sizes / capacity⌉.
+func sizeBound(in []Item, capacity core.Size) int {
+	var total core.Size
+	for _, it := range in {
+		total += it.Size
 	}
-	if l2 := L2LowerBound(in, 10); l2 != 6 {
-		t.Errorf("L2 = %d, want 6", l2)
-	}
+	return int((total + capacity - 1) / capacity)
 }
 
-func TestLowerBoundsNeverExceedOptimal(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 30; trial++ {
-		n := 3 + rng.Intn(10)
-		capacity := core.Size(10 + rng.Intn(20))
-		in := make([]Item, n)
-		for i := range in {
-			in[i] = Item{ID: i, Size: core.Size(1 + rng.Int63n(int64(capacity)))}
-		}
-		opt, err := PackExact(in, capacity, ExactOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if lb := BestLowerBound(in, capacity); lb > opt.NumBins() {
-			t.Fatalf("lower bound %d exceeds optimum %d for %v capacity %d", lb, opt.NumBins(), in, capacity)
-		}
+func randomItems(rng *rand.Rand, n int, capacity core.Size) []Item {
+	in := make([]Item, n)
+	for i := range in {
+		in[i] = Item{ID: i, Size: core.Size(1 + rng.Int63n(int64(capacity)))}
 	}
-}
-
-func TestPackExactOptimal(t *testing.T) {
-	// 4 items of size 5 and capacity 10: optimum is 2 bins.
-	p, err := PackExact(items(5, 5, 5, 5), 10, ExactOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.NumBins() != 2 {
-		t.Errorf("exact bins = %d, want 2", p.NumBins())
-	}
-	if err := p.Validate(items(5, 5, 5, 5)); err != nil {
-		t.Errorf("Validate: %v", err)
-	}
-}
-
-func TestPackExactBeatsOrMatchesFFD(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 40; trial++ {
-		n := 3 + rng.Intn(12)
-		capacity := core.Size(12 + rng.Intn(24))
-		in := make([]Item, n)
-		for i := range in {
-			in[i] = Item{ID: i, Size: core.Size(1 + rng.Int63n(int64(capacity)))}
-		}
-		ffd, err := Pack(in, capacity, FirstFitDecreasing)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opt, err := PackExact(in, capacity, ExactOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if opt.NumBins() > ffd.NumBins() {
-			t.Fatalf("exact %d bins worse than FFD %d bins", opt.NumBins(), ffd.NumBins())
-		}
-		if err := opt.Validate(in); err != nil {
-			t.Fatalf("exact packing invalid: %v", err)
-		}
-	}
-}
-
-func TestPackExactLimits(t *testing.T) {
-	big := make([]Item, 30)
-	for i := range big {
-		big[i] = Item{ID: i, Size: 1}
-	}
-	if _, err := PackExact(big, 10, ExactOptions{}); !errors.Is(err, ErrTooLargeForExact) {
-		t.Errorf("PackExact on 30 items = %v, want ErrTooLargeForExact", err)
-	}
-	if _, err := PackExact(items(11), 10, ExactOptions{}); !errors.Is(err, ErrItemTooLarge) {
-		t.Errorf("PackExact oversized = %v, want ErrItemTooLarge", err)
-	}
-	if _, err := PackExact([]Item{{ID: 0, Size: -1}}, 10, ExactOptions{}); err == nil {
-		t.Error("PackExact accepted a negative size")
-	}
-	p, err := PackExact(nil, 10, ExactOptions{})
-	if err != nil || p.NumBins() != 0 {
-		t.Errorf("PackExact(nil) = %v bins, err %v", p.NumBins(), err)
-	}
+	return in
 }
 
 func TestOptimalBins(t *testing.T) {
-	n, err := OptimalBins(items(5, 5, 5), 10, ExactOptions{})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		in       []Item
+		capacity core.Size
+		want     int
+	}{
+		{nil, 10, 0},
+		{items(5, 5, 5), 10, 2},
+		{items(5, 5, 5, 5), 10, 2},
+		{items(7, 6, 5, 4, 3, 2, 1), 10, 3},
+		// No two items fit together: six bins where ⌈36/10⌉ is 4.
+		{items(6, 6, 6, 6, 6, 6), 10, 6},
+		// Two full bins: 4+4+2 and 3+3+2+2.
+		{items(4, 4, 3, 3, 2, 2, 2), 10, 2},
+	} {
+		if got := optimalBins(tc.in, tc.capacity); got != tc.want {
+			t.Errorf("optimalBins(%v, %d) = %d, want %d", tc.in, tc.capacity, got, tc.want)
+		}
 	}
-	if n != 2 {
-		t.Errorf("OptimalBins = %d, want 2", n)
+}
+
+// TestLowerBoundsNeverExceedOptimal: the size bound never exceeds the
+// optimum.
+func TestLowerBoundsNeverExceedOptimal(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 40; trial++ {
+		capacity := core.Size(12 + rng.Intn(24))
+		in := randomItems(rng, 3+rng.Intn(12), capacity)
+		opt := optimalBins(in, capacity)
+		if lb := sizeBound(in, capacity); lb > opt {
+			t.Fatalf("size bound %d exceeds optimum %d for %v capacity %d", lb, opt, in, capacity)
+		}
 	}
-	if _, err := OptimalBins(items(11), 10, ExactOptions{}); err == nil {
-		t.Error("OptimalBins accepted an infeasible instance")
+}
+
+// TestPackExactBeatsOrMatchesFFD: the exact optimum never uses more bins than
+// FFD or any other policy on the same random instances.
+func TestPackExactBeatsOrMatchesFFD(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 40; trial++ {
+		capacity := core.Size(12 + rng.Intn(24))
+		in := randomItems(rng, 3+rng.Intn(12), capacity)
+		opt := optimalBins(in, capacity)
+		for _, pol := range policies {
+			p, err := Pack(in, capacity, pol)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.NumBins() < opt {
+				t.Fatalf("%v used %d bins, below the optimum %d for %v capacity %d", pol, p.NumBins(), opt, in, capacity)
+			}
+		}
 	}
 }
 
@@ -291,22 +261,15 @@ func TestOptimalBins(t *testing.T) {
 func TestFFDApproximationBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 30; trial++ {
-		n := 4 + rng.Intn(10)
 		capacity := core.Size(20 + rng.Intn(30))
-		in := make([]Item, n)
-		for i := range in {
-			in[i] = Item{ID: i, Size: core.Size(1 + rng.Int63n(int64(capacity)))}
-		}
+		in := randomItems(rng, 4+rng.Intn(10), capacity)
 		ffd, err := Pack(in, capacity, FirstFitDecreasing)
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt, err := PackExact(in, capacity, ExactOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if float64(ffd.NumBins()) > 11.0/9.0*float64(opt.NumBins())+1 {
-			t.Fatalf("FFD %d bins violates 11/9 OPT+1 with OPT=%d", ffd.NumBins(), opt.NumBins())
+		opt := optimalBins(in, capacity)
+		if float64(ffd.NumBins()) > 11.0/9.0*float64(opt)+1 {
+			t.Fatalf("FFD %d bins violates 11/9 OPT+1 with OPT=%d", ffd.NumBins(), opt)
 		}
 	}
 }
@@ -320,7 +283,7 @@ func TestPackPreservesItemsProperty(t *testing.T) {
 			size := core.Size(r%uint8(capacity)) + 1
 			in = append(in, Item{ID: i, Size: size})
 		}
-		for _, pol := range Policies() {
+		for _, pol := range policies {
 			p, err := Pack(in, capacity, pol)
 			if err != nil {
 				return false
@@ -336,11 +299,11 @@ func TestPackPreservesItemsProperty(t *testing.T) {
 	}
 }
 
-// TestPackDecreasingIgnoresInputOrder: the decreasing policies pack in one
-// total order (size down, ID up), so the same items give the same packing
-// however they arrive — shuffled, ascending, or already decreasing, which is
-// the case Pack takes as given without copying or sorting. The expected order
-// is the stable reflection sort Pack used before; the caller's slice is never
+// TestPackDecreasingIgnoresInputOrder: every policy packs in one total order
+// (size down, ID up), so the same items give the same packing however they
+// arrive — shuffled, ascending, or already decreasing, which is the case Pack
+// takes as given without copying or sorting. The expected order is the
+// stable reflection sort Pack used before; the caller's slice is never
 // written to.
 func TestPackDecreasingIgnoresInputOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -363,17 +326,10 @@ func TestPackDecreasingIgnoresInputOrder(t *testing.T) {
 		shuffled := slices.Clone(base)
 		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 
-		for _, policy := range []Policy{FirstFitDecreasing, BestFitDecreasing, WorstFitDecreasing} {
-			// First-Fit over the reference order is what FFD must equal.
+		for _, policy := range policies {
 			want, err := Pack(decreasing, capacity, policy)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if policy == FirstFitDecreasing {
-				ff, _ := Pack(decreasing, capacity, FirstFit)
-				if !reflect.DeepEqual(ff.Bins, want.Bins) {
-					t.Fatalf("trial %d: FFD of decreasing input is not First-Fit in that order", trial)
-				}
 			}
 			for name, in := range map[string][]Item{"ascending": ascending, "shuffled": shuffled, "id-order": base} {
 				before := slices.Clone(in)

@@ -6,7 +6,8 @@ import (
 	"repro/internal/binpack"
 )
 
-// Pack items with First-Fit-Decreasing and compare against the lower bound.
+// Pack items with First-Fit-Decreasing and compare against the lower bound
+// ⌈Σ sizes / capacity⌉.
 func ExamplePack() {
 	items := []binpack.Item{
 		{ID: 0, Size: 7}, {ID: 1, Size: 6}, {ID: 2, Size: 5},
@@ -17,6 +18,10 @@ func ExamplePack() {
 		fmt.Println("error:", err)
 		return
 	}
-	fmt.Printf("bins=%d lower_bound=%d\n", p.NumBins(), binpack.BestLowerBound(items, 10))
+	total := 0
+	for _, it := range items {
+		total += int(it.Size)
+	}
+	fmt.Printf("bins=%d lower_bound=%d\n", p.NumBins(), (total+9)/10)
 	// Output: bins=3 lower_bound=3
 }

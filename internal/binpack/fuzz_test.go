@@ -7,8 +7,8 @@ import (
 )
 
 // FuzzPack checks the packing invariants (every item exactly once, no bin
-// over capacity, never fewer bins than the lower bound) for every policy on
-// arbitrary inputs.
+// over capacity, never fewer bins than ⌈Σ sizes / capacity⌉) for every policy
+// on arbitrary inputs.
 func FuzzPack(f *testing.F) {
 	f.Add([]byte{7, 6, 5, 4, 3, 2, 1}, byte(10))
 	f.Add([]byte{50, 50, 50}, byte(100))
@@ -25,8 +25,8 @@ func FuzzPack(f *testing.F) {
 		if len(items) == 0 {
 			return
 		}
-		lb := BestLowerBound(items, capacity)
-		for _, pol := range Policies() {
+		lb := sizeBound(items, capacity)
+		for _, pol := range policies {
 			p, err := Pack(items, capacity, pol)
 			if err != nil {
 				t.Fatalf("%v: %v", pol, err)

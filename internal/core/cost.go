@@ -119,79 +119,6 @@ func Makespan(ms *MappingSchema, workers int) Size {
 	return max
 }
 
-// ReplicationCounts returns, for every input ID of an A2A schema, the number
-// of reducers that input is assigned to. The result is indexed by input ID.
-func ReplicationCounts(ms *MappingSchema, m int) []int {
-	counts := make([]int, m)
-	for _, r := range ms.Reducers {
-		for _, id := range r.Inputs {
-			if id >= 0 && id < m {
-				counts[id]++
-			}
-		}
-	}
-	return counts
-}
-
-// ReplicationCountsX2Y returns per-input replication counts for an X2Y
-// schema, one slice per side.
-func ReplicationCountsX2Y(ms *MappingSchema, nx, ny int) (x, y []int) {
-	x = make([]int, nx)
-	y = make([]int, ny)
-	for _, r := range ms.Reducers {
-		for _, id := range r.XInputs {
-			if id >= 0 && id < nx {
-				x[id]++
-			}
-		}
-		for _, id := range r.YInputs {
-			if id >= 0 && id < ny {
-				y[id]++
-			}
-		}
-	}
-	return x, y
-}
-
-// CoverageA2A returns the fraction of required pairs covered by the schema:
-// 1.0 for a valid schema, smaller for partial assignments. It is useful for
-// diagnosing heuristics; validation should use ValidateA2A.
-func CoverageA2A(ms *MappingSchema, m int) float64 {
-	if m < 2 {
-		return 1
-	}
-	covered := newPairSet(m)
-	for _, r := range ms.Reducers {
-		for i := 0; i < len(r.Inputs); i++ {
-			for j := i + 1; j < len(r.Inputs); j++ {
-				covered.add(r.Inputs[i], r.Inputs[j])
-			}
-		}
-	}
-	return float64(covered.count()) / float64(m*(m-1)/2)
-}
-
-// CoverageX2Y returns the fraction of required cross pairs covered by an X2Y
-// schema.
-func CoverageX2Y(ms *MappingSchema, nx, ny int) float64 {
-	if nx == 0 || ny == 0 {
-		return 1
-	}
-	covered := make([]bool, nx*ny)
-	n := 0
-	for _, r := range ms.Reducers {
-		for _, x := range r.XInputs {
-			for _, y := range r.YInputs {
-				if !covered[x*ny+y] {
-					covered[x*ny+y] = true
-					n++
-				}
-			}
-		}
-	}
-	return float64(n) / float64(nx*ny)
-}
-
 // String implements fmt.Stringer, rendering the headline numbers.
 func (c Cost) String() string {
 	return fmt.Sprintf("reducers=%d comm=%d repl=%.3f maxLoad=%d", c.Reducers, c.Communication, c.ReplicationRate, c.MaxLoad)

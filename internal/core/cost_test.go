@@ -105,67 +105,6 @@ func TestCostWithWorkers(t *testing.T) {
 	}
 }
 
-func TestReplicationCounts(t *testing.T) {
-	_, ms := schemaFor(t, []Size{2, 2, 2}, 4, [][]int{{0, 1}, {0, 2}, {1, 2}})
-	counts := ReplicationCounts(ms, 3)
-	for i, c := range counts {
-		if c != 2 {
-			t.Errorf("input %d replicated %d times, want 2", i, c)
-		}
-	}
-	// Out-of-range IDs are ignored rather than panicking.
-	msBad := &MappingSchema{Reducers: []Reducer{{Inputs: []int{7}}}}
-	if got := ReplicationCounts(msBad, 3); got[0] != 0 {
-		t.Errorf("out-of-range IDs should be ignored, got %v", got)
-	}
-}
-
-func TestReplicationCountsX2Y(t *testing.T) {
-	xs := MustNewInputSet([]Size{1, 1})
-	ys := MustNewInputSet([]Size{1, 1, 1})
-	ms := &MappingSchema{Problem: ProblemX2Y, Capacity: 10}
-	ms.AddReducerX2Y(xs, ys, []int{0}, []int{0, 1, 2})
-	ms.AddReducerX2Y(xs, ys, []int{1}, []int{0, 1, 2})
-	xc, yc := ReplicationCountsX2Y(ms, 2, 3)
-	if xc[0] != 1 || xc[1] != 1 {
-		t.Errorf("X replication = %v, want [1 1]", xc)
-	}
-	for i, c := range yc {
-		if c != 2 {
-			t.Errorf("Y input %d replicated %d times, want 2", i, c)
-		}
-	}
-}
-
-func TestCoverageA2A(t *testing.T) {
-	_, ms := schemaFor(t, []Size{1, 1, 1}, 2, [][]int{{0, 1}})
-	got := CoverageA2A(ms, 3)
-	want := 1.0 / 3.0
-	if math.Abs(got-want) > 1e-9 {
-		t.Errorf("CoverageA2A = %v, want %v", got, want)
-	}
-	if CoverageA2A(ms, 1) != 1 {
-		t.Error("coverage with fewer than two inputs should be 1")
-	}
-	_, full := schemaFor(t, []Size{1, 1, 1}, 3, [][]int{{0, 1, 2}})
-	if CoverageA2A(full, 3) != 1 {
-		t.Error("full schema coverage should be 1")
-	}
-}
-
-func TestCoverageX2Y(t *testing.T) {
-	xs := MustNewInputSet([]Size{1, 1})
-	ys := MustNewInputSet([]Size{1, 1})
-	ms := &MappingSchema{Problem: ProblemX2Y, Capacity: 10}
-	ms.AddReducerX2Y(xs, ys, []int{0}, []int{0, 1})
-	if got := CoverageX2Y(ms, 2, 2); got != 0.5 {
-		t.Errorf("CoverageX2Y = %v, want 0.5", got)
-	}
-	if CoverageX2Y(ms, 0, 5) != 1 {
-		t.Error("coverage with an empty side should be 1")
-	}
-}
-
 func TestCostString(t *testing.T) {
 	c := Cost{Reducers: 3, Communication: 12, ReplicationRate: 2, MaxLoad: 4}
 	s := c.String()

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 )
 
@@ -162,72 +161,6 @@ func (s *InputSet) SplitBySize(threshold Size) (big, small []int) {
 		}
 	}
 	return big, small
-}
-
-// FitsAny reports whether every single input fits in a reducer of capacity q
-// on its own. If it does not, no mapping schema exists at all.
-func (s *InputSet) FitsAny(q Size) bool { return s.maxSz <= q }
-
-// PairFits reports whether the two identified inputs fit together in a
-// reducer of capacity q.
-func (s *InputSet) PairFits(a, b int, q Size) bool {
-	return s.inputs[a].Size+s.inputs[b].Size <= q
-}
-
-// Stats summarises the size distribution of an input set.
-type Stats struct {
-	Count   int
-	Total   Size
-	Min     Size
-	Max     Size
-	Mean    float64
-	StdDev  float64
-	Median  Size
-	BigOver map[string]int // counts of inputs above named thresholds ("q/2", "q") when derived via StatsFor
-}
-
-// Stats computes summary statistics for the input set.
-func (s *InputSet) Stats() Stats {
-	return s.StatsFor(0)
-}
-
-// StatsFor computes summary statistics, additionally counting how many inputs
-// exceed q/2 and q when q > 0.
-func (s *InputSet) StatsFor(q Size) Stats {
-	n := len(s.inputs)
-	mean := float64(s.total) / float64(n)
-	var sq float64
-	sizes := make([]Size, n)
-	for i, in := range s.inputs {
-		d := float64(in.Size) - mean
-		sq += d * d
-		sizes[i] = in.Size
-	}
-	slices.Sort(sizes)
-	st := Stats{
-		Count:  n,
-		Total:  s.total,
-		Min:    s.minSz,
-		Max:    s.maxSz,
-		Mean:   mean,
-		StdDev: math.Sqrt(sq / float64(n)),
-		Median: sizes[n/2],
-	}
-	if q > 0 {
-		st.BigOver = map[string]int{}
-		half, full := 0, 0
-		for _, w := range sizes {
-			if w > q/2 {
-				half++
-			}
-			if w > q {
-				full++
-			}
-		}
-		st.BigOver["q/2"] = half
-		st.BigOver["q"] = full
-	}
-	return st
 }
 
 // String implements fmt.Stringer for Input.

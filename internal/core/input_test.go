@@ -117,50 +117,6 @@ func TestSplitBySize(t *testing.T) {
 	}
 }
 
-func TestFitsAnyAndPairFits(t *testing.T) {
-	s := MustNewInputSet([]Size{4, 6, 3})
-	if !s.FitsAny(6) {
-		t.Error("FitsAny(6) = false, want true")
-	}
-	if s.FitsAny(5) {
-		t.Error("FitsAny(5) = true, want false")
-	}
-	if !s.PairFits(0, 2, 7) {
-		t.Error("PairFits(0,2,7) = false, want true")
-	}
-	if s.PairFits(0, 1, 9) {
-		t.Error("PairFits(0,1,9) = true, want false")
-	}
-}
-
-func TestStats(t *testing.T) {
-	s := MustNewInputSet([]Size{2, 4, 6, 8})
-	st := s.Stats()
-	if st.Count != 4 || st.Total != 20 || st.Min != 2 || st.Max != 8 {
-		t.Errorf("Stats() = %+v", st)
-	}
-	if st.Mean != 5 {
-		t.Errorf("Mean = %v, want 5", st.Mean)
-	}
-	if st.Median != 6 {
-		t.Errorf("Median = %v, want 6", st.Median)
-	}
-	if st.BigOver != nil {
-		t.Errorf("BigOver should be nil without q, got %v", st.BigOver)
-	}
-}
-
-func TestStatsFor(t *testing.T) {
-	s := MustNewInputSet([]Size{2, 4, 6, 8, 20})
-	st := s.StatsFor(10)
-	if st.BigOver["q/2"] != 3 {
-		t.Errorf("BigOver[q/2] = %d, want 3 (6, 8, 20 exceed 5)", st.BigOver["q/2"])
-	}
-	if st.BigOver["q"] != 1 {
-		t.Errorf("BigOver[q] = %d, want 1 (only 20 exceeds 10)", st.BigOver["q"])
-	}
-}
-
 func TestInputString(t *testing.T) {
 	in := Input{ID: 3, Size: 12}
 	if got := in.String(); got != "input(3, size=12)" {

@@ -146,3 +146,38 @@ func TestValidateA2AMatchesPairReference(t *testing.T) {
 		}
 	}
 }
+
+// pairSet tracks coverage of unordered pairs over m items for the reference:
+// a CoverSet over the strictly-upper-triangle offsets, so cardinality is a
+// popcount.
+type pairSet struct {
+	m    int
+	bits *CoverSet
+}
+
+func newPairSet(m int) *pairSet {
+	return &pairSet{m: m, bits: NewCoverSet(m * (m - 1) / 2)}
+}
+
+// index maps the unordered pair (i, j), i < j, to a dense offset.
+func (p *pairSet) index(i, j int) int {
+	if i > j {
+		i, j = j, i
+	}
+	// Offset of row i in the strictly upper triangle, then the column.
+	return i*(2*p.m-i-1)/2 + (j - i - 1)
+}
+
+func (p *pairSet) add(i, j int) {
+	if i == j {
+		return
+	}
+	p.bits.Add(p.index(i, j))
+}
+
+func (p *pairSet) has(i, j int) bool {
+	return p.bits.Contains(p.index(i, j))
+}
+
+// count returns the number of covered pairs.
+func (p *pairSet) count() int { return p.bits.Count() }

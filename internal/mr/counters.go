@@ -68,10 +68,6 @@ func (c *Counters) Merge(o *Counters) {
 	c.ReduceWall += o.ReduceWall
 }
 
-// CommunicationCost returns the shuffle volume in bytes — the quantity the
-// paper's schemas minimise for a given number of reducers.
-func (c *Counters) CommunicationCost() int64 { return c.ShuffleBytes }
-
 // LoadImbalance returns MaxReducerLoad divided by the mean reducer load; 1.0
 // is perfectly balanced. It returns 0 when nothing was shuffled.
 func (c *Counters) LoadImbalance() float64 {

@@ -129,9 +129,6 @@ func TestCountersAccounting(t *testing.T) {
 	if loadSum != c.ShuffleBytes {
 		t.Errorf("reducer loads sum %d != shuffle bytes %d", loadSum, c.ShuffleBytes)
 	}
-	if c.CommunicationCost() != c.ShuffleBytes {
-		t.Errorf("CommunicationCost() = %d, want %d", c.CommunicationCost(), c.ShuffleBytes)
-	}
 	if c.LoadImbalance() < 1 {
 		t.Errorf("LoadImbalance() = %v, want >= 1", c.LoadImbalance())
 	}

@@ -269,7 +269,6 @@ func TestWritePrometheusFormat(t *testing.T) {
 	c.Add(7)
 	g := r.Gauge("pland_test_depth", "Queue depth.")
 	g.Set(3)
-	r.GaugeFunc("pland_test_uptime_seconds", "Uptime.", func() float64 { return 12.5 })
 	h := r.Histogram("pland_test_latency_seconds", "Latency.", []float64{0.001, 0.01, 0.1})
 	h.Observe(0.0005)
 	h.Observe(0.05)
@@ -294,7 +293,6 @@ func TestWritePrometheusFormat(t *testing.T) {
 		"# TYPE pland_test_requests_total counter\n",
 		"pland_test_requests_total 7\n",
 		"pland_test_depth 3\n",
-		"pland_test_uptime_seconds 12.5\n",
 		`pland_test_latency_seconds_bucket{le="0.001"} 1` + "\n",
 		`pland_test_latency_seconds_bucket{le="0.1"} 2` + "\n",
 		`pland_test_latency_seconds_bucket{le="+Inf"} 3` + "\n",

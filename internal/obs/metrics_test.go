@@ -2,7 +2,6 @@ package obs
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"time"
 )
@@ -176,17 +175,4 @@ func TestVecArityPanics(t *testing.T) {
 		}
 	}()
 	cv.With("only-one")
-}
-
-func TestGaugeFuncRebinds(t *testing.T) {
-	r := NewRegistry()
-	r.GaugeFunc("fn", "f", func() float64 { return 1 })
-	r.GaugeFunc("fn", "f", func() float64 { return 2 })
-	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if got := sb.String(); !strings.Contains(got, "fn 2\n") {
-		t.Fatalf("gauge func not rebound:\n%s", got)
-	}
 }

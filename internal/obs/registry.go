@@ -18,14 +18,13 @@ const (
 )
 
 // family is one registered metric name: its metadata plus exactly one
-// collector (scalar, func, or vec).
+// collector (scalar or vec).
 type family struct {
 	name, help, typ string
 	labels          []string // vec label names, nil for scalars
 
 	counter   *Counter
 	gauge     *Gauge
-	gaugeFn   func() float64
 	histogram *Histogram
 
 	counterVec   *CounterVec
@@ -92,11 +91,6 @@ func (r *Registry) register(f *family) *family {
 			panic(fmt.Sprintf("obs: metric %q re-registered as %s with %d labels (was %s with %d)",
 				f.name, f.typ, len(f.labels), old.typ, len(old.labels)))
 		}
-		if f.gaugeFn != nil {
-			// GaugeFunc re-registration rebinds the callback: servers built
-			// repeatedly in one process (tests) keep the freshest closure.
-			old.gaugeFn = f.gaugeFn
-		}
 		return old
 	}
 	r.byName[f.name] = f
@@ -127,12 +121,6 @@ func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
 	f := &family{name: name, help: help, typ: typeGauge, labels: labels,
 		gaugeVec: &GaugeVec{v: newVec(labels, func() *Gauge { return &Gauge{} })}}
 	return r.register(f).gaugeVec
-}
-
-// GaugeFunc registers a gauge whose value is computed at scrape time.
-// Re-registering the same name rebinds the callback.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	r.register(&family{name: name, help: help, typ: typeGauge, gaugeFn: fn})
 }
 
 // Histogram registers (or fetches) a histogram with the given bucket upper
@@ -217,8 +205,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			fmt.Fprintf(bw, "%s %d\n", f.name, f.counter.Value())
 		case f.gauge != nil:
 			fmt.Fprintf(bw, "%s %d\n", f.name, f.gauge.Value())
-		case f.gaugeFn != nil:
-			fmt.Fprintf(bw, "%s %s\n", f.name, formatFloat(f.gaugeFn()))
 		case f.histogram != nil:
 			writeHistogram(bw, f.name, "", f.bounds, f.histogram)
 		case f.counterVec != nil:

@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"repro/internal/a2a"
-	"repro/internal/binpack"
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/mr"
@@ -25,12 +24,6 @@ type Config struct {
 	Threshold float64
 	// Similarity selects the similarity function (Jaccard by default).
 	Similarity Similarity
-	// Policy selects the bin-packing heuristic of the mapping-schema
-	// algorithm; the zero value means First-Fit-Decreasing.
-	Policy binpack.Policy
-	// PolicySet marks Policy as explicitly chosen (so First-Fit, the zero
-	// value, can be requested).
-	PolicySet bool
 	// Workers bounds reduce-phase parallelism; 0 means one worker per
 	// reducer.
 	Workers int
@@ -139,16 +132,10 @@ func Run(docs []workload.Document, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// buildSchema computes the A2A mapping schema for the document sizes. The
-// default configuration plans through the shared planner facade — the
-// portfolio never does worse than a2a.Solve and isomorphic corpora hit its
-// canonicalization cache. An explicitly chosen packing policy (PolicySet, or
-// any non-default Policy) bypasses the portfolio so ablations still measure
-// exactly the algorithm they name.
+// buildSchema computes the A2A mapping schema for the document sizes through
+// the shared planner facade: the portfolio never does worse than a2a.Solve
+// and isomorphic corpora hit its canonicalization cache.
 func buildSchema(set *core.InputSet, cfg Config) (*core.MappingSchema, error) {
-	if policy, defaulted := binpack.ResolvePolicy(cfg.Policy, cfg.PolicySet); !defaulted {
-		return a2a.SolveWithOptions(set, cfg.Capacity, a2a.Options{Policy: policy})
-	}
 	res, err := planner.Plan(context.Background(), planner.Request{
 		Problem: core.ProblemA2A, Set: set, Capacity: cfg.Capacity,
 		// Await every portfolio member so results stay deterministic

@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/binpack"
 	"repro/internal/core"
 	"repro/internal/workload"
 )
@@ -189,19 +188,6 @@ func TestRunErrors(t *testing.T) {
 	// Capacity too small for the two largest documents -> infeasible.
 	if _, err := Run(docs, Config{Capacity: 3}); !errors.Is(err, core.ErrInfeasible) {
 		t.Errorf("infeasible error = %v", err)
-	}
-}
-
-func TestRunExplicitPolicy(t *testing.T) {
-	docs := smallCorpus(t, 30)
-	cfg := Config{Capacity: 500, Threshold: 0.4, Policy: binpack.BestFitDecreasing, PolicySet: true}
-	res, err := Run(docs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := NestedLoopReference(docs, cfg)
-	if len(res.Pairs) != len(want) {
-		t.Errorf("got %d pairs, reference %d", len(res.Pairs), len(want))
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 	"repro/internal/mr"
 	"repro/internal/planner"
 	"repro/internal/workload"
-	"repro/internal/x2y"
 )
 
 // Config configures a skew-join run.
@@ -31,10 +30,6 @@ type Config struct {
 	// hitter's tuples; 0 means Capacity/4. Blocks are the "inputs" of the
 	// per-key X2Y instances.
 	BlockSize core.Size
-	// Policy selects the bin-packing heuristic; the zero value means
-	// First-Fit-Decreasing unless PolicySet is true.
-	Policy    binpack.Policy
-	PolicySet bool
 	// Workers bounds reduce-phase parallelism; 0 means one worker per
 	// reducer.
 	Workers int
@@ -50,12 +45,6 @@ type Config struct {
 	// SpillDir is where over-budget partitions spill; "" means the OS temp
 	// dir.
 	SpillDir string
-}
-
-// policy resolves the configured packing heuristic via binpack.ResolvePolicy.
-func (c Config) policy() binpack.Policy {
-	p, _ := binpack.ResolvePolicy(c.Policy, c.PolicySet)
-	return p
 }
 
 func (c Config) blockSize() core.Size {
@@ -91,12 +80,6 @@ type Plan struct {
 	// tuples.
 	xBlock []int
 	yBlock []int
-	// heavyXDest and heavyYDest give, per heavy key, the ascending global
-	// reducer lists of every block, for destination reporting. (Owner
-	// election for multiply-covered block pairs happens inside the executor,
-	// which runs each heavy key's X2Y schema as its own job.)
-	heavyXDest map[string][][]int
-	heavyYDest map[string][][]int
 	// xBlocks and yBlocks hold, per heavy key, the per-block tuple index
 	// lists; Run turns them into the executor jobs' inputs.
 	xBlocks map[string][]block
@@ -153,7 +136,7 @@ func BuildPlan(x, y *workload.Relation, cfg Config) (*Plan, error) {
 		for i, k := range lightKeys {
 			items[i] = binpack.Item{ID: i, Size: core.Size(xSizes[k] + ySizes[k])}
 		}
-		packing, err := binpack.Pack(items, cfg.Capacity, cfg.policy())
+		packing, err := binpack.Pack(items, cfg.Capacity, binpack.FirstFitDecreasing)
 		if err != nil {
 			return nil, fmt.Errorf("skewjoin: packing light keys: %w", err)
 		}
@@ -193,8 +176,6 @@ func BuildPlan(x, y *workload.Relation, cfg Config) (*Plan, error) {
 		heavyXBlocks[k] = offsetAll(xAssign, base)
 		heavyYBlocks[k] = offsetAll(yAssign, base)
 	}
-	plan.heavyXDest = heavyXBlocks
-	plan.heavyYDest = heavyYBlocks
 	plan.xBlocks = xBlocks
 	plan.yBlocks = yBlocks
 
@@ -213,16 +194,11 @@ func fillNegative(n int) []int {
 	return out
 }
 
-// heavySchema solves the X2Y instance of one heavy hitter. The default
-// configuration plans through the shared planner facade: heavy keys with
-// isomorphic block-size multisets — common when blocks are cut at a fixed
-// byte boundary — are then solved once and served from the canonicalization
-// cache. An explicitly chosen packing policy bypasses the portfolio so
-// ablations measure the named heuristic.
+// heavySchema solves the X2Y instance of one heavy hitter through the shared
+// planner facade: heavy keys with isomorphic block-size multisets — common
+// when blocks are cut at a fixed byte boundary — are then solved once and
+// served from the canonicalization cache.
 func heavySchema(xSet, ySet *core.InputSet, cfg Config) (*core.MappingSchema, error) {
-	if policy, defaulted := binpack.ResolvePolicy(cfg.Policy, cfg.PolicySet); !defaulted {
-		return x2y.SolveWithOptions(xSet, ySet, cfg.Capacity, x2y.Options{Policy: policy})
-	}
 	res, err := planner.Plan(context.Background(), planner.Request{
 		Problem: core.ProblemX2Y, X: xSet, Y: ySet, Capacity: cfg.Capacity,
 		// Await every portfolio member so results stay deterministic

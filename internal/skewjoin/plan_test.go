@@ -72,9 +72,6 @@ func TestConfigDefaults(t *testing.T) {
 	if c.blockSize() != 40 {
 		t.Errorf("explicit block size = %d, want 40", c.blockSize())
 	}
-	if got := (Config{}).policy(); got.String() != "first-fit-decreasing" {
-		t.Errorf("default policy = %v", got)
-	}
 }
 
 func TestBuildPlanHeavySchemasValidate(t *testing.T) {

@@ -1,7 +1,6 @@
 package skewjoin
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -175,23 +174,6 @@ func encodeBlock(payloads []string) []byte {
 		b.WriteString(p)
 	}
 	return []byte(b.String())
-}
-
-func decodeBlock(data []byte) ([]string, error) {
-	var out []string
-	for len(data) > 0 {
-		cut := bytes.IndexByte(data, ':')
-		if cut < 0 {
-			return nil, fmt.Errorf("skewjoin: malformed block frame %q", data)
-		}
-		n, err := strconv.Atoi(string(data[:cut]))
-		if err != nil || n < 0 || cut+1+n > len(data) {
-			return nil, fmt.Errorf("skewjoin: malformed block frame %q", data)
-		}
-		out = append(out, string(data[cut+1:cut+1+n]))
-		data = data[cut+1+n:]
-	}
-	return out, nil
 }
 
 // runLight executes the light keys as one MapReduce job: every both-sided

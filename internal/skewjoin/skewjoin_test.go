@@ -1,8 +1,11 @@
 package skewjoin
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"sort"
+	"strconv"
 	"testing"
 
 	"repro/internal/core"
@@ -338,4 +341,23 @@ func TestGeneratedSkewedWorkloadEndToEnd(t *testing.T) {
 	if len(res.Plan.HeavyKeys) == 0 {
 		t.Error("expected at least one heavy hitter with this skew and capacity")
 	}
+}
+
+// decodeBlock reads back encodeBlock's frames. The executor jobs only size
+// their inputs by these bytes, so nothing but the round-trip test reads them.
+func decodeBlock(data []byte) ([]string, error) {
+	var out []string
+	for len(data) > 0 {
+		cut := bytes.IndexByte(data, ':')
+		if cut < 0 {
+			return nil, fmt.Errorf("skewjoin: malformed block frame %q", data)
+		}
+		n, err := strconv.Atoi(string(data[:cut]))
+		if err != nil || n < 0 || cut+1+n > len(data) {
+			return nil, fmt.Errorf("skewjoin: malformed block frame %q", data)
+		}
+		out = append(out, string(data[cut+1:cut+1+n]))
+		data = data[cut+1+n:]
+	}
+	return out, nil
 }

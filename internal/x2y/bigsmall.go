@@ -56,7 +56,7 @@ func BigSmallSplit(xs, ys *core.InputSet, q core.Size, policy binpack.Policy) (*
 	ms := &core.MappingSchema{Problem: core.ProblemX2Y, Capacity: q, Algorithm: algorithm}
 	// Every big input packs the same Y items, only at its own capacity: put
 	// them in packing order once.
-	yItems := packOrderItems(ys, policy)
+	yItems := packOrderItems(ys)
 
 	// Step 2: every big X input meets all of Y via residual-capacity bins.
 	for _, bx := range bigX {

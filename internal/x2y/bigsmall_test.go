@@ -81,7 +81,12 @@ func TestBigSmallSplitOnlyBigInputs(t *testing.T) {
 		t.Fatalf("ValidateX2Y: %v", err)
 	}
 	// Each big input i needs at least ceil(W_Y / (q - w_i)) reducers.
-	xc, _ := core.ReplicationCountsX2Y(ms, xs.Len(), ys.Len())
+	xc := make([]int, xs.Len())
+	for _, r := range ms.Reducers {
+		for _, id := range r.XInputs {
+			xc[id]++
+		}
+	}
 	for i := 0; i < xs.Len(); i++ {
 		room := q - xs.Size(i)
 		min := int((ys.TotalSize() + room - 1) / room)

@@ -9,12 +9,13 @@
 //
 // Like the A2A problem, X2Y is NP-complete, so the package provides:
 //
-//   - Grid: the bin-packing-based approximation — pack X into bins of size
-//     q/2 and Y into bins of size q/2 and assign every (X-bin, Y-bin) pair to
-//     one reducer. GridWithSplit additionally optimises the capacity split
-//     between the two sides: it packs every candidate split, prices it from
-//     the two packings alone (b_x*b_y reducers, b_y*ΣX + b_x*ΣY
-//     communication) and builds only the winner's reducers.
+//   - GridWithSplit: the bin-packing-based approximation — pack X into bins
+//     of size q/2 and Y into bins of size q/2 and assign every (X-bin, Y-bin)
+//     pair to one reducer — with the capacity split between the two sides
+//     optimised: the even split is the first candidate, every candidate is
+//     packed and priced from the two packings alone (b_x*b_y reducers,
+//     b_y*ΣX + b_x*ΣY communication), and only the winner's reducers are
+//     built.
 //   - BigSmallSplit: the extension for inputs larger than q/2, which can only
 //     appear on one side of a feasible instance; each big input is paired
 //     with bins of the opposite side packed into its residual capacity.

@@ -10,37 +10,10 @@ import (
 	"repro/internal/core"
 )
 
-// ErrHasBigInputs is returned by Grid when some input exceeds the capacity
-// share allotted to its side; such instances are handled by BigSmallSplit (or
+// ErrHasBigInputs is returned when some input exceeds the capacity share a
+// split allots to its side; such instances are handled by BigSmallSplit (or
 // Solve, which dispatches automatically).
 var ErrHasBigInputs = errors.New("x2y: instance has inputs larger than the per-side capacity share; use BigSmallSplit")
-
-// Grid is the bin-packing-based approximation for the X2Y problem with an
-// even capacity split: X is packed into bins of capacity floor(q/2), Y is
-// packed into bins of capacity ceil(q/2), and every (X-bin, Y-bin) pair is
-// assigned to one reducer. With b_x X-bins and b_y Y-bins the schema uses
-// b_x * b_y reducers, and every cross pair is covered by the reducer of its
-// two bins.
-func Grid(xs, ys *core.InputSet, q core.Size, policy binpack.Policy) (*core.MappingSchema, error) {
-	return GridSplit(xs, ys, q, q/2, policy)
-}
-
-// GridSplit is Grid with an explicit capacity split: X-bins have capacity
-// xShare and Y-bins capacity q-xShare.
-func GridSplit(xs, ys *core.InputSet, q, xShare core.Size, policy binpack.Policy) (*core.MappingSchema, error) {
-	algorithm := fmt.Sprintf("x2y/grid(split=%d)/%s", xShare, policy)
-	if xs.Len() == 0 || ys.Len() == 0 {
-		return emptySchema(q, algorithm), nil
-	}
-	if err := CheckFeasible(xs, ys, q); err != nil {
-		return nil, err
-	}
-	xPack, yPack, err := packSplit(xs, ys, binpack.ItemsFromInputSet(xs), binpack.ItemsFromInputSet(ys), q, xShare, policy)
-	if err != nil {
-		return nil, err
-	}
-	return buildGrid(q, algorithm, xPack.Bins, yPack.Bins), nil
-}
 
 // packSplit packs the two sides' items into bins of capacity xShare and
 // q-xShare. The packings alone price the grid: b_x*b_y reducers, and since
@@ -97,24 +70,25 @@ func buildGrid(q core.Size, algorithm string, xBins, yBins []binpack.Bin) *core.
 	return ms
 }
 
-// packOrderItems returns the side's pack items in the order policy packs them
-// in — decreasing size for the decreasing policies, ID order otherwise — so
-// that a sweep of Packs over one side sorts it once: binpack.Pack takes
-// decreasing input as it comes.
-func packOrderItems(set *core.InputSet, policy binpack.Policy) []binpack.Item {
-	switch policy {
-	case binpack.FirstFitDecreasing, binpack.BestFitDecreasing, binpack.WorstFitDecreasing:
-		return binpack.ItemsFromIDs(set, set.IDsBySizeDescending())
-	}
-	return binpack.ItemsFromInputSet(set)
+// packOrderItems returns the side's pack items in decreasing size order, the
+// order binpack.Pack packs in, so that a sweep of Packs over one side sorts it
+// once: Pack takes decreasing input as it comes.
+func packOrderItems(set *core.InputSet) []binpack.Item {
+	return binpack.ItemsFromIDs(set, set.IDsBySizeDescending())
 }
 
-// GridWithSplit tries a set of candidate capacity splits between the X and Y
-// sides and returns the schema with the fewest reducers (ties broken by
-// smaller communication, then by candidate order). Candidates always include
-// the even split and splits proportional to the two sides' total sizes, plus
-// a small sweep in between. Each candidate is packed and priced from its two
-// packings; only the winner's reducers are built.
+// GridWithSplit is the bin-packing-based approximation for the X2Y problem:
+// for a capacity split xShare, X is packed into bins of capacity xShare, Y
+// into bins of capacity q-xShare, and every (X-bin, Y-bin) pair is assigned
+// to one reducer, so b_x X-bins and b_y Y-bins make b_x*b_y reducers and
+// every cross pair meets in the reducer of its two bins. It tries a set of
+// candidate splits and returns the schema with the fewest reducers (ties
+// broken by smaller communication, then by candidate order). The first
+// candidate is the paper's even split q/2 wherever each side's inputs fit
+// their half; the others are splits proportional to the two sides' total
+// sizes and a small sweep in between.
+// Each candidate is packed and priced from its two packings; only the
+// winner's reducers are built.
 func GridWithSplit(xs, ys *core.InputSet, q core.Size, policy binpack.Policy) (*core.MappingSchema, error) {
 	algorithm := "x2y/grid-best-split/" + policy.String()
 	if xs.Len() == 0 || ys.Len() == 0 {
@@ -123,7 +97,7 @@ func GridWithSplit(xs, ys *core.InputSet, q core.Size, policy binpack.Policy) (*
 	if err := CheckFeasible(xs, ys, q); err != nil {
 		return nil, err
 	}
-	xItems, yItems := packOrderItems(xs, policy), packOrderItems(ys, policy)
+	xItems, yItems := packOrderItems(xs), packOrderItems(ys)
 	var bestX, bestY *binpack.Packing
 	var bestReducers int
 	var bestComm core.Size
@@ -137,7 +111,7 @@ func GridWithSplit(xs, ys *core.InputSet, q core.Size, policy binpack.Policy) (*
 			continue
 		}
 		bx, by := xPack.NumBins(), yPack.NumBins()
-		reducers := GridReducerCount(bx, by)
+		reducers := bx * by
 		comm := core.Size(by)*xs.TotalSize() + core.Size(bx)*ys.TotalSize()
 		if bestX == nil || reducers < bestReducers || (reducers == bestReducers && comm < bestComm) {
 			bestX, bestY, bestReducers, bestComm = xPack, yPack, reducers, comm
@@ -188,7 +162,3 @@ func splitCandidates(xs, ys *core.InputSet, q core.Size) []core.Size {
 	}
 	return out
 }
-
-// GridReducerCount predicts the number of reducers Grid uses given the bin
-// counts of the two packing steps.
-func GridReducerCount(xBins, yBins int) int { return xBins * yBins }

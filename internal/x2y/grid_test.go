@@ -2,6 +2,7 @@ package x2y
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -9,11 +10,14 @@ import (
 	"repro/internal/core"
 )
 
+// policies lists every packing heuristic.
+var policies = []binpack.Policy{binpack.FirstFitDecreasing, binpack.BestFitDecreasing, binpack.WorstFitDecreasing}
+
 func TestGridSmallInstance(t *testing.T) {
 	xs := core.MustNewInputSet([]core.Size{3, 2, 4})
 	ys := core.MustNewInputSet([]core.Size{1, 5, 2, 2})
 	q := core.Size(10)
-	ms, err := Grid(xs, ys, q, binpack.FirstFitDecreasing)
+	ms, err := GridWithSplit(xs, ys, q, binpack.FirstFitDecreasing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,37 +30,41 @@ func TestGridReducerCountMatchesBins(t *testing.T) {
 	xs := core.MustNewInputSet([]core.Size{3, 3, 3, 3})
 	ys := core.MustNewInputSet([]core.Size{4, 4, 4})
 	q := core.Size(10)
-	xPack, _ := binpack.Pack(binpack.ItemsFromInputSet(xs), q/2, binpack.FirstFitDecreasing)
-	yPack, _ := binpack.Pack(binpack.ItemsFromInputSet(ys), q-q/2, binpack.FirstFitDecreasing)
-	ms, err := Grid(xs, ys, q, binpack.FirstFitDecreasing)
+	ms, err := GridWithSplit(xs, ys, q, binpack.FirstFitDecreasing)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := GridReducerCount(xPack.NumBins(), yPack.NumBins())
-	if ms.NumReducers() != want {
-		t.Errorf("reducers = %d, want %d", ms.NumReducers(), want)
+	// One reducer per (X-bin, Y-bin) pair of the winning split.
+	xBins, yBins := map[string]bool{}, map[string]bool{}
+	for _, r := range ms.Reducers {
+		xBins[fmt.Sprint(r.XInputs)] = true
+		yBins[fmt.Sprint(r.YInputs)] = true
+	}
+	if want := len(xBins) * len(yBins); ms.NumReducers() != want {
+		t.Errorf("reducers = %d, want %d X-bins x %d Y-bins", ms.NumReducers(), len(xBins), len(yBins))
 	}
 }
 
 func TestGridRejectsBigInputs(t *testing.T) {
 	xs := core.MustNewInputSet([]core.Size{6, 2})
 	ys := core.MustNewInputSet([]core.Size{2, 2})
-	if _, err := Grid(xs, ys, 10, binpack.FirstFitDecreasing); !errors.Is(err, ErrHasBigInputs) {
-		t.Errorf("Grid = %v, want ErrHasBigInputs", err)
+	// The even split leaves X no room for its 6.
+	if _, _, err := packSplit(xs, ys, binpack.ItemsFromInputSet(xs), binpack.ItemsFromInputSet(ys), 10, 5, binpack.FirstFitDecreasing); !errors.Is(err, ErrHasBigInputs) {
+		t.Errorf("packSplit = %v, want ErrHasBigInputs", err)
 	}
 }
 
 func TestGridInfeasible(t *testing.T) {
 	xs := core.MustNewInputSet([]core.Size{8})
 	ys := core.MustNewInputSet([]core.Size{8})
-	if _, err := Grid(xs, ys, 10, binpack.FirstFitDecreasing); !errors.Is(err, core.ErrInfeasible) {
-		t.Errorf("Grid = %v, want ErrInfeasible", err)
+	if _, err := GridWithSplit(xs, ys, 10, binpack.FirstFitDecreasing); !errors.Is(err, core.ErrInfeasible) {
+		t.Errorf("GridWithSplit = %v, want ErrInfeasible", err)
 	}
 }
 
 func TestGridEmptySide(t *testing.T) {
 	xs := core.MustNewInputSet([]core.Size{2})
-	ms, err := Grid(xs, &core.InputSet{}, 10, binpack.FirstFitDecreasing)
+	ms, err := GridWithSplit(xs, &core.InputSet{}, 10, binpack.FirstFitDecreasing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +76,12 @@ func TestGridEmptySide(t *testing.T) {
 func TestGridSplitInvalidShare(t *testing.T) {
 	xs := core.MustNewInputSet([]core.Size{2})
 	ys := core.MustNewInputSet([]core.Size{2})
-	if _, err := GridSplit(xs, ys, 10, 0, binpack.FirstFitDecreasing); err == nil {
-		t.Error("GridSplit accepted a zero X share")
+	xItems, yItems := binpack.ItemsFromInputSet(xs), binpack.ItemsFromInputSet(ys)
+	if _, _, err := packSplit(xs, ys, xItems, yItems, 10, 0, binpack.FirstFitDecreasing); err == nil {
+		t.Error("packSplit accepted a zero X share")
 	}
-	if _, err := GridSplit(xs, ys, 10, 10, binpack.FirstFitDecreasing); err == nil {
-		t.Error("GridSplit accepted a full-capacity X share")
+	if _, _, err := packSplit(xs, ys, xItems, yItems, 10, 10, binpack.FirstFitDecreasing); err == nil {
+		t.Error("packSplit accepted a full-capacity X share")
 	}
 }
 
@@ -91,10 +100,11 @@ func TestGridWithSplitAtLeastAsGoodAsEvenSplit(t *testing.T) {
 		}
 		xs := core.MustNewInputSet(xSizes)
 		ys := core.MustNewInputSet(ySizes)
-		even, err := Grid(xs, ys, q, binpack.FirstFitDecreasing)
+		xPack, yPack, err := packSplit(xs, ys, binpack.ItemsFromInputSet(xs), binpack.ItemsFromInputSet(ys), q, q/2, binpack.FirstFitDecreasing)
 		if err != nil {
 			t.Fatal(err)
 		}
+		even := xPack.NumBins() * yPack.NumBins()
 		best, err := GridWithSplit(xs, ys, q, binpack.FirstFitDecreasing)
 		if err != nil {
 			t.Fatal(err)
@@ -102,8 +112,8 @@ func TestGridWithSplitAtLeastAsGoodAsEvenSplit(t *testing.T) {
 		if err := best.ValidateX2Y(xs, ys); err != nil {
 			t.Fatalf("best-split schema invalid: %v", err)
 		}
-		if best.NumReducers() > even.NumReducers() {
-			t.Errorf("best-split used %d reducers, even split %d", best.NumReducers(), even.NumReducers())
+		if best.NumReducers() > even {
+			t.Errorf("best-split used %d reducers, even split %d", best.NumReducers(), even)
 		}
 	}
 }
@@ -141,8 +151,8 @@ func TestGridAllPoliciesValid(t *testing.T) {
 		}
 		xs := core.MustNewInputSet(xSizes)
 		ys := core.MustNewInputSet(ySizes)
-		for _, pol := range binpack.Policies() {
-			ms, err := Grid(xs, ys, q, pol)
+		for _, pol := range policies {
+			ms, err := GridWithSplit(xs, ys, q, pol)
 			if err != nil {
 				t.Fatalf("policy %v: %v", pol, err)
 			}

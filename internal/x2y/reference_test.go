@@ -139,7 +139,7 @@ func refSolve(xs, ys *core.InputSet, q core.Size, policy binpack.Policy) (*core.
 // and expects the same error verdict and, on success, the same valid schema.
 func checkSolveMatchesReference(t *testing.T, xs, ys *core.InputSet, q core.Size) {
 	t.Helper()
-	for _, policy := range binpack.Policies() {
+	for _, policy := range policies {
 		got, gotErr := SolveWithOptions(xs, ys, q, Options{Policy: policy})
 		want, wantErr := refSolve(xs, ys, q, policy)
 		if (gotErr == nil) != (wantErr == nil) {

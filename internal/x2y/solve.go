@@ -5,26 +5,21 @@ import (
 	"repro/internal/core"
 )
 
-// Options configures Solve.
+// Options configures SolveWithOptions.
 type Options struct {
-	// Policy selects the bin-packing heuristic used by the grid and
-	// big/small algorithms. DefaultOptions uses First-Fit-Decreasing.
+	// Policy selects the bin-packing heuristic of GridWithSplit and
+	// BigSmallSplit. The zero value is binpack.FirstFitDecreasing, the
+	// paper's; the planner also races the other two.
 	Policy binpack.Policy
-}
-
-// DefaultOptions returns the options Solve uses: First-Fit-Decreasing
-// packing.
-func DefaultOptions() Options {
-	return Options{Policy: binpack.FirstFitDecreasing}
 }
 
 // Solve computes a mapping schema for an X2Y instance, dispatching to
 // BigSmallSplit when either side has inputs larger than q/2 and otherwise to
 // the grid algorithm over the best split of the capacity between the X and Y
-// sides (GridWithSplit; Grid is the paper's fixed even split). It returns
-// core.ErrInfeasible (wrapped) when no schema exists.
+// sides (GridWithSplit, whose first candidate is the paper's even split). It
+// returns core.ErrInfeasible (wrapped) when no schema exists.
 func Solve(xs, ys *core.InputSet, q core.Size) (*core.MappingSchema, error) {
-	return SolveWithOptions(xs, ys, q, DefaultOptions())
+	return SolveWithOptions(xs, ys, q, Options{})
 }
 
 // SolveWithOptions is Solve with explicit options.

@@ -72,10 +72,11 @@ func TestSolveEmptySide(t *testing.T) {
 	}
 }
 
+// TestDefaultOptions: the zero Options packs with the paper's
+// First-Fit-Decreasing, which is what Solve uses.
 func TestDefaultOptions(t *testing.T) {
-	o := DefaultOptions()
-	if o.Policy != binpack.FirstFitDecreasing {
-		t.Errorf("DefaultOptions() = %+v", o)
+	if o := (Options{}); o.Policy != binpack.FirstFitDecreasing {
+		t.Errorf("Options{} = %+v, want First-Fit-Decreasing", o)
 	}
 }
 
