@@ -37,7 +37,7 @@ func BenchmarkA2ABinPackPair(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := a2a.BinPackPair(set, q, binpack.FirstFitDecreasing); err != nil {
+				if _, err := a2a.BinPackPair(set, q); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -112,8 +112,10 @@ func plannerBenchSet(b *testing.B) *core.InputSet {
 	return set
 }
 
-// BenchmarkPlannerCold measures a full portfolio race on every iteration
-// (cache disabled); BenchmarkPlannerCached measures the same request served
+// BenchmarkPlannerCold measures a full portfolio pass on every iteration
+// (cache disabled): on its 500 inputs that is a2a/solve alone, the greedy and
+// exact members being gated out. BenchmarkPlannerCached measures the same
+// request served
 // from the canonicalization cache. The gap between the two is the cache win
 // on repeated isomorphic workloads.
 func BenchmarkPlannerCold(b *testing.B) {
@@ -163,7 +165,6 @@ func BenchmarkSchemaJSON(b *testing.B) {
 	set := core.MustNewInputSet(sizes)
 	res, err := planner.Plan(context.Background(), planner.Request{
 		Problem: core.ProblemA2A, Set: set, Capacity: 2 * ((set.TotalSize() + 19) / 20),
-		Budget: planner.Budget{Timeout: -1},
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -207,7 +208,6 @@ func BenchmarkExecBatch(b *testing.B) {
 	set := core.MustNewInputSet(sizes)
 	plan, err := planner.Plan(context.Background(), planner.Request{
 		Problem: core.ProblemA2A, Set: set, Capacity: 64,
-		Budget: planner.Budget{Timeout: -1},
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -84,7 +84,7 @@ func run(args []string) error {
 	default:
 		return fmt.Errorf("unknown problem %q (want a2a or x2y)", *problem)
 	}
-	res, err := assign.Plan(context.Background(), instance, assign.Capacity(assign.Size(*q)), assign.Deterministic())
+	res, err := assign.Plan(context.Background(), instance, assign.Capacity(assign.Size(*q)))
 	if err != nil {
 		return err
 	}

@@ -263,7 +263,7 @@ func newJobID() string { return randomHex(16) }
 func (s *server) planFleet(ctx context.Context, body plandclient.PlanRequest) (*plandclient.PlanResult, *apiError) {
 	c := s.cluster
 	if c == nil || body.NoCache {
-		return s.runPlan(ctx, body, s.cfg.MaxTimeout)
+		return s.runPlan(ctx, body)
 	}
 	opts, aerr := s.planOptions(body)
 	if aerr != nil {
@@ -277,7 +277,7 @@ func (s *server) planFleet(ctx context.Context, body plandclient.PlanRequest) (*
 	}
 	owner, ok := c.ring.Owner(key, c.health.Alive)
 	if !ok {
-		return s.runPlan(ctx, body, s.cfg.MaxTimeout)
+		return s.runPlan(ctx, body)
 	}
 	var cached []byte
 	probeFailed := false
@@ -312,7 +312,7 @@ func (s *server) planFleet(ctx context.Context, body plandclient.PlanRequest) (*
 			}
 		}
 	}
-	resp, aerr := s.runPlan(ctx, body, s.cfg.MaxTimeout)
+	resp, aerr := s.runPlan(ctx, body)
 	if aerr != nil {
 		return nil, aerr
 	}

@@ -33,7 +33,9 @@ var (
 
 // sessionMeta is the owner blob journaled with every session snapshot: the
 // replan-shaping request fields that live outside stream state. Tuning
-// (budget, headroom, threshold) travels inside the state itself.
+// (budget, headroom, threshold) travels inside the state itself. TimeoutMS
+// no longer shapes anything; it stays so that old WAL records and handoffs,
+// which carry it, keep decoding and re-journal unchanged.
 type sessionMeta struct {
 	TimeoutMS int  `json:"timeout_ms,omitempty"`
 	NoCache   bool `json:"no_cache,omitempty"`
@@ -186,10 +188,7 @@ func (s *server) installSession(sid string, st *assign.SessionState, deltas []as
 			metaRaw = nil
 		}
 	}
-	opts := []assign.Option{
-		assign.ManualRebuild(), // rebuilds run on the shared job queue
-		assign.Timeout(requestBudget(meta.TimeoutMS, s.cfg.DefaultTimeout, s.cfg.MaxJobTimeout)),
-	}
+	opts := []assign.Option{assign.ManualRebuild()} // rebuilds run on the shared job queue
 	if s.wal != nil {
 		opts = append(opts, assign.Journal(&sessionJournal{sid: sid, meta: metaRaw, log: s.wal}))
 	}

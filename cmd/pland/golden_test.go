@@ -159,8 +159,8 @@ func TestGoldenWireBytes(t *testing.T) {
 	g.call("handoff_no_state", "POST", "/internal/handoff", `{"id":"s-x","fingerprint":"00"}`)
 	g.call("handoff_method", "GET", "/internal/handoff", "")
 
-	// A budget of one nanosecond is spent before any solver finishes.
-	g.srv = newTestServerCfg(t, serverConfig{DefaultTimeout: time.Nanosecond, MaxTimeout: time.Nanosecond})
+	// A request context of one nanosecond is done before any solver starts.
+	g.srv = newTestServerCfg(t, serverConfig{MaxTimeout: time.Nanosecond})
 	g.call("plan_timeout", "POST", "/v1/plan",
 		`{"problem":"A2A","capacity":10,"no_cache":true,"sizes":[1`+strings.Repeat(",1", 4999)+`]}`)
 

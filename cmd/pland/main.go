@@ -1,7 +1,7 @@
 // Command pland serves mapping-schema planning and execution over HTTP. It
-// fronts the pkg/assign SDK — the paper's constructive algorithms raced
-// against alternative packing policies, the greedy baseline, and bounded
-// exact search, behind a canonicalization cache — with a synchronous v1 API
+// fronts the pkg/assign SDK — the paper's constructive algorithms, the greedy
+// baseline, and node-capped exact search, run in order behind a
+// canonicalization cache — with a synchronous v1 API
 // and an asynchronous v2 job API for the long-running instances (large n,
 // tight q, exact solves) a blocking request/response call cannot serve.
 //
@@ -70,9 +70,9 @@
 //
 // Example:
 //
-//	pland -addr :8080 -cache 8192 -timeout 500ms -job-workers 4
+//	pland -addr :8080 -cache 8192 -max-timeout 5s -job-workers 4
 //	curl -s localhost:8080/v1/plan -d '{"problem":"A2A","capacity":10,"sizes":[3,3,2,2,4,1]}'
-//	curl -s localhost:8080/v2/jobs -d '{"type":"plan","plan":{"problem":"A2A","capacity":10,"sizes":[3,3,2,2,4,1],"timeout_ms":-1}}'
+//	curl -s localhost:8080/v2/jobs -d '{"type":"plan","plan":{"problem":"A2A","capacity":10,"sizes":[3,3,2,2,4,1]}}'
 //	curl -s localhost:8080/v2/jobs/<id>
 //
 // On SIGINT/SIGTERM pland stops accepting work, drains in-flight requests
@@ -137,15 +137,14 @@ func main() {
 		drainGrace = fs.Duration("drain-grace", time.Second, "pause after /readyz flips to 503 before the listener closes, so peers stop forwarding here (clustered only)")
 		logFormat  = fs.String("log-format", "text", `log output format: "text" or "json"`)
 	)
-	fs.DurationVar(&cfg.DefaultTimeout, "timeout", cfg.DefaultTimeout, "default per-request planning budget")
-	fs.DurationVar(&cfg.MaxTimeout, "max-timeout", cfg.MaxTimeout, "largest per-request budget a synchronous client may ask for")
+	fs.DurationVar(&cfg.MaxTimeout, "max-timeout", cfg.MaxTimeout, "longest a synchronous request may take")
 	fs.Int64Var(&cfg.MaxBodyBytes, "max-body", cfg.MaxBodyBytes, "largest accepted request body in bytes")
 	fs.IntVar(&cfg.MaxInputs, "max-inputs", cfg.MaxInputs, "largest accepted instance size (total inputs)")
 	fs.IntVar(&cfg.MaxExecInputs, "max-exec-inputs", cfg.MaxExecInputs, "largest instance execute runs (pair work is quadratic)")
 	fs.IntVar(&cfg.JobWorkers, "job-workers", cfg.JobWorkers, "v2 job worker pool size (0 = GOMAXPROCS)")
 	fs.IntVar(&cfg.QueueDepth, "queue-depth", cfg.QueueDepth, "v2 job queue depth; beyond it submits get 429")
 	fs.DurationVar(&cfg.ResultTTL, "result-ttl", cfg.ResultTTL, "how long finished v2 job results are retained for polling")
-	fs.DurationVar(&cfg.MaxJobTimeout, "max-job-timeout", cfg.MaxJobTimeout, "largest planning budget a v2 job may ask for")
+	fs.DurationVar(&cfg.MaxJobTimeout, "max-job-timeout", cfg.MaxJobTimeout, "longest a v2 job may take")
 	fs.IntVar(&cfg.MaxSessions, "max-sessions", cfg.MaxSessions, "largest number of live v2 sessions")
 	fs.IntVar(&cfg.MaxSessionInputs, "max-session-inputs", cfg.MaxSessionInputs, "largest live input count per session")
 	fs.StringVar(&cfg.DebugAddr, "debug-addr", cfg.DebugAddr, "separate listener for /metrics, /debug/pprof, and /debug/traces (default: served on -addr)")
@@ -199,16 +198,15 @@ func main() {
 			"health_interval", cfg.HealthInterval, "health_fail", cfg.HealthFailAfter)
 	}
 	logger.Info("listening", "addr", *addr, "cache_entries", *cacheSize,
-		"default_budget", cfg.DefaultTimeout, "queue_depth", cfg.QueueDepth,
+		"max_timeout", cfg.MaxTimeout, "queue_depth", cfg.QueueDepth,
 		"data_dir", cfg.DataDir, "fsync", cfg.Fsync.String())
 	hs := &http.Server{
 		Addr:              *addr,
 		Handler:           srv,
 		ReadHeaderTimeout: 10 * time.Second,
 		ReadTimeout:       30 * time.Second,
-		// newServer may raise MaxTimeout to DefaultTimeout; size the write
-		// deadline from the effective value so a budget-length synchronous
-		// solve can still deliver its response.
+		// Size the write deadline from the effective MaxTimeout so a request
+		// that takes all of it can still deliver its response.
 		WriteTimeout: srv.cfg.MaxTimeout + 30*time.Second,
 		IdleTimeout:  2 * time.Minute,
 	}

@@ -197,13 +197,10 @@ func TestPlanRejectsOversizedBody(t *testing.T) {
 
 func TestPlanBudgetExhaustionMapsToGatewayTimeout(t *testing.T) {
 	// A server whose whole request budget is one nanosecond: the context is
-	// exhausted before any solver can finish, so the planner surfaces the
+	// done before the first solver starts, so the planner surfaces the
 	// context error and the handler maps it to 504. NoCache keeps the request
 	// on the context-bounded solve path.
-	srv := newTestServerCfg(t, serverConfig{
-		DefaultTimeout: time.Nanosecond,
-		MaxTimeout:     time.Nanosecond,
-	})
+	srv := newTestServerCfg(t, serverConfig{MaxTimeout: time.Nanosecond})
 	var sizes []string
 	for i := 0; i < 5000; i++ {
 		sizes = append(sizes, "1")

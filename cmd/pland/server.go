@@ -22,10 +22,10 @@ import (
 // serverConfig bounds what one request — synchronous or queued — may cost
 // the service.
 type serverConfig struct {
-	DefaultTimeout time.Duration
-	MaxTimeout     time.Duration
-	MaxBodyBytes   int64
-	MaxInputs      int
+	// MaxTimeout bounds one synchronous request's context.
+	MaxTimeout   time.Duration
+	MaxBodyBytes int64
+	MaxInputs    int
 	// MaxExecInputs caps execute instances separately: execution does
 	// quadratic pair work, so its ceiling sits far below the planning cap.
 	MaxExecInputs int
@@ -33,8 +33,8 @@ type serverConfig struct {
 	JobWorkers int
 	QueueDepth int
 	ResultTTL  time.Duration
-	// MaxJobTimeout caps the planning budget of one async job; it may far
-	// exceed MaxTimeout because nothing blocks on the answer.
+	// MaxJobTimeout bounds one async job's context; it may far exceed
+	// MaxTimeout because nothing blocks on the answer.
 	MaxJobTimeout time.Duration
 	// MaxSessions bounds how many v2 sessions may be live at once, and
 	// MaxSessionInputs bounds the live inputs of each.
@@ -109,7 +109,6 @@ type server struct {
 // GOMAXPROCS, 0 fleet-cache entries is shard.DefaultCacheEntries).
 func defaultServerConfig() serverConfig {
 	return serverConfig{
-		DefaultTimeout:     assign.DefaultTimeout,
 		MaxTimeout:         10 * time.Second,
 		MaxBodyBytes:       8 << 20,
 		MaxInputs:          200_000,
@@ -139,11 +138,8 @@ func orDefault[T ~int | ~int64](v *T, def T) {
 
 func newServer(pl *assign.Planner, cfg serverConfig) *server {
 	def := defaultServerConfig()
-	orDefault(&cfg.DefaultTimeout, def.DefaultTimeout)
-	// The two caps are not defaulted but held to an order: a synchronous
-	// request may ask for at least the default budget, a job for at least what
-	// a synchronous request may.
-	cfg.MaxTimeout = max(cfg.MaxTimeout, cfg.DefaultTimeout)
+	orDefault(&cfg.MaxTimeout, def.MaxTimeout)
+	// A job may run at least as long as a synchronous request.
 	cfg.MaxJobTimeout = max(cfg.MaxJobTimeout, cfg.MaxTimeout)
 	orDefault(&cfg.MaxBodyBytes, def.MaxBodyBytes)
 	orDefault(&cfg.MaxInputs, def.MaxInputs)
@@ -350,15 +346,14 @@ func (s *server) planOptions(body plandclient.PlanRequest) ([]assign.Option, *ap
 	return opts, nil
 }
 
-// runPlan is the one core both /v1/plan and "plan" jobs execute; maxBudget
-// is the cap the surface grants (MaxTimeout synchronously, MaxJobTimeout
-// for jobs).
-func (s *server) runPlan(ctx context.Context, body plandclient.PlanRequest, maxBudget time.Duration) (*plandclient.PlanResult, *apiError) {
+// runPlan is the one core both /v1/plan and "plan" jobs execute; ctx
+// carries the surface's bound (MaxTimeout synchronously, MaxJobTimeout for
+// jobs).
+func (s *server) runPlan(ctx context.Context, body plandclient.PlanRequest) (*plandclient.PlanResult, *apiError) {
 	opts, aerr := s.planOptions(body)
 	if aerr != nil {
 		return nil, aerr
 	}
-	opts = append(opts, assign.Timeout(requestBudget(body.TimeoutMS, s.cfg.DefaultTimeout, maxBudget)))
 	res, err := s.planner.Plan(ctx, opts...)
 	if err != nil {
 		return nil, planError(err)
@@ -379,24 +374,6 @@ func (s *server) runPlan(ctx context.Context, body plandclient.PlanRequest, maxB
 	}, nil
 }
 
-// requestBudget resolves a client timeout override against a surface cap.
-func requestBudget(timeoutMS int, def, max time.Duration) time.Duration {
-	switch {
-	case timeoutMS < 0:
-		return -1 // await-all mode; the request context still bounds the wait
-	case timeoutMS > 0:
-		// Clamp in milliseconds before converting so huge values cannot
-		// overflow time.Duration and dodge the cap.
-		ms := int64(timeoutMS)
-		if maxMS := max.Milliseconds(); ms > maxMS {
-			ms = maxMS
-		}
-		return time.Duration(ms) * time.Millisecond
-	default:
-		return def
-	}
-}
-
 // maxReturnedPairs caps the pair list a single response may carry.
 const maxReturnedPairs = 10_000
 
@@ -407,7 +384,7 @@ func (s *server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.MaxTimeout)
 	defer cancel()
-	resp, aerr := s.runExecute(ctx, body, s.cfg.MaxTimeout)
+	resp, aerr := s.runExecute(ctx, body)
 	if aerr != nil {
 		writeAPIError(w, aerr)
 		return
@@ -481,24 +458,21 @@ func (s *server) executeOptions(body plandclient.ExecuteRequest) ([]assign.Optio
 }
 
 // runExecute is the one core both /v1/execute and "execute" jobs run.
-func (s *server) runExecute(ctx context.Context, body plandclient.ExecuteRequest, maxBudget time.Duration) (*plandclient.ExecuteResult, *apiError) {
+func (s *server) runExecute(ctx context.Context, body plandclient.ExecuteRequest) (*plandclient.ExecuteResult, *apiError) {
 	start := time.Now()
 	opts, aerr := s.executeOptions(body)
 	if aerr != nil {
 		return nil, aerr
 	}
 	returnPairs := body.ReturnPairs
-	opts = append(opts,
-		assign.Timeout(requestBudget(body.TimeoutMS, s.cfg.DefaultTimeout, maxBudget)),
-		assign.Pair(func(a, b assign.Record, emit func([]byte)) error {
-			// The pair count comes from the executor's trace; materialize
-			// the IDs only when the client asked for them.
-			if returnPairs {
-				emit([]byte(fmt.Sprintf("%d,%d", a.ID, b.ID)))
-			}
-			return nil
-		}),
-	)
+	opts = append(opts, assign.Pair(func(a, b assign.Record, emit func([]byte)) error {
+		// The pair count comes from the executor's trace; materialize the IDs
+		// only when the client asked for them.
+		if returnPairs {
+			emit([]byte(fmt.Sprintf("%d,%d", a.ID, b.ID)))
+		}
+		return nil
+	}))
 	ex, err := s.planner.Execute(ctx, opts...)
 	if err != nil {
 		switch {

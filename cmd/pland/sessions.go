@@ -83,7 +83,6 @@ func (s *server) createSession(w http.ResponseWriter, r *http.Request) {
 		assign.MigrationBudget(body.MigrationBudget),
 		assign.RebuildThreshold(body.RebuildThreshold),
 		assign.Headroom(body.Headroom),
-		assign.Timeout(requestBudget(body.TimeoutMS, s.cfg.DefaultTimeout, s.cfg.MaxJobTimeout)),
 	}
 	if len(body.Sizes) > 0 {
 		opts = append(opts, assign.A2A(body.Sizes))

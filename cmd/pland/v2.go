@@ -145,7 +145,7 @@ func (s *server) buildJobFunc(body jobSubmitRequest) (jobs.Func, *apiError) {
 			return nil, aerr
 		}
 		return jobRun(s, func(ctx context.Context) (*plandclient.PlanResult, *apiError) {
-			return s.runPlan(ctx, req, s.cfg.MaxJobTimeout)
+			return s.runPlan(ctx, req)
 		}), nil
 	case jobTypeExecute:
 		if body.Execute == nil {
@@ -156,7 +156,7 @@ func (s *server) buildJobFunc(body jobSubmitRequest) (jobs.Func, *apiError) {
 			return nil, aerr
 		}
 		return jobRun(s, func(ctx context.Context) (*plandclient.ExecuteResult, *apiError) {
-			return s.runExecute(ctx, req, s.cfg.MaxJobTimeout)
+			return s.runExecute(ctx, req)
 		}), nil
 	default:
 		return nil, badRequestf(`job type must be "plan" or "execute", got %q`, body.Type)

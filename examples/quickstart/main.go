@@ -23,7 +23,6 @@ func main() {
 	res, err := assign.Plan(ctx,
 		assign.A2A(sizes),
 		assign.Capacity(10),
-		assign.Deterministic(), // await every portfolio member: stable output
 	)
 	if err != nil {
 		log.Fatal(err)

@@ -19,9 +19,9 @@ import (
 //  3. Cover the pairs among small inputs with BinPackPair (bins of size q/2,
 //     every pair of bins in one reducer).
 //
-// The policy selects the bin-packing heuristic used in both packing steps.
-func BigSmallSplit(set *core.InputSet, q core.Size, policy binpack.Policy) (*core.MappingSchema, error) {
-	algorithm := "a2a/big-small-split/" + policy.String()
+// Both packing steps use First-Fit Decreasing.
+func BigSmallSplit(set *core.InputSet, q core.Size) (*core.MappingSchema, error) {
+	const algorithm = "a2a/big-small-split/first-fit-decreasing"
 	if set.Len() == 0 {
 		return emptySchema(q, algorithm), nil
 	}
@@ -33,7 +33,7 @@ func BigSmallSplit(set *core.InputSet, q core.Size, policy binpack.Policy) (*cor
 	}
 	bigIDs, smallIDs := set.SplitBySize(q / 2)
 	if len(bigIDs) == 0 {
-		ms, err := BinPackPair(set, q, policy)
+		ms, err := BinPackPair(set, q)
 		if err != nil {
 			return nil, err
 		}
@@ -58,13 +58,13 @@ func BigSmallSplit(set *core.InputSet, q core.Size, policy binpack.Policy) (*cor
 	// Both packings come first, so the reducer list is sized once: one
 	// reducer per residual bin, one per pair of q/2 bins.
 	smallItems := binpack.ItemsFromIDs(set, smallIDs)
-	residualPacking, err := binpack.Pack(smallItems, q-bigSize, policy)
+	residualPacking, err := binpack.Pack(smallItems, q-bigSize, binpack.FirstFitDecreasing)
 	if err != nil {
 		return nil, fmt.Errorf("a2a: packing small inputs next to the big input: %w", err)
 	}
 	var halfBins []binpack.Bin
 	if len(smallIDs) >= 2 {
-		halfPacking, err := binpack.Pack(smallItems, q/2, policy)
+		halfPacking, err := binpack.Pack(smallItems, q/2, binpack.FirstFitDecreasing)
 		if err != nil {
 			return nil, fmt.Errorf("a2a: packing small inputs into q/2 bins: %w", err)
 		}

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/binpack"
 	"repro/internal/core"
 )
 
@@ -13,7 +12,7 @@ func TestBigSmallSplitWithOneBigInput(t *testing.T) {
 	// Input 0 has size 7 > q/2 = 5; the rest are small.
 	set := core.MustNewInputSet([]core.Size{7, 2, 3, 1, 2})
 	q := core.Size(10)
-	ms, err := BigSmallSplit(set, q, binpack.FirstFitDecreasing)
+	ms, err := BigSmallSplit(set, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,14 +23,14 @@ func TestBigSmallSplitWithOneBigInput(t *testing.T) {
 
 func TestBigSmallSplitFallsBackWithoutBigInputs(t *testing.T) {
 	set := core.MustNewInputSet([]core.Size{3, 3, 2, 2})
-	ms, err := BigSmallSplit(set, 10, binpack.FirstFitDecreasing)
+	ms, err := BigSmallSplit(set, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := ms.ValidateA2A(set); err != nil {
 		t.Errorf("ValidateA2A: %v", err)
 	}
-	bpp, err := BinPackPair(set, 10, binpack.FirstFitDecreasing)
+	bpp, err := BinPackPair(set, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,14 +41,14 @@ func TestBigSmallSplitFallsBackWithoutBigInputs(t *testing.T) {
 
 func TestBigSmallSplitInfeasibleTwoBig(t *testing.T) {
 	set := core.MustNewInputSet([]core.Size{6, 6, 1})
-	if _, err := BigSmallSplit(set, 10, binpack.FirstFitDecreasing); !errors.Is(err, core.ErrInfeasible) {
+	if _, err := BigSmallSplit(set, 10); !errors.Is(err, core.ErrInfeasible) {
 		t.Errorf("BigSmallSplit = %v, want ErrInfeasible", err)
 	}
 }
 
 func TestBigSmallSplitSingleBigInputOnly(t *testing.T) {
 	set := core.MustNewInputSet([]core.Size{9})
-	ms, err := BigSmallSplit(set, 10, binpack.FirstFitDecreasing)
+	ms, err := BigSmallSplit(set, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +60,7 @@ func TestBigSmallSplitSingleBigInputOnly(t *testing.T) {
 func TestBigSmallSplitBigInputMeetsEverySmall(t *testing.T) {
 	set := core.MustNewInputSet([]core.Size{8, 1, 1, 1, 2, 1})
 	q := core.Size(10)
-	ms, err := BigSmallSplit(set, q, binpack.FirstFitDecreasing)
+	ms, err := BigSmallSplit(set, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,14 +100,12 @@ func TestBigSmallSplitRandomInstancesValid(t *testing.T) {
 			sizes[i] = core.Size(1 + rng.Int63n(int64(maxSmall)))
 		}
 		set := core.MustNewInputSet(sizes)
-		for _, pol := range policies {
-			ms, err := BigSmallSplit(set, q, pol)
-			if err != nil {
-				t.Fatalf("q=%d sizes=%v policy=%v: %v", q, sizes, pol, err)
-			}
-			if err := ms.ValidateA2A(set); err != nil {
-				t.Fatalf("q=%d sizes=%v policy=%v invalid: %v", q, sizes, pol, err)
-			}
+		ms, err := BigSmallSplit(set, q)
+		if err != nil {
+			t.Fatalf("q=%d sizes=%v: %v", q, sizes, err)
+		}
+		if err := ms.ValidateA2A(set); err != nil {
+			t.Fatalf("q=%d sizes=%v invalid: %v", q, sizes, err)
 		}
 	}
 }

@@ -16,7 +16,7 @@ var ErrHasBigInputs = errors.New("a2a: instance has inputs larger than q/2; use 
 
 // BinPackPair is the paper's bin-packing-based approximation for
 // different-sized inputs that are all at most q/2. The inputs are packed into
-// bins of capacity floor(q/2) using the given bin-packing policy; each pair
+// bins of capacity floor(q/2) by First-Fit Decreasing; each pair
 // of bins is then assigned to one reducer. Every reducer holds two bins of
 // load at most q/2 each, so it respects the capacity; every pair of inputs is
 // assigned together either because the two inputs share a bin (and the bin
@@ -24,8 +24,8 @@ var ErrHasBigInputs = errors.New("a2a: instance has inputs larger than q/2; use 
 //
 // If the packing uses b bins the schema uses b(b-1)/2 reducers (one reducer
 // when b == 1).
-func BinPackPair(set *core.InputSet, q core.Size, policy binpack.Policy) (*core.MappingSchema, error) {
-	algorithm := "a2a/bin-pack-pair/" + policy.String()
+func BinPackPair(set *core.InputSet, q core.Size) (*core.MappingSchema, error) {
+	const algorithm = "a2a/bin-pack-pair/first-fit-decreasing"
 	if set.Len() == 0 {
 		return emptySchema(q, algorithm), nil
 	}
@@ -39,7 +39,7 @@ func BinPackPair(set *core.InputSet, q core.Size, policy binpack.Policy) (*core.
 	if set.MaxSize() > half {
 		return nil, fmt.Errorf("%w: max input size %d > q/2 = %d", ErrHasBigInputs, set.MaxSize(), half)
 	}
-	packing, err := binpack.Pack(binpack.ItemsFromInputSet(set), half, policy)
+	packing, err := binpack.Pack(binpack.ItemsFromInputSet(set), half, binpack.FirstFitDecreasing)
 	if err != nil {
 		return nil, fmt.Errorf("a2a: packing inputs into q/2 bins: %w", err)
 	}

@@ -9,13 +9,10 @@ import (
 	"repro/internal/core"
 )
 
-// policies lists every packing heuristic.
-var policies = []binpack.Policy{binpack.FirstFitDecreasing, binpack.BestFitDecreasing, binpack.WorstFitDecreasing}
-
 func TestBinPackPairSmallInstance(t *testing.T) {
 	set := core.MustNewInputSet([]core.Size{3, 3, 2, 2, 4, 1})
 	q := core.Size(10)
-	ms, err := BinPackPair(set, q, binpack.FirstFitDecreasing)
+	ms, err := BinPackPair(set, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,14 +23,14 @@ func TestBinPackPairSmallInstance(t *testing.T) {
 
 func TestBinPackPairRejectsBigInputs(t *testing.T) {
 	set := core.MustNewInputSet([]core.Size{6, 2, 2})
-	if _, err := BinPackPair(set, 10, binpack.FirstFitDecreasing); !errors.Is(err, ErrHasBigInputs) {
+	if _, err := BinPackPair(set, 10); !errors.Is(err, ErrHasBigInputs) {
 		t.Errorf("BinPackPair = %v, want ErrHasBigInputs", err)
 	}
 }
 
 func TestBinPackPairInfeasible(t *testing.T) {
 	set := core.MustNewInputSet([]core.Size{7, 7})
-	if _, err := BinPackPair(set, 10, binpack.FirstFitDecreasing); !errors.Is(err, core.ErrInfeasible) {
+	if _, err := BinPackPair(set, 10); !errors.Is(err, core.ErrInfeasible) {
 		t.Errorf("BinPackPair = %v, want ErrInfeasible", err)
 	}
 }
@@ -41,7 +38,7 @@ func TestBinPackPairInfeasible(t *testing.T) {
 func TestBinPackPairSingleBin(t *testing.T) {
 	// All inputs fit in one q/2 bin: a single reducer suffices.
 	set := core.MustNewInputSet([]core.Size{1, 1, 2})
-	ms, err := BinPackPair(set, 10, binpack.FirstFitDecreasing)
+	ms, err := BinPackPair(set, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +52,7 @@ func TestBinPackPairSingleBin(t *testing.T) {
 
 func TestBinPackPairDegenerate(t *testing.T) {
 	set := core.MustNewInputSet([]core.Size{4})
-	ms, err := BinPackPair(set, 10, binpack.FirstFitDecreasing)
+	ms, err := BinPackPair(set, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,28 +70,6 @@ func TestBinPackPairReducerCount(t *testing.T) {
 	}
 }
 
-func TestBinPackPairAllPoliciesValid(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 20; trial++ {
-		m := 2 + rng.Intn(40)
-		q := core.Size(20 + rng.Intn(60))
-		sizes := make([]core.Size, m)
-		for i := range sizes {
-			sizes[i] = core.Size(1 + rng.Int63n(int64(q/2)))
-		}
-		set := core.MustNewInputSet(sizes)
-		for _, pol := range policies {
-			ms, err := BinPackPair(set, q, pol)
-			if err != nil {
-				t.Fatalf("policy %v: %v", pol, err)
-			}
-			if err := ms.ValidateA2A(set); err != nil {
-				t.Fatalf("policy %v produced invalid schema: %v", pol, err)
-			}
-		}
-	}
-}
-
 func TestBinPackPairRespectsPredictedReducerCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 20; trial++ {
@@ -109,7 +84,7 @@ func TestBinPackPairRespectsPredictedReducerCount(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ms, err := BinPackPair(set, q, binpack.FirstFitDecreasing)
+		ms, err := BinPackPair(set, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +104,7 @@ func TestBinPackPairNeverBelowLowerBound(t *testing.T) {
 			sizes[i] = core.Size(1 + rng.Int63n(int64(q/2)))
 		}
 		set := core.MustNewInputSet(sizes)
-		ms, err := BinPackPair(set, q, binpack.FirstFitDecreasing)
+		ms, err := BinPackPair(set, q)
 		if err != nil {
 			t.Fatal(err)
 		}

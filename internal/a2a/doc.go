@@ -20,8 +20,8 @@
 //     1,500 inputs at k = 100 the best prime, 19, needs 377 reducers and 20
 //     copies where 16 needs 272 and 17.
 //   - BinPackPair: the bin-packing-based approximation — pack inputs into
-//     bins of size q/2 with a configurable bin-packing policy, then assign
-//     every pair of bins to one reducer.
+//     bins of size q/2 by First-Fit Decreasing, as the paper states it, then
+//     assign every pair of bins to one reducer.
 //   - BigSmallSplit: the extension for inputs larger than q/2 ("big" inputs),
 //     which pairs big inputs directly and packs the small inputs into the
 //     residual capacity next to each big input.

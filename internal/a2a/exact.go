@@ -47,7 +47,7 @@ type ExactOptions struct {
 // 64 inputs is attempted.
 //
 // The A2A mapping schema problem is NP-complete, so Exact is intended for
-// small instances: the planner races it up to planner.Budget.ExactMaxInputs,
+// small instances: the planner runs it up to planner.Budget.ExactMaxInputs,
 // and the tests hold the heuristics and the lower bounds to its proved
 // optimum.
 func Exact(set *core.InputSet, q core.Size, opts ExactOptions) (*core.MappingSchema, error) {

@@ -1,17 +1,6 @@
 package a2a
 
-import (
-	"repro/internal/binpack"
-	"repro/internal/core"
-)
-
-// Options configures SolveWithOptions.
-type Options struct {
-	// Policy is the bin-packing heuristic of BinPackPair and BigSmallSplit.
-	// The zero value is binpack.FirstFitDecreasing, the paper's; the planner
-	// also races the other two.
-	Policy binpack.Policy
-}
+import "repro/internal/core"
 
 // Solve computes a mapping schema for an A2A instance, dispatching to the
 // appropriate algorithm: when every input has the same size, the equal-sized
@@ -19,11 +8,6 @@ type Options struct {
 // BigSmallSplit when an input exceeds q/2, and BinPackPair otherwise. It
 // returns core.ErrInfeasible (wrapped) when no schema exists.
 func Solve(set *core.InputSet, q core.Size) (*core.MappingSchema, error) {
-	return SolveWithOptions(set, q, Options{})
-}
-
-// SolveWithOptions is Solve with explicit options.
-func SolveWithOptions(set *core.InputSet, q core.Size, opts Options) (*core.MappingSchema, error) {
 	if err := CheckFeasible(set, q); err != nil {
 		return nil, err
 	}
@@ -33,7 +17,7 @@ func SolveWithOptions(set *core.InputSet, q core.Size, opts Options) (*core.Mapp
 	if set.TotalSize() <= q {
 		return singleReducer(set, q, "a2a/single-reducer"), nil
 	}
-	primary, err := solvePrimary(set, q, opts)
+	primary, err := solvePrimary(set, q)
 	if err != nil {
 		return nil, err
 	}
@@ -54,14 +38,14 @@ func SolveWithOptions(set *core.InputSet, q core.Size, opts Options) (*core.Mapp
 }
 
 // solvePrimary runs the dispatch between the paper's constructive algorithms.
-func solvePrimary(set *core.InputSet, q core.Size, opts Options) (*core.MappingSchema, error) {
+func solvePrimary(set *core.InputSet, q core.Size) (*core.MappingSchema, error) {
 	if set.MinSize() == set.MaxSize() {
 		return solveEqualSized(set, q)
 	}
 	if set.MaxSize() > q/2 {
-		return BigSmallSplit(set, q, opts.Policy)
+		return BigSmallSplit(set, q)
 	}
-	return BinPackPair(set, q, opts.Policy)
+	return BinPackPair(set, q)
 }
 
 // solveEqualSized builds AffinePlane where its count beats EqualSized's —

@@ -3,12 +3,10 @@ package a2a
 import (
 	"errors"
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
 
-	"repro/internal/binpack"
 	"repro/internal/core"
 	"repro/internal/workload"
 )
@@ -70,33 +68,6 @@ func TestSolveInfeasible(t *testing.T) {
 	set := core.MustNewInputSet([]core.Size{8, 8, 1})
 	if _, err := Solve(set, 10); !errors.Is(err, core.ErrInfeasible) {
 		t.Errorf("Solve = %v, want ErrInfeasible", err)
-	}
-}
-
-// TestSolveWithOptionsZeroValuePolicy: the zero Options is Solve.
-func TestSolveWithOptionsZeroValuePolicy(t *testing.T) {
-	set := core.MustNewInputSet([]core.Size{3, 4, 5, 3, 4, 5})
-	ms, err := SolveWithOptions(set, 12, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ms.ValidateA2A(set); err != nil {
-		t.Errorf("ValidateA2A: %v", err)
-	}
-	want, err := Solve(set, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ms, want) {
-		t.Errorf("SolveWithOptions(Options{}) = %s, Solve = %s", ms.Algorithm, want.Algorithm)
-	}
-}
-
-// TestDefaultOptions: the zero Options packs with the paper's
-// First-Fit-Decreasing.
-func TestDefaultOptions(t *testing.T) {
-	if o := (Options{}); o.Policy != binpack.FirstFitDecreasing {
-		t.Errorf("Options{} = %+v, want First-Fit-Decreasing", o)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/binpack"
 	"repro/internal/core"
 )
 
@@ -72,7 +71,7 @@ func TestTripleCoverValidAndNearOneThirdOfPairs(t *testing.T) {
 		t.Errorf("triple cover used %d reducers, expected about %d", ms.NumReducers(), pairs/3)
 	}
 	// And it must beat one-pair-per-reducer by a wide margin.
-	bpp, err := BinPackPair(set, q, binpack.FirstFitDecreasing)
+	bpp, err := BinPackPair(set, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,9 +243,9 @@ func TestCheckTriplesFitSumsTheThreeLargest(t *testing.T) {
 	}
 }
 
-// refSolveWithOptions is SolveWithOptions as it was before it counted first:
-// the triple cover is built whenever it applies and then compared.
-func refSolveWithOptions(set *core.InputSet, q core.Size, opts Options) (*core.MappingSchema, error) {
+// refSolve is Solve as it was before it counted first: the triple cover is
+// built whenever it applies and then compared.
+func refSolve(set *core.InputSet, q core.Size) (*core.MappingSchema, error) {
 	if err := CheckFeasible(set, q); err != nil {
 		return nil, err
 	}
@@ -256,7 +255,7 @@ func refSolveWithOptions(set *core.InputSet, q core.Size, opts Options) (*core.M
 	if set.TotalSize() <= q {
 		return singleReducer(set, q, "a2a/single-reducer"), nil
 	}
-	primary, err := solvePrimary(set, q, opts)
+	primary, err := solvePrimary(set, q)
 	if err != nil {
 		return nil, err
 	}
@@ -277,17 +276,14 @@ func TestSolveMatchesBuildBothReference(t *testing.T) {
 	triples := 0
 	check := func(set *core.InputSet, q core.Size) {
 		t.Helper()
-		for _, policy := range policies {
-			opts := Options{Policy: policy}
-			got, gotErr := SolveWithOptions(set, q, opts)
-			want, wantErr := refSolveWithOptions(set, q, opts)
-			if (gotErr == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want) {
-				t.Fatalf("sizes=%v q=%d %v: Solve differs from the build-both reference (err %v, reference %v)",
-					set.Sizes(), q, policy, gotErr, wantErr)
-			}
-			if got != nil && got.Algorithm == "a2a/triple-cover" {
-				triples++
-			}
+		got, gotErr := Solve(set, q)
+		want, wantErr := refSolve(set, q)
+		if (gotErr == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("sizes=%v q=%d: Solve differs from the build-both reference (err %v, reference %v)",
+				set.Sizes(), q, gotErr, wantErr)
+		}
+		if got != nil && got.Algorithm == "a2a/triple-cover" {
+			triples++
 		}
 	}
 	for trial := 0; trial < 400; trial++ {

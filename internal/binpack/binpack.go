@@ -4,8 +4,7 @@
 // The bin-packing-based algorithms in "Assignment of Different-Sized Inputs
 // in MapReduce" first pack inputs into bins of size q/2 (or q - w for a big
 // input of size w) and then combine bins into reducers. This package provides
-// the three decreasing-order heuristics the planner races: First-Fit
-// Decreasing (the paper's), Best-Fit Decreasing and Worst-Fit Decreasing.
+// the heuristic those constructions are stated with, First-Fit Decreasing.
 package binpack
 
 import (
@@ -89,42 +88,29 @@ func (p *Packing) Validate(items []Item) error {
 	return nil
 }
 
-// Policy selects a packing heuristic. Every policy packs the items in order
-// of decreasing size; they differ in which open bin an item goes to.
+// Policy selects a packing heuristic. FirstFitDecreasing, the zero Policy, is
+// the only one.
 type Policy int
 
-const (
-	// FirstFitDecreasing places each item into the first bin it fits in.
-	// This is the heuristic the paper's bin-pack-and-pair algorithms assume,
-	// and the zero Policy.
-	FirstFitDecreasing Policy = iota
-	// BestFitDecreasing places each item into the fullest bin it still fits
-	// in.
-	BestFitDecreasing
-	// WorstFitDecreasing places each item into the emptiest bin it fits in;
-	// it tends to balance loads.
-	WorstFitDecreasing
-)
+// FirstFitDecreasing packs the items in order of decreasing size, each into
+// the first bin it fits in. This is the heuristic the paper's
+// bin-pack-and-pair algorithms assume.
+const FirstFitDecreasing Policy = 0
 
 // String implements fmt.Stringer.
 func (p Policy) String() string {
-	switch p {
-	case FirstFitDecreasing:
+	if p == FirstFitDecreasing {
 		return "first-fit-decreasing"
-	case BestFitDecreasing:
-		return "best-fit-decreasing"
-	case WorstFitDecreasing:
-		return "worst-fit-decreasing"
-	default:
-		return fmt.Sprintf("Policy(%d)", int(p))
 	}
+	return fmt.Sprintf("Policy(%d)", int(p))
 }
 
 // ErrItemTooLarge is returned when some item is larger than the bin capacity.
 var ErrItemTooLarge = errors.New("binpack: item larger than bin capacity")
 
 // Pack packs the items into bins of the given capacity using the selected
-// policy. It returns ErrItemTooLarge if any single item exceeds the capacity.
+// policy. It returns ErrItemTooLarge if any single item exceeds the capacity,
+// and an error for a policy other than FirstFitDecreasing.
 //
 // Items are packed in order of decreasing size, ties by ascending ID. Items
 // that already arrive in that order are packed as given, without a copy or a
@@ -132,6 +118,9 @@ var ErrItemTooLarge = errors.New("binpack: item larger than bin capacity")
 // once (core.InputSet.IDsBySizeDescending is that order). items is never
 // modified.
 func Pack(items []Item, capacity core.Size, policy Policy) (*Packing, error) {
+	if policy != FirstFitDecreasing {
+		return nil, fmt.Errorf("binpack: unknown policy %v", policy)
+	}
 	for _, it := range items {
 		if it.Size > capacity {
 			return nil, fmt.Errorf("%w: item %d has size %d > %d", ErrItemTooLarge, it.ID, it.Size, capacity)
@@ -146,16 +135,7 @@ func Pack(items []Item, capacity core.Size, policy Policy) (*Packing, error) {
 		slices.SortFunc(ordered, bySizeDecreasing)
 	}
 	p := &Packing{Capacity: capacity}
-	switch policy {
-	case FirstFitDecreasing:
-		packFirstFit(p, ordered)
-	case BestFitDecreasing:
-		packBestFit(p, ordered)
-	case WorstFitDecreasing:
-		packWorstFit(p, ordered)
-	default:
-		return nil, fmt.Errorf("binpack: unknown policy %v", policy)
-	}
+	packFirstFit(p, ordered)
 	return p, nil
 }
 
@@ -201,45 +181,5 @@ func packFirstFit(p *Packing, items []Item) {
 		if !placed {
 			p.Bins = append(p.Bins, Bin{Items: []int{it.ID}, Load: it.Size})
 		}
-	}
-}
-
-func packBestFit(p *Packing, items []Item) {
-	for _, it := range items {
-		best := -1
-		var bestResidual core.Size
-		for b := range p.Bins {
-			residual := p.Capacity - p.Bins[b].Load
-			if it.Size <= residual && (best == -1 || residual < bestResidual) {
-				best = b
-				bestResidual = residual
-			}
-		}
-		if best == -1 {
-			p.Bins = append(p.Bins, Bin{Items: []int{it.ID}, Load: it.Size})
-			continue
-		}
-		p.Bins[best].Items = append(p.Bins[best].Items, it.ID)
-		p.Bins[best].Load += it.Size
-	}
-}
-
-func packWorstFit(p *Packing, items []Item) {
-	for _, it := range items {
-		worst := -1
-		var worstResidual core.Size
-		for b := range p.Bins {
-			residual := p.Capacity - p.Bins[b].Load
-			if it.Size <= residual && (worst == -1 || residual > worstResidual) {
-				worst = b
-				worstResidual = residual
-			}
-		}
-		if worst == -1 {
-			p.Bins = append(p.Bins, Bin{Items: []int{it.ID}, Load: it.Size})
-			continue
-		}
-		p.Bins[worst].Items = append(p.Bins[worst].Items, it.ID)
-		p.Bins[worst].Load += it.Size
 	}
 }

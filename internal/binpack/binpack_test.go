@@ -13,9 +13,6 @@ import (
 	"repro/internal/core"
 )
 
-// policies lists every heuristic.
-var policies = []Policy{FirstFitDecreasing, BestFitDecreasing, WorstFitDecreasing}
-
 func items(sizes ...core.Size) []Item {
 	out := make([]Item, len(sizes))
 	for i, s := range sizes {
@@ -57,31 +54,9 @@ func TestFirstFitDecreasingClassic(t *testing.T) {
 	}
 }
 
-func TestAllPoliciesProduceValidPackings(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 50; trial++ {
-		capacity := core.Size(20 + rng.Intn(80))
-		in := randomItems(rng, 1+rng.Intn(60), capacity)
-		for _, pol := range policies {
-			p, err := Pack(in, capacity, pol)
-			if err != nil {
-				t.Fatalf("%v: %v", pol, err)
-			}
-			if err := p.Validate(in); err != nil {
-				t.Fatalf("%v produced invalid packing: %v", pol, err)
-			}
-			if lb := sizeBound(in, capacity); p.NumBins() < lb {
-				t.Fatalf("%v produced %d bins below the size lower bound %d", pol, p.NumBins(), lb)
-			}
-		}
-	}
-}
-
 func TestPolicyString(t *testing.T) {
-	for _, pol := range policies {
-		if strings.HasPrefix(pol.String(), "Policy(") {
-			t.Errorf("policy %d has no name", int(pol))
-		}
+	if strings.HasPrefix(FirstFitDecreasing.String(), "Policy(") {
+		t.Error("FirstFitDecreasing has no name")
 	}
 	if !strings.Contains(Policy(77).String(), "77") {
 		t.Error("unknown policy String() should include the number")
@@ -237,21 +212,19 @@ func TestLowerBoundsNeverExceedOptimal(t *testing.T) {
 }
 
 // TestPackExactBeatsOrMatchesFFD: the exact optimum never uses more bins than
-// FFD or any other policy on the same random instances.
+// FFD on the same random instances.
 func TestPackExactBeatsOrMatchesFFD(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 40; trial++ {
 		capacity := core.Size(12 + rng.Intn(24))
 		in := randomItems(rng, 3+rng.Intn(12), capacity)
 		opt := optimalBins(in, capacity)
-		for _, pol := range policies {
-			p, err := Pack(in, capacity, pol)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if p.NumBins() < opt {
-				t.Fatalf("%v used %d bins, below the optimum %d for %v capacity %d", pol, p.NumBins(), opt, in, capacity)
-			}
+		p, err := Pack(in, capacity, FirstFitDecreasing)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.NumBins() < opt {
+			t.Fatalf("FFD used %d bins, below the optimum %d for %v capacity %d", p.NumBins(), opt, in, capacity)
 		}
 	}
 }
@@ -274,7 +247,7 @@ func TestFFDApproximationBound(t *testing.T) {
 	}
 }
 
-// Property: packing with any policy preserves all items exactly once.
+// Property: packing preserves all items exactly once.
 func TestPackPreservesItemsProperty(t *testing.T) {
 	f := func(raw []uint8, capRaw uint8) bool {
 		capacity := core.Size(capRaw%50) + 10
@@ -283,23 +256,15 @@ func TestPackPreservesItemsProperty(t *testing.T) {
 			size := core.Size(r%uint8(capacity)) + 1
 			in = append(in, Item{ID: i, Size: size})
 		}
-		for _, pol := range policies {
-			p, err := Pack(in, capacity, pol)
-			if err != nil {
-				return false
-			}
-			if err := p.Validate(in); err != nil {
-				return false
-			}
-		}
-		return true
+		p, err := Pack(in, capacity, FirstFitDecreasing)
+		return err == nil && p.Validate(in) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
 }
 
-// TestPackDecreasingIgnoresInputOrder: every policy packs in one total order
+// TestPackDecreasingIgnoresInputOrder: Pack packs in one total order
 // (size down, ID up), so the same items give the same packing however they
 // arrive — shuffled, ascending, or already decreasing, which is the case Pack
 // takes as given without copying or sorting. The expected order is the
@@ -326,27 +291,25 @@ func TestPackDecreasingIgnoresInputOrder(t *testing.T) {
 		shuffled := slices.Clone(base)
 		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 
-		for _, policy := range policies {
-			want, err := Pack(decreasing, capacity, policy)
+		want, err := Pack(decreasing, capacity, FirstFitDecreasing)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, in := range map[string][]Item{"ascending": ascending, "shuffled": shuffled, "id-order": base} {
+			before := slices.Clone(in)
+			got, err := Pack(in, capacity, FirstFitDecreasing)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for name, in := range map[string][]Item{"ascending": ascending, "shuffled": shuffled, "id-order": base} {
-				before := slices.Clone(in)
-				got, err := Pack(in, capacity, policy)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("trial %d %v: %s input packs differently from decreasing input", trial, policy, name)
-				}
-				if !slices.Equal(in, before) {
-					t.Fatalf("trial %d %v: Pack reordered its %s input", trial, policy, name)
-				}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d: %s input packs differently from decreasing input", trial, name)
 			}
-			if err := want.Validate(base); err != nil {
-				t.Fatalf("trial %d %v: %v", trial, policy, err)
+			if !slices.Equal(in, before) {
+				t.Fatalf("trial %d: Pack reordered its %s input", trial, name)
 			}
+		}
+		if err := want.Validate(base); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}
 }

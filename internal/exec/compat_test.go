@@ -87,8 +87,8 @@ func compatPair(a, b Record, emit func([]byte)) error {
 }
 
 // compatScenarios builds the fixed request set the golden file pins. The
-// schemas come from the deterministic constructive solvers, not the racing
-// portfolio, so the fixture does not depend on scheduling.
+// schemas come from the constructive solvers, not the planner's portfolio,
+// so the fixture does not depend on which member wins.
 func compatScenarios(t testing.TB) []Request {
 	inputs := func(sizes ...int) [][]byte {
 		out := make([][]byte, len(sizes))

@@ -118,7 +118,6 @@ func TestRunAcceptsPlannerResult(t *testing.T) {
 	set := core.MustNewInputSet(sizes)
 	plan, err := planner.New(planner.Config{CacheEntries: -1}).Plan(context.Background(), planner.Request{
 		Problem: core.ProblemA2A, Set: set, Capacity: 10,
-		Budget: planner.Budget{Timeout: -1},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -189,7 +189,7 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 }
 
 // LatencyBuckets spans 50µs to ~1.6s in doubling steps — wide enough for a
-// cached plan lookup and a full portfolio race alike.
+// cached plan lookup and a full portfolio pass alike.
 var LatencyBuckets = ExpBuckets(50e-6, 2, 16)
 
 // ByteBuckets spans 256B to ~1GB in 4x steps, for migration and shuffle

@@ -349,8 +349,9 @@ type SpanSnapshot struct {
 	DroppedChildren int            `json:"dropped_children,omitempty"`
 }
 
-// snapshot freezes the subtree. Spans still running (a portfolio arm the race
-// abandoned, say) are clamped to asOf so the tree stays well-formed.
+// snapshot freezes the subtree. Spans still running (a stage of a request
+// that gave up waiting, say) are clamped to asOf so the tree stays
+// well-formed.
 func (s *Span) snapshot(asOf time.Time) SpanSnapshot {
 	s.mu.Lock()
 	snap := SpanSnapshot{

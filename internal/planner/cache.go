@@ -21,7 +21,7 @@ type cachedPlan struct {
 	candidates int
 }
 
-// newCachedPlan wraps the winning schema of cn's portfolio race.
+// newCachedPlan wraps the winning schema of cn's portfolio pass.
 func newCachedPlan(cn *canonical, schema *core.MappingSchema, winner string, lowerBound, candidates int) *cachedPlan {
 	plan := &cachedPlan{schema: schema, winner: winner, lowerBound: lowerBound, candidates: candidates}
 	if cn.problem == core.ProblemA2A {

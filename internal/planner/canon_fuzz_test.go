@@ -136,15 +136,10 @@ func FuzzCanonicalizeX2YSideSymmetry(f *testing.F) {
 	})
 }
 
-// deterministicPlanner builds an uncached planner whose portfolio awaits
-// every member, so plans depend only on the instance.
+// deterministicPlanner builds an uncached planner, so every plan is a fresh
+// solve of the instance alone.
 func deterministicPlanner() *Planner {
 	return New(Config{CacheEntries: -1})
-}
-
-func deterministicRequest(req Request) Request {
-	req.Budget = Budget{Timeout: -1}
-	return req
 }
 
 // TestShuffledA2AInstancePlansEquivalently is the property behind the cache:
@@ -167,13 +162,13 @@ func TestShuffledA2AInstancePlansEquivalently(t *testing.T) {
 		q := 2*maxSize + core.Size(rng.Intn(10)) // every pair fits: feasible
 		shuffled := shuffledCopy(sizes, uint64(iter))
 
-		res1, err := p.Plan(context.Background(), deterministicRequest(Request{
-			Problem: core.ProblemA2A, Set: core.MustNewInputSet(sizes), Capacity: q}))
+		res1, err := p.Plan(context.Background(), Request{
+			Problem: core.ProblemA2A, Set: core.MustNewInputSet(sizes), Capacity: q})
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
-		res2, err := p.Plan(context.Background(), deterministicRequest(Request{
-			Problem: core.ProblemA2A, Set: core.MustNewInputSet(shuffled), Capacity: q}))
+		res2, err := p.Plan(context.Background(), Request{
+			Problem: core.ProblemA2A, Set: core.MustNewInputSet(shuffled), Capacity: q})
 		if err != nil {
 			t.Fatalf("iter %d (shuffled): %v", iter, err)
 		}
@@ -212,15 +207,15 @@ func TestSwappedX2YInstancePlansEquivalently(t *testing.T) {
 		xSizes, ySizes := mk(nx), mk(ny)
 		q := 2*maxSize + core.Size(rng.Intn(8))
 
-		res1, err := p.Plan(context.Background(), deterministicRequest(Request{
+		res1, err := p.Plan(context.Background(), Request{
 			Problem: core.ProblemX2Y,
-			X:       core.MustNewInputSet(xSizes), Y: core.MustNewInputSet(ySizes), Capacity: q}))
+			X:       core.MustNewInputSet(xSizes), Y: core.MustNewInputSet(ySizes), Capacity: q})
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
-		res2, err := p.Plan(context.Background(), deterministicRequest(Request{
+		res2, err := p.Plan(context.Background(), Request{
 			Problem: core.ProblemX2Y,
-			X:       core.MustNewInputSet(ySizes), Y: core.MustNewInputSet(xSizes), Capacity: q}))
+			X:       core.MustNewInputSet(ySizes), Y: core.MustNewInputSet(xSizes), Capacity: q})
 		if err != nil {
 			t.Fatalf("iter %d (swapped): %v", iter, err)
 		}
@@ -244,12 +239,12 @@ func TestShuffledInstanceHitsCacheAndValidates(t *testing.T) {
 	p := New(Config{})
 	sizes := []core.Size{9, 1, 4, 4, 2, 7, 3, 3}
 	shuffled := shuffledCopy(sizes, 99)
-	req := deterministicRequest(Request{Problem: core.ProblemA2A, Set: core.MustNewInputSet(sizes), Capacity: 18})
+	req := Request{Problem: core.ProblemA2A, Set: core.MustNewInputSet(sizes), Capacity: 18}
 	if _, err := p.Plan(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.Plan(context.Background(), deterministicRequest(Request{
-		Problem: core.ProblemA2A, Set: core.MustNewInputSet(shuffled), Capacity: 18}))
+	res, err := p.Plan(context.Background(), Request{
+		Problem: core.ProblemA2A, Set: core.MustNewInputSet(shuffled), Capacity: 18})
 	if err != nil {
 		t.Fatal(err)
 	}

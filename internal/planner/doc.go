@@ -1,9 +1,11 @@
 // Package planner is the unified facade over the mapping-schema solvers of
 // internal/a2a and internal/x2y. A single entry point, Plan, accepts either
-// problem kind, races a portfolio of algorithms (the paper's constructive
-// dispatch, alternative bin-packing policies, the coverage-greedy baseline,
-// and the bounded exact branch-and-bound) under a time-and-node budget, and
+// problem kind, runs a portfolio of algorithms in order (the paper's
+// constructive dispatch, the coverage-greedy baseline up to 400 inputs, and
+// the node-capped exact branch-and-bound, by default up to 12 inputs), and
 // returns the schema with the fewest reducers, breaking ties on maximum load.
+// Every member is bounded on its own, so the plan is the same for one
+// instance whatever the host load; no member runs on after Plan returns.
 //
 // Because the problems are invariant under input renaming, Plan canonicalizes
 // every instance to its sorted size multiset before solving and memoizes the

@@ -11,11 +11,6 @@ import (
 	"repro/internal/core"
 )
 
-func detRequest(req Request) Request {
-	req.Budget.Timeout = -1 // await every member: the plan does not depend on the clock
-	return req
-}
-
 // TestExportImportServesIsomorphicRequests: a plan exported by the planner
 // that solved an instance and imported by one that never saw it makes the
 // second planner answer every relabelling — and, for X2Y, mirroring — of the
@@ -41,7 +36,7 @@ func TestExportImportServesIsomorphicRequests(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			solver, other := New(Config{}), New(Config{})
-			solveReq, again := detRequest(tc.solve), detRequest(tc.again)
+			solveReq, again := tc.solve, tc.again
 			key, plan, err := solver.ExportPlan(solveReq)
 			if err != nil || key == "" || plan != nil {
 				t.Fatalf("ExportPlan before the solve = %q, %s, %v; want the key alone", key, plan, err)
@@ -95,7 +90,7 @@ func TestExportImportServesIsomorphicRequests(t *testing.T) {
 // nothing is stored, and the next Plan solves the instance itself.
 func TestImportPlanRefusesWhatItCannotVerify(t *testing.T) {
 	ctx := context.Background()
-	req := detRequest(a2aRequest(core.MustNewInputSet([]core.Size{3, 3, 2, 2, 4, 1}), 10))
+	req := a2aRequest(core.MustNewInputSet([]core.Size{3, 3, 2, 2, 4, 1}), 10)
 	solver := New(Config{})
 	if _, err := solver.Plan(ctx, req); err != nil {
 		t.Fatal(err)

@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/planner"
@@ -18,10 +19,9 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_plans.json from the current planner output")
 
-// goldenCase is one deterministic planning instance. The portfolio is raced
-// with Timeout: -1 (await every member), which makes the winning schema a
-// pure function of the instance — so its fingerprint can be pinned across
-// refactors of the solver internals.
+// goldenCase is one planning instance. The winning schema is a pure function
+// of the instance, whatever the budget's Timeout — so its fingerprint can be
+// pinned across refactors of the solver internals.
 type goldenCase struct {
 	Name     string    `json:"name"`
 	Problem  string    `json:"problem"`
@@ -113,9 +113,9 @@ func schemaFingerprint(ms *core.MappingSchema) string {
 
 func goldenPath() string { return filepath.Join("testdata", "golden_plans.json") }
 
-func solveGolden(t testing.TB, name string, req planner.Request) goldenCase {
+func solveGolden(t testing.TB, name string, req planner.Request, budget planner.Budget) goldenCase {
 	t.Helper()
-	req.Budget = planner.Budget{Timeout: -1} // deterministic: await every member
+	req.Budget = budget
 	req.NoCache = true
 	p := planner.New(planner.Config{CacheEntries: -1})
 	res, err := p.Plan(context.Background(), req)
@@ -132,16 +132,21 @@ func solveGolden(t testing.TB, name string, req planner.Request) goldenCase {
 	}
 }
 
-// TestDeterministicPlansMatchGolden pins the planner's Deterministic output
-// bit-for-bit: the committed fingerprints were produced before the bitset
-// refactor of the solver hot paths, so the refactored planner must reproduce
-// the exact same schemas. Regenerate (only when an intentional algorithm
-// change shifts the plans) with:
+// goldenBudgets are the budgets every instance is planned under: the
+// Deterministic one, a Timeout no member could meet, and the zero value. All
+// three must serve the pinned plan.
+var goldenBudgets = []planner.Budget{{Timeout: -1}, {Timeout: time.Nanosecond}, {}}
+
+// TestDeterministicPlansMatchGolden pins the planner's output bit-for-bit,
+// under every budget of goldenBudgets: the committed fingerprints were
+// produced before the bitset refactor of the solver hot paths, so the
+// refactored planner must reproduce the exact same schemas. Regenerate (only
+// when an intentional algorithm change shifts the plans) with:
 //
 //	go test ./internal/planner -run TestDeterministicPlansMatchGolden -update-golden
 func TestDeterministicPlansMatchGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("deterministic portfolio races are slow in -short mode")
+		t.Skip("planning every instance under three budgets is slow in -short mode")
 	}
 	instances := goldenInstances(t)
 
@@ -153,7 +158,7 @@ func TestDeterministicPlansMatchGolden(t *testing.T) {
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			cases = append(cases, solveGolden(t, name, instances[name]))
+			cases = append(cases, solveGolden(t, name, instances[name], goldenBudgets[0]))
 		}
 		blob, err := json.MarshalIndent(cases, "", "  ")
 		if err != nil {
@@ -185,10 +190,12 @@ func TestDeterministicPlansMatchGolden(t *testing.T) {
 			continue
 		}
 		seen[w.Name] = true
-		got := solveGolden(t, w.Name, req)
-		if got.Winner != w.Winner || got.Reducers != w.Reducers || got.Fingerprint != w.Fingerprint {
-			t.Errorf("%s: plan drifted from golden:\n  got  winner=%s reducers=%d fp=%s\n  want winner=%s reducers=%d fp=%s",
-				w.Name, got.Winner, got.Reducers, got.Fingerprint, w.Winner, w.Reducers, w.Fingerprint)
+		for _, budget := range goldenBudgets {
+			got := solveGolden(t, w.Name, req, budget)
+			if got.Winner != w.Winner || got.Reducers != w.Reducers || got.Fingerprint != w.Fingerprint {
+				t.Errorf("%s under %+v: plan drifted from golden:\n  got  winner=%s reducers=%d fp=%s\n  want winner=%s reducers=%d fp=%s",
+					w.Name, budget, got.Winner, got.Reducers, got.Fingerprint, w.Winner, w.Reducers, w.Fingerprint)
+			}
 		}
 	}
 	var missing []string

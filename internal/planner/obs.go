@@ -21,7 +21,7 @@ var (
 	obsPlanSeconds = obs.Default.Histogram("pland_planner_plan_seconds",
 		"Wall-clock latency of Plan calls, all outcomes.", obs.LatencyBuckets)
 	obsRaceSeconds = obs.Default.Histogram("pland_planner_race_seconds",
-		"Wall-clock latency of fresh portfolio races (cache misses only).", obs.LatencyBuckets)
+		"Wall-clock latency of fresh portfolio passes (cache misses only).", obs.LatencyBuckets)
 
 	obsCacheEntries = obs.Default.Gauge("pland_planner_cache_entries",
 		"Canonical plans currently cached.")

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/a2a"
-	"repro/internal/binpack"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/x2y"
@@ -15,14 +14,10 @@ import (
 
 // Defaults for the planning budget and the shared planner's cache.
 const (
-	// DefaultTimeout bounds one portfolio race; the baseline constructive
-	// solver is always awaited, so a timeout never loses the paper's
-	// guarantees, it only drops slower portfolio members.
-	DefaultTimeout = 2 * time.Second
 	// DefaultExactMaxInputs gates the exact branch-and-bound members.
 	DefaultExactMaxInputs = 12
 	// DefaultExactMaxNodes bounds the exact members' search; it is far below
-	// the solvers' own default so a race never stalls on a hard instance.
+	// the solvers' own default so a plan never stalls on a hard instance.
 	DefaultExactMaxNodes = 200_000
 	// defaultGreedyMaxInputs gates the quadratic coverage-greedy baselines.
 	defaultGreedyMaxInputs = 400
@@ -38,7 +33,7 @@ const (
 )
 
 // Request describes one instance to plan: which problem, the input set(s),
-// and the reducer capacity q. Budget tunes the portfolio race; the zero value
+// and the reducer capacity q. Budget bounds the exact members; the zero value
 // uses the defaults above.
 type Request struct {
 	// Problem selects A2A (Set) or X2Y (X and Y).
@@ -49,47 +44,35 @@ type Request struct {
 	X, Y *core.InputSet
 	// Capacity is the reducer capacity q.
 	Capacity core.Size
-	// Budget tunes the portfolio race.
+	// Budget bounds the exact members.
 	Budget Budget
 	// NoCache skips the canonicalization cache for this request (it is still
 	// canonicalized, so the result is identical to the cached path).
 	NoCache bool
 }
 
-// Budget bounds the portfolio race. The cache is keyed on the instance
-// alone, so a budget only shapes fresh solves: a cached or in-flight
-// isomorphic instance is served as solved under the budget of the request
-// that first triggered it. Callers that need this request's budget honored
-// exactly (e.g. a generous timeout hoping for the exact optimum on an
-// instance first solved under a tight one) set NoCache; Result.Gap reports
+// Budget bounds the exact members of the portfolio. The cache is keyed on
+// the instance alone, so a budget only shapes fresh solves: a cached or
+// in-flight isomorphic instance is served as solved under the budget of the
+// request that first triggered it. Callers that need this request's budget
+// honored exactly (e.g. a larger node cap hoping for the exact optimum on an
+// instance first solved under a smaller one) set NoCache; Result.Gap reports
 // whether the served plan is already provably optimal.
 type Budget struct {
-	// Timeout caps how long Plan waits for non-baseline portfolio members;
-	// 0 means DefaultTimeout. A negative Timeout waits for every member:
-	// each is individually bounded (the heuristics are polynomial, exact
-	// search is node-capped), so the race result becomes fully
-	// deterministic — the mode the applications use so their output does
-	// not depend on wall-clock scheduling.
+	// Timeout is accepted and ignored: it does not change the plan. Every
+	// member is bounded on its own (greedy by its input ceiling, exact search
+	// by ExactMaxInputs and ExactMaxNodes), so the plan is a function of the
+	// instance and this budget's exact limits, whatever the host load. Only
+	// the caller's context can cut a solve short.
 	Timeout time.Duration
 	// ExactMaxInputs caps the instance size the exact solvers attempt;
 	// 0 means DefaultExactMaxInputs, negative disables them. a2a.Exact has a
 	// ceiling of 64 inputs of its own: above it the member fails at once
-	// with a2a.ErrTooLargeForExact and the race goes on without it.
+	// with a2a.ErrTooLargeForExact and the others go on without it.
 	ExactMaxInputs int
 	// ExactMaxNodes caps the exact solvers' search nodes; 0 means
 	// DefaultExactMaxNodes.
 	ExactMaxNodes int
-}
-
-// timeout returns the racing deadline, or 0 for "await every member".
-func (b Budget) timeout() time.Duration {
-	if b.Timeout < 0 {
-		return 0
-	}
-	if b.Timeout == 0 {
-		return DefaultTimeout
-	}
-	return b.Timeout
 }
 
 func (b Budget) exactMaxInputs() int {
@@ -121,11 +104,9 @@ type Result struct {
 	// is Schema reducers minus that bound (0 means provably optimal).
 	LowerBoundReducers int
 	Gap                int
-	// Candidates is how many portfolio members finished in time. Members
-	// that provably repeat another are not run and not counted: on an
-	// equal-sized A2A set the policy variants of a2a/solve never read their
-	// policy, so a large one reports 1 (just a2a/solve) where unequal sizes
-	// report 3.
+	// Candidates is how many portfolio members ran and produced a schema: 1
+	// (just the constructive solve) above the greedy member's 400 inputs,
+	// more below it.
 	Candidates int
 	// CacheHit reports whether the plan was served from the cache, and
 	// SharedFlight whether it piggybacked on a concurrent identical solve.
@@ -186,7 +167,7 @@ func Plan(ctx context.Context, req Request) (*Result, error) {
 }
 
 // Plan canonicalizes the request, serves it from the cache when an
-// isomorphic instance was already solved, and otherwise races the portfolio
+// isomorphic instance was already solved, and otherwise runs the portfolio
 // under the request budget. The returned schema always uses the request's
 // original input IDs and is owned by the caller.
 func (p *Planner) Plan(ctx context.Context, req Request) (*Result, error) {
@@ -237,8 +218,8 @@ func (p *Planner) Plan(ctx context.Context, req Request) (*Result, error) {
 		endCache()
 		// The solve is detached from the request context so an abandoned
 		// request neither poisons the flight's waiters nor wastes the work:
-		// the plan still lands in the cache. The portfolio itself is bounded
-		// by Budget.Timeout, not by the caller's context.
+		// the plan still lands in the cache. Every member is bounded on its
+		// own, so the detached solve ends without a deadline.
 		// The goroutine records the solver win (every fresh solve has one,
 		// even if its requester abandons); the request counters stay with
 		// the requester so each request lands in exactly one of
@@ -326,27 +307,13 @@ type candidate struct {
 
 // portfolio lists the members for the canonical instance, solving over the
 // canonical input sets. The first member is the baseline — the paper's
-// constructive dispatch with its default policy — and Plan always waits for
-// it, so the portfolio result is never worse than a2a.Solve / x2y.Solve on
-// the same instance.
+// constructive dispatch — and it always runs first, so the portfolio result
+// is never worse than a2a.Solve / x2y.Solve on the same instance.
 func portfolio(cn *canonical, set, ySet *core.InputSet, budget Budget) []candidate {
 	q := cn.q
 	if cn.problem == core.ProblemA2A {
 		cands := []candidate{
 			{"a2a/solve", func() (*core.MappingSchema, error) { return a2a.Solve(set, q) }},
-		}
-		// On an equal-sized set the dispatch goes to EqualSized, AffinePlane
-		// and TripleCover, which take no packing policy: the two policy variants
-		// would rebuild a2a/solve's schema and lose the name tie-break.
-		if set.MinSize() != set.MaxSize() {
-			cands = append(cands,
-				candidate{"a2a/solve-bfd", func() (*core.MappingSchema, error) {
-					return a2a.SolveWithOptions(set, q, a2a.Options{Policy: binpack.BestFitDecreasing})
-				}},
-				candidate{"a2a/solve-wfd", func() (*core.MappingSchema, error) {
-					return a2a.SolveWithOptions(set, q, a2a.Options{Policy: binpack.WorstFitDecreasing})
-				}},
-			)
 		}
 		if set.Len() <= defaultGreedyMaxInputs {
 			cands = append(cands, candidate{"a2a/greedy", func() (*core.MappingSchema, error) { return a2a.Greedy(set, q) }})
@@ -364,12 +331,6 @@ func portfolio(cn *canonical, set, ySet *core.InputSet, budget Budget) []candida
 	}
 	cands := []candidate{
 		{"x2y/solve", func() (*core.MappingSchema, error) { return x2y.Solve(set, ySet, q) }},
-		{"x2y/solve-bfd", func() (*core.MappingSchema, error) {
-			return x2y.SolveWithOptions(set, ySet, q, x2y.Options{Policy: binpack.BestFitDecreasing})
-		}},
-		{"x2y/solve-wfd", func() (*core.MappingSchema, error) {
-			return x2y.SolveWithOptions(set, ySet, q, x2y.Options{Policy: binpack.WorstFitDecreasing})
-		}},
 	}
 	if set.Len()+ySet.Len() <= defaultGreedyMaxInputs {
 		cands = append(cands, candidate{"x2y/greedy", func() (*core.MappingSchema, error) { return x2y.Greedy(set, ySet, q) }})
@@ -386,10 +347,12 @@ func portfolio(cn *canonical, set, ySet *core.InputSet, budget Budget) []candida
 	return cands
 }
 
-// solvePortfolio races the portfolio members and picks the best schema:
-// fewest reducers, then smallest maximum load, then member name for
-// determinism. The baseline member (index 0) is always awaited even past the
-// deadline; slower members are dropped once the budget expires.
+// solvePortfolio runs the portfolio members in order and keeps the best
+// schema: fewest reducers, then smallest maximum load, then member name for
+// determinism. Every member is bounded on its own, so nothing races and
+// nothing runs on after the return. ctx is checked before each member: once
+// it is done, the best schema so far is returned, or ctx's error if no member
+// has produced one yet.
 func (p *Planner) solvePortfolio(ctx context.Context, cn *canonical, budget Budget) (*cachedPlan, error) {
 	raceStart := time.Now()
 	defer obsRaceSeconds.ObserveSince(raceStart)
@@ -397,66 +360,33 @@ func (p *Planner) solvePortfolio(ctx context.Context, cn *canonical, budget Budg
 	if err != nil {
 		return nil, err
 	}
-	cands := portfolio(cn, set, ySet, budget)
-	type memberResult struct {
-		idx    int
-		schema *core.MappingSchema
-		err    error
-	}
-	results := make(chan memberResult, len(cands))
-	// Each arm is a stage of the caller's span ("solve:<member>"), so a trace
-	// shows which portfolio members ran and how long each took. The cached
+	// Each member is a stage of the caller's span ("solve:<member>"), so a
+	// trace shows which members ran and how long each took. The cached
 	// flight path solves under context.Background and records nothing.
 	sp := obs.SpanFrom(ctx)
-	for i, c := range cands {
-		go func(i int, c candidate) {
-			done := sp.Stage("solve:" + c.name)
-			ms, err := c.run()
-			done()
-			results <- memberResult{idx: i, schema: ms, err: err}
-		}(i, c)
-	}
-
-	var timerCh <-chan time.Time
-	if d := budget.timeout(); d > 0 {
-		timer := time.NewTimer(d)
-		defer timer.Stop()
-		timerCh = timer.C
-	}
-	ctxCh := ctx.Done()
-
 	var best *core.MappingSchema
 	var bestName string
 	var baselineErr error
-	baselineDone, expired := false, false
-	received, finished := 0, 0
-	for received < len(cands) && !(expired && baselineDone) {
-		select {
-		case r := <-results:
-			received++
-			if r.idx == 0 {
-				baselineDone = true
-				baselineErr = r.err
-			}
-			if r.err != nil || r.schema == nil {
-				continue
-			}
-			finished++
-			if best == nil || schemaLess(r.schema, cands[r.idx].name, best, bestName) {
-				best, bestName = r.schema, cands[r.idx].name
-			}
-		case <-timerCh:
-			timerCh, expired = nil, true
-		case <-ctxCh:
-			// Cancellation is authoritative: return the best schema received
-			// so far, or fail if none. (Budget.Timeout, by contrast, always
-			// awaits the baseline so its guarantees survive a tight budget;
-			// the cached-flight path solves under context.Background and is
-			// only ever bounded by the budget.)
+	finished := 0
+	for i, c := range portfolio(cn, set, ySet, budget) {
+		if ctx.Err() != nil {
 			if best == nil {
 				return nil, ctx.Err()
 			}
-			expired, baselineDone = true, true
+			break
+		}
+		done := sp.Stage("solve:" + c.name)
+		ms, err := c.run()
+		done()
+		if i == 0 {
+			baselineErr = err
+		}
+		if err != nil || ms == nil {
+			continue
+		}
+		finished++
+		if best == nil || schemaLess(ms, c.name, best, bestName) {
+			best, bestName = ms, c.name
 		}
 	}
 	if best == nil {

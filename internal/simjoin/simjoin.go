@@ -138,9 +138,6 @@ func Run(docs []workload.Document, cfg Config) (*Result, error) {
 func buildSchema(set *core.InputSet, cfg Config) (*core.MappingSchema, error) {
 	res, err := planner.Plan(context.Background(), planner.Request{
 		Problem: core.ProblemA2A, Set: set, Capacity: cfg.Capacity,
-		// Await every portfolio member so results stay deterministic
-		// under load.
-		Budget: planner.Budget{Timeout: -1},
 	})
 	if err != nil {
 		return nil, err

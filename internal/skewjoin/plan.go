@@ -201,9 +201,6 @@ func fillNegative(n int) []int {
 func heavySchema(xSet, ySet *core.InputSet, cfg Config) (*core.MappingSchema, error) {
 	res, err := planner.Plan(context.Background(), planner.Request{
 		Problem: core.ProblemX2Y, X: xSet, Y: ySet, Capacity: cfg.Capacity,
-		// Await every portfolio member so results stay deterministic
-		// under load.
-		Budget: planner.Budget{Timeout: -1},
 	})
 	if err != nil {
 		return nil, err

@@ -122,8 +122,8 @@ func (s *Session) rebuild(ctx context.Context) (*RebuildReport, error) {
 	s.st.rebuilds++
 	s.st.lastMigration = rep.MigrationBytes
 	s.st.movedBytes += rep.MigrationBytes
-	// A swap's outcome depends on the portfolio race, so it is not replay-
-	// deterministic; journal the post-swap state in full.
+	// A swap's outcome depends on which deltas raced the solve, so it is not
+	// replay-deterministic; journal the post-swap state in full.
 	if s.cfg.Journal != nil {
 		s.cfg.Journal.Snapshot(s.stateLocked())
 		s.sinceSnap = 0

@@ -24,7 +24,7 @@ type DeltaRecord struct {
 
 // Journal receives the session's durability stream: one Delta per applied
 // delta and one Snapshot per full-state capture (session creation, rebuild
-// swaps — whose portfolio outcome is not replay-deterministic — and every
+// swaps — whose outcome depends on the deltas that raced the solve — and every
 // Config.SnapshotEvery deltas). Both are called with the session lock held,
 // so implementations must be fast, must not block on the session, and must
 // not call back into it.

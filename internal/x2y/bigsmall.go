@@ -20,9 +20,10 @@ import (
 //
 // Unlike the A2A problem, several big inputs may exist (they never have to
 // meet each other), which is exactly the skew-join situation: a handful of
-// heavy hitters on one side, many small inputs on the other.
-func BigSmallSplit(xs, ys *core.InputSet, q core.Size, policy binpack.Policy) (*core.MappingSchema, error) {
-	algorithm := "x2y/big-small-split/" + policy.String()
+// heavy hitters on one side, many small inputs on the other. Every packing is
+// First-Fit Decreasing.
+func BigSmallSplit(xs, ys *core.InputSet, q core.Size) (*core.MappingSchema, error) {
+	const algorithm = "x2y/big-small-split/first-fit-decreasing"
 	if xs.Len() == 0 || ys.Len() == 0 {
 		return emptySchema(q, algorithm), nil
 	}
@@ -32,7 +33,7 @@ func BigSmallSplit(xs, ys *core.InputSet, q core.Size, policy binpack.Policy) (*
 	bigX, smallX := xs.SplitBySize(q / 2)
 	bigY, smallY := ys.SplitBySize(q / 2)
 	if len(bigX) == 0 && len(bigY) == 0 {
-		ms, err := GridWithSplit(xs, ys, q, policy)
+		ms, err := GridWithSplit(xs, ys, q)
 		if err != nil {
 			return nil, err
 		}
@@ -61,7 +62,7 @@ func BigSmallSplit(xs, ys *core.InputSet, q core.Size, policy binpack.Policy) (*
 	// Step 2: every big X input meets all of Y via residual-capacity bins.
 	for _, bx := range bigX {
 		residual := q - xs.Size(bx)
-		pack, err := binpack.Pack(yItems, residual, policy)
+		pack, err := binpack.Pack(yItems, residual, binpack.FirstFitDecreasing)
 		if err != nil {
 			return nil, fmt.Errorf("x2y: packing the opposite side next to big input %d: %w", bx, err)
 		}
@@ -76,7 +77,7 @@ func BigSmallSplit(xs, ys *core.InputSet, q core.Size, policy binpack.Policy) (*
 		if err != nil {
 			return nil, err
 		}
-		grid, err := GridWithSplit(smallSet, ys, q, policy)
+		grid, err := GridWithSplit(smallSet, ys, q)
 		if err != nil {
 			return nil, fmt.Errorf("x2y: grid over the small inputs: %w", err)
 		}

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/binpack"
 	"repro/internal/core"
 )
 
@@ -14,7 +13,7 @@ func TestBigSmallSplitHeavyHittersOnX(t *testing.T) {
 	xs := core.MustNewInputSet([]core.Size{7, 6, 2, 1})
 	ys := core.MustNewInputSet([]core.Size{1, 2, 1, 1, 2})
 	q := core.Size(10)
-	ms, err := BigSmallSplit(xs, ys, q, binpack.FirstFitDecreasing)
+	ms, err := BigSmallSplit(xs, ys, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +26,7 @@ func TestBigSmallSplitHeavyHittersOnY(t *testing.T) {
 	xs := core.MustNewInputSet([]core.Size{1, 2, 1})
 	ys := core.MustNewInputSet([]core.Size{8, 7, 1, 2})
 	q := core.Size(10)
-	ms, err := BigSmallSplit(xs, ys, q, binpack.FirstFitDecreasing)
+	ms, err := BigSmallSplit(xs, ys, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +38,7 @@ func TestBigSmallSplitHeavyHittersOnY(t *testing.T) {
 func TestBigSmallSplitFallsBackToGrid(t *testing.T) {
 	xs := core.MustNewInputSet([]core.Size{2, 3})
 	ys := core.MustNewInputSet([]core.Size{2, 3})
-	ms, err := BigSmallSplit(xs, ys, 10, binpack.FirstFitDecreasing)
+	ms, err := BigSmallSplit(xs, ys, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,14 +50,14 @@ func TestBigSmallSplitFallsBackToGrid(t *testing.T) {
 func TestBigSmallSplitInfeasibleBothSidesBig(t *testing.T) {
 	xs := core.MustNewInputSet([]core.Size{7, 1})
 	ys := core.MustNewInputSet([]core.Size{7, 1})
-	if _, err := BigSmallSplit(xs, ys, 10, binpack.FirstFitDecreasing); !errors.Is(err, core.ErrInfeasible) {
+	if _, err := BigSmallSplit(xs, ys, 10); !errors.Is(err, core.ErrInfeasible) {
 		t.Errorf("BigSmallSplit = %v, want ErrInfeasible", err)
 	}
 }
 
 func TestBigSmallSplitEmptySide(t *testing.T) {
 	xs := core.MustNewInputSet([]core.Size{2})
-	ms, err := BigSmallSplit(xs, &core.InputSet{}, 10, binpack.FirstFitDecreasing)
+	ms, err := BigSmallSplit(xs, &core.InputSet{}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +72,7 @@ func TestBigSmallSplitOnlyBigInputs(t *testing.T) {
 	xs := core.MustNewInputSet([]core.Size{9, 8, 7})
 	ys := core.MustNewInputSet([]core.Size{1, 1, 1, 1, 1, 1, 1, 1})
 	q := core.Size(12)
-	ms, err := BigSmallSplit(xs, ys, q, binpack.FirstFitDecreasing)
+	ms, err := BigSmallSplit(xs, ys, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +127,7 @@ func TestBigSmallSplitRandomValid(t *testing.T) {
 		}
 		xs := core.MustNewInputSet(xSizes)
 		ys := core.MustNewInputSet(ySizes)
-		ms, err := BigSmallSplit(xs, ys, q, binpack.FirstFitDecreasing)
+		ms, err := BigSmallSplit(xs, ys, q)
 		if err != nil {
 			t.Fatalf("q=%d x=%v y=%v: %v", q, xSizes, ySizes, err)
 		}

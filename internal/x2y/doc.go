@@ -10,8 +10,9 @@
 // Like the A2A problem, X2Y is NP-complete, so the package provides:
 //
 //   - GridWithSplit: the bin-packing-based approximation — pack X into bins
-//     of size q/2 and Y into bins of size q/2 and assign every (X-bin, Y-bin)
-//     pair to one reducer — with the capacity split between the two sides
+//     of size q/2 and Y into bins of size q/2 by First-Fit Decreasing, as the
+//     paper states it, and assign every (X-bin, Y-bin) pair to one reducer —
+//     with the capacity split between the two sides
 //     optimised: the even split is the first candidate, every candidate is
 //     packed and priced from the two packings alone (b_x*b_y reducers,
 //     b_y*ΣX + b_x*ΣY communication), and only the winner's reducers are

@@ -15,10 +15,10 @@ import (
 // Solve, which dispatches automatically).
 var ErrHasBigInputs = errors.New("x2y: instance has inputs larger than the per-side capacity share; use BigSmallSplit")
 
-// packSplit packs the two sides' items into bins of capacity xShare and
-// q-xShare. The packings alone price the grid: b_x*b_y reducers, and since
+// packSplit packs the two sides' items by First-Fit Decreasing into bins of
+// capacity xShare and q-xShare. The packings alone price the grid: b_x*b_y reducers, and since
 // every X-bin meets every Y-bin, communication b_y*ΣX + b_x*ΣY.
-func packSplit(xs, ys *core.InputSet, xItems, yItems []binpack.Item, q, xShare core.Size, policy binpack.Policy) (xPack, yPack *binpack.Packing, err error) {
+func packSplit(xs, ys *core.InputSet, xItems, yItems []binpack.Item, q, xShare core.Size) (xPack, yPack *binpack.Packing, err error) {
 	yShare := q - xShare
 	if xShare <= 0 || yShare <= 0 {
 		return nil, nil, fmt.Errorf("x2y: invalid capacity split %d/%d for q=%d", xShare, yShare, q)
@@ -29,10 +29,10 @@ func packSplit(xs, ys *core.InputSet, xItems, yItems []binpack.Item, q, xShare c
 	if ys.MaxSize() > yShare {
 		return nil, nil, fmt.Errorf("%w: max Y size %d > Y share %d", ErrHasBigInputs, ys.MaxSize(), yShare)
 	}
-	if xPack, err = binpack.Pack(xItems, xShare, policy); err != nil {
+	if xPack, err = binpack.Pack(xItems, xShare, binpack.FirstFitDecreasing); err != nil {
 		return nil, nil, fmt.Errorf("x2y: packing X side: %w", err)
 	}
-	if yPack, err = binpack.Pack(yItems, yShare, policy); err != nil {
+	if yPack, err = binpack.Pack(yItems, yShare, binpack.FirstFitDecreasing); err != nil {
 		return nil, nil, fmt.Errorf("x2y: packing Y side: %w", err)
 	}
 	return xPack, yPack, nil
@@ -89,8 +89,8 @@ func packOrderItems(set *core.InputSet) []binpack.Item {
 // sizes and a small sweep in between.
 // Each candidate is packed and priced from its two packings; only the
 // winner's reducers are built.
-func GridWithSplit(xs, ys *core.InputSet, q core.Size, policy binpack.Policy) (*core.MappingSchema, error) {
-	algorithm := "x2y/grid-best-split/" + policy.String()
+func GridWithSplit(xs, ys *core.InputSet, q core.Size) (*core.MappingSchema, error) {
+	const algorithm = "x2y/grid-best-split/first-fit-decreasing"
 	if xs.Len() == 0 || ys.Len() == 0 {
 		return emptySchema(q, algorithm), nil
 	}
@@ -103,7 +103,7 @@ func GridWithSplit(xs, ys *core.InputSet, q core.Size, policy binpack.Policy) (*
 	var bestComm core.Size
 	var firstErr error
 	for _, s := range splitCandidates(xs, ys, q) {
-		xPack, yPack, err := packSplit(xs, ys, xItems, yItems, q, s, policy)
+		xPack, yPack, err := packSplit(xs, ys, xItems, yItems, q, s)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err

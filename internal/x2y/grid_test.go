@@ -10,14 +10,11 @@ import (
 	"repro/internal/core"
 )
 
-// policies lists every packing heuristic.
-var policies = []binpack.Policy{binpack.FirstFitDecreasing, binpack.BestFitDecreasing, binpack.WorstFitDecreasing}
-
 func TestGridSmallInstance(t *testing.T) {
 	xs := core.MustNewInputSet([]core.Size{3, 2, 4})
 	ys := core.MustNewInputSet([]core.Size{1, 5, 2, 2})
 	q := core.Size(10)
-	ms, err := GridWithSplit(xs, ys, q, binpack.FirstFitDecreasing)
+	ms, err := GridWithSplit(xs, ys, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +27,7 @@ func TestGridReducerCountMatchesBins(t *testing.T) {
 	xs := core.MustNewInputSet([]core.Size{3, 3, 3, 3})
 	ys := core.MustNewInputSet([]core.Size{4, 4, 4})
 	q := core.Size(10)
-	ms, err := GridWithSplit(xs, ys, q, binpack.FirstFitDecreasing)
+	ms, err := GridWithSplit(xs, ys, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +46,7 @@ func TestGridRejectsBigInputs(t *testing.T) {
 	xs := core.MustNewInputSet([]core.Size{6, 2})
 	ys := core.MustNewInputSet([]core.Size{2, 2})
 	// The even split leaves X no room for its 6.
-	if _, _, err := packSplit(xs, ys, binpack.ItemsFromInputSet(xs), binpack.ItemsFromInputSet(ys), 10, 5, binpack.FirstFitDecreasing); !errors.Is(err, ErrHasBigInputs) {
+	if _, _, err := packSplit(xs, ys, binpack.ItemsFromInputSet(xs), binpack.ItemsFromInputSet(ys), 10, 5); !errors.Is(err, ErrHasBigInputs) {
 		t.Errorf("packSplit = %v, want ErrHasBigInputs", err)
 	}
 }
@@ -57,14 +54,14 @@ func TestGridRejectsBigInputs(t *testing.T) {
 func TestGridInfeasible(t *testing.T) {
 	xs := core.MustNewInputSet([]core.Size{8})
 	ys := core.MustNewInputSet([]core.Size{8})
-	if _, err := GridWithSplit(xs, ys, 10, binpack.FirstFitDecreasing); !errors.Is(err, core.ErrInfeasible) {
+	if _, err := GridWithSplit(xs, ys, 10); !errors.Is(err, core.ErrInfeasible) {
 		t.Errorf("GridWithSplit = %v, want ErrInfeasible", err)
 	}
 }
 
 func TestGridEmptySide(t *testing.T) {
 	xs := core.MustNewInputSet([]core.Size{2})
-	ms, err := GridWithSplit(xs, &core.InputSet{}, 10, binpack.FirstFitDecreasing)
+	ms, err := GridWithSplit(xs, &core.InputSet{}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,10 +74,10 @@ func TestGridSplitInvalidShare(t *testing.T) {
 	xs := core.MustNewInputSet([]core.Size{2})
 	ys := core.MustNewInputSet([]core.Size{2})
 	xItems, yItems := binpack.ItemsFromInputSet(xs), binpack.ItemsFromInputSet(ys)
-	if _, _, err := packSplit(xs, ys, xItems, yItems, 10, 0, binpack.FirstFitDecreasing); err == nil {
+	if _, _, err := packSplit(xs, ys, xItems, yItems, 10, 0); err == nil {
 		t.Error("packSplit accepted a zero X share")
 	}
-	if _, _, err := packSplit(xs, ys, xItems, yItems, 10, 10, binpack.FirstFitDecreasing); err == nil {
+	if _, _, err := packSplit(xs, ys, xItems, yItems, 10, 10); err == nil {
 		t.Error("packSplit accepted a full-capacity X share")
 	}
 }
@@ -100,12 +97,12 @@ func TestGridWithSplitAtLeastAsGoodAsEvenSplit(t *testing.T) {
 		}
 		xs := core.MustNewInputSet(xSizes)
 		ys := core.MustNewInputSet(ySizes)
-		xPack, yPack, err := packSplit(xs, ys, binpack.ItemsFromInputSet(xs), binpack.ItemsFromInputSet(ys), q, q/2, binpack.FirstFitDecreasing)
+		xPack, yPack, err := packSplit(xs, ys, binpack.ItemsFromInputSet(xs), binpack.ItemsFromInputSet(ys), q, q/2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		even := xPack.NumBins() * yPack.NumBins()
-		best, err := GridWithSplit(xs, ys, q, binpack.FirstFitDecreasing)
+		best, err := GridWithSplit(xs, ys, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +121,7 @@ func TestGridWithSplitAsymmetricSides(t *testing.T) {
 	xs := core.MustNewInputSet([]core.Size{1, 1, 1, 1})
 	ys := core.MustNewInputSet([]core.Size{7, 7, 7, 7, 7, 7})
 	q := core.Size(12)
-	best, err := GridWithSplit(xs, ys, q, binpack.FirstFitDecreasing)
+	best, err := GridWithSplit(xs, ys, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,32 +130,5 @@ func TestGridWithSplitAsymmetricSides(t *testing.T) {
 	}
 	if best.NumReducers() > 6 {
 		t.Errorf("best-split used %d reducers, want <= 6 (one X bin x six Y bins)", best.NumReducers())
-	}
-}
-
-func TestGridAllPoliciesValid(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	for trial := 0; trial < 15; trial++ {
-		nx, ny := 1+rng.Intn(15), 1+rng.Intn(15)
-		q := core.Size(16 + rng.Intn(30))
-		xSizes := make([]core.Size, nx)
-		ySizes := make([]core.Size, ny)
-		for i := range xSizes {
-			xSizes[i] = core.Size(1 + rng.Int63n(int64(q/2)))
-		}
-		for i := range ySizes {
-			ySizes[i] = core.Size(1 + rng.Int63n(int64(q/2)))
-		}
-		xs := core.MustNewInputSet(xSizes)
-		ys := core.MustNewInputSet(ySizes)
-		for _, pol := range policies {
-			ms, err := GridWithSplit(xs, ys, q, pol)
-			if err != nil {
-				t.Fatalf("policy %v: %v", pol, err)
-			}
-			if err := ms.ValidateX2Y(xs, ys); err != nil {
-				t.Fatalf("policy %v invalid: %v", pol, err)
-			}
-		}
 	}
 }

@@ -21,7 +21,7 @@ import (
 // the production path below binpack.Pack and splitCandidates, and are the
 // reference the tests and FuzzX2YSolve hold Solve to.
 
-func refGridSplit(xs, ys *core.InputSet, q, xShare core.Size, policy binpack.Policy) (*core.MappingSchema, error) {
+func refGridSplit(xs, ys *core.InputSet, q, xShare core.Size) (*core.MappingSchema, error) {
 	yShare := q - xShare
 	if xShare <= 0 || yShare <= 0 {
 		return nil, fmt.Errorf("x2y: invalid capacity split %d/%d for q=%d", xShare, yShare, q)
@@ -29,11 +29,11 @@ func refGridSplit(xs, ys *core.InputSet, q, xShare core.Size, policy binpack.Pol
 	if xs.MaxSize() > xShare || ys.MaxSize() > yShare {
 		return nil, ErrHasBigInputs
 	}
-	xPack, err := binpack.Pack(binpack.ItemsFromInputSet(xs), xShare, policy)
+	xPack, err := binpack.Pack(binpack.ItemsFromInputSet(xs), xShare, binpack.FirstFitDecreasing)
 	if err != nil {
 		return nil, err
 	}
-	yPack, err := binpack.Pack(binpack.ItemsFromInputSet(ys), yShare, policy)
+	yPack, err := binpack.Pack(binpack.ItemsFromInputSet(ys), yShare, binpack.FirstFitDecreasing)
 	if err != nil {
 		return nil, err
 	}
@@ -46,12 +46,12 @@ func refGridSplit(xs, ys *core.InputSet, q, xShare core.Size, policy binpack.Pol
 	return ms, nil
 }
 
-func refGridWithSplit(xs, ys *core.InputSet, q core.Size, policy binpack.Policy) (*core.MappingSchema, error) {
+func refGridWithSplit(xs, ys *core.InputSet, q core.Size) (*core.MappingSchema, error) {
 	var best *core.MappingSchema
 	var bestCost core.Cost
 	var firstErr error
 	for _, s := range splitCandidates(xs, ys, q) {
-		ms, err := refGridSplit(xs, ys, q, s, policy)
+		ms, err := refGridSplit(xs, ys, q, s)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -67,16 +67,16 @@ func refGridWithSplit(xs, ys *core.InputSet, q core.Size, policy binpack.Policy)
 	if best == nil {
 		return nil, firstErr
 	}
-	best.Algorithm = "x2y/grid-best-split/" + policy.String()
+	best.Algorithm = "x2y/grid-best-split/first-fit-decreasing"
 	return best, nil
 }
 
-func refBigSmallSplit(xs, ys *core.InputSet, q core.Size, policy binpack.Policy) (*core.MappingSchema, error) {
-	algorithm := "x2y/big-small-split/" + policy.String()
+func refBigSmallSplit(xs, ys *core.InputSet, q core.Size) (*core.MappingSchema, error) {
+	const algorithm = "x2y/big-small-split/first-fit-decreasing"
 	bigX, smallX := xs.SplitBySize(q / 2)
 	bigY, smallY := ys.SplitBySize(q / 2)
 	if len(bigX) == 0 && len(bigY) == 0 {
-		ms, err := refGridWithSplit(xs, ys, q, policy)
+		ms, err := refGridWithSplit(xs, ys, q)
 		if err != nil {
 			return nil, err
 		}
@@ -93,7 +93,7 @@ func refBigSmallSplit(xs, ys *core.InputSet, q core.Size, policy binpack.Policy)
 	}
 	ms := &core.MappingSchema{Problem: core.ProblemX2Y, Capacity: q, Algorithm: algorithm}
 	for _, bx := range bigX {
-		pack, err := binpack.Pack(binpack.ItemsFromInputSet(ys), q-xs.Size(bx), policy)
+		pack, err := binpack.Pack(binpack.ItemsFromInputSet(ys), q-xs.Size(bx), binpack.FirstFitDecreasing)
 		if err != nil {
 			return nil, err
 		}
@@ -106,7 +106,7 @@ func refBigSmallSplit(xs, ys *core.InputSet, q core.Size, policy binpack.Policy)
 		if err != nil {
 			return nil, err
 		}
-		grid, err := refGridWithSplit(smallSet, ys, q, policy)
+		grid, err := refGridWithSplit(smallSet, ys, q)
 		if err != nil {
 			return nil, err
 		}
@@ -121,8 +121,8 @@ func refBigSmallSplit(xs, ys *core.InputSet, q core.Size, policy binpack.Policy)
 	return ms, nil
 }
 
-// refSolve is SolveWithOptions' dispatch over the reference constructions.
-func refSolve(xs, ys *core.InputSet, q core.Size, policy binpack.Policy) (*core.MappingSchema, error) {
+// refSolve is Solve's dispatch over the reference constructions.
+func refSolve(xs, ys *core.InputSet, q core.Size) (*core.MappingSchema, error) {
 	if err := CheckFeasible(xs, ys, q); err != nil {
 		return nil, err
 	}
@@ -130,31 +130,29 @@ func refSolve(xs, ys *core.InputSet, q core.Size, policy binpack.Policy) (*core.
 		return singleReducer(xs, ys, q, "x2y/single-reducer"), nil
 	}
 	if xs.MaxSize() > q/2 || ys.MaxSize() > q/2 {
-		return refBigSmallSplit(xs, ys, q, policy)
+		return refBigSmallSplit(xs, ys, q)
 	}
-	return refGridWithSplit(xs, ys, q, policy)
+	return refGridWithSplit(xs, ys, q)
 }
 
-// checkSolveMatchesReference solves the instance with every policy both ways
-// and expects the same error verdict and, on success, the same valid schema.
+// checkSolveMatchesReference solves the instance both ways and expects the
+// same error verdict and, on success, the same valid schema.
 func checkSolveMatchesReference(t *testing.T, xs, ys *core.InputSet, q core.Size) {
 	t.Helper()
-	for _, policy := range policies {
-		got, gotErr := SolveWithOptions(xs, ys, q, Options{Policy: policy})
-		want, wantErr := refSolve(xs, ys, q, policy)
-		if (gotErr == nil) != (wantErr == nil) {
-			t.Fatalf("x=%v y=%v q=%d %v: err = %v, reference %v", xs.Sizes(), ys.Sizes(), q, policy, gotErr, wantErr)
-		}
-		if gotErr != nil {
-			continue
-		}
-		if err := got.ValidateX2Y(xs, ys); err != nil {
-			t.Fatalf("x=%v y=%v q=%d %v: invalid schema: %v", xs.Sizes(), ys.Sizes(), q, policy, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("x=%v y=%v q=%d %v: schema differs from the build-every-candidate reference (%d reducers, reference %d)",
-				xs.Sizes(), ys.Sizes(), q, policy, got.NumReducers(), want.NumReducers())
-		}
+	got, gotErr := Solve(xs, ys, q)
+	want, wantErr := refSolve(xs, ys, q)
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("x=%v y=%v q=%d: err = %v, reference %v", xs.Sizes(), ys.Sizes(), q, gotErr, wantErr)
+	}
+	if gotErr != nil {
+		return
+	}
+	if err := got.ValidateX2Y(xs, ys); err != nil {
+		t.Fatalf("x=%v y=%v q=%d: invalid schema: %v", xs.Sizes(), ys.Sizes(), q, err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("x=%v y=%v q=%d: schema differs from the build-every-candidate reference (%d reducers, reference %d)",
+			xs.Sizes(), ys.Sizes(), q, got.NumReducers(), want.NumReducers())
 	}
 }
 

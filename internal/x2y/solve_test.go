@@ -7,7 +7,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/binpack"
 	"repro/internal/core"
 )
 
@@ -69,14 +68,6 @@ func TestSolveEmptySide(t *testing.T) {
 	}
 	if ms.NumReducers() != 0 {
 		t.Errorf("empty side: %d reducers, want 0", ms.NumReducers())
-	}
-}
-
-// TestDefaultOptions: the zero Options packs with the paper's
-// First-Fit-Decreasing, which is what Solve uses.
-func TestDefaultOptions(t *testing.T) {
-	if o := (Options{}); o.Policy != binpack.FirstFitDecreasing {
-		t.Errorf("Options{} = %+v, want First-Fit-Decreasing", o)
 	}
 }
 

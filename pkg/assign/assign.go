@@ -26,8 +26,6 @@ type request struct {
 
 	capacity Size
 
-	timeout        time.Duration
-	timeoutSet     bool
 	noCache        bool
 	exactMaxInputs int
 	exactMaxNodes  int
@@ -162,33 +160,32 @@ func Capacity(q Size) Option {
 	return func(r *request) { r.capacity = q }
 }
 
-// Timeout bounds the planning portfolio race. The baseline constructive
-// solver is always awaited, so a tight timeout never loses the paper's
-// guarantees — it only drops slower portfolio members. Zero (or omitting
-// the option) uses the default budget; a negative duration awaits every
-// member, making the race deterministic (see Deterministic).
-func Timeout(d time.Duration) Option {
-	return func(r *request) { r.timeout, r.timeoutSet = d, true }
-}
+// Timeout is accepted for compatibility and does not change the plan: the
+// portfolio members run in order, each bounded on its own (the greedy
+// baseline by its input ceiling, exact search by ExactBudget), so the plan
+// for one instance is the same whatever the host load. To bound how long a
+// call may take, cancel its context.
+func Timeout(time.Duration) Option { return func(*request) {} }
 
-// Deterministic awaits every portfolio member (each is individually
-// bounded), so the outcome does not depend on wall-clock scheduling.
+// Deterministic is accepted for compatibility and does not change the plan:
+// every plan is deterministic (see Timeout).
 func Deterministic() Option { return Timeout(-1) }
 
 // NoCache skips the canonicalization cache for this call. The instance is
 // still canonicalized, so the result is identical to the cached path; use it
-// when this call's budget must be honored exactly rather than served from a
-// plan solved under an earlier request's budget.
+// when this call's ExactBudget must be honored exactly rather than served
+// from a plan solved under an earlier request's budget.
 func NoCache() Option {
 	return func(r *request) { r.noCache = true }
 }
 
 // ExactBudget tunes the exact branch-and-bound portfolio members: the
-// largest instance they attempt and their search-node cap. maxInputs < 0
-// disables them; zeros keep the defaults (12 inputs, 200,000 nodes). The A2A
-// member keeps its search state in machine words and has a ceiling of 64
-// inputs: a larger maxInputs raises the limit to 64, and beyond that the
-// member sits the race out, leaving it to the constructive members.
+// largest instance they attempt and their search-node cap, which is the only
+// bound on how long they search. maxInputs < 0 disables them; zeros keep the
+// defaults (12 inputs, 200,000 nodes). The A2A member keeps its search state
+// in machine words and has a ceiling of 64 inputs: a larger maxInputs raises
+// the limit to 64, and beyond that the member sits the plan out, leaving it
+// to the constructive members.
 func ExactBudget(maxInputs, maxNodes int) Option {
 	return func(r *request) {
 		r.exactMaxInputs, r.exactMaxNodes, r.exactSet = maxInputs, maxNodes, true
@@ -222,7 +219,7 @@ func Named(name string) Option {
 // Result is the outcome of one Plan call: the winning Schema over the
 // instance's original input IDs (owned by the caller), its Cost, the Winner
 // that produced it, the proved LowerBoundReducers with the Gap to it (0 means
-// provably optimal), how many Candidates finished within the budget, whether
+// provably optimal), how many Candidates ran and produced a schema, whether
 // the plan was a CacheHit or rode a SharedFlight, and the Elapsed planning
 // time. The set of Winner names is not part of the compatibility contract.
 type Result = planner.Result
@@ -286,9 +283,6 @@ func (r *request) plannerRequest() (planner.Request, error) {
 		Problem:  r.problem,
 		Capacity: r.capacity,
 		NoCache:  r.noCache,
-	}
-	if r.timeoutSet {
-		req.Budget.Timeout = r.timeout
 	}
 	if r.exactSet {
 		req.Budget.ExactMaxInputs = r.exactMaxInputs

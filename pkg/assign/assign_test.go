@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -305,8 +306,8 @@ func TestExecuteCanceledContext(t *testing.T) {
 }
 
 func TestTimeoutOptionStillReturnsBaseline(t *testing.T) {
-	// A 1ns budget drops the slower portfolio members but the baseline is
-	// always awaited, so the plan must still arrive and be valid.
+	// A 1ns Timeout no member could meet does not change the plan: it must
+	// still arrive, be valid, and be the plan of the default options.
 	sizes := make([]assign.Size, 60)
 	for i := range sizes {
 		sizes[i] = assign.Size(1 + i%4)
@@ -322,6 +323,13 @@ func TestTimeoutOptionStillReturnsBaseline(t *testing.T) {
 	}
 	if err := res.Schema.ValidateA2A(assign.MustNewInputSet(sizes)); err != nil {
 		t.Fatalf("schema invalid: %v", err)
+	}
+	plain, err := assign.Plan(context.Background(), assign.A2A(sizes), assign.Capacity(20), assign.NoCache())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Winner != plain.Winner || !reflect.DeepEqual(res.Schema, plain.Schema) {
+		t.Errorf("Timeout(1ns) served %s's schema, the default options %s's", res.Winner, plain.Winner)
 	}
 }
 

@@ -9,13 +9,12 @@
 //
 //	res, err := assign.Plan(ctx,
 //	    assign.A2A([]assign.Size{3, 3, 2, 2, 4, 1}),
-//	    assign.Capacity(10),
-//	    assign.Timeout(500*time.Millisecond))
+//	    assign.Capacity(10))
 //
-// plans a mapping schema for six inputs under reducer capacity 10, racing
-// the paper's constructive algorithms against alternative packing policies,
-// the greedy baseline, and bounded exact search, behind a canonicalization
-// cache. Execute goes one step further and runs the planned schema on the
+// plans a mapping schema for six inputs under reducer capacity 10, running
+// the paper's constructive algorithms, the greedy baseline, and node-capped
+// exact search in order, behind a canonicalization cache. The plan for one
+// instance is the same whatever the host load. Execute goes one step further and runs the planned schema on the
 // in-memory MapReduce engine, invoking the supplied pair logic exactly once
 // per required pair and auditing the run against the schema:
 //

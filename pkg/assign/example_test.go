@@ -10,8 +10,7 @@ import (
 )
 
 // Plan a mapping schema for six inputs under reducer capacity 10 and price
-// it. Deterministic() awaits every portfolio member so the example output is
-// stable.
+// it. Deterministic() is accepted and changes nothing: every plan is.
 func ExamplePlan() {
 	res, err := assign.Plan(context.Background(),
 		assign.A2A([]assign.Size{3, 3, 2, 2, 4, 1}),

@@ -163,13 +163,11 @@ type PlanRequest struct {
 	Sizes  []assign.Size `json:"sizes,omitempty"`
 	XSizes []assign.Size `json:"x_sizes,omitempty"`
 	YSizes []assign.Size `json:"y_sizes,omitempty"`
-	// TimeoutMS optionally overrides the planning budget, capped by the
-	// server's -max-timeout (synchronous) or -max-job-timeout (v2 jobs). A
-	// negative value requests the deterministic await-all mode (every
-	// portfolio member is awaited; each is individually bounded). It only
-	// shapes a fresh solve: an isomorphic instance already cached (or in
-	// flight) is served as previously solved regardless of this value —
-	// combine with NoCache to force a re-solve under this request's budget.
+	// TimeoutMS is accepted for compatibility and does not change the plan:
+	// the server's portfolio members are each bounded on their own, so a
+	// plan is the same for one instance whatever the budget. The server's
+	// -max-timeout (synchronous) or -max-job-timeout (v2 jobs) bounds how
+	// long a request may take.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 	// NoCache skips the server's canonicalization cache for this request.
 	NoCache bool `json:"no_cache,omitempty"`
@@ -213,7 +211,7 @@ type ExecuteRequest struct {
 	Inputs  []string `json:"inputs,omitempty"`
 	XInputs []string `json:"x_inputs,omitempty"`
 	YInputs []string `json:"y_inputs,omitempty"`
-	// TimeoutMS and NoCache tune the planning step exactly as in PlanRequest.
+	// TimeoutMS and NoCache mean what they mean in PlanRequest.
 	TimeoutMS int  `json:"timeout_ms,omitempty"`
 	NoCache   bool `json:"no_cache,omitempty"`
 	// ReturnPairs includes the processed pair IDs in the result (capped
@@ -464,8 +462,8 @@ type SessionCreateRequest struct {
 	MigrationBudget  assign.Size `json:"migration_budget,omitempty"`
 	RebuildThreshold float64     `json:"rebuild_threshold,omitempty"`
 	Headroom         assign.Size `json:"headroom,omitempty"`
-	// TimeoutMS and NoCache shape the session's replans exactly as in
-	// PlanRequest; a negative TimeoutMS requests deterministic await-all mode.
+	// TimeoutMS and NoCache mean what they mean in PlanRequest; NoCache
+	// carries into the session's replans.
 	TimeoutMS int  `json:"timeout_ms,omitempty"`
 	NoCache   bool `json:"no_cache,omitempty"`
 }

@@ -1,6 +1,8 @@
 package assign
 
 import (
+	"time"
+
 	"repro/internal/exec"
 	"repro/internal/planner"
 )
@@ -8,8 +10,9 @@ import (
 // Defaults of the planning budget and cache, re-exported for callers that
 // size their own planners or budgets.
 const (
-	// DefaultTimeout is the portfolio race budget when Timeout is omitted.
-	DefaultTimeout = planner.DefaultTimeout
+	// DefaultTimeout is kept for compatibility; like Timeout, it does not
+	// change the plan.
+	DefaultTimeout = 2 * time.Second
 	// DefaultCacheEntries is a planner's default cache capacity.
 	DefaultCacheEntries = planner.DefaultCacheEntries
 )

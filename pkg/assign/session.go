@@ -91,9 +91,9 @@ type Session struct {
 
 // NewSession opens a session on the shared process-wide planner. Capacity is
 // required; an initial A2A instance (A2A or Inputs) is optional and is
-// planned once through the portfolio before the session goes live. Timeout,
-// Deterministic, and NoCache shape the session's replans; MigrationBudget,
-// RebuildThreshold, Headroom, and ManualRebuild shape its maintenance.
+// planned once through the portfolio before the session goes live. NoCache
+// shapes the session's replans; MigrationBudget, RebuildThreshold, Headroom,
+// and ManualRebuild shape its maintenance.
 func NewSession(ctx context.Context, opts ...Option) (*Session, error) {
 	return Default.NewSession(ctx, opts...)
 }
@@ -146,7 +146,7 @@ func (pl *Planner) NewSession(ctx context.Context, opts ...Option) (*Session, er
 // schema must pass the executor auditor's static invariants (every load
 // within capacity, every required pair covered), so a corrupt or misordered
 // log surfaces as an error here instead of as a wrong answer later. Only the
-// behavioral options apply (Timeout, NoCache, ManualRebuild, Journal);
+// behavioral options apply (NoCache, ManualRebuild, Journal);
 // capacity and tuning travel inside the state itself.
 func (pl *Planner) RestoreSession(st *SessionState, deltas []SessionDeltaRecord, opts ...Option) (*Session, error) {
 	r := &request{}
@@ -193,15 +193,11 @@ func auditSession(sess *Session) error {
 }
 
 // replanFunc binds the session's rebuilds to this planner's portfolio,
-// carrying the Timeout/Deterministic and NoCache choices of the opening
-// options into every replan.
+// carrying the NoCache choice of the opening options into every replan.
 func (pl *Planner) replanFunc(r *request) stream.ReplanFunc {
-	timeoutSet, timeout, noCache := r.timeoutSet, r.timeout, r.noCache
+	noCache := r.noCache
 	return func(ctx context.Context, sizes []core.Size, q core.Size) (*core.MappingSchema, error) {
 		opts := []Option{A2A(sizes), Capacity(q)}
-		if timeoutSet {
-			opts = append(opts, Timeout(timeout))
-		}
 		if noCache {
 			opts = append(opts, NoCache())
 		}
