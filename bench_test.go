@@ -45,8 +45,12 @@ func BenchmarkA2ABinPackPair(b *testing.B) {
 	}
 }
 
+// BenchmarkA2AEqualSized times the equal-sized dispatch of a2a.Solve on the
+// benchmark's a2a_equal shapes: m = 1,950 to 2,049 inputs at 62 per reducer,
+// more bins than any plane that fits has points, so each is the plane plus a
+// remainder.
 func BenchmarkA2AEqualSized(b *testing.B) {
-	for _, m := range []int{1000, 10000} {
+	for _, m := range []int{1950, 2000, 2049} {
 		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
 			set, err := core.UniformInputSet(m, 1)
 			if err != nil {
@@ -55,7 +59,7 @@ func BenchmarkA2AEqualSized(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := a2a.EqualSized(set, 64); err != nil {
+				if _, err := a2a.Solve(set, 62); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -55,21 +55,39 @@ func AffinePlane(set *core.InputSet, q core.Size) (*core.MappingSchema, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %d inputs at %d per reducer", errNoPlaneOrder, set.Len(), k)
 	}
-	return binsOnBlocks(set, q, planeAlgorithm, pr.s, pr.reducers, planeFields()[pr.n].lines()), nil
+	return planeSchema(set, q, pr), nil
+}
+
+// planeSchema builds the plane pr prices for set.
+func planeSchema(set *core.InputSet, q core.Size, pr planePrice) *core.MappingSchema {
+	return binsOnBlocks(set, q, planeAlgorithm, pr.s, pr.reducers, planeFields()[pr.n].lines())
 }
 
 const planeAlgorithm = "a2a/affine-plane"
 
+// price is what an equal-sized design builds: the reducers kept and the input
+// copies shipped.
+type price struct{ reducers, copies int }
+
+// below reports whether p is cheaper than o: fewer reducers, or as many and
+// fewer copies.
+func (p price) below(o price) bool {
+	return p.reducers < o.reducers || p.reducers == o.reducers && p.copies < o.copies
+}
+
 // planePrice is what the plane of order n builds for m inputs at k per
-// reducer: bins of s inputs, the reducers kept and the input copies shipped.
-type planePrice struct{ n, s, reducers, copies int }
+// reducer: bins of s inputs, and its price. Order 0 stands for EqualSized.
+type planePrice struct {
+	n, s int
+	price
+}
 
 // bestPlane prices every order and returns the cheapest that fits: fewest
 // reducers, then fewest copies, then the smallest order. It needs m > k >= 2.
 func bestPlane(m, k int) (best planePrice, ok bool) {
 	for _, n := range planeOrders {
 		pr, fits := pricePlane(m, k, n)
-		if fits && (!ok || pr.reducers < best.reducers || pr.reducers == best.reducers && pr.copies < best.copies) {
+		if fits && (!ok || pr.below(best.price)) {
 			best, ok = pr, true
 		}
 	}
@@ -115,12 +133,10 @@ func pricePlane(m, k, n int) (planePrice, bool) {
 		onLast = onPartial
 	}
 	short := b*s - m // inputs the last bin lacks
-	return planePrice{
-		n:        n,
-		s:        s,
+	return planePrice{n, s, price{
 		reducers: rows + partialVertical + n*perSlope,
 		copies:   s*(rows*n*onFull+t*onPartial) - short*onLast,
-	}, true
+	}}, true
 }
 
 // gf is the finite field of prime-power order n = p^e. An element is an int

@@ -3,7 +3,6 @@ package a2a
 import (
 	"errors"
 	"slices"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -225,21 +224,31 @@ func TestAffinePlaneOnTheExecJoinShape(t *testing.T) {
 	}
 }
 
-// TestSolveKeepsEqualSizedWhereItPricesLower: the benchmark's equal-sized
-// planning regime (m near 2,000, k = 62) and the golden a2a-equal-m120 shape
-// (k = 8, no order fits) stay with the grouping.
-func TestSolveKeepsEqualSizedWhereItPricesLower(t *testing.T) {
+// TestSolveTakesThePlanePlusARemainder: the benchmark's equal-sized planning
+// regime (m near 2,000, k = 62) and the golden a2a-equal-m120 shape (k = 8)
+// have more bins than any plane that fits k has points. They take the plane
+// plus a remainder, with about half of EqualSized's reducers at k = 62. At
+// m = 2,000 that is AG(2,31) over 1,922 inputs (992 lines), a grid of bins
+// of 26 remainder inputs beside bins of 36 main ones (3 × 54) and EqualSized
+// on the 78 remainder inputs (3).
+func TestSolveTakesThePlanePlusARemainder(t *testing.T) {
 	for _, tc := range []struct {
-		m int
-		q core.Size
-	}{{1950, 62}, {2000, 62}, {2049, 62}, {120, 8}} {
+		m                   int
+		q                   core.Size
+		reducers, groupings int
+	}{{1950, 62, 1049, 1953}, {2000, 62, 1157, 2080}, {2049, 62, 1262, 2211}, {120, 8, 367, 435}} {
 		set, _ := core.UniformInputSet(tc.m, 1)
 		ms, err := Solve(set, tc.q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !strings.Contains(ms.Algorithm, "equal-sized") {
-			t.Errorf("m=%d q=%d: Solve chose %q", tc.m, tc.q, ms.Algorithm)
+		groups, _ := EqualSized(set, tc.q)
+		cost, base := core.SchemaCost(ms, set.TotalSize()), core.SchemaCost(groups, set.TotalSize())
+		if ms.Algorithm != planeRemainderAlgorithm || cost.Reducers != tc.reducers || base.Reducers != tc.groupings ||
+			cost.Communication >= base.Communication {
+			t.Errorf("m=%d q=%d: %s with %d reducers shipping %d, EqualSized %d shipping %d; want %s with %d, EqualSized %d",
+				tc.m, tc.q, ms.Algorithm, cost.Reducers, cost.Communication, base.Reducers, base.Communication,
+				planeRemainderAlgorithm, tc.reducers, tc.groupings)
 		}
 	}
 }

@@ -41,12 +41,23 @@
 // its members ascending.
 //
 // Solve picks the appropriate algorithm for an instance automatically. On
-// equal sizes it prices EqualSized and every order of the plane from m and k
-// alone, and builds the plane of the cheapest order only when it has fewer
-// reducers than EqualSized, or as many with less communication, and never
-// more communication; so on no instance is either count worse than
-// EqualSized's. Where the bins outnumber the points of every plane, or k is
-// too small for the larger orders, EqualSized stays.
+// equal sizes it prices three designs from m and k alone and builds only the
+// cheapest — fewest reducers, then fewest copies — of those that ship no
+// more copies than EqualSized, so on no instance is either count worse than
+// EqualSized's:
+//
+//   - EqualSized's groups;
+//   - the plane of the cheapest order;
+//   - where the bins outnumber the points of a plane, the plane plus a
+//     remainder: the full AG(2, n) over the first n²·s inputs, a grid of
+//     bins of a remainder inputs beside bins of k-a plane inputs for the
+//     pairs between the two, and, when a is less than the remainder, the
+//     groups or a plane over the remainder for its own pairs. Pairs inside
+//     one remainder bin then meet more than once, which the executor's owner
+//     election already handles. On the benchmark's equal-sized planning
+//     shapes (about 2,000 inputs at k = 62, more than AG(2,31)'s 961 bins of
+//     two) this takes 1,049–1,262 reducers where EqualSized takes
+//     1,953–2,211.
 //
 // Planning cost is the paper's trade-off, so the algorithms decide on counts
 // and words and materialise one schema, once: Solve prices TripleCover from

@@ -4,7 +4,8 @@ import "repro/internal/core"
 
 // Solve computes a mapping schema for an A2A instance, dispatching to the
 // appropriate algorithm: when every input has the same size, the equal-sized
-// grouping algorithm or the affine plane, whichever prices lower;
+// grouping algorithm, the affine plane or the plane plus a remainder,
+// whichever prices lowest;
 // BigSmallSplit when an input exceeds q/2, and BinPackPair otherwise. It
 // returns core.ErrInfeasible (wrapped) when no schema exists.
 func Solve(set *core.InputSet, q core.Size) (*core.MappingSchema, error) {
@@ -48,22 +49,47 @@ func solvePrimary(set *core.InputSet, q core.Size) (*core.MappingSchema, error) 
 	return BinPackPair(set, q)
 }
 
-// solveEqualSized builds AffinePlane where its count beats EqualSized's —
-// fewer reducers, or as many with less communication — and ships no more
-// copies; EqualSized everywhere else. Both are priced from m and k alone and
-// only the winner is built, so neither the reducer count nor the
-// communication of the equal-sized dispatch is ever worse than EqualSized's.
+// solveEqualSized builds the cheapest of EqualSized, the best full plane and
+// the best plane plus a remainder — fewest reducers, then fewest copies —
+// among those that ship no more copies than EqualSized. All three are priced
+// from m and k alone and only the winner is built, so neither the reducer
+// count nor the communication of the equal-sized dispatch is ever worse than
+// EqualSized's, and no full plane is cheaper.
 func solveEqualSized(set *core.InputSet, q core.Size) (*core.MappingSchema, error) {
 	m, k := set.Len(), int(q/set.Size(0))
-	if k >= 2 && k < m {
-		if pl, ok := bestPlane(m, k); ok {
-			reducers, copies := equalSizedPrice(m, k)
-			if pl.copies <= copies && (pl.reducers < reducers || pl.reducers == reducers && pl.copies < copies) {
-				return AffinePlane(set, q)
-			}
-		}
+	if k < 2 || k >= m {
+		return EqualSized(set, q)
 	}
-	return EqualSized(set, q)
+	best := groupsOrPlane(m, k)
+	_, groupCopies := equalSizedPrice(m, k)
+	if pr, ok := bestPlaneRemainder(m, k, groupCopies); ok && pr.below(best.price) {
+		return planeRemainder(set, q, pr)
+	}
+	return groupsOrPlaneSchema(set, q, best)
+}
+
+// groupsOrPlane prices the equal-sized dispatch without the remainder design
+// for m >= 2 inputs at k >= 2 per reducer: one reducer when they all fit, and
+// otherwise EqualSized's groups, or the cheapest plane where it is below them
+// and ships no more copies.
+func groupsOrPlane(m, k int) planePrice {
+	if m <= k {
+		return planePrice{price: price{1, m}}
+	}
+	reducers, copies := equalSizedPrice(m, k)
+	groups := planePrice{price: price{reducers, copies}}
+	if pl, ok := bestPlane(m, k); ok && pl.copies <= copies && pl.below(groups.price) {
+		return pl
+	}
+	return groups
+}
+
+// groupsOrPlaneSchema builds what groupsOrPlane priced for set.
+func groupsOrPlaneSchema(set *core.InputSet, q core.Size, pr planePrice) (*core.MappingSchema, error) {
+	if pr.n == 0 {
+		return EqualSized(set, q)
+	}
+	return planeSchema(set, q, pr), nil
 }
 
 // betterSchema reports whether a is strictly better than b: fewer reducers,

@@ -11,14 +11,17 @@ import (
 	"repro/internal/workload"
 )
 
+// TestSolveDispatchesEqualSized: 11 inputs at k = 4 stay with EqualSized's 15
+// reducers and 55 copies. The best plane needs 19 reducers, and the plane plus
+// a remainder needs 14 but ships 56 copies, so it does not qualify.
 func TestSolveDispatchesEqualSized(t *testing.T) {
-	set, _ := core.UniformInputSet(20, 2)
+	set, _ := core.UniformInputSet(11, 2)
 	ms, err := Solve(set, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(ms.Algorithm, "equal-sized") {
-		t.Errorf("algorithm = %q, want equal-sized dispatch", ms.Algorithm)
+	if !strings.Contains(ms.Algorithm, "equal-sized") || ms.NumReducers() != 15 {
+		t.Errorf("algorithm = %q with %d reducers, want equal-sized dispatch with 15", ms.Algorithm, ms.NumReducers())
 	}
 	if err := ms.ValidateA2A(set); err != nil {
 		t.Errorf("ValidateA2A: %v", err)

@@ -2,8 +2,10 @@ package assign_test
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"reflect"
 	"strings"
 	"sync"
@@ -274,6 +276,68 @@ func TestExecuteEqualSizedJoinOnTheAffinePlane(t *testing.T) {
 	}
 	if want := int64(m * (m - 1) / 2); !ex.Audited || ex.PairsProcessed != want || pairs.Load() != want {
 		t.Errorf("audited=%v processed=%d called=%d, want %d pairs", ex.Audited, ex.PairsProcessed, pairs.Load(), want)
+	}
+	if got := slow.Value() - before; got != 0 {
+		t.Errorf("%d audits fell back to the pair-by-pair replay", got)
+	}
+}
+
+// TestExecuteEqualSizedJoinOnThePlanePlusARemainder executes 401 equal 8-byte
+// records at q = 240, so 30 per reducer. The plan is AG(2,13) over the first
+// 338 records, a grid of bins of 16 of the 63 left beside bins of 14 main
+// ones, and EqualSized's 10 reducers over those 63: 292 reducers, against
+// EqualSized's 351. A pair of remainder records in one bin of 16 meets on
+// every grid reducer of that bin and on the sub-schema too, so owner election
+// must still process each of the C(401,2) pairs once: the pair count, an
+// order-free checksum of the emitted records against the nested loop, and the
+// audit, on its fast path, say so.
+func TestExecuteEqualSizedJoinOnThePlanePlusARemainder(t *testing.T) {
+	const m = 401
+	slow := obs.Default.Counter("pland_exec_audit_slow_replays_total", "")
+	before := slow.Value()
+	payloads := make([][]byte, m)
+	for i := range payloads {
+		payloads[i] = []byte(fmt.Sprintf("%08d", i*7919))
+	}
+	// pairSum is an order-free digest of one pair: FNV-1a of the lower ID's
+	// record followed by the higher's.
+	pairSum := func(lo, hi []byte) uint64 {
+		h := fnv.New64a()
+		h.Write(lo)
+		h.Write(hi)
+		return h.Sum64()
+	}
+	ex, err := assign.NewPlanner(assign.PlannerConfig{}).Execute(context.Background(),
+		assign.Inputs(payloads),
+		assign.Capacity(30*8),
+		assign.Pair(func(a, b assign.Record, emit func([]byte)) error {
+			if a.ID > b.ID {
+				a, b = b, a
+			}
+			emit(binary.LittleEndian.AppendUint64(nil, pairSum(a.Data, b.Data)))
+			return nil
+		}),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ex.Plan.Schema.Algorithm; got != "a2a/plane-remainder" || ex.Plan.Cost.Reducers != 292 {
+		t.Errorf("planned with %q on %d reducers, want a2a/plane-remainder on 292", got, ex.Plan.Cost.Reducers)
+	}
+	var got, want uint64
+	for _, rec := range ex.Output {
+		got += binary.LittleEndian.Uint64(rec)
+	}
+	for i := range payloads {
+		for j := i + 1; j < m; j++ {
+			want += pairSum(payloads[i], payloads[j])
+		}
+	}
+	if pairs := int64(m * (m - 1) / 2); !ex.Audited || ex.PairsProcessed != pairs || int64(len(ex.Output)) != pairs {
+		t.Errorf("audited=%v processed=%d emitted=%d, want %d pairs", ex.Audited, ex.PairsProcessed, len(ex.Output), pairs)
+	}
+	if got != want {
+		t.Errorf("output checksum %x, nested-loop reference %x", got, want)
 	}
 	if got := slow.Value() - before; got != 0 {
 		t.Errorf("%d audits fell back to the pair-by-pair replay", got)
