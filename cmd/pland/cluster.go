@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
@@ -37,21 +36,20 @@ var (
 	obsHandoffs = obs.Default.CounterVec("pland_cluster_handoffs_total",
 		"Drain-time session handoffs by outcome (sent, send_failed, received, refused).", "outcome")
 	obsFleetProbes = obs.Default.CounterVec("pland_fleet_probe_total",
-		"Fleet-cache probes to remote owners, by outcome (hit, miss, error).", "outcome")
+		"Fleet cache probes to remote owners, by outcome (hit, miss, error).", "outcome")
 )
 
 // cluster is the ownership-aware routing layer of one pland node: the
 // consistent-hash ring every node computes identically, the local liveness
-// view that routes around dead peers, this node's shard of the fleet plan
-// cache, and one plandclient per peer for the structured fleet calls
-// (readiness probes, session handoff, cache probe/publish). Raw keyed API
-// traffic is proxied with c.proxy instead so arbitrary methods and bodies
-// pass through untouched.
+// view that routes around dead peers, and one plandclient per peer for the
+// structured fleet calls (readiness probes, session handoff, plan
+// probe/publish). Raw keyed API traffic is proxied with c.proxy instead so
+// arbitrary methods and bodies pass through untouched. The fleet's plan cache
+// is no part of it: a node's shard is its planner's own cache.
 type cluster struct {
 	self    string
 	ring    *shard.Ring
 	health  *shard.Health
-	cache   *shard.ResultCache
 	clients map[string]*plandclient.Client
 	proxy   *http.Client
 	maxBody int64
@@ -85,7 +83,6 @@ func newCluster(cfg serverConfig, log *slog.Logger) (*cluster, error) {
 	c := &cluster{
 		self:    cfg.Self,
 		ring:    ring,
-		cache:   shard.NewResultCache(cfg.FleetCacheEntries),
 		clients: make(map[string]*plandclient.Client, len(cfg.Peers)),
 		proxy:   &http.Client{Timeout: timeout},
 		maxBody: cfg.MaxBodyBytes,
@@ -250,24 +247,25 @@ func pinnedID(r *http.Request) string {
 // exist before enqueue so placement can route the create to the ID's owner.
 func newJobID() string { return randomHex(16) }
 
-// planFleet is handlePlan's solve path under clustering: the ring owner of
-// the instance's canonical key holds the one fleet-wide cache shard for it, so
-// the probe goes there before this node spends a solve, and a solve is
-// published back there afterwards. What travels is the planner's canonical
-// plan (assign.Planner.ExportPlan): a hit is that plan imported into this
-// node's planner — which checks it against this request's own sizes before
-// believing it — followed by the ordinary cache hit, relabelled for this
-// request's input IDs like any other. Cold solves always run locally — only
-// cache traffic crosses the wire — and every fleet failure, a cached value
-// that does not import included, degrades to the single-node path.
+// planFleet is handlePlan's solve path under clustering. The ring owner of
+// the instance's canonical key holds the fleet's plan for it in its own
+// planner's cache, so on the owner a request is just runPlan. Anywhere else
+// the owner is probed before this node spends a solve: what travels is the
+// planner's canonical plan (assign.Planner.ExportPlan), imported into this
+// node's planner — which checks it before believing it — so that the runPlan
+// after it is an ordinary cache hit, relabelled for this request's input IDs
+// and reported as a fleet hit. A fresh solve is published back to the owner.
+// Cold solves always run locally — only plans cross the wire — and every
+// fleet failure, a plan that does not import included, degrades to the
+// single-node path.
 func (s *server) planFleet(ctx context.Context, body plandclient.PlanRequest) (*plandclient.PlanResult, *apiError) {
-	c := s.cluster
-	if c == nil || body.NoCache {
-		return s.runPlan(ctx, body)
-	}
 	opts, aerr := s.planOptions(body)
 	if aerr != nil {
 		return nil, aerr
+	}
+	c := s.cluster
+	if c == nil || body.NoCache {
+		return s.runPlan(ctx, opts)
 	}
 	// NoCache asks for the key alone: the planner's cache is not read, so no
 	// plan is encoded only to be dropped.
@@ -276,66 +274,48 @@ func (s *server) planFleet(ctx context.Context, body plandclient.PlanRequest) (*
 		return nil, planError(err)
 	}
 	owner, ok := c.ring.Owner(key, c.health.Alive)
-	if !ok {
-		return s.runPlan(ctx, body)
+	if !ok || owner == c.self {
+		return s.runPlan(ctx, opts)
 	}
-	var cached []byte
-	probeFailed := false
-	if owner == c.self {
-		cached, _ = c.cache.Get(key)
-	} else {
-		cctx, csp := obs.StartSpan(ctx, "fleet_cache_get")
-		csp.SetAttr("peer", owner)
-		cached, err = c.clients[owner].FleetCacheGet(cctx, key)
-		switch {
-		case err != nil:
-			csp.SetError(err.Error())
-			probeFailed = true
-			obsFleetProbes.With("error").Inc()
-			if plandclient.IsCode(err, plandclient.CodeTransport) {
-				c.health.MarkDown(owner)
-			}
-		case cached == nil:
-			obsFleetProbes.With("miss").Inc()
+	cctx, csp := obs.StartSpan(ctx, "fleet_cache_get")
+	csp.SetAttr("peer", owner)
+	cached, probeErr := c.clients[owner].FleetCacheGet(cctx, key)
+	if probeErr != nil {
+		csp.SetError(probeErr.Error())
+	}
+	csp.End()
+	switch {
+	case probeErr != nil:
+		obsFleetProbes.With("error").Inc()
+		if plandclient.IsCode(probeErr, plandclient.CodeTransport) {
+			c.health.MarkDown(owner)
 		}
-		csp.End()
-	}
-	imported := false
-	if cached != nil {
-		if err := s.planner.ImportPlan(cached, opts...); err != nil {
+	case cached == nil:
+		obsFleetProbes.With("miss").Inc()
+	default:
+		if err := s.planner.ImportPlan(cached); err != nil {
 			obsFleetProbes.With("error").Inc()
 			c.log.Warn("fleet cache value refused; solving locally", "peer", owner, "key", key, "error", err)
 		} else {
-			imported = true
-			if owner != c.self {
-				obsFleetProbes.With("hit").Inc()
-			}
+			obsFleetProbes.With("hit").Inc()
 		}
 	}
-	resp, aerr := s.runPlan(ctx, body)
-	if aerr != nil {
-		return nil, aerr
-	}
-	resp.FleetCacheHit = imported && resp.CacheHit
-	if imported || probeFailed {
-		return resp, nil
+	resp, aerr := s.runPlan(ctx, opts)
+	if aerr != nil || probeErr != nil || resp.CacheHit || resp.SharedFlight {
+		return resp, aerr
 	}
 	if _, plan, err := s.planner.ExportPlan(opts...); err == nil && plan != nil {
-		if owner == c.self {
-			c.cache.Put(key, plan)
-		} else {
-			// Capture the request's trace identity now: the publish outlives
-			// the request context but should still correlate on the peer.
-			tc, _ := obs.TraceContextFrom(ctx)
-			go c.publish(owner, key, plan, obs.RequestID(ctx), tc)
-		}
+		// Capture the request's trace identity now: the publish outlives the
+		// request context but should still correlate on the peer.
+		tc, _ := obs.TraceContextFrom(ctx)
+		go c.publish(owner, key, plan, obs.RequestID(ctx), tc)
 	}
 	return resp, nil
 }
 
-// publish ships a freshly solved result to the key owner's cache shard,
-// detached from the request that solved it but still carrying its request ID
-// and trace context so the peer's logs correlate back to the solving request.
+// publish ships a fresh solve to the key owner's planner, detached from the
+// request that solved it but still carrying its request ID and trace context
+// so the peer's logs correlate back to the solving request.
 func (c *cluster) publish(owner, key string, raw []byte, rid string, tc obs.TraceContext) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -350,16 +330,23 @@ func (c *cluster) publish(owner, key string, raw []byte, rid string, tc obs.Trac
 }
 
 // getFleetCache and putFleetCache serve /internal/cache/{key}: this node's
-// shard of the fleet plan cache. Values are opaque JSON documents here — it is
-// the planner importing one that decides whether to believe it — and
-// ownership is the caller's concern (peers only probe keys this node owns).
+// shard of the fleet plan cache, which is its planner's cache. A GET answers
+// the canonical plan held under the key; a PUT imports one into the planner,
+// which checks it first — a plan that does not import is refused with 422 and
+// nothing is stored. Ownership is the caller's concern (peers only probe and
+// publish keys this node owns).
 func (s *server) getFleetCache(w http.ResponseWriter, r *http.Request) {
 	if s.cluster == nil {
 		writeAPIError(w, notFound("not clustered"))
 		return
 	}
-	raw, ok := s.cluster.cache.Get(r.PathValue("key"))
-	if !ok {
+	raw, err := s.planner.CachedPlan(r.PathValue("key"))
+	if err != nil {
+		writeAPIError(w, newAPIError(http.StatusInternalServerError, plandclient.CodeInternal,
+			fmt.Sprintf("encoding cached plan: %v", err), err))
+		return
+	}
+	if raw == nil {
 		writeAPIError(w, notFound("cache miss"))
 		return
 	}
@@ -378,11 +365,12 @@ func (s *server) putFleetCache(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, badRequestf("reading cache value: %v", err))
 		return
 	}
-	if !json.Valid(raw) {
-		writeAPIError(w, badRequestf("cache value is not valid JSON"))
+	if err := s.planner.ImportPlan(raw); err != nil {
+		s.log.Warn("fleet cache value refused", "key", r.PathValue("key"), "error", err)
+		writeAPIError(w, newAPIError(http.StatusUnprocessableEntity, plandclient.CodeUnprocessable,
+			fmt.Sprintf("cache value refused: %v", err), err))
 		return
 	}
-	s.cluster.cache.Put(r.PathValue("key"), raw)
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -510,17 +498,11 @@ func (s *server) startDrain() { s.draining.Store(true) }
 
 // clusterStats is the cluster block of GET /v1/stats.
 type clusterStats struct {
-	Self              string          `json:"self"`
-	Nodes             []string        `json:"nodes"`
-	Peers             map[string]bool `json:"peers"`
-	FleetCacheEntries int             `json:"fleet_cache_entries"`
+	Self  string          `json:"self"`
+	Nodes []string        `json:"nodes"`
+	Peers map[string]bool `json:"peers"`
 }
 
 func (c *cluster) stats() *clusterStats {
-	return &clusterStats{
-		Self:              c.self,
-		Nodes:             c.ring.Nodes(),
-		Peers:             c.health.Snapshot(),
-		FleetCacheEntries: c.cache.Len(),
-	}
+	return &clusterStats{Self: c.self, Nodes: c.ring.Nodes(), Peers: c.health.Snapshot()}
 }

@@ -319,16 +319,19 @@ func fleetKeyOwner(t *testing.T, servers []*server, httpSrvs []*httptest.Server,
 }
 
 // awaitPublished waits for the asynchronous publish of a solve to reach the
-// owner's shard.
+// owner's planner.
 func awaitPublished(t *testing.T, owner *server, key string) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, ok := owner.cluster.cache.Get(key); ok {
+		if plan, err := owner.planner.CachedPlan(key); err != nil || plan != nil {
+			if err != nil {
+				t.Fatalf("CachedPlan: %v", err)
+			}
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("solved result never reached the owner's cache shard")
+			t.Fatal("solved result never reached the owner's planner")
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -384,7 +387,7 @@ func TestFleetPlanCache(t *testing.T) {
 			t.Fatalf("node %d solved instead of serving the fleet cache", idx)
 		}
 		if got.Reducers != first.Reducers || got.Communication != first.Communication {
-			t.Fatalf("fleet-cached result diverged: %+v vs %+v", got, first)
+			t.Fatalf("fleet cache hit diverged: %+v vs %+v", got, first)
 		}
 		validateFor(t, iso, got)
 	}
@@ -461,12 +464,13 @@ func TestFleetHitsAreValidForTheRequester(t *testing.T) {
 	served(req, mirrored)
 }
 
-// TestFleetCacheValueIsNotTrusted: PUT /internal/cache/{key} takes any JSON,
-// so what comes out of a shard is checked before it is served. A value in the
-// parent commit's format (a whole plan response over the publisher's input
-// IDs, captured from that build) and a plan whose schema breaks the capacity
-// both read as a miss: the request is solved locally, the outcome is counted
-// as an error, and the solve replaces the bad value.
+// TestFleetCacheValueIsNotTrusted: PUT /internal/cache/{key} imports the
+// value into the owner's planner, which checks it first. A value in the parent
+// commit's format (a whole plan response over the publisher's input IDs,
+// captured from that build) and a plan whose schema breaks the capacity are
+// both refused with 422 and leave nothing behind: the owner's GET of the key
+// misses, the request is solved locally, and that solve, published to the
+// owner, is what the rest of the fleet is then served.
 func TestFleetCacheValueIsNotTrusted(t *testing.T) {
 	parentValue, err := os.ReadFile(filepath.Join("testdata", "fleet_value_parent.json"))
 	if err != nil {
@@ -480,49 +484,145 @@ func TestFleetCacheValueIsNotTrusted(t *testing.T) {
 			ctx := context.Background()
 			req := plandclient.PlanRequest{Problem: "A2A", Capacity: 10, Sizes: []assign.Size{3, 3, 2, 2, 4, 1}}
 			key, ownerIdx := fleetKeyOwner(t, servers, httpSrvs, req)
-			if err := plandclient.New(httpSrvs[ownerIdx].URL).FleetCachePut(ctx, key, json.RawMessage(bad)); err != nil {
-				t.Fatalf("FleetCachePut: %v", err)
+			owner := plandclient.New(httpSrvs[ownerIdx].URL)
+			if err := owner.FleetCachePut(ctx, key, json.RawMessage(bad)); !plandclient.IsCode(err, plandclient.CodeUnprocessable) {
+				t.Fatalf("FleetCachePut of a bad value = %v, want a 422", err)
 			}
-			stored, _ := servers[ownerIdx].cluster.cache.Get(key) // the value as the PUT left it
-			refused := obsFleetProbes.With("error").Value()
-			// Through a node that probes the owner over the wire, then through
-			// the owner, which reads its own shard.
-			for _, idx := range []int{(ownerIdx + 1) % 3, ownerIdx} {
-				if idx == ownerIdx {
-					// The first solve's publish replaces the bad value; put it
-					// back once that has landed.
-					for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(2 * time.Millisecond) {
-						if v, _ := servers[ownerIdx].cluster.cache.Get(key); !bytes.Equal(v, stored) {
-							break
-						}
-						if time.Now().After(deadline) {
-							t.Fatal("the local solve was never published over the bad value")
-						}
-					}
-					servers[ownerIdx].cluster.cache.Put(key, stored)
-				}
+			if held, err := owner.FleetCacheGet(ctx, key); err != nil || held != nil {
+				t.Fatalf("the owner's GET after a refused PUT = %s, %v; want a miss", held, err)
+			}
+			got, err := plandclient.New(httpSrvs[(ownerIdx+1)%3].URL).Plan(ctx, req)
+			if err != nil {
+				t.Fatalf("Plan after a refused PUT: %v", err)
+			}
+			if got.FleetCacheHit || got.CacheHit {
+				t.Fatalf("the bad value was served: %+v", got)
+			}
+			validateFor(t, req, got)
+			// The local solve is published in its place: the owner and a third
+			// node are served it.
+			awaitPublished(t, servers[ownerIdx], key)
+			for _, idx := range []int{ownerIdx, (ownerIdx + 2) % 3} {
 				got, err := plandclient.New(httpSrvs[idx].URL).Plan(ctx, req)
 				if err != nil {
-					t.Fatalf("Plan via node %d with a bad value cached: %v", idx, err)
+					t.Fatal(err)
 				}
-				if got.FleetCacheHit || got.CacheHit {
-					t.Fatalf("node %d served the bad value: %+v", idx, got)
+				if !got.FleetCacheHit {
+					t.Fatalf("node %d was not served the local solve that replaced the bad value", idx)
 				}
 				validateFor(t, req, got)
 			}
-			if got := obsFleetProbes.With("error").Value(); got != refused+2 {
-				t.Fatalf(`pland_fleet_probe_total{outcome="error"} moved by %d, want 2`, got-refused)
-			}
-			// The owner's own solve put a good value back: a third node hits.
-			got, err := plandclient.New(httpSrvs[(ownerIdx+2)%3].URL).Plan(ctx, req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !got.FleetCacheHit {
-				t.Fatal("the local solve did not replace the bad value")
-			}
-			validateFor(t, req, got)
 		})
+	}
+}
+
+// TestFleetHitMeansAPlanFromTheWire: fleet_cache_hit marks a plan that
+// arrived over the wire. The node that solved an instance serves its repeats
+// from its own solve — cache_hit, not fleet_cache_hit — whether it owns the
+// instance's key or probes an owner that now holds the published copy.
+func TestFleetHitMeansAPlanFromTheWire(t *testing.T) {
+	servers, httpSrvs := newTestCluster(t, 3)
+	ctx := context.Background()
+	for i, sizes := range [][]assign.Size{{3, 3, 2, 2, 4, 1}, {5, 1, 4, 2, 2, 3, 1}} {
+		req := plandclient.PlanRequest{Problem: "A2A", Capacity: 12, Sizes: sizes}
+		key, ownerIdx := fleetKeyOwner(t, servers, httpSrvs, req)
+		solverIdx := (ownerIdx + i) % len(httpSrvs) // the owner, then a node that is not
+		solver := plandclient.New(httpSrvs[solverIdx].URL)
+		first, err := solver.Plan(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first.CacheHit || first.FleetCacheHit {
+			t.Fatalf("instance %d: the first solve reads %+v", i, first)
+		}
+		awaitPublished(t, servers[ownerIdx], key)
+		again, err := solver.Plan(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !again.CacheHit || again.FleetCacheHit {
+			t.Fatalf("instance %d: the solving node %d (owner %d) repeats its own solve as cache_hit %v, fleet_cache_hit %v",
+				i, solverIdx, ownerIdx, again.CacheHit, again.FleetCacheHit)
+		}
+	}
+}
+
+// TestFleetPublishLandsInTheOwnersPlanner: a peer's publish is imported into
+// the owner's planner — the plan is held once, not beside it in a second
+// cache — and the owner then serves isomorphic requests from it without
+// solving.
+func TestFleetPublishLandsInTheOwnersPlanner(t *testing.T) {
+	servers, httpSrvs := newTestCluster(t, 3)
+	ctx := context.Background()
+	req := plandclient.PlanRequest{Problem: "X2Y", Capacity: 12,
+		XSizes: []assign.Size{7, 2, 1, 5, 3}, YSizes: []assign.Size{1, 2, 4, 1, 3, 2, 5}}
+	key, ownerIdx := fleetKeyOwner(t, servers, httpSrvs, req)
+	owner := servers[ownerIdx].planner
+	before := owner.CacheLen()
+	if _, err := plandclient.New(httpSrvs[(ownerIdx+1)%3].URL).Plan(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	awaitPublished(t, servers[ownerIdx], key)
+	if n := owner.CacheLen(); n != before+1 {
+		t.Fatalf("the owner's planner holds %d plans after the publish, had %d", n, before)
+	}
+	misses := owner.Stats().CacheMisses
+	mirrored := req
+	mirrored.XSizes, mirrored.YSizes = []assign.Size{2, 5, 1, 3, 4, 2, 1}, []assign.Size{3, 5, 1, 2, 7}
+	got, err := plandclient.New(httpSrvs[ownerIdx].URL).Plan(ctx, mirrored)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.CacheHit || !got.FleetCacheHit {
+		t.Fatalf("the owner's isomorphic request reads cache_hit %v, fleet_cache_hit %v; want both", got.CacheHit, got.FleetCacheHit)
+	}
+	if n := owner.CacheLen(); n != before+1 || owner.Stats().CacheMisses != misses {
+		t.Fatalf("serving the published plan solved or stored again: %d plans, %d misses (was %d)",
+			n, owner.Stats().CacheMisses, misses)
+	}
+	validateFor(t, mirrored, got)
+}
+
+// TestFleetPlanLowerBoundIsRecomputed: the lower bound a published plan
+// carries is not served. A valid plan PUT with lower_bound_reducers 999 comes
+// back with the bound the importing planner proves, and a gap that is not
+// negative.
+func TestFleetPlanLowerBoundIsRecomputed(t *testing.T) {
+	servers, httpSrvs := newTestCluster(t, 3)
+	ctx := context.Background()
+	req := plandclient.PlanRequest{Problem: "A2A", Capacity: 10, Sizes: []assign.Size{3, 3, 2, 2, 4, 1}}
+	key, ownerIdx := fleetKeyOwner(t, servers, httpSrvs, req)
+	opts, _ := servers[0].planOptions(req)
+	solver := assign.NewPlanner(assign.PlannerConfig{})
+	want, err := solver.Plan(ctx, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, plan, err := solver.ExportPlan(opts...)
+	if err != nil || plan == nil {
+		t.Fatalf("ExportPlan = %s, %v", plan, err)
+	}
+	var value map[string]any
+	if err := json.Unmarshal(plan, &value); err != nil {
+		t.Fatal(err)
+	}
+	value["lower_bound_reducers"] = 999
+	inflated, err := json.Marshal(value)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := plandclient.New(httpSrvs[ownerIdx].URL).FleetCachePut(ctx, key, inflated); err != nil {
+		t.Fatalf("FleetCachePut of a valid plan: %v", err)
+	}
+	for _, idx := range []int{ownerIdx, (ownerIdx + 1) % 3} {
+		got, err := plandclient.New(httpSrvs[idx].URL).Plan(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.FleetCacheHit || got.LowerBoundReducers != want.LowerBoundReducers || got.Gap < 0 {
+			t.Fatalf("node %d served the published plan as fleet_cache_hit %v, lower bound %d, gap %d; want a fleet hit with bound %d",
+				idx, got.FleetCacheHit, got.LowerBoundReducers, got.Gap, want.LowerBoundReducers)
+		}
 	}
 }
 

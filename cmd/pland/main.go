@@ -38,9 +38,10 @@
 //	                         fleet peers probe it to route around this node
 //	POST   /internal/handoff a draining fleet peer ships one live session
 //	                         here; installed once its fingerprint verifies
-//	GET    /internal/cache/{key} this node's shard of the fleet plan cache:
-//	PUT    /internal/cache/{key} a canonical plan by canonical instance key,
-//	                         probed and published by peers
+//	GET    /internal/cache/{key} this node's shard of the fleet plan cache —
+//	PUT    /internal/cache/{key} its planner's cache: a canonical plan by
+//	                         canonical instance key, probed by peers, and
+//	                         published by them into the planner once it checks
 //	GET    /metrics          Prometheus text exposition of every pland series
 //	GET    /debug/traces     retained-trace summaries from the flight recorder
 //	                         (?route=, ?status=error, ?min_ms=, ?limit=)
@@ -88,8 +89,9 @@
 // With -peers (and -self), the node joins a static fleet: session and job
 // keys place onto nodes by consistent hashing, every node serves its own
 // keys and transparently proxies the rest to their owner (routing around
-// peers whose /readyz stops answering), plan results are cached fleet-wide
-// at each canonical key's owner, and a graceful drain hands live sessions to
+// peers whose /readyz stops answering), plan results are shared fleet-wide
+// through the planner cache of each canonical key's owner (-cache sizes it),
+// and a graceful drain hands live sessions to
 // their ring successors — fingerprint-verified on arrival — before the
 // process exits. See cluster.go and internal/shard.
 package main
@@ -162,7 +164,6 @@ func main() {
 	})
 	fs.DurationVar(&cfg.HealthInterval, "health-interval", cfg.HealthInterval, "peer readiness probe cadence")
 	fs.IntVar(&cfg.HealthFailAfter, "health-fail", cfg.HealthFailAfter, "consecutive failed probes before a peer is routed around")
-	fs.IntVar(&cfg.FleetCacheEntries, "fleet-cache", cfg.FleetCacheEntries, "fleet plan-cache shard capacity in entries (0 = default)")
 	fs.Float64Var(&cfg.TraceSampleRate, "trace-sample", cfg.TraceSampleRate, "fraction of fast successful traces the flight recorder keeps (errored/slow traces are always kept)")
 	fs.DurationVar(&cfg.TraceSlow, "trace-slow", cfg.TraceSlow, "latency at or above which a trace is always retained")
 	fs.IntVar(&cfg.TraceBufferEntries, "trace-buffer", cfg.TraceBufferEntries, "flight-recorder capacity in retained traces")

@@ -63,12 +63,11 @@ type serverConfig struct {
 	// Peers is every node's advertised base URL including this one, Self is
 	// this node's own entry. Empty Peers runs single-node with no cluster
 	// layer at all. HealthInterval/HealthFailAfter shape peer readiness
-	// probing; FleetCacheEntries sizes this node's fleet plan-cache shard.
-	Self              string
-	Peers             []string
-	HealthInterval    time.Duration
-	HealthFailAfter   int
-	FleetCacheEntries int
+	// probing.
+	Self            string
+	Peers           []string
+	HealthInterval  time.Duration
+	HealthFailAfter int
 }
 
 // server is the HTTP front end over the assign SDK. It is a plain
@@ -106,7 +105,7 @@ type server struct {
 // a copy of it, and newServer takes from it whatever limit a caller left
 // unset. A field that is absent here defaults to its zero value, which the
 // package it configures reads as its own default (0 job workers is
-// GOMAXPROCS, 0 fleet-cache entries is shard.DefaultCacheEntries).
+// GOMAXPROCS).
 func defaultServerConfig() serverConfig {
 	return serverConfig{
 		MaxTimeout:         10 * time.Second,
@@ -280,8 +279,8 @@ func (s *server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.MaxTimeout)
 	defer cancel()
-	// planFleet consults the fleet-wide cluster cache around the solve; it is
-	// exactly runPlan when unclustered or when the client opted out of caching.
+	// planFleet consults the key's ring owner around the solve; it is exactly
+	// runPlan when unclustered or when the client opted out of caching.
 	resp, aerr := s.planFleet(ctx, body)
 	if aerr != nil {
 		writeAPIError(w, aerr)
@@ -304,41 +303,34 @@ func validSizes(field string, sizes []assign.Size) *apiError {
 	return nil
 }
 
-// validatePlan checks the wire request without building anything, so v2
-// submit can fail malformed jobs fast and cheaply. Validation failures map
-// uniformly to 400; failures from planning itself (e.g. infeasible
-// instances) map to 422 later.
-func (s *server) validatePlan(body plandclient.PlanRequest) *apiError {
+// planOptions checks the wire request and assembles its SDK options. It
+// copies nothing, so v2 submit runs it for every job and fails malformed ones
+// fast and cheaply. Validation failures map uniformly to 400; failures from
+// planning itself (e.g. infeasible instances) map to 422 later.
+func (s *server) planOptions(body plandclient.PlanRequest) ([]assign.Option, *apiError) {
 	if body.Capacity <= 0 {
-		return badRequestf("capacity must be positive, got %d", body.Capacity)
+		return nil, badRequestf("capacity must be positive, got %d", body.Capacity)
 	}
 	if n := len(body.Sizes) + len(body.XSizes) + len(body.YSizes); n > s.cfg.MaxInputs {
-		return badRequestf("instance has %d inputs, limit is %d", n, s.cfg.MaxInputs)
-	}
-	switch body.Problem {
-	case "A2A", "a2a":
-		return validSizes("sizes", body.Sizes)
-	case "X2Y", "x2y":
-		if aerr := validSizes("x_sizes", body.XSizes); aerr != nil {
-			return aerr
-		}
-		return validSizes("y_sizes", body.YSizes)
-	default:
-		return badRequestf("problem must be A2A or X2Y, got %q", body.Problem)
-	}
-}
-
-// planOptions assembles the SDK options for a validated request.
-func (s *server) planOptions(body plandclient.PlanRequest) ([]assign.Option, *apiError) {
-	if aerr := s.validatePlan(body); aerr != nil {
-		return nil, aerr
+		return nil, badRequestf("instance has %d inputs, limit is %d", n, s.cfg.MaxInputs)
 	}
 	opts := []assign.Option{assign.Capacity(body.Capacity)}
 	switch body.Problem {
 	case "A2A", "a2a":
+		if aerr := validSizes("sizes", body.Sizes); aerr != nil {
+			return nil, aerr
+		}
 		opts = append(opts, assign.A2A(body.Sizes))
-	default:
+	case "X2Y", "x2y":
+		if aerr := validSizes("x_sizes", body.XSizes); aerr != nil {
+			return nil, aerr
+		}
+		if aerr := validSizes("y_sizes", body.YSizes); aerr != nil {
+			return nil, aerr
+		}
 		opts = append(opts, assign.X2Y(body.XSizes, body.YSizes))
+	default:
+		return nil, badRequestf("problem must be A2A or X2Y, got %q", body.Problem)
 	}
 	if body.NoCache {
 		opts = append(opts, assign.NoCache())
@@ -346,14 +338,10 @@ func (s *server) planOptions(body plandclient.PlanRequest) ([]assign.Option, *ap
 	return opts, nil
 }
 
-// runPlan is the one core both /v1/plan and "plan" jobs execute; ctx
-// carries the surface's bound (MaxTimeout synchronously, MaxJobTimeout for
-// jobs).
-func (s *server) runPlan(ctx context.Context, body plandclient.PlanRequest) (*plandclient.PlanResult, *apiError) {
-	opts, aerr := s.planOptions(body)
-	if aerr != nil {
-		return nil, aerr
-	}
+// runPlan is the one core both /v1/plan and "plan" jobs execute, on the
+// options planOptions built; ctx carries the surface's bound (MaxTimeout
+// synchronously, MaxJobTimeout for jobs).
+func (s *server) runPlan(ctx context.Context, opts []assign.Option) (*plandclient.PlanResult, *apiError) {
 	res, err := s.planner.Plan(ctx, opts...)
 	if err != nil {
 		return nil, planError(err)
@@ -370,6 +358,7 @@ func (s *server) runPlan(ctx context.Context, body plandclient.PlanRequest) (*pl
 		Candidates:         res.Candidates,
 		CacheHit:           res.CacheHit,
 		SharedFlight:       res.SharedFlight,
+		FleetCacheHit:      res.Imported,
 		ElapsedMicros:      res.Elapsed.Microseconds(),
 	}, nil
 }
@@ -384,7 +373,12 @@ func (s *server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.MaxTimeout)
 	defer cancel()
-	resp, aerr := s.runExecute(ctx, body)
+	opts, aerr := s.executeOptions(body)
+	if aerr != nil {
+		writeAPIError(w, aerr)
+		return
+	}
+	resp, aerr := s.runExecute(ctx, opts, body.ReturnPairs)
 	if aerr != nil {
 		writeAPIError(w, aerr)
 		return
@@ -406,33 +400,16 @@ func validPayloads(field string, in []string) *apiError {
 	return nil
 }
 
-// validateExecute checks the wire request without materializing payload
-// copies — v2 submit runs it synchronously for every job.
-func (s *server) validateExecute(body plandclient.ExecuteRequest) *apiError {
+// executeOptions checks the wire request and returns what assembles its SDK
+// options, minus the pair logic. The check copies no payload — v2 submit runs
+// it synchronously for every job — and the payloads are copied only when the
+// returned function is called, as the run starts.
+func (s *server) executeOptions(body plandclient.ExecuteRequest) (func() []assign.Option, *apiError) {
 	if body.Capacity <= 0 {
-		return badRequestf("capacity must be positive, got %d", body.Capacity)
+		return nil, badRequestf("capacity must be positive, got %d", body.Capacity)
 	}
 	if n := len(body.Inputs) + len(body.XInputs) + len(body.YInputs); n > s.cfg.MaxExecInputs {
-		return badRequestf("instance has %d inputs, execution limit is %d", n, s.cfg.MaxExecInputs)
-	}
-	switch body.Problem {
-	case "A2A", "a2a":
-		return validPayloads("inputs", body.Inputs)
-	case "X2Y", "x2y":
-		if aerr := validPayloads("x_inputs", body.XInputs); aerr != nil {
-			return aerr
-		}
-		return validPayloads("y_inputs", body.YInputs)
-	default:
-		return badRequestf("problem must be A2A or X2Y, got %q", body.Problem)
-	}
-}
-
-// executeOptions assembles the SDK options for a validated request, minus
-// the pair logic.
-func (s *server) executeOptions(body plandclient.ExecuteRequest) ([]assign.Option, *apiError) {
-	if aerr := s.validateExecute(body); aerr != nil {
-		return nil, aerr
+		return nil, badRequestf("instance has %d inputs, execution limit is %d", n, s.cfg.MaxExecInputs)
 	}
 	toPayloads := func(in []string) [][]byte {
 		data := make([][]byte, len(in))
@@ -441,31 +418,43 @@ func (s *server) executeOptions(body plandclient.ExecuteRequest) ([]assign.Optio
 		}
 		return data
 	}
-	opts := []assign.Option{assign.Capacity(body.Capacity), assign.Named("pland-execute")}
+	var instance func() assign.Option
 	switch body.Problem {
 	case "A2A", "a2a":
-		opts = append(opts, assign.Inputs(toPayloads(body.Inputs)))
+		if aerr := validPayloads("inputs", body.Inputs); aerr != nil {
+			return nil, aerr
+		}
+		instance = func() assign.Option { return assign.Inputs(toPayloads(body.Inputs)) }
+	case "X2Y", "x2y":
+		if aerr := validPayloads("x_inputs", body.XInputs); aerr != nil {
+			return nil, aerr
+		}
+		if aerr := validPayloads("y_inputs", body.YInputs); aerr != nil {
+			return nil, aerr
+		}
+		instance = func() assign.Option {
+			return assign.XYInputs(toPayloads(body.XInputs), toPayloads(body.YInputs))
+		}
 	default:
-		opts = append(opts, assign.XYInputs(toPayloads(body.XInputs), toPayloads(body.YInputs)))
+		return nil, badRequestf("problem must be A2A or X2Y, got %q", body.Problem)
 	}
-	if body.NoCache {
-		opts = append(opts, assign.NoCache())
-	}
-	if body.MemoryBudget > 0 {
-		opts = append(opts, assign.MemoryBudget(body.MemoryBudget))
-	}
-	return opts, nil
+	return func() []assign.Option {
+		opts := []assign.Option{assign.Capacity(body.Capacity), assign.Named("pland-execute"), instance()}
+		if body.NoCache {
+			opts = append(opts, assign.NoCache())
+		}
+		if body.MemoryBudget > 0 {
+			opts = append(opts, assign.MemoryBudget(body.MemoryBudget))
+		}
+		return opts
+	}, nil
 }
 
-// runExecute is the one core both /v1/execute and "execute" jobs run.
-func (s *server) runExecute(ctx context.Context, body plandclient.ExecuteRequest) (*plandclient.ExecuteResult, *apiError) {
+// runExecute is the one core both /v1/execute and "execute" jobs run, on the
+// options executeOptions returned.
+func (s *server) runExecute(ctx context.Context, options func() []assign.Option, returnPairs bool) (*plandclient.ExecuteResult, *apiError) {
 	start := time.Now()
-	opts, aerr := s.executeOptions(body)
-	if aerr != nil {
-		return nil, aerr
-	}
-	returnPairs := body.ReturnPairs
-	opts = append(opts, assign.Pair(func(a, b assign.Record, emit func([]byte)) error {
+	opts := append(options(), assign.Pair(func(a, b assign.Record, emit func([]byte)) error {
 		// The pair count comes from the executor's trace; materialize the IDs
 		// only when the client asked for them.
 		if returnPairs {

@@ -140,23 +140,24 @@ func (s *server) buildJobFunc(body jobSubmitRequest) (jobs.Func, *apiError) {
 		if body.Plan == nil {
 			return nil, badRequestf(`job type "plan" needs a "plan" payload`)
 		}
-		req := *body.Plan
-		if aerr := s.validatePlan(req); aerr != nil {
+		opts, aerr := s.planOptions(*body.Plan)
+		if aerr != nil {
 			return nil, aerr
 		}
 		return jobRun(s, func(ctx context.Context) (*plandclient.PlanResult, *apiError) {
-			return s.runPlan(ctx, req)
+			return s.runPlan(ctx, opts)
 		}), nil
 	case jobTypeExecute:
 		if body.Execute == nil {
 			return nil, badRequestf(`job type "execute" needs an "execute" payload`)
 		}
-		req := *body.Execute
-		if aerr := s.validateExecute(req); aerr != nil {
+		opts, aerr := s.executeOptions(*body.Execute)
+		if aerr != nil {
 			return nil, aerr
 		}
+		returnPairs := body.Execute.ReturnPairs
 		return jobRun(s, func(ctx context.Context) (*plandclient.ExecuteResult, *apiError) {
-			return s.runExecute(ctx, req)
+			return s.runExecute(ctx, opts, returnPairs)
 		}), nil
 	default:
 		return nil, badRequestf(`job type must be "plan" or "execute", got %q`, body.Type)

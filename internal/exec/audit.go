@@ -499,17 +499,17 @@ func checkIDRanges(schema *core.MappingSchema, numA, numX, numY int) error {
 func (a *Auditor) Owner(i, j int) int { return a.idx.owner(i, j) }
 
 // requiredPairs invokes fn for every required pair of the instance.
-func (a *Auditor) requiredPairs(fn func(i, j int)) {
-	if a.idx.schema.Problem == core.ProblemA2A {
-		for i := 0; i < a.idx.numA; i++ {
-			for j := i + 1; j < a.idx.numA; j++ {
+func (idx *schemaIndex) requiredPairs(fn func(i, j int)) {
+	if idx.schema.Problem == core.ProblemA2A {
+		for i := 0; i < idx.numA; i++ {
+			for j := i + 1; j < idx.numA; j++ {
 				fn(i, j)
 			}
 		}
 		return
 	}
-	for x := 0; x < a.idx.numX; x++ {
-		for y := 0; y < a.idx.numY; y++ {
+	for x := 0; x < idx.numX; x++ {
+		for y := 0; y < idx.numY; y++ {
 			fn(x, y)
 		}
 	}
@@ -521,44 +521,47 @@ func (a *Auditor) requiredPairs(fn func(i, j int)) {
 // The result is cached on the index, so runs that share one pay for the
 // pair sweep once. On an auditor built by NewAuditor or NewAuditorX2Y, which
 // no run follows, it only counts the covered pairs and lists none.
-func (a *Auditor) PreCheck() error {
-	a.idx.preOnce.Do(func() { a.idx.preErr = a.preCheck() })
-	return a.idx.preErr
+func (a *Auditor) PreCheck() error { return a.idx.preCheck() }
+
+// preCheck is PreCheck's verdict on the index, computed once by staticCheck.
+func (idx *schemaIndex) preCheck() error {
+	idx.preOnce.Do(func() { idx.preErr = idx.staticCheck() })
+	return idx.preErr
 }
 
-func (a *Auditor) preCheck() error {
+func (idx *schemaIndex) staticCheck() error {
 	var violations []Violation
-	for r, red := range a.idx.schema.Reducers {
-		if red.Load > a.idx.schema.Capacity {
+	for r, red := range idx.schema.Reducers {
+		if red.Load > idx.schema.Capacity {
 			violations = append(violations, Violation{
 				Err: ErrOverCapacity, Reducer: r, A: -1, B: -1,
-				Detail: fmt.Sprintf("reducer %d declares load %d > q=%d", r, red.Load, a.idx.schema.Capacity),
+				Detail: fmt.Sprintf("reducer %d declares load %d > q=%d", r, red.Load, idx.schema.Capacity),
 			})
 		}
 	}
-	required := a.idx.requiredPairCount()
+	required := idx.requiredPairCount()
 	var covered *core.CoverSet
-	if a.idx.keys != nil {
+	if idx.keys != nil {
 		// A compiled run needs the owned-pair lists anyway: count them.
-		a.idx.sweep()
-		if len(a.idx.owned) != required {
+		idx.sweep()
+		if len(idx.owned) != required {
 			covered = core.GetCoverSet(required)
-			for _, e := range a.idx.owned {
-				covered.Add(a.idx.pairIndex(int(e.a), int(e.b)))
+			for _, e := range idx.owned {
+				covered.Add(idx.pairIndex(int(e.a), int(e.b)))
 			}
 		}
 	} else {
 		// A static check needs only the count: mark the pairs, list none.
 		covered = core.GetCoverSet(required)
-		if a.idx.cover(covered); covered.Count() == required {
+		if idx.cover(covered); covered.Count() == required {
 			core.PutCoverSet(covered)
 			covered = nil
 		}
 	}
 	if covered != nil {
 		// Slow path only on failure: name every uncovered pair.
-		a.requiredPairs(func(i, j int) {
-			if !covered.Contains(a.idx.pairIndex(i, j)) {
+		idx.requiredPairs(func(i, j int) {
+			if !covered.Contains(idx.pairIndex(i, j)) {
 				violations = append(violations, Violation{
 					Err: ErrUncoveredPair, Reducer: -1, A: i, B: j,
 					Detail: fmt.Sprintf("pair (%d,%d) shares no reducer", i, j),
@@ -586,7 +589,7 @@ func (a *Auditor) CheckTrace(tr *Trace) error {
 		tr = tr.sparse()
 	}
 	var violations []Violation
-	a.requiredPairs(func(i, j int) {
+	a.idx.requiredPairs(func(i, j int) {
 		owner, got := a.idx.owner(i, j), tr.processedBy(i, j)
 		switch {
 		case len(got) == 0:

@@ -89,7 +89,7 @@ func TestAuditFlagsDuplicateOwner(t *testing.T) {
 	}
 	tr := NewTrace()
 	var pairs [][2]int
-	aud.requiredPairs(func(i, j int) { pairs = append(pairs, [2]int{i, j}) })
+	aud.idx.requiredPairs(func(i, j int) { pairs = append(pairs, [2]int{i, j}) })
 	for _, p := range pairs {
 		tr.Record(aud.Owner(p[0], p[1]), p[0], p[1])
 	}
@@ -108,7 +108,7 @@ func TestAuditFlagsWrongOwner(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := NewTrace()
-	aud.requiredPairs(func(i, j int) {
+	aud.idx.requiredPairs(func(i, j int) {
 		owner := aud.Owner(i, j)
 		if i == 0 && j == 1 {
 			owner = 1 // (0,1) is owned by reducer 0; claim it elsewhere

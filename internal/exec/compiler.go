@@ -95,7 +95,7 @@ func (cp *Compiler) index(schema *core.MappingSchema, sh shape) (*schemaIndex, *
 	}
 	// Everything lazy is forced before the index is shared: the verdict
 	// decides whether it is kept, the sweep what it weighs.
-	verdict := (&Auditor{idx: idx}).PreCheck()
+	verdict := idx.preCheck()
 	size := idx.retainedBytes()
 	if verdict != nil || size > cp.maxBytes {
 		return idx, obsCompileUncacheable, nil

@@ -179,32 +179,11 @@ func New(cfg Config) *Manager {
 	return m
 }
 
-// Submit enqueues fn as a new job and returns its queued snapshot. It never
-// blocks: a full queue returns ErrQueueFull immediately.
+// Submit enqueues fn as a new job under a freshly drawn ID and returns its
+// queued snapshot. It never blocks: a full queue returns ErrQueueFull
+// immediately.
 func (m *Manager) Submit(kind string, fn Func) (Snapshot, error) {
-	if fn == nil {
-		return Snapshot{}, fmt.Errorf("jobs: nil Func")
-	}
-	j := &job{id: newID(), kind: kind, fn: fn, state: StateQueued, created: time.Now()}
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return Snapshot{}, ErrShutdown
-	}
-	if len(m.pending) >= m.cfg.QueueDepth {
-		m.mu.Unlock()
-		obsRejected.Inc()
-		return Snapshot{}, ErrQueueFull
-	}
-	m.pending = append(m.pending, j)
-	m.jobs[j.id] = j
-	m.submitted++
-	obsSubmitted.Inc()
-	obsQueueDepth.Inc()
-	snap := j.snapshot()
-	m.cond.Signal()
-	m.mu.Unlock()
-	return snap, nil
+	return m.Restore(newID(), kind, fn)
 }
 
 // Restore enqueues fn as a job under a caller-chosen ID — the recovery path

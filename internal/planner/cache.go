@@ -11,7 +11,9 @@ import (
 // cachedPlan is the canonical solution stored per canonical instance. The
 // schema references canonical IDs and is immutable once stored; lookups
 // materialize a fresh copy over the requester's IDs through byInput (the A2A
-// set or the canonical X side) and byYInput (the canonical Y side).
+// set or the canonical X side) and byYInput (the canonical Y side). imported
+// marks a plan that arrived through ImportPlan rather than this planner's own
+// solve.
 type cachedPlan struct {
 	schema     *core.MappingSchema
 	byInput    inputIndex
@@ -19,6 +21,7 @@ type cachedPlan struct {
 	winner     string
 	lowerBound int
 	candidates int
+	imported   bool
 }
 
 // newCachedPlan wraps the winning schema of cn's portfolio pass.
@@ -172,6 +175,21 @@ func (c *cache) get(cn *canonical) *cachedPlan {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.lookup(cn)
+}
+
+// byHash returns the entry stored under the fingerprint, whatever instance it
+// answers, or nil, and marks it recently used. Entries are never mutated once
+// stored, so the caller may read it without the lock.
+func (c *cache) byHash(hash uint64) *entry {
+	s := c.shard(hash)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	el, ok := s.entries[hash]
+	if !ok {
+		return nil
+	}
+	s.order.MoveToFront(el)
+	return el.Value.(*entry)
 }
 
 // put stores a plan that did not come out of a flight (see ImportPlan).

@@ -112,6 +112,10 @@ type Result struct {
 	// SharedFlight whether it piggybacked on a concurrent identical solve.
 	CacheHit     bool
 	SharedFlight bool
+	// Imported reports whether the cached plan served arrived through
+	// ImportPlan — another planner's solve — rather than this planner's own.
+	// It implies CacheHit.
+	Imported bool
 	// Elapsed is the wall-clock time Plan spent on this request.
 	Elapsed time.Duration
 }
@@ -295,6 +299,7 @@ func (p *Planner) finish(req Request, cn *canonical, plan *cachedPlan, hit, shar
 		Candidates:         plan.candidates,
 		CacheHit:           hit,
 		SharedFlight:       shared,
+		Imported:           plan.imported,
 		Elapsed:            elapsed,
 	}
 }
@@ -396,13 +401,16 @@ func (p *Planner) solvePortfolio(ctx context.Context, cn *canonical, budget Budg
 		return nil, fmt.Errorf("planner: no portfolio member produced a schema")
 	}
 
-	var lower int
+	return newCachedPlan(cn, best, bestName, lowerBound(cn, set, ySet), finished), nil
+}
+
+// lowerBound is the proved reducer lower bound of the canonical instance,
+// whose input sets are set and ySet.
+func lowerBound(cn *canonical, set, ySet *core.InputSet) int {
 	if cn.problem == core.ProblemA2A {
-		lower = a2a.LowerBounds(set, cn.q).Reducers
-	} else {
-		lower = x2y.LowerBounds(set, ySet, cn.q).Reducers
+		return a2a.LowerBounds(set, cn.q).Reducers
 	}
-	return newCachedPlan(cn, best, bestName, lower, finished), nil
+	return x2y.LowerBounds(set, ySet, cn.q).Reducers
 }
 
 // schemaLess reports whether schema a (from member na) beats schema b (from

@@ -1,8 +1,7 @@
 // Package shard is the placement layer of a multi-node pland fleet: a
 // consistent-hash ring that maps keys (session IDs, job IDs, canonical plan
-// keys) onto a static set of nodes, a health tracker that tells the router
-// which nodes to walk past, and the node-local shard of the fleet-wide plan
-// cache.
+// keys) onto a static set of nodes, and a health tracker that tells the
+// router which nodes to walk past.
 //
 // # Contract
 //
@@ -33,9 +32,4 @@
 // tolerates by serving forwarded requests locally rather than forwarding
 // again. MarkDown lets the forwarding layer short-circuit the probe cadence
 // when a connection is refused outright.
-//
-// The ResultCache holds this node's shard of the fleet plan cache: opaque
-// serialized responses keyed by canonical instance key, bounded LRU. The
-// request layer probes the key's ring owner before a cold solve and publishes
-// solves back to the owner, so one node's solve serves the cluster.
 package shard

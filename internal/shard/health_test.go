@@ -97,26 +97,3 @@ func TestHealthMarkDownIsImmediate(t *testing.T) {
 		t.Fatal("self or unknown node reported dead")
 	}
 }
-
-func TestResultCacheLRU(t *testing.T) {
-	c := NewResultCache(2)
-	c.Put("a", []byte("1"))
-	c.Put("b", []byte("2"))
-	if v, ok := c.Get("a"); !ok || string(v) != "1" {
-		t.Fatalf("Get(a) = %q, %v", v, ok)
-	}
-	c.Put("c", []byte("3")) // evicts b: a was refreshed by the Get above
-	if _, ok := c.Get("b"); ok {
-		t.Fatal("b survived past capacity though it was least recently used")
-	}
-	if _, ok := c.Get("a"); !ok {
-		t.Fatal("a was evicted though it was recently used")
-	}
-	c.Put("a", []byte("1'")) // overwrite refreshes, no growth
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", c.Len())
-	}
-	if v, _ := c.Get("a"); string(v) != "1'" {
-		t.Fatalf("overwrite lost: Get(a) = %q", v)
-	}
-}

@@ -11,13 +11,4 @@ var (
 		"Failed readiness probes, by peer.", "peer")
 	obsPeerRecoveries = obs.Default.CounterVec("pland_peer_recoveries_total",
 		"Transitions of a peer from down back to up.", "peer")
-
-	obsFleetCacheHits = obs.Default.Counter("pland_fleet_cache_hits_total",
-		"Fleet plan-cache lookups served from this node's shard.")
-	obsFleetCacheMisses = obs.Default.Counter("pland_fleet_cache_misses_total",
-		"Fleet plan-cache lookups that missed this node's shard.")
-	obsFleetCacheEntries = obs.Default.Gauge("pland_fleet_cache_entries",
-		"Entries live in this node's fleet plan-cache shard.")
-	obsFleetCacheEvictions = obs.Default.Counter("pland_fleet_cache_evictions_total",
-		"Entries evicted from this node's fleet plan-cache shard.")
 )

@@ -1,6 +1,7 @@
 package assign_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -399,8 +400,9 @@ func TestTimeoutOptionStillReturnsBaseline(t *testing.T) {
 
 // TestExportImportPlan: one planner's solve, exported, lets another answer
 // the mirrored and shuffled instance from its cache with a schema that is
-// valid for the sides as the second caller numbered them; a plan for another
-// instance is refused and the options are checked like Plan's.
+// valid for the sides as the second caller numbered them; the plan is served
+// for no other instance, bytes that are not a plan are refused, and the
+// options are checked like Plan's.
 func TestExportImportPlan(t *testing.T) {
 	ctx := context.Background()
 	xs, ys := []assign.Size{7, 2, 1}, []assign.Size{1, 2, 1, 1}
@@ -416,23 +418,26 @@ func TestExportImportPlan(t *testing.T) {
 	if otherKey, held, err := other.ExportPlan(mirrored...); err != nil || otherKey != key || held != nil {
 		t.Fatalf("ExportPlan of the mirrored instance on a fresh planner = %q, %s, %v; want key %q alone", otherKey, held, err, key)
 	}
-	if err := other.ImportPlan(plan, mirrored...); err != nil {
+	if err := other.ImportPlan(plan); err != nil {
 		t.Fatalf("ImportPlan: %v", err)
 	}
+	if held, err := other.CachedPlan(key); err != nil || !bytes.Equal(held, plan) {
+		t.Fatalf("CachedPlan after ImportPlan = %s, %v; want the imported plan", held, err)
+	}
 	res, err := other.Plan(ctx, mirrored...)
-	if err != nil || !res.CacheHit {
-		t.Fatalf("Plan after ImportPlan = %+v, %v; want a cache hit", res, err)
+	if err != nil || !res.CacheHit || !res.Imported {
+		t.Fatalf("Plan after ImportPlan = %+v, %v; want an imported cache hit", res, err)
 	}
 	if err := res.Schema.ValidateX2Y(assign.MustNewInputSet([]assign.Size{1, 1, 2, 1}), assign.MustNewInputSet([]assign.Size{1, 7, 2})); err != nil {
 		t.Fatalf("imported plan invalid for the mirrored request: %v", err)
 	}
-	if err := other.ImportPlan(plan, assign.X2Y(xs, ys), assign.Capacity(11)); err == nil {
-		t.Error("a plan for capacity 10 was imported for capacity 11")
+	if res, err := other.Plan(ctx, assign.X2Y(xs, ys), assign.Capacity(11)); err != nil || res.CacheHit {
+		t.Errorf("a plan for capacity 10 served for capacity 11: %+v, %v", res, err)
 	}
 	if _, _, err := other.ExportPlan(assign.Capacity(10)); !errors.Is(err, assign.ErrNoInstance) {
 		t.Errorf("ExportPlan without an instance = %v", err)
 	}
-	if err := other.ImportPlan(plan, assign.A2A(xs)); err == nil {
-		t.Error("ImportPlan without a capacity succeeded")
+	if err := other.ImportPlan([]byte(`{"schema":null}`)); err == nil {
+		t.Error("ImportPlan of a plan without a schema succeeded")
 	}
 }

@@ -3,8 +3,8 @@ package plandclient
 // This file is the fleet-facing surface: the calls pland nodes make to each
 // other. Readiness probes feed each node's health view of its peers; session
 // handoff ships a draining node's live sessions to their ring successors;
-// the fleet-cache calls move canonicalized plan results between a key's ring
-// owner and the node that solved or needs them. External clients rarely call
+// the fleet cache calls move canonical plans between the planner cache of a
+// key's ring owner and the node that solved or needs them. External clients rarely call
 // these, but they are part of the wire contract like everything else here.
 
 import (
@@ -65,9 +65,10 @@ func (c *Client) Handoff(ctx context.Context, req HandoffRequest) (*HandoffResul
 	return call[HandoffResult](ctx, c, http.MethodPost, "/internal/handoff", req)
 }
 
-// FleetCacheGet probes this node's shard of the fleet plan cache for a
-// canonical instance key. A miss returns (nil, nil); the raw stored response
-// is returned on a hit.
+// FleetCacheGet probes this node's shard of the fleet plan cache — its
+// planner's cache — for a canonical instance key. A miss returns (nil, nil);
+// a hit returns the canonical plan held under the key, in the form
+// assign.Planner.ExportPlan exports and assign.Planner.ImportPlan checks.
 func (c *Client) FleetCacheGet(ctx context.Context, key string) (json.RawMessage, error) {
 	var out json.RawMessage
 	_, err := c.do(ctx, http.MethodGet, "/internal/cache/"+url.PathEscape(key), nil, &out)
@@ -80,8 +81,9 @@ func (c *Client) FleetCacheGet(ctx context.Context, key string) (json.RawMessage
 	return out, nil
 }
 
-// FleetCachePut publishes a solved plan response into this node's shard of
-// the fleet cache.
+// FleetCachePut publishes a solved canonical plan to this node, which imports
+// it into its planner's cache. The node checks the plan first: one that does
+// not import is refused with a 422 (CodeUnprocessable) and nothing is stored.
 func (c *Client) FleetCachePut(ctx context.Context, key string, value json.RawMessage) error {
 	_, err := c.do(ctx, http.MethodPut, "/internal/cache/"+url.PathEscape(key), value, nil)
 	return err

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Boots a 3-node pland ring, drives mixed traffic through every node with
 # cmd/loadgen, SIGTERMs one node mid-run, and asserts the clustering
-# contract: the killed node drains gracefully and hands its sessions to the
-# ring successor, the handed-off sessions keep serving with byte-identical
-# fingerprints, and the load run passes its latency/error/loss gates across
-# the failover. Run from the repo root; CI runs it next to the smoke and
-# crash-recovery scripts.
+# contract: one node's solve serves the other nodes as a fleet cache hit, the
+# killed node drains gracefully and hands its sessions to the ring successor,
+# the handed-off sessions keep serving with byte-identical fingerprints, and
+# the load run passes its latency/error/loss gates across the failover. Run
+# from the repo root; CI runs it next to the smoke and crash-recovery scripts.
 set -euo pipefail
 
 PORTS=(18091 18092 18093)
@@ -53,6 +53,38 @@ for i in 0 1 2; do
   done
   [ -n "$ok" ] || fail "node$i never became ready"
 done
+
+# The fleet plan cache: an instance solved on node0 is served, reordered,
+# through node1 and through node2 as a fleet hit — from the key owner's
+# planner, whichever node that is — while node0's own repeat is a plain cache
+# hit. node0 publishes to the owner asynchronously, and a node whose probe
+# raced ahead of the publish has solved the instance itself for good, so each
+# attempt plans a fresh instance (its capacity moves).
+fleet_ok=""
+for k in $(seq 0 9); do
+  q=$((30 + k))
+  curl -fsS "${URLS[0]}/v1/plan" \
+    -d "{\"problem\":\"A2A\",\"capacity\":$q,\"sizes\":[9,4,7,2,6,3,5,8]}" >/dev/null ||
+    fail "fleet plan on node0 failed"
+  sleep 0.2
+  hits=0
+  for i in 1 2; do
+    resp=$(curl -fsS "${URLS[$i]}/v1/plan" \
+      -d "{\"problem\":\"A2A\",\"capacity\":$q,\"sizes\":[8,5,3,6,2,7,4,9]}") ||
+      fail "reordered plan on node$i failed"
+    grep -q '"fleet_cache_hit":true' <<<"$resp" && hits=$((hits + 1))
+  done
+  if [ "$hits" -eq 2 ]; then
+    resp=$(curl -fsS "${URLS[0]}/v1/plan" \
+      -d "{\"problem\":\"A2A\",\"capacity\":$q,\"sizes\":[9,4,7,2,6,3,5,8]}") ||
+      fail "repeat plan on node0 failed"
+    grep -q '"cache_hit":true' <<<"$resp" && ! grep -q '"fleet_cache_hit":true' <<<"$resp" ||
+      fail "node0's repeat of its own solve is not a plain cache hit: $resp"
+    fleet_ok=1
+    break
+  fi
+done
+[ -n "$fleet_ok" ] || fail "node1 and node2 never both served node0's solve as a fleet hit in 10 instances"
 
 # Plant probe sessions through node0 until at least two land on the victim
 # (node2). Placement follows the ID's ring position, so this takes a handful
