@@ -215,7 +215,7 @@ func TestHandoffFingerprintVerification(t *testing.T) {
 	})
 	ctx := context.Background()
 
-	donor, err := s.planner.NewSession(ctx, assign.Capacity(10), assign.A2A([]assign.Size{3, 4}), assign.ManualRebuild())
+	donor, err := s.planner.NewSession(ctx, assign.Capacity(10), assign.A2A([]assign.Size{3, 4}))
 	if err != nil {
 		t.Fatalf("NewSession: %v", err)
 	}

@@ -188,7 +188,7 @@ func (s *server) installSession(sid string, st *assign.SessionState, deltas []as
 			metaRaw = nil
 		}
 	}
-	opts := []assign.Option{assign.ManualRebuild()} // rebuilds run on the shared job queue
+	var opts []assign.Option
 	if s.wal != nil {
 		opts = append(opts, assign.Journal(&sessionJournal{sid: sid, meta: metaRaw, log: s.wal}))
 	}

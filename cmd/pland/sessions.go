@@ -79,7 +79,6 @@ func (s *server) createSession(w http.ResponseWriter, r *http.Request) {
 
 	opts := []assign.Option{
 		assign.Capacity(body.Capacity),
-		assign.ManualRebuild(), // rebuilds run on the shared job queue
 		assign.MigrationBudget(body.MigrationBudget),
 		assign.RebuildThreshold(body.RebuildThreshold),
 		assign.Headroom(body.Headroom),

@@ -123,10 +123,9 @@ func (t *Trace) Record(reducer, a, b int) {
 }
 
 // publish stores the log of a successful reduce call as the reducer's shard.
-// A reduce attempt that fails never publishes, so the trace describes exactly
-// the attempts whose output the engine kept. Reducers write distinct shards,
-// and the engine's completion orders those writes before the audit's reads,
-// so the sharded form needs no lock.
+// A reduce call that fails never publishes; its error fails the run. Reducers
+// write distinct shards, and the engine's completion orders those writes
+// before the audit's reads, so the sharded form needs no lock.
 func (t *Trace) publish(reducer int, log []pairEntry) {
 	t.shards[reducer] = log
 }

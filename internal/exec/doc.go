@@ -58,11 +58,11 @@
 // from a pool; each reduce call appends the pairs it processes to its
 // reducer's section of it — capped at what the reducer owns, so a reducer
 // that processes more grows into a private copy rather than into its
-// neighbour — and publishes the log when the call succeeds: no atomics, no
-// shared cache line in the per-pair loop, and nothing left behind by a failed
-// attempt the engine retries, which starts the section again. The buffer
-// goes back to the pool when the audit is done with it; a Result holds no
-// reference to it. The post-run check of a healthy run is then a
+// neighbour — and publishes the log when the call succeeds: no atomics and no
+// shared cache line in the per-pair loop. The engine runs each task once, and
+// a failing reduce call fails the run with its error. The buffer goes back to
+// the pool when the audit is done with it; a Result holds no reference to it.
+// The post-run check of a healthy run is then a
 // sequence comparison: reducer r's log must equal the sweep's list for r,
 // entry for entry and length for length, which is exactly "every pair once,
 // at its owner, nothing else". The two sides derive owners differently — the

@@ -77,8 +77,6 @@ type Request struct {
 	// Workers bounds reduce-phase parallelism; 0 means one worker per
 	// reducer.
 	Workers int
-	// MaxAttempts is passed through to the engine's task retry budget.
-	MaxAttempts int
 	// NoAudit skips the post-run conformance check (the schema's own
 	// PreCheck always runs). What it saves is small: the reducers log their
 	// pairs either way — eight bytes per pair, appended to the reducer's
@@ -401,7 +399,6 @@ func (c *compilation) job() *mr.Job {
 		Partitioner:       mr.SchemaPartitioner,
 		ReduceParallelism: c.req.Workers,
 		ReducerCapacity:   capacity,
-		MaxAttempts:       c.req.MaxAttempts,
 		PartitionHints:    hints,
 	}
 }
@@ -471,9 +468,8 @@ func (c *compilation) mapper() mr.Mapper {
 // reducer owns the pair exactly when the rows share no lower-indexed
 // reducer.
 //
-// The log is the call's own (logSection) and published only when the call
-// succeeds: the hot loop shares nothing, and a failed attempt that the engine
-// retries leaves no entries behind.
+// The log is the call's own (logSection) and published when the call
+// succeeds, so the hot loop shares nothing.
 func (c *compilation) reducer() mr.Reducer {
 	n := c.schema.NumReducers()
 	return mr.ReducerFunc(func(key string, values [][]byte, emit func([]byte)) error {
@@ -550,8 +546,8 @@ func (c *compilation) takeLog() {
 // the pairs r owns: a conforming reducer fills it exactly, and one that
 // processes more than it owns grows into a private reallocation instead of
 // its neighbour's part, so it is still logged, and still named by the audit.
-// The engine retries a reduce task on the task's own goroutine, so a section
-// has one writer at a time, and a retry starts it again from empty.
+// The engine runs each reduce task once, on the task's own goroutine, so a
+// section has one writer.
 func (c *compilation) logSection(r int) []pairEntry {
 	start, end := c.idx.ownedRange(r)
 	return c.log[start:start:end]

@@ -400,38 +400,3 @@ func TestRunBatchEmpty(t *testing.T) {
 		t.Errorf("empty batch = %v, %v", results, err)
 	}
 }
-
-// TestRetriedReduceAttemptLeavesNoTraceEntries is the regression test for a
-// retried reduce task poisoning the audit: the engine discards a failed
-// attempt's output and the retry succeeds, so the trace must describe the
-// retry alone. Before the per-call logs, the failed attempt's entries stayed
-// in the shared trace and a correct run failed with ErrDuplicatePair.
-func TestRetriedReduceAttemptLeavesNoTraceEntries(t *testing.T) {
-	sizes := make([]core.Size, 12)
-	for i := range sizes {
-		sizes[i] = 2
-	}
-	schema := solveA2A(t, sizes, 16)
-	calls := 0 // Workers: 1 serializes the reduce tasks, so no lock is needed
-	flaky := func(a, b Record, emit func([]byte)) error {
-		calls++
-		if calls == 3 {
-			return errors.New("injected pair failure")
-		}
-		return pairIDs(a, b, emit)
-	}
-	res, err := Run(Request{
-		Name: "retry", Schema: schema, Inputs: makeInputs(sizes),
-		Pair: flaky, Workers: 1, MaxAttempts: 2,
-	})
-	if err != nil {
-		t.Fatalf("a run whose only failure was retried successfully failed: %v", err)
-	}
-	want := len(sizes) * (len(sizes) - 1) / 2
-	if !res.Audited || res.PairsProcessed != int64(want) || len(res.Output) != want {
-		t.Fatalf("audited=%v pairs=%d outputs=%d, want true/%d/%d", res.Audited, res.PairsProcessed, len(res.Output), want, want)
-	}
-	if calls != want+3 {
-		t.Fatalf("pair function ran %d times, want %d (the failed attempt made 3 calls)", calls, want+3)
-	}
-}

@@ -151,8 +151,8 @@ type Manager struct {
 	pending []*job
 	closed  bool
 
-	baseCtx    context.Context
-	baseCancel context.CancelFunc
+	rootCtx    context.Context
+	rootCancel context.CancelFunc
 	workers    sync.WaitGroup
 	janitor    sync.WaitGroup
 	stopJanit  chan struct{}
@@ -169,7 +169,7 @@ func New(cfg Config) *Manager {
 		stopJanit: make(chan struct{}),
 	}
 	m.cond = sync.NewCond(&m.mu)
-	m.baseCtx, m.baseCancel = context.WithCancel(context.Background())
+	m.rootCtx, m.rootCancel = context.WithCancel(context.Background())
 	for i := 0; i < cfg.Workers; i++ {
 		m.workers.Add(1)
 		go m.worker()
@@ -344,7 +344,7 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 	m.mu.Unlock()
 
 	close(m.stopJanit)
-	m.baseCancel() // running jobs see ctx.Done()
+	m.rootCancel() // running jobs see ctx.Done()
 
 	done := make(chan struct{})
 	go func() {
@@ -401,7 +401,7 @@ func (m *Manager) run(j *job) {
 		m.mu.Unlock()
 		return
 	}
-	ctx, cancel := context.WithCancel(m.baseCtx)
+	ctx, cancel := context.WithCancel(m.rootCtx)
 	j.state = StateRunning
 	j.started = time.Now()
 	j.cancel = cancel
@@ -425,7 +425,7 @@ func (m *Manager) run(j *job) {
 		m.finishLocked(j, StateSucceeded, result, nil)
 	case j.cancelRequested && errors.Is(err, context.Canceled):
 		m.finishLocked(j, StateCanceled, nil, err)
-	case m.baseCtx.Err() != nil && errors.Is(err, context.Canceled):
+	case m.rootCtx.Err() != nil && errors.Is(err, context.Canceled):
 		m.finishLocked(j, StateFailed, nil, fmt.Errorf("%w: %v", ErrShutdown, err))
 	default:
 		m.finishLocked(j, StateFailed, nil, err)

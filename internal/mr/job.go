@@ -54,7 +54,8 @@ func HashPartitioner(key string, n int) int {
 	return int(h.Sum32() % uint32(n))
 }
 
-// Job describes one MapReduce job.
+// Job describes one MapReduce job. Each map and reduce task runs once: the
+// first task that returns an error fails the job, which wraps that error.
 type Job struct {
 	// Name labels the job in results and errors.
 	Name string
@@ -76,11 +77,6 @@ type Job struct {
 	// reduce partition receives more than this many bytes of input. It
 	// models the paper's reducer capacity q at execution time.
 	ReducerCapacity int64
-	// MaxAttempts is the number of times a failing map or reduce task is
-	// attempted before the job fails; 0 and 1 both mean a single attempt.
-	// Retries model the fault tolerance of a real MapReduce stack and are
-	// exercised by the failure-injection tests.
-	MaxAttempts int
 	// PartitionHints optionally pre-sizes the per-partition buffers of a run
 	// from the planned schema's declared record counts, indexed by partition.
 	// Missing or short hints are harmless: buffers grow as usual.
@@ -100,14 +96,6 @@ func (j *Job) hint(p int) PartitionHint {
 		return j.PartitionHints[p]
 	}
 	return PartitionHint{}
-}
-
-// attempts returns the effective attempt budget.
-func (j *Job) attempts() int {
-	if j.MaxAttempts < 1 {
-		return 1
-	}
-	return j.MaxAttempts
 }
 
 // Validation errors.

@@ -322,6 +322,7 @@ func (p *pipeline) mapWorker(mapIn <-chan recordChunk) {
 		}
 	}
 	var emitted []Pair // reused across records
+	emit := func(pr Pair) { emitted = append(emitted, pr) }
 	for {
 		var chunk recordChunk
 		var ok bool
@@ -339,9 +340,8 @@ func (p *pipeline) mapWorker(mapIn <-chan recordChunk) {
 				return
 			}
 			recIdx := chunk.first + int64(i)
-			var err error
-			emitted, err = runMapTask(job, rec, emitted)
-			if err != nil {
+			emitted = emitted[:0]
+			if err := job.Mapper.Map(rec, emit); err != nil {
 				p.fail(fmt.Errorf("mr: map task over record %d: %w", recIdx, err))
 				return
 			}
@@ -529,8 +529,8 @@ func (p *pipeline) reducePartition(st *partitionState) error {
 			return err
 		}
 		st.reduceKeys++
-		out, err := runReduceTask(job, key, values)
-		if err != nil {
+		var out [][]byte
+		if err := job.Reducer.Reduce(key, values, func(rec []byte) { out = append(out, rec) }); err != nil {
 			return fmt.Errorf("mr: reduce partition %d key %q: %w", st.part, key, err)
 		}
 		for _, rec := range out {

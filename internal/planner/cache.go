@@ -105,9 +105,6 @@ const avgEntryWeightBudget = 4096
 
 // newCache builds a cache holding about totalEntries across nShards shards.
 func newCache(totalEntries, nShards int) *cache {
-	if nShards < 1 {
-		nShards = 1
-	}
 	per := (totalEntries + nShards - 1) / nShards
 	if per < 1 {
 		per = 1

@@ -134,7 +134,7 @@ func TestPlanConcurrentHammer(t *testing.T) {
 // checks the oldest canonical instance was evicted and re-solves on the next
 // request.
 func TestCacheLRUEviction(t *testing.T) {
-	p := New(Config{CacheEntries: 2, Shards: 1})
+	p := &Planner{cache: newCache(2, 1)}
 	ctx := context.Background()
 	mk := func(base core.Size) Request {
 		return Request{

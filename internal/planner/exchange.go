@@ -94,7 +94,7 @@ func (p *Planner) ImportPlan(plan []byte) error {
 	if in.Schema == nil {
 		return errors.New("planner: imported plan has no schema")
 	}
-	if p.maxCacheable > 0 && len(in.Sizes)+len(in.YSizes) > p.maxCacheable {
+	if len(in.Sizes)+len(in.YSizes) > maxCacheableInputs {
 		return errors.New("planner: this planner does not cache the instance")
 	}
 	var set, ySet *core.InputSet

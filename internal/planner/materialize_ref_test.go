@@ -56,7 +56,7 @@ func CheckMaterialize(t *testing.T, name string, req Request) (swapped bool) {
 	if err != nil {
 		t.Fatalf("%s: canonicalize: %v", name, err)
 	}
-	plan, err := New(Config{CacheEntries: -1}).solvePortfolio(context.Background(), cn, Budget{})
+	plan, err := New(Config{CacheEntries: -1}).solvePortfolio(context.Background(), cn)
 	if err != nil {
 		t.Fatalf("%s: solvePortfolio: %v", name, err)
 	}

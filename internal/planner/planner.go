@@ -12,29 +12,28 @@ import (
 	"repro/internal/x2y"
 )
 
-// Defaults for the planning budget and the shared planner's cache.
+// The limits of the portfolio members and the shape of the plan cache.
 const (
-	// DefaultExactMaxInputs gates the exact branch-and-bound members.
-	DefaultExactMaxInputs = 12
-	// DefaultExactMaxNodes bounds the exact members' search; it is far below
-	// the solvers' own default so a plan never stalls on a hard instance.
-	DefaultExactMaxNodes = 200_000
+	// exactMaxInputs gates the exact branch-and-bound members.
+	exactMaxInputs = 12
+	// exactMaxNodes bounds the exact members' search; it is far below the
+	// solvers' own default so a plan never stalls on a hard instance.
+	exactMaxNodes = 200_000
 	// defaultGreedyMaxInputs gates the quadratic coverage-greedy baselines.
 	defaultGreedyMaxInputs = 400
 	// DefaultCacheEntries is the shared planner's cache size.
 	DefaultCacheEntries = 4096
-	// DefaultMaxCacheableInputs bounds the instance size the cache retains:
+	// maxCacheableInputs bounds the instance size the cache retains:
 	// every entry keeps its canonical sizes and schema, so caching huge
 	// instances would let entry-count bounds hide multi-gigabyte memory use.
 	// Larger instances still plan normally, just uncached.
-	DefaultMaxCacheableInputs = 20_000
-	// defaultShards spreads cache locking across this many shards.
-	defaultShards = 16
+	maxCacheableInputs = 20_000
+	// cacheShards spreads cache locking across this many shards.
+	cacheShards = 16
 )
 
 // Request describes one instance to plan: which problem, the input set(s),
-// and the reducer capacity q. Budget bounds the exact members; the zero value
-// uses the defaults above.
+// and the reducer capacity q.
 type Request struct {
 	// Problem selects A2A (Set) or X2Y (X and Y).
 	Problem core.Problem
@@ -44,49 +43,21 @@ type Request struct {
 	X, Y *core.InputSet
 	// Capacity is the reducer capacity q.
 	Capacity core.Size
-	// Budget bounds the exact members.
+	// Budget is accepted and changes nothing (see Budget).
 	Budget Budget
 	// NoCache skips the canonicalization cache for this request (it is still
 	// canonicalized, so the result is identical to the cached path).
 	NoCache bool
 }
 
-// Budget bounds the exact members of the portfolio. The cache is keyed on
-// the instance alone, so a budget only shapes fresh solves: a cached or
-// in-flight isomorphic instance is served as solved under the budget of the
-// request that first triggered it. Callers that need this request's budget
-// honored exactly (e.g. a larger node cap hoping for the exact optimum on an
-// instance first solved under a smaller one) set NoCache; Result.Gap reports
-// whether the served plan is already provably optimal.
+// Budget is kept for compatibility and does not change the plan: every
+// member is bounded on its own (greedy by its input ceiling, exact search by
+// its input and node caps), so the plan is a function of the instance alone,
+// whatever the host load.
 type Budget struct {
-	// Timeout is accepted and ignored: it does not change the plan. Every
-	// member is bounded on its own (greedy by its input ceiling, exact search
-	// by ExactMaxInputs and ExactMaxNodes), so the plan is a function of the
-	// instance and this budget's exact limits, whatever the host load. Only
-	// the caller's context can cut a solve short.
+	// Timeout is accepted and ignored. Only the caller's context can cut a
+	// solve short.
 	Timeout time.Duration
-	// ExactMaxInputs caps the instance size the exact solvers attempt;
-	// 0 means DefaultExactMaxInputs, negative disables them. a2a.Exact has a
-	// ceiling of 64 inputs of its own: above it the member fails at once
-	// with a2a.ErrTooLargeForExact and the others go on without it.
-	ExactMaxInputs int
-	// ExactMaxNodes caps the exact solvers' search nodes; 0 means
-	// DefaultExactMaxNodes.
-	ExactMaxNodes int
-}
-
-func (b Budget) exactMaxInputs() int {
-	if b.ExactMaxInputs == 0 {
-		return DefaultExactMaxInputs
-	}
-	return b.ExactMaxInputs
-}
-
-func (b Budget) exactMaxNodes() int {
-	if b.ExactMaxNodes <= 0 {
-		return DefaultExactMaxNodes
-	}
-	return b.ExactMaxNodes
 }
 
 // Result is the outcome of one Plan call. pkg/assign exports it as
@@ -123,40 +94,27 @@ type Result struct {
 // Planner runs the portfolio and memoizes canonical solutions. The zero
 // value is not usable; use New. Planners are safe for concurrent use.
 type Planner struct {
-	cache        *cache
-	maxCacheable int
-	stats        stats
+	cache *cache
+	stats stats
 }
 
 // Config configures New.
 type Config struct {
 	// CacheEntries is the total cache capacity; 0 means DefaultCacheEntries,
-	// negative disables caching entirely.
+	// negative disables caching entirely. Instances of more than 20,000
+	// inputs plan normally but bypass the cache.
 	CacheEntries int
-	// Shards is the number of cache shards; 0 means a default of 16.
-	Shards int
-	// MaxCacheableInputs is the largest instance (total inputs) the cache
-	// retains; 0 means DefaultMaxCacheableInputs, negative removes the
-	// bound. Larger instances plan normally but bypass the cache.
-	MaxCacheableInputs int
 }
 
 // New builds a Planner.
 func New(cfg Config) *Planner {
-	p := &Planner{maxCacheable: cfg.MaxCacheableInputs}
-	if p.maxCacheable == 0 {
-		p.maxCacheable = DefaultMaxCacheableInputs
-	}
+	p := &Planner{}
 	entries := cfg.CacheEntries
 	if entries == 0 {
 		entries = DefaultCacheEntries
 	}
 	if entries > 0 {
-		shards := cfg.Shards
-		if shards <= 0 {
-			shards = defaultShards
-		}
-		p.cache = newCache(entries, shards)
+		p.cache = newCache(entries, cacheShards)
 	}
 	return p
 }
@@ -171,9 +129,9 @@ func Plan(ctx context.Context, req Request) (*Result, error) {
 }
 
 // Plan canonicalizes the request, serves it from the cache when an
-// isomorphic instance was already solved, and otherwise runs the portfolio
-// under the request budget. The returned schema always uses the request's
-// original input IDs and is owned by the caller.
+// isomorphic instance was already solved, and otherwise runs the portfolio.
+// The returned schema always uses the request's original input IDs and is
+// owned by the caller.
 func (p *Planner) Plan(ctx context.Context, req Request) (*Result, error) {
 	start := time.Now()
 	p.stats.requests.Add(1)
@@ -187,8 +145,7 @@ func (p *Planner) Plan(ctx context.Context, req Request) (*Result, error) {
 		return nil, err
 	}
 
-	if p.cache == nil || req.NoCache ||
-		(p.maxCacheable > 0 && len(cn.sizes)+len(cn.ySizes) > p.maxCacheable) {
+	if p.cache == nil || req.NoCache || len(cn.sizes)+len(cn.ySizes) > maxCacheableInputs {
 		return p.solveAndRecord(ctx, req, cn, start)
 	}
 
@@ -229,7 +186,7 @@ func (p *Planner) Plan(ctx context.Context, req Request) (*Result, error) {
 		// the requester so each request lands in exactly one of
 		// hits/misses/shared/errors.
 		go func() {
-			solved, err := p.solvePortfolio(context.Background(), cn, req.Budget)
+			solved, err := p.solvePortfolio(context.Background(), cn)
 			if err == nil {
 				p.stats.recordWin(solved.winner)
 			}
@@ -265,7 +222,7 @@ func (p *Planner) Plan(ctx context.Context, req Request) (*Result, error) {
 // involvement) and updates the counters.
 func (p *Planner) solveAndRecord(ctx context.Context, req Request, cn *canonical, start time.Time) (*Result, error) {
 	endRace := obs.SpanFrom(ctx).Stage("race")
-	plan, err := p.solvePortfolio(ctx, cn, req.Budget)
+	plan, err := p.solvePortfolio(ctx, cn)
 	endRace()
 	if err != nil {
 		p.stats.errors.Add(1)
@@ -314,7 +271,7 @@ type candidate struct {
 // canonical input sets. The first member is the baseline — the paper's
 // constructive dispatch — and it always runs first, so the portfolio result
 // is never worse than a2a.Solve / x2y.Solve on the same instance.
-func portfolio(cn *canonical, set, ySet *core.InputSet, budget Budget) []candidate {
+func portfolio(cn *canonical, set, ySet *core.InputSet) []candidate {
 	q := cn.q
 	if cn.problem == core.ProblemA2A {
 		cands := []candidate{
@@ -323,9 +280,9 @@ func portfolio(cn *canonical, set, ySet *core.InputSet, budget Budget) []candida
 		if set.Len() <= defaultGreedyMaxInputs {
 			cands = append(cands, candidate{"a2a/greedy", func() (*core.MappingSchema, error) { return a2a.Greedy(set, q) }})
 		}
-		if max := budget.exactMaxInputs(); max > 0 && set.Len() <= max {
+		if set.Len() <= exactMaxInputs {
 			cands = append(cands, candidate{"a2a/exact", func() (*core.MappingSchema, error) {
-				ms, err := a2a.Exact(set, q, a2a.ExactOptions{MaxInputs: max, MaxNodes: budget.exactMaxNodes()})
+				ms, err := a2a.Exact(set, q, a2a.ExactOptions{MaxInputs: exactMaxInputs, MaxNodes: exactMaxNodes})
 				if errors.Is(err, a2a.ErrNodeBudget) {
 					err = nil // budget-truncated search still yields a valid schema
 				}
@@ -340,9 +297,9 @@ func portfolio(cn *canonical, set, ySet *core.InputSet, budget Budget) []candida
 	if set.Len()+ySet.Len() <= defaultGreedyMaxInputs {
 		cands = append(cands, candidate{"x2y/greedy", func() (*core.MappingSchema, error) { return x2y.Greedy(set, ySet, q) }})
 	}
-	if max := budget.exactMaxInputs(); max > 0 && set.Len()+ySet.Len() <= max {
+	if set.Len()+ySet.Len() <= exactMaxInputs {
 		cands = append(cands, candidate{"x2y/exact", func() (*core.MappingSchema, error) {
-			ms, err := x2y.Exact(set, ySet, q, x2y.ExactOptions{MaxInputs: max, MaxNodes: budget.exactMaxNodes()})
+			ms, err := x2y.Exact(set, ySet, q, x2y.ExactOptions{MaxInputs: exactMaxInputs, MaxNodes: exactMaxNodes})
 			if errors.Is(err, x2y.ErrNodeBudget) {
 				err = nil
 			}
@@ -358,7 +315,7 @@ func portfolio(cn *canonical, set, ySet *core.InputSet, budget Budget) []candida
 // nothing runs on after the return. ctx is checked before each member: once
 // it is done, the best schema so far is returned, or ctx's error if no member
 // has produced one yet.
-func (p *Planner) solvePortfolio(ctx context.Context, cn *canonical, budget Budget) (*cachedPlan, error) {
+func (p *Planner) solvePortfolio(ctx context.Context, cn *canonical) (*cachedPlan, error) {
 	raceStart := time.Now()
 	defer obsRaceSeconds.ObserveSince(raceStart)
 	set, ySet, err := cn.inputSets()
@@ -373,7 +330,7 @@ func (p *Planner) solvePortfolio(ctx context.Context, cn *canonical, budget Budg
 	var bestName string
 	var baselineErr error
 	finished := 0
-	for i, c := range portfolio(cn, set, ySet, budget) {
+	for i, c := range portfolio(cn, set, ySet) {
 		if ctx.Err() != nil {
 			if best == nil {
 				return nil, ctx.Err()

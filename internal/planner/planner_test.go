@@ -324,28 +324,3 @@ func TestPlanLeavesNoMemberRunning(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestPlanAboveExactCeiling: a budget that asks the exact member for more
-// than its 64 inputs costs the portfolio that member and nothing else.
-func TestPlanAboveExactCeiling(t *testing.T) {
-	sizes := make([]core.Size, 65)
-	for i := range sizes {
-		sizes[i] = core.Size(1 + i%7)
-	}
-	set := core.MustNewInputSet(sizes)
-	if _, err := a2a.Exact(set, 24, a2a.ExactOptions{MaxInputs: 100}); !errors.Is(err, a2a.ErrTooLargeForExact) {
-		t.Fatalf("a2a.Exact on 65 inputs: err = %v, want ErrTooLargeForExact", err)
-	}
-	req := a2aRequest(set, 24)
-	req.Budget = Budget{ExactMaxInputs: 100}
-	res, err := New(Config{}).Plan(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Schema.ValidateA2A(set); err != nil {
-		t.Error(err)
-	}
-	if res.Winner == "a2a/exact" || res.Candidates != 2 {
-		t.Errorf("winner %q with %d candidates, want solve or greedy of 2 (the exact member errs)", res.Winner, res.Candidates)
-	}
-}

@@ -34,9 +34,6 @@ type DeltaReport struct {
 	// OverBudget reports that mandatory repair alone moved more than the
 	// migration budget; the repair was still performed (correctness first).
 	OverBudget bool `json:"over_budget"`
-	// RebuildTriggered reports that this delta pushed drift past the
-	// threshold and (with AutoRebuild) started a background rebuild.
-	RebuildTriggered bool `json:"rebuild_triggered"`
 }
 
 // Add inserts a new input of the given size and repairs coverage: the input
@@ -376,7 +373,7 @@ func (s *Session) compactLocked(candidates []int, rep *DeltaReport) {
 }
 
 // finishDeltaLocked folds a delta's movement into the session-wide drift and
-// counters, and triggers an automatic rebuild when the threshold is crossed.
+// counters, and journals the delta.
 func (s *Session) finishDeltaLocked(rep *DeltaReport) {
 	mandatory := rep.MovedBytes - rep.CompactedBytes
 	rep.OverBudget = mandatory > s.migrationBudget()
@@ -386,28 +383,4 @@ func (s *Session) finishDeltaLocked(rep *DeltaReport) {
 	obsDriftBytes.Add(uint64(rep.MovedExistingBytes + rep.FreedBytes))
 	s.version++
 	s.journalDeltaLocked(rep)
-	rep.RebuildTriggered = s.maybeAutoRebuildLocked()
-}
-
-// maybeAutoRebuildLocked starts a background rebuild when AutoRebuild is on,
-// drift passed the threshold, and no rebuild is already running.
-func (s *Session) maybeAutoRebuildLocked() bool {
-	if !s.cfg.AutoRebuild || s.rebuilding || s.closed || !s.needsRebuildLocked() {
-		return false
-	}
-	s.rebuilding = true
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		// The flag must clear even when rebuild panics (replan panics are
-		// recovered into errors, but defend the flag regardless), or every
-		// later rebuild would see ErrRebuildInFlight forever.
-		defer func() {
-			s.mu.Lock()
-			s.rebuilding = false
-			s.mu.Unlock()
-		}()
-		_, _ = s.rebuild(s.baseCtx) // failures are recorded in the stats
-	}()
-	return true
 }

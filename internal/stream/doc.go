@@ -20,15 +20,16 @@
 //     a reducer evicts the resized input from exactly the overflowing
 //     reducers and re-covers the pairs that eviction lost.
 //
-//   - Full rebuild, triggered in the background once cumulative drift
-//     exceeds the configured threshold. The session snapshots the live
-//     sizes, calls the configured ReplanFunc (the portfolio planner, in
-//     production wiring) outside the lock, then atomically swaps the new
-//     schema in, reconciling any deltas that raced the solve: inputs
-//     removed meanwhile are stripped, inputs added or evicted meanwhile are
-//     re-covered through the local-repair path, and the swap reports its
-//     migration cost (greedy max-byte-overlap matching of old and new
-//     reducers; only bytes not already in place count as moved).
+//   - Full rebuild, run by the caller's Rebuild once cumulative drift
+//     exceeds the configured threshold (NeedsRebuild). The session
+//     snapshots the live sizes, calls the configured ReplanFunc (the
+//     portfolio planner, in production wiring) outside the lock on the
+//     caller's goroutine, then atomically swaps the new schema in,
+//     reconciling any deltas that raced the solve: inputs removed meanwhile
+//     are stripped, inputs added or evicted meanwhile are re-covered through
+//     the local-repair path, and the swap reports its migration cost (greedy
+//     max-byte-overlap matching of old and new reducers; only bytes not
+//     already in place count as moved).
 //
 // # Invariants
 //
@@ -51,10 +52,12 @@
 // strictly bounds only opportunistic movement: reducer-merge compaction
 // after removals. Drift accumulates the bytes of existing inputs re-shipped
 // by repairs plus the bytes freed by removals and shrinks, normalized by
-// the live bytes; when the ratio passes RebuildThreshold the session
-// requests a rebuild (automatically when AutoRebuild is set, otherwise via
-// NeedsRebuild/Rebuild so callers can schedule it on their own pool).
+// the live bytes; when the ratio passes RebuildThreshold, NeedsRebuild
+// reports true and the caller schedules Rebuild on its own pool (cmd/pland
+// runs it on its job queue). A session never rebuilds by itself.
 //
-// Sessions are safe for concurrent use; every public method takes the
-// session lock, and a rebuild holds it only to snapshot and to swap.
+// Sessions are safe for concurrent use and start no goroutine; every public
+// method takes the session lock, and a rebuild holds it only to snapshot and
+// to swap, so deltas on other goroutines race the solve. A journaled session
+// writes a full-state snapshot every 1,024 deltas, bounding recovery replay.
 package stream

@@ -150,49 +150,3 @@ func TestConcurrentHammer(t *testing.T) {
 		t.Fatalf("hammer missed a delta kind: %+v", st)
 	}
 }
-
-// TestConcurrentHammerAutoRebuild is the same churn with the session
-// triggering its own background rebuilds.
-func TestConcurrentHammerAutoRebuild(t *testing.T) {
-	s := newSession(t, stream.Config{
-		Capacity:         64,
-		RebuildThreshold: 0.1,
-		AutoRebuild:      true,
-		Initial:          []core.Size{8, 8, 8, 8, 8, 8, 8, 8},
-	})
-	var fail errOnce
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			var mine []int
-			for i := 0; i < 150; i++ {
-				if len(mine) < 2 || i%2 == 0 {
-					id, _, err := s.Add(core.Size(1 + (g+i)%16))
-					if err != nil {
-						fail.set(err)
-						return
-					}
-					mine = append(mine, id)
-				} else {
-					id := mine[0]
-					mine = mine[1:]
-					if _, err := s.Remove(id); err != nil {
-						fail.set(err)
-						return
-					}
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if err := fail.get(); err != nil {
-		t.Fatalf("hammer: %v", err)
-	}
-	if err := s.Close(); err != nil { // waits for any in-flight auto rebuild
-		t.Fatalf("Close: %v", err)
-	}
-	// The structure stays inspectable after Close.
-	audit(t, s)
-}

@@ -56,9 +56,12 @@ func (s *Session) replan(ctx context.Context, sizes []core.Size) (planned *core.
 }
 
 // Rebuild runs a full replan of the live instance through the configured
-// ReplanFunc and atomically swaps the result in, reconciling deltas that
-// raced the solve. Only one rebuild (manual or automatic) runs at a time.
+// ReplanFunc on the caller's goroutine and atomically swaps the result in,
+// reconciling deltas that raced the solve. It snapshots and swaps under the
+// session lock and replans outside it. Only one rebuild runs at a time.
 func (s *Session) Rebuild(ctx context.Context) (*RebuildReport, error) {
+	start := time.Now()
+	sp := obs.SpanFrom(ctx)
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -69,8 +72,7 @@ func (s *Session) Rebuild(ctx context.Context) (*RebuildReport, error) {
 		return nil, ErrRebuildInFlight
 	}
 	s.rebuilding = true
-	s.mu.Unlock()
-	// Clear the flag via defer: if rebuild panics (it should not — replan
+	// Clear the flag via defer: if the rebuild panics (it should not — replan
 	// panics are recovered into errors), the session must not report
 	// ErrRebuildInFlight forever after.
 	defer func() {
@@ -78,15 +80,6 @@ func (s *Session) Rebuild(ctx context.Context) (*RebuildReport, error) {
 		s.rebuilding = false
 		s.mu.Unlock()
 	}()
-	return s.rebuild(ctx)
-}
-
-// rebuild snapshots, replans outside the lock, and swaps. The caller owns
-// the rebuilding flag.
-func (s *Session) rebuild(ctx context.Context) (*RebuildReport, error) {
-	start := time.Now()
-	sp := obs.SpanFrom(ctx)
-	s.mu.Lock()
 	snapIDs := append([]InputID(nil), s.ids...)
 	snapSizes := make([]core.Size, len(snapIDs))
 	for i, id := range snapIDs {

@@ -21,15 +21,14 @@ type InputID = int
 // session calls it outside its lock, so it may be arbitrarily slow.
 type ReplanFunc func(ctx context.Context, sizes []core.Size, q core.Size) (*core.MappingSchema, error)
 
-// Defaults for Config.
 const (
 	// DefaultRebuildThreshold is the drift ratio (drift bytes over live
 	// bytes) past which a rebuild is requested.
 	DefaultRebuildThreshold = 1.0
-	// DefaultSnapshotEvery is how many journaled deltas may accumulate
-	// before the session writes a fresh full-state snapshot to its journal,
-	// bounding how much recovery ever has to replay.
-	DefaultSnapshotEvery = 1024
+	// snapshotEvery is how many journaled deltas may accumulate before the
+	// session writes a fresh full-state snapshot to its journal, bounding how
+	// much recovery ever has to replay.
+	snapshotEvery = 1024
 )
 
 // Config configures NewSession.
@@ -51,10 +50,6 @@ type Config struct {
 	// true. 0 means DefaultRebuildThreshold; negative disables rebuild
 	// requests entirely.
 	RebuildThreshold float64
-	// AutoRebuild makes the session trigger background rebuilds itself when
-	// drift passes the threshold. When false, callers poll NeedsRebuild and
-	// run Rebuild on their own pool (cmd/pland runs it on its job queue).
-	AutoRebuild bool
 	// Replan solves a full snapshot during rebuilds. Required.
 	Replan ReplanFunc
 	// Initial seeds the session: NewSession plans these sizes through Replan
@@ -63,13 +58,9 @@ type Config struct {
 	Initial []core.Size
 	// Journal, when non-nil, receives the session's durability stream: every
 	// applied delta plus full-state snapshots at creation, after rebuild
-	// swaps, and every SnapshotEvery deltas. Calls happen under the session
-	// lock; see Journal's contract.
+	// swaps, and every 1,024 deltas. Calls happen under the session lock; see
+	// Journal's contract.
 	Journal Journal
-	// SnapshotEvery is the periodic-snapshot cadence in deltas. 0 means
-	// DefaultSnapshotEvery; negative disables periodic snapshots (creation
-	// and rebuild snapshots still happen).
-	SnapshotEvery int
 }
 
 // Session errors.
@@ -79,8 +70,8 @@ var (
 	// ErrUnknownID is returned for deltas addressing an input that is not
 	// live.
 	ErrUnknownID = errors.New("stream: unknown input id")
-	// ErrRebuildInFlight is returned by Rebuild while another rebuild (manual
-	// or automatic) is still running.
+	// ErrRebuildInFlight is returned by Rebuild while another rebuild is
+	// still running.
 	ErrRebuildInFlight = errors.New("stream: a rebuild is already in flight")
 )
 
@@ -101,7 +92,7 @@ type counters struct {
 }
 
 // Session owns a live mapping schema and applies deltas to it. Create with
-// NewSession; Sessions are safe for concurrent use.
+// NewSession; Sessions are safe for concurrent use, and start no goroutine.
 type Session struct {
 	cfg Config
 
@@ -136,20 +127,7 @@ type Session struct {
 	st         counters
 	// sinceSnap counts journaled deltas since the last journal snapshot.
 	sinceSnap int
-
-	baseCtx context.Context
-	cancel  context.CancelCauseFunc
-	wg      sync.WaitGroup
 }
-
-// errSessionAborted is the cancellation cause of a base context whose
-// session never went live (construction or restore failed).
-var errSessionAborted = errors.New("stream: session construction failed")
-
-// testHookSessionAbort, when non-nil, observes sessions whose construction
-// failed after the base context existed; the leak regression test asserts
-// the context was canceled rather than leaked.
-var testHookSessionAbort func(*Session)
 
 // NewSession builds a session for capacity cfg.Capacity. When cfg.Initial is
 // non-empty the initial instance is planned through cfg.Replan under ctx and
@@ -167,22 +145,9 @@ func NewSession(ctx context.Context, cfg Config) (*Session, error) {
 		assign:     make(map[InputID][]int),
 		assignBits: make(map[InputID]*core.CoverSet),
 	}
-	s.baseCtx, s.cancel = context.WithCancelCause(context.Background())
-	// Every error return below must release the base context's resources, or
-	// each rejected session request leaks a cancelable context.
-	live := false
-	defer func() {
-		if !live {
-			s.cancel(errSessionAborted)
-			if testHookSessionAbort != nil {
-				testHookSessionAbort(s)
-			}
-		}
-	}()
 	if len(cfg.Initial) == 0 {
 		s.journalInitialSnapshot()
 		obsSessions.Inc()
-		live = true
 		return s, nil
 	}
 	var top1, top2 core.Size
@@ -217,7 +182,6 @@ func NewSession(ctx context.Context, cfg Config) (*Session, error) {
 	s.swapLocked(planned, snapIDs) // no concurrency yet, lock not needed
 	s.journalInitialSnapshot()
 	obsSessions.Inc()
-	live = true
 	return s, nil
 }
 
@@ -229,19 +193,15 @@ func (s *Session) journalInitialSnapshot() {
 	}
 }
 
-// Close stops the session: the in-flight background rebuild (if any) is
-// canceled and awaited, and every later method returns ErrClosed.
+// Close marks the session closed: every later method returns ErrClosed, and
+// a Rebuild in flight discards its solve instead of swapping it in.
 func (s *Session) Close() error {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
+	defer s.mu.Unlock()
+	if !s.closed {
+		s.closed = true
+		obsSessions.Dec()
 	}
-	s.closed = true
-	s.mu.Unlock()
-	obsSessions.Dec()
-	s.cancel(ErrClosed)
-	s.wg.Wait()
 	return nil
 }
 
@@ -451,8 +411,8 @@ func (s *Session) driftRatioLocked() float64 {
 	return float64(s.drift) / float64(s.total)
 }
 
-// NeedsRebuild reports whether drift has passed the rebuild threshold. With
-// AutoRebuild unset this is the caller's cue to schedule Rebuild.
+// NeedsRebuild reports whether drift has passed the rebuild threshold: the
+// caller's cue to schedule Rebuild.
 func (s *Session) NeedsRebuild() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()

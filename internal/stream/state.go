@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -25,9 +24,9 @@ type DeltaRecord struct {
 // Journal receives the session's durability stream: one Delta per applied
 // delta and one Snapshot per full-state capture (session creation, rebuild
 // swaps — whose outcome depends on the deltas that raced the solve — and every
-// Config.SnapshotEvery deltas). Both are called with the session lock held,
-// so implementations must be fast, must not block on the session, and must
-// not call back into it.
+// 1,024 deltas). Both are called with the session lock held, so
+// implementations must be fast, must not block on the session, and must not
+// call back into it.
 type Journal interface {
 	Delta(rec DeltaRecord)
 	Snapshot(st *State)
@@ -170,18 +169,6 @@ func (s *Session) WriteSnapshot() error {
 	return nil
 }
 
-// snapshotEvery resolves the periodic-snapshot cadence.
-func (s *Session) snapshotEvery() int {
-	switch {
-	case s.cfg.SnapshotEvery > 0:
-		return s.cfg.SnapshotEvery
-	case s.cfg.SnapshotEvery < 0:
-		return 0 // disabled
-	default:
-		return DefaultSnapshotEvery
-	}
-}
-
 // journalDeltaLocked streams one applied delta to the journal and rolls a
 // fresh snapshot once enough deltas accumulated since the last one, so
 // recovery replay stays bounded.
@@ -195,7 +182,7 @@ func (s *Session) journalDeltaLocked(rep *DeltaReport) {
 	}
 	s.cfg.Journal.Delta(rec)
 	s.sinceSnap++
-	if every := s.snapshotEvery(); every > 0 && s.sinceSnap >= every {
+	if s.sinceSnap >= snapshotEvery {
 		s.cfg.Journal.Snapshot(s.stateLocked())
 		s.sinceSnap = 0
 	}
@@ -256,11 +243,11 @@ func validateState(st *State) error {
 
 // RestoreSession rebuilds a session from a serialized State and replays the
 // deltas journaled after it, in order. The state carries its own capacity and
-// tuning; cfg contributes the behavioral wiring — Replan (required),
-// AutoRebuild, Journal, and SnapshotEvery — which is attached only after
-// replay so recovery itself is never re-journaled. Replay re-derives each
-// add's ID and fails on divergence, so a corrupt or misordered log surfaces
-// as an error instead of a silently different schema.
+// tuning; cfg contributes the behavioral wiring — Replan (required) and
+// Journal, which is attached only after replay so recovery itself is never
+// re-journaled. Replay re-derives each add's ID and fails on divergence, so a
+// corrupt or misordered log surfaces as an error instead of a silently
+// different schema.
 func RestoreSession(cfg Config, st *State, deltas []DeltaRecord) (*Session, error) {
 	if cfg.Replan == nil {
 		return nil, errors.New("stream: Config.Replan is required")
@@ -275,8 +262,7 @@ func RestoreSession(cfg Config, st *State, deltas []DeltaRecord) (*Session, erro
 			Headroom:         st.Headroom,
 			RebuildThreshold: st.RebuildThreshold,
 			Replan:           cfg.Replan,
-			SnapshotEvery:    cfg.SnapshotEvery,
-			// AutoRebuild and Journal attach after replay.
+			// Journal attaches after replay.
 		},
 		sizes:      make(map[InputID]core.Size, len(st.IDs)),
 		assign:     make(map[InputID][]int, len(st.IDs)),
@@ -296,7 +282,6 @@ func RestoreSession(cfg Config, st *State, deltas []DeltaRecord) (*Session, erro
 			lastMigration:   st.Counters.LastMigration,
 		},
 	}
-	s.baseCtx, s.cancel = context.WithCancelCause(context.Background())
 	s.ids = append([]InputID(nil), st.IDs...)
 	for i, id := range st.IDs {
 		s.sizes[id] = st.Sizes[i]
@@ -326,7 +311,6 @@ func RestoreSession(cfg Config, st *State, deltas []DeltaRecord) (*Session, erro
 	// Paranoia: the rebuilt structure must fingerprint identically to the
 	// state it came from, or replay below would diverge from the original.
 	if got := s.stateLocked().Fingerprint(); got != st.Fingerprint() {
-		s.cancel(errSessionAborted)
 		return nil, fmt.Errorf("stream: restored state fingerprint %#x != source %#x", got, st.Fingerprint())
 	}
 	// The session is structurally live from here: a replay failure exits
@@ -356,7 +340,6 @@ func RestoreSession(cfg Config, st *State, deltas []DeltaRecord) (*Session, erro
 	}
 
 	s.mu.Lock()
-	s.cfg.AutoRebuild = cfg.AutoRebuild
 	s.cfg.Journal = cfg.Journal
 	s.mu.Unlock()
 	return s, nil

@@ -29,10 +29,11 @@ func solve(_ context.Context, sizes []core.Size, q core.Size) (*core.MappingSche
 }
 
 // walJournal is the minimal stream.Journal-over-Log adapter (cmd/pland has
-// the production twin).
+// the production twin). snapshots counts the snapshots it appended.
 type walJournal struct {
-	sid string
-	log *wal.Log
+	sid       string
+	log       *wal.Log
+	snapshots int
 }
 
 func (j *walJournal) Delta(rec stream.DeltaRecord) {
@@ -40,6 +41,7 @@ func (j *walJournal) Delta(rec stream.DeltaRecord) {
 }
 
 func (j *walJournal) Snapshot(st *stream.State) {
+	j.snapshots++
 	_ = j.log.Append(&wal.Record{Kind: wal.KindSessionSnapshot, SID: j.sid, State: st, FP: st.Fingerprint()})
 }
 
@@ -119,13 +121,13 @@ func TestCrashRecoveryProperty(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
+	journal := &walJournal{sid: sid, log: log}
 	s, err := stream.NewSession(context.Background(), stream.Config{
 		Capacity:         q,
 		RebuildThreshold: -1, // rebuild swaps race the trace; keep the shadow exact
 		Initial:          initialSizes,
 		Replan:           solve,
-		Journal:          &walJournal{sid: sid, log: log},
-		SnapshotEvery:    40, // several mid-trace snapshots exercise subsumption
+		Journal:          journal,
 	})
 	if err != nil {
 		t.Fatalf("NewSession: %v", err)
@@ -158,6 +160,15 @@ func TestCrashRecoveryProperty(t *testing.T) {
 			}
 		}
 		record()
+		// Several mid-trace snapshots exercise subsumption.
+		if (i+1)%40 == 0 {
+			if err := s.WriteSnapshot(); err != nil {
+				t.Fatalf("step %d: WriteSnapshot: %v", i, err)
+			}
+		}
+	}
+	if mid := journal.snapshots - 1; mid < 3 {
+		t.Fatalf("%d mid-trace snapshots written, want at least 3", mid)
 	}
 	s.Close()
 	if err := log.Close(); err != nil {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/planner"
 )
@@ -26,20 +25,16 @@ type request struct {
 
 	capacity Size
 
-	noCache        bool
-	exactMaxInputs int
-	exactMaxNodes  int
-	exactSet       bool
+	noCache bool
 
 	pair    PairFunc
 	workers int
 	noAudit bool
 
-	// Streaming surface (see Source, Each, Collect, MemoryBudget, SpillDir).
+	// Streaming surface (see Source, Each, MemoryBudget, SpillDir).
 	src       RecordSource
 	srcSizes  []Size
 	each      func(rec []byte) error
-	collect   *[][]byte
 	memBudget int64
 	spillDir  string
 
@@ -47,7 +42,6 @@ type request struct {
 	migrationBudget  Size
 	rebuildThreshold float64
 	headroom         Size
-	manualRebuild    bool
 	journal          SessionJournal
 
 	errs []error
@@ -131,13 +125,6 @@ func Each(fn func(rec []byte) error) Option {
 	return func(r *request) { r.each = fn }
 }
 
-// Collect appends Execute's output records to *dst as they are produced —
-// the streaming counterpart of reading Execution.Output, composable with
-// Each and ExecuteStream.
-func Collect(dst *[][]byte) Option {
-	return func(r *request) { r.collect = dst }
-}
-
 // MemoryBudget bounds the in-memory shuffle bytes of Execute's pipeline.
 // Partitions over budget spill sorted runs to the spill directory and
 // merge them back at reduce time; output is unchanged. Spill volume is
@@ -160,36 +147,17 @@ func Capacity(q Size) Option {
 	return func(r *request) { r.capacity = q }
 }
 
-// Timeout is accepted for compatibility and does not change the plan: the
+// Deterministic is accepted for compatibility and changes nothing: the
 // portfolio members run in order, each bounded on its own (the greedy
-// baseline by its input ceiling, exact search by ExactBudget), so the plan
-// for one instance is the same whatever the host load. To bound how long a
-// call may take, cancel its context.
-func Timeout(time.Duration) Option { return func(*request) {} }
-
-// Deterministic is accepted for compatibility and does not change the plan:
-// every plan is deterministic (see Timeout).
-func Deterministic() Option { return Timeout(-1) }
+// baseline by its input ceiling, exact search by its input and node caps), so
+// the plan for one instance is the same whatever the host load. To bound how
+// long a call may take, cancel its context.
+func Deterministic() Option { return func(*request) {} }
 
 // NoCache skips the canonicalization cache for this call. The instance is
-// still canonicalized, so the result is identical to the cached path; use it
-// when this call's ExactBudget must be honored exactly rather than served
-// from a plan solved under an earlier request's budget.
+// still canonicalized, so the result is identical to the cached path.
 func NoCache() Option {
 	return func(r *request) { r.noCache = true }
-}
-
-// ExactBudget tunes the exact branch-and-bound portfolio members: the
-// largest instance they attempt and their search-node cap, which is the only
-// bound on how long they search. maxInputs < 0 disables them; zeros keep the
-// defaults (12 inputs, 200,000 nodes). The A2A member keeps its search state
-// in machine words and has a ceiling of 64 inputs: a larger maxInputs raises
-// the limit to 64, and beyond that the member sits the plan out, leaving it
-// to the constructive members.
-func ExactBudget(maxInputs, maxNodes int) Option {
-	return func(r *request) {
-		r.exactMaxInputs, r.exactMaxNodes, r.exactSet = maxInputs, maxNodes, true
-	}
 }
 
 // Pair supplies Execute's per-pair user logic; Execute requires it. Records
@@ -284,10 +252,6 @@ func (r *request) plannerRequest() (planner.Request, error) {
 		Problem:  r.problem,
 		Capacity: r.capacity,
 		NoCache:  r.noCache,
-	}
-	if r.exactSet {
-		req.Budget.ExactMaxInputs = r.exactMaxInputs
-		req.Budget.ExactMaxNodes = r.exactMaxNodes
 	}
 	var err error
 	switch r.problem {

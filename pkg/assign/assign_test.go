@@ -12,7 +12,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 	"repro/pkg/assign"
@@ -371,8 +370,8 @@ func TestExecuteCanceledContext(t *testing.T) {
 }
 
 func TestTimeoutOptionStillReturnsBaseline(t *testing.T) {
-	// A 1ns Timeout no member could meet does not change the plan: it must
-	// still arrive, be valid, and be the plan of the default options.
+	// Deterministic is accepted and changes nothing: the plan must still
+	// arrive, be valid, and be the plan of the default options.
 	sizes := make([]assign.Size, 60)
 	for i := range sizes {
 		sizes[i] = assign.Size(1 + i%4)
@@ -380,7 +379,7 @@ func TestTimeoutOptionStillReturnsBaseline(t *testing.T) {
 	res, err := assign.Plan(context.Background(),
 		assign.A2A(sizes),
 		assign.Capacity(20),
-		assign.Timeout(time.Nanosecond),
+		assign.Deterministic(),
 		assign.NoCache(),
 	)
 	if err != nil {
@@ -394,7 +393,7 @@ func TestTimeoutOptionStillReturnsBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Winner != plain.Winner || !reflect.DeepEqual(res.Schema, plain.Schema) {
-		t.Errorf("Timeout(1ns) served %s's schema, the default options %s's", res.Winner, plain.Winner)
+		t.Errorf("Deterministic served %s's schema, the default options %s's", res.Winner, plain.Winner)
 	}
 }
 

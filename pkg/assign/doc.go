@@ -35,9 +35,9 @@
 //
 // Execute also has a fully streaming form. The Source option feeds input
 // records from a RecordSource one at a time (sizes declared up front, so the
-// plan is unchanged), Each streams every output record to a callback as it is
-// produced, and Collect appends outputs to a caller-owned slice; with Source
-// or Each the execution never materializes its input or output:
+// plan is unchanged), and Each streams every output record to a callback as
+// it is produced; with Source or Each the execution never materializes its
+// input or output:
 //
 //	ex, err := assign.Execute(ctx,
 //	    assign.Source(src, sizes),          // records pulled on demand
@@ -72,13 +72,17 @@
 //
 // A plan need not be one-shot: NewSession opens a live, continuously
 // maintained assignment that absorbs Add/Remove/Resize deltas by bounded
-// local repair and replans in the background when cumulative drift calls
-// for it:
+// local repair, and reports through NeedsRebuild when cumulative drift calls
+// for a full replan. The session starts no goroutine: the caller runs
+// Rebuild when and where it chooses:
 //
 //	sess, err := assign.NewSession(ctx,
 //	    assign.A2A(sizes), assign.Capacity(1<<20),
 //	    assign.MigrationBudget(4<<20), assign.RebuildThreshold(0.5))
 //	id, rep, err := sess.Add(4096)
+//	if sess.NeedsRebuild() {
+//	    _, err = sess.Rebuild(ctx)
+//	}
 //
 // After any sequence of deltas the session's schema still satisfies the
 // paper's invariants: every required pair meets at exactly one owning

@@ -16,7 +16,7 @@ type Execution struct {
 	Plan *Result
 	// Output holds every record the Pair logic emitted, in deterministic
 	// partition order. It is nil when the output was streamed instead
-	// (Each or Collect was given, or the run came from ExecuteStream).
+	// (Each was given, or the run came from ExecuteStream).
 	Output [][]byte
 	// PairsProcessed is how many required pairs the reducers processed; the
 	// conformance audit checks it is exactly the instance's pair count, each
@@ -65,7 +65,7 @@ func (pl *Planner) Execute(ctx context.Context, opts ...Option) (*Execution, err
 	if err != nil {
 		return nil, err
 	}
-	res, err := exec.Run(pl.execRequest(ctx, r, plan, r.outputSink()))
+	res, err := exec.Run(pl.execRequest(ctx, r, plan, r.each))
 	if err != nil {
 		return nil, err
 	}
@@ -125,23 +125,6 @@ func (pl *Planner) execRequest(ctx context.Context, r *request, plan *Result, si
 		}
 	}
 	return req
-}
-
-// outputSink folds the Each and Collect options into one executor sink, or
-// nil when the output should be materialized in Execution.Output.
-func (r *request) outputSink() func([]byte) error {
-	if r.each == nil && r.collect == nil {
-		return nil
-	}
-	return func(rec []byte) error {
-		if r.collect != nil {
-			*r.collect = append(*r.collect, rec)
-		}
-		if r.each != nil {
-			return r.each(rec)
-		}
-		return nil
-	}
 }
 
 // newExecution converts an executor result.
@@ -235,10 +218,9 @@ func (pl *Planner) ExecuteStream(ctx context.Context, opts ...Option) (*StreamEx
 		cancel: cancel,
 		done:   make(chan struct{}),
 	}
-	tee := r.outputSink()
 	sink := func(rec []byte) error {
-		if tee != nil {
-			if err := tee(rec); err != nil {
+		if r.each != nil {
+			if err := r.each(rec); err != nil {
 				return err
 			}
 		}

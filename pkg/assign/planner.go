@@ -1,34 +1,20 @@
 package assign
 
 import (
-	"time"
-
 	"repro/internal/exec"
 	"repro/internal/planner"
 )
 
-// Defaults of the planning budget and cache, re-exported for callers that
-// size their own planners or budgets.
-const (
-	// DefaultTimeout is kept for compatibility; like Timeout, it does not
-	// change the plan.
-	DefaultTimeout = 2 * time.Second
-	// DefaultCacheEntries is a planner's default cache capacity.
-	DefaultCacheEntries = planner.DefaultCacheEntries
-)
+// DefaultCacheEntries is a planner's default cache capacity.
+const DefaultCacheEntries = planner.DefaultCacheEntries
 
 // PlannerConfig configures NewPlanner. The zero value uses the defaults.
 type PlannerConfig struct {
 	// CacheEntries is the canonical-plan cache capacity; 0 means
 	// DefaultCacheEntries, negative disables caching entirely — of plans,
-	// and of what Execute compiles from them.
+	// and of what Execute compiles from them. Instances of more than 20,000
+	// inputs plan normally but bypass the cache.
 	CacheEntries int
-	// CacheShards spreads cache locking; 0 means a sensible default.
-	CacheShards int
-	// MaxCacheableInputs bounds the instance size the cache retains; larger
-	// instances plan normally but bypass the cache. 0 means the default,
-	// negative removes the bound.
-	MaxCacheableInputs int
 }
 
 // Planner plans and executes instances against its own portfolio cache.
@@ -45,11 +31,7 @@ type Planner struct {
 // sharing of the package-level functions is unwanted (e.g. per-tenant
 // isolation, or tests that must not observe each other's cache).
 func NewPlanner(cfg PlannerConfig) *Planner {
-	pl := &Planner{p: planner.New(planner.Config{
-		CacheEntries:       cfg.CacheEntries,
-		Shards:             cfg.CacheShards,
-		MaxCacheableInputs: cfg.MaxCacheableInputs,
-	})}
+	pl := &Planner{p: planner.New(planner.Config{CacheEntries: cfg.CacheEntries})}
 	if cfg.CacheEntries >= 0 {
 		pl.compiler = exec.NewCompiler()
 	}

@@ -52,9 +52,8 @@ func MigrationBudget(bytes Size) Option {
 }
 
 // RebuildThreshold sets the drift ratio (bytes churned since the last full
-// plan over live bytes) past which the session schedules a background
-// rebuild. Zero keeps the default (1.0); a negative threshold disables
-// rebuilds entirely.
+// plan over live bytes) past which NeedsRebuild reports true. Zero keeps the
+// default (1.0); a negative threshold disables rebuild requests entirely.
 func RebuildThreshold(frac float64) Option {
 	return func(r *request) { r.rebuildThreshold = frac }
 }
@@ -66,12 +65,10 @@ func Headroom(bytes Size) Option {
 	return func(r *request) { r.headroom = bytes }
 }
 
-// ManualRebuild disables the session's automatic background rebuilds: the
-// caller polls NeedsRebuild and runs Rebuild on its own schedule (cmd/pland
-// runs them on its job queue).
-func ManualRebuild() Option {
-	return func(r *request) { r.manualRebuild = true }
-}
+// ManualRebuild is accepted for compatibility and changes nothing: a session
+// never rebuilds by itself. The caller polls NeedsRebuild and runs Rebuild on
+// its own schedule (cmd/pland runs it on its job queue).
+func ManualRebuild() Option { return func(*request) {} }
 
 // Journal attaches a durability journal to the session: every applied delta
 // and every full-state snapshot (creation, rebuild swaps, periodic) streams
@@ -84,7 +81,8 @@ func Journal(j SessionJournal) Option {
 // schema and applies Add/Remove/Resize deltas by bounded local repair,
 // replanning in full through its Planner only when cumulative drift calls
 // for it. Sessions are safe for concurrent use; see internal/stream's
-// package documentation for the repair/rebuild contract.
+// package documentation for the repair/rebuild contract. A session starts no
+// goroutine: Rebuild runs on its caller's.
 type Session struct {
 	s *stream.Session
 }
@@ -92,8 +90,8 @@ type Session struct {
 // NewSession opens a session on the shared process-wide planner. Capacity is
 // required; an initial A2A instance (A2A or Inputs) is optional and is
 // planned once through the portfolio before the session goes live. NoCache
-// shapes the session's replans; MigrationBudget, RebuildThreshold, Headroom,
-// and ManualRebuild shape its maintenance.
+// shapes the session's replans; MigrationBudget, RebuildThreshold and
+// Headroom shape its maintenance.
 func NewSession(ctx context.Context, opts ...Option) (*Session, error) {
 	return Default.NewSession(ctx, opts...)
 }
@@ -128,7 +126,6 @@ func (pl *Planner) NewSession(ctx context.Context, opts ...Option) (*Session, er
 		MigrationBudget:  r.migrationBudget,
 		RebuildThreshold: r.rebuildThreshold,
 		Headroom:         r.headroom,
-		AutoRebuild:      !r.manualRebuild,
 		Initial:          initial,
 		Replan:           pl.replanFunc(r),
 		Journal:          r.journal,
@@ -146,8 +143,9 @@ func (pl *Planner) NewSession(ctx context.Context, opts ...Option) (*Session, er
 // schema must pass the executor auditor's static invariants (every load
 // within capacity, every required pair covered), so a corrupt or misordered
 // log surfaces as an error here instead of as a wrong answer later. Only the
-// behavioral options apply (NoCache, ManualRebuild, Journal);
-// capacity and tuning travel inside the state itself.
+// behavioral options apply (NoCache, Journal). Capacity and tuning travel
+// inside the state itself, so an instance, Capacity, MigrationBudget,
+// RebuildThreshold or Headroom among the options is an error.
 func (pl *Planner) RestoreSession(st *SessionState, deltas []SessionDeltaRecord, opts ...Option) (*Session, error) {
 	r := &request{}
 	for _, o := range opts {
@@ -159,10 +157,22 @@ func (pl *Planner) RestoreSession(st *SessionState, deltas []SessionDeltaRecord,
 	if r.problemSet || len(r.sizes) > 0 || r.hasData {
 		return nil, errors.New("assign: RestoreSession takes no instance; the state carries it")
 	}
+	for _, o := range []struct {
+		name string
+		set  bool
+	}{
+		{"Capacity", r.capacity != 0},
+		{"MigrationBudget", r.migrationBudget != 0},
+		{"RebuildThreshold", r.rebuildThreshold != 0},
+		{"Headroom", r.headroom != 0},
+	} {
+		if o.set {
+			return nil, fmt.Errorf("assign: RestoreSession takes no %s; the state carries it", o.name)
+		}
+	}
 	s, err := stream.RestoreSession(stream.Config{
-		AutoRebuild: !r.manualRebuild,
-		Replan:      pl.replanFunc(r),
-		Journal:     r.journal,
+		Replan:  pl.replanFunc(r),
+		Journal: r.journal,
 	}, st, deltas)
 	if err != nil {
 		return nil, err
@@ -238,8 +248,8 @@ func (s *Session) State() *SessionState { return s.s.State() }
 // barrier segment.
 func (s *Session) WriteSnapshot() error { return s.s.WriteSnapshot() }
 
-// NeedsRebuild reports whether drift passed the rebuild threshold; with
-// ManualRebuild it is the caller's cue to invoke Rebuild.
+// NeedsRebuild reports whether drift passed the rebuild threshold: the
+// caller's cue to invoke Rebuild.
 func (s *Session) NeedsRebuild() bool { return s.s.NeedsRebuild() }
 
 // Rebuild replans the live instance in full through the session's planner
@@ -247,6 +257,6 @@ func (s *Session) NeedsRebuild() bool { return s.s.NeedsRebuild() }
 // solve. It reports the swap's migration cost.
 func (s *Session) Rebuild(ctx context.Context) (*RebuildReport, error) { return s.s.Rebuild(ctx) }
 
-// Close stops the session; the in-flight background rebuild, if any, is
-// canceled and awaited.
+// Close stops the session: every later call returns ErrSessionClosed, and a
+// Rebuild in flight discards its result.
 func (s *Session) Close() error { return s.s.Close() }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/pkg/assign"
@@ -31,7 +32,6 @@ func TestSessionLifecycle(t *testing.T) {
 		assign.A2A([]assign.Size{5, 3, 7, 2, 6, 4}),
 		assign.Capacity(20),
 		assign.Deterministic(),
-		assign.ManualRebuild(),
 	)
 	if err != nil {
 		t.Fatalf("NewSession: %v", err)
@@ -70,6 +70,9 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 }
 
+// TestSessionManualRebuild pins that a session never rebuilds by itself: past
+// the threshold it only says so through NeedsRebuild, and the caller's
+// Rebuild is the one that runs.
 func TestSessionManualRebuild(t *testing.T) {
 	ctx := context.Background()
 	// An isolated planner so the test does not share the process cache.
@@ -78,7 +81,6 @@ func TestSessionManualRebuild(t *testing.T) {
 		assign.A2A([]assign.Size{5, 5, 5, 5, 5, 5}),
 		assign.Capacity(20),
 		assign.Deterministic(),
-		assign.ManualRebuild(),
 		assign.RebuildThreshold(0.1),
 	)
 	if err != nil {
@@ -97,6 +99,15 @@ func TestSessionManualRebuild(t *testing.T) {
 	}
 	if !s.NeedsRebuild() {
 		t.Fatalf("drift never passed the threshold: %+v", s.Stats())
+	}
+	// More deltas past the threshold still start nothing.
+	for i := 0; i < 5; i++ {
+		if _, _, err := s.Add(5); err != nil {
+			t.Fatalf("Add: %v", err)
+		}
+	}
+	if st := s.Stats(); st.Rebuilds != 0 || st.RebuildInFlight || !st.NeedsRebuild {
+		t.Fatalf("a session rebuilt by itself: %+v", st)
 	}
 	rep, err := s.Rebuild(ctx)
 	if err != nil {
@@ -125,7 +136,7 @@ func TestSessionOptionValidation(t *testing.T) {
 		t.Fatalf("pairwise-infeasible initial instance: err = %v", err)
 	}
 	// A session needs no initial instance at all.
-	s, err := assign.NewSession(ctx, assign.Capacity(10), assign.ManualRebuild())
+	s, err := assign.NewSession(ctx, assign.Capacity(10))
 	if err != nil {
 		t.Fatalf("empty session: %v", err)
 	}
@@ -142,7 +153,6 @@ func TestSessionFromPayloads(t *testing.T) {
 	s, err := assign.NewSession(context.Background(),
 		assign.Inputs([][]byte{[]byte("aaaa"), []byte("bb"), []byte("cccccc")}),
 		assign.Capacity(16),
-		assign.ManualRebuild(),
 	)
 	if err != nil {
 		t.Fatalf("NewSession: %v", err)
@@ -172,7 +182,7 @@ func TestRestoreSessionDoesNotListThePairs(t *testing.T) {
 	}
 	pl := assign.NewPlanner(assign.PlannerConfig{})
 	s, err := pl.NewSession(context.Background(),
-		assign.A2A(sizes), assign.Capacity(4096), assign.Deterministic(), assign.ManualRebuild())
+		assign.A2A(sizes), assign.Capacity(4096), assign.Deterministic())
 	if err != nil {
 		t.Fatalf("NewSession: %v", err)
 	}
@@ -182,7 +192,7 @@ func TestRestoreSessionDoesNotListThePairs(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	restored, err := pl.RestoreSession(st, nil, assign.ManualRebuild())
+	restored, err := pl.RestoreSession(st, nil)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatalf("RestoreSession: %v", err)
@@ -195,4 +205,41 @@ func TestRestoreSessionDoesNotListThePairs(t *testing.T) {
 		t.Fatalf("restoring %d inputs on %d reducers allocated %.1f MB, over the %d MB bound",
 			m, restored.Stats().Reducers, float64(alloc)/(1<<20), bound>>20)
 	}
+}
+
+// TestRestoreSessionRejectsTuning: the state carries the capacity and the
+// maintenance tuning, so RestoreSession refuses each option that would set
+// one, naming it, instead of dropping it.
+func TestRestoreSessionRejectsTuning(t *testing.T) {
+	pl := assign.NewPlanner(assign.PlannerConfig{})
+	s, err := pl.NewSession(context.Background(), assign.A2A([]assign.Size{3, 4, 5}), assign.Capacity(20))
+	if err != nil {
+		t.Fatalf("NewSession: %v", err)
+	}
+	st := s.State()
+	s.Close()
+	for _, tc := range []struct {
+		name string
+		opt  assign.Option
+	}{
+		{"Capacity", assign.Capacity(40)},
+		{"MigrationBudget", assign.MigrationBudget(100)},
+		{"RebuildThreshold", assign.RebuildThreshold(0.5)},
+		{"Headroom", assign.Headroom(2)},
+	} {
+		restored, err := pl.RestoreSession(st, nil, tc.opt)
+		if err == nil {
+			restored.Close()
+			t.Errorf("RestoreSession accepted %s", tc.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.name) {
+			t.Errorf("RestoreSession with %s: error %q does not name the option", tc.name, err)
+		}
+	}
+	restored, err := pl.RestoreSession(st, nil, assign.NoCache())
+	if err != nil {
+		t.Fatalf("RestoreSession with a behavioural option: %v", err)
+	}
+	restored.Close()
 }

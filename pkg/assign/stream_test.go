@@ -145,7 +145,10 @@ func TestExecuteStreamIterator(t *testing.T) {
 		assign.Source(assign.NewSliceRecordSource(payloads), payloadSizes(payloads)),
 		assign.Capacity(80),
 		assign.Pair(pairIDRecords),
-		assign.Collect(&collected),
+		assign.Each(func(rec []byte) error {
+			collected = append(collected, rec)
+			return nil
+		}),
 		assign.Deterministic(),
 	)
 	if err != nil {
@@ -174,9 +177,9 @@ func TestExecuteStreamIterator(t *testing.T) {
 		t.Fatalf("iterator yielded %d records (execution %d pairs), want %d",
 			len(got), ex.PairsProcessed, want.PairsProcessed)
 	}
-	// Collect saw the same records the iterator did.
+	// Each saw the same records the iterator did.
 	if len(collected) != len(got) {
-		t.Fatalf("Collect gathered %d records, iterator yielded %d", len(collected), len(got))
+		t.Fatalf("Each saw %d records, iterator yielded %d", len(collected), len(got))
 	}
 	wantSet := make([]string, len(want.Output))
 	for i, rec := range want.Output {
