@@ -41,10 +41,9 @@ type loadConfig struct {
 	Targets []string
 	// Mix maps op name to relative weight; zero-weight ops never run.
 	Mix map[string]int
-	// Concurrency is the closed-loop worker count, used when Rate is zero.
-	Concurrency int
-	// Rate switches to open-loop mode: ops start at this fixed rate per
-	// second regardless of completions, as a latency-hiding-free probe.
+	// Rate is how many ops start per second, regardless of completions:
+	// the load is open-loop, so a slow fleet cannot hide latency by
+	// throttling the probe. It must be positive.
 	Rate float64
 	// Duration bounds the run.
 	Duration time.Duration
@@ -174,8 +173,8 @@ func runLoad(ctx context.Context, cfg loadConfig) (*loadReport, error) {
 	if cfg.Duration <= 0 {
 		return nil, errors.New("duration must be positive")
 	}
-	if cfg.Concurrency <= 0 {
-		cfg.Concurrency = 4
+	if cfg.Rate <= 0 {
+		return nil, errors.New("rate must be positive")
 	}
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = 64
@@ -216,30 +215,8 @@ func runLoad(ctx context.Context, cfg loadConfig) (*loadReport, error) {
 	runCtx, cancel := context.WithTimeout(ctx, cfg.Duration)
 	defer cancel()
 	start := time.Now()
-	if cfg.Rate > 0 {
-		g.openLoop(runCtx)
-	} else {
-		g.closedLoop(runCtx)
-	}
+	g.openLoop(runCtx)
 	return g.report(time.Since(start)), nil
-}
-
-// closedLoop runs Concurrency workers back to back: each starts its next op
-// as soon as the previous one finishes.
-func (g *generator) closedLoop(ctx context.Context) {
-	var wg sync.WaitGroup
-	seeds := rand.New(rand.NewSource(g.cfg.Seed))
-	for w := 0; w < g.cfg.Concurrency; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for ctx.Err() == nil {
-				g.step(ctx, rng)
-			}
-		}(seeds.Int63())
-	}
-	wg.Wait()
 }
 
 // openLoop starts ops on a fixed clock regardless of how long they take, so
@@ -278,7 +255,8 @@ func (g *generator) openLoop(ctx context.Context) {
 	}
 }
 
-// step runs one op end to end and records it. Every op gets its own minted
+// step runs one op end to end and records it; an op the end of the run cut
+// short is neither counted nor timed. Every op gets its own minted
 // request ID: the client sends it as X-Request-ID (and it seeds the
 // traceparent the SDK injects), so a failure here names the exact server log
 // lines and trace that produced it.
@@ -299,12 +277,12 @@ func (g *generator) step(ctx context.Context, rng *rand.Rand) {
 	case opChurn:
 		lost, err = g.doChurn(ctx, rng)
 	}
-	g.hist.ObserveSince(start)
 	if ctx.Err() != nil && err != nil {
 		// The run ended mid-op; a deadline-cut request is not a fleet failure.
 		c.requests.Add(^uint64(0))
 		return
 	}
+	g.hist.ObserveSince(start)
 	if err != nil {
 		c.errors.Add(1)
 		g.recordFailure(op, rid, err)

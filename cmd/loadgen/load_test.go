@@ -97,7 +97,7 @@ func TestParseMix(t *testing.T) {
 	}
 }
 
-func TestClosedLoopAllOps(t *testing.T) {
+func TestOpenLoopAllOps(t *testing.T) {
 	stub := &stubPland{}
 	srv := httptest.NewServer(stub.handler())
 	defer srv.Close()
@@ -105,7 +105,7 @@ func TestClosedLoopAllOps(t *testing.T) {
 	report, err := runLoad(context.Background(), loadConfig{
 		Targets:      []string{srv.URL},
 		Mix:          map[string]int{opPlan: 2, opExecute: 1, opChurn: 1},
-		Concurrency:  4,
+		Rate:         200,
 		Duration:     300 * time.Millisecond,
 		Inputs:       4,
 		Capacity:     16,
@@ -160,11 +160,11 @@ func TestRotatesAwayFromDeadTarget(t *testing.T) {
 	dead.Close() // connection refused from now on
 
 	report, err := runLoad(context.Background(), loadConfig{
-		Targets:     []string{deadURL, live.URL},
-		Mix:         map[string]int{opPlan: 1},
-		Concurrency: 2,
-		Duration:    250 * time.Millisecond,
-		Seed:        3,
+		Targets:  []string{deadURL, live.URL},
+		Mix:      map[string]int{opPlan: 1},
+		Rate:     100,
+		Duration: 250 * time.Millisecond,
+		Seed:     3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +185,7 @@ func TestChurnCountsLostSessions(t *testing.T) {
 	report, err := runLoad(context.Background(), loadConfig{
 		Targets:         []string{srv.URL},
 		Mix:             map[string]int{opChurn: 1},
-		Concurrency:     1,
+		Rate:            20,
 		Duration:        300 * time.Millisecond,
 		LostTimeout:     50 * time.Millisecond,
 		Seed:            5,
@@ -210,7 +210,7 @@ func TestErrorRateGate(t *testing.T) {
 	report, err := runLoad(context.Background(), loadConfig{
 		Targets:      []string{srv.URL},
 		Mix:          map[string]int{opPlan: 1},
-		Concurrency:  2,
+		Rate:         100,
 		Duration:     200 * time.Millisecond,
 		Seed:         9,
 		MaxErrorRate: 0.01,
@@ -229,5 +229,46 @@ func TestErrorRateGate(t *testing.T) {
 	}
 	if !violated {
 		t.Fatalf("error-rate gate did not trip: %+v", report.Violations)
+	}
+}
+
+// TestDeadlineCutOpsAreNotTimed: an op the end of the run cuts short is not
+// counted, so it must not be timed either. A fleet that answers nothing before
+// the run ends leaves zero requests, a zero p99, and no p99 violation.
+func TestDeadlineCutOpsAreNotTimed(t *testing.T) {
+	release := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}))
+	defer srv.Close()
+	defer close(release)
+
+	report, err := runLoad(context.Background(), loadConfig{
+		Targets:  []string{srv.URL},
+		Mix:      map[string]int{opPlan: 1},
+		Rate:     100,
+		Duration: 200 * time.Millisecond,
+		Seed:     11,
+		MaxP99:   time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Requests != 0 || report.P99MS != 0 || len(report.Violations) != 0 {
+		t.Fatalf("requests=%d p99=%.1fms violations=%v, want 0, 0 and none",
+			report.Requests, report.P99MS, report.Violations)
+	}
+}
+
+func TestRateMustBePositive(t *testing.T) {
+	if _, err := runLoad(context.Background(), loadConfig{
+		Targets:  []string{"http://127.0.0.1:1"},
+		Mix:      map[string]int{opPlan: 1},
+		Duration: time.Second,
+	}); err == nil {
+		t.Fatal("a run without a rate was accepted")
 	}
 }

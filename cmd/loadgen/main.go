@@ -38,8 +38,7 @@ func main() {
 	var (
 		targets     = flag.String("targets", "http://localhost:8080", "comma-separated pland base URLs")
 		mix         = flag.String("mix", "plan=6,execute=2,churn=2", "traffic mix as op=weight terms (plan, execute, churn)")
-		concurrency = flag.Int("concurrency", 8, "closed-loop workers (ignored when -rate is set)")
-		rate        = flag.Float64("rate", 0, "open-loop ops per second (0 = closed loop)")
+		rate        = flag.Float64("rate", 20, "ops started per second (open loop)")
 		duration    = flag.Duration("duration", 10*time.Second, "run length")
 		capacity    = flag.Int64("capacity", 64, "reducer capacity q of generated instances")
 		inputs      = flag.Int("inputs", 12, "inputs per generated instance")
@@ -70,7 +69,6 @@ func main() {
 	cfg := loadConfig{
 		Targets:         splitTargets(*targets),
 		Mix:             mixMap,
-		Concurrency:     *concurrency,
 		Rate:            *rate,
 		Duration:        *duration,
 		Capacity:        assign.Size(*capacity),
@@ -87,7 +85,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	log.Info("load starting", "targets", cfg.Targets, "mix", *mix,
-		"duration", cfg.Duration, "rate", cfg.Rate, "concurrency", cfg.Concurrency)
+		"duration", cfg.Duration, "rate", cfg.Rate)
 	report, err := runLoad(ctx, cfg)
 	if err != nil {
 		log.Error("load failed", "error", err)

@@ -407,7 +407,7 @@ func (s *server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("session %s already lives here", body.ID), nil))
 		return
 	}
-	entry, err := s.installSession(body.ID, body.State, nil, body.Meta)
+	entry, err := s.installSession(body.ID, body.State, nil)
 	if err != nil {
 		obsHandoffs.With("refused").Inc()
 		writeAPIError(w, newAPIError(http.StatusUnprocessableEntity, plandclient.CodeUnprocessable,
@@ -455,7 +455,6 @@ func (s *server) handoffSessions(ctx context.Context) {
 			ID:          e.id,
 			State:       st,
 			Fingerprint: fmt.Sprintf("%016x", st.Fingerprint()),
-			Meta:        e.meta,
 		}
 		if _, err := c.clients[target].Handoff(ctx, req); err != nil {
 			obsHandoffs.With("send_failed").Inc()

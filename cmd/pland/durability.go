@@ -31,24 +31,13 @@ var (
 		"Bytes the boot recovery cut off at the first torn or corrupt WAL frame.")
 )
 
-// sessionMeta is the owner blob journaled with every session snapshot: the
-// replan-shaping request fields that live outside stream state. Tuning
-// (budget, headroom, threshold) travels inside the state itself. TimeoutMS
-// no longer shapes anything; it stays so that old WAL records and handoffs,
-// which carry it, keep decoding and re-journal unchanged.
-type sessionMeta struct {
-	TimeoutMS int  `json:"timeout_ms,omitempty"`
-	NoCache   bool `json:"no_cache,omitempty"`
-}
-
 // sessionJournal adapts one session's durability stream onto the shared WAL.
 // Both methods run under the session's own mutex, so per-session records land
 // in the log in exactly the order they applied; the WAL never calls back, so
 // the session-then-log lock order cannot deadlock.
 type sessionJournal struct {
-	sid  string
-	meta json.RawMessage
-	log  *wal.Log
+	sid string
+	log *wal.Log
 }
 
 func (j *sessionJournal) Delta(rec assign.SessionDeltaRecord) {
@@ -59,7 +48,7 @@ func (j *sessionJournal) Delta(rec assign.SessionDeltaRecord) {
 func (j *sessionJournal) Snapshot(st *assign.SessionState) {
 	_ = j.log.Append(&wal.Record{
 		Kind: wal.KindSessionSnapshot, SID: j.sid,
-		State: st, FP: st.Fingerprint(), Meta: j.meta,
+		State: st, FP: st.Fingerprint(),
 	})
 }
 
@@ -132,7 +121,7 @@ func (s *server) recoverWAL() error {
 				"session", rs.SID, "want", rs.FP, "got", got)
 			continue
 		}
-		entry, err := s.installSession(rs.SID, rs.State, rs.Deltas, rs.Meta)
+		entry, err := s.installSession(rs.SID, rs.State, rs.Deltas)
 		if err != nil {
 			obsRecoverySessionFailures.Inc()
 			s.log.Warn("dropping session: restore failed", "session", rs.SID, "error", err)
@@ -180,26 +169,16 @@ func (s *server) recoverWAL() error {
 // share it, so a session re-materializes with identical semantics whether it
 // came out of this node's WAL or off the wire from a draining peer. The
 // caller has already verified the state's fingerprint.
-func (s *server) installSession(sid string, st *assign.SessionState, deltas []assign.SessionDeltaRecord, metaRaw json.RawMessage) (*sessionEntry, error) {
-	var meta sessionMeta
-	if len(metaRaw) > 0 {
-		if err := json.Unmarshal(metaRaw, &meta); err != nil {
-			s.log.Warn("session meta unreadable; using defaults", "session", sid, "error", err)
-			metaRaw = nil
-		}
-	}
+func (s *server) installSession(sid string, st *assign.SessionState, deltas []assign.SessionDeltaRecord) (*sessionEntry, error) {
 	var opts []assign.Option
 	if s.wal != nil {
-		opts = append(opts, assign.Journal(&sessionJournal{sid: sid, meta: metaRaw, log: s.wal}))
-	}
-	if meta.NoCache {
-		opts = append(opts, assign.NoCache())
+		opts = append(opts, assign.Journal(&sessionJournal{sid: sid, log: s.wal}))
 	}
 	sess, err := s.planner.RestoreSession(st, deltas, opts...)
 	if err != nil {
 		return nil, err
 	}
-	entry := &sessionEntry{id: sid, sess: sess, meta: metaRaw}
+	entry := &sessionEntry{id: sid, sess: sess}
 	s.sessMu.Lock()
 	s.sessions[sid] = entry
 	s.sessMu.Unlock()

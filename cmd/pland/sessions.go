@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -22,10 +21,6 @@ import (
 type sessionEntry struct {
 	id   string
 	sess *assign.Session
-	// meta is the marshaled sessionMeta this session was created (or
-	// restored) with; drain handoff ships it alongside the state so the
-	// receiver rebuilds the session with the same replan shaping.
-	meta json.RawMessage
 
 	mu         sync.Mutex
 	rebuildJob string // last submitted rebuild job ID, "" when none
@@ -86,19 +81,8 @@ func (s *server) createSession(w http.ResponseWriter, r *http.Request) {
 	if len(body.Sizes) > 0 {
 		opts = append(opts, assign.A2A(body.Sizes))
 	}
-	if body.NoCache {
-		opts = append(opts, assign.NoCache())
-	}
-	// The meta blob rides with every journaled snapshot and with a drain
-	// handoff; it is computed even without a WAL so a clustered in-memory
-	// node hands sessions off with their replan shaping intact.
-	meta, err := json.Marshal(sessionMeta{TimeoutMS: body.TimeoutMS, NoCache: body.NoCache})
-	if err != nil {
-		writeAPIError(w, badRequestf("encoding session meta: %v", err))
-		return
-	}
 	if s.wal != nil {
-		opts = append(opts, assign.Journal(&sessionJournal{sid: id, meta: meta, log: s.wal}))
+		opts = append(opts, assign.Journal(&sessionJournal{sid: id, log: s.wal}))
 	}
 	// The initial plan runs synchronously under the request budget.
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.MaxTimeout)
@@ -109,7 +93,7 @@ func (s *server) createSession(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	entry := &sessionEntry{id: id, sess: sess, meta: meta}
+	entry := &sessionEntry{id: id, sess: sess}
 	s.sessMu.Lock()
 	if len(s.sessions) >= s.cfg.MaxSessions { // re-check: creations may race
 		s.sessMu.Unlock()

@@ -70,9 +70,17 @@ func TestJobLifecyclePlan(t *testing.T) {
 // audited result round-trips.
 func TestJobLifecycleExecute(t *testing.T) {
 	_, c := newTestServerWithJobs(t, serverConfig{})
-	res, err := c.ExecuteAsync(context.Background(), plandclient.ExecuteRequest{
+	ctx := context.Background()
+	job, err := c.SubmitExecute(ctx, plandclient.ExecuteRequest{
 		Problem: "A2A", Capacity: 10, Inputs: []string{"aaa", "bbb", "cc", "d"}, ReturnPairs: true,
-	}, 2*time.Millisecond)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if job, err = c.WaitJob(ctx, job.ID, 2*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	res, err := job.ExecuteResult()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,6 +90,31 @@ func TestPlanNeverWorseThanSolveX2Y(t *testing.T) {
 	}
 }
 
+// TestPlanGreedyWinsOnEqualSizedX2Y pins why x2y/greedy stays a member: on
+// equal-sized X2Y instances it often beats the constructive solve. Seven unit
+// inputs a side at q = 3 (14 inputs, too many for x2y/exact) are served by
+// greedy with 25 reducers, where x2y.Solve alone needs 28.
+func TestPlanGreedyWinsOnEqualSizedX2Y(t *testing.T) {
+	ones := []core.Size{1, 1, 1, 1, 1, 1, 1}
+	xs, ys := core.MustNewInputSet(ones), core.MustNewInputSet(ones)
+	const q = 3
+	res, err := New(Config{}).Plan(context.Background(), x2yRequest(xs, ys, q))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Schema.ValidateX2Y(xs, ys); err != nil {
+		t.Fatalf("planner schema invalid: %v", err)
+	}
+	direct, err := x2y.Solve(xs, ys, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Winner != "x2y/greedy" || res.Schema.NumReducers() != 25 || direct.NumReducers() != 28 {
+		t.Fatalf("served %s with %d reducers, x2y.Solve %d; want x2y/greedy with 25 against 28",
+			res.Winner, res.Schema.NumReducers(), direct.NumReducers())
+	}
+}
+
 // TestPlanExactWinsOnTinyInstance checks the exact member participates: on a
 // tiny instance the portfolio result must match the exact optimum.
 func TestPlanExactWinsOnTinyInstance(t *testing.T) {

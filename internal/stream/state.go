@@ -209,6 +209,9 @@ func validateState(st *State) error {
 		if st.Sizes[i] <= 0 {
 			return fmt.Errorf("stream: state id %d: %w (size %d)", id, core.ErrNonPositiveSize, st.Sizes[i])
 		}
+		if st.Sizes[i] > st.Capacity {
+			return fmt.Errorf("stream: state id %d: size %d exceeds capacity %d", id, st.Sizes[i], st.Capacity)
+		}
 	}
 	free := make(map[int]struct{}, len(st.Free))
 	for _, slot := range st.Free {
@@ -220,22 +223,30 @@ func validateState(st *State) error {
 		}
 		free[slot] = struct{}{}
 	}
-	live := make(map[InputID]struct{}, len(st.IDs))
-	for _, id := range st.IDs {
-		live[id] = struct{}{}
+	live := make(map[InputID]core.Size, len(st.IDs))
+	for i, id := range st.IDs {
+		live[id] = st.Sizes[i]
 	}
 	for slot, r := range st.Reducers {
 		_, isFree := free[slot]
 		if (len(r.Members) == 0) != isFree {
 			return fmt.Errorf("stream: slot %d: empty-membership and free-list disagree", slot)
 		}
+		var load core.Size
 		for i, m := range r.Members {
 			if i > 0 && m <= r.Members[i-1] {
 				return fmt.Errorf("stream: slot %d members not strictly ascending", slot)
 			}
-			if _, ok := live[m]; !ok {
+			size, ok := live[m]
+			if !ok {
 				return fmt.Errorf("stream: slot %d member %d is not a live input", slot, m)
 			}
+			// Compared before adding, so sizes near the integer limit cannot
+			// wrap the load below the capacity.
+			if load > st.Capacity-size {
+				return fmt.Errorf("stream: slot %d holds more than capacity %d", slot, st.Capacity)
+			}
+			load += size
 		}
 	}
 	return nil

@@ -26,9 +26,10 @@
 // Five kinds flow through one Record envelope (unused fields are omitted):
 //
 //   - session snapshot: the full stream.State of one session, stamped with
-//     its fingerprint and an owner-defined Meta blob (pland stores the
-//     replan tuning there). A snapshot RESETS the session during replay:
-//     later deltas apply on top of the latest snapshot seen.
+//     its fingerprint; the state carries the capacity and the tuning too.
+//     Older builds also wrote an owner blob beside it, which replay ignores.
+//     A snapshot RESETS the session during replay: later deltas apply on top
+//     of the latest snapshot seen.
 //   - session delta: one applied stream.DeltaRecord. Deltas are replay-
 //     deterministic, which is why they may be logged instead of state.
 //   - session close: the session was deleted by a client; replay drops it.

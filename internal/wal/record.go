@@ -24,12 +24,12 @@ type Record struct {
 	Kind string `json:"k"`
 	// SID addresses the session for the three session kinds.
 	SID string `json:"sid,omitempty"`
-	// State, FP, and Meta carry a session snapshot: the full serialized
-	// state, its fingerprint stamp (recomputed and checked on recovery), and
-	// an owner-defined blob (pland stores replan tuning there).
-	State *stream.State   `json:"state,omitempty"`
-	FP    uint64          `json:"fp,omitempty"`
-	Meta  json.RawMessage `json:"meta,omitempty"`
+	// State and FP carry a session snapshot: the full serialized state and
+	// its fingerprint stamp (recomputed and checked on recovery). Snapshots
+	// written by older builds carry one more member, an owner blob, which
+	// decoding ignores.
+	State *stream.State `json:"state,omitempty"`
+	FP    uint64        `json:"fp,omitempty"`
 	// Delta is one applied session delta.
 	Delta *stream.DeltaRecord `json:"delta,omitempty"`
 	// JobID, JobKind, and JobBody carry the job kinds.

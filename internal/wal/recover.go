@@ -18,8 +18,6 @@ type RecoveredSession struct {
 	// must verify FP == State.Fingerprint() before trusting the state.
 	State *stream.State
 	FP    uint64
-	// Meta is the owner blob stored with the snapshot (pland: replan tuning).
-	Meta json.RawMessage
 	// Deltas replay on top of State, in order.
 	Deltas []stream.DeltaRecord
 }
@@ -102,7 +100,7 @@ func (l *Log) Recover() (*Recovery, error) {
 					sessions[r.SID] = s
 					sessionOrder = append(sessionOrder, r.SID)
 				}
-				s.State, s.FP, s.Meta = r.State, r.FP, r.Meta
+				s.State, s.FP = r.State, r.FP
 				s.Deltas = nil // the snapshot subsumes everything before it
 			case KindSessionDelta:
 				s := sessions[r.SID]

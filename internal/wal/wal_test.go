@@ -5,6 +5,10 @@ package wal
 // random truncation) lives in recovery_test.go as an external test.
 
 import (
+	"encoding/binary"
+	"encoding/json"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -113,6 +117,42 @@ func TestAppendRecoverRoundtrip(t *testing.T) {
 	}
 	if string(rec.Jobs[0].Body) != `{"y":2}` {
 		t.Fatalf("job body = %s", rec.Jobs[0].Body)
+	}
+}
+
+// TestRecoverOlderSnapshotWithOwnerBlob: snapshots written by older builds
+// carry a "meta" member beside the state. A segment holding one, framed by
+// hand, still recovers the session, and the member is simply dropped.
+func TestRecoverOlderSnapshotWithOwnerBlob(t *testing.T) {
+	dir := t.TempDir()
+	st := testState(4)
+	state, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := []byte(fmt.Sprintf(`{"k":"sess_snap","sid":"s-old","state":%s,"fp":%d,"meta":{"timeout_ms":-1,"no_cache":true}}`,
+		state, st.Fingerprint()))
+	seg := []byte("PLWAL001")
+	seg = binary.LittleEndian.AppendUint32(seg, uint32(len(payload)))
+	seg = binary.LittleEndian.AppendUint32(seg, crc32.ChecksumIEEE(payload))
+	seg = append(seg, payload...)
+	if err := os.WriteFile(segPath(dir, 1), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, err := Open(dir, Options{Fsync: SyncNever})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer l.Close()
+	rec, err := l.Recover()
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if rec.TornBytes != 0 || rec.Orphans != 0 || len(rec.Sessions) != 1 {
+		t.Fatalf("recovered %+v, want one clean session", rec)
+	}
+	if s := rec.Sessions[0]; s.SID != "s-old" || s.FP != st.Fingerprint() || s.State.Fingerprint() != st.Fingerprint() {
+		t.Fatalf("recovered session %+v does not match the snapshot written", s)
 	}
 }
 

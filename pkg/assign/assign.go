@@ -120,7 +120,9 @@ func Source(src RecordSource, sizes []Size) Option {
 // Each streams Execute's output: fn is called once per emitted record as
 // reduce partitions complete, instead of materializing Execution.Output.
 // Records of one partition arrive in deterministic order; partitions
-// interleave. An error from fn fails the run.
+// interleave. The engine serializes the calls, so fn needs no locking. An
+// error from fn fails the run: Execute stops the pipeline, removes any spill
+// files and returns that error.
 func Each(fn func(rec []byte) error) Option {
 	return func(r *request) { r.each = fn }
 }
@@ -154,8 +156,10 @@ func Capacity(q Size) Option {
 // long a call may take, cancel its context.
 func Deterministic() Option { return func(*request) {} }
 
-// NoCache skips the canonicalization cache for this call. The instance is
-// still canonicalized, so the result is identical to the cached path.
+// NoCache skips the canonicalization cache for this Plan or Execute call. The
+// instance is still canonicalized, so the result is identical to the cached
+// path. NewSession and RestoreSession accept it and ignore it: a session's
+// replans always go through the planner cache, which returns the same schema.
 func NoCache() Option {
 	return func(r *request) { r.noCache = true }
 }

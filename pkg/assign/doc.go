@@ -50,21 +50,12 @@
 // reduce partitions spill sorted runs to a temp directory (SpillDir)
 // and merge them back at reduce time, so results are identical to an
 // unbounded run; the Execution reports SpillRuns, SpillPartitions, and
-// SpillBytes. ExecuteStream is the pull-side equivalent — it returns a
-// StreamExecution whose Next yields output records with backpressure and
-// whose Close cancels the run mid-pipeline:
-//
-//	st, err := assign.ExecuteStream(ctx, opts...)
-//	for {
-//	    rec, err := st.Next()
-//	    if err == io.EOF { break }
-//	    ...
-//	}
-//	ex, err := st.Execution() // counters, audit, spill figures
-//
-// Contexts are honored mid-pipeline: cancelling the ctx given to Execute or
-// ExecuteStream stops the map, shuffle, and reduce stages promptly and
-// removes any spill files.
+// SpillBytes. The engine serializes Each's calls, so the callback needs no
+// locking, and Each is also how a caller stops early: an error it returns
+// fails the run with that error. Contexts are honored mid-pipeline too:
+// cancelling the ctx given to Execute stops the map, shuffle, and reduce
+// stages promptly. Either way Execute returns once the pipeline has unwound,
+// with every spill file removed.
 //
 // Package-level Plan and Execute share one process-wide planner, so
 // isomorphic instances across callers hit a single cache; NewPlanner builds
@@ -95,7 +86,7 @@
 //
 // Everything exported by pkg/assign and pkg/assign/plandclient is the
 // system's stable surface: the option constructors, the Result, Execution,
-// StreamExecution, Session, and Stats shapes, and the re-exported core
+// Session, and Stats shapes, and the re-exported core
 // vocabulary (Size, Problem, MappingSchema, Reducer, Cost, InputSet,
 // Record, RecordSource, and the Err* values). These only change compatibly.
 // In particular, the slice-based Inputs/Output path is an adapter over the

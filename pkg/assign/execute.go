@@ -3,7 +3,6 @@ package assign
 import (
 	"context"
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/exec"
@@ -15,8 +14,8 @@ type Execution struct {
 	// Plan is the planning outcome the run was driven by.
 	Plan *Result
 	// Output holds every record the Pair logic emitted, in deterministic
-	// partition order. It is nil when the output was streamed instead
-	// (Each was given, or the run came from ExecuteStream).
+	// partition order. It is nil when the output was streamed to Each
+	// instead.
 	Output [][]byte
 	// PairsProcessed is how many required pairs the reducers processed; the
 	// conformance audit checks it is exactly the instance's pair count, each
@@ -61,42 +60,24 @@ func Execute(ctx context.Context, opts ...Option) (*Execution, error) {
 // Execute plans and runs on this planner. See the package-level Execute.
 func (pl *Planner) Execute(ctx context.Context, opts ...Option) (*Execution, error) {
 	start := time.Now()
-	r, plan, err := pl.planForExecute(ctx, opts)
-	if err != nil {
-		return nil, err
-	}
-	res, err := exec.Run(pl.execRequest(ctx, r, plan, r.each))
-	if err != nil {
-		return nil, err
-	}
-	return newExecution(plan, res, start), nil
-}
-
-// planForExecute validates the Execute surface and runs the planning step.
-func (pl *Planner) planForExecute(ctx context.Context, opts []Option) (*request, *Result, error) {
 	r, err := build(opts)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if r.pair == nil {
-		return nil, nil, ErrNoPair
+		return nil, ErrNoPair
 	}
 	if !r.hasData && r.src == nil {
-		return nil, nil, fmt.Errorf("assign: Execute needs concrete payloads (use Inputs, XYInputs, or Source, not A2A/X2Y sizes)")
+		return nil, fmt.Errorf("assign: Execute needs concrete payloads (use Inputs, XYInputs, or Source, not A2A/X2Y sizes)")
 	}
 	preq, err := r.plannerRequest()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	plan, err := pl.p.Plan(ctx, preq)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return r, plan, nil
-}
-
-// execRequest assembles the executor request of a planned run.
-func (pl *Planner) execRequest(ctx context.Context, r *request, plan *Result, sink func([]byte) error) exec.Request {
 	name := r.name
 	if name == "" {
 		name = "assign-execute"
@@ -111,7 +92,7 @@ func (pl *Planner) execRequest(ctx context.Context, r *request, plan *Result, si
 		Pair:         r.pair,
 		Workers:      r.workers,
 		NoAudit:      r.noAudit,
-		Sink:         sink,
+		Sink:         r.each,
 		MemoryBudget: r.memBudget,
 		SpillDir:     r.spillDir,
 		Compiler:     pl.compiler,
@@ -124,11 +105,10 @@ func (pl *Planner) execRequest(ctx context.Context, r *request, plan *Result, si
 			req.InputSizes[i] = int(s)
 		}
 	}
-	return req
-}
-
-// newExecution converts an executor result.
-func newExecution(plan *Result, res *exec.Result, start time.Time) *Execution {
+	res, err := exec.Run(req)
+	if err != nil {
+		return nil, err
+	}
 	return &Execution{
 		Plan:            plan,
 		Output:          res.Output,
@@ -142,105 +122,5 @@ func newExecution(plan *Result, res *exec.Result, start time.Time) *Execution {
 		SpillPartitions: res.Counters.SpillPartitions,
 		SpillBytes:      res.Counters.SpillBytes,
 		Elapsed:         time.Since(start),
-	}
-}
-
-// StreamExecution is a running streamed execution: an iterator over the
-// output records plus, once the stream is exhausted, the final Execution.
-// Always call Close (or drain Next to io.EOF) — an abandoned iterator keeps
-// the pipeline blocked until its context dies.
-type StreamExecution struct {
-	recs   chan []byte
-	cancel context.CancelFunc
-	done   chan struct{}
-	exec   *Execution
-	err    error
-}
-
-// Next returns the next output record. It returns io.EOF after the last
-// record of a successful run, or the run's error. Records of one reduce
-// partition arrive in deterministic order; partitions interleave.
-func (s *StreamExecution) Next() ([]byte, error) {
-	rec, ok := <-s.recs
-	if ok {
-		return rec, nil
-	}
-	<-s.done
-	if s.err != nil {
-		return nil, s.err
-	}
-	return nil, io.EOF
-}
-
-// Execution returns the final result (counters, audit verdict, spill
-// figures), blocking until the run completes. After a failed run it returns
-// the run's error.
-func (s *StreamExecution) Execution() (*Execution, error) {
-	<-s.done
-	return s.exec, s.err
-}
-
-// Close cancels the run if it is still going, drains it, and releases its
-// resources (spill files are removed by the pipeline itself). Close is safe
-// after io.EOF and safe to call more than once.
-func (s *StreamExecution) Close() error {
-	s.cancel()
-	for range s.recs {
-		// Drain so the pipeline can unwind.
-	}
-	<-s.done
-	return nil
-}
-
-// ExecuteStream is Execute with a streamed output: it plans synchronously —
-// planning and validation errors return immediately — then runs the planned
-// schema in the background and returns an iterator over the output records
-// as reduce partitions complete. Combined with Source and MemoryBudget,
-// neither input, shuffle, nor output of the run is ever fully materialized.
-func ExecuteStream(ctx context.Context, opts ...Option) (*StreamExecution, error) {
-	return Default.ExecuteStream(ctx, opts...)
-}
-
-// ExecuteStream plans and streams on this planner. See the package-level
-// ExecuteStream.
-func (pl *Planner) ExecuteStream(ctx context.Context, opts ...Option) (*StreamExecution, error) {
-	start := time.Now()
-	r, plan, err := pl.planForExecute(ctx, opts)
-	if err != nil {
-		return nil, err
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	runCtx, cancel := context.WithCancel(ctx)
-	s := &StreamExecution{
-		recs:   make(chan []byte),
-		cancel: cancel,
-		done:   make(chan struct{}),
-	}
-	sink := func(rec []byte) error {
-		if r.each != nil {
-			if err := r.each(rec); err != nil {
-				return err
-			}
-		}
-		select {
-		case s.recs <- rec:
-			return nil
-		case <-runCtx.Done():
-			return runCtx.Err()
-		}
-	}
-	go func() {
-		defer cancel()
-		res, err := exec.Run(pl.execRequest(runCtx, r, plan, sink))
-		if err != nil {
-			s.err = err
-		} else {
-			s.exec = newExecution(plan, res, start)
-		}
-		close(s.done)
-		close(s.recs)
-	}()
-	return s, nil
+	}, nil
 }

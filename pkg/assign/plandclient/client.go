@@ -293,16 +293,23 @@ func (j *Job) Terminal() bool {
 // (nil when the job carries no error).
 func (j *Job) Err() error { return j.Error.apiError() }
 
-// PlanResult decodes a succeeded "plan" job's result.
+// PlanResult decodes a succeeded "plan" job's result. Submit, WaitJob, then
+// PlanResult is how a caller runs a plan as a job: a failed or canceled job
+// returns its own *APIError here.
 func (j *Job) PlanResult() (*PlanResult, error) { return jobResult[PlanResult](j, "plan") }
 
-// ExecuteResult decodes a succeeded "execute" job's result.
+// ExecuteResult decodes a succeeded "execute" job's result; a failed or
+// canceled job returns its own *APIError.
 func (j *Job) ExecuteResult() (*ExecuteResult, error) { return jobResult[ExecuteResult](j, "execute") }
 
 // jobResult decodes a succeeded job's result; it came with the poll that
-// returned the job, so it carries that call's identity.
+// returned the job, so it carries that call's identity. A job that did not
+// succeed is its error, or a generic one when it carries none.
 func jobResult[R any, P reply[R]](j *Job, kind string) (*R, error) {
 	if j.State != StateSucceeded {
+		if err := j.Err(); err != nil {
+			return nil, err
+		}
 		return nil, fmt.Errorf("plandclient: job %s is %s, not succeeded", j.ID, j.State)
 	}
 	out := new(R)
@@ -410,47 +417,6 @@ func (c *Client) WaitJob(ctx context.Context, id string, poll time.Duration) (*J
 	}
 }
 
-// PlanAsync submits a "plan" job and waits for it, returning the decoded
-// result. A failed or canceled job surfaces as its *APIError.
-func (c *Client) PlanAsync(ctx context.Context, req PlanRequest, poll time.Duration) (*PlanResult, error) {
-	job, err := c.SubmitPlan(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	if job, err = c.waitSucceeded(ctx, job, poll); err != nil {
-		return nil, err
-	}
-	return job.PlanResult()
-}
-
-// ExecuteAsync submits an "execute" job and waits for its decoded result.
-func (c *Client) ExecuteAsync(ctx context.Context, req ExecuteRequest, poll time.Duration) (*ExecuteResult, error) {
-	job, err := c.SubmitExecute(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	if job, err = c.waitSucceeded(ctx, job, poll); err != nil {
-		return nil, err
-	}
-	return job.ExecuteResult()
-}
-
-// waitSucceeded waits for a submitted job and returns it only if it
-// succeeded; a job that ended otherwise becomes its error.
-func (c *Client) waitSucceeded(ctx context.Context, job *Job, poll time.Duration) (*Job, error) {
-	final, err := c.WaitJob(ctx, job.ID, poll)
-	if err != nil {
-		return nil, err
-	}
-	if final.State != StateSucceeded {
-		if jerr := final.Err(); jerr != nil {
-			return nil, jerr
-		}
-		return nil, fmt.Errorf("plandclient: job %s ended %s", final.ID, final.State)
-	}
-	return final, nil
-}
-
 // SessionCreateRequest is the body of POST /v2/sessions.
 type SessionCreateRequest struct {
 	// Capacity is the reducer capacity q. Required.
@@ -463,8 +429,9 @@ type SessionCreateRequest struct {
 	MigrationBudget  assign.Size `json:"migration_budget,omitempty"`
 	RebuildThreshold float64     `json:"rebuild_threshold,omitempty"`
 	Headroom         assign.Size `json:"headroom,omitempty"`
-	// TimeoutMS and NoCache mean what they mean in PlanRequest; NoCache
-	// carries into the session's replans.
+	// TimeoutMS and NoCache are accepted and ignored: a session's replans
+	// always go through the server's plan cache, which returns the same
+	// schema. They stay so that older clients' bodies still decode.
 	TimeoutMS int  `json:"timeout_ms,omitempty"`
 	NoCache   bool `json:"no_cache,omitempty"`
 }

@@ -155,12 +155,26 @@ func TestWaitJobPollsToSuccess(t *testing.T) {
 	}
 }
 
-func TestPlanAsyncSurfacesJobFailure(t *testing.T) {
+// TestPlanResultSurfacesJobFailure: submit, wait, decode — a failed job's
+// PlanResult is the job's own error, and a job that ended without one still
+// refuses to decode.
+func TestPlanResultSurfacesJobFailure(t *testing.T) {
 	c, _ := newStubClient(t)
+	ctx := context.Background()
 	// Stub convention: no_cache jobs fail with plan_timeout.
-	_, err := c.PlanAsync(context.Background(), PlanRequest{Problem: "A2A", Capacity: 8, NoCache: true}, time.Millisecond)
-	if !IsCode(err, CodePlanTimeout) {
+	job, err := c.SubmitPlan(ctx, PlanRequest{Problem: "A2A", Capacity: 8, NoCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if job, err = c.WaitJob(ctx, job.ID, time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := job.PlanResult(); !IsCode(err, CodePlanTimeout) {
 		t.Fatalf("err = %v, want plan_timeout APIError", err)
+	}
+	bare := &Job{ID: "job-x", State: StateCanceled}
+	if _, err := bare.ExecuteResult(); err == nil || IsCode(err, CodeCanceled) {
+		t.Fatalf("err = %v, want the generic not-succeeded error", err)
 	}
 }
 

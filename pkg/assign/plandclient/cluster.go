@@ -40,8 +40,8 @@ type HandoffRequest struct {
 	// refuses the handoff on mismatch, so a corrupt transfer can never be
 	// served.
 	Fingerprint string `json:"fingerprint"`
-	// Meta is the owner blob journaled with the session's snapshots (replan
-	// budget shaping); opaque to the transfer.
+	// Meta is sent by builds before this one; accepted and ignored. The
+	// State carries everything a session needs.
 	Meta json.RawMessage `json:"meta,omitempty"`
 }
 

@@ -49,8 +49,5 @@ type Stats = planner.Stats
 // Stats snapshots this planner's counters.
 func (pl *Planner) Stats() Stats { return pl.p.Stats() }
 
-// PlannerStats snapshots the shared default planner's counters.
-func PlannerStats() Stats { return Default.Stats() }
-
 // CacheLen reports how many canonical plans this planner currently caches.
 func (pl *Planner) CacheLen() int { return pl.p.CacheLen() }

@@ -89,9 +89,8 @@ type Session struct {
 
 // NewSession opens a session on the shared process-wide planner. Capacity is
 // required; an initial A2A instance (A2A or Inputs) is optional and is
-// planned once through the portfolio before the session goes live. NoCache
-// shapes the session's replans; MigrationBudget, RebuildThreshold and
-// Headroom shape its maintenance.
+// planned once through the portfolio before the session goes live.
+// MigrationBudget, RebuildThreshold and Headroom shape its maintenance.
 func NewSession(ctx context.Context, opts ...Option) (*Session, error) {
 	return Default.NewSession(ctx, opts...)
 }
@@ -127,7 +126,7 @@ func (pl *Planner) NewSession(ctx context.Context, opts ...Option) (*Session, er
 		RebuildThreshold: r.rebuildThreshold,
 		Headroom:         r.headroom,
 		Initial:          initial,
-		Replan:           pl.replanFunc(r),
+		Replan:           pl.replan,
 		Journal:          r.journal,
 	})
 	if err != nil {
@@ -142,10 +141,10 @@ func (pl *Planner) NewSession(ctx context.Context, opts ...Option) (*Session, er
 // fingerprint identically to what the journal recorded, and the resulting
 // schema must pass the executor auditor's static invariants (every load
 // within capacity, every required pair covered), so a corrupt or misordered
-// log surfaces as an error here instead of as a wrong answer later. Only the
-// behavioral options apply (NoCache, Journal). Capacity and tuning travel
-// inside the state itself, so an instance, Capacity, MigrationBudget,
-// RebuildThreshold or Headroom among the options is an error.
+// log surfaces as an error here instead of as a wrong answer later. Journal is
+// the one option that applies. Capacity and tuning travel inside the state
+// itself, so an instance, Capacity, MigrationBudget, RebuildThreshold or
+// Headroom among the options is an error.
 func (pl *Planner) RestoreSession(st *SessionState, deltas []SessionDeltaRecord, opts ...Option) (*Session, error) {
 	r := &request{}
 	for _, o := range opts {
@@ -171,7 +170,7 @@ func (pl *Planner) RestoreSession(st *SessionState, deltas []SessionDeltaRecord,
 		}
 	}
 	s, err := stream.RestoreSession(stream.Config{
-		Replan:  pl.replanFunc(r),
+		Replan:  pl.replan,
 		Journal: r.journal,
 	}, st, deltas)
 	if err != nil {
@@ -202,21 +201,14 @@ func auditSession(sess *Session) error {
 	return nil
 }
 
-// replanFunc binds the session's rebuilds to this planner's portfolio,
-// carrying the NoCache choice of the opening options into every replan.
-func (pl *Planner) replanFunc(r *request) stream.ReplanFunc {
-	noCache := r.noCache
-	return func(ctx context.Context, sizes []core.Size, q core.Size) (*core.MappingSchema, error) {
-		opts := []Option{A2A(sizes), Capacity(q)}
-		if noCache {
-			opts = append(opts, NoCache())
-		}
-		res, err := pl.Plan(ctx, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return res.Schema, nil
+// replan is a session's stream.ReplanFunc: its rebuilds go through this
+// planner's portfolio and cache.
+func (pl *Planner) replan(ctx context.Context, sizes []core.Size, q core.Size) (*core.MappingSchema, error) {
+	res, err := pl.Plan(ctx, A2A(sizes), Capacity(q))
+	if err != nil {
+		return nil, err
 	}
+	return res.Schema, nil
 }
 
 // Add inserts a new input of the given size, locally repairing the schema,

@@ -239,7 +239,7 @@ func TestRestoreSessionRejectsTuning(t *testing.T) {
 	}
 	restored, err := pl.RestoreSession(st, nil, assign.NoCache())
 	if err != nil {
-		t.Fatalf("RestoreSession with a behavioural option: %v", err)
+		t.Fatalf("RestoreSession with NoCache, which it ignores: %v", err)
 	}
 	restored.Close()
 }

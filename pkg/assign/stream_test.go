@@ -128,104 +128,41 @@ func TestExecuteSpillMatchesUnbounded(t *testing.T) {
 	}
 }
 
-// TestExecuteStreamIterator drives ExecuteStream end to end: iterate to EOF,
-// then read the final Execution.
-func TestExecuteStreamIterator(t *testing.T) {
-	ctx := context.Background()
-	payloads := streamPayloads(16)
-
-	want, err := assign.Execute(ctx,
-		assign.Inputs(payloads), assign.Capacity(80), assign.Pair(pairIDRecords), assign.Deterministic())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var collected [][]byte
-	st, err := assign.ExecuteStream(ctx,
-		assign.Source(assign.NewSliceRecordSource(payloads), payloadSizes(payloads)),
-		assign.Capacity(80),
-		assign.Pair(pairIDRecords),
-		assign.Each(func(rec []byte) error {
-			collected = append(collected, rec)
-			return nil
-		}),
-		assign.Deterministic(),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	var got []string
-	for {
-		rec, err := st.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, string(rec))
-	}
-	ex, err := st.Execution()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ex.Audited {
-		t.Fatal("streamed run was not audited")
-	}
-	if int64(len(got)) != want.PairsProcessed || ex.PairsProcessed != want.PairsProcessed {
-		t.Fatalf("iterator yielded %d records (execution %d pairs), want %d",
-			len(got), ex.PairsProcessed, want.PairsProcessed)
-	}
-	// Each saw the same records the iterator did.
-	if len(collected) != len(got) {
-		t.Fatalf("Each saw %d records, iterator yielded %d", len(collected), len(got))
-	}
-	wantSet := make([]string, len(want.Output))
-	for i, rec := range want.Output {
-		wantSet[i] = string(rec)
-	}
-	sort.Strings(wantSet)
-	sort.Strings(got)
-	for i := range wantSet {
-		if got[i] != wantSet[i] {
-			t.Fatalf("record %d: %q vs %q", i, got[i], wantSet[i])
-		}
-	}
-}
-
-// TestExecuteStreamCloseCancelsRun abandons the iterator after one record;
-// Close must unwind the pipeline promptly and clean up spill files.
-func TestExecuteStreamCloseCancelsRun(t *testing.T) {
-	ctx := context.Background()
+// TestExecuteEachErrorStopsRun abandons a spilling run from its Each callback
+// after one record: Execute must unwind the pipeline promptly, return the
+// callback's error, and clean up the spill files.
+func TestExecuteEachErrorStopsRun(t *testing.T) {
 	payloads := streamPayloads(24)
 	spillDir := t.TempDir()
-	st, err := assign.ExecuteStream(ctx,
-		assign.Inputs(payloads),
-		assign.Capacity(120),
-		assign.Pair(pairIDRecords),
-		assign.Deterministic(),
-		assign.MemoryBudget(32),
-		assign.SpillDir(spillDir),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Next(); err != nil {
-		t.Fatalf("first record: %v", err)
-	}
-	done := make(chan struct{})
+	stop := errors.New("enough records")
+	seen := 0
+	done := make(chan error, 1)
 	go func() {
-		st.Close()
-		close(done)
+		_, err := assign.Execute(context.Background(),
+			assign.Inputs(payloads),
+			assign.Capacity(120),
+			assign.Pair(pairIDRecords),
+			assign.MemoryBudget(32),
+			assign.SpillDir(spillDir),
+			assign.Each(func(rec []byte) error {
+				if seen++; seen > 1 {
+					return stop
+				}
+				return nil
+			}),
+		)
+		done <- err
 	}()
 	select {
-	case <-done:
+	case err := <-done:
+		if !errors.Is(err, stop) {
+			t.Fatalf("Execute returned %v, want the Each error", err)
+		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Close did not unwind the stream")
+		t.Fatal("Execute did not stop after Each failed")
 	}
 	if leftovers, _ := filepath.Glob(filepath.Join(spillDir, "mr-spill-*")); len(leftovers) != 0 {
-		t.Fatalf("spill directories leaked after Close: %v", leftovers)
+		t.Fatalf("spill directories leaked after Each failed: %v", leftovers)
 	}
 }
 
