@@ -61,8 +61,12 @@
 //
 // Planning cost is the paper's trade-off, so the algorithms decide on counts
 // and words and materialise one schema, once: Solve prices TripleCover from
-// m alone and builds it only where it can win, Greedy keeps each candidate's
-// gain up to date instead of recounting it, Exact applies and undoes a branch
-// by mask without allocating. Each keeps the output of the plain
+// m alone and builds it only where it can win; Greedy holds every
+// candidate's gain as bit-sliced counters (core.Gains), so a newcomer bumps
+// the gains of all the inputs it has not met by a word-parallel add and the
+// best candidate is found by narrowing the fitting ones plane by plane;
+// Exact applies and undoes a branch by mask without allocating, and draws
+// the reducers a pair can join from per-input and per-level reducer masks
+// instead of scanning every open one. Each keeps the output of the plain
 // formulation, which survives in the package's tests as the reference.
 package a2a

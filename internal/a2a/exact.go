@@ -42,9 +42,13 @@ type ExactOptions struct {
 //
 // The search state is one uint64 per reducer (its members) and one per input
 // (the inputs it is already covered with); a branch is applied and undone by
-// mask and a node allocates nothing, so the cost of a call is its node count
-// times a few dozen nanoseconds. That representation is why no instance above
-// 64 inputs is attempted.
+// mask and a node allocates nothing. The existing reducers a pair can join
+// come from masks over the reducers too — per input, the open reducers
+// holding it; per level, those with room for exactly the smallest level
+// distinct sizes — so a node looks at the reducers it branches on, not at
+// every open one, in the same order a scan would. Only reducers past the
+// 64th, which no search of the planner's 12 inputs opens, are scanned. The
+// input sets are why no instance above 64 inputs is attempted.
 //
 // The A2A mapping schema problem is NP-complete, so Exact is intended for
 // small instances: the planner runs it on up to 12 inputs under a
@@ -94,17 +98,33 @@ func exact(set *core.InputSet, q core.Size, opts ExactOptions) (*core.MappingSch
 		q:         q,
 		sizes:     set.Sizes(),
 		full:      ^uint64(0) >> (64 - uint(m)),
-		rows:      make([]uint64, m),
-		remaining: m * (m - 1) / 2,
+		rows:      make([]uint64, m+1),
 		members:   make([]uint64, best),
 		loads:     make([]core.Size, best),
+		holds:     make([]uint64, m),
+		at:        make([]uint64, m+1),
+		level:     make([]int, min(best, maskedReducers)),
+		rank:      make([]int, m),
+		ranked:    make([]core.Size, 0, m),
+		pairLevel: make([]int, m*m),
 		best:      best,
 		bestSets:  make([]uint64, best),
 		maxNodes:  opts.MaxNodes,
 		lower:     LowerBounds(set, q).Reducers,
 	}
-	for i := range s.rows {
+	for i := range m {
 		s.rows[i] = 1 << uint(i)
+	}
+	for _, id := range set.IDsBySizeAscending() {
+		if w := s.sizes[id]; len(s.ranked) == 0 || s.ranked[len(s.ranked)-1] < w {
+			s.ranked = append(s.ranked, w)
+		}
+		s.rank[id] = len(s.ranked) - 1
+	}
+	for i, wi := range s.sizes {
+		for j, wj := range s.sizes {
+			s.pairLevel[i*m+j] = s.levelAt(q-wi-wj, len(s.ranked))
+		}
 	}
 	for r, red := range incumbent.Reducers {
 		for _, id := range red.Inputs {
@@ -134,22 +154,39 @@ func exact(set *core.InputSet, q core.Size, opts ExactOptions) (*core.MappingSch
 	return ms, s.nodes, nil
 }
 
+// maskedReducers is how many reducers the search's reducer masks cover: one
+// machine word. Reducers past it are scanned.
+const maskedReducers = 64
+
 // wordSearch is the branch and bound's state. Sets of inputs are bit masks
-// over the input IDs.
+// over the input IDs, sets of reducers bit masks over the first
+// maskedReducers reducer indexes.
 type wordSearch struct {
 	q     core.Size
 	sizes []core.Size
 	full  uint64 // every input
 
 	// rows[i] holds the inputs i is already covered with, and i itself, so a
-	// row equal to full has no pair left to cover.
-	rows      []uint64
-	remaining int // uncovered pairs
+	// row equal to full has no pair left to cover; rows[m] is empty.
+	rows []uint64
 
 	// The open reducers are members[:n] and loads[:n].
 	members []uint64
 	loads   []core.Size
 	n       int
+
+	// holds[x] is the masked open reducers input x is a member of. ranked
+	// lists the distinct sizes ascending and rank[x] is the place of x's size
+	// in it; a masked open reducer r has room for exactly the first level[r]
+	// of them, and at[l] is the masked open reducers at level l, so the
+	// reducers with room for x are those at levels above rank[x].
+	// pairLevel[i*m+j] is the level of a reducer holding just i and j.
+	holds     []uint64
+	at        []uint64
+	level     []int
+	rank      []int
+	ranked    []core.Size
+	pairLevel []int
 
 	// bestSets[:best] is the best schema found so far.
 	best     int
@@ -173,7 +210,14 @@ func (s *wordSearch) search(from int) {
 		s.exhausted = true
 		return
 	}
-	if s.remaining == 0 {
+	// The lexicographically first uncovered pair: rows are symmetric, so the
+	// first row that is not full misses no input below itself. The row past
+	// the last input is never full.
+	i := from
+	for s.rows[i] == s.full {
+		i++
+	}
+	if i == len(s.sizes) {
 		if s.n < s.best {
 			s.best = s.n
 			copy(s.bestSets, s.members[:s.n])
@@ -183,64 +227,136 @@ func (s *wordSearch) search(from int) {
 	if s.n >= s.best {
 		return
 	}
-	// The lexicographically first uncovered pair: rows are symmetric, so the
-	// first row that is not full misses no input below itself.
-	i := from
-	for s.rows[i] == s.full {
-		i++
-	}
 	j := bits.TrailingZeros64(^s.rows[i])
-	bi, bj := uint64(1)<<uint(i), uint64(1)<<uint(j)
-	wi, wj := s.sizes[i], s.sizes[j]
 
-	// Option A: place the pair into an existing reducer.
-	members, loads := s.members[:s.n], s.loads[:s.n]
-	for r, was := range members {
-		var extra core.Size
-		switch was & (bi | bj) {
-		case bi | bj:
-			continue // the pair would already be covered; cannot happen
-		case bi:
-			extra = wj
-		case bj:
-			extra = wi
-		default:
-			extra = wi + wj
+	// Option A: place the pair into an existing reducer, taking the
+	// reducers in ascending order as a scan of every open one would. Among
+	// the masked ones the candidates are those that hold one of the two and
+	// have room for the other, and those that hold neither and have room for
+	// both: room for the larger, then a look at the load. A reducer has room
+	// for the sizes of the ranks below its level.
+	ri, rj := s.rank[i], s.rank[j]
+	small, large := min(ri, rj), max(ri, rj)
+	var roomLarge uint64
+	level := len(s.ranked)
+	for ; level > large; level-- {
+		roomLarge |= s.at[level]
+	}
+	roomSmall := roomLarge
+	for ; level > small; level-- {
+		roomSmall |= s.at[level]
+	}
+	roomI, roomJ := roomSmall, roomLarge
+	if ri == large {
+		roomI, roomJ = roomLarge, roomSmall
+	}
+	holdsI, holdsJ := s.holds[i], s.holds[j]
+	both := roomLarge &^ (holdsI | holdsJ)
+	for c, room := both, s.q-s.sizes[i]-s.sizes[j]; c != 0; c &= c - 1 {
+		if r := bits.TrailingZeros64(c); s.loads[r] > room {
+			both &^= 1 << uint(r)
 		}
-		if loads[r]+extra > s.q {
-			continue
-		}
-		var metI, metJ uint64
-		now := was
-		if now&bi == 0 {
-			metI = s.join(i, now)
-			now |= bi
-		}
-		if now&bj == 0 {
-			metJ = s.join(j, now)
-			now |= bj
-		}
-		members[r] = now
-		loads[r] += extra
-
-		s.search(i)
-
-		members[r] = was
-		loads[r] -= extra
-		s.leave(j, metJ)
-		s.leave(i, metI)
+	}
+	for cands := holdsI&^holdsJ&roomJ | holdsJ&^holdsI&roomI | both; cands != 0; cands &= cands - 1 {
+		s.place(bits.TrailingZeros64(cands), i, j)
+	}
+	for r := maskedReducers; r < s.n; r++ {
+		s.place(r, i, j)
 	}
 
 	// Option B: open a new reducer with exactly this pair.
-	if s.n+1 < s.best && wi+wj <= s.q {
-		s.members[s.n] = bi | bj
-		s.loads[s.n] = wi + wj
+	bi, bj := uint64(1)<<uint(i), uint64(1)<<uint(j)
+	if wi, wj := s.sizes[i], s.sizes[j]; s.n+1 < s.best && wi+wj <= s.q {
+		r := s.n
+		s.members[r] = bi | bj
+		s.loads[r] = wi + wj
 		s.n++
+		masked, bit := r < maskedReducers, uint64(1)<<uint(r&63)
+		if masked {
+			s.holds[i] |= bit
+			s.holds[j] |= bit
+			s.level[r] = s.pairLevel[i*len(s.sizes)+j]
+			s.at[s.level[r]] |= bit
+		}
 		s.join(j, bi)
 		s.search(i)
 		s.leave(j, bi)
+		if masked {
+			s.at[s.level[r]] &^= bit
+			s.holds[i] &^= bit
+			s.holds[j] &^= bit
+		}
 		s.n--
 	}
+}
+
+// place explores the branch that adds the pair (i, j) to open reducer r, if
+// it has room for them (which the masks already showed for a masked r).
+func (s *wordSearch) place(r, i, j int) {
+	bi, bj := uint64(1)<<uint(i), uint64(1)<<uint(j)
+	was := s.members[r]
+	var extra core.Size
+	switch was & (bi | bj) {
+	case bi:
+		extra = s.sizes[j]
+	case bj:
+		extra = s.sizes[i]
+	default:
+		extra = s.sizes[i] + s.sizes[j]
+	}
+	if s.loads[r]+extra > s.q {
+		return
+	}
+	var metI, metJ uint64
+	if was&bi == 0 {
+		metI = s.join(i, was)
+	}
+	if was&bj == 0 {
+		metJ = s.join(j, was|bi)
+	}
+	s.members[r] = was | bi | bj
+	s.loads[r] += extra
+	masked, bit := r < maskedReducers, uint64(1)<<uint(r&63)
+	var level int
+	if masked {
+		level = s.level[r]
+		s.holds[i] |= bit
+		s.holds[j] |= bit
+		s.setLevel(r, level, s.levelAt(s.q-s.loads[r], level))
+	}
+
+	s.search(i)
+
+	if masked {
+		s.setLevel(r, s.level[r], level)
+		if was&bi == 0 {
+			s.holds[i] &^= bit
+		}
+		if was&bj == 0 {
+			s.holds[j] &^= bit
+		}
+	}
+	s.members[r] = was
+	s.loads[r] -= extra
+	s.leave(j, metJ)
+	s.leave(i, metI)
+}
+
+// levelAt counts the ranked sizes that fit in room, given that no more than
+// the first from do.
+func (s *wordSearch) levelAt(room core.Size, from int) int {
+	for from > 0 && s.ranked[from-1] > room {
+		from--
+	}
+	return from
+}
+
+// setLevel moves masked reducer r from level from to level to.
+func (s *wordSearch) setLevel(r, from, to int) {
+	bit := uint64(1) << uint(r)
+	s.at[from] &^= bit
+	s.at[to] |= bit
+	s.level[r] = to
 }
 
 // join covers input a with every one of members it is not covered with yet
@@ -252,7 +368,6 @@ func (s *wordSearch) join(a int, members uint64) uint64 {
 	for w := met; w != 0; w &= w - 1 {
 		s.rows[bits.TrailingZeros64(w)] |= ba
 	}
-	s.remaining -= bits.OnesCount64(met)
 	return met
 }
 
@@ -263,5 +378,4 @@ func (s *wordSearch) leave(a int, met uint64) {
 	for w := met; w != 0; w &= w - 1 {
 		s.rows[bits.TrailingZeros64(w)] &^= ba
 	}
-	s.remaining += bits.OnesCount64(met)
 }

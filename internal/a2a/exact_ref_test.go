@@ -203,8 +203,18 @@ func cloneReducerSets(ms *core.MappingSchema) [][]int {
 	return out
 }
 
-// covered and uncover are the two coverage operations only the reference
-// search needs: a membership test and the revert of a cover call.
+// cover, covered and uncover are the coverage operations only the reference
+// formulations need: covering one pair, a membership test and the revert of
+// a cover call.
+
+func (c *coverage) cover(i, j int) {
+	if i == j || c.rows[i].Contains(j) {
+		return
+	}
+	c.rows[i].Add(j)
+	c.rows[j].Add(i)
+	c.remaining--
+}
 
 func (c *coverage) covered(i, j int) bool {
 	if i == j {

@@ -1,6 +1,8 @@
 package a2a
 
 import (
+	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -43,6 +45,44 @@ func FuzzSolve(f *testing.F) {
 		lb := LowerBounds(set, q)
 		if set.Len() > 1 && ms.NumReducers() < lb.Reducers {
 			t.Fatalf("schema beats the lower bound: %d < %d", ms.NumReducers(), lb.Reducers)
+		}
+	})
+}
+
+// FuzzGreedyMatchesReference feeds arbitrary byte strings as input sizes and
+// one byte as the capacity: Greedy must return refGreedy's schema on every
+// feasible instance and ErrInfeasible on the others.
+func FuzzGreedyMatchesReference(f *testing.F) {
+	f.Add([]byte{3, 3, 2, 2, 4, 1}, byte(10))
+	f.Add(make([]byte, 70), byte(12))
+	f.Add([]byte{30, 1, 2, 3}, byte(40))
+	f.Add([]byte{9, 9}, byte(8))
+	f.Fuzz(func(t *testing.T, raw []byte, qRaw byte) {
+		if len(raw) > 100 {
+			raw = raw[:100] // past one word; the reference is cubic
+		}
+		q := core.Size(qRaw)%200 + 2
+		sizes := make([]core.Size, len(raw))
+		for i, b := range raw {
+			sizes[i] = core.Size(b)%(q+q/8) + 1 // some above q/2, a few above q
+		}
+		if len(sizes) == 0 {
+			return
+		}
+		set := core.MustNewInputSet(sizes)
+		got, err := Greedy(set, q)
+		if CheckFeasible(set, q) != nil {
+			if !errors.Is(err, core.ErrInfeasible) {
+				t.Fatalf("sizes=%v q=%d: infeasible, but err = %v", sizes, q, err)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("sizes=%v q=%d: %v", sizes, q, err)
+		}
+		if want := refGreedy(set, q); !reflect.DeepEqual(got, want) {
+			t.Fatalf("sizes=%v q=%d: schema differs from the reference (%d reducers, reference %d)",
+				sizes, q, got.NumReducers(), want.NumReducers())
 		}
 	})
 }

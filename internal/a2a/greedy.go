@@ -26,21 +26,22 @@ func Greedy(set *core.InputSet, q core.Size) (*core.MappingSchema, error) {
 	cov := newCoverage(m)
 	ms := &core.MappingSchema{Problem: core.ProblemA2A, Capacity: q, Algorithm: algorithm}
 
-	// gain[x] is how many of the open reducer's members x is not yet covered
-	// with — what adding x would newly cover. It is kept incrementally: a
-	// joining input is covered with members only, so no outsider's row
-	// changes, and the one thing that moves is that every x still uncovered
-	// with the newcomer gains one. (Members' entries go stale; they are
-	// skipped.)
-	gain := make([]int, m)
-	bump := func(joined int) {
-		row := cov.row(joined)
-		for x := row.NextAbsent(0); x < m; x = row.NextAbsent(x + 1) {
-			gain[x]++
-		}
-	}
+	// gains holds, for every outsider x, how many of the open reducer's
+	// members x is not yet covered with — what adding x would newly cover. A
+	// joining input only meets members, so no outsider's row changes, and the
+	// one thing that moves is that every x still uncovered with the newcomer
+	// gains one. (Members' counters go stale; they are never candidates.) For
+	// the same reason the members' pairs are covered once, as the reducer
+	// closes.
+	var gains core.Gains
+	gains.Reset(m, m)
+	// fits holds the outsiders that still fit beside the open reducer's load.
+	// As the load grows they leave it largest first: bySize[:tooBig] are out.
+	fits := core.GetCoverSet(m)
 	memberSet := core.GetCoverSet(m)
+	defer core.PutCoverSet(fits)
 	defer core.PutCoverSet(memberSet)
+	bySize := set.IDsBySizeDescending()
 	var members []int
 	for cov.remaining > 0 {
 		i, j := cov.firstUncovered()
@@ -49,38 +50,39 @@ func Greedy(set *core.InputSet, q core.Size) (*core.MappingSchema, error) {
 		memberSet.Add(i)
 		memberSet.Add(j)
 		load := set.Size(i) + set.Size(j)
-		cov.cover(i, j)
-		clear(gain)
-		bump(i)
-		bump(j)
-
-		for {
-			best, bestGain := -1, 0
-			for x, g := range gain {
-				if g > bestGain && !memberSet.Contains(x) && load+set.Size(x) <= q {
-					best, bestGain = x, g
-				}
+		fits.Fill()
+		fits.Remove(i)
+		fits.Remove(j)
+		gains.Clear()
+		gains.Bump(cov.row(i))
+		gains.Bump(cov.row(j))
+		for tooBig := 0; ; {
+			for ; tooBig < m && set.Size(bySize[tooBig]) > q-load; tooBig++ {
+				fits.Remove(bySize[tooBig])
 			}
-			if best == -1 {
+			best, gain := gains.Best(fits)
+			if gain == 0 {
 				break
-			}
-			for _, y := range members {
-				cov.cover(best, y)
 			}
 			members = append(members, best)
 			memberSet.Add(best)
+			fits.Remove(best)
 			load += set.Size(best)
-			bump(best)
+			gains.Bump(cov.row(best))
 		}
-		ms.AddReducerA2A(set, members)
+		cov.coverAll(members, memberSet)
+		ms.Reducers = append(ms.Reducers, core.Reducer{
+			Inputs: memberSet.AppendTo(make([]int, 0, len(members))),
+			Load:   load,
+		})
 	}
 	return ms, nil
 }
 
 // coverage tracks which unordered pairs of 0..m-1 are already covered, as
 // one symmetric bitset row per input: rows[i] holds every j already covered
-// with i. Rows make the first-uncovered scans, and Greedy's walk over the
-// inputs a newcomer is still uncovered with, word-at-a-time.
+// with i. Rows make the first-uncovered scans, and Greedy's bump of every
+// input a newcomer is still uncovered with, word-at-a-time.
 type coverage struct {
 	m         int
 	rows      []core.CoverSet
@@ -106,13 +108,15 @@ func newCoverage(m int) *coverage {
 // row exposes input i's covered-with row for bitset queries.
 func (c *coverage) row(i int) *core.CoverSet { return &c.rows[i] }
 
-func (c *coverage) cover(i, j int) {
-	if i == j || c.rows[i].Contains(j) {
-		return
+// coverAll covers every pair of members, whose set is memberSet.
+func (c *coverage) coverAll(members []int, memberSet *core.CoverSet) {
+	added := 0
+	for _, y := range members {
+		// The union also adds y itself, which its row never holds.
+		added += c.rows[y].Union(memberSet) - 1
+		c.rows[y].Remove(y)
 	}
-	c.rows[i].Add(j)
-	c.rows[j].Add(i)
-	c.remaining--
+	c.remaining -= added / 2
 }
 
 // firstUncoveredFrom scans for the first uncovered pair at or after (i0, j0)

@@ -112,9 +112,9 @@ func TestCoverageBookkeeping(t *testing.T) {
 	}
 }
 
-// refGreedy is Greedy as it was before it kept gains incrementally: every
-// pass recomputes every candidate's gain as a popcount of the member set
-// against the candidate's coverage row.
+// refGreedy is Greedy as it was before it kept gains at all: every pass
+// recomputes every candidate's gain as a popcount of the member set against
+// the candidate's coverage row.
 func refGreedy(set *core.InputSet, q core.Size) *core.MappingSchema {
 	m := set.Len()
 	cov := newCoverage(m)
@@ -203,7 +203,7 @@ func regimeInstance(rng *rand.Rand, regime int) (*core.InputSet, core.Size) {
 	return core.MustNewInputSet(sizes), q
 }
 
-// TestGreedyMatchesPopcountReference holds the incremental gains to the
+// TestGreedyMatchesPopcountReference holds the bit-sliced gains to the
 // recomputed ones: same argmax, same lowest-ID tie-break, so the same schema.
 func TestGreedyMatchesPopcountReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))

@@ -38,16 +38,19 @@ func (s *CoverSet) Reset(n int) {
 	if n < 0 {
 		n = 0
 	}
-	w := (n + 63) / 64
-	if cap(s.words) < w {
-		s.words = make([]uint64, w)
-	} else {
-		s.words = s.words[:w]
-		for i := range s.words {
-			s.words[i] = 0
-		}
-	}
+	s.words = resizeWords(s.words, (n+63)/64)
 	s.n = n
+}
+
+// resizeWords returns a zeroed slice of n words, reusing buf when it is large
+// enough.
+func resizeWords(buf []uint64, n int) []uint64 {
+	if cap(buf) < n {
+		return make([]uint64, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // Grow extends the universe to at least n, preserving current members.
@@ -110,6 +113,26 @@ func (s *CoverSet) Clear() {
 	for i := range s.words {
 		s.words[i] = 0
 	}
+}
+
+// Fill adds every index 0..n-1.
+func (s *CoverSet) Fill() {
+	for i := range s.words {
+		s.words[i] = ^uint64(0)
+	}
+	if tail := uint(s.n) & 63; tail != 0 {
+		s.words[len(s.words)-1] = 1<<tail - 1
+	}
+}
+
+// Union adds every member of o and returns how many of them were new.
+func (s *CoverSet) Union(o *CoverSet) int {
+	added := 0
+	for i := range min(len(s.words), len(o.words)) {
+		added += bits.OnesCount64(o.words[i] &^ s.words[i])
+		s.words[i] |= o.words[i]
+	}
+	return added
 }
 
 // Intersects reports whether s and o share a member, short-circuiting on the
@@ -222,6 +245,16 @@ func (s *CoverSet) NextAbsent(from int) int {
 		}
 		w = ^s.words[wi]
 	}
+}
+
+// AppendTo appends the members to dst in ascending order.
+func (s *CoverSet) AppendTo(dst []int) []int {
+	for wi, w := range s.words {
+		for ; w != 0; w &= w - 1 {
+			dst = append(dst, wi<<6+bits.TrailingZeros64(w))
+		}
+	}
+	return dst
 }
 
 // AddAll sets every listed bit (out-of-range indexes ignored).

@@ -272,3 +272,32 @@ func equalInts(a, b []int) bool {
 	}
 	return true
 }
+
+func TestCoverSetFillUnionAppendTo(t *testing.T) {
+	for _, n := range []int{1, 63, 64, 65, 130} {
+		s := NewCoverSet(n)
+		s.Fill()
+		if s.Count() != n || !s.Contains(n-1) || s.Contains(n) {
+			t.Fatalf("n=%d: Fill gave %d members", n, s.Count())
+		}
+		got := s.AppendTo([]int{-1})
+		if len(got) != n+1 || got[0] != -1 || got[1] != 0 || got[n] != n-1 {
+			t.Fatalf("n=%d: AppendTo = %v", n, got)
+		}
+		a, b := NewCoverSet(n), NewCoverSet(n)
+		a.AddAll([]int{0, n / 2})
+		b.AddAll([]int{n / 2, n - 1})
+		want := 0
+		for _, i := range members(b) {
+			if !a.Contains(i) {
+				want++
+			}
+		}
+		if added := a.Union(b); added != want {
+			t.Fatalf("n=%d: Union added %d, want %d", n, added, want)
+		}
+		if !a.Contains(n-1) || !a.Contains(0) || !a.Contains(n/2) {
+			t.Fatalf("n=%d: Union lost a member: %v", n, members(a))
+		}
+	}
+}

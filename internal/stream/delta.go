@@ -53,7 +53,7 @@ func (s *Session) Add(size core.Size) (InputID, DeltaReport, error) {
 	if size > s.cfg.Capacity {
 		return 0, DeltaReport{}, fmt.Errorf("%w: input size %d exceeds capacity %d", core.ErrInfeasible, size, s.cfg.Capacity)
 	}
-	if len(s.ids) > 0 && size+s.liveMaxLocked() > s.cfg.Capacity {
+	if len(s.ids) > 0 && size > s.cfg.Capacity-s.liveMaxLocked() {
 		return 0, DeltaReport{}, fmt.Errorf("%w: size %d cannot share any reducer with the largest live input (size %d, capacity %d)",
 			core.ErrInfeasible, size, s.liveMaxLocked(), s.cfg.Capacity)
 	}
@@ -144,13 +144,12 @@ func (s *Session) Resize(id InputID, newSize core.Size) (DeltaReport, error) {
 		return rep, nil
 	}
 	if newSize > old {
-		if other := s.liveMaxExcludingLocked(id); newSize+other > s.cfg.Capacity {
+		if other := s.liveMaxExcludingLocked(id); newSize > s.cfg.Capacity-other {
 			return DeltaReport{}, fmt.Errorf("%w: new size %d cannot share any reducer with the largest other live input (size %d, capacity %d)",
 				core.ErrInfeasible, newSize, other, s.cfg.Capacity)
 		}
 	}
 	delta := newSize - old
-	s.sizes[id] = newSize
 	s.total += delta
 	if delta > 0 {
 		s.noteSizeLocked(newSize)
@@ -159,23 +158,26 @@ func (s *Session) Resize(id InputID, newSize core.Size) (DeltaReport, error) {
 	}
 	slots := append([]int(nil), s.assign[id]...)
 	if delta < 0 {
+		s.sizes[id] = newSize
 		for _, slot := range slots {
 			s.reds[slot].load += delta
 		}
 		rep.FreedBytes += core.Size(len(slots)) * -delta
 		s.compactLocked(slots, &rep)
 	} else {
+		// The copies that would overflow their reducer leave it at the old
+		// size; the others grow in place.
 		for _, slot := range slots {
-			r := s.reds[slot]
-			r.load += delta
-			if r.load > s.cfg.Capacity {
+			if r := s.reds[slot]; r.load > s.cfg.Capacity-delta {
 				s.removeFromRedLocked(id, slot)
 				rep.Evictions++
 				rep.FreedBytes += newSize
 			} else {
+				r.load += delta
 				rep.MovedBytes += delta // the grown copy ships its extra bytes
 			}
 		}
+		s.sizes[id] = newSize
 		if rep.Evictions > 0 || len(s.assign[id]) == 0 {
 			s.coverLocked(id, nil, &rep)
 		}
@@ -227,7 +229,7 @@ func (s *Session) coverLocked(x InputID, untrusted map[InputID]struct{}, rep *De
 			if s.inRedLocked(x, slot) {
 				continue
 			}
-			if r.load+w <= s.cfg.Capacity {
+			if r.load <= s.cfg.Capacity-w {
 				s.addToRedLocked(x, slot)
 				rep.MovedBytes += w
 				rep.JoinedReducers++
@@ -275,8 +277,8 @@ func (s *Session) coverLocked(x InputID, untrusted map[InputID]struct{}, rep *De
 				// they keep slack for future arrivals — except that a pair
 				// which only fits the full capacity must still be placed.
 				load := s.reds[slot].load
-				if load+s.sizes[m] <= qEff ||
-					(len(s.reds[slot].members) == 1 && load+s.sizes[m] <= s.cfg.Capacity) {
+				if s.sizes[m] <= qEff-load ||
+					(len(s.reds[slot].members) == 1 && s.sizes[m] <= s.cfg.Capacity-load) {
 					s.addToRedLocked(m, slot)
 					rep.MovedBytes += s.sizes[m]
 					rep.MovedExistingBytes += s.sizes[m]
@@ -312,7 +314,7 @@ func (s *Session) compactLocked(candidates []int, rep *DeltaReport) {
 	qEff := s.planCapacity()
 	frag := candidates[:0]
 	for _, slot := range candidates {
-		if r := s.reds[slot]; r != nil && r.load*4 <= s.cfg.Capacity && r.load <= budget {
+		if r := s.reds[slot]; r != nil && r.load <= s.cfg.Capacity/4 && r.load <= budget {
 			frag = append(frag, slot)
 		}
 	}
@@ -333,7 +335,7 @@ func (s *Session) compactLocked(candidates []int, rep *DeltaReport) {
 		}
 		bestTo := -1
 		for to, t := range s.reds {
-			if to == from || t == nil || t.load+r.load > qEff {
+			if to == from || t == nil || t.load > qEff-r.load {
 				continue
 			}
 			if bestTo < 0 || t.load > s.reds[bestTo].load ||

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -161,7 +162,7 @@ func NewSession(ctx context.Context, cfg Config) (*Session, error) {
 			top2 = w
 		}
 	}
-	if top1 > cfg.Capacity || (len(cfg.Initial) > 1 && top1+top2 > cfg.Capacity) {
+	if top1 > cfg.Capacity || (len(cfg.Initial) > 1 && top2 > cfg.Capacity-top1) {
 		return nil, fmt.Errorf("%w: initial sizes do not fit capacity %d pairwise", core.ErrInfeasible, cfg.Capacity)
 	}
 	planned, err := s.replan(ctx, cfg.Initial)
@@ -400,7 +401,7 @@ func (s *Session) migrationBudget() core.Size {
 	case s.cfg.MigrationBudget < 0:
 		return 0
 	default:
-		return 2 * s.cfg.Capacity
+		return 2 * min(s.cfg.Capacity, math.MaxInt64/2)
 	}
 }
 

@@ -386,3 +386,29 @@ func TestAffinePlaneSessionSurvivesChurn(t *testing.T) {
 		audit(t, s)
 	}
 }
+
+// TestDeltasDoNotWrapNearMaxCapacity: at a capacity near the int64 limit a
+// sum of two sizes wraps, and compared as a sum it let a pairwise-infeasible
+// Add and Resize through and left a reducer with a negative load. Every check
+// now compares against the capacity minus one side.
+func TestDeltasDoNotWrapNearMaxCapacity(t *testing.T) {
+	const q = core.Size(9e18)
+	s := newSession(t, stream.Config{Capacity: q, Initial: []core.Size{5e18, 3e18, 1e18}})
+	if _, _, err := s.Add(5e18); !errors.Is(err, core.ErrInfeasible) {
+		t.Fatalf("Add(5e18) beside 5e18 at q=9e18: err = %v, want ErrInfeasible", err)
+	}
+	if _, err := s.Resize(1, 4.5e18); !errors.Is(err, core.ErrInfeasible) {
+		t.Fatalf("Resize(1, 4.5e18) beside 5e18 at q=9e18: err = %v, want ErrInfeasible", err)
+	}
+	// Pairwise feasible, but the one reducer holding all three overflows:
+	// the grown copy is evicted and its pairs re-covered.
+	if _, err := s.Resize(2, 3.5e18); err != nil {
+		t.Fatalf("Resize(2, 3.5e18): %v", err)
+	}
+	for r, red := range s.Snapshot().Schema.Reducers {
+		if red.Load < 0 || red.Load > q {
+			t.Fatalf("reducer %d has load %d, outside [0, %d]", r, red.Load, q)
+		}
+	}
+	audit(t, s)
+}

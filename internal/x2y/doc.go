@@ -20,7 +20,12 @@
 //   - BigSmallSplit: the extension for inputs larger than q/2, which can only
 //     appear on one side of a feasible instance; each big input is paired
 //     with bins of the opposite side packed into its residual capacity.
-//   - Greedy: a coverage-greedy baseline.
+//   - Greedy: a coverage-greedy baseline. Each side's gains are bit-sliced
+//     counters (core.Gains): an input joining a reducer bumps the gain of
+//     every input of the other side it has not met by one word-parallel
+//     add, and the best candidate of a side is found by narrowing the ones
+//     that still fit plane by plane, so a step costs words, not a popcount
+//     per candidate.
 //   - Exact: a branch-and-bound solver for small instances.
 //   - Lower bounds on reducers and communication.
 //

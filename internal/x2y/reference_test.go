@@ -282,3 +282,203 @@ func FuzzX2YSolve(f *testing.F) {
 		}
 	})
 }
+
+// refGreedy is Greedy as it was before it kept gains as bit-sliced counters:
+// every pass recounts every candidate's gain as a popcount of the opposite
+// member set against the candidate's coverage row. It is the reference
+// TestGreedyMatchesReference and FuzzGreedyMatchesReference hold Greedy to.
+func refGreedy(xs, ys *core.InputSet, q core.Size) (*core.MappingSchema, error) {
+	const algorithm = "x2y/greedy"
+	if xs.Len() == 0 || ys.Len() == 0 {
+		return emptySchema(q, algorithm), nil
+	}
+	if err := CheckFeasible(xs, ys, q); err != nil {
+		return nil, err
+	}
+	nx, ny := xs.Len(), ys.Len()
+	// Coverage is kept in both orientations: rows[x] holds the covered Y
+	// partners of x, cols[y] the covered X partners of y, so each side's
+	// greedy gain is one popcount against the opposite member set.
+	rows := make([]core.CoverSet, nx)
+	for i := range rows {
+		rows[i].Reset(ny)
+	}
+	cols := make([]core.CoverSet, ny)
+	for i := range cols {
+		cols[i].Reset(nx)
+	}
+	remaining := nx * ny
+	cover := func(x, y int) {
+		if !rows[x].Contains(y) {
+			rows[x].Add(y)
+			cols[y].Add(x)
+			remaining--
+		}
+	}
+	xSet := core.GetCoverSet(nx)
+	ySet := core.GetCoverSet(ny)
+	defer core.PutCoverSet(xSet)
+	defer core.PutCoverSet(ySet)
+	ms := &core.MappingSchema{Problem: core.ProblemX2Y, Capacity: q, Algorithm: algorithm}
+
+	cursorX, cursorY := 0, 0
+	for remaining > 0 {
+		// Find the first uncovered cross pair in (x, y) lexicographic order.
+		x0, y0 := -1, -1
+		for x := cursorX; x < nx; x++ {
+			from := 0
+			if x == cursorX {
+				from = cursorY
+			}
+			if y := rows[x].NextAbsent(from); y < ny {
+				x0, y0 = x, y
+				break
+			}
+		}
+		cursorX, cursorY = x0, y0
+		xMembers := []int{x0}
+		yMembers := []int{y0}
+		xSet.Clear()
+		ySet.Clear()
+		xSet.Add(x0)
+		ySet.Add(y0)
+		load := xs.Size(x0) + ys.Size(y0)
+		cover(x0, y0)
+
+		for {
+			bestSide, best, bestGain := 0, -1, 0
+			// Candidate X inputs gain one pair per uncovered (x, yMember).
+			for x := 0; x < nx; x++ {
+				if xSet.Contains(x) || load+xs.Size(x) > q {
+					continue
+				}
+				if gain := ySet.CountAndNot(&rows[x]); gain > bestGain {
+					bestSide, best, bestGain = 0, x, gain
+				}
+			}
+			for y := 0; y < ny; y++ {
+				if ySet.Contains(y) || load+ys.Size(y) > q {
+					continue
+				}
+				if gain := xSet.CountAndNot(&cols[y]); gain > bestGain {
+					bestSide, best, bestGain = 1, y, gain
+				}
+			}
+			if best == -1 {
+				break
+			}
+			if bestSide == 0 {
+				for _, y := range yMembers {
+					cover(best, y)
+				}
+				xMembers = append(xMembers, best)
+				xSet.Add(best)
+				load += xs.Size(best)
+			} else {
+				for _, x := range xMembers {
+					cover(x, best)
+				}
+				yMembers = append(yMembers, best)
+				ySet.Add(best)
+				load += ys.Size(best)
+			}
+		}
+		ms.AddReducerX2Y(xs, ys, xMembers, yMembers)
+	}
+	return ms, nil
+}
+
+// checkGreedyMatchesReference fails t unless Greedy returns refGreedy's
+// schema, or its error.
+func checkGreedyMatchesReference(t *testing.T, xs, ys *core.InputSet, q core.Size) {
+	t.Helper()
+	got, gotErr := Greedy(xs, ys, q)
+	want, wantErr := refGreedy(xs, ys, q)
+	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+		t.Fatalf("x=%v y=%v q=%d: err = %v, reference %v", xs.Sizes(), ys.Sizes(), q, gotErr, wantErr)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("x=%v y=%v q=%d: schema differs from the reference (%d reducers, reference %d)",
+			xs.Sizes(), ys.Sizes(), q, got.NumReducers(), want.NumReducers())
+	}
+}
+
+// TestGreedyMatchesReference holds the bit-sliced gains to the recounted
+// ones: same argmax, same tie-breaks, so the same schema. The random
+// instances put sides on both sides of a 64-bit word; the rest are
+// svc_mixed's X2Y hot shapes, about 100 x 300 at 20 half-capacity bins.
+func TestGreedyMatchesReference(t *testing.T) {
+	check := func(xs, ys *core.InputSet, q core.Size) {
+		t.Helper()
+		checkGreedyMatchesReference(t, xs, ys, q)
+	}
+	rng := rand.New(rand.NewSource(71))
+	for trial := 0; trial < 200; trial++ {
+		q := core.Size(16 + rng.Intn(50))
+		draw := func() *core.InputSet {
+			sizes := make([]core.Size, 1+rng.Intn(100))
+			for i := range sizes {
+				sizes[i] = 1 + core.Size(rng.Int63n(int64(q/2)))
+			}
+			return core.MustNewInputSet(sizes)
+		}
+		check(draw(), draw(), q)
+	}
+
+	// The hot-shape catalog: seed 64, every fourth shape X2Y, the others
+	// A2A shapes drawn from the same generator in between.
+	rng = rand.New(rand.NewSource(64))
+	hotZipf := func(n int, max core.Size) []core.Size {
+		z := rand.NewZipf(rng, 1.5, 1, uint64(max-1))
+		out := make([]core.Size, n)
+		for i := range out {
+			out[i] = 1 + core.Size(z.Uint64())
+		}
+		return out
+	}
+	shapes := 16
+	if testing.Short() {
+		shapes = 4
+	}
+	for i := 0; i < 4*shapes; i++ {
+		if i%4 != 3 {
+			hotZipf(380+rng.Intn(40), 30)
+			continue
+		}
+		x := hotZipf(90+rng.Intn(20), 30)
+		y := hotZipf(280+rng.Intn(40), 30)
+		check(core.MustNewInputSet(x), core.MustNewInputSet(y), halfBinsCapacity(20, 60, x, y))
+	}
+}
+
+// FuzzGreedyMatchesReference feeds arbitrary byte strings as the two sides'
+// sizes and one byte as the capacity: Greedy must return the reference's
+// schema, or its error.
+func FuzzGreedyMatchesReference(f *testing.F) {
+	f.Add([]byte{3, 2, 4}, []byte{1, 5, 2, 2}, byte(10))
+	f.Add([]byte{1, 1, 1}, []byte{60, 60, 70, 3}, byte(90))
+	f.Add(make([]byte, 70), make([]byte, 130), byte(40))
+	f.Add([]byte{9}, []byte{9}, byte(8))
+	f.Fuzz(func(t *testing.T, rawX, rawY []byte, qRaw byte) {
+		q := core.Size(qRaw)%200 + 2
+		side := func(raw []byte) *core.InputSet {
+			if len(raw) > 72 {
+				raw = raw[:72] // past one word; the reference is cubic
+			}
+			sizes := make([]core.Size, len(raw))
+			for i, b := range raw {
+				sizes[i] = core.Size(b)%(q+q/8) + 1 // some above q/2, a few above q
+			}
+			set, err := core.NewInputSet(sizes)
+			if err != nil && !errors.Is(err, core.ErrEmptyInputSet) {
+				t.Fatalf("unexpected input-set error: %v", err)
+			}
+			return set
+		}
+		xs, ys := side(rawX), side(rawY)
+		if xs == nil || ys == nil {
+			return
+		}
+		checkGreedyMatchesReference(t, xs, ys, q)
+	})
+}
