@@ -166,6 +166,37 @@ func TestPlanRejectsBadRequests(t *testing.T) {
 	}
 }
 
+// TestPlanRejectsWrappingSizes: sizes whose sum passes math.MaxInt64 once
+// planned into one reducer of negative load and a 200. A side that wraps is
+// a 400; two sides that wrap only together are a valid X2Y instance, planned
+// within capacity.
+func TestPlanRejectsWrappingSizes(t *testing.T) {
+	srv := newTestServer(t)
+	for _, body := range []string{
+		`{"problem":"A2A","capacity":9000000000000000000,"sizes":[4000000000000000000,4000000000000000000,4000000000000000000]}`,
+		`{"problem":"X2Y","capacity":9000000000000000000,"x_sizes":[1],"y_sizes":[5000000000000000000,5000000000000000000]}`,
+	} {
+		resp, _ := postPlan(t, srv, body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("body %s: status = %d, want 400", body, resp.StatusCode)
+			continue
+		}
+		if code := decodeErrorEnvelope(t, resp); code != "bad_request" {
+			t.Errorf("body %s: error code = %q, want bad_request", body, code)
+		}
+	}
+	const q = assign.Size(9e18)
+	resp, out := postPlan(t, srv, `{"problem":"X2Y","capacity":9000000000000000000,"x_sizes":[4000000000000000000,4000000000000000000],"y_sizes":[4000000000000000000]}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("X2Y with sides summing past the limit: status = %d", resp.StatusCode)
+	}
+	for r, red := range out.Schema.Reducers {
+		if red.Load <= 0 || red.Load > q {
+			t.Errorf("reducer %d has load %d, outside (0, %d]", r, red.Load, q)
+		}
+	}
+}
+
 func TestPlanRejectsOversizedInstance(t *testing.T) {
 	capped := newTestServerCfg(t, serverConfig{MaxInputs: 4})
 	resp, err := http.Post(capped.URL+"/v1/plan", "application/json",

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -295,10 +296,16 @@ func validSizes(field string, sizes []assign.Size) *apiError {
 	if len(sizes) == 0 {
 		return badRequestf("%s: no inputs", field)
 	}
+	var total assign.Size
 	for i, sz := range sizes {
 		if sz <= 0 {
 			return badRequestf("%s: input %d has non-positive size %d", field, i, sz)
 		}
+		// Compared before adding, so the sum cannot wrap.
+		if sz > math.MaxInt64-total {
+			return badRequestf("%s: sizes sum past %d at input %d", field, int64(math.MaxInt64), i)
+		}
+		total += sz
 	}
 	return nil
 }

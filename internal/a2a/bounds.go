@@ -48,26 +48,14 @@ func LowerBounds(set *core.InputSet, q core.Size) Bounds {
 			b.Communication += w
 			continue
 		}
-		replicas := (rest + room - 1) / room
-		if replicas < 1 {
-			replicas = 1
-		}
-		b.Communication += w * replicas
+		b.Communication += w * max((rest+room-1)/room, 1)
 	}
 	if total > 0 {
 		b.Replication = float64(b.Communication) / float64(total)
 	}
 
 	// k_max: fill a reducer with the smallest inputs.
-	kMax := 0
-	var load core.Size
-	for _, id := range set.IDsBySizeAscending() {
-		if load+set.Size(id) > q {
-			break
-		}
-		load += set.Size(id)
-		kMax++
-	}
+	kMax := set.CountFitting(q)
 	b.MaxInputsPerReducer = kMax
 
 	// Reducer-count bounds.
@@ -78,13 +66,7 @@ func LowerBounds(set *core.InputSet, q core.Size) Bounds {
 		totalPairs := m * (m - 1) / 2
 		byPairs = (totalPairs + pairsPerReducer - 1) / pairsPerReducer
 	}
-	b.Reducers = byComm
-	if byPairs > b.Reducers {
-		b.Reducers = byPairs
-	}
-	if b.Reducers < 1 {
-		b.Reducers = 1
-	}
+	b.Reducers = max(byComm, byPairs, 1)
 	return b
 }
 

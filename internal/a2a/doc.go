@@ -35,6 +35,12 @@
 //   - Lower bounds on the number of reducers and on the communication cost,
 //     against which all of the above are reported.
 //
+// Greedy and Exact are also the X2Y problem's, so one coverage greedy and
+// one branch and bound serve both: GreedySplit and ExactSplit take the
+// sizes of X then Y and the split between them, and start with every pair
+// on one side of it already met, so only the cross pairs are left to cover.
+// A split of 0 is the A2A pass itself; the package imports nothing of x2y.
+//
 // EqualSized, TripleCover and AffinePlane are one builder (binsOnBlocks) fed
 // three designs — every pair of groups, Bose triples over single inputs, the
 // lines of a plane — which restricts each block to its real points and emits

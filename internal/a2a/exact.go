@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/core"
 )
@@ -16,10 +17,10 @@ var ErrTooLargeForExact = errors.New("a2a: instance too large for the exact solv
 // returned schema is the best one found (valid, but possibly not optimal).
 var ErrNodeBudget = errors.New("a2a: exact solver node budget exhausted")
 
-// maxExactInputs is the search's hard ceiling: it keeps every set of inputs —
+// MaxExactInputs is the search's hard ceiling: it keeps every set of inputs —
 // a reducer's members, the inputs one input is already covered with — in one
 // machine word.
-const maxExactInputs = 64
+const MaxExactInputs = 64
 
 // ExactOptions configures the exact solver.
 type ExactOptions struct {
@@ -68,7 +69,7 @@ func exact(set *core.InputSet, q core.Size, opts ExactOptions) (*core.MappingSch
 	if opts.MaxNodes == 0 {
 		opts.MaxNodes = 2_000_000
 	}
-	if limit := min(opts.MaxInputs, maxExactInputs); set.Len() > limit {
+	if limit := min(opts.MaxInputs, MaxExactInputs); set.Len() > limit {
 		return nil, 0, fmt.Errorf("%w: %d inputs > limit %d", ErrTooLargeForExact, set.Len(), limit)
 	}
 	if set.Len() == 0 {
@@ -77,8 +78,7 @@ func exact(set *core.InputSet, q core.Size, opts ExactOptions) (*core.MappingSch
 	if err := CheckFeasible(set, q); err != nil {
 		return nil, 0, err
 	}
-	m := set.Len()
-	if m == 1 {
+	if set.Len() == 1 {
 		return emptySchema(q, algorithm), 0, nil
 	}
 	if set.TotalSize() <= q {
@@ -90,13 +90,30 @@ func exact(set *core.InputSet, q core.Size, opts ExactOptions) (*core.MappingSch
 	if err != nil {
 		return nil, 0, err
 	}
-	best := incumbent.NumReducers()
+	reducers, nodes, exhausted := ExactSplit(set.Sizes(), 0, q, incumbent.Reducers, LowerBounds(set, q).Reducers, opts.MaxNodes)
+	ms := emptySchema(q, algorithm)
+	ms.Reducers = reducers
+	if exhausted {
+		return ms, nodes, ErrNodeBudget
+	}
+	return ms, nodes, nil
+}
 
+// ExactSplit is Exact's search over the inputs of the given sizes, from an
+// incumbent schema's reducers, stopping early at lower reducers. A split of
+// 0 covers every pair; a positive one starts with the pairs on one side of
+// it met, as GreedySplit describes, for the X2Y instance of X = sizes[:split]
+// and Y = sizes[split:], whose incumbent lists XInputs and YInputs. The
+// caller has checked that there are at most MaxExactInputs inputs and that
+// every required pair fits in q. It returns the best schema's reducers, the
+// nodes it visited, and whether maxNodes ran out first.
+func ExactSplit(sizes []core.Size, split int, q core.Size, incumbent []core.Reducer, lower, maxNodes int) ([]core.Reducer, int, bool) {
+	m, best := len(sizes), len(incumbent)
 	// The search never holds more than best reducers, so nothing grows after
 	// this.
 	s := &wordSearch{
 		q:         q,
-		sizes:     set.Sizes(),
+		sizes:     sizes,
 		full:      ^uint64(0) >> (64 - uint(m)),
 		rows:      make([]uint64, m+1),
 		members:   make([]uint64, best),
@@ -105,53 +122,59 @@ func exact(set *core.InputSet, q core.Size, opts ExactOptions) (*core.MappingSch
 		at:        make([]uint64, m+1),
 		level:     make([]int, min(best, maskedReducers)),
 		rank:      make([]int, m),
-		ranked:    make([]core.Size, 0, m),
 		pairLevel: make([]int, m*m),
 		best:      best,
 		bestSets:  make([]uint64, best),
-		maxNodes:  opts.MaxNodes,
-		lower:     LowerBounds(set, q).Reducers,
+		maxNodes:  maxNodes,
+		lower:     lower,
 	}
+	xSide := uint64(1)<<uint(split) - 1
 	for i := range m {
-		s.rows[i] = 1 << uint(i)
-	}
-	for _, id := range set.IDsBySizeAscending() {
-		if w := s.sizes[id]; len(s.ranked) == 0 || s.ranked[len(s.ranked)-1] < w {
-			s.ranked = append(s.ranked, w)
+		switch {
+		case split == 0:
+			s.rows[i] = 1 << uint(i)
+		case i < split:
+			s.rows[i] = xSide
+		default:
+			s.rows[i] = s.full &^ xSide
 		}
-		s.rank[id] = len(s.ranked) - 1
 	}
-	for i, wi := range s.sizes {
-		for j, wj := range s.sizes {
+	s.ranked = slices.Clone(sizes)
+	slices.Sort(s.ranked)
+	s.ranked = slices.Compact(s.ranked)
+	for id, w := range sizes {
+		s.rank[id], _ = slices.BinarySearch(s.ranked, w)
+	}
+	for i, wi := range sizes {
+		for j, wj := range sizes {
 			s.pairLevel[i*m+j] = s.levelAt(q-wi-wj, len(s.ranked))
 		}
 	}
-	for r, red := range incumbent.Reducers {
+	for r, red := range incumbent {
 		for _, id := range red.Inputs {
 			s.bestSets[r] |= 1 << uint(id)
+		}
+		for _, id := range red.XInputs {
+			s.bestSets[r] |= 1 << uint(id)
+		}
+		for _, id := range red.YInputs {
+			s.bestSets[r] |= 1 << uint(split+id)
 		}
 	}
 	s.search(0)
 
-	ms := &core.MappingSchema{
-		Problem:   core.ProblemA2A,
-		Capacity:  q,
-		Algorithm: algorithm,
-		Reducers:  make([]core.Reducer, 0, s.best),
-	}
+	reducers := make([]core.Reducer, 0, s.best)
 	for _, mask := range s.bestSets[:s.best] {
-		red := core.Reducer{Inputs: make([]int, 0, bits.OnesCount64(mask))}
+		ids := make([]int, 0, bits.OnesCount64(mask))
+		var load core.Size
 		for ; mask != 0; mask &= mask - 1 {
 			id := bits.TrailingZeros64(mask)
-			red.Inputs = append(red.Inputs, id)
-			red.Load += s.sizes[id]
+			ids = append(ids, id)
+			load += sizes[id]
 		}
-		ms.Reducers = append(ms.Reducers, red)
+		reducers = append(reducers, splitReducer(ids, split, load))
 	}
-	if s.exhausted {
-		return ms, s.nodes, ErrNodeBudget
-	}
-	return ms, s.nodes, nil
+	return reducers, s.nodes, s.exhausted
 }
 
 // maskedReducers is how many reducers the search's reducer masks cover: one
@@ -304,7 +327,7 @@ func (s *wordSearch) place(r, i, j int) {
 	default:
 		extra = s.sizes[i] + s.sizes[j]
 	}
-	if s.loads[r]+extra > s.q {
+	if extra > s.q-s.loads[r] {
 		return
 	}
 	var metI, metJ uint64

@@ -57,7 +57,7 @@ func refExact(set *core.InputSet, q core.Size, opts ExactOptions) (*core.Mapping
 		maxNodes: opts.MaxNodes,
 		lower:    bounds.Reducers,
 	}
-	s.search(newCoverage(m), nil, nil)
+	s.search(newCoverage(m, 0), nil, nil)
 
 	ms := &core.MappingSchema{Problem: core.ProblemA2A, Capacity: q, Algorithm: algorithm}
 	for _, ids := range s.bestSets {

@@ -1,6 +1,9 @@
 package a2a
 
 import (
+	"cmp"
+	"slices"
+
 	"repro/internal/core"
 )
 
@@ -19,12 +22,24 @@ func Greedy(set *core.InputSet, q core.Size) (*core.MappingSchema, error) {
 	if err := CheckFeasible(set, q); err != nil {
 		return nil, err
 	}
-	m := set.Len()
-	if m == 1 {
-		return emptySchema(q, algorithm), nil
-	}
-	cov := newCoverage(m)
-	ms := &core.MappingSchema{Problem: core.ProblemA2A, Capacity: q, Algorithm: algorithm}
+	ms := emptySchema(q, algorithm)
+	ms.Reducers = GreedySplit(set.Sizes(), 0, q)
+	return ms, nil
+}
+
+// GreedySplit is Greedy's pass over the inputs of the given sizes. A split
+// of 0 covers every pair, as A2A asks. A positive split marks every pair on
+// one side of it — two inputs below split, or two at or above it — met
+// before the first step, so only the pairs across it are covered: the X2Y
+// instance of X = sizes[:split] and Y = sizes[split:], whose reducers come
+// back with XInputs below split and YInputs counted from it. The first
+// uncovered pair is then the first (x, y), and a tie for the best gain goes
+// to the lower index, so to X before Y. The caller has checked that every
+// required pair fits in q.
+func GreedySplit(sizes []core.Size, split int, q core.Size) []core.Reducer {
+	m := len(sizes)
+	cov := newCoverage(m, split)
+	var reducers []core.Reducer
 
 	// gains holds, for every outsider x, how many of the open reducer's
 	// members x is not yet covered with — what adding x would newly cover. A
@@ -36,12 +51,17 @@ func Greedy(set *core.InputSet, q core.Size) (*core.MappingSchema, error) {
 	var gains core.Gains
 	gains.Reset(m, m)
 	// fits holds the outsiders that still fit beside the open reducer's load.
-	// As the load grows they leave it largest first: bySize[:tooBig] are out.
+	// As the load grows they leave it largest first, equal sizes together so
+	// their order does not matter: bySize[:tooBig] are out.
 	fits := core.GetCoverSet(m)
 	memberSet := core.GetCoverSet(m)
 	defer core.PutCoverSet(fits)
 	defer core.PutCoverSet(memberSet)
-	bySize := set.IDsBySizeDescending()
+	bySize := make([]int, m)
+	for i := range bySize {
+		bySize[i] = i
+	}
+	slices.SortFunc(bySize, func(a, b int) int { return cmp.Compare(sizes[b], sizes[a]) })
 	var members []int
 	for cov.remaining > 0 {
 		i, j := cov.firstUncovered()
@@ -49,7 +69,7 @@ func Greedy(set *core.InputSet, q core.Size) (*core.MappingSchema, error) {
 		memberSet.Clear()
 		memberSet.Add(i)
 		memberSet.Add(j)
-		load := set.Size(i) + set.Size(j)
+		load := sizes[i] + sizes[j]
 		fits.Fill()
 		fits.Remove(i)
 		fits.Remove(j)
@@ -57,7 +77,7 @@ func Greedy(set *core.InputSet, q core.Size) (*core.MappingSchema, error) {
 		gains.Bump(cov.row(i))
 		gains.Bump(cov.row(j))
 		for tooBig := 0; ; {
-			for ; tooBig < m && set.Size(bySize[tooBig]) > q-load; tooBig++ {
+			for ; tooBig < m && sizes[bySize[tooBig]] > q-load; tooBig++ {
 				fits.Remove(bySize[tooBig])
 			}
 			best, gain := gains.Best(fits)
@@ -67,16 +87,28 @@ func Greedy(set *core.InputSet, q core.Size) (*core.MappingSchema, error) {
 			members = append(members, best)
 			memberSet.Add(best)
 			fits.Remove(best)
-			load += set.Size(best)
+			load += sizes[best]
 			gains.Bump(cov.row(best))
 		}
 		cov.coverAll(members, memberSet)
-		ms.Reducers = append(ms.Reducers, core.Reducer{
-			Inputs: memberSet.AppendTo(make([]int, 0, len(members))),
-			Load:   load,
-		})
+		reducers = append(reducers, splitReducer(memberSet.AppendTo(make([]int, 0, len(members))), split, load))
 	}
-	return ms, nil
+	return reducers
+}
+
+// splitReducer is the reducer holding the ascending inputs ids at load:
+// Inputs when split is 0, else XInputs below split and YInputs, counted from
+// split, at or above it. The two sides share ids' array.
+func splitReducer(ids []int, split int, load core.Size) core.Reducer {
+	if split == 0 {
+		return core.Reducer{Inputs: ids, Load: load}
+	}
+	cut, _ := slices.BinarySearch(ids, split)
+	ys := ids[cut:]
+	for k := range ys {
+		ys[k] -= split
+	}
+	return core.Reducer{XInputs: ids[:cut:cut], YInputs: ys, Load: load}
 }
 
 // coverage tracks which unordered pairs of 0..m-1 are already covered, as
@@ -91,18 +123,33 @@ type coverage struct {
 	cursorI, cursorJ int
 }
 
-func newCoverage(m int) *coverage {
+// newCoverage starts with no pair of 0..m-1 covered, or, for a positive
+// split, every pair on one side of it, as GreedySplit describes.
+func newCoverage(m, split int) *coverage {
 	rows := make([]core.CoverSet, m)
 	for i := range rows {
 		rows[i].Reset(m)
 	}
-	return &coverage{
-		m:         m,
-		rows:      rows,
-		remaining: m * (m - 1) / 2,
-		cursorI:   0,
-		cursorJ:   1,
+	c := &coverage{m: m, rows: rows, remaining: m * (m - 1) / 2, cursorJ: 1}
+	if split > 0 {
+		// Each row takes its side's mask word by word, less itself.
+		x, y := core.NewCoverSet(m), core.NewCoverSet(m)
+		y.Fill()
+		for i := range split {
+			x.Add(i)
+			y.Remove(i)
+		}
+		for i := range rows {
+			side := y
+			if i < split {
+				side = x
+			}
+			rows[i].Union(side)
+			rows[i].Remove(i)
+		}
+		c.remaining = split * (m - split)
 	}
+	return c
 }
 
 // row exposes input i's covered-with row for bitset queries.

@@ -75,7 +75,7 @@ func TestGreedyRandomInstancesValid(t *testing.T) {
 }
 
 func TestCoverageBookkeeping(t *testing.T) {
-	c := newCoverage(4)
+	c := newCoverage(4, 0)
 	if c.remaining != 6 {
 		t.Fatalf("remaining = %d, want 6", c.remaining)
 	}
@@ -117,7 +117,7 @@ func TestCoverageBookkeeping(t *testing.T) {
 // the candidate's coverage row.
 func refGreedy(set *core.InputSet, q core.Size) *core.MappingSchema {
 	m := set.Len()
-	cov := newCoverage(m)
+	cov := newCoverage(m, 0)
 	ms := &core.MappingSchema{Problem: core.ProblemA2A, Capacity: q, Algorithm: "a2a/greedy"}
 	memberSet := core.NewCoverSet(m)
 	for cov.remaining > 0 {

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -40,11 +41,14 @@ var (
 	ErrEmptyInputSet = errors.New("core: input set has no inputs")
 	// ErrNonPositiveSize is returned when an input has size <= 0.
 	ErrNonPositiveSize = errors.New("core: input size must be positive")
+	// ErrTotalTooLarge is returned when the sizes of an input set sum past
+	// the largest Size, where every comparison against the total would wrap.
+	ErrTotalTooLarge = errors.New("core: total input size exceeds the largest size")
 )
 
 // NewInputSet builds an InputSet from raw sizes. The i-th size becomes the
-// input with ID i. It returns an error if sizes is empty or any size is not
-// positive.
+// input with ID i. It returns an error if sizes is empty, any size is not
+// positive, or the sizes sum past math.MaxInt64.
 func NewInputSet(sizes []Size) (*InputSet, error) {
 	if len(sizes) == 0 {
 		return nil, ErrEmptyInputSet
@@ -56,6 +60,9 @@ func NewInputSet(sizes []Size) (*InputSet, error) {
 	for i, s := range sizes {
 		if s <= 0 {
 			return nil, fmt.Errorf("%w: input %d has size %d", ErrNonPositiveSize, i, s)
+		}
+		if s > math.MaxInt64-total {
+			return nil, fmt.Errorf("%w: inputs 0..%d sum past %d", ErrTotalTooLarge, i, Size(math.MaxInt64))
 		}
 		inputs[i] = Input{ID: i, Size: s}
 		total += s
@@ -147,6 +154,20 @@ func (s *InputSet) IDsBySizeAscending() []int {
 		ids[i], ids[j] = ids[j], ids[i]
 	}
 	return ids
+}
+
+// CountFitting returns how many inputs fit together within budget, taken
+// smallest first: the most inputs any reducer with that room can hold.
+func (s *InputSet) CountFitting(budget Size) int {
+	count := 0
+	for _, id := range s.IDsBySizeAscending() {
+		if s.inputs[id].Size > budget {
+			break
+		}
+		budget -= s.inputs[id].Size
+		count++
+	}
+	return count
 }
 
 // SplitBySize partitions the input IDs into those with size greater than the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -43,6 +44,22 @@ func TestNewInputSetErrors(t *testing.T) {
 	}
 	if _, err := NewInputSet([]Size{-5}); !errors.Is(err, ErrNonPositiveSize) {
 		t.Errorf("negative size error = %v, want ErrNonPositiveSize", err)
+	}
+}
+
+// TestNewInputSetRefusesWrappingTotal: three sizes of 4e18 sum past
+// math.MaxInt64, and a wrapped total made every "fits in one reducer" check
+// pass with a negative load.
+func TestNewInputSetRefusesWrappingTotal(t *testing.T) {
+	if _, err := NewInputSet([]Size{4e18, 4e18, 4e18}); !errors.Is(err, ErrTotalTooLarge) {
+		t.Errorf("wrapping total error = %v, want ErrTotalTooLarge", err)
+	}
+	s, err := NewInputSet([]Size{4e18, 4e18, math.MaxInt64 - 8e18})
+	if err != nil {
+		t.Fatalf("total of exactly math.MaxInt64: %v", err)
+	}
+	if s.TotalSize() != math.MaxInt64 {
+		t.Errorf("TotalSize() = %d, want %d", s.TotalSize(), int64(math.MaxInt64))
 	}
 }
 
@@ -114,6 +131,15 @@ func TestSplitBySize(t *testing.T) {
 	}
 	if !reflect.DeepEqual(small, []int{1, 3, 4}) {
 		t.Errorf("small = %v, want [1 3 4]", small)
+	}
+}
+
+func TestCountFitting(t *testing.T) {
+	s := MustNewInputSet([]Size{5, 2, 9, 2, 7})
+	for budget, want := range map[Size]int{-1: 0, 0: 0, 1: 0, 2: 1, 4: 2, 8: 2, 9: 3, 25: 5} {
+		if got := s.CountFitting(budget); got != want {
+			t.Errorf("CountFitting(%d) = %d, want %d", budget, got, want)
+		}
 	}
 }
 

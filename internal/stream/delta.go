@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -56,6 +57,9 @@ func (s *Session) Add(size core.Size) (InputID, DeltaReport, error) {
 	if len(s.ids) > 0 && size > s.cfg.Capacity-s.liveMaxLocked() {
 		return 0, DeltaReport{}, fmt.Errorf("%w: size %d cannot share any reducer with the largest live input (size %d, capacity %d)",
 			core.ErrInfeasible, size, s.liveMaxLocked(), s.cfg.Capacity)
+	}
+	if size > math.MaxInt64-s.total {
+		return 0, DeltaReport{}, fmt.Errorf("stream: %w: size %d beside %d live bytes", core.ErrTotalTooLarge, size, s.total)
 	}
 	id := s.next
 	s.next++
@@ -147,6 +151,9 @@ func (s *Session) Resize(id InputID, newSize core.Size) (DeltaReport, error) {
 		if other := s.liveMaxExcludingLocked(id); newSize > s.cfg.Capacity-other {
 			return DeltaReport{}, fmt.Errorf("%w: new size %d cannot share any reducer with the largest other live input (size %d, capacity %d)",
 				core.ErrInfeasible, newSize, other, s.cfg.Capacity)
+		}
+		if newSize-old > math.MaxInt64-s.total {
+			return DeltaReport{}, fmt.Errorf("stream: %w: growing %d to %d beside %d live bytes", core.ErrTotalTooLarge, old, newSize, s.total)
 		}
 	}
 	delta := newSize - old

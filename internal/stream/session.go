@@ -151,11 +151,15 @@ func NewSession(ctx context.Context, cfg Config) (*Session, error) {
 		obsSessions.Inc()
 		return s, nil
 	}
-	var top1, top2 core.Size
+	var top1, top2, total core.Size
 	for i, w := range cfg.Initial {
 		if w <= 0 {
 			return nil, fmt.Errorf("stream: initial input %d: %w (size %d)", i, core.ErrNonPositiveSize, w)
 		}
+		if w > math.MaxInt64-total {
+			return nil, fmt.Errorf("stream: initial input %d: %w", i, core.ErrTotalTooLarge)
+		}
+		total += w
 		if w > top1 {
 			top1, top2 = w, top1
 		} else if w > top2 {
@@ -176,8 +180,8 @@ func NewSession(ctx context.Context, cfg Config) (*Session, error) {
 		s.assign[i] = nil
 		s.assignBits[i] = core.NewCoverSet(0)
 		s.ids = append(s.ids, i)
-		s.total += w
 	}
+	s.total = total
 	s.next = len(cfg.Initial)
 	s.maxLive = top1
 	s.swapLocked(planned, snapIDs) // no concurrency yet, lock not needed

@@ -390,7 +390,8 @@ func TestAffinePlaneSessionSurvivesChurn(t *testing.T) {
 // TestDeltasDoNotWrapNearMaxCapacity: at a capacity near the int64 limit a
 // sum of two sizes wraps, and compared as a sum it let a pairwise-infeasible
 // Add and Resize through and left a reducer with a negative load. Every check
-// now compares against the capacity minus one side.
+// now compares against the capacity minus one side, and the live total is
+// kept within math.MaxInt64.
 func TestDeltasDoNotWrapNearMaxCapacity(t *testing.T) {
 	const q = core.Size(9e18)
 	s := newSession(t, stream.Config{Capacity: q, Initial: []core.Size{5e18, 3e18, 1e18}})
@@ -400,10 +401,14 @@ func TestDeltasDoNotWrapNearMaxCapacity(t *testing.T) {
 	if _, err := s.Resize(1, 4.5e18); !errors.Is(err, core.ErrInfeasible) {
 		t.Fatalf("Resize(1, 4.5e18) beside 5e18 at q=9e18: err = %v, want ErrInfeasible", err)
 	}
-	// Pairwise feasible, but the one reducer holding all three overflows:
-	// the grown copy is evicted and its pairs re-covered.
-	if _, err := s.Resize(2, 3.5e18); err != nil {
-		t.Fatalf("Resize(2, 3.5e18): %v", err)
+	// Pairwise feasible, but the live total would pass math.MaxInt64.
+	if _, err := s.Resize(2, 3.5e18); !errors.Is(err, core.ErrTotalTooLarge) {
+		t.Fatalf("Resize(2, 3.5e18) to a total of 11.5e18: err = %v, want ErrTotalTooLarge", err)
+	}
+	// Pairwise feasible and within the limit, but the one reducer holding
+	// all three overflows: the grown copy is evicted and its pairs re-covered.
+	if _, err := s.Resize(2, 1.2e18); err != nil {
+		t.Fatalf("Resize(2, 1.2e18): %v", err)
 	}
 	for r, red := range s.Snapshot().Schema.Reducers {
 		if red.Load < 0 || red.Load > q {
@@ -411,4 +416,37 @@ func TestDeltasDoNotWrapNearMaxCapacity(t *testing.T) {
 		}
 	}
 	audit(t, s)
+
+	// Three inputs of 4e18 are pairwise feasible at q=9e18, but together
+	// they pass math.MaxInt64: the live total once wrapped negative, and
+	// DriftRatio pinned at 0. The third Add is refused, as is a Resize, an
+	// initial instance or a restored state that would pass the limit.
+	w := newSession(t, stream.Config{Capacity: q})
+	for range 2 {
+		if _, _, err := w.Add(4e18); err != nil {
+			t.Fatalf("Add(4e18): %v", err)
+		}
+	}
+	if _, _, err := w.Add(4e18); !errors.Is(err, core.ErrTotalTooLarge) {
+		t.Fatalf("third Add(4e18): err = %v, want ErrTotalTooLarge", err)
+	}
+	small, _, err := w.Add(1e18)
+	if err != nil {
+		t.Fatalf("Add(1e18): %v", err)
+	}
+	if _, err := w.Resize(small, 4e18); !errors.Is(err, core.ErrTotalTooLarge) {
+		t.Fatalf("Resize(1e18 -> 4e18) past the limit: err = %v, want ErrTotalTooLarge", err)
+	}
+	if st := w.Stats(); st.LiveBytes != 9e18 || st.DriftRatio < 0 {
+		t.Fatalf("LiveBytes = %d, DriftRatio = %v; want 9e18 and not negative", st.LiveBytes, st.DriftRatio)
+	}
+	audit(t, w)
+	if _, err := stream.NewSession(context.Background(), stream.Config{Capacity: q, Initial: []core.Size{4e18, 4e18, 4e18}, Replan: solveReplan}); !errors.Is(err, core.ErrTotalTooLarge) {
+		t.Fatalf("NewSession with three initial 4e18: err = %v, want ErrTotalTooLarge", err)
+	}
+	st := w.State()
+	st.Sizes[len(st.Sizes)-1] = 2e18
+	if _, err := stream.RestoreSession(stream.Config{Replan: solveReplan}, st, nil); !errors.Is(err, core.ErrTotalTooLarge) {
+		t.Fatalf("RestoreSession of sizes summing past the limit: err = %v, want ErrTotalTooLarge", err)
+	}
 }

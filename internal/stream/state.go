@@ -3,6 +3,7 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/core"
@@ -199,6 +200,7 @@ func validateState(st *State) error {
 	if len(st.IDs) != len(st.Sizes) {
 		return fmt.Errorf("stream: state has %d ids but %d sizes", len(st.IDs), len(st.Sizes))
 	}
+	var total core.Size
 	for i, id := range st.IDs {
 		if i > 0 && id <= st.IDs[i-1] {
 			return fmt.Errorf("stream: state ids not strictly ascending at index %d", i)
@@ -212,6 +214,10 @@ func validateState(st *State) error {
 		if st.Sizes[i] > st.Capacity {
 			return fmt.Errorf("stream: state id %d: size %d exceeds capacity %d", id, st.Sizes[i], st.Capacity)
 		}
+		if st.Sizes[i] > math.MaxInt64-total {
+			return fmt.Errorf("stream: state id %d: %w", id, core.ErrTotalTooLarge)
+		}
+		total += st.Sizes[i]
 	}
 	free := make(map[int]struct{}, len(st.Free))
 	for _, slot := range st.Free {

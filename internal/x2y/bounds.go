@@ -33,73 +33,36 @@ func LowerBounds(xs, ys *core.InputSet, q core.Size) Bounds {
 		return b
 	}
 	totX, totY := xs.TotalSize(), ys.TotalSize()
-
-	for i := 0; i < xs.Len(); i++ {
-		w := xs.Size(i)
-		room := q - w
-		if room <= 0 {
-			b.Communication += w
-			continue
-		}
-		replicas := (totY + room - 1) / room
-		if replicas < 1 {
-			replicas = 1
-		}
-		b.Communication += w * replicas
-	}
-	for j := 0; j < ys.Len(); j++ {
-		w := ys.Size(j)
-		room := q - w
-		if room <= 0 {
-			b.Communication += w
-			continue
-		}
-		replicas := (totX + room - 1) / room
-		if replicas < 1 {
-			replicas = 1
-		}
-		b.Communication += w * replicas
-	}
+	b.Communication = copies(xs, totY, q) + copies(ys, totX, q)
 	if totX+totY > 0 {
 		b.Replication = float64(b.Communication) / float64(totX+totY)
 	}
 
 	// kx: the most X inputs that can share a reducer while leaving room for
 	// the smallest Y input (and vice versa).
-	b.MaxXPerReducer = maxFitting(xs, q-ys.MinSize())
-	b.MaxYPerReducer = maxFitting(ys, q-xs.MinSize())
+	b.MaxXPerReducer = xs.CountFitting(q - ys.MinSize())
+	b.MaxYPerReducer = ys.CountFitting(q - xs.MinSize())
 
-	byComm := int((b.Communication + q - 1) / q)
 	byPairs := 0
-	if b.MaxXPerReducer >= 1 && b.MaxYPerReducer >= 1 {
-		perReducer := b.MaxXPerReducer * b.MaxYPerReducer
-		totalPairs := xs.Len() * ys.Len()
-		byPairs = (totalPairs + perReducer - 1) / perReducer
+	if perReducer := b.MaxXPerReducer * b.MaxYPerReducer; perReducer > 0 {
+		byPairs = (xs.Len()*ys.Len() + perReducer - 1) / perReducer
 	}
-	b.Reducers = byComm
-	if byPairs > b.Reducers {
-		b.Reducers = byPairs
-	}
-	if b.Reducers < 1 {
-		b.Reducers = 1
-	}
+	b.Reducers = max(int((b.Communication+q-1)/q), byPairs, 1)
 	return b
 }
 
-// maxFitting returns how many of the set's smallest inputs fit in the given
-// budget.
-func maxFitting(set *core.InputSet, budget core.Size) int {
-	if budget <= 0 {
-		return 0
-	}
-	count := 0
-	var load core.Size
-	for _, id := range set.IDsBySizeAscending() {
-		if load+set.Size(id) > budget {
-			break
+// copies is the communication bound of one side: an input of size w must
+// meet other bytes of the opposite side with at most q - w of them in any
+// reducer, so it is sent at least ceil(other / (q - w)) times, and once when
+// it has no room at all.
+func copies(set *core.InputSet, other, q core.Size) core.Size {
+	var comm core.Size
+	for i := range set.Len() {
+		w, replicas := set.Size(i), core.Size(1)
+		if room := q - w; room > 0 {
+			replicas = max((other+room-1)/room, 1)
 		}
-		load += set.Size(id)
-		count++
+		comm += w * replicas
 	}
-	return count
+	return comm
 }

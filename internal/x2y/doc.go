@@ -20,13 +20,13 @@
 //   - BigSmallSplit: the extension for inputs larger than q/2, which can only
 //     appear on one side of a feasible instance; each big input is paired
 //     with bins of the opposite side packed into its residual capacity.
-//   - Greedy: a coverage-greedy baseline. Each side's gains are bit-sliced
-//     counters (core.Gains): an input joining a reducer bumps the gain of
-//     every input of the other side it has not met by one word-parallel
-//     add, and the best candidate of a side is found by narrowing the ones
-//     that still fit plane by plane, so a step costs words, not a popcount
-//     per candidate.
-//   - Exact: a branch-and-bound solver for small instances.
+//   - Greedy: a coverage-greedy baseline, and Exact: a branch-and-bound
+//     solver for small instances. An X2Y instance is the A2A instance over
+//     X then Y with every X–X and Y–Y pair already met, so both are a2a's
+//     one greedy and one search (a2a.GreedySplit, a2a.ExactSplit) run with
+//     that split: x2y checks the instance, joins the sizes, passes Solve's
+//     schema and LowerBounds to the search as its incumbent and its early
+//     stop, and gets the reducers back as XInputs and YInputs.
 //   - Lower bounds on reducers and communication.
 //
 // Solve dispatches automatically.

@@ -14,7 +14,7 @@ func CheckFeasible(xs, ys *core.InputSet, q core.Size) error {
 	if xs == nil || ys == nil || xs.Len() == 0 || ys.Len() == 0 {
 		return nil
 	}
-	if xs.MaxSize()+ys.MaxSize() > q {
+	if xs.MaxSize() > q-ys.MaxSize() {
 		return fmt.Errorf("%w: largest X input (%d) plus largest Y input (%d) exceeds q=%d",
 			core.ErrInfeasible, xs.MaxSize(), ys.MaxSize(), q)
 	}

@@ -77,6 +77,39 @@ func TestPlanValidation(t *testing.T) {
 	}
 }
 
+// TestPlanA2ARefusesWrappingTotal: three sizes of 4e18 sum past
+// math.MaxInt64, and a wrapped total once took the one-reducer path with a
+// negative load. Such an instance is refused.
+func TestPlanA2ARefusesWrappingTotal(t *testing.T) {
+	res, err := assign.Plan(context.Background(), assign.A2A([]assign.Size{4e18, 4e18, 4e18}), assign.Capacity(9e18))
+	if !errors.Is(err, assign.ErrTotalTooLarge) {
+		t.Fatalf("err = %v, want ErrTotalTooLarge (result %+v)", err, res)
+	}
+}
+
+// TestPlanX2YSidesSummingPastTheLimit: each side's total fits an int64 but
+// the two together do not, so the X2Y instance is valid, and its sum once
+// wrapped into the one-reducer path. It plans within capacity instead.
+func TestPlanX2YSidesSummingPastTheLimit(t *testing.T) {
+	const q = assign.Size(9e18)
+	xs, ys := []assign.Size{4e18, 4e18}, []assign.Size{4e18}
+	res, err := assign.Plan(context.Background(), assign.X2Y(xs, ys), assign.Capacity(q))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Schema.ValidateX2Y(assign.MustNewInputSet(xs), assign.MustNewInputSet(ys)); err != nil {
+		t.Fatalf("planned schema invalid: %v", err)
+	}
+	for r, red := range res.Schema.Reducers {
+		if red.Load <= 0 || red.Load > q {
+			t.Errorf("reducer %d (winner %s) has load %d, outside (0, %d]", r, res.Winner, red.Load, q)
+		}
+	}
+	if res.Schema.NumReducers() != 2 {
+		t.Errorf("reducers = %d (winner %s), want 2: each X input meets the Y input alone", res.Schema.NumReducers(), res.Winner)
+	}
+}
+
 func TestPlanCacheIsolationAndHits(t *testing.T) {
 	pl := assign.NewPlanner(assign.PlannerConfig{CacheEntries: 128})
 	ctx := context.Background()

@@ -61,6 +61,8 @@ var (
 	// ErrUnknownInput reports a reducer referencing an input ID outside the
 	// instance.
 	ErrUnknownInput = core.ErrUnknownInput
+	// ErrTotalTooLarge reports input sizes that sum past the largest Size.
+	ErrTotalTooLarge = core.ErrTotalTooLarge
 )
 
 // NewSliceRecordSource returns a RecordSource over in-memory records — the
