@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/shard"
-	"repro/pkg/assign"
 	"repro/pkg/assign/plandclient"
 )
 
@@ -35,17 +34,15 @@ var (
 		"Proxied requests that died at the transport (the peer is marked down).", "peer")
 	obsHandoffs = obs.Default.CounterVec("pland_cluster_handoffs_total",
 		"Drain-time session handoffs by outcome (sent, send_failed, received, refused).", "outcome")
-	obsFleetProbes = obs.Default.CounterVec("pland_fleet_probe_total",
-		"Fleet cache probes to remote owners, by outcome (hit, miss, error).", "outcome")
 )
 
 // cluster is the ownership-aware routing layer of one pland node: the
 // consistent-hash ring every node computes identically, the local liveness
 // view that routes around dead peers, and one plandclient per peer for the
-// structured fleet calls (readiness probes, session handoff, plan
-// probe/publish). Raw keyed API traffic is proxied with c.proxy instead so
-// arbitrary methods and bodies pass through untouched. The fleet's plan cache
-// is no part of it: a node's shard is its planner's own cache.
+// structured fleet calls (session handoff). Raw keyed API traffic — sessions,
+// jobs, and plans keyed by their canonical instance — is proxied with c.proxy
+// instead so arbitrary methods and bodies pass through untouched. The fleet's
+// plan cache is no part of it: a key's plan lives in its owner's planner.
 type cluster struct {
 	self    string
 	ring    *shard.Ring
@@ -246,133 +243,6 @@ func pinnedID(r *http.Request) string {
 // newJobID mirrors the job manager's 16-byte random hex IDs: the ID must
 // exist before enqueue so placement can route the create to the ID's owner.
 func newJobID() string { return randomHex(16) }
-
-// planFleet is handlePlan's solve path under clustering. The ring owner of
-// the instance's canonical key holds the fleet's plan for it in its own
-// planner's cache, so on the owner a request is just runPlan. Anywhere else
-// the owner is probed before this node spends a solve: what travels is the
-// planner's canonical plan (assign.Planner.ExportPlan), imported into this
-// node's planner — which checks it before believing it — so that the runPlan
-// after it is an ordinary cache hit, relabelled for this request's input IDs
-// and reported as a fleet hit. A fresh solve is published back to the owner.
-// Cold solves always run locally — only plans cross the wire — and every
-// fleet failure, a plan that does not import included, degrades to the
-// single-node path.
-func (s *server) planFleet(ctx context.Context, body plandclient.PlanRequest) (*plandclient.PlanResult, *apiError) {
-	opts, aerr := s.planOptions(body)
-	if aerr != nil {
-		return nil, aerr
-	}
-	c := s.cluster
-	if c == nil || body.NoCache {
-		return s.runPlan(ctx, opts)
-	}
-	// NoCache asks for the key alone: the planner's cache is not read, so no
-	// plan is encoded only to be dropped.
-	key, _, err := s.planner.ExportPlan(append(opts, assign.NoCache())...)
-	if err != nil {
-		return nil, planError(err)
-	}
-	owner, ok := c.ring.Owner(key, c.health.Alive)
-	if !ok || owner == c.self {
-		return s.runPlan(ctx, opts)
-	}
-	cctx, csp := obs.StartSpan(ctx, "fleet_cache_get")
-	csp.SetAttr("peer", owner)
-	cached, probeErr := c.clients[owner].FleetCacheGet(cctx, key)
-	if probeErr != nil {
-		csp.SetError(probeErr.Error())
-	}
-	csp.End()
-	switch {
-	case probeErr != nil:
-		obsFleetProbes.With("error").Inc()
-		if plandclient.IsCode(probeErr, plandclient.CodeTransport) {
-			c.health.MarkDown(owner)
-		}
-	case cached == nil:
-		obsFleetProbes.With("miss").Inc()
-	default:
-		if err := s.planner.ImportPlan(cached); err != nil {
-			obsFleetProbes.With("error").Inc()
-			c.log.Warn("fleet cache value refused; solving locally", "peer", owner, "key", key, "error", err)
-		} else {
-			obsFleetProbes.With("hit").Inc()
-		}
-	}
-	resp, aerr := s.runPlan(ctx, opts)
-	if aerr != nil || probeErr != nil || resp.CacheHit || resp.SharedFlight {
-		return resp, aerr
-	}
-	if _, plan, err := s.planner.ExportPlan(opts...); err == nil && plan != nil {
-		// Capture the request's trace identity now: the publish outlives the
-		// request context but should still correlate on the peer.
-		tc, _ := obs.TraceContextFrom(ctx)
-		go c.publish(owner, key, plan, obs.RequestID(ctx), tc)
-	}
-	return resp, nil
-}
-
-// publish ships a fresh solve to the key owner's planner, detached from the
-// request that solved it but still carrying its request ID and trace context
-// so the peer's logs correlate back to the solving request.
-func (c *cluster) publish(owner, key string, raw []byte, rid string, tc obs.TraceContext) {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if rid == "" {
-		rid = obs.NewRequestID()
-	}
-	ctx = obs.WithRequestID(ctx, rid)
-	ctx = obs.WithTraceContext(ctx, tc)
-	if err := c.clients[owner].FleetCachePut(ctx, key, raw); err != nil {
-		c.log.Warn("fleet cache publish failed", "peer", owner, "error", err, "request_id", rid)
-	}
-}
-
-// getFleetCache and putFleetCache serve /internal/cache/{key}: this node's
-// shard of the fleet plan cache, which is its planner's cache. A GET answers
-// the canonical plan held under the key; a PUT imports one into the planner,
-// which checks it first — a plan that does not import is refused with 422 and
-// nothing is stored. Ownership is the caller's concern (peers only probe and
-// publish keys this node owns).
-func (s *server) getFleetCache(w http.ResponseWriter, r *http.Request) {
-	if s.cluster == nil {
-		writeAPIError(w, notFound("not clustered"))
-		return
-	}
-	raw, err := s.planner.CachedPlan(r.PathValue("key"))
-	if err != nil {
-		writeAPIError(w, newAPIError(http.StatusInternalServerError, plandclient.CodeInternal,
-			fmt.Sprintf("encoding cached plan: %v", err), err))
-		return
-	}
-	if raw == nil {
-		writeAPIError(w, notFound("cache miss"))
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(raw)
-}
-
-func (s *server) putFleetCache(w http.ResponseWriter, r *http.Request) {
-	if s.cluster == nil {
-		writeAPIError(w, notFound("not clustered"))
-		return
-	}
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		writeAPIError(w, badRequestf("reading cache value: %v", err))
-		return
-	}
-	if err := s.planner.ImportPlan(raw); err != nil {
-		s.log.Warn("fleet cache value refused", "key", r.PathValue("key"), "error", err)
-		writeAPIError(w, newAPIError(http.StatusUnprocessableEntity, plandclient.CodeUnprocessable,
-			fmt.Sprintf("cache value refused: %v", err), err))
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
 
 // handleHandoff serves POST /internal/handoff: a draining peer ships one
 // live session here. The state's fingerprint is recomputed and checked

@@ -8,8 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -304,37 +303,18 @@ func TestReadyzLifecycle(t *testing.T) {
 }
 
 // fleetKeyOwner returns the fleet key of the instance and the index of the
-// node whose shard holds it.
+// node that owns it.
 func fleetKeyOwner(t *testing.T, servers []*server, httpSrvs []*httptest.Server, req plandclient.PlanRequest) (string, int) {
 	t.Helper()
 	opts, aerr := servers[0].planOptions(req)
 	if aerr != nil {
 		t.Fatalf("planOptions: %v", aerr)
 	}
-	key, _, err := servers[0].planner.ExportPlan(append(opts, assign.NoCache())...)
-	if err != nil {
-		t.Fatalf("ExportPlan: %v", err)
+	key, err := assign.Key(opts...)
+	if err != nil || key == "" {
+		t.Fatalf("Key = %q, %v", key, err)
 	}
 	return key, nodeIndex(t, httpSrvs, servers[0].cluster.ring.Lookup(key))
-}
-
-// awaitPublished waits for the asynchronous publish of a solve to reach the
-// owner's planner.
-func awaitPublished(t *testing.T, owner *server, key string) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if plan, err := owner.planner.CachedPlan(key); err != nil || plan != nil {
-			if err != nil {
-				t.Fatalf("CachedPlan: %v", err)
-			}
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("solved result never reached the owner's planner")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
 }
 
 // validateFor checks a served plan against the sets of the request it was
@@ -353,38 +333,50 @@ func validateFor(t *testing.T, req plandclient.PlanRequest, got *plandclient.Pla
 	}
 }
 
-// TestFleetPlanCache: one node's solve serves the whole fleet. The canonical
-// key's owner holds the cache shard; a solve elsewhere publishes to it, and
-// later isomorphic requests — through any node — come back as fleet hits that
-// are valid for the requester's own input order.
+// misses sums the fleet's planner cache misses: the solves it ran.
+func misses(servers []*server) uint64 {
+	var n uint64
+	for _, s := range servers {
+		n += s.planner.Stats().CacheMisses
+	}
+	return n
+}
+
+// TestFleetPlanCache: one solve serves the whole fleet. A plan request goes
+// to the owner of its canonical key, which solves it once and serves every
+// later isomorphic request — through any node — from its planner's cache,
+// relabelled for the requester's own input order. A no_cache request has no
+// key and is solved where it lands.
 func TestFleetPlanCache(t *testing.T) {
 	servers, httpSrvs := newTestCluster(t, 3)
 	ctx := context.Background()
 
 	req := plandclient.PlanRequest{Problem: "A2A", Capacity: 10, Sizes: []assign.Size{3, 3, 2, 2, 4, 1}}
-	key, ownerIdx := fleetKeyOwner(t, servers, httpSrvs, req)
+	_, ownerIdx := fleetKeyOwner(t, servers, httpSrvs, req)
 	solverIdx := (ownerIdx + 1) % len(httpSrvs) // deliberately not the owner
 
 	first, err := plandclient.New(httpSrvs[solverIdx].URL).Plan(ctx, req)
 	if err != nil {
 		t.Fatalf("Plan on non-owner: %v", err)
 	}
-	if first.FleetCacheHit {
-		t.Fatal("first solve reported a fleet cache hit")
+	if first.CacheHit || first.FleetCacheHit {
+		t.Fatalf("first solve reads cache_hit %v, fleet_cache_hit %v", first.CacheHit, first.FleetCacheHit)
 	}
-	awaitPublished(t, servers[ownerIdx], key)
+	if n := servers[ownerIdx].planner.Stats().CacheMisses; n != 1 || misses(servers) != 1 {
+		t.Fatalf("the owner solved %d times, the fleet %d; want the one solve on the owner", n, misses(servers))
+	}
 
 	// An isomorphic instance (same multiset, different order) through the
-	// owner and through a third node must both be fleet hits now.
+	// owner is a plain hit, and through either other node a fleet hit.
 	iso := req
 	iso.Sizes = []assign.Size{1, 4, 2, 2, 3, 3}
-	for _, idx := range []int{ownerIdx, (ownerIdx + 2) % len(httpSrvs)} {
+	for _, idx := range []int{ownerIdx, solverIdx, (ownerIdx + 2) % len(httpSrvs)} {
 		got, err := plandclient.New(httpSrvs[idx].URL).Plan(ctx, iso)
 		if err != nil {
 			t.Fatalf("Plan via node %d: %v", idx, err)
 		}
-		if !got.FleetCacheHit {
-			t.Fatalf("node %d solved instead of serving the fleet cache", idx)
+		if !got.CacheHit || got.FleetCacheHit != (idx != ownerIdx) {
+			t.Fatalf("node %d (owner %d) reads cache_hit %v, fleet_cache_hit %v", idx, ownerIdx, got.CacheHit, got.FleetCacheHit)
 		}
 		if got.Reducers != first.Reducers || got.Communication != first.Communication {
 			t.Fatalf("fleet cache hit diverged: %+v vs %+v", got, first)
@@ -392,40 +384,42 @@ func TestFleetPlanCache(t *testing.T) {
 		validateFor(t, iso, got)
 	}
 
-	// NoCache opts out of the fleet layer entirely.
+	// NoCache opts out of the fleet layer entirely: solved on the entry node.
 	nc := req
 	nc.NoCache = true
-	got, err := plandclient.New(httpSrvs[ownerIdx].URL).Plan(ctx, nc)
+	got, err := plandclient.New(httpSrvs[solverIdx].URL).Plan(ctx, nc)
 	if err != nil {
 		t.Fatalf("Plan with NoCache: %v", err)
 	}
-	if got.FleetCacheHit {
+	if got.CacheHit || got.FleetCacheHit {
 		t.Fatal("no_cache request served from the fleet cache")
+	}
+	if n := servers[solverIdx].planner.Stats().CacheMisses; n != 1 {
+		t.Fatalf("the entry node solved the no_cache request %d times, want 1", n)
 	}
 }
 
-// TestFleetHitsAreValidForTheRequester: the fleet cache is keyed on the
+// TestFleetHitsAreValidForTheRequester: the owner's cache is keyed on the
 // canonical instance, so what it serves must be relabelled for each
-// requester. Forty random A2A instances are solved on one node and asked for
-// again, shuffled, through another; an X2Y instance comes back with its sides
-// swapped and each side shuffled. Every answer is a fleet hit and every
+// requester. Forty random A2A instances are solved through one node and asked
+// for again, shuffled, through another; an X2Y instance comes back with its
+// sides swapped and each side shuffled. Every answer is a fleet hit and every
 // answer satisfies the constraints of the request it answers.
 func TestFleetHitsAreValidForTheRequester(t *testing.T) {
 	servers, httpSrvs := newTestCluster(t, 3)
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(19))
 
-	// served solves req on a node that does not own it and returns what a
-	// third node then serves for the isomorphic again.
+	// served solves req through a node that does not own it and returns what
+	// a third node then serves for the isomorphic again.
 	served := func(req, again plandclient.PlanRequest) *plandclient.PlanResult {
 		t.Helper()
-		key, ownerIdx := fleetKeyOwner(t, servers, httpSrvs, req)
+		_, ownerIdx := fleetKeyOwner(t, servers, httpSrvs, req)
 		first, err := plandclient.New(httpSrvs[(ownerIdx+1)%3].URL).Plan(ctx, req)
 		if err != nil {
 			t.Fatalf("Plan %+v: %v", req, err)
 		}
 		validateFor(t, req, first)
-		awaitPublished(t, servers[ownerIdx], key)
 		got, err := plandclient.New(httpSrvs[(ownerIdx+2)%3].URL).Plan(ctx, again)
 		if err != nil {
 			t.Fatalf("Plan %+v: %v", again, err)
@@ -464,171 +458,98 @@ func TestFleetHitsAreValidForTheRequester(t *testing.T) {
 	served(req, mirrored)
 }
 
-// TestFleetCacheValueIsNotTrusted: PUT /internal/cache/{key} imports the
-// value into the owner's planner, which checks it first. A value in the parent
-// commit's format (a whole plan response over the publisher's input IDs,
-// captured from that build) and a plan whose schema breaks the capacity are
-// both refused with 422 and leave nothing behind: the owner's GET of the key
-// misses, the request is solved locally, and that solve, published to the
-// owner, is what the rest of the fleet is then served.
-func TestFleetCacheValueIsNotTrusted(t *testing.T) {
-	parentValue, err := os.ReadFile(filepath.Join("testdata", "fleet_value_parent.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const overloaded = `{"sizes":[1,2,2,3,3,4],"schema":{"problem":"A2A","capacity":10,` +
-		`"reducers":[{"inputs":[0,1,2,3,4,5],"load":15}]},"winner":"nobody","lower_bound_reducers":1,"candidates":1}`
-	for name, bad := range map[string]string{"parent format": string(parentValue), "over capacity": overloaded} {
-		t.Run(name, func(t *testing.T) {
-			servers, httpSrvs := newTestCluster(t, 3)
-			ctx := context.Background()
-			req := plandclient.PlanRequest{Problem: "A2A", Capacity: 10, Sizes: []assign.Size{3, 3, 2, 2, 4, 1}}
-			key, ownerIdx := fleetKeyOwner(t, servers, httpSrvs, req)
-			owner := plandclient.New(httpSrvs[ownerIdx].URL)
-			if err := owner.FleetCachePut(ctx, key, json.RawMessage(bad)); !plandclient.IsCode(err, plandclient.CodeUnprocessable) {
-				t.Fatalf("FleetCachePut of a bad value = %v, want a 422", err)
-			}
-			if held, err := owner.FleetCacheGet(ctx, key); err != nil || held != nil {
-				t.Fatalf("the owner's GET after a refused PUT = %s, %v; want a miss", held, err)
-			}
-			got, err := plandclient.New(httpSrvs[(ownerIdx+1)%3].URL).Plan(ctx, req)
-			if err != nil {
-				t.Fatalf("Plan after a refused PUT: %v", err)
-			}
-			if got.FleetCacheHit || got.CacheHit {
-				t.Fatalf("the bad value was served: %+v", got)
-			}
-			validateFor(t, req, got)
-			// The local solve is published in its place: the owner and a third
-			// node are served it.
-			awaitPublished(t, servers[ownerIdx], key)
-			for _, idx := range []int{ownerIdx, (ownerIdx + 2) % 3} {
-				got, err := plandclient.New(httpSrvs[idx].URL).Plan(ctx, req)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !got.FleetCacheHit {
-					t.Fatalf("node %d was not served the local solve that replaced the bad value", idx)
-				}
-				validateFor(t, req, got)
-			}
-		})
-	}
-}
-
-// TestFleetHitMeansAPlanFromTheWire: fleet_cache_hit marks a plan that
-// arrived over the wire. The node that solved an instance serves its repeats
-// from its own solve — cache_hit, not fleet_cache_hit — whether it owns the
-// instance's key or probes an owner that now holds the published copy.
+// TestFleetHitMeansAPlanFromTheWire: fleet_cache_hit marks a cache hit the
+// key's owner served for another node. The owner's repeat of an instance is a
+// plain cache hit; a repeat through any other node is a fleet hit, even on
+// the node whose request made the owner solve it.
 func TestFleetHitMeansAPlanFromTheWire(t *testing.T) {
 	servers, httpSrvs := newTestCluster(t, 3)
 	ctx := context.Background()
 	for i, sizes := range [][]assign.Size{{3, 3, 2, 2, 4, 1}, {5, 1, 4, 2, 2, 3, 1}} {
 		req := plandclient.PlanRequest{Problem: "A2A", Capacity: 12, Sizes: sizes}
-		key, ownerIdx := fleetKeyOwner(t, servers, httpSrvs, req)
+		_, ownerIdx := fleetKeyOwner(t, servers, httpSrvs, req)
 		solverIdx := (ownerIdx + i) % len(httpSrvs) // the owner, then a node that is not
-		solver := plandclient.New(httpSrvs[solverIdx].URL)
-		first, err := solver.Plan(ctx, req)
+		first, err := plandclient.New(httpSrvs[solverIdx].URL).Plan(ctx, req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if first.CacheHit || first.FleetCacheHit {
 			t.Fatalf("instance %d: the first solve reads %+v", i, first)
 		}
-		awaitPublished(t, servers[ownerIdx], key)
-		again, err := solver.Plan(ctx, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !again.CacheHit || again.FleetCacheHit {
-			t.Fatalf("instance %d: the solving node %d (owner %d) repeats its own solve as cache_hit %v, fleet_cache_hit %v",
-				i, solverIdx, ownerIdx, again.CacheHit, again.FleetCacheHit)
+		for idx := range httpSrvs {
+			again, err := plandclient.New(httpSrvs[idx].URL).Plan(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !again.CacheHit || again.FleetCacheHit != (idx != ownerIdx) {
+				t.Fatalf("instance %d: node %d (owner %d, first asked through %d) repeats it as cache_hit %v, fleet_cache_hit %v",
+					i, idx, ownerIdx, solverIdx, again.CacheHit, again.FleetCacheHit)
+			}
 		}
 	}
 }
 
-// TestFleetPublishLandsInTheOwnersPlanner: a peer's publish is imported into
-// the owner's planner — the plan is held once, not beside it in a second
-// cache — and the owner then serves isomorphic requests from it without
-// solving.
-func TestFleetPublishLandsInTheOwnersPlanner(t *testing.T) {
-	servers, httpSrvs := newTestCluster(t, 3)
-	ctx := context.Background()
-	req := plandclient.PlanRequest{Problem: "X2Y", Capacity: 12,
+// TestFleetSolvesEachInstanceOnce: isomorphic requests sent concurrently
+// through every node meet at the key's owner, whose planner solves the
+// instance once and serves the rest from that solve, each relabelled for its
+// own request.
+func TestFleetSolvesEachInstanceOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	shuffled := func(sizes []assign.Size) []assign.Size {
+		out := append([]assign.Size(nil), sizes...)
+		rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+		return out
+	}
+	a2a := plandclient.PlanRequest{Problem: "A2A", Capacity: 20, TimeoutMS: -1,
+		Sizes: []assign.Size{9, 4, 7, 2, 6, 3, 5, 8, 1, 6}}
+	x2y := plandclient.PlanRequest{Problem: "X2Y", Capacity: 12, TimeoutMS: -1,
 		XSizes: []assign.Size{7, 2, 1, 5, 3}, YSizes: []assign.Size{1, 2, 4, 1, 3, 2, 5}}
-	key, ownerIdx := fleetKeyOwner(t, servers, httpSrvs, req)
-	owner := servers[ownerIdx].planner
-	before := owner.CacheLen()
-	if _, err := plandclient.New(httpSrvs[(ownerIdx+1)%3].URL).Plan(ctx, req); err != nil {
-		t.Fatal(err)
-	}
-	awaitPublished(t, servers[ownerIdx], key)
-	if n := owner.CacheLen(); n != before+1 {
-		t.Fatalf("the owner's planner holds %d plans after the publish, had %d", n, before)
-	}
-	misses := owner.Stats().CacheMisses
-	mirrored := req
-	mirrored.XSizes, mirrored.YSizes = []assign.Size{2, 5, 1, 3, 4, 2, 1}, []assign.Size{3, 5, 1, 2, 7}
-	got, err := plandclient.New(httpSrvs[ownerIdx].URL).Plan(ctx, mirrored)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.CacheHit || !got.FleetCacheHit {
-		t.Fatalf("the owner's isomorphic request reads cache_hit %v, fleet_cache_hit %v; want both", got.CacheHit, got.FleetCacheHit)
-	}
-	if n := owner.CacheLen(); n != before+1 || owner.Stats().CacheMisses != misses {
-		t.Fatalf("serving the published plan solved or stored again: %d plans, %d misses (was %d)",
-			n, owner.Stats().CacheMisses, misses)
-	}
-	validateFor(t, mirrored, got)
-}
-
-// TestFleetPlanLowerBoundIsRecomputed: the lower bound a published plan
-// carries is not served. A valid plan PUT with lower_bound_reducers 999 comes
-// back with the bound the importing planner proves, and a gap that is not
-// negative.
-func TestFleetPlanLowerBoundIsRecomputed(t *testing.T) {
-	servers, httpSrvs := newTestCluster(t, 3)
-	ctx := context.Background()
-	req := plandclient.PlanRequest{Problem: "A2A", Capacity: 10, Sizes: []assign.Size{3, 3, 2, 2, 4, 1}}
-	key, ownerIdx := fleetKeyOwner(t, servers, httpSrvs, req)
-	opts, _ := servers[0].planOptions(req)
-	solver := assign.NewPlanner(assign.PlannerConfig{})
-	want, err := solver.Plan(ctx, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, plan, err := solver.ExportPlan(opts...)
-	if err != nil || plan == nil {
-		t.Fatalf("ExportPlan = %s, %v", plan, err)
-	}
-	var value map[string]any
-	if err := json.Unmarshal(plan, &value); err != nil {
-		t.Fatal(err)
-	}
-	value["lower_bound_reducers"] = 999
-	inflated, err := json.Marshal(value)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := plandclient.New(httpSrvs[ownerIdx].URL).FleetCachePut(ctx, key, inflated); err != nil {
-		t.Fatalf("FleetCachePut of a valid plan: %v", err)
-	}
-	for _, idx := range []int{ownerIdx, (ownerIdx + 1) % 3} {
-		got, err := plandclient.New(httpSrvs[idx].URL).Plan(ctx, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.FleetCacheHit || got.LowerBoundReducers != want.LowerBoundReducers || got.Gap < 0 {
-			t.Fatalf("node %d served the published plan as fleet_cache_hit %v, lower bound %d, gap %d; want a fleet hit with bound %d",
-				idx, got.FleetCacheHit, got.LowerBoundReducers, got.Gap, want.LowerBoundReducers)
-		}
+	for _, base := range []plandclient.PlanRequest{a2a, x2y} {
+		t.Run(base.Problem, func(t *testing.T) {
+			servers, httpSrvs := newTestCluster(t, 3)
+			var reqs []plandclient.PlanRequest
+			for range 3 * len(httpSrvs) {
+				req := base
+				if req.Problem == "A2A" {
+					req.Sizes = shuffled(base.Sizes)
+				} else if rng.Intn(2) == 0 {
+					req.XSizes, req.YSizes = shuffled(base.YSizes), shuffled(base.XSizes)
+				} else {
+					req.XSizes, req.YSizes = shuffled(base.XSizes), shuffled(base.YSizes)
+				}
+				reqs = append(reqs, req)
+			}
+			got := make([]*plandclient.PlanResult, len(reqs))
+			errs := make([]error, len(reqs))
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for i, req := range reqs {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					got[i], errs[i] = plandclient.New(httpSrvs[i%len(httpSrvs)].URL).Plan(context.Background(), req)
+				}()
+			}
+			close(start)
+			wg.Wait()
+			for i, req := range reqs {
+				if errs[i] != nil {
+					t.Fatalf("request %d through node %d: %v", i, i%len(httpSrvs), errs[i])
+				}
+				validateFor(t, req, got[i])
+			}
+			if n := misses(servers); n != 1 {
+				t.Fatalf("the fleet's planners solved the instance %d times, want 1", n)
+			}
+		})
 	}
 }
 
 // TestForwardReroutesAroundDeadPeer: when a keyed request's owner is dead,
 // the hop guard plus the shared ring walk land the request on the successor
-// — the same node a drain would have handed the key to.
+// — the same node a drain would have handed the key to. A session request
+// and a plan request both take that path.
 func TestForwardReroutesAroundDeadPeer(t *testing.T) {
 	servers, httpSrvs := newTestCluster(t, 3)
 	ctx := context.Background()
@@ -657,5 +578,25 @@ func TestForwardReroutesAroundDeadPeer(t *testing.T) {
 	}
 	if alive := servers[otherIdx].cluster.health.Alive(httpSrvs[ownerIdx].URL); alive {
 		t.Fatal("transport failure did not mark the dead owner down")
+	}
+
+	// A plan whose key the dead node owns, through the node that still thinks
+	// it alive: the forward fails at the transport, and the plan is solved by
+	// the successor or here — an answer, never a 5xx.
+	thirdIdx := 3 - ownerIdx - otherIdx
+	var req plandclient.PlanRequest
+	for q := assign.Size(10); ; q++ {
+		req = plandclient.PlanRequest{Problem: "A2A", Capacity: q, Sizes: []assign.Size{3, 3, 2, 2, 4, 1}}
+		if _, idx := fleetKeyOwner(t, servers, httpSrvs, req); idx == ownerIdx {
+			break
+		}
+	}
+	got, err := plandclient.New(httpSrvs[thirdIdx].URL).Plan(ctx, req)
+	if err != nil {
+		t.Fatalf("plan owned by the dead node: %v", err)
+	}
+	validateFor(t, req, got)
+	if alive := servers[thirdIdx].cluster.health.Alive(httpSrvs[ownerIdx].URL); alive {
+		t.Fatal("the plan's failed forward did not mark the dead owner down")
 	}
 }

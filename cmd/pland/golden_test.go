@@ -140,7 +140,6 @@ func TestGoldenWireBytes(t *testing.T) {
 	g.call("execute_empty_payload", "POST", "/v1/execute", `{"problem":"A2A","capacity":10,"inputs":["a",""]}`)
 	g.call("stats_method", "POST", "/v1/stats", "")
 	g.call("unknown_endpoint", "GET", "/no/such/endpoint", "")
-	g.call("cache_unclustered", "GET", "/internal/cache/k", "")
 
 	// The handoff body was captured from the parent commit's drain path, so
 	// this is also the cross-version check of the handoff contract: a session

@@ -9,6 +9,8 @@
 //
 //	POST   /v1/plan          {"problem":"A2A","capacity":10,"sizes":[3,3,2,2,4,1]}
 //	                         {"problem":"X2Y","capacity":10,"x_sizes":[7,2,1],"y_sizes":[1,2,1,1]}
+//	                         — in a fleet, served by the ring owner of the
+//	                         instance's canonical key, which holds its plan
 //	POST   /v1/execute       {"problem":"A2A","capacity":10,"inputs":["aaa","bbb","cc","d"]}
 //	                         plan-and-run: plans the instance (input sizes are
 //	                         the payload byte lengths), executes the schema on
@@ -38,10 +40,6 @@
 //	                         fleet peers probe it to route around this node
 //	POST   /internal/handoff a draining fleet peer ships one live session
 //	                         here; installed once its fingerprint verifies
-//	GET    /internal/cache/{key} this node's shard of the fleet plan cache —
-//	PUT    /internal/cache/{key} its planner's cache: a canonical plan by
-//	                         canonical instance key, probed by peers, and
-//	                         published by them into the planner once it checks
 //	GET    /metrics          Prometheus text exposition of every pland series
 //	GET    /debug/traces     retained-trace summaries from the flight recorder
 //	                         (?route=, ?status=error, ?min_ms=, ?limit=)

@@ -39,6 +39,8 @@ type route struct {
 }
 
 var routes = []route{
+	// /v1/plan is keyed too, but by its body: handlePlan decodes it, computes
+	// the instance's canonical key and forwards to the key's owner itself.
 	{method: "POST", path: "/v1/plan", handler: (*server).handlePlan},
 	{method: "POST", path: "/v1/execute", handler: (*server).handleExecute},
 	{method: "GET", path: "/v1/stats", handler: (*server).handleStats},
@@ -53,8 +55,6 @@ var routes = []route{
 	{path: "/healthz", handler: (*server).handleHealthz},
 	{path: "/readyz", handler: (*server).handleReadyz},
 	{method: "POST", path: "/internal/handoff", handler: (*server).handleHandoff},
-	{method: "GET", path: "/internal/cache/{key}", handler: (*server).getFleetCache},
-	{method: "PUT", path: "/internal/cache/{key}", handler: (*server).putFleetCache},
 	{path: "/metrics", debug: true, handler: plain(obs.Handler(obs.Default).ServeHTTP)},
 	{method: "GET", path: "/debug/traces", debug: true, handler: (*server).handleTraces},
 	{method: "GET", path: "/debug/traces/{id}", debug: true, handler: (*server).handleTrace},

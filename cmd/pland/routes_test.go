@@ -21,30 +21,28 @@ import (
 // scripts/e2e-smoke.sh and recorded traces depend on these strings, so a row
 // whose label moves fails here even though the table itself is consistent.
 var routeVocabulary = map[string]string{
-	"POST /v1/plan":             "/v1/plan",
-	"POST /v1/execute":          "/v1/execute",
-	"GET /v1/stats":             "/v1/stats",
-	"POST /v2/jobs":             "/v2/jobs",
-	"GET /v2/jobs/{id}":         "/v2/jobs/{id}",
-	"DELETE /v2/jobs/{id}":      "/v2/jobs/{id}",
-	"POST /v2/sessions":         "/v2/sessions",
-	"GET /v2/sessions":          "/v2/sessions",
-	"GET /v2/sessions/{id}":     "/v2/sessions/{id}",
-	"PATCH /v2/sessions/{id}":   "/v2/sessions/{id}",
-	"DELETE /v2/sessions/{id}":  "/v2/sessions/{id}",
-	"/healthz":                  "/healthz",
-	"/readyz":                   "/readyz",
-	"POST /internal/handoff":    "/internal/handoff",
-	"GET /internal/cache/{key}": "/internal/cache/{key}",
-	"PUT /internal/cache/{key}": "/internal/cache/{key}",
-	"/metrics":                  "/metrics",
-	"GET /debug/traces":         "/debug/traces",
-	"GET /debug/traces/{id}":    "/debug/traces/{id}",
-	"/debug/pprof/":             "/debug/pprof",
-	"/debug/pprof/cmdline":      "/debug/pprof",
-	"/debug/pprof/profile":      "/debug/pprof",
-	"/debug/pprof/symbol":       "/debug/pprof",
-	"/debug/pprof/trace":        "/debug/pprof",
+	"POST /v1/plan":            "/v1/plan",
+	"POST /v1/execute":         "/v1/execute",
+	"GET /v1/stats":            "/v1/stats",
+	"POST /v2/jobs":            "/v2/jobs",
+	"GET /v2/jobs/{id}":        "/v2/jobs/{id}",
+	"DELETE /v2/jobs/{id}":     "/v2/jobs/{id}",
+	"POST /v2/sessions":        "/v2/sessions",
+	"GET /v2/sessions":         "/v2/sessions",
+	"GET /v2/sessions/{id}":    "/v2/sessions/{id}",
+	"PATCH /v2/sessions/{id}":  "/v2/sessions/{id}",
+	"DELETE /v2/sessions/{id}": "/v2/sessions/{id}",
+	"/healthz":                 "/healthz",
+	"/readyz":                  "/readyz",
+	"POST /internal/handoff":   "/internal/handoff",
+	"/metrics":                 "/metrics",
+	"GET /debug/traces":        "/debug/traces",
+	"GET /debug/traces/{id}":   "/debug/traces/{id}",
+	"/debug/pprof/":            "/debug/pprof",
+	"/debug/pprof/cmdline":     "/debug/pprof",
+	"/debug/pprof/profile":     "/debug/pprof",
+	"/debug/pprof/symbol":      "/debug/pprof",
+	"/debug/pprof/trace":       "/debug/pprof",
 }
 
 var pathWildcard = regexp.MustCompile(`\{\w+\}`)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -273,20 +274,48 @@ func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 	return true
 }
 
+// handlePlan serves POST /v1/plan. In a fleet the request is keyed by its
+// body: the instance's canonical key names the one node that solves and holds
+// its plan, and a request landing elsewhere is forwarded there whole, as a
+// session request is forwarded to its ID's owner. What no planner caches
+// (no_cache, or an instance above the cacheable size) has no key and is
+// served where it lands. The owner marks a cache hit on a forwarded request
+// fleet_cache_hit: the plan was solved for another node's request.
 func (s *server) handlePlan(w http.ResponseWriter, r *http.Request) {
+	var raw []byte
+	if s.cluster != nil {
+		// Read whole, so the body can still be forwarded once its key is known.
+		var err error
+		if raw, err = io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)); err != nil {
+			writeAPIError(w, badRequestf("decoding request: %v", err))
+			return
+		}
+		r.Body = io.NopCloser(bytes.NewReader(raw))
+	}
 	var body plandclient.PlanRequest
 	if !s.decodeBody(w, r, &body) {
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.MaxTimeout)
-	defer cancel()
-	// planFleet consults the key's ring owner around the solve; it is exactly
-	// runPlan when unclustered or when the client opted out of caching.
-	resp, aerr := s.planFleet(ctx, body)
+	opts, aerr := s.planOptions(body)
 	if aerr != nil {
 		writeAPIError(w, aerr)
 		return
 	}
+	if raw != nil {
+		r.Body = io.NopCloser(bytes.NewReader(raw))
+		// A key error is the plan's own error, which runPlan reports here.
+		if key, err := assign.Key(opts...); err == nil && key != "" && s.forwardToOwner(w, r, key, "") {
+			return
+		}
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.MaxTimeout)
+	defer cancel()
+	resp, aerr := s.runPlan(ctx, opts)
+	if aerr != nil {
+		writeAPIError(w, aerr)
+		return
+	}
+	resp.FleetCacheHit = resp.CacheHit && r.Header.Get(headerForwarded) != ""
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -365,7 +394,6 @@ func (s *server) runPlan(ctx context.Context, opts []assign.Option) (*plandclien
 		Candidates:         res.Candidates,
 		CacheHit:           res.CacheHit,
 		SharedFlight:       res.SharedFlight,
-		FleetCacheHit:      res.Imported,
 		ElapsedMicros:      res.Elapsed.Microseconds(),
 	}, nil
 }

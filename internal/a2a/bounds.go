@@ -37,7 +37,8 @@ func LowerBounds(set *core.InputSet, q core.Size) Bounds {
 	}
 	total := set.TotalSize()
 
-	// Communication bound: sum_i w_i * ceil((W - w_i) / (q - w_i)).
+	// Communication bound: sum_i w_i * ceil((W - w_i) / (q - w_i)), saturating
+	// at math.MaxInt64 (a smaller C still bounds: ceil(C/q) reducers).
 	for i := 0; i < m; i++ {
 		w := set.Size(i)
 		rest := total - w
@@ -45,10 +46,10 @@ func LowerBounds(set *core.InputSet, q core.Size) Bounds {
 		if room <= 0 {
 			// The input cannot meet anything: no schema exists; report the
 			// degenerate bound of shipping everything once.
-			b.Communication += w
+			b.Communication = core.AddSat(b.Communication, w)
 			continue
 		}
-		b.Communication += w * max((rest+room-1)/room, 1)
+		b.Communication = core.AddSat(b.Communication, core.MulSat(w, max(core.CeilDiv(rest, room), 1)))
 	}
 	if total > 0 {
 		b.Replication = float64(b.Communication) / float64(total)
@@ -59,7 +60,7 @@ func LowerBounds(set *core.InputSet, q core.Size) Bounds {
 	b.MaxInputsPerReducer = kMax
 
 	// Reducer-count bounds.
-	byComm := int((b.Communication + q - 1) / q)
+	byComm := int(core.CeilDiv(b.Communication, q))
 	byPairs := 0
 	if kMax >= 2 {
 		pairsPerReducer := kMax * (kMax - 1) / 2
@@ -89,12 +90,12 @@ func EqualSizedLowerBound(m int, w, q core.Size) Bounds {
 	if replicas < 1 {
 		replicas = 1
 	}
-	b.Communication = core.Size(m) * w * replicas
+	b.Communication = core.MulSat(core.MulSat(core.Size(m), w), replicas)
 	b.Replication = float64(replicas)
 	pairs := m * (m - 1) / 2
 	perReducer := k * (k - 1) / 2
 	b.Reducers = (pairs + perReducer - 1) / perReducer
-	if byComm := int((b.Communication + q - 1) / q); byComm > b.Reducers {
+	if byComm := int(core.CeilDiv(b.Communication, q)); byComm > b.Reducers {
 		b.Reducers = byComm
 	}
 	return b

@@ -42,15 +42,21 @@ type Cost struct {
 
 // SchemaCost computes the cost of a mapping schema. Reducer loads are taken
 // from the recorded Load fields (the validators check those against the input
-// sets).
-func SchemaCost(ms *MappingSchema, totalInputSize Size) Cost {
+// sets). totalInputSizes are the total sizes of the instance's input sets —
+// the one set of an A2A instance, X and Y of an X2Y one — and their sum
+// divides the replication rate. Communication saturates at math.MaxInt64;
+// MeanLoad and ReplicationRate are computed from float64 sums, so they hold
+// past it.
+func SchemaCost(ms *MappingSchema, totalInputSizes ...Size) Cost {
 	c := Cost{Reducers: len(ms.Reducers)}
 	if len(ms.Reducers) == 0 {
 		return c
 	}
 	c.MinLoad = ms.Reducers[0].Load
+	var sum float64
 	for _, r := range ms.Reducers {
-		c.Communication += r.Load
+		c.Communication = AddSat(c.Communication, r.Load)
+		sum += float64(r.Load)
 		if r.Load > c.MaxLoad {
 			c.MaxLoad = r.Load
 		}
@@ -58,17 +64,45 @@ func SchemaCost(ms *MappingSchema, totalInputSize Size) Cost {
 			c.MinLoad = r.Load
 		}
 	}
-	c.MeanLoad = float64(c.Communication) / float64(len(ms.Reducers))
+	c.MeanLoad = sum / float64(len(ms.Reducers))
 	var sq float64
 	for _, r := range ms.Reducers {
 		d := float64(r.Load) - c.MeanLoad
 		sq += d * d
 	}
 	c.LoadStdDev = math.Sqrt(sq / float64(len(ms.Reducers)))
-	if totalInputSize > 0 {
-		c.ReplicationRate = float64(c.Communication) / float64(totalInputSize)
+	var total float64
+	for _, t := range totalInputSizes {
+		total += float64(t)
+	}
+	if total > 0 {
+		c.ReplicationRate = sum / total
 	}
 	return c
+}
+
+// AddSat returns a + b for sizes that are not negative, or math.MaxInt64 when
+// the sum would pass it.
+func AddSat(a, b Size) Size {
+	if a > math.MaxInt64-b {
+		return math.MaxInt64
+	}
+	return a + b
+}
+
+// MulSat returns a · b for sizes that are not negative, or math.MaxInt64 when
+// the product would pass it.
+func MulSat(a, b Size) Size {
+	if a != 0 && b > math.MaxInt64/a {
+		return math.MaxInt64
+	}
+	return a * b
+}
+
+// CeilDiv returns ⌈a / b⌉ for a ≥ 0 and b > 0, without the overflow of
+// (a + b − 1) / b near math.MaxInt64.
+func CeilDiv(a, b Size) Size {
+	return a/b + min(a%b, 1)
 }
 
 // CostWithWorkers computes SchemaCost and additionally estimates the

@@ -112,3 +112,27 @@ func TestCostString(t *testing.T) {
 		t.Errorf("Cost.String() = %q", s)
 	}
 }
+
+func TestSaturatingArithmetic(t *testing.T) {
+	const max = Size(math.MaxInt64)
+	for _, tc := range []struct{ a, b, add, mul, ceil Size }{
+		{a: 7, b: 2, add: 9, mul: 14, ceil: 4},
+		{a: 6, b: 3, add: 9, mul: 18, ceil: 2},
+		{a: 0, b: 5, add: 5, mul: 0, ceil: 0},
+		{a: max, b: 1, add: max, mul: max, ceil: max},
+		{a: max - 1, b: 1, add: max, mul: max - 1, ceil: max - 1},
+		{a: 6e18, b: 3.5e18, add: max, mul: max, ceil: 2},
+		{a: max, b: max, add: max, mul: max, ceil: 1},
+		{a: max, b: 2, add: max, mul: max, ceil: max/2 + 1},
+	} {
+		if got := AddSat(tc.a, tc.b); got != tc.add {
+			t.Errorf("AddSat(%d, %d) = %d, want %d", tc.a, tc.b, got, tc.add)
+		}
+		if got := MulSat(tc.a, tc.b); got != tc.mul {
+			t.Errorf("MulSat(%d, %d) = %d, want %d", tc.a, tc.b, got, tc.mul)
+		}
+		if got := CeilDiv(tc.a, tc.b); got != tc.ceil {
+			t.Errorf("CeilDiv(%d, %d) = %d, want %d", tc.a, tc.b, got, tc.ceil)
+		}
+	}
+}

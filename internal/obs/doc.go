@@ -71,8 +71,7 @@
 // "job:<kind>" for async job execution. Child spans use fixed lowercase
 // stage names from a closed set: canonicalize, cache, race, solve:<member>
 // (portfolio members are a fixed set), exec_compile, audit, replan, swap,
-// delta, rebuild, wal_append, queue_wait, run, forward, fleet_cache_get,
-// handoff. Adding a stage name is fine; generating one per request is not.
+// delta, rebuild, wal_append, queue_wait, run, forward, handoff. Adding a stage name is fine; generating one per request is not.
 //
 // # Attribute conventions
 //

@@ -11,9 +11,7 @@ import (
 // cachedPlan is the canonical solution stored per canonical instance. The
 // schema references canonical IDs and is immutable once stored; lookups
 // materialize a fresh copy over the requester's IDs through byInput (the A2A
-// set or the canonical X side) and byYInput (the canonical Y side). imported
-// marks a plan that arrived through ImportPlan rather than this planner's own
-// solve.
+// set or the canonical X side) and byYInput (the canonical Y side).
 type cachedPlan struct {
 	schema     *core.MappingSchema
 	byInput    inputIndex
@@ -21,7 +19,6 @@ type cachedPlan struct {
 	winner     string
 	lowerBound int
 	candidates int
-	imported   bool
 }
 
 // newCachedPlan wraps the winning schema of cn's portfolio pass.
@@ -165,39 +162,8 @@ func (c *cache) finishFlight(cn *canonical, f *flight, plan *cachedPlan, err err
 	close(f.done)
 }
 
-// get returns the plan cached for the canonical instance, or nil, and marks
-// it recently used.
-func (c *cache) get(cn *canonical) *cachedPlan {
-	s := c.shard(cn.hash)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lookup(cn)
-}
-
-// byHash returns the entry stored under the fingerprint, whatever instance it
-// answers, or nil, and marks it recently used. Entries are never mutated once
-// stored, so the caller may read it without the lock.
-func (c *cache) byHash(hash uint64) *entry {
-	s := c.shard(hash)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.entries[hash]
-	if !ok {
-		return nil
-	}
-	s.order.MoveToFront(el)
-	return el.Value.(*entry)
-}
-
-// put stores a plan that did not come out of a flight (see ImportPlan).
-func (c *cache) put(cn *canonical, plan *cachedPlan) {
-	s := c.shard(cn.hash)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.store(cn, plan)
-}
-
-// lookup is get under the shard lock, which the caller holds.
+// lookup returns the plan cached for the canonical instance, or nil, and
+// marks it recently used. The caller holds the shard lock.
 func (s *cacheShard) lookup(cn *canonical) *cachedPlan {
 	if el, ok := s.entries[cn.hash]; ok {
 		e := el.Value.(*entry)

@@ -71,6 +71,11 @@ func canonicalize(req Request) (*canonical, error) {
 	}
 }
 
+// cacheable reports whether a planner's cache retains the instance's plan.
+func (cn *canonical) cacheable() bool {
+	return len(cn.sizes)+len(cn.ySizes) <= maxCacheableInputs
+}
+
 // inputSets builds input sets over the canonical sizes. The portfolio solves
 // these, so cached schemas reference canonical IDs. Construction is deferred
 // to the solve path: cache hits never need them.

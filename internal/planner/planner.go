@@ -83,10 +83,6 @@ type Result struct {
 	// SharedFlight whether it piggybacked on a concurrent identical solve.
 	CacheHit     bool
 	SharedFlight bool
-	// Imported reports whether the cached plan served arrived through
-	// ImportPlan — another planner's solve — rather than this planner's own.
-	// It implies CacheHit.
-	Imported bool
 	// Elapsed is the wall-clock time Plan spent on this request.
 	Elapsed time.Duration
 }
@@ -128,6 +124,19 @@ func Plan(ctx context.Context, req Request) (*Result, error) {
 	return Default.Plan(ctx, req)
 }
 
+// Key returns the key under which a planner caches the request's instance:
+// the same for every relabelling of the inputs and, for X2Y, for the two
+// sides swapped, and "p-" and 16 hex digits of the canonical instance's
+// fingerprint. It is "" when no planner caches the instance: NoCache is set,
+// or the instance has more than 20,000 inputs.
+func Key(req Request) (string, error) {
+	cn, err := canonicalize(req)
+	if err != nil || req.NoCache || !cn.cacheable() {
+		return "", err
+	}
+	return fmt.Sprintf("p-%016x", cn.hash), nil
+}
+
 // Plan canonicalizes the request, serves it from the cache when an
 // isomorphic instance was already solved, and otherwise runs the portfolio.
 // The returned schema always uses the request's original input IDs and is
@@ -145,7 +154,7 @@ func (p *Planner) Plan(ctx context.Context, req Request) (*Result, error) {
 		return nil, err
 	}
 
-	if p.cache == nil || req.NoCache || len(cn.sizes)+len(cn.ySizes) > maxCacheableInputs {
+	if p.cache == nil || req.NoCache || !cn.cacheable() {
 		return p.solveAndRecord(ctx, req, cn, start)
 	}
 
@@ -239,24 +248,23 @@ func (p *Planner) solveAndRecord(ctx context.Context, req Request, cn *canonical
 // result envelope.
 func (p *Planner) finish(req Request, cn *canonical, plan *cachedPlan, hit, shared bool, start time.Time) *Result {
 	schema := cn.materialize(plan)
-	var total core.Size
+	var cost core.Cost
 	if req.Problem == core.ProblemA2A {
-		total = req.Set.TotalSize()
+		cost = core.SchemaCost(schema, req.Set.TotalSize())
 	} else {
-		total = req.X.TotalSize() + req.Y.TotalSize()
+		cost = core.SchemaCost(schema, req.X.TotalSize(), req.Y.TotalSize())
 	}
 	elapsed := time.Since(start)
 	obsPlanSeconds.ObserveDuration(elapsed)
 	return &Result{
 		Schema:             schema,
-		Cost:               core.SchemaCost(schema, total),
+		Cost:               cost,
 		Winner:             plan.winner,
 		LowerBoundReducers: plan.lowerBound,
 		Gap:                schema.NumReducers() - plan.lowerBound,
 		Candidates:         plan.candidates,
 		CacheHit:           hit,
 		SharedFlight:       shared,
-		Imported:           plan.imported,
 		Elapsed:            elapsed,
 	}
 }

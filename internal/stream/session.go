@@ -275,18 +275,20 @@ func (s *Session) statsLocked() Stats {
 		RebuildInFlight:      s.rebuilding,
 		Version:              s.version,
 	}
+	var sum float64
 	for _, r := range s.reds {
 		if r == nil {
 			continue
 		}
 		st.Reducers++
-		st.Communication += r.load
+		st.Communication = core.AddSat(st.Communication, r.load)
+		sum += float64(r.load)
 		if r.load > st.MaxLoad {
 			st.MaxLoad = r.load
 		}
 	}
 	if s.total > 0 {
-		st.ReplicationRate = float64(st.Communication) / float64(s.total)
+		st.ReplicationRate = sum / float64(s.total)
 	}
 	return st
 }

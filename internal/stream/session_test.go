@@ -3,6 +3,7 @@ package stream_test
 import (
 	"context"
 	"errors"
+	"math"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -448,5 +449,18 @@ func TestDeltasDoNotWrapNearMaxCapacity(t *testing.T) {
 	st.Sizes[len(st.Sizes)-1] = 2e18
 	if _, err := stream.RestoreSession(stream.Config{Replan: solveReplan}, st, nil); !errors.Is(err, core.ErrTotalTooLarge) {
 		t.Fatalf("RestoreSession of sizes summing past the limit: err = %v, want ErrTotalTooLarge", err)
+	}
+
+	// At q=8.5e18 no reducer holds all three, so the loads sum past
+	// math.MaxInt64: Communication saturates, and the replication rate is
+	// the true ratio of the loads to the live bytes.
+	c := newSession(t, stream.Config{Capacity: 8.5e18, Initial: []core.Size{4e18, 4e18, 1e18}})
+	var loads float64
+	for _, red := range c.Snapshot().Schema.Reducers {
+		loads += float64(red.Load)
+	}
+	if cs := c.Stats(); loads <= math.MaxInt64 || cs.Communication != math.MaxInt64 || math.Abs(cs.ReplicationRate-loads/9e18) > 1e-9 {
+		t.Fatalf("loads summing to %v: Communication = %d, ReplicationRate = %v; want %d and %v",
+			loads, cs.Communication, cs.ReplicationRate, int64(math.MaxInt64), loads/9e18)
 	}
 }

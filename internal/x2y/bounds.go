@@ -33,10 +33,8 @@ func LowerBounds(xs, ys *core.InputSet, q core.Size) Bounds {
 		return b
 	}
 	totX, totY := xs.TotalSize(), ys.TotalSize()
-	b.Communication = copies(xs, totY, q) + copies(ys, totX, q)
-	if totX+totY > 0 {
-		b.Replication = float64(b.Communication) / float64(totX+totY)
-	}
+	b.Communication = core.AddSat(copies(xs, totY, q), copies(ys, totX, q))
+	b.Replication = float64(b.Communication) / (float64(totX) + float64(totY))
 
 	// kx: the most X inputs that can share a reducer while leaving room for
 	// the smallest Y input (and vice versa).
@@ -47,22 +45,22 @@ func LowerBounds(xs, ys *core.InputSet, q core.Size) Bounds {
 	if perReducer := b.MaxXPerReducer * b.MaxYPerReducer; perReducer > 0 {
 		byPairs = (xs.Len()*ys.Len() + perReducer - 1) / perReducer
 	}
-	b.Reducers = max(int((b.Communication+q-1)/q), byPairs, 1)
+	b.Reducers = max(int(core.CeilDiv(b.Communication, q)), byPairs, 1)
 	return b
 }
 
 // copies is the communication bound of one side: an input of size w must
 // meet other bytes of the opposite side with at most q - w of them in any
 // reducer, so it is sent at least ceil(other / (q - w)) times, and once when
-// it has no room at all.
+// it has no room at all. The sum saturates at math.MaxInt64.
 func copies(set *core.InputSet, other, q core.Size) core.Size {
 	var comm core.Size
 	for i := range set.Len() {
 		w, replicas := set.Size(i), core.Size(1)
 		if room := q - w; room > 0 {
-			replicas = max((other+room-1)/room, 1)
+			replicas = max(core.CeilDiv(other, room), 1)
 		}
-		comm += w * replicas
+		comm = core.AddSat(comm, core.MulSat(w, replicas))
 	}
 	return comm
 }

@@ -192,8 +192,7 @@ func Named(name string) Option {
 // instance's original input IDs (owned by the caller), its Cost, the Winner
 // that produced it, the proved LowerBoundReducers with the Gap to it (0 means
 // provably optimal), how many Candidates ran and produced a schema, whether
-// the plan was a CacheHit or rode a SharedFlight, whether the cached plan was
-// Imported from another planner (see ImportPlan), and the Elapsed planning
+// the plan was a CacheHit or rode a SharedFlight, and the Elapsed planning
 // time. The set of Winner names is not part of the compatibility contract.
 type Result = planner.Result
 
@@ -304,33 +303,16 @@ func (pl *Planner) Plan(ctx context.Context, opts ...Option) (*Result, error) {
 	return pl.p.Plan(ctx, preq)
 }
 
-// ExportPlan returns the key under which planners — the nodes of a pland
-// fleet — share the instance the options describe: it is the same for every
-// reordering of the inputs and, for X2Y, for the two sides swapped. When this
-// planner's cache holds the instance, plan is its solution in the canonical
-// form ImportPlan takes — the sorted sizes it answers, the capacity and the
-// schema over canonical input IDs — and nil otherwise; with NoCache among the
-// options the cache is not consulted and only the key comes back.
-func (pl *Planner) ExportPlan(opts ...Option) (key string, plan []byte, err error) {
+// Key returns the key under which a planner caches the instance the options
+// describe — the same for every reordering of the inputs and, for X2Y, for
+// the two sides swapped — so that the nodes of a pland fleet agree on the one
+// node that solves and holds it. It is "" when no planner caches the
+// instance: NoCache is among the options, or the instance has more than
+// 20,000 inputs.
+func Key(opts ...Option) (string, error) {
 	preq, err := requestOf(opts)
 	if err != nil {
-		return "", nil, err
+		return "", err
 	}
-	return pl.p.ExportPlan(preq)
+	return planner.Key(preq)
 }
-
-// CachedPlan returns what this planner's cache holds under a key ExportPlan
-// returned, in ExportPlan's form, or nil when it holds nothing there. The key
-// is a 64-bit fingerprint, so the plan may answer another instance that
-// shares it; the plan names its own instance, and ImportPlan goes by that.
-func (pl *Planner) CachedPlan(key string) ([]byte, error) { return pl.p.CachedPlan(key) }
-
-// ImportPlan offers this planner a plan another planner exported. The plan
-// carries the instance it answers, and it is stored for that instance only if
-// it is in canonical form and its schema is valid for it — every required pair
-// covered, no reducer above the capacity, the loads it records — so the next
-// Plan of any reordering of that instance is a cache hit over the caller's own
-// input IDs, with Result.Imported set. Otherwise the error says what was wrong
-// and the cache is untouched. The lower bound the plan carries is not read:
-// the importer proves its own.
-func (pl *Planner) ImportPlan(plan []byte) error { return pl.p.ImportPlan(plan) }

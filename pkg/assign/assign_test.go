@@ -1,12 +1,13 @@
 package assign_test
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
+	"math/big"
 	"reflect"
 	"strings"
 	"sync"
@@ -430,46 +431,99 @@ func TestTimeoutOptionStillReturnsBaseline(t *testing.T) {
 	}
 }
 
-// TestExportImportPlan: one planner's solve, exported, lets another answer
-// the mirrored and shuffled instance from its cache with a schema that is
-// valid for the sides as the second caller numbered them; the plan is served
-// for no other instance, bytes that are not a plan are refused, and the
-// options are checked like Plan's.
-func TestExportImportPlan(t *testing.T) {
-	ctx := context.Background()
-	xs, ys := []assign.Size{7, 2, 1}, []assign.Size{1, 2, 1, 1}
-	solver, other := assign.NewPlanner(assign.PlannerConfig{}), assign.NewPlanner(assign.PlannerConfig{})
-	if _, err := solver.Plan(ctx, assign.X2Y(xs, ys), assign.Capacity(10), assign.Deterministic()); err != nil {
-		t.Fatal(err)
+// TestKey: the key is the same for every reordering of an instance and for
+// the mirrored X2Y one, differs with the capacity, is empty for what no
+// planner caches, and checks the options like Plan.
+func TestKey(t *testing.T) {
+	key := func(opts ...assign.Option) string {
+		t.Helper()
+		k, err := assign.Key(opts...)
+		if err != nil {
+			t.Fatalf("Key: %v", err)
+		}
+		return k
 	}
-	key, plan, err := solver.ExportPlan(assign.X2Y(xs, ys), assign.Capacity(10))
-	if err != nil || plan == nil {
-		t.Fatalf("ExportPlan = %q, %s, %v", key, plan, err)
+	xy := key(assign.X2Y([]assign.Size{7, 2, 1}, []assign.Size{1, 2, 1, 1}), assign.Capacity(10))
+	if !strings.HasPrefix(xy, "p-") || len(xy) != 18 {
+		t.Fatalf("key %q is not p- and 16 hex digits", xy)
 	}
-	mirrored := []assign.Option{assign.X2Y([]assign.Size{1, 1, 2, 1}, []assign.Size{1, 7, 2}), assign.Capacity(10)}
-	if otherKey, held, err := other.ExportPlan(mirrored...); err != nil || otherKey != key || held != nil {
-		t.Fatalf("ExportPlan of the mirrored instance on a fresh planner = %q, %s, %v; want key %q alone", otherKey, held, err, key)
+	if got := key(assign.X2Y([]assign.Size{1, 1, 2, 1}, []assign.Size{1, 7, 2}), assign.Capacity(10)); got != xy {
+		t.Errorf("the mirrored, reordered instance has key %q, want %q", got, xy)
 	}
-	if err := other.ImportPlan(plan); err != nil {
-		t.Fatalf("ImportPlan: %v", err)
+	if got := key(assign.X2Y([]assign.Size{7, 2, 1}, []assign.Size{1, 2, 1, 1}), assign.Capacity(11)); got == xy {
+		t.Error("capacities 10 and 11 share a key")
 	}
-	if held, err := other.CachedPlan(key); err != nil || !bytes.Equal(held, plan) {
-		t.Fatalf("CachedPlan after ImportPlan = %s, %v; want the imported plan", held, err)
+	if a, b := key(assign.A2A([]assign.Size{3, 1, 2}), assign.Capacity(6)), key(assign.A2A([]assign.Size{2, 3, 1}), assign.Capacity(6)); a != b || a == "" {
+		t.Errorf("reordered A2A keys %q and %q", a, b)
 	}
-	res, err := other.Plan(ctx, mirrored...)
-	if err != nil || !res.CacheHit || !res.Imported {
-		t.Fatalf("Plan after ImportPlan = %+v, %v; want an imported cache hit", res, err)
+	if got := key(assign.A2A([]assign.Size{3, 1, 2}), assign.Capacity(6), assign.NoCache()); got != "" {
+		t.Errorf("NoCache key = %q, want none", got)
 	}
-	if err := res.Schema.ValidateX2Y(assign.MustNewInputSet([]assign.Size{1, 1, 2, 1}), assign.MustNewInputSet([]assign.Size{1, 7, 2})); err != nil {
-		t.Fatalf("imported plan invalid for the mirrored request: %v", err)
+	ones := make([]assign.Size, 20_001)
+	for i := range ones {
+		ones[i] = 1
 	}
-	if res, err := other.Plan(ctx, assign.X2Y(xs, ys), assign.Capacity(11)); err != nil || res.CacheHit {
-		t.Errorf("a plan for capacity 10 served for capacity 11: %+v, %v", res, err)
+	if got := key(assign.A2A(ones), assign.Capacity(6)); got != "" {
+		t.Errorf("a 20,001-input instance has key %q, want none", got)
 	}
-	if _, _, err := other.ExportPlan(assign.Capacity(10)); !errors.Is(err, assign.ErrNoInstance) {
-		t.Errorf("ExportPlan without an instance = %v", err)
+	if _, err := assign.Key(assign.Capacity(10)); !errors.Is(err, assign.ErrNoInstance) {
+		t.Errorf("Key without an instance = %v", err)
 	}
-	if err := other.ImportPlan([]byte(`{"schema":null}`)); err == nil {
-		t.Error("ImportPlan of a plan without a schema succeeded")
+}
+
+// TestPlanCostNearTheSizeLimit: communication sums of inputs near 2⁶³
+// saturate instead of wrapping, and the replication rate and mean load stay
+// true: the ratios are float sums, and an X2Y instance's sides are not added
+// as sizes.
+func TestPlanCostNearTheSizeLimit(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		q     assign.Size
+		sizes []assign.Size // A2A when ys is nil, else X
+		ys    []assign.Size
+	}{
+		{name: "A2A small", q: 10, sizes: []assign.Size{3, 3, 2, 2, 4, 1}},
+		{name: "A2A pairs past the limit", q: 6.5e18, sizes: []assign.Size{3e18, 3e18, 3e18}},
+		{name: "A2A four inputs", q: 4.5e18, sizes: []assign.Size{2e18, 2e18, 2e18, 2e18}},
+		{name: "X2Y small", q: 10, sizes: []assign.Size{7, 2, 1}, ys: []assign.Size{1, 2, 1, 1}},
+		{name: "X2Y sides past the limit", q: 9.2e18, sizes: []assign.Size{5e18}, ys: []assign.Size{4e18, 4e18}},
+		{name: "X2Y mirrored", q: 9.2e18, sizes: []assign.Size{4e18, 4e18}, ys: []assign.Size{5e18}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			instance := assign.A2A(tc.sizes)
+			total := new(big.Float)
+			for _, sz := range append(append([]assign.Size(nil), tc.sizes...), tc.ys...) {
+				total.Add(total, new(big.Float).SetInt64(int64(sz)))
+			}
+			if tc.ys != nil {
+				instance = assign.X2Y(tc.sizes, tc.ys)
+			}
+			res, err := assign.Plan(context.Background(), instance, assign.Capacity(tc.q), assign.NoCache())
+			if err != nil {
+				t.Fatal(err)
+			}
+			comm := new(big.Int)
+			for _, r := range res.Schema.Reducers {
+				comm.Add(comm, big.NewInt(int64(r.Load)))
+			}
+			want := assign.Size(math.MaxInt64)
+			if comm.IsInt64() {
+				want = assign.Size(comm.Int64())
+			}
+			if res.Cost.Communication < 0 || res.Cost.Communication != want {
+				t.Errorf("communication = %d, want %d (the sum of loads, %s, saturated)", res.Cost.Communication, want, comm)
+			}
+			rate, _ := new(big.Float).Quo(new(big.Float).SetInt(comm), total).Float64()
+			if math.Abs(res.Cost.ReplicationRate-rate) > 1e-9 {
+				t.Errorf("replication rate = %v, want %v", res.Cost.ReplicationRate, rate)
+			}
+			mean, _ := new(big.Float).Quo(new(big.Float).SetInt(comm), big.NewFloat(float64(res.Cost.Reducers))).Float64()
+			if math.Abs(res.Cost.MeanLoad-mean) > 1e-9*mean {
+				t.Errorf("mean load = %v, want %v", res.Cost.MeanLoad, mean)
+			}
+			if res.LowerBoundReducers < 1 || res.LowerBoundReducers > res.Cost.Reducers {
+				t.Errorf("lower bound %d, reducers %d", res.LowerBoundReducers, res.Cost.Reducers)
+			}
+		})
 	}
 }

@@ -186,10 +186,10 @@ type PlanResult struct {
 	Candidates         int                   `json:"candidates"`
 	CacheHit           bool                  `json:"cache_hit"`
 	SharedFlight       bool                  `json:"shared_flight"`
-	// FleetCacheHit marks a result served from a plan that arrived over the
-	// wire: another node solved this canonical instance, and the plan reached
-	// this node's planner through the key's ring owner. A node's repeat of
-	// its own solve is a CacheHit without it.
+	// FleetCacheHit marks a cache hit another node served: the request was
+	// forwarded to the ring owner of its canonical key, which had already
+	// solved the instance. The owner's answer to a request it received
+	// directly is a CacheHit without it.
 	FleetCacheHit bool  `json:"fleet_cache_hit,omitempty"`
 	ElapsedMicros int64 `json:"elapsed_us"`
 	// RequestID is the server's X-Request-ID for the call that produced this

@@ -240,7 +240,7 @@ func TestNonEnvelopeErrorBody(t *testing.T) {
 }
 
 // TestConnectionReusedAfterEveryReply: whatever doOnce does with a reply —
-// decode it, decode an error envelope, keep it raw, ignore it — must leave the
+// decode it, decode an error envelope, ignore it — must leave the
 // connection reusable. json.Decoder stops at the value's closing brace; once a
 // body is large enough to be chunked its EOF has not been read by then, and
 // closing it there made net/http dial again for the next call: one dial per
@@ -262,14 +262,14 @@ func TestConnectionReusedAfterEveryReply(t *testing.T) {
 		t.Fatalf("stub replies are %d and %d bytes; want one over 4 KB and one under 1 KB", len(bigBody), len(smallBody))
 	}
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var req PlanRequest // capacity picks the reply; execute and cache bodies decode into it too
+		var req PlanRequest // capacity picks the reply; execute bodies decode into it too
 		if r.Method != http.MethodGet {
 			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 				t.Errorf("stub: decoding %s %s: %v", r.Method, r.URL.Path, err)
 			}
 		}
 		switch {
-		case r.URL.Path == "/readyz" || r.Method == http.MethodPut:
+		case r.URL.Path == "/readyz":
 			fmt.Fprintln(w, `{"status":"ok"}`)
 		case r.Method == http.MethodPost && req.Capacity == 0:
 			w.WriteHeader(http.StatusUnprocessableEntity)
@@ -327,14 +327,6 @@ func TestConnectionReusedAfterEveryReply(t *testing.T) {
 			}
 			return wantBig(res.Schema)
 		},
-		func() error {
-			raw, err := c.FleetCacheGet(ctx, "some key")
-			if err == nil && len(raw) != len(bigBody) {
-				err = fmt.Errorf("raw reply of %d bytes, want %d", len(raw), len(bigBody))
-			}
-			return err
-		},
-		func() error { return c.FleetCachePut(ctx, "some key", bigBody) },
 		func() error { return c.Ready(ctx) },
 	}
 	for i := 0; i < 200; i++ {

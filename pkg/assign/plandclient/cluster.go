@@ -2,16 +2,14 @@ package plandclient
 
 // This file is the fleet-facing surface: the calls pland nodes make to each
 // other. Readiness probes feed each node's health view of its peers; session
-// handoff ships a draining node's live sessions to their ring successors;
-// the fleet cache calls move canonical plans between the planner cache of a
-// key's ring owner and the node that solved or needs them. External clients rarely call
-// these, but they are part of the wire contract like everything else here.
+// handoff ships a draining node's live sessions to their ring successors.
+// External clients rarely call these, but they are part of the wire contract
+// like everything else here.
 
 import (
 	"context"
 	"encoding/json"
 	"net/http"
-	"net/url"
 
 	"repro/pkg/assign"
 )
@@ -63,28 +61,4 @@ type HandoffResult struct {
 // (journaling it into its own WAL when durable), and serves it from then on.
 func (c *Client) Handoff(ctx context.Context, req HandoffRequest) (*HandoffResult, error) {
 	return call[HandoffResult](ctx, c, http.MethodPost, "/internal/handoff", req)
-}
-
-// FleetCacheGet probes this node's shard of the fleet plan cache — its
-// planner's cache — for a canonical instance key. A miss returns (nil, nil);
-// a hit returns the canonical plan held under the key, in the form
-// assign.Planner.ExportPlan exports and assign.Planner.ImportPlan checks.
-func (c *Client) FleetCacheGet(ctx context.Context, key string) (json.RawMessage, error) {
-	var out json.RawMessage
-	_, err := c.do(ctx, http.MethodGet, "/internal/cache/"+url.PathEscape(key), nil, &out)
-	if IsCode(err, CodeNotFound) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// FleetCachePut publishes a solved canonical plan to this node, which imports
-// it into its planner's cache. The node checks the plan first: one that does
-// not import is refused with a 422 (CodeUnprocessable) and nothing is stored.
-func (c *Client) FleetCachePut(ctx context.Context, key string, value json.RawMessage) error {
-	_, err := c.do(ctx, http.MethodPut, "/internal/cache/"+url.PathEscape(key), value, nil)
-	return err
 }

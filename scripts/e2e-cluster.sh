@@ -54,12 +54,13 @@ for i in 0 1 2; do
   [ -n "$ok" ] || fail "node$i never became ready"
 done
 
-# The fleet plan cache: an instance solved on node0 is served, reordered,
-# through node1 and through node2 as a fleet hit — from the key owner's
-# planner, whichever node that is — while node0's own repeat is a plain cache
-# hit. node0 publishes to the owner asynchronously, and a node whose probe
-# raced ahead of the publish has solved the instance itself for good, so each
-# attempt plans a fresh instance (its capacity moves).
+# The fleet plan cache: a plan request is forwarded to the owner of its
+# canonical key, which solves it and serves every isomorphic request from its
+# planner. When node0 owns the instance, its solve is served, reordered,
+# through node1 and through node2 as a fleet hit, while node0's own repeat is
+# a plain cache hit. When another node owns it, that owner's own request is a
+# plain hit, so each attempt plans a fresh instance (its capacity moves) until
+# node0 is the owner.
 fleet_ok=""
 for k in $(seq 0 9); do
   q=$((30 + k))
