@@ -5,7 +5,7 @@ THRESHOLD ?= 15
 # The benchmarks the regression gate watches. This is the one place they are
 # listed: bench-compare and CI's bench-regression job both go through
 # bench-gate.
-BENCH_MATCH := ^Benchmark(A2AEqualSized|A2AExactTiny|A2AGreedy|X2YGreedy|PlannerCold|PlannerCached|SchemaJSON|ExecBatch|ExecStream|ExecStreamSpill|SessionDelta|CoverSet|Auditor)
+BENCH_MATCH := ^Benchmark(A2AEqualSized|A2AExactTiny|A2AGreedy|X2YGreedy|PlannerCold|PlannerCached|SchemaJSON|ExecStream|ExecStreamSpill|SessionDelta|CoverSet|Auditor)
 
 .PHONY: test bench bench-gate bench-compare baselines
 
@@ -15,7 +15,7 @@ test: ## tier-1: build everything, run every test
 bench: ## one pass over the regression-gated benchmark suite (stdout)
 	@$(GO) test -run '^$$' -bench 'BenchmarkCoverSet' -count=$(BENCH_COUNT) -benchtime=0.2s ./internal/core \
 	  && $(GO) test -run '^$$' -bench 'BenchmarkAuditor' -count=$(BENCH_COUNT) -benchtime=0.2s ./internal/exec \
-	  && $(GO) test -run '^$$' -bench 'BenchmarkA2AEqualSized$$|BenchmarkA2AExactTiny$$|BenchmarkA2AGreedy$$|BenchmarkX2YGreedy$$|BenchmarkPlannerCold$$|BenchmarkPlannerCached$$|BenchmarkSchemaJSON$$|BenchmarkExecBatch$$|BenchmarkExecStream$$|BenchmarkExecStreamSpill$$' -count=$(BENCH_COUNT) -benchtime=0.3s . \
+	  && $(GO) test -run '^$$' -bench 'BenchmarkA2AEqualSized$$|BenchmarkA2AExactTiny$$|BenchmarkA2AGreedy$$|BenchmarkX2YGreedy$$|BenchmarkPlannerCold$$|BenchmarkPlannerCached$$|BenchmarkSchemaJSON$$|BenchmarkExecStream$$|BenchmarkExecStreamSpill$$' -count=$(BENCH_COUNT) -benchtime=0.3s . \
 	  && $(GO) test -run '^$$' -bench 'BenchmarkSessionDelta' -count=$(BENCH_COUNT) -benchtime=0.3s ./internal/stream
 
 # Both targets below keep their intermediate files in a private mktemp
@@ -39,8 +39,8 @@ baselines: ## regenerate the committed BENCH_*.json from a fresh suite run
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(MAKE) bench > "$$tmp/bench.txt"; \
 	$(GO) run ./cmd/benchdiff -mode=baseline -in "$$tmp/bench.txt" -out BENCH_core.json \
-	  -match '^Benchmark(CoverSet|Auditor|A2AEqualSized|A2AExactTiny|A2AGreedy|X2YGreedy|PlannerCold|PlannerCached|SchemaJSON|ExecBatch)' \
-	  -note "bitset core hot paths: CoverSet primitives, auditor verification, the equal-sized a2a.Solve on the a2a_equal shapes, the portfolio members a2a.Exact (tiny), a2a.Greedy (a2a_big) and x2y.Greedy (svc_mixed X2Y hot shapes), planner cold/cached solves, the mapping-schema JSON codec on a 33 KB reply, batch execution; regenerate with 'make baselines'"; \
+	  -match '^Benchmark(CoverSet|Auditor|A2AEqualSized|A2AExactTiny|A2AGreedy|X2YGreedy|PlannerCold|PlannerCached|SchemaJSON)' \
+	  -note "bitset core hot paths: CoverSet primitives, auditor verification, the equal-sized a2a.Solve on the a2a_equal shapes, the portfolio members a2a.Exact (tiny), a2a.Greedy (a2a_big) and x2y.Greedy (svc_mixed X2Y hot shapes), planner cold/cached solves, the mapping-schema JSON codec on a 33 KB reply; regenerate with 'make baselines'"; \
 	$(GO) run ./cmd/benchdiff -mode=baseline -in "$$tmp/bench.txt" -out BENCH_stream.json \
 	  -match '^BenchmarkSessionDelta' \
 	  -note "m=1k churn (remove oldest, add replacement) at q=1024, uniform sizes [1,64]: incremental repair vs cheapest full re-solve per delta; regenerate with 'make baselines'"; \

@@ -17,10 +17,7 @@ import (
 	"repro/internal/a2a"
 	"repro/internal/binpack"
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/planner"
-	"repro/internal/simjoin"
-	"repro/internal/skewjoin"
 	"repro/internal/workload"
 	"repro/internal/x2y"
 	"repro/pkg/assign"
@@ -199,58 +196,6 @@ func BenchmarkSchemaJSON(b *testing.B) {
 	})
 }
 
-// BenchmarkExecBatch measures the schema-driven execution layer under
-// service-style traffic: a batch of schema-driven jobs — planned once through
-// the shared facade, so iterations exercise execution, not solving — runs
-// end-to-end (compile, map, shuffle, owner-elected pair reduction, and the
-// conformance audit) on a bounded worker pool.
-func BenchmarkExecBatch(b *testing.B) {
-	sizes, err := workload.Sizes(workload.SizeSpec{Dist: workload.Zipf, Min: 1, Max: 30, Skew: 1.3}, 40, 17)
-	if err != nil {
-		b.Fatal(err)
-	}
-	set := core.MustNewInputSet(sizes)
-	plan, err := planner.Plan(context.Background(), planner.Request{
-		Problem: core.ProblemA2A, Set: set, Capacity: 64,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	inputs := make([][]byte, len(sizes))
-	for i, s := range sizes {
-		inputs[i] = make([]byte, s)
-	}
-	const jobs = 16
-	reqs := make([]exec.Request, jobs)
-	for i := range reqs {
-		reqs[i] = exec.Request{
-			Name:   fmt.Sprintf("bench-job-%d", i),
-			Plan:   plan,
-			Inputs: inputs,
-			Pair: func(x, y exec.Record, emit func([]byte)) error {
-				if len(x.Data)+len(y.Data) > 0 {
-					emit([]byte{byte(x.ID), byte(y.ID)})
-				}
-				return nil
-			},
-		}
-	}
-	wantPairs := int64(len(sizes) * (len(sizes) - 1) / 2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		results, err := exec.RunBatch(context.Background(), reqs, exec.BatchOptions{Workers: 8})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range results {
-			if r.PairsProcessed != wantPairs {
-				b.Fatalf("job processed %d pairs, want %d", r.PairsProcessed, wantPairs)
-			}
-		}
-	}
-}
-
 // BenchmarkExecStream measures the streaming execution path end to end: a
 // similarity join over synthetic fixed-width documents fed through
 // pkg/assign's Source option — records are generated on the fly, never
@@ -356,46 +301,6 @@ func BenchmarkSchemaValidateA2A(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := ms.ValidateA2A(set); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// The two end-to-end benchmarks below plan through the shared planner
-// facade, so iterations after the first serve the mapping schema from its
-// canonicalization cache — representative of a production loop over a
-// repeated workload. BenchmarkPlannerCold isolates the uncached solve cost.
-
-func BenchmarkSimilarityJoinEndToEnd(b *testing.B) {
-	docs, err := workload.Documents(workload.CorpusSpec{
-		NumDocs: 100, VocabularySize: 200, MinTerms: 5, MaxTerms: 20, TermSkew: 1.2}, 6)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := simjoin.Config{Capacity: 3000, Threshold: 0.5}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := simjoin.Run(docs, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSkewJoinEndToEnd(b *testing.B) {
-	x, err := workload.GenerateRelation(workload.RelationSpec{
-		Name: "X", NumTuples: 2000, NumKeys: 50, Skew: 1.3, PayloadBytes: 10}, 7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	y, err := workload.GenerateRelation(workload.RelationSpec{
-		Name: "Y", NumTuples: 2000, NumKeys: 50, Skew: 1.3, PayloadBytes: 10}, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := skewjoin.Config{Capacity: 6000, CountOnly: true}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := skewjoin.Run(x, y, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -13,7 +13,7 @@
 // same test benchstat uses):
 //
 //	benchdiff -mode=gate -old base.txt -new head.txt -threshold 15 \
-//	  -match '^Benchmark(PlannerCold|PlannerCached|ExecBatch|SessionDelta|CoverSet)'
+//	  -match '^Benchmark(PlannerCold|PlannerCached|ExecStream|SessionDelta|CoverSet)'
 package main
 
 import (

@@ -17,8 +17,8 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"text/tabwriter"
 
-	"repro/internal/report"
 	"repro/internal/workload"
 	"repro/pkg/assign"
 )
@@ -159,10 +159,12 @@ func printJSON(ms *assign.MappingSchema) error {
 
 func printSchema(res *assign.Result, verbose bool) {
 	ms, cost := res.Schema, res.Cost
-	tbl := report.NewTable("Mapping schema ("+ms.Algorithm+")",
-		"problem", "q", "winner", "reducers", "lb_reducers", "communication", "replication", "max_load")
-	tbl.AddRow(ms.Problem, ms.Capacity, res.Winner, cost.Reducers, res.LowerBoundReducers, cost.Communication, cost.ReplicationRate, cost.MaxLoad)
-	fmt.Print(tbl.String())
+	fmt.Printf("Mapping schema (%s)\n", ms.Algorithm)
+	tw := tabwriter.NewWriter(os.Stdout, 0, 0, 2, ' ', 0)
+	fmt.Fprintln(tw, "  problem\tq\twinner\treducers\tlb_reducers\tcommunication\treplication\tmax_load")
+	fmt.Fprintf(tw, "  %v\t%d\t%s\t%d\t%d\t%d\t%.3f\t%d\n",
+		ms.Problem, ms.Capacity, res.Winner, cost.Reducers, res.LowerBoundReducers, cost.Communication, cost.ReplicationRate, cost.MaxLoad)
+	tw.Flush()
 	if !verbose {
 		return
 	}

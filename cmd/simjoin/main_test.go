@@ -1,19 +1,29 @@
 package main
 
 import (
+	"errors"
+	"math"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/workload"
+	"repro/pkg/assign"
 )
 
 func TestRunSmallCorpus(t *testing.T) {
-	var b strings.Builder
-	err := run([]string{"-docs", "40", "-vocab", "60", "-q", "800", "-threshold", "0.4", "-show", "2"}, &b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.Contains(out, "Similarity join") || !strings.Contains(out, "verified against the nested-loop reference: OK") {
-		t.Errorf("unexpected output:\n%s", out)
+	for _, extra := range [][]string{nil, {"-membudget", "2048", "-spilldir", t.TempDir()}} {
+		var b strings.Builder
+		err := run(append([]string{"-docs", "40", "-vocab", "60", "-q", "800", "-threshold", "0.4", "-show", "2"}, extra...), &b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := b.String()
+		for _, want := range []string{"Similarity join", "lb_reducers", "shuffle_bytes", "similar_pairs", "verified against the nested-loop reference: OK"} {
+			if !strings.Contains(out, want) {
+				t.Errorf("%v: output lacks %q:\n%s", extra, want, out)
+			}
+		}
 	}
 }
 
@@ -35,8 +45,136 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-docs", "0"}, &b); err == nil {
 		t.Error("accepted zero documents")
 	}
+	if err := run([]string{"-docs", "5", "-q", "0"}, &b); err == nil {
+		t.Error("accepted zero capacity")
+	}
 	// Capacity far below two documents -> infeasible schema.
-	if err := run([]string{"-docs", "10", "-q", "4"}, &b); err == nil {
-		t.Error("accepted an infeasible capacity")
+	if err := run([]string{"-docs", "10", "-q", "4"}, &b); !errors.Is(err, assign.ErrInfeasible) {
+		t.Errorf("infeasible capacity: err = %v", err)
+	}
+}
+
+func corpus(t *testing.T, spec workload.CorpusSpec, seed int64) []workload.Document {
+	t.Helper()
+	docs, err := workload.Documents(spec, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return docs
+}
+
+// TestRunMatchesNestedLoopReference runs the join on 120 documents at
+// q = 2500 and t = 0.4 with both similarity functions: the pairs equal the
+// nested-loop reference's, IDs and scores; the run is audited; the schema is
+// a valid A2A schema over the bytes the engine shipped; and the engine
+// shuffled at least the schema's communication, which is at least the
+// paper's lower bound.
+func TestRunMatchesNestedLoopReference(t *testing.T) {
+	docs := corpus(t, workload.CorpusSpec{NumDocs: 120, VocabularySize: 150, MinTerms: 4, MaxTerms: 18, TermSkew: 1.2}, 11)
+	const q = 2500
+	sizes := make([]assign.Size, len(docs))
+	var total assign.Size
+	for i, d := range docs {
+		sizes[i] = assign.Size(len(strings.Join(d.Terms, " ")))
+		total += sizes[i]
+	}
+	// sum_i w_i * ceil((W - w_i) / (q - w_i)): input i meets W - w_i bytes,
+	// at most q - w_i of them at each reducer it is sent to.
+	var bound assign.Size
+	for _, w := range sizes {
+		bound += w * ((total - w + q - w - 1) / (q - w))
+	}
+	set := assign.MustNewInputSet(sizes)
+	for name, sim := range similarities {
+		pairs, ex, err := simJoin(docs, q, 0.4, sim)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want := nestedLoop(docs, 0.4, sim)
+		if len(want) == 0 {
+			t.Fatalf("%s: the reference finds no pairs; the test proves nothing", name)
+		}
+		if !slices.Equal(pairs, want) {
+			t.Fatalf("%s: %d pairs differ from the reference's %d", name, len(pairs), len(want))
+		}
+		if !ex.Audited || ex.PairsProcessed != int64(len(docs)*(len(docs)-1)/2) {
+			t.Errorf("%s: audited=%v, %d pairs processed", name, ex.Audited, ex.PairsProcessed)
+		}
+		if err := ex.Plan.Schema.ValidateA2A(set); err != nil {
+			t.Errorf("%s: schema invalid over the payload sizes: %v", name, err)
+		}
+		cost := ex.Plan.Cost
+		if ex.ShuffleBytes < int64(cost.Communication) || cost.Communication < bound {
+			t.Errorf("%s: shuffled %d bytes, schema communication %d, bound %d", name, ex.ShuffleBytes, cost.Communication, bound)
+		}
+		if cost.Reducers < ex.Plan.LowerBoundReducers {
+			t.Errorf("%s: %d reducers, below the bound %d", name, cost.Reducers, ex.Plan.LowerBoundReducers)
+		}
+	}
+}
+
+// TestRunNoDuplicatePairs sets t = 0, so every pair is similar: each must be
+// reported exactly once, in order.
+func TestRunNoDuplicatePairs(t *testing.T) {
+	docs := corpus(t, workload.CorpusSpec{NumDocs: 60, VocabularySize: 40, MinTerms: 4, MaxTerms: 12, TermSkew: 1.3}, 99)
+	pairs, _, err := simJoin(docs, 500, 0, jaccard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pairs) != len(docs)*(len(docs)-1)/2 {
+		t.Fatalf("got %d pairs, want every one of %d once", len(pairs), len(docs)*(len(docs)-1)/2)
+	}
+	for k, p := range pairs {
+		if p.i >= p.j || k > 0 && (pairs[k-1].i > p.i || pairs[k-1].i == p.i && pairs[k-1].j >= p.j) {
+			t.Fatalf("pair %d (%d,%d) is out of order or repeated", k, p.i, p.j)
+		}
+	}
+}
+
+func TestRunSingleDocument(t *testing.T) {
+	docs := []workload.Document{{ID: 0, Terms: []string{"only"}}}
+	pairs, ex, err := simJoin(docs, 100, 0, jaccard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pairs) != 0 || !ex.Audited {
+		t.Errorf("a single document: %d pairs, audited=%v", len(pairs), ex.Audited)
+	}
+}
+
+func TestJaccard(t *testing.T) {
+	cases := []struct {
+		a, b []string
+		want float64
+	}{
+		{[]string{"a", "b", "c"}, []string{"a", "b", "c"}, 1},
+		{[]string{"a", "b"}, []string{"c", "d"}, 0},
+		{[]string{"a", "b", "c"}, []string{"b", "c", "d"}, 0.5},
+		{nil, nil, 1},
+		{[]string{"a"}, nil, 0},
+		{[]string{"a", "a", "b"}, []string{"a", "b", "b"}, 1}, // duplicates collapse
+	}
+	for _, c := range cases {
+		if got := jaccard(c.a, c.b); math.Abs(got-c.want) > 1e-9 {
+			t.Errorf("jaccard(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
+		}
+	}
+}
+
+func TestCosine(t *testing.T) {
+	cases := []struct {
+		a, b []string
+		want float64
+	}{
+		{[]string{"a", "b"}, []string{"a", "b"}, 1},
+		{[]string{"a"}, []string{"b"}, 0},
+		{nil, nil, 1},
+		{[]string{"a"}, nil, 0},
+		{[]string{"a", "a", "b"}, []string{"a", "b", "b"}, 4.0 / 5.0}, // (2·1 + 1·2) / (√5·√5)
+	}
+	for _, c := range cases {
+		if got := cosine(c.a, c.b); math.Abs(got-c.want) > 1e-9 {
+			t.Errorf("cosine(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
+		}
 	}
 }

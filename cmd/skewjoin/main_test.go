@@ -1,22 +1,28 @@
 package main
 
 import (
+	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/workload"
+	"repro/pkg/assign"
 )
 
 func TestRunWithHeavyHitters(t *testing.T) {
-	var b strings.Builder
-	err := run([]string{"-tuples", "2000", "-keys", "30", "-skew", "1.4", "-q", "3000"}, &b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.Contains(out, "Skew join") || !strings.Contains(out, "output verified against the reference hash join: OK") {
-		t.Errorf("unexpected output:\n%s", out)
-	}
-	if !strings.Contains(out, "Plain hash-join baseline") {
-		t.Errorf("baseline section missing:\n%s", out)
+	for _, extra := range [][]string{nil, {"-membudget", "2048", "-spilldir", t.TempDir()}} {
+		var b strings.Builder
+		err := run(append([]string{"-tuples", "2000", "-keys", "30", "-skew", "1.4", "-q", "3000"}, extra...), &b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := b.String()
+		for _, want := range []string{"Skew join", "heavy_keys", "output_rows", "output verified against the reference hash join: OK",
+			"Plain hash-join baseline", "violates_q"} {
+			if !strings.Contains(out, want) {
+				t.Errorf("%v: output lacks %q:\n%s", extra, want, out)
+			}
+		}
 	}
 }
 
@@ -38,8 +44,131 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-q", "0"}, &b); err == nil {
 		t.Error("accepted zero capacity")
 	}
+	if err := run([]string{"-skew", "1"}, &b); err == nil {
+		t.Error("accepted a skew in (0, 1]")
+	}
 	// A capacity below a single pair of tuples is infeasible for heavy keys.
 	if err := run([]string{"-tuples", "200", "-keys", "2", "-skew", "1.5", "-q", "20", "-payload", "30"}, &b); err == nil {
 		t.Error("accepted an infeasible capacity")
+	}
+}
+
+// relation builds a relation from per-key tuple counts, with payloads of a
+// fixed length.
+func relation(payload int, keyCounts map[string]int) *workload.Relation {
+	keys := make([]string, 0, len(keyCounts))
+	for k := range keyCounts {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	rel := &workload.Relation{}
+	for _, k := range keys {
+		for i := 0; i < keyCounts[k]; i++ {
+			rel.Tuples = append(rel.Tuples, workload.Tuple{Key: k, Payload: strings.Repeat(string(rune('a'+i%26)), payload)})
+		}
+	}
+	return rel
+}
+
+// TestRunMatchesReferenceWithHeavyHitter joins 3,000 Zipf-keyed tuples per
+// side at q = 4000: the rows equal the reference count, some key is heavy,
+// and every heavy key's run is audited, processes each of its X-Y pairs
+// once, and follows a valid X2Y schema over its tuples whose max load is
+// within q, while the plain hash join's largest key alone exceeds q.
+func TestRunMatchesReferenceWithHeavyHitter(t *testing.T) {
+	spec := workload.RelationSpec{NumTuples: 3000, NumKeys: 60, Skew: 1.4, PayloadBytes: 12}
+	x, err := workload.GenerateRelation(spec, 21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	y, err := workload.GenerateRelation(spec, 22)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const q = 4000
+	res, err := skewJoin(x, y, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := referenceCount(x, y); res.rows != want {
+		t.Fatalf("join produced %d rows, reference %d", res.rows, want)
+	}
+	if len(res.heavy) == 0 || res.lightKeys == 0 {
+		t.Fatalf("%d heavy and %d light keys; want both kinds at this skew and capacity", len(res.heavy), res.lightKeys)
+	}
+	xs, ys := groupByKey(x), groupByKey(y)
+	sizes := func(tuples [][]byte) *assign.InputSet {
+		s := make([]assign.Size, len(tuples))
+		for i, tp := range tuples {
+			s[i] = assign.Size(len(tp))
+		}
+		return assign.MustNewInputSet(s)
+	}
+	for _, h := range res.heavy {
+		xk, yk := xs[h.key], ys[h.key]
+		if xk.bytes+yk.bytes <= q {
+			t.Errorf("key %q of %d bytes ran as heavy", h.key, xk.bytes+yk.bytes)
+		}
+		if !h.ex.Audited || h.ex.PairsProcessed != int64(len(xk.tuples)*len(yk.tuples)) {
+			t.Errorf("key %q: audited=%v, %d pairs processed of %d", h.key, h.ex.Audited, h.ex.PairsProcessed, len(xk.tuples)*len(yk.tuples))
+		}
+		if err := h.ex.Plan.Schema.ValidateX2Y(sizes(xk.tuples), sizes(yk.tuples)); err != nil {
+			t.Errorf("key %q: %v", h.key, err)
+		}
+		if h.ex.Plan.Cost.MaxLoad > q {
+			t.Errorf("key %q: max load %d exceeds q", h.key, h.ex.Plan.Cost.MaxLoad)
+		}
+	}
+	if res.maxLoad > q || res.largestKey <= q {
+		t.Errorf("skew-aware max load %d, hash join's largest key %d, q %d", res.maxLoad, res.largestKey, q)
+	}
+}
+
+// TestRunMatchesReferenceLightKeysOnly sets q to the largest key's bytes: a
+// key that fits q exactly is light.
+func TestRunMatchesReferenceLightKeysOnly(t *testing.T) {
+	x := relation(4, map[string]int{"k1": 3, "k2": 2, "k3": 1})
+	y := relation(4, map[string]int{"k1": 2, "k2": 4, "k4": 3})
+	res, err := skewJoin(x, y, 6*(2+4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.rows != 3*2+2*4 || res.rows != referenceCount(x, y) {
+		t.Errorf("joined %d rows, reference %d", res.rows, referenceCount(x, y))
+	}
+	if len(res.heavy) != 0 || res.lightKeys != 2 {
+		t.Errorf("%d heavy and %d light keys, want 0 and 2 (k1, k2)", len(res.heavy), res.lightKeys)
+	}
+	if res.maxLoad != 6*(2+4) || res.largestKey != res.maxLoad {
+		t.Errorf("max load %d, largest key %d; want k2's 36 bytes for both", res.maxLoad, res.largestKey)
+	}
+}
+
+func TestRunDisjointRelations(t *testing.T) {
+	x := relation(4, map[string]int{"a": 300})
+	y := relation(4, map[string]int{"b": 3})
+	res, err := skewJoin(x, y, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.rows != 0 || len(res.heavy) != 0 || res.lightKeys != 0 || res.maxLoad != 0 {
+		t.Errorf("disjoint join: %d rows, %d heavy, %d light keys, max load %d", res.rows, len(res.heavy), res.lightKeys, res.maxLoad)
+	}
+	if res.largestKey != 300*5 {
+		t.Errorf("the hash join's largest key is %d bytes, want a's 1500", res.largestKey)
+	}
+}
+
+// TestRunOneSidedKeysAreNotShipped gives each side a key far over q that the
+// other side lacks: neither runs, and only the shared key joins.
+func TestRunOneSidedKeysAreNotShipped(t *testing.T) {
+	x := relation(4, map[string]int{"only-x": 50, "shared": 2})
+	y := relation(4, map[string]int{"only-y": 50, "shared": 2})
+	res, err := skewJoin(x, y, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.rows != 4 || len(res.heavy) != 0 || res.lightKeys != 1 {
+		t.Errorf("%d rows, %d heavy and %d light keys; want 4, 0 and 1", res.rows, len(res.heavy), res.lightKeys)
 	}
 }

@@ -5,110 +5,9 @@ import (
 
 	"repro/internal/a2a"
 	"repro/internal/core"
-	"repro/internal/simjoin"
-	"repro/internal/skewjoin"
 	"repro/internal/workload"
 	"repro/internal/x2y"
 )
-
-// TestPipelineA2ASimilarityJoin wires the whole A2A stack together: generate
-// a corpus, derive an input set from the document sizes, build and validate a
-// mapping schema, execute the similarity join on the MapReduce engine, and
-// check the answer against the nested-loop reference and the schema-level
-// cost model against the engine's counters.
-func TestPipelineA2ASimilarityJoin(t *testing.T) {
-	docs, err := workload.Documents(workload.CorpusSpec{
-		NumDocs: 120, VocabularySize: 150, MinTerms: 4, MaxTerms: 18, TermSkew: 1.2}, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := simjoin.Config{Capacity: 2500, Threshold: 0.4, Similarity: simjoin.Jaccard}
-	res, err := simjoin.Run(docs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The schema must be a valid A2A mapping schema for the document sizes.
-	sizes := make([]core.Size, len(docs))
-	for i, d := range docs {
-		sizes[i] = core.Size(d.SizeBytes())
-	}
-	set := core.MustNewInputSet(sizes)
-	if err := res.Schema.ValidateA2A(set); err != nil {
-		t.Fatalf("schema invalid: %v", err)
-	}
-
-	// The answer matches the reference exactly.
-	want := simjoin.NestedLoopReference(docs, cfg)
-	if len(res.Pairs) != len(want) {
-		t.Fatalf("found %d pairs, reference %d", len(res.Pairs), len(want))
-	}
-
-	// The engine shipped at least the schema's communication (engine bytes
-	// include the reducer-key overhead) and respected the reducer count.
-	if res.Counters.ShuffleBytes < int64(res.SchemaCost.Communication) {
-		t.Errorf("engine shuffled %d bytes, less than the schema communication %d",
-			res.Counters.ShuffleBytes, res.SchemaCost.Communication)
-	}
-	if len(res.Counters.ReducerLoads) != res.Schema.NumReducers() {
-		t.Errorf("engine used %d partitions, schema has %d reducers",
-			len(res.Counters.ReducerLoads), res.Schema.NumReducers())
-	}
-	// And the cost never beats the proved lower bounds.
-	if res.SchemaCost.Reducers < res.Bounds.Reducers {
-		t.Errorf("reducers %d below lower bound %d", res.SchemaCost.Reducers, res.Bounds.Reducers)
-	}
-	if res.SchemaCost.Communication < res.Bounds.Communication {
-		t.Errorf("communication %d below lower bound %d", res.SchemaCost.Communication, res.Bounds.Communication)
-	}
-}
-
-// TestPipelineX2YSkewJoin wires the X2Y stack together: generate skewed
-// relations, plan and run the skew join, compare against both the reference
-// join and the hash-join baseline, and check that the per-heavy-hitter
-// schemas validate.
-func TestPipelineX2YSkewJoin(t *testing.T) {
-	x, err := workload.GenerateRelation(workload.RelationSpec{
-		Name: "X", NumTuples: 3000, NumKeys: 60, Skew: 1.4, PayloadBytes: 12}, 21)
-	if err != nil {
-		t.Fatal(err)
-	}
-	y, err := workload.GenerateRelation(workload.RelationSpec{
-		Name: "Y", NumTuples: 3000, NumKeys: 60, Skew: 1.4, PayloadBytes: 12}, 22)
-	if err != nil {
-		t.Fatal(err)
-	}
-	capacity := core.Size(4000)
-	res, err := skewjoin.Run(x, y, skewjoin.Config{Capacity: capacity, CountOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.JoinedCount != skewjoin.ReferenceJoinCount(x, y) {
-		t.Fatalf("join produced %d rows, reference %d", res.JoinedCount, skewjoin.ReferenceJoinCount(x, y))
-	}
-	if len(res.Plan.HeavyKeys) == 0 {
-		t.Fatal("expected heavy hitters at this skew and capacity")
-	}
-	for key, schema := range res.Plan.HeavySchemas {
-		if schema.NumReducers() == 0 {
-			t.Errorf("heavy key %q has an empty schema", key)
-		}
-	}
-	base, err := skewjoin.HashJoinBaseline(x, y, res.Plan.NumReducers, capacity, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.JoinedCount != res.JoinedCount {
-		t.Errorf("baseline output %d != plan output %d", base.JoinedCount, res.JoinedCount)
-	}
-	if !base.CapacityViolated {
-		t.Error("the plain hash join should overflow the capacity on the heavy hitters")
-	}
-	if base.Counters.MaxReducerLoad <= res.Counters.MaxReducerLoad {
-		t.Errorf("baseline max load %d should exceed the skew-aware max load %d",
-			base.Counters.MaxReducerLoad, res.Counters.MaxReducerLoad)
-	}
-}
 
 // TestPipelineSmallerCapacityTradesWorkForSpeedup prices the paper's
 // parallelism tradeoff with the LPT makespan core.CostWithWorkers reports: on

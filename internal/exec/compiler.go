@@ -32,9 +32,6 @@ const (
 // first out; an index over the bound, or whose schema fails PreCheck, is
 // never retained.
 type Compiler struct {
-	// admitFirst retains a schema the first time it is seen (RunBatch, where
-	// the requests at hand say what repeats).
-	admitFirst bool
 	// hash and maxBytes are hashSchema and maxCacheBytes outside tests.
 	hash     func(*core.MappingSchema, shape) uint64
 	maxBytes int64
@@ -54,15 +51,12 @@ type cacheEntry struct {
 }
 
 // NewCompiler returns an empty Compiler.
-func NewCompiler() *Compiler { return newCompiler(false) }
-
-func newCompiler(admitFirst bool) *Compiler {
+func NewCompiler() *Compiler {
 	return &Compiler{
-		admitFirst: admitFirst,
-		hash:       hashSchema,
-		maxBytes:   maxCacheBytes,
-		entries:    make(map[uint64]*list.Element),
-		order:      list.New(),
+		hash:     hashSchema,
+		maxBytes: maxCacheBytes,
+		entries:  make(map[uint64]*list.Element),
+		order:    list.New(),
 	}
 }
 
@@ -79,7 +73,7 @@ func (cp *Compiler) index(schema *core.MappingSchema, sh shape) (*schemaIndex, *
 	cp.mu.Lock()
 	idx := cp.lookup(h, schema, sh)
 	slot := &cp.missed[h%admissionSlots]
-	admit := cp.admitFirst || *slot == h
+	admit := *slot == h
 	*slot = h
 	cp.mu.Unlock()
 	if idx != nil {
@@ -139,16 +133,6 @@ func (cp *Compiler) remove(el *list.Element) {
 	delete(cp.entries, e.hash)
 	cp.bytes -= e.bytes
 	obsCompileCacheBytes.Add(-e.bytes)
-}
-
-// purge empties the cache: a Compiler that is about to be dropped gives its
-// share of the pland_exec_compile_cache_bytes gauge back.
-func (cp *Compiler) purge() {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	for cp.order.Len() > 0 {
-		cp.remove(cp.order.Back())
-	}
 }
 
 // hashSchema hashes what an index depends on: the problem, the capacity, the

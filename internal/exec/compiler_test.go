@@ -5,7 +5,6 @@ package exec
 // hash says, and whatever else shares the cache.
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -340,10 +339,11 @@ func distinctSchemas(n, m int) []*core.MappingSchema {
 	return out
 }
 
-// TestCompilerByteBound fills a compiler past its bound: retained bytes (and
-// the gauge, which moves with them) never exceed it, eviction takes the least
-// recently used entry, and an index that alone exceeds the bound is compiled
-// and used but reported uncacheable.
+// TestCompilerByteBound fills a compiler past its bound, showing it each
+// schema twice since a schema is retained at its second sight: retained
+// bytes (and the gauge, which moves with them) never exceed the bound,
+// eviction takes the least recently used entry, and an index that alone
+// exceeds the bound is compiled and used but reported uncacheable.
 func TestCompilerByteBound(t *testing.T) {
 	const m = 40
 	schemas := distinctSchemas(6, m)
@@ -357,7 +357,7 @@ func TestCompilerByteBound(t *testing.T) {
 		t.Fatalf("an index over %d pairs weighs %d bytes", m*(m-1)/2, one)
 	}
 
-	cp := newCompiler(true)
+	cp := NewCompiler()
 	cp.maxBytes = 3*one + one/2
 	if cp.maxBytes > maxCacheBytes {
 		t.Fatalf("test bound %d exceeds the real one", cp.maxBytes)
@@ -373,14 +373,19 @@ func TestCompilerByteBound(t *testing.T) {
 		}
 		return outcome == obsCompileHit
 	}
+	show := func(k int) {
+		if hits(k) || hits(k) {
+			t.Fatalf("schema %d hit before it was retained", k)
+		}
+	}
 	for k := range schemas[:3] {
-		hits(k)
+		show(k)
 	}
 	if !hits(0) { // 0 is now the most recently used of {0, 1, 2}
 		t.Fatal("schema 0 was not retained")
 	}
-	hits(3) // evicts 1, the least recently used
-	hits(4) // evicts 2
+	show(3) // evicts 1, the least recently used
+	show(4) // evicts 2
 	if len(cp.entries) != 3 || cp.bytes != 3*one {
 		t.Fatalf("%d entries, %d bytes; want 3 entries of %d bytes", len(cp.entries), cp.bytes, one)
 	}
@@ -394,6 +399,9 @@ func TestCompilerByteBound(t *testing.T) {
 	}
 
 	cp.maxBytes = one - 1
+	if _, outcome, err := cp.index(schemas[5], sh); err != nil || outcome != obsCompileMiss {
+		t.Fatalf("an index seen once: outcome is the miss series: %v, err %v", outcome == obsCompileMiss, err)
+	}
 	idx, outcome, err := cp.index(schemas[5], sh)
 	if err != nil || outcome != obsCompileUncacheable {
 		t.Fatalf("an index over the bound: outcome is the uncacheable series: %v, err %v", outcome == obsCompileUncacheable, err)
@@ -404,6 +412,16 @@ func TestCompilerByteBound(t *testing.T) {
 	cp.purge()
 	if got := obsCompileCacheBytes.Value() - gauge; got != 0 || cp.bytes != 0 || len(cp.entries) != 0 {
 		t.Fatalf("after purge: gauge %+d, %d bytes, %d entries", got, cp.bytes, len(cp.entries))
+	}
+}
+
+// purge empties the cache, giving the compiler's share of the
+// pland_exec_compile_cache_bytes gauge back.
+func (cp *Compiler) purge() {
+	cp.mu.Lock()
+	defer cp.mu.Unlock()
+	for cp.order.Len() > 0 {
+		cp.remove(cp.order.Back())
 	}
 }
 
@@ -463,50 +481,5 @@ func TestOverflowingReducerIsLoggedAndNamed(t *testing.T) {
 	}
 	if len(got) != 3 || !reflect.DeepEqual(got, want) {
 		t.Fatalf("verdict %v, want the reference form's three duplicates %v", got, want)
-	}
-}
-
-// TestRunBatchCompilesASharedSchemaOncePerWorkerAtMost runs 16 jobs over one
-// schema object and 16 over equal copies of it: either way the batch's
-// compiler sees one schema, and only jobs that start before the first has
-// finished compiling can miss.
-func TestRunBatchCompilesASharedSchemaOncePerWorkerAtMost(t *testing.T) {
-	sizes := streamSizes(24)
-	inputs := makeInputs(sizes)
-	for _, tc := range []struct {
-		name   string
-		schema func() *core.MappingSchema
-	}{
-		{"one pointer", func() func() *core.MappingSchema {
-			ms := solveA2A(t, sizes, 60)
-			return func() *core.MappingSchema { return ms }
-		}()},
-		{"equal copies", func() *core.MappingSchema { return solveA2A(t, sizes, 60) }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			const jobs, workers = 16, 3
-			reqs := make([]Request, jobs)
-			for i := range reqs {
-				reqs[i] = Request{Name: fmt.Sprintf("job-%d", i), Schema: tc.schema(), Inputs: inputs, Pair: pairIDs}
-			}
-			before := readCompileOutcomes()
-			gauge := obsCompileCacheBytes.Value()
-			results, err := RunBatch(context.Background(), reqs, BatchOptions{Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := readCompileOutcomes().since(before)
-			if got.uncacheable != 0 || got.miss < 1 || got.miss > workers || got.hit+got.miss != jobs {
-				t.Fatalf("compile outcomes %+v, want at most %d misses and hits for the rest of %d jobs", got, workers, jobs)
-			}
-			for i, res := range results {
-				if !res.Audited || res.PairsProcessed != int64(len(sizes)*(len(sizes)-1)/2) || res.Schema != reqs[i].Schema {
-					t.Fatalf("job %d: audited=%v pairs=%d own schema=%v", i, res.Audited, res.PairsProcessed, res.Schema == reqs[i].Schema)
-				}
-			}
-			if got := obsCompileCacheBytes.Value() - gauge; got != 0 {
-				t.Fatalf("the batch's compiler left %d bytes on the gauge", got)
-			}
-		})
 	}
 }

@@ -107,10 +107,4 @@
 // beside its plan cache. pland_exec_compile_total{outcome} counts hits,
 // misses and uncacheable compilations, pland_exec_compile_cache_bytes what is
 // retained.
-//
-// RunBatch executes many independent jobs under a bounded worker pool, for
-// service-style traffic and for applications that decompose into many small
-// schema-driven jobs (the skew join runs one per heavy key). Jobs that bring
-// no Compiler share one for the batch, which keeps schemas from their first
-// sight on.
 package exec

@@ -332,71 +332,3 @@ func TestRecordFramingRoundTrip(t *testing.T) {
 		}
 	}
 }
-
-func TestRunBatchExecutesAllJobs(t *testing.T) {
-	var reqs []Request
-	for i := 0; i < 12; i++ {
-		sizes := []core.Size{3, 3, 2, 2, 4, 1}
-		reqs = append(reqs, Request{
-			Name:   fmt.Sprintf("job-%d", i),
-			Schema: solveA2A(t, sizes, core.Size(10+i%3)),
-			Inputs: makeInputs(sizes),
-			Pair:   pairIDs,
-		})
-	}
-	results, err := RunBatch(context.Background(), reqs, BatchOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(reqs) {
-		t.Fatalf("got %d results, want %d", len(results), len(reqs))
-	}
-	for i, res := range results {
-		if res == nil {
-			t.Fatalf("job %d has no result", i)
-		}
-		if res.PairsProcessed != 15 {
-			t.Errorf("job %d processed %d pairs, want 15", i, res.PairsProcessed)
-		}
-		if !res.Audited {
-			t.Errorf("job %d was not audited", i)
-		}
-	}
-}
-
-func TestRunBatchAggregatesPerJobFailures(t *testing.T) {
-	sizes := []core.Size{2, 2, 2}
-	good := Request{Name: "good", Schema: solveA2A(t, sizes, 6), Inputs: makeInputs(sizes), Pair: pairIDs}
-	bad := Request{Name: "bad", Inputs: makeInputs(sizes), Pair: pairIDs} // no schema
-	results, err := RunBatch(context.Background(), []Request{good, bad, good}, BatchOptions{Workers: 2})
-	if !errors.Is(err, ErrNoSchema) {
-		t.Errorf("batch error = %v, want ErrNoSchema", err)
-	}
-	if results[0] == nil || results[2] == nil {
-		t.Error("good jobs should have results despite the failing one")
-	}
-	if results[1] != nil {
-		t.Error("failed job should have a nil result")
-	}
-	if err != nil && !strings.Contains(err.Error(), `batch job 1 ("bad")`) {
-		t.Errorf("error does not name the failing job: %v", err)
-	}
-}
-
-func TestRunBatchHonorsCancelledContext(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	sizes := []core.Size{2, 2}
-	req := Request{Name: "c", Schema: solveA2A(t, sizes, 6), Inputs: makeInputs(sizes), Pair: pairIDs}
-	_, err := RunBatch(ctx, []Request{req, req}, BatchOptions{})
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("err = %v, want context.Canceled", err)
-	}
-}
-
-func TestRunBatchEmpty(t *testing.T) {
-	results, err := RunBatch(context.Background(), nil, BatchOptions{})
-	if err != nil || len(results) != 0 {
-		t.Errorf("empty batch = %v, %v", results, err)
-	}
-}

@@ -42,32 +42,6 @@ type Counters struct {
 	ReduceWall time.Duration
 }
 
-// Merge folds the counters of another, independently executed job into c.
-// Record and byte figures add up, wall clocks add up (the merged walls are
-// aggregate work time, not elapsed time when the jobs ran concurrently), and
-// ReducerLoads are concatenated so per-partition loads stay inspectable. The
-// applications use it to report one counter set for a composite run (e.g. a
-// light-key job plus one executor job per heavy key).
-func (c *Counters) Merge(o *Counters) {
-	c.MapInputRecords += o.MapInputRecords
-	c.MapOutputRecords += o.MapOutputRecords
-	c.MapOutputBytes += o.MapOutputBytes
-	c.ShuffleRecords += o.ShuffleRecords
-	c.ShuffleBytes += o.ShuffleBytes
-	c.ReduceInputKeys += o.ReduceInputKeys
-	c.ReduceOutputRecords += o.ReduceOutputRecords
-	c.ReduceOutputBytes += o.ReduceOutputBytes
-	c.SpillRuns += o.SpillRuns
-	c.SpillPartitions += o.SpillPartitions
-	c.SpillBytes += o.SpillBytes
-	c.ReducerLoads = append(c.ReducerLoads, o.ReducerLoads...)
-	if o.MaxReducerLoad > c.MaxReducerLoad {
-		c.MaxReducerLoad = o.MaxReducerLoad
-	}
-	c.MapWall += o.MapWall
-	c.ReduceWall += o.ReduceWall
-}
-
 // LoadImbalance returns MaxReducerLoad divided by the mean reducer load; 1.0
 // is perfectly balanced. It returns 0 when nothing was shuffled.
 func (c *Counters) LoadImbalance() float64 {

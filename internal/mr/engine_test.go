@@ -182,38 +182,6 @@ func TestReducerCapacityEnforced(t *testing.T) {
 	}
 }
 
-func TestCountersMerge(t *testing.T) {
-	a := Counters{
-		MapInputRecords: 2, MapOutputRecords: 4, MapOutputBytes: 40,
-		ShuffleRecords: 2, ShuffleBytes: 20,
-		ReduceInputKeys: 2, ReduceOutputRecords: 2, ReduceOutputBytes: 10,
-		ReducerLoads: []int64{12, 8}, MaxReducerLoad: 12,
-	}
-	b := Counters{
-		MapInputRecords: 1, MapOutputRecords: 3, MapOutputBytes: 30,
-		ShuffleRecords: 3, ShuffleBytes: 30,
-		ReduceInputKeys: 1, ReduceOutputRecords: 1, ReduceOutputBytes: 5,
-		ReducerLoads: []int64{30}, MaxReducerLoad: 30,
-	}
-	a.Merge(&b)
-	if a.MapInputRecords != 3 || a.ShuffleRecords != 5 || a.ShuffleBytes != 50 {
-		t.Errorf("merged sums wrong: %+v", a)
-	}
-	if len(a.ReducerLoads) != 3 || a.ReducerLoads[2] != 30 {
-		t.Errorf("merged loads = %v", a.ReducerLoads)
-	}
-	if a.MaxReducerLoad != 30 {
-		t.Errorf("merged MaxReducerLoad = %d, want 30", a.MaxReducerLoad)
-	}
-	var sum int64
-	for _, l := range a.ReducerLoads {
-		sum += l
-	}
-	if sum != a.ShuffleBytes {
-		t.Errorf("merged loads sum %d != shuffle bytes %d", sum, a.ShuffleBytes)
-	}
-}
-
 func TestHashPartitionerStableAndInRange(t *testing.T) {
 	for _, key := range []string{"", "a", "alpha", "Ω", "reducer-17"} {
 		p1 := HashPartitioner(key, 7)

@@ -12,6 +12,6 @@
 // canonical solution in a sharded, concurrency-safe LRU cache with
 // single-flight deduplication: isomorphic instances — including X2Y instances
 // with the sides swapped — are solved once and served by renaming IDs back.
-// The cmd/pland HTTP server exposes the same facade over JSON, and the
-// simjoin and skewjoin applications plan through it by default.
+// pkg/assign is the public face of this planner, and the cmd/pland HTTP
+// server exposes the same facade over JSON.
 package planner

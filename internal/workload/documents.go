@@ -12,17 +12,6 @@ type Document struct {
 	Terms []string
 }
 
-// SizeBytes returns the document's size in bytes: the sum of its term
-// lengths. It is the input size used when building mapping schemas over a
-// corpus.
-func (d Document) SizeBytes() int {
-	n := 0
-	for _, t := range d.Terms {
-		n += len(t)
-	}
-	return n
-}
-
 // CorpusSpec describes a synthetic document corpus.
 type CorpusSpec struct {
 	// NumDocs is the number of documents.

@@ -34,10 +34,12 @@ func ExampleGenerateRelation() {
 		fmt.Println("error:", err)
 		return
 	}
+	counts := map[string]int{}
 	max := 0
-	for _, c := range rel.KeyCounts() {
-		if c > max {
-			max = c
+	for _, t := range rel.Tuples {
+		counts[t.Key]++
+		if counts[t.Key] > max {
+			max = counts[t.Key]
 		}
 	}
 	fmt.Println(len(rel.Tuples) == 1000, max > 100)

@@ -13,40 +13,10 @@ type Tuple struct {
 	Payload string
 }
 
-// SizeBytes returns the tuple's size in bytes.
-func (t Tuple) SizeBytes() int { return len(t.Key) + len(t.Payload) }
-
 // Relation is an ordered multiset of tuples.
 type Relation struct {
 	Name   string
 	Tuples []Tuple
-}
-
-// SizeBytes returns the total size of the relation.
-func (r *Relation) SizeBytes() int {
-	n := 0
-	for _, t := range r.Tuples {
-		n += t.SizeBytes()
-	}
-	return n
-}
-
-// KeyCounts returns the number of tuples per join-key value.
-func (r *Relation) KeyCounts() map[string]int {
-	counts := make(map[string]int)
-	for _, t := range r.Tuples {
-		counts[t.Key]++
-	}
-	return counts
-}
-
-// KeySizes returns the total tuple bytes per join-key value.
-func (r *Relation) KeySizes() map[string]int {
-	sizes := make(map[string]int)
-	for _, t := range r.Tuples {
-		sizes[t.Key] += t.SizeBytes()
-	}
-	return sizes
 }
 
 // RelationSpec describes a synthetic relation with a skewed join-key
@@ -58,8 +28,9 @@ type RelationSpec struct {
 	NumTuples int
 	// NumKeys is the number of distinct join-key values.
 	NumKeys int
-	// Skew is the Zipf exponent of the key frequency distribution; 0 means
-	// uniform keys, larger values concentrate tuples on a few heavy hitters.
+	// Skew is the Zipf exponent of the key frequency distribution: 0 means
+	// uniform keys, otherwise it must be > 1, and larger values concentrate
+	// tuples on fewer heavy hitters.
 	Skew float64
 	// PayloadBytes is the payload length of every tuple; 0 means 8.
 	PayloadBytes int
@@ -73,8 +44,8 @@ func (s RelationSpec) Validate() error {
 	if s.NumKeys <= 0 {
 		return fmt.Errorf("workload: NumKeys must be positive, got %d", s.NumKeys)
 	}
-	if s.Skew < 0 {
-		return fmt.Errorf("workload: Skew must be >= 0, got %v", s.Skew)
+	if s.Skew != 0 && !(s.Skew > 1) {
+		return fmt.Errorf("workload: Skew must be 0 (uniform) or > 1, got %v", s.Skew)
 	}
 	return nil
 }
@@ -91,12 +62,7 @@ func GenerateRelation(spec RelationSpec, seed int64) (*Relation, error) {
 	}
 	keyFor := func() int { return rng.Intn(spec.NumKeys) }
 	if spec.Skew > 0 {
-		skew := spec.Skew
-		if skew <= 1 {
-			// rand.NewZipf needs s > 1; map (0,1] onto a mild zipf.
-			skew = 1.0001 + skew
-		}
-		z := rand.NewZipf(rng, skew, 1, uint64(spec.NumKeys-1))
+		z := rand.NewZipf(rng, spec.Skew, 1, uint64(spec.NumKeys-1))
 		keyFor = func() int { return int(z.Uint64()) }
 	}
 	rel := &Relation{Name: spec.Name, Tuples: make([]Tuple, spec.NumTuples)}

@@ -164,9 +164,6 @@ func TestDocuments(t *testing.T) {
 		if len(d.Terms) < 5 || len(d.Terms) > 20 {
 			t.Errorf("doc %d has %d terms", i, len(d.Terms))
 		}
-		if d.SizeBytes() <= 0 {
-			t.Errorf("doc %d has non-positive size", i)
-		}
 	}
 	again, _ := Documents(spec, 13)
 	if !reflect.DeepEqual(docs, again) {
@@ -200,7 +197,7 @@ func TestGenerateRelation(t *testing.T) {
 	if rel.Name != "X" {
 		t.Errorf("Name = %q", rel.Name)
 	}
-	counts := rel.KeyCounts()
+	counts := keyCounts(rel)
 	if len(counts) > 50 {
 		t.Errorf("more distinct keys (%d) than NumKeys", len(counts))
 	}
@@ -211,19 +208,19 @@ func TestGenerateRelation(t *testing.T) {
 	if total != 1000 {
 		t.Errorf("key counts sum to %d", total)
 	}
-	sizes := rel.KeySizes()
-	sizeTotal := 0
-	for _, s := range sizes {
-		sizeTotal += s
-	}
-	if sizeTotal != rel.SizeBytes() {
-		t.Errorf("KeySizes sum %d != SizeBytes %d", sizeTotal, rel.SizeBytes())
-	}
 	for _, tp := range rel.Tuples[:10] {
-		if tp.SizeBytes() != len(tp.Key)+16 {
-			t.Errorf("tuple size %d unexpected", tp.SizeBytes())
+		if len(tp.Payload) != 16 {
+			t.Errorf("payload of %d bytes, want 16", len(tp.Payload))
 		}
 	}
+}
+
+func keyCounts(r *Relation) map[string]int {
+	counts := make(map[string]int)
+	for _, t := range r.Tuples {
+		counts[t.Key]++
+	}
+	return counts
 }
 
 func TestGenerateRelationSkewConcentratesTuples(t *testing.T) {
@@ -237,7 +234,7 @@ func TestGenerateRelationSkewConcentratesTuples(t *testing.T) {
 	}
 	maxCount := func(r *Relation) int {
 		max := 0
-		for _, c := range r.KeyCounts() {
+		for _, c := range keyCounts(r) {
 			if c > max {
 				max = c
 			}
@@ -250,7 +247,7 @@ func TestGenerateRelationSkewConcentratesTuples(t *testing.T) {
 }
 
 func TestGenerateRelationDeterministic(t *testing.T) {
-	spec := RelationSpec{Name: "X", NumTuples: 200, NumKeys: 10, Skew: 1.0}
+	spec := RelationSpec{Name: "X", NumTuples: 200, NumKeys: 10, Skew: 1.5}
 	a, _ := GenerateRelation(spec, 23)
 	b, _ := GenerateRelation(spec, 23)
 	if !reflect.DeepEqual(a, b) {
@@ -263,6 +260,8 @@ func TestGenerateRelationValidation(t *testing.T) {
 		{NumTuples: 0, NumKeys: 5},
 		{NumTuples: 5, NumKeys: 0},
 		{NumTuples: 5, NumKeys: 5, Skew: -1},
+		{NumTuples: 5, NumKeys: 5, Skew: 0.5},
+		{NumTuples: 5, NumKeys: 5, Skew: 1},
 	}
 	for i, spec := range bad {
 		if _, err := GenerateRelation(spec, 1); err == nil {
