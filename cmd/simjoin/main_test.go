@@ -54,6 +54,39 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestSimJoinErrors calls the join directly: no documents, zero capacity
+// and a capacity below the two largest documents are all refused.
+func TestSimJoinErrors(t *testing.T) {
+	if _, _, err := simJoin(nil, 100, 0.5, jaccard); err == nil {
+		t.Error("joined an empty corpus")
+	}
+	docs := corpus(t, workload.CorpusSpec{NumDocs: 5, VocabularySize: 40, MinTerms: 4, MaxTerms: 12, TermSkew: 1.3}, 99)
+	if _, _, err := simJoin(docs, 0, 0.5, jaccard); err == nil {
+		t.Error("accepted zero capacity")
+	}
+	if _, _, err := simJoin(docs, 3, 0.5, jaccard); !errors.Is(err, assign.ErrInfeasible) {
+		t.Errorf("infeasible capacity: err = %v", err)
+	}
+}
+
+// TestSimilarityString checks the -similarity names: each selects its
+// function, matched without regard to case, and is printed in the heading.
+func TestSimilarityString(t *testing.T) {
+	a, b := []string{"a", "a", "b"}, []string{"a", "b", "b"}
+	if similarities["jaccard"](a, b) != jaccard(a, b) || similarities["cosine"](a, b) != cosine(a, b) || len(similarities) != 2 {
+		t.Fatal("the similarity names do not select jaccard and cosine")
+	}
+	for _, name := range []string{"jaccard", "COSINE"} {
+		var out strings.Builder
+		if err := run([]string{"-docs", "10", "-q", "600", "-similarity", name}, &out); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if want := strings.ToLower(name) + " >="; !strings.Contains(out.String(), want) {
+			t.Errorf("%s: heading lacks %q:\n%s", name, want, out.String())
+		}
+	}
+}
+
 func corpus(t *testing.T, spec workload.CorpusSpec, seed int64) []workload.Document {
 	t.Helper()
 	docs, err := workload.Documents(spec, seed)
@@ -63,53 +96,139 @@ func corpus(t *testing.T, spec workload.CorpusSpec, seed int64) []workload.Docum
 	return docs
 }
 
-// TestRunMatchesNestedLoopReference runs the join on 120 documents at
-// q = 2500 and t = 0.4 with both similarity functions: the pairs equal the
-// nested-loop reference's, IDs and scores; the run is audited; the schema is
-// a valid A2A schema over the bytes the engine shipped; and the engine
-// shuffled at least the schema's communication, which is at least the
-// paper's lower bound.
-func TestRunMatchesNestedLoopReference(t *testing.T) {
-	docs := corpus(t, workload.CorpusSpec{NumDocs: 120, VocabularySize: 150, MinTerms: 4, MaxTerms: 18, TermSkew: 1.2}, 11)
-	const q = 2500
+// The join's reference shape: 120 documents at q = 2500 and t = 0.4.
+const (
+	shapeQ         = 2500
+	shapeThreshold = 0.4
+)
+
+func shapeCorpus(t *testing.T) []workload.Document {
+	return corpus(t, workload.CorpusSpec{NumDocs: 120, VocabularySize: 150, MinTerms: 4, MaxTerms: 18, TermSkew: 1.2}, 11)
+}
+
+// payloadSizes are the bytes the engine ships per document: its
+// space-joined terms.
+func payloadSizes(docs []workload.Document) []assign.Size {
 	sizes := make([]assign.Size, len(docs))
-	var total assign.Size
 	for i, d := range docs {
 		sizes[i] = assign.Size(len(strings.Join(d.Terms, " ")))
-		total += sizes[i]
+	}
+	return sizes
+}
+
+// matchesReference fails t unless the join of docs at q and threshold finds
+// exactly the nested-loop reference's pairs, IDs and scores.
+func matchesReference(t *testing.T, docs []workload.Document, q assign.Size, threshold float64, name string) *assign.Execution {
+	t.Helper()
+	sim := similarities[name]
+	pairs, ex, err := simJoin(docs, q, threshold, sim)
+	if err != nil {
+		t.Fatalf("%s, q=%d: %v", name, q, err)
+	}
+	want := nestedLoop(docs, threshold, sim)
+	if len(want) == 0 {
+		t.Fatalf("%s, q=%d: the reference finds no pairs; the test proves nothing", name, q)
+	}
+	if !slices.Equal(pairs, want) {
+		t.Fatalf("%s, q=%d: %d pairs differ from the reference's %d", name, q, len(pairs), len(want))
+	}
+	return ex
+}
+
+// TestRunMatchesNestedLoopReference checks the Jaccard join pair for pair
+// against the nested-loop reference at the reference shape, and on a
+// smaller corpus at several capacities: the schema changes with q, the
+// similar pairs must not.
+func TestRunMatchesNestedLoopReference(t *testing.T) {
+	matchesReference(t, shapeCorpus(t), shapeQ, shapeThreshold, "jaccard")
+	docs := corpus(t, workload.CorpusSpec{NumDocs: 40, VocabularySize: 40, MinTerms: 4, MaxTerms: 12, TermSkew: 1.3}, 99)
+	reducers := map[int]bool{}
+	for _, q := range []assign.Size{300, 600, 1200, 2400} {
+		reducers[matchesReference(t, docs, q, 0.3, "jaccard").Plan.Cost.Reducers] = true
+	}
+	if len(reducers) < 2 {
+		t.Errorf("four capacities gave one reducer count; the sweep proves nothing")
+	}
+}
+
+func TestRunCosineMatchesReference(t *testing.T) {
+	matchesReference(t, shapeCorpus(t), shapeQ, shapeThreshold, "cosine")
+}
+
+// TestRunIsAudited checks that the conformance harness verified both joins:
+// every document pair compared exactly once, at its owning reducer.
+func TestRunIsAudited(t *testing.T) {
+	docs := shapeCorpus(t)
+	for name, sim := range similarities {
+		_, ex, err := simJoin(docs, shapeQ, shapeThreshold, sim)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !ex.Audited || ex.PairsProcessed != int64(len(docs)*(len(docs)-1)/2) {
+			t.Errorf("%s: audited=%v, %d pairs processed", name, ex.Audited, ex.PairsProcessed)
+		}
+	}
+}
+
+// TestRunSchemaRespectsCapacity checks that the schema the join ran is a
+// valid A2A schema over the bytes the engine shipped, within q, and uses no
+// fewer reducers than the lower bound.
+func TestRunSchemaRespectsCapacity(t *testing.T) {
+	docs := shapeCorpus(t)
+	_, ex, err := simJoin(docs, shapeQ, shapeThreshold, jaccard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ex.Plan.Schema.ValidateA2A(assign.MustNewInputSet(payloadSizes(docs))); err != nil {
+		t.Errorf("schema invalid over the payload sizes: %v", err)
+	}
+	cost := ex.Plan.Cost
+	if cost.MaxLoad > shapeQ {
+		t.Errorf("max load %d exceeds q = %d", cost.MaxLoad, shapeQ)
+	}
+	if cost.Reducers < ex.Plan.LowerBoundReducers {
+		t.Errorf("%d reducers, below the bound %d", cost.Reducers, ex.Plan.LowerBoundReducers)
+	}
+}
+
+// TestPipelineA2ASimilarityJoin checks the join's communication at the
+// reference shape: the engine shuffled at least the schema's communication,
+// which is at least the paper's lower bound, over one partition per
+// reducer; and the command run at the same shape verifies its answer.
+func TestPipelineA2ASimilarityJoin(t *testing.T) {
+	docs := shapeCorpus(t)
+	sizes := payloadSizes(docs)
+	var total assign.Size
+	for _, w := range sizes {
+		total += w
 	}
 	// sum_i w_i * ceil((W - w_i) / (q - w_i)): input i meets W - w_i bytes,
 	// at most q - w_i of them at each reducer it is sent to.
 	var bound assign.Size
 	for _, w := range sizes {
-		bound += w * ((total - w + q - w - 1) / (q - w))
+		bound += w * ((total - w + shapeQ - w - 1) / (shapeQ - w))
 	}
-	set := assign.MustNewInputSet(sizes)
 	for name, sim := range similarities {
-		pairs, ex, err := simJoin(docs, q, 0.4, sim)
+		_, ex, err := simJoin(docs, shapeQ, shapeThreshold, sim)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
-		}
-		want := nestedLoop(docs, 0.4, sim)
-		if len(want) == 0 {
-			t.Fatalf("%s: the reference finds no pairs; the test proves nothing", name)
-		}
-		if !slices.Equal(pairs, want) {
-			t.Fatalf("%s: %d pairs differ from the reference's %d", name, len(pairs), len(want))
-		}
-		if !ex.Audited || ex.PairsProcessed != int64(len(docs)*(len(docs)-1)/2) {
-			t.Errorf("%s: audited=%v, %d pairs processed", name, ex.Audited, ex.PairsProcessed)
-		}
-		if err := ex.Plan.Schema.ValidateA2A(set); err != nil {
-			t.Errorf("%s: schema invalid over the payload sizes: %v", name, err)
 		}
 		cost := ex.Plan.Cost
 		if ex.ShuffleBytes < int64(cost.Communication) || cost.Communication < bound {
 			t.Errorf("%s: shuffled %d bytes, schema communication %d, bound %d", name, ex.ShuffleBytes, cost.Communication, bound)
 		}
-		if cost.Reducers < ex.Plan.LowerBoundReducers {
-			t.Errorf("%s: %d reducers, below the bound %d", name, cost.Reducers, ex.Plan.LowerBoundReducers)
+		if len(ex.ReducerLoads) != cost.Reducers {
+			t.Errorf("%s: the engine used %d partitions, the schema has %d reducers", name, len(ex.ReducerLoads), cost.Reducers)
 		}
+	}
+	var b strings.Builder
+	err := run([]string{"-docs", "120", "-vocab", "150", "-minterms", "4", "-maxterms", "18", "-termskew", "1.2", "-seed", "11",
+		"-q", "2500", "-threshold", "0.4"}, &b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "verified against the nested-loop reference: OK") {
+		t.Errorf("the command did not verify its answer:\n%s", b.String())
 	}
 }
 

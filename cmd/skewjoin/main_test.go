@@ -1,6 +1,8 @@
 package main
 
 import (
+	"errors"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -70,22 +72,28 @@ func relation(payload int, keyCounts map[string]int) *workload.Relation {
 	return rel
 }
 
-// TestRunMatchesReferenceWithHeavyHitter joins 3,000 Zipf-keyed tuples per
-// side at q = 4000: the rows equal the reference count, some key is heavy,
-// and every heavy key's run is audited, processes each of its X-Y pairs
-// once, and follows a valid X2Y schema over its tuples whose max load is
-// within q, while the plain hash join's largest key alone exceeds q.
-func TestRunMatchesReferenceWithHeavyHitter(t *testing.T) {
+// shapeRelations are the join's reference shape: 3,000 Zipf-keyed tuples
+// per side over 60 keys at skew 1.4, with 12-byte payloads; at q = 4000
+// some keys are heavy and some light.
+func shapeRelations(t *testing.T) (x, y *workload.Relation) {
+	t.Helper()
 	spec := workload.RelationSpec{NumTuples: 3000, NumKeys: 60, Skew: 1.4, PayloadBytes: 12}
 	x, err := workload.GenerateRelation(spec, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
-	y, err := workload.GenerateRelation(spec, 22)
+	y, err = workload.GenerateRelation(spec, 22)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const q = 4000
+	return x, y
+}
+
+const shapeQ = 4000
+
+// join runs skewJoin and fails t unless its rows equal the reference count.
+func join(t *testing.T, x, y *workload.Relation, q assign.Size) *joinResult {
+	t.Helper()
 	res, err := skewJoin(x, y, q)
 	if err != nil {
 		t.Fatal(err)
@@ -93,34 +101,213 @@ func TestRunMatchesReferenceWithHeavyHitter(t *testing.T) {
 	if want := referenceCount(x, y); res.rows != want {
 		t.Fatalf("join produced %d rows, reference %d", res.rows, want)
 	}
+	return res
+}
+
+// tupleSizes is the input set of one side of one key.
+func tupleSizes(tuples [][]byte) *assign.InputSet {
+	s := make([]assign.Size, len(tuples))
+	for i, tp := range tuples {
+		s[i] = assign.Size(len(tp))
+	}
+	return assign.MustNewInputSet(s)
+}
+
+// TestRunMatchesReferenceWithHeavyHitter checks the rows against the
+// reference at the reference shape, where keys of both kinds occur, and on a
+// hand-built pair of relations with one hot key among light ones.
+func TestRunMatchesReferenceWithHeavyHitter(t *testing.T) {
+	x, y := shapeRelations(t)
+	res := join(t, x, y, shapeQ)
 	if len(res.heavy) == 0 || res.lightKeys == 0 {
-		t.Fatalf("%d heavy and %d light keys; want both kinds at this skew and capacity", len(res.heavy), res.lightKeys)
+		t.Errorf("%d heavy and %d light keys; want both kinds at this skew and capacity", len(res.heavy), res.lightKeys)
+	}
+	x = relation(10, map[string]int{"hot": 40, "cold1": 2, "cold2": 3})
+	y = relation(10, map[string]int{"hot": 30, "cold1": 1, "cold3": 5})
+	res = join(t, x, y, 200)
+	if len(res.heavy) != 1 || res.heavy[0].key != "hot" || res.lightKeys != 1 {
+		t.Errorf("%d heavy and %d light keys; want hot heavy and cold1 light", len(res.heavy), res.lightKeys)
+	}
+}
+
+// TestHeavySchemasValidate checks that each heavy key ran a valid X2Y
+// schema over the sizes of its own tuples.
+func TestHeavySchemasValidate(t *testing.T) {
+	x := relation(12, map[string]int{"hot1": 30, "hot2": 25, "c": 2})
+	y := relation(12, map[string]int{"hot1": 28, "hot2": 20, "c": 3})
+	res := join(t, x, y, 250)
+	if len(res.heavy) != 2 || res.heavy[0].key != "hot1" || res.heavy[1].key != "hot2" {
+		t.Fatalf("%d heavy keys; want hot1 and hot2", len(res.heavy))
 	}
 	xs, ys := groupByKey(x), groupByKey(y)
-	sizes := func(tuples [][]byte) *assign.InputSet {
-		s := make([]assign.Size, len(tuples))
-		for i, tp := range tuples {
-			s[i] = assign.Size(len(tp))
-		}
-		return assign.MustNewInputSet(s)
-	}
 	for _, h := range res.heavy {
-		xk, yk := xs[h.key], ys[h.key]
-		if xk.bytes+yk.bytes <= q {
-			t.Errorf("key %q of %d bytes ran as heavy", h.key, xk.bytes+yk.bytes)
-		}
-		if !h.ex.Audited || h.ex.PairsProcessed != int64(len(xk.tuples)*len(yk.tuples)) {
-			t.Errorf("key %q: audited=%v, %d pairs processed of %d", h.key, h.ex.Audited, h.ex.PairsProcessed, len(xk.tuples)*len(yk.tuples))
-		}
-		if err := h.ex.Plan.Schema.ValidateX2Y(sizes(xk.tuples), sizes(yk.tuples)); err != nil {
+		if err := h.ex.Plan.Schema.ValidateX2Y(tupleSizes(xs[h.key].tuples), tupleSizes(ys[h.key].tuples)); err != nil {
 			t.Errorf("key %q: %v", h.key, err)
+		}
+	}
+}
+
+// TestHeavyReducerLoadsWithinCapacity checks that every heavy key's schema
+// loads each reducer with at most q bytes of tuples, and that the join's
+// max load, light keys included, stays within q.
+func TestHeavyReducerLoadsWithinCapacity(t *testing.T) {
+	x := relation(12, map[string]int{"hot": 50, "c1": 4, "c2": 3, "c3": 2})
+	y := relation(12, map[string]int{"hot": 40, "c1": 2, "c2": 5, "c4": 1})
+	const q = 300
+	res := join(t, x, y, q)
+	if len(res.heavy) != 1 {
+		t.Fatalf("%d heavy keys; want hot alone", len(res.heavy))
+	}
+	xs, ys := groupByKey(x), groupByKey(y)
+	for _, h := range res.heavy {
+		for r, red := range h.ex.Plan.Schema.Reducers {
+			load := 0
+			for _, i := range red.XInputs {
+				load += len(xs[h.key].tuples[i])
+			}
+			for _, i := range red.YInputs {
+				load += len(ys[h.key].tuples[i])
+			}
+			if load > q {
+				t.Errorf("key %q: reducer %d holds %d bytes of tuples, over q = %d", h.key, r, load, q)
+			}
 		}
 		if h.ex.Plan.Cost.MaxLoad > q {
 			t.Errorf("key %q: max load %d exceeds q", h.key, h.ex.Plan.Cost.MaxLoad)
 		}
 	}
-	if res.maxLoad > q || res.largestKey <= q {
-		t.Errorf("skew-aware max load %d, hash join's largest key %d, q %d", res.maxLoad, res.largestKey, q)
+	if res.maxLoad > q {
+		t.Errorf("the join's max load %d exceeds q = %d", res.maxLoad, q)
+	}
+}
+
+// TestRunNoDuplicateOutputs checks that each heavy key's run processed each
+// of its X-Y tuple pairs exactly once, as the audit attests, so the rows
+// hold neither duplicates nor misses.
+func TestRunNoDuplicateOutputs(t *testing.T) {
+	x := relation(8, map[string]int{"hot": 25, "warm": 6})
+	y := relation(8, map[string]int{"hot": 20, "warm": 5})
+	res := join(t, x, y, 150)
+	if len(res.heavy) == 0 {
+		t.Fatal("no key is heavy; the test proves nothing")
+	}
+	xs, ys := groupByKey(x), groupByKey(y)
+	for _, h := range res.heavy {
+		want := int64(len(xs[h.key].tuples) * len(ys[h.key].tuples))
+		if !h.ex.Audited || h.ex.PairsProcessed != want {
+			t.Errorf("key %q: audited=%v, %d pairs processed of %d", h.key, h.ex.Audited, h.ex.PairsProcessed, want)
+		}
+	}
+}
+
+// TestRunCountsEveryKeyPair checks that the join counts rather than
+// materialises: each key contributes nₓ·n_y rows, a light key by
+// arithmetic and a heavy one by its counting Pair.
+func TestRunCountsEveryKeyPair(t *testing.T) {
+	x := relation(6, map[string]int{"hot": 30, "cold": 3})
+	y := relation(6, map[string]int{"hot": 25, "cold": 2})
+	res := join(t, x, y, 120)
+	if len(res.heavy) != 1 || res.lightKeys != 1 || res.rows != 30*25+3*2 {
+		t.Errorf("%d heavy and %d light keys, %d rows; want 1, 1 and %d", len(res.heavy), res.lightKeys, res.rows, 30*25+3*2)
+	}
+	if len(res.heavy) == 1 && res.heavy[0].ex.Output != nil {
+		t.Errorf("the heavy run kept %d output records; the join only counts", len(res.heavy[0].ex.Output))
+	}
+}
+
+// TestGeneratedSkewedWorkloadEndToEnd joins generated Zipf-keyed relations
+// at a capacity that makes some key heavy.
+func TestGeneratedSkewedWorkloadEndToEnd(t *testing.T) {
+	x, err := workload.GenerateRelation(workload.RelationSpec{Name: "X", NumTuples: 800, NumKeys: 40, Skew: 1.4, PayloadBytes: 10}, 101)
+	if err != nil {
+		t.Fatal(err)
+	}
+	y, err := workload.GenerateRelation(workload.RelationSpec{Name: "Y", NumTuples: 800, NumKeys: 40, Skew: 1.4, PayloadBytes: 10}, 202)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := join(t, x, y, 1500); len(res.heavy) == 0 {
+		t.Error("expected at least one heavy hitter with this skew and capacity")
+	}
+}
+
+// TestHashJoinBaseline checks the plain hash join's arithmetic: its max load
+// is the largest key's X plus Y bytes, which exceeds q, while the skew-aware
+// join stays within q.
+func TestHashJoinBaseline(t *testing.T) {
+	x := relation(10, map[string]int{"hot": 40, "cold": 2})
+	y := relation(10, map[string]int{"hot": 30, "cold": 2})
+	const q = 200
+	res := join(t, x, y, q)
+	if want := assign.Size((40 + 30) * len("hot0123456789")); res.largestKey != want {
+		t.Errorf("the hash join's largest key is %d bytes, want hot's %d", res.largestKey, want)
+	}
+	if res.largestKey <= q || res.maxLoad > q || res.maxLoad == 0 {
+		t.Errorf("hash join max load %d, skew-aware max load %d, q %d", res.largestKey, res.maxLoad, q)
+	}
+}
+
+// TestSkewJoinRejectsNonPositiveCapacity calls the join directly with zero
+// and negative q.
+func TestSkewJoinRejectsNonPositiveCapacity(t *testing.T) {
+	x := relation(4, map[string]int{"a": 1})
+	y := relation(4, map[string]int{"a": 1})
+	for _, q := range []assign.Size{0, -1} {
+		if _, err := skewJoin(x, y, q); err == nil {
+			t.Errorf("accepted capacity %d", q)
+		}
+	}
+}
+
+// TestSkewJoinErrors calls the join directly: a key whose single X-Y tuple
+// pair exceeds q is infeasible, while an empty relation joins to nothing.
+func TestSkewJoinErrors(t *testing.T) {
+	bigX := relation(50, map[string]int{"a": 1})
+	bigY := relation(50, map[string]int{"a": 1})
+	if _, err := skewJoin(bigX, bigY, 60); !errors.Is(err, assign.ErrInfeasible) {
+		t.Errorf("infeasible capacity: err = %v", err)
+	}
+	full, empty := relation(4, map[string]int{"a": 1}), &workload.Relation{}
+	for _, sides := range [][2]*workload.Relation{{full, empty}, {empty, full}} {
+		res, err := skewJoin(sides[0], sides[1], 10)
+		if err != nil || res.rows != 0 || len(res.heavy) != 0 || res.lightKeys != 0 {
+			t.Errorf("a join with an empty side: %v, %+v", err, res)
+		}
+	}
+}
+
+// TestPipelineX2YSkewJoin checks the load at the reference shape: every
+// heavy key's run is audited, processes each of its X-Y pairs once and
+// keeps its max load within q, while the plain hash join's largest key
+// alone exceeds q; the command run at the same shape reports the violation.
+func TestPipelineX2YSkewJoin(t *testing.T) {
+	x, y := shapeRelations(t)
+	res := join(t, x, y, shapeQ)
+	xs, ys := groupByKey(x), groupByKey(y)
+	for _, h := range res.heavy {
+		xk, yk := xs[h.key], ys[h.key]
+		if xk.bytes+yk.bytes <= shapeQ {
+			t.Errorf("key %q of %d bytes ran as heavy", h.key, xk.bytes+yk.bytes)
+		}
+		if !h.ex.Audited || h.ex.PairsProcessed != int64(len(xk.tuples)*len(yk.tuples)) {
+			t.Errorf("key %q: audited=%v, %d pairs processed of %d", h.key, h.ex.Audited, h.ex.PairsProcessed, len(xk.tuples)*len(yk.tuples))
+		}
+		if err := h.ex.Plan.Schema.ValidateX2Y(tupleSizes(xk.tuples), tupleSizes(yk.tuples)); err != nil {
+			t.Errorf("key %q: %v", h.key, err)
+		}
+		if h.ex.Plan.Cost.MaxLoad > shapeQ {
+			t.Errorf("key %q: max load %d exceeds q", h.key, h.ex.Plan.Cost.MaxLoad)
+		}
+	}
+	if res.maxLoad > shapeQ || res.largestKey <= shapeQ {
+		t.Errorf("skew-aware max load %d, hash join's largest key %d, q %d", res.maxLoad, res.largestKey, shapeQ)
+	}
+	var b strings.Builder
+	if err := run([]string{"-tuples", "3000", "-keys", "60", "-skew", "1.4", "-payload", "12", "-q", "4000", "-seed", "21"}, &b); err != nil {
+		t.Fatal(err)
+	}
+	if !regexp.MustCompile(`(?m)^\s+\d+\s+true\s`).MatchString(b.String()) {
+		t.Errorf("the command does not report the hash join violating q:\n%s", b.String())
 	}
 }
 

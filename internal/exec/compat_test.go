@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/internal/a2a"
@@ -172,6 +173,46 @@ func TestRunMatchesSeedGolden(t *testing.T) {
 	}
 	for i := range want {
 		assertGoldenRun(t, want[i], got[i])
+	}
+}
+
+// TestConcurrentRunsMatchSeedGolden runs the same scenarios at once, plus a
+// second copy of the A2A one, all through one shared Compiler, and asserts
+// against the same fixture: runs that share a compiled index, or race to
+// build it, must agree with the seed.
+func TestConcurrentRunsMatchSeedGolden(t *testing.T) {
+	if *updateGolden {
+		t.Skip("fixture is written by TestRunMatchesSeedGolden")
+	}
+	reqs := compatScenarios(t)
+	reqs = append(reqs, reqs[0])
+	compiler := NewCompiler()
+	results := make([]*Result, len(reqs))
+	errs := make([]error, len(reqs))
+	var wg sync.WaitGroup
+	for i := range reqs {
+		reqs[i].Compiler = compiler
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = Run(reqs[i])
+		}()
+	}
+	wg.Wait()
+	blob, err := os.ReadFile(goldenExecPath)
+	if err != nil {
+		t.Fatalf("reading golden fixture (run with -update-golden to create): %v", err)
+	}
+	var want []goldenRun
+	if err := json.Unmarshal(blob, &want); err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range results {
+		if errs[i] != nil {
+			t.Fatalf("%s: %v", reqs[i].Name, errs[i])
+		}
+		w := want[i%len(want)]
+		assertGoldenRun(t, w, toGoldenRun(w.Name, res))
 	}
 }
 
