@@ -46,4 +46,4 @@ baselines: ## regenerate the committed BENCH_*.json from a fresh suite run
 	  -note "m=1k churn (remove oldest, add replacement) at q=1024, uniform sizes [1,64]: incremental repair vs cheapest full re-solve per delta; regenerate with 'make baselines'"; \
 	$(GO) run ./cmd/benchdiff -mode=baseline -in "$$tmp/bench.txt" -out BENCH_exec.json \
 	  -match '^BenchmarkExecStream' \
-	  -note "streaming pipeline end to end: 1500-doc similarity join (1.12M pairs) fed through pkg/assign Source/Each, planned from cache, audit on; ExecStream never spills, ExecStreamSpill runs under a memory budget below one record (25500 one-record runs in at most 272 spill files, one per partition; every partition merges its runs); regenerate with 'make baselines'"
+	  -note "streaming pipeline end to end: 1500-doc similarity join (1.12M pairs) fed through pkg/assign Source/Each, planned from cache, audit on; ExecStream never spills, ExecStreamSpill runs under a memory budget below one record (25500 one-record runs in one spill file per op; every reducer reads its runs back); regenerate with 'make baselines'"

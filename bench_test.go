@@ -200,20 +200,18 @@ func BenchmarkSchemaJSON(b *testing.B) {
 // similarity join over synthetic fixed-width documents fed through
 // pkg/assign's Source option — records are generated on the fly, never
 // materialized as an input slice — and drained through Each. Every iteration
-// pushes the full C(m,2) > 1M candidate pair stream through the pipelined
-// map→partition→reduce engine (audit included); the records/s metric counts
+// pushes the full C(m,2) > 1M candidate pair stream through the engine's
+// route→reduce phases (audit included); the records/s metric counts
 // reducer-side record reads, two per owned pair. The schema is planned once
 // before the timer via the canonicalization cache, so iterations measure
 // execution, not solving.
 func BenchmarkExecStream(b *testing.B) { benchExecStream(b) }
 
 // BenchmarkExecStreamSpill is the BenchmarkExecStream instance under a memory
-// budget no record fits in: every shuffled record is appended to its
-// partition's spill file as a run of its own — 25,500 runs in at most 272
-// files — and every partition reduces by merging its runs, so the spill
-// writer, the run reader and the k-way merge — the grouping code of every
-// run, here with one cursor per record — are what the timer sees besides the
-// pairs.
+// budget no record fits in: every copy is appended to the run's one spill
+// file as a run of its own — 25,500 runs in one file per op — and every
+// reducer reads its runs back, so the spill writer and the run reader are
+// what the timer sees besides the pairs.
 func BenchmarkExecStreamSpill(b *testing.B) {
 	benchExecStream(b, assign.MemoryBudget(1), assign.SpillDir(b.TempDir()))
 }

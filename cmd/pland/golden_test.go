@@ -95,7 +95,7 @@ func TestGoldenWireBytes(t *testing.T) {
 	g.call("plan_x2y_mirrored_hit", "POST", "/v1/plan", `{"problem":"X2Y","capacity":10,"x_sizes":[1,1,2,1],"y_sizes":[1,7,2],"timeout_ms":-1}`)
 	g.call("execute_a2a", "POST", "/v1/execute", `{"problem":"A2A","capacity":10,"inputs":["aaa","bbb","cc","d"],"timeout_ms":-1}`)
 	g.call("execute_x2y", "POST", "/v1/execute", `{"problem":"X2Y","capacity":12,"x_inputs":["aaaa","bb"],"y_inputs":["c","dd","eee"],"timeout_ms":-1}`)
-	g.call("execute_pairs_spilled", "POST", "/v1/execute", `{"problem":"A2A","capacity":10,"inputs":["aaa","bbb","cc","d"],"timeout_ms":-1,"return_pairs":true,"memory_budget":16}`)
+	g.call("execute_pairs_spilled", "POST", "/v1/execute", `{"problem":"A2A","capacity":10,"inputs":["aaa","bbb","cc","d"],"timeout_ms":-1,"return_pairs":true,"memory_budget":4}`)
 
 	sid := g.call("session_create", "POST", "/v2/sessions", `{"capacity":20,"sizes":[5,3,7,2,6],"timeout_ms":-1}`)
 	g.call("session_get", "GET", "/v2/sessions/"+sid, "")

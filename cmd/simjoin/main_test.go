@@ -192,7 +192,7 @@ func TestRunSchemaRespectsCapacity(t *testing.T) {
 }
 
 // TestPipelineA2ASimilarityJoin checks the join's communication at the
-// reference shape: the engine shuffled at least the schema's communication,
+// reference shape: the engine shuffled exactly the schema's communication,
 // which is at least the paper's lower bound, over one partition per
 // reducer; and the command run at the same shape verifies its answer.
 func TestPipelineA2ASimilarityJoin(t *testing.T) {
@@ -214,7 +214,7 @@ func TestPipelineA2ASimilarityJoin(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		cost := ex.Plan.Cost
-		if ex.ShuffleBytes < int64(cost.Communication) || cost.Communication < bound {
+		if ex.ShuffleBytes != int64(cost.Communication) || cost.Communication < bound {
 			t.Errorf("%s: shuffled %d bytes, schema communication %d, bound %d", name, ex.ShuffleBytes, cost.Communication, bound)
 		}
 		if len(ex.ReducerLoads) != cost.Reducers {

@@ -195,7 +195,7 @@ type shape struct{ numA, numX, numY int }
 
 // schemaIndex holds everything derived from a schema and an instance shape
 // that is independent of the request's payload bytes: the per-input reducer
-// assignment slices the mappers replicate along, the bitset membership rows
+// assignment slices the engine routes copies along, the bitset membership rows
 // (one CoverSet over reducer indexes per input) that owner election, coverage
 // checks, and trace replay run on, the owned-pair lists and the static
 // verdict. It is immutable once built (the lazy parts are guarded), so a
@@ -204,15 +204,15 @@ type shape struct{ numA, numX, numY int }
 type schemaIndex struct {
 	schema *core.MappingSchema
 	shape
-	// aAssign holds A2A per-input assignments; xAssign/yAssign the X2Y sides.
-	aAssign          [][]int
-	xAssign, yAssign [][]int
+	// routes holds every input's reducers in stream order: the A2A set, or
+	// the X side then the Y side.
+	routes [][]int
 	// aBits/xBits/yBits are the bitset rows matching the assignments.
 	aBits, xBits, yBits []core.CoverSet
-	// keys holds the shuffle key of every reducer for compiled runs, so
-	// neither the mapper nor the load computation formats one per copy;
-	// auditors built without a run have none.
-	keys []string
+	// compiled marks an index built for a run (newSchemaIndex), which needs
+	// the owned-pair lists anyway, so its PreCheck counts them; an auditor
+	// built without a run has a static check that lists no pair.
+	compiled bool
 
 	// sweepOnce guards owned/ownedEnd, the result of the one ascending
 	// reducer sweep every audit of this schema shares (see sweep).
@@ -236,6 +236,66 @@ func bitRows(assign [][]int, numReducers int) []core.CoverSet {
 	return rows
 }
 
+// assignmentsA2A inverts an A2A schema: out[id] lists, in increasing order,
+// the reducers holding input id.
+func assignmentsA2A(ms *core.MappingSchema, numInputs int) [][]int {
+	return invert(ms.Reducers, numInputs, func(red *core.Reducer, add func(int)) {
+		for _, id := range red.Inputs {
+			add(id)
+		}
+	})
+}
+
+// assignmentsX2Y inverts an X2Y schema into one list in stream order: X
+// input id at id, Y input id at numX+id.
+func assignmentsX2Y(ms *core.MappingSchema, numX, numY int) [][]int {
+	return invert(ms.Reducers, numX+numY, func(red *core.Reducer, add func(int)) {
+		for _, id := range red.XInputs {
+			if id < numX {
+				add(id)
+			}
+		}
+		for _, id := range red.YInputs {
+			if id >= 0 && id < numY {
+				add(numX + id)
+			}
+		}
+	})
+}
+
+// invert lists, for each of the n inputs, the reducers whose members
+// include it, in increasing order; members calls add with the stream index
+// of every member of a reducer, and indexes outside [0, n) are skipped. A
+// counting pass sizes every list first, so the lists are cut from one
+// backing array instead of being grown one append at a time.
+func invert(reducers []core.Reducer, n int, members func(red *core.Reducer, add func(int))) [][]int {
+	counts := make([]int, n)
+	total := 0
+	for r := range reducers {
+		members(&reducers[r], func(i int) {
+			if i >= 0 && i < n {
+				counts[i]++
+				total++
+			}
+		})
+	}
+	out := make([][]int, n)
+	backing := make([]int, total)
+	for i, c := range counts {
+		if c > 0 { // an unassigned input keeps a nil list
+			out[i], backing = backing[:0:c], backing[c:]
+		}
+	}
+	for r := range reducers {
+		members(&reducers[r], func(i int) {
+			if i >= 0 && i < n {
+				out[i] = append(out[i], r)
+			}
+		})
+	}
+	return out
+}
+
 // newSchemaIndexA2A builds the shared index for an A2A schema over numInputs.
 func newSchemaIndexA2A(schema *core.MappingSchema, numInputs int) (*schemaIndex, error) {
 	if schema.Problem != core.ProblemA2A {
@@ -244,12 +304,12 @@ func newSchemaIndexA2A(schema *core.MappingSchema, numInputs int) (*schemaIndex,
 	if err := checkIDRanges(schema, numInputs, 0, 0); err != nil {
 		return nil, err
 	}
-	assign := mr.AssignmentsA2A(schema, numInputs)
+	assign := assignmentsA2A(schema, numInputs)
 	return &schemaIndex{
-		schema:  schema,
-		shape:   shape{numA: numInputs},
-		aAssign: assign,
-		aBits:   bitRows(assign, schema.NumReducers()),
+		schema: schema,
+		shape:  shape{numA: numInputs},
+		routes: assign,
+		aBits:  bitRows(assign, schema.NumReducers()),
 	}, nil
 }
 
@@ -261,18 +321,17 @@ func newSchemaIndexX2Y(schema *core.MappingSchema, numX, numY int) (*schemaIndex
 	if err := checkIDRanges(schema, 0, numX, numY); err != nil {
 		return nil, err
 	}
-	x, y := mr.AssignmentsX2Y(schema, numX, numY)
+	routes := assignmentsX2Y(schema, numX, numY)
 	n := schema.NumReducers()
 	return &schemaIndex{
-		schema:  schema,
-		shape:   shape{numX: numX, numY: numY},
-		xAssign: x, yAssign: y,
-		xBits: bitRows(x, n), yBits: bitRows(y, n),
+		schema: schema,
+		shape:  shape{numX: numX, numY: numY},
+		routes: routes,
+		xBits:  bitRows(routes[:numX], n), yBits: bitRows(routes[numX:], n),
 	}, nil
 }
 
-// newSchemaIndex builds the index a compiled run needs: the problem's index
-// plus the reducer keys.
+// newSchemaIndex builds the index of a compiled run.
 func newSchemaIndex(schema *core.MappingSchema, sh shape) (*schemaIndex, error) {
 	var idx *schemaIndex
 	var err error
@@ -284,10 +343,7 @@ func newSchemaIndex(schema *core.MappingSchema, sh shape) (*schemaIndex, error) 
 	if err != nil {
 		return nil, err
 	}
-	idx.keys = make([]string, schema.NumReducers())
-	for r := range idx.keys {
-		idx.keys[r] = mr.ReducerKey(r)
-	}
+	idx.compiled = true
 	return idx, nil
 }
 
@@ -540,7 +596,7 @@ func (idx *schemaIndex) staticCheck() error {
 	}
 	required := idx.requiredPairCount()
 	var covered *core.CoverSet
-	if idx.keys != nil {
+	if idx.compiled {
 		// A compiled run needs the owned-pair lists anyway: count them.
 		idx.sweep()
 		if len(idx.owned) != required {

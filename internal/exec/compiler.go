@@ -207,8 +207,8 @@ func cloneSchema(ms *core.MappingSchema) *core.MappingSchema {
 
 // retainedBytes estimates what keeping the index alive keeps alive: the
 // private schema and its transpose (one word per ID reference each), a slice
-// header, a CoverSet and a membership row per input, a core.Reducer, a key
-// and a list end per reducer, and the owned-pair list, which it sweeps for.
+// header, a CoverSet and a membership row per input, a core.Reducer and a
+// list end per reducer, and the owned-pair list, which it sweeps for.
 func (idx *schemaIndex) retainedBytes() int64 {
 	idx.sweep()
 	refs := 0
@@ -218,7 +218,7 @@ func (idx *schemaIndex) retainedBytes() int64 {
 	}
 	n := len(idx.schema.Reducers)
 	perInput := 3 + 4 + (n+63)/64
-	const perReducer = 10 + 4 + 1
+	const perReducer = 10 + 1
 	words := 2*refs + (idx.numA+idx.numX+idx.numY)*perInput + n*perReducer
 	return 8*int64(words) + pairEntryBytes*int64(len(idx.owned))
 }

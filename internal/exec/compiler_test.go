@@ -441,17 +441,16 @@ func TestOverflowingReducerIsLoggedAndNamed(t *testing.T) {
 	}
 	c.takeLog()
 	defer putTraceLog(c.log)
-	reduce := c.reducer()
 	for r, red := range ms.Reducers {
 		members := red.Inputs
 		if r == 0 {
 			members = []int{0, 1, 2, 3}
 		}
-		var values [][]byte
+		var copies []mr.Record
 		for _, id := range members {
-			values = append(values, frameRecord(sideA, id, inputs[id]))
+			copies = append(copies, mr.Record{Index: id, Data: inputs[id]})
 		}
-		if err := reduce.Reduce(mr.ReducerKey(r), values, func([]byte) {}); err != nil {
+		if err := c.reduce(r, copies, func([]byte) {}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -12,29 +12,30 @@
 //
 // Run compiles a Request as follows:
 //
-//   - Every input payload becomes one engine record, framed with its side
-//     ("a" for the A2A set, "x"/"y" for the X2Y sides) and its input ID.
-//     Framing has one path: records are framed as the engine pulls them and
-//     checked against their declared size, whether the request carries
-//     slices (the A2A set; or the X side then the Y side, IDs per side, with
-//     the payload lengths as the declared sizes) or an A2A Source.
-//   - The mapper looks the record's ID up in the schema's assignments
-//     (mr.AssignmentsA2A / mr.AssignmentsX2Y) and emits one copy of the
-//     record per assigned reducer, keyed with mr.ReducerKey, routed by
-//     mr.SchemaPartitioner. Replication is therefore exactly what the schema
-//     declares — no more, no fewer copies.
-//   - The reducer reconstructs the records it received and invokes the user
-//     PairFunc once per required pair it owns. A schema may cover a pair at
-//     several reducers; the pair's owner is the lowest-indexed reducer
-//     assigned both inputs, so every pair is processed exactly once across
-//     the whole job. A reducer elects its
-//     pairs from the per-input membership bitsets: both inputs reached it,
-//     so it owns the pair exactly when their rows share no lower-indexed
-//     reducer, and it never reads a row past its own index.
-//   - The job's engine-level capacity is the byte image of the schema's
-//     routing: the largest per-reducer load the compiled assignments can
-//     produce (framing and key overhead included). The schema-level capacity
-//     q is checked separately by the audit, in the schema's own size units.
+//   - Every input payload becomes one engine record, unframed: its index in
+//     the stream is its identity — the A2A set in ID order, or the X side
+//     then the Y side, so Y input i is record numX+i. There is one input
+//     path: records are checked against their declared size as the engine
+//     pulls them, whether the request carries slices (with the payload
+//     lengths as the declared sizes) or an A2A Source.
+//   - The job routes record i to the reducers the schema assigns it, from
+//     the schema's inversion (the per-input assignment lists), one copy per
+//     assigned reducer. Replication is therefore exactly what the schema
+//     declares — no more, no fewer copies — and every byte shuffled is a
+//     payload byte.
+//   - The reducer maps each copy's index back to its side and ID and invokes
+//     the user PairFunc once per required pair it owns. A schema may cover a
+//     pair at several reducers; the pair's owner is the lowest-indexed
+//     reducer assigned both inputs, so every pair is processed exactly once
+//     across the whole job. A reducer elects its pairs from the per-input
+//     membership bitsets: both inputs reached it, so it owns the pair exactly
+//     when their rows share no lower-indexed reducer, and it never reads a
+//     row past its own index.
+//   - The job's engine-level capacity is the largest per-reducer load the
+//     compiled assignments produce from the declared sizes — the schema's
+//     largest reducer load when those are the schema's sizes. The
+//     schema-level capacity q is checked separately by the audit, in the
+//     schema's own size units.
 //
 // # The conformance harness
 //
@@ -83,8 +84,8 @@
 // # Compiled once
 //
 // What a run derives from the schema and the instance shape alone — the
-// per-input assignments, the membership bitsets, the reducer keys, the
-// owned-pair lists, PreCheck's verdict — does not depend on the payload, so a
+// per-input assignments, the membership bitsets, the owned-pair lists,
+// PreCheck's verdict — does not depend on the payload, so a
 // Compiler, handed over in Request.Compiler, keeps it across runs. The cache
 // is keyed by a hash of the schema's content (problem, capacity, every
 // reducer's load and ID lists) and the shape, and a hit counts only after a

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"strconv"
 	"time"
 
 	"repro/internal/core"
@@ -62,11 +61,12 @@ type Request struct {
 	// error fails the run.
 	Sink func(rec []byte) error
 	// MemoryBudget, when positive, bounds the in-memory shuffle bytes of the
-	// run; over-budget partitions spill sorted runs to SpillDir (the OS
-	// temp dir when empty) and merge them back at reduce time. Spill volume
-	// is reported in Counters and the pland_exec_spill_* metrics.
+	// run's map phase; a reducer's buffer that crosses it is appended to the
+	// run's spill file under SpillDir (the OS temp dir when empty) and read
+	// back at reduce time. Spill volume is reported in Counters and the
+	// pland_exec_spill_* metrics.
 	MemoryBudget int64
-	// SpillDir is where spill files go; "" means the OS temp dir.
+	// SpillDir is where the spill file goes; "" means the OS temp dir.
 	SpillDir string
 	// Pair is the per-pair user logic; it is required.
 	Pair PairFunc
@@ -74,9 +74,6 @@ type Request struct {
 	// with the one an earlier run of the same schema left in it; nil compiles
 	// the schema for this run alone.
 	Compiler *Compiler
-	// Workers bounds reduce-phase parallelism; 0 means one worker per
-	// reducer.
-	Workers int
 	// NoAudit skips the post-run conformance check (the schema's own
 	// PreCheck always runs). What it saves is small: the reducers log their
 	// pairs either way — eight bytes per pair, appended to the reducer's
@@ -200,7 +197,7 @@ func Run(req Request) (*Result, error) {
 type compilation struct {
 	req     Request
 	schema  *core.MappingSchema
-	in      framingSource // the run's input stream
+	in      sizedSource // the run's input stream
 	idx     *schemaIndex
 	auditor *Auditor
 	trace   *Trace
@@ -227,7 +224,7 @@ func compile(req Request) (*compilation, error) {
 	var sh shape
 	switch schema.Problem {
 	case core.ProblemA2A:
-		c.in = framingSource{src: mr.NewSliceSource(req.Inputs), sizes: payloadSizes(req.Inputs), sides: [2]byte{sideA, sideA}}
+		c.in = sizedSource{src: mr.NewSliceSource(req.Inputs), sizes: payloadSizes(req.Inputs)}
 		if req.Source != nil {
 			if req.Inputs != nil {
 				return nil, fmt.Errorf("%w: Source and Inputs are mutually exclusive (job %q)", ErrBadInputs, req.Name)
@@ -235,14 +232,12 @@ func compile(req Request) (*compilation, error) {
 			if len(req.InputSizes) == 0 {
 				return nil, fmt.Errorf("%w: Source requires InputSizes (job %q)", ErrBadInputs, req.Name)
 			}
-			c.in.src, c.in.sizes = req.Source, req.InputSizes
+			c.in = sizedSource{src: req.Source, sizes: req.InputSizes, clone: true}
 		}
-		numA := len(c.in.sizes)
-		c.in.split = numA
-		if numA == 0 || req.XInputs != nil || req.YInputs != nil {
+		if len(c.in.sizes) == 0 || req.XInputs != nil || req.YInputs != nil {
 			return nil, fmt.Errorf("%w: A2A jobs take Inputs only (job %q)", ErrBadInputs, req.Name)
 		}
-		sh = shape{numA: numA}
+		sh = shape{numA: len(c.in.sizes)}
 	case core.ProblemX2Y:
 		if req.Source != nil {
 			return nil, fmt.Errorf("%w: streaming input (Source) supports A2A jobs only (job %q)", ErrBadInputs, req.Name)
@@ -251,7 +246,7 @@ func compile(req Request) (*compilation, error) {
 			return nil, fmt.Errorf("%w: X2Y jobs take XInputs and YInputs (job %q)", ErrBadInputs, req.Name)
 		}
 		recs := slices.Concat(req.XInputs, req.YInputs)
-		c.in = framingSource{src: mr.NewSliceSource(recs), sizes: payloadSizes(recs), split: len(req.XInputs), sides: [2]byte{sideX, sideY}}
+		c.in = sizedSource{src: mr.NewSliceSource(recs), sizes: payloadSizes(recs)}
 		sh = shape{numX: len(req.XInputs), numY: len(req.YInputs)}
 	default:
 		return nil, fmt.Errorf("exec: unknown problem %v (job %q)", schema.Problem, req.Name)
@@ -269,45 +264,6 @@ func compile(req Request) (*compilation, error) {
 	return c, nil
 }
 
-// Record framing: one byte of side tag, the input ID, then the raw data:
-//
-//	"a|<id>|<data>"   (A2A)
-//	"x|<id>|<data>"   (X2Y, X side)    "y|<id>|<data>"   (X2Y, Y side)
-//
-// The data may contain any bytes; only the first two separators are parsed.
-// Records are framed one at a time as the engine pulls them (framingSource),
-// whether the request carries slices or a Source.
-
-const (
-	sideA byte = 'a'
-	sideX byte = 'x'
-	sideY byte = 'y'
-)
-
-func frameRecord(side byte, id int, data []byte) []byte {
-	idStr := strconv.Itoa(id)
-	out := make([]byte, 0, 3+len(idStr)+len(data))
-	out = append(out, side, '|')
-	out = append(out, idStr...)
-	out = append(out, '|')
-	return append(out, data...)
-}
-
-func parseRecord(rec []byte) (side byte, id int, data []byte, err error) {
-	if len(rec) < 2 || rec[1] != '|' {
-		return 0, 0, nil, fmt.Errorf("exec: malformed record %q", rec)
-	}
-	cut := bytes.IndexByte(rec[2:], '|')
-	if cut < 0 {
-		return 0, 0, nil, fmt.Errorf("exec: malformed record %q", rec)
-	}
-	id, err = strconv.Atoi(string(rec[2 : 2+cut]))
-	if err != nil {
-		return 0, 0, nil, fmt.Errorf("exec: malformed record ID in %q: %w", rec[:2+cut], err)
-	}
-	return rec[0], id, rec[2+cut+1:], nil
-}
-
 // payloadSizes returns the byte size of every record.
 func payloadSizes(recs [][]byte) []int {
 	sizes := make([]int, len(recs))
@@ -317,109 +273,53 @@ func payloadSizes(recs [][]byte) []int {
 	return sizes
 }
 
-// assignmentsFor returns the reducer list of one framed record. A side that
-// is not of the schema's problem has no assignments, so every ID of it is out
-// of range.
-func (c *compilation) assignmentsFor(side byte, id int) ([]int, error) {
-	var assign [][]int
-	switch side {
-	case sideA:
-		assign = c.idx.aAssign
-	case sideX:
-		assign = c.idx.xAssign
-	case sideY:
-		assign = c.idx.yAssign
-	default:
-		return nil, fmt.Errorf("exec: unknown record side %q", side)
-	}
-	if id < 0 || id >= len(assign) {
-		return nil, fmt.Errorf("exec: record side %q ID %d out of range", side, id)
-	}
-	return assign[id], nil
-}
-
-// framedSize returns len(frameRecord(side, id, data)) for a data payload of
-// dataLen bytes, without building the frame.
-func framedSize(id, dataLen int) int64 {
-	digits := 1
-	for v := id; v >= 10; v /= 10 {
-		digits++
-	}
-	return int64(3 + digits + dataLen)
-}
-
-// computeExpectedLoads derives, per reducer, the exact engine byte load the
-// compiled assignments will produce — reducer key plus framed record, for
-// every assigned copy — and the expected record count per reducer (the
-// engine's partition pre-sizing hints), from the declared sizes.
+// computeExpectedLoads derives, per reducer, the exact byte load the
+// schema's routing produces — the declared size of every copy sent to it,
+// which is the reducer's load in the schema's own units when the declared
+// sizes are the schema's — and the number of copies (the engine's buffer
+// pre-sizing hints).
 func (c *compilation) computeExpectedLoads() {
 	n := c.schema.NumReducers()
 	loads := make([]int64, n)
 	copies := make([]int, n)
-	add := func(assign [][]int, sizes []int) {
-		for id, rs := range assign {
-			sz := framedSize(id, sizes[id])
-			for _, r := range rs {
-				loads[r] += int64(len(c.idx.keys[r])) + sz
-				copies[r]++
-			}
+	for i, rs := range c.idx.routes {
+		for _, r := range rs {
+			loads[r] += int64(c.in.sizes[i])
+			copies[r]++
 		}
-	}
-	if c.schema.Problem == core.ProblemA2A {
-		add(c.idx.aAssign, c.in.sizes)
-	} else {
-		add(c.idx.xAssign, c.in.sizes[:c.in.split])
-		add(c.idx.yAssign, c.in.sizes[c.in.split:])
 	}
 	c.expectedLoads = loads
 	c.expectedCopies = copies
 }
 
-// job assembles the engine job: schema partitioning, replication-aware
-// mapping, owner-elected pair reduction, and the engine-level capacity bound
-// derived from the compiled routing.
+// job assembles the engine job: routing by the schema's inverted index,
+// owner-elected pair reduction, and the engine-level capacity bound derived
+// from the compiled routing.
 func (c *compilation) job() *mr.Job {
-	var capacity int64
-	for _, l := range c.expectedLoads {
-		if l > capacity {
-			capacity = l
-		}
-	}
-	// The schema declares how many records each partition receives; the
-	// engine pre-sizes its per-partition buffers from that.
-	hints := make([]mr.PartitionHint, len(c.expectedCopies))
-	for r := range hints {
-		hints[r] = mr.PartitionHint{Records: c.expectedCopies[r]}
-	}
 	return &mr.Job{
-		Name:              c.req.Name,
-		Mapper:            c.mapper(),
-		Reducer:           c.reducer(),
-		NumReducers:       c.schema.NumReducers(),
-		Partitioner:       mr.SchemaPartitioner,
-		ReduceParallelism: c.req.Workers,
-		ReducerCapacity:   capacity,
-		PartitionHints:    hints,
+		Name:            c.req.Name,
+		NumReducers:     c.schema.NumReducers(),
+		Route:           func(i int) []int { return c.idx.routes[i] },
+		Reduce:          c.reduce,
+		ReducerCapacity: slices.Max(c.expectedLoads),
+		PartitionHints:  c.expectedCopies,
 	}
 }
 
-// framingSource adapts a raw record stream into framed engine records,
-// assigning sides and IDs in arrival order and validating each record
-// against its declared size. The schema (and its audit) were planned for the
-// declared sizes, so a mismatch fails fast rather than executing a job whose
-// routing no longer matches its inputs.
-type framingSource struct {
+// sizedSource checks every record of the run's input stream against its
+// declared size. The schema (and its audit) were planned for the declared
+// sizes, so a mismatch fails fast rather than executing a job whose routing
+// no longer matches its inputs. A caller's Source may reuse its buffer, and
+// the engine keeps records until they are reduced, so clone copies each one.
+type sizedSource struct {
 	src   mr.Source
 	sizes []int // of every record, in stream order
 	name  string
-	// The first split records are side sides[0], the rest sides[1]; IDs
-	// count from 0 within each: the A2A set, or the X side then the Y side.
-	split int
-	sides [2]byte
+	clone bool
 	i     int
 }
 
-func (s *framingSource) Next() ([]byte, error) {
+func (s *sizedSource) Next() ([]byte, error) {
 	rec, err := s.src.Next()
 	if err != nil {
 		if errors.Is(err, io.EOF) && s.i != len(s.sizes) {
@@ -433,34 +333,17 @@ func (s *framingSource) Next() ([]byte, error) {
 	if len(rec) != s.sizes[s.i] {
 		return nil, fmt.Errorf("exec: record %d of job %q is %d bytes, declared %d", s.i, s.name, len(rec), s.sizes[s.i])
 	}
-	side, id := s.sides[0], s.i
-	if s.i >= s.split {
-		side, id = s.sides[1], s.i-s.split
-	}
 	s.i++
-	return frameRecord(side, id, rec), nil
+	if s.clone {
+		rec = bytes.Clone(rec)
+	}
+	return rec, nil
 }
 
-// mapper replicates every record to the reducers its schema assignment names.
-func (c *compilation) mapper() mr.Mapper {
-	return mr.MapperFunc(func(record []byte, emit func(mr.Pair)) error {
-		side, id, _, err := parseRecord(record)
-		if err != nil {
-			return err
-		}
-		rs, err := c.assignmentsFor(side, id)
-		if err != nil {
-			return err
-		}
-		for _, r := range rs {
-			emit(mr.Pair{Key: c.idx.keys[r], Value: record})
-		}
-		return nil
-	})
-}
-
-// reducer reconstructs the records of one partition, elects this reducer's
-// owned pairs, logs them, and applies the user PairFunc.
+// reduce turns one reducer's copies back into records — stream index i is
+// input i of the A2A set, or of the X side below numX and Y input i-numX
+// above — elects this reducer's owned pairs, logs them, and applies the user
+// PairFunc.
 //
 // Owner election runs on the membership bitsets, independently of the
 // auditor's sweep (two derivations, one cross-check). Both records of a
@@ -470,66 +353,49 @@ func (c *compilation) mapper() mr.Mapper {
 //
 // The log is the call's own (logSection) and published when the call
 // succeeds, so the hot loop shares nothing.
-func (c *compilation) reducer() mr.Reducer {
-	n := c.schema.NumReducers()
-	return mr.ReducerFunc(func(key string, values [][]byte, emit func([]byte)) error {
-		self, err := mr.ParseReducerKey(key)
-		if err == nil && (self < 0 || self >= n) {
-			err = fmt.Errorf("the schema has %d reducers", n)
-		}
-		if err != nil {
-			return fmt.Errorf("exec: unexpected reducer key %q: %w", key, err)
-		}
-		aRecs := make([]Record, 0, len(values)) // A2A uses aRecs only; X2Y splits by side
-		var bRecs []Record
-		for _, v := range values {
-			side, id, data, err := parseRecord(v)
-			if err != nil {
-				return err
-			}
-			switch side {
-			case sideA, sideX:
-				aRecs = append(aRecs, Record{ID: id, Data: data})
-			case sideY:
-				bRecs = append(bRecs, Record{ID: id, Data: data})
-			default:
-				return fmt.Errorf("exec: unknown record side %q", side)
-			}
-		}
-		aRecs = sortAndDedupeRecords(aRecs)
-		bRecs = sortAndDedupeRecords(bRecs)
-		log := c.logSection(self)
-		if c.schema.Problem == core.ProblemA2A {
-			rows := c.idx.aBits
-			for i, a := range aRecs {
-				rowA := &rows[a.ID]
-				for _, b := range aRecs[i+1:] {
-					if rowA.IntersectsBelow(&rows[b.ID], self) {
-						continue
-					}
-					log = append(log, pairEntry{int32(a.ID), int32(b.ID)})
-					if err := c.req.Pair(a, b, emit); err != nil {
-						return fmt.Errorf("exec: pair (%d,%d): %w", a.ID, b.ID, err)
-					}
-				}
-			}
+func (c *compilation) reduce(self int, copies []mr.Record, emit func([]byte)) error {
+	aRecs := make([]Record, 0, len(copies)) // A2A uses aRecs only; X2Y splits by side
+	var bRecs []Record
+	for _, cp := range copies {
+		if c.schema.Problem == core.ProblemX2Y && cp.Index >= c.idx.numX {
+			bRecs = append(bRecs, Record{ID: cp.Index - c.idx.numX, Data: cp.Data})
 		} else {
-			for _, x := range aRecs {
-				rowX := &c.idx.xBits[x.ID]
-				for _, y := range bRecs {
-					if rowX.IntersectsBelow(&c.idx.yBits[y.ID], self) {
-						continue
-					}
-					log = append(log, pairEntry{int32(x.ID), int32(y.ID)})
-					if err := c.req.Pair(x, y, emit); err != nil {
-						return fmt.Errorf("exec: pair (x=%d,y=%d): %w", x.ID, y.ID, err)
-					}
+			aRecs = append(aRecs, Record{ID: cp.Index, Data: cp.Data})
+		}
+	}
+	aRecs = sortAndDedupeRecords(aRecs)
+	bRecs = sortAndDedupeRecords(bRecs)
+	log := c.logSection(self)
+	if c.schema.Problem == core.ProblemA2A {
+		rows := c.idx.aBits
+		for i, a := range aRecs {
+			rowA := &rows[a.ID]
+			for _, b := range aRecs[i+1:] {
+				if rowA.IntersectsBelow(&rows[b.ID], self) {
+					continue
+				}
+				log = append(log, pairEntry{int32(a.ID), int32(b.ID)})
+				if err := c.req.Pair(a, b, emit); err != nil {
+					return fmt.Errorf("exec: pair (%d,%d): %w", a.ID, b.ID, err)
 				}
 			}
 		}
-		c.trace.publish(self, log)
-		return nil
-	})
+	} else {
+		for _, x := range aRecs {
+			rowX := &c.idx.xBits[x.ID]
+			for _, y := range bRecs {
+				if rowX.IntersectsBelow(&c.idx.yBits[y.ID], self) {
+					continue
+				}
+				log = append(log, pairEntry{int32(x.ID), int32(y.ID)})
+				if err := c.req.Pair(x, y, emit); err != nil {
+					return fmt.Errorf("exec: pair (x=%d,y=%d): %w", x.ID, y.ID, err)
+				}
+			}
+		}
+	}
+	c.trace.publish(self, log)
+	return nil
 }
 
 // takeLog readies the run's trace log: one pooled buffer with an entry per

@@ -5,13 +5,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/a2a"
 	"repro/internal/core"
-	"repro/internal/mr"
 	"repro/internal/planner"
 	"repro/internal/x2y"
 )
@@ -235,11 +235,12 @@ func TestRunPairDataRoundTrips(t *testing.T) {
 	}
 }
 
-// TestSliceRequestsFrameEveryRecordUnderItsOwnID pins what the one framing
+// TestSliceRequestsFrameEveryRecordUnderItsOwnID pins what the one input
 // path must keep for slice requests of both problems: every payload reaches
 // the PairFunc under the ID it has in its own slice (X2Y IDs restart at 0 on
-// the Y side), and each reducer receives exactly the bytes of its schema
-// members framed one by one — two-digit IDs and unequal sides included.
+// the Y side, where the stream index goes on), and each reducer receives
+// exactly the payload bytes of its schema members and nothing else —
+// two-digit IDs and unequal sides included.
 func TestSliceRequestsFrameEveryRecordUnderItsOwnID(t *testing.T) {
 	payloads := func(tag string, n int) ([][]byte, []core.Size) {
 		data, sizes := make([][]byte, n), make([]core.Size, n)
@@ -254,11 +255,10 @@ func TestSliceRequestsFrameEveryRecordUnderItsOwnID(t *testing.T) {
 	yData, ySizes := payloads("y", 11)
 	a2aSchema, x2ySchema := solveA2A(t, aSizes, 40), solveX2Y(t, xSizes, ySizes, 40)
 
-	// frames is the shuffle load of one reducer: its key plus the frame, for
-	// each member.
-	frames := func(r int, side byte, ids []int, data [][]byte) (load int64) {
+	// payload is the shuffle load of one reducer: its members' bytes.
+	payload := func(ids []int, data [][]byte) (load int64) {
 		for _, id := range ids {
-			load += int64(len(mr.ReducerKey(r)) + len(frameRecord(side, id, data[id])))
+			load += int64(len(data[id]))
 		}
 		return load
 	}
@@ -271,12 +271,12 @@ func TestSliceRequestsFrameEveryRecordUnderItsOwnID(t *testing.T) {
 	}{
 		{
 			Request{Name: "a2a-slices", Schema: a2aSchema, Inputs: aData}, aData, aData, 14 * 13 / 2,
-			func(r int, red core.Reducer) int64 { return frames(r, sideA, red.Inputs, aData) },
+			func(r int, red core.Reducer) int64 { return payload(red.Inputs, aData) },
 		},
 		{
 			Request{Name: "x2y-slices", Schema: x2ySchema, XInputs: xData, YInputs: yData}, xData, yData, 13 * 11,
 			func(r int, red core.Reducer) int64 {
-				return frames(r, sideX, red.XInputs, xData) + frames(r, sideY, red.YInputs, yData)
+				return payload(red.XInputs, xData) + payload(red.YInputs, yData)
 			},
 		},
 	} {
@@ -296,39 +296,57 @@ func TestSliceRequestsFrameEveryRecordUnderItsOwnID(t *testing.T) {
 		}
 		for r, red := range tc.req.Schema.Reducers {
 			if got, want := res.Counters.ReducerLoads[r], tc.wantLoadOf(r, red); got != want {
-				t.Errorf("%s: reducer %d received %d bytes, its framed members are %d", tc.req.Name, r, got, want)
+				t.Errorf("%s: reducer %d received %d bytes, its members are %d", tc.req.Name, r, got, want)
 			}
 		}
 	}
 }
 
-func TestRecordFramingRoundTrip(t *testing.T) {
-	for _, tc := range []struct {
-		side byte
-		id   int
-		data string
-	}{
-		{sideA, 0, ""},
-		{sideX, 12345, "payload"},
-		{sideY, 7, "with|pipes|inside"},
-	} {
-		framed := frameRecord(tc.side, tc.id, []byte(tc.data))
-		side, id, data, err := parseRecord(framed)
-		if err != nil || side != tc.side || id != tc.id || string(data) != tc.data {
-			t.Errorf("round trip (%c,%d,%q) = (%c,%d,%q), err %v", tc.side, tc.id, tc.data, side, id, data, err)
-		}
-		if got := framedSize(tc.id, len(tc.data)); got != int64(len(framed)) {
-			t.Errorf("framedSize(%d, %d) = %d, the frame is %d bytes", tc.id, len(tc.data), got, len(framed))
-		}
+func TestAssignmentsA2A(t *testing.T) {
+	set := core.MustNewInputSet([]core.Size{1, 1, 1})
+	ms := &core.MappingSchema{Problem: core.ProblemA2A, Capacity: 2}
+	ms.AddReducerA2A(set, []int{0, 1})
+	ms.AddReducerA2A(set, []int{0, 2})
+	ms.AddReducerA2A(set, []int{1, 2})
+	if got, want := assignmentsA2A(ms, 3), [][]int{{0, 1}, {0, 2}, {1, 2}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("assignments = %v, want %v", got, want)
 	}
-	for _, id := range []int{9, 10, 99, 100, 999999, 1000000} {
-		if got, want := framedSize(id, 0), int64(len(frameRecord(sideA, id, nil))); got != want {
-			t.Errorf("framedSize(%d, 0) = %d, the frame is %d bytes", id, got, want)
-		}
+}
+
+// TestAssignmentsSkipStrayIDsAndDoNotAlias covers what a well-formed schema
+// never shows: IDs outside the declared input range are skipped, an input no
+// reducer holds keeps a nil list, and — the lists being cut from one backing
+// array — growing one list does not write into the next.
+func TestAssignmentsSkipStrayIDsAndDoNotAlias(t *testing.T) {
+	ms := &core.MappingSchema{Problem: core.ProblemA2A, Reducers: []core.Reducer{
+		{Inputs: []int{-1, 0, 2, 4}}, {Inputs: []int{0}},
+	}}
+	assign := assignmentsA2A(ms, 4)
+	if want := [][]int{{0, 1}, nil, {0}, nil}; !reflect.DeepEqual(assign, want) {
+		t.Fatalf("assignments = %v, want %v", assign, want)
 	}
-	for _, bad := range []string{"", "a", "a|", "a|12", "a|x|data"} {
-		if _, _, _, err := parseRecord([]byte(bad)); err == nil {
-			t.Errorf("parsed malformed record %q", bad)
-		}
+	_ = append(assign[0], 9)
+	if assign[2][0] != 0 {
+		t.Fatalf("appending to input 0's list overwrote input 2's: %v", assign)
+	}
+	// X2Y: a stray X ID does not land on the Y side, nor a stray Y ID on
+	// the X side.
+	ms = &core.MappingSchema{Problem: core.ProblemX2Y, Reducers: []core.Reducer{
+		{XInputs: []int{0, 2}, YInputs: []int{-2, 0}}, {XInputs: []int{1}, YInputs: []int{1}},
+	}}
+	if got, want := assignmentsX2Y(ms, 2, 1), [][]int{{0}, {1}, {0}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("X2Y assignments = %v, want %v", got, want)
+	}
+}
+
+func TestAssignmentsX2Y(t *testing.T) {
+	xs := core.MustNewInputSet([]core.Size{1, 1})
+	ys := core.MustNewInputSet([]core.Size{1})
+	ms := &core.MappingSchema{Problem: core.ProblemX2Y, Capacity: 4}
+	ms.AddReducerX2Y(xs, ys, []int{0}, []int{0})
+	ms.AddReducerX2Y(xs, ys, []int{1}, []int{0})
+	// In stream order: the X side, then the Y side.
+	if got, want := assignmentsX2Y(ms, 2, 1), [][]int{{0}, {1}, {0, 1}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("assignments = %v, want %v", got, want)
 	}
 }

@@ -5,35 +5,28 @@ import (
 	"time"
 )
 
-// Counters aggregates the measurements of one job run. All byte figures use
-// Pair.Size (key bytes + value bytes), matching the paper's notion of
-// communication cost: the total amount of data transmitted from the map phase
-// to the reduce phase.
+// Counters aggregates the measurements of one job run. Shuffle figures count
+// the bytes of the record copies sent to reducers, and nothing else: the
+// paper's communication cost, the total amount of data transmitted from the
+// map phase to the reduce phase.
 type Counters struct {
-	// MapInputRecords is the number of input records fed to mappers.
+	// MapInputRecords is the number of records pulled from the source.
 	MapInputRecords int64
-	// MapOutputRecords and MapOutputBytes describe what the mappers emitted.
-	MapOutputRecords int64
-	MapOutputBytes   int64
-	// ShuffleRecords and ShuffleBytes describe what crossed the map-to-reduce
-	// boundary. ShuffleBytes is the communication cost.
+	// ShuffleRecords and ShuffleBytes describe the copies sent to reducers.
+	// ShuffleBytes is the communication cost.
 	ShuffleRecords int64
 	ShuffleBytes   int64
-	// ReduceInputKeys is the number of distinct keys seen by reducers.
-	ReduceInputKeys int64
 	// ReduceOutputRecords and ReduceOutputBytes describe the reducer output.
 	ReduceOutputRecords int64
 	ReduceOutputBytes   int64
 	// SpillRuns, SpillPartitions, and SpillBytes describe spill-to-disk
-	// activity of a streaming run under a memory budget: how many sorted run
-	// files were written, how many distinct partitions spilled at least once,
-	// and the total file bytes written. All three stay zero for unbounded
-	// runs.
+	// activity of a run under a memory budget: how many runs were written,
+	// how many distinct reducers spilled at least once, and the total spill
+	// file bytes written. All three stay zero for unbounded runs.
 	SpillRuns       int64
 	SpillPartitions int64
 	SpillBytes      int64
-	// ReducerLoads holds the shuffle bytes received by each reduce
-	// partition, indexed by partition.
+	// ReducerLoads holds the shuffle bytes received by each reducer.
 	ReducerLoads []int64
 	// MaxReducerLoad is the largest entry of ReducerLoads.
 	MaxReducerLoad int64
@@ -62,16 +55,15 @@ func (c *Counters) String() string {
 }
 
 // Result is the outcome of a job run: the emitted output records grouped by
-// reduce partition, plus counters.
+// reducer, plus counters.
 type Result struct {
-	// Output holds the reducer-emitted records per partition.
+	// Output holds the emitted records per reducer.
 	Output [][][]byte
 	// Counters are the run's measurements.
 	Counters Counters
 }
 
-// FlatOutput returns all output records of all partitions, partition by
-// partition.
+// FlatOutput returns all output records of all reducers, reducer by reducer.
 func (r *Result) FlatOutput() [][]byte {
 	var out [][]byte
 	for _, part := range r.Output {

@@ -1,77 +1,55 @@
-// Package mr is the streaming MapReduce engine that executes the paper's
-// applications (similarity join and skew join) and everything the exec layer
-// plans on top of it.
+// Package mr is the MapReduce engine that runs a mapping schema: it sends
+// every input record to the reducers the schema assigns it and runs a reduce
+// task per reducer over the copies it received. internal/exec compiles
+// schemas into its jobs.
 //
-// # Pipeline
+// # Jobs
 //
-// A run is a pipeline of bounded-buffer channel stages:
+// A Job is a reducer count, a Route from a record's index in the source
+// stream to its reducers, and a Reduce over one reducer's copies, each an
+// index and the record's bytes. There are no keys, no partitioner and no
+// mapper: a reducer is a partition, and the schema has already decided
+// where every record goes.
 //
-//	Source → map workers → per-partition accumulators → reduce → Sink
+// # Phases
 //
 // Run is the one way in. It pulls records one at a time from a Source (so
 // the whole input never has to be materialized; a caller holding a slice
-// wraps it in a SliceSource), fans them out to MapParallelism map workers —
-// one per processor by default — and routes every emitted pair to the
-// accumulator goroutine of its reduce partition — one goroutine pipeline per
-// partition, with a buffer pre-sized from the job's declared PartitionHints.
-// Reduce tasks run as partitions complete, gated by a ReduceParallelism
-// semaphore, and write either to the caller's Sink or into the collected
-// Result.Output. Every channel operation selects on ctx.Done(), so
-// cancellation propagates mid-pipeline without waiting for a stage to drain,
-// and Run returns only once its goroutines are gone: the Source is not
-// pulled again after that (a Next call already in flight is the one thing
-// Run does not wait for).
+// wraps it in a SliceSource). In the map phase a single goroutine, the
+// reader, pulls each record, routes it, and appends a copy to the buffer of
+// every reducer Route names, enforcing ReducerCapacity copy by copy. Because
+// one goroutine routes in index order, every buffer holds its copies in index
+// order: there is nothing to tag, sort or merge. In the reduce phase every
+// reducer that received a copy runs its Reduce at once, on its own
+// goroutine, and writes its output to the caller's Sink or into the collected
+// Result.Output. The context cancels either phase, and Run returns only once
+// its goroutines are gone: the Source is not pulled again after that (a Next
+// call already in flight is the one thing Run does not wait for).
 //
-// Records cross the reader → map and map → partition boundaries in chunks of
-// up to 64 records (closed early at 64 KiB of payload), so the cost of a
-// channel operation is paid per chunk, not per record. The reader fills one
-// chunk at a time; each map worker keeps one pending chunk per partition,
-// hands it over when it is full, and flushes the partial ones when the input
-// ends. Chunking is invisible in the results: pairs are still inserted,
-// counted, capacity-checked and charged to the memory budget one at a time,
-// and the provenance order below does not depend on how they travelled.
-// What is parked between stages stays bounded by StreamOptions.BufferSize:
-// channel capacities are counted in chunks and cut accordingly (with the
-// default BufferSize of 64 each channel holds one chunk), and a BufferSize
-// below the chunk length shrinks the chunks to it.
+// # Spill to disk
 //
-// # Grouping, and spill to disk
+// StreamOptions.MemoryBudget bounds the bytes of copies held in reducer
+// buffers during the map phase. When a copy pushes the total over the
+// budget, the buffer it went to is appended to the Run's spill file as one
+// run of (index, length, data) frames and emptied. A Run has one spill file,
+// created on its first spill in a private "mr-spill-*" directory under
+// StreamOptions.SpillDir, holding every run of every reducer back to back,
+// each at the offset reserved for it, written through one pooled buffer; it
+// costs one descriptor however many reducers spilled. A reducer's copies are
+// then its runs, read back in spill order, followed by its buffer — index
+// order again, so output is byte-identical to an unbounded run. A run is
+// read back defensively: a length prefix the rest of the run cannot hold is
+// an error, not an allocation, and a run that ends before its recorded length
+// is an error, not a shorter run. Spill volume is reported in Counters
+// (SpillRuns, SpillPartitions, SpillBytes) and per run via the OnSpill hook.
+// The file is closed and the directory removed when the Run call ends, on
+// every path — success, error, or cancellation.
 //
-// There is one grouping path, and it is sort-merge; the engine keeps no hash
-// table. A partition appends the pairs it receives to a buffer. At reduce
-// time it sorts the buffer by (key, provenance) and walks it, handing each
-// run of equal keys to the reducer.
+// # Measurements
 //
-// StreamOptions.MemoryBudget bounds the bytes of map output buffered in
-// memory across all partitions. When an insert pushes the engine over budget,
-// the inserting partition sorts its buffer, appends it as one run
-// (uvarint-framed key/value records) to the partition's spill file and starts
-// over empty. A partition has one spill file, created on its first spill in a
-// private temp directory under StreamOptions.SpillDir and held open until the
-// partition is done; where each run lies in it — offset and length — is kept
-// in memory. The reduce-time walk is then a k-way merge of the partition's
-// runs, each read through its own section of that one descriptor, with the
-// sorted remainder — the same code over more cursors — so grouping and output
-// are byte-identical to an unbounded run. A sorted run costs no file and no
-// descriptor of its own: a Run call holds at most one descriptor per
-// partition that spilled, however often it spilled, and the buffers runs are
-// written and read through come from a pool, sized to the run (64 KiB at
-// most). A run is read back defensively: a length prefix the rest of the run
-// cannot hold is an error, not an allocation, and a run that ends before its
-// recorded length has been read is an error, not a shorter run. Spill volume
-// is reported in Counters (SpillRuns, SpillPartitions, SpillBytes) and
-// surfaced per run via the OnSpill hook. The files are closed and the temp
-// directory removed when the Run call ends, on every path — success, error,
-// or cancellation.
-//
-// # Determinism
-//
-// Each map emission carries its provenance: the source record index and the
-// emission ordinal. Values within a key group are ordered by that provenance,
-// so output is deterministic regardless of MapParallelism, buffering,
-// chunking, or how many times a partition spilled.
-//
-// The paper assumes a production MapReduce stack; its cost model depends only
-// on the data shipped from mappers to reducers and on per-reducer load, which
-// this engine measures byte-accurately through its Counters.
+// The paper's cost model depends only on the data shipped from mappers to
+// reducers and on the load of each reducer. Counters measure exactly that:
+// ShuffleBytes is the total of the copies' bytes, and ReducerLoads[r] the
+// bytes reducer r received, with nothing added for framing — so for a
+// compiled schema they are its communication cost and its reducer loads.
 package mr

@@ -3,28 +3,29 @@ package mr_test
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"repro/internal/mr"
 )
 
-// A word count on the engine with a single reduce partition (so
-// the output order is the sorted key order).
+// A schema with two reducers over three records: record 0 goes to both, so
+// each reducer can pair it with the record it alone holds.
 func ExampleRun() {
-	mapper := mr.MapperFunc(func(record []byte, emit func(mr.Pair)) error {
-		for _, w := range strings.Fields(string(record)) {
-			emit(mr.Pair{Key: w, Value: []byte("1")})
-		}
-		return nil
-	})
-	reducer := mr.ReducerFunc(func(key string, values [][]byte, emit func([]byte)) error {
-		emit([]byte(fmt.Sprintf("%s=%d", key, len(values))))
-		return nil
-	})
-	job := &mr.Job{Name: "wordcount", Mapper: mapper, Reducer: reducer, NumReducers: 1}
+	routes := [][]int{{0, 1}, {0}, {1}}
+	job := &mr.Job{
+		Name:        "pairs",
+		NumReducers: 2,
+		Route:       func(i int) []int { return routes[i] },
+		Reduce: func(r int, recs []mr.Record, emit func([]byte)) error {
+			for i, a := range recs {
+				for _, b := range recs[i+1:] {
+					emit(fmt.Appendf(nil, "reducer %d: %s+%s", r, a.Data, b.Data))
+				}
+			}
+			return nil
+		},
+	}
 	res, err := mr.Run(context.Background(), job, mr.NewSliceSource([][]byte{
-		[]byte("to be or not"),
-		[]byte("to be"),
+		[]byte("hub"), []byte("left"), []byte("right"),
 	}), nil, mr.StreamOptions{})
 	if err != nil {
 		fmt.Println("error:", err)
@@ -33,11 +34,9 @@ func ExampleRun() {
 	for _, rec := range res.FlatOutput() {
 		fmt.Println(string(rec))
 	}
-	fmt.Println("shuffle records:", res.Counters.ShuffleRecords)
+	fmt.Println("shuffle bytes:", res.Counters.ShuffleBytes)
 	// Output:
-	// be=2
-	// not=1
-	// or=1
-	// to=2
-	// shuffle records: 6
+	// reducer 0: hub+left
+	// reducer 1: hub+right
+	// shuffle bytes: 15
 }

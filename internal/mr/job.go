@@ -3,126 +3,68 @@ package mr
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 )
 
-// Pair is one intermediate key/value record emitted by a mapper and consumed
-// by a reducer.
-type Pair struct {
-	Key   string
-	Value []byte
+// Record is one copy of an input record as a reducer receives it: the
+// record's index in the source stream and its bytes.
+type Record struct {
+	Index int
+	Data  []byte
 }
 
-// Size returns the number of bytes the pair contributes to the shuffle: the
-// key plus the value. This is the unit in which the engine's communication
-// counters are expressed.
-func (p Pair) Size() int { return len(p.Key) + len(p.Value) }
-
-// Mapper transforms one input record into intermediate pairs via emit.
-type Mapper interface {
-	Map(record []byte, emit func(Pair)) error
-}
-
-// Reducer folds all values of one key into zero or more output records via
-// emit.
-type Reducer interface {
-	Reduce(key string, values [][]byte, emit func([]byte)) error
-}
-
-// MapperFunc adapts a function to the Mapper interface.
-type MapperFunc func(record []byte, emit func(Pair)) error
-
-// Map implements Mapper.
-func (f MapperFunc) Map(record []byte, emit func(Pair)) error { return f(record, emit) }
-
-// ReducerFunc adapts a function to the Reducer interface.
-type ReducerFunc func(key string, values [][]byte, emit func([]byte)) error
-
-// Reduce implements Reducer.
-func (f ReducerFunc) Reduce(key string, values [][]byte, emit func([]byte)) error {
-	return f(key, values, emit)
-}
-
-// Partitioner maps a key to one of n reduce partitions.
-type Partitioner func(key string, n int) int
-
-// HashPartitioner is the default partitioner: FNV-1a hash of the key modulo
-// the number of partitions.
-func HashPartitioner(key string, n int) int {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(key))
-	return int(h.Sum32() % uint32(n))
-}
-
-// Job describes one MapReduce job. Each map and reduce task runs once: the
-// first task that returns an error fails the job, which wraps that error.
+// Job describes one run of a mapping schema: how many reducers there are,
+// which reducers every record is copied to, and what a reducer does with the
+// copies it received. Each reduce task runs once: the first task that returns
+// an error fails the job, which wraps that error.
 type Job struct {
-	// Name labels the job in results and errors.
+	// Name labels the job in errors.
 	Name string
-	// Mapper and Reducer are required.
-	Mapper  Mapper
-	Reducer Reducer
-	// NumReducers is the number of reduce partitions; it must be positive.
+	// NumReducers is the number of reducers; it must be positive.
 	NumReducers int
-	// Partitioner routes keys to partitions; nil means HashPartitioner.
-	Partitioner Partitioner
-	// MapParallelism and ReduceParallelism bound the number of concurrently
-	// running map and reduce tasks. For map tasks 0 means one worker per
-	// processor (GOMAXPROCS), never more than the number of partitions; for
-	// reduce tasks 0 means the number of partitions (i.e. fully parallel).
-	// 1 means sequential execution. Output does not depend on either.
-	MapParallelism    int
-	ReduceParallelism int
+	// Route returns the reducers record i of the source is copied to, one
+	// copy each. It is called once per record, in index order, from one
+	// goroutine; a reducer outside [0, NumReducers) fails the run. Required.
+	Route func(i int) []int
+	// Reduce runs once per reducer that received at least one copy, with
+	// the copies in index order, and emits the reducer's output records.
+	// Reducers run concurrently. Required.
+	Reduce func(r int, recs []Record, emit func([]byte)) error
 	// ReducerCapacity, when positive, makes the engine fail the job if any
-	// reduce partition receives more than this many bytes of input. It
-	// models the paper's reducer capacity q at execution time.
+	// reducer receives more than this many bytes. It models the paper's
+	// reducer capacity q at execution time.
 	ReducerCapacity int64
-	// PartitionHints optionally pre-sizes the per-partition buffers of a run
-	// from the planned schema's declared record counts, indexed by partition.
-	// Missing or short hints are harmless: buffers grow as usual.
-	PartitionHints []PartitionHint
+	// PartitionHints optionally pre-sizes each reducer's buffer from the
+	// number of copies the schema sends it, indexed by reducer. Missing or
+	// short hints are harmless: buffers grow as usual.
+	PartitionHints []int
 }
 
-// PartitionHint declares the expected size of one reduce partition's input,
-// derived from the planned schema.
-type PartitionHint struct {
-	// Records is the expected number of intermediate records.
-	Records int
-}
-
-// hint returns the partition's declared hint, or a zero hint.
-func (j *Job) hint(p int) PartitionHint {
-	if p >= 0 && p < len(j.PartitionHints) {
-		return j.PartitionHints[p]
+// hint returns the reducer's declared copy count, or 0.
+func (j *Job) hint(r int) int {
+	if r < len(j.PartitionHints) {
+		return j.PartitionHints[r]
 	}
-	return PartitionHint{}
+	return 0
 }
 
 // Validation errors.
 var (
-	ErrNoMapper     = errors.New("mr: job has no mapper")
-	ErrNoReducer    = errors.New("mr: job has no reducer")
+	ErrNoRoute      = errors.New("mr: job has no route")
+	ErrNoReduce     = errors.New("mr: job has no reduce")
 	ErrBadReducers  = errors.New("mr: job needs a positive number of reducers")
-	ErrOverCapacity = errors.New("mr: reduce partition exceeds the configured reducer capacity")
+	ErrOverCapacity = errors.New("mr: reducer exceeds the configured reducer capacity")
 )
 
 // validate checks the job configuration.
 func (j *Job) validate() error {
-	if j.Mapper == nil {
-		return fmt.Errorf("%w (job %q)", ErrNoMapper, j.Name)
+	if j.Route == nil {
+		return fmt.Errorf("%w (job %q)", ErrNoRoute, j.Name)
 	}
-	if j.Reducer == nil {
-		return fmt.Errorf("%w (job %q)", ErrNoReducer, j.Name)
+	if j.Reduce == nil {
+		return fmt.Errorf("%w (job %q)", ErrNoReduce, j.Name)
 	}
 	if j.NumReducers <= 0 {
 		return fmt.Errorf("%w (job %q has %d)", ErrBadReducers, j.Name, j.NumReducers)
 	}
 	return nil
-}
-
-func (j *Job) partitioner() Partitioner {
-	if j.Partitioner != nil {
-		return j.Partitioner
-	}
-	return HashPartitioner
 }

@@ -1,7 +1,6 @@
 package mr
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -11,7 +10,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -42,12 +40,10 @@ func runStream(t *testing.T, job *Job, inputs [][]byte, opts StreamOptions) *Res
 	return res
 }
 
-// TestSpilledRunMatchesInMemoryRun is the grouping property test. Every run
-// groups by sort-merge — the unbounded one over its sorted buffer alone, a
-// budgeted one over spilled runs too — so for a hash-partitioned job with
-// many keys per partition and order-sensitive values, the output bytes, the
-// order of the key groups within each partition and the counters must not
-// depend on the memory budget or on the number of map workers.
+// TestSpilledRunMatchesInMemoryRun is the read-back property test: a
+// reducer's spilled runs, then its buffer, are its copies in index order, so
+// for a job whose output records every copy in the order received, the output
+// bytes and the counters must not depend on the memory budget.
 func TestSpilledRunMatchesInMemoryRun(t *testing.T) {
 	inputs := streamInputs(40, 6, 1)
 	// deterministic strips what legitimately varies: wall clocks and spill
@@ -57,39 +53,35 @@ func TestSpilledRunMatchesInMemoryRun(t *testing.T) {
 		c.SpillRuns, c.SpillPartitions, c.SpillBytes = 0, 0, 0
 		return c
 	}
-	want := runStream(t, orderSensitiveJob(7, 1), inputs, StreamOptions{})
+	want := runStream(t, scatterJob(8, 3), inputs, StreamOptions{})
 	if want.Counters.SpillRuns != 0 {
 		t.Fatalf("unbounded run spilled %d runs", want.Counters.SpillRuns)
 	}
-	if want.Counters.ReduceInputKeys < 3*7 {
-		t.Fatalf("only %d keys over 7 partitions: not a many-keys-per-partition job", want.Counters.ReduceInputKeys)
-	}
-	for _, budget := range []int64{0, 1, 256} { // unbounded; below one record; mid: a few runs per partition
-		for _, par := range []int{1, 2, 8} {
-			var spillCalls atomic.Int64
-			got := runStream(t, orderSensitiveJob(7, par), inputs, StreamOptions{
-				MemoryBudget: budget,
-				SpillDir:     t.TempDir(),
-				OnSpill:      func(partition int, runBytes int64) { spillCalls.Add(1) },
-			})
-			if (got.Counters.SpillRuns > 0) != (budget > 0) {
-				t.Fatalf("budget %d, MapParallelism %d: %d spill runs", budget, par, got.Counters.SpillRuns)
-			}
-			if budget > 0 && (got.Counters.SpillPartitions == 0 || got.Counters.SpillBytes == 0) {
-				t.Fatalf("budget %d, MapParallelism %d: spill counters incomplete: %+v", budget, par, got.Counters)
-			}
-			if spillCalls.Load() != got.Counters.SpillRuns {
-				t.Fatalf("budget %d, MapParallelism %d: OnSpill fired %d times for %d runs",
-					budget, par, spillCalls.Load(), got.Counters.SpillRuns)
-			}
-			// Per partition and in order: a slip in group order shows here.
-			if !reflect.DeepEqual(got.Output, want.Output) {
-				t.Fatalf("budget %d, MapParallelism %d: output differs from the unbounded sequential run", budget, par)
-			}
-			if !reflect.DeepEqual(deterministic(got.Counters), deterministic(want.Counters)) {
-				t.Fatalf("budget %d, MapParallelism %d: counters drifted:\n  want: %+v\n  got:  %+v",
-					budget, par, want.Counters, got.Counters)
-			}
+	for _, budget := range []int64{0, 1, 256} { // unbounded; below one record; mid: a few runs per reducer
+		var spillCalls int64
+		got := runStream(t, scatterJob(8, 3), inputs, StreamOptions{
+			MemoryBudget: budget,
+			SpillDir:     t.TempDir(),
+			OnSpill:      func(partition int, runBytes int64) { spillCalls++ },
+		})
+		if (got.Counters.SpillRuns > 0) != (budget > 0) {
+			t.Fatalf("budget %d: %d spill runs", budget, got.Counters.SpillRuns)
+		}
+		if budget > 0 && (got.Counters.SpillPartitions != 8 || got.Counters.SpillBytes == 0) {
+			t.Fatalf("budget %d: spill counters incomplete: %+v", budget, got.Counters)
+		}
+		if budget == 256 && got.Counters.SpillRuns >= got.Counters.ShuffleRecords {
+			t.Fatalf("budget %d: %d runs for %d copies, want runs of several copies", budget, got.Counters.SpillRuns, got.Counters.ShuffleRecords)
+		}
+		if spillCalls != got.Counters.SpillRuns {
+			t.Fatalf("budget %d: OnSpill fired %d times for %d runs", budget, spillCalls, got.Counters.SpillRuns)
+		}
+		// Per reducer and in order: a slip in the read-back order shows here.
+		if !reflect.DeepEqual(got.Output, want.Output) {
+			t.Fatalf("budget %d: output differs from the unbounded run", budget)
+		}
+		if !reflect.DeepEqual(deterministic(got.Counters), deterministic(want.Counters)) {
+			t.Fatalf("budget %d: counters drifted:\n  want: %+v\n  got:  %+v", budget, want.Counters, got.Counters)
 		}
 	}
 }
@@ -102,21 +94,19 @@ func flatStrings(res *Result) []string {
 	return out
 }
 
-// TestRunStreamDeterministicUnderParallelism asserts the provenance-ordered
-// shuffle makes output byte-identical across runs even with full map
-// parallelism — stronger than the seed engine's worker-slot ordering.
+// TestRunStreamDeterministicUnderParallelism asserts that output is
+// byte-identical across runs although every reducer reduces at once, and
+// that a spilling run agrees with the in-memory ones.
 func TestRunStreamDeterministicUnderParallelism(t *testing.T) {
 	inputs := streamInputs(120, 5, 3)
-	job := func() *Job { return orderSensitiveJob(6, 8) }
-	base := flatStrings(runStream(t, job(), inputs, StreamOptions{}))
+	base := flatStrings(runStream(t, scatterJob(6, 2), inputs, StreamOptions{}))
 	for i := 0; i < 5; i++ {
-		again := flatStrings(runStream(t, job(), inputs, StreamOptions{}))
+		again := flatStrings(runStream(t, scatterJob(6, 2), inputs, StreamOptions{}))
 		if !reflect.DeepEqual(base, again) {
-			t.Fatalf("run %d produced different output under parallelism", i)
+			t.Fatalf("run %d produced different output", i)
 		}
 	}
-	// And a budgeted (spilling) run agrees with the in-memory ones.
-	spilled := runStream(t, job(), inputs, StreamOptions{MemoryBudget: 32, SpillDir: t.TempDir()})
+	spilled := runStream(t, scatterJob(6, 2), inputs, StreamOptions{MemoryBudget: 32, SpillDir: t.TempDir()})
 	if !reflect.DeepEqual(base, flatStrings(spilled)) {
 		t.Fatal("spilled run produced different output")
 	}
@@ -139,17 +129,15 @@ func (s *blockingSource) Next() ([]byte, error) {
 	return nil, io.EOF
 }
 
-// TestRunStreamCancellation is the satellite fix for the known gap in
-// pkg/assign/execute.go: a cancelled context must stop a long run promptly
-// and clean up its spill files.
+// TestRunStreamCancellation: a cancelled context stops a long run promptly
+// and cleans up its spill file.
 func TestRunStreamCancellation(t *testing.T) {
 	spillDir := t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
 	src := &blockingSource{ctx: ctx, limit: 500}
-	job := wordCountJob(4)
 	done := make(chan error, 1)
 	go func() {
-		_, err := Run(ctx, job, src, nil, StreamOptions{MemoryBudget: 16, SpillDir: spillDir})
+		_, err := Run(ctx, scatterJob(4, 2), src, nil, StreamOptions{MemoryBudget: 16, SpillDir: spillDir})
 		done <- err
 	}()
 	// Give the pipeline a moment to ingest (and spill) the finite prefix,
@@ -180,12 +168,12 @@ func TestRunStreamCancelDuringReduce(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{})
 	var once sync.Once
-	slowReducer := ReducerFunc(func(key string, values [][]byte, emit func([]byte)) error {
+	job := scatterJob(3, 1)
+	job.Reduce = func(int, []Record, func([]byte)) error {
 		once.Do(func() { close(started) })
 		<-ctx.Done()
 		return ctx.Err()
-	})
-	job := &Job{Name: "slow", Mapper: wordCountMapper, Reducer: slowReducer, NumReducers: 3}
+	}
 	done := make(chan error, 1)
 	go func() {
 		_, err := Run(ctx, job, NewSliceSource(streamInputs(20, 4, 4)), nil, StreamOptions{})
@@ -214,7 +202,7 @@ func TestRunStreamSourceError(t *testing.T) {
 		}
 		return []byte("a b c"), nil
 	})
-	_, err := Run(context.Background(), wordCountJob(2), src, nil, StreamOptions{})
+	_, err := Run(context.Background(), scatterJob(2, 2), src, nil, StreamOptions{})
 	if !errors.Is(err, boom) {
 		t.Fatalf("Run returned %v, want the source error", err)
 	}
@@ -224,7 +212,7 @@ func TestRunStreamSourceError(t *testing.T) {
 func TestRunStreamSinkError(t *testing.T) {
 	boom := errors.New("sink full")
 	sink := SinkFunc(func(partition int, rec []byte) error { return boom })
-	_, err := Run(context.Background(), wordCountJob(2),
+	_, err := Run(context.Background(), scatterJob(2, 2),
 		NewSliceSource(streamInputs(10, 3, 5)), sink, StreamOptions{})
 	if !errors.Is(err, boom) {
 		t.Fatalf("Run returned %v, want the sink error", err)
@@ -232,7 +220,7 @@ func TestRunStreamSinkError(t *testing.T) {
 }
 
 // TestRunStreamSinkMatchesCollected asserts sink delivery covers exactly the
-// collected output, with per-partition order preserved.
+// collected output, with per-reducer order preserved.
 func TestRunStreamSinkMatchesCollected(t *testing.T) {
 	inputs := streamInputs(80, 4, 6)
 	collected := runStream(t, wordCountJob(5), inputs, StreamOptions{})
@@ -242,8 +230,7 @@ func TestRunStreamSinkMatchesCollected(t *testing.T) {
 		perPart[partition] = append(perPart[partition], string(rec))
 		return nil
 	})
-	res, err := Run(context.Background(), wordCountJob(5),
-		NewSliceSource(inputs), sink, StreamOptions{})
+	res, err := Run(context.Background(), wordCountJob(5), NewSliceSource(inputs), sink, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,15 +239,12 @@ func TestRunStreamSinkMatchesCollected(t *testing.T) {
 		t.Fatalf("sink run materialized output: %d partitions", len(res.Output))
 	}
 	for p := range collected.Output {
-		want := make([]string, len(collected.Output[p]))
-		for i, rec := range collected.Output[p] {
-			want[i] = string(rec)
+		var want []string
+		for _, rec := range collected.Output[p] {
+			want = append(want, string(rec))
 		}
 		if !reflect.DeepEqual(perPart[p], want) {
-			if len(want) == 0 && len(perPart[p]) == 0 {
-				continue
-			}
-			t.Fatalf("partition %d: sink saw %v, collect saw %v", p, perPart[p], want)
+			t.Fatalf("reducer %d: sink saw %v, collect saw %v", p, perPart[p], want)
 		}
 	}
 }
@@ -281,7 +265,7 @@ func TestRunStreamStageHook(t *testing.T) {
 			}
 		},
 	}
-	runStream(t, wordCountJob(3), streamInputs(10, 3, 7), opts)
+	runStream(t, scatterJob(3, 2), streamInputs(10, 3, 7), opts)
 	want := []string{"map:start", "map:end", "reduce:start", "reduce:end"}
 	if !reflect.DeepEqual(events, want) {
 		t.Fatalf("stage events = %v, want %v", events, want)
@@ -292,7 +276,7 @@ func TestRunStreamStageHook(t *testing.T) {
 // created when something actually spills.
 func TestRunStreamNoSpillDirWithoutSpill(t *testing.T) {
 	dir := t.TempDir()
-	runStream(t, wordCountJob(3), streamInputs(10, 3, 8), StreamOptions{SpillDir: dir})
+	runStream(t, scatterJob(3, 2), streamInputs(10, 3, 8), StreamOptions{SpillDir: dir})
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -302,11 +286,13 @@ func TestRunStreamNoSpillDirWithoutSpill(t *testing.T) {
 	}
 }
 
-// TestRunStreamConcurrentHammer runs many concurrent budgeted pipelines —
-// under -race this shakes out data races across the per-partition stages.
+// TestRunStreamConcurrentHammer runs many concurrent spilling runs under one
+// spill directory, each with its own file and every reducer of each reading
+// its runs back from that file at once — under -race this shakes out data
+// races between runs and between the reducers of one.
 func TestRunStreamConcurrentHammer(t *testing.T) {
 	inputs := streamInputs(100, 6, 9)
-	want := flatStrings(runStream(t, wordCountJob(6), inputs, StreamOptions{}))
+	want := flatStrings(runStream(t, scatterJob(6, 3), inputs, StreamOptions{}))
 	dir := t.TempDir()
 	const runs = 16
 	var wg sync.WaitGroup
@@ -315,10 +301,8 @@ func TestRunStreamConcurrentHammer(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			job := wordCountJob(6)
-			job.MapParallelism = 4
-			res, err := Run(context.Background(), job,
-				NewSliceSource(inputs), nil, StreamOptions{MemoryBudget: 128, SpillDir: dir, BufferSize: 4})
+			res, err := Run(context.Background(), scatterJob(6, 3),
+				NewSliceSource(inputs), nil, StreamOptions{MemoryBudget: 128 * int64(i%3), SpillDir: dir})
 			if err != nil {
 				errs[i] = err
 				return
@@ -340,215 +324,129 @@ func TestRunStreamConcurrentHammer(t *testing.T) {
 	}
 }
 
-// newSpillFile creates an empty spill file that is closed when the test ends.
+// newSpillFile creates an empty spill file that is removed when the test
+// ends.
 func newSpillFile(t testing.TB) *spillFile {
 	t.Helper()
-	s, err := createSpillFile(t.TempDir(), 0)
+	s, err := createSpillFile(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(s.close)
+	t.Cleanup(s.remove)
 	return s
 }
 
-func appendRun(t testing.TB, s *spillFile, pairs ...streamPair) spillRun {
+func appendRun(t testing.TB, s *spillFile, recs ...Record) spillRun {
 	t.Helper()
-	run, err := s.appendRun(pairs)
+	run, err := s.appendRun(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return run
 }
 
+func finish(t testing.TB, s *spillFile) {
+	t.Helper()
+	if err := s.finish(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func rec(index int, data string) Record { return Record{Index: index, Data: []byte(data)} }
+
 // TestSpillRunRoundTrip exercises the run codec directly, on the second and
-// third of three runs in one file: a run is read from its own offset, and
+// third of four runs in one file: a run is read from its own offset, and
 // ends at its own length with more of the file behind it.
 func TestSpillRunRoundTrip(t *testing.T) {
 	s := newSpillFile(t)
-	other := streamPair{Pair: Pair{Key: "zz", Value: []byte("not this run's")}, rec: 9}
+	other := rec(9, "not this run's")
 	appendRun(t, s, other)
-	run := appendRun(t, s,
-		streamPair{Pair: Pair{Key: "b", Value: []byte("2")}, rec: 1, emit: 0},
-		streamPair{Pair: Pair{Key: "a", Value: []byte("1")}, rec: 0, emit: 1},
-		streamPair{Pair: Pair{Key: "a", Value: []byte("0")}, rec: 0, emit: 0},
-		streamPair{Pair: Pair{Key: "a", Value: nil}, rec: 2, emit: 0},
-	)
+	want := []Record{rec(0, "0"), rec(1, "1"), rec(2, ""), rec(300, "2")}
+	run := appendRun(t, s, want...)
 	empty := appendRun(t, s)
 	appendRun(t, s, other)
-	if want := (spillRun{off: s.runs[0].bytes, bytes: 23}); run != want || empty != (spillRun{off: want.off + 23}) {
-		t.Fatalf("runs indexed at %+v and %+v, want %+v and an empty one behind it", run, empty, want)
+	finish(t, s)
+	// Frames of (index, length, data): 3 + 3 + 2 + 4 bytes.
+	if wantRun := (spillRun{off: 16, bytes: 12}); run != wantRun || empty != (spillRun{off: 28}) {
+		t.Fatalf("runs indexed at %+v and %+v, want %+v and an empty one behind it", run, empty, wantRun)
 	}
-	c := s.open(run)
-	defer c.close()
-	wantOrder := []string{"a/0/0", "a/0/1", "a/2/0", "b/1/0"}
-	for i, want := range wantOrder {
-		p, err := c.next()
-		if err != nil {
-			t.Fatalf("pair %d: %v", i, err)
-		}
-		got := fmt.Sprintf("%s/%d/%d", p.Key, p.rec, p.emit)
-		if got != want {
-			t.Fatalf("pair %d = %s, want %s", i, got, want)
-		}
+	got, err := s.readRuns(nil, []spillRun{run})
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("read back %+v, %v, want %+v", got, err, want)
 	}
-	if _, err := c.next(); err != io.EOF {
-		t.Fatalf("expected io.EOF at end of run, got %v", err)
-	}
-	ec := s.open(empty)
-	defer ec.close()
-	if _, err := ec.next(); err != io.EOF {
-		t.Fatalf("expected io.EOF from an empty run, got %v", err)
+	if got, err := s.readRuns(nil, []spillRun{empty}); err != nil || len(got) != 0 {
+		t.Fatalf("read back %+v, %v from an empty run", got, err)
 	}
 }
 
 // TestTruncatedRunIsAnError pins that a run which ends early is never read as
-// a shorter run: the file cut on a frame boundary (where the first varint of
-// the next frame meets a clean EOF), cut inside a frame, and gone altogether.
+// a shorter run: the file cut on a frame boundary, cut inside a frame, and
+// gone altogether.
 func TestTruncatedRunIsAnError(t *testing.T) {
-	for _, tc := range []struct {
-		keep      int64 // bytes of the 12-byte run left in the file
-		wantPairs int
-	}{{6, 1}, {9, 1}, {0, 0}} {
+	for _, keep := range []int64{3, 4, 0} { // bytes of the 6-byte run left in the file
 		s := newSpillFile(t)
-		run := appendRun(t, s,
-			streamPair{Pair: Pair{Key: "a", Value: []byte("x")}, rec: 1},
-			streamPair{Pair: Pair{Key: "b", Value: []byte("y")}, rec: 2},
-		)
-		if run.bytes != 12 {
-			t.Fatalf("the run is %d bytes, want two 6-byte frames", run.bytes)
+		run := appendRun(t, s, rec(1, "x"), rec(2, "y"))
+		finish(t, s)
+		if run.bytes != 6 {
+			t.Fatalf("the run is %d bytes, want two 3-byte frames", run.bytes)
 		}
-		if err := s.f.Truncate(tc.keep); err != nil {
+		if err := s.f.Truncate(keep); err != nil {
 			t.Fatal(err)
 		}
-		c := s.open(run)
-		for i := 0; i < tc.wantPairs; i++ {
-			if _, err := c.next(); err != nil {
-				t.Fatalf("%d bytes kept: pair %d: %v", tc.keep, i, err)
-			}
+		got, err := s.readRuns(nil, []spillRun{run})
+		if !errors.Is(err, io.ErrUnexpectedEOF) || !strings.HasPrefix(err.Error(), "mr: reading spill run: ") || len(got) != 0 {
+			t.Fatalf("%d bytes kept: read %d copies and %v, want none and mr: reading spill run: unexpected EOF", keep, len(got), err)
 		}
-		_, err := c.next()
-		if !errors.Is(err, io.ErrUnexpectedEOF) || !strings.HasPrefix(err.Error(), "mr: reading spill run: ") {
-			t.Fatalf("%d bytes kept: after %d pairs got %v, want mr: reading spill run: unexpected EOF", tc.keep, tc.wantPairs, err)
-		}
-		c.close()
 	}
 }
 
-// TestMergePairsAcrossRuns merges two runs of one file with an in-memory
-// cursor.
-func TestMergePairsAcrossRuns(t *testing.T) {
+// TestMergeRecordsAcrossRuns reads one reducer's runs back, interleaved in
+// the file with another reducer's: they come back in the order they were
+// spilled, and so in index order.
+func TestMergeRecordsAcrossRuns(t *testing.T) {
 	s := newSpillFile(t)
-	run1 := appendRun(t, s,
-		streamPair{Pair: Pair{Key: "a", Value: []byte("r1a")}, rec: 0, emit: 0},
-		streamPair{Pair: Pair{Key: "c", Value: []byte("r1c")}, rec: 1, emit: 0},
-	)
-	run2 := appendRun(t, s,
-		streamPair{Pair: Pair{Key: "a", Value: []byte("r2a")}, rec: 2, emit: 0},
-		streamPair{Pair: Pair{Key: "b", Value: []byte("r2b")}, rec: 3, emit: 0},
-	)
-	mem := &memCursor{pairs: []streamPair{
-		{Pair: Pair{Key: "b", Value: []byte("m-b")}, rec: 0, emit: 1},
-		{Pair: Pair{Key: "d", Value: []byte("m-d")}, rec: 4, emit: 0},
-	}}
-	var got []string
-	err := mergePairs([]pairCursor{s.open(run1), s.open(run2), mem}, func(key string, values [][]byte) error {
-		var vs []string
-		for _, v := range values {
-			vs = append(vs, string(v))
-		}
-		got = append(got, key+"="+strings.Join(vs, ","))
-		return nil
-	})
+	run1 := appendRun(t, s, rec(0, "a"), rec(3, "b"))
+	appendRun(t, s, rec(4, "not mine"))
+	run2 := appendRun(t, s, rec(5, "c"))
+	finish(t, s)
+	got, err := s.readRuns([]Record{rec(-1, "already read")}, []spillRun{run1, run2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"a=r1a,r2a", "b=m-b,r2b", "c=r1c", "d=m-d"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("merge produced %v, want %v", got, want)
-	}
-	if n := runBuffersOut.Load(); n != 0 {
-		t.Fatalf("%d run buffers not returned to the pool after the merge", n)
-	}
-}
-
-// orderSensitiveJob emits position-tagged values and concatenates each key's
-// values in arrival order, so any drift in the provenance order of the
-// shuffle changes the output bytes.
-func orderSensitiveJob(reducers, mapParallelism int) *Job {
-	return &Job{
-		Name: "order",
-		Mapper: MapperFunc(func(record []byte, emit func(Pair)) error {
-			for i, w := range strings.Fields(string(record)) {
-				emit(Pair{Key: w, Value: []byte(fmt.Sprintf("[%s#%d]", record[:4], i))})
-			}
-			return nil
-		}),
-		Reducer: ReducerFunc(func(key string, values [][]byte, emit func([]byte)) error {
-			emit([]byte(key + ":" + string(bytes.Join(values, nil))))
-			return nil
-		}),
-		NumReducers:    reducers,
-		MapParallelism: mapParallelism,
-	}
-}
-
-// TestChunkedShuffleIdenticalAcrossMapParallelism pins the chunked stages to
-// the record-at-a-time contract: whatever the number of map workers and
-// whatever the chunk length (BufferSize 1 is a chunk of one), output bytes
-// and shuffle counters are identical.
-func TestChunkedShuffleIdenticalAcrossMapParallelism(t *testing.T) {
-	inputs := streamInputs(700, 9, 11) // several chunks per worker and per partition
-	base := runStream(t, orderSensitiveJob(5, 1), inputs, StreamOptions{BufferSize: 1})
-	want := flatStrings(base)
-	for _, par := range []int{1, 2, 8} {
-		for _, buf := range []int{0, 1, 7, 1000} {
-			got := runStream(t, orderSensitiveJob(5, par), inputs, StreamOptions{BufferSize: buf})
-			if !reflect.DeepEqual(flatStrings(got), want) {
-				t.Fatalf("MapParallelism %d, BufferSize %d: output differs from the record-at-a-time run", par, buf)
-			}
-			if got.Counters.ShuffleRecords != base.Counters.ShuffleRecords ||
-				got.Counters.ShuffleBytes != base.Counters.ShuffleBytes ||
-				got.Counters.MapInputRecords != base.Counters.MapInputRecords ||
-				!reflect.DeepEqual(got.Counters.ReducerLoads, base.Counters.ReducerLoads) {
-				t.Fatalf("MapParallelism %d, BufferSize %d: counters drifted:\n  base: %+v\n  got:  %+v", par, buf, base.Counters, got.Counters)
-			}
-		}
+	if want := []Record{rec(-1, "already read"), rec(0, "a"), rec(3, "b"), rec(5, "c")}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("read back %+v, want %+v", got, want)
 	}
 }
 
 // TestBudgetBelowOneRecordSpillsEveryRecord asserts the memory budget is
-// still checked per inserted record, not per chunk: with a budget no record
-// fits in, every shuffled record becomes its own run.
+// checked per copy: with a budget no record fits in, every copy becomes its
+// own run.
 func TestBudgetBelowOneRecordSpillsEveryRecord(t *testing.T) {
 	inputs := streamInputs(300, 6, 12)
-	want := flatStrings(runStream(t, orderSensitiveJob(4, 1), inputs, StreamOptions{}))
-	for _, par := range []int{1, 8} {
-		got := runStream(t, orderSensitiveJob(4, par), inputs, StreamOptions{MemoryBudget: 1, SpillDir: t.TempDir()})
-		if got.Counters.SpillRuns != got.Counters.ShuffleRecords {
-			t.Fatalf("MapParallelism %d: %d spill runs for %d shuffled records, want one each",
-				par, got.Counters.SpillRuns, got.Counters.ShuffleRecords)
-		}
-		if !reflect.DeepEqual(flatStrings(got), want) {
-			t.Fatalf("MapParallelism %d: fully spilled output differs from the in-memory run", par)
-		}
+	want := flatStrings(runStream(t, scatterJob(4, 2), inputs, StreamOptions{}))
+	got := runStream(t, scatterJob(4, 2), inputs, StreamOptions{MemoryBudget: 1, SpillDir: t.TempDir()})
+	if got.Counters.SpillRuns != got.Counters.ShuffleRecords {
+		t.Fatalf("%d spill runs for %d copies, want one each", got.Counters.SpillRuns, got.Counters.ShuffleRecords)
+	}
+	if !reflect.DeepEqual(flatStrings(got), want) {
+		t.Fatal("fully spilled output differs from the in-memory run")
 	}
 }
 
-// TestRunStreamCancelMidChunk cancels while the reader holds a partial chunk
-// (the source has stalled short of a chunk boundary), the map workers hold
-// partial pending chunks, and partitions are spilling: the run must return
-// promptly and leave no spill directory, descriptor, run buffer or goroutine.
+// TestRunStreamCancelMidChunk cancels part-way through the input, with the
+// source stalled and reducers spilling: the run must return promptly and
+// leave no spill directory, descriptor, write buffer or goroutine.
 func TestRunStreamCancelMidChunk(t *testing.T) {
 	spillDir := t.TempDir()
 	leaks := watchLeaks(t, spillDir)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	src := &blockingSource{ctx: ctx, limit: 5*chunkRecords + chunkRecords/2}
+	src := &blockingSource{ctx: ctx, limit: 100}
 	spilled := make(chan struct{})
 	var once sync.Once
 	done := make(chan error, 1)
 	go func() {
-		_, err := Run(ctx, wordCountJob(2), src, nil, StreamOptions{
+		_, err := Run(ctx, scatterJob(2, 2), src, nil, StreamOptions{
 			MemoryBudget: 1, SpillDir: spillDir,
 			OnSpill: func(int, int64) { once.Do(func() { close(spilled) }) },
 		})
@@ -572,25 +470,24 @@ func TestRunStreamCancelMidChunk(t *testing.T) {
 }
 
 // TestSourceNotPulledAfterRunReturns pins the lifetime of the reader: once
-// Run has returned — because a map task failed, the sink failed, or the
-// caller cancelled mid-run — the caller owns its Source again (it may close
-// the file behind it), so no Next call may start any more, and the goroutines
-// of the run are gone.
+// Run has returned — because a record was routed nowhere valid, the sink
+// failed, or the caller cancelled mid-run — the caller owns its Source again
+// (it may close the file behind it), so no Next call may start any more, and
+// the goroutines of the run are gone.
 func TestSourceNotPulledAfterRunReturns(t *testing.T) {
 	boom := errors.New("boom")
-	failingMapper := MapperFunc(func([]byte, func(Pair)) error { return boom })
 	failingSink := SinkFunc(func(int, []byte) error { return boom })
 	cases := []struct {
 		name     string
-		mapper   Mapper
+		route    func(i int) []int
 		sink     Sink
 		records  int
 		cancelAt int // the pull that cancels the caller's context; 0 = never
-		want     error
+		want     string
 	}{
-		{"map error", failingMapper, nil, 100 * chunkRecords, 0, boom},
-		{"sink error", wordCountMapper, failingSink, 10 * chunkRecords, 0, boom},
-		{"mid-run cancel", wordCountMapper, nil, 100 * chunkRecords, chunkRecords + chunkRecords/2, context.Canceled},
+		{"map error", func(i int) []int { return []int{i % 3, 3 * (i / 50)} }, nil, 1000, 0, "mr: record 50 routed to reducer 3 of 3"},
+		{"sink error", func(i int) []int { return []int{i % 3} }, failingSink, 100, 0, boom.Error()},
+		{"mid-run cancel", func(i int) []int { return []int{i % 3} }, nil, 1000, 100, context.Canceled.Error()},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -611,16 +508,14 @@ func TestSourceNotPulledAfterRunReturns(t *testing.T) {
 				if pulls > tc.records {
 					return nil, io.EOF
 				}
-				// A source slower than the pipeline: the run ends while the
-				// reader is part-way through a chunk.
 				runtime.Gosched()
 				return []byte("a b c"), nil
 			})
-			job := &Job{Name: tc.name, Mapper: tc.mapper, Reducer: countReducer, NumReducers: 3}
+			job := joinJob(3, tc.route)
 			_, err := Run(ctx, job, src, tc.sink, StreamOptions{})
 			returned.Store(true)
-			if !errors.Is(err, tc.want) {
-				t.Fatalf("Run returned %v, want %v", err, tc.want)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Run returned %v, want %s", err, tc.want)
 			}
 			// Goroutines that have signalled Run may still be unwinding.
 			deadline := time.Now().Add(5 * time.Second)
@@ -638,78 +533,56 @@ func TestSourceNotPulledAfterRunReturns(t *testing.T) {
 }
 
 // FuzzSpillRun feeds the run reader bytes it did not write. A run is read
-// back on every spilled reduce, so whatever is in its section of the file — a
-// torn write, a flipped bit — must come out as pairs or as an error: never a
-// panic, never an allocation larger than the section. The bytes follow a
+// back by every spilled reducer, so whatever is in its section of the file —
+// a torn write, a flipped bit — must come out as copies or as an error: never
+// a panic, never more data than the section holds. The bytes follow a
 // well-formed run in the same section, so the reader must also deliver that
 // prefix intact before it meets them; and another well-formed run follows the
 // section, which must read back whole and alone: what is wrong with one run
 // stays in it.
 func FuzzSpillRun(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{0x01})                                                       // key length, no key
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}) // key length 2^64-1
-	f.Add([]byte{0x01, 'k', 0xff, 0xff, 0xff, 0xff, 0x7f})                    // value length 32 GiB
-	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80}) // varint overflow
-	f.Add([]byte{0x01, 'k', 0x01, 'v', 0x00})                                 // frame cut before its last field
-	f.Add([]byte{0x01, 'k', 0x01, 'v', 0x03, 0x00})                           // one more well-formed frame
+	f.Add([]byte{0x01})                                                             // an index, no length
+	f.Add([]byte{0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}) // length 2^64-1
+	f.Add([]byte{0x00, 0xff, 0xff, 0xff, 0xff, 0x7f})                               // length 32 GiB
+	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80})       // varint overflow
+	f.Add([]byte{0x05, 0x02, 'v'})                                                  // a frame cut inside its data
+	f.Add([]byte{0x05, 0x01, 'v'})                                                  // one more well-formed frame
 
-	prefix := []streamPair{ // TestSpillRunRoundTrip's pairs, in merge order
-		{Pair: Pair{Key: "a", Value: []byte("0")}, rec: 0, emit: 0},
-		{Pair: Pair{Key: "a", Value: []byte("1")}, rec: 0, emit: 1},
-		{Pair: Pair{Key: "a", Value: []byte{}}, rec: 2, emit: 0},
-		{Pair: Pair{Key: "b", Value: []byte("2")}, rec: 1, emit: 0},
-	}
-	s := newSpillFile(f) // one file for all executions, emptied before each
+	prefix := []Record{rec(0, "0"), rec(1, "1"), rec(2, ""), rec(300, "2")} // TestSpillRunRoundTrip's run
+	s := newSpillFile(f)                                                    // one file for all executions, emptied before each
+	finish(f, s)
 	f.Fuzz(func(t *testing.T, garbage []byte) {
 		if err := s.f.Truncate(0); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.f.Seek(0, io.SeekStart); err != nil {
+		s.end, s.w = 0, getRunWriter(io.NewOffsetWriter(s.f, 0))
+		fuzzed := appendRun(t, s, prefix...)
+		if _, err := s.w.Write(garbage); err != nil {
 			t.Fatal(err)
 		}
-		s.runs = nil
-		appendRun(t, s, slices.Clone(prefix)...)
-		if _, err := s.f.Write(garbage); err != nil {
-			t.Fatal(err)
-		}
-		s.runs[0].bytes += int64(len(garbage))
-		fuzzed := s.runs[0]
-		intact := appendRun(t, s, slices.Clone(prefix)...)
+		fuzzed.bytes += int64(len(garbage))
+		s.end += int64(len(garbage))
+		intact := appendRun(t, s, prefix...)
+		finish(t, s)
 
-		c := s.open(fuzzed)
-		defer c.close()
+		got, err := s.readRuns(nil, []spillRun{fuzzed})
+		if len(got) < len(prefix) || !reflect.DeepEqual(got[:len(prefix)], prefix) {
+			t.Fatalf("read %+v (%v), want the well-formed prefix %+v first", got, err, prefix)
+		}
+		if err != nil && !strings.HasPrefix(err.Error(), "mr: reading spill run: ") {
+			t.Fatalf("error %q does not say what was being read", err)
+		}
 		var read int
-		for i := 0; ; i++ {
-			p, err := c.next()
-			if err != nil {
-				if i < len(prefix) {
-					t.Fatalf("pair %d of the well-formed prefix: %v", i, err)
-				}
-				if err != io.EOF && !strings.Contains(err.Error(), "reading spill run") {
-					t.Fatalf("error %q does not say what was being read", err)
-				}
-				break
-			}
-			if i < len(prefix) && !reflect.DeepEqual(p, prefix[i]) {
-				t.Fatalf("pair %d = %+v, want %+v", i, p, prefix[i])
-			}
-			if read += len(p.Key) + len(p.Value); int64(read) > fuzzed.bytes {
-				t.Fatalf("read %d payload bytes out of a %d-byte section", read, fuzzed.bytes)
-			}
+		for _, r := range got {
+			read += len(r.Data)
+		}
+		if int64(read) > fuzzed.bytes {
+			t.Fatalf("read %d data bytes out of a %d-byte section", read, fuzzed.bytes)
 		}
 
-		next := s.open(intact)
-		defer next.close()
-		for i := 0; i <= len(prefix); i++ {
-			p, err := next.next()
-			if i == len(prefix) {
-				if err != io.EOF {
-					t.Fatalf("the run behind the fuzzed section does not end after its %d pairs: %+v, %v", i, p, err)
-				}
-			} else if err != nil || !reflect.DeepEqual(p, prefix[i]) {
-				t.Fatalf("pair %d of the run behind the fuzzed section = %+v, %v, want %+v", i, p, err, prefix[i])
-			}
+		if got, err := s.readRuns(nil, []spillRun{intact}); err != nil || !reflect.DeepEqual(got, prefix) {
+			t.Fatalf("the run behind the fuzzed section read back as %+v, %v, want %+v", got, err, prefix)
 		}
 	})
 }

@@ -28,7 +28,6 @@ type request struct {
 	noCache bool
 
 	pair    PairFunc
-	workers int
 	noAudit bool
 
 	// Streaming surface (see Source, Each, MemoryBudget, SpillDir).
@@ -127,18 +126,18 @@ func Each(fn func(rec []byte) error) Option {
 	return func(r *request) { r.each = fn }
 }
 
-// MemoryBudget bounds the in-memory shuffle bytes of Execute's pipeline.
-// Partitions over budget spill sorted runs to the spill directory and
-// merge them back at reduce time; output is unchanged. Spill volume is
-// reported in Execution.Spill* and the pland_exec_spill_* metrics. Zero (the
-// default) means unbounded.
+// MemoryBudget bounds the in-memory shuffle bytes of Execute's map phase.
+// When a copy crosses it, the reducer buffer the copy went to is appended to
+// the run's spill file and read back at reduce time; output is unchanged.
+// Spill volume is reported in Execution.Spill* and the pland_exec_spill_*
+// metrics. Zero (the default) means unbounded.
 func MemoryBudget(bytes int64) Option {
 	return func(r *request) { r.memBudget = bytes }
 }
 
-// SpillDir sets where over-budget partitions keep their spill files; ""
-// (the default) uses the OS temp dir. Each run keeps its files — one per
-// partition that spilled — in a private mr-spill-* subdirectory, removed when
+// SpillDir sets where a run that spills keeps its spill file; "" (the
+// default) uses the OS temp dir. A run keeps one file, holding every spilled
+// run of every reducer, in a private mr-spill-* subdirectory, removed when
 // the run ends.
 func SpillDir(dir string) Option {
 	return func(r *request) { r.spillDir = dir }
@@ -168,12 +167,6 @@ func NoCache() Option {
 // emitted by the logic become the execution output.
 func Pair(fn PairFunc) Option {
 	return func(r *request) { r.pair = fn }
-}
-
-// Workers bounds Execute's reduce-phase parallelism; 0 (the default) runs
-// one worker per reducer.
-func Workers(n int) Option {
-	return func(r *request) { r.workers = n }
 }
 
 // NoAudit skips Execute's conformance audit. The audit costs one trace entry

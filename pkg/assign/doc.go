@@ -46,16 +46,16 @@
 //	    assign.Pair(comparePair),
 //	    assign.Each(func(rec []byte) error { return out.Write(rec) }))
 //
-// MemoryBudget bounds the bytes of shuffled data held in memory: over-budget
-// reduce partitions spill sorted runs to a temp directory (SpillDir)
-// and merge them back at reduce time, so results are identical to an
-// unbounded run; the Execution reports SpillRuns, SpillPartitions, and
-// SpillBytes. The engine serializes Each's calls, so the callback needs no
-// locking, and Each is also how a caller stops early: an error it returns
-// fails the run with that error. Contexts are honored mid-pipeline too:
-// cancelling the ctx given to Execute stops the map, shuffle, and reduce
-// stages promptly. Either way Execute returns once the pipeline has unwound,
-// with every spill file removed.
+// MemoryBudget bounds the bytes of shuffled data held in memory: the reducer
+// buffer a copy crosses it in is appended to the run's one spill file in a
+// temp directory (SpillDir) and read back at reduce time, so results are
+// identical to an unbounded run; the Execution reports SpillRuns,
+// SpillPartitions, and SpillBytes. The engine serializes Each's calls, so
+// the callback needs no locking, and Each is also how a caller stops early:
+// an error it returns fails the run with that error. Contexts are honored
+// mid-run too: cancelling the ctx given to Execute stops the map and reduce
+// phases promptly. Either way Execute returns once the run has unwound, with
+// its spill file removed.
 //
 // Package-level Plan and Execute share one process-wide planner, so
 // isomorphic instances across callers hit a single cache; NewPlanner builds

@@ -24,18 +24,21 @@ type Execution struct {
 	// Audited reports whether the conformance harness checked the run
 	// (false only under NoAudit).
 	Audited bool
-	// ShuffleRecords and ShuffleBytes describe what crossed the
-	// map-to-reduce boundary; ShuffleBytes is the realized communication
-	// cost.
+	// ShuffleRecords and ShuffleBytes describe the input copies sent to
+	// reducers: ShuffleBytes is the total of their payload bytes and nothing
+	// else — the realized communication cost, Plan.Cost.Communication.
 	ShuffleRecords int64
 	ShuffleBytes   int64
-	// ReducerLoads holds the shuffle bytes received per reducer, and
-	// MaxReducerLoad the largest entry — the realized parallelism bound.
+	// ReducerLoads holds the payload bytes received per reducer — reducer
+	// r's entry is the schema's Reducers[r].Load, in the same units — and
+	// MaxReducerLoad the largest entry, the realized parallelism bound,
+	// never above the capacity q.
 	ReducerLoads   []int64
 	MaxReducerLoad int64
 	// SpillRuns, SpillPartitions, and SpillBytes describe spill-to-disk
-	// activity under MemoryBudget: sorted runs written, distinct
-	// partitions that spilled, and total file bytes. All zero for unbounded
+	// activity under MemoryBudget: runs written, distinct reducers that
+	// spilled, and the bytes written to the run's one spill file (payloads
+	// plus a record index and length per copy). All zero for unbounded
 	// runs.
 	SpillRuns       int64
 	SpillPartitions int64
@@ -90,7 +93,6 @@ func (pl *Planner) Execute(ctx context.Context, opts ...Option) (*Execution, err
 		XInputs:      r.xData,
 		YInputs:      r.yData,
 		Pair:         r.pair,
-		Workers:      r.workers,
 		NoAudit:      r.noAudit,
 		Sink:         r.each,
 		MemoryBudget: r.memBudget,

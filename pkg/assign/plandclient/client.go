@@ -219,26 +219,33 @@ type ExecuteRequest struct {
 	// server-side).
 	ReturnPairs bool `json:"return_pairs,omitempty"`
 	// MemoryBudget, when positive, bounds the execution's in-memory shuffle
-	// bytes; over-budget reduce partitions spill sorted runs to disk on the
-	// server and merge them back at reduce time. The output is unchanged and
-	// the result reports the realized spill volume.
+	// bytes (payload bytes); the reducer buffer a copy crosses it in is
+	// appended to the run's spill file on the server and read back at reduce
+	// time. The output is unchanged and the result reports the realized
+	// spill volume.
 	MemoryBudget int64 `json:"memory_budget,omitempty"`
 }
 
 // ExecuteResult is the answer of an execute call or a succeeded "execute"
 // job.
 type ExecuteResult struct {
-	Schema         *assign.MappingSchema `json:"schema"`
-	Reducers       int                   `json:"reducers"`
-	Winner         string                `json:"winner"`
-	CacheHit       bool                  `json:"cache_hit"`
-	Pairs          int64                 `json:"pairs"`
-	PairIDs        []string              `json:"pair_ids,omitempty"`
-	ShuffleRecords int64                 `json:"shuffle_records"`
-	ShuffleBytes   int64                 `json:"shuffle_bytes"`
-	MaxReducerLoad int64                 `json:"max_reducer_load"`
+	Schema   *assign.MappingSchema `json:"schema"`
+	Reducers int                   `json:"reducers"`
+	Winner   string                `json:"winner"`
+	CacheHit bool                  `json:"cache_hit"`
+	Pairs    int64                 `json:"pairs"`
+	PairIDs  []string              `json:"pair_ids,omitempty"`
+	// ShuffleRecords counts the input copies sent to reducers, and
+	// ShuffleBytes their payload bytes: the schema's communication cost.
+	// MaxReducerLoad is the most payload bytes one reducer received, the
+	// schema's largest load, never above Capacity.
+	ShuffleRecords int64 `json:"shuffle_records"`
+	ShuffleBytes   int64 `json:"shuffle_bytes"`
+	MaxReducerLoad int64 `json:"max_reducer_load"`
 	// Spill figures are zero unless the request set a MemoryBudget the run
-	// exceeded.
+	// exceeded: runs written, reducers that spilled, and the bytes written to
+	// the run's one spill file (payloads plus a record index and length per
+	// copy).
 	SpillRuns       int64 `json:"spill_runs,omitempty"`
 	SpillPartitions int64 `json:"spill_partitions,omitempty"`
 	SpillBytes      int64 `json:"spill_bytes,omitempty"`

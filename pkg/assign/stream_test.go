@@ -384,3 +384,45 @@ func TestExecuteMillionPairStreamSpills(t *testing.T) {
 	t.Logf("pairs=%d similar=%d spill_runs=%d spill_bytes=%d elapsed=%s",
 		ex.PairsProcessed, similar, ex.SpillRuns, ex.SpillBytes, ex.Elapsed)
 }
+
+// TestExecuteMeasuresThePapersQuantities holds the engine's counters to the
+// paper's cost model: the bytes shuffled are the schema's communication cost,
+// each reducer receives exactly its schema load, and no reducer receives more
+// than q — with and without a memory budget that spills every copy.
+func TestExecuteMeasuresThePapersQuantities(t *testing.T) {
+	pair := assign.Pair(func(a, b assign.Record, emit func([]byte)) error { return nil })
+	instances := map[string][]assign.Option{
+		"a2a": {assign.Inputs(streamPayloads(40)), assign.Capacity(120)},
+		"x2y": {assign.XYInputs(streamPayloads(15), streamPayloads(22)), assign.Capacity(90)},
+	}
+	for name, instance := range instances {
+		for _, budget := range []int64{0, 1} {
+			opts := append([]assign.Option{pair, assign.NoCache(), assign.MemoryBudget(budget), assign.SpillDir(t.TempDir())}, instance...)
+			ex, err := assign.Execute(context.Background(), opts...)
+			if err != nil {
+				t.Fatalf("%s, budget %d: %v", name, budget, err)
+			}
+			schema, cost := ex.Plan.Schema, ex.Plan.Cost
+			if cost.Reducers < 2 {
+				t.Fatalf("%s: %d reducers, want an instance that needs several", name, cost.Reducers)
+			}
+			if (ex.SpillRuns == ex.ShuffleRecords) != (budget == 1) {
+				t.Errorf("%s, budget %d: %d spill runs for %d copies", name, budget, ex.SpillRuns, ex.ShuffleRecords)
+			}
+			if ex.ShuffleBytes != int64(cost.Communication) {
+				t.Errorf("%s, budget %d: shuffled %d bytes, the schema's communication cost is %d", name, budget, ex.ShuffleBytes, cost.Communication)
+			}
+			if len(ex.ReducerLoads) != len(schema.Reducers) {
+				t.Fatalf("%s, budget %d: %d reducer loads for %d reducers", name, budget, len(ex.ReducerLoads), len(schema.Reducers))
+			}
+			for r, red := range schema.Reducers {
+				if ex.ReducerLoads[r] != int64(red.Load) {
+					t.Errorf("%s, budget %d: reducer %d received %d bytes, its schema load is %d", name, budget, r, ex.ReducerLoads[r], red.Load)
+				}
+			}
+			if ex.MaxReducerLoad > int64(schema.Capacity) || ex.MaxReducerLoad != int64(cost.MaxLoad) {
+				t.Errorf("%s, budget %d: max reducer load %d, schema max %d, q %d", name, budget, ex.MaxReducerLoad, cost.MaxLoad, schema.Capacity)
+			}
+		}
+	}
+}
