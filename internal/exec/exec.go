@@ -412,8 +412,8 @@ func (c *compilation) takeLog() {
 // the pairs r owns: a conforming reducer fills it exactly, and one that
 // processes more than it owns grows into a private reallocation instead of
 // its neighbour's part, so it is still logged, and still named by the audit.
-// The engine runs each reduce task once, on the task's own goroutine, so a
-// section has one writer.
+// The engine runs each reduce task once, on one goroutine, so a section has
+// one writer.
 func (c *compilation) logSection(r int) []pairEntry {
 	start, end := c.idx.ownedRange(r)
 	return c.log[start:start:end]

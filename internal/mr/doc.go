@@ -19,10 +19,10 @@
 // reader, pulls each record, routes it, and appends a copy to the buffer of
 // every reducer Route names, enforcing ReducerCapacity copy by copy. Because
 // one goroutine routes in index order, every buffer holds its copies in index
-// order: there is nothing to tag, sort or merge. In the reduce phase every
-// reducer that received a copy runs its Reduce at once, on its own
-// goroutine, and writes its output to the caller's Sink or into the collected
-// Result.Output. The context cancels either phase, and Run returns only once
+// order: there is nothing to tag, sort or merge. In the reduce phase one
+// worker per processor (GOMAXPROCS) takes the reducers that received a copy
+// one after another, runs each one's Reduce, and writes its output to the
+// caller's Sink or into the collected Result.Output. The context cancels either phase, and Run returns only once
 // its goroutines are gone: the Source is not pulled again after that (a Next
 // call already in flight is the one thing Run does not wait for).
 //

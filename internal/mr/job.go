@@ -27,7 +27,8 @@ type Job struct {
 	Route func(i int) []int
 	// Reduce runs once per reducer that received at least one copy, with
 	// the copies in index order, and emits the reducer's output records.
-	// Reducers run concurrently. Required.
+	// Up to one reduce call per processor (GOMAXPROCS) runs at a time.
+	// Required.
 	Reduce func(r int, recs []Record, emit func([]byte)) error
 	// ReducerCapacity, when positive, makes the engine fail the job if any
 	// reducer receives more than this many bytes. It models the paper's

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,10 +15,11 @@ import (
 // source's records in order, asks the job's Route where each one goes, and
 // appends a copy to the buffer of every reducer it names — spilling the
 // buffer a copy lands in when the memory budget is crossed. In the reduce
-// phase every reducer that received a copy reads its spilled runs back, in
-// order, then takes what is left in its buffer, and hands them to Reduce. One
-// goroutine routes, so copies reach every buffer in index order, and no
-// buffer is shared.
+// phase one worker per processor takes the reducers that received a copy one
+// after another: it reads the reducer's spilled runs back, in order, then
+// takes what is left in its buffer, and hands them to Reduce. One goroutine
+// routes, so copies reach every buffer in index order, and no buffer is
+// shared.
 
 // The states of pipeline.srcGate: the reader moves it from idle to inNext
 // around every Source.Next call, and Run closes it on the way out.
@@ -155,20 +157,7 @@ func (p *pipeline) run() (*Result, error) {
 	if p.sink == nil {
 		p.res.Output = make([][][]byte, len(p.parts))
 	}
-	var wg sync.WaitGroup
-	for r := range p.parts {
-		if p.parts[r].records == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := p.reduce(r); err != nil {
-				p.fail(err)
-			}
-		}()
-	}
-	wg.Wait()
+	p.reducePhase()
 	endReduce()
 	if err := p.failure(); err != nil {
 		return nil, err
@@ -275,6 +264,40 @@ func (p *pipeline) spillPartition(r int) error {
 		p.opts.OnSpill(r, run.bytes)
 	}
 	return nil
+}
+
+// reducePhase runs the reduce task of every reducer that received a copy on
+// one worker per processor (GOMAXPROCS), each taking the next reducer until
+// none is left or the run has failed. Reduce tasks are CPU work, so a
+// goroutine per reducer would gain nothing over this; it would read every
+// reducer's copies back at once, so the heap would peak at the whole shuffle
+// and a run's time would depend on when the collector ran during that peak.
+func (p *pipeline) reducePhase() {
+	var todo []int
+	for r := range p.parts {
+		if p.parts[r].records > 0 {
+			todo = append(todo, r)
+		}
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(len(todo), runtime.GOMAXPROCS(0)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				k := int(next.Add(1)) - 1
+				if k >= len(todo) || p.cancelled() {
+					return
+				}
+				if err := p.reduce(todo[k]); err != nil {
+					p.fail(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // reduce reads reducer r's copies back, reduces them, and delivers the

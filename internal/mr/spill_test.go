@@ -255,8 +255,8 @@ func scatterInputs(n int, payloadLen func(i int) int) [][]byte {
 }
 
 // TestEveryPartitionSpillsIntoOneFile pins the layout's resource bound on a
-// fully spilled 256-reducer run (2048 runs, 8 per reducer, every reducer
-// reading its runs back at once): at no point — sampled after every spill and
+// fully spilled 256-reducer run (2048 runs, 8 per reducer, read back by
+// concurrent reduce workers): at no point — sampled after every spill and
 // at every reduce call — is there more than one file in one mr-spill-*
 // directory, or more than one descriptor open beyond what was open before the
 // run.

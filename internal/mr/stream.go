@@ -62,9 +62,9 @@ type StreamOptions struct {
 	// unbounded: nothing spills. A budget smaller than one record spills
 	// every copy as a run of its own.
 	//
-	// The budget covers the map phase. At reduce time every reducer holds
-	// all its copies at once, as Reduce receives them: at most the reducer
-	// capacity each.
+	// The budget covers the map phase. At reduce time each running reduce
+	// task holds all its reducer's copies at once, as Reduce receives them:
+	// at most the reducer capacity, for at most one reducer per processor.
 	MemoryBudget int64
 	// SpillDir is the directory spill files are written under; "" means the
 	// OS temp dir. A Run that spills creates (on its first spill) one

@@ -95,7 +95,7 @@ func flatStrings(res *Result) []string {
 }
 
 // TestRunStreamDeterministicUnderParallelism asserts that output is
-// byte-identical across runs although every reducer reduces at once, and
+// byte-identical across runs although reducers reduce concurrently, and
 // that a spilling run agrees with the in-memory ones.
 func TestRunStreamDeterministicUnderParallelism(t *testing.T) {
 	inputs := streamInputs(120, 5, 3)
@@ -109,6 +109,39 @@ func TestRunStreamDeterministicUnderParallelism(t *testing.T) {
 	spilled := runStream(t, scatterJob(6, 2), inputs, StreamOptions{MemoryBudget: 32, SpillDir: t.TempDir()})
 	if !reflect.DeepEqual(base, flatStrings(spilled)) {
 		t.Fatal("spilled run produced different output")
+	}
+}
+
+// TestReduceRunsOnOneWorkerPerProcessor pins the reduce phase's bound: on a
+// spilled 64-reducer run, no more than GOMAXPROCS reduce calls are in flight
+// at any moment, and every reducer that received a copy is reduced once.
+func TestReduceRunsOnOneWorkerPerProcessor(t *testing.T) {
+	const reducers = 64
+	var active, peak atomic.Int64
+	var calls [reducers]atomic.Int32
+	job := scatterJob(reducers, 4)
+	reduce := job.Reduce
+	job.Reduce = func(r int, recs []Record, emit func([]byte)) error {
+		n := active.Add(1)
+		defer active.Add(-1)
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		}
+		calls[r].Add(1)
+		time.Sleep(100 * time.Microsecond) // long enough for the other workers to overlap
+		return reduce(r, recs, emit)
+	}
+	res, err := Run(context.Background(), job, NewSliceSource(scatterInputs(256, func(int) int { return 8 })), nil,
+		StreamOptions{MemoryBudget: 1, SpillDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, limit := peak.Load(), int64(runtime.GOMAXPROCS(0)); got > limit {
+		t.Errorf("%d reduce calls in flight at once, want at most GOMAXPROCS = %d", got, limit)
+	}
+	for r := range calls {
+		if want := min(res.Counters.ReducerLoads[r], 1); int64(calls[r].Load()) != want {
+			t.Errorf("reducer %d (load %d) reduced %d times, want %d", r, res.Counters.ReducerLoads[r], calls[r].Load(), want)
+		}
 	}
 }
 
@@ -287,9 +320,9 @@ func TestRunStreamNoSpillDirWithoutSpill(t *testing.T) {
 }
 
 // TestRunStreamConcurrentHammer runs many concurrent spilling runs under one
-// spill directory, each with its own file and every reducer of each reading
-// its runs back from that file at once — under -race this shakes out data
-// races between runs and between the reducers of one.
+// spill directory, each with its own file and the reduce workers of each
+// reading runs back from that file concurrently — under -race this shakes out
+// data races between runs and between the reducers of one.
 func TestRunStreamConcurrentHammer(t *testing.T) {
 	inputs := streamInputs(100, 6, 9)
 	want := flatStrings(runStream(t, scatterJob(6, 3), inputs, StreamOptions{}))
