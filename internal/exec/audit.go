@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/mr"
 )
 
 // Conformance violation classes. Every violation found by the auditor wraps
@@ -673,7 +672,7 @@ func (a *Auditor) CheckTrace(tr *Trace) error {
 // CheckLoads verifies the engine's measured per-partition loads against the
 // exact byte loads the schema's routing prescribes. It is a no-op when the
 // auditor was built without expected loads (i.e. outside Run).
-func (a *Auditor) CheckLoads(c *mr.Counters) error {
+func (a *Auditor) CheckLoads(c *Counters) error {
 	if a.expectedLoads == nil {
 		return nil
 	}
@@ -701,7 +700,7 @@ func (a *Auditor) CheckLoads(c *mr.Counters) error {
 
 // Check runs the full post-run audit: trace conformance plus load
 // conformance, with every violation aggregated into one *AuditError.
-func (a *Auditor) Check(tr *Trace, c *mr.Counters) error {
+func (a *Auditor) Check(tr *Trace, c *Counters) error {
 	var violations []Violation
 	collect := func(err error) {
 		var ae *AuditError

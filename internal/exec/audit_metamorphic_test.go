@@ -6,7 +6,6 @@ package exec
 // rest of the repo leans on, so it is itself tested by perturbation.
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -15,7 +14,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/mr"
 )
 
 // validSchema builds a hand-rolled valid A2A schema over 4 inputs of size 2
@@ -132,7 +130,7 @@ func TestAuditFlagsLoadMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	aud.expectedLoads = c.expectedLoads
-	counters := &mr.Counters{ReducerLoads: append([]int64(nil), c.expectedLoads...)}
+	counters := &Counters{ReducerLoads: append([]int64(nil), c.expectedLoads...)}
 	if err := aud.CheckLoads(counters); err != nil {
 		t.Fatalf("exact loads flagged: %v", err)
 	}
@@ -141,7 +139,7 @@ func TestAuditFlagsLoadMismatch(t *testing.T) {
 		t.Fatalf("err = %v, want ErrLoadMismatch", err)
 	}
 	// A partition-count mismatch is a load mismatch too.
-	if err := aud.CheckLoads(&mr.Counters{ReducerLoads: c.expectedLoads[:2]}); !errors.Is(err, ErrLoadMismatch) {
+	if err := aud.CheckLoads(&Counters{ReducerLoads: c.expectedLoads[:2]}); !errors.Is(err, ErrLoadMismatch) {
 		t.Fatalf("short loads err = %v, want ErrLoadMismatch", err)
 	}
 }
@@ -220,7 +218,7 @@ func executedEvents(t *testing.T, req Request) (*compilation, []traceEvent) {
 		t.Fatal(err)
 	}
 	c.takeLog() // never released: the callers read the shards
-	if _, err := mr.Run(context.Background(), c.job(), &c.in, nil, mr.StreamOptions{}); err != nil {
+	if _, err := runJob(&c.req, c.job(), &c.in); err != nil {
 		t.Fatal(err)
 	}
 	var events []traceEvent

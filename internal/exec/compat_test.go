@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/a2a"
 	"repro/internal/core"
-	"repro/internal/mr"
 	"repro/internal/x2y"
 )
 
@@ -31,13 +30,10 @@ const goldenExecPath = "testdata/golden_exec.json"
 // goldenCounters are the deterministic counter fields (wall clocks and the
 // spill figures, which depend on budgets and timing, are excluded).
 type goldenCounters struct {
-	MapInputRecords     int64   `json:"map_input_records"`
-	ShuffleRecords      int64   `json:"shuffle_records"`
-	ShuffleBytes        int64   `json:"shuffle_bytes"`
-	ReduceOutputRecords int64   `json:"reduce_output_records"`
-	ReduceOutputBytes   int64   `json:"reduce_output_bytes"`
-	ReducerLoads        []int64 `json:"reducer_loads"`
-	MaxReducerLoad      int64   `json:"max_reducer_load"`
+	ShuffleRecords int64   `json:"shuffle_records"`
+	ShuffleBytes   int64   `json:"shuffle_bytes"`
+	ReducerLoads   []int64 `json:"reducer_loads"`
+	MaxReducerLoad int64   `json:"max_reducer_load"`
 }
 
 type goldenRun struct {
@@ -48,15 +44,12 @@ type goldenRun struct {
 	Counters       goldenCounters `json:"counters"`
 }
 
-func toGoldenCounters(c *mr.Counters) goldenCounters {
+func toGoldenCounters(c *Counters) goldenCounters {
 	return goldenCounters{
-		MapInputRecords:     c.MapInputRecords,
-		ShuffleRecords:      c.ShuffleRecords,
-		ShuffleBytes:        c.ShuffleBytes,
-		ReduceOutputRecords: c.ReduceOutputRecords,
-		ReduceOutputBytes:   c.ReduceOutputBytes,
-		ReducerLoads:        c.ReducerLoads,
-		MaxReducerLoad:      c.MaxReducerLoad,
+		ShuffleRecords: c.ShuffleRecords,
+		ShuffleBytes:   c.ShuffleBytes,
+		ReducerLoads:   c.ReducerLoads,
+		MaxReducerLoad: c.MaxReducerLoad,
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/mr"
 )
 
 // compileOutcomes reads pland_exec_compile_total.
@@ -446,9 +445,9 @@ func TestOverflowingReducerIsLoggedAndNamed(t *testing.T) {
 		if r == 0 {
 			members = []int{0, 1, 2, 3}
 		}
-		var copies []mr.Record
+		var copies []Record
 		for _, id := range members {
-			copies = append(copies, mr.Record{Index: id, Data: inputs[id]})
+			copies = append(copies, Record{ID: id, Data: inputs[id]})
 		}
 		if err := c.reduce(r, copies, func([]byte) {}); err != nil {
 			t.Fatal(err)

@@ -4,9 +4,10 @@
 // which reducers every input must be replicated to so that all required pairs
 // of inputs meet under the reducer-capacity bound q. That decision — a
 // core.MappingSchema — is only a plan. exec is the execution layer that
-// realises it: Run compiles a schema plus user pair logic into an mr.Job and
-// executes it, and an always-on conformance harness proves afterwards that
-// what the planner promised is what the engine delivered.
+// realises it: Run compiles a schema plus user pair logic into a job for its
+// MapReduce engine and executes it, and an always-on conformance harness
+// proves afterwards that what the planner promised is what the engine
+// delivered.
 //
 // # The schema-to-job compilation contract
 //
@@ -36,6 +37,53 @@
 //     largest reducer load when those are the schema's sizes. The
 //     schema-level capacity q is checked separately by the audit, in the
 //     schema's own size units.
+//
+// # Phases
+//
+// The engine pulls the run's records one at a time from a Source (so the
+// whole input never has to be materialized; a request's slices are read
+// through a SliceSource). In the map phase a single goroutine, the reader,
+// pulls each record, routes it, and appends a copy to the buffer of every
+// reducer the route names, enforcing the engine capacity copy by copy.
+// Because one goroutine routes in index order, every buffer holds its copies
+// in index order: there is nothing to tag, sort or merge. In the reduce phase
+// one worker per processor (GOMAXPROCS) takes the reducers that received a
+// copy one after another, runs each one's reduce, and hands its output to
+// Request.Sink or collects it into Result.Output, reducer by reducer. The
+// context cancels either phase, and Run returns only once the engine's
+// goroutines are gone: the Source is not pulled again after that (a Next
+// call already in flight is the one thing Run does not wait for). The phases
+// are the exec_map and exec_reduce stages of the request's span, inside
+// exec_stream.
+//
+// # Spill to disk
+//
+// Request.MemoryBudget bounds the bytes of copies held in reducer buffers
+// during the map phase. When a copy pushes the total over the budget, the
+// buffer it went to is appended to the run's spill file as one run of
+// (index, length, data) frames and emptied. A run has one spill file, created
+// on its first spill in a private "mr-spill-*" directory under
+// Request.SpillDir, holding every run of every reducer back to back, each at
+// the offset reserved for it, written through one pooled buffer; it costs one
+// descriptor however many reducers spilled. A reducer's copies are then its
+// runs, read back in spill order, followed by its buffer — index order again,
+// so output is byte-identical to an unbounded run. A run is read back
+// defensively: a length prefix the rest of the run cannot hold is an error,
+// not an allocation; a run that ends before its recorded length is an error,
+// not a shorter run; and a record index that is not one of the records
+// pulled is an error, not an index into the schema's tables. Spill volume is
+// reported in Counters (SpillRuns, SpillPartitions, SpillBytes), in the
+// pland_exec_spill_* metrics, and as one spill event per run in the span. The
+// file is closed and the directory removed when Run ends, on every path —
+// success, error, or cancellation.
+//
+// # Measurements
+//
+// The paper's cost model depends only on the data shipped from mappers to
+// reducers and on the load of each reducer. Counters measure exactly that:
+// ShuffleBytes is the total of the copies' bytes, and ReducerLoads[r] the
+// bytes reducer r received, with nothing added for framing — so they are the
+// schema's communication cost and its reducer loads.
 //
 // # The conformance harness
 //

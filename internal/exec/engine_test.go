@@ -1,7 +1,6 @@
-package mr
+package exec
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"maps"
@@ -16,12 +15,13 @@ import (
 // "r<r>:" and the data of its copies joined with '|', in the order it
 // received them — so any drift in routing or in order changes the output
 // bytes.
-func joinJob(reducers int, route func(i int) []int) *Job {
-	return &Job{
-		Name:        "join",
-		NumReducers: reducers,
-		Route:       route,
-		Reduce: func(r int, recs []Record, emit func([]byte)) error {
+func joinJob(reducers int, route func(i int) []int) *engineJob {
+	return &engineJob{
+		name:     "join",
+		reducers: reducers,
+		route:    route,
+		hints:    make([]int, reducers),
+		reduce: func(r int, recs []Record, emit func([]byte)) error {
 			out := fmt.Appendf(nil, "r%d:", r)
 			for i, rec := range recs {
 				if i > 0 {
@@ -37,7 +37,7 @@ func joinJob(reducers int, route func(i int) []int) *Job {
 
 // scatterJob is a schema-shaped job over many reducers: record i is copied to
 // `copies` reducers spread over the range.
-func scatterJob(reducers, copies int) *Job {
+func scatterJob(reducers, copies int) *engineJob {
 	return joinJob(reducers, func(i int) []int {
 		rs := make([]int, copies)
 		for c := range rs {
@@ -47,22 +47,23 @@ func scatterJob(reducers, copies int) *Job {
 	})
 }
 
-// runSlice feeds a record slice through Run with default options and collects
-// the output in the Result.
-func runSlice(job *Job, inputs [][]byte) (*Result, error) {
-	return Run(context.Background(), job, NewSliceSource(inputs), nil, StreamOptions{})
+// runSlice feeds a record slice through the engine with no budget and
+// collects the output in the Result.
+func runSlice(job *engineJob, inputs [][]byte) (*Result, error) {
+	return runJob(&Request{}, job, NewSliceSource(inputs))
 }
 
 // wordCountJob counts words on `reducers` reducers, record i going to reducer
 // i mod reducers: each reducer emits "word=count" for the words of the
 // records it holds, in sorted order, and the caller adds up the reducers'
 // counts.
-func wordCountJob(reducers int) *Job {
-	return &Job{
-		Name:        "wordcount",
-		NumReducers: reducers,
-		Route:       func(i int) []int { return []int{i % reducers} },
-		Reduce: func(r int, recs []Record, emit func([]byte)) error {
+func wordCountJob(reducers int) *engineJob {
+	return &engineJob{
+		name:     "wordcount",
+		reducers: reducers,
+		route:    func(i int) []int { return []int{i % reducers} },
+		hints:    make([]int, reducers),
+		reduce: func(r int, recs []Record, emit func([]byte)) error {
 			counts := map[string]int{}
 			for _, rec := range recs {
 				for _, w := range strings.Fields(string(rec.Data)) {
@@ -87,7 +88,7 @@ func TestWordCountEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	counts := map[string]int{}
-	for _, rec := range res.FlatOutput() {
+	for _, rec := range res.Output {
 		w, n, _ := strings.Cut(string(rec), "=")
 		c, err := strconv.Atoi(n)
 		if err != nil {
@@ -99,8 +100,9 @@ func TestWordCountEndToEnd(t *testing.T) {
 	if !reflect.DeepEqual(counts, want) {
 		t.Errorf("counts = %v, want %v", counts, want)
 	}
-	// Records 0 and 2 went to reducer 0, record 1 to reducer 1.
-	if got := string(res.Output[1][0]); got != "dog=1" {
+	// Records 0 and 2 went to reducer 0, which counts five words; record 1
+	// went to reducer 1, whose records follow.
+	if got := string(res.Output[5]); got != "dog=1" {
 		t.Errorf("reducer 1's first record = %q, want dog=1", got)
 	}
 }
@@ -113,9 +115,6 @@ func TestCountersAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := res.Counters
-	if c.MapInputRecords != 2 {
-		t.Errorf("MapInputRecords = %d, want 2", c.MapInputRecords)
-	}
 	// The shuffle is the copies' bytes and nothing else: 2 + 2 + 1.
 	if c.ShuffleRecords != 3 || c.ShuffleBytes != 5 {
 		t.Errorf("shuffle = %d records, %d bytes, want 3 and 5", c.ShuffleRecords, c.ShuffleBytes)
@@ -123,28 +122,11 @@ func TestCountersAccounting(t *testing.T) {
 	if !reflect.DeepEqual(c.ReducerLoads, []int64{2, 3}) || c.MaxReducerLoad != 3 {
 		t.Errorf("loads = %v (max %d), want [2 3] (max 3)", c.ReducerLoads, c.MaxReducerLoad)
 	}
-	if c.ReduceOutputRecords != 2 || c.ReduceOutputBytes != int64(len("r0:xy")+len("r1:xy|z")) {
-		t.Errorf("output = %d records, %d bytes", c.ReduceOutputRecords, c.ReduceOutputBytes)
+	if want := []string{"r0:xy", "r1:xy|z"}; !reflect.DeepEqual(flatStrings(res), want) {
+		t.Errorf("output = %q, want %q", flatStrings(res), want)
 	}
 	if got := c.LoadImbalance(); got != 3/2.5 {
 		t.Errorf("LoadImbalance() = %v, want 1.2", got)
-	}
-	if !strings.Contains(c.String(), "shuffle=5B") {
-		t.Errorf("Counters.String() = %q", c.String())
-	}
-}
-
-func TestJobValidation(t *testing.T) {
-	route := func(int) []int { return nil }
-	reduce := func(int, []Record, func([]byte)) error { return nil }
-	if _, err := runSlice(&Job{Reduce: reduce, NumReducers: 1}, nil); !errors.Is(err, ErrNoRoute) {
-		t.Errorf("missing route: %v", err)
-	}
-	if _, err := runSlice(&Job{Route: route, NumReducers: 1}, nil); !errors.Is(err, ErrNoReduce) {
-		t.Errorf("missing reduce: %v", err)
-	}
-	if _, err := runSlice(&Job{Route: route, Reduce: reduce}, nil); !errors.Is(err, ErrBadReducers) {
-		t.Errorf("missing reducers: %v", err)
 	}
 }
 
@@ -154,7 +136,7 @@ func TestMapErrorPropagates(t *testing.T) {
 	for _, bad := range []int{-1, 3} {
 		job := joinJob(3, func(i int) []int { return []int{i, bad} })
 		_, err := runSlice(job, [][]byte{[]byte("x")})
-		if want := fmt.Sprintf("mr: record 0 routed to reducer %d of 3", bad); err == nil || !strings.HasPrefix(err.Error(), want) {
+		if want := fmt.Sprintf("record 0 routed to reducer %d of 3", bad); err == nil || !strings.HasPrefix(err.Error(), want) {
 			t.Errorf("route to %d: err = %v, want %s", bad, err, want)
 		}
 	}
@@ -162,7 +144,7 @@ func TestMapErrorPropagates(t *testing.T) {
 
 func TestReduceErrorPropagates(t *testing.T) {
 	job := scatterJob(2, 2)
-	job.Reduce = func(int, []Record, func([]byte)) error { return errors.New("kaboom") }
+	job.reduce = func(int, []Record, func([]byte)) error { return errors.New("kaboom") }
 	if _, err := runSlice(job, [][]byte{[]byte("x y")}); err == nil || !strings.Contains(err.Error(), "kaboom") {
 		t.Errorf("reduce error not propagated: %v", err)
 	}
@@ -170,12 +152,12 @@ func TestReduceErrorPropagates(t *testing.T) {
 
 func TestReducerCapacityEnforced(t *testing.T) {
 	job := scatterJob(1, 1)
-	job.ReducerCapacity = 5
+	job.capacity = 5
 	if _, err := runSlice(job, [][]byte{[]byte("abc"), []byte("de")}); err != nil {
 		t.Fatalf("a load of exactly the capacity failed: %v", err)
 	}
 	_, err := runSlice(job, [][]byte{[]byte("abc"), []byte("def")})
-	if !errors.Is(err, ErrOverCapacity) {
+	if !errors.Is(err, errEngineOverCapacity) || errors.Is(err, ErrOverCapacity) {
 		t.Errorf("capacity violation not reported: %v", err)
 	}
 }
@@ -190,7 +172,7 @@ func TestSchemaDrivenJobRoutesCopiesExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := res.FlatOutput(), [][]byte{[]byte("r0:a|bb"), []byte("r1:a|ccc"), []byte("r2:bb|ccc")}; !reflect.DeepEqual(got, want) {
+	if got, want := res.Output, [][]byte{[]byte("r0:a|bb"), []byte("r1:a|ccc"), []byte("r2:bb|ccc")}; !reflect.DeepEqual(got, want) {
 		t.Errorf("output = %q, want %q", got, want)
 	}
 	if c := res.Counters; c.ShuffleRecords != 6 || c.ShuffleBytes != 12 {
@@ -203,7 +185,38 @@ func TestRunWithNoInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Counters.MapInputRecords != 0 || len(res.FlatOutput()) != 0 {
+	if res.Counters.ShuffleRecords != 0 || len(res.Output) != 0 {
 		t.Errorf("empty run produced output: %+v", res.Counters)
+	}
+}
+
+// TestTwoReducersPairTheirRecords: a schema with two reducers over three
+// records, record 0 going to both, so each reducer can pair it with the
+// record it alone holds.
+func TestTwoReducersPairTheirRecords(t *testing.T) {
+	routes := [][]int{{0, 1}, {0}, {1}}
+	job := &engineJob{
+		name:     "pairs",
+		reducers: 2,
+		route:    func(i int) []int { return routes[i] },
+		hints:    make([]int, 2),
+		reduce: func(r int, recs []Record, emit func([]byte)) error {
+			for i, a := range recs {
+				for _, b := range recs[i+1:] {
+					emit(fmt.Appendf(nil, "reducer %d: %s+%s", r, a.Data, b.Data))
+				}
+			}
+			return nil
+		},
+	}
+	res, err := runSlice(job, [][]byte{[]byte("hub"), []byte("left"), []byte("right")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := flatStrings(res), []string{"reducer 0: hub+left", "reducer 1: hub+right"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("output = %q, want %q", got, want)
+	}
+	if got := res.Counters.ShuffleBytes; got != 15 {
+		t.Errorf("shuffle bytes = %d, want 15", got)
 	}
 }

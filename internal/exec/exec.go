@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/mr"
 	"repro/internal/obs"
 	"repro/internal/planner"
 )
@@ -51,8 +50,9 @@ type Request struct {
 	// record i of the stream is input ID i, and InputSizes must declare the
 	// byte size of every record (the planner's declared sizes) so routing
 	// loads are known up front. A record whose actual size differs from its
-	// declared size fails the run. Streaming input is A2A-only.
-	Source mr.Source
+	// declared size fails the run. Streaming input is A2A-only. Run copies
+	// each record, so Next may reuse its buffer.
+	Source Source
 	// InputSizes declares the record sizes of Source, indexed by input ID.
 	InputSizes []int
 	// Sink, when non-nil, receives output records as reduce partitions
@@ -89,7 +89,7 @@ type Result struct {
 	// partition order.
 	Output [][]byte
 	// Counters are the engine's measurements.
-	Counters mr.Counters
+	Counters Counters
 	// Schema is the schema that drove the run.
 	Schema *core.MappingSchema
 	// PairsProcessed is how many required pairs the reducers processed.
@@ -116,8 +116,8 @@ func (r *Request) schema() *core.MappingSchema {
 	return nil
 }
 
-// Run compiles the request's schema into an mr.Job, executes it, and — unless
-// NoAudit is set — audits the run against the schema. See the package
+// Run compiles the request's schema into an engine job, executes it, and —
+// unless NoAudit is set — audits the run against the schema. See the package
 // documentation for the compilation contract.
 func Run(req Request) (*Result, error) {
 	sp := obs.SpanFrom(req.Ctx)
@@ -135,51 +135,31 @@ func Run(req Request) (*Result, error) {
 		return nil, fmt.Errorf("exec: schema for job %q fails conformance: %w", req.Name, err)
 	}
 	endCompile()
-	res := &Result{Schema: c.schema}
 	if c.schema.NumReducers() == 0 {
 		// No reducers and PreCheck passed: there is no required pair, and
 		// that is all an audit of this run could establish.
-		res.Audited = !req.NoAudit
 		obsRunsOK.Inc()
-		return res, nil
+		return &Result{Schema: c.schema, Audited: !req.NoAudit}, nil
 	}
 	c.takeLog()
 	defer putTraceLog(c.log)
-	var sink mr.Sink
-	if req.Sink != nil {
-		sink = mr.SinkFunc(func(_ int, rec []byte) error { return req.Sink(rec) })
-	}
-	opts := mr.StreamOptions{
-		MemoryBudget: req.MemoryBudget,
-		SpillDir:     req.SpillDir,
-		OnSpill: func(partition int, runBytes int64) {
-			// A spill is an instant event in the trace, a counter in /metrics.
-			sp.Stage("spill")()
-			obsSpillRuns.Inc()
-			obsSpillBytes.Add(uint64(runBytes))
-		},
-		OnStage: func(stage string) func() { return sp.Stage("exec_" + stage) },
-	}
 	endStream := sp.Stage("exec_stream")
 	obsPipelineDepth.Inc()
-	runRes, err := mr.Run(req.Ctx, c.job(), &c.in, sink, opts)
+	res, err := runJob(&req, c.job(), &c.in)
 	obsPipelineDepth.Dec()
 	endStream()
 	if err != nil {
 		obsRunsError.Inc()
 		return nil, fmt.Errorf("exec: running job %q: %w", req.Name, err)
 	}
-	obsSpillPartitions.Add(uint64(runRes.Counters.SpillPartitions))
-	if req.Sink == nil {
-		res.Output = runRes.FlatOutput()
-	}
-	res.Counters = runRes.Counters
+	obsSpillPartitions.Add(uint64(res.Counters.SpillPartitions))
+	res.Schema = c.schema
 	res.PairsProcessed = c.trace.Pairs()
 	obsPairs.Add(uint64(res.PairsProcessed))
 	if !req.NoAudit {
 		endAudit := sp.Stage("audit")
 		verifyStart := time.Now()
-		err := c.auditor.Check(c.trace, &runRes.Counters)
+		err := c.auditor.Check(c.trace, &res.Counters)
 		obsVerifySeconds.ObserveSince(verifyStart)
 		endAudit()
 		if err != nil {
@@ -224,7 +204,7 @@ func compile(req Request) (*compilation, error) {
 	var sh shape
 	switch schema.Problem {
 	case core.ProblemA2A:
-		c.in = sizedSource{src: mr.NewSliceSource(req.Inputs), sizes: payloadSizes(req.Inputs)}
+		c.in = sizedSource{src: NewSliceSource(req.Inputs), sizes: payloadSizes(req.Inputs)}
 		if req.Source != nil {
 			if req.Inputs != nil {
 				return nil, fmt.Errorf("%w: Source and Inputs are mutually exclusive (job %q)", ErrBadInputs, req.Name)
@@ -246,7 +226,7 @@ func compile(req Request) (*compilation, error) {
 			return nil, fmt.Errorf("%w: X2Y jobs take XInputs and YInputs (job %q)", ErrBadInputs, req.Name)
 		}
 		recs := slices.Concat(req.XInputs, req.YInputs)
-		c.in = sizedSource{src: mr.NewSliceSource(recs), sizes: payloadSizes(recs)}
+		c.in = sizedSource{src: NewSliceSource(recs), sizes: payloadSizes(recs)}
 		sh = shape{numX: len(req.XInputs), numY: len(req.YInputs)}
 	default:
 		return nil, fmt.Errorf("exec: unknown problem %v (job %q)", schema.Problem, req.Name)
@@ -295,14 +275,14 @@ func (c *compilation) computeExpectedLoads() {
 // job assembles the engine job: routing by the schema's inverted index,
 // owner-elected pair reduction, and the engine-level capacity bound derived
 // from the compiled routing.
-func (c *compilation) job() *mr.Job {
-	return &mr.Job{
-		Name:            c.req.Name,
-		NumReducers:     c.schema.NumReducers(),
-		Route:           func(i int) []int { return c.idx.routes[i] },
-		Reduce:          c.reduce,
-		ReducerCapacity: slices.Max(c.expectedLoads),
-		PartitionHints:  c.expectedCopies,
+func (c *compilation) job() *engineJob {
+	return &engineJob{
+		name:     c.req.Name,
+		reducers: c.schema.NumReducers(),
+		route:    func(i int) []int { return c.idx.routes[i] },
+		reduce:   c.reduce,
+		capacity: slices.Max(c.expectedLoads),
+		hints:    c.expectedCopies,
 	}
 }
 
@@ -312,7 +292,7 @@ func (c *compilation) job() *mr.Job {
 // no longer matches its inputs. A caller's Source may reuse its buffer, and
 // the engine keeps records until they are reduced, so clone copies each one.
 type sizedSource struct {
-	src   mr.Source
+	src   Source
 	sizes []int // of every record, in stream order
 	name  string
 	clone bool
@@ -340,10 +320,10 @@ func (s *sizedSource) Next() ([]byte, error) {
 	return rec, nil
 }
 
-// reduce turns one reducer's copies back into records — stream index i is
-// input i of the A2A set, or of the X side below numX and Y input i-numX
-// above — elects this reducer's owned pairs, logs them, and applies the user
-// PairFunc.
+// reduce takes one reducer's copies, whose IDs are stream indexes — input i
+// of the A2A set, or of the X side below numX — and rewrites the Y side's to
+// Y input IDs (index i is Y input i-numX), then elects this reducer's owned
+// pairs, logs them, and applies the user PairFunc.
 //
 // Owner election runs on the membership bitsets, independently of the
 // auditor's sweep (two derivations, one cross-check). Both records of a
@@ -353,18 +333,16 @@ func (s *sizedSource) Next() ([]byte, error) {
 //
 // The log is the call's own (logSection) and published when the call
 // succeeds, so the hot loop shares nothing.
-func (c *compilation) reduce(self int, copies []mr.Record, emit func([]byte)) error {
-	aRecs := make([]Record, 0, len(copies)) // A2A uses aRecs only; X2Y splits by side
+func (c *compilation) reduce(self int, copies []Record, emit func([]byte)) error {
+	aRecs := sortAndDedupeRecords(copies) // A2A uses aRecs only; X2Y splits it by side
 	var bRecs []Record
-	for _, cp := range copies {
-		if c.schema.Problem == core.ProblemX2Y && cp.Index >= c.idx.numX {
-			bRecs = append(bRecs, Record{ID: cp.Index - c.idx.numX, Data: cp.Data})
-		} else {
-			aRecs = append(aRecs, Record{ID: cp.Index, Data: cp.Data})
+	if c.schema.Problem == core.ProblemX2Y {
+		k, _ := slices.BinarySearchFunc(aRecs, c.idx.numX, func(r Record, id int) int { return cmp.Compare(r.ID, id) })
+		aRecs, bRecs = aRecs[:k], aRecs[k:]
+		for i := range bRecs {
+			bRecs[i].ID -= c.idx.numX
 		}
 	}
-	aRecs = sortAndDedupeRecords(aRecs)
-	bRecs = sortAndDedupeRecords(bRecs)
 	log := c.logSection(self)
 	if c.schema.Problem == core.ProblemA2A {
 		rows := c.idx.aBits

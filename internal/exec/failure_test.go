@@ -1,4 +1,4 @@
-package mr
+package exec
 
 import (
 	"errors"
@@ -8,16 +8,16 @@ import (
 // errInjected is what the failing tasks below return.
 var errInjected = errors.New("injected task failure")
 
-// TestMapRetryExhaustedFailsJob: a failing pull fails the job with its error.
+// TestFailingPullFailsTheRun: a failing pull fails the run with its error.
 // The engine pulls once: the failed record is not asked for again.
-func TestMapRetryExhaustedFailsJob(t *testing.T) {
+func TestFailingPullFailsTheRun(t *testing.T) {
 	pulls := 0
 	src := SourceFunc(func() ([]byte, error) {
 		pulls++
 		return nil, errInjected
 	})
-	_, err := Run(t.Context(), scatterJob(1, 1), src, nil, StreamOptions{})
-	if !errors.Is(err, errInjected) || err.Error() != "mr: reading input record 0: injected task failure" {
+	_, err := runJob(&Request{Ctx: t.Context()}, scatterJob(1, 1), src)
+	if !errors.Is(err, errInjected) || err.Error() != "reading input record 0: injected task failure" {
 		t.Fatalf("err = %v, want the source's error for record 0", err)
 	}
 	if pulls != 1 {
@@ -25,12 +25,12 @@ func TestMapRetryExhaustedFailsJob(t *testing.T) {
 	}
 }
 
-// TestReduceRetryExhaustedFailsJob: a failing reduce task fails the job with
-// its error. The engine runs each task once.
-func TestReduceRetryExhaustedFailsJob(t *testing.T) {
+// TestFailingReduceFailsTheRun: a failing reduce task fails the run with its
+// error. The engine runs each task once.
+func TestFailingReduceFailsTheRun(t *testing.T) {
 	calls := 0
 	job := scatterJob(1, 1)
-	job.Reduce = func(r int, recs []Record, emit func([]byte)) error {
+	job.reduce = func(r int, recs []Record, emit func([]byte)) error {
 		calls++
 		emit(recs[0].Data)
 		return errInjected

@@ -1,4 +1,4 @@
-package mr
+package exec
 
 import (
 	"context"
@@ -15,6 +15,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // streamInputs builds a deterministic pseudo-random word corpus.
@@ -31,9 +33,11 @@ func streamInputs(records, wordsPerRecord int, seed int64) [][]byte {
 	return out
 }
 
-func runStream(t *testing.T, job *Job, inputs [][]byte, opts StreamOptions) *Result {
+// runStream runs job over inputs under req's memory budget, spill directory
+// and context.
+func runStream(t *testing.T, job *engineJob, inputs [][]byte, req Request) *Result {
 	t.Helper()
-	res, err := Run(context.Background(), job, NewSliceSource(inputs), nil, opts)
+	res, err := runJob(&req, job, NewSliceSource(inputs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,17 +57,19 @@ func TestSpilledRunMatchesInMemoryRun(t *testing.T) {
 		c.SpillRuns, c.SpillPartitions, c.SpillBytes = 0, 0, 0
 		return c
 	}
-	want := runStream(t, scatterJob(8, 3), inputs, StreamOptions{})
+	want := runStream(t, scatterJob(8, 3), inputs, Request{})
 	if want.Counters.SpillRuns != 0 {
 		t.Fatalf("unbounded run spilled %d runs", want.Counters.SpillRuns)
 	}
 	for _, budget := range []int64{0, 1, 256} { // unbounded; below one record; mid: a few runs per reducer
+		ctx, sp := obs.StartSpan(context.Background(), "run")
+		got := runStream(t, scatterJob(8, 3), inputs, Request{Ctx: ctx, MemoryBudget: budget, SpillDir: t.TempDir()})
 		var spillCalls int64
-		got := runStream(t, scatterJob(8, 3), inputs, StreamOptions{
-			MemoryBudget: budget,
-			SpillDir:     t.TempDir(),
-			OnSpill:      func(partition int, runBytes int64) { spillCalls++ },
-		})
+		for _, st := range sp.Stages() {
+			if st.Name == "spill" {
+				spillCalls++
+			}
+		}
 		if (got.Counters.SpillRuns > 0) != (budget > 0) {
 			t.Fatalf("budget %d: %d spill runs", budget, got.Counters.SpillRuns)
 		}
@@ -74,7 +80,7 @@ func TestSpilledRunMatchesInMemoryRun(t *testing.T) {
 			t.Fatalf("budget %d: %d runs for %d copies, want runs of several copies", budget, got.Counters.SpillRuns, got.Counters.ShuffleRecords)
 		}
 		if spillCalls != got.Counters.SpillRuns {
-			t.Fatalf("budget %d: OnSpill fired %d times for %d runs", budget, spillCalls, got.Counters.SpillRuns)
+			t.Fatalf("budget %d: the span holds %d spill events for %d runs", budget, spillCalls, got.Counters.SpillRuns)
 		}
 		// Per reducer and in order: a slip in the read-back order shows here.
 		if !reflect.DeepEqual(got.Output, want.Output) {
@@ -88,7 +94,7 @@ func TestSpilledRunMatchesInMemoryRun(t *testing.T) {
 
 func flatStrings(res *Result) []string {
 	var out []string
-	for _, rec := range res.FlatOutput() {
+	for _, rec := range res.Output {
 		out = append(out, string(rec))
 	}
 	return out
@@ -99,14 +105,14 @@ func flatStrings(res *Result) []string {
 // that a spilling run agrees with the in-memory ones.
 func TestRunStreamDeterministicUnderParallelism(t *testing.T) {
 	inputs := streamInputs(120, 5, 3)
-	base := flatStrings(runStream(t, scatterJob(6, 2), inputs, StreamOptions{}))
+	base := flatStrings(runStream(t, scatterJob(6, 2), inputs, Request{}))
 	for i := 0; i < 5; i++ {
-		again := flatStrings(runStream(t, scatterJob(6, 2), inputs, StreamOptions{}))
+		again := flatStrings(runStream(t, scatterJob(6, 2), inputs, Request{}))
 		if !reflect.DeepEqual(base, again) {
 			t.Fatalf("run %d produced different output", i)
 		}
 	}
-	spilled := runStream(t, scatterJob(6, 2), inputs, StreamOptions{MemoryBudget: 32, SpillDir: t.TempDir()})
+	spilled := runStream(t, scatterJob(6, 2), inputs, Request{MemoryBudget: 32, SpillDir: t.TempDir()})
 	if !reflect.DeepEqual(base, flatStrings(spilled)) {
 		t.Fatal("spilled run produced different output")
 	}
@@ -120,8 +126,8 @@ func TestReduceRunsOnOneWorkerPerProcessor(t *testing.T) {
 	var active, peak atomic.Int64
 	var calls [reducers]atomic.Int32
 	job := scatterJob(reducers, 4)
-	reduce := job.Reduce
-	job.Reduce = func(r int, recs []Record, emit func([]byte)) error {
+	reduce := job.reduce
+	job.reduce = func(r int, recs []Record, emit func([]byte)) error {
 		n := active.Add(1)
 		defer active.Add(-1)
 		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
@@ -130,8 +136,7 @@ func TestReduceRunsOnOneWorkerPerProcessor(t *testing.T) {
 		time.Sleep(100 * time.Microsecond) // long enough for the other workers to overlap
 		return reduce(r, recs, emit)
 	}
-	res, err := Run(context.Background(), job, NewSliceSource(scatterInputs(256, func(int) int { return 8 })), nil,
-		StreamOptions{MemoryBudget: 1, SpillDir: t.TempDir()})
+	res, err := runJob(&Request{MemoryBudget: 1, SpillDir: t.TempDir()}, job, NewSliceSource(scatterInputs(256, func(int) int { return 8 })))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,17 +151,23 @@ func TestReduceRunsOnOneWorkerPerProcessor(t *testing.T) {
 }
 
 // blockingSource yields a few records then blocks until its context dies,
-// modelling a long streaming run.
+// modelling a long streaming run. blocked, when set, is closed when it
+// blocks: every record before has been routed by then.
 type blockingSource struct {
-	ctx   context.Context
-	n     int
-	limit int
+	ctx     context.Context
+	n       int
+	limit   int
+	blocked chan struct{}
 }
 
 func (s *blockingSource) Next() ([]byte, error) {
 	if s.n < s.limit {
 		s.n++
 		return []byte(fmt.Sprintf("rec %d", s.n)), nil
+	}
+	if s.blocked != nil {
+		close(s.blocked)
+		s.blocked = nil
 	}
 	<-s.ctx.Done()
 	return nil, io.EOF
@@ -170,7 +181,7 @@ func TestRunStreamCancellation(t *testing.T) {
 	src := &blockingSource{ctx: ctx, limit: 500}
 	done := make(chan error, 1)
 	go func() {
-		_, err := Run(ctx, scatterJob(4, 2), src, nil, StreamOptions{MemoryBudget: 16, SpillDir: spillDir})
+		_, err := runJob(&Request{Ctx: ctx, MemoryBudget: 16, SpillDir: spillDir}, scatterJob(4, 2), src)
 		done <- err
 	}()
 	// Give the pipeline a moment to ingest (and spill) the finite prefix,
@@ -202,14 +213,14 @@ func TestRunStreamCancelDuringReduce(t *testing.T) {
 	started := make(chan struct{})
 	var once sync.Once
 	job := scatterJob(3, 1)
-	job.Reduce = func(int, []Record, func([]byte)) error {
+	job.reduce = func(int, []Record, func([]byte)) error {
 		once.Do(func() { close(started) })
 		<-ctx.Done()
 		return ctx.Err()
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := Run(ctx, job, NewSliceSource(streamInputs(20, 4, 4)), nil, StreamOptions{})
+		_, err := runJob(&Request{Ctx: ctx}, job, NewSliceSource(streamInputs(20, 4, 4)))
 		done <- err
 	}()
 	<-started
@@ -235,7 +246,7 @@ func TestRunStreamSourceError(t *testing.T) {
 		}
 		return []byte("a b c"), nil
 	})
-	_, err := Run(context.Background(), scatterJob(2, 2), src, nil, StreamOptions{})
+	_, err := runJob(&Request{}, scatterJob(2, 2), src)
 	if !errors.Is(err, boom) {
 		t.Fatalf("Run returned %v, want the source error", err)
 	}
@@ -244,9 +255,8 @@ func TestRunStreamSourceError(t *testing.T) {
 // TestRunStreamSinkError asserts a failing sink fails the run.
 func TestRunStreamSinkError(t *testing.T) {
 	boom := errors.New("sink full")
-	sink := SinkFunc(func(partition int, rec []byte) error { return boom })
-	_, err := Run(context.Background(), scatterJob(2, 2),
-		NewSliceSource(streamInputs(10, 3, 5)), sink, StreamOptions{})
+	sink := func([]byte) error { return boom }
+	_, err := runJob(&Request{Sink: sink}, scatterJob(2, 2), NewSliceSource(streamInputs(10, 3, 5)))
 	if !errors.Is(err, boom) {
 		t.Fatalf("Run returned %v, want the sink error", err)
 	}
@@ -256,52 +266,37 @@ func TestRunStreamSinkError(t *testing.T) {
 // collected output, with per-reducer order preserved.
 func TestRunStreamSinkMatchesCollected(t *testing.T) {
 	inputs := streamInputs(80, 4, 6)
-	collected := runStream(t, wordCountJob(5), inputs, StreamOptions{})
+	// Every record is tagged with its reducer, so the sink's can be told apart.
+	job := wordCountJob(5)
+	reduce := job.reduce
+	job.reduce = func(r int, recs []Record, emit func([]byte)) error {
+		return reduce(r, recs, func(rec []byte) { emit(fmt.Appendf(nil, "%d:%s", r, rec)) })
+	}
+	perPart := func(recs []string) map[string][]string {
+		parts := map[string][]string{}
+		for _, rec := range recs {
+			r, _, _ := strings.Cut(rec, ":")
+			parts[r] = append(parts[r], rec)
+		}
+		return parts
+	}
+	collected := runStream(t, job, inputs, Request{})
 
-	perPart := make([][]string, 5)
-	sink := SinkFunc(func(partition int, rec []byte) error {
-		perPart[partition] = append(perPart[partition], string(rec))
+	var sunk []string
+	sink := func(rec []byte) error {
+		sunk = append(sunk, string(rec))
 		return nil
-	})
-	res, err := Run(context.Background(), wordCountJob(5), NewSliceSource(inputs), sink, StreamOptions{})
+	}
+	res, err := runJob(&Request{Sink: sink}, job, NewSliceSource(inputs))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// With a sink the result carries counters but no materialized output.
 	if res.Output != nil {
-		t.Fatalf("sink run materialized output: %d partitions", len(res.Output))
+		t.Fatalf("sink run materialized %d records", len(res.Output))
 	}
-	for p := range collected.Output {
-		var want []string
-		for _, rec := range collected.Output[p] {
-			want = append(want, string(rec))
-		}
-		if !reflect.DeepEqual(perPart[p], want) {
-			t.Fatalf("reducer %d: sink saw %v, collect saw %v", p, perPart[p], want)
-		}
-	}
-}
-
-// TestRunStreamStageHook asserts the tracing hook sees both phases.
-func TestRunStreamStageHook(t *testing.T) {
-	var mu sync.Mutex
-	var events []string
-	opts := StreamOptions{
-		OnStage: func(stage string) func() {
-			mu.Lock()
-			events = append(events, stage+":start")
-			mu.Unlock()
-			return func() {
-				mu.Lock()
-				events = append(events, stage+":end")
-				mu.Unlock()
-			}
-		},
-	}
-	runStream(t, scatterJob(3, 2), streamInputs(10, 3, 7), opts)
-	want := []string{"map:start", "map:end", "reduce:start", "reduce:end"}
-	if !reflect.DeepEqual(events, want) {
-		t.Fatalf("stage events = %v, want %v", events, want)
+	if got, want := perPart(sunk), perPart(flatStrings(collected)); len(want) != 5 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("per reducer, the sink saw %v, collect saw %v", got, want)
 	}
 }
 
@@ -309,7 +304,7 @@ func TestRunStreamStageHook(t *testing.T) {
 // created when something actually spills.
 func TestRunStreamNoSpillDirWithoutSpill(t *testing.T) {
 	dir := t.TempDir()
-	runStream(t, scatterJob(3, 2), streamInputs(10, 3, 8), StreamOptions{SpillDir: dir})
+	runStream(t, scatterJob(3, 2), streamInputs(10, 3, 8), Request{SpillDir: dir})
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -325,7 +320,7 @@ func TestRunStreamNoSpillDirWithoutSpill(t *testing.T) {
 // data races between runs and between the reducers of one.
 func TestRunStreamConcurrentHammer(t *testing.T) {
 	inputs := streamInputs(100, 6, 9)
-	want := flatStrings(runStream(t, scatterJob(6, 3), inputs, StreamOptions{}))
+	want := flatStrings(runStream(t, scatterJob(6, 3), inputs, Request{}))
 	dir := t.TempDir()
 	const runs = 16
 	var wg sync.WaitGroup
@@ -334,8 +329,7 @@ func TestRunStreamConcurrentHammer(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := Run(context.Background(), scatterJob(6, 3),
-				NewSliceSource(inputs), nil, StreamOptions{MemoryBudget: 128 * int64(i%3), SpillDir: dir})
+			res, err := runJob(&Request{MemoryBudget: 128 * int64(i%3), SpillDir: dir}, scatterJob(6, 3), NewSliceSource(inputs))
 			if err != nil {
 				errs[i] = err
 				return
@@ -385,7 +379,7 @@ func finish(t testing.TB, s *spillFile) {
 	}
 }
 
-func rec(index int, data string) Record { return Record{Index: index, Data: []byte(data)} }
+func rec(index int, data string) Record { return Record{ID: index, Data: []byte(data)} }
 
 // TestSpillRunRoundTrip exercises the run codec directly, on the second and
 // third of four runs in one file: a run is read from its own offset, and
@@ -403,11 +397,11 @@ func TestSpillRunRoundTrip(t *testing.T) {
 	if wantRun := (spillRun{off: 16, bytes: 12}); run != wantRun || empty != (spillRun{off: 28}) {
 		t.Fatalf("runs indexed at %+v and %+v, want %+v and an empty one behind it", run, empty, wantRun)
 	}
-	got, err := s.readRuns(nil, []spillRun{run})
+	got, err := s.readRuns(nil, []spillRun{run}, 301)
 	if err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("read back %+v, %v, want %+v", got, err, want)
 	}
-	if got, err := s.readRuns(nil, []spillRun{empty}); err != nil || len(got) != 0 {
+	if got, err := s.readRuns(nil, []spillRun{empty}, 301); err != nil || len(got) != 0 {
 		t.Fatalf("read back %+v, %v from an empty run", got, err)
 	}
 }
@@ -426,23 +420,23 @@ func TestTruncatedRunIsAnError(t *testing.T) {
 		if err := s.f.Truncate(keep); err != nil {
 			t.Fatal(err)
 		}
-		got, err := s.readRuns(nil, []spillRun{run})
-		if !errors.Is(err, io.ErrUnexpectedEOF) || !strings.HasPrefix(err.Error(), "mr: reading spill run: ") || len(got) != 0 {
-			t.Fatalf("%d bytes kept: read %d copies and %v, want none and mr: reading spill run: unexpected EOF", keep, len(got), err)
+		got, err := s.readRuns(nil, []spillRun{run}, 3)
+		if !errors.Is(err, io.ErrUnexpectedEOF) || !strings.HasPrefix(err.Error(), "reading spill run: ") || len(got) != 0 {
+			t.Fatalf("%d bytes kept: read %d copies and %v, want none and reading spill run: unexpected EOF", keep, len(got), err)
 		}
 	}
 }
 
-// TestMergeRecordsAcrossRuns reads one reducer's runs back, interleaved in
+// TestReadBackRecordsAcrossRuns reads one reducer's runs back, interleaved in
 // the file with another reducer's: they come back in the order they were
 // spilled, and so in index order.
-func TestMergeRecordsAcrossRuns(t *testing.T) {
+func TestReadBackRecordsAcrossRuns(t *testing.T) {
 	s := newSpillFile(t)
 	run1 := appendRun(t, s, rec(0, "a"), rec(3, "b"))
 	appendRun(t, s, rec(4, "not mine"))
 	run2 := appendRun(t, s, rec(5, "c"))
 	finish(t, s)
-	got, err := s.readRuns([]Record{rec(-1, "already read")}, []spillRun{run1, run2})
+	got, err := s.readRuns([]Record{rec(-1, "already read")}, []spillRun{run1, run2}, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,8 +450,8 @@ func TestMergeRecordsAcrossRuns(t *testing.T) {
 // own run.
 func TestBudgetBelowOneRecordSpillsEveryRecord(t *testing.T) {
 	inputs := streamInputs(300, 6, 12)
-	want := flatStrings(runStream(t, scatterJob(4, 2), inputs, StreamOptions{}))
-	got := runStream(t, scatterJob(4, 2), inputs, StreamOptions{MemoryBudget: 1, SpillDir: t.TempDir()})
+	want := flatStrings(runStream(t, scatterJob(4, 2), inputs, Request{}))
+	got := runStream(t, scatterJob(4, 2), inputs, Request{MemoryBudget: 1, SpillDir: t.TempDir()})
 	if got.Counters.SpillRuns != got.Counters.ShuffleRecords {
 		t.Fatalf("%d spill runs for %d copies, want one each", got.Counters.SpillRuns, got.Counters.ShuffleRecords)
 	}
@@ -474,15 +468,11 @@ func TestRunStreamCancelMidChunk(t *testing.T) {
 	leaks := watchLeaks(t, spillDir)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	src := &blockingSource{ctx: ctx, limit: 100}
-	spilled := make(chan struct{})
-	var once sync.Once
+	spilled := make(chan struct{}) // with every copy spilled, all 100 records are in the file
+	src := &blockingSource{ctx: ctx, limit: 100, blocked: spilled}
 	done := make(chan error, 1)
 	go func() {
-		_, err := Run(ctx, scatterJob(2, 2), src, nil, StreamOptions{
-			MemoryBudget: 1, SpillDir: spillDir,
-			OnSpill: func(int, int64) { once.Do(func() { close(spilled) }) },
-		})
+		_, err := runJob(&Request{Ctx: ctx, MemoryBudget: 1, SpillDir: spillDir}, scatterJob(2, 2), src)
 		done <- err
 	}()
 	select {
@@ -509,16 +499,16 @@ func TestRunStreamCancelMidChunk(t *testing.T) {
 // the goroutines of the run are gone.
 func TestSourceNotPulledAfterRunReturns(t *testing.T) {
 	boom := errors.New("boom")
-	failingSink := SinkFunc(func(int, []byte) error { return boom })
+	failingSink := func([]byte) error { return boom }
 	cases := []struct {
 		name     string
 		route    func(i int) []int
-		sink     Sink
+		sink     func([]byte) error
 		records  int
 		cancelAt int // the pull that cancels the caller's context; 0 = never
 		want     string
 	}{
-		{"map error", func(i int) []int { return []int{i % 3, 3 * (i / 50)} }, nil, 1000, 0, "mr: record 50 routed to reducer 3 of 3"},
+		{"map error", func(i int) []int { return []int{i % 3, 3 * (i / 50)} }, nil, 1000, 0, "record 50 routed to reducer 3 of 3"},
 		{"sink error", func(i int) []int { return []int{i % 3} }, failingSink, 100, 0, boom.Error()},
 		{"mid-run cancel", func(i int) []int { return []int{i % 3} }, nil, 1000, 100, context.Canceled.Error()},
 	}
@@ -545,7 +535,7 @@ func TestSourceNotPulledAfterRunReturns(t *testing.T) {
 				return []byte("a b c"), nil
 			})
 			job := joinJob(3, tc.route)
-			_, err := Run(ctx, job, src, tc.sink, StreamOptions{})
+			_, err := runJob(&Request{Ctx: ctx, Sink: tc.sink}, job, src)
 			returned.Store(true)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("Run returned %v, want %s", err, tc.want)
@@ -572,8 +562,9 @@ func TestSourceNotPulledAfterRunReturns(t *testing.T) {
 // well-formed run in the same section, so the reader must also deliver that
 // prefix intact before it meets them; and another well-formed run follows the
 // section, which must read back whole and alone: what is wrong with one run
-// stays in it.
+// stays in it. Every index read back is one of the records the run pulled.
 func FuzzSpillRun(f *testing.F) {
+	const pulled = 1000
 	f.Add([]byte{})
 	f.Add([]byte{0x01})                                                             // an index, no length
 	f.Add([]byte{0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}) // length 2^64-1
@@ -581,6 +572,7 @@ func FuzzSpillRun(f *testing.F) {
 	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80})       // varint overflow
 	f.Add([]byte{0x05, 0x02, 'v'})                                                  // a frame cut inside its data
 	f.Add([]byte{0x05, 0x01, 'v'})                                                  // one more well-formed frame
+	f.Add([]byte{0xe8, 0x07, 0x00})                                                 // index 1000, past the records pulled
 
 	prefix := []Record{rec(0, "0"), rec(1, "1"), rec(2, ""), rec(300, "2")} // TestSpillRunRoundTrip's run
 	s := newSpillFile(f)                                                    // one file for all executions, emptied before each
@@ -599,22 +591,25 @@ func FuzzSpillRun(f *testing.F) {
 		intact := appendRun(t, s, prefix...)
 		finish(t, s)
 
-		got, err := s.readRuns(nil, []spillRun{fuzzed})
+		got, err := s.readRuns(nil, []spillRun{fuzzed}, pulled)
 		if len(got) < len(prefix) || !reflect.DeepEqual(got[:len(prefix)], prefix) {
 			t.Fatalf("read %+v (%v), want the well-formed prefix %+v first", got, err, prefix)
 		}
-		if err != nil && !strings.HasPrefix(err.Error(), "mr: reading spill run: ") {
+		if err != nil && !strings.HasPrefix(err.Error(), "reading spill run: ") {
 			t.Fatalf("error %q does not say what was being read", err)
 		}
 		var read int
 		for _, r := range got {
 			read += len(r.Data)
+			if r.ID < 0 || r.ID >= pulled {
+				t.Fatalf("read back record index %d of a run that pulled %d", r.ID, pulled)
+			}
 		}
 		if int64(read) > fuzzed.bytes {
 			t.Fatalf("read %d data bytes out of a %d-byte section", read, fuzzed.bytes)
 		}
 
-		if got, err := s.readRuns(nil, []spillRun{intact}); err != nil || !reflect.DeepEqual(got, prefix) {
+		if got, err := s.readRuns(nil, []spillRun{intact}, pulled); err != nil || !reflect.DeepEqual(got, prefix) {
 			t.Fatalf("the run behind the fuzzed section read back as %+v, %v, want %+v", got, err, prefix)
 		}
 	})

@@ -1,6 +1,6 @@
 //go:build !linux
 
-package mr
+package exec
 
 import "errors"
 

@@ -1,4 +1,4 @@
-package mr
+package exec
 
 import (
 	"bytes"
@@ -45,7 +45,7 @@ func watchLeaks(t *testing.T, spillDir string) runLeaks {
 	t.Helper()
 	// One spilled run first, so that what the runtime opens once and keeps
 	// (its poller) is in the snapshot.
-	runStream(t, scatterJob(2, 2), streamInputs(4, 3, 1), StreamOptions{MemoryBudget: 1, SpillDir: spillDir})
+	runStream(t, scatterJob(2, 2), streamInputs(4, 3, 1), Request{MemoryBudget: 1, SpillDir: spillDir})
 	if n := runBuffersOut.Load(); n != 0 {
 		t.Fatalf("%d run buffers already out before the run under test", n)
 	}
@@ -84,30 +84,40 @@ func spillFiles(spillDir string) []string {
 
 // TestFailurePathsReleaseEverything fails a fully spilling run at each point
 // where it holds its spill file and the pooled write buffer — creating the
-// directory, writing into the file, reading it back in the merge that gives
-// each reducer its copies — and asserts that the error comes back and nothing
-// is left: no directory, no descriptor, no buffer out of the pool, no
-// goroutine. (A run cancelled mid-spill is TestRunStreamCancelMidChunk.)
+// directory, writing into the file, reading it back for each reducer's
+// copies — and asserts that the error comes back and nothing is left: no
+// directory, no descriptor, no buffer out of the pool, no goroutine. (A run
+// cancelled mid-spill is TestRunStreamCancelMidChunk.)
 func TestFailurePathsReleaseEverything(t *testing.T) {
 	boom := errors.New("boom")
 	inputs := streamInputs(200, 6, 21)
-	// budgeted runs a job over 8 reducers, every copy spilled.
-	budgeted := func(ctx context.Context, spillDir string, opts StreamOptions, reduce func(int, []Record, func([]byte)) error) error {
+	// budgeted runs a job over 8 reducers, every copy spilled. A non-nil
+	// pulled is called before every pull from the source: by the second,
+	// record 0's copies are in the spill file.
+	budgeted := func(ctx context.Context, spillDir string, pulled func(i int), reduce func(int, []Record, func([]byte)) error) error {
 		job := scatterJob(8, 2)
 		if reduce != nil {
-			job.Reduce = reduce
+			job.reduce = reduce
 		}
-		opts.MemoryBudget, opts.SpillDir = 1, spillDir
-		_, err := Run(ctx, job, NewSliceSource(inputs), nil, opts)
+		src := Source(NewSliceSource(inputs))
+		if pulled != nil {
+			slice, i := src, 0
+			src = SourceFunc(func() ([]byte, error) {
+				pulled(i)
+				i++
+				return slice.Next()
+			})
+		}
+		_, err := runJob(&Request{Ctx: ctx, MemoryBudget: 1, SpillDir: spillDir}, job, src)
 		return err
 	}
 
-	t.Run("reducer fails mid-merge", func(t *testing.T) {
+	t.Run("reducer fails mid-reduce", func(t *testing.T) {
 		dir := t.TempDir()
 		leaks := watchLeaks(t, dir)
 		var mu sync.Mutex
 		calls := 0
-		err := budgeted(context.Background(), dir, StreamOptions{}, func(int, []Record, func([]byte)) error {
+		err := budgeted(context.Background(), dir, nil, func(int, []Record, func([]byte)) error {
 			mu.Lock()
 			defer mu.Unlock()
 			if calls++; calls == 3 {
@@ -121,12 +131,12 @@ func TestFailurePathsReleaseEverything(t *testing.T) {
 		leaks.check()
 	})
 
-	t.Run("cancelled mid-merge", func(t *testing.T) {
+	t.Run("cancelled mid-reduce", func(t *testing.T) {
 		dir := t.TempDir()
 		leaks := watchLeaks(t, dir)
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		err := budgeted(ctx, dir, StreamOptions{}, func(int, []Record, func([]byte)) error {
+		err := budgeted(ctx, dir, nil, func(int, []Record, func([]byte)) error {
 			cancel()
 			return nil
 		})
@@ -143,10 +153,10 @@ func TestFailurePathsReleaseEverything(t *testing.T) {
 		if err := os.WriteFile(notADir, nil, 0o600); err != nil {
 			t.Fatal(err)
 		}
-		err := budgeted(context.Background(), notADir, StreamOptions{}, nil)
+		err := budgeted(context.Background(), notADir, nil, nil)
 		var pathErr *fs.PathError
-		if err == nil || !strings.HasPrefix(err.Error(), "mr: creating spill directory: ") || !errors.As(err, &pathErr) {
-			t.Fatalf("Run returned %v, want mr: creating spill directory wrapping the OS error", err)
+		if err == nil || !strings.HasPrefix(err.Error(), "creating spill directory: ") || !errors.As(err, &pathErr) {
+			t.Fatalf("Run returned %v, want creating spill directory wrapping the OS error", err)
 		}
 		leaks.check()
 	})
@@ -157,41 +167,38 @@ func TestFailurePathsReleaseEverything(t *testing.T) {
 	t.Run("spill dir removed mid-spill", func(t *testing.T) {
 		dir := t.TempDir()
 		leaks := watchLeaks(t, dir)
-		var once sync.Once
-		err := budgeted(context.Background(), dir, StreamOptions{OnSpill: func(int, int64) {
-			once.Do(func() {
-				for _, f := range spillFiles(dir) {
-					if err := os.RemoveAll(filepath.Dir(f)); err != nil {
-						t.Error(err)
-					}
+		err := budgeted(context.Background(), dir, func(i int) {
+			if i != 1 {
+				return
+			}
+			for _, f := range spillFiles(dir) {
+				if err := os.RemoveAll(filepath.Dir(f)); err != nil {
+					t.Error(err)
 				}
-			})
-		}}, nil)
+			}
+		}, nil)
 		if err != nil {
 			t.Fatalf("Run returned %v after its spill directory was removed", err)
 		}
 		leaks.check()
 	})
 
-	t.Run("spill file cut underneath the merge", func(t *testing.T) {
+	// The map phase ends once every run is in the file, before any reducer
+	// reads: cut it there.
+	t.Run("spill file cut underneath the read-back", func(t *testing.T) {
 		dir := t.TempDir()
 		leaks := watchLeaks(t, dir)
-		// The map phase ends once every run is in the file, before any
-		// reducer reads: cut it there.
-		err := budgeted(context.Background(), dir, StreamOptions{OnStage: func(stage string) func() {
-			if stage != "map" {
-				return nil
-			}
-			return func() {
-				for _, f := range spillFiles(dir) {
-					if err := os.Truncate(f, 0); err != nil {
-						t.Error(err)
-					}
-				}
-			}
-		}}, nil)
-		if err == nil || err.Error() != "mr: reading spill run: unexpected EOF" {
-			t.Fatalf("Run returned %v, want mr: reading spill run: unexpected EOF", err)
+		p := newPipeline(&Request{MemoryBudget: 1, SpillDir: dir}, scatterJob(8, 2), NewSliceSource(inputs))
+		if err := p.mapPhase(); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.spill.f.Truncate(0); err != nil {
+			t.Fatal(err)
+		}
+		err := p.reducePhase()
+		p.close()
+		if err == nil || err.Error() != "reading spill run: unexpected EOF" {
+			t.Fatalf("the reduce phase returned %v, want reading spill run: unexpected EOF", err)
 		}
 		leaks.check()
 	})
@@ -202,25 +209,59 @@ func TestFailurePathsReleaseEverything(t *testing.T) {
 		}
 		dir := t.TempDir()
 		leaks := watchLeaks(t, dir)
-		var once sync.Once
 		var broken error
-		err := budgeted(context.Background(), dir, StreamOptions{OnSpill: func(int, int64) {
-			once.Do(func() { broken = makeReadOnly(spillFiles(dir)[0]) })
-		}}, nil)
+		err := budgeted(context.Background(), dir, func(i int) {
+			if i == 1 {
+				broken = makeReadOnly(spillFiles(dir)[0])
+			}
+		}, nil)
 		if broken != nil {
 			t.Fatal(broken)
 		}
-		if err == nil || !strings.HasPrefix(err.Error(), "mr: writing spill run: ") || !errors.Is(err, syscall.EBADF) {
-			t.Fatalf("Run returned %v, want mr: writing spill run wrapping EBADF", err)
+		if err == nil || !strings.HasPrefix(err.Error(), "writing spill run: ") || !errors.Is(err, syscall.EBADF) {
+			t.Fatalf("Run returned %v, want writing spill run wrapping EBADF", err)
 		}
 		leaks.check()
 	})
 }
 
-// TestMergeOverClosedFileFails closes the spill file underneath the read-back:
-// the read fails with the file's error, and the write buffer is back in the
-// pool already.
-func TestMergeOverClosedFileFails(t *testing.T) {
+// TestCorruptSpilledIndexFailsTheRun overwrites the record index of one
+// spilled copy of a compiled schema's run, between the map and the reduce
+// phase, with one past the records pulled. The reduce indexes the schema's
+// per-input tables with it, so the read-back must refuse it: the run fails
+// with an error instead of a worker's panic, and leaves nothing behind.
+func TestCorruptSpilledIndexFailsTheRun(t *testing.T) {
+	dir := t.TempDir()
+	leaks := watchLeaks(t, dir)
+	ms, set := validSchema(t)
+	req := Request{Name: "corrupt", Schema: ms, Inputs: makeInputs(set.Sizes()), Pair: pairIDs, MemoryBudget: 1, SpillDir: dir}
+	c, err := compile(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.takeLog()
+	defer putTraceLog(c.log)
+	p := newPipeline(&req, c.job(), &c.in)
+	if err := p.mapPhase(); err != nil {
+		t.Fatal(err)
+	}
+	// The file opens with record 0's first copy: a one-byte index, 0.
+	if _, err := p.spill.f.WriteAt([]byte{byte(len(req.Inputs))}, 0); err != nil {
+		t.Fatal(err)
+	}
+	err = p.reducePhase()
+	p.close()
+	want := fmt.Sprintf("reading spill run: record index %d out of range: the run pulled %d records", len(req.Inputs), len(req.Inputs))
+	if err == nil || err.Error() != want {
+		t.Fatalf("the reduce phase returned %v, want %s", err, want)
+	}
+	leaks.check()
+}
+
+// TestReadBackOverClosedFileFails closes the spill file underneath the
+// read-back: the read fails with the file's error, and the write buffer is
+// back in the pool already.
+func TestReadBackOverClosedFileFails(t *testing.T) {
 	if n := runBuffersOut.Load(); n != 0 {
 		t.Fatalf("%d run buffers already out", n)
 	}
@@ -228,19 +269,19 @@ func TestMergeOverClosedFileFails(t *testing.T) {
 	big := bytes.Repeat([]byte("v"), 100<<10) // more than the write buffer holds
 	var runs []spillRun
 	for i := 0; i < 5; i++ {
-		runs = append(runs, appendRun(t, s, rec(i, "small"), Record{Index: i, Data: big}))
+		runs = append(runs, appendRun(t, s, rec(i, "small"), Record{ID: i, Data: big}))
 	}
 	finish(t, s)
 	if n := runBuffersOut.Load(); n != 0 {
 		t.Fatalf("%d run buffers out once the file is written", n)
 	}
-	got, err := s.readRuns(nil, runs[:2])
+	got, err := s.readRuns(nil, runs[:2], 5)
 	if err != nil || len(got) != 4 || !bytes.Equal(got[3].Data, big) {
 		t.Fatalf("read back %d copies, %v, want 4 with the big one last", len(got), err)
 	}
 	s.f.Close()
-	if _, err := s.readRuns(nil, runs[2:]); !errors.Is(err, os.ErrClosed) || !strings.HasPrefix(err.Error(), "mr: reading spill run: ") {
-		t.Fatalf("read-back over a closed file returned %v, want mr: reading spill run wrapping os.ErrClosed", err)
+	if _, err := s.readRuns(nil, runs[2:], 5); !errors.Is(err, os.ErrClosed) || !strings.HasPrefix(err.Error(), "reading spill run: ") {
+		t.Fatalf("read-back over a closed file returned %v, want reading spill run wrapping os.ErrClosed", err)
 	}
 }
 
@@ -256,8 +297,9 @@ func scatterInputs(n int, payloadLen func(i int) int) [][]byte {
 
 // TestEveryPartitionSpillsIntoOneFile pins the layout's resource bound on a
 // fully spilled 256-reducer run (2048 runs, 8 per reducer, read back by
-// concurrent reduce workers): at no point — sampled after every spill and
-// at every reduce call — is there more than one file in one mr-spill-*
+// concurrent reduce workers): at no point — sampled at every pull from the
+// source, after the previous record's four spills, and at every reduce call —
+// is there more than one file in one mr-spill-*
 // directory, or more than one descriptor open beyond what was open before the
 // run.
 func TestEveryPartitionSpillsIntoOneFile(t *testing.T) {
@@ -276,19 +318,24 @@ func TestEveryPartitionSpillsIntoOneFile(t *testing.T) {
 		peakDirs = max(peakDirs, len(dirs))
 	}
 	job := scatterJob(reducers, 4)
-	reduce := job.Reduce
-	job.Reduce = func(r int, recs []Record, emit func([]byte)) error {
+	reduce := job.reduce
+	job.reduce = func(r int, recs []Record, emit func([]byte)) error {
 		sample()
 		return reduce(r, recs, emit)
 	}
-	res, err := Run(context.Background(), job, NewSliceSource(scatterInputs(512, func(int) int { return 20 })), nil,
-		StreamOptions{MemoryBudget: 1, SpillDir: dir, OnSpill: func(int, int64) { sample() }})
+	inputs := NewSliceSource(scatterInputs(512, func(int) int { return 20 }))
+	src := SourceFunc(func() ([]byte, error) {
+		sample()
+		return inputs.Next()
+	})
+	res, err := runJob(&Request{MemoryBudget: 1, SpillDir: dir}, job, src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c := res.Counters; c.SpillPartitions != reducers || c.SpillRuns != 2048 || samples != 2048+reducers {
+	// 513 pulls: the 512 records and the end of the input.
+	if c := res.Counters; c.SpillPartitions != reducers || c.SpillRuns != 2048 || samples != 513+reducers {
 		t.Fatalf("%d runs over %d reducers sampled %d times, want 2048 over %d sampled %d times",
-			c.SpillRuns, c.SpillPartitions, samples, reducers, 2048+reducers)
+			c.SpillRuns, c.SpillPartitions, samples, reducers, 513+reducers)
 	}
 	if peakFiles != 1 || peakDirs != 1 {
 		t.Errorf("%d files in %d spill directories at once, want one file in one directory", peakFiles, peakDirs)
@@ -305,7 +352,8 @@ func TestEveryPartitionSpillsIntoOneFile(t *testing.T) {
 // the values an engine with one spill file per reducer, sorting and merging
 // its runs, produced for the same job: the spill layout is not visible in the
 // results. One goroutine routes, so which reducer spills when does not depend
-// on scheduling, and the spill counters are pinned at every budget.
+// on scheduling, and the spill counters are pinned at every budget — and
+// agree with the pland_exec_spill_* metrics the run moved.
 func TestSpillMatchesRecordedParent(t *testing.T) {
 	const (
 		wantOutput  = "c7c51ea4a05bbf133b805fbeef848121cada19e4b1fa9b24a73a46bb353e5b1d" // sha256 over the reducers' records
@@ -321,24 +369,18 @@ func TestSpillMatchesRecordedParent(t *testing.T) {
 		{4 << 10, spillCounters{251, 48, 144152}},
 		{256 << 10, spillCounters{}}, // never crossed
 	} {
-		var seen spillCounters
-		spilledParts := map[int]bool{}
-		res := runStream(t, scatterJob(48, 3), scatterInputs(96, func(i int) int { return 300 + (i*397)%401 }), StreamOptions{
+		runs, bytes := obsSpillRuns.Value(), obsSpillBytes.Value()
+		res := runStream(t, scatterJob(48, 3), scatterInputs(96, func(i int) int { return 300 + (i*397)%401 }), Request{
 			MemoryBudget: tc.budget,
 			SpillDir:     t.TempDir(),
-			OnSpill: func(partition int, runBytes int64) {
-				seen.runs++
-				seen.bytes += runBytes
-				spilledParts[partition] = true
-			},
 		})
-		seen.partitions = int64(len(spilledParts))
+		runs, bytes = obsSpillRuns.Value()-runs, obsSpillBytes.Value()-bytes
 		h := sha256.New()
-		for p, recs := range res.Output {
-			for _, rec := range recs {
-				fmt.Fprintf(h, "%d:%d:", p, len(rec))
-				h.Write(rec)
-			}
+		for _, rec := range res.Output {
+			// Every reducer emits one record, "r<reducer>:…".
+			p, _, _ := strings.Cut(strings.TrimPrefix(string(rec), "r"), ":")
+			fmt.Fprintf(h, "%s:%d:", p, len(rec))
+			h.Write(rec)
 		}
 		c := res.Counters
 		got := spillCounters{c.SpillRuns, c.SpillPartitions, c.SpillBytes}
@@ -346,8 +388,8 @@ func TestSpillMatchesRecordedParent(t *testing.T) {
 			t.Errorf("budget %d: output %s over %d copies, want %s over %d",
 				tc.budget, sum, c.ShuffleRecords, wantOutput, wantRecords)
 		}
-		if got != seen {
-			t.Errorf("budget %d: counters %+v, OnSpill saw %+v", tc.budget, got, seen)
+		if uint64(got.runs) != runs || uint64(got.bytes) != bytes {
+			t.Errorf("budget %d: counters %+v, the metrics moved by %d runs and %d bytes", tc.budget, got, runs, bytes)
 		}
 		if got != tc.want {
 			t.Errorf("budget %d: spill counters %+v, want %+v", tc.budget, got, tc.want)

@@ -11,7 +11,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/mr"
+	"repro/internal/obs"
 )
 
 // streamSizes is a mixed-size A2A instance big enough to shuffle a few
@@ -49,7 +49,7 @@ func TestRunStreamingSourceMatchesMaterialized(t *testing.T) {
 	got, err := Run(Request{
 		Name:       "stream",
 		Schema:     schema,
-		Source:     mr.NewSliceSource(inputs),
+		Source:     NewSliceSource(inputs),
 		InputSizes: intSizes(sizes),
 		Pair:       pairIDs,
 		Sink:       func(rec []byte) error { streamed = append(streamed, string(rec)); return nil },
@@ -125,6 +125,40 @@ func TestRunSpillsUnderBudgetAndStillAudits(t *testing.T) {
 	}
 }
 
+// TestRunRecordsEngineStagesInTheSpan asserts the request's span holds the
+// engine's phases, exec_map then exec_reduce, inside exec_stream, and under a
+// budget one spill event per spilled run, all in the map phase.
+func TestRunRecordsEngineStagesInTheSpan(t *testing.T) {
+	sizes := streamSizes(12)
+	schema := solveA2A(t, sizes, 60)
+	inputs := makeInputs(sizes)
+	for _, budget := range []int64{0, 1} {
+		ctx, sp := obs.StartSpan(context.Background(), "execute")
+		res, err := Run(Request{
+			Ctx: ctx, Name: "stages", Schema: schema, Inputs: inputs, Pair: pairIDs,
+			MemoryBudget: budget, SpillDir: t.TempDir(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spilled := res.Counters.SpillRuns > 0; spilled != (budget > 0) {
+			t.Fatalf("budget %d: %d spill runs", budget, res.Counters.SpillRuns)
+		}
+		want := []string{"exec_compile"}
+		for range res.Counters.SpillRuns {
+			want = append(want, "spill")
+		}
+		want = append(want, "exec_map", "exec_reduce", "exec_stream", "audit")
+		var got []string
+		for _, st := range sp.Stages() {
+			got = append(got, st.Name)
+		}
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Fatalf("budget %d: the span's stages end in the order %v, want %v", budget, got, want)
+		}
+	}
+}
+
 // TestRunCancelledContextStopsStreaming feeds an endless-looking source and
 // cancels mid-run: Run must return promptly with the context error and leave
 // no spill files behind.
@@ -137,7 +171,7 @@ func TestRunCancelledContextStopsStreaming(t *testing.T) {
 
 	released := make(chan struct{})
 	i := 0
-	src := mr.SourceFunc(func() ([]byte, error) {
+	src := SourceFunc(func() ([]byte, error) {
 		if i < len(inputs)/2 {
 			rec := inputs[i]
 			i++
@@ -185,7 +219,7 @@ func TestRunStreamingValidation(t *testing.T) {
 	sizes := streamSizes(8)
 	schema := solveA2A(t, sizes, 40)
 	inputs := makeInputs(sizes)
-	empty := mr.NewSliceSource(nil)
+	empty := NewSliceSource(nil)
 
 	cases := []struct {
 		name string
@@ -215,7 +249,7 @@ func TestRunStreamingSizeMismatchFails(t *testing.T) {
 	_, err := Run(Request{
 		Name:       "mismatch",
 		Schema:     schema,
-		Source:     mr.NewSliceSource(inputs),
+		Source:     NewSliceSource(inputs),
 		InputSizes: intSizes(sizes),
 		Pair:       pairIDs,
 	})
@@ -228,7 +262,7 @@ func TestRunStreamingSizeMismatchFails(t *testing.T) {
 	_, err = Run(Request{
 		Name:       "short",
 		Schema:     schema,
-		Source:     mr.NewSliceSource(makeInputs(sizes)[:5]),
+		Source:     NewSliceSource(makeInputs(sizes)[:5]),
 		InputSizes: intSizes(sizes),
 		Pair:       pairIDs,
 	})

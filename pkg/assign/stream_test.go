@@ -90,6 +90,57 @@ func TestExecuteSourceEachMatchesMaterialized(t *testing.T) {
 	}
 }
 
+// TestExecuteCopiesWhatASourceReuses pins RecordSource's contract: the run
+// copies each record, so Next may hand every record back in one reused
+// buffer. Output, pair count and audit must equal the Inputs run's, with the
+// copies held in memory and with every copy spilled.
+func TestExecuteCopiesWhatASourceReuses(t *testing.T) {
+	ctx := context.Background()
+	payloads := streamPayloads(20)
+	pairData := func(a, b assign.Record, emit func([]byte)) error {
+		emit(fmt.Appendf(nil, "%d,%d:%s|%s", a.ID, b.ID, a.Data, b.Data))
+		return nil
+	}
+	want, err := assign.Execute(ctx,
+		assign.Inputs(payloads), assign.Capacity(80), assign.Pair(pairData), assign.Deterministic())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, budget := range []int64{0, 1} {
+		buf := make([]byte, 0, 64) // every record is written into this one buffer
+		i := 0
+		src := assign.RecordSourceFunc(func() ([]byte, error) {
+			if i == len(payloads) {
+				return nil, io.EOF
+			}
+			buf = append(buf[:0], payloads[i]...)
+			i++
+			return buf, nil
+		})
+		got, err := assign.Execute(ctx,
+			assign.Source(src, payloadSizes(payloads)), assign.Capacity(80), assign.Pair(pairData), assign.Deterministic(),
+			assign.MemoryBudget(budget), assign.SpillDir(t.TempDir()))
+		if err != nil {
+			t.Fatalf("budget %d: %v", budget, err)
+		}
+		if (got.SpillRuns > 0) != (budget > 0) {
+			t.Fatalf("budget %d: %d spill runs", budget, got.SpillRuns)
+		}
+		if got.PairsProcessed != want.PairsProcessed || got.Audited != want.Audited {
+			t.Fatalf("budget %d: %d pairs, audited %v; the Inputs run had %d, audited %v",
+				budget, got.PairsProcessed, got.Audited, want.PairsProcessed, want.Audited)
+		}
+		if len(got.Output) != len(want.Output) {
+			t.Fatalf("budget %d: %d records, the Inputs run had %d", budget, len(got.Output), len(want.Output))
+		}
+		for i := range want.Output {
+			if !bytes.Equal(got.Output[i], want.Output[i]) {
+				t.Fatalf("budget %d: output[%d] = %q, the Inputs run had %q", budget, i, got.Output[i], want.Output[i])
+			}
+		}
+	}
+}
+
 // TestExecuteSpillMatchesUnbounded is the SDK-level spill property test: a
 // tiny MemoryBudget must not change the output, and the audit stays green.
 func TestExecuteSpillMatchesUnbounded(t *testing.T) {

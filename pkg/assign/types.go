@@ -3,7 +3,6 @@ package assign
 import (
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/mr"
 )
 
 // The core vocabulary of the system, re-exported so SDK callers never import
@@ -32,10 +31,11 @@ type (
 	// RecordSource streams input records one at a time (Next returns io.EOF
 	// after the last record), so an execution never materializes its whole
 	// input. Use with the Source option, which says what a run guarantees
-	// about a Next call that blocks.
-	RecordSource = mr.Source
+	// about a Next call that blocks. The run copies each record, so Next may
+	// reuse its buffer.
+	RecordSource = exec.Source
 	// RecordSourceFunc adapts a function to RecordSource.
-	RecordSourceFunc = mr.SourceFunc
+	RecordSourceFunc = exec.SourceFunc
 )
 
 // Problem values.
@@ -67,7 +67,7 @@ var (
 
 // NewSliceRecordSource returns a RecordSource over in-memory records — the
 // adapter between slice-shaped data and the streaming Source option.
-func NewSliceRecordSource(recs [][]byte) RecordSource { return mr.NewSliceSource(recs) }
+func NewSliceRecordSource(recs [][]byte) RecordSource { return exec.NewSliceSource(recs) }
 
 // NewInputSet builds an immutable input set from sizes. Every size must be
 // positive.
