@@ -5,7 +5,7 @@ THRESHOLD ?= 15
 # The benchmarks the regression gate watches. This is the one place they are
 # listed: bench-compare and CI's bench-regression job both go through
 # bench-gate.
-BENCH_MATCH := ^Benchmark(A2AEqualSized|A2AExactTiny|A2AGreedy|X2YGreedy|PlannerCold|PlannerCached|SchemaJSON|ExecStream|ExecStreamSpill|SessionDelta|CoverSet|Auditor)
+BENCH_MATCH := ^Benchmark(A2AEqualSized|A2AExactTiny|A2AGreedy|X2YGreedy|PlannerCold|PlannerCached|SchemaJSON|ExecStream|ExecStreamSpill|SkewJoin|SimJoin|SessionDelta|CoverSet|Auditor)
 
 .PHONY: test bench bench-gate bench-compare baselines
 
@@ -16,6 +16,7 @@ bench: ## one pass over the regression-gated benchmark suite (stdout)
 	@$(GO) test -run '^$$' -bench 'BenchmarkCoverSet' -count=$(BENCH_COUNT) -benchtime=0.2s ./internal/core \
 	  && $(GO) test -run '^$$' -bench 'BenchmarkAuditor' -count=$(BENCH_COUNT) -benchtime=0.2s ./internal/exec \
 	  && $(GO) test -run '^$$' -bench 'BenchmarkA2AEqualSized$$|BenchmarkA2AExactTiny$$|BenchmarkA2AGreedy$$|BenchmarkX2YGreedy$$|BenchmarkPlannerCold$$|BenchmarkPlannerCached$$|BenchmarkSchemaJSON$$|BenchmarkExecStream$$|BenchmarkExecStreamSpill$$' -count=$(BENCH_COUNT) -benchtime=0.3s . \
+	  && $(GO) test -run '^$$' -bench 'BenchmarkSkewJoin$$|BenchmarkSimJoin$$' -count=$(BENCH_COUNT) -benchtime=0.3s ./cmd/skewjoin ./cmd/simjoin \
 	  && $(GO) test -run '^$$' -bench 'BenchmarkSessionDelta' -count=$(BENCH_COUNT) -benchtime=0.3s ./internal/stream
 
 # Both targets below keep their intermediate files in a private mktemp
@@ -45,5 +46,5 @@ baselines: ## regenerate the committed BENCH_*.json from a fresh suite run
 	  -match '^BenchmarkSessionDelta' \
 	  -note "m=1k churn (remove oldest, add replacement) at q=1024, uniform sizes [1,64]: incremental repair vs cheapest full re-solve per delta; regenerate with 'make baselines'"; \
 	$(GO) run ./cmd/benchdiff -mode=baseline -in "$$tmp/bench.txt" -out BENCH_exec.json \
-	  -match '^BenchmarkExecStream' \
-	  -note "streaming pipeline end to end: 1500-doc similarity join (1.12M pairs) fed through pkg/assign Source/Each, planned from cache, audit on; ExecStream never spills, ExecStreamSpill runs under a memory budget below one record (25500 one-record runs in one spill file per op; every reducer reads its runs back); regenerate with 'make baselines'"
+	  -match '^Benchmark(ExecStream|SkewJoin|SimJoin)' \
+	  -note "streaming pipeline end to end: 1500-doc similarity join (1.12M pairs) fed through pkg/assign Source/Each, planned from cache, audit on; ExecStream never spills, ExecStreamSpill runs under a memory budget below one record (25500 one-record runs in one spill file per op; every reducer reads its runs back); SkewJoin and SimJoin are the joins of cmd/skewjoin's and cmd/simjoin's default runs, planned from cache, audit on; a record of the suite, not a gate; regenerate with 'make baselines'"

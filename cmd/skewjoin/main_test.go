@@ -359,3 +359,34 @@ func TestRunOneSidedKeysAreNotShipped(t *testing.T) {
 		t.Errorf("%d rows, %d heavy and %d light keys; want 4, 0 and 1", res.rows, len(res.heavy), res.lightKeys)
 	}
 }
+
+// BenchmarkSkewJoin times the join of the command's default run (10,000
+// tuples per side over 100 keys at skew 1.3, 10-byte payloads, q = 16,000,
+// seed 42): its heavy keys run one audited assign.Execute each, planned from
+// the cache after the first iteration. Generating the relations and the
+// reference count stay outside the timer.
+func BenchmarkSkewJoin(b *testing.B) {
+	spec := workload.RelationSpec{NumTuples: 10000, NumKeys: 100, Skew: 1.3, PayloadBytes: 10}
+	spec.Name = "X"
+	x, err := workload.GenerateRelation(spec, 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec.Name = "Y"
+	y, err := workload.GenerateRelation(spec, 43)
+	if err != nil {
+		b.Fatal(err)
+	}
+	want := referenceCount(x, y)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := skewJoin(x, y, 16000)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.rows != want {
+			b.Fatalf("join produced %d rows, reference %d", res.rows, want)
+		}
+	}
+}

@@ -89,10 +89,19 @@ func (e *AuditError) Unwrap() []error {
 // one reference representation: whenever the sharded form is not exactly what
 // the schema prescribes, CheckTrace converts it to the sparse form and runs
 // the generic check on that.
+//
+// A compiled reducer of an audited run also compares its own log with its
+// owned-pair list before it publishes, and records the log it found equal in
+// checked. The audit takes that verdict for a shard only while the shard is
+// still that slice, so the end-of-run check of a healthy run reads one
+// verdict per reducer instead of comparing every entry on one core.
 type Trace struct {
 	mu     sync.Mutex       // guards pairs
 	pairs  map[[2]int][]int // sparse form: pair -> reducers that processed it
 	shards [][]pairEntry    // sharded form: shards[r] is what reducer r processed, in order
+	// checked[r], when not empty, is the log reducer r found equal to its
+	// owned-pair list when it published it.
+	checked [][]pairEntry
 }
 
 // pairEntry is one logged pair: for A2A the two input IDs with a < b, for
@@ -109,7 +118,7 @@ func NewTrace() *Trace {
 // newShardedTrace returns an empty sharded trace for a job of numReducers
 // reducers.
 func newShardedTrace(numReducers int) *Trace {
-	return &Trace{shards: make([][]pairEntry, numReducers)}
+	return &Trace{shards: make([][]pairEntry, numReducers), checked: make([][]pairEntry, numReducers)}
 }
 
 // Record logs into a sparse trace that the given reducer processed the pair
@@ -127,6 +136,13 @@ func (t *Trace) Record(reducer, a, b int) {
 // before the audit's reads, so the sharded form needs no lock.
 func (t *Trace) publish(reducer int, log []pairEntry) {
 	t.shards[reducer] = log
+}
+
+// vouched reports whether reducer r's shard is the very slice the reducer
+// found equal to its owned-pair list: same first element, same length.
+func (t *Trace) vouched(r int) bool {
+	shard, v := t.shards[r], t.checked[r]
+	return len(v) > 0 && len(v) == len(shard) && &v[0] == &shard[0]
 }
 
 // Pairs returns how many pairs were logged: distinct pairs for the sparse
@@ -195,11 +211,13 @@ type shape struct{ numA, numX, numY int }
 // schemaIndex holds everything derived from a schema and an instance shape
 // that is independent of the request's payload bytes: the per-input reducer
 // assignment slices the engine routes copies along, the bitset membership rows
-// (one CoverSet over reducer indexes per input) that owner election, coverage
-// checks, and trace replay run on, the owned-pair lists and the static
-// verdict. It is immutable once built (the lazy parts are guarded), so a
-// Compiler hands one index to every run of the same schema; a retained index
-// is built over a private copy of the schema, never the caller's.
+// (one CoverSet over reducer indexes per input) that coverage checks and
+// trace replay run on, the per-reducer owner elections by class that the
+// compiled reducers read (derived from the rows), the owned-pair lists and
+// the static verdict. It is immutable once built (the lazy parts are
+// guarded), so a Compiler hands one index to every run of the same schema; a
+// retained index is built over a private copy of the schema, never the
+// caller's.
 type schemaIndex struct {
 	schema *core.MappingSchema
 	shape
@@ -219,10 +237,55 @@ type schemaIndex struct {
 	owned     []pairEntry
 	ownedEnd  []int
 
+	// electOnce guards elections, one per reducer (see elect).
+	electOnce sync.Once
+	elections []election
+
 	// preOnce/preErr cache PreCheck, which depends only on schema and shape,
 	// so runs sharing the index pay for it once.
 	preOnce sync.Once
 	preErr  error
+}
+
+// election is one reducer's owner election by class. Inputs of one class are
+// held by the same reducers, so whether this reducer owns a pair depends only
+// on the two inputs' classes: bit cb of row ca is set when the rows of the
+// A-side local class ca and the B-side local class cb share no reducer below
+// this one. The A side is the A2A set, or the X side; the B side is the A2A
+// set again, or the Y side. Local classes are numbered per side in order of
+// first appearance among the side's sorted members.
+type election struct {
+	a, b   []int   // sorted members per side (sortedMembers); Y-side IDs for X2Y
+	ca, cb []int32 // local class of each member of a and of b
+	stride int     // words per bitmap row: one word per 64 B-side local classes
+	bits   []uint64
+}
+
+// row returns the ownership of A-side member i's pairs.
+func (e *election) row(i int) ownerRow {
+	start := int(e.ca[i]) * e.stride
+	return ownerRow{words: e.bits[start : start+e.stride], cb: e.cb}
+}
+
+// ownerRow is one A-side member's row of an election bitmap.
+type ownerRow struct {
+	words []uint64
+	cb    []int32
+}
+
+// has reports whether the reducer owns the pair of the row's member and
+// B-side member j (an index into the election's b).
+func (o *ownerRow) has(j int) bool {
+	c := o.cb[j]
+	return o.words[c>>6]>>(c&63)&1 != 0
+}
+
+// holds reports whether a reducer's copies are exactly its schema members,
+// which is when its election applies. Copies arrive sorted and de-duplicated
+// per side, so the members must match them one for one.
+func (e *election) holds(aRecs, bRecs []Record) bool {
+	member := func(r Record, id int) bool { return r.ID == id }
+	return slices.EqualFunc(aRecs, e.a, member) && slices.EqualFunc(bRecs, e.b, member)
 }
 
 // bitRows converts assignment slices to bitset rows over numReducers.
@@ -467,17 +530,138 @@ func (idx *schemaIndex) ownedBy(r int) []pairEntry {
 	return idx.owned[start:end]
 }
 
+// row returns the membership row of the input at stream index s.
+func (idx *schemaIndex) row(s int) *core.CoverSet {
+	switch {
+	case idx.schema.Problem == core.ProblemA2A:
+		return &idx.aBits[s]
+	case s < idx.numX:
+		return &idx.xBits[s]
+	}
+	return &idx.yBits[s-idx.numX]
+}
+
+// elect derives every reducer's owner election by class, once per index. The
+// classes group identical rows; a reducer's bitmap then costs one
+// IntersectsBelow per pair of its local classes — for A2A per unordered pair
+// — where the per-pair test cost one per pair of members in every run. The
+// bitmaps come from the rows and the owned-pair lists from the sweep, so the
+// audit's comparison of the two stays a cross-check.
+func (idx *schemaIndex) elect() {
+	idx.electOnce.Do(func() {
+		classOf, numClasses := classesOf(idx.routes)
+		local := make([]int32, numClasses) // class -> local class on the side being numbered, or -1
+		for c := range local {
+			local[c] = -1
+		}
+		refs := 0
+		for r := range idx.schema.Reducers {
+			red := &idx.schema.Reducers[r]
+			refs += len(red.Inputs) + len(red.XInputs) + len(red.YInputs)
+		}
+		classes := make([]int32, 0, refs) // every side's local classes, back to back
+		// number gives one side's members (stream index id+offset) their
+		// local classes and appends each local class's first member to reps.
+		number := func(members []int, offset int, reps []int) ([]int32, []int) {
+			start := len(classes)
+			for _, id := range members {
+				c := classOf[id+offset]
+				if local[c] < 0 {
+					local[c] = int32(len(reps))
+					reps = append(reps, id+offset)
+				}
+				classes = append(classes, local[c])
+			}
+			for _, s := range reps {
+				local[classOf[s]] = -1
+			}
+			return classes[start:len(classes):len(classes)], reps
+		}
+		a2a := idx.schema.Problem == core.ProblemA2A
+		elections := make([]election, len(idx.schema.Reducers))
+		starts := make([]int, len(elections)+1)
+		var bits []uint64
+		var repsA, repsB []int
+		for r := range elections {
+			e, red := &elections[r], &idx.schema.Reducers[r]
+			if a2a {
+				e.a = sortedMembers(red.Inputs)
+				e.ca, repsA = number(e.a, 0, repsA[:0])
+				e.b, e.cb, repsB = e.a, e.ca, repsA
+			} else {
+				e.a, e.b = sortedMembers(red.XInputs), sortedMembers(red.YInputs)
+				e.ca, repsA = number(e.a, 0, repsA[:0])
+				e.cb, repsB = number(e.b, idx.numX, repsB[:0])
+			}
+			e.stride = (len(repsB) + 63) / 64
+			start := len(bits)
+			bits = append(bits, make([]uint64, len(repsA)*e.stride)...)
+			set := func(ca, cb int) {
+				bits[start+ca*e.stride+cb>>6] |= 1 << (cb & 63)
+			}
+			for ca, sa := range repsA {
+				first := 0
+				if a2a {
+					first = ca // the bitmap is symmetric: test each class pair once
+				}
+				for cb := first; cb < len(repsB); cb++ {
+					if !idx.row(sa).IntersectsBelow(idx.row(repsB[cb]), r) {
+						set(ca, cb)
+						if a2a {
+							set(cb, ca)
+						}
+					}
+				}
+			}
+			starts[r+1] = len(bits)
+		}
+		for r := range elections {
+			elections[r].bits = bits[starts[r]:starts[r+1]:starts[r+1]]
+		}
+		idx.elections = elections
+	})
+}
+
+// election returns reducer r's owner election.
+func (idx *schemaIndex) election(r int) *election {
+	idx.elect()
+	return &idx.elections[r]
+}
+
+// classesOf numbers the classes of identical routes and returns every
+// input's class, in stream order, and how many classes there are.
+func classesOf(routes [][]int) ([]int32, int) {
+	order := make([]int32, len(routes))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(i, j int32) int { return slices.Compare(routes[i], routes[j]) })
+	classOf := make([]int32, len(routes))
+	n := 0
+	for k, i := range order {
+		if k > 0 && !slices.Equal(routes[order[k-1]], routes[i]) {
+			n++
+		}
+		classOf[i] = int32(n)
+	}
+	if len(routes) == 0 {
+		return classOf, 0
+	}
+	return classOf, n + 1
+}
+
 // conforms is the audit's fast replay: the trace is exactly what the schema
 // prescribes when every required pair has an owner and every reducer's shard
 // equals the sweep's list for that reducer entry for entry and length for
-// length — every pair once, at its owner, and nothing else.
-func (idx *schemaIndex) conforms(shards [][]pairEntry) bool {
+// length — every pair once, at its owner, and nothing else. A shard its
+// reducer vouched for has been compared already, on the reducer's goroutine.
+func (idx *schemaIndex) conforms(tr *Trace) bool {
 	idx.sweep()
-	if len(idx.owned) != idx.requiredPairCount() || len(shards) != len(idx.ownedEnd) {
+	if len(idx.owned) != idx.requiredPairCount() || len(tr.shards) != len(idx.ownedEnd) {
 		return false
 	}
-	for r := range shards {
-		if !slices.Equal(shards[r], idx.ownedBy(r)) {
+	for r, shard := range tr.shards {
+		if !tr.vouched(r) && !slices.Equal(shard, idx.ownedBy(r)) {
 			return false
 		}
 	}
@@ -632,11 +816,12 @@ func (idx *schemaIndex) staticCheck() error {
 
 // CheckTrace verifies that the run processed every required pair exactly
 // once, at its owning reducer. A sharded trace that is exactly what the
-// schema prescribes passes on a sequence comparison; anything else is
-// converted to the sparse form and named pair by pair.
+// schema prescribes passes on a sequence comparison per shard, or on the
+// verdict of the reducer that compared the shard before publishing it;
+// anything else is converted to the sparse form and named pair by pair.
 func (a *Auditor) CheckTrace(tr *Trace) error {
 	if tr.shards != nil {
-		if a.idx.conforms(tr.shards) {
+		if a.idx.conforms(tr) {
 			return nil
 		}
 		obsSlowReplays.Inc()

@@ -75,8 +75,10 @@ func BenchmarkAuditorVerify(b *testing.B) {
 }
 
 // BenchmarkAuditorOwner isolates owner election by bitset intersection — the
-// per-pair primitive of the reference check and of fabricated-trace tests
-// (compiled reducers use the cheaper IntersectsBelow from their own side).
+// per-pair primitive of the reference check and of fabricated-trace tests.
+// Compiled reducers elect neither way per pair: they read one bit of a
+// bitmap over their member classes, which the index derives once with
+// IntersectsBelow from the reducer's own side.
 func BenchmarkAuditorOwner(b *testing.B) {
 	_, aud, _ := auditorFixture(b, 1000)
 	b.ReportAllocs()

@@ -88,8 +88,9 @@ func (cp *Compiler) index(schema *core.MappingSchema, sh shape) (*schemaIndex, *
 		return nil, nil, err
 	}
 	// Everything lazy is forced before the index is shared: the verdict
-	// decides whether it is kept, the sweep what it weighs.
+	// decides whether it is kept, the sweep and the elections what it weighs.
 	verdict := idx.preCheck()
+	idx.elect()
 	size := idx.retainedBytes()
 	if verdict != nil || size > cp.maxBytes {
 		return idx, obsCompileUncacheable, nil
@@ -207,18 +208,22 @@ func cloneSchema(ms *core.MappingSchema) *core.MappingSchema {
 
 // retainedBytes estimates what keeping the index alive keeps alive: the
 // private schema and its transpose (one word per ID reference each), a slice
-// header, a CoverSet and a membership row per input, a core.Reducer and a
-// list end per reducer, and the owned-pair list, which it sweeps for.
+// header, a CoverSet and a membership row per input, a core.Reducer, a list
+// end and an election per reducer, the elections' local classes (four bytes
+// per ID reference) and bitmaps, and the owned-pair list. It sweeps and
+// elects for the last two.
 func (idx *schemaIndex) retainedBytes() int64 {
 	idx.sweep()
-	refs := 0
+	idx.elect()
+	refs, bitmapWords := 0, 0
 	for r := range idx.schema.Reducers {
 		red := &idx.schema.Reducers[r]
 		refs += len(red.Inputs) + len(red.XInputs) + len(red.YInputs)
+		bitmapWords += len(idx.elections[r].bits)
 	}
 	n := len(idx.schema.Reducers)
 	perInput := 3 + 4 + (n+63)/64
-	const perReducer = 10 + 1
-	words := 2*refs + (idx.numA+idx.numX+idx.numY)*perInput + n*perReducer
-	return 8*int64(words) + pairEntryBytes*int64(len(idx.owned))
+	const perReducer = 10 + 1 + 16
+	words := 2*refs + (idx.numA+idx.numX+idx.numY)*perInput + n*perReducer + bitmapWords
+	return 8*int64(words) + 4*int64(refs) + pairEntryBytes*int64(len(idx.owned))
 }

@@ -31,7 +31,10 @@
 //     across the whole job. A reducer elects its pairs from the per-input
 //     membership bitsets: both inputs reached it, so it owns the pair exactly
 //     when their rows share no lower-indexed reducer, and it never reads a
-//     row past its own index.
+//     row past its own index. Inputs with identical rows form a class, and
+//     that test depends only on the pair's two classes, so each reducer
+//     answers it from a bitmap over its member classes, derived once per
+//     index, one bit per pair (see "Compiled once").
 //   - The job's engine-level capacity is the largest per-reducer load the
 //     compiled assignments produce from the declared sizes — the schema's
 //     largest reducer load when those are the schema's sizes. The
@@ -111,16 +114,21 @@
 // shared cache line in the per-pair loop. The engine runs each task once, and
 // a failing reduce call fails the run with its error. The buffer goes back to
 // the pool when the audit is done with it; a Result holds no reference to it.
-// The post-run check of a healthy run is then a
+// The check of a healthy run is then a
 // sequence comparison: reducer r's log must equal the sweep's list for r,
 // entry for entry and length for length, which is exactly "every pair once,
-// at its owner, nothing else". The two sides derive owners differently — the
-// reducers from the membership bitsets, the auditor from the sweep — so the
-// comparison is a cross-check, not a tautology. Any mismatch converts the
-// logs to the sparse map form fabricated traces use and runs the generic
-// pair-by-pair check on it, which names every violation; the
-// pland_exec_audit_slow_replays_total counter says how often that happens
-// (never, for a healthy run).
+// at its owner, nothing else". Each section is compared on its reducer's
+// goroutine, as the reduce call ends, and the call records the slice it found
+// equal; the post-run check takes that verdict while the shard is still that
+// slice (same first element, same length) and compares any other shard
+// itself, so the comparison runs on every processor instead of on one after
+// the reduce phase. NoAudit skips both. The two sides derive owners
+// differently — the reducers from class bitmaps derived from the membership
+// rows, the auditor from the sweep — so the comparison is a cross-check, not
+// a tautology. Any mismatch converts the logs to the sparse map form
+// fabricated traces use and runs the generic pair-by-pair check on it, which
+// names every violation; the pland_exec_audit_slow_replays_total counter says
+// how often that happens (never, for a healthy run).
 //
 // A static check that no run follows — NewAuditor or NewAuditorX2Y, then
 // PreCheck, as session restores and recovery do — needs only how many
@@ -132,8 +140,9 @@
 // # Compiled once
 //
 // What a run derives from the schema and the instance shape alone — the
-// per-input assignments, the membership bitsets, the owned-pair lists,
-// PreCheck's verdict — does not depend on the payload, so a
+// per-input assignments, the membership bitsets, the owner elections by
+// class, the owned-pair lists, PreCheck's verdict — does not depend on the
+// payload, so a
 // Compiler, handed over in Request.Compiler, keeps it across runs. The cache
 // is keyed by a hash of the schema's content (problem, capacity, every
 // reducer's load and ID lists) and the shape, and a hit counts only after a
@@ -150,10 +159,13 @@
 // loads, the engine capacity, the partition hints — is computed per run; the
 // ID-range check and PreCheck either run or are answered by an entry that
 // passed them for the same content and shape. The two derivations of every
-// owner are still both made, the reducers' in every run and the sweep's once
-// per retained index, and Check still compares every logged pair with every
-// owned pair. A nil Compiler compiles per call; each assign.Planner owns one
-// beside its plan cache. pland_exec_compile_total{outcome} counts hits,
-// misses and uncacheable compilations, pland_exec_compile_cache_bytes what is
-// retained.
+// owner are still both made once per retained index: the elections, which
+// group the inputs into classes of identical rows and give every reducer a
+// bitmap with one bit per pair of its member classes — set when the two
+// classes' rows share no reducer below it, one IntersectsBelow per class
+// pair — and the sweep's owned-pair lists. The reducers read the bitmaps in
+// every run, and every logged pair is still compared with every owned pair.
+// A nil Compiler compiles per call; each assign.Planner owns one beside its
+// plan cache. pland_exec_compile_total{outcome} counts hits, misses and
+// uncacheable compilations, pland_exec_compile_cache_bytes what is retained.
 package exec

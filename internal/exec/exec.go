@@ -74,12 +74,15 @@ type Request struct {
 	// with the one an earlier run of the same schema left in it; nil compiles
 	// the schema for this run alone.
 	Compiler *Compiler
-	// NoAudit skips the post-run conformance check (the schema's own
-	// PreCheck always runs). What it saves is small: the reducers log their
-	// pairs either way — eight bytes per pair, appended to the reducer's
-	// section of the run's log, which is also where PairsProcessed comes from
-	// — and the check of a healthy run is one sequential comparison of those
-	// logs against the owned-pair lists PreCheck already derived.
+	// NoAudit skips the conformance check of the run (the schema's own
+	// PreCheck always runs): the reducers do not compare their logs with
+	// their owned-pair lists, and nothing checks the trace after the run.
+	// What it saves is small: the reducers log their pairs either way —
+	// eight bytes per pair, appended to the reducer's section of the run's
+	// log, which is also where PairsProcessed comes from — and the check of a
+	// healthy run is one sequential comparison per reducer of its log against
+	// the owned-pair list PreCheck already derived, made on the reducer's
+	// goroutine, and one verdict per reducer read after the run.
 	NoAudit bool
 }
 
@@ -325,52 +328,63 @@ func (s *sizedSource) Next() ([]byte, error) {
 // Y input IDs (index i is Y input i-numX), then elects this reducer's owned
 // pairs, logs them, and applies the user PairFunc.
 //
-// Owner election runs on the membership bitsets, independently of the
-// auditor's sweep (two derivations, one cross-check). Both records of a
-// candidate pair reached this reducer, so both rows contain it, and the
-// reducer owns the pair exactly when the rows share no lower-indexed
-// reducer.
+// Owner election runs on the membership rows, independently of the auditor's
+// sweep (two derivations, one cross-check). Both records of a candidate pair
+// reached this reducer, so both rows contain it, and the reducer owns the
+// pair exactly when the rows share no lower-indexed reducer. That depends on
+// the two inputs' classes only, so when the copies are exactly the reducer's
+// schema members — always, through the engine — the test is one bit of the
+// reducer's class bitmap (schemaIndex.elect); otherwise the rows are
+// intersected pair by pair.
 //
 // The log is the call's own (logSection) and published when the call
-// succeeds, so the hot loop shares nothing.
+// succeeds, so the hot loop shares nothing. Unless the run skips its audit,
+// the call also compares the log with its owned-pair list, so the audit's
+// comparison of this section runs here, in parallel with the other reducers.
 func (c *compilation) reduce(self int, copies []Record, emit func([]byte)) error {
 	aRecs := sortAndDedupeRecords(copies) // A2A uses aRecs only; X2Y splits it by side
-	var bRecs []Record
-	if c.schema.Problem == core.ProblemX2Y {
+	bRecs, rowsA, rowsB := aRecs, c.idx.aBits, c.idx.aBits
+	a2a := c.schema.Problem == core.ProblemA2A
+	if !a2a {
 		k, _ := slices.BinarySearchFunc(aRecs, c.idx.numX, func(r Record, id int) int { return cmp.Compare(r.ID, id) })
 		aRecs, bRecs = aRecs[:k], aRecs[k:]
 		for i := range bRecs {
 			bRecs[i].ID -= c.idx.numX
 		}
+		rowsA, rowsB = c.idx.xBits, c.idx.yBits
 	}
-	log := c.logSection(self)
-	if c.schema.Problem == core.ProblemA2A {
-		rows := c.idx.aBits
-		for i, a := range aRecs {
-			rowA := &rows[a.ID]
-			for _, b := range aRecs[i+1:] {
-				if rowA.IntersectsBelow(&rows[b.ID], self) {
+	e := c.idx.election(self)
+	byClass := e.holds(aRecs, bRecs)
+	log, pair := c.logSection(self), c.req.Pair
+	for i, a := range aRecs {
+		j := 0
+		if a2a {
+			j = i + 1
+		}
+		var owns ownerRow
+		if byClass {
+			owns = e.row(i)
+		}
+		for ; j < len(bRecs); j++ {
+			if byClass {
+				if !owns.has(j) {
 					continue
 				}
-				log = append(log, pairEntry{int32(a.ID), int32(b.ID)})
-				if err := c.req.Pair(a, b, emit); err != nil {
+			} else if rowsA[a.ID].IntersectsBelow(&rowsB[bRecs[j].ID], self) {
+				continue
+			}
+			b := bRecs[j]
+			log = append(log, pairEntry{int32(a.ID), int32(b.ID)})
+			if err := pair(a, b, emit); err != nil {
+				if a2a {
 					return fmt.Errorf("exec: pair (%d,%d): %w", a.ID, b.ID, err)
 				}
+				return fmt.Errorf("exec: pair (x=%d,y=%d): %w", a.ID, b.ID, err)
 			}
 		}
-	} else {
-		for _, x := range aRecs {
-			rowX := &c.idx.xBits[x.ID]
-			for _, y := range bRecs {
-				if rowX.IntersectsBelow(&c.idx.yBits[y.ID], self) {
-					continue
-				}
-				log = append(log, pairEntry{int32(x.ID), int32(y.ID)})
-				if err := c.req.Pair(x, y, emit); err != nil {
-					return fmt.Errorf("exec: pair (x=%d,y=%d): %w", x.ID, y.ID, err)
-				}
-			}
-		}
+	}
+	if !c.req.NoAudit && slices.Equal(log, c.idx.ownedBy(self)) {
+		c.trace.checked[self] = log
 	}
 	c.trace.publish(self, log)
 	return nil
