@@ -155,9 +155,11 @@ func BenchmarkPlannerCached(b *testing.B) {
 // BenchmarkSchemaJSON measures the mapping-schema codec on the reply pland
 // sends most: the plan of about 400 Zipf-sized inputs at a capacity that packs
 // them into 20 half-capacity bins (190 reducers, some 6,000 IDs, 33 KB). Both
-// directions go through encoding/json, as cmd/pland's encoder and
-// plandclient's decoder do, so its own scans of a Marshaler's output and an
-// Unmarshaler's input are in the numbers.
+// directions go through encoding/json, so its own scans of a Marshaler's
+// output and an Unmarshaler's input are in the numbers: it is the reference
+// for BenchmarkPlanReplyEncode (cmd/pland) and BenchmarkPlanReplyDecode
+// (plandclient), which write and read the same schema in a reply without
+// those scans.
 func BenchmarkSchemaJSON(b *testing.B) {
 	sizes, err := workload.Sizes(workload.SizeSpec{Dist: workload.Zipf, Min: 1, Max: 30, Skew: 1.5}, 403, 64)
 	if err != nil {

@@ -316,7 +316,7 @@ func (s *server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp.FleetCacheHit = resp.CacheHit && r.Header.Get(headerForwarded) != ""
-	writeJSON(w, http.StatusOK, resp)
+	writeSchemaJSON(w, r, http.StatusOK, resp, &resp.Schema)
 }
 
 // validSizes rejects what assign.Plan itself would reject, but as an
@@ -418,7 +418,7 @@ func (s *server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, aerr)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeSchemaJSON(w, r, http.StatusOK, resp, &resp.Schema)
 }
 
 // validPayloads rejects what the SDK's derived input set would reject,
@@ -591,5 +591,57 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.WriteHeader(status)
 	if err := json.NewEncoder(w).Encode(v); err != nil {
 		slog.Error("encoding response", "error", err)
+	}
+}
+
+// schemaPlaceholder stands in for a reply's schema while encoding/json writes
+// the rest of the reply, and schemaMark is what it leaves there: the key and
+// the placeholder's bytes. Inside an encoded string every quote is escaped,
+// so the mark's `":{"` cannot occur in one, and the reply types have no other
+// "schema" key: the first match is the reply's schema field.
+var (
+	schemaPlaceholder = &assign.MappingSchema{}
+	schemaMark        = func() []byte {
+		b, err := schemaPlaceholder.MarshalJSON()
+		if err != nil {
+			panic(err)
+		}
+		return append([]byte(`"schema":`), b...)
+	}()
+)
+
+// writeSchemaJSON writes v, a reply whose schema field is *schema, byte for
+// byte as writeJSON would. The schema is most of such a reply, and
+// encoding/json re-scans whatever a Marshaler returns; so encoding/json
+// writes the reply around a placeholder and the schema's own one-pass
+// encoder writes the schema in its place. The whole write is the request
+// span's "encode" stage.
+func writeSchemaJSON(w http.ResponseWriter, r *http.Request, status int, v any, schema **assign.MappingSchema) {
+	defer obs.SpanFrom(r.Context()).Stage("encode")()
+	ms := *schema
+	if ms == nil {
+		writeJSON(w, status, v)
+		return
+	}
+	*schema = schemaPlaceholder
+	envelope, err := json.Marshal(v)
+	*schema = ms
+	var body []byte
+	if err == nil {
+		body, err = ms.MarshalJSON()
+	}
+	at := bytes.Index(envelope, schemaMark)
+	if err != nil || at < 0 {
+		writeJSON(w, status, v) // encodes v whole, and logs what fails
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	valueAt := at + len(`"schema":`)
+	for _, part := range [][]byte{envelope[:valueAt], body, envelope[at+len(schemaMark):], {'\n'}} {
+		if _, err := w.Write(part); err != nil {
+			slog.Error("encoding response", "error", err)
+			return
+		}
 	}
 }

@@ -107,7 +107,8 @@ func (s *server) createSession(w http.ResponseWriter, r *http.Request) {
 	}
 	s.sessions[entry.id] = entry
 	s.sessMu.Unlock()
-	writeJSON(w, http.StatusCreated, s.sessionView(entry))
+	view := s.sessionView(entry)
+	writeSchemaJSON(w, r, http.StatusCreated, &view, &view.Schema)
 }
 
 // listSessions serves GET /v2/sessions.
@@ -160,7 +161,8 @@ func (s *server) liveSession(w http.ResponseWriter, r *http.Request) *sessionEnt
 // getSession serves GET /v2/sessions/{id}.
 func (s *server) getSession(w http.ResponseWriter, r *http.Request) {
 	if entry := s.liveSession(w, r); entry != nil {
-		writeJSON(w, http.StatusOK, s.sessionView(entry))
+		view := s.sessionView(entry)
+		writeSchemaJSON(w, r, http.StatusOK, &view, &view.Schema)
 	}
 }
 

@@ -32,6 +32,13 @@ import (
 //     the value — goes to the reflective decoder with the input untouched, so
 //     what is accepted, what a duplicate or a null means and the text of every
 //     error are encoding/json's. The bytes alone make the choice.
+//   - ParseSchemaPrefix is the prefix form, for a schema embedded in a larger
+//     document (a pland reply): it reads the same language from the start of
+//     its input and reports where the schema ends, without looking at what
+//     follows. The fallback rule is the caller's to keep: when the prefix
+//     form declines, the whole enclosing document goes to the reflective
+//     decoder — not the schema alone — so that its decoder, not this file,
+//     judges the schema's bytes, a duplicate key and malformed input.
 //   - The ID lists parseWire returns are consecutive sections of one backing
 //     array, each sliced with its capacity capped at its length: appending to
 //     a list reallocates that list and cannot write into its neighbour.
@@ -182,8 +189,36 @@ func (ms *MappingSchema) unmarshalReflect(data []byte) error {
 // and the caller decodes data again reflectively, which is also what turns
 // malformed input into an error.
 func (ms *MappingSchema) parseWire(data []byte) bool {
+	out, end, ok := parseWirePrefix(data)
+	if !ok {
+		return false
+	}
+	s := wireScanner{data: data, pos: end}
+	if s.next() != 0 || s.pos != len(data) {
+		return false
+	}
+	*ms = out
+	return true
+}
+
+// ParseSchemaPrefix is parseWire for a schema embedded in a larger document:
+// it reads the schema at the start of data, after any white space, and
+// returns it with the offset just past its closing brace. The bytes after
+// that are not looked at. It declines (ok false) exactly where parseWire
+// would decline the schema's own bytes, and then the caller must decode the
+// whole document reflectively, as the top of this file describes.
+func ParseSchemaPrefix(data []byte) (ms *MappingSchema, end int, ok bool) {
+	out, end, ok := parseWirePrefix(data)
+	if !ok {
+		return nil, 0, false
+	}
+	return &out, end, true
+}
+
+// parseWirePrefix reads the schema object at the start of data and returns
+// it with the offset just past the object.
+func parseWirePrefix(data []byte) (out MappingSchema, end int, ok bool) {
 	s := wireScanner{data: data}
-	var out MappingSchema
 	const (
 		seenProblem = 1 << iota
 		seenCapacity
@@ -204,43 +239,42 @@ func (ms *MappingSchema) parseWire(data []byte) bool {
 			case "X2Y":
 				out.Problem = ProblemX2Y
 			default:
-				return false
+				return out, 0, false
 			}
 		case "capacity":
 			bit = seenCapacity
 			v, isInt := s.integer()
 			if !isInt {
-				return false
+				return out, 0, false
 			}
 			out.Capacity = Size(v)
 		case "algorithm":
 			bit = seenAlgorithm
 			name, isStr := s.str()
 			if !isStr {
-				return false
+				return out, 0, false
 			}
 			out.Algorithm = string(name)
 		case "reducers":
 			bit = seenReducers
 			if out.Reducers, ok = s.reducers(); !ok {
-				return false
+				return out, 0, false
 			}
 		default:
-			return false
+			return out, 0, false
 		}
 		if seen&bit != 0 {
-			return false
+			return out, 0, false
 		}
 		seen |= bit
 	}
-	if !ok || s.next() != 0 || s.pos != len(data) || seen&seenProblem == 0 {
-		return false
+	if !ok || seen&seenProblem == 0 {
+		return out, 0, false
 	}
 	if out.Reducers == nil {
 		out.Reducers = []Reducer{} // as the reflective decoder leaves it
 	}
-	*ms = out
-	return true
+	return out, s.pos, true
 }
 
 // wireScanner is parseWire's cursor. Its methods consume what they recognise
@@ -354,7 +388,8 @@ func (s *wireScanner) integer() (int64, bool) {
 
 // reducers reads the "reducers" array. Both allocations are made here, once
 // the header is known to parse, and are sized from counts of the punctuation
-// every reducer and every ID needs, so neither grows.
+// every reducer and every ID needs, so neither grows. (The counts run to the
+// end of the input, so what follows a prefix only makes them larger.)
 func (s *wireScanner) reducers() ([]Reducer, bool) {
 	more, ok := s.begin('[', ']')
 	if !ok {

@@ -322,3 +322,37 @@ func TestSchemaJSONAllocations(t *testing.T) {
 		t.Error("parseWire did not read back the schema")
 	}
 }
+
+// TestSchemaPrefixMatchesParseWire: the prefix form reads what parseWire
+// reads, whatever follows it. Where it accepts, the bytes up to its end are a
+// document parseWire accepts, to the same value; where parseWire accepts a
+// whole document, the prefix form accepts it followed by anything.
+func TestSchemaPrefixMatchesParseWire(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	docs := schemaJSONSeeds()
+	for i := 0; i < 2000; i++ {
+		data, err := randomSchema(rng, i%4 == 0).MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs = append(docs, data)
+	}
+	for _, doc := range docs {
+		var whole MappingSchema
+		wholeOK := whole.parseWire(doc)
+		for _, suffix := range []string{"", " \n", `,"ids":[1,2],"sizes":[3]}`, "]", "x", `{"problem":"X2Y"}`} {
+			data := append(doc[:len(doc):len(doc)], suffix...)
+			ms, end, ok := ParseSchemaPrefix(data)
+			if wholeOK && (!ok || !reflect.DeepEqual(ms, &whole) || len(bytes.TrimSpace(data[end:])) != len(bytes.TrimSpace([]byte(suffix)))) {
+				t.Fatalf("%q: prefix form = %+v, end %d, %v; parseWire of %q read %+v", data, ms, end, ok, doc, whole)
+			}
+			if !ok {
+				continue
+			}
+			var back MappingSchema
+			if !back.parseWire(data[:end]) || !reflect.DeepEqual(&back, ms) {
+				t.Fatalf("%q: prefix form read %+v up to %d, parseWire of that prefix %+v", data, ms, end, back)
+			}
+		}
+	}
+}

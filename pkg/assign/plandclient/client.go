@@ -689,10 +689,10 @@ func (c *Client) doOnce(ctx context.Context, method, path string, body []byte, o
 	if err != nil {
 		return callMeta{}, &transportError{method: method, path: path, err: err}
 	}
-	// Whatever reads the body below may stop short of EOF: the decoder stops
-	// at the value's closing brace, before the newline the server's encoder
-	// adds and before a chunked body's terminator. Closing the body there
-	// makes net/http drop the connection, so read on a little first.
+	// A successful reply is read to EOF, but an error envelope or a discarded
+	// reply is read only up to a limit and may stop short of it. Closing the
+	// body there makes net/http drop the connection, so read on a little
+	// first.
 	defer func() {
 		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
 		resp.Body.Close()
@@ -708,7 +708,11 @@ func (c *Client) doOnce(ctx context.Context, method, path string, body []byte, o
 		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
 		return meta, nil
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	raw, err := io.ReadAll(resp.Body)
+	if err == nil {
+		err = decodeReply(raw, out)
+	}
+	if err != nil {
 		return meta, fmt.Errorf("plandclient: decoding %s %s response: %w", method, path, err)
 	}
 	return meta, nil
