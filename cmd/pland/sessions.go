@@ -318,12 +318,10 @@ func (s *server) maybeScheduleRebuild(submitCtx context.Context, entry *sessionE
 func (s *server) sessionView(entry *sessionEntry) plandclient.Session {
 	snap := entry.sess.Snapshot()
 	resp := plandclient.Session{ID: entry.id, RebuildJobID: s.activeRebuild(entry),
-		Stats: snap.Stats, Schema: snap.Schema, IDs: snap.IDs, Sizes: snap.Sizes}
+		Stats: snap.Stats, Schema: snap.Schema, IDs: snap.IDs, Sizes: snap.Sizes,
+		Fingerprint: fmt.Sprintf("%016x", snap.Fingerprint)}
 	if s.cluster != nil {
 		resp.Node = s.cluster.self
-	}
-	if st := entry.sess.State(); st != nil {
-		resp.Fingerprint = fmt.Sprintf("%016x", st.Fingerprint())
 	}
 	return resp
 }

@@ -75,3 +75,49 @@ func BenchmarkSessionDelta(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkSessionRebuild times one Rebuild, replan and swap, on the rebuild
+// trace's session shape (q = 256, about 500 Zipf sizes up to 30): the state
+// is the trace's session just before its 50th rebuild, restored outside the
+// timer for every iteration.
+func BenchmarkSessionRebuild(b *testing.B) {
+	s := traceSession(b)
+	events, err := workload.Churn(workload.ChurnSpec{
+		Initial: traceInputs, Steps: traceSteps,
+		AddWeight: 3, RemoveWeight: 3, ResizeWeight: 2,
+		Sizes: traceSizes,
+	}, traceSeed)
+	if err != nil {
+		b.Fatalf("churn: %v", err)
+	}
+	var drifted *stream.State
+	for rebuilds := 0; drifted == nil; events = events[1:] {
+		if err := applyChurn(s, events[0]); err != nil {
+			b.Fatal(err)
+		}
+		if !s.NeedsRebuild() {
+			continue
+		}
+		if rebuilds++; rebuilds == 50 {
+			drifted = s.State()
+		} else if _, err := s.Rebuild(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	cfg := stream.Config{Replan: solveReplan}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		r, err := stream.RestoreSession(cfg, drifted, nil)
+		if err != nil {
+			b.Fatalf("RestoreSession: %v", err)
+		}
+		b.StartTimer()
+		if _, err := r.Rebuild(context.Background()); err != nil {
+			b.Fatalf("Rebuild: %v", err)
+		}
+		b.StopTimer()
+		r.Close()
+		b.StartTimer()
+	}
+}

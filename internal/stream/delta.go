@@ -63,9 +63,7 @@ func (s *Session) Add(size core.Size) (InputID, DeltaReport, error) {
 	}
 	id := s.next
 	s.next++
-	s.sizes[id] = size
-	s.assign[id] = nil
-	s.assignBits[id] = core.NewCoverSet(len(s.reds))
+	s.inputs[id] = &input{size: size}
 	s.ids = append(s.ids, id) // IDs are monotonic, so append keeps the order
 	s.total += size
 	s.noteSizeLocked(size)
@@ -90,12 +88,13 @@ func (s *Session) Remove(id InputID) (DeltaReport, error) {
 	if s.closed {
 		return DeltaReport{}, ErrClosed
 	}
-	w, ok := s.sizes[id]
+	in, ok := s.inputs[id]
 	if !ok {
 		return DeltaReport{}, fmt.Errorf("%w: %d", ErrUnknownID, id)
 	}
+	w := in.size
 	rep := DeltaReport{Op: "remove", ID: id}
-	slots := append([]int(nil), s.assign[id]...)
+	slots := in.slots.AppendTo(nil)
 	touched := slots[:0]
 	for _, slot := range slots {
 		s.removeFromRedLocked(id, slot)
@@ -104,9 +103,7 @@ func (s *Session) Remove(id InputID) (DeltaReport, error) {
 			touched = append(touched, slot)
 		}
 	}
-	delete(s.assign, id)
-	delete(s.assignBits, id)
-	delete(s.sizes, id)
+	delete(s.inputs, id)
 	s.total -= w
 	s.noteShrinkLocked(w)
 	if i := sort.SearchInts(s.ids, id); i < len(s.ids) && s.ids[i] == id {
@@ -130,10 +127,11 @@ func (s *Session) Resize(id InputID, newSize core.Size) (DeltaReport, error) {
 	if s.closed {
 		return DeltaReport{}, ErrClosed
 	}
-	old, ok := s.sizes[id]
+	in, ok := s.inputs[id]
 	if !ok {
 		return DeltaReport{}, fmt.Errorf("%w: %d", ErrUnknownID, id)
 	}
+	old := in.size
 	if newSize <= 0 {
 		return DeltaReport{}, fmt.Errorf("stream: %w (size %d)", core.ErrNonPositiveSize, newSize)
 	}
@@ -163,9 +161,9 @@ func (s *Session) Resize(id InputID, newSize core.Size) (DeltaReport, error) {
 	} else {
 		s.noteShrinkLocked(old)
 	}
-	slots := append([]int(nil), s.assign[id]...)
+	slots := in.slots.AppendTo(nil)
 	if delta < 0 {
-		s.sizes[id] = newSize
+		in.size = newSize
 		for _, slot := range slots {
 			s.reds[slot].load += delta
 		}
@@ -184,8 +182,8 @@ func (s *Session) Resize(id InputID, newSize core.Size) (DeltaReport, error) {
 				rep.MovedBytes += delta // the grown copy ships its extra bytes
 			}
 		}
-		s.sizes[id] = newSize
-		if rep.Evictions > 0 || len(s.assign[id]) == 0 {
+		in.size = newSize
+		if rep.Evictions > 0 || in.slots.Count() == 0 {
 			s.coverLocked(id, nil, &rep)
 		}
 	}
@@ -206,7 +204,8 @@ func (s *Session) Resize(id InputID, newSize core.Size) (DeltaReport, error) {
 // repair, run with x already trusted, covers the (x, y) pair instead.
 // Feasibility (x fits with every live input pairwise) must already hold.
 func (s *Session) coverLocked(x InputID, untrusted map[InputID]struct{}, rep *DeltaReport) {
-	w := s.sizes[x]
+	in := s.inputs[x]
+	w := in.size
 	// The cover template: the next trusted input in rotation. Rotating the
 	// template spreads arrivals over every reducer row, so slack freed by
 	// removals anywhere keeps being usable instead of one row-set being
@@ -229,7 +228,7 @@ func (s *Session) coverLocked(x InputID, untrusted map[InputID]struct{}, rep *De
 	}
 	var residue []InputID
 	if y >= 0 {
-		slots := append([]int(nil), s.assign[y]...)
+		slots := s.inputs[y].slots.AppendTo(nil)
 		seen := make(map[InputID]struct{})
 		for _, slot := range slots {
 			r := s.reds[slot]
@@ -267,8 +266,8 @@ func (s *Session) coverLocked(x InputID, untrusted map[InputID]struct{}, rep *De
 	}
 	if len(residue) > 0 {
 		sort.Slice(residue, func(i, j int) bool {
-			if s.sizes[residue[i]] != s.sizes[residue[j]] {
-				return s.sizes[residue[i]] > s.sizes[residue[j]]
+			if wi, wj := s.inputs[residue[i]].size, s.inputs[residue[j]].size; wi != wj {
+				return wi > wj
 			}
 			return residue[i] < residue[j]
 		})
@@ -283,12 +282,12 @@ func (s *Session) coverLocked(x InputID, untrusted map[InputID]struct{}, rep *De
 				// Pack fresh reducers only to the headroom-reduced capacity so
 				// they keep slack for future arrivals — except that a pair
 				// which only fits the full capacity must still be placed.
-				load := s.reds[slot].load
-				if s.sizes[m] <= qEff-load ||
-					(len(s.reds[slot].members) == 1 && s.sizes[m] <= s.cfg.Capacity-load) {
+				load, wm := s.reds[slot].load, s.inputs[m].size
+				if wm <= qEff-load ||
+					(len(s.reds[slot].members) == 1 && wm <= s.cfg.Capacity-load) {
 					s.addToRedLocked(m, slot)
-					rep.MovedBytes += s.sizes[m]
-					rep.MovedExistingBytes += s.sizes[m]
+					rep.MovedBytes += wm
+					rep.MovedExistingBytes += wm
 				} else {
 					kept = append(kept, m)
 				}
@@ -298,7 +297,7 @@ func (s *Session) coverLocked(x InputID, untrusted map[InputID]struct{}, rep *De
 	}
 	// An input with no co-inputs (or none trusted yet) must still live
 	// somewhere so later deltas and executions can find it.
-	if len(s.assign[x]) == 0 {
+	if in.slots.Count() == 0 {
 		slot := s.newRedLocked()
 		s.addToRedLocked(x, slot)
 		rep.MovedBytes += w
@@ -356,15 +355,14 @@ func (s *Session) compactLocked(candidates []int, rep *DeltaReport) {
 		var ship core.Size
 		for _, m := range r.members {
 			if !s.inRedLocked(m, bestTo) {
-				ship += s.sizes[m]
+				ship += s.inputs[m].size
 			}
 		}
 		if ship > budget {
 			continue
 		}
 		for _, m := range r.members {
-			s.assign[m] = deleteSorted(s.assign[m], from)
-			s.assignBits[m].Remove(from)
+			s.inputs[m].slots.Remove(from)
 			if !s.inRedLocked(m, bestTo) {
 				s.addToRedLocked(m, bestTo)
 			}

@@ -3,12 +3,14 @@ package stream_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/stream"
+	"repro/internal/workload"
 )
 
 // errOnce records the first failure seen by any goroutine.
@@ -148,5 +150,78 @@ func TestConcurrentHammer(t *testing.T) {
 	}
 	if st.Adds == 0 || st.Removes == 0 || st.Resizes == 0 {
 		t.Fatalf("hammer missed a delta kind: %+v", st)
+	}
+}
+
+// TestSnapshotFingerprintMatchesItsVersion checks that a snapshot's
+// fingerprint describes the state its schema came from: one goroutine applies
+// deltas and rebuilds and records every version's fingerprint, while another
+// takes snapshots, each of which must carry the fingerprint recorded for its
+// Stats.Version.
+func TestSnapshotFingerprintMatchesItsVersion(t *testing.T) {
+	initial := []core.Size{5, 3, 7, 2, 6, 4, 1, 8}
+	s := newSession(t, stream.Config{Capacity: 64, Initial: initial, RebuildThreshold: 0.5})
+	events, err := workload.Churn(workload.ChurnSpec{
+		Initial: len(initial), Steps: 600,
+		AddWeight: 3, RemoveWeight: 3, ResizeWeight: 2,
+		Sizes: workload.SizeSpec{Dist: workload.Uniform, Min: 1, Max: 8},
+	}, 3)
+	if err != nil {
+		t.Fatalf("churn: %v", err)
+	}
+	want := map[uint64]uint64{}
+	record := func() {
+		st := s.State()
+		want[st.Version] = st.Fingerprint()
+	}
+	record()
+
+	done := make(chan struct{})
+	var got []*stream.Snapshot
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				got = append(got, s.Snapshot())
+			}
+		}
+	}()
+	rebuilds := 0
+	for step, ev := range events {
+		if err = applyChurn(s, ev); err != nil {
+			err = fmt.Errorf("step %d (%s %d): %w", step, ev.Op, ev.ID, err)
+			break
+		}
+		record()
+		if s.NeedsRebuild() {
+			if _, err = s.Rebuild(context.Background()); err != nil {
+				break
+			}
+			rebuilds++
+			record()
+		}
+	}
+	close(done)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, snap := range got {
+		fp, ok := want[snap.Stats.Version]
+		if !ok {
+			t.Fatalf("snapshot at version %d: no state of that version was recorded", snap.Stats.Version)
+		}
+		if snap.Fingerprint != fp {
+			t.Fatalf("snapshot at version %d carries fingerprint %016x, the state of that version has %016x",
+				snap.Stats.Version, snap.Fingerprint, fp)
+		}
+	}
+	if len(got) == 0 || rebuilds == 0 {
+		t.Fatalf("%d snapshots and %d rebuilds: the test exercised nothing", len(got), rebuilds)
 	}
 }

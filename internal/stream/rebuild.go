@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -83,7 +84,7 @@ func (s *Session) Rebuild(ctx context.Context) (*RebuildReport, error) {
 	snapIDs := append([]InputID(nil), s.ids...)
 	snapSizes := make([]core.Size, len(snapIDs))
 	for i, id := range snapIDs {
-		snapSizes[i] = s.sizes[id]
+		snapSizes[i] = s.inputs[id].size
 	}
 	q := s.cfg.Capacity
 	s.mu.Unlock()
@@ -138,51 +139,51 @@ func (s *Session) Rebuild(ctx context.Context) (*RebuildReport, error) {
 // placement change the swap causes.
 func (s *Session) swapLocked(planned *core.MappingSchema, snapIDs []InputID) *RebuildReport {
 	rep := &RebuildReport{PlannedInputs: len(snapIDs)}
-	oldReds := make([]*red, 0, len(s.reds))
-	for _, r := range s.reds {
+	before := s.reds
+	copies := 0
+	for _, r := range before {
 		if r == nil {
 			continue
 		}
-		oldReds = append(oldReds, r)
 		rep.ReducersBefore++
-		if r.load > rep.MaxLoadBefore {
-			rep.MaxLoadBefore = r.load
-		}
+		rep.MaxLoadBefore = max(rep.MaxLoadBefore, r.load)
+		copies += len(r.members)
 	}
 
-	s.reds = s.reds[:0]
-	s.free = s.free[:0]
+	// Every live input keeps its old slots for the migration pricing and
+	// starts over with none.
+	old := make(map[InputID]oldInput, len(s.ids))
+	buf := make([]int, 0, copies)
 	for _, id := range s.ids {
-		s.assign[id] = nil
-		if bits := s.assignBits[id]; bits != nil {
-			bits.Clear()
-		} else {
-			s.assignBits[id] = core.NewCoverSet(0)
-		}
+		in := s.inputs[id]
+		n := len(buf)
+		buf = in.slots.AppendTo(buf)
+		old[id] = oldInput{in.size, buf[n:]}
+		in.slots.Reset(len(planned.Reducers))
 	}
+	s.reds = make([]*red, 0, len(planned.Reducers))
+	s.free = s.free[:0]
 	for _, pr := range planned.Reducers {
-		ext := make([]InputID, 0, len(pr.Inputs))
+		members := make([]InputID, 0, len(pr.Inputs))
 		for _, dense := range pr.Inputs {
 			if dense < 0 || dense >= len(snapIDs) {
 				continue // a plan for a different instance shape; skip defensively
 			}
-			e := snapIDs[dense]
-			if _, live := s.sizes[e]; !live {
-				continue // removed while the solve ran
+			if e := snapIDs[dense]; s.inputs[e] != nil { // else removed while the solve ran
+				members = append(members, e)
 			}
-			ext = append(ext, e)
 		}
-		if len(ext) == 0 {
+		if len(members) == 0 {
 			continue
 		}
-		sort.Ints(ext)
-		slot := s.newRedLocked()
-		for i, e := range ext {
-			if i > 0 && e == ext[i-1] {
-				continue
-			}
-			s.addToRedLocked(e, slot)
+		sort.Ints(members)
+		r := &red{members: slices.Compact(members)}
+		for _, e := range r.members {
+			in := s.inputs[e]
+			r.load += in.size
+			in.slots.Add(len(s.reds))
 		}
+		s.reds = append(s.reds, r)
 	}
 
 	// Loads were recomputed from the current sizes, so a resize that raced
@@ -195,7 +196,7 @@ func (s *Session) swapLocked(planned *core.MappingSchema, snapIDs []InputID) *Re
 		for r.load > s.cfg.Capacity {
 			victim, vw := InputID(-1), core.Size(0)
 			for _, m := range r.members {
-				if w := s.sizes[m]; w > vw {
+				if w := s.inputs[m].size; w > vw {
 					victim, vw = m, w
 				}
 			}
@@ -207,7 +208,7 @@ func (s *Session) swapLocked(planned *core.MappingSchema, snapIDs []InputID) *Re
 		}
 	}
 	for _, id := range s.ids {
-		if len(s.assign[id]) == 0 {
+		if s.inputs[id].slots.Count() == 0 {
 			needRepair[id] = struct{}{}
 		}
 	}
@@ -231,103 +232,88 @@ func (s *Session) swapLocked(planned *core.MappingSchema, snapIDs []InputID) *Re
 			continue
 		}
 		rep.ReducersAfter++
-		if r.load > rep.MaxLoadAfter {
-			rep.MaxLoadAfter = r.load
-		}
+		rep.MaxLoadAfter = max(rep.MaxLoadAfter, r.load)
 	}
-	rep.MigrationBytes = migrationCost(oldReds, s.reds, func(id InputID) core.Size { return s.sizes[id] })
+	rep.MigrationBytes = migrationCost(before, old, s.reds)
 	s.drift = 0
 	s.version++
 	return rep
 }
 
-// migrationCost estimates the bytes that must move to turn the old reducer
-// placement into the new one: each new reducer is greedily matched (largest
-// first) to the unused old reducer sharing the most bytes with it, and only
-// its unmatched bytes count as moved. Members are remapped onto a dense
-// universe (the union of all member IDs) so every reducer becomes one
-// CoverSet and overlap pricing is a word-parallel AND walk instead of a
-// merge over sorted external-ID slices.
-func migrationCost(before, after []*red, size func(InputID) core.Size) core.Size {
-	// Dense remap over the union of member IDs of both placements: register
-	// every ID first (the universe size must be final before any set is
-	// built), then build one bitset per reducer.
-	dense := make(map[InputID]int)
-	var denseSize []core.Size
-	register := func(reds []*red) {
-		for _, r := range reds {
-			if r == nil {
-				continue
-			}
-			for _, m := range r.members {
-				if _, ok := dense[m]; !ok {
-					dense[m] = len(denseSize)
-					denseSize = append(denseSize, size(m))
-				}
-			}
-		}
-	}
-	register(before)
-	register(after)
-	build := func(reds []*red) []*core.CoverSet {
-		sets := make([]*core.CoverSet, len(reds))
-		for i, r := range reds {
-			if r == nil {
-				continue
-			}
-			sets[i] = core.GetCoverSet(len(denseSize))
-			for _, m := range r.members {
-				sets[i].Add(dense[m])
-			}
-		}
-		return sets
-	}
-	beforeBits := build(before)
-	afterBits := build(after)
-	release := func(sets []*core.CoverSet) {
-		for _, s := range sets {
-			if s != nil {
-				core.PutCoverSet(s)
-			}
-		}
-	}
-	defer release(beforeBits)
-	defer release(afterBits)
+// oldInput is a live input as the migration pricing reads it: its size and
+// the slots that held it before the swap, ascending.
+type oldInput struct {
+	size  core.Size
+	slots []int
+}
 
-	newIdx := make([]int, 0, len(after))
-	for i, r := range after {
+// migrationCost estimates the bytes that must move to turn the old reducer
+// placement into the new one: each new reducer, largest load first (ties to
+// the lower slot), is matched to the unused old reducer sharing the most
+// bytes with it (ties to the lower old slot), and only its bytes not on that
+// reducer count as moved. before is the old slot table and old holds every
+// member of the new one. A new reducer's overlaps are summed over its
+// members' old slots, so the work is the sum over inputs of old times new
+// copies.
+func migrationCost(before []*red, old map[InputID]oldInput, after []*red) core.Size {
+	order := make([]int, 0, len(after))
+	for slot, r := range after {
 		if r != nil {
-			newIdx = append(newIdx, i)
+			order = append(order, slot)
 		}
 	}
-	sort.Slice(newIdx, func(a, b int) bool {
-		if after[newIdx[a]].load != after[newIdx[b]].load {
-			return after[newIdx[a]].load > after[newIdx[b]].load
+	sort.Slice(order, func(a, b int) bool {
+		if la, lb := after[order[a]].load, after[order[b]].load; la != lb {
+			return la > lb
 		}
-		return newIdx[a] < newIdx[b]
+		return order[a] < order[b]
 	})
+	// used marks the old reducers already matched; a free slot never is.
 	used := make([]bool, len(before))
+	for slot, r := range before {
+		used[slot] = r == nil
+	}
+	overlap := make([]core.Size, len(before))
+	var touched []int // the old slots with a nonzero overlap
+	lowest := 0       // every old slot below it is used
 	var moved core.Size
-	for _, ni := range newIdx {
-		nr := after[ni]
-		nb := afterBits[ni]
-		bestOld, bestOverlap := -1, core.Size(-1)
-		for oi, or := range before {
-			if or == nil || used[oi] {
-				continue
-			}
-			var overlap core.Size
-			nb.ForEachAnd(beforeBits[oi], func(d int) { overlap += denseSize[d] })
-			if overlap > bestOverlap {
-				bestOld, bestOverlap = oi, overlap
+	for _, slot := range order {
+		r := after[slot]
+		for _, m := range r.members {
+			in := old[m]
+			for _, o := range in.slots {
+				if overlap[o] == 0 {
+					touched = append(touched, o)
+				}
+				overlap[o] += in.size
 			}
 		}
-		if bestOld >= 0 {
-			used[bestOld] = true
-			moved += nr.load - bestOverlap
+		best := -1
+		for _, o := range touched {
+			if !used[o] && (best < 0 || overlap[o] > overlap[best] || overlap[o] == overlap[best] && o < best) {
+				best = o
+			}
+		}
+		if best >= 0 {
+			moved += r.load - overlap[best]
 		} else {
-			moved += nr.load
+			// No unused old reducer shares a byte with this one: it takes
+			// the lowest unused old reducer, if any, and moves whole.
+			for lowest < len(used) && used[lowest] {
+				lowest++
+			}
+			if lowest < len(used) {
+				best = lowest
+			}
+			moved += r.load
 		}
+		if best >= 0 {
+			used[best] = true
+		}
+		for _, o := range touched {
+			overlap[o] = 0
+		}
+		touched = touched[:0]
 	}
 	return moved
 }

@@ -78,10 +78,19 @@ var (
 
 // red is one reducer of the live structure. Members are kept as a sorted
 // slice: at the typical tens-of-members scale, binary search plus memmove
-// beats hashing, and intersection becomes a cheap merge walk.
+// beats hashing, and a snapshot or state reads them out in order.
 type red struct {
 	members []InputID // ascending
 	load    core.Size
+}
+
+// input is one live input: its size and the slots of the reducers holding
+// it, as a bitset, so membership ("is x already in this reducer?") and
+// row-set coverage ("do x and m share a reducer?") are O(1) and
+// word-parallel, and the ascending slot walk is AppendTo.
+type input struct {
+	size  core.Size
+	slots core.CoverSet
 }
 
 // counters are the cumulative session statistics; Session.mu guards them.
@@ -97,21 +106,15 @@ type counters struct {
 type Session struct {
 	cfg Config
 
-	mu    sync.Mutex
-	sizes map[InputID]core.Size
-	ids   []InputID // live IDs, ascending
-	total core.Size
-	next  InputID
+	mu sync.Mutex
+	// inputs holds one record per live input; ids lists their IDs ascending.
+	inputs map[InputID]*input
+	ids    []InputID
+	total  core.Size
+	next   InputID
 	// reds holds the reducers; nil entries are free slots recycled via free.
 	reds []*red
 	free []int
-	// assign maps each live input to the sorted slots of the reducers
-	// holding it; assignBits mirrors it as a bitset over slot indexes, so
-	// membership ("is x already in this reducer?") and row-set coverage
-	// ("do x and m share a reducer?") are O(1) and word-parallel instead of
-	// sorted-slice searches and merge walks.
-	assign     map[InputID][]int
-	assignBits map[InputID]*core.CoverSet
 
 	// cursor rotates cover templates across the live inputs so arrivals
 	// spread over every reducer row instead of piling onto one.
@@ -140,12 +143,7 @@ func NewSession(ctx context.Context, cfg Config) (*Session, error) {
 	if cfg.Replan == nil {
 		return nil, errors.New("stream: Config.Replan is required")
 	}
-	s := &Session{
-		cfg:        cfg,
-		sizes:      make(map[InputID]core.Size),
-		assign:     make(map[InputID][]int),
-		assignBits: make(map[InputID]*core.CoverSet),
-	}
+	s := &Session{cfg: cfg, inputs: make(map[InputID]*input)}
 	if len(cfg.Initial) == 0 {
 		s.journalInitialSnapshot()
 		obsSessions.Inc()
@@ -176,9 +174,7 @@ func NewSession(ctx context.Context, cfg Config) (*Session, error) {
 	snapIDs := make([]InputID, len(cfg.Initial))
 	for i, w := range cfg.Initial {
 		snapIDs[i] = i
-		s.sizes[i] = w
-		s.assign[i] = nil
-		s.assignBits[i] = core.NewCoverSet(0)
+		s.inputs[i] = &input{size: w}
 		s.ids = append(s.ids, i)
 	}
 	s.total = total
@@ -306,22 +302,27 @@ type Snapshot struct {
 	Sizes []core.Size
 	// Stats is the census at snapshot time.
 	Stats Stats
+	// Fingerprint is State().Fingerprint() of the state the snapshot was
+	// taken from, computed under the same lock.
+	Fingerprint uint64
 }
 
-// Snapshot materializes the current schema and census atomically.
+// Snapshot materializes the current schema, census and fingerprint
+// atomically.
 func (s *Session) Snapshot() *Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	snap := &Snapshot{
-		Schema: &core.MappingSchema{Problem: core.ProblemA2A, Capacity: s.cfg.Capacity, Algorithm: "stream/incremental"},
-		IDs:    append([]InputID(nil), s.ids...),
-		Sizes:  make([]core.Size, len(s.ids)),
-		Stats:  s.statsLocked(),
+		Schema:      &core.MappingSchema{Problem: core.ProblemA2A, Capacity: s.cfg.Capacity, Algorithm: "stream/incremental"},
+		IDs:         append([]InputID(nil), s.ids...),
+		Sizes:       make([]core.Size, len(s.ids)),
+		Stats:       s.statsLocked(),
+		Fingerprint: s.stateLocked().Fingerprint(),
 	}
 	dense := make(map[InputID]int, len(s.ids))
 	for i, id := range snap.IDs {
 		dense[id] = i
-		snap.Sizes[i] = s.sizes[id]
+		snap.Sizes[i] = s.inputs[id].size
 	}
 	for _, r := range s.reds {
 		if r == nil {
@@ -344,7 +345,7 @@ func (s *Session) liveMaxLocked() core.Size {
 	if s.maxDirty {
 		s.maxLive = 0
 		for _, id := range s.ids {
-			if w := s.sizes[id]; w > s.maxLive {
+			if w := s.inputs[id].size; w > s.maxLive {
 				s.maxLive = w
 			}
 		}
@@ -356,13 +357,13 @@ func (s *Session) liveMaxLocked() core.Size {
 // liveMaxExcludingLocked returns the largest live size among inputs other
 // than x.
 func (s *Session) liveMaxExcludingLocked(x InputID) core.Size {
-	if !s.maxDirty && s.sizes[x] < s.maxLive {
+	if !s.maxDirty && s.inputs[x].size < s.maxLive {
 		return s.maxLive
 	}
 	var max core.Size
 	for _, id := range s.ids {
-		if id != x && s.sizes[id] > max {
-			max = s.sizes[id]
+		if w := s.inputs[id].size; id != x && w > max {
+			max = w
 		}
 	}
 	return max
@@ -457,14 +458,14 @@ func deleteSorted(s []int, v int) []int {
 }
 
 // sharesReducerLocked reports whether two live inputs share a reducer, as a
-// word-parallel intersection of their assignment bitsets.
+// word-parallel intersection of their slot sets.
 func (s *Session) sharesReducerLocked(a, b InputID) bool {
-	return s.assignBits[a].Intersects(s.assignBits[b])
+	return s.inputs[a].slots.Intersects(&s.inputs[b].slots)
 }
 
 // inRedLocked reports whether input x is assigned to the reducer in slot.
 func (s *Session) inRedLocked(x InputID, slot int) bool {
-	return s.assignBits[x].Contains(slot)
+	return s.inputs[x].slots.Contains(slot)
 }
 
 // newRedLocked allocates a reducer slot.
@@ -482,27 +483,20 @@ func (s *Session) newRedLocked() int {
 
 // addToRedLocked assigns input x to the reducer in slot.
 func (s *Session) addToRedLocked(x InputID, slot int) {
-	r := s.reds[slot]
+	in, r := s.inputs[x], s.reds[slot]
 	r.members = insertSorted(r.members, x)
-	r.load += s.sizes[x]
-	s.assign[x] = insertSorted(s.assign[x], slot)
-	bits := s.assignBits[x]
-	if bits == nil {
-		bits = core.NewCoverSet(len(s.reds))
-		s.assignBits[x] = bits
-	}
-	bits.Grow(slot + 1)
-	bits.Add(slot)
+	r.load += in.size
+	in.slots.Grow(slot + 1)
+	in.slots.Add(slot)
 }
 
 // removeFromRedLocked drops input x from the reducer in slot, freeing the
 // slot when it empties.
 func (s *Session) removeFromRedLocked(x InputID, slot int) {
-	r := s.reds[slot]
+	in, r := s.inputs[x], s.reds[slot]
 	r.members = deleteSorted(r.members, x)
-	r.load -= s.sizes[x]
-	s.assign[x] = deleteSorted(s.assign[x], slot)
-	s.assignBits[x].Remove(slot)
+	r.load -= in.size
+	in.slots.Remove(slot)
 	if len(r.members) == 0 {
 		s.reds[slot] = nil
 		s.free = append(s.free, slot)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/core"
 )
@@ -144,7 +143,7 @@ func (s *Session) stateLocked() *State {
 		},
 	}
 	for i, id := range st.IDs {
-		st.Sizes[i] = s.sizes[id]
+		st.Sizes[i] = s.inputs[id].size
 	}
 	for slot, r := range s.reds {
 		if r == nil {
@@ -179,7 +178,7 @@ func (s *Session) journalDeltaLocked(rep *DeltaReport) {
 	}
 	rec := DeltaRecord{Op: rep.Op, ID: rep.ID}
 	if rep.Op == "add" || rep.Op == "resize" {
-		rec.Size = s.sizes[rep.ID]
+		rec.Size = s.inputs[rep.ID].size
 	}
 	s.cfg.Journal.Delta(rec)
 	s.sinceSnap++
@@ -281,14 +280,12 @@ func RestoreSession(cfg Config, st *State, deltas []DeltaRecord) (*Session, erro
 			Replan:           cfg.Replan,
 			// Journal attaches after replay.
 		},
-		sizes:      make(map[InputID]core.Size, len(st.IDs)),
-		assign:     make(map[InputID][]int, len(st.IDs)),
-		assignBits: make(map[InputID]*core.CoverSet, len(st.IDs)),
-		next:       st.Next,
-		cursor:     st.Cursor,
-		drift:      st.Drift,
-		version:    st.Version,
-		maxDirty:   true,
+		inputs:   make(map[InputID]*input, len(st.IDs)),
+		next:     st.Next,
+		cursor:   st.Cursor,
+		drift:    st.Drift,
+		version:  st.Version,
+		maxDirty: true,
 		st: counters{
 			adds:            st.Counters.Adds,
 			removes:         st.Counters.Removes,
@@ -301,10 +298,10 @@ func RestoreSession(cfg Config, st *State, deltas []DeltaRecord) (*Session, erro
 	}
 	s.ids = append([]InputID(nil), st.IDs...)
 	for i, id := range st.IDs {
-		s.sizes[id] = st.Sizes[i]
-		s.total += st.Sizes[i]
-		s.assign[id] = nil
-		s.assignBits[id] = core.NewCoverSet(len(st.Reducers))
+		in := &input{size: st.Sizes[i]}
+		in.slots.Reset(len(st.Reducers))
+		s.inputs[id] = in
+		s.total += in.size
 	}
 	s.reds = make([]*red, len(st.Reducers))
 	for slot, sr := range st.Reducers {
@@ -313,15 +310,11 @@ func RestoreSession(cfg Config, st *State, deltas []DeltaRecord) (*Session, erro
 		}
 		r := &red{members: append([]InputID(nil), sr.Members...)}
 		for _, m := range sr.Members {
-			r.load += s.sizes[m]
-			s.assign[m] = append(s.assign[m], slot)
-			s.assignBits[m].Grow(slot + 1)
-			s.assignBits[m].Add(slot)
+			in := s.inputs[m]
+			r.load += in.size
+			in.slots.Add(slot)
 		}
 		s.reds[slot] = r
-	}
-	for _, slots := range s.assign {
-		sort.Ints(slots)
 	}
 	s.free = append([]int(nil), st.Free...)
 
