@@ -20,7 +20,6 @@ import (
 	"io"
 	"os"
 	"slices"
-	"sync/atomic"
 	"text/tabwriter"
 
 	"repro/internal/workload"
@@ -126,9 +125,10 @@ type side struct {
 // skewJoin joins x and y on their keys, counting output rows. Keys found on
 // one side only produce no rows and are never shipped. A light key, whose X
 // and Y bytes together are at most q, joins in memory as nₓ·n_y rows. Each
-// heavy key is one assign.Execute over XYInputs of its tuples with a counting
-// Pair: the planner picks how each side is split across reducers. opts carry
-// the heavy runs' MemoryBudget and SpillDir.
+// heavy key is one assign.Execute over XYInputs of its tuples, whose rows are
+// the pairs the run processed (Execution.PairsProcessed, nₓ·n_y once the audit
+// passes): the planner picks how each side is split across reducers. opts
+// carry the heavy runs' MemoryBudget and SpillDir.
 func skewJoin(x, y *workload.Relation, q assign.Size, opts ...assign.Option) (*joinResult, error) {
 	if q <= 0 {
 		return nil, fmt.Errorf("capacity must be positive, got %d", q)
@@ -154,21 +154,17 @@ func skewJoin(x, y *workload.Relation, q assign.Size, opts ...assign.Option) (*j
 			res.maxLoad = max(res.maxLoad, xk.bytes+yk.bytes)
 			continue
 		}
-		var rows atomic.Int64
 		ex, err := assign.Execute(context.Background(), append(opts,
 			assign.XYInputs(xk.tuples, yk.tuples),
 			assign.Capacity(q),
 			assign.Named("skew-join-heavy:"+k),
-			assign.Pair(func(a, b assign.Record, emit func([]byte)) error {
-				rows.Add(1)
-				return nil
-			}),
+			assign.Pair(func(a, b assign.Record, emit func([]byte)) error { return nil }),
 		)...)
 		if err != nil {
 			return nil, fmt.Errorf("heavy key %q: %w", k, err)
 		}
 		res.heavy = append(res.heavy, heavyKey{k, ex})
-		res.rows += rows.Load()
+		res.rows += ex.PairsProcessed
 		res.maxLoad = max(res.maxLoad, ex.Plan.Cost.MaxLoad)
 	}
 	return res, nil

@@ -202,7 +202,7 @@ func TestRunNoDuplicateOutputs(t *testing.T) {
 
 // TestRunCountsEveryKeyPair checks that the join counts rather than
 // materialises: each key contributes nₓ·n_y rows, a light key by
-// arithmetic and a heavy one by its counting Pair.
+// arithmetic and a heavy one by the pairs its run processed.
 func TestRunCountsEveryKeyPair(t *testing.T) {
 	x := relation(6, map[string]int{"hot": 30, "cold": 3})
 	y := relation(6, map[string]int{"hot": 25, "cold": 2})
