@@ -63,7 +63,9 @@ func (s *Session) Add(size core.Size) (InputID, DeltaReport, error) {
 	}
 	id := s.next
 	s.next++
-	s.inputs[id] = &input{size: size}
+	in := &input{size: size}
+	in.slots.Reset(len(s.reds))
+	s.inputs[id] = in
 	s.ids = append(s.ids, id) // IDs are monotonic, so append keeps the order
 	s.total += size
 	s.noteSizeLocked(size)
@@ -94,7 +96,7 @@ func (s *Session) Remove(id InputID) (DeltaReport, error) {
 	}
 	w := in.size
 	rep := DeltaReport{Op: "remove", ID: id}
-	slots := in.slots.AppendTo(nil)
+	slots := in.slotList()
 	touched := slots[:0]
 	for _, slot := range slots {
 		s.removeFromRedLocked(id, slot)
@@ -161,7 +163,7 @@ func (s *Session) Resize(id InputID, newSize core.Size) (DeltaReport, error) {
 	} else {
 		s.noteShrinkLocked(old)
 	}
-	slots := in.slots.AppendTo(nil)
+	slots := in.slotList()
 	if delta < 0 {
 		in.size = newSize
 		for _, slot := range slots {
@@ -228,7 +230,7 @@ func (s *Session) coverLocked(x InputID, untrusted map[InputID]struct{}, rep *De
 	}
 	var residue []InputID
 	if y >= 0 {
-		slots := s.inputs[y].slots.AppendTo(nil)
+		slots := s.inputs[y].slotList()
 		seen := make(map[InputID]struct{})
 		for _, slot := range slots {
 			r := s.reds[slot]

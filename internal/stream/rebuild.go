@@ -146,7 +146,9 @@ func (s *Session) swapLocked(planned *core.MappingSchema, snapIDs []InputID) *Re
 			continue
 		}
 		rep.ReducersBefore++
-		rep.MaxLoadBefore = max(rep.MaxLoadBefore, r.load)
+		if r.load > rep.MaxLoadBefore {
+			rep.MaxLoadBefore = r.load
+		}
 		copies += len(r.members)
 	}
 
@@ -232,7 +234,9 @@ func (s *Session) swapLocked(planned *core.MappingSchema, snapIDs []InputID) *Re
 			continue
 		}
 		rep.ReducersAfter++
-		rep.MaxLoadAfter = max(rep.MaxLoadAfter, r.load)
+		if r.load > rep.MaxLoadAfter {
+			rep.MaxLoadAfter = r.load
+		}
 	}
 	rep.MigrationBytes = migrationCost(before, old, s.reds)
 	s.drift = 0

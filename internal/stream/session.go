@@ -93,6 +93,11 @@ type input struct {
 	slots core.CoverSet
 }
 
+// slotList returns the slots holding the input, ascending, in a new slice.
+func (in *input) slotList() []int {
+	return in.slots.AppendTo(make([]int, 0, in.slots.Count()))
+}
+
 // counters are the cumulative session statistics; Session.mu guards them.
 type counters struct {
 	adds, removes, resizes    uint64
