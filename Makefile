@@ -5,7 +5,7 @@ THRESHOLD ?= 15
 # The benchmarks the regression gate watches. This is the one place they are
 # listed: bench-compare and CI's bench-regression job both go through
 # bench-gate.
-BENCH_MATCH := ^Benchmark(A2AEqualSized|A2AExactTiny|A2AGreedy|X2YGreedy|PlannerCold|PlannerCached|SchemaJSON|PlanReplyEncode|PlanReplyDecode|ExecStream|ExecStreamSpill|SkewJoin|SimJoin|SessionDelta|CoverSet|Auditor)
+BENCH_MATCH := ^Benchmark(A2AEqualSized|A2AExactTiny|A2AGreedy|X2YGreedy|PlannerCold|PlannerCached|SchemaJSON|PlanReplyEncode|PlanReplyDecode|ExecStream|ExecStreamSpill|SkewJoin|SimJoin|SessionDelta|SessionRebuild|CoverSet|Auditor)
 
 .PHONY: test bench bench-gate bench-compare baselines
 
@@ -19,7 +19,7 @@ bench: ## one pass over the regression-gated benchmark suite (stdout)
 	  && $(GO) test -run '^$$' -bench 'BenchmarkPlanReplyEncode$$' -count=$(BENCH_COUNT) -benchtime=0.3s ./cmd/pland \
 	  && $(GO) test -run '^$$' -bench 'BenchmarkPlanReplyDecode$$' -count=$(BENCH_COUNT) -benchtime=0.3s ./pkg/assign/plandclient \
 	  && $(GO) test -run '^$$' -bench 'BenchmarkSkewJoin$$|BenchmarkSimJoin$$' -count=$(BENCH_COUNT) -benchtime=0.3s ./cmd/skewjoin ./cmd/simjoin \
-	  && $(GO) test -run '^$$' -bench 'BenchmarkSessionDelta' -count=$(BENCH_COUNT) -benchtime=0.3s ./internal/stream \
+	  && $(GO) test -run '^$$' -bench 'BenchmarkSessionDelta|BenchmarkSessionRebuild$$' -count=$(BENCH_COUNT) -benchtime=0.3s ./internal/stream \
 	  && $(GO) test -run '^$$' -bench 'BenchmarkSessionDeltaJournaled$$' -count=$(BENCH_COUNT) -benchtime=0.3s ./internal/wal
 
 # Both targets below keep their intermediate files in a private mktemp
@@ -46,8 +46,8 @@ baselines: ## regenerate the committed BENCH_*.json from a fresh suite run
 	  -match '^Benchmark(CoverSet|Auditor|A2AEqualSized|A2AExactTiny|A2AGreedy|X2YGreedy|PlannerCold|PlannerCached|SchemaJSON|PlanReplyEncode|PlanReplyDecode)' \
 	  -note "bitset core hot paths: CoverSet primitives, auditor verification, the equal-sized a2a.Solve on the a2a_equal shapes, the portfolio members a2a.Exact (tiny), a2a.Greedy (a2a_big) and x2y.Greedy (svc_mixed X2Y hot shapes), planner cold/cached solves, the mapping-schema JSON codec on a 33 KB reply through encoding/json (SchemaJSON, the reference) and the same reply as pland writes it and plandclient reads it (PlanReplyEncode/Decode); regenerate with 'make baselines'"; \
 	$(GO) run ./cmd/benchdiff -mode=baseline -in "$$tmp/bench.txt" -out BENCH_stream.json \
-	  -match '^BenchmarkSessionDelta' \
-	  -note "m=1k churn (remove oldest, add replacement) at q=1024, uniform sizes [1,64]: incremental repair vs cheapest full re-solve per delta, and the incremental delta with the WAL journal attached under -fsync=interval (SessionDeltaJournaled); regenerate with 'make baselines'"; \
+	  -match '^BenchmarkSession(Delta|Rebuild)' \
+	  -note "m=1k churn (remove oldest, add replacement) at q=1024, uniform sizes [1,64]: incremental repair vs cheapest full re-solve per delta, and the incremental delta with the WAL journal attached under -fsync=interval (SessionDeltaJournaled); SessionRebuild is one Rebuild (replan by a2a.Solve plus swap) of the rebuild trace's drifted session, q=256, about 500 Zipf sizes up to 30; regenerate with 'make baselines'"; \
 	$(GO) run ./cmd/benchdiff -mode=baseline -in "$$tmp/bench.txt" -out BENCH_exec.json \
 	  -match '^Benchmark(ExecStream|SkewJoin|SimJoin)' \
 	  -note "streaming pipeline end to end: 1500-doc similarity join (1.12M pairs) fed through pkg/assign Source/Each, planned from cache, audit on; ExecStream never spills, ExecStreamSpill runs under a memory budget below one record (25500 one-record runs in one spill file per op; every reducer reads its runs back); SkewJoin and SimJoin are the joins of cmd/skewjoin's and cmd/simjoin's default runs, planned from cache, audit on; a record of the suite, not a gate; regenerate with 'make baselines'"

@@ -82,14 +82,7 @@ func BenchmarkSessionDelta(b *testing.B) {
 // timer for every iteration.
 func BenchmarkSessionRebuild(b *testing.B) {
 	s := traceSession(b)
-	events, err := workload.Churn(workload.ChurnSpec{
-		Initial: traceInputs, Steps: traceSteps,
-		AddWeight: 3, RemoveWeight: 3, ResizeWeight: 2,
-		Sizes: traceSizes,
-	}, traceSeed)
-	if err != nil {
-		b.Fatalf("churn: %v", err)
-	}
+	events := traceEvents(b)
 	var drifted *stream.State
 	for rebuilds := 0; drifted == nil; events = events[1:] {
 		if err := applyChurn(s, events[0]); err != nil {

@@ -33,16 +33,13 @@
 //
 // # Representation
 //
-// The live structure is seen from both sides. Each reducer slot holds its
-// members (ascending) and its load; each live input has one record, its size
-// and the set of slots holding it. Repairs keep the two sides in step, so
-// "do x and y share a reducer?" is one word-parallel intersection of two
-// inputs' slot sets, and walking an input's reducers is reading its set in
-// ascending order. A swap keeps every input's old slots, imports each planned
-// reducer whole (members sorted and de-duplicated once), and prices the
-// migration from those old slots: a new reducer's overlap with each old one
-// is the sum of its members' sizes at their old slots, so pricing costs the
-// sum over inputs of old times new copies.
+// Each reducer slot holds its members (ascending) and its load; each live
+// input has one record, its size and the bitset of slots holding it. Repairs
+// keep both sides in step, so "do x and y share a reducer?" is one
+// word-parallel intersection. A swap keeps every input's old slots, imports
+// each planned reducer whole, and prices the migration from those old slots:
+// a new reducer's overlap with an old one is the sum of its members' sizes
+// there.
 //
 // # Invariants
 //

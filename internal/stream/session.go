@@ -87,7 +87,7 @@ type red struct {
 // input is one live input: its size and the slots of the reducers holding
 // it, as a bitset, so membership ("is x already in this reducer?") and
 // row-set coverage ("do x and m share a reducer?") are O(1) and
-// word-parallel, and the ascending slot walk is AppendTo.
+// word-parallel.
 type input struct {
 	size  core.Size
 	slots core.CoverSet

@@ -65,6 +65,21 @@ func traceSession(tb testing.TB) *stream.Session {
 	return s
 }
 
+// traceEvents is the trace's churn: three adds, three removes and two
+// resizes in every eight deltas, on average.
+func traceEvents(tb testing.TB) []workload.ChurnEvent {
+	tb.Helper()
+	events, err := workload.Churn(workload.ChurnSpec{
+		Initial: traceInputs, Steps: traceSteps,
+		AddWeight: 3, RemoveWeight: 3, ResizeWeight: 2,
+		Sizes: traceSizes,
+	}, traceSeed)
+	if err != nil {
+		tb.Fatalf("churn: %v", err)
+	}
+	return events
+}
+
 // applyChurn applies one churn event to the session.
 func applyChurn(s *stream.Session, ev workload.ChurnEvent) error {
 	var err error
@@ -88,16 +103,8 @@ func applyChurn(s *stream.Session, ev workload.ChurnEvent) error {
 // moves any byte of either shows here.
 func TestRebuildTraceMatchesGolden(t *testing.T) {
 	s := traceSession(t)
-	events, err := workload.Churn(workload.ChurnSpec{
-		Initial: traceInputs, Steps: traceSteps,
-		AddWeight: 3, RemoveWeight: 3, ResizeWeight: 2,
-		Sizes: traceSizes,
-	}, traceSeed)
-	if err != nil {
-		t.Fatalf("churn: %v", err)
-	}
 	var trace []rebuildEntry
-	for step, ev := range events {
+	for step, ev := range traceEvents(t) {
 		if err := applyChurn(s, ev); err != nil {
 			t.Fatalf("step %d (%s %d): %v", step, ev.Op, ev.ID, err)
 		}
