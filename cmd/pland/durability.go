@@ -100,9 +100,9 @@ func newDurableServer(pl *assign.Planner, cfg serverConfig) (*server, error) {
 
 // recoverWAL replays the log and rebuilds the live sessions and unfinished
 // jobs. Each session is fingerprint-checked against its journaled stamp and
-// audited (pkg/assign runs the executor's conformance auditor over the
-// restored schema) before it is served; a session that fails either check is
-// dropped and counted rather than served wrong.
+// audited (pkg/assign validates the restored schema with core.ValidateA2A:
+// loads within capacity, every pair covered) before it is served; a session
+// that fails either check is dropped and counted rather than served wrong.
 func (s *server) recoverWAL() error {
 	start := time.Now()
 	rec, err := s.wal.Recover()

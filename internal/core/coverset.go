@@ -205,19 +205,6 @@ func (s *CoverSet) CountAndNot(o *CoverSet) int {
 	return c
 }
 
-// ForEachAnd calls fn for every member of s ∩ o in ascending order.
-func (s *CoverSet) ForEachAnd(o *CoverSet, fn func(i int)) {
-	n := len(s.words)
-	if len(o.words) < n {
-		n = len(o.words)
-	}
-	for wi := 0; wi < n; wi++ {
-		for w := s.words[wi] & o.words[wi]; w != 0; w &= w - 1 {
-			fn(wi<<6 + bits.TrailingZeros64(w))
-		}
-	}
-}
-
 // NextAbsent returns the smallest index >= from that is NOT a member, or n
 // when every index from from..n-1 is set. Solver coverage rows use it to
 // find the first uncovered partner.

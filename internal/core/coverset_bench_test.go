@@ -87,16 +87,6 @@ func BenchmarkCoverSetAndNotCount(b *testing.B) {
 	}
 }
 
-func BenchmarkCoverSetForEachAnd(b *testing.B) {
-	x, y, _, _ := benchSets(4096, 512, 13)
-	sink := 0
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		x.ForEachAnd(y, func(i int) { sink += i })
-	}
-	_ = sink
-}
-
 func BenchmarkCoverSetScratchPool(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

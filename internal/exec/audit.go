@@ -74,21 +74,13 @@ func (e *AuditError) Unwrap() []error {
 	return errs
 }
 
-// Trace is the log of processed pairs one execution produces. The compiled
-// reducers log every pair they process; the auditor replays the log against
-// the schema's promises. Tests may also fabricate traces to probe the auditor
-// itself.
-//
-// A trace has exactly two forms. The executor writes the sharded form: one
-// append-only log per reducer, filled by the reduce call without any
+// Trace is the log of processed pairs one execution produces: one
+// append-only log (shard) per reducer, filled by the reduce call without any
 // synchronization and published once when the call succeeds, so the per-pair
 // hot loop touches no atomic and no shared cache line. The logs of one run
-// are sections of a single pooled buffer (see compilation.logSection).
-// NewTrace builds the sparse form — a mutex-guarded map from pair to the
-// reducers that processed it — which fabricated traces use and which is the
-// one reference representation: whenever the sharded form is not exactly what
-// the schema prescribes, CheckTrace converts it to the sparse form and runs
-// the generic check on that.
+// are sections of a single pooled buffer (see compilation.logSection). The
+// auditor checks the shards against the schema's promises; tests fabricate
+// shards to probe the auditor itself.
 //
 // A compiled reducer of an audited run also compares its own log with its
 // owned-pair list before it publishes, and records the log it found equal in
@@ -96,9 +88,7 @@ func (e *AuditError) Unwrap() []error {
 // still that slice, so the end-of-run check of a healthy run reads one
 // verdict per reducer instead of comparing every entry on one core.
 type Trace struct {
-	mu     sync.Mutex       // guards pairs
-	pairs  map[[2]int][]int // sparse form: pair -> reducers that processed it
-	shards [][]pairEntry    // sharded form: shards[r] is what reducer r processed, in order
+	shards [][]pairEntry // shards[r] is what reducer r processed, in order
 	// checked[r], when not empty, is the log reducer r found equal to its
 	// owned-pair list when it published it.
 	checked [][]pairEntry
@@ -110,24 +100,9 @@ type pairEntry struct{ a, b int32 }
 
 const pairEntryBytes = 8
 
-// NewTrace returns an empty sparse trace.
-func NewTrace() *Trace {
-	return &Trace{pairs: make(map[[2]int][]int)}
-}
-
-// newShardedTrace returns an empty sharded trace for a job of numReducers
-// reducers.
-func newShardedTrace(numReducers int) *Trace {
+// newTrace returns an empty trace for a job of numReducers reducers.
+func newTrace(numReducers int) *Trace {
 	return &Trace{shards: make([][]pairEntry, numReducers), checked: make([][]pairEntry, numReducers)}
-}
-
-// Record logs into a sparse trace that the given reducer processed the pair
-// (a, b). For A2A pairs the caller passes a < b; for X2Y, a is the X-side ID
-// and b the Y-side ID.
-func (t *Trace) Record(reducer, a, b int) {
-	t.mu.Lock()
-	t.pairs[[2]int{a, b}] = append(t.pairs[[2]int{a, b}], reducer)
-	t.mu.Unlock()
 }
 
 // publish stores the log of a successful reduce call as the reducer's shard.
@@ -145,39 +120,14 @@ func (t *Trace) vouched(r int) bool {
 	return len(v) > 0 && len(v) == len(shard) && &v[0] == &shard[0]
 }
 
-// Pairs returns how many pairs were logged: distinct pairs for the sparse
-// form, log entries for the sharded form (the same number whenever the trace
-// passes the audit).
+// Pairs returns how many pairs were logged: log entries, which are the
+// distinct pairs processed whenever the trace passes the audit.
 func (t *Trace) Pairs() int64 {
-	if t.shards == nil {
-		t.mu.Lock()
-		defer t.mu.Unlock()
-		return int64(len(t.pairs))
-	}
 	var n int64
 	for _, log := range t.shards {
 		n += int64(len(log))
 	}
 	return n
-}
-
-// sparse converts a sharded trace to the sparse reference form.
-func (t *Trace) sparse() *Trace {
-	s := NewTrace()
-	for r, log := range t.shards {
-		for _, e := range log {
-			p := [2]int{int(e.a), int(e.b)}
-			s.pairs[p] = append(s.pairs[p], r)
-		}
-	}
-	return s
-}
-
-// processedBy returns the reducers a sparse trace holds for the pair.
-func (t *Trace) processedBy(a, b int) []int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.pairs[[2]int{a, b}]
 }
 
 // traceLogs recycles the buffers runs cut their per-reducer logs from (eight
@@ -211,10 +161,9 @@ type shape struct{ numA, numX, numY int }
 // schemaIndex holds everything derived from a schema and an instance shape
 // that is independent of the request's payload bytes: the per-input reducer
 // assignment slices the engine routes copies along, the bitset membership rows
-// (one CoverSet over reducer indexes per input) that coverage checks and
-// trace replay run on, the per-reducer owner elections by class that the
-// compiled reducers read (derived from the rows), the owned-pair lists and
-// the static verdict. It is immutable once built (the lazy parts are
+// (one CoverSet over reducer indexes per input) that owner lookups run on,
+// the per-reducer owner elections by class that the compiled reducers read
+// (derived from the rows), the owned-pair lists and the static verdict. It is immutable once built (the lazy parts are
 // guarded), so a Compiler hands one index to every run of the same schema; a
 // retained index is built over a private copy of the schema, never the
 // caller's.
@@ -224,12 +173,8 @@ type schemaIndex struct {
 	// routes holds every input's reducers in stream order: the A2A set, or
 	// the X side then the Y side.
 	routes [][]int
-	// aBits/xBits/yBits are the bitset rows matching the assignments.
-	aBits, xBits, yBits []core.CoverSet
-	// compiled marks an index built for a run (newSchemaIndex), which needs
-	// the owned-pair lists anyway, so its PreCheck counts them; an auditor
-	// built without a run has a static check that lists no pair.
-	compiled bool
+	// rows are the bitset rows matching routes, in the same stream order.
+	rows []core.CoverSet
 
 	// sweepOnce guards owned/ownedEnd, the result of the one ascending
 	// reducer sweep every audit of this schema shares (see sweep).
@@ -358,55 +303,19 @@ func invert(reducers []core.Reducer, n int, members func(red *core.Reducer, add 
 	return out
 }
 
-// newSchemaIndexA2A builds the shared index for an A2A schema over numInputs.
-func newSchemaIndexA2A(schema *core.MappingSchema, numInputs int) (*schemaIndex, error) {
-	if schema.Problem != core.ProblemA2A {
-		return nil, fmt.Errorf("exec: NewAuditor needs an A2A schema, got %v", schema.Problem)
-	}
-	if err := checkIDRanges(schema, numInputs, 0, 0); err != nil {
-		return nil, err
-	}
-	assign := assignmentsA2A(schema, numInputs)
-	return &schemaIndex{
-		schema: schema,
-		shape:  shape{numA: numInputs},
-		routes: assign,
-		aBits:  bitRows(assign, schema.NumReducers()),
-	}, nil
-}
-
-// newSchemaIndexX2Y builds the shared index for an X2Y schema.
-func newSchemaIndexX2Y(schema *core.MappingSchema, numX, numY int) (*schemaIndex, error) {
-	if schema.Problem != core.ProblemX2Y {
-		return nil, fmt.Errorf("exec: NewAuditorX2Y needs an X2Y schema, got %v", schema.Problem)
-	}
-	if err := checkIDRanges(schema, 0, numX, numY); err != nil {
-		return nil, err
-	}
-	routes := assignmentsX2Y(schema, numX, numY)
-	n := schema.NumReducers()
-	return &schemaIndex{
-		schema: schema,
-		shape:  shape{numX: numX, numY: numY},
-		routes: routes,
-		xBits:  bitRows(routes[:numX], n), yBits: bitRows(routes[numX:], n),
-	}, nil
-}
-
-// newSchemaIndex builds the index of a compiled run.
+// newSchemaIndex builds the index of a schema over an instance of shape sh:
+// an A2A schema reads sh.numA, an X2Y schema sh.numX and sh.numY.
 func newSchemaIndex(schema *core.MappingSchema, sh shape) (*schemaIndex, error) {
-	var idx *schemaIndex
-	var err error
-	if schema.Problem == core.ProblemA2A {
-		idx, err = newSchemaIndexA2A(schema, sh.numA)
-	} else {
-		idx, err = newSchemaIndexX2Y(schema, sh.numX, sh.numY)
-	}
-	if err != nil {
+	if err := checkIDRanges(schema, sh); err != nil {
 		return nil, err
 	}
-	idx.compiled = true
-	return idx, nil
+	var routes [][]int
+	if schema.Problem == core.ProblemA2A {
+		routes = assignmentsA2A(schema, sh.numA)
+	} else {
+		routes = assignmentsX2Y(schema, sh.numX, sh.numY)
+	}
+	return &schemaIndex{schema: schema, shape: sh, routes: routes, rows: bitRows(routes, schema.NumReducers())}, nil
 }
 
 // requiredPairCount returns how many pairs the instance requires covered.
@@ -435,10 +344,10 @@ func (idx *schemaIndex) pairIndex(i, j int) int {
 // The result is kept as one flat list grouped by owner: owned[ownedEnd[r-1]:
 // ownedEnd[r]] holds reducer r's pairs in sorted-member order (members
 // ascending and de-duplicated; for X2Y, X-side outer and Y-side inner) —
-// the order a compiled reducer processes them in. A compiled run's PreCheck
-// prices coverage from the list's length, the run cuts its reducers' logs to
-// it, and CheckTrace compares it with the trace shard by shard, so every
-// audited run of one index shares one sweep.
+// the order a compiled reducer processes them in. PreCheck prices coverage
+// from the list's length, a run cuts its reducers' logs to it, and CheckTrace
+// compares it with the trace shard by shard, so every audited run of one
+// index shares one sweep.
 func (idx *schemaIndex) sweep() {
 	idx.sweepOnce.Do(func() {
 		required := idx.requiredPairCount()
@@ -475,30 +384,6 @@ func (idx *schemaIndex) sweep() {
 	})
 }
 
-// cover marks in covered, which starts empty, every required pair some
-// reducer covers. It is the sweep without owners: it lists no pair, which is
-// all a static check needs — C(m,2) bits instead of eight bytes per pair.
-func (idx *schemaIndex) cover(covered *core.CoverSet) {
-	for _, red := range idx.schema.Reducers {
-		if idx.schema.Problem == core.ProblemA2A {
-			members := sortedMembers(red.Inputs)
-			for a, i := range members {
-				base := idx.pairIndex(i, i+1) - (i + 1) // pairIndex(i, j) == base + j
-				for _, j := range members[a+1:] {
-					covered.Add(base + j)
-				}
-			}
-		} else {
-			xs, ys := sortedMembers(red.XInputs), sortedMembers(red.YInputs)
-			for _, x := range xs {
-				for _, y := range ys {
-					covered.Add(idx.pairIndex(x, y))
-				}
-			}
-		}
-	}
-}
-
 // sortedMembers returns a reducer's member list ascending and without
 // duplicates: the list itself when it already is (every solver emits such
 // lists), a repaired copy when a corrupted schema lists members out of order
@@ -528,17 +413,6 @@ func (idx *schemaIndex) ownedRange(r int) (start, end int) {
 func (idx *schemaIndex) ownedBy(r int) []pairEntry {
 	start, end := idx.ownedRange(r)
 	return idx.owned[start:end]
-}
-
-// row returns the membership row of the input at stream index s.
-func (idx *schemaIndex) row(s int) *core.CoverSet {
-	switch {
-	case idx.schema.Problem == core.ProblemA2A:
-		return &idx.aBits[s]
-	case s < idx.numX:
-		return &idx.xBits[s]
-	}
-	return &idx.yBits[s-idx.numX]
 }
 
 // elect derives every reducer's owner election by class, once per index. The
@@ -605,7 +479,7 @@ func (idx *schemaIndex) elect() {
 					first = ca // the bitmap is symmetric: test each class pair once
 				}
 				for cb := first; cb < len(repsB); cb++ {
-					if !idx.row(sa).IntersectsBelow(idx.row(repsB[cb]), r) {
+					if !idx.rows[sa].IntersectsBelow(&idx.rows[repsB[cb]], r) {
 						set(ca, cb)
 						if a2a {
 							set(cb, ca)
@@ -672,10 +546,10 @@ func (idx *schemaIndex) conforms(tr *Trace) bool {
 // reducer both inputs are assigned to, found as the lowest common set bit of
 // the two membership rows.
 func (idx *schemaIndex) owner(i, j int) int {
-	if idx.schema.Problem == core.ProblemA2A {
-		return idx.aBits[i].IntersectMin(&idx.aBits[j])
+	if idx.schema.Problem == core.ProblemX2Y {
+		j += idx.numX
 	}
-	return idx.xBits[i].IntersectMin(&idx.yBits[j])
+	return idx.rows[i].IntersectMin(&idx.rows[j])
 }
 
 // Auditor holds the expectations compiled from one schema: the shared
@@ -691,7 +565,10 @@ type Auditor struct {
 
 // NewAuditor builds the auditor for an A2A schema over numInputs inputs.
 func NewAuditor(schema *core.MappingSchema, numInputs int) (*Auditor, error) {
-	idx, err := newSchemaIndexA2A(schema, numInputs)
+	if schema.Problem != core.ProblemA2A {
+		return nil, fmt.Errorf("exec: NewAuditor needs an A2A schema, got %v", schema.Problem)
+	}
+	idx, err := newSchemaIndex(schema, shape{numA: numInputs})
 	if err != nil {
 		return nil, err
 	}
@@ -701,7 +578,10 @@ func NewAuditor(schema *core.MappingSchema, numInputs int) (*Auditor, error) {
 // NewAuditorX2Y builds the auditor for an X2Y schema over numX and numY
 // inputs per side.
 func NewAuditorX2Y(schema *core.MappingSchema, numX, numY int) (*Auditor, error) {
-	idx, err := newSchemaIndexX2Y(schema, numX, numY)
+	if schema.Problem != core.ProblemX2Y {
+		return nil, fmt.Errorf("exec: NewAuditorX2Y needs an X2Y schema, got %v", schema.Problem)
+	}
+	idx, err := newSchemaIndex(schema, shape{numX: numX, numY: numY})
 	if err != nil {
 		return nil, err
 	}
@@ -710,21 +590,21 @@ func NewAuditorX2Y(schema *core.MappingSchema, numX, numY int) (*Auditor, error)
 
 // checkIDRanges rejects schemas referencing inputs outside the instance; a
 // schema for a different instance is a caller bug, not a conformance finding.
-func checkIDRanges(schema *core.MappingSchema, numA, numX, numY int) error {
+func checkIDRanges(schema *core.MappingSchema, sh shape) error {
 	for r, red := range schema.Reducers {
 		for _, id := range red.Inputs {
-			if id < 0 || id >= numA {
-				return fmt.Errorf("%w: reducer %d references input %d (instance has %d)", ErrBadInputs, r, id, numA)
+			if id < 0 || id >= sh.numA {
+				return fmt.Errorf("%w: reducer %d references input %d (instance has %d)", ErrBadInputs, r, id, sh.numA)
 			}
 		}
 		for _, id := range red.XInputs {
-			if id < 0 || id >= numX {
-				return fmt.Errorf("%w: reducer %d references X input %d (side has %d)", ErrBadInputs, r, id, numX)
+			if id < 0 || id >= sh.numX {
+				return fmt.Errorf("%w: reducer %d references X input %d (side has %d)", ErrBadInputs, r, id, sh.numX)
 			}
 		}
 		for _, id := range red.YInputs {
-			if id < 0 || id >= numY {
-				return fmt.Errorf("%w: reducer %d references Y input %d (side has %d)", ErrBadInputs, r, id, numY)
+			if id < 0 || id >= sh.numY {
+				return fmt.Errorf("%w: reducer %d references Y input %d (side has %d)", ErrBadInputs, r, id, sh.numY)
 			}
 		}
 	}
@@ -756,9 +636,9 @@ func (idx *schemaIndex) requiredPairs(fn func(i, j int)) {
 // PreCheck verifies the schema's own promises before anything runs: every
 // declared reducer load is within the capacity q and every required pair has
 // an owning reducer. It returns an *AuditError listing every violation.
-// The result is cached on the index, so runs that share one pay for the
-// pair sweep once. On an auditor built by NewAuditor or NewAuditorX2Y, which
-// no run follows, it only counts the covered pairs and lists none.
+// Coverage is counted from the owner sweep, eight bytes per covered pair; the
+// result is cached on the index, so runs that share one pay for the sweep
+// once.
 func (a *Auditor) PreCheck() error { return a.idx.preCheck() }
 
 // preCheck is PreCheck's verdict on the index, computed once by staticCheck.
@@ -777,27 +657,13 @@ func (idx *schemaIndex) staticCheck() error {
 			})
 		}
 	}
-	required := idx.requiredPairCount()
-	var covered *core.CoverSet
-	if idx.compiled {
-		// A compiled run needs the owned-pair lists anyway: count them.
-		idx.sweep()
-		if len(idx.owned) != required {
-			covered = core.GetCoverSet(required)
-			for _, e := range idx.owned {
-				covered.Add(idx.pairIndex(int(e.a), int(e.b)))
-			}
-		}
-	} else {
-		// A static check needs only the count: mark the pairs, list none.
-		covered = core.GetCoverSet(required)
-		if idx.cover(covered); covered.Count() == required {
-			core.PutCoverSet(covered)
-			covered = nil
-		}
-	}
-	if covered != nil {
+	idx.sweep()
+	if required := idx.requiredPairCount(); len(idx.owned) != required {
 		// Slow path only on failure: name every uncovered pair.
+		covered := core.GetCoverSet(required)
+		for _, e := range idx.owned {
+			covered.Add(idx.pairIndex(int(e.a), int(e.b)))
+		}
 		idx.requiredPairs(func(i, j int) {
 			if !covered.Contains(idx.pairIndex(i, j)) {
 				violations = append(violations, Violation{
@@ -815,21 +681,32 @@ func (idx *schemaIndex) staticCheck() error {
 }
 
 // CheckTrace verifies that the run processed every required pair exactly
-// once, at its owning reducer. A sharded trace that is exactly what the
-// schema prescribes passes on a sequence comparison per shard, or on the
-// verdict of the reducer that compared the shard before publishing it;
-// anything else is converted to the sparse form and named pair by pair.
+// once, at its owning reducer. A trace that is exactly what the schema
+// prescribes passes on a sequence comparison per shard, or on the verdict of
+// the reducer that compared the shard before publishing it; anything else is
+// replayed pair by pair, which names every violation.
 func (a *Auditor) CheckTrace(tr *Trace) error {
-	if tr.shards != nil {
-		if a.idx.conforms(tr) {
-			return nil
+	if a.idx.conforms(tr) {
+		return nil
+	}
+	obsSlowReplays.Inc()
+	return a.idx.replay(tr)
+}
+
+// replay is the reference check of a trace: from a lookup of the reducers
+// whose shards hold each logged pair, it names every required pair that was
+// processed other than once at its owner. Logged entries that are not
+// required pairs name nothing.
+func (idx *schemaIndex) replay(tr *Trace) error {
+	processedBy := make(map[pairEntry][]int)
+	for r, log := range tr.shards {
+		for _, e := range log {
+			processedBy[e] = append(processedBy[e], r)
 		}
-		obsSlowReplays.Inc()
-		tr = tr.sparse()
 	}
 	var violations []Violation
-	a.idx.requiredPairs(func(i, j int) {
-		owner, got := a.idx.owner(i, j), tr.processedBy(i, j)
+	idx.requiredPairs(func(i, j int) {
+		owner, got := idx.owner(i, j), processedBy[pairEntry{int32(i), int32(j)}]
 		switch {
 		case len(got) == 0:
 			violations = append(violations, Violation{

@@ -85,15 +85,11 @@ func TestAuditFlagsDuplicateOwner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := NewTrace()
-	var pairs [][2]int
-	aud.idx.requiredPairs(func(i, j int) { pairs = append(pairs, [2]int{i, j}) })
-	for _, p := range pairs {
-		tr.Record(aud.Owner(p[0], p[1]), p[0], p[1])
-	}
+	var events []traceEvent
+	aud.idx.requiredPairs(func(i, j int) { events = append(events, traceEvent{aud.Owner(i, j), i, j}) })
 	// Duplicate: a second, non-owning reducer also claims pair (0,1).
-	tr.Record(3, 0, 1)
-	err = aud.CheckTrace(tr)
+	events = append(events, traceEvent{3, 0, 1})
+	err = aud.CheckTrace(traceOf(ms.NumReducers(), events))
 	if !errors.Is(err, ErrDuplicatePair) {
 		t.Fatalf("err = %v, want ErrDuplicatePair", err)
 	}
@@ -105,15 +101,15 @@ func TestAuditFlagsWrongOwner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := NewTrace()
+	var events []traceEvent
 	aud.idx.requiredPairs(func(i, j int) {
 		owner := aud.Owner(i, j)
 		if i == 0 && j == 1 {
 			owner = 1 // (0,1) is owned by reducer 0; claim it elsewhere
 		}
-		tr.Record(owner, i, j)
+		events = append(events, traceEvent{owner, i, j})
 	})
-	if err := aud.CheckTrace(tr); !errors.Is(err, ErrWrongOwner) {
+	if err := aud.CheckTrace(traceOf(ms.NumReducers(), events)); !errors.Is(err, ErrWrongOwner) {
 		t.Fatalf("err = %v, want ErrWrongOwner", err)
 	}
 }
@@ -200,11 +196,12 @@ func TestAuditorRejectsOutOfRangeSchema(t *testing.T) {
 	_ = set
 }
 
-// The sharded trace the executor writes and the sparse trace fabricated
-// tests write are two forms of one log. The tests below feed the same events
-// to both and require the same verdict from CheckTrace, violation for
-// violation: the sharded form's sequence comparison may only ever be a
-// shortcut to what the sparse reference check would have said.
+// CheckTrace has a fast verdict, a sequence comparison per shard, and a slow
+// one, the pair-by-pair replay, which looks every required pair up in a
+// sparse map from pair to the reducers whose shards hold it. The tests below
+// feed the same shards to CheckTrace and to the replay and require the same
+// verdict, violation for violation: the sequence comparison may only ever be
+// a shortcut to what the reference replay would have said.
 
 // traceEvent is one logged fact: reducer r processed the pair (a, b).
 type traceEvent struct{ r, a, b int }
@@ -221,27 +218,28 @@ func executedEvents(t *testing.T, req Request) (*compilation, []traceEvent) {
 	if _, err := runJob(&c.req, c.job(), &c.in); err != nil {
 		t.Fatal(err)
 	}
+	return c, eventsOf(c.trace)
+}
+
+// traceOf builds the trace whose shards log the events, each reducer's in
+// event order.
+func traceOf(numReducers int, events []traceEvent) *Trace {
+	tr := newTrace(numReducers)
+	for _, e := range events {
+		tr.shards[e.r] = append(tr.shards[e.r], pairEntry{int32(e.a), int32(e.b)})
+	}
+	return tr
+}
+
+// eventsOf lists what a trace's shards log, reducer by reducer.
+func eventsOf(tr *Trace) []traceEvent {
 	var events []traceEvent
-	for r, log := range c.trace.shards {
+	for r, log := range tr.shards {
 		for _, e := range log {
 			events = append(events, traceEvent{r, int(e.a), int(e.b)})
 		}
 	}
-	return c, events
-}
-
-// bothForms builds a sparse and a sharded trace from the same events.
-func bothForms(numReducers int, events []traceEvent) (sparse, sharded *Trace) {
-	sparse, sharded = NewTrace(), newShardedTrace(numReducers)
-	logs := make([][]pairEntry, numReducers)
-	for _, e := range events {
-		sparse.Record(e.r, e.a, e.b)
-		logs[e.r] = append(logs[e.r], pairEntry{int32(e.a), int32(e.b)})
-	}
-	for r, log := range logs {
-		sharded.publish(r, log)
-	}
-	return sparse, sharded
+	return events
 }
 
 // violationKeys renders an audit verdict as a sorted multiset.
@@ -262,18 +260,19 @@ func violationKeys(t *testing.T, err error) []string {
 	return keys
 }
 
-// assertFormsAgree checks both forms of the events against the auditor and
-// returns the sharded form's verdict — as an error and as a multiset equal
-// to the sparse form's — and how many slow replays it took.
-func assertFormsAgree(t *testing.T, aud *Auditor, numReducers int, events []traceEvent) (verdict []string, slowReplays uint64, err error) {
+// assertVerdictsAgree checks the trace of the events with CheckTrace and
+// with the reference replay, and returns CheckTrace's verdict — as an error
+// and as a multiset equal to the replay's — and how many slow replays it
+// took.
+func assertVerdictsAgree(t *testing.T, aud *Auditor, numReducers int, events []traceEvent) (verdict []string, slowReplays uint64, err error) {
 	t.Helper()
-	sparse, sharded := bothForms(numReducers, events)
-	want := violationKeys(t, aud.CheckTrace(sparse))
+	tr := traceOf(numReducers, events)
+	want := violationKeys(t, aud.idx.replay(tr))
 	before := obsSlowReplays.Value()
-	err = aud.CheckTrace(sharded)
+	err = aud.CheckTrace(tr)
 	slowReplays = obsSlowReplays.Value() - before
 	if got := violationKeys(t, err); !reflect.DeepEqual(got, want) {
-		t.Fatalf("the two trace forms disagree:\n  sparse:  %v\n  sharded: %v", want, got)
+		t.Fatalf("CheckTrace and the reference replay disagree:\n  replay:     %v\n  CheckTrace: %v", want, got)
 	}
 	return want, slowReplays, err
 }
@@ -299,7 +298,7 @@ func TestShardedTraceAgreesWithSparseOnExecutedSchemas(t *testing.T) {
 	cases := []struct {
 		name    string
 		req     Request
-		healthy bool // the run conforms, so the sharded form must not need a slow replay
+		healthy bool // the run conforms, so CheckTrace must not need a slow replay
 	}{
 		{"hand-built", Request{Schema: hand, Inputs: makeInputs(handSet.Sizes())}, true},
 		{"solved a2a", Request{Schema: solveA2A(t, equal(30), 10), Inputs: makeInputs(equal(30))}, true},
@@ -312,7 +311,7 @@ func TestShardedTraceAgreesWithSparseOnExecutedSchemas(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.req.Name, tc.req.Pair = tc.name, pairIDs
 			c, events := executedEvents(t, tc.req)
-			verdict, slow, _ := assertFormsAgree(t, c.auditor, c.schema.NumReducers(), events)
+			verdict, slow, _ := assertVerdictsAgree(t, c.auditor, c.schema.NumReducers(), events)
 			if tc.healthy && (len(verdict) != 0 || slow != 0) {
 				t.Fatalf("healthy run: verdict %v, %d slow replays; want none", verdict, slow)
 			}
@@ -339,7 +338,7 @@ func TestShardedTraceAgreesWithSparseOnFabricatedMisbehaviour(t *testing.T) {
 	cases := []struct {
 		name   string
 		events []traceEvent
-		class  error // nil: the reference check has nothing to say
+		class  error // nil: the reference replay has nothing to say
 	}{
 		// (0,1) is owned by reducer 0; reducer 1 holds input 0 but not 1.
 		{"pair at a non-owner", append(without(0, 1), traceEvent{1, 0, 1}), ErrWrongOwner},
@@ -352,13 +351,13 @@ func TestShardedTraceAgreesWithSparseOnFabricatedMisbehaviour(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			verdict, slow, err := assertFormsAgree(t, c.auditor, n, tc.events)
+			verdict, slow, err := assertVerdictsAgree(t, c.auditor, n, tc.events)
 			if slow != 1 {
 				t.Fatalf("%d slow replays, want 1: the shards are not what the schema prescribes", slow)
 			}
 			if tc.class == nil {
 				if err != nil {
-					t.Fatalf("verdict %v, want none (the reference check only names required pairs)", verdict)
+					t.Fatalf("verdict %v, want none (the reference replay only names required pairs)", verdict)
 				}
 				return
 			}

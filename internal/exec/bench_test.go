@@ -37,7 +37,7 @@ func auditorFixture(b *testing.B, m int) (*core.MappingSchema, *Auditor, *Trace)
 			logs[r] = append(logs[r], pairEntry{int32(i), int32(j)})
 		}
 	}
-	tr := newShardedTrace(ms.NumReducers())
+	tr := newTrace(ms.NumReducers())
 	for r, log := range logs {
 		tr.publish(r, log)
 	}

@@ -28,13 +28,15 @@
 //     the user PairFunc once per required pair it owns. A schema may cover a
 //     pair at several reducers; the pair's owner is the lowest-indexed
 //     reducer assigned both inputs, so every pair is processed exactly once
-//     across the whole job. A reducer elects its pairs from the per-input
-//     membership bitsets: both inputs reached it, so it owns the pair exactly
-//     when their rows share no lower-indexed reducer, and it never reads a
-//     row past its own index. Inputs with identical rows form a class, and
+//     across the whole job. A reducer owns a pair of its members exactly
+//     when their membership rows (the per-input bitsets of reducers) share
+//     no lower-indexed reducer. Inputs with identical rows form a class, and
 //     that test depends only on the pair's two classes, so each reducer
 //     answers it from a bitmap over its member classes, derived once per
-//     index, one bit per pair (see "Compiled once").
+//     index, one bit per pair (see "Compiled once"). The bitmap describes
+//     the reducer's members, so a reducer whose copies are not exactly its
+//     members fails the run, naming itself; the engine's routing never
+//     produces one.
 //   - The job's engine-level capacity is the largest per-reducer load the
 //     compiled assignments produce from the declared sizes — the schema's
 //     largest reducer load when those are the schema's sizes. The
@@ -125,17 +127,15 @@
 // the reduce phase. NoAudit skips both. The two sides derive owners
 // differently — the reducers from class bitmaps derived from the membership
 // rows, the auditor from the sweep — so the comparison is a cross-check, not
-// a tautology. Any mismatch converts the logs to the sparse map form
-// fabricated traces use and runs the generic pair-by-pair check on it, which
+// a tautology. Any mismatch replays the logs pair by pair, looking every
+// required pair up in a map from pair to the reducers whose logs hold it, and
 // names every violation; the pland_exec_audit_slow_replays_total counter says
 // how often that happens (never, for a healthy run).
 //
-// A static check that no run follows — NewAuditor or NewAuditorX2Y, then
-// PreCheck, as session restores and recovery do — needs only how many
-// required pairs are covered, not who owns them: it walks the reducers the
-// same way over a C(m,2)-bit set and lists no pair, so it costs m²/16 bytes
-// instead of eight per pair (6 MB against 400 MB at 10,000 inputs). Its
-// verdicts, uncovered pairs named on failure included, are the sweep's.
+// PreCheck always sweeps, so it costs eight bytes per covered pair. A static
+// check of a schema that no run follows needs only whether every pair is
+// covered: core.ValidateA2A answers it in m² bits (12.5 MB against 400 MB at
+// 10,000 inputs), and session restores and recovery use it.
 //
 // # Compiled once
 //

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -43,7 +44,7 @@ func electedByRows(idx *schemaIndex, r int) []pairEntry {
 		members := sortedMembers(red.Inputs)
 		for k, i := range members {
 			for _, j := range members[k+1:] {
-				if !idx.aBits[i].IntersectsBelow(&idx.aBits[j], r) {
+				if !idx.rows[i].IntersectsBelow(&idx.rows[j], r) {
 					out = append(out, pairEntry{int32(i), int32(j)})
 				}
 			}
@@ -52,7 +53,7 @@ func electedByRows(idx *schemaIndex, r int) []pairEntry {
 	}
 	for _, x := range sortedMembers(red.XInputs) {
 		for _, y := range sortedMembers(red.YInputs) {
-			if !idx.xBits[x].IntersectsBelow(&idx.yBits[y], r) {
+			if !idx.rows[x].IntersectsBelow(&idx.rows[idx.numX+y], r) {
 				out = append(out, pairEntry{int32(x), int32(y)})
 			}
 		}
@@ -69,9 +70,8 @@ func doublyCovered(idx *schemaIndex) bool {
 			if classOf[i] == classOf[j] {
 				continue
 			}
-			shared := 0
-			idx.row(i).ForEachAnd(idx.row(j), func(int) { shared++ })
-			if shared > 1 {
+			a, b := &idx.rows[i], &idx.rows[j]
+			if shared := a.Count() - a.CountAndNot(b); shared > 1 {
 				return true
 			}
 		}
@@ -191,7 +191,7 @@ func TestNoAuditRunRecordsNoVerdicts(t *testing.T) {
 // TestReplacedShardIsComparedAgain replaces a vouched shard after the run
 // with a slice of the same length whose content differs in one entry: the
 // reducer's verdict is not for that slice, so the audit compares it, takes
-// the slow replay and names what the sparse reference form names.
+// the slow replay and names what the reference replay names.
 func TestReplacedShardIsComparedAgain(t *testing.T) {
 	sizes := []core.Size{3, 3, 2, 2, 4, 1, 2, 3}
 	c, _ := executedEvents(t, Request{Name: "replaced", Schema: solveA2A(t, sizes, 10), Inputs: makeInputs(sizes), Pair: pairIDs})
@@ -211,13 +211,7 @@ func TestReplacedShardIsComparedAgain(t *testing.T) {
 	if c.trace.vouched(r) {
 		t.Fatal("a replaced shard kept its reducer's verdict")
 	}
-	var events []traceEvent
-	for r, log := range c.trace.shards {
-		for _, e := range log {
-			events = append(events, traceEvent{r, int(e.a), int(e.b)})
-		}
-	}
-	want, slow, err := assertFormsAgree(t, c.auditor, c.schema.NumReducers(), events)
+	want, slow, err := assertVerdictsAgree(t, c.auditor, c.schema.NumReducers(), eventsOf(c.trace))
 	if slow != 1 || !errors.Is(err, ErrDuplicatePair) || !errors.Is(err, ErrUncoveredPair) || len(want) != 2 {
 		t.Fatalf("verdict %v from %d slow replays; want one duplicate and one uncovered pair from one", want, slow)
 	}
@@ -271,5 +265,46 @@ func TestFirstSightingsRaceToElect(t *testing.T) {
 	}
 	if got := obsSlowReplays.Value() - slow; got != 0 {
 		t.Fatalf("%d slow replays, want 0", got)
+	}
+}
+
+// TestForeignCopiesFailTheRun hands reducer 0 copies that are not its schema
+// members — one input more, or one less — through a route that differs from
+// the schema's in that one place: the run fails with an error naming the
+// reducer instead of electing pairs from a bitmap that does not describe its
+// copies.
+func TestForeignCopiesFailTheRun(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		input int // the input whose route to reducer 0 is changed
+	}{
+		{"extra copy", 3}, // input 3 is not a member of reducer 0
+		{"missing copy", 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ms, set := validSchema(t)
+			c, err := compile(Request{Name: "foreign", Schema: ms, Inputs: makeInputs(set.Sizes()), Pair: pairIDs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.takeLog()
+			defer putTraceLog(c.log)
+			job := c.job()
+			route := job.route
+			job.route = func(i int) []int {
+				if i != tc.input {
+					return route(i)
+				}
+				if rs := route(i); rs[0] != 0 {
+					return append([]int{0}, rs...)
+				}
+				return route(i)[1:]
+			}
+			job.capacity = 0 // the extra copy is over reducer 0's load; let it reach the reducer
+			_, err = runJob(&c.req, job, &c.in)
+			if !errors.Is(err, errForeignCopies) || !strings.Contains(err.Error(), "reducer 0") {
+				t.Fatalf("err = %v, want %v naming reducer 0", err, errForeignCopies)
+			}
+		})
 	}
 }

@@ -108,6 +108,11 @@ var (
 	ErrBadInputs  = errors.New("exec: request inputs do not match the schema's problem")
 )
 
+// errForeignCopies fails a run in which a reducer received copies that are
+// not exactly its schema members. The engine routes every copy from the
+// members, so a run reaches it only through a fault in the engine.
+var errForeignCopies = errors.New("exec: reducer received copies that are not its schema members")
+
 // schema resolves the request's schema.
 func (r *Request) schema() *core.MappingSchema {
 	if r.Schema != nil {
@@ -241,7 +246,7 @@ func compile(req Request) (*compilation, error) {
 	outcome.Inc()
 	c.idx = idx
 	c.in.name = req.Name
-	c.trace = newShardedTrace(schema.NumReducers())
+	c.trace = newTrace(schema.NumReducers())
 	c.computeExpectedLoads()
 	c.auditor = &Auditor{idx: c.idx, expectedLoads: c.expectedLoads}
 	return c, nil
@@ -328,14 +333,11 @@ func (s *sizedSource) Next() ([]byte, error) {
 // Y input IDs (index i is Y input i-numX), then elects this reducer's owned
 // pairs, logs them, and applies the user PairFunc.
 //
-// Owner election runs on the membership rows, independently of the auditor's
-// sweep (two derivations, one cross-check). Both records of a candidate pair
-// reached this reducer, so both rows contain it, and the reducer owns the
-// pair exactly when the rows share no lower-indexed reducer. That depends on
-// the two inputs' classes only, so when the copies are exactly the reducer's
-// schema members — always, through the engine — the test is one bit of the
-// reducer's class bitmap (schemaIndex.elect); otherwise the rows are
-// intersected pair by pair.
+// The copies must be exactly the reducer's schema members, as the engine
+// routes them; any other set fails the run (errForeignCopies). Owner election
+// is then one bit per pair of the reducer's class bitmap (schemaIndex.elect),
+// derived from the membership rows independently of the auditor's sweep (two
+// derivations, one cross-check).
 //
 // The log is the call's own (logSection) and published when the call
 // succeeds, so the hot loop shares nothing. Unless the run skips its audit,
@@ -343,7 +345,7 @@ func (s *sizedSource) Next() ([]byte, error) {
 // comparison of this section runs here, in parallel with the other reducers.
 func (c *compilation) reduce(self int, copies []Record, emit func([]byte)) error {
 	aRecs := sortAndDedupeRecords(copies) // A2A uses aRecs only; X2Y splits it by side
-	bRecs, rowsA, rowsB := aRecs, c.idx.aBits, c.idx.aBits
+	bRecs := aRecs
 	a2a := c.schema.Problem == core.ProblemA2A
 	if !a2a {
 		k, _ := slices.BinarySearchFunc(aRecs, c.idx.numX, func(r Record, id int) int { return cmp.Compare(r.ID, id) })
@@ -351,26 +353,20 @@ func (c *compilation) reduce(self int, copies []Record, emit func([]byte)) error
 		for i := range bRecs {
 			bRecs[i].ID -= c.idx.numX
 		}
-		rowsA, rowsB = c.idx.xBits, c.idx.yBits
 	}
 	e := c.idx.election(self)
-	byClass := e.holds(aRecs, bRecs)
+	if !e.holds(aRecs, bRecs) {
+		return fmt.Errorf("%w: reducer %d", errForeignCopies, self)
+	}
 	log, pair := c.logSection(self), c.req.Pair
 	for i, a := range aRecs {
 		j := 0
 		if a2a {
 			j = i + 1
 		}
-		var owns ownerRow
-		if byClass {
-			owns = e.row(i)
-		}
+		owns := e.row(i)
 		for ; j < len(bRecs); j++ {
-			if byClass {
-				if !owns.has(j) {
-					continue
-				}
-			} else if rowsA[a.ID].IntersectsBelow(&rowsB[bRecs[j].ID], self) {
+			if !owns.has(j) {
 				continue
 			}
 			b := bRecs[j]
@@ -392,9 +388,9 @@ func (c *compilation) reduce(self int, copies []Record, emit func([]byte)) error
 
 // takeLog readies the run's trace log: one pooled buffer with an entry per
 // pair the schema covers. Run gives it back when it returns — after the
-// audit, which on a failure has copied what it names into the sparse form;
-// the engine waits for every reduce call before it returns, also when it
-// fails, and a Result holds no reference to the trace.
+// audit, whose replay of a failing trace keeps nothing of it; the engine
+// waits for every reduce call before it returns, also when it fails, and a
+// Result holds no reference to the trace.
 func (c *compilation) takeLog() {
 	c.idx.sweep()
 	c.log = getTraceLog(len(c.idx.owned))

@@ -72,7 +72,7 @@ func (s *Session) Add(size core.Size) (InputID, DeltaReport, error) {
 
 	rep := DeltaReport{Op: "add", ID: id}
 	s.coverLocked(id, nil, &rep)
-	s.st.adds++
+	s.counters.Adds++
 	s.finishDeltaLocked(&rep)
 	obsDeltaAdd.Inc()
 	obsDeltaSeconds.ObserveSince(start)
@@ -112,7 +112,7 @@ func (s *Session) Remove(id InputID) (DeltaReport, error) {
 		s.ids = append(s.ids[:i], s.ids[i+1:]...)
 	}
 	s.compactLocked(touched, &rep)
-	s.st.removes++
+	s.counters.Removes++
 	s.finishDeltaLocked(&rep)
 	obsDeltaRemove.Inc()
 	obsDeltaSeconds.ObserveSince(start)
@@ -142,7 +142,7 @@ func (s *Session) Resize(id InputID, newSize core.Size) (DeltaReport, error) {
 	}
 	rep := DeltaReport{Op: "resize", ID: id}
 	if newSize == old {
-		s.st.resizes++
+		s.counters.Resizes++
 		obsDeltaResize.Inc()
 		obsDeltaSeconds.ObserveSince(start)
 		return rep, nil
@@ -189,7 +189,7 @@ func (s *Session) Resize(id InputID, newSize core.Size) (DeltaReport, error) {
 			s.coverLocked(id, nil, &rep)
 		}
 	}
-	s.st.resizes++
+	s.counters.Resizes++
 	s.finishDeltaLocked(&rep)
 	obsDeltaResize.Inc()
 	obsDeltaSeconds.ObserveSince(start)
@@ -387,7 +387,7 @@ func (s *Session) finishDeltaLocked(rep *DeltaReport) {
 	mandatory := rep.MovedBytes - rep.CompactedBytes
 	rep.OverBudget = mandatory > s.migrationBudget()
 	s.drift += rep.MovedExistingBytes + rep.FreedBytes
-	s.st.movedBytes += rep.MovedBytes
+	s.counters.MovedBytes += rep.MovedBytes
 	obsMovedBytes.Add(uint64(rep.MovedBytes))
 	obsDriftBytes.Add(uint64(rep.MovedExistingBytes + rep.FreedBytes))
 	s.version++

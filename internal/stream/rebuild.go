@@ -97,7 +97,7 @@ func (s *Session) Rebuild(ctx context.Context) (*RebuildReport, error) {
 		endReplan()
 		if err != nil {
 			s.mu.Lock()
-			s.st.rebuildFailures++
+			s.counters.RebuildFailures++
 			s.mu.Unlock()
 			obsRebuildFailures.Inc()
 			return nil, fmt.Errorf("stream: replanning %d inputs: %w", len(snapIDs), err)
@@ -113,9 +113,9 @@ func (s *Session) Rebuild(ctx context.Context) (*RebuildReport, error) {
 	rep := s.swapLocked(planned, snapIDs)
 	endSwap()
 	rep.Elapsed = time.Since(start)
-	s.st.rebuilds++
-	s.st.lastMigration = rep.MigrationBytes
-	s.st.movedBytes += rep.MigrationBytes
+	s.counters.Rebuilds++
+	s.counters.LastMigration = rep.MigrationBytes
+	s.counters.MovedBytes += rep.MigrationBytes
 	// A swap's outcome depends on which deltas raced the solve, so it is not
 	// replay-deterministic; journal the post-swap state in full.
 	if s.cfg.Journal != nil {

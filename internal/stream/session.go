@@ -98,14 +98,6 @@ func (in *input) slotList() []int {
 	return in.slots.AppendTo(make([]int, 0, in.slots.Count()))
 }
 
-// counters are the cumulative session statistics; Session.mu guards them.
-type counters struct {
-	adds, removes, resizes    uint64
-	rebuilds, rebuildFailures uint64
-	movedBytes                core.Size
-	lastMigration             core.Size
-}
-
 // Session owns a live mapping schema and applies deltas to it. Create with
 // NewSession; Sessions are safe for concurrent use, and start no goroutine.
 type Session struct {
@@ -133,7 +125,9 @@ type Session struct {
 	version    uint64
 	rebuilding bool
 	closed     bool
-	st         counters
+	// counters are the cumulative statistics, kept in the form a State
+	// carries them.
+	counters StateCounters
 	// sinceSnap counts journaled deltas since the last journal snapshot.
 	sinceSnap int
 }
@@ -263,16 +257,16 @@ func (s *Session) statsLocked() Stats {
 	st := Stats{
 		Inputs:               len(s.ids),
 		LiveBytes:            s.total,
-		Adds:                 s.st.adds,
-		Removes:              s.st.removes,
-		Resizes:              s.st.resizes,
-		Rebuilds:             s.st.rebuilds,
-		RebuildFailures:      s.st.rebuildFailures,
-		MovedBytes:           s.st.movedBytes,
+		Adds:                 s.counters.Adds,
+		Removes:              s.counters.Removes,
+		Resizes:              s.counters.Resizes,
+		Rebuilds:             s.counters.Rebuilds,
+		RebuildFailures:      s.counters.RebuildFailures,
+		MovedBytes:           s.counters.MovedBytes,
 		DriftBytes:           s.drift,
 		DriftRatio:           s.driftRatioLocked(),
 		NeedsRebuild:         s.needsRebuildLocked(),
-		LastRebuildMigration: s.st.lastMigration,
+		LastRebuildMigration: s.counters.LastMigration,
 		RebuildInFlight:      s.rebuilding,
 		Version:              s.version,
 	}

@@ -3,8 +3,8 @@ package stream_test
 import (
 	"context"
 	"errors"
-	"math"
 	"fmt"
+	"math"
 	"sync/atomic"
 	"testing"
 

@@ -132,15 +132,7 @@ func (s *Session) stateLocked() *State {
 		Sizes:            make([]core.Size, len(s.ids)),
 		Reducers:         make([]StateReducer, len(s.reds)),
 		Free:             append([]int(nil), s.free...),
-		Counters: StateCounters{
-			Adds:            s.st.adds,
-			Removes:         s.st.removes,
-			Resizes:         s.st.resizes,
-			Rebuilds:        s.st.rebuilds,
-			RebuildFailures: s.st.rebuildFailures,
-			MovedBytes:      s.st.movedBytes,
-			LastMigration:   s.st.lastMigration,
-		},
+		Counters:         s.counters,
 	}
 	for i, id := range st.IDs {
 		st.Sizes[i] = s.inputs[id].size
@@ -286,15 +278,7 @@ func RestoreSession(cfg Config, st *State, deltas []DeltaRecord) (*Session, erro
 		drift:    st.Drift,
 		version:  st.Version,
 		maxDirty: true,
-		st: counters{
-			adds:            st.Counters.Adds,
-			removes:         st.Counters.Removes,
-			resizes:         st.Counters.Resizes,
-			rebuilds:        st.Counters.Rebuilds,
-			rebuildFailures: st.Counters.RebuildFailures,
-			movedBytes:      st.Counters.MovedBytes,
-			lastMigration:   st.Counters.LastMigration,
-		},
+		counters: st.Counters,
 	}
 	s.ids = append([]InputID(nil), st.IDs...)
 	for i, id := range st.IDs {

@@ -3,8 +3,10 @@ package assign_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/pkg/assign"
 )
@@ -38,6 +40,37 @@ func auditClean(t *testing.T, sess *assign.Session, when string) {
 	}
 }
 
+// refusedStates are serialized states RestoreSession must refuse, each with
+// the class its error wraps (nil: any error).
+var refusedStates = []struct {
+	name  string
+	state string
+	want  error
+}{
+	{"reducer over capacity", `{"capacity":10,"next":3,"cursor":0,"drift":0,"version":1,"ids":[0,1,2],"sizes":[6,6,6],"reducers":[{"members":[0,1,2]}],"counters":{}}`, nil},
+	{"load wraps past the integer limit", `{"capacity":9000000000000000000,"next":2,"cursor":0,"drift":0,"version":1,"ids":[0,1],"sizes":[5000000000000000000,5000000000000000000],"reducers":[{"members":[0,1]}],"counters":{}}`, core.ErrTotalTooLarge},
+	{"uncovered pair", `{"capacity":20,"next":3,"cursor":0,"drift":0,"version":1,"ids":[0,1,2],"sizes":[3,4,5],"reducers":[{"members":[0,1]}],"counters":{}}`, core.ErrPairUncovered},
+}
+
+func TestRestoreSessionRefusesBadStates(t *testing.T) {
+	pl := assign.NewPlanner(assign.PlannerConfig{})
+	for _, tc := range refusedStates {
+		var st assign.SessionState
+		if err := json.Unmarshal([]byte(tc.state), &st); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		sess, err := pl.RestoreSession(&st, nil)
+		if err == nil {
+			sess.Close()
+			t.Errorf("%s: restored", tc.name)
+			continue
+		}
+		if tc.want != nil && !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+	}
+}
+
 // FuzzRestoreSession feeds arbitrary bytes, read as a SessionState (what a
 // WAL snapshot and a handoff carry), to RestoreSession. Either it refuses
 // them, or the session it returns is audit-clean, fingerprints as the state
@@ -57,11 +90,9 @@ func FuzzRestoreSession(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(state)
-	// A reducer over capacity, one whose load wraps past the integer limit to
-	// a negative number, and a pair no reducer covers.
-	f.Add([]byte(`{"capacity":10,"next":3,"cursor":0,"drift":0,"version":1,"ids":[0,1,2],"sizes":[6,6,6],"reducers":[{"members":[0,1,2]}],"counters":{}}`))
-	f.Add([]byte(`{"capacity":9000000000000000000,"next":2,"cursor":0,"drift":0,"version":1,"ids":[0,1],"sizes":[5000000000000000000,5000000000000000000],"reducers":[{"members":[0,1]}],"counters":{}}`))
-	f.Add([]byte(`{"capacity":20,"next":3,"cursor":0,"drift":0,"version":1,"ids":[0,1,2],"sizes":[3,4,5],"reducers":[{"members":[0,1]}],"counters":{}}`))
+	for _, tc := range refusedStates {
+		f.Add([]byte(tc.state))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var st assign.SessionState

@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/stream"
 )
 
@@ -139,9 +138,9 @@ func (pl *Planner) NewSession(ctx context.Context, opts ...Option) (*Session, er
 // journaled after it — the recovery half of the Journal option. The restored
 // structure is verified twice before it is returned: the replayed state must
 // fingerprint identically to what the journal recorded, and the resulting
-// schema must pass the executor auditor's static invariants (every load
-// within capacity, every required pair covered), so a corrupt or misordered
-// log surfaces as an error here instead of as a wrong answer later. Journal is
+// schema must pass core.ValidateA2A (every load within capacity, every
+// required pair covered), so a corrupt or misordered log surfaces as an error
+// here instead of as a wrong answer later. Journal is
 // the one option that applies. Capacity and tuning travel inside the state
 // itself, so an instance, Capacity, MigrationBudget, RebuildThreshold or
 // Headroom among the options is an error.
@@ -184,18 +183,20 @@ func (pl *Planner) RestoreSession(st *SessionState, deltas []SessionDeltaRecord,
 	return sess, nil
 }
 
-// auditSession statically audits a session's current schema with the
-// executor's conformance auditor.
+// auditSession statically checks a session's current schema with
+// core.ValidateA2A: every reducer's load, recomputed from the live sizes,
+// within capacity, and every required pair covered, in m² bits. The session
+// restore has already bounded every slot's load without wrapping.
 func auditSession(sess *Session) error {
 	snap := sess.Snapshot()
 	if len(snap.IDs) == 0 {
 		return nil // nothing to cover yet
 	}
-	aud, err := exec.NewAuditor(snap.Schema, len(snap.IDs))
-	if err != nil {
-		return fmt.Errorf("assign: auditing restored session: %w", err)
+	set, err := core.NewInputSet(snap.Sizes)
+	if err == nil {
+		err = snap.Schema.ValidateA2A(set)
 	}
-	if err := aud.PreCheck(); err != nil {
+	if err != nil {
 		return fmt.Errorf("assign: restored session failed the audit: %w", err)
 	}
 	return nil

@@ -169,11 +169,12 @@ func TestSessionFromPayloads(t *testing.T) {
 }
 
 // TestRestoreSessionDoesNotListThePairs restores a 5,000-input session and
-// bounds what the restore allocates. Its static audit needs only how many of
-// the C(5000,2) = 12,497,500 required pairs the schema covers: a C(m,2)-bit
-// set of 1.6 MB. Listing each covered pair at its owner, as a compiled run
-// does, would add 8 B per pair, 100 MB, to a restore that runs nothing —
-// 400 MB at pland's 10,000-input session cap, paid once per session at boot.
+// bounds what the restore allocates. Its static check, core.ValidateA2A,
+// needs only which of the C(5000,2) = 12,497,500 required pairs the schema
+// covers: an m²-bit matrix of 3 MB. Listing each covered pair at its owner,
+// as a compiled run does, would add 8 B per pair, 100 MB, to a restore that
+// runs nothing — 400 MB at pland's 10,000-input session cap, paid once per
+// session at boot.
 func TestRestoreSessionDoesNotListThePairs(t *testing.T) {
 	const m = 5000
 	sizes := make([]assign.Size, m)
@@ -198,8 +199,8 @@ func TestRestoreSessionDoesNotListThePairs(t *testing.T) {
 		t.Fatalf("RestoreSession: %v", err)
 	}
 	defer restored.Close()
-	// The rest of a restore — the session's own structure, its snapshot and
-	// the auditor's membership rows — came to 35 MB when this was written.
+	// The whole restore — the session's own structure, its snapshot and the
+	// coverage matrix — came to 23 MB when this was written.
 	const bound = 64 << 20
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > bound {
 		t.Fatalf("restoring %d inputs on %d reducers allocated %.1f MB, over the %d MB bound",
