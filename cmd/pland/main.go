@@ -132,7 +132,7 @@ func main() {
 	cfg := defaultServerConfig()
 	var (
 		addr       = fs.String("addr", ":8080", "listen address")
-		cacheSize  = fs.Int("cache", assign.DefaultCacheEntries, "canonical plan cache capacity (0 disables)")
+		cacheSize  = fs.Int("cache", assign.DefaultCacheEntries, "canonical plan cache capacity in plans, exact (0 disables)")
 		drain      = fs.Duration("drain", 30*time.Second, "shutdown drain deadline for in-flight requests and jobs")
 		drainGrace = fs.Duration("drain-grace", time.Second, "pause after /readyz flips to 503 before the listener closes, so peers stop forwarding here (clustered only)")
 		logFormat  = fs.String("log-format", "text", `log output format: "text" or "json"`)

@@ -74,7 +74,7 @@ func (e *AuditError) Unwrap() []error {
 	return errs
 }
 
-// Trace is the log of processed pairs one execution produces: one
+// trace is the log of processed pairs one execution produces: one
 // append-only log (shard) per reducer, filled by the reduce call without any
 // synchronization and published once when the call succeeds, so the per-pair
 // hot loop touches no atomic and no shared cache line. The logs of one run
@@ -87,7 +87,7 @@ func (e *AuditError) Unwrap() []error {
 // checked. The audit takes that verdict for a shard only while the shard is
 // still that slice, so the end-of-run check of a healthy run reads one
 // verdict per reducer instead of comparing every entry on one core.
-type Trace struct {
+type trace struct {
 	shards [][]pairEntry // shards[r] is what reducer r processed, in order
 	// checked[r], when not empty, is the log reducer r found equal to its
 	// owned-pair list when it published it.
@@ -101,28 +101,28 @@ type pairEntry struct{ a, b int32 }
 const pairEntryBytes = 8
 
 // newTrace returns an empty trace for a job of numReducers reducers.
-func newTrace(numReducers int) *Trace {
-	return &Trace{shards: make([][]pairEntry, numReducers), checked: make([][]pairEntry, numReducers)}
+func newTrace(numReducers int) *trace {
+	return &trace{shards: make([][]pairEntry, numReducers), checked: make([][]pairEntry, numReducers)}
 }
 
 // publish stores the log of a successful reduce call as the reducer's shard.
 // A reduce call that fails never publishes; its error fails the run. Reducers
 // write distinct shards, and the engine's completion orders those writes
 // before the audit's reads, so the sharded form needs no lock.
-func (t *Trace) publish(reducer int, log []pairEntry) {
+func (t *trace) publish(reducer int, log []pairEntry) {
 	t.shards[reducer] = log
 }
 
 // vouched reports whether reducer r's shard is the very slice the reducer
 // found equal to its owned-pair list: same first element, same length.
-func (t *Trace) vouched(r int) bool {
+func (t *trace) vouched(r int) bool {
 	shard, v := t.shards[r], t.checked[r]
 	return len(v) > 0 && len(v) == len(shard) && &v[0] == &shard[0]
 }
 
-// Pairs returns how many pairs were logged: log entries, which are the
+// pairs returns how many pairs were logged: log entries, which are the
 // distinct pairs processed whenever the trace passes the audit.
-func (t *Trace) Pairs() int64 {
+func (t *trace) pairs() int64 {
 	var n int64
 	for _, log := range t.shards {
 		n += int64(len(log))
@@ -345,7 +345,7 @@ func (idx *schemaIndex) pairIndex(i, j int) int {
 // ownedEnd[r]] holds reducer r's pairs in sorted-member order (members
 // ascending and de-duplicated; for X2Y, X-side outer and Y-side inner) —
 // the order a compiled reducer processes them in. PreCheck prices coverage
-// from the list's length, a run cuts its reducers' logs to it, and CheckTrace
+// from the list's length, a run cuts its reducers' logs to it, and checkTrace
 // compares it with the trace shard by shard, so every audited run of one
 // index shares one sweep.
 func (idx *schemaIndex) sweep() {
@@ -529,7 +529,7 @@ func classesOf(routes [][]int) ([]int32, int) {
 // equals the sweep's list for that reducer entry for entry and length for
 // length — every pair once, at its owner, and nothing else. A shard its
 // reducer vouched for has been compared already, on the reducer's goroutine.
-func (idx *schemaIndex) conforms(tr *Trace) bool {
+func (idx *schemaIndex) conforms(tr *trace) bool {
 	idx.sweep()
 	if len(idx.owned) != idx.requiredPairCount() || len(tr.shards) != len(idx.ownedEnd) {
 		return false
@@ -544,7 +544,8 @@ func (idx *schemaIndex) conforms(tr *Trace) bool {
 
 // owner returns the owning reducer of a required pair: the lowest-indexed
 // reducer both inputs are assigned to, found as the lowest common set bit of
-// the two membership rows.
+// the two membership rows, or -1 when they share none. For A2A the arguments
+// are two input IDs; for X2Y an X-side and a Y-side ID.
 func (idx *schemaIndex) owner(i, j int) int {
 	if idx.schema.Problem == core.ProblemX2Y {
 		j += idx.numX
@@ -553,14 +554,11 @@ func (idx *schemaIndex) owner(i, j int) int {
 }
 
 // Auditor holds the expectations compiled from one schema: the shared
-// schema index (per-input reducer assignments as slices and bitset rows)
-// plus, when compiled by Run, the exact per-reducer engine byte loads the
-// routing must produce. It checks a schema before execution (PreCheck) and a
-// completed run after (Check).
+// schema index (per-input reducer assignments as slices and bitset rows). It
+// checks a schema before execution (PreCheck); Run audits a completed run
+// against the same index.
 type Auditor struct {
 	idx *schemaIndex
-	// expectedLoads, when non-nil, enables the engine-load conformance check.
-	expectedLoads []int64
 }
 
 // NewAuditor builds the auditor for an A2A schema over numInputs inputs.
@@ -610,11 +608,6 @@ func checkIDRanges(schema *core.MappingSchema, sh shape) error {
 	}
 	return nil
 }
-
-// Owner returns the owning reducer of a required pair: the lowest-indexed
-// reducer both inputs are assigned to, or -1 when they share none. For A2A
-// the arguments are two input IDs; for X2Y an X-side and a Y-side ID.
-func (a *Auditor) Owner(i, j int) int { return a.idx.owner(i, j) }
 
 // requiredPairs invokes fn for every required pair of the instance.
 func (idx *schemaIndex) requiredPairs(fn func(i, j int)) {
@@ -680,24 +673,24 @@ func (idx *schemaIndex) staticCheck() error {
 	return nil
 }
 
-// CheckTrace verifies that the run processed every required pair exactly
+// checkTrace verifies that the run processed every required pair exactly
 // once, at its owning reducer. A trace that is exactly what the schema
 // prescribes passes on a sequence comparison per shard, or on the verdict of
 // the reducer that compared the shard before publishing it; anything else is
 // replayed pair by pair, which names every violation.
-func (a *Auditor) CheckTrace(tr *Trace) error {
-	if a.idx.conforms(tr) {
+func (idx *schemaIndex) checkTrace(tr *trace) error {
+	if idx.conforms(tr) {
 		return nil
 	}
 	obsSlowReplays.Inc()
-	return a.idx.replay(tr)
+	return idx.replay(tr)
 }
 
 // replay is the reference check of a trace: from a lookup of the reducers
 // whose shards hold each logged pair, it names every required pair that was
 // processed other than once at its owner. Logged entries that are not
 // required pairs name nothing.
-func (idx *schemaIndex) replay(tr *Trace) error {
+func (idx *schemaIndex) replay(tr *trace) error {
 	processedBy := make(map[pairEntry][]int)
 	for r, log := range tr.shards {
 		for _, e := range log {
@@ -731,22 +724,18 @@ func (idx *schemaIndex) replay(tr *Trace) error {
 	return nil
 }
 
-// CheckLoads verifies the engine's measured per-partition loads against the
-// exact byte loads the schema's routing prescribes. It is a no-op when the
-// auditor was built without expected loads (i.e. outside Run).
-func (a *Auditor) CheckLoads(c *Counters) error {
-	if a.expectedLoads == nil {
-		return nil
-	}
+// checkLoads verifies the engine's measured per-partition loads against the
+// exact byte loads the schema's routing prescribes.
+func (c *compilation) checkLoads(counters *Counters) error {
 	var violations []Violation
-	if len(c.ReducerLoads) != len(a.expectedLoads) {
+	if len(counters.ReducerLoads) != len(c.expectedLoads) {
 		violations = append(violations, Violation{
 			Err: ErrLoadMismatch, Reducer: -1, A: -1, B: -1,
-			Detail: fmt.Sprintf("engine reports %d partitions, schema has %d reducers", len(c.ReducerLoads), len(a.expectedLoads)),
+			Detail: fmt.Sprintf("engine reports %d partitions, schema has %d reducers", len(counters.ReducerLoads), len(c.expectedLoads)),
 		})
 	} else {
-		for r, want := range a.expectedLoads {
-			if got := c.ReducerLoads[r]; got != want {
+		for r, want := range c.expectedLoads {
+			if got := counters.ReducerLoads[r]; got != want {
 				violations = append(violations, Violation{
 					Err: ErrLoadMismatch, Reducer: r, A: -1, B: -1,
 					Detail: fmt.Sprintf("reducer %d received %d bytes, routing prescribes %d", r, got, want),
@@ -760,18 +749,16 @@ func (a *Auditor) CheckLoads(c *Counters) error {
 	return nil
 }
 
-// Check runs the full post-run audit: trace conformance plus load
-// conformance, with every violation aggregated into one *AuditError.
-func (a *Auditor) Check(tr *Trace, c *Counters) error {
+// audit is Run's post-run check: trace conformance plus load conformance,
+// with every violation aggregated into one *AuditError.
+func (c *compilation) audit(counters *Counters) error {
 	var violations []Violation
-	collect := func(err error) {
+	for _, err := range []error{c.idx.checkTrace(c.trace), c.checkLoads(counters)} {
 		var ae *AuditError
 		if errors.As(err, &ae) {
 			violations = append(violations, ae.Violations...)
 		}
 	}
-	collect(a.CheckTrace(tr))
-	collect(a.CheckLoads(c))
 	if len(violations) > 0 {
 		return &AuditError{Violations: violations}
 	}

@@ -86,10 +86,10 @@ func TestAuditFlagsDuplicateOwner(t *testing.T) {
 		t.Fatal(err)
 	}
 	var events []traceEvent
-	aud.idx.requiredPairs(func(i, j int) { events = append(events, traceEvent{aud.Owner(i, j), i, j}) })
+	aud.idx.requiredPairs(func(i, j int) { events = append(events, traceEvent{aud.idx.owner(i, j), i, j}) })
 	// Duplicate: a second, non-owning reducer also claims pair (0,1).
 	events = append(events, traceEvent{3, 0, 1})
-	err = aud.CheckTrace(traceOf(ms.NumReducers(), events))
+	err = aud.idx.checkTrace(traceOf(ms.NumReducers(), events))
 	if !errors.Is(err, ErrDuplicatePair) {
 		t.Fatalf("err = %v, want ErrDuplicatePair", err)
 	}
@@ -103,39 +103,34 @@ func TestAuditFlagsWrongOwner(t *testing.T) {
 	}
 	var events []traceEvent
 	aud.idx.requiredPairs(func(i, j int) {
-		owner := aud.Owner(i, j)
+		owner := aud.idx.owner(i, j)
 		if i == 0 && j == 1 {
 			owner = 1 // (0,1) is owned by reducer 0; claim it elsewhere
 		}
 		events = append(events, traceEvent{owner, i, j})
 	})
-	if err := aud.CheckTrace(traceOf(ms.NumReducers(), events)); !errors.Is(err, ErrWrongOwner) {
+	if err := aud.idx.checkTrace(traceOf(ms.NumReducers(), events)); !errors.Is(err, ErrWrongOwner) {
 		t.Fatalf("err = %v, want ErrWrongOwner", err)
 	}
 }
 
 func TestAuditFlagsLoadMismatch(t *testing.T) {
 	ms, set := validSchema(t)
-	aud, err := NewAuditor(ms, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Compile the real expected loads, then perturb the measured counters.
 	c, err := compile(Request{Name: "loads", Schema: ms, Inputs: makeInputs(set.Sizes()), Pair: pairIDs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	aud.expectedLoads = c.expectedLoads
 	counters := &Counters{ReducerLoads: append([]int64(nil), c.expectedLoads...)}
-	if err := aud.CheckLoads(counters); err != nil {
+	if err := c.checkLoads(counters); err != nil {
 		t.Fatalf("exact loads flagged: %v", err)
 	}
 	counters.ReducerLoads[2]++
-	if err := aud.CheckLoads(counters); !errors.Is(err, ErrLoadMismatch) {
+	if err := c.checkLoads(counters); !errors.Is(err, ErrLoadMismatch) {
 		t.Fatalf("err = %v, want ErrLoadMismatch", err)
 	}
 	// A partition-count mismatch is a load mismatch too.
-	if err := aud.CheckLoads(&Counters{ReducerLoads: c.expectedLoads[:2]}); !errors.Is(err, ErrLoadMismatch) {
+	if err := c.checkLoads(&Counters{ReducerLoads: c.expectedLoads[:2]}); !errors.Is(err, ErrLoadMismatch) {
 		t.Fatalf("short loads err = %v, want ErrLoadMismatch", err)
 	}
 }
@@ -196,10 +191,10 @@ func TestAuditorRejectsOutOfRangeSchema(t *testing.T) {
 	_ = set
 }
 
-// CheckTrace has a fast verdict, a sequence comparison per shard, and a slow
+// checkTrace has a fast verdict, a sequence comparison per shard, and a slow
 // one, the pair-by-pair replay, which looks every required pair up in a
 // sparse map from pair to the reducers whose shards hold it. The tests below
-// feed the same shards to CheckTrace and to the replay and require the same
+// feed the same shards to checkTrace and to the replay and require the same
 // verdict, violation for violation: the sequence comparison may only ever be
 // a shortcut to what the reference replay would have said.
 
@@ -223,7 +218,7 @@ func executedEvents(t *testing.T, req Request) (*compilation, []traceEvent) {
 
 // traceOf builds the trace whose shards log the events, each reducer's in
 // event order.
-func traceOf(numReducers int, events []traceEvent) *Trace {
+func traceOf(numReducers int, events []traceEvent) *trace {
 	tr := newTrace(numReducers)
 	for _, e := range events {
 		tr.shards[e.r] = append(tr.shards[e.r], pairEntry{int32(e.a), int32(e.b)})
@@ -232,7 +227,7 @@ func traceOf(numReducers int, events []traceEvent) *Trace {
 }
 
 // eventsOf lists what a trace's shards log, reducer by reducer.
-func eventsOf(tr *Trace) []traceEvent {
+func eventsOf(tr *trace) []traceEvent {
 	var events []traceEvent
 	for r, log := range tr.shards {
 		for _, e := range log {
@@ -260,19 +255,19 @@ func violationKeys(t *testing.T, err error) []string {
 	return keys
 }
 
-// assertVerdictsAgree checks the trace of the events with CheckTrace and
-// with the reference replay, and returns CheckTrace's verdict — as an error
+// assertVerdictsAgree checks the trace of the events with checkTrace and
+// with the reference replay, and returns checkTrace's verdict — as an error
 // and as a multiset equal to the replay's — and how many slow replays it
 // took.
-func assertVerdictsAgree(t *testing.T, aud *Auditor, numReducers int, events []traceEvent) (verdict []string, slowReplays uint64, err error) {
+func assertVerdictsAgree(t *testing.T, idx *schemaIndex, numReducers int, events []traceEvent) (verdict []string, slowReplays uint64, err error) {
 	t.Helper()
 	tr := traceOf(numReducers, events)
-	want := violationKeys(t, aud.idx.replay(tr))
+	want := violationKeys(t, idx.replay(tr))
 	before := obsSlowReplays.Value()
-	err = aud.CheckTrace(tr)
+	err = idx.checkTrace(tr)
 	slowReplays = obsSlowReplays.Value() - before
 	if got := violationKeys(t, err); !reflect.DeepEqual(got, want) {
-		t.Fatalf("CheckTrace and the reference replay disagree:\n  replay:     %v\n  CheckTrace: %v", want, got)
+		t.Fatalf("checkTrace and the reference replay disagree:\n  replay:     %v\n  checkTrace: %v", want, got)
 	}
 	return want, slowReplays, err
 }
@@ -298,7 +293,7 @@ func TestShardedTraceAgreesWithSparseOnExecutedSchemas(t *testing.T) {
 	cases := []struct {
 		name    string
 		req     Request
-		healthy bool // the run conforms, so CheckTrace must not need a slow replay
+		healthy bool // the run conforms, so checkTrace must not need a slow replay
 	}{
 		{"hand-built", Request{Schema: hand, Inputs: makeInputs(handSet.Sizes())}, true},
 		{"solved a2a", Request{Schema: solveA2A(t, equal(30), 10), Inputs: makeInputs(equal(30))}, true},
@@ -311,7 +306,7 @@ func TestShardedTraceAgreesWithSparseOnExecutedSchemas(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.req.Name, tc.req.Pair = tc.name, pairIDs
 			c, events := executedEvents(t, tc.req)
-			verdict, slow, _ := assertVerdictsAgree(t, c.auditor, c.schema.NumReducers(), events)
+			verdict, slow, _ := assertVerdictsAgree(t, c.idx, c.schema.NumReducers(), events)
 			if tc.healthy && (len(verdict) != 0 || slow != 0) {
 				t.Fatalf("healthy run: verdict %v, %d slow replays; want none", verdict, slow)
 			}
@@ -351,7 +346,7 @@ func TestShardedTraceAgreesWithSparseOnFabricatedMisbehaviour(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			verdict, slow, err := assertVerdictsAgree(t, c.auditor, n, tc.events)
+			verdict, slow, err := assertVerdictsAgree(t, c.idx, n, tc.events)
 			if slow != 1 {
 				t.Fatalf("%d slow replays, want 1: the shards are not what the schema prescribes", slow)
 			}

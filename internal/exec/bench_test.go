@@ -12,7 +12,7 @@ import (
 // auditorFixture builds an m-input A2A schema, its auditor, and a correct
 // trace in the sharded form compiled runs produce: every required pair
 // logged once, at its owner, in the order that reducer processes its pairs.
-func auditorFixture(b *testing.B, m int) (*core.MappingSchema, *Auditor, *Trace) {
+func auditorFixture(b *testing.B, m int) (*core.MappingSchema, *Auditor, *trace) {
 	b.Helper()
 	sizes, err := workload.Sizes(workload.SizeSpec{Dist: workload.Uniform, Min: 1, Max: 64}, m, 42)
 	if err != nil {
@@ -33,7 +33,7 @@ func auditorFixture(b *testing.B, m int) (*core.MappingSchema, *Auditor, *Trace)
 	logs := make([][]pairEntry, ms.NumReducers())
 	for i := 0; i < m; i++ {
 		for j := i + 1; j < m; j++ {
-			r := aud.Owner(i, j)
+			r := aud.idx.owner(i, j)
 			logs[r] = append(logs[r], pairEntry{int32(i), int32(j)})
 		}
 	}
@@ -47,7 +47,7 @@ func auditorFixture(b *testing.B, m int) (*core.MappingSchema, *Auditor, *Trace)
 // BenchmarkAuditorVerify times one full conformance verification of an
 // m-input schema from nothing: the schema index a compiled run builds,
 // PreCheck (the owner sweep: every pair has an owner, loads within q) and
-// CheckTrace (every pair processed exactly once, at its owner). A fresh
+// checkTrace (every pair processed exactly once, at its owner). A fresh
 // index per iteration keeps the sweep, which an index computes once, inside
 // the measurement: this is what every audited execution of a schema not yet
 // compiled pays on its serial path.
@@ -66,7 +66,7 @@ func BenchmarkAuditorVerify(b *testing.B) {
 				if err := aud.PreCheck(); err != nil {
 					b.Fatal(err)
 				}
-				if err := aud.CheckTrace(tr); err != nil {
+				if err := idx.checkTrace(tr); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -84,7 +84,7 @@ func BenchmarkAuditorOwner(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if aud.Owner(i%999, 999) < 0 {
+		if aud.idx.owner(i%999, 999) < 0 {
 			b.Fatal("uncovered pair")
 		}
 	}

@@ -255,7 +255,7 @@ func TestGoldenRunsTakeTheAuditFastPath(t *testing.T) {
 			break
 		}
 	}
-	err := c.auditor.CheckTrace(c.trace)
+	err := c.idx.checkTrace(c.trace)
 	if !errors.Is(err, ErrUncoveredPair) {
 		t.Fatalf("corrupted trace: err = %v, want ErrUncoveredPair", err)
 	}

@@ -457,11 +457,11 @@ func TestOverflowingReducerIsLoggedAndNamed(t *testing.T) {
 			t.Fatalf("reducer %d's log is %v, want its owned pairs %v: a neighbour wrote into it", r, c.trace.shards[r], c.idx.ownedBy(r))
 		}
 	}
-	if got := c.trace.Pairs(); got != 7 {
+	if got := c.trace.pairs(); got != 7 {
 		t.Fatalf("trace holds %d entries, want 7", got)
 	}
 	slow := obsSlowReplays.Value()
-	err = c.auditor.CheckTrace(c.trace)
+	err = c.idx.checkTrace(c.trace)
 	if slow = obsSlowReplays.Value() - slow; slow != 1 {
 		t.Fatalf("%d slow replays, want 1", slow)
 	}

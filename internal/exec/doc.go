@@ -96,7 +96,7 @@
 // invariants. Before the job runs it verifies the schema itself: every
 // declared reducer load is within q (ErrOverCapacity) and every required
 // pair has an owner (ErrUncoveredPair). While the job runs, the compiled
-// reducers log every processed pair into a Trace; afterwards the auditor
+// reducers log every processed pair into the run's trace; afterwards Run
 // cross-checks that every required pair was processed exactly once
 // (ErrUncoveredPair / ErrDuplicatePair), at its owning reducer
 // (ErrWrongOwner), and that the per-reducer loads the engine measured equal

@@ -211,12 +211,12 @@ func TestReplacedShardIsComparedAgain(t *testing.T) {
 	if c.trace.vouched(r) {
 		t.Fatal("a replaced shard kept its reducer's verdict")
 	}
-	want, slow, err := assertVerdictsAgree(t, c.auditor, c.schema.NumReducers(), eventsOf(c.trace))
+	want, slow, err := assertVerdictsAgree(t, c.idx, c.schema.NumReducers(), eventsOf(c.trace))
 	if slow != 1 || !errors.Is(err, ErrDuplicatePair) || !errors.Is(err, ErrUncoveredPair) || len(want) != 2 {
 		t.Fatalf("verdict %v from %d slow replays; want one duplicate and one uncovered pair from one", want, slow)
 	}
 	before := obsSlowReplays.Value()
-	if got := violationKeys(t, c.auditor.CheckTrace(c.trace)); !reflect.DeepEqual(got, want) || obsSlowReplays.Value()-before != 1 {
+	if got := violationKeys(t, c.idx.checkTrace(c.trace)); !reflect.DeepEqual(got, want) || obsSlowReplays.Value()-before != 1 {
 		t.Fatalf("the run's own trace: verdict %v, want %v from one slow replay", got, want)
 	}
 }

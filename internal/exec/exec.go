@@ -136,7 +136,7 @@ func Run(req Request) (*Result, error) {
 		obsRunsError.Inc()
 		return nil, err
 	}
-	if err := c.auditor.PreCheck(); err != nil {
+	if err := c.idx.preCheck(); err != nil {
 		endCompile()
 		obsRunsAuditFailed.Inc()
 		countViolations(err)
@@ -162,12 +162,12 @@ func Run(req Request) (*Result, error) {
 	}
 	obsSpillPartitions.Add(uint64(res.Counters.SpillPartitions))
 	res.Schema = c.schema
-	res.PairsProcessed = c.trace.Pairs()
+	res.PairsProcessed = c.trace.pairs()
 	obsPairs.Add(uint64(res.PairsProcessed))
 	if !req.NoAudit {
 		endAudit := sp.Stage("audit")
 		verifyStart := time.Now()
-		err := c.auditor.Check(c.trace, &res.Counters)
+		err := c.audit(&res.Counters)
 		obsVerifySeconds.ObserveSince(verifyStart)
 		endAudit()
 		if err != nil {
@@ -183,12 +183,11 @@ func Run(req Request) (*Result, error) {
 
 // compilation holds everything Run derives from a request before executing.
 type compilation struct {
-	req     Request
-	schema  *core.MappingSchema
-	in      sizedSource // the run's input stream
-	idx     *schemaIndex
-	auditor *Auditor
-	trace   *Trace
+	req    Request
+	schema *core.MappingSchema
+	in     sizedSource // the run's input stream
+	idx    *schemaIndex
+	trace  *trace
 	// log is the buffer the reducers' trace logs are cut from (logSection).
 	log []pairEntry
 	// expectedLoads is the byte image of the schema's routing per reducer;
@@ -198,8 +197,8 @@ type compilation struct {
 }
 
 // compile validates the request and derives the input stream, the schema
-// index (from the request's Compiler, which may have it already), the
-// auditor, and the engine job.
+// index (from the request's Compiler, which may have it already), the trace,
+// and the routing's expected loads.
 func compile(req Request) (*compilation, error) {
 	schema := req.schema()
 	if schema == nil {
@@ -248,7 +247,6 @@ func compile(req Request) (*compilation, error) {
 	c.in.name = req.Name
 	c.trace = newTrace(schema.NumReducers())
 	c.computeExpectedLoads()
-	c.auditor = &Auditor{idx: c.idx, expectedLoads: c.expectedLoads}
 	return c, nil
 }
 

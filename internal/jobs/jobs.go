@@ -2,6 +2,14 @@
 // fixed worker pool drains submitted jobs, results are retained for a TTL so
 // clients can poll for them, cancellation propagates through each job's
 // context, and a full queue pushes back instead of buffering without bound.
+//
+// There is no janitor goroutine. Finished jobs wait in finish order, and
+// since every one expires a constant TTL after it finished, that is also
+// expiry order: each Submit, Restore, Get, Cancel and Stats first pops the
+// expired ones off the head. The table only grows through Submit and
+// Restore, which both sweep first, so it never holds an expired job past
+// the next call that could add one; an idle manager frees expired results
+// at its next call.
 // cmd/pland's v2 API is built on it — combinatorial solves (large n, tight
 // q, exact search) belong behind an asynchronous, budget-aware interface,
 // not a blocking request/response call.
@@ -63,7 +71,8 @@ type Config struct {
 	// 0 means 256. Submit returns ErrQueueFull beyond it.
 	QueueDepth int
 	// ResultTTL is how long a finished job (and its result) is retained for
-	// polling; 0 means 15 minutes.
+	// polling; 0 means 15 minutes. The manager's next call after that
+	// evicts it.
 	ResultTTL time.Duration
 	// OnFinish, when non-nil, observes every terminal transition with the
 	// job's final snapshot. It runs under the manager lock — implementations
@@ -149,33 +158,28 @@ type Manager struct {
 	// pending is the waiting line, oldest first. A canceled queued job is
 	// removed immediately, so its slot frees for new submits right away.
 	pending []*job
-	closed  bool
+	// finished holds the finished jobs still in jobs, in finish order, which
+	// is expiry order; expireLocked pops from its head.
+	finished []*job
+	closed   bool
 
 	rootCtx    context.Context
 	rootCancel context.CancelFunc
 	workers    sync.WaitGroup
-	janitor    sync.WaitGroup
-	stopJanit  chan struct{}
 
 	submitted, succeeded, failed, canceled int64
 }
 
-// New builds a Manager and starts its workers and TTL janitor.
+// New builds a Manager and starts its workers, the only goroutines it runs.
 func New(cfg Config) *Manager {
 	cfg = cfg.withDefaults()
-	m := &Manager{
-		cfg:       cfg,
-		jobs:      make(map[string]*job),
-		stopJanit: make(chan struct{}),
-	}
+	m := &Manager{cfg: cfg, jobs: make(map[string]*job)}
 	m.cond = sync.NewCond(&m.mu)
 	m.rootCtx, m.rootCancel = context.WithCancel(context.Background())
 	for i := 0; i < cfg.Workers; i++ {
 		m.workers.Add(1)
 		go m.worker()
 	}
-	m.janitor.Add(1)
-	go m.runJanitor()
 	return m
 }
 
@@ -203,6 +207,7 @@ func (m *Manager) Restore(id, kind string, fn Func) (Snapshot, error) {
 		m.mu.Unlock()
 		return Snapshot{}, ErrShutdown
 	}
+	m.expireLocked(time.Now())
 	if _, dup := m.jobs[id]; dup {
 		m.mu.Unlock()
 		return Snapshot{}, fmt.Errorf("jobs: job %s already exists", id)
@@ -223,19 +228,14 @@ func (m *Manager) Restore(id, kind string, fn Func) (Snapshot, error) {
 	return snap, nil
 }
 
-// Get returns the job's current snapshot. Expired jobs are evicted lazily,
-// so a finished job older than the TTL reports ErrNotFound exactly as if
-// the janitor had already swept it.
+// Get returns the job's current snapshot; a finished job older than the TTL
+// reports ErrNotFound.
 func (m *Manager) Get(id string) (Snapshot, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.expireLocked(time.Now())
 	j, ok := m.jobs[id]
 	if !ok {
-		return Snapshot{}, ErrNotFound
-	}
-	if j.state.Terminal() && time.Now().After(j.expiresAt) {
-		delete(m.jobs, id)
-		obsExpired.Inc()
 		return Snapshot{}, ErrNotFound
 	}
 	return j.snapshot(), nil
@@ -248,12 +248,9 @@ func (m *Manager) Get(id string) (Snapshot, error) {
 func (m *Manager) Cancel(id string) (Snapshot, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.expireLocked(time.Now())
 	j, ok := m.jobs[id]
-	if !ok || (j.state.Terminal() && time.Now().After(j.expiresAt)) {
-		if ok {
-			obsExpired.Inc()
-		}
-		delete(m.jobs, id)
+	if !ok {
 		return Snapshot{}, ErrNotFound
 	}
 	switch j.state {
@@ -299,13 +296,12 @@ type Stats struct {
 	Canceled  int64 `json:"canceled"`
 }
 
-// Stats snapshots the manager's counters. Expired finished jobs are swept
-// here under the same lock, so Retained never counts entries Get would
-// already report ErrNotFound for — the census and the API agree.
+// Stats snapshots the manager's counters. It sweeps expired jobs first, as
+// Get does, so Retained never counts a job Get would report ErrNotFound for.
 func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	now := time.Now()
+	m.expireLocked(time.Now())
 	st := Stats{
 		QueueDepth:    len(m.pending),
 		QueueCapacity: m.cfg.QueueDepth,
@@ -315,12 +311,7 @@ func (m *Manager) Stats() Stats {
 		Failed:        m.failed,
 		Canceled:      m.canceled,
 	}
-	for id, j := range m.jobs {
-		if j.state.Terminal() && now.After(j.expiresAt) {
-			delete(m.jobs, id)
-			obsExpired.Inc()
-			continue
-		}
+	for _, j := range m.jobs {
 		if j.state == StateRunning {
 			st.Running++
 		}
@@ -343,13 +334,11 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 	m.cond.Broadcast() // wake idle workers so they observe closed and exit
 	m.mu.Unlock()
 
-	close(m.stopJanit)
 	m.rootCancel() // running jobs see ctx.Done()
 
 	done := make(chan struct{})
 	go func() {
 		m.workers.Wait()
-		m.janitor.Wait()
 		close(done)
 	}()
 	var drainErr error
@@ -441,6 +430,7 @@ func (m *Manager) finishLocked(j *job, s State, result any, err error) {
 	j.expiresAt = j.finished.Add(m.cfg.ResultTTL)
 	j.fn = nil // release the closure and whatever it captured
 	j.cancel = nil
+	m.finished = append(m.finished, j)
 	switch s {
 	case StateSucceeded:
 		m.succeeded++
@@ -457,34 +447,14 @@ func (m *Manager) finishLocked(j *job, s State, result any, err error) {
 	}
 }
 
-// runJanitor periodically evicts expired finished jobs so retention is
-// bounded even when nobody polls.
-func (m *Manager) runJanitor() {
-	defer m.janitor.Done()
-	interval := m.cfg.ResultTTL / 4
-	if interval > 30*time.Second {
-		interval = 30 * time.Second
-	}
-	if interval < 10*time.Millisecond {
-		interval = 10 * time.Millisecond
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-m.stopJanit:
-			return
-		case <-ticker.C:
-			now := time.Now()
-			m.mu.Lock()
-			for id, j := range m.jobs {
-				if j.state.Terminal() && now.After(j.expiresAt) {
-					delete(m.jobs, id)
-					obsExpired.Inc()
-				}
-			}
-			m.mu.Unlock()
-		}
+// expireLocked evicts the finished jobs whose TTL has passed by now. They
+// sit at the head of m.finished; m.mu must be held.
+func (m *Manager) expireLocked(now time.Time) {
+	for len(m.finished) > 0 && now.After(m.finished[0].expiresAt) {
+		delete(m.jobs, m.finished[0].id)
+		obsExpired.Inc()
+		m.finished[0] = nil // let the result go with the job
+		m.finished = m.finished[1:]
 	}
 }
 

@@ -3,6 +3,7 @@ package jobs
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -32,8 +33,8 @@ func waitTerminal(t *testing.T, m *Manager, id string) Snapshot {
 // Retained while Get already reported ErrNotFound for them. Stats must sweep
 // under the same lock so the census and the API agree.
 func TestStatsSweepsExpired(t *testing.T) {
-	// A 1h TTL keeps the janitor (TTL/4, capped at 30s) out of the window;
-	// the test forces expiry by hand so only Stats itself can sweep.
+	// A 1h TTL keeps real expiry out of the window; the test forces it by
+	// hand so only Stats itself can sweep.
 	m := New(Config{Workers: 1, QueueDepth: 4, ResultTTL: time.Hour})
 	defer m.Shutdown(context.Background())
 
@@ -52,6 +53,79 @@ func TestStatsSweepsExpired(t *testing.T) {
 	}
 	if _, err := m.Get(snap.ID); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Get after expiry = %v, want ErrNotFound", err)
+	}
+}
+
+// TestSubmitSweepsExpired checks an expired finished job leaves the table on
+// the next Submit, with no Get or Stats call and no background sweeper: the
+// table only grows through Submit and Restore, so their sweep bounds it.
+func TestSubmitSweepsExpired(t *testing.T) {
+	m := New(Config{Workers: 1, QueueDepth: 4, ResultTTL: time.Hour})
+	defer m.Shutdown(context.Background())
+
+	var expired []string
+	for i := 0; i < 2; i++ {
+		snap, err := m.Submit("t", func(context.Context) (any, error) { return i, nil })
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		waitTerminal(t, m, snap.ID)
+		expired = append(expired, snap.ID)
+	}
+	m.mu.Lock()
+	for _, id := range expired {
+		m.jobs[id].expiresAt = time.Now().Add(-time.Second)
+	}
+	m.mu.Unlock()
+
+	// The third job cannot finish before the checks, so every job still
+	// queued as finished would be one of the expired two.
+	release := make(chan struct{})
+	defer close(release)
+	if _, err := m.Submit("t", func(context.Context) (any, error) { <-release; return 2, nil }); err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, id := range expired {
+		if _, kept := m.jobs[id]; kept {
+			t.Errorf("expired job %s is still in the table after the next Submit", id)
+		}
+	}
+	if len(m.finished) != 0 {
+		t.Errorf("%d expired jobs still queued after the next Submit", len(m.finished))
+	}
+}
+
+// settledGoroutines waits until the goroutine count holds still for a few
+// reads (goroutines earlier tests ended may still be exiting) and returns it.
+func settledGoroutines() int {
+	n, still := runtime.NumGoroutine(), 0
+	for still < 5 {
+		time.Sleep(2 * time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			still++
+		} else {
+			n, still = m, 0
+		}
+	}
+	return n
+}
+
+// TestManagerGoroutines checks New starts exactly one goroutine per worker
+// and nothing else, and that Shutdown leaves none behind.
+func TestManagerGoroutines(t *testing.T) {
+	const workers = 3
+	base := settledGoroutines()
+	m := New(Config{Workers: workers, ResultTTL: time.Hour})
+	if got := runtime.NumGoroutine() - base; got != workers {
+		t.Errorf("New(Workers: %d) started %d goroutines", workers, got)
+	}
+	if err := m.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := settledGoroutines(); got != base {
+		t.Errorf("%d goroutines after Shutdown, %d before New", got, base)
 	}
 }
 

@@ -86,8 +86,9 @@
 //
 // # The flight recorder
 //
-// A Recorder is a fixed-memory, lock-striped ring of completed trace trees
-// with tail-based retention, decided when the root span ends: errored roots
+// A Recorder is a fixed-memory ring of completed trace trees under one
+// mutex, holding exactly the newest Capacity retained traces, with
+// tail-based retention decided when the root span ends: errored roots
 // and roots at or above the slow threshold are always kept; the fast-OK rest
 // are sampled deterministically from the trace ID (both nodes of a forwarded
 // request keep or drop the same trace). Retention is observable as

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"hash/fnv"
 	"sort"
 	"strconv"
 	"sync"
@@ -60,8 +59,8 @@ type TraceFilter struct {
 
 // RecorderConfig shapes a Recorder.
 type RecorderConfig struct {
-	// Capacity is the total retained-trace budget across the ring (<= 0 means
-	// 512). Memory is fixed: once full, the oldest slot of a shard is evicted.
+	// Capacity is how many traces the ring retains (<= 0 means 512). Memory
+	// is fixed: once full, each new trace evicts the oldest.
 	Capacity int
 	// SampleRate is the fraction of fast, successful traces kept, in [0, 1].
 	// The decision is deterministic in the trace ID, so every node of a fleet
@@ -75,28 +74,22 @@ type RecorderConfig struct {
 	Node string
 }
 
-// recorderShards stripes the ring so concurrent request completions contend
-// on different locks; all records of one trace ID land in one shard, keeping
-// Get a single-lock lookup.
-const recorderShards = 8
-
 // Recorder is the tail-sampling flight recorder: a fixed-memory ring of
 // completed trace trees. Retention is decided at trace end — errored and
 // slow traces always kept, the fast-OK rest sampled — which is what makes
 // "why was this one request slow" answerable after the fact without paying
-// for head-sampling everything.
+// for head-sampling everything. One mutex guards the ring, its index and the
+// stored count; only retained traces take it.
 type Recorder struct {
-	cfg    RecorderConfig
-	keptN  atomic.Uint64
-	dropN  atomic.Uint64
-	shards [recorderShards]recorderShard
-}
+	cfg   RecorderConfig
+	keptN atomic.Uint64
+	dropN atomic.Uint64
 
-type recorderShard struct {
-	mu   sync.Mutex
-	ring []*TraceRecord
-	next int
-	byID map[string][]*TraceRecord
+	mu     sync.Mutex
+	ring   []*TraceRecord // Capacity slots; next is the oldest once full
+	next   int
+	stored int
+	byID   map[string][]*TraceRecord
 }
 
 // NewRecorder builds a recorder; zero config fields take the documented
@@ -104,9 +97,6 @@ type recorderShard struct {
 func NewRecorder(cfg RecorderConfig) *Recorder {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = 512
-	}
-	if cfg.Capacity < recorderShards {
-		cfg.Capacity = recorderShards
 	}
 	if cfg.SlowThreshold <= 0 {
 		cfg.SlowThreshold = 250 * time.Millisecond
@@ -117,13 +107,11 @@ func NewRecorder(cfg RecorderConfig) *Recorder {
 	if cfg.SampleRate > 1 {
 		cfg.SampleRate = 1
 	}
-	r := &Recorder{cfg: cfg}
-	per := cfg.Capacity / recorderShards
-	for i := range r.shards {
-		r.shards[i].ring = make([]*TraceRecord, per)
-		r.shards[i].byID = make(map[string][]*TraceRecord, per)
+	return &Recorder{
+		cfg:  cfg,
+		ring: make([]*TraceRecord, cfg.Capacity),
+		byID: make(map[string][]*TraceRecord, cfg.Capacity),
 	}
-	return r
 }
 
 // offer is called by a root span's End: decide retention, snapshot only if
@@ -161,34 +149,31 @@ func (r *Recorder) offer(root *Span) {
 		Reason:     reason,
 		Root:       root.snapshot(end),
 	}
-	r.shard(root.traceID).put(rec, r)
+	r.put(rec)
 	r.keptN.Add(1)
 	obsTraceKept.With(reason).Inc()
 }
 
-func (r *Recorder) shard(traceID string) *recorderShard {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(traceID))
-	return &r.shards[h.Sum32()%recorderShards]
-}
-
-func (s *recorderShard) put(rec *TraceRecord, r *Recorder) {
-	s.mu.Lock()
-	if old := s.ring[s.next]; old != nil {
-		s.dropFromIndex(old)
+// put stores rec in the oldest slot, evicting the record there.
+func (r *Recorder) put(rec *TraceRecord) {
+	r.mu.Lock()
+	if old := r.ring[r.next]; old != nil {
+		r.dropFromIndex(old)
 		r.dropN.Add(1)
 		obsTraceDropped.With("evicted").Inc()
+	} else {
+		r.stored++
 	}
-	s.ring[s.next] = rec
-	s.next = (s.next + 1) % len(s.ring)
-	s.byID[rec.TraceID] = append(s.byID[rec.TraceID], rec)
-	s.mu.Unlock()
+	r.ring[r.next] = rec
+	r.next = (r.next + 1) % len(r.ring)
+	r.byID[rec.TraceID] = append(r.byID[rec.TraceID], rec)
+	r.mu.Unlock()
 }
 
-// dropFromIndex removes one evicted record from the byID index; caller holds
-// the shard lock.
-func (s *recorderShard) dropFromIndex(old *TraceRecord) {
-	list := s.byID[old.TraceID]
+// dropFromIndex removes one evicted record from the byID index; the caller
+// holds r.mu.
+func (r *Recorder) dropFromIndex(old *TraceRecord) {
+	list := r.byID[old.TraceID]
 	for i, rec := range list {
 		if rec == old {
 			list = append(list[:i], list[i+1:]...)
@@ -196,9 +181,9 @@ func (s *recorderShard) dropFromIndex(old *TraceRecord) {
 		}
 	}
 	if len(list) == 0 {
-		delete(s.byID, old.TraceID)
+		delete(r.byID, old.TraceID)
 	} else {
-		s.byID[old.TraceID] = list
+		r.byID[old.TraceID] = list
 	}
 }
 
@@ -224,10 +209,9 @@ func (r *Recorder) Get(traceID string) []TraceRecord {
 	if r == nil {
 		return nil
 	}
-	s := r.shard(traceID)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	list := s.byID[traceID]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	list := r.byID[traceID]
 	out := make([]TraceRecord, 0, len(list))
 	for _, rec := range list {
 		out = append(out, *rec)
@@ -245,35 +229,32 @@ func (r *Recorder) List(f TraceFilter) []TraceSummary {
 		limit = 100
 	}
 	var out []TraceSummary
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.Lock()
-		for _, rec := range s.ring {
-			if rec == nil {
-				continue
-			}
-			if f.Route != "" && rec.Route != f.Route {
-				continue
-			}
-			if f.ErrorsOnly && !rec.Error {
-				continue
-			}
-			if rec.DurationUS < f.MinDuration.Microseconds() {
-				continue
-			}
-			out = append(out, TraceSummary{
-				TraceID:    rec.TraceID,
-				RequestID:  rec.RequestID,
-				Node:       rec.Node,
-				Route:      rec.Route,
-				Start:      rec.Start,
-				DurationUS: rec.DurationUS,
-				Error:      rec.Error,
-				Reason:     rec.Reason,
-			})
+	r.mu.Lock()
+	for _, rec := range r.ring {
+		if rec == nil {
+			continue
 		}
-		s.mu.Unlock()
+		if f.Route != "" && rec.Route != f.Route {
+			continue
+		}
+		if f.ErrorsOnly && !rec.Error {
+			continue
+		}
+		if rec.DurationUS < f.MinDuration.Microseconds() {
+			continue
+		}
+		out = append(out, TraceSummary{
+			TraceID:    rec.TraceID,
+			RequestID:  rec.RequestID,
+			Node:       rec.Node,
+			Route:      rec.Route,
+			Start:      rec.Start,
+			DurationUS: rec.DurationUS,
+			Error:      rec.Error,
+			Reason:     rec.Reason,
+		})
 	}
+	r.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Start.After(out[j].Start) })
 	if len(out) > limit {
 		out = out[:limit]
@@ -296,22 +277,15 @@ func (r *Recorder) Stats() RecorderStats {
 	if r == nil {
 		return RecorderStats{}
 	}
-	st := RecorderStats{
-		Capacity:        len(r.shards[0].ring) * recorderShards,
+	r.mu.Lock()
+	stored := r.stored
+	r.mu.Unlock()
+	return RecorderStats{
+		Capacity:        len(r.ring),
+		Stored:          stored,
 		Kept:            r.keptN.Load(),
 		Dropped:         r.dropN.Load(),
 		SampleRate:      r.cfg.SampleRate,
 		SlowThresholdMS: r.cfg.SlowThreshold.Milliseconds(),
 	}
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.Lock()
-		for _, rec := range s.ring {
-			if rec != nil {
-				st.Stored++
-			}
-		}
-		s.mu.Unlock()
-	}
-	return st
 }

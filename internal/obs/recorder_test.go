@@ -103,7 +103,7 @@ func TestSampleKeepDeterministic(t *testing.T) {
 }
 
 func TestRecorderEviction(t *testing.T) {
-	rec := NewRecorder(RecorderConfig{Capacity: recorderShards, SampleRate: 1})
+	rec := NewRecorder(RecorderConfig{Capacity: 8, SampleRate: 1})
 	var ids []string
 	for i := 0; i < 200; i++ {
 		ids = append(ids, endTrace(rec, "/v1/plan", false))
@@ -125,6 +125,30 @@ func TestRecorderEviction(t *testing.T) {
 	}
 	if live != st.Stored {
 		t.Fatalf("index holds %d records, ring holds %d", live, st.Stored)
+	}
+}
+
+// TestRecorderKeepsNewestCapacity checks the ring holds exactly Capacity
+// traces, and that they are the newest ones offered.
+func TestRecorderKeepsNewestCapacity(t *testing.T) {
+	for _, capacity := range []int{100, 3} {
+		rec := NewRecorder(RecorderConfig{Capacity: capacity, SampleRate: 1})
+		if got := rec.Stats().Capacity; got != capacity {
+			t.Fatalf("Capacity %d: Stats().Capacity = %d", capacity, got)
+		}
+		ids := make([]string, 4*capacity)
+		for i := range ids {
+			ids[i] = endTrace(rec, "/v1/plan", false)
+		}
+		for i, id := range ids {
+			got, newest := len(rec.Get(id)), i >= len(ids)-capacity
+			if newest && got != 1 || !newest && got != 0 {
+				t.Fatalf("Capacity %d: trace %d of %d has %d records retained", capacity, i, len(ids), got)
+			}
+		}
+		if st := rec.Stats(); st.Stored != capacity || st.Dropped != uint64(3*capacity) {
+			t.Fatalf("Capacity %d: stats %+v, want %d stored and %d evicted", capacity, st, capacity, 3*capacity)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package planner
 
 import (
 	"container/list"
-
 	"sync"
 
 	"repro/internal/core"
@@ -77,13 +76,10 @@ type flight struct {
 	err     error
 }
 
-// cache is a sharded LRU over canonical instances with per-shard
-// single-flight deduplication. All methods are safe for concurrent use.
+// cache is an LRU over canonical instances with single-flight
+// deduplication, all under one mutex. All methods are safe for concurrent
+// use.
 type cache struct {
-	shards []*cacheShard
-}
-
-type cacheShard struct {
 	mu       sync.Mutex
 	capacity int
 	// weightCap bounds the summed entry weights so a few huge schemas
@@ -97,30 +93,21 @@ type cacheShard struct {
 }
 
 // avgEntryWeightBudget is the assumed average retained words per entry used
-// to derive a shard's weight cap from its entry capacity.
+// to derive the cache's weight cap from its entry capacity.
 const avgEntryWeightBudget = 4096
 
-// newCache builds a cache holding about totalEntries across nShards shards.
-func newCache(totalEntries, nShards int) *cache {
-	per := (totalEntries + nShards - 1) / nShards
-	if per < 1 {
-		per = 1
+// newCache builds a cache holding at most capacity entries (at least one).
+func newCache(capacity int) *cache {
+	if capacity < 1 {
+		capacity = 1
 	}
-	c := &cache{shards: make([]*cacheShard, nShards)}
-	for i := range c.shards {
-		c.shards[i] = &cacheShard{
-			capacity:  per,
-			weightCap: per * avgEntryWeightBudget,
-			entries:   make(map[uint64]*list.Element),
-			order:     list.New(),
-			inflight:  make(map[uint64]*flight),
-		}
+	return &cache{
+		capacity:  capacity,
+		weightCap: capacity * avgEntryWeightBudget,
+		entries:   make(map[uint64]*list.Element),
+		order:     list.New(),
+		inflight:  make(map[uint64]*flight),
 	}
-	return c
-}
-
-func (c *cache) shard(hash uint64) *cacheShard {
-	return c.shards[hash%uint64(len(c.shards))]
 }
 
 // startFlight registers the caller as the solver for the canonical instance,
@@ -130,91 +117,89 @@ func (c *cache) shard(hash uint64) *cacheShard {
 // three are nil when another instance with a colliding fingerprint is
 // already in flight; the caller then solves on its own without caching.
 func (c *cache) startFlight(cn *canonical) (plan *cachedPlan, waitFor *flight, mine *flight) {
-	s := c.shard(cn.hash)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if plan := s.lookup(cn); plan != nil {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if plan := c.lookup(cn); plan != nil {
 		return plan, nil, nil
 	}
-	if f, ok := s.inflight[cn.hash]; ok {
+	if f, ok := c.inflight[cn.hash]; ok {
 		if cn.matches(f.problem, f.q, f.sizes, f.ySizes) {
 			return nil, f, nil
 		}
 		return nil, nil, nil // colliding instance in flight: solve solo
 	}
 	f := &flight{problem: cn.problem, q: cn.q, sizes: cn.sizes, ySizes: cn.ySizes, done: make(chan struct{})}
-	s.inflight[cn.hash] = f
+	c.inflight[cn.hash] = f
 	return nil, nil, f
 }
 
 // finishFlight publishes the solve outcome to the waiters and, on success,
-// stores the plan, evicting the least recently used entry if the shard is
-// full. Errors are not cached: the next request re-solves.
+// stores the plan, evicting least recently used entries while the cache is
+// over either bound. Errors are not cached: the next request re-solves.
 func (c *cache) finishFlight(cn *canonical, f *flight, plan *cachedPlan, err error) {
-	s := c.shard(cn.hash)
-	s.mu.Lock()
-	delete(s.inflight, cn.hash)
-	if err == nil && plan != nil {
-		s.store(cn, plan)
+	ok := err == nil && plan != nil
+	w := 0
+	if ok {
+		w = entryWeight(cn, plan)
 	}
-	s.mu.Unlock()
+	c.mu.Lock()
+	delete(c.inflight, cn.hash)
+	if ok {
+		c.store(cn, plan, w)
+	}
+	c.mu.Unlock()
 	f.plan, f.err = plan, err
 	close(f.done)
 }
 
 // lookup returns the plan cached for the canonical instance, or nil, and
-// marks it recently used. The caller holds the shard lock.
-func (s *cacheShard) lookup(cn *canonical) *cachedPlan {
-	if el, ok := s.entries[cn.hash]; ok {
+// marks it recently used. The caller holds c.mu.
+func (c *cache) lookup(cn *canonical) *cachedPlan {
+	if el, ok := c.entries[cn.hash]; ok {
 		e := el.Value.(*entry)
 		if cn.matches(e.problem, e.q, e.sizes, e.ySizes) {
-			s.order.MoveToFront(el)
+			c.order.MoveToFront(el)
 			return e.plan
 		}
 	}
 	return nil
 }
 
-// store retains the plan under the shard lock, which the caller holds. A plan
-// too heavy for the whole shard budget is served but not retained; everything
-// else is stored, evicting from the LRU end while either bound is exceeded
-// (never the entry just inserted).
-func (s *cacheShard) store(cn *canonical, plan *cachedPlan) {
-	w := entryWeight(cn, plan)
-	if w > s.weightCap {
+// store retains the plan of weight w; the caller holds c.mu. A plan too
+// heavy for the whole budget is served but not retained; everything else is
+// stored, evicting from the LRU end while either bound is exceeded (never
+// the entry just inserted).
+func (c *cache) store(cn *canonical, plan *cachedPlan, w int) {
+	if w > c.weightCap {
 		return
 	}
-	if el, ok := s.entries[cn.hash]; ok {
-		s.remove(el)
+	if el, ok := c.entries[cn.hash]; ok {
+		c.remove(el)
 	}
 	e := &entry{hash: cn.hash, problem: cn.problem, q: cn.q, sizes: cn.sizes, ySizes: cn.ySizes,
 		plan: plan, weight: w}
-	s.entries[cn.hash] = s.order.PushFront(e)
+	c.entries[cn.hash] = c.order.PushFront(e)
 	obsCacheEntries.Inc()
-	s.weight += e.weight
-	for s.order.Len() > 1 && (s.order.Len() > s.capacity || s.weight > s.weightCap) {
-		s.remove(s.order.Back())
+	c.weight += w
+	for c.order.Len() > 1 && (c.order.Len() > c.capacity || c.weight > c.weightCap) {
+		c.remove(c.order.Back())
 		obsCacheEvictions.Inc()
 	}
 }
 
 // remove drops the element from the order list, the index, and the weight
-// total. Callers hold the shard lock.
-func (s *cacheShard) remove(el *list.Element) {
+// total. The caller holds c.mu.
+func (c *cache) remove(el *list.Element) {
 	e := el.Value.(*entry)
-	s.order.Remove(el)
-	delete(s.entries, e.hash)
-	s.weight -= e.weight
+	c.order.Remove(el)
+	delete(c.entries, e.hash)
+	c.weight -= e.weight
 	obsCacheEntries.Dec()
 }
 
-// len reports the number of cached entries across all shards.
+// len reports the number of cached entries.
 func (c *cache) len() int {
-	n := 0
-	for _, s := range c.shards {
-		s.mu.Lock()
-		n += s.order.Len()
-		s.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.order.Len()
 }

@@ -130,11 +130,10 @@ func TestPlanConcurrentHammer(t *testing.T) {
 	}
 }
 
-// TestCacheLRUEviction fills a tiny single-shard cache past capacity and
-// checks the oldest canonical instance was evicted and re-solves on the next
-// request.
+// TestCacheLRUEviction fills a tiny cache past capacity and checks the
+// oldest canonical instance was evicted and re-solves on the next request.
 func TestCacheLRUEviction(t *testing.T) {
-	p := &Planner{cache: newCache(2, 1)}
+	p := &Planner{cache: newCache(2)}
 	ctx := context.Background()
 	mk := func(base core.Size) Request {
 		return Request{
@@ -164,5 +163,111 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 	if !res.CacheHit {
 		t.Error("recently used instance should still be cached")
+	}
+}
+
+// TestCacheCapacityIsExact plans 400 distinct instances through planners of
+// several capacities: each ends holding exactly CacheEntries plans, the most
+// recent ones, and the instance planned just before them was evicted.
+func TestCacheCapacityIsExact(t *testing.T) {
+	const planned = 400
+	ctx := context.Background()
+	mk := func(i int) Request {
+		b := core.Size(i + 1)
+		return Request{
+			Problem:  core.ProblemA2A,
+			Set:      core.MustNewInputSet([]core.Size{b, 1, 1}),
+			Capacity: b + 1,
+		}
+	}
+	for _, n := range []int{1, 17, 100} {
+		p := New(Config{CacheEntries: n})
+		for i := 0; i < planned; i++ {
+			if _, err := p.Plan(ctx, mk(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := p.CacheLen(); got != n {
+			t.Fatalf("CacheEntries %d: cache holds %d plans after %d distinct ones", n, got, planned)
+		}
+		for i := planned - n; i < planned; i++ {
+			res, err := p.Plan(ctx, mk(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.CacheHit {
+				t.Fatalf("CacheEntries %d: plan %d of the newest %d missed", n, i, n)
+			}
+		}
+		res, err := p.Plan(ctx, mk(planned-n-1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.CacheHit {
+			t.Errorf("CacheEntries %d: plan %d, older than the newest %d, hit", n, planned-n-1, n)
+		}
+	}
+}
+
+// TestCacheWeightBound checks the cache's bound on summed entry weight: a
+// plan heavier than the whole budget is served but not retained (and evicts
+// nothing), and entries leave from the LRU end while the total exceeds it.
+func TestCacheWeightBound(t *testing.T) {
+	ctx := context.Background()
+	small := Request{Problem: core.ProblemA2A, Set: core.MustNewInputSet([]core.Size{3, 2, 1}), Capacity: 6}
+	p := &Planner{cache: newCache(1)}
+	if _, err := p.Plan(ctx, small); err != nil {
+		t.Fatal(err)
+	}
+	// 500 unit inputs at q = 10: every input sits in dozens of reducers,
+	// far past one entry's budget of avgEntryWeightBudget words.
+	unit := make([]core.Size, 500)
+	for i := range unit {
+		unit[i] = 1
+	}
+	heavy := Request{Problem: core.ProblemA2A, Set: core.MustNewInputSet(unit), Capacity: 10}
+	for i := 0; i < 2; i++ {
+		res, err := p.Plan(ctx, heavy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := res.Schema.ValidateA2A(heavy.Set); err != nil {
+			t.Fatal(err)
+		}
+		if res.CacheHit || p.CacheLen() != 1 {
+			t.Fatalf("a plan heavier than the whole budget was retained (hit %v, %d entries)", res.CacheHit, p.CacheLen())
+		}
+	}
+	if res, err := p.Plan(ctx, small); err != nil || !res.CacheHit {
+		t.Fatalf("the small plan should stay cached past a refused heavy one (hit %v, err %v)", res != nil && res.CacheHit, err)
+	}
+
+	// Four slots, a budget of 4 × avgEntryWeightBudget words: three
+	// entries of 1.5 budgets each cannot all stay.
+	c := newCache(4)
+	w := avgEntryWeightBudget * 3 / 2
+	cns := make([]*canonical, 4)
+	for i := range cns {
+		b := core.Size(i + 2)
+		var err error
+		if cns[i], err = canonicalize(Request{Problem: core.ProblemA2A,
+			Set: core.MustNewInputSet([]core.Size{b, 1}), Capacity: b + 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, cn := range cns[:2] {
+		c.store(cn, &cachedPlan{}, w)
+	}
+	c.lookup(cns[0]) // cns[1] is now the least recently used
+	c.store(cns[2], &cachedPlan{}, w)
+	if c.len() != 2 || c.weight != 2*w {
+		t.Fatalf("after a third entry over the budget: %d entries, weight %d; want 2, %d", c.len(), c.weight, 2*w)
+	}
+	if c.lookup(cns[1]) != nil || c.lookup(cns[0]) == nil || c.lookup(cns[2]) == nil {
+		t.Fatal("the weight bound evicted other than the least recently used entry")
+	}
+	c.store(cns[3], &cachedPlan{}, c.weightCap) // the whole budget: the rest goes
+	if c.len() != 1 || c.weight != c.weightCap || c.lookup(cns[3]) == nil {
+		t.Fatalf("an entry over the budget with the others kept %d entries, weight %d", c.len(), c.weight)
 	}
 }

@@ -9,7 +9,7 @@
 //
 // Because the problems are invariant under input renaming, Plan canonicalizes
 // every instance to its sorted size multiset before solving and memoizes the
-// canonical solution in a sharded, concurrency-safe LRU cache with
+// canonical solution in a concurrency-safe LRU cache under one lock, with
 // single-flight deduplication: isomorphic instances — including X2Y instances
 // with the sides swapped — are solved once and served by renaming IDs back.
 // pkg/assign is the public face of this planner, and the cmd/pland HTTP

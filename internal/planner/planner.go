@@ -28,8 +28,6 @@ const (
 	// instances would let entry-count bounds hide multi-gigabyte memory use.
 	// Larger instances still plan normally, just uncached.
 	maxCacheableInputs = 20_000
-	// cacheShards spreads cache locking across this many shards.
-	cacheShards = 16
 )
 
 // Request describes one instance to plan: which problem, the input set(s),
@@ -96,7 +94,7 @@ type Planner struct {
 
 // Config configures New.
 type Config struct {
-	// CacheEntries is the total cache capacity; 0 means DefaultCacheEntries,
+	// CacheEntries is the exact cache capacity; 0 means DefaultCacheEntries,
 	// negative disables caching entirely. Instances of more than 20,000
 	// inputs plan normally but bypass the cache.
 	CacheEntries int
@@ -110,7 +108,7 @@ func New(cfg Config) *Planner {
 		entries = DefaultCacheEntries
 	}
 	if entries > 0 {
-		p.cache = newCache(entries, cacheShards)
+		p.cache = newCache(entries)
 	}
 	return p
 }

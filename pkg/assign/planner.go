@@ -10,10 +10,12 @@ const DefaultCacheEntries = planner.DefaultCacheEntries
 
 // PlannerConfig configures NewPlanner. The zero value uses the defaults.
 type PlannerConfig struct {
-	// CacheEntries is the canonical-plan cache capacity; 0 means
-	// DefaultCacheEntries, negative disables caching entirely — of plans,
-	// and of what Execute compiles from them. Instances of more than 20,000
-	// inputs plan normally but bypass the cache.
+	// CacheEntries is the canonical-plan cache capacity: the cache holds at
+	// most this many plans, and fewer only when they are very large (the
+	// cache also bounds their summed size). 0 means DefaultCacheEntries,
+	// negative disables caching entirely — of plans, and of what Execute
+	// compiles from them. Instances of more than 20,000 inputs plan
+	// normally but bypass the cache.
 	CacheEntries int
 }
 
