@@ -5,7 +5,7 @@ THRESHOLD ?= 15
 # The benchmarks the regression gate watches. This is the one place they are
 # listed: bench-compare and CI's bench-regression job both go through
 # bench-gate.
-BENCH_MATCH := ^Benchmark(A2AEqualSized|A2AExactTiny|A2AGreedy|X2YGreedy|PlannerCold|PlannerCached|SchemaJSON|PlanReplyEncode|PlanReplyDecode|ExecStream|ExecStreamSpill|SkewJoin|SimJoin|SessionDelta|SessionRebuild|CoverSet|Auditor)
+BENCH_MATCH := ^Benchmark(A2AEqualSized|A2AExactTiny|A2AGreedy|X2YExactTiny|X2YGreedy|PlannerCold|PlannerCached|SchemaJSON|PlanReplyEncode|PlanReplyDecode|ExecStream|ExecStreamSpill|SkewJoin|SimJoin|SessionDelta|SessionRebuild|CoverSet|Auditor)
 
 .PHONY: test bench bench-gate bench-compare baselines
 
@@ -15,7 +15,7 @@ test: ## tier-1: build everything, run every test
 bench: ## one pass over the regression-gated benchmark suite (stdout)
 	@$(GO) test -run '^$$' -bench 'BenchmarkCoverSet' -count=$(BENCH_COUNT) -benchtime=0.2s ./internal/core \
 	  && $(GO) test -run '^$$' -bench 'BenchmarkAuditor' -count=$(BENCH_COUNT) -benchtime=0.2s ./internal/exec \
-	  && $(GO) test -run '^$$' -bench 'BenchmarkA2AEqualSized$$|BenchmarkA2AExactTiny$$|BenchmarkA2AGreedy$$|BenchmarkX2YGreedy$$|BenchmarkPlannerCold$$|BenchmarkPlannerCached$$|BenchmarkSchemaJSON$$|BenchmarkExecStream$$|BenchmarkExecStreamSpill$$' -count=$(BENCH_COUNT) -benchtime=0.3s . \
+	  && $(GO) test -run '^$$' -bench 'BenchmarkA2AEqualSized$$|BenchmarkA2AExactTiny$$|BenchmarkA2AGreedy$$|BenchmarkX2YExactTiny$$|BenchmarkX2YGreedy$$|BenchmarkPlannerCold$$|BenchmarkPlannerCached$$|BenchmarkSchemaJSON$$|BenchmarkExecStream$$|BenchmarkExecStreamSpill$$' -count=$(BENCH_COUNT) -benchtime=0.3s . \
 	  && $(GO) test -run '^$$' -bench 'BenchmarkPlanReplyEncode$$' -count=$(BENCH_COUNT) -benchtime=0.3s ./cmd/pland \
 	  && $(GO) test -run '^$$' -bench 'BenchmarkPlanReplyDecode$$' -count=$(BENCH_COUNT) -benchtime=0.3s ./pkg/assign/plandclient \
 	  && $(GO) test -run '^$$' -bench 'BenchmarkSkewJoin$$|BenchmarkSimJoin$$' -count=$(BENCH_COUNT) -benchtime=0.3s ./cmd/skewjoin ./cmd/simjoin \
@@ -43,8 +43,8 @@ baselines: ## regenerate the committed BENCH_*.json from a fresh suite run
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(MAKE) bench > "$$tmp/bench.txt"; \
 	$(GO) run ./cmd/benchdiff -mode=baseline -in "$$tmp/bench.txt" -out BENCH_core.json \
-	  -match '^Benchmark(CoverSet|Auditor|A2AEqualSized|A2AExactTiny|A2AGreedy|X2YGreedy|PlannerCold|PlannerCached|SchemaJSON|PlanReplyEncode|PlanReplyDecode)' \
-	  -note "bitset core hot paths: CoverSet primitives, auditor verification, the equal-sized a2a.Solve on the a2a_equal shapes, the portfolio members a2a.Exact (tiny), a2a.Greedy (a2a_big) and x2y.Greedy (svc_mixed X2Y hot shapes), planner cold/cached solves, the mapping-schema JSON codec on a 33 KB reply through encoding/json (SchemaJSON, the reference) and the same reply as pland writes it and plandclient reads it (PlanReplyEncode/Decode); regenerate with 'make baselines'"; \
+	  -match '^Benchmark(CoverSet|Auditor|A2AEqualSized|A2AExactTiny|A2AGreedy|X2YExactTiny|X2YGreedy|PlannerCold|PlannerCached|SchemaJSON|PlanReplyEncode|PlanReplyDecode)' \
+	  -note "bitset core hot paths: CoverSet primitives, auditor verification, the equal-sized a2a.Solve on the a2a_equal shapes, the portfolio members a2a.Exact (tiny), x2y.Exact (small X2Y sides), a2a.Greedy (a2a_big) and x2y.Greedy (svc_mixed X2Y hot shapes), planner cold/cached solves, the mapping-schema JSON codec on a 33 KB reply through encoding/json (SchemaJSON, the reference) and the same reply as pland writes it and plandclient reads it (PlanReplyEncode/Decode); regenerate with 'make baselines'"; \
 	$(GO) run ./cmd/benchdiff -mode=baseline -in "$$tmp/bench.txt" -out BENCH_stream.json \
 	  -match '^BenchmarkSession(Delta|Rebuild)' \
 	  -note "m=1k churn (remove oldest, add replacement) at q=1024, uniform sizes [1,64]: incremental repair vs cheapest full re-solve per delta, and the incremental delta with the WAL journal attached under -fsync=interval (SessionDeltaJournaled); SessionRebuild is one Rebuild (replan by a2a.Solve plus swap) of the rebuild trace's drifted session, q=256, about 500 Zipf sizes up to 30; regenerate with 'make baselines'"; \

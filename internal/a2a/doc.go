@@ -31,7 +31,10 @@
 //   - Greedy: a coverage-greedy heuristic used as a baseline.
 //   - Exact: a branch-and-bound solver for small instances (at most 64
 //     inputs: its state is one machine word per reducer and per input), used
-//     to measure approximation ratios.
+//     to measure approximation ratios. It takes the inputs largest first, so
+//     it branches on the most constrained pair first: on the planner's tiny
+//     instances more searches prove their schema optimal within the node
+//     budget than in ascending order.
 //   - Lower bounds on the number of reducers and on the communication cost,
 //     against which all of the above are reported.
 //
@@ -39,7 +42,8 @@
 // one branch and bound serve both: GreedySplit and ExactSplit take the
 // sizes of X then Y and the split between them, and start with every pair
 // on one side of it already met, so only the cross pairs are left to cover.
-// A split of 0 is the A2A pass itself; the package imports nothing of x2y.
+// ExactSplit orders X and Y largest first each, keeping X before Y. A split
+// of 0 is the A2A pass itself; the package imports nothing of x2y.
 //
 // EqualSized, TripleCover and AffinePlane are one builder (binsOnBlocks) fed
 // three designs — every pair of groups, Bose triples over single inputs, the

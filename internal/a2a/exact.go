@@ -1,6 +1,7 @@
 package a2a
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -34,12 +35,16 @@ type ExactOptions struct {
 	MaxNodes int
 }
 
-// Exact computes a minimum-reducer mapping schema by branch and bound. At
-// every node it picks the lexicographically first uncovered pair and branches
-// on all ways to cover it: adding the missing input(s) to an existing reducer
-// that still has room (reducers in the order they were opened), or opening a
-// new reducer with exactly that pair. Branches that cannot beat the incumbent
-// (seeded with the best heuristic schema) are pruned.
+// Exact computes a minimum-reducer mapping schema by branch and bound. It
+// takes the inputs largest first (by descending size, ties by ascending ID)
+// and at every node picks the first uncovered pair in that order, so it
+// starts from the two largest inputs, the pair with the fewest ways to be
+// covered. It branches on all ways to cover the pair: adding the missing
+// input(s) to an existing reducer that still has room (reducers in the order
+// they were opened), or opening a new reducer with exactly that pair.
+// Branches that cannot beat the incumbent (seeded with the best heuristic
+// schema) are pruned, and the search stops once it meets LowerBounds. The
+// schema uses the caller's input IDs whatever the order searched.
 //
 // The search state is one uint64 per reducer (its members) and one per input
 // (the inputs it is already covered with); a branch is applied and undone by
@@ -107,13 +112,43 @@ func exact(set *core.InputSet, q core.Size, opts ExactOptions) (*core.MappingSch
 // caller has checked that there are at most MaxExactInputs inputs and that
 // every required pair fits in q. It returns the best schema's reducers, the
 // nodes it visited, and whether maxNodes ran out first.
+//
+// The search takes the inputs largest first: each side of the split (the
+// whole set when split is 0) by descending size, ties by ascending ID, so
+// the first uncovered pair it branches on is the most constrained one. The
+// incumbent is relabelled to that order and the schema found is mapped back
+// to the caller's IDs.
 func ExactSplit(sizes []core.Size, split int, q core.Size, incumbent []core.Reducer, lower, maxNodes int) ([]core.Reducer, int, bool) {
+	return exactSplitIn(largestFirst(sizes, split), sizes, split, q, incumbent, lower, maxNodes)
+}
+
+// largestFirst is the order ExactSplit searches the inputs in: order[p] is
+// the caller's ID of the p-th input taken.
+func largestFirst(sizes []core.Size, split int) []int {
+	order := make([]int, len(sizes))
+	for id := range order {
+		order[id] = id
+	}
+	descending := func(a, b int) int { return cmp.Compare(sizes[b], sizes[a]) }
+	slices.SortStableFunc(order[:split], descending)
+	slices.SortStableFunc(order[split:], descending)
+	return order
+}
+
+// exactSplitIn is ExactSplit taking the inputs in the given order, which
+// keeps X before Y.
+func exactSplitIn(order []int, sizes []core.Size, split int, q core.Size, incumbent []core.Reducer, lower, maxNodes int) ([]core.Reducer, int, bool) {
 	m, best := len(sizes), len(incumbent)
+	// pos[id] is the place of the caller's input id in order.
+	searched, pos := make([]core.Size, m), make([]int, m)
+	for p, id := range order {
+		searched[p], pos[id] = sizes[id], p
+	}
 	// The search never holds more than best reducers, so nothing grows after
 	// this.
 	s := &wordSearch{
 		q:         q,
-		sizes:     sizes,
+		sizes:     searched,
 		full:      ^uint64(0) >> (64 - uint(m)),
 		rows:      make([]uint64, m+1),
 		members:   make([]uint64, best),
@@ -139,26 +174,26 @@ func ExactSplit(sizes []core.Size, split int, q core.Size, incumbent []core.Redu
 			s.rows[i] = s.full &^ xSide
 		}
 	}
-	s.ranked = slices.Clone(sizes)
+	s.ranked = slices.Clone(searched)
 	slices.Sort(s.ranked)
 	s.ranked = slices.Compact(s.ranked)
-	for id, w := range sizes {
-		s.rank[id], _ = slices.BinarySearch(s.ranked, w)
+	for i, w := range searched {
+		s.rank[i], _ = slices.BinarySearch(s.ranked, w)
 	}
-	for i, wi := range sizes {
-		for j, wj := range sizes {
+	for i, wi := range searched {
+		for j, wj := range searched {
 			s.pairLevel[i*m+j] = s.levelAt(q-wi-wj, len(s.ranked))
 		}
 	}
 	for r, red := range incumbent {
 		for _, id := range red.Inputs {
-			s.bestSets[r] |= 1 << uint(id)
+			s.bestSets[r] |= 1 << uint(pos[id])
 		}
 		for _, id := range red.XInputs {
-			s.bestSets[r] |= 1 << uint(id)
+			s.bestSets[r] |= 1 << uint(pos[id])
 		}
 		for _, id := range red.YInputs {
-			s.bestSets[r] |= 1 << uint(split+id)
+			s.bestSets[r] |= 1 << uint(pos[split+id])
 		}
 	}
 	s.search(0)
@@ -168,10 +203,11 @@ func ExactSplit(sizes []core.Size, split int, q core.Size, incumbent []core.Redu
 		ids := make([]int, 0, bits.OnesCount64(mask))
 		var load core.Size
 		for ; mask != 0; mask &= mask - 1 {
-			id := bits.TrailingZeros64(mask)
+			id := order[bits.TrailingZeros64(mask)]
 			ids = append(ids, id)
 			load += sizes[id]
 		}
+		slices.Sort(ids)
 		reducers = append(reducers, splitReducer(ids, split, load))
 	}
 	return reducers, s.nodes, s.exhausted

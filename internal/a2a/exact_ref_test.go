@@ -2,6 +2,7 @@ package a2a
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/core"
 )
@@ -10,10 +11,51 @@ import (
 // lists, a linear membership scan and allocated undo lists, on the shared
 // coverage bitset rows. It is kept as the reference TestExactMatchesReference
 // holds Exact to — same schema, same node count, same ErrNodeBudget verdict
-// for every budget — and has no input ceiling of its own.
+// for every budget — and has no input ceiling of its own. It takes the
+// inputs in ID order; refExactLargestFirst runs it on the order Exact
+// searches in.
 
-// refExact is the former Exact; it also reports the nodes it visited.
-func refExact(set *core.InputSet, q core.Size, opts ExactOptions) (*core.MappingSchema, int, error) {
+// refExactLargestFirst is refExact on the instance relabelled largest first,
+// ties by ascending ID, seeded with Solve's schema of the caller's instance
+// relabelled the same way, with the schema mapped back to the caller's IDs.
+func refExactLargestFirst(set *core.InputSet, q core.Size, opts ExactOptions) (*core.MappingSchema, int, error) {
+	order := make([]int, set.Len())
+	for id := range order {
+		order[id] = id
+	}
+	sort.SliceStable(order, func(a, b int) bool { return set.Size(order[a]) > set.Size(order[b]) })
+	sizes, pos := make([]core.Size, len(order)), make([]int, len(order))
+	for p, id := range order {
+		sizes[p], pos[id] = set.Size(id), p
+	}
+	seed := func() (*core.MappingSchema, error) {
+		ms, err := Solve(set, q)
+		if err == nil {
+			relabel(ms, pos)
+		}
+		return ms, err
+	}
+	ms, nodes, err := refExact(core.MustNewInputSet(sizes), q, opts, seed)
+	if ms != nil {
+		relabel(ms, order)
+	}
+	return ms, nodes, err
+}
+
+// relabel renames every reducer's input id to to[id], keeping each reducer's
+// inputs ascending.
+func relabel(ms *core.MappingSchema, to []int) {
+	for _, r := range ms.Reducers {
+		for k, id := range r.Inputs {
+			r.Inputs[k] = to[id]
+		}
+		sort.Ints(r.Inputs)
+	}
+}
+
+// refExact is the former Exact, seeded with the schema of set that seed
+// returns where Exact takes Solve's; it also reports the nodes it visited.
+func refExact(set *core.InputSet, q core.Size, opts ExactOptions, seed func() (*core.MappingSchema, error)) (*core.MappingSchema, int, error) {
 	const algorithm = "a2a/exact"
 	if opts.MaxInputs == 0 {
 		opts.MaxInputs = 12
@@ -39,7 +81,7 @@ func refExact(set *core.InputSet, q core.Size, opts ExactOptions) (*core.Mapping
 	}
 
 	// Incumbent: best heuristic schema available.
-	incumbent, err := Solve(set, q)
+	incumbent, err := seed()
 	if err != nil {
 		return nil, 0, err
 	}

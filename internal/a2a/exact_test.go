@@ -188,7 +188,8 @@ func exactShapes(rng *rand.Rand, n int) (sets []*core.InputSet, qs []core.Size) 
 
 // TestExactMatchesReference is the licence for the word-parallel search: for
 // every budget it returns the reference search's schema, visits the same
-// number of nodes and gives the same ErrNodeBudget verdict. The planner's
+// number of nodes and gives the same ErrNodeBudget verdict, the reference
+// taking the inputs in the same largest-first order. The planner's
 // 200,000-node budget costs the reference up to 0.1 s an instance, so it runs
 // on every ninth instance (all four shapes) and is left out of -short runs;
 // the full 1,000 x 4 product takes 30 s and passed when this was written.
@@ -202,7 +203,7 @@ func TestExactMatchesReference(t *testing.T) {
 		}
 		for _, budget := range budgets {
 			opts := ExactOptions{MaxNodes: budget}
-			want, wantNodes, wantErr := refExact(set, qs[n], opts)
+			want, wantNodes, wantErr := refExactLargestFirst(set, qs[n], opts)
 			got, gotNodes, gotErr := exact(set, qs[n], opts)
 			if !errors.Is(gotErr, wantErr) || !errors.Is(wantErr, gotErr) {
 				t.Fatalf("sizes=%v q=%d budget=%d: err = %v, reference %v", set.Sizes(), qs[n], budget, gotErr, wantErr)
@@ -235,7 +236,7 @@ func TestExactInputCeiling(t *testing.T) {
 	opts := ExactOptions{MaxInputs: 1000, MaxNodes: 20_000}
 
 	set := core.MustNewInputSet(sizes[:64])
-	want, wantNodes, wantErr := refExact(set, 24, opts)
+	want, wantNodes, wantErr := refExactLargestFirst(set, 24, opts)
 	got, gotNodes, gotErr := exact(set, 24, opts)
 	if !errors.Is(wantErr, ErrNodeBudget) {
 		t.Fatalf("reference err = %v, want ErrNodeBudget so that the search ran", wantErr)

@@ -19,3 +19,13 @@ func PlaneRemainder(set *core.InputSet, q core.Size) (ms *core.MappingSchema, re
 	ms, err = planeRemainder(set, q, pr)
 	return ms, pr.reducers, pr.copies, true, err
 }
+
+// ExactSplitInOrder is ExactSplit taking the inputs in the caller's order,
+// as the search did before it took them largest first.
+func ExactSplitInOrder(sizes []core.Size, split int, q core.Size, incumbent []core.Reducer, lower, maxNodes int) ([]core.Reducer, int, bool) {
+	order := make([]int, len(sizes))
+	for id := range order {
+		order[id] = id
+	}
+	return exactSplitIn(order, sizes, split, q, incumbent, lower, maxNodes)
+}

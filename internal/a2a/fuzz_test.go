@@ -2,6 +2,7 @@ package a2a
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -83,6 +84,41 @@ func FuzzGreedyMatchesReference(f *testing.F) {
 		if want := refGreedy(set, q); !reflect.DeepEqual(got, want) {
 			t.Fatalf("sizes=%v q=%d: schema differs from the reference (%d reducers, reference %d)",
 				sizes, q, got.NumReducers(), want.NumReducers())
+		}
+	})
+}
+
+// FuzzExactMatchesReference feeds arbitrary byte strings as input sizes, one
+// byte as the capacity and one word as the node budget: Exact must return
+// the reference's schema, node count and ErrNodeBudget verdict, or its
+// error, the reference taking the inputs in the same largest-first order.
+func FuzzExactMatchesReference(f *testing.F) {
+	f.Add([]byte{3, 3, 2, 2, 4, 1}, byte(10), uint32(200_000))
+	f.Add([]byte{14, 15, 24, 18, 17, 16, 8, 10}, byte(47), uint32(137))
+	f.Add([]byte{1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, byte(3), uint32(10))
+	f.Add([]byte{30, 1, 2, 3}, byte(40), uint32(1_000))
+	f.Add([]byte{9, 9}, byte(8), uint32(5))
+	f.Fuzz(func(t *testing.T, raw []byte, qRaw byte, budget uint32) {
+		if len(raw) == 0 || len(raw) > 12 {
+			return
+		}
+		q := core.Size(qRaw)%60 + 2
+		sizes := make([]core.Size, len(raw))
+		for i, b := range raw {
+			sizes[i] = core.Size(b)%(q+q/8) + 1 // some above q/2, a few above q
+		}
+		set := core.MustNewInputSet(sizes)
+		opts := ExactOptions{MaxNodes: int(budget%200_000) + 1}
+		got, gotNodes, gotErr := exact(set, q, opts)
+		want, wantNodes, wantErr := refExactLargestFirst(set, q, opts)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("sizes=%v q=%d budget=%d: err = %v, reference %v", sizes, q, opts.MaxNodes, gotErr, wantErr)
+		}
+		if gotNodes != wantNodes {
+			t.Fatalf("sizes=%v q=%d budget=%d: visited %d nodes, reference %d", sizes, q, opts.MaxNodes, gotNodes, wantNodes)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("sizes=%v q=%d budget=%d: schema differs from the reference\n got %+v\nwant %+v", sizes, q, opts.MaxNodes, got, want)
 		}
 	})
 }

@@ -59,9 +59,11 @@ var ErrNodeBudget = errors.New("x2y: exact solver node budget exhausted")
 type ExactOptions = a2a.ExactOptions
 
 // Exact computes a minimum-reducer X2Y mapping schema by branch and bound,
-// a2a.ExactSplit over X then Y: it branches on the ways to cover the first
-// uncovered cross pair, prunes against Solve's schema as the incumbent, and
-// stops early once it meets LowerBounds.
+// a2a.ExactSplit over X then Y: it takes each side largest first (by
+// descending size, ties by ascending ID), branches on the ways to cover the
+// first uncovered cross pair in that order — the largest X input with the
+// largest Y input first — prunes against Solve's schema as the incumbent, and
+// stops early once it meets LowerBounds. The schema uses the caller's IDs.
 func Exact(xs, ys *core.InputSet, q core.Size, opts ExactOptions) (*core.MappingSchema, error) {
 	const algorithm = "x2y/exact"
 	if opts.MaxInputs == 0 {

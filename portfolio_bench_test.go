@@ -3,6 +3,7 @@ package repro_test
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/a2a"
@@ -41,7 +42,10 @@ func halfBinsQ(bins int, floor core.Size, sides ...[]core.Size) core.Size {
 // BenchmarkA2AExactTiny times a2a.Exact at the planner's limits (12 inputs,
 // 200,000 nodes) on plan_cold's tiny regime: q in [24, 64), 8 to 12 sizes
 // from q/8 to q/2, so nothing fits one reducer and most searches run to the
-// node budget. One iteration solves six instances.
+// node budget. One iteration solves six instances. All six run to the budget
+// whether the search takes the inputs largest first or in ID order, so this
+// times the cost of a search node, not how soon a search ends; the search
+// order shows in BenchmarkX2YExactTiny and in plan_cold.
 func BenchmarkA2AExactTiny(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	sets := make([]*core.InputSet, 6)
@@ -60,6 +64,40 @@ func BenchmarkA2AExactTiny(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for n, set := range sets {
 			if _, err := a2a.Exact(set, qs[n], opts); err != nil && !errors.Is(err, a2a.ErrNodeBudget) {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkX2YExactTiny times x2y.Exact at the planner's limits on small X2Y
+// instances: q in [24, 64) and 3 to 6 sizes a side from q/8 to q/2, each
+// side ascending as the planner passes it. Searches that prove a schema
+// optimal end early here, so the time moves with the search order. One
+// iteration solves six instances.
+func BenchmarkX2YExactTiny(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	side := func(q core.Size) *core.InputSet {
+		sizes := make([]core.Size, 3+rng.Intn(4))
+		for i := range sizes {
+			sizes[i] = q/8 + core.Size(rng.Intn(int(q/2-q/8)+1))
+		}
+		slices.Sort(sizes)
+		return core.MustNewInputSet(sizes)
+	}
+	xss, yss := make([]*core.InputSet, 6), make([]*core.InputSet, 6)
+	qs := make([]core.Size, len(xss))
+	for n := range qs {
+		qs[n] = core.Size(24 + rng.Intn(40))
+		xss[n] = side(qs[n])
+		yss[n] = side(qs[n])
+	}
+	opts := x2y.ExactOptions{MaxInputs: 12, MaxNodes: 200_000}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for n, q := range qs {
+			if _, err := x2y.Exact(xss[n], yss[n], q, opts); err != nil && !errors.Is(err, x2y.ErrNodeBudget) {
 				b.Fatal(err)
 			}
 		}
