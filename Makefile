@@ -31,7 +31,7 @@ bench-gate: ## compare two `make bench` outputs: make bench-gate OLD=base.txt NE
 	$(GO) run ./cmd/benchdiff -mode=gate -old "$(OLD)" -new "$(NEW)" \
 	  -threshold $(THRESHOLD) -match '$(BENCH_MATCH)'
 
-bench-compare: ## bench BASE (temp worktree) and HEAD, fail on significant >THRESHOLD% slowdown
+bench-compare: ## bench BASE (temp worktree) and HEAD, fail on significant >THRESHOLD% growth of ns/op or B/op
 	@set -e; tmp=$$(mktemp -d); \
 	trap 'git worktree remove --force "$$tmp/base" 2>/dev/null || true; rm -rf "$$tmp"' EXIT; \
 	git worktree add --detach "$$tmp/base" $(BASE); \

@@ -10,7 +10,8 @@
 // Gate mode compares two bench runs (typically the PR base and head) and
 // fails — exit status 1 — when any selected benchmark regressed by more than
 // the threshold with statistical significance (Mann-Whitney U, α = 0.05, the
-// same test benchstat uses):
+// same test benchstat uses), in time per op or, where both runs report it,
+// in bytes allocated per op:
 //
 //	benchdiff -mode=gate -old base.txt -new head.txt -threshold 15 \
 //	  -match '^Benchmark(PlannerCold|PlannerCached|ExecStream|SessionDelta|CoverSet)'
@@ -42,7 +43,7 @@ func main() {
 		outPath   = flag.String("out", "-", `baseline: JSON file to write ("-" = stdout)`)
 		note      = flag.String("note", "", "baseline: free-form note stored in the JSON")
 		match     = flag.String("match", "", "regexp selecting benchmark names (default: all)")
-		threshold = flag.Float64("threshold", 15, "gate: %% slowdown above which a significant regression fails")
+		threshold = flag.Float64("threshold", 15, "gate: %% growth of ns/op or B/op above which a significant regression fails")
 		alpha     = flag.Float64("alpha", 0.05, "gate: significance level for the Mann-Whitney test")
 	)
 	flag.Parse()
@@ -317,12 +318,40 @@ func mapSamples(ss []sample, f func(sample) float64) []float64 {
 	return out
 }
 
-// verdict is one benchmark's gate outcome.
+// verdict is one benchmark's gate outcome: its time and, when both runs
+// report allocations, its bytes per op.
 type verdict struct {
-	name             string
-	oldNs, newNs     float64
-	deltaPct, p      float64
-	regressed, noted bool
+	name       string
+	ns, bytes  change
+	bytesGated bool
+}
+
+// change compares one measure of a benchmark across the two runs.
+type change struct {
+	old, new, deltaPct, p float64
+	noted, regressed      bool
+}
+
+// compare tests two runs' samples of one measure: a significant shift is
+// noted, and a noted growth above threshold percent is a regression.
+func compare(a, b []float64, threshold, alpha float64) change {
+	c := change{old: median(a), new: median(b), p: mannWhitneyP(a, b)}
+	if c.new != c.old { // 0 B/op on both sides is no change, not 0/0
+		c.deltaPct = (c.new - c.old) / c.old * 100
+	}
+	c.noted = c.p < alpha
+	c.regressed = c.noted && c.deltaPct > threshold
+	return c
+}
+
+// allMem reports whether every sample reports allocations.
+func allMem(ss []sample) bool {
+	for _, s := range ss {
+		if !s.hasMem {
+			return false
+		}
+	}
+	return true
 }
 
 func runGate(w io.Writer, oldPath, newPath string, sel *regexp.Regexp, threshold, alpha float64) (bool, error) {
@@ -356,17 +385,14 @@ func runGate(w io.Writer, oldPath, newPath string, sel *regexp.Regexp, threshold
 		if !ok {
 			continue // new benchmark: nothing to regress against
 		}
-		a, b := nsSamples(os_), nsSamples(newS[name])
-		v := verdict{
-			name:  name,
-			oldNs: median(a),
-			newNs: median(b),
-			p:     mannWhitneyP(a, b),
+		ns_ := newS[name]
+		v := verdict{name: name, ns: compare(nsSamples(os_), nsSamples(ns_), threshold, alpha)}
+		if allMem(os_) && allMem(ns_) {
+			bytesOf := func(s sample) float64 { return s.bytesPerOp }
+			v.bytes = compare(mapSamples(os_, bytesOf), mapSamples(ns_, bytesOf), threshold, alpha)
+			v.bytesGated = true
 		}
-		v.deltaPct = (v.newNs - v.oldNs) / v.oldNs * 100
-		v.noted = v.p < alpha
-		v.regressed = v.noted && v.deltaPct > threshold
-		anyRegressed = anyRegressed || v.regressed
+		anyRegressed = anyRegressed || v.ns.regressed || v.bytes.regressed
 		verdicts = append(verdicts, v)
 	}
 	if matchedNew == 0 {
@@ -380,18 +406,30 @@ func runGate(w io.Writer, oldPath, newPath string, sel *regexp.Regexp, threshold
 		return false, nil
 	}
 
-	fmt.Fprintf(w, "%-60s %14s %14s %8s %8s  %s\n", "benchmark", "old ns/op", "new ns/op", "delta", "p", "verdict")
+	fmt.Fprintf(w, "%-60s %14s %14s %8s %8s %14s %14s %8s %8s  %s\n",
+		"benchmark", "old ns/op", "new ns/op", "delta", "p", "old B/op", "new B/op", "delta", "p", "verdict")
 	for _, v := range verdicts {
 		status := "ok"
 		switch {
-		case v.regressed:
-			status = fmt.Sprintf("REGRESSED (>%.0f%%)", threshold)
-		case v.noted && v.deltaPct < 0:
+		case v.ns.regressed || v.bytes.regressed:
+			var what []string
+			if v.ns.regressed {
+				what = append(what, "time")
+			}
+			if v.bytes.regressed {
+				what = append(what, "B/op")
+			}
+			status = fmt.Sprintf("REGRESSED %s (>%.0f%%)", strings.Join(what, ", "), threshold)
+		case v.ns.noted && v.ns.deltaPct < 0:
 			status = "improved"
-		case !v.noted:
+		case !v.ns.noted:
 			status = "~ (not significant)"
 		}
-		fmt.Fprintf(w, "%-60s %14.0f %14.0f %+7.1f%% %8.3f  %s\n", v.name, v.oldNs, v.newNs, v.deltaPct, v.p, status)
+		bytesCols := fmt.Sprintf("%14s %14s %8s %8s", "-", "-", "-", "-")
+		if v.bytesGated {
+			bytesCols = fmt.Sprintf("%14.0f %14.0f %+7.1f%% %8.3f", v.bytes.old, v.bytes.new, v.bytes.deltaPct, v.bytes.p)
+		}
+		fmt.Fprintf(w, "%-60s %14.0f %14.0f %+7.1f%% %8.3f %s  %s\n", v.name, v.ns.old, v.ns.new, v.ns.deltaPct, v.ns.p, bytesCols, status)
 	}
 	return anyRegressed, nil
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"os"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -116,11 +117,60 @@ func TestGateFlagsSignificantRegression(t *testing.T) {
 	if !strings.Contains(out.String(), "REGRESSED") {
 		t.Errorf("verdict table misses REGRESSED:\n%s", out.String())
 	}
-	// The unchanged benchmark must not be flagged.
+	// The unchanged benchmark must not be flagged, and the slower one only
+	// for its time: its bytes per op did not move.
 	for _, line := range strings.Split(out.String(), "\n") {
 		if strings.Contains(line, "CoverSetCount") && strings.Contains(line, "REGRESSED") {
 			t.Errorf("stable benchmark flagged: %s", line)
 		}
+		if strings.Contains(line, "PlannerCold") && !strings.Contains(line, "REGRESSED time (>15%)") {
+			t.Errorf("slower benchmark not flagged for its time alone: %s", line)
+		}
+	}
+}
+
+// gateLine runs the gate on two runs and returns whether it failed and the
+// verdict line of BenchmarkPlannerCold.
+func gateLine(t *testing.T, oldRun, newRun string) (bool, string) {
+	t.Helper()
+	var out strings.Builder
+	regressed, err := runGate(&out, writeTemp(t, oldRun), writeTemp(t, newRun), nil, 15, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(out.String(), "\n") {
+		if strings.HasPrefix(line, "BenchmarkPlannerCold ") {
+			return regressed, line
+		}
+	}
+	t.Fatalf("no PlannerCold verdict:\n%s", out.String())
+	return false, ""
+}
+
+func TestGateFlagsBytesRegression(t *testing.T) {
+	// Same times, twice the bytes allocated per op.
+	regressed, line := gateLine(t, oldRun, strings.ReplaceAll(oldRun, "1708699 B/op", "3417398 B/op"))
+	if !regressed || !strings.Contains(line, "REGRESSED B/op (>15%)") {
+		t.Fatalf("doubled B/op must trip the gate on its bytes alone: regressed=%v\n%s", regressed, line)
+	}
+	if !strings.Contains(line, "1708699") || !strings.Contains(line, "3417398") {
+		t.Errorf("verdict line lacks the old and new B/op: %s", line)
+	}
+	// Halved bytes are no regression.
+	if regressed, line := gateLine(t, oldRun, strings.ReplaceAll(oldRun, "1708699 B/op", "854349 B/op")); regressed {
+		t.Fatalf("halved B/op tripped the gate: %s", line)
+	}
+}
+
+func TestGateSkipsBytesWhereARunReportsNone(t *testing.T) {
+	// The base ran without -benchmem: its lines carry ns/op only.
+	bare := regexp.MustCompile(`ns/op.*`).ReplaceAllString(oldRun, "ns/op")
+	regressed, line := gateLine(t, bare, strings.ReplaceAll(oldRun, "1708699 B/op", "3417398 B/op"))
+	if regressed {
+		t.Fatalf("bytes were gated against a run that reports none: %s", line)
+	}
+	if !strings.Contains(line, " - ") || strings.Contains(line, "3417398") {
+		t.Errorf("verdict line should show no B/op columns: %s", line)
 	}
 }
 

@@ -74,24 +74,16 @@ func (e *AuditError) Unwrap() []error {
 	return errs
 }
 
-// trace is the log of processed pairs one execution produces: one
-// append-only log (shard) per reducer, filled by the reduce call without any
-// synchronization and published once when the call succeeds, so the per-pair
-// hot loop touches no atomic and no shared cache line. The logs of one run
-// are sections of a single pooled buffer (see compilation.logSection). The
+// trace is the log of processed pairs one execution produces: one shard per
+// reducer, published once by its reduce call when the call succeeds, so the
+// per-pair hot loop touches no atomic and no shared cache line. A reducer
+// that processed exactly a prefix of its owned-pair list, in order, publishes
+// that prefix of the index's own list (capped, so nothing appends into it);
+// one that strayed publishes a log of its own (see compilation.reduce). The
 // auditor checks the shards against the schema's promises; tests fabricate
 // shards to probe the auditor itself.
-//
-// A compiled reducer of an audited run also compares its own log with its
-// owned-pair list before it publishes, and records the log it found equal in
-// checked. The audit takes that verdict for a shard only while the shard is
-// still that slice, so the end-of-run check of a healthy run reads one
-// verdict per reducer instead of comparing every entry on one core.
 type trace struct {
 	shards [][]pairEntry // shards[r] is what reducer r processed, in order
-	// checked[r], when not empty, is the log reducer r found equal to its
-	// owned-pair list when it published it.
-	checked [][]pairEntry
 }
 
 // pairEntry is one logged pair: for A2A the two input IDs with a < b, for
@@ -102,7 +94,7 @@ const pairEntryBytes = 8
 
 // newTrace returns an empty trace for a job of numReducers reducers.
 func newTrace(numReducers int) *trace {
-	return &trace{shards: make([][]pairEntry, numReducers), checked: make([][]pairEntry, numReducers)}
+	return &trace{shards: make([][]pairEntry, numReducers)}
 }
 
 // publish stores the log of a successful reduce call as the reducer's shard.
@@ -113,13 +105,6 @@ func (t *trace) publish(reducer int, log []pairEntry) {
 	t.shards[reducer] = log
 }
 
-// vouched reports whether reducer r's shard is the very slice the reducer
-// found equal to its owned-pair list: same first element, same length.
-func (t *trace) vouched(r int) bool {
-	shard, v := t.shards[r], t.checked[r]
-	return len(v) > 0 && len(v) == len(shard) && &v[0] == &shard[0]
-}
-
 // pairs returns how many pairs were logged: log entries, which are the
 // distinct pairs processed whenever the trace passes the audit.
 func (t *trace) pairs() int64 {
@@ -128,30 +113,6 @@ func (t *trace) pairs() int64 {
 		n += int64(len(log))
 	}
 	return n
-}
-
-// traceLogs recycles the buffers runs cut their per-reducer logs from (eight
-// bytes per required pair, which a fresh allocation would also have to
-// clear). The buffers are held through pointers so Put does not allocate a
-// slice header per run.
-var traceLogs sync.Pool
-
-// getTraceLog returns a buffer of n entries with arbitrary contents: every
-// section is appended to from length zero, so nothing stale is ever read.
-func getTraceLog(n int) []pairEntry {
-	if p, _ := traceLogs.Get().(*[]pairEntry); p != nil && cap(*p) >= n {
-		return (*p)[:n]
-	}
-	return make([]pairEntry, n)
-}
-
-// putTraceLog gives a buffer back once nothing reads the trace cut from it
-// any more. One larger than the compile cache's bound is left to the
-// collector, so the pool never pins more than a cached index may.
-func putTraceLog(log []pairEntry) {
-	if int64(cap(log))*pairEntryBytes <= maxCacheBytes {
-		traceLogs.Put(&log)
-	}
 }
 
 // shape is the instance a schema is executed over: the size of the A2A set,
@@ -345,9 +306,9 @@ func (idx *schemaIndex) pairIndex(i, j int) int {
 // ownedEnd[r]] holds reducer r's pairs in sorted-member order (members
 // ascending and de-duplicated; for X2Y, X-side outer and Y-side inner) —
 // the order a compiled reducer processes them in. PreCheck prices coverage
-// from the list's length, a run cuts its reducers' logs to it, and checkTrace
-// compares it with the trace shard by shard, so every audited run of one
-// index shares one sweep.
+// from the list's length, every reducer checks its pairs against its part of
+// it as it processes them, and checkTrace compares it with the trace shard by
+// shard, so every run of one index shares one sweep.
 func (idx *schemaIndex) sweep() {
 	idx.sweepOnce.Do(func() {
 		required := idx.requiredPairCount()
@@ -399,20 +360,15 @@ func sortedMembers(ids []int) []int {
 	return ids
 }
 
-// ownedRange returns where reducer r's pairs lie in the sweep's list.
-func (idx *schemaIndex) ownedRange(r int) (start, end int) {
-	idx.sweep()
-	if r > 0 {
-		start = idx.ownedEnd[r-1]
-	}
-	return start, idx.ownedEnd[r]
-}
-
 // ownedBy returns the pairs the sweep assigns to reducer r, in the order a
 // compiled reducer processes them.
 func (idx *schemaIndex) ownedBy(r int) []pairEntry {
-	start, end := idx.ownedRange(r)
-	return idx.owned[start:end]
+	idx.sweep()
+	start := 0
+	if r > 0 {
+		start = idx.ownedEnd[r-1]
+	}
+	return idx.owned[start:idx.ownedEnd[r]]
 }
 
 // elect derives every reducer's owner election by class, once per index. The
@@ -527,15 +483,21 @@ func classesOf(routes [][]int) ([]int32, int) {
 // conforms is the audit's fast replay: the trace is exactly what the schema
 // prescribes when every required pair has an owner and every reducer's shard
 // equals the sweep's list for that reducer entry for entry and length for
-// length — every pair once, at its owner, and nothing else. A shard its
-// reducer vouched for has been compared already, on the reducer's goroutine.
+// length — every pair once, at its owner, and nothing else. A shard that is
+// the owned list itself (same first element, same length) is what its
+// reducer published after comparing every pair with it, on the reducer's
+// goroutine, so only the other shards are compared here.
 func (idx *schemaIndex) conforms(tr *trace) bool {
 	idx.sweep()
 	if len(idx.owned) != idx.requiredPairCount() || len(tr.shards) != len(idx.ownedEnd) {
 		return false
 	}
 	for r, shard := range tr.shards {
-		if !tr.vouched(r) && !slices.Equal(shard, idx.ownedBy(r)) {
+		owned := idx.ownedBy(r)
+		if len(shard) > 0 && len(shard) == len(owned) && &shard[0] == &owned[0] {
+			continue
+		}
+		if !slices.Equal(shard, owned) {
 			return false
 		}
 	}
@@ -675,9 +637,9 @@ func (idx *schemaIndex) staticCheck() error {
 
 // checkTrace verifies that the run processed every required pair exactly
 // once, at its owning reducer. A trace that is exactly what the schema
-// prescribes passes on a sequence comparison per shard, or on the verdict of
-// the reducer that compared the shard before publishing it; anything else is
-// replayed pair by pair, which names every violation.
+// prescribes passes on a sequence comparison per shard, which for a shard
+// its reducer published as its owned list is a look at the slice header;
+// anything else is replayed pair by pair, which names every violation.
 func (idx *schemaIndex) checkTrace(tr *trace) error {
 	if idx.conforms(tr) {
 		return nil

@@ -209,7 +209,6 @@ func executedEvents(t *testing.T, req Request) (*compilation, []traceEvent) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.takeLog() // never released: the callers read the shards
 	if _, err := runJob(&c.req, c.job(), &c.in); err != nil {
 		t.Fatal(err)
 	}

@@ -10,8 +10,7 @@ import (
 )
 
 const (
-	// maxCacheBytes bounds what one Compiler retains, and the trace buffers
-	// the pool keeps (putTraceLog).
+	// maxCacheBytes bounds what one Compiler retains.
 	maxCacheBytes = 64 << 20
 	// admissionSlots is the size of a Compiler's table of recently missed
 	// hashes.

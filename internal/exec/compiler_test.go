@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -426,13 +428,13 @@ func (cp *Compiler) purge() {
 
 // TestOverflowingReducerIsLoggedAndNamed flips one bit of one reducer's
 // class bitmap, so that on the engine it elects a pair a lower reducer owns.
-// It then logs a pair more than its section holds: the log must outgrow the
-// section without touching its neighbour's, and the audit must come out of
-// the slow replay naming the pair processed twice.
+// It then processes a pair more than it owns: its shard must be a log of its
+// own holding that pair, every other shard its reducer's owned list, and the
+// audit must come out of the slow replay naming the pair processed twice.
 func TestOverflowingReducerIsLoggedAndNamed(t *testing.T) {
 	ms, set := validSchema(t)
 	// Reducer 1 covers (0,1) again. Reducer 0 owns it, so reducer 1 owns
-	// nothing: its section is empty, and reducer 2's starts where it does.
+	// nothing: its owned list is empty, and reducer 2's starts where it does.
 	ms.Reducers = slices.Insert(ms.Reducers, 1, core.Reducer{Inputs: []int{0, 1}, Load: 4})
 	c, err := compile(Request{Name: "overflow", Schema: ms, Inputs: makeInputs(set.Sizes()), Pair: pairIDs})
 	if err != nil {
@@ -444,8 +446,6 @@ func TestOverflowingReducerIsLoggedAndNamed(t *testing.T) {
 	}
 	cb := e.cb[1]
 	e.bits[int(e.ca[0])*e.stride+int(cb>>6)] |= 1 << (cb & 63)
-	c.takeLog()
-	defer putTraceLog(c.log)
 	if _, err := runJob(&c.req, c.job(), &c.in); err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +454,7 @@ func TestOverflowingReducerIsLoggedAndNamed(t *testing.T) {
 	}
 	for r := range ms.Reducers {
 		if r != 1 && !slices.Equal(c.trace.shards[r], c.idx.ownedBy(r)) {
-			t.Fatalf("reducer %d's log is %v, want its owned pairs %v: a neighbour wrote into it", r, c.trace.shards[r], c.idx.ownedBy(r))
+			t.Fatalf("reducer %d's log is %v, want its owned pairs %v: the stray reducer wrote into it", r, c.trace.shards[r], c.idx.ownedBy(r))
 		}
 	}
 	if got := c.trace.pairs(); got != 7 {
@@ -471,5 +471,167 @@ func TestOverflowingReducerIsLoggedAndNamed(t *testing.T) {
 	}
 	if v := ae.Violations[0]; v.Err != ErrDuplicatePair || v.A != 0 || v.B != 1 || v.Detail != "pair (0,1) processed by reducers [0 1]" {
 		t.Fatalf("verdict %v, want pair (0,1) processed by reducers 0 and 1", v)
+	}
+}
+
+// skippingIndex returns a copy of idx in which reducer r does not elect the
+// pair p of its members: one bit of a private copy of its class bitmap is
+// cleared. The copy shares everything else with idx, the owned-pair lists
+// included, so a run on it strays from the lists the runs on idx read.
+func skippingIndex(t *testing.T, idx *schemaIndex, r int, p pairEntry) *schemaIndex {
+	t.Helper()
+	verdict := idx.preCheck()
+	idx.elect()
+	cp := &schemaIndex{
+		schema: idx.schema, shape: idx.shape, routes: idx.routes, rows: idx.rows,
+		owned: idx.owned, ownedEnd: idx.ownedEnd, elections: slices.Clone(idx.elections), preErr: verdict,
+	}
+	for _, once := range []*sync.Once{&cp.sweepOnce, &cp.electOnce, &cp.preOnce} {
+		once.Do(func() {})
+	}
+	e := &cp.elections[r]
+	e.bits = slices.Clone(e.bits)
+	i, j := slices.Index(e.a, int(p.a)), slices.Index(e.b, int(p.b))
+	if i < 0 || j < 0 {
+		t.Fatalf("pair %v is not a pair of reducer %d's members", p, r)
+	}
+	cb := e.cb[j]
+	e.bits[int(e.ca[i])*e.stride+int(cb>>6)] &^= 1 << (cb & 63)
+	return cp
+}
+
+// retainedCompilation runs req, whose Compiler has not seen its schema,
+// once, and compiles it a second time: the second sighting retains the
+// index, which the returned compilation holds.
+func retainedCompilation(t *testing.T, req Request) *compilation {
+	t.Helper()
+	if _, err := Run(req); err != nil {
+		t.Fatal(err)
+	}
+	c, err := compile(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, err := compile(req); err != nil || again.idx != c.idx {
+		t.Fatalf("the Compiler did not retain the index (err %v)", err)
+	}
+	return c
+}
+
+// TestUnderflowingReducerIsNamed runs a schema a Compiler retains with
+// reducer 0 skipping the second of its three owned pairs, so from there on
+// its pairs disagree with its owned list. Its shard must be a log of its own
+// holding exactly the pairs it processed; the audit must come out of one
+// slow replay naming the skipped pair, as the replay does; and a clean run
+// through the same Compiler must take no slow replay, so the retained owned
+// list was never written.
+func TestUnderflowingReducerIsNamed(t *testing.T) {
+	ms, set := validSchema(t)
+	req := Request{Name: "underflow", Schema: ms, Inputs: makeInputs(set.Sizes()), Pair: pairIDs, Compiler: NewCompiler()}
+	c := retainedCompilation(t, req)
+	shared := c.idx
+	owned := slices.Clone(shared.ownedBy(0))
+	if want := []pairEntry{{0, 1}, {0, 2}, {1, 2}}; !slices.Equal(owned, want) {
+		t.Fatalf("reducer 0 owns %v, want %v", owned, want)
+	}
+	c.idx = skippingIndex(t, shared, 0, owned[1])
+	if _, err := runJob(&c.req, c.job(), &c.in); err != nil {
+		t.Fatal(err)
+	}
+	shard := c.trace.shards[0]
+	if want := []pairEntry{{0, 1}, {1, 2}}; !slices.Equal(shard, want) {
+		t.Fatalf("reducer 0 logged %v, want %v", shard, want)
+	}
+	if &shard[0] == &shared.ownedBy(0)[0] {
+		t.Fatal("the stray reducer's shard is the retained owned list, not a log of its own")
+	}
+	want := violationKeys(t, shared.replay(c.trace))
+	slow := obsSlowReplays.Value()
+	got := violationKeys(t, shared.checkTrace(c.trace))
+	if slow = obsSlowReplays.Value() - slow; slow != 1 {
+		t.Fatalf("%d slow replays, want 1", slow)
+	}
+	if !reflect.DeepEqual(got, want) || len(got) != 1 || !strings.Contains(got[0], "pair (0,2) was never processed (owner 0)") {
+		t.Fatalf("verdict %v, replay's %v; want pair (0,2) never processed", got, want)
+	}
+	slow = obsSlowReplays.Value()
+	if res, err := Run(req); err != nil || !res.Audited {
+		t.Fatalf("clean run after the stray one: audited=%v err=%v", res != nil && res.Audited, err)
+	}
+	if slow = obsSlowReplays.Value() - slow; slow != 0 {
+		t.Fatalf("clean run after the stray one took %d slow replays, want 0", slow)
+	}
+	if !slices.Equal(shared.ownedBy(0), owned) {
+		t.Fatalf("reducer 0's retained owned list is %v, was %v", shared.ownedBy(0), owned)
+	}
+}
+
+// TestStrayRunsLeaveTheRetainedListAlone runs one schema a Compiler retains
+// from several goroutines at once: most run it clean, two run it with a
+// reducer that skips an owned pair and so strays from the owned list every
+// run reads. Every clean run must pass its audit with the output of the
+// first, and every stray one must fail on an uncovered pair; under -race
+// this also shows that no stray reducer writes the list the others read.
+func TestStrayRunsLeaveTheRetainedListAlone(t *testing.T) {
+	sizes := make([]core.Size, 60)
+	for i := range sizes {
+		sizes[i] = 2
+	}
+	req := Request{Name: "stray-race", Schema: solveA2A(t, sizes, 25), Inputs: makeInputs(sizes), Pair: pairIDs, Compiler: NewCompiler()}
+	ref, err := Run(Request{Name: req.Name, Schema: req.Schema, Inputs: req.Inputs, Pair: req.Pair})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := retainedCompilation(t, req).idx
+	r := 0
+	for len(shared.ownedBy(r)) < 2 {
+		r++
+	}
+	stray := skippingIndex(t, shared, r, shared.ownedBy(r)[1])
+	slow := obsSlowReplays.Value()
+	const goroutines, strays, rounds = 6, 2, 3
+	var wg sync.WaitGroup
+	errs := make([]error, goroutines)
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range rounds {
+				if g < strays {
+					c, err := compile(req)
+					if err == nil {
+						c.idx = stray
+						_, err = runJob(&c.req, c.job(), &c.in)
+					}
+					if err == nil {
+						if err = shared.checkTrace(c.trace); errors.Is(err, ErrUncoveredPair) {
+							err = nil
+						} else {
+							err = fmt.Errorf("stray run: verdict %v, want an uncovered pair", err)
+						}
+					}
+					if err != nil {
+						errs[g] = err
+					}
+					continue
+				}
+				res, err := Run(req)
+				if err == nil && (!res.Audited || !reflect.DeepEqual(res.Output, ref.Output)) {
+					err = fmt.Errorf("clean run: audited=%v, output drifted from the uncached run", res.Audited)
+				}
+				if err != nil {
+					errs[g] = err
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := obsSlowReplays.Value() - slow; got != strays*rounds {
+		t.Fatalf("%d slow replays, want %d: one per stray run", got, strays*rounds)
 	}
 }

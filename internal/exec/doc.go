@@ -95,9 +95,10 @@
 // The Auditor turns the paper's correctness conditions into machine-checked
 // invariants. Before the job runs it verifies the schema itself: every
 // declared reducer load is within q (ErrOverCapacity) and every required
-// pair has an owner (ErrUncoveredPair). While the job runs, the compiled
-// reducers log every processed pair into the run's trace; afterwards Run
-// cross-checks that every required pair was processed exactly once
+// pair has an owner (ErrUncoveredPair). While the job runs, every compiled
+// reducer checks each pair it processes against the pairs it owns, and
+// publishes what it processed as its shard of the run's trace; afterwards
+// Run cross-checks that every required pair was processed exactly once
 // (ErrUncoveredPair / ErrDuplicatePair), at its owning reducer
 // (ErrWrongOwner), and that the per-reducer loads the engine measured equal
 // the loads the schema routed (ErrLoadMismatch). Violations are typed and
@@ -105,32 +106,31 @@
 // test oracle.
 //
 // The audit is always on, so it is built to cost a healthy run almost
-// nothing. PreCheck derives every pair's owner in one ascending sweep over
-// the reducers (the first reducer containing a pair owns it) and keeps the
-// result as one list of owned pairs per reducer, in the order that reducer
-// will process them. A run takes one buffer with an entry per owned pair
-// from a pool; each reduce call appends the pairs it processes to its
-// reducer's section of it — capped at what the reducer owns, so a reducer
-// that processes more grows into a private copy rather than into its
-// neighbour — and publishes the log when the call succeeds: no atomics and no
-// shared cache line in the per-pair loop. The engine runs each task once, and
-// a failing reduce call fails the run with its error. The buffer goes back to
-// the pool when the audit is done with it; a Result holds no reference to it.
-// The check of a healthy run is then a
-// sequence comparison: reducer r's log must equal the sweep's list for r,
-// entry for entry and length for length, which is exactly "every pair once,
-// at its owner, nothing else". Each section is compared on its reducer's
-// goroutine, as the reduce call ends, and the call records the slice it found
-// equal; the post-run check takes that verdict while the shard is still that
-// slice (same first element, same length) and compares any other shard
-// itself, so the comparison runs on every processor instead of on one after
-// the reduce phase. NoAudit skips both. The two sides derive owners
-// differently — the reducers from class bitmaps derived from the membership
-// rows, the auditor from the sweep — so the comparison is a cross-check, not
-// a tautology. Any mismatch replays the logs pair by pair, looking every
-// required pair up in a map from pair to the reducers whose logs hold it, and
-// names every violation; the pland_exec_audit_slow_replays_total counter says
-// how often that happens (never, for a healthy run).
+// nothing, and a healthy run stores nothing per pair. PreCheck derives every pair's
+// owner in one ascending sweep over the reducers (the first reducer
+// containing a pair owns it) and keeps the result as one list of owned pairs
+// per reducer, in the order that reducer will process them. Each reduce call
+// compares every pair it processes with the next entry of its list as it
+// goes, on its own goroutine. A call that matched its list entry for entry
+// publishes the prefix it matched: the list itself, capped so that no append
+// can reach it, and no copy. At its first disagreement a call copies the
+// prefix it matched into a log of its own and appends every pair from there
+// on, so a shard is always exactly what its reducer processed, in order. The
+// engine runs each task once, and a failing reduce call fails the run with
+// its error. The post-run check of a healthy run is then a sequence
+// comparison: reducer r's shard must equal the sweep's list for r, entry for
+// entry and length for length, which is exactly "every pair once, at its
+// owner, nothing else". A shard that is the list itself (same first element,
+// same length) was compared pair by pair as it was processed and is taken as
+// it is; any other shard is compared here. NoAudit skips the post-run check
+// only: its reducers compare their pairs the same way. The two sides derive
+// owners differently — the reducers from class bitmaps derived from the
+// membership rows, the auditor from the sweep — so the comparison is a
+// cross-check, not a tautology. Any mismatch replays the shards pair by
+// pair, looking every required pair up in a map from pair to the reducers
+// whose shards hold it, and names every violation; the
+// pland_exec_audit_slow_replays_total counter says how often that happens
+// (never, for a healthy run).
 //
 // PreCheck always sweeps, so it costs eight bytes per covered pair. A static
 // check of a schema that no run follows needs only whether every pair is
@@ -164,7 +164,9 @@
 // bitmap with one bit per pair of its member classes — set when the two
 // classes' rows share no reducer below it, one IntersectsBelow per class
 // pair — and the sweep's owned-pair lists. The reducers read the bitmaps in
-// every run, and every logged pair is still compared with every owned pair.
+// every run and compare every pair they process with the owned lists, which
+// every run of the index shares and none writes: a clean run's shards are
+// those lists, and a stray reducer copies before it logs.
 // A nil Compiler compiles per call; each assign.Planner owns one beside its
 // plan cache. pland_exec_compile_total{outcome} counts hits, misses and
 // uncacheable compilations, pland_exec_compile_cache_bytes what is retained.

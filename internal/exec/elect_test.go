@@ -1,7 +1,6 @@
 package exec
 
-// Tests of owner election by class and of the verdicts reducers record on
-// their own logs.
+// Tests of owner election by class and of the shards reducers publish.
 
 import (
 	"errors"
@@ -170,28 +169,43 @@ func TestClassElectionMatchesRows(t *testing.T) {
 	}
 }
 
-// TestNoAuditRunRecordsNoVerdicts checks that a reducer compares its log
-// only when the run is audited: with the audit on, every reducer with work
-// vouches for its log; with NoAudit, none does.
-func TestNoAuditRunRecordsNoVerdicts(t *testing.T) {
+// isOwnedList reports whether a shard is its reducer's owned-pair list itself,
+// not a copy of it: same first element, same length, and no room to grow.
+func isOwnedList(shard, owned []pairEntry) bool {
+	return len(shard) == len(owned) && cap(shard) == len(shard) && (len(owned) == 0 || &shard[0] == &owned[0])
+}
+
+// TestCleanRunPublishesTheOwnedLists checks that a clean run stores nothing
+// per pair, audited or not and compiled for the run or taken from a
+// Compiler: every reducer's shard is the index's own owned-pair list.
+func TestCleanRunPublishesTheOwnedLists(t *testing.T) {
 	sizes := []core.Size{3, 3, 2, 2, 4, 1, 2, 3}
+	ms := solveA2A(t, sizes, 10)
+	cp := NewCompiler()
 	for _, noAudit := range []bool{false, true} {
-		c, _ := executedEvents(t, Request{Name: "verdicts", Schema: solveA2A(t, sizes, 10), Inputs: makeInputs(sizes), Pair: pairIDs, NoAudit: noAudit})
-		for r, log := range c.trace.shards {
-			if got, want := c.trace.vouched(r), len(log) > 0 && !noAudit; got != want {
-				t.Fatalf("NoAudit=%v: reducer %d (%d pairs) vouched=%v, want %v", noAudit, r, len(log), got, want)
+		for _, compiler := range []*Compiler{nil, cp, cp} { // cp's second sighting retains the index
+			c, _ := executedEvents(t, Request{Name: "owned", Schema: ms, Inputs: makeInputs(sizes), Pair: pairIDs, NoAudit: noAudit, Compiler: compiler})
+			worked := 0
+			for r, shard := range c.trace.shards {
+				if !isOwnedList(shard, c.idx.ownedBy(r)) {
+					t.Fatalf("NoAudit=%v: reducer %d published %v, not its owned list", noAudit, r, shard)
+				}
+				if len(shard) > 0 {
+					worked++
+				}
 			}
-			if noAudit && c.trace.checked[r] != nil {
-				t.Fatalf("NoAudit run: reducer %d recorded a verdict", r)
+			if worked < 2 {
+				t.Fatalf("%d reducers with work, want two", worked)
 			}
 		}
 	}
 }
 
-// TestReplacedShardIsComparedAgain replaces a vouched shard after the run
-// with a slice of the same length whose content differs in one entry: the
-// reducer's verdict is not for that slice, so the audit compares it, takes
-// the slow replay and names what the reference replay names.
+// TestReplacedShardIsComparedAgain replaces a shard that is its reducer's
+// owned list after the run with a copy whose content differs in one entry:
+// the shard is no longer the list the reducer compared its pairs with, so
+// the audit compares it, takes the slow replay and names what the reference
+// replay names.
 func TestReplacedShardIsComparedAgain(t *testing.T) {
 	sizes := []core.Size{3, 3, 2, 2, 4, 1, 2, 3}
 	c, _ := executedEvents(t, Request{Name: "replaced", Schema: solveA2A(t, sizes, 10), Inputs: makeInputs(sizes), Pair: pairIDs})
@@ -205,12 +219,12 @@ func TestReplacedShardIsComparedAgain(t *testing.T) {
 		t.Fatalf("%d reducers with work, want two", len(worked))
 	}
 	r, other := worked[0], worked[1]
+	if !isOwnedList(c.trace.shards[r], c.idx.ownedBy(r)) {
+		t.Fatalf("reducer %d's shard is not its owned list before the replacement", r)
+	}
 	replaced := slices.Clone(c.trace.shards[r])
 	replaced[0] = c.trace.shards[other][0] // other's pair twice, r's first pair never
 	c.trace.shards[r] = replaced
-	if c.trace.vouched(r) {
-		t.Fatal("a replaced shard kept its reducer's verdict")
-	}
 	want, slow, err := assertVerdictsAgree(t, c.idx, c.schema.NumReducers(), eventsOf(c.trace))
 	if slow != 1 || !errors.Is(err, ErrDuplicatePair) || !errors.Is(err, ErrUncoveredPair) || len(want) != 2 {
 		t.Fatalf("verdict %v from %d slow replays; want one duplicate and one uncovered pair from one", want, slow)
@@ -287,8 +301,6 @@ func TestForeignCopiesFailTheRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c.takeLog()
-			defer putTraceLog(c.log)
 			job := c.job()
 			route := job.route
 			job.route = func(i int) []int {

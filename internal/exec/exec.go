@@ -74,15 +74,12 @@ type Request struct {
 	// with the one an earlier run of the same schema left in it; nil compiles
 	// the schema for this run alone.
 	Compiler *Compiler
-	// NoAudit skips the conformance check of the run (the schema's own
-	// PreCheck always runs): the reducers do not compare their logs with
-	// their owned-pair lists, and nothing checks the trace after the run.
-	// What it saves is small: the reducers log their pairs either way —
-	// eight bytes per pair, appended to the reducer's section of the run's
-	// log, which is also where PairsProcessed comes from — and the check of a
-	// healthy run is one sequential comparison per reducer of its log against
-	// the owned-pair list PreCheck already derived, made on the reducer's
-	// goroutine, and one verdict per reducer read after the run.
+	// NoAudit skips the post-run conformance check: nothing compares the
+	// run's trace and loads with the schema after the run (the schema's own
+	// PreCheck always runs). What it saves is small: every reducer checks
+	// the pairs it processes against its owned-pair list either way, one
+	// comparison per pair as it goes, and the post-run check of a healthy
+	// run reads one slice header per reducer.
 	NoAudit bool
 }
 
@@ -149,8 +146,6 @@ func Run(req Request) (*Result, error) {
 		obsRunsOK.Inc()
 		return &Result{Schema: c.schema, Audited: !req.NoAudit}, nil
 	}
-	c.takeLog()
-	defer putTraceLog(c.log)
 	endStream := sp.Stage("exec_stream")
 	obsPipelineDepth.Inc()
 	res, err := runJob(&req, c.job(), &c.in)
@@ -188,8 +183,6 @@ type compilation struct {
 	in     sizedSource // the run's input stream
 	idx    *schemaIndex
 	trace  *trace
-	// log is the buffer the reducers' trace logs are cut from (logSection).
-	log []pairEntry
 	// expectedLoads is the byte image of the schema's routing per reducer;
 	// expectedCopies is the matching record count per reducer.
 	expectedLoads  []int64
@@ -329,7 +322,8 @@ func (s *sizedSource) Next() ([]byte, error) {
 // reduce takes one reducer's copies, whose IDs are stream indexes — input i
 // of the A2A set, or of the X side below numX — and rewrites the Y side's to
 // Y input IDs (index i is Y input i-numX), then elects this reducer's owned
-// pairs, logs them, and applies the user PairFunc.
+// pairs, checks them against its owned-pair list, and applies the user
+// PairFunc.
 //
 // The copies must be exactly the reducer's schema members, as the engine
 // routes them; any other set fails the run (errForeignCopies). Owner election
@@ -337,10 +331,12 @@ func (s *sizedSource) Next() ([]byte, error) {
 // derived from the membership rows independently of the auditor's sweep (two
 // derivations, one cross-check).
 //
-// The log is the call's own (logSection) and published when the call
-// succeeds, so the hot loop shares nothing. Unless the run skips its audit,
-// the call also compares the log with its owned-pair list, so the audit's
-// comparison of this section runs here, in parallel with the other reducers.
+// Each pair is compared with the next entry of the sweep's list for this
+// reducer as it is processed. While they agree the call stores nothing, and
+// when it succeeds it publishes the prefix of the list it matched, capped so
+// no append can reach the shared list. At the first disagreement it copies
+// that prefix into a log of its own and appends every pair from there on, so
+// the shard is always exactly what the reducer processed, in order.
 func (c *compilation) reduce(self int, copies []Record, emit func([]byte)) error {
 	aRecs := sortAndDedupeRecords(copies) // A2A uses aRecs only; X2Y splits it by side
 	bRecs := aRecs
@@ -356,7 +352,9 @@ func (c *compilation) reduce(self int, copies []Record, emit func([]byte)) error
 	if !e.holds(aRecs, bRecs) {
 		return fmt.Errorf("%w: reducer %d", errForeignCopies, self)
 	}
-	log, pair := c.logSection(self), c.req.Pair
+	owned, pair := c.idx.ownedBy(self), c.req.Pair
+	n := 0              // while log is nil, owned[:n] is what the reducer processed
+	var log []pairEntry // what it processed, once it left owned
 	for i, a := range aRecs {
 		j := 0
 		if a2a {
@@ -368,7 +366,15 @@ func (c *compilation) reduce(self int, copies []Record, emit func([]byte)) error
 				continue
 			}
 			b := bRecs[j]
-			log = append(log, pairEntry{int32(a.ID), int32(b.ID)})
+			p := pairEntry{int32(a.ID), int32(b.ID)}
+			switch {
+			case log == nil && n < len(owned) && owned[n] == p:
+				n++
+			case log == nil:
+				log = append(owned[:n:n], p) // the cap makes append copy
+			default:
+				log = append(log, p)
+			}
 			if err := pair(a, b, emit); err != nil {
 				if a2a {
 					return fmt.Errorf("exec: pair (%d,%d): %w", a.ID, b.ID, err)
@@ -377,32 +383,11 @@ func (c *compilation) reduce(self int, copies []Record, emit func([]byte)) error
 			}
 		}
 	}
-	if !c.req.NoAudit && slices.Equal(log, c.idx.ownedBy(self)) {
-		c.trace.checked[self] = log
+	if log == nil {
+		log = owned[:n:n]
 	}
 	c.trace.publish(self, log)
 	return nil
-}
-
-// takeLog readies the run's trace log: one pooled buffer with an entry per
-// pair the schema covers. Run gives it back when it returns — after the
-// audit, whose replay of a failing trace keeps nothing of it; the engine
-// waits for every reduce call before it returns, also when it fails, and a
-// Result holds no reference to the trace.
-func (c *compilation) takeLog() {
-	c.idx.sweep()
-	c.log = getTraceLog(len(c.idx.owned))
-}
-
-// logSection returns reducer r's part of the run's log, empty and capped at
-// the pairs r owns: a conforming reducer fills it exactly, and one that
-// processes more than it owns grows into a private reallocation instead of
-// its neighbour's part, so it is still logged, and still named by the audit.
-// The engine runs each reduce task once, on one goroutine, so a section has
-// one writer.
-func (c *compilation) logSection(r int) []pairEntry {
-	start, end := c.idx.ownedRange(r)
-	return c.log[start:start:end]
 }
 
 // sortAndDedupeRecords orders records by ID so pair enumeration is

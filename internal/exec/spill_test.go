@@ -239,8 +239,6 @@ func TestCorruptSpilledIndexFailsTheRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.takeLog()
-	defer putTraceLog(c.log)
 	p := newPipeline(&req, c.job(), &c.in)
 	if err := p.mapPhase(); err != nil {
 		t.Fatal(err)

@@ -169,9 +169,10 @@ func Pair(fn PairFunc) Option {
 	return func(r *request) { r.pair = fn }
 }
 
-// NoAudit skips Execute's conformance audit. The audit costs one trace entry
-// per required pair, so very large runs of already-trusted schemas can opt
-// out; Execution.Audited reports false.
+// NoAudit skips Execute's post-run conformance audit of the trace and the
+// loads; Execution.Audited reports false. The reducers check the pairs they
+// process against the schema's owners either way, and a healthy run stores
+// nothing per pair, so what it saves is small.
 func NoAudit() Option {
 	return func(r *request) { r.noAudit = true }
 }
