@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
 	"sync"
@@ -28,6 +29,11 @@ var (
 	// the load the schema's routing prescribes.
 	ErrLoadMismatch = errors.New("exec: achieved reducer load differs from the schema's routing")
 )
+
+// errSplitClass fails PreCheck when a reducer holds some but not all of the
+// members of a class of identical routes on one side. The classes are built
+// from the routes, so only a fault in the index itself produces one.
+var errSplitClass = errors.New("exec: reducer holds part of an input class")
 
 // Violation is one conformance failure.
 type Violation struct {
@@ -74,43 +80,46 @@ func (e *AuditError) Unwrap() []error {
 	return errs
 }
 
-// trace is the log of processed pairs one execution produces: one shard per
-// reducer, published once by its reduce call when the call succeeds, so the
-// per-pair hot loop touches no atomic and no shared cache line. A reducer
-// that processed exactly a prefix of its owned-pair list, in order, publishes
-// that prefix of the index's own list (capped, so nothing appends into it);
-// one that strayed publishes a log of its own (see compilation.reduce). The
-// auditor checks the shards against the schema's promises; tests fabricate
-// shards to probe the auditor itself.
+// auditError aggregates violations into an *AuditError, or returns nil when
+// there is none.
+func auditError(violations []Violation) error {
+	if len(violations) == 0 {
+		return nil
+	}
+	return &AuditError{Violations: violations}
+}
+
+// trace is what one execution's reducers processed: per reducer a clean flag
+// (it processed exactly its owned pairs, in order) or a log, set once by its
+// reduce call when the call succeeds (see compilation.reduce). Reducers write
+// distinct entries and the engine's completion orders those writes before
+// the audit's reads, so the per-pair hot loop touches no lock, no atomic and
+// no shared cache line. Tests fabricate traces to probe the auditor itself.
 type trace struct {
-	shards [][]pairEntry // shards[r] is what reducer r processed, in order
+	shards [][]pairEntry // shards[r] is what reducer r processed, in order, unless clean[r]
+	clean  []bool        // clean[r]: reducer r processed exactly its owned pairs, in order
 }
 
 // pairEntry is one logged pair: for A2A the two input IDs with a < b, for
 // X2Y the X-side ID then the Y-side ID.
 type pairEntry struct{ a, b int32 }
 
-const pairEntryBytes = 8
-
 // newTrace returns an empty trace for a job of numReducers reducers.
 func newTrace(numReducers int) *trace {
-	return &trace{shards: make([][]pairEntry, numReducers)}
+	return &trace{shards: make([][]pairEntry, numReducers), clean: make([]bool, numReducers)}
 }
 
-// publish stores the log of a successful reduce call as the reducer's shard.
-// A reduce call that fails never publishes; its error fails the run. Reducers
-// write distinct shards, and the engine's completion orders those writes
-// before the audit's reads, so the sharded form needs no lock.
-func (t *trace) publish(reducer int, log []pairEntry) {
-	t.shards[reducer] = log
-}
-
-// pairs returns how many pairs were logged: log entries, which are the
-// distinct pairs processed whenever the trace passes the audit.
-func (t *trace) pairs() int64 {
+// pairs returns how many pairs were processed by the index's reducers: the
+// owned pairs of the clean ones and the log entries of the others, which are
+// the distinct pairs processed whenever the trace passes the audit.
+func (t *trace) pairs(idx *schemaIndex) int64 {
 	var n int64
-	for _, log := range t.shards {
-		n += int64(len(log))
+	for r, log := range t.shards {
+		if t.clean[r] {
+			n += int64(idx.election(r).pairs)
+		} else {
+			n += int64(len(log))
+		}
 	}
 	return n
 }
@@ -123,11 +132,11 @@ type shape struct{ numA, numX, numY int }
 // that is independent of the request's payload bytes: the per-input reducer
 // assignment slices the engine routes copies along, the bitset membership rows
 // (one CoverSet over reducer indexes per input) that owner lookups run on,
-// the per-reducer owner elections by class that the compiled reducers read
-// (derived from the rows), the owned-pair lists and the static verdict. It is immutable once built (the lazy parts are
-// guarded), so a Compiler hands one index to every run of the same schema; a
-// retained index is built over a private copy of the schema, never the
-// caller's.
+// the classes of identical rows, the per-reducer elections and owned blocks
+// by class, and the static verdict. It is immutable once built (the lazy
+// parts are guarded), so a Compiler hands one index to every run of the same
+// schema; a retained index is built over a private copy of the schema, never
+// the caller's.
 type schemaIndex struct {
 	schema *core.MappingSchema
 	shape
@@ -136,16 +145,20 @@ type schemaIndex struct {
 	routes [][]int
 	// rows are the bitset rows matching routes, in the same stream order.
 	rows []core.CoverSet
+	// copies[r] is how many copies the routes send reducer r.
+	copies []int
+	// classOf numbers the classes of identical routes, every input's class
+	// in stream order; numClasses counts them.
+	classOf    []int32
+	numClasses int
 
-	// sweepOnce guards owned/ownedEnd, the result of the one ascending
-	// reducer sweep every audit of this schema shares (see sweep).
-	sweepOnce sync.Once
-	owned     []pairEntry
-	ownedEnd  []int
-
-	// electOnce guards elections, one per reducer (see elect).
-	electOnce sync.Once
-	elections []election
+	// deriveOnce guards what derive computes: one election per reducer, the
+	// number of pairs the reducers own between them, and the first reducer
+	// found holding part of a class (split), if any.
+	deriveOnce   sync.Once
+	elections    []election
+	coveredPairs int
+	split        error
 
 	// preOnce/preErr cache PreCheck, which depends only on schema and shape,
 	// so runs sharing the index pay for it once.
@@ -153,24 +166,29 @@ type schemaIndex struct {
 	preErr  error
 }
 
-// election is one reducer's owner election by class. Inputs of one class are
-// held by the same reducers, so whether this reducer owns a pair depends only
-// on the two inputs' classes: bit cb of row ca is set when the rows of the
-// A-side local class ca and the B-side local class cb share no reducer below
-// this one. The A side is the A2A set, or the X side; the B side is the A2A
-// set again, or the Y side. Local classes are numbered per side in order of
-// first appearance among the side's sorted members.
+// election is one reducer's ownership by class. Inputs of one class are held
+// by the same reducers, so whether this reducer owns a pair depends only on
+// the two inputs' classes: bit cb of row ca of a bitmap describes the A-side
+// local class ca (of the A2A set, or the X side) and the B-side local class
+// cb (of the A2A set, or the Y side), numbered per side in order of first
+// appearance among the side's sorted members. bits, the election the reducer
+// runs on, is set when the two classes' rows share no reducer below this
+// one; blocks, the owned blocks it is checked against, when the ascending
+// scan of the schema's member lists meets the two classes here first.
 type election struct {
 	a, b   []int   // sorted members per side (sortedMembers); Y-side IDs for X2Y
 	ca, cb []int32 // local class of each member of a and of b
 	stride int     // words per bitmap row: one word per 64 B-side local classes
 	bits   []uint64
+	blocks []uint64
+	pairs  int // pairs in the owned blocks
 }
 
-// row returns the ownership of A-side member i's pairs.
-func (e *election) row(i int) ownerRow {
+// row returns A-side member i's row of one of the election's bitmaps, bits
+// or blocks.
+func (e *election) row(i int, bitmap []uint64) ownerRow {
 	start := int(e.ca[i]) * e.stride
-	return ownerRow{words: e.bits[start : start+e.stride], cb: e.cb}
+	return ownerRow{words: bitmap[start : start+e.stride], cb: e.cb}
 }
 
 // ownerRow is one A-side member's row of an election bitmap.
@@ -179,8 +197,8 @@ type ownerRow struct {
 	cb    []int32
 }
 
-// has reports whether the reducer owns the pair of the row's member and
-// B-side member j (an index into the election's b).
+// has reports whether the row's bit for the pair of its member and B-side
+// member j (an index into the election's b) is set.
 func (o *ownerRow) has(j int) bool {
 	c := o.cb[j]
 	return o.words[c>>6]>>(c&63)&1 != 0
@@ -276,7 +294,15 @@ func newSchemaIndex(schema *core.MappingSchema, sh shape) (*schemaIndex, error) 
 	} else {
 		routes = assignmentsX2Y(schema, sh.numX, sh.numY)
 	}
-	return &schemaIndex{schema: schema, shape: sh, routes: routes, rows: bitRows(routes, schema.NumReducers())}, nil
+	copies := make([]int, len(schema.Reducers))
+	for r, red := range schema.Reducers {
+		copies[r] = len(red.Inputs) + len(red.XInputs) + len(red.YInputs) // checkIDRanges leaves one side empty
+	}
+	classOf, numClasses := classesOf(routes)
+	return &schemaIndex{
+		schema: schema, shape: sh, routes: routes, rows: bitRows(routes, len(copies)), copies: copies,
+		classOf: classOf, numClasses: numClasses,
+	}, nil
 }
 
 // requiredPairCount returns how many pairs the instance requires covered.
@@ -285,64 +311,6 @@ func (idx *schemaIndex) requiredPairCount() int {
 		return idx.numA * (idx.numA - 1) / 2
 	}
 	return idx.numX * idx.numY
-}
-
-// pairIndex maps a required pair to its dense offset: the strictly-upper
-// triangle for A2A (i < j), the full grid for X2Y.
-func (idx *schemaIndex) pairIndex(i, j int) int {
-	if idx.schema.Problem == core.ProblemA2A {
-		return i*(2*idx.numA-i-1)/2 + (j - i - 1)
-	}
-	return i*idx.numY + j
-}
-
-// sweep derives the owner of every pair the schema covers, once per index,
-// by scanning reducers in ascending index order: the first reducer containing
-// a pair is, by definition, the pair's owning reducer. This replaces the
-// per-pair set intersections of the old verification loop (O(m² ·
-// replication) work) with O(Σ |reducer members|²) work at O(1) per visit.
-//
-// The result is kept as one flat list grouped by owner: owned[ownedEnd[r-1]:
-// ownedEnd[r]] holds reducer r's pairs in sorted-member order (members
-// ascending and de-duplicated; for X2Y, X-side outer and Y-side inner) —
-// the order a compiled reducer processes them in. PreCheck prices coverage
-// from the list's length, every reducer checks its pairs against its part of
-// it as it processes them, and checkTrace compares it with the trace shard by
-// shard, so every run of one index shares one sweep.
-func (idx *schemaIndex) sweep() {
-	idx.sweepOnce.Do(func() {
-		required := idx.requiredPairCount()
-		covered := core.GetCoverSet(required)
-		defer core.PutCoverSet(covered)
-		owned := make([]pairEntry, 0, required)
-		ends := make([]int, len(idx.schema.Reducers))
-		claim := func(p, i, j int) {
-			if !covered.Contains(p) {
-				covered.Add(p)
-				owned = append(owned, pairEntry{int32(i), int32(j)})
-			}
-		}
-		for r, red := range idx.schema.Reducers {
-			if idx.schema.Problem == core.ProblemA2A {
-				members := sortedMembers(red.Inputs)
-				for a, i := range members {
-					base := idx.pairIndex(i, i+1) - (i + 1) // pairIndex(i, j) == base + j
-					for _, j := range members[a+1:] {
-						claim(base+j, i, j)
-					}
-				}
-			} else {
-				xs, ys := sortedMembers(red.XInputs), sortedMembers(red.YInputs)
-				for _, x := range xs {
-					for _, y := range ys {
-						claim(idx.pairIndex(x, y), x, y)
-					}
-				}
-			}
-			ends[r] = len(owned)
-		}
-		idx.owned, idx.ownedEnd = owned, ends
-	})
 }
 
 // sortedMembers returns a reducer's member list ascending and without
@@ -360,102 +328,170 @@ func sortedMembers(ids []int) []int {
 	return ids
 }
 
-// ownedBy returns the pairs the sweep assigns to reducer r, in the order a
-// compiled reducer processes them.
-func (idx *schemaIndex) ownedBy(r int) []pairEntry {
-	idx.sweep()
-	start := 0
-	if r > 0 {
-		start = idx.ownedEnd[r-1]
-	}
-	return idx.owned[start:idx.ownedEnd[r]]
-}
-
-// elect derives every reducer's owner election by class, once per index. The
-// classes group identical rows; a reducer's bitmap then costs one
-// IntersectsBelow per pair of its local classes — for A2A per unordered pair
-// — where the per-pair test cost one per pair of members in every run. The
-// bitmaps come from the rows and the owned-pair lists from the sweep, so the
-// audit's comparison of the two stays a cross-check.
-func (idx *schemaIndex) elect() {
-	idx.electOnce.Do(func() {
-		classOf, numClasses := classesOf(idx.routes)
-		local := make([]int32, numClasses) // class -> local class on the side being numbered, or -1
-		for c := range local {
-			local[c] = -1
+// derive computes every reducer's election, once per index, in one ascending
+// pass over the reducers. Each bitmap costs one step per pair of the
+// reducer's local classes (for A2A per unordered pair): for bits one
+// IntersectsBelow of the two classes' rows, for blocks one look at a
+// transient set of the global class pairs met below; the first reducer
+// holding two classes owns every pair of their members, and pairs counts
+// them. The pass also checks that every class a reducer holds is there whole,
+// on that side: that makes a block exactly its classes' pairs, anchored in
+// the member lists. split records the first reducer holding part of one.
+func (idx *schemaIndex) derive() {
+	idx.deriveOnce.Do(func() {
+		a2a, n := idx.schema.Problem == core.ProblemA2A, idx.numClasses
+		size := make([]int32, 2*n) // class g's members: on the A side at g, on the Y side at n+g
+		for i, g := range idx.classOf {
+			if !a2a && i >= idx.numX {
+				g += int32(n)
+			}
+			size[g]++
 		}
+		local := slices.Repeat([]int32{-1}, n) // class -> local class on the side being numbered, or -1
 		refs := 0
 		for r := range idx.schema.Reducers {
 			red := &idx.schema.Reducers[r]
 			refs += len(red.Inputs) + len(red.XInputs) + len(red.YInputs)
 		}
 		classes := make([]int32, 0, refs) // every side's local classes, back to back
-		// number gives one side's members (stream index id+offset) their
-		// local classes and appends each local class's first member to reps.
-		number := func(members []int, offset int, reps []int) ([]int32, []int) {
+		// number gives reducer r's members on one side (stream index
+		// id+offset) their local classes, appends each one's first member to
+		// reps and its member count to counts, and checks the counts.
+		number := func(r int, members []int, offset int, sizes []int32, reps []int, counts []int32) ([]int32, []int, []int32) {
 			start := len(classes)
 			for _, id := range members {
-				c := classOf[id+offset]
+				c := idx.classOf[id+offset]
 				if local[c] < 0 {
 					local[c] = int32(len(reps))
-					reps = append(reps, id+offset)
+					reps, counts = append(reps, id+offset), append(counts, 0)
 				}
+				counts[local[c]]++
 				classes = append(classes, local[c])
 			}
-			for _, s := range reps {
-				local[classOf[s]] = -1
+			for c, s := range reps {
+				g := idx.classOf[s]
+				local[g] = -1
+				if counts[c] != sizes[g] && idx.split == nil {
+					idx.split = fmt.Errorf("%w: reducer %d holds %d of the %d members of the class of stream input %d", errSplitClass, r, counts[c], sizes[g], s)
+				}
 			}
-			return classes[start:len(classes):len(classes)], reps
+			return classes[start:len(classes):len(classes)], reps, counts
 		}
-		a2a := idx.schema.Problem == core.ProblemA2A
+		covered := core.GetCoverSet(n * n)
+		defer core.PutCoverSet(covered)
 		elections := make([]election, len(idx.schema.Reducers))
 		starts := make([]int, len(elections)+1)
-		var bits []uint64
+		var backing []uint64
 		var repsA, repsB []int
+		var countA, countB []int32
 		for r := range elections {
 			e, red := &elections[r], &idx.schema.Reducers[r]
 			if a2a {
 				e.a = sortedMembers(red.Inputs)
-				e.ca, repsA = number(e.a, 0, repsA[:0])
-				e.b, e.cb, repsB = e.a, e.ca, repsA
+				e.ca, repsA, countA = number(r, e.a, 0, size[:n], repsA[:0], countA[:0])
+				e.b, e.cb, repsB, countB = e.a, e.ca, repsA, countA
 			} else {
 				e.a, e.b = sortedMembers(red.XInputs), sortedMembers(red.YInputs)
-				e.ca, repsA = number(e.a, 0, repsA[:0])
-				e.cb, repsB = number(e.b, idx.numX, repsB[:0])
+				e.ca, repsA, countA = number(r, e.a, 0, size[:n], repsA[:0], countA[:0])
+				e.cb, repsB, countB = number(r, e.b, idx.numX, size[n:], repsB[:0], countB[:0])
 			}
 			e.stride = (len(repsB) + 63) / 64
-			start := len(bits)
-			bits = append(bits, make([]uint64, len(repsA)*e.stride)...)
-			set := func(ca, cb int) {
-				bits[start+ca*e.stride+cb>>6] |= 1 << (cb & 63)
+			words, start := len(repsA)*e.stride, len(backing)
+			backing = append(backing, make([]uint64, 2*words)...)
+			elected, blocks := backing[start:start+words], backing[start+words:]
+			set := func(m []uint64, ca, cb int) {
+				m[ca*e.stride+cb>>6] |= 1 << (cb & 63)
+				if a2a { // the bitmaps are symmetric: each class pair is visited once
+					m[cb*e.stride+ca>>6] |= 1 << (ca & 63)
+				}
 			}
 			for ca, sa := range repsA {
 				first := 0
 				if a2a {
-					first = ca // the bitmap is symmetric: test each class pair once
+					first = ca
 				}
 				for cb := first; cb < len(repsB); cb++ {
-					if !idx.rows[sa].IntersectsBelow(&idx.rows[repsB[cb]], r) {
-						set(ca, cb)
-						if a2a {
-							set(cb, ca)
-						}
+					sb := repsB[cb]
+					if !idx.rows[sa].IntersectsBelow(&idx.rows[sb], r) {
+						set(elected, ca, cb)
+					}
+					ga, gb := int(idx.classOf[sa]), int(idx.classOf[sb])
+					if a2a && ga > gb {
+						ga, gb = gb, ga
+					}
+					if covered.Contains(ga*n + gb) {
+						continue
+					}
+					covered.Add(ga*n + gb)
+					set(blocks, ca, cb)
+					if a2a && ca == cb {
+						e.pairs += int(countA[ca]) * int(countA[ca]-1) / 2
+					} else {
+						e.pairs += int(countA[ca]) * int(countB[cb])
 					}
 				}
 			}
-			starts[r+1] = len(bits)
+			idx.coveredPairs += e.pairs
+			starts[r+1] = len(backing)
 		}
 		for r := range elections {
-			elections[r].bits = bits[starts[r]:starts[r+1]:starts[r+1]]
+			lo, hi := starts[r], starts[r+1]
+			mid := (lo + hi) / 2
+			elections[r].bits, elections[r].blocks = backing[lo:mid:mid], backing[mid:hi:hi]
 		}
 		idx.elections = elections
 	})
 }
 
-// election returns reducer r's owner election.
+// election returns reducer r's election.
 func (idx *schemaIndex) election(r int) *election {
-	idx.elect()
+	idx.derive()
 	return &idx.elections[r]
+}
+
+// expand appends to dst the first n of reducer r's owned pairs (all of them
+// when it owns fewer), in the order a compiled reducer processes its pairs:
+// A-side members ascending outer, B-side members ascending inner (for A2A,
+// those above the A-side one). It first spreads each A-side local class's
+// row of blocks over the B-side members, one bit per member, so that the
+// members of a class share one pass over the row and the expansion steps
+// from owned pair to owned pair.
+func (idx *schemaIndex) expand(dst []pairEntry, r, n int) []pairEntry {
+	e := idx.election(r)
+	if e.stride == 0 {
+		return dst
+	}
+	words, end := (len(e.b)+63)/64, len(dst)+n
+	masks := make([]uint64, len(e.blocks)/e.stride*words)
+	for k := range masks {
+		ca, j0 := k/words, k%words*64
+		row := e.blocks[ca*e.stride : (ca+1)*e.stride]
+		for j, cb := range e.cb[j0:min(j0+64, len(e.b))] {
+			masks[k] |= (row[cb>>6] >> (cb & 63) & 1) << j
+		}
+	}
+	a2a, bs := idx.schema.Problem == core.ProblemA2A, e.b
+	dst = slices.Grow(dst, min(n, e.pairs))
+	for i, a := range e.a {
+		first := 0
+		if a2a {
+			first = i + 1
+		}
+		mask := masks[int(e.ca[i])*words : (int(e.ca[i])+1)*words]
+		for k := first >> 6; k < words; k++ {
+			w := mask[k]
+			if k == first>>6 {
+				w &^= 1<<(first&63) - 1
+			}
+			for ; w != 0; w &= w - 1 {
+				if len(dst) == end {
+					return dst
+				}
+				dst = append(dst, pairEntry{int32(a), int32(bs[k<<6+bits.TrailingZeros64(w)])})
+			}
+		}
+	}
+	return dst
 }
 
 // classesOf numbers the classes of identical routes and returns every
@@ -481,23 +517,20 @@ func classesOf(routes [][]int) ([]int32, int) {
 }
 
 // conforms is the audit's fast replay: the trace is exactly what the schema
-// prescribes when every required pair has an owner and every reducer's shard
-// equals the sweep's list for that reducer entry for entry and length for
-// length — every pair once, at its owner, and nothing else. A shard that is
-// the owned list itself (same first element, same length) is what its
-// reducer published after comparing every pair with it, on the reducer's
-// goroutine, so only the other shards are compared here.
+// prescribes when every required pair has an owner and every reducer
+// processed its owned pairs, in order, and nothing else. A clean reducer
+// checked that as it went, so only the other shards are walked here.
 func (idx *schemaIndex) conforms(tr *trace) bool {
-	idx.sweep()
-	if len(idx.owned) != idx.requiredPairCount() || len(tr.shards) != len(idx.ownedEnd) {
+	idx.derive()
+	if idx.split != nil || idx.coveredPairs != idx.requiredPairCount() || len(tr.shards) != len(idx.elections) {
 		return false
 	}
+	var want []pairEntry
 	for r, shard := range tr.shards {
-		owned := idx.ownedBy(r)
-		if len(shard) > 0 && len(shard) == len(owned) && &shard[0] == &owned[0] {
+		if tr.clean[r] {
 			continue
 		}
-		if !slices.Equal(shard, owned) {
+		if want = idx.expand(want[:0], r, len(shard)+1); !slices.Equal(shard, want) {
 			return false
 		}
 	}
@@ -525,23 +558,20 @@ type Auditor struct {
 
 // NewAuditor builds the auditor for an A2A schema over numInputs inputs.
 func NewAuditor(schema *core.MappingSchema, numInputs int) (*Auditor, error) {
-	if schema.Problem != core.ProblemA2A {
-		return nil, fmt.Errorf("exec: NewAuditor needs an A2A schema, got %v", schema.Problem)
-	}
-	idx, err := newSchemaIndex(schema, shape{numA: numInputs})
-	if err != nil {
-		return nil, err
-	}
-	return &Auditor{idx: idx}, nil
+	return newAuditor("NewAuditor", core.ProblemA2A, schema, shape{numA: numInputs})
 }
 
 // NewAuditorX2Y builds the auditor for an X2Y schema over numX and numY
 // inputs per side.
 func NewAuditorX2Y(schema *core.MappingSchema, numX, numY int) (*Auditor, error) {
-	if schema.Problem != core.ProblemX2Y {
-		return nil, fmt.Errorf("exec: NewAuditorX2Y needs an X2Y schema, got %v", schema.Problem)
+	return newAuditor("NewAuditorX2Y", core.ProblemX2Y, schema, shape{numX: numX, numY: numY})
+}
+
+func newAuditor(caller string, want core.Problem, schema *core.MappingSchema, sh shape) (*Auditor, error) {
+	if schema.Problem != want {
+		return nil, fmt.Errorf("exec: %s needs an %v schema, got %v", caller, want, schema.Problem)
 	}
-	idx, err := newSchemaIndex(schema, shape{numX: numX, numY: numY})
+	idx, err := newSchemaIndex(schema, sh)
 	if err != nil {
 		return nil, err
 	}
@@ -590,10 +620,11 @@ func (idx *schemaIndex) requiredPairs(fn func(i, j int)) {
 
 // PreCheck verifies the schema's own promises before anything runs: every
 // declared reducer load is within the capacity q and every required pair has
-// an owning reducer. It returns an *AuditError listing every violation.
-// Coverage is counted from the owner sweep, eight bytes per covered pair; the
-// result is cached on the index, so runs that share one pay for the sweep
-// once.
+// an owning reducer. It returns an *AuditError listing every violation, or
+// the error of a reducer that holds part of a class of identical routes, which
+// only a fault in the index produces. Coverage is the sum of the reducers'
+// owned pairs, counted per block of two classes; the result is cached on the
+// index, so runs that share one derive the blocks once.
 func (a *Auditor) PreCheck() error { return a.idx.preCheck() }
 
 // preCheck is PreCheck's verdict on the index, computed once by staticCheck.
@@ -612,34 +643,27 @@ func (idx *schemaIndex) staticCheck() error {
 			})
 		}
 	}
-	idx.sweep()
-	if required := idx.requiredPairCount(); len(idx.owned) != required {
+	if idx.derive(); idx.split != nil {
+		return idx.split
+	}
+	if idx.coveredPairs != idx.requiredPairCount() {
 		// Slow path only on failure: name every uncovered pair.
-		covered := core.GetCoverSet(required)
-		for _, e := range idx.owned {
-			covered.Add(idx.pairIndex(int(e.a), int(e.b)))
-		}
 		idx.requiredPairs(func(i, j int) {
-			if !covered.Contains(idx.pairIndex(i, j)) {
+			if idx.owner(i, j) < 0 {
 				violations = append(violations, Violation{
 					Err: ErrUncoveredPair, Reducer: -1, A: i, B: j,
 					Detail: fmt.Sprintf("pair (%d,%d) shares no reducer", i, j),
 				})
 			}
 		})
-		core.PutCoverSet(covered)
 	}
-	if len(violations) > 0 {
-		return &AuditError{Violations: violations}
-	}
-	return nil
+	return auditError(violations)
 }
 
 // checkTrace verifies that the run processed every required pair exactly
-// once, at its owning reducer. A trace that is exactly what the schema
-// prescribes passes on a sequence comparison per shard, which for a shard
-// its reducer published as its owned list is a look at the slice header;
-// anything else is replayed pair by pair, which names every violation.
+// once, at its owning reducer. A trace that is what the schema prescribes
+// passes in conforms; anything else is replayed pair by pair, which names
+// every violation.
 func (idx *schemaIndex) checkTrace(tr *trace) error {
 	if idx.conforms(tr) {
 		return nil
@@ -649,12 +673,15 @@ func (idx *schemaIndex) checkTrace(tr *trace) error {
 }
 
 // replay is the reference check of a trace: from a lookup of the reducers
-// whose shards hold each logged pair, it names every required pair that was
-// processed other than once at its owner. Logged entries that are not
-// required pairs name nothing.
+// that processed each pair — a clean reducer's owned pairs expanded, another's
+// shard — it names every required pair that was processed other than once at
+// its owner. Logged entries that are not required pairs name nothing.
 func (idx *schemaIndex) replay(tr *trace) error {
 	processedBy := make(map[pairEntry][]int)
 	for r, log := range tr.shards {
+		if tr.clean[r] {
+			log = idx.expand(nil, r, idx.election(r).pairs)
+		}
 		for _, e := range log {
 			processedBy[e] = append(processedBy[e], r)
 		}
@@ -680,10 +707,7 @@ func (idx *schemaIndex) replay(tr *trace) error {
 			})
 		}
 	})
-	if len(violations) > 0 {
-		return &AuditError{Violations: violations}
-	}
-	return nil
+	return auditError(violations)
 }
 
 // checkLoads verifies the engine's measured per-partition loads against the
@@ -705,10 +729,7 @@ func (c *compilation) checkLoads(counters *Counters) error {
 			}
 		}
 	}
-	if len(violations) > 0 {
-		return &AuditError{Violations: violations}
-	}
-	return nil
+	return auditError(violations)
 }
 
 // audit is Run's post-run check: trace conformance plus load conformance,
@@ -721,8 +742,5 @@ func (c *compilation) audit(counters *Counters) error {
 			violations = append(violations, ae.Violations...)
 		}
 	}
-	if len(violations) > 0 {
-		return &AuditError{Violations: violations}
-	}
-	return nil
+	return auditError(violations)
 }

@@ -212,7 +212,7 @@ func executedEvents(t *testing.T, req Request) (*compilation, []traceEvent) {
 	if _, err := runJob(&c.req, c.job(), &c.in); err != nil {
 		t.Fatal(err)
 	}
-	return c, eventsOf(c.trace)
+	return c, eventsOf(c.idx, c.trace)
 }
 
 // traceOf builds the trace whose shards log the events, each reducer's in
@@ -225,10 +225,14 @@ func traceOf(numReducers int, events []traceEvent) *trace {
 	return tr
 }
 
-// eventsOf lists what a trace's shards log, reducer by reducer.
-func eventsOf(tr *trace) []traceEvent {
+// eventsOf lists what a trace's reducers processed, reducer by reducer: a
+// clean reducer's owned pairs, another's shard.
+func eventsOf(idx *schemaIndex, tr *trace) []traceEvent {
 	var events []traceEvent
 	for r, log := range tr.shards {
+		if tr.clean[r] {
+			log = ownedList(idx, r)
+		}
 		for _, e := range log {
 			events = append(events, traceEvent{r, int(e.a), int(e.b)})
 		}

@@ -28,8 +28,9 @@ func auditorFixture(b *testing.B, m int) (*core.MappingSchema, *Auditor, *trace)
 		b.Fatal(err)
 	}
 	// Ascending (i, j) is every reducer's sorted-member order. Owners come
-	// from the membership bitsets, as in a compiled reducer, not from the
-	// sweep the auditor checks them against.
+	// from the membership bitsets, not from the owned blocks the auditor
+	// checks them against. No reducer is clean, so the audit walks every
+	// shard against its reducer's owned pairs.
 	logs := make([][]pairEntry, ms.NumReducers())
 	for i := 0; i < m; i++ {
 		for j := i + 1; j < m; j++ {
@@ -38,19 +39,17 @@ func auditorFixture(b *testing.B, m int) (*core.MappingSchema, *Auditor, *trace)
 		}
 	}
 	tr := newTrace(ms.NumReducers())
-	for r, log := range logs {
-		tr.publish(r, log)
-	}
+	tr.shards = logs
 	return ms, aud, tr
 }
 
 // BenchmarkAuditorVerify times one full conformance verification of an
 // m-input schema from nothing: the schema index a compiled run builds,
-// PreCheck (the owner sweep: every pair has an owner, loads within q) and
-// checkTrace (every pair processed exactly once, at its owner). A fresh
-// index per iteration keeps the sweep, which an index computes once, inside
-// the measurement: this is what every audited execution of a schema not yet
-// compiled pays on its serial path.
+// PreCheck (the elections and owned blocks: every pair has an owner, loads
+// within q) and checkTrace (every pair processed exactly once, at its
+// owner). A fresh index per iteration keeps the derivation, which an index
+// makes once, inside the measurement: this is what every audited execution
+// of a schema not yet compiled pays on its serial path.
 func BenchmarkAuditorVerify(b *testing.B) {
 	for _, m := range []int{100, 1000} {
 		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {

@@ -247,11 +247,11 @@ func TestGoldenRunsTakeTheAuditFastPath(t *testing.T) {
 	}
 
 	// Corrupt a real run's trace: the first reducer with work loses its
-	// first entry.
+	// first pair.
 	c, _ := executedEvents(t, reqs[0])
-	for r, log := range c.trace.shards {
-		if len(log) > 0 {
-			c.trace.shards[r] = log[1:]
+	for r := range c.trace.shards {
+		if c.idx.election(r).pairs > 0 {
+			c.trace.clean[r], c.trace.shards[r] = false, ownedList(c.idx, r)[1:]
 			break
 		}
 	}

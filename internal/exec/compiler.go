@@ -10,7 +10,8 @@ import (
 )
 
 const (
-	// maxCacheBytes bounds what one Compiler retains.
+	// maxCacheBytes bounds what one Compiler retains. An index weighs a few
+	// words per input, ID reference and reducer, and nothing per pair.
 	maxCacheBytes = 64 << 20
 	// admissionSlots is the size of a Compiler's table of recently missed
 	// hashes.
@@ -87,9 +88,8 @@ func (cp *Compiler) index(schema *core.MappingSchema, sh shape) (*schemaIndex, *
 		return nil, nil, err
 	}
 	// Everything lazy is forced before the index is shared: the verdict
-	// decides whether it is kept, the sweep and the elections what it weighs.
+	// (which derives the elections) decides whether it is kept.
 	verdict := idx.preCheck()
-	idx.elect()
 	size := idx.retainedBytes()
 	if verdict != nil || size > cp.maxBytes {
 		return idx, obsCompileUncacheable, nil
@@ -207,22 +207,21 @@ func cloneSchema(ms *core.MappingSchema) *core.MappingSchema {
 
 // retainedBytes estimates what keeping the index alive keeps alive: the
 // private schema and its transpose (one word per ID reference each), a slice
-// header, a CoverSet and a membership row per input, a core.Reducer, a list
-// end and an election per reducer, the elections' local classes (four bytes
-// per ID reference) and bitmaps, and the owned-pair list. It sweeps and
-// elects for the last two.
+// header, a CoverSet, a membership row and a class number per input, a
+// core.Reducer, a copy count and an election per reducer, and the elections'
+// local classes (four bytes per ID reference) and two bitmaps. Nothing in it
+// grows with the pair count. It derives the elections for the last term.
 func (idx *schemaIndex) retainedBytes() int64 {
-	idx.sweep()
-	idx.elect()
+	idx.derive()
 	refs, bitmapWords := 0, 0
 	for r := range idx.schema.Reducers {
-		red := &idx.schema.Reducers[r]
+		red, e := &idx.schema.Reducers[r], &idx.elections[r]
 		refs += len(red.Inputs) + len(red.XInputs) + len(red.YInputs)
-		bitmapWords += len(idx.elections[r].bits)
+		bitmapWords += len(e.bits) + len(e.blocks)
 	}
-	n := len(idx.schema.Reducers)
+	n, inputs := len(idx.schema.Reducers), idx.numA+idx.numX+idx.numY
 	perInput := 3 + 4 + (n+63)/64
-	const perReducer = 10 + 1 + 16
-	words := 2*refs + (idx.numA+idx.numX+idx.numY)*perInput + n*perReducer + bitmapWords
-	return 8*int64(words) + 4*int64(refs) + pairEntryBytes*int64(len(idx.owned))
+	const perReducer = 10 + 1 + 20
+	words := 2*refs + inputs*perInput + n*perReducer + bitmapWords
+	return 8*int64(words) + 4*int64(refs+inputs)
 }

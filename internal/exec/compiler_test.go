@@ -354,7 +354,7 @@ func TestCompilerByteBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	one := probe.retainedBytes()
-	if one < 8*(m*(m-1)/2)*3 { // owned pairs, plus each pair's reducer twice over
+	if one < 8*(m*(m-1)/2)*6 { // each pair's reducer: its two ID references twice over and its two bitmaps
 		t.Fatalf("an index over %d pairs weighs %d bytes", m*(m-1)/2, one)
 	}
 
@@ -429,19 +429,19 @@ func (cp *Compiler) purge() {
 // TestOverflowingReducerIsLoggedAndNamed flips one bit of one reducer's
 // class bitmap, so that on the engine it elects a pair a lower reducer owns.
 // It then processes a pair more than it owns: its shard must be a log of its
-// own holding that pair, every other shard its reducer's owned list, and the
-// audit must come out of the slow replay naming the pair processed twice.
+// own holding that pair, every other reducer clean, and the audit must come
+// out of the slow replay naming the pair processed twice.
 func TestOverflowingReducerIsLoggedAndNamed(t *testing.T) {
 	ms, set := validSchema(t)
 	// Reducer 1 covers (0,1) again. Reducer 0 owns it, so reducer 1 owns
-	// nothing: its owned list is empty, and reducer 2's starts where it does.
+	// nothing: its owned blocks expand to no pair.
 	ms.Reducers = slices.Insert(ms.Reducers, 1, core.Reducer{Inputs: []int{0, 1}, Load: 4})
 	c, err := compile(Request{Name: "overflow", Schema: ms, Inputs: makeInputs(set.Sizes()), Pair: pairIDs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := c.idx.election(1)
-	if row := e.row(0); row.has(1) {
+	if row := e.row(0, e.bits); row.has(1) {
 		t.Fatal("reducer 1 elects (0,1) before the flip")
 	}
 	cb := e.cb[1]
@@ -449,15 +449,15 @@ func TestOverflowingReducerIsLoggedAndNamed(t *testing.T) {
 	if _, err := runJob(&c.req, c.job(), &c.in); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := c.trace.shards[1], []pairEntry{{0, 1}}; !slices.Equal(got, want) {
-		t.Fatalf("reducer 1 logged %v, want %v", got, want)
+	if got, want := c.trace.shards[1], []pairEntry{{0, 1}}; !slices.Equal(got, want) || c.trace.clean[1] {
+		t.Fatalf("reducer 1 logged %v (clean=%v), want %v", got, c.trace.clean[1], want)
 	}
 	for r := range ms.Reducers {
-		if r != 1 && !slices.Equal(c.trace.shards[r], c.idx.ownedBy(r)) {
-			t.Fatalf("reducer %d's log is %v, want its owned pairs %v: the stray reducer wrote into it", r, c.trace.shards[r], c.idx.ownedBy(r))
+		if r != 1 && (!c.trace.clean[r] || c.trace.shards[r] != nil) {
+			t.Fatalf("reducer %d: clean=%v, logged %v; want a clean flag and no log", r, c.trace.clean[r], c.trace.shards[r])
 		}
 	}
-	if got := c.trace.pairs(); got != 7 {
+	if got := c.trace.pairs(c.idx); got != 7 {
 		t.Fatalf("trace holds %d entries, want 7", got)
 	}
 	slow := obsSlowReplays.Value()
@@ -476,17 +476,17 @@ func TestOverflowingReducerIsLoggedAndNamed(t *testing.T) {
 
 // skippingIndex returns a copy of idx in which reducer r does not elect the
 // pair p of its members: one bit of a private copy of its class bitmap is
-// cleared. The copy shares everything else with idx, the owned-pair lists
-// included, so a run on it strays from the lists the runs on idx read.
+// cleared. The copy shares everything else with idx, the owned blocks
+// included, so a run on it strays from the blocks the runs on idx read.
 func skippingIndex(t *testing.T, idx *schemaIndex, r int, p pairEntry) *schemaIndex {
 	t.Helper()
 	verdict := idx.preCheck()
-	idx.elect()
 	cp := &schemaIndex{
-		schema: idx.schema, shape: idx.shape, routes: idx.routes, rows: idx.rows,
-		owned: idx.owned, ownedEnd: idx.ownedEnd, elections: slices.Clone(idx.elections), preErr: verdict,
+		schema: idx.schema, shape: idx.shape, routes: idx.routes, rows: idx.rows, copies: idx.copies,
+		classOf: idx.classOf, numClasses: idx.numClasses, elections: slices.Clone(idx.elections),
+		coveredPairs: idx.coveredPairs, split: idx.split, preErr: verdict,
 	}
-	for _, once := range []*sync.Once{&cp.sweepOnce, &cp.electOnce, &cp.preOnce} {
+	for _, once := range []*sync.Once{&cp.deriveOnce, &cp.preOnce} {
 		once.Do(func() {})
 	}
 	e := &cp.elections[r]
@@ -520,17 +520,17 @@ func retainedCompilation(t *testing.T, req Request) *compilation {
 
 // TestUnderflowingReducerIsNamed runs a schema a Compiler retains with
 // reducer 0 skipping the second of its three owned pairs, so from there on
-// its pairs disagree with its owned list. Its shard must be a log of its own
+// its pairs disagree with its owned ones. Its shard must be a log of its own
 // holding exactly the pairs it processed; the audit must come out of one
 // slow replay naming the skipped pair, as the replay does; and a clean run
 // through the same Compiler must take no slow replay, so the retained owned
-// list was never written.
+// blocks were never written.
 func TestUnderflowingReducerIsNamed(t *testing.T) {
 	ms, set := validSchema(t)
 	req := Request{Name: "underflow", Schema: ms, Inputs: makeInputs(set.Sizes()), Pair: pairIDs, Compiler: NewCompiler()}
 	c := retainedCompilation(t, req)
 	shared := c.idx
-	owned := slices.Clone(shared.ownedBy(0))
+	owned, blocks := ownedList(shared, 0), slices.Clone(shared.election(0).blocks)
 	if want := []pairEntry{{0, 1}, {0, 2}, {1, 2}}; !slices.Equal(owned, want) {
 		t.Fatalf("reducer 0 owns %v, want %v", owned, want)
 	}
@@ -538,12 +538,8 @@ func TestUnderflowingReducerIsNamed(t *testing.T) {
 	if _, err := runJob(&c.req, c.job(), &c.in); err != nil {
 		t.Fatal(err)
 	}
-	shard := c.trace.shards[0]
-	if want := []pairEntry{{0, 1}, {1, 2}}; !slices.Equal(shard, want) {
-		t.Fatalf("reducer 0 logged %v, want %v", shard, want)
-	}
-	if &shard[0] == &shared.ownedBy(0)[0] {
-		t.Fatal("the stray reducer's shard is the retained owned list, not a log of its own")
+	if want := []pairEntry{{0, 1}, {1, 2}}; !slices.Equal(c.trace.shards[0], want) || c.trace.clean[0] {
+		t.Fatalf("reducer 0 logged %v (clean=%v), want %v", c.trace.shards[0], c.trace.clean[0], want)
 	}
 	want := violationKeys(t, shared.replay(c.trace))
 	slow := obsSlowReplays.Value()
@@ -561,18 +557,19 @@ func TestUnderflowingReducerIsNamed(t *testing.T) {
 	if slow = obsSlowReplays.Value() - slow; slow != 0 {
 		t.Fatalf("clean run after the stray one took %d slow replays, want 0", slow)
 	}
-	if !slices.Equal(shared.ownedBy(0), owned) {
-		t.Fatalf("reducer 0's retained owned list is %v, was %v", shared.ownedBy(0), owned)
+	if !slices.Equal(shared.election(0).blocks, blocks) || !slices.Equal(ownedList(shared, 0), owned) {
+		t.Fatalf("reducer 0's retained blocks expand to %v, were %v", ownedList(shared, 0), owned)
 	}
 }
 
-// TestStrayRunsLeaveTheRetainedListAlone runs one schema a Compiler retains
-// from several goroutines at once: most run it clean, two run it with a
-// reducer that skips an owned pair and so strays from the owned list every
-// run reads. Every clean run must pass its audit with the output of the
-// first, and every stray one must fail on an uncovered pair; under -race
-// this also shows that no stray reducer writes the list the others read.
-func TestStrayRunsLeaveTheRetainedListAlone(t *testing.T) {
+// TestStrayRunsLeaveTheRetainedBlocksAlone runs one schema a Compiler
+// retains from several goroutines at once: most run it clean, two run it
+// with a reducer that skips an owned pair and so strays from the owned
+// blocks every run reads. Every clean run must pass its audit with the
+// output of the first, and every stray one must fail on an uncovered pair;
+// under -race this also shows that no stray reducer writes what the others
+// read.
+func TestStrayRunsLeaveTheRetainedBlocksAlone(t *testing.T) {
 	sizes := make([]core.Size, 60)
 	for i := range sizes {
 		sizes[i] = 2
@@ -584,10 +581,10 @@ func TestStrayRunsLeaveTheRetainedListAlone(t *testing.T) {
 	}
 	shared := retainedCompilation(t, req).idx
 	r := 0
-	for len(shared.ownedBy(r)) < 2 {
+	for shared.election(r).pairs < 2 {
 		r++
 	}
-	stray := skippingIndex(t, shared, r, shared.ownedBy(r)[1])
+	stray := skippingIndex(t, shared, r, ownedList(shared, r)[1])
 	slow := obsSlowReplays.Value()
 	const goroutines, strays, rounds = 6, 2, 3
 	var wg sync.WaitGroup

@@ -96,8 +96,7 @@
 // invariants. Before the job runs it verifies the schema itself: every
 // declared reducer load is within q (ErrOverCapacity) and every required
 // pair has an owner (ErrUncoveredPair). While the job runs, every compiled
-// reducer checks each pair it processes against the pairs it owns, and
-// publishes what it processed as its shard of the run's trace; afterwards
+// reducer checks each pair it processes against the pairs it owns; afterwards
 // Run cross-checks that every required pair was processed exactly once
 // (ErrUncoveredPair / ErrDuplicatePair), at its owning reducer
 // (ErrWrongOwner), and that the per-reducer loads the engine measured equal
@@ -106,68 +105,46 @@
 // test oracle.
 //
 // The audit is always on, so it is built to cost a healthy run almost
-// nothing, and a healthy run stores nothing per pair. PreCheck derives every pair's
-// owner in one ascending sweep over the reducers (the first reducer
-// containing a pair owns it) and keeps the result as one list of owned pairs
-// per reducer, in the order that reducer will process them. Each reduce call
-// compares every pair it processes with the next entry of its list as it
-// goes, on its own goroutine. A call that matched its list entry for entry
-// publishes the prefix it matched: the list itself, capped so that no append
-// can reach it, and no copy. At its first disagreement a call copies the
-// prefix it matched into a log of its own and appends every pair from there
-// on, so a shard is always exactly what its reducer processed, in order. The
-// engine runs each task once, and a failing reduce call fails the run with
-// its error. The post-run check of a healthy run is then a sequence
-// comparison: reducer r's shard must equal the sweep's list for r, entry for
-// entry and length for length, which is exactly "every pair once, at its
-// owner, nothing else". A shard that is the list itself (same first element,
-// same length) was compared pair by pair as it was processed and is taken as
-// it is; any other shard is compared here. NoAudit skips the post-run check
-// only: its reducers compare their pairs the same way. The two sides derive
-// owners differently — the reducers from class bitmaps derived from the
-// membership rows, the auditor from the sweep — so the comparison is a
-// cross-check, not a tautology. Any mismatch replays the shards pair by
-// pair, looking every required pair up in a map from pair to the reducers
-// whose shards hold it, and names every violation; the
-// pland_exec_audit_slow_replays_total counter says how often that happens
-// (never, for a healthy run).
-//
-// PreCheck always sweeps, so it costs eight bytes per covered pair. A static
-// check of a schema that no run follows needs only whether every pair is
-// covered: core.ValidateA2A answers it in m² bits (12.5 MB against 400 MB at
-// 10,000 inputs), and session restores and recovery use it.
+// nothing, and nothing it keeps grows with the pair count. Every
+// construction puts whole groups of inputs on reducers, so ownership is kept
+// per block of two classes of identical routes: one ascending scan of the
+// reducers' member lists marks, for every reducer, the class pairs it meets
+// first (its owned blocks) and counts their pairs, and PreCheck's coverage is
+// the sum of those counts. The scan also checks that every class a reducer
+// holds is there whole, on that side — what makes a block exactly the pairs
+// of its two classes — and a reducer holding part of a class fails PreCheck.
+// A reducer's owned blocks expand to its owned pairs in the order it
+// processes them. Each reduce call walks its pairs' positions in that order
+// and checks, at each, that it processes the pair exactly when the position
+// is owned, on its own goroutine; a call that agreed to the end sets its
+// reducer's clean flag and stores nothing, and one that strayed keeps a log
+// of exactly what it processed. The engine runs each task once, and a
+// failing reduce call fails the run with its error. The post-run check of a
+// healthy run reads one clean flag per reducer and compares any other
+// reducer's log with its owned pairs — "every pair once, at its owner,
+// nothing else"; a nil or empty log is no clean flag. NoAudit skips the
+// post-run check only. The reducers elect owners from class bitmaps derived
+// from the membership rows and the owned blocks come from the scan of the
+// member lists, so the comparison is a cross-check, not a tautology. Any mismatch replays the
+// run pair by pair through a map from pair to the reducers that processed
+// it and names every violation; pland_exec_audit_slow_replays_total counts
+// those replays (never, for a healthy run). A static check of a schema that
+// no run follows needs only coverage: core.ValidateA2A answers it in m²
+// bits, and session restores and recovery use it.
 //
 // # Compiled once
 //
 // What a run derives from the schema and the instance shape alone — the
-// per-input assignments, the membership bitsets, the owner elections by
-// class, the owned-pair lists, PreCheck's verdict — does not depend on the
-// payload, so a
-// Compiler, handed over in Request.Compiler, keeps it across runs. The cache
-// is keyed by a hash of the schema's content (problem, capacity, every
-// reducer's load and ID lists) and the shape, and a hit counts only after a
-// full comparison with the private deep copy of the schema the entry was
-// compiled from: callers own the schemas they pass in and may change them
-// between runs, and a key is a hint, never evidence. A schema is retained the
-// second time it is seen, through a fixed-size table of recently missed
-// hashes, so executions that never repeat pay one hash each and leave nothing
-// behind. Retained bytes are bounded by an unexported constant, least
-// recently used first out; an index larger than the bound, or whose schema
-// fails PreCheck, is compiled for its run and never kept. NoAudit and
+// per-input assignments, the membership bitsets, the classes, every
+// reducer's election and owned blocks (one bit per pair of its member
+// classes each, derived in one pass), PreCheck's verdict — does not depend
+// on the payload, so a Compiler, handed over in Request.Compiler, keeps it
+// across runs (see Compiler for the key, the admission and the byte bound);
+// the reducers read it in every run and none writes it. NoAudit and
 // MemoryBudget change what a run does with the index, not the index, and do
 // not enter into the key. What depends on the payload — the expected byte
-// loads, the engine capacity, the partition hints — is computed per run; the
-// ID-range check and PreCheck either run or are answered by an entry that
-// passed them for the same content and shape. The two derivations of every
-// owner are still both made once per retained index: the elections, which
-// group the inputs into classes of identical rows and give every reducer a
-// bitmap with one bit per pair of its member classes — set when the two
-// classes' rows share no reducer below it, one IntersectsBelow per class
-// pair — and the sweep's owned-pair lists. The reducers read the bitmaps in
-// every run and compare every pair they process with the owned lists, which
-// every run of the index shares and none writes: a clean run's shards are
-// those lists, and a stray reducer copies before it logs.
-// A nil Compiler compiles per call; each assign.Planner owns one beside its
+// loads, the engine capacity, the partition hints — is computed per run. A
+// nil Compiler compiles per call; each assign.Planner owns one beside its
 // plan cache. pland_exec_compile_total{outcome} counts hits, misses and
 // uncacheable compilations, pland_exec_compile_cache_bytes what is retained.
 package exec

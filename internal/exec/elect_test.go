@@ -1,6 +1,6 @@
 package exec
 
-// Tests of owner election by class and of the shards reducers publish.
+// Tests of owner election by class and of what reducers publish.
 
 import (
 	"errors"
@@ -11,10 +11,7 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/a2a"
 	"repro/internal/core"
-	"repro/internal/workload"
-	"repro/internal/x2y"
 )
 
 // electedByClass lists the pairs reducer r's class bitmap elects, in the
@@ -23,7 +20,7 @@ func electedByClass(idx *schemaIndex, r int) []pairEntry {
 	e := idx.election(r)
 	var out []pairEntry
 	for i, a := range e.a {
-		row := e.row(i)
+		row := e.row(i, e.bits)
 		for j, b := range e.b {
 			if (idx.schema.Problem == core.ProblemA2A && j <= i) || !row.has(j) {
 				continue
@@ -87,78 +84,24 @@ func onlySingletons(idx *schemaIndex) bool {
 // TestClassElectionMatchesRows holds every reducer's class bitmap to the
 // per-pair row test on schemas from every member of the solver portfolio:
 // the same pairs, in the same order, and — the schemas being valid — exactly
-// the reducer's owned-pair list from the sweep.
+// the pairs its owned blocks expand to.
 func TestClassElectionMatchesRows(t *testing.T) {
-	draw := func(spec workload.SizeSpec, m int, seed int64) *core.InputSet {
-		set, err := workload.InputSet(spec, m, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return set
-	}
-	equal := func(m int, seed int64) *core.InputSet {
-		return draw(workload.SizeSpec{Dist: workload.Uniform, Min: 2, Max: 2}, m, seed)
-	}
-	uniform := func(m int, max core.Size, seed int64) *core.InputSet {
-		return draw(workload.SizeSpec{Dist: workload.Uniform, Min: 1, Max: max}, m, seed)
-	}
-	type instance struct {
-		name   string
-		solve  func() (*core.MappingSchema, error)
-		sh     shape
-		member string // the algorithm the schema must come from; "" takes any
-	}
-	var cases []instance
-	for _, c := range []struct {
-		m, k   int
-		member string
-	}{
-		{50, 10, "a2a/affine-plane"}, {120, 12, "a2a/affine-plane"},
-		{40, 5, "a2a/plane-remainder"}, {100, 10, "a2a/plane-remainder"}, {50, 6, "a2a/plane-remainder"},
-	} {
-		set := equal(c.m, int64(c.m))
-		cases = append(cases, instance{fmt.Sprintf("a2a.Solve m=%d k=%d", c.m, c.k),
-			func() (*core.MappingSchema, error) { return a2a.Solve(set, core.Size(2*c.k+1)) }, shape{numA: c.m}, c.member})
-	}
-	for seed := int64(1); seed <= 3; seed++ {
-		big, tiny := uniform(60, 64, seed), uniform(8, 9, seed)
-		xs, ys := uniform(30, 40, seed), uniform(50, 40, seed+10)
-		txs, tys := uniform(4, 9, seed), uniform(5, 9, seed+10)
-		cases = append(cases,
-			instance{fmt.Sprintf("a2a.Greedy seed=%d", seed), func() (*core.MappingSchema, error) { return a2a.Greedy(big, 256) }, shape{numA: 60}, ""},
-			instance{fmt.Sprintf("a2a.Exact seed=%d", seed), func() (*core.MappingSchema, error) {
-				return a2a.Exact(tiny, 20, a2a.ExactOptions{MaxNodes: 200_000})
-			}, shape{numA: 8}, ""},
-			instance{fmt.Sprintf("x2y.Solve seed=%d", seed), func() (*core.MappingSchema, error) { return x2y.Solve(xs, ys, 200) }, shape{numX: 30, numY: 50}, ""},
-			instance{fmt.Sprintf("x2y.Greedy seed=%d", seed), func() (*core.MappingSchema, error) { return x2y.Greedy(xs, ys, 200) }, shape{numX: 30, numY: 50}, ""},
-			instance{fmt.Sprintf("x2y.Exact seed=%d", seed), func() (*core.MappingSchema, error) {
-				return x2y.Exact(txs, tys, 20, x2y.ExactOptions{MaxNodes: 200_000})
-			}, shape{numX: 4, numY: 5}, ""},
-		)
-	}
 	sawDouble, sawSingletons := false, false
-	for _, tc := range cases {
-		ms, err := tc.solve()
-		if err != nil && !errors.Is(err, a2a.ErrNodeBudget) && !errors.Is(err, x2y.ErrNodeBudget) {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if tc.member != "" && ms.Algorithm != tc.member {
-			t.Fatalf("%s: solved by %s, want %s", tc.name, ms.Algorithm, tc.member)
-		}
-		idx, err := newSchemaIndex(ms, tc.sh)
+	for _, tc := range portfolioInstances(t) {
+		idx, err := newSchemaIndex(tc.schema, tc.sh)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := idx.preCheck(); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		for r := range ms.Reducers {
+		for r := range tc.schema.Reducers {
 			got, want := electedByClass(idx, r), electedByRows(idx, r)
 			if !slices.Equal(got, want) {
 				t.Fatalf("%s: reducer %d elects %v by class, %v by rows", tc.name, r, got, want)
 			}
-			if owned := idx.ownedBy(r); !slices.Equal(got, owned) {
-				t.Fatalf("%s: reducer %d elects %v, the sweep gives it %v", tc.name, r, got, owned)
+			if owned := ownedList(idx, r); !slices.Equal(got, owned) {
+				t.Fatalf("%s: reducer %d elects %v, its owned blocks expand to %v", tc.name, r, got, owned)
 			}
 		}
 		sawDouble = sawDouble || doublyCovered(idx)
@@ -169,49 +112,47 @@ func TestClassElectionMatchesRows(t *testing.T) {
 	}
 }
 
-// isOwnedList reports whether a shard is its reducer's owned-pair list itself,
-// not a copy of it: same first element, same length, and no room to grow.
-func isOwnedList(shard, owned []pairEntry) bool {
-	return len(shard) == len(owned) && cap(shard) == len(shard) && (len(owned) == 0 || &shard[0] == &owned[0])
-}
-
-// TestCleanRunPublishesTheOwnedLists checks that a clean run stores nothing
-// per pair, audited or not and compiled for the run or taken from a
-// Compiler: every reducer's shard is the index's own owned-pair list.
-func TestCleanRunPublishesTheOwnedLists(t *testing.T) {
+// TestCleanRunSetsTheCleanFlags checks that a clean run stores nothing per
+// pair, audited or not and compiled for the run or taken from a Compiler:
+// every reducer sets its clean flag and publishes no log.
+func TestCleanRunSetsTheCleanFlags(t *testing.T) {
 	sizes := []core.Size{3, 3, 2, 2, 4, 1, 2, 3}
 	ms := solveA2A(t, sizes, 10)
 	cp := NewCompiler()
 	for _, noAudit := range []bool{false, true} {
 		for _, compiler := range []*Compiler{nil, cp, cp} { // cp's second sighting retains the index
-			c, _ := executedEvents(t, Request{Name: "owned", Schema: ms, Inputs: makeInputs(sizes), Pair: pairIDs, NoAudit: noAudit, Compiler: compiler})
+			c, _ := executedEvents(t, Request{Name: "clean", Schema: ms, Inputs: makeInputs(sizes), Pair: pairIDs, NoAudit: noAudit, Compiler: compiler})
 			worked := 0
 			for r, shard := range c.trace.shards {
-				if !isOwnedList(shard, c.idx.ownedBy(r)) {
-					t.Fatalf("NoAudit=%v: reducer %d published %v, not its owned list", noAudit, r, shard)
+				if !c.trace.clean[r] || shard != nil {
+					t.Fatalf("NoAudit=%v: reducer %d published clean=%v and %v, want a clean flag and no log", noAudit, r, c.trace.clean[r], shard)
 				}
-				if len(shard) > 0 {
+				if c.idx.election(r).pairs > 0 {
 					worked++
 				}
 			}
 			if worked < 2 {
 				t.Fatalf("%d reducers with work, want two", worked)
 			}
+			if got, want := c.trace.pairs(c.idx), int64(len(sizes)*(len(sizes)-1)/2); got != want {
+				t.Fatalf("NoAudit=%v: the trace counts %d pairs, want %d", noAudit, got, want)
+			}
 		}
 	}
 }
 
-// TestReplacedShardIsComparedAgain replaces a shard that is its reducer's
-// owned list after the run with a copy whose content differs in one entry:
-// the shard is no longer the list the reducer compared its pairs with, so
-// the audit compares it, takes the slow replay and names what the reference
-// replay names.
+// TestReplacedShardIsComparedAgain replaces a clean reducer's outcome after
+// the run with a log of its owned pairs that differs in one entry, clean
+// flag cleared: the audit compares the log with the reducer's owned pairs,
+// takes the slow replay and names what the reference replay names. A
+// fabricated empty shard is no clean flag either: it is compared, and names
+// the reducer's pairs as never processed.
 func TestReplacedShardIsComparedAgain(t *testing.T) {
 	sizes := []core.Size{3, 3, 2, 2, 4, 1, 2, 3}
 	c, _ := executedEvents(t, Request{Name: "replaced", Schema: solveA2A(t, sizes, 10), Inputs: makeInputs(sizes), Pair: pairIDs})
 	var worked []int
-	for r, log := range c.trace.shards {
-		if len(log) > 0 {
+	for r := range c.trace.shards {
+		if c.idx.election(r).pairs > 0 {
 			worked = append(worked, r)
 		}
 	}
@@ -219,19 +160,26 @@ func TestReplacedShardIsComparedAgain(t *testing.T) {
 		t.Fatalf("%d reducers with work, want two", len(worked))
 	}
 	r, other := worked[0], worked[1]
-	if !isOwnedList(c.trace.shards[r], c.idx.ownedBy(r)) {
-		t.Fatalf("reducer %d's shard is not its owned list before the replacement", r)
+	if !c.trace.clean[r] {
+		t.Fatalf("reducer %d is not clean before the replacement", r)
 	}
-	replaced := slices.Clone(c.trace.shards[r])
-	replaced[0] = c.trace.shards[other][0] // other's pair twice, r's first pair never
-	c.trace.shards[r] = replaced
-	want, slow, err := assertVerdictsAgree(t, c.idx, c.schema.NumReducers(), eventsOf(c.trace))
+	replaced := ownedList(c.idx, r)
+	replaced[0] = ownedList(c.idx, other)[0] // other's pair twice, r's first pair never
+	c.trace.clean[r], c.trace.shards[r] = false, replaced
+	want, slow, err := assertVerdictsAgree(t, c.idx, c.schema.NumReducers(), eventsOf(c.idx, c.trace))
 	if slow != 1 || !errors.Is(err, ErrDuplicatePair) || !errors.Is(err, ErrUncoveredPair) || len(want) != 2 {
 		t.Fatalf("verdict %v from %d slow replays; want one duplicate and one uncovered pair from one", want, slow)
 	}
 	before := obsSlowReplays.Value()
 	if got := violationKeys(t, c.idx.checkTrace(c.trace)); !reflect.DeepEqual(got, want) || obsSlowReplays.Value()-before != 1 {
 		t.Fatalf("the run's own trace: verdict %v, want %v from one slow replay", got, want)
+	}
+
+	c.trace.shards[r] = []pairEntry{}
+	before = obsSlowReplays.Value()
+	got := violationKeys(t, c.idx.checkTrace(c.trace))
+	if obsSlowReplays.Value()-before != 1 || len(got) != c.idx.election(r).pairs || !errors.Is(c.idx.replay(c.trace), ErrUncoveredPair) {
+		t.Fatalf("an empty shard: verdict %v, want reducer %d's %d pairs never processed, from one slow replay", got, r, c.idx.election(r).pairs)
 	}
 }
 

@@ -77,9 +77,9 @@ type Request struct {
 	// NoAudit skips the post-run conformance check: nothing compares the
 	// run's trace and loads with the schema after the run (the schema's own
 	// PreCheck always runs). What it saves is small: every reducer checks
-	// the pairs it processes against its owned-pair list either way, one
+	// the pairs it processes against its owned pairs either way, one
 	// comparison per pair as it goes, and the post-run check of a healthy
-	// run reads one slice header per reducer.
+	// run reads one clean flag per reducer.
 	NoAudit bool
 }
 
@@ -157,7 +157,7 @@ func Run(req Request) (*Result, error) {
 	}
 	obsSpillPartitions.Add(uint64(res.Counters.SpillPartitions))
 	res.Schema = c.schema
-	res.PairsProcessed = c.trace.pairs()
+	res.PairsProcessed = c.trace.pairs(c.idx)
 	obsPairs.Add(uint64(res.PairsProcessed))
 	if !req.NoAudit {
 		endAudit := sp.Stage("audit")
@@ -183,10 +183,8 @@ type compilation struct {
 	in     sizedSource // the run's input stream
 	idx    *schemaIndex
 	trace  *trace
-	// expectedLoads is the byte image of the schema's routing per reducer;
-	// expectedCopies is the matching record count per reducer.
-	expectedLoads  []int64
-	expectedCopies []int
+	// expectedLoads is the byte image of the schema's routing per reducer.
+	expectedLoads []int64
 }
 
 // compile validates the request and derives the input stream, the schema
@@ -255,20 +253,15 @@ func payloadSizes(recs [][]byte) []int {
 // computeExpectedLoads derives, per reducer, the exact byte load the
 // schema's routing produces — the declared size of every copy sent to it,
 // which is the reducer's load in the schema's own units when the declared
-// sizes are the schema's — and the number of copies (the engine's buffer
-// pre-sizing hints).
+// sizes are the schema's.
 func (c *compilation) computeExpectedLoads() {
-	n := c.schema.NumReducers()
-	loads := make([]int64, n)
-	copies := make([]int, n)
+	loads := make([]int64, c.schema.NumReducers())
 	for i, rs := range c.idx.routes {
 		for _, r := range rs {
 			loads[r] += int64(c.in.sizes[i])
-			copies[r]++
 		}
 	}
 	c.expectedLoads = loads
-	c.expectedCopies = copies
 }
 
 // job assembles the engine job: routing by the schema's inverted index,
@@ -281,7 +274,7 @@ func (c *compilation) job() *engineJob {
 		route:    func(i int) []int { return c.idx.routes[i] },
 		reduce:   c.reduce,
 		capacity: slices.Max(c.expectedLoads),
-		hints:    c.expectedCopies,
+		hints:    c.idx.copies,
 	}
 }
 
@@ -322,21 +315,20 @@ func (s *sizedSource) Next() ([]byte, error) {
 // reduce takes one reducer's copies, whose IDs are stream indexes — input i
 // of the A2A set, or of the X side below numX — and rewrites the Y side's to
 // Y input IDs (index i is Y input i-numX), then elects this reducer's owned
-// pairs, checks them against its owned-pair list, and applies the user
+// pairs, checks them against its owned blocks, and applies the user
 // PairFunc.
 //
 // The copies must be exactly the reducer's schema members, as the engine
 // routes them; any other set fails the run (errForeignCopies). Owner election
-// is then one bit per pair of the reducer's class bitmap (schemaIndex.elect),
-// derived from the membership rows independently of the auditor's sweep (two
-// derivations, one cross-check).
-//
-// Each pair is compared with the next entry of the sweep's list for this
-// reducer as it is processed. While they agree the call stores nothing, and
-// when it succeeds it publishes the prefix of the list it matched, capped so
-// no append can reach the shared list. At the first disagreement it copies
-// that prefix into a log of its own and appends every pair from there on, so
-// the shard is always exactly what the reducer processed, in order.
+// is then one bit per pair of the reducer's class bitmap (see
+// schemaIndex.derive). The call walks its pairs' positions in the order its
+// owned blocks expand to owned pairs, and checks at each position that it
+// processes the pair exactly when the position is owned: then every pair it
+// processes is the next owned one. While they agree it stores nothing, and
+// it ends by setting its clean flag. At the first position where they
+// disagree it expands its first n owned pairs, those it matched, into a log
+// and appends every pair it processes from there on, so the log is exactly
+// what the reducer processed, in order.
 func (c *compilation) reduce(self int, copies []Record, emit func([]byte)) error {
 	aRecs := sortAndDedupeRecords(copies) // A2A uses aRecs only; X2Y splits it by side
 	bRecs := aRecs
@@ -352,28 +344,28 @@ func (c *compilation) reduce(self int, copies []Record, emit func([]byte)) error
 	if !e.holds(aRecs, bRecs) {
 		return fmt.Errorf("%w: reducer %d", errForeignCopies, self)
 	}
-	owned, pair := c.idx.ownedBy(self), c.req.Pair
-	n := 0              // while log is nil, owned[:n] is what the reducer processed
-	var log []pairEntry // what it processed, once it left owned
+	pair := c.req.Pair
+	n := 0              // while log is nil, the reducer processed its first n owned pairs
+	var log []pairEntry // what it processed, once it left them
 	for i, a := range aRecs {
 		j := 0
 		if a2a {
 			j = i + 1
 		}
-		owns := e.row(i)
+		elected, blocks := e.row(i, e.bits), e.row(i, e.blocks)
 		for ; j < len(bRecs); j++ {
-			if !owns.has(j) {
+			processed := elected.has(j)
+			if log == nil && processed != blocks.has(j) { // the reducer leaves its owned pairs here
+				log = c.idx.expand(make([]pairEntry, 0, n+1), self, n)
+			}
+			if !processed {
 				continue
 			}
 			b := bRecs[j]
-			p := pairEntry{int32(a.ID), int32(b.ID)}
-			switch {
-			case log == nil && n < len(owned) && owned[n] == p:
+			if log == nil {
 				n++
-			case log == nil:
-				log = append(owned[:n:n], p) // the cap makes append copy
-			default:
-				log = append(log, p)
+			} else {
+				log = append(log, pairEntry{int32(a.ID), int32(b.ID)})
 			}
 			if err := pair(a, b, emit); err != nil {
 				if a2a {
@@ -384,9 +376,10 @@ func (c *compilation) reduce(self int, copies []Record, emit func([]byte)) error
 		}
 	}
 	if log == nil {
-		log = owned[:n:n]
+		c.trace.clean[self] = true
+		return nil
 	}
-	c.trace.publish(self, log)
+	c.trace.shards[self] = log
 	return nil
 }
 
