@@ -16,6 +16,12 @@ import (
 	"repro/pkg/assign/plandclient"
 )
 
+// ringOwner is the key's owner on s's ring with every node alive.
+func ringOwner(s *server, key string) string {
+	owner, _ := s.cluster.ring.Owner(key, nil)
+	return owner
+}
+
 // newTestCluster boots n in-process pland nodes wired into one ring. Health
 // probing is not started: every peer reads alive, which is the steady state
 // the routing tests want (liveness transitions are internal/shard's tests).
@@ -77,7 +83,7 @@ func TestClusterSessionPlacementAndRouting(t *testing.T) {
 	if sess.Node == "" || sess.Fingerprint == "" {
 		t.Fatalf("clustered create missing node/fingerprint: %+v", sess)
 	}
-	wantOwner := servers[0].cluster.ring.Lookup(sess.ID)
+	wantOwner := ringOwner(servers[0], sess.ID)
 	if sess.Node != wantOwner {
 		t.Fatalf("session placed on %s, ring owner is %s", sess.Node, wantOwner)
 	}
@@ -123,7 +129,7 @@ func TestClusterJobRouting(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SubmitPlan: %v", err)
 	}
-	owner := servers[0].cluster.ring.Lookup(job.ID)
+	owner := ringOwner(servers[0], job.ID)
 	ownerIdx := nodeIndex(t, httpSrvs, owner)
 	if _, err := servers[ownerIdx].jobs.Get(job.ID); err != nil {
 		t.Fatalf("job %s not on its owner %s: %v", job.ID, owner, err)
@@ -314,7 +320,7 @@ func fleetKeyOwner(t *testing.T, servers []*server, httpSrvs []*httptest.Server,
 	if err != nil || key == "" {
 		t.Fatalf("Key = %q, %v", key, err)
 	}
-	return key, nodeIndex(t, httpSrvs, servers[0].cluster.ring.Lookup(key))
+	return key, nodeIndex(t, httpSrvs, ringOwner(servers[0], key))
 }
 
 // validateFor checks a served plan against the sets of the request it was

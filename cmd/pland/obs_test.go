@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -12,6 +11,7 @@ import (
 	"time"
 
 	"repro/pkg/assign"
+	"repro/pkg/assign/plandclient"
 )
 
 func TestRequestIDHeader(t *testing.T) {
@@ -55,40 +55,53 @@ func TestRequestIDHeader(t *testing.T) {
 
 // TestMetricsEndpoint drives real traffic through the server and checks the
 // scrape reflects it in valid exposition format. obs.Default is process-wide,
-// so assertions are presence and floors, never exact counts.
+// so its series are checked for presence only; the planner and the job
+// manager count in their own series, so this server's counts are exact.
 func TestMetricsEndpoint(t *testing.T) {
-	srv := newTestServer(t)
-
-	if resp, _ := postPlan(t, srv, `{"problem":"A2A","capacity":10,"sizes":[3,3,2,2,4,1]}`); resp.StatusCode != http.StatusOK {
-		t.Fatalf("plan status = %d", resp.StatusCode)
+	s, c := newTestServerWithJobs(t, serverConfig{})
+	ctx := context.Background()
+	req := plandclient.PlanRequest{Problem: "A2A", Capacity: 10, Sizes: []assign.Size{3, 3, 2, 2, 4, 1}}
+	for i := 0; i < 2; i++ {
+		if _, err := c.Plan(ctx, req); err != nil {
+			t.Fatal(err)
+		}
 	}
-	resp, err := http.Get(srv.URL + "/metrics")
+	job, err := c.SubmitPlan(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /metrics status = %d", resp.StatusCode)
+	if _, err := c.WaitJob(ctx, job.ID, 2*time.Millisecond); err != nil {
+		t.Fatal(err)
 	}
-	if ct := resp.Header.Get("Content-Type"); ct != "text/plain; version=0.0.4; charset=utf-8" {
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET /metrics status = %d", rec.Code)
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != "text/plain; version=0.0.4; charset=utf-8" {
 		t.Fatalf("Content-Type = %q", ct)
 	}
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := string(raw)
+	body := rec.Body.String()
 	for _, want := range []string{
 		`pland_http_requests_total{route="/v1/plan",status="200"}`,
 		`pland_http_request_seconds_bucket{route="/v1/plan",le="+Inf"}`,
 		"# TYPE pland_http_requests_total counter",
 		"# TYPE pland_http_request_seconds histogram",
-		"# TYPE pland_planner_requests_total counter",
-		"pland_planner_plan_seconds_count",
-		"# TYPE pland_jobs_queue_depth gauge",
 		"# TYPE pland_stream_sessions gauge",
 		"# TYPE pland_exec_runs_total counter",
 		"pland_http_in_flight",
+		// The first plan solves, the second and the job's hit the cache.
+		"pland_planner_requests_total{outcome=\"miss\"} 1\n",
+		"pland_planner_requests_total{outcome=\"hit\"} 2\n",
+		"pland_planner_requests_total{outcome=\"error\"} 0\n",
+		"pland_planner_plan_seconds_count 3\n",
+		"pland_planner_race_seconds_count 1\n",
+		"pland_planner_cache_entries 1\n",
+		"pland_jobs_submitted_total 1\n",
+		"pland_jobs_finished_total{state=\"succeeded\"} 1\n",
+		"pland_jobs_queue_depth 0\n",
+		"pland_jobs_in_flight 0\n",
+		"pland_jobs_run_seconds_count 1\n",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("scrape is missing %q", want)
@@ -96,6 +109,13 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if !strings.HasSuffix(body, "\n") {
 		t.Error("scrape does not end with a newline")
+	}
+	st := s.planner.Stats()
+	if st.Requests != 3 || st.CacheMisses != 1 || st.CacheHits != 2 || len(st.SolverWins) != 1 {
+		t.Errorf("planner stats = %+v, want the scrape's 3 requests: 1 miss, 2 hits, 1 win", st)
+	}
+	if js := s.jobs.Stats(); js.Submitted != 1 || js.Succeeded != 1 {
+		t.Errorf("job stats = %+v, want the scrape's 1 submitted, 1 succeeded", js)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"net/http/pprof"
 	"strings"
 
-	"repro/internal/obs"
 	"repro/pkg/assign/plandclient"
 )
 
@@ -55,7 +54,7 @@ var routes = []route{
 	{path: "/healthz", handler: (*server).handleHealthz},
 	{path: "/readyz", handler: (*server).handleReadyz},
 	{method: "POST", path: "/internal/handoff", handler: (*server).handleHandoff},
-	{path: "/metrics", debug: true, handler: plain(obs.Handler(obs.Default).ServeHTTP)},
+	{path: "/metrics", debug: true, handler: (*server).handleMetrics},
 	{method: "GET", path: "/debug/traces", debug: true, handler: (*server).handleTraces},
 	{method: "GET", path: "/debug/traces/{id}", debug: true, handler: (*server).handleTrace},
 	{path: "/debug/pprof/", label: "/debug/pprof", debug: true, handler: plain(pprof.Index)},

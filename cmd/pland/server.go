@@ -581,6 +581,12 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// handleMetrics serves the process-wide series of obs.Default, then this
+// server's planner's and its job manager's own.
+func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	obs.Handler(obs.Default.WritePrometheus, s.planner.WritePrometheus, s.jobs.WritePrometheus).ServeHTTP(w, r)
+}
+
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintln(w, "ok")

@@ -69,8 +69,8 @@
 // (index, length, data) frames and emptied. A run has one spill file, created
 // on its first spill in a private "mr-spill-*" directory under
 // Request.SpillDir, holding every run of every reducer back to back, each at
-// the offset reserved for it, written through one pooled buffer; it costs one
-// descriptor however many reducers spilled. A reducer's copies are then its
+// the offset reserved for it, written through the file's own buffer; it
+// costs one descriptor however many reducers spilled. A reducer's copies are then its
 // runs, read back in spill order, followed by its buffer — index order again,
 // so output is byte-identical to an unbounded run. A run is read back
 // defensively: a length prefix the rest of the run cannot hold is an error,

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -581,7 +582,7 @@ func FuzzSpillRun(f *testing.F) {
 		if err := s.f.Truncate(0); err != nil {
 			t.Fatal(err)
 		}
-		s.end, s.w = 0, getRunWriter(io.NewOffsetWriter(s.f, 0))
+		s.end, s.w = 0, bufio.NewWriterSize(io.NewOffsetWriter(s.f, 0), runBufferBytes)
 		fuzzed := appendRun(t, s, prefix...)
 		if _, err := s.w.Write(garbage); err != nil {
 			t.Fatal(err)

@@ -8,8 +8,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sync"
-	"sync/atomic"
 )
 
 // A run that spills writes every run of every reducer into one file, created
@@ -28,7 +26,7 @@ import (
 type spillFile struct {
 	dir string // the run's private mr-spill-* directory
 	f   *os.File
-	w   *bufio.Writer                   // pooled, writing at the reserved offsets; nil once finished
+	w   *bufio.Writer                   // writing at the reserved offsets
 	end int64                           // the offset reserved for the next run
 	hdr [2 * binary.MaxVarintLen64]byte // a frame's header, being written
 }
@@ -37,6 +35,10 @@ type spillFile struct {
 type spillRun struct {
 	off, bytes int64
 }
+
+// runBufferBytes is the size of a spill file's write buffer, made with the
+// file.
+const runBufferBytes = 64 << 10
 
 // createSpillFile makes a private directory under parent and the spill file
 // in it.
@@ -51,7 +53,7 @@ func createSpillFile(parent string) (*spillFile, error) {
 		os.RemoveAll(dir)
 		return nil, fmt.Errorf("creating spill file: %w", err)
 	}
-	return &spillFile{dir: dir, f: f, w: getRunWriter(io.NewOffsetWriter(f, 0))}, nil
+	return &spillFile{dir: dir, f: f, w: bufio.NewWriterSize(io.NewOffsetWriter(f, 0), runBufferBytes)}, nil
 }
 
 // appendRun writes recs as one run at the end of the file. The frames go
@@ -73,26 +75,18 @@ func (s *spillFile) appendRun(recs []Record) (spillRun, error) {
 	return run, nil
 }
 
-// finish writes out the buffered frames and gives the buffer back: every run
-// is in the file from here on, and nothing more is written.
+// finish writes out the buffered frames: every run is in the file from here
+// on, and nothing more is written.
 func (s *spillFile) finish() error {
-	err := s.w.Flush()
-	putRunWriter(s.w)
-	s.w = nil
-	if err != nil {
+	if err := s.w.Flush(); err != nil {
 		return fmt.Errorf("writing spill run: %w", err)
 	}
 	return nil
 }
 
-// remove closes the file, deletes the directory, and gives the writer's
-// buffer back if finish did not. The file holds nothing that outlives the
-// run, so errors have nobody to matter to.
+// remove closes the file and deletes the directory. The file holds nothing
+// that outlives the run, so errors have nobody to matter to.
 func (s *spillFile) remove() {
-	if s.w != nil {
-		putRunWriter(s.w)
-		s.w = nil
-	}
 	_ = s.f.Close()
 	os.RemoveAll(s.dir)
 }
@@ -160,30 +154,4 @@ func frameErr(n int) error {
 		return io.ErrUnexpectedEOF
 	}
 	return errors.New("varint overflows 64 bits")
-}
-
-// The spill file's write buffer is pooled: a run that spills takes one and
-// gives it back when its map phase ends, or when it fails.
-const runBufferBytes = 64 << 10
-
-var (
-	runWriters sync.Pool
-	// runBuffersOut counts the buffers taken and not yet returned: zero
-	// whenever no run is spilling, which is what the tests hold it to.
-	runBuffersOut atomic.Int64
-)
-
-func getRunWriter(w io.Writer) *bufio.Writer {
-	runBuffersOut.Add(1)
-	if bw, _ := runWriters.Get().(*bufio.Writer); bw != nil {
-		bw.Reset(w)
-		return bw
-	}
-	return bufio.NewWriterSize(w, runBufferBytes)
-}
-
-func putRunWriter(w *bufio.Writer) {
-	w.Reset(nil) // drops the file, and a failed write's sticky error
-	runWriters.Put(w)
-	runBuffersOut.Add(-1)
 }

@@ -33,8 +33,8 @@ func openFDs(t *testing.T) int {
 }
 
 // runLeaks is a snapshot of what a Run must have given back by the time it
-// returns, whatever the outcome: descriptors, goroutines, the pooled write
-// buffer and its private directory under spillDir.
+// returns, whatever the outcome: descriptors, goroutines and its private
+// directory under spillDir.
 type runLeaks struct {
 	t               *testing.T
 	spillDir        string
@@ -46,9 +46,6 @@ func watchLeaks(t *testing.T, spillDir string) runLeaks {
 	// One spilled run first, so that what the runtime opens once and keeps
 	// (its poller) is in the snapshot.
 	runStream(t, scatterJob(2, 2), streamInputs(4, 3, 1), Request{MemoryBudget: 1, SpillDir: spillDir})
-	if n := runBuffersOut.Load(); n != 0 {
-		t.Fatalf("%d run buffers already out before the run under test", n)
-	}
 	return runLeaks{t: t, spillDir: spillDir, fds: openFDs(t), goroutines: runtime.NumGoroutine()}
 }
 
@@ -59,11 +56,6 @@ func (l runLeaks) check() {
 	}
 	if fds := openFDs(l.t); fds != l.fds {
 		l.t.Errorf("%d descriptors open before the run, %d after", l.fds, fds)
-	}
-	// Zero means every buffer taken was put back exactly once: a buffer put
-	// twice would leave it negative, one never put, positive.
-	if n := runBuffersOut.Load(); n != 0 {
-		l.t.Errorf("run buffers taken minus returned = %d after the run, want 0", n)
 	}
 	// Goroutines that have signalled Run may still be unwinding.
 	deadline := time.Now().Add(5 * time.Second)
@@ -83,10 +75,10 @@ func spillFiles(spillDir string) []string {
 }
 
 // TestFailurePathsReleaseEverything fails a fully spilling run at each point
-// where it holds its spill file and the pooled write buffer — creating the
-// directory, writing into the file, reading it back for each reducer's
-// copies — and asserts that the error comes back and nothing is left: no
-// directory, no descriptor, no buffer out of the pool, no goroutine. (A run
+// where it holds its spill file — creating the directory, writing into the
+// file, reading it back for each reducer's copies — and asserts that the
+// error comes back and nothing is left: no directory, no descriptor, no
+// goroutine. (A run
 // cancelled mid-spill is TestRunStreamCancelMidChunk.)
 func TestFailurePathsReleaseEverything(t *testing.T) {
 	boom := errors.New("boom")
@@ -257,12 +249,8 @@ func TestCorruptSpilledIndexFailsTheRun(t *testing.T) {
 }
 
 // TestReadBackOverClosedFileFails closes the spill file underneath the
-// read-back: the read fails with the file's error, and the write buffer is
-// back in the pool already.
+// read-back: the read fails with the file's error.
 func TestReadBackOverClosedFileFails(t *testing.T) {
-	if n := runBuffersOut.Load(); n != 0 {
-		t.Fatalf("%d run buffers already out", n)
-	}
 	s := newSpillFile(t)
 	big := bytes.Repeat([]byte("v"), 100<<10) // more than the write buffer holds
 	var runs []spillRun
@@ -270,9 +258,6 @@ func TestReadBackOverClosedFileFails(t *testing.T) {
 		runs = append(runs, appendRun(t, s, rec(i, "small"), Record{ID: i, Data: big}))
 	}
 	finish(t, s)
-	if n := runBuffersOut.Load(); n != 0 {
-		t.Fatalf("%d run buffers out once the file is written", n)
-	}
 	got, err := s.readRuns(nil, runs[:2], 5)
 	if err != nil || len(got) != 4 || !bytes.Equal(got[3].Data, big) {
 		t.Fatalf("read back %d copies, %v, want 4 with the big one last", len(got), err)

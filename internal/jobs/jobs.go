@@ -10,9 +10,12 @@
 // Restore, which both sweep first, so it never holds an expired job past
 // the next call that could add one; an idle manager frees expired results
 // at its next call.
-// cmd/pland's v2 API is built on it — combinatorial solves (large n, tight
-// q, exact search) belong behind an asynchronous, budget-aware interface,
-// not a blocking request/response call.
+//
+// Each Manager counts in its own pland_jobs_* series, registered when New
+// builds it; Stats reads its lifetime totals from them, and WritePrometheus
+// hands them to a scrape. cmd/pland's v2 API is built on it — combinatorial
+// solves (large n, tight q, exact search) belong behind an asynchronous,
+// budget-aware interface, not a blocking request/response call.
 package jobs
 
 import (
@@ -167,13 +170,13 @@ type Manager struct {
 	rootCancel context.CancelFunc
 	workers    sync.WaitGroup
 
-	submitted, succeeded, failed, canceled int64
+	metrics series
 }
 
 // New builds a Manager and starts its workers, the only goroutines it runs.
 func New(cfg Config) *Manager {
 	cfg = cfg.withDefaults()
-	m := &Manager{cfg: cfg, jobs: make(map[string]*job)}
+	m := &Manager{cfg: cfg, jobs: make(map[string]*job), metrics: newSeries()}
 	m.cond = sync.NewCond(&m.mu)
 	m.rootCtx, m.rootCancel = context.WithCancel(context.Background())
 	for i := 0; i < cfg.Workers; i++ {
@@ -214,14 +217,13 @@ func (m *Manager) Restore(id, kind string, fn Func) (Snapshot, error) {
 	}
 	if len(m.pending) >= m.cfg.QueueDepth {
 		m.mu.Unlock()
-		obsRejected.Inc()
+		m.metrics.rejected.Inc()
 		return Snapshot{}, ErrQueueFull
 	}
 	m.pending = append(m.pending, j)
 	m.jobs[j.id] = j
-	m.submitted++
-	obsSubmitted.Inc()
-	obsQueueDepth.Inc()
+	m.metrics.submitted.Inc()
+	m.metrics.queueDepth.Inc()
 	snap := j.snapshot()
 	m.cond.Signal()
 	m.mu.Unlock()
@@ -260,7 +262,7 @@ func (m *Manager) Cancel(id string) (Snapshot, error) {
 		for i, p := range m.pending {
 			if p == j {
 				m.pending = append(m.pending[:i], m.pending[i+1:]...)
-				obsQueueDepth.Dec()
+				m.metrics.queueDepth.Dec()
 				break
 			}
 		}
@@ -306,10 +308,10 @@ func (m *Manager) Stats() Stats {
 		QueueDepth:    len(m.pending),
 		QueueCapacity: m.cfg.QueueDepth,
 		Workers:       m.cfg.Workers,
-		Submitted:     m.submitted,
-		Succeeded:     m.succeeded,
-		Failed:        m.failed,
-		Canceled:      m.canceled,
+		Submitted:     int64(m.metrics.submitted.Value()),
+		Succeeded:     int64(m.metrics.succeeded.Value()),
+		Failed:        int64(m.metrics.failed.Value()),
+		Canceled:      int64(m.metrics.canceled.Value()),
 	}
 	for _, j := range m.jobs {
 		if j.state == StateRunning {
@@ -354,7 +356,7 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 	for _, j := range m.jobs {
 		if !j.state.Terminal() {
 			if j.state == StateQueued {
-				obsQueueDepth.Dec() // never dequeued; keep the gauge truthful
+				m.metrics.queueDepth.Dec() // never dequeued; keep the gauge truthful
 			}
 			m.finishLocked(j, StateFailed, nil, ErrShutdown)
 		}
@@ -377,7 +379,7 @@ func (m *Manager) worker() {
 		}
 		j := m.pending[0]
 		m.pending = m.pending[1:]
-		obsQueueDepth.Dec()
+		m.metrics.queueDepth.Dec()
 		m.mu.Unlock()
 		m.run(j)
 	}
@@ -395,8 +397,8 @@ func (m *Manager) run(j *job) {
 	j.started = time.Now()
 	j.cancel = cancel
 	fn := j.fn
-	obsWaitSeconds.ObserveDuration(j.started.Sub(j.created))
-	obsInFlight.Inc()
+	m.metrics.waitSeconds.ObserveDuration(j.started.Sub(j.created))
+	m.metrics.inFlight.Inc()
 	m.mu.Unlock()
 	defer cancel()
 
@@ -404,8 +406,8 @@ func (m *Manager) run(j *job) {
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	obsInFlight.Dec()
-	obsRunSeconds.ObserveSince(j.started)
+	m.metrics.inFlight.Dec()
+	m.metrics.runSeconds.ObserveSince(j.started)
 	if j.state != StateRunning {
 		return // shutdown already failed it
 	}
@@ -433,14 +435,11 @@ func (m *Manager) finishLocked(j *job, s State, result any, err error) {
 	m.finished = append(m.finished, j)
 	switch s {
 	case StateSucceeded:
-		m.succeeded++
-		obsFinSucceeded.Inc()
+		m.metrics.succeeded.Inc()
 	case StateFailed:
-		m.failed++
-		obsFinFailed.Inc()
+		m.metrics.failed.Inc()
 	case StateCanceled:
-		m.canceled++
-		obsFinCanceled.Inc()
+		m.metrics.canceled.Inc()
 	}
 	if m.cfg.OnFinish != nil {
 		m.cfg.OnFinish(j.snapshot())
@@ -452,7 +451,7 @@ func (m *Manager) finishLocked(j *job, s State, result any, err error) {
 func (m *Manager) expireLocked(now time.Time) {
 	for len(m.finished) > 0 && now.After(m.finished[0].expiresAt) {
 		delete(m.jobs, m.finished[0].id)
-		obsExpired.Inc()
+		m.metrics.expired.Inc()
 		m.finished[0] = nil // let the result go with the job
 		m.finished = m.finished[1:]
 	}

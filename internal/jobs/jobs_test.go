@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -194,6 +195,48 @@ func TestBackpressure(t *testing.T) {
 		t.Errorf("stats = %+v", st)
 	}
 	close(release)
+}
+
+// TestStatsReadTheSeries: a manager counts each submit and finish once, in
+// its own series, so its scrape and its Stats agree exactly, and a second
+// manager in the process counts none of it.
+func TestStatsReadTheSeries(t *testing.T) {
+	m, other := New(Config{Workers: 1}), New(Config{Workers: 1})
+	defer m.Shutdown(context.Background())
+	defer other.Shutdown(context.Background())
+	ok, err := m.Submit("ok", func(ctx context.Context) (any, error) { return "done", nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad, err := m.Submit("bad", func(ctx context.Context) (any, error) { return nil, errors.New("boom") })
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m, ok.ID, StateSucceeded)
+	waitState(t, m, bad.ID, StateFailed)
+	st := m.Stats()
+	if st.Submitted != 2 || st.Succeeded != 1 || st.Failed != 1 || st.Canceled != 0 {
+		t.Fatalf("stats = %+v, want 2 submitted, 1 succeeded, 1 failed", st)
+	}
+	var b strings.Builder
+	if err := m.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"pland_jobs_submitted_total 2",
+		`pland_jobs_finished_total{state="succeeded"} 1`,
+		`pland_jobs_finished_total{state="failed"} 1`,
+		`pland_jobs_finished_total{state="canceled"} 0`,
+		"pland_jobs_queue_depth 0",
+		"pland_jobs_wait_seconds_count 2",
+	} {
+		if !strings.Contains(b.String(), want+"\n") {
+			t.Errorf("scrape lacks %q:\n%s", want, b.String())
+		}
+	}
+	if st := other.Stats(); st.Submitted != 0 || st.Succeeded != 0 || st.Failed != 0 {
+		t.Errorf("an idle manager counted another's jobs: %+v", st)
+	}
 }
 
 func TestTTLEviction(t *testing.T) {

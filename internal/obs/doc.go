@@ -11,10 +11,9 @@
 // bounds for multiway-join reducer assignment — and a cost model you cannot
 // measure in a running system is unfalsifiable. The planner, job queue,
 // session maintenance, and executor each expose counters, gauges, and
-// latency histograms on the shared Default registry; cmd/pland serves them
-// at GET /metrics so per-request latency, cache behavior, queue depth,
-// migration bytes, and audit violations become scrapeable series instead of
-// one-off log lines.
+// latency histograms; cmd/pland serves them at GET /metrics so per-request
+// latency, cache behavior, queue depth, migration bytes, and audit
+// violations become scrapeable series instead of one-off log lines.
 //
 // The module has zero dependencies and this package keeps it that way:
 // exposition is hand-written Prometheus text format v0.0.4, and every hot
@@ -48,10 +47,14 @@
 // idempotent — asking a registry for a name it already holds returns the
 // existing collector, provided the type and label arity match (a mismatch
 // panics: it is a programming error, not an operational condition).
-// Subsystems register their metrics as package-level vars on Default at
-// init; per-instance state (a planner's private Stats struct, a jobs
-// manager's census) stays per-instance, while the Default registry carries
-// the process-wide series a scraper sees.
+// A subsystem whose state lives in instances — a planner, a job manager —
+// registers its series on its own registry when the instance is built, and
+// those series are its only counters: its Stats reads them back, and a
+// process running several instances (tests) counts each one's events once,
+// where they happened. The process-wide series of the executor, sessions,
+// the WAL, the fleet, the HTTP surface and the tracer are package-level
+// vars on Default. cmd/pland's scrape writes Default, then its planner's
+// series, then its job manager's.
 //
 // # Tracing
 //

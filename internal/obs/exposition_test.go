@@ -326,13 +326,16 @@ func TestHelpEscaping(t *testing.T) {
 func TestHandlerContentType(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("ct_total", "x").Inc()
+	r2 := NewRegistry()
+	r2.Gauge("ct_second", "y").Set(2)
 	rec := httptest.NewRecorder()
-	Handler(r).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	Handler(r.WritePrometheus, r2.WritePrometheus).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if got := rec.Header().Get("Content-Type"); got != "text/plain; version=0.0.4; charset=utf-8" {
 		t.Fatalf("Content-Type = %q", got)
 	}
 	checkExposition(t, rec.Body.String())
-	if !strings.Contains(rec.Body.String(), "ct_total 1\n") {
-		t.Fatalf("body missing sample:\n%s", rec.Body.String())
+	body := rec.Body.String()
+	if i, j := strings.Index(body, "ct_total 1\n"), strings.Index(body, "ct_second 2\n"); i < 0 || j < i {
+		t.Fatalf("body lacks a writer's sample, or has them out of order:\n%s", body)
 	}
 }

@@ -114,9 +114,6 @@ func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 { return h.sum.load() }
-
 // Quantile estimates the q-quantile (0 < q < 1, e.g. 0.99) from the bucket
 // counts by linear interpolation within the target bucket, the same estimate
 // Prometheus's histogram_quantile computes. It returns 0 with no

@@ -93,8 +93,8 @@ func TestHistogramObserveHelpers(t *testing.T) {
 	if h.Count() != 2 {
 		t.Fatalf("count = %d, want 2", h.Count())
 	}
-	if h.Sum() < 0.25 {
-		t.Fatalf("sum = %g, want >= 0.25", h.Sum())
+	if h.sum.load() < 0.25 {
+		t.Fatalf("sum = %g, want >= 0.25", h.sum.load())
 	}
 }
 

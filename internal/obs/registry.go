@@ -35,7 +35,7 @@ type family struct {
 }
 
 // Registry holds metric families and renders them as Prometheus text format
-// v0.0.4. Use NewRegistry for an isolated one (tests); the process-wide
+// v0.0.4. Use NewRegistry for an instance's own series; the process-wide
 // series live on Default.
 type Registry struct {
 	mu     sync.Mutex
@@ -48,8 +48,9 @@ func NewRegistry() *Registry {
 	return &Registry{byName: make(map[string]*family)}
 }
 
-// Default is the process-wide registry every subsystem registers on and
-// cmd/pland exposes at GET /metrics.
+// Default is the process-wide registry: the series no instance owns. cmd/pland
+// exposes it at GET /metrics, followed by its planner's and job manager's
+// own registries.
 var Default = NewRegistry()
 
 // validName reports whether name is a legal Prometheus metric or label name.
@@ -246,10 +247,13 @@ func writeHistogram(w io.Writer, name, labels string, bounds []float64, h *Histo
 	fmt.Fprintf(w, "%s_count%s %d\n", name, labels, count)
 }
 
-// Handler serves the registry as a Prometheus scrape endpoint.
-func Handler(r *Registry) http.Handler {
+// Handler serves a Prometheus scrape endpoint: the series of each writer in
+// turn, such as a Registry's WritePrometheus.
+func Handler(writers ...func(io.Writer) error) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = r.WritePrometheus(w)
+		for _, write := range writers {
+			_ = write(w)
+		}
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // cachedPlan is the canonical solution stored per canonical instance. The
@@ -90,14 +91,19 @@ type cache struct {
 	entries   map[uint64]*list.Element // hash -> *entry element in order
 	order     *list.List               // front = most recently used
 	inflight  map[uint64]*flight
+	// size and evictions are the planner's pland_planner_cache_entries and
+	// pland_planner_cache_evictions_total.
+	size      *obs.Gauge
+	evictions *obs.Counter
 }
 
 // avgEntryWeightBudget is the assumed average retained words per entry used
 // to derive the cache's weight cap from its entry capacity.
 const avgEntryWeightBudget = 4096
 
-// newCache builds a cache holding at most capacity entries (at least one).
-func newCache(capacity int) *cache {
+// newCache builds a cache holding at most capacity entries (at least one)
+// that reports its size and evictions on the given series.
+func newCache(capacity int, size *obs.Gauge, evictions *obs.Counter) *cache {
 	if capacity < 1 {
 		capacity = 1
 	}
@@ -107,6 +113,8 @@ func newCache(capacity int) *cache {
 		entries:   make(map[uint64]*list.Element),
 		order:     list.New(),
 		inflight:  make(map[uint64]*flight),
+		size:      size,
+		evictions: evictions,
 	}
 }
 
@@ -179,11 +187,11 @@ func (c *cache) store(cn *canonical, plan *cachedPlan, w int) {
 	e := &entry{hash: cn.hash, problem: cn.problem, q: cn.q, sizes: cn.sizes, ySizes: cn.ySizes,
 		plan: plan, weight: w}
 	c.entries[cn.hash] = c.order.PushFront(e)
-	obsCacheEntries.Inc()
+	c.size.Inc()
 	c.weight += w
 	for c.order.Len() > 1 && (c.order.Len() > c.capacity || c.weight > c.weightCap) {
 		c.remove(c.order.Back())
-		obsCacheEvictions.Inc()
+		c.evictions.Inc()
 	}
 }
 
@@ -194,7 +202,7 @@ func (c *cache) remove(el *list.Element) {
 	c.order.Remove(el)
 	delete(c.entries, e.hash)
 	c.weight -= e.weight
-	obsCacheEntries.Dec()
+	c.size.Dec()
 }
 
 // len reports the number of cached entries.

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // hammerInstances builds a family of distinct canonical A2A instances plus a
@@ -133,7 +134,7 @@ func TestPlanConcurrentHammer(t *testing.T) {
 // TestCacheLRUEviction fills a tiny cache past capacity and checks the
 // oldest canonical instance was evicted and re-solves on the next request.
 func TestCacheLRUEviction(t *testing.T) {
-	p := &Planner{cache: newCache(2)}
+	p := New(Config{CacheEntries: 2})
 	ctx := context.Background()
 	mk := func(base core.Size) Request {
 		return Request{
@@ -215,7 +216,7 @@ func TestCacheCapacityIsExact(t *testing.T) {
 func TestCacheWeightBound(t *testing.T) {
 	ctx := context.Background()
 	small := Request{Problem: core.ProblemA2A, Set: core.MustNewInputSet([]core.Size{3, 2, 1}), Capacity: 6}
-	p := &Planner{cache: newCache(1)}
+	p := New(Config{CacheEntries: 1})
 	if _, err := p.Plan(ctx, small); err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +245,7 @@ func TestCacheWeightBound(t *testing.T) {
 
 	// Four slots, a budget of 4 × avgEntryWeightBudget words: three
 	// entries of 1.5 budgets each cannot all stay.
-	c := newCache(4)
+	c := newCache(4, &obs.Gauge{}, &obs.Counter{})
 	w := avgEntryWeightBudget * 3 / 2
 	cns := make([]*canonical, 4)
 	for i := range cns {

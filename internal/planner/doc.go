@@ -14,4 +14,9 @@
 // with the sides swapped — are solved once and served by renaming IDs back.
 // pkg/assign is the public face of this planner, and the cmd/pland HTTP
 // server exposes the same facade over JSON.
+//
+// Each Planner counts in its own pland_planner_* series, registered when New
+// builds it: every Plan call that returns lands in exactly one outcome
+// (hit, miss, shared, error), and Stats is a view over those series.
+// WritePrometheus hands them to a scrape.
 package planner

@@ -89,7 +89,11 @@ type Result struct {
 // value is not usable; use New. Planners are safe for concurrent use.
 type Planner struct {
 	cache *cache
-	stats stats
+	// reg holds the planner's series, its only counters (see register).
+	reg                       *obs.Registry
+	hit, miss, shared, failed *obs.Counter
+	wins                      *obs.CounterVec
+	planSeconds, raceSeconds  *obs.Histogram
 }
 
 // Config configures New.
@@ -103,12 +107,13 @@ type Config struct {
 // New builds a Planner.
 func New(cfg Config) *Planner {
 	p := &Planner{}
+	cacheEntries, cacheEvictions := p.register()
 	entries := cfg.CacheEntries
 	if entries == 0 {
 		entries = DefaultCacheEntries
 	}
 	if entries > 0 {
-		p.cache = newCache(entries)
+		p.cache = newCache(entries, cacheEntries, cacheEvictions)
 	}
 	return p
 }
@@ -141,14 +146,12 @@ func Key(req Request) (string, error) {
 // owned by the caller.
 func (p *Planner) Plan(ctx context.Context, req Request) (*Result, error) {
 	start := time.Now()
-	p.stats.requests.Add(1)
 	sp := obs.SpanFrom(ctx)
 	endCanon := sp.Stage("canonicalize")
 	cn, err := canonicalize(req)
 	endCanon()
 	if err != nil {
-		p.stats.errors.Add(1)
-		obsReqError.Inc()
+		p.failed.Inc()
 		return nil, err
 	}
 
@@ -161,26 +164,22 @@ func (p *Planner) Plan(ctx context.Context, req Request) (*Result, error) {
 	switch {
 	case plan != nil: // cache hit
 		endCache()
-		p.stats.hits.Add(1)
-		obsReqHit.Inc()
+		p.hit.Inc()
 		return p.finish(req, cn, plan, true, false, start), nil
 	case waitFor != nil:
 		select {
 		case <-waitFor.done:
 		case <-ctx.Done():
 			endCache()
-			p.stats.errors.Add(1)
-			obsReqError.Inc()
+			p.failed.Inc()
 			return nil, ctx.Err()
 		}
 		endCache()
 		if waitFor.err != nil {
-			p.stats.errors.Add(1)
-			obsReqError.Inc()
+			p.failed.Inc()
 			return nil, waitFor.err
 		}
-		p.stats.shared.Add(1)
-		obsReqShared.Inc()
+		p.shared.Inc()
 		return p.finish(req, cn, waitFor.plan, false, true, start), nil
 	case mine != nil:
 		endCache()
@@ -190,12 +189,11 @@ func (p *Planner) Plan(ctx context.Context, req Request) (*Result, error) {
 		// own, so the detached solve ends without a deadline.
 		// The goroutine records the solver win (every fresh solve has one,
 		// even if its requester abandons); the request counters stay with
-		// the requester so each request lands in exactly one of
-		// hits/misses/shared/errors.
+		// the requester so each request lands in exactly one outcome.
 		go func() {
 			solved, err := p.solvePortfolio(context.Background(), cn)
 			if err == nil {
-				p.stats.recordWin(solved.winner)
+				p.wins.With(solved.winner).Inc()
 			}
 			p.cache.finishFlight(cn, mine, solved, err)
 		}()
@@ -204,18 +202,15 @@ func (p *Planner) Plan(ctx context.Context, req Request) (*Result, error) {
 		case <-mine.done:
 		case <-ctx.Done():
 			endRace()
-			p.stats.errors.Add(1)
-			obsReqError.Inc()
+			p.failed.Inc()
 			return nil, ctx.Err()
 		}
 		endRace()
 		if mine.err != nil {
-			p.stats.errors.Add(1)
-			obsReqError.Inc()
+			p.failed.Inc()
 			return nil, mine.err
 		}
-		p.stats.misses.Add(1)
-		obsReqMiss.Inc()
+		p.miss.Inc()
 		return p.finish(req, cn, mine.plan, false, false, start), nil
 	default:
 		// A fingerprint-colliding instance holds the flight slot: solve solo
@@ -232,13 +227,11 @@ func (p *Planner) solveAndRecord(ctx context.Context, req Request, cn *canonical
 	plan, err := p.solvePortfolio(ctx, cn)
 	endRace()
 	if err != nil {
-		p.stats.errors.Add(1)
-		obsReqError.Inc()
+		p.failed.Inc()
 		return nil, err
 	}
-	p.stats.misses.Add(1)
-	obsReqMiss.Inc()
-	p.stats.recordWin(plan.winner)
+	p.miss.Inc()
+	p.wins.With(plan.winner).Inc()
 	return p.finish(req, cn, plan, false, false, start), nil
 }
 
@@ -253,7 +246,7 @@ func (p *Planner) finish(req Request, cn *canonical, plan *cachedPlan, hit, shar
 		cost = core.SchemaCost(schema, req.X.TotalSize(), req.Y.TotalSize())
 	}
 	elapsed := time.Since(start)
-	obsPlanSeconds.ObserveDuration(elapsed)
+	p.planSeconds.ObserveDuration(elapsed)
 	return &Result{
 		Schema:             schema,
 		Cost:               cost,
@@ -323,7 +316,7 @@ func portfolio(cn *canonical, set, ySet *core.InputSet) []candidate {
 // has produced one yet.
 func (p *Planner) solvePortfolio(ctx context.Context, cn *canonical) (*cachedPlan, error) {
 	raceStart := time.Now()
-	defer obsRaceSeconds.ObserveSince(raceStart)
+	defer p.raceSeconds.ObserveSince(raceStart)
 	set, ySet, err := cn.inputSets()
 	if err != nil {
 		return nil, err

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -193,6 +195,74 @@ func TestPlanCacheServesIsomorphicInstances(t *testing.T) {
 	st := p.Stats()
 	if st.CacheHits != 2 || st.CacheMisses != 2 {
 		t.Errorf("stats = %+v, want 2 hits and 2 misses", st)
+	}
+}
+
+// TestStatsReadTheSeries: a planner counts each Plan outcome once, in its own
+// series, so what it writes to a scrape is what Stats reports, and a second
+// planner in the process counts none of it.
+func TestStatsReadTheSeries(t *testing.T) {
+	ctx := context.Background()
+	p, other := New(Config{}), New(Config{})
+	set := core.MustNewInputSet([]core.Size{3, 3, 2, 2, 4, 1})
+	for i := 0; i < 3; i++ {
+		if _, err := p.Plan(ctx, a2aRequest(set, 10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := p.Plan(ctx, a2aRequest(set, 0)); err == nil {
+		t.Fatal("q = 0 planned")
+	}
+	st := p.Stats()
+	if st.Requests != 4 || st.CacheMisses != 1 || st.CacheHits != 2 || st.Errors != 1 || st.SharedFlights != 0 || st.CacheEntries != 1 {
+		t.Fatalf("stats = %+v, want 4 requests: 1 miss, 2 hits, 1 error; 1 entry", st)
+	}
+	if len(st.SolverWins) != 1 {
+		t.Fatalf("solver wins = %v, want the one member that won the one solve", st.SolverWins)
+	}
+	var b strings.Builder
+	if err := p.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`pland_planner_requests_total{outcome="hit"} 2`,
+		`pland_planner_requests_total{outcome="miss"} 1`,
+		`pland_planner_requests_total{outcome="error"} 1`,
+		`pland_planner_requests_total{outcome="shared"} 0`,
+		"pland_planner_plan_seconds_count 3",
+		"pland_planner_race_seconds_count 1",
+		"pland_planner_cache_entries 1",
+		"pland_planner_cache_evictions_total 0",
+	} {
+		if !strings.Contains(b.String(), want+"\n") {
+			t.Errorf("scrape lacks %q:\n%s", want, b.String())
+		}
+	}
+	if st := other.Stats(); st.Requests != 0 || len(st.SolverWins) != 0 {
+		t.Errorf("an idle planner counted another's plans: %+v", st)
+	}
+}
+
+// TestPortfolioMembersAreCounted: every member the portfolio can run has a
+// solver_wins child, or Stats would never report its wins.
+func TestPortfolioMembersAreCounted(t *testing.T) {
+	for _, req := range []Request{
+		a2aRequest(core.MustNewInputSet([]core.Size{3, 3, 2}), 6),
+		x2yRequest(core.MustNewInputSet([]core.Size{3, 1}), core.MustNewInputSet([]core.Size{2, 2}), 6),
+	} {
+		cn, err := canonicalize(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		set, ySet, err := cn.inputSets()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range portfolio(cn, set, ySet) {
+			if !slices.Contains(members, c.name) {
+				t.Errorf("portfolio member %q is not in members", c.name)
+			}
+		}
 	}
 }
 

@@ -1,36 +1,9 @@
 package planner
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
-// stats holds the planner's internal counters. Counters are atomics so the
-// hot path never takes a lock; the per-winner map is guarded separately.
-type stats struct {
-	requests atomic.Uint64
-	hits     atomic.Uint64
-	misses   atomic.Uint64
-	shared   atomic.Uint64
-	errors   atomic.Uint64
-
-	mu   sync.Mutex
-	wins map[string]uint64
-}
-
-func (s *stats) recordWin(name string) {
-	obsSolverWins.With(name).Inc()
-	s.mu.Lock()
-	if s.wins == nil {
-		s.wins = make(map[string]uint64)
-	}
-	s.wins[name]++
-	s.mu.Unlock()
-}
-
-// Stats is a snapshot of a planner's counters.
+// Stats is a snapshot of a planner's counters, read from its series.
 type Stats struct {
-	// Requests counts every Plan call, including failed ones.
+	// Requests counts the Plan calls that have returned, failed ones
+	// included: the sum of the four outcomes below.
 	Requests uint64 `json:"requests"`
 	// CacheHits counts requests served from a completed cache entry.
 	CacheHits uint64 `json:"cache_hits"`
@@ -43,25 +16,26 @@ type Stats struct {
 	Errors uint64 `json:"errors"`
 	// CacheEntries is the current number of cached canonical plans.
 	CacheEntries int `json:"cache_entries"`
-	// SolverWins counts, per portfolio member, how many fresh solves it won.
+	// SolverWins counts, per portfolio member, how many fresh solves it won;
+	// members that never won are absent.
 	SolverWins map[string]uint64 `json:"solver_wins"`
 }
 
 // Stats snapshots the planner's counters.
 func (p *Planner) Stats() Stats {
 	st := Stats{
-		Requests:      p.stats.requests.Load(),
-		CacheHits:     p.stats.hits.Load(),
-		CacheMisses:   p.stats.misses.Load(),
-		SharedFlights: p.stats.shared.Load(),
-		Errors:        p.stats.errors.Load(),
+		CacheHits:     p.hit.Value(),
+		CacheMisses:   p.miss.Value(),
+		SharedFlights: p.shared.Value(),
+		Errors:        p.failed.Value(),
 		CacheEntries:  p.CacheLen(),
 		SolverWins:    map[string]uint64{},
 	}
-	p.stats.mu.Lock()
-	for k, v := range p.stats.wins {
-		st.SolverWins[k] = v
+	st.Requests = st.CacheHits + st.CacheMisses + st.SharedFlights + st.Errors
+	for _, m := range members {
+		if n := p.wins.With(m).Value(); n > 0 {
+			st.SolverWins[m] = n
+		}
 	}
-	p.stats.mu.Unlock()
 	return st
 }

@@ -6,11 +6,12 @@
 // # Contract
 //
 // Placement is a pure function. Ring construction depends only on the node
-// set and the replica count — never on insertion order, wall clock, or
-// process identity — and hashing is 64-bit FNV-1a, so every node in a fleet
-// configured with the same -peers list computes the same owner for the same
-// key without any coordination. That determinism is the whole protocol: there
-// is no membership gossip, no leader, and no ownership table to replicate.
+// set — every ring places DefaultReplicas points per node, never according
+// to insertion order, wall clock, or process identity — and hashing is
+// 64-bit FNV-1a, so every node in a fleet configured with the same -peers
+// list computes the same owner for the same key without any coordination.
+// That determinism is the whole protocol: there is no membership gossip, no
+// leader, and no ownership table to replicate.
 //
 // Movement is bounded. A node's removal moves exactly the keys that node
 // owned — on average 1/N of the keyspace for an N-node ring — onto their

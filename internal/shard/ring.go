@@ -2,14 +2,13 @@ package shard
 
 import (
 	"errors"
-	"fmt"
 	"hash/fnv"
 	"sort"
 	"strconv"
 )
 
 // DefaultReplicas is how many virtual points each node contributes to the
-// ring. More points smooth the key distribution (stddev of the per-node share
+// ring, in every ring. More points smooth the key distribution (stddev of the per-node share
 // shrinks roughly with 1/sqrt(replicas)) at the cost of a larger sorted-point
 // array; 128 keeps a 16-node fleet's imbalance under a few percent while the
 // whole ring stays a handful of cache lines.
@@ -25,30 +24,17 @@ type point struct {
 // Lookups walk clockwise from the key's hash to the first virtual point, so
 // membership changes move only the keys whose clockwise walk crossed a
 // vanished (or newly inserted) point — the bounded-movement property the
-// rebalance tests pin. Build a changed ring with Without/With rather than
-// mutating; immutability is what makes the Ring lock-free to share.
+// rebalance tests pin. A changed membership is a new ring from New;
+// immutability is what makes the Ring lock-free to share.
 type Ring struct {
-	replicas int
-	nodes    []string // sorted, unique
-	points   []point  // sorted by hash, ties broken by node
-}
-
-// Option configures New.
-type Option func(*Ring)
-
-// WithReplicas overrides the virtual-node count per node.
-func WithReplicas(n int) Option {
-	return func(r *Ring) {
-		if n > 0 {
-			r.replicas = n
-		}
-	}
+	nodes  []string // sorted, unique
+	points []point  // sorted by hash, ties broken by node
 }
 
 // New builds a ring over the given nodes. Duplicates are collapsed; at least
 // one node is required. Node order does not matter: the ring is a pure
-// function of the node set and the replica count.
-func New(nodes []string, opts ...Option) (*Ring, error) {
+// function of the node set.
+func New(nodes []string) (*Ring, error) {
 	uniq := make(map[string]struct{}, len(nodes))
 	for _, n := range nodes {
 		if n == "" {
@@ -59,18 +45,14 @@ func New(nodes []string, opts ...Option) (*Ring, error) {
 	if len(uniq) == 0 {
 		return nil, errors.New("shard: ring needs at least one node")
 	}
-	r := &Ring{replicas: DefaultReplicas}
-	for _, o := range opts {
-		o(r)
-	}
-	r.nodes = make([]string, 0, len(uniq))
+	r := &Ring{nodes: make([]string, 0, len(uniq))}
 	for n := range uniq {
 		r.nodes = append(r.nodes, n)
 	}
 	sort.Strings(r.nodes)
-	r.points = make([]point, 0, len(r.nodes)*r.replicas)
+	r.points = make([]point, 0, len(r.nodes)*DefaultReplicas)
 	for _, n := range r.nodes {
-		for i := 0; i < r.replicas; i++ {
+		for i := 0; i < DefaultReplicas; i++ {
 			r.points = append(r.points, point{hash: pointHash(n, i), node: n})
 		}
 	}
@@ -121,15 +103,6 @@ func finalize(x uint64) uint64 {
 // as read-only.
 func (r *Ring) Nodes() []string { return r.nodes }
 
-// Len returns the number of member nodes.
-func (r *Ring) Len() int { return len(r.nodes) }
-
-// Has reports membership.
-func (r *Ring) Has(node string) bool {
-	i := sort.SearchStrings(r.nodes, node)
-	return i < len(r.nodes) && r.nodes[i] == node
-}
-
 // start returns the index of the first point at or clockwise-after the key.
 func (r *Ring) start(key string) int {
 	h := Hash(key)
@@ -140,14 +113,9 @@ func (r *Ring) start(key string) int {
 	return i
 }
 
-// Lookup returns the key's owner: the node of the first virtual point
-// clockwise from the key's hash.
-func (r *Ring) Lookup(key string) string {
-	return r.points[r.start(key)].node
-}
-
 // Owner walks clockwise from the key and returns the first node alive accepts
-// (a nil alive accepts everything). This is how the fleet routes around dead
+// (a nil alive accepts everything, so the key's owner is the node of the
+// first virtual point clockwise from its hash). This is how the fleet routes around dead
 // nodes: every node with the same liveness view computes the same owner, and
 // when a node dies its keys land exactly on their ring successors — the same
 // nodes a graceful drain hands its sessions to.
@@ -166,10 +134,11 @@ func (r *Ring) Successor(key, exclude string, alive func(string) bool) (string, 
 }
 
 // walk scans clockwise from the key's point over distinct nodes in ring
-// order, returning the first one ok accepts.
+// order, returning the first one ok accepts. The set of refused nodes is
+// made at the first refusal, so the common walk allocates nothing.
 func (r *Ring) walk(key string, ok func(string) bool) (string, bool) {
 	start := r.start(key)
-	seen := make(map[string]struct{}, len(r.nodes))
+	var seen map[string]struct{}
 	for i := 0; i < len(r.points); i++ {
 		p := r.points[(start+i)%len(r.points)]
 		if _, dup := seen[p.node]; dup {
@@ -178,34 +147,13 @@ func (r *Ring) walk(key string, ok func(string) bool) (string, bool) {
 		if ok(p.node) {
 			return p.node, true
 		}
+		if seen == nil {
+			seen = make(map[string]struct{}, len(r.nodes))
+		}
 		seen[p.node] = struct{}{}
 		if len(seen) == len(r.nodes) {
 			break
 		}
 	}
 	return "", false
-}
-
-// Without derives the ring with one node removed; With derives it with one
-// added. Both rebuild from the node set, so the virtual points of the
-// untouched nodes sit exactly where they were — which is why only the
-// removed (or added) node's keys move.
-func (r *Ring) Without(node string) (*Ring, error) {
-	if !r.Has(node) {
-		return nil, fmt.Errorf("shard: node %q not in ring", node)
-	}
-	nodes := make([]string, 0, len(r.nodes)-1)
-	for _, n := range r.nodes {
-		if n != node {
-			nodes = append(nodes, n)
-		}
-	}
-	return New(nodes, WithReplicas(r.replicas))
-}
-
-func (r *Ring) With(node string) (*Ring, error) {
-	if r.Has(node) {
-		return nil, fmt.Errorf("shard: node %q already in ring", node)
-	}
-	return New(append(append([]string(nil), r.nodes...), node), WithReplicas(r.replicas))
 }

@@ -7,13 +7,19 @@ import (
 	"testing"
 )
 
-func mustRing(t *testing.T, nodes []string, opts ...Option) *Ring {
+func mustRing(t testing.TB, nodes []string) *Ring {
 	t.Helper()
-	r, err := New(nodes, opts...)
+	r, err := New(nodes)
 	if err != nil {
 		t.Fatalf("New(%v): %v", nodes, err)
 	}
 	return r
+}
+
+// owner is the key's owner with every node alive.
+func owner(r *Ring, key string) string {
+	n, _ := r.Owner(key, nil)
+	return n
 }
 
 func fleet(n int) []string {
@@ -46,8 +52,8 @@ func TestRingDeterminism(t *testing.T) {
 	b := mustRing(t, shuffled)
 	for i := 0; i < 10_000; i++ {
 		key := fmt.Sprintf("s-%016x", i)
-		if a.Lookup(key) != b.Lookup(key) {
-			t.Fatalf("key %q: order-dependent lookup (%s vs %s)", key, a.Lookup(key), b.Lookup(key))
+		if owner(a, key) != owner(b, key) {
+			t.Fatalf("key %q: order-dependent owner (%s vs %s)", key, owner(a, key), owner(b, key))
 		}
 	}
 }
@@ -63,17 +69,11 @@ func TestRingRemovalMovesOnlyOwnedKeys(t *testing.T) {
 			nodes := fleet(n)
 			before := mustRing(t, nodes)
 			removed := nodes[n/2]
-			after, err := before.Without(removed)
-			if err != nil {
-				t.Fatalf("Without: %v", err)
-			}
-			if after.Len() != n-1 || after.Has(removed) {
-				t.Fatalf("Without left %d nodes, Has(removed)=%v", after.Len(), after.Has(removed))
-			}
+			after := mustRing(t, append(nodes[:n/2:n/2], nodes[n/2+1:]...))
 			owned, moved := 0, 0
 			for i := 0; i < keys; i++ {
 				key := fmt.Sprintf("key-%d-%d", n, i)
-				was, is := before.Lookup(key), after.Lookup(key)
+				was, is := owner(before, key), owner(after, key)
 				if was == removed {
 					owned++
 					// The orphaned key must land on its ring successor: the
@@ -111,7 +111,7 @@ func TestRingBalance(t *testing.T) {
 	r := mustRing(t, nodes)
 	counts := make(map[string]int, len(nodes))
 	for i := 0; i < keys; i++ {
-		counts[r.Lookup(fmt.Sprintf("bal-%d", i))]++
+		counts[owner(r, fmt.Sprintf("bal-%d", i))]++
 	}
 	ideal := float64(keys) / float64(len(nodes))
 	for _, n := range nodes {
@@ -131,7 +131,7 @@ func TestRingOwnerSkipsDead(t *testing.T) {
 	alive := func(n string) bool { return !dead[n] }
 	for i := 0; i < 5_000; i++ {
 		key := fmt.Sprintf("o-%d", i)
-		primary := r.Lookup(key)
+		primary := owner(r, key)
 		if got, ok := r.Owner(key, alive); !ok || got != primary {
 			t.Fatalf("key %q: healthy Owner = %s/%v, want %s", key, got, ok, primary)
 		}
@@ -154,7 +154,7 @@ func TestRingOwnerSkipsDead(t *testing.T) {
 	}
 }
 
-// referenceLookup recomputes a lookup from first principles over an
+// referenceLookup recomputes a key's owner from first principles over an
 // independently built point list, binary-search-free.
 func referenceLookup(nodes []string, replicas int, key string) string {
 	type pt struct {
@@ -184,7 +184,7 @@ func referenceLookup(nodes []string, replicas int, key string) string {
 	return best.n
 }
 
-// FuzzRingLookup cross-checks the ring's binary-search lookup against the
+// FuzzRingLookup cross-checks the ring's binary-search owner against the
 // linear reference on arbitrary keys and fleet sizes.
 func FuzzRingLookup(f *testing.F) {
 	f.Add("s-00deadbeef", uint8(3))
@@ -193,23 +193,15 @@ func FuzzRingLookup(f *testing.F) {
 	f.Fuzz(func(t *testing.T, key string, n uint8) {
 		size := int(n)%12 + 1
 		nodes := fleet(size)
-		r, err := New(nodes, WithReplicas(16))
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		got := r.Lookup(key)
-		want := referenceLookup(nodes, 16, key)
-		if got != want {
-			t.Fatalf("Lookup(%q) over %d nodes = %s, reference says %s", key, size, got, want)
+		got := owner(mustRing(t, nodes), key)
+		if want := referenceLookup(nodes, DefaultReplicas, key); got != want {
+			t.Fatalf("Owner(%q) over %d nodes = %s, reference says %s", key, size, got, want)
 		}
 	})
 }
 
 func BenchmarkRingLookup(b *testing.B) {
-	r, err := New(fleet(16))
-	if err != nil {
-		b.Fatal(err)
-	}
+	r := mustRing(b, fleet(16))
 	keys := make([]string, 1024)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("s-%016x", i*2654435761)
@@ -217,6 +209,6 @@ func BenchmarkRingLookup(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = r.Lookup(keys[i%len(keys)])
+		_, _ = r.Owner(keys[i%len(keys)], nil)
 	}
 }

@@ -51,11 +51,6 @@ func (d Distribution) String() string {
 	}
 }
 
-// Distributions returns every distribution, in a stable order, for sweeps.
-func Distributions() []Distribution {
-	return []Distribution{Constant, Uniform, Zipf, Exponential, Bimodal}
-}
-
 // SizeSpec describes an input-size distribution.
 type SizeSpec struct {
 	Dist Distribution

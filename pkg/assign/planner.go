@@ -1,6 +1,8 @@
 package assign
 
 import (
+	"io"
+
 	"repro/internal/exec"
 	"repro/internal/planner"
 )
@@ -50,6 +52,10 @@ type Stats = planner.Stats
 
 // Stats snapshots this planner's counters.
 func (pl *Planner) Stats() Stats { return pl.p.Stats() }
+
+// WritePrometheus writes this planner's own pland_planner_* series, the
+// counters Stats reads, in Prometheus text format.
+func (pl *Planner) WritePrometheus(w io.Writer) error { return pl.p.WritePrometheus(w) }
 
 // CacheLen reports how many canonical plans this planner currently caches.
 func (pl *Planner) CacheLen() int { return pl.p.CacheLen() }
