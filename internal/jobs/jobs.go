@@ -298,28 +298,24 @@ type Stats struct {
 	Canceled  int64 `json:"canceled"`
 }
 
-// Stats snapshots the manager's counters. It sweeps expired jobs first, as
-// Get does, so Retained never counts a job Get would report ErrNotFound for.
+// Stats reads the manager's series and its table. It sweeps expired jobs
+// first, as Get does, so Retained never counts a job Get would report
+// ErrNotFound for.
 func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.expireLocked(time.Now())
-	st := Stats{
-		QueueDepth:    len(m.pending),
+	return Stats{
+		QueueDepth:    int(m.metrics.queueDepth.Value()),
 		QueueCapacity: m.cfg.QueueDepth,
 		Workers:       m.cfg.Workers,
+		Retained:      len(m.jobs),
+		Running:       int(m.metrics.inFlight.Value()),
 		Submitted:     int64(m.metrics.submitted.Value()),
 		Succeeded:     int64(m.metrics.succeeded.Value()),
 		Failed:        int64(m.metrics.failed.Value()),
 		Canceled:      int64(m.metrics.canceled.Value()),
 	}
-	for _, j := range m.jobs {
-		if j.state == StateRunning {
-			st.Running++
-		}
-	}
-	st.Retained = len(m.jobs)
-	return st
 }
 
 // Shutdown stops intake, cancels every running job's context, waits for the
