@@ -10,12 +10,13 @@
 // Restore, which both sweep first, so it never holds an expired job past
 // the next call that could add one; an idle manager frees expired results
 // at its next call.
+// cmd/pland's v2 API is built on it — combinatorial solves (large n, tight
+// q, exact search) belong behind an asynchronous, budget-aware interface,
+// not a blocking request/response call.
 //
 // Each Manager counts in its own pland_jobs_* series, registered when New
-// builds it; Stats reads its lifetime totals from them, and WritePrometheus
-// hands them to a scrape. cmd/pland's v2 API is built on it — combinatorial
-// solves (large n, tight q, exact search) belong behind an asynchronous,
-// budget-aware interface, not a blocking request/response call.
+// builds it: Stats reads its counts from them, and WritePrometheus hands
+// them to a scrape.
 package jobs
 
 import (

@@ -7,7 +7,7 @@ import (
 )
 
 // series are a Manager's pland_jobs_* metrics, on its own registry and the
-// only place it counts: Stats reads its lifetime totals from them. Gauges
+// only place it counts: Stats reads its counts from them. Gauges
 // follow a strict inc/dec discipline — Submit raises queue depth, exactly
 // one of worker dequeue / Cancel-of-queued / Shutdown-drain lowers it — so
 // the values stay truthful.
