@@ -112,79 +112,11 @@ func (ms *MappingSchema) AddReducerX2Y(xs, ys *InputSet, xIDs, yIDs []int) {
 // capacity and every pair of distinct inputs shares at least one reducer.
 // When the set has a single input, an empty schema is valid (there is no pair
 // to cover).
-//
-// Coverage is kept by rows: row i is a bit set of the inputs j >= i known to
-// share a reducer with input i. A reducer with more members than a row has
-// words ORs its member mask into the row of each member — at most m/64 words
-// a member, where marking its pairs one by one is a bit per co-member; a
-// smaller reducer has fewer pairs than that and marks them. The first
-// uncovered pair is then the first zero past the diagonal of the first row
-// that has one.
 func (ms *MappingSchema) ValidateA2A(set *InputSet) error {
 	if ms.Problem != ProblemA2A {
 		return fmt.Errorf("core: ValidateA2A called on %v schema", ms.Problem)
 	}
-	m := set.Len()
-	words := (m + 63) / 64
-	rows := make([]uint64, m*words)
-	members := make([]uint64, words)
-	for r, red := range ms.Reducers {
-		if err := ms.checkLoad(r, red); err != nil {
-			return err
-		}
-		for _, id := range red.Inputs {
-			if id < 0 || id >= m {
-				return fmt.Errorf("%w: reducer %d references input %d (set has %d inputs)", ErrUnknownInput, r, id, m)
-			}
-		}
-		// Recompute the load from the set to catch stale Load fields.
-		var load Size
-		for _, id := range red.Inputs {
-			load += set.Size(id)
-		}
-		if load > ms.Capacity {
-			return fmt.Errorf("%w: reducer %d holds %d > q=%d", ErrCapacityExceeded, r, load, ms.Capacity)
-		}
-		if len(red.Inputs) <= words {
-			for i, a := range red.Inputs {
-				for _, b := range red.Inputs[i+1:] {
-					lo, hi := min(a, b), max(a, b)
-					rows[lo*words+hi>>6] |= 1 << (hi & 63)
-				}
-			}
-			continue
-		}
-		last := 0 // the last word of the mask that is not empty
-		for _, id := range red.Inputs {
-			members[id>>6] |= 1 << (id & 63)
-			last = max(last, id>>6)
-		}
-		for _, id := range red.Inputs {
-			row := rows[id*words : (id+1)*words]
-			for w := id >> 6; w <= last; w++ {
-				row[w] |= members[w]
-			}
-		}
-		for _, id := range red.Inputs {
-			members[id>>6] = 0
-		}
-	}
-	for i := 0; i < m; i++ {
-		row := rows[i*words : (i+1)*words]
-		for w := i >> 6; w < words; w++ {
-			missing := ^row[w]
-			if w == i>>6 {
-				missing &= ^uint64(1) << (i & 63) // only j > i
-			}
-			if w == words-1 && m&63 != 0 {
-				missing &= 1<<(m&63) - 1 // only j < m
-			}
-			if missing != 0 {
-				return fmt.Errorf("%w: pair (%d,%d)", ErrPairUncovered, i, w<<6+bits.TrailingZeros64(missing))
-			}
-		}
-	}
-	return nil
+	return ms.validate(set, set)
 }
 
 // ValidateX2Y checks that the schema is a valid solution of the X2Y mapping
@@ -194,49 +126,112 @@ func (ms *MappingSchema) ValidateX2Y(xs, ys *InputSet) error {
 	if ms.Problem != ProblemX2Y {
 		return fmt.Errorf("core: ValidateX2Y called on %v schema", ms.Problem)
 	}
+	return ms.validate(xs, ys)
+}
+
+// validate is the one pass behind ValidateA2A (xs and ys the same set) and
+// ValidateX2Y. Per reducer it checks the recorded load, each member against
+// its set and the load recomputed from the sets, which catches a stale Load.
+//
+// Coverage is kept by rows: row i is a bit set of the second side's inputs
+// known to share a reducer with input i of the first (for A2A only j > i
+// counts). A reducer with more second-side members than a row has words, and
+// more than two first-side members, ORs its member mask into the row of each
+// first-side member: at most ny/64 words a member, where marking its pairs
+// one by one is a bit per co-member, plus setting and clearing the mask, two
+// steps per second-side member. A smaller reducer has fewer pairs than that
+// and marks them (an X2Y reducer with one input above q/2 is one X beside
+// many Ys). The first uncovered pair is then the first zero of the first row
+// that has one.
+func (ms *MappingSchema) validate(xs, ys *InputSet) error {
+	a2a := ms.Problem == ProblemA2A
 	nx, ny := xs.Len(), ys.Len()
-	covered := make([]bool, nx*ny)
+	words := (ny + 63) / 64
+	rows := make([]uint64, nx*words)
+	members := make([]uint64, words)
+	xName, pair := "X input", "%w: pair (x=%d, y=%d)"
+	if a2a {
+		xName, pair = "input", "%w: pair (%d,%d)"
+	}
 	for r, red := range ms.Reducers {
-		if err := ms.checkLoad(r, red); err != nil {
-			return err
+		if red.Load > ms.Capacity {
+			return fmt.Errorf("%w: reducer %d records load %d > q=%d", ErrCapacityExceeded, r, red.Load, ms.Capacity)
+		}
+		first, second := red.XInputs, red.YInputs
+		if a2a {
+			first, second = red.Inputs, red.Inputs
 		}
 		var load Size
-		for _, id := range red.XInputs {
+		for _, id := range first {
 			if id < 0 || id >= nx {
-				return fmt.Errorf("%w: reducer %d references X input %d (set has %d inputs)", ErrUnknownInput, r, id, nx)
+				return fmt.Errorf("%w: reducer %d references %s %d (set has %d inputs)", ErrUnknownInput, r, xName, id, nx)
 			}
 			load += xs.Size(id)
 		}
-		for _, id := range red.YInputs {
-			if id < 0 || id >= ny {
-				return fmt.Errorf("%w: reducer %d references Y input %d (set has %d inputs)", ErrUnknownInput, r, id, ny)
+		if !a2a {
+			for _, id := range second {
+				if id < 0 || id >= ny {
+					return fmt.Errorf("%w: reducer %d references Y input %d (set has %d inputs)", ErrUnknownInput, r, id, ny)
+				}
+				load += ys.Size(id)
 			}
-			load += ys.Size(id)
 		}
 		if load > ms.Capacity {
 			return fmt.Errorf("%w: reducer %d holds %d > q=%d", ErrCapacityExceeded, r, load, ms.Capacity)
 		}
-		for _, x := range red.XInputs {
-			for _, y := range red.YInputs {
-				covered[x*ny+y] = true
+		switch {
+		case len(second) > words && len(first) > 2:
+			lo, hi := words, 0 // the first and last word of the mask that are not empty
+			for _, id := range second {
+				members[id>>6] |= 1 << (id & 63)
+				lo, hi = min(lo, id>>6), max(hi, id>>6)
+			}
+			for _, id := range first {
+				from := lo
+				if a2a {
+					from = id >> 6 // the pairs j > id start in id's own word
+				}
+				row := rows[id*words : (id+1)*words]
+				for w := from; w <= hi; w++ {
+					row[w] |= members[w]
+				}
+			}
+			for _, id := range second {
+				members[id>>6] = 0
+			}
+		case a2a:
+			for i, a := range first {
+				for _, b := range first[i+1:] {
+					lo, hi := min(a, b), max(a, b)
+					rows[lo*words+hi>>6] |= 1 << (hi & 63)
+				}
+			}
+		default:
+			for _, x := range first {
+				row := rows[x*words : (x+1)*words]
+				for _, y := range second {
+					row[y>>6] |= 1 << (y & 63)
+				}
 			}
 		}
 	}
-	for x := 0; x < nx; x++ {
-		for y := 0; y < ny; y++ {
-			if !covered[x*ny+y] {
-				return fmt.Errorf("%w: pair (x=%d, y=%d)", ErrPairUncovered, x, y)
+	var past uint64 // the bits of the last word past the second side's last input
+	if ny&63 != 0 {
+		past = ^uint64(0) << (ny & 63)
+	}
+	for i := 0; i < nx; i++ {
+		row := rows[i*words : (i+1)*words]
+		row[words-1] |= past
+		from := 0
+		if a2a {
+			from = i >> 6
+			row[from] |= 2<<(i&63) - 1 // only j > i
+		}
+		for w := from; w < words; w++ {
+			if missing := ^row[w]; missing != 0 {
+				return fmt.Errorf(pair, ErrPairUncovered, i, w<<6+bits.TrailingZeros64(missing))
 			}
 		}
-	}
-	return nil
-}
-
-// checkLoad verifies the recorded Load against the capacity; the per-set
-// recomputation in the validators catches stale loads.
-func (ms *MappingSchema) checkLoad(r int, red Reducer) error {
-	if red.Load > ms.Capacity {
-		return fmt.Errorf("%w: reducer %d records load %d > q=%d", ErrCapacityExceeded, r, red.Load, ms.Capacity)
 	}
 	return nil
 }
