@@ -288,20 +288,49 @@ func benchExecStream(b *testing.B, extra ...assign.Option) {
 	b.ReportMetric(float64(2*wantPairs)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 }
 
-func BenchmarkSchemaValidateA2A(b *testing.B) {
-	set, err := workload.InputSet(workload.SizeSpec{Dist: workload.Uniform, Min: 1, Max: 30}, 500, 5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ms, err := a2a.Solve(set, 128)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := ms.ValidateA2A(set); err != nil {
+// BenchmarkSchemaValidate times the coverage check every plan passes: a2a on
+// 500 uniform inputs at q = 128, x2y on about 300 x 900 Zipf sizes at the q
+// that fills about 40 half-full reducers, the shape of the end-to-end
+// benchmark's x2y regime.
+func BenchmarkSchemaValidate(b *testing.B) {
+	b.Run("a2a", func(b *testing.B) {
+		set, err := workload.InputSet(workload.SizeSpec{Dist: workload.Uniform, Min: 1, Max: 30}, 500, 5)
+		if err != nil {
 			b.Fatal(err)
 		}
-	}
+		ms, err := a2a.Solve(set, 128)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := ms.ValidateA2A(set); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("x2y", func(b *testing.B) {
+		zipf := workload.SizeSpec{Dist: workload.Zipf, Min: 1, Max: 30, Skew: 1.5}
+		xs, err := workload.InputSet(zipf, 300, 6)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ys, err := workload.InputSet(zipf, 900, 7)
+		if err != nil {
+			b.Fatal(err)
+		}
+		q := max(2*(xs.TotalSize()+ys.TotalSize()+39)/40, 60)
+		ms, err := x2y.Solve(xs, ys, q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := ms.ValidateX2Y(xs, ys); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
