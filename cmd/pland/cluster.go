@@ -240,9 +240,9 @@ func pinnedID(r *http.Request) string {
 	return id
 }
 
-// newJobID mirrors the job manager's 16-byte random hex IDs: the ID must
-// exist before enqueue so placement can route the create to the ID's owner.
-func newJobID() string { return randomHex(16) }
+// newJobID draws a job ID as the job manager does: the ID must exist before
+// enqueue so placement can route the create to the ID's owner.
+func newJobID() string { return obs.NewTraceID() }
 
 // handleHandoff serves POST /internal/handoff: a draining peer ships one
 // live session here. The state's fingerprint is recomputed and checked

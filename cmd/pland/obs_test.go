@@ -10,9 +10,41 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/jobs"
+	"repro/internal/obs"
 	"repro/pkg/assign"
 	"repro/pkg/assign/plandclient"
 )
+
+// TestIDFormats pins the shape of every ID the service draws, all of them
+// minted by one helper in obs: 16 hex for request and span IDs, 32 hex for
+// trace IDs and for job IDs (the job manager's own and the ones pland draws
+// before it enqueues), and "s-" plus 16 hex for sessions.
+func TestIDFormats(t *testing.T) {
+	m := jobs.New(jobs.Config{Workers: 1})
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = m.Shutdown(ctx)
+	}()
+	job, err := m.Submit("noop", func(context.Context) (any, error) { return nil, nil })
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	hex16, hex32 := `^[0-9a-f]{16}$`, `^[0-9a-f]{32}$`
+	for _, c := range []struct{ name, id, pattern string }{
+		{"request", obs.NewRequestID(), hex16},
+		{"span", obs.NewSpanID(), hex16},
+		{"trace", obs.NewTraceID(), hex32},
+		{"job (manager)", job.ID, hex32},
+		{"job (pland)", newJobID(), hex32},
+		{"session", newSessionID(), `^s-[0-9a-f]{16}$`},
+	} {
+		if !regexp.MustCompile(c.pattern).MatchString(c.id) {
+			t.Errorf("%s ID %q does not match %s", c.name, c.id, c.pattern)
+		}
+	}
+}
 
 func TestRequestIDHeader(t *testing.T) {
 	srv := newTestServer(t)

@@ -21,13 +21,13 @@ package jobs
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // State is a job's lifecycle position. Transitions are strictly
@@ -191,7 +191,7 @@ func New(cfg Config) *Manager {
 // queued snapshot. It never blocks: a full queue returns ErrQueueFull
 // immediately.
 func (m *Manager) Submit(kind string, fn Func) (Snapshot, error) {
-	return m.Restore(newID(), kind, fn)
+	return m.Restore(obs.NewTraceID(), kind, fn)
 }
 
 // Restore enqueues fn as a job under a caller-chosen ID — the recovery path
@@ -452,13 +452,4 @@ func (m *Manager) expireLocked(now time.Time) {
 		m.finished[0] = nil // let the result go with the job
 		m.finished = m.finished[1:]
 	}
-}
-
-// newID returns a 16-byte random hex job ID.
-func newID() string {
-	var b [16]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		panic(fmt.Sprintf("jobs: reading random ID: %v", err))
-	}
-	return hex.EncodeToString(b[:])
 }

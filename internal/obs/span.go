@@ -11,14 +11,14 @@ import (
 )
 
 // NewRequestID returns a fresh 16-hex-char request ID.
-func NewRequestID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		// crypto/rand never fails on supported platforms; a zero ID beats a
-		// panic on an observability path.
-		return "0000000000000000"
-	}
-	return hex.EncodeToString(b[:])
+func NewRequestID() string { return randomHex(8) }
+
+// randomHex returns n random bytes in lowercase hex, the stuff every ID the
+// service draws is made of. crypto/rand.Read never returns an error.
+func randomHex(n int) string {
+	b := make([]byte, n)
+	_, _ = rand.Read(b)
+	return hex.EncodeToString(b)
 }
 
 type ctxKey int

@@ -1,35 +1,18 @@
 package obs
 
-import (
-	"context"
-	"crypto/rand"
-	"encoding/hex"
-)
+import "context"
 
 // TraceparentHeader is the W3C Trace Context header every inbound request is
 // parsed for and every outbound fleet call carries, so one client call keeps
 // one trace ID across every node it touches.
 const TraceparentHeader = "traceparent"
 
-// NewTraceID returns a fresh 32-hex-char (128-bit) trace ID.
-func NewTraceID() string {
-	var b [16]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		// crypto/rand never fails on supported platforms; an all-ones ID beats
-		// a panic on an observability path (all-zero is invalid per the spec).
-		return "ffffffffffffffffffffffffffffffff"
-	}
-	return hex.EncodeToString(b[:])
-}
+// NewTraceID returns a fresh 32-hex-char (128-bit) trace ID. Job IDs are
+// drawn the same way.
+func NewTraceID() string { return randomHex(16) }
 
 // NewSpanID returns a fresh 16-hex-char (64-bit) span ID.
-func NewSpanID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "ffffffffffffffff"
-	}
-	return hex.EncodeToString(b[:])
-}
+func NewSpanID() string { return randomHex(8) }
 
 // TraceContext is the wire identity of one position in a trace: the trace it
 // belongs to and the span that is the parent of whatever happens next.
