@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -254,5 +255,84 @@ func TestShutdownDrainPreservesState(t *testing.T) {
 	}()
 	if got := sessionFingerprint(t, s2, sess.ID); got != wantFP {
 		t.Fatalf("clean-restart fingerprint %#x, pre-restart %#x", got, wantFP)
+	}
+}
+
+// TestSessionCreatesReserveTheirSlots fires more concurrent creates than
+// MaxSessions admits. Each create reserves its slot before it plans, so
+// exactly the limit get 201 and the rest 429 session_limit without planning,
+// and a refused create leaves nothing in the log: it holds the admitted
+// sessions' snapshots alone, and recovery restores exactly those.
+func TestSessionCreatesReserveTheirSlots(t *testing.T) {
+	dataDir := t.TempDir()
+	ctx := context.Background()
+	pl := assign.NewPlanner(assign.PlannerConfig{})
+	cfg := durableConfig(dataDir)
+	cfg.MaxSessions = 2
+	s1, err := newDurableServer(pl, cfg)
+	if err != nil {
+		t.Fatalf("newDurableServer: %v", err)
+	}
+	srv1 := httptest.NewServer(s1)
+	c1 := plandclient.New(srv1.URL)
+
+	const creates = 8
+	errs := make([]error, creates)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range creates {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			_, errs[i] = c1.CreateSession(ctx, plandclient.SessionCreateRequest{
+				Capacity: 64, Sizes: []assign.Size{8, 5, 7, assign.Size(1 + i)}, TimeoutMS: -1,
+			})
+		}()
+	}
+	close(start)
+	wg.Wait()
+	admitted := 0
+	for i, err := range errs {
+		switch {
+		case err == nil:
+			admitted++
+		case !plandclient.IsCode(err, plandclient.CodeSessionLimit):
+			t.Fatalf("create %d: %v, want 201 or 429 session_limit", i, err)
+		}
+	}
+	if admitted != cfg.MaxSessions {
+		t.Fatalf("%d of %d creates admitted at MaxSessions %d", admitted, creates, cfg.MaxSessions)
+	}
+	if got := pl.Stats().Requests; got != uint64(cfg.MaxSessions) {
+		t.Fatalf("the planner served %d plans, want one per admitted create", got)
+	}
+	crash(t, s1, srv1)
+
+	log, err := wal.Open(dataDir, wal.Options{})
+	if err != nil {
+		t.Fatalf("wal.Open: %v", err)
+	}
+	rec, err := log.Recover()
+	if cerr := log.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatalf("reading the log: %v", err)
+	}
+	if rec.Records != cfg.MaxSessions || len(rec.Sessions) != cfg.MaxSessions {
+		t.Fatalf("the log holds %d records for %d sessions, want only the %d admitted sessions' snapshots",
+			rec.Records, len(rec.Sessions), cfg.MaxSessions)
+	}
+
+	s2, srv2, _ := bootDurable(t, dataDir)
+	defer func() {
+		dctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		srv2.Close()
+		s2.Close(dctx)
+	}()
+	if live := len(s2.liveSessions()); live != cfg.MaxSessions {
+		t.Fatalf("recovery restored %d sessions, want %d", live, cfg.MaxSessions)
 	}
 }

@@ -84,8 +84,9 @@ type server struct {
 	recorder *obs.Recorder
 	started  time.Time
 
-	sessMu   sync.Mutex
-	sessions map[string]*sessionEntry
+	sessMu       sync.Mutex
+	sessions     map[string]*sessionEntry
+	sessCreating int // creates holding a slot under MaxSessions while they plan
 
 	// Cluster layer (nil single-node; see cluster.go). ready flips once boot
 	// recovery finished; draining flips when shutdown starts — /readyz is the

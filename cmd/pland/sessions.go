@@ -2,8 +2,6 @@ package main
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"net/http"
@@ -26,17 +24,7 @@ type sessionEntry struct {
 	rebuildJob string // last submitted rebuild job ID, "" when none
 }
 
-// randomHex returns n random bytes in hex, the stuff session and job IDs are
-// made of.
-func randomHex(n int) string {
-	b := make([]byte, n)
-	if _, err := rand.Read(b); err != nil {
-		panic(fmt.Sprintf("pland: reading a random ID: %v", err))
-	}
-	return hex.EncodeToString(b)
-}
-
-func newSessionID() string { return "s-" + randomHex(8) }
+func newSessionID() string { return "s-" + obs.NewRequestID() }
 
 // createSession serves POST /v2/sessions. The route drew the ID before
 // anything else: under clustering it decided the owning node, and the journal
@@ -63,13 +51,17 @@ func (s *server) createSession(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	// The create holds a slot from here until it inserts or fails, so
+	// concurrent creates never plan past MaxSessions. Handoff and recovery
+	// insert without one.
 	s.sessMu.Lock()
-	if len(s.sessions) >= s.cfg.MaxSessions {
+	if len(s.sessions)+s.sessCreating >= s.cfg.MaxSessions {
 		s.sessMu.Unlock()
 		writeAPIError(w, newAPIError(http.StatusTooManyRequests, plandclient.CodeSessionLimit,
 			fmt.Sprintf("session limit (%d) reached; DELETE one first", s.cfg.MaxSessions), nil))
 		return
 	}
+	s.sessCreating++
 	s.sessMu.Unlock()
 
 	opts := []assign.Option{
@@ -88,25 +80,17 @@ func (s *server) createSession(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.MaxTimeout)
 	defer cancel()
 	sess, err := s.planner.NewSession(ctx, opts...)
+	entry := &sessionEntry{id: id, sess: sess}
+	s.sessMu.Lock()
+	s.sessCreating--
+	if err == nil {
+		s.sessions[entry.id] = entry
+	}
+	s.sessMu.Unlock()
 	if err != nil {
 		writeAPIError(w, planError(err))
 		return
 	}
-
-	entry := &sessionEntry{id: id, sess: sess}
-	s.sessMu.Lock()
-	if len(s.sessions) >= s.cfg.MaxSessions { // re-check: creations may race
-		s.sessMu.Unlock()
-		sess.Close()
-		// NewSession already journaled the initial snapshot; without a close
-		// record recovery would resurrect this never-served session.
-		s.journalSessionClose(r.Context(), id)
-		writeAPIError(w, newAPIError(http.StatusTooManyRequests, plandclient.CodeSessionLimit,
-			fmt.Sprintf("session limit (%d) reached; DELETE one first", s.cfg.MaxSessions), nil))
-		return
-	}
-	s.sessions[entry.id] = entry
-	s.sessMu.Unlock()
 	view := s.sessionView(entry)
 	writeSchemaJSON(w, r, http.StatusCreated, &view, &view.Schema)
 }
