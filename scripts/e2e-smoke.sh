@@ -68,9 +68,10 @@ curl -fsS "$BASE/v1/execute" \
   grep -q '"audited":true' || fail "one-input execute was not audited"
 
 # Streamed execute: a memory budget far below the shuffle volume forces the
-# pipelined engine to spill sorted runs to disk, merge them back at reduce
-# time, and report the realized spill volume — still audited, same output
-# contract.
+# pipelined engine to spill: it appends every run to the execution's one spill
+# file, reads each reducer's runs back in index order (there is nothing to
+# sort or merge), and reports the realized spill volume — still audited, same
+# output contract.
 curl -fsS -o "$WORK/exec-stream.json" "$BASE/v1/execute" \
   -d '{"problem":"A2A","capacity":10,"inputs":["aaa","bbb","cc","d","ee","fff"],"memory_budget":16}'
 grep -q '"audited":true' "$WORK/exec-stream.json" || fail "spilling execute was not audited"
