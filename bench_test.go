@@ -289,29 +289,39 @@ func benchExecStream(b *testing.B, extra ...assign.Option) {
 }
 
 // BenchmarkSchemaValidate times the coverage check every plan passes: a2a on
-// 500 uniform inputs at q = 128, x2y on about 300 x 900 Zipf sizes at the q
-// that fills about 40 half-full reducers, the shape of the end-to-end
-// benchmark's x2y regime.
+// 500 uniform inputs at q = 128; a2a_zipf and a2a_equal in the end-to-end
+// benchmark's regimes of those names (500 Zipf sizes, each at most q/2, at
+// the q that fills about 24 half-full reducers; 2,000 inputs of size 10, 62
+// to a reducer); x2y on about 300 x 900 Zipf sizes at the q that fills about
+// 40 half-full reducers, the shape of the end-to-end benchmark's x2y regime.
 func BenchmarkSchemaValidate(b *testing.B) {
-	b.Run("a2a", func(b *testing.B) {
-		set, err := workload.InputSet(workload.SizeSpec{Dist: workload.Uniform, Min: 1, Max: 30}, 500, 5)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ms, err := a2a.Solve(set, 128)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := ms.ValidateA2A(set); err != nil {
+	zipf := workload.SizeSpec{Dist: workload.Zipf, Min: 1, Max: 30, Skew: 1.5}
+	a2aCase := func(name string, spec workload.SizeSpec, m int, seed int64, q func(total core.Size) core.Size) {
+		b.Run(name, func(b *testing.B) {
+			set, err := workload.InputSet(spec, m, seed)
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
+			ms, err := a2a.Solve(set, q(set.TotalSize()))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := ms.ValidateA2A(set); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	a2aCase("a2a", workload.SizeSpec{Dist: workload.Uniform, Min: 1, Max: 30}, 500, 5,
+		func(core.Size) core.Size { return 128 })
+	a2aCase("a2a_zipf", zipf, 500, 8,
+		func(total core.Size) core.Size { return max(2*(total+23)/24, 60) })
+	a2aCase("a2a_equal", workload.SizeSpec{Dist: workload.Constant, Min: 10, Max: 10}, 2000, 9,
+		func(core.Size) core.Size { return 62 * 10 })
 	b.Run("x2y", func(b *testing.B) {
-		zipf := workload.SizeSpec{Dist: workload.Zipf, Min: 1, Max: 30, Skew: 1.5}
 		xs, err := workload.InputSet(zipf, 300, 6)
 		if err != nil {
 			b.Fatal(err)

@@ -52,13 +52,6 @@ func (j *sessionJournal) Snapshot(st *assign.SessionState) {
 	})
 }
 
-// walJob is the server-side copy of one journaled job submission, kept so
-// checkpoints can re-record still-live jobs into the barrier segment.
-type walJob struct {
-	kind string
-	body json.RawMessage
-}
-
 // newDurableServer builds the server and, when DataDir is set, opens the WAL
 // under it, recovers whatever a previous process journaled (verified and
 // audited before anything is served), compacts the recovered log, and starts
@@ -148,14 +141,11 @@ func (s *server) recoverWAL() error {
 		}
 		// Recovered jobs have no submitting request; they root a fresh trace.
 		run = s.traceJobFunc(rj.Kind, nil, run)
-		if _, err := s.jobs.Restore(rj.ID, rj.Kind, run); err != nil {
+		if _, err := s.jobs.Restore(rj.ID, rj.Kind, run, rj.Body); err != nil {
 			obsRecoveryJobFailures.Inc()
 			s.log.Warn("dropping job: re-enqueue failed", "job", rj.ID, "error", err)
 			continue
 		}
-		s.walMu.Lock()
-		s.walJobs[rj.ID] = walJob{kind: rj.Kind, body: rj.Body}
-		s.walMu.Unlock()
 		obsRecoveryJobs.Inc()
 		s.log.Info("job re-enqueued", "job", rj.ID, "kind", rj.Kind)
 	}
@@ -203,20 +193,12 @@ func (s *server) checkpoint() error {
 		// record, and a close always lands after the last WriteSnapshot that
 		// could have succeeded.
 	}
-	s.walMu.Lock()
-	live := make(map[string]walJob, len(s.walJobs))
-	for id, j := range s.walJobs {
-		live[id] = j
-	}
-	s.walMu.Unlock()
-	for id, j := range live {
-		if err := s.wal.Append(&wal.Record{
-			Kind: wal.KindJobSubmit, JobID: id, JobKind: j.kind, JobBody: j.body,
-		}); err != nil {
+	for _, j := range s.jobs.Unfinished() {
+		if err := s.journalJobSubmit(context.Background(), j); err != nil {
 			return err
 		}
-		// If this job finished between the copy above and this append, its
-		// done record is also in the log; recovery's done-set wins.
+		// If this job finished after Unfinished listed it, its done record
+		// lands in the barrier segment too; recovery's done-set wins.
 	}
 	return s.wal.EndCheckpoint(barrier)
 }
@@ -231,13 +213,7 @@ func (s *server) runCheckpointer() {
 		case <-s.checkpointStop:
 			return
 		case <-t.C:
-			s.sessMu.Lock()
-			liveSessions := len(s.sessions)
-			s.sessMu.Unlock()
-			s.walMu.Lock()
-			liveJobs := len(s.walJobs)
-			s.walMu.Unlock()
-			if liveSessions == 0 && liveJobs == 0 && s.wal.Segments() <= 1 {
+			if len(s.liveSessions()) == 0 && len(s.jobs.Unfinished()) == 0 && s.wal.Segments() <= 1 {
 				continue // nothing live, nothing to compact
 			}
 			if err := s.checkpoint(); err != nil {
@@ -268,39 +244,26 @@ func (s *server) journalSessionClose(ctx context.Context, id string) {
 	_ = s.wal.AppendCtx(ctx, &wal.Record{Kind: wal.KindSessionClose, SID: id})
 }
 
-// journalJobSubmit records an accepted v2 job so a crash re-enqueues it.
-func (s *server) journalJobSubmit(ctx context.Context, id, kind string, body jobSubmitRequest) {
-	if s.wal == nil {
-		return
+// journalJobSubmit records a job enqueued with a payload (a v2 job under a
+// WAL) so a crash re-enqueues it; a job without one, such as a session
+// rebuild, is rescheduled from drift instead. The job may have finished
+// already: its done record then precedes this one, and recovery's done-set
+// still wins.
+func (s *server) journalJobSubmit(ctx context.Context, j jobs.Snapshot) error {
+	if j.Payload == nil {
+		return nil
 	}
-	raw, err := json.Marshal(body)
-	if err != nil {
-		s.log.Warn("job not journaled", "job", id, "error", err)
-		return
-	}
-	s.walMu.Lock()
-	s.walJobs[id] = walJob{kind: kind, body: raw}
-	s.walMu.Unlock()
-	_ = s.wal.AppendCtx(ctx, &wal.Record{Kind: wal.KindJobSubmit, JobID: id, JobKind: kind, JobBody: raw})
+	return s.wal.AppendCtx(ctx, &wal.Record{Kind: wal.KindJobSubmit, JobID: j.ID, JobKind: j.Kind, JobBody: j.Payload})
 }
 
 // jobFinished is the jobs.Manager OnFinish hook (it runs under the manager
-// lock, so it must not call back into the manager). Shutdown-drained jobs get
-// no done record: they never ran to completion, and the missing record is
+// lock, so it must not call back into the manager). Only a job enqueued with
+// a payload was journaled, so only it gets a done record. Shutdown-drained
+// jobs get none: they never ran to completion, and the missing record is
 // what makes recovery re-enqueue them.
 func (s *server) jobFinished(snap jobs.Snapshot) {
-	if s.wal == nil {
+	if snap.Payload == nil || errors.Is(snap.Err, jobs.ErrShutdown) {
 		return
-	}
-	if errors.Is(snap.Err, jobs.ErrShutdown) {
-		return
-	}
-	s.walMu.Lock()
-	_, journaled := s.walJobs[snap.ID]
-	delete(s.walJobs, snap.ID)
-	s.walMu.Unlock()
-	if !journaled {
-		return // e.g. a rebuild job; those are rescheduled from drift, not the WAL
 	}
 	_ = s.wal.Append(&wal.Record{Kind: wal.KindJobDone, JobID: snap.ID})
 }

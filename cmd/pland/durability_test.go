@@ -9,7 +9,9 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -56,6 +58,39 @@ func crash(t *testing.T, s *server, srv *httptest.Server) {
 	if err := s.wal.Close(); err != nil {
 		t.Fatalf("wal close: %v", err)
 	}
+}
+
+// blockWorkers occupies every job worker of s with an unjournaled job that
+// returns only when the manager shuts down, so every job enqueued after it
+// stays queued until the crash.
+func blockWorkers(t *testing.T, s *server) {
+	t.Helper()
+	for range s.jobs.Stats().Workers {
+		if _, err := s.jobs.Submit("block", func(ctx context.Context) (any, error) {
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}); err != nil {
+			t.Fatalf("Submit(block): %v", err)
+		}
+	}
+}
+
+// enqueueJournaled enqueues a plan job carrying its body as payload and
+// appends its submit record, as submitJob does.
+func enqueueJournaled(t *testing.T, s *server, id string, body jobSubmitRequest, fn jobs.Func) jobs.Snapshot {
+	t.Helper()
+	payload, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := s.jobs.Restore(id, body.Type, fn, payload)
+	if err != nil {
+		t.Fatalf("Restore(%s): %v", id, err)
+	}
+	if err := s.journalJobSubmit(context.Background(), snap); err != nil {
+		t.Fatalf("journalJobSubmit(%s): %v", id, err)
+	}
+	return snap
 }
 
 func sessionFingerprint(t *testing.T, s *server, id string) uint64 {
@@ -197,12 +232,17 @@ func TestCrashReenqueuesJobs(t *testing.T) {
 		t.Fatalf("WaitJob: %v", err)
 	}
 	// A journaled-but-unfinished job (accepted, then the process died before
-	// a worker finished it) must come back. Journaling it directly pins the
-	// exact on-disk state such a job leaves without racing a live worker.
+	// a worker finished it) must come back. Queuing it behind blocked
+	// workers pins the exact on-disk state such a job leaves.
+	blockWorkers(t, s1)
 	queuedBody := jobSubmitRequest{Type: jobTypePlan, Plan: &plandclient.PlanRequest{
 		Problem: "A2A", Capacity: 10, Sizes: []assign.Size{4, 4, 1}, TimeoutMS: -1,
 	}}
-	s1.journalJobSubmit(context.Background(), "j-queued", jobTypePlan, queuedBody)
+	run, aerr := s1.buildJobFunc(queuedBody)
+	if aerr != nil {
+		t.Fatalf("buildJobFunc: %v", aerr)
+	}
+	enqueueJournaled(t, s1, "j-queued", queuedBody, run)
 	crash(t, s1, srv1)
 
 	s2, srv2, c2 := bootDurable(t, dataDir)
@@ -221,6 +261,104 @@ func TestCrashReenqueuesJobs(t *testing.T) {
 	}
 	if job.State != "succeeded" {
 		t.Fatalf("recovered job finished as %q: %+v", job.State, job.Error)
+	}
+}
+
+// TestJobDoneBeforeItsSubmitRecordIsNotRerun: a journaled job may finish
+// before its submit record is appended. Its done record then precedes the
+// submit record, and recovery must still see it finished.
+func TestJobDoneBeforeItsSubmitRecordIsNotRerun(t *testing.T) {
+	dataDir := t.TempDir()
+	s1, srv1, _ := bootDurable(t, dataDir)
+	body := jobSubmitRequest{Type: jobTypePlan, Plan: &plandclient.PlanRequest{
+		Problem: "A2A", Capacity: 10, Sizes: []assign.Size{3, 3, 2}, TimeoutMS: -1,
+	}}
+	payload, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := s1.jobs.Restore("j-fast", jobTypePlan, func(context.Context) (any, error) { return nil, nil }, payload)
+	if err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if got, err := s1.jobs.Get(snap.ID); err == nil && got.State.Terminal() {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("job never finished")
+		}
+	}
+	if err := s1.journalJobSubmit(context.Background(), snap); err != nil {
+		t.Fatalf("journalJobSubmit: %v", err)
+	}
+	crash(t, s1, srv1)
+
+	s2, srv2, _ := bootDurable(t, dataDir)
+	defer func() {
+		dctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		srv2.Close()
+		s2.Close(dctx)
+	}()
+	if got, err := s2.jobs.Get(snap.ID); !errors.Is(err, jobs.ErrNotFound) {
+		t.Fatalf("job finished before the crash was re-enqueued: %+v", got)
+	}
+}
+
+// TestCheckpointKeepsJobsInSubmitOrder: a checkpoint re-journals the
+// unfinished jobs in submit order, so recovery re-enqueues them in it.
+func TestCheckpointKeepsJobsInSubmitOrder(t *testing.T) {
+	dataDir := t.TempDir()
+	ctx := context.Background()
+	s1, srv1, c1 := bootDurable(t, dataDir)
+	blockWorkers(t, s1)
+	var want []string
+	for i := range 8 {
+		job, err := c1.SubmitPlan(ctx, plandclient.PlanRequest{
+			Problem: "A2A", Capacity: 20, Sizes: []assign.Size{3, 3, assign.Size(1 + i)}, TimeoutMS: -1,
+		})
+		if err != nil {
+			t.Fatalf("SubmitPlan: %v", err)
+		}
+		want = append(want, job.ID)
+	}
+	if err := s1.checkpoint(); err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	crash(t, s1, srv1)
+
+	log, err := wal.Open(dataDir, wal.Options{})
+	if err != nil {
+		t.Fatalf("wal.Open: %v", err)
+	}
+	rec, err := log.Recover()
+	if cerr := log.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatalf("reading the log: %v", err)
+	}
+	var got []string
+	for _, j := range rec.Jobs {
+		got = append(got, j.ID)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("recovery re-enqueues %v, want submit order %v", got, want)
+	}
+
+	s2, srv2, c2 := bootDurable(t, dataDir)
+	defer func() {
+		dctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		srv2.Close()
+		s2.Close(dctx)
+	}()
+	for _, id := range want {
+		job, err := c2.WaitJob(ctx, id, 5*time.Millisecond)
+		if err != nil || job.State != "succeeded" {
+			t.Fatalf("recovered job %s: %+v, %v", id, job, err)
+		}
 	}
 }
 

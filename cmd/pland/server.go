@@ -97,8 +97,6 @@ type server struct {
 
 	// Durability (nil/zero without -data-dir; see durability.go).
 	wal            *wal.Log
-	walMu          sync.Mutex
-	walJobs        map[string]walJob
 	checkpointStop chan struct{}
 	checkpointOnce sync.Once
 	checkpointWG   sync.WaitGroup
@@ -167,7 +165,6 @@ func newServer(pl *assign.Planner, cfg serverConfig) *server {
 		}),
 		started:  time.Now(),
 		sessions: make(map[string]*sessionEntry),
-		walJobs:  make(map[string]walJob),
 	}
 	s.jobs = jobs.New(jobs.Config{
 		Workers:    cfg.JobWorkers,

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"time"
@@ -113,7 +114,11 @@ func (s *server) submitJob(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, aerr)
 		return
 	}
-	snap, err := s.jobs.Restore(r.PathValue("id"), body.Type, s.traceJobFunc(body.Type, r.Context(), run))
+	var payload []byte // the WAL submit record's body; none without a WAL
+	if s.wal != nil {
+		payload, _ = json.Marshal(body) // a body decoded from JSON re-encodes
+	}
+	snap, err := s.jobs.Restore(r.PathValue("id"), body.Type, s.traceJobFunc(body.Type, r.Context(), run), payload)
 	switch {
 	case errors.Is(err, jobs.ErrQueueFull):
 		writeAPIError(w, newAPIError(http.StatusTooManyRequests, plandclient.CodeQueueFull,
@@ -127,7 +132,7 @@ func (s *server) submitJob(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, newAPIError(http.StatusInternalServerError, plandclient.CodeInternal, err.Error(), nil))
 		return
 	}
-	s.journalJobSubmit(r.Context(), snap.ID, body.Type, body)
+	_ = s.journalJobSubmit(r.Context(), snap) // a sticky log error surfaces on /metrics
 	writeJSON(w, http.StatusAccepted, jobView(snap))
 }
 

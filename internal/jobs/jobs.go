@@ -14,6 +14,10 @@
 // q, exact search) belong behind an asynchronous, budget-aware interface,
 // not a blocking request/response call.
 //
+// A job may carry an opaque journal payload (Restore's last argument), set
+// in the critical section that enqueues it and reported by its snapshots
+// until OnFinish has seen it finish; cmd/pland marks its journaled jobs so.
+//
 // Each Manager counts in its own pland_jobs_* series, registered when New
 // builds it: Stats reads its counts from them, and WritePrometheus hands
 // them to a scrape.
@@ -24,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 	"time"
 
@@ -81,7 +86,7 @@ type Config struct {
 	// OnFinish, when non-nil, observes every terminal transition with the
 	// job's final snapshot. It runs under the manager lock — implementations
 	// must be fast and must not call back into the Manager. cmd/pland uses
-	// it to mark journaled jobs done in the WAL.
+	// it to mark journaled jobs (those with a Payload) done in the WAL.
 	OnFinish func(Snapshot)
 }
 
@@ -117,14 +122,20 @@ type Snapshot struct {
 	Created, Started, Finished time.Time
 	// ExpiresAt is when a finished job is evicted; zero while unfinished.
 	ExpiresAt time.Time
+	// Payload is the journal payload Restore enqueued the job with. It is
+	// reported until the job finishes and OnFinish has seen it; a finished
+	// job's later snapshots carry none.
+	Payload []byte
 }
 
 // job is the mutable record behind a Snapshot; mu of the owning Manager
 // guards every field below fn.
 type job struct {
-	id   string
-	kind string
-	fn   Func
+	id      string
+	kind    string
+	fn      Func
+	seq     uint64 // creation order, drawn under the lock
+	payload []byte
 
 	state           State
 	result          any
@@ -148,6 +159,7 @@ func (j *job) snapshot() Snapshot {
 		Started:   j.started,
 		Finished:  j.finished,
 		ExpiresAt: j.expiresAt,
+		Payload:   j.payload,
 	}
 }
 
@@ -165,6 +177,7 @@ type Manager struct {
 	// finished holds the finished jobs still in jobs, in finish order, which
 	// is expiry order; expireLocked pops from its head.
 	finished []*job
+	seq      uint64 // last job's creation number
 	closed   bool
 
 	rootCtx    context.Context
@@ -191,21 +204,22 @@ func New(cfg Config) *Manager {
 // queued snapshot. It never blocks: a full queue returns ErrQueueFull
 // immediately.
 func (m *Manager) Submit(kind string, fn Func) (Snapshot, error) {
-	return m.Restore(obs.NewTraceID(), kind, fn)
+	return m.Restore(obs.NewTraceID(), kind, fn, nil)
 }
 
-// Restore enqueues fn as a job under a caller-chosen ID — the recovery path
-// for journaled submissions that never finished before a crash, which must
+// Restore enqueues fn as a job under a caller-chosen ID, carrying payload
+// (nil for none) as its journal payload — the path for journaled
+// submissions, and for those that never finished before a crash, which must
 // come back under the IDs clients already hold. It behaves like Submit
 // otherwise; an ID already present is rejected.
-func (m *Manager) Restore(id, kind string, fn Func) (Snapshot, error) {
+func (m *Manager) Restore(id, kind string, fn Func, payload []byte) (Snapshot, error) {
 	if id == "" {
 		return Snapshot{}, fmt.Errorf("jobs: empty job ID")
 	}
 	if fn == nil {
 		return Snapshot{}, fmt.Errorf("jobs: nil Func")
 	}
-	j := &job{id: id, kind: kind, fn: fn, state: StateQueued, created: time.Now()}
+	j := &job{id: id, kind: kind, fn: fn, payload: payload, state: StateQueued, created: time.Now()}
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
@@ -221,6 +235,8 @@ func (m *Manager) Restore(id, kind string, fn Func) (Snapshot, error) {
 		m.metrics.rejected.Inc()
 		return Snapshot{}, ErrQueueFull
 	}
+	m.seq++
+	j.seq = m.seq
 	m.pending = append(m.pending, j)
 	m.jobs[j.id] = j
 	m.metrics.submitted.Inc()
@@ -279,6 +295,25 @@ func (m *Manager) Cancel(id string) (Snapshot, error) {
 	default:
 		return j.snapshot(), ErrFinished
 	}
+}
+
+// Unfinished returns the snapshots of every queued and running job, in
+// creation order.
+func (m *Manager) Unfinished() []Snapshot {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var live []*job
+	for _, j := range m.jobs {
+		if !j.state.Terminal() {
+			live = append(live, j)
+		}
+	}
+	sort.Slice(live, func(a, b int) bool { return live[a].seq < live[b].seq })
+	out := make([]Snapshot, len(live))
+	for i, j := range live {
+		out[i] = j.snapshot()
+	}
+	return out
 }
 
 // Stats is a point-in-time census of the manager.
@@ -441,6 +476,7 @@ func (m *Manager) finishLocked(j *job, s State, result any, err error) {
 	if m.cfg.OnFinish != nil {
 		m.cfg.OnFinish(j.snapshot())
 	}
+	j.payload = nil
 }
 
 // expireLocked evicts the finished jobs whose TTL has passed by now. They

@@ -3,6 +3,7 @@ package jobs
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -165,7 +166,7 @@ func TestRestore(t *testing.T) {
 	m := New(Config{Workers: 1, QueueDepth: 4, ResultTTL: time.Hour})
 	defer m.Shutdown(context.Background())
 
-	snap, err := m.Restore("job-recovered-1", "plan", func(context.Context) (any, error) { return 7, nil })
+	snap, err := m.Restore("job-recovered-1", "plan", func(context.Context) (any, error) { return 7, nil }, nil)
 	if err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
@@ -177,13 +178,92 @@ func TestRestore(t *testing.T) {
 		t.Fatalf("restored job finished as %+v", fin)
 	}
 
-	if _, err := m.Restore("job-recovered-1", "plan", func(context.Context) (any, error) { return nil, nil }); err == nil {
+	if _, err := m.Restore("job-recovered-1", "plan", func(context.Context) (any, error) { return nil, nil }, nil); err == nil {
 		t.Fatal("duplicate Restore succeeded, want error")
 	}
-	if _, err := m.Restore("", "plan", func(context.Context) (any, error) { return nil, nil }); err == nil {
+	if _, err := m.Restore("", "plan", func(context.Context) (any, error) { return nil, nil }, nil); err == nil {
 		t.Fatal("empty-ID Restore succeeded, want error")
 	}
-	if _, err := m.Restore("job-x", "plan", nil); err == nil {
+	if _, err := m.Restore("job-x", "plan", nil, nil); err == nil {
 		t.Fatal("nil-fn Restore succeeded, want error")
+	}
+}
+
+// TestPayloadLastsUntilOnFinish: a job's journal payload is on every
+// snapshot while it is queued or running and on the one OnFinish sees, and
+// on none after that.
+func TestPayloadLastsUntilOnFinish(t *testing.T) {
+	seen := make(chan Snapshot, 1)
+	m := New(Config{Workers: 1, QueueDepth: 4, ResultTTL: time.Hour,
+		OnFinish: func(s Snapshot) { seen <- s }})
+	defer m.Shutdown(context.Background())
+
+	release := make(chan struct{})
+	snap, err := m.Restore("j", "plan", func(context.Context) (any, error) {
+		<-release
+		return nil, nil
+	}, []byte(`{"type":"plan"}`))
+	if err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
+	if string(snap.Payload) != `{"type":"plan"}` {
+		t.Fatalf("queued snapshot payload %q", snap.Payload)
+	}
+	if run := waitState(t, m, "j", StateRunning); run.Payload == nil {
+		t.Fatal("running job's snapshot lost its payload")
+	}
+	close(release)
+	if fin := <-seen; fin.Payload == nil {
+		t.Fatal("OnFinish saw no payload")
+	}
+	if fin := waitTerminal(t, m, "j"); fin.Payload != nil {
+		t.Fatalf("finished job's snapshot carries payload %q", fin.Payload)
+	}
+}
+
+// TestUnfinishedListsLiveJobsInCreationOrder: Unfinished reports the running
+// and the queued jobs, oldest first, and drops a job once it finished.
+func TestUnfinishedListsLiveJobsInCreationOrder(t *testing.T) {
+	m := New(Config{Workers: 2, QueueDepth: 16, ResultTTL: time.Hour})
+	defer m.Shutdown(context.Background())
+
+	release := make(chan struct{})
+	block := func(ctx context.Context) (any, error) {
+		select {
+		case <-release:
+			return nil, nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	done, err := m.Submit("quick", func(context.Context) (any, error) { return nil, nil })
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	waitTerminal(t, m, done.ID)
+	var want []string
+	for i := range 6 {
+		snap, err := m.Restore(fmt.Sprintf("j%d", 5-i), "plan", block, nil)
+		if err != nil {
+			t.Fatalf("Restore: %v", err)
+		}
+		want = append(want, snap.ID)
+	}
+	waitState(t, m, want[0], StateRunning)
+	waitState(t, m, want[1], StateRunning)
+
+	var got []string
+	for _, s := range m.Unfinished() {
+		got = append(got, s.ID)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("Unfinished() = %v, want %v (creation order)", got, want)
+	}
+	close(release)
+	for _, id := range want {
+		waitTerminal(t, m, id)
+	}
+	if live := m.Unfinished(); len(live) != 0 {
+		t.Fatalf("Unfinished() = %v after every job finished", live)
 	}
 }

@@ -7,11 +7,13 @@ package wal
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/stream"
@@ -371,5 +373,121 @@ func TestParsePolicy(t *testing.T) {
 	}
 	if _, err := ParsePolicy("sometimes"); err == nil {
 		t.Fatal("ParsePolicy accepted garbage")
+	}
+}
+
+// waitFor polls cond every millisecond for up to five seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+	}
+}
+
+// segmentSize is the on-disk size of the log's current segment.
+func segmentSize(t *testing.T, l *Log) int64 {
+	t.Helper()
+	l.mu.Lock()
+	path := segPath(l.dir, l.seg)
+	l.mu.Unlock()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
+}
+
+// TestIntervalFlusherSyncsOnlyADirtyLog pins the default policy: an idle
+// log is never fsynced, and an append reaches the disk within a few
+// intervals without any caller asking.
+func TestIntervalFlusherSyncsOnlyADirtyLog(t *testing.T) {
+	const interval = 5 * time.Millisecond
+	l, err := Open(t.TempDir(), Options{Fsync: SyncInterval, FsyncInterval: interval})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer l.Close()
+	idle := func(what string) {
+		t.Helper()
+		before := obsFsyncs.Value()
+		time.Sleep(10 * interval)
+		if got := obsFsyncs.Value(); got != before {
+			t.Fatalf("%s log fsynced %d times", what, got-before)
+		}
+	}
+	idle("a fresh")
+
+	before := obsFsyncs.Value()
+	mustAppend(t, l, &Record{Kind: KindJobDone, JobID: "j"})
+	waitFor(t, "the flusher wrote the append", func() bool {
+		return segmentSize(t, l) > int64(len(segmentMagic))
+	})
+	waitFor(t, "the flusher fsynced the append", func() bool {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return !l.dirty
+	})
+	if obsFsyncs.Value() == before {
+		t.Fatal("the append reached the disk without an fsync")
+	}
+	idle("a flushed")
+}
+
+// TestCloseFlushes: an append the interval flusher has not reached yet is
+// on disk once Close returns.
+func TestCloseFlushes(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{Fsync: SyncInterval, FsyncInterval: time.Hour})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	mustAppend(t, l, &Record{Kind: KindJobSubmit, JobID: "j", JobKind: "plan"})
+	if n := segmentSize(t, l); n > int64(len(segmentMagic)) {
+		t.Fatalf("segment holds %d bytes before Close: the append was flushed already", n)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	l2, err := Open(dir, Options{Fsync: SyncNever})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer l2.Close()
+	rec, err := l2.Recover()
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if len(rec.Jobs) != 1 || rec.Jobs[0].ID != "j" {
+		t.Fatalf("recovered jobs %+v, want the one appended before Close", rec.Jobs)
+	}
+}
+
+// TestWriteFailureSticks: once the interval flusher fails to write, every
+// later append and checkpoint returns that failure instead of writing a log
+// with a hole in it.
+func TestWriteFailureSticks(t *testing.T) {
+	l, err := Open(t.TempDir(), Options{Fsync: SyncInterval, FsyncInterval: time.Millisecond})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer l.Close()
+	l.mu.Lock()
+	if err := l.f.Close(); err != nil { // the flusher's next write fails
+		t.Fatal(err)
+	}
+	l.mu.Unlock()
+	mustAppend(t, l, &Record{Kind: KindJobDone, JobID: "j"}) // buffered: no write yet
+	waitFor(t, "the flusher failed", func() bool { return l.Err() != nil })
+	sticky := l.Err()
+	if !errors.Is(sticky, os.ErrClosed) {
+		t.Fatalf("sticky error %v, want the failed write's", sticky)
+	}
+	if err := l.Append(&Record{Kind: KindJobDone, JobID: "k"}); err != sticky {
+		t.Fatalf("Append after the failure: %v, want %v", err, sticky)
+	}
+	if _, err := l.BeginCheckpoint(); err != sticky {
+		t.Fatalf("BeginCheckpoint after the failure: %v, want %v", err, sticky)
 	}
 }

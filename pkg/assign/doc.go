@@ -92,12 +92,17 @@
 // In particular, the slice-based Inputs/Output path is an adapter over the
 // same streaming engine as Source/Each — switching between them never
 // changes results, counters, or audit verdicts, only what is materialized.
+// Session is internal/stream's Session under its SDK name, like the session
+// types beside it (SessionStats, SessionSnapshot, SessionState, …), so that
+// type's exported methods (Add, Remove, Resize, Len, Stats, Snapshot, State,
+// WriteSnapshot, NeedsRebuild, Rebuild and Close) are the SDK's contract,
+// and stream exports no other.
 //
 // Packages under internal/ — the solver implementations, the execution
-// engine, the planner cache — carry no compatibility promise at all: they
-// may change or disappear in any revision. The concrete set of portfolio
-// members (the Winner strings), solver tie-breaking, and therefore the
-// exact schema returned for a given instance are explicitly NOT part of the
-// contract; only validity (capacity respected, every required pair covered)
-// and the reported bounds are.
+// engine, the planner cache — carry no compatibility promise beyond what
+// pkg/assign re-exports: they may change or disappear in any revision. The
+// concrete set of portfolio members (the Winner strings), solver
+// tie-breaking, and therefore the exact schema returned for a given
+// instance are explicitly NOT part of the contract; only validity (capacity
+// respected, every required pair covered) and the reported bounds are.
 package assign

@@ -12,6 +12,13 @@ import (
 // Session types and errors, re-exported from the maintenance layer so SDK
 // callers never import internal packages.
 type (
+	// Session is a live, continuously-maintained assignment: it owns a
+	// mapping schema and applies Add/Remove/Resize deltas by bounded local
+	// repair, replanning in full through its Planner only when cumulative
+	// drift calls for it. Sessions are safe for concurrent use; see
+	// internal/stream's package documentation for the repair/rebuild
+	// contract. A session starts no goroutine: Rebuild runs on its caller's.
+	Session = stream.Session
 	// DeltaReport prices one applied session delta (bytes moved and freed,
 	// reducers joined/created/merged, budget and rebuild flags).
 	DeltaReport = stream.DeltaReport
@@ -76,19 +83,9 @@ func Journal(j SessionJournal) Option {
 	return func(r *request) { r.journal = j }
 }
 
-// Session is a live, continuously-maintained assignment: it owns a mapping
-// schema and applies Add/Remove/Resize deltas by bounded local repair,
-// replanning in full through its Planner only when cumulative drift calls
-// for it. Sessions are safe for concurrent use; see internal/stream's
-// package documentation for the repair/rebuild contract. A session starts no
-// goroutine: Rebuild runs on its caller's.
-type Session struct {
-	s *stream.Session
-}
-
 // NewSession opens a session on the shared process-wide planner. Capacity is
-// required; an initial A2A instance (A2A or Inputs) is optional and is
-// planned once through the portfolio before the session goes live.
+// required; an initial A2A instance (A2A or Inputs, not Source) is optional
+// and is planned once through the portfolio before the session goes live.
 // MigrationBudget, RebuildThreshold and Headroom shape its maintenance.
 func NewSession(ctx context.Context, opts ...Option) (*Session, error) {
 	return Default.NewSession(ctx, opts...)
@@ -109,6 +106,9 @@ func (pl *Planner) NewSession(ctx context.Context, opts ...Option) (*Session, er
 	}
 	if r.problemSet && r.problem != ProblemA2A {
 		return nil, errors.New("assign: sessions maintain A2A instances only")
+	}
+	if r.src != nil {
+		return nil, errors.New("assign: NewSession takes no Source; give the initial sizes with A2A")
 	}
 	initial := r.sizes
 	if r.hasData {
@@ -131,7 +131,7 @@ func (pl *Planner) NewSession(ctx context.Context, opts ...Option) (*Session, er
 	if err != nil {
 		return nil, err
 	}
-	return &Session{s: s}, nil
+	return s, nil
 }
 
 // RestoreSession rebuilds a session from a serialized state plus the deltas
@@ -175,12 +175,11 @@ func (pl *Planner) RestoreSession(st *SessionState, deltas []SessionDeltaRecord,
 	if err != nil {
 		return nil, err
 	}
-	sess := &Session{s: s}
-	if err := auditSession(sess); err != nil {
-		sess.Close()
+	if err := auditSession(s); err != nil {
+		s.Close()
 		return nil, err
 	}
-	return sess, nil
+	return s, nil
 }
 
 // auditSession statically checks a session's current schema with
@@ -211,45 +210,3 @@ func (pl *Planner) replan(ctx context.Context, sizes []core.Size, q core.Size) (
 	}
 	return res.Schema, nil
 }
-
-// Add inserts a new input of the given size, locally repairing the schema,
-// and returns the input's stable ID.
-func (s *Session) Add(size Size) (int, DeltaReport, error) { return s.s.Add(size) }
-
-// Remove deletes a live input.
-func (s *Session) Remove(id int) (DeltaReport, error) { return s.s.Remove(id) }
-
-// Resize changes a live input's size.
-func (s *Session) Resize(id int, newSize Size) (DeltaReport, error) { return s.s.Resize(id, newSize) }
-
-// Len returns the number of live inputs.
-func (s *Session) Len() int { return s.s.Len() }
-
-// Stats snapshots the session's counters and drift.
-func (s *Session) Stats() SessionStats { return s.s.Stats() }
-
-// Snapshot returns the current schema (over dense IDs), the dense-to-stable
-// ID mapping, the live sizes, and the stats, all consistent with each other.
-func (s *Session) Snapshot() *SessionSnapshot { return s.s.Snapshot() }
-
-// State captures the full serializable session state; with its Fingerprint
-// it is the unit of WAL snapshot persistence.
-func (s *Session) State() *SessionState { return s.s.State() }
-
-// WriteSnapshot journals a full-state snapshot immediately; a no-op without
-// a Journal. WAL checkpoints use it to re-anchor every live session in the
-// barrier segment.
-func (s *Session) WriteSnapshot() error { return s.s.WriteSnapshot() }
-
-// NeedsRebuild reports whether drift passed the rebuild threshold: the
-// caller's cue to invoke Rebuild.
-func (s *Session) NeedsRebuild() bool { return s.s.NeedsRebuild() }
-
-// Rebuild replans the live instance in full through the session's planner
-// and atomically swaps the result in, reconciling deltas that raced the
-// solve. It reports the swap's migration cost.
-func (s *Session) Rebuild(ctx context.Context) (*RebuildReport, error) { return s.s.Rebuild(ctx) }
-
-// Close stops the session: every later call returns ErrSessionClosed, and a
-// Rebuild in flight discards its result.
-func (s *Session) Close() error { return s.s.Close() }

@@ -32,6 +32,7 @@ func TestSessionLifecycle(t *testing.T) {
 		assign.A2A([]assign.Size{5, 3, 7, 2, 6, 4}),
 		assign.Capacity(20),
 		assign.Deterministic(),
+		assign.ManualRebuild(),
 	)
 	if err != nil {
 		t.Fatalf("NewSession: %v", err)
@@ -134,6 +135,13 @@ func TestSessionOptionValidation(t *testing.T) {
 	if _, err := assign.NewSession(ctx,
 		assign.A2A([]assign.Size{8, 8}), assign.Capacity(10)); !errors.Is(err, assign.ErrInfeasible) {
 		t.Fatalf("pairwise-infeasible initial instance: err = %v", err)
+	}
+	// Source feeds records to Execute; a session cannot open on it.
+	src := assign.Source(assign.NewSliceRecordSource([][]byte{[]byte("aaaa"), []byte("bb")}), []assign.Size{4, 2})
+	if s, err := assign.NewSession(ctx, src, assign.Capacity(10)); err == nil {
+		t.Fatalf("Source accepted: the session opened with %d inputs", s.Len())
+	} else if !strings.Contains(err.Error(), "Source") {
+		t.Fatalf("Source session: err = %v, want an error naming Source", err)
 	}
 	// A session needs no initial instance at all.
 	s, err := assign.NewSession(ctx, assign.Capacity(10))
