@@ -194,7 +194,7 @@ func (s *server) checkpoint() error {
 		// could have succeeded.
 	}
 	for _, j := range s.jobs.Unfinished() {
-		if err := s.journalJobSubmit(context.Background(), j); err != nil {
+		if err := s.journalJobSubmit(j); err != nil {
 			return err
 		}
 		// If this job finished after Unfinished listed it, its done record
@@ -246,14 +246,23 @@ func (s *server) journalSessionClose(ctx context.Context, id string) {
 
 // journalJobSubmit records a job enqueued with a payload (a v2 job under a
 // WAL) so a crash re-enqueues it; a job without one, such as a session
-// rebuild, is rescheduled from drift instead. The job may have finished
-// already: its done record then precedes this one, and recovery's done-set
-// still wins.
-func (s *server) journalJobSubmit(ctx context.Context, j jobs.Snapshot) error {
+// rebuild, is rescheduled from drift instead. A checkpoint re-journals a job
+// that may finish before the record lands: its done record then precedes
+// this one, and recovery's done-set still wins.
+func (s *server) journalJobSubmit(j jobs.Snapshot) error {
 	if j.Payload == nil {
 		return nil
 	}
-	return s.wal.AppendCtx(ctx, &wal.Record{Kind: wal.KindJobSubmit, JobID: j.ID, JobKind: j.Kind, JobBody: j.Payload})
+	return s.wal.Append(&wal.Record{Kind: wal.KindJobSubmit, JobID: j.ID, JobKind: j.Kind, JobBody: j.Payload})
+}
+
+// jobEnqueued is the jobs.Manager OnEnqueue hook. It journals a job enqueued
+// with a payload in the critical section that enqueued it, before a worker
+// can run the job, so the submit record precedes the done record, and a
+// checkpoint lands either before both or after the submit record. A sticky
+// log error surfaces on /metrics.
+func (s *server) jobEnqueued(snap jobs.Snapshot) {
+	_ = s.journalJobSubmit(snap)
 }
 
 // jobFinished is the jobs.Manager OnFinish hook (it runs under the manager

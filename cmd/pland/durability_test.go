@@ -75,8 +75,8 @@ func blockWorkers(t *testing.T, s *server) {
 	}
 }
 
-// enqueueJournaled enqueues a plan job carrying its body as payload and
-// appends its submit record, as submitJob does.
+// enqueueJournaled enqueues a plan job carrying its body as payload, as
+// submitJob does; the enqueue appends its submit record.
 func enqueueJournaled(t *testing.T, s *server, id string, body jobSubmitRequest, fn jobs.Func) jobs.Snapshot {
 	t.Helper()
 	payload, err := json.Marshal(body)
@@ -86,9 +86,6 @@ func enqueueJournaled(t *testing.T, s *server, id string, body jobSubmitRequest,
 	snap, err := s.jobs.Restore(id, body.Type, fn, payload)
 	if err != nil {
 		t.Fatalf("Restore(%s): %v", id, err)
-	}
-	if err := s.journalJobSubmit(context.Background(), snap); err != nil {
-		t.Fatalf("journalJobSubmit(%s): %v", id, err)
 	}
 	return snap
 }
@@ -264,9 +261,10 @@ func TestCrashReenqueuesJobs(t *testing.T) {
 	}
 }
 
-// TestJobDoneBeforeItsSubmitRecordIsNotRerun: a journaled job may finish
-// before its submit record is appended. Its done record then precedes the
-// submit record, and recovery must still see it finished.
+// TestJobDoneBeforeItsSubmitRecordIsNotRerun: a checkpoint re-journals the
+// jobs it lists as unfinished, and one may finish before its record lands.
+// Its done record then precedes that submit record, and recovery must still
+// see it finished.
 func TestJobDoneBeforeItsSubmitRecordIsNotRerun(t *testing.T) {
 	dataDir := t.TempDir()
 	s1, srv1, _ := bootDurable(t, dataDir)
@@ -289,7 +287,7 @@ func TestJobDoneBeforeItsSubmitRecordIsNotRerun(t *testing.T) {
 			t.Fatal("job never finished")
 		}
 	}
-	if err := s1.journalJobSubmit(context.Background(), snap); err != nil {
+	if err := s1.journalJobSubmit(snap); err != nil {
 		t.Fatalf("journalJobSubmit: %v", err)
 	}
 	crash(t, s1, srv1)
@@ -303,6 +301,56 @@ func TestJobDoneBeforeItsSubmitRecordIsNotRerun(t *testing.T) {
 	}()
 	if got, err := s2.jobs.Get(snap.ID); !errors.Is(err, jobs.ErrNotFound) {
 		t.Fatalf("job finished before the crash was re-enqueued: %+v", got)
+	}
+}
+
+// TestCheckpointBeforeTheReplyKeepsTheDoneRecord: a checkpoint between a
+// job's enqueue and the submit handler's reply, taken once the job finished,
+// drops the segment holding its done record. The submit record went into
+// that segment with the enqueue, so nothing of the job is left to re-run.
+// Appended after the enqueue instead, the record would land in the barrier
+// segment, and every later recovery would run the job again.
+func TestCheckpointBeforeTheReplyKeepsTheDoneRecord(t *testing.T) {
+	dataDir := t.TempDir()
+	ctx := context.Background()
+	s1, err := newDurableServer(assign.NewPlanner(assign.PlannerConfig{}), durableConfig(dataDir))
+	if err != nil {
+		t.Fatalf("newDurableServer: %v", err)
+	}
+	checkpointed := make(chan error, 1)
+	s1.afterJobEnqueue = func(snap jobs.Snapshot) {
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			if got, err := s1.jobs.Get(snap.ID); err == nil && got.State.Terminal() {
+				break
+			}
+			if time.Now().After(deadline) {
+				checkpointed <- errors.New("job never finished")
+				return
+			}
+		}
+		checkpointed <- s1.checkpoint()
+	}
+	srv1 := httptest.NewServer(s1)
+	job, err := plandclient.New(srv1.URL).SubmitPlan(ctx, plandclient.PlanRequest{
+		Problem: "A2A", Capacity: 10, Sizes: []assign.Size{3, 3, 2}, TimeoutMS: -1,
+	})
+	if err != nil {
+		t.Fatalf("SubmitPlan: %v", err)
+	}
+	if err := <-checkpointed; err != nil {
+		t.Fatalf("checkpoint after the enqueue: %v", err)
+	}
+	crash(t, s1, srv1)
+
+	s2, srv2, _ := bootDurable(t, dataDir)
+	defer func() {
+		dctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		srv2.Close()
+		s2.Close(dctx)
+	}()
+	if got, err := s2.jobs.Get(job.ID); !errors.Is(err, jobs.ErrNotFound) {
+		t.Fatalf("job finished before the checkpoint was re-enqueued: %+v", got)
 	}
 }
 

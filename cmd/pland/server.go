@@ -100,6 +100,10 @@ type server struct {
 	checkpointStop chan struct{}
 	checkpointOnce sync.Once
 	checkpointWG   sync.WaitGroup
+
+	// afterJobEnqueue, when set before the server is served, runs between a
+	// v2 job's enqueue and its reply; tests place a checkpoint there.
+	afterJobEnqueue func(jobs.Snapshot)
 }
 
 // defaultServerConfig is the one list of defaults: main binds its flags onto
@@ -170,6 +174,7 @@ func newServer(pl *assign.Planner, cfg serverConfig) *server {
 		Workers:    cfg.JobWorkers,
 		QueueDepth: cfg.QueueDepth,
 		ResultTTL:  cfg.ResultTTL,
+		OnEnqueue:  s.jobEnqueued,
 		OnFinish:   s.jobFinished,
 	})
 	s.mount(s.mux, false)

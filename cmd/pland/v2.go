@@ -132,7 +132,9 @@ func (s *server) submitJob(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, newAPIError(http.StatusInternalServerError, plandclient.CodeInternal, err.Error(), nil))
 		return
 	}
-	_ = s.journalJobSubmit(r.Context(), snap) // a sticky log error surfaces on /metrics
+	if s.afterJobEnqueue != nil {
+		s.afterJobEnqueue(snap)
+	}
 	writeJSON(w, http.StatusAccepted, jobView(snap))
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -24,6 +25,31 @@ func TestRunSmallCorpus(t *testing.T) {
 				t.Errorf("%v: output lacks %q:\n%s", extra, want, out)
 			}
 		}
+	}
+}
+
+// TestDefaultRunServesTheDesign pins the paper's application at the
+// command's defaults, 300 documents at q = 4000: the join verifies against
+// the nested-loop reference, finds its 56 similar pairs, and runs on at most
+// 75 reducers. Every document is far below q/3, so the planner lays bins of
+// documents on a design; pairs of q/2 bins took 112 reducers.
+func TestDefaultRunServesTheDesign(t *testing.T) {
+	var b strings.Builder
+	if err := run([]string{"-show", "0"}, &b); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	lines := strings.Split(out, "\n")
+	if len(lines) < 4 || lines[3] != "verified against the nested-loop reference: OK" {
+		t.Fatalf("the default run did not verify:\n%s", out)
+	}
+	row := strings.Fields(lines[2]) // reducers … similar_pairs
+	reducers, err := strconv.Atoi(row[0])
+	if err != nil || len(row) != 7 {
+		t.Fatalf("unreadable cost row %q", lines[2])
+	}
+	if reducers > 75 || row[6] != "56" {
+		t.Fatalf("the default run served %d reducers and found %s pairs, want at most 75 and 56:\n%s", reducers, row[6], out)
 	}
 }
 

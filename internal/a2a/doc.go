@@ -21,7 +21,8 @@
 //     copies where 16 needs 272 and 17.
 //   - BinPackPair: the bin-packing-based approximation — pack inputs into
 //     bins of size q/2 by First-Fit Decreasing, as the paper states it, then
-//     assign every pair of bins to one reducer.
+//     assign every pair of bins to one reducer. Solve generalises it to bins
+//     of q/n on a design (below).
 //   - BigSmallSplit: the extension for inputs larger than q/2 ("big" inputs),
 //     which pairs big inputs directly and packs the small inputs into the
 //     residual capacity next to each big input.
@@ -68,6 +69,28 @@
 //     shapes (about 2,000 inputs at k = 62, more than AG(2,31)'s 961 bins of
 //     two) this takes 1,049–1,262 reducers where EqualSized takes
 //     1,953–2,211.
+//
+// At k = 3 the triple cover is priced beside them, from m alone. One pair of
+// functions, equalSizedDesign and buildEqualSized, prices and builds all of
+// this.
+//
+// On different sizes that are all at most q/2, BinPackPair's pairs of q/2
+// bins are the case n = 2 of a wider family: pack the inputs by First-Fit
+// Decreasing into bins of floor(q/n), take each bin as one unit input, and
+// lay the units on the equal-sized dispatch's design at k = n — what Solve
+// builds for that many unit inputs at capacity n. Each reducer then holds n
+// whole bins, at most q. Solve prices every n from 3 to floor(q/w_max), at
+// most 64, from an FFD bin count and the design's count, and builds only the
+// cheapest, where it beats BinPackPair (fewer reducers, then less
+// communication); an n whose bin-count lower bound ceil(W/floor(q/n)) already
+// prices above the best so far is not counted. The count is binpack.Count
+// over the inputs ordered once, the same pass binpack.Pack runs for the
+// build. So wherever every input is at most q/3 the design can win: on the
+// benchmark's Zipf planning shapes (about 500 inputs, 24 bins of q/2) a
+// triple cover over bins of q/3 takes 246 reducers and 19 copies of each
+// input where the pairs take 276 and 23, and the similarity join's 300
+// documents at q = 4,000 take 72 reducers on AG(2, 8) instead of 112. Inputs
+// above q/2 keep BigSmallSplit, and equal-sized inputs their own dispatch.
 //
 // Planning cost is the paper's trade-off, so the algorithms decide on counts
 // and words and materialise one schema, once: Solve prices TripleCover from

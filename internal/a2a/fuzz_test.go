@@ -18,6 +18,13 @@ func FuzzSolve(f *testing.F) {
 	f.Add([]byte{1, 1, 1, 1, 1, 1, 1, 1}, byte(4))
 	f.Add([]byte{30, 1, 2, 3}, byte(40))
 	f.Add([]byte{}, byte(1))
+	// Every size at most q/3, so Solve prices designs over bins: a plane plus
+	// a remainder with as many reducers as BinPackPair and less
+	// communication, a triple cover and a plane, in that order.
+	f.Add([]byte{19, 3, 7, 1, 0, 12, 5, 9, 2, 15, 4, 8, 0, 1, 6, 11, 3, 2, 19, 10, 7, 0, 5, 13, 1, 4, 9, 2, 17, 6}, byte(58))
+	f.Add([]byte{2, 2, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 2, 1, 0, 2, 1, 0, 2, 1, 0, 2, 1, 0}, byte(7))
+	f.Add([]byte{9, 1, 4, 0, 7, 2, 9, 3, 0, 5, 8, 1, 6, 2, 0, 9, 4, 1, 3, 7, 0, 2, 5, 9, 1, 6, 0, 3, 8, 2, 4, 0,
+		1, 7, 9, 2, 5, 0, 3, 6, 9, 1, 4, 0, 7, 2, 9, 3, 0, 5, 8, 1, 6, 2, 0, 9, 4, 1, 3, 7, 0, 2, 5, 9}, byte(64))
 	f.Fuzz(func(t *testing.T, raw []byte, qRaw byte) {
 		if len(raw) > 64 {
 			raw = raw[:64]

@@ -3,11 +3,13 @@ package a2a
 import "repro/internal/core"
 
 // Solve computes a mapping schema for an A2A instance, dispatching to the
-// appropriate algorithm: when every input has the same size, the equal-sized
-// grouping algorithm, the affine plane or the plane plus a remainder,
-// whichever prices lowest;
-// BigSmallSplit when an input exceeds q/2, and BinPackPair otherwise. It
-// returns core.ErrInfeasible (wrapped) when no schema exists.
+// appropriate algorithm. When every input has the same size it builds the
+// cheapest of the equal-sized grouping algorithm, the affine plane, the plane
+// plus a remainder and, at three inputs per reducer, the Steiner-triple cover.
+// When an input exceeds q/2 it builds BigSmallSplit. Otherwise it prices
+// BinPackPair's pairs of q/2 bins against each n-bin design over FFD bins of
+// floor(q/n), and builds the cheapest; the design needs every input to be at
+// most q/3. It returns core.ErrInfeasible (wrapped) when no schema exists.
 func Solve(set *core.InputSet, q core.Size) (*core.MappingSchema, error) {
 	if err := CheckFeasible(set, q); err != nil {
 		return nil, err
@@ -19,8 +21,8 @@ func Solve(set *core.InputSet, q core.Size) (*core.MappingSchema, error) {
 		return singleReducer(set, q, "a2a/single-reducer"), nil
 	}
 	primary, err := solvePrimary(set, q)
-	if err != nil {
-		return nil, err
+	if err != nil || set.MinSize() == set.MaxSize() {
+		return primary, err // the equal-sized dispatch prices the triple cover itself
 	}
 	// In the medium-sized-input regime (inputs larger than q/4 but any three
 	// still fitting together) the bin-packing and grouping constructions
@@ -46,26 +48,65 @@ func solvePrimary(set *core.InputSet, q core.Size) (*core.MappingSchema, error) 
 	if set.MaxSize() > q/2 {
 		return BigSmallSplit(set, q)
 	}
-	return BinPackPair(set, q)
+	return solveBinned(set, q)
 }
 
-// solveEqualSized builds the cheapest of EqualSized, the best full plane and
-// the best plane plus a remainder — fewest reducers, then fewest copies —
-// among those that ship no more copies than EqualSized. All three are priced
-// from m and k alone and only the winner is built, so neither the reducer
-// count nor the communication of the equal-sized dispatch is ever worse than
-// EqualSized's, and no full plane is cheaper.
+// solveEqualSized builds what equalSizedDesign prices for the set: so
+// neither the reducer count nor the communication of the equal-sized dispatch
+// is ever worse than EqualSized's, and no full plane is cheaper.
 func solveEqualSized(set *core.InputSet, q core.Size) (*core.MappingSchema, error) {
 	m, k := set.Len(), int(q/set.Size(0))
 	if k < 2 || k >= m {
 		return EqualSized(set, q)
 	}
+	return buildEqualSized(set, q, equalSizedDesign(m, k))
+}
+
+// equalDesign is a design the equal-sized dispatch lays m > k >= 2 equal
+// inputs on at k per reducer, with its price: EqualSized's groups or a plane
+// (plane, of order 0 for the groups), the plane plus a remainder (rem, when
+// its plane's order is set) or the Steiner-triple cover (triple).
+type equalDesign struct {
+	price
+	plane  planePrice
+	rem    remainderPrice
+	triple bool
+}
+
+// equalSizedDesign prices the equal-sized dispatch for m > k >= 2 inputs at k
+// per reducer, from m and k alone: the cheapest of EqualSized, the best full
+// plane and the best plane plus a remainder — fewest reducers, then fewest
+// copies — among those that ship no more copies than EqualSized; and at
+// k = 3, where equal inputs are above q/4 and Solve's triple-cover check
+// applies, the triple cover where it is cheaper still. buildEqualSized builds
+// exactly what it prices, so the equal-sized dispatch and the designs over
+// bins (solveBinned) choose and build through these two functions alone.
+func equalSizedDesign(m, k int) equalDesign {
 	best := groupsOrPlane(m, k)
+	d := equalDesign{price: best.price, plane: best}
 	_, groupCopies := equalSizedPrice(m, k)
-	if pr, ok := bestPlaneRemainder(m, k, groupCopies); ok && pr.below(best.price) {
-		return planeRemainder(set, q, pr)
+	if pr, ok := bestPlaneRemainder(m, k, groupCopies); ok && pr.below(d.price) {
+		d = equalDesign{price: pr.price, rem: pr}
 	}
-	return groupsOrPlaneSchema(set, q, best)
+	if k == 3 {
+		if tc := (price{tripleCoverReducers(m), tripleCoverCopies(m)}); tc.below(d.price) {
+			d = equalDesign{price: tc, triple: true}
+		}
+	}
+	return d
+}
+
+// buildEqualSized builds the design d, priced by equalSizedDesign, for the
+// equal inputs of set.
+func buildEqualSized(set *core.InputSet, q core.Size, d equalDesign) (*core.MappingSchema, error) {
+	switch {
+	case d.triple:
+		return TripleCover(set, q)
+	case d.rem.plane.n > 0:
+		return planeRemainder(set, q, d.rem)
+	default:
+		return groupsOrPlaneSchema(set, q, d.plane)
+	}
 }
 
 // groupsOrPlane prices the equal-sized dispatch without the remainder design

@@ -110,6 +110,21 @@ func tripleCoverReducers(m int) int {
 	return mp*(mp-1)/6 - dropped
 }
 
+// tripleCoverCopies returns how many input copies TripleCover ships for
+// m >= 3 inputs that do not fit one reducer: each of the m real points lies
+// on (m'-1)/2 triples, less one for every dropped triple it is the only real
+// point of — the C(d,2) - 3 triples of two padding points when d >= 3 leaves
+// one triple of padding alone, and all C(d,2) otherwise.
+func tripleCoverCopies(m int) int {
+	mp := paddedPoints(m)
+	d := mp - m
+	lone := d * (d - 1) / 2
+	if d >= 3 {
+		lone -= 3
+	}
+	return m*(mp-1)/2 - lone
+}
+
 // boseTriples returns the triples of a Steiner triple system on n points,
 // n ≡ 3 (mod 6), via the Bose construction: the points are pairs (i, k) with
 // i in Z_t (t = n/3, odd) and k in {0, 1, 2}, encoded as i*3 + k. The triples

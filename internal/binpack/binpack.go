@@ -121,6 +121,39 @@ func Pack(items []Item, capacity core.Size, policy Policy) (*Packing, error) {
 	if policy != FirstFitDecreasing {
 		return nil, fmt.Errorf("binpack: unknown policy %v", policy)
 	}
+	ordered, err := decreasing(items, capacity)
+	if err != nil {
+		return nil, err
+	}
+	p := &Packing{Capacity: capacity}
+	firstFit(ordered, capacity, func(bin int, batch []Item) {
+		if bin == len(p.Bins) {
+			p.Bins = append(p.Bins, Bin{})
+		}
+		b := &p.Bins[bin]
+		for _, it := range batch {
+			b.Items = append(b.Items, it.ID)
+			b.Load += it.Size
+		}
+	})
+	return p, nil
+}
+
+// Count returns how many bins Pack opens for the items at capacity, with the
+// same errors, without placing them: a caller pricing one item list at many
+// capacities orders it once and counts each in one pass, allocating only
+// the pass's tree.
+func Count(items []Item, capacity core.Size) (int, error) {
+	ordered, err := decreasing(items, capacity)
+	if err != nil {
+		return 0, err
+	}
+	return firstFit(ordered, capacity, nil), nil
+}
+
+// decreasing checks every item fits capacity and returns the items in
+// First-Fit Decreasing's order, as given when they already are.
+func decreasing(items []Item, capacity core.Size) ([]Item, error) {
 	for _, it := range items {
 		if it.Size > capacity {
 			return nil, fmt.Errorf("%w: item %d has size %d > %d", ErrItemTooLarge, it.ID, it.Size, capacity)
@@ -129,14 +162,12 @@ func Pack(items []Item, capacity core.Size, policy Policy) (*Packing, error) {
 			return nil, fmt.Errorf("binpack: item %d has non-positive size %d", it.ID, it.Size)
 		}
 	}
-	ordered := items
-	if !slices.IsSortedFunc(items, bySizeDecreasing) {
-		ordered = slices.Clone(items)
-		slices.SortFunc(ordered, bySizeDecreasing)
+	if slices.IsSortedFunc(items, bySizeDecreasing) {
+		return items, nil
 	}
-	p := &Packing{Capacity: capacity}
-	packFirstFit(p, ordered)
-	return p, nil
+	ordered := slices.Clone(items)
+	slices.SortFunc(ordered, bySizeDecreasing)
+	return ordered, nil
 }
 
 // ItemsFromInputSet converts an input set into pack items, one per input, in
@@ -167,19 +198,53 @@ func bySizeDecreasing(a, b Item) int {
 	return cmp.Compare(a.ID, b.ID)
 }
 
-func packFirstFit(p *Packing, items []Item) {
+// firstFit places the items, in the given order and each at most capacity,
+// into the lowest-numbered bin with room for it, and returns how many bins
+// it opens; place, when not nil, is handed each batch of consecutive items
+// placed in one bin. A max-tree over the bins' free room (a bin not yet
+// opened has all of capacity) finds an item's first fit in O(log bins). An
+// item the same size as the one before goes where that one went whenever it
+// still fits, since no bin before it has room for the size, so a run of
+// equal sizes fills a bin in one step. No more bins open than there are
+// items, and at most one first-fit bin is at most half full, so fewer than
+// 2·total/capacity + 1 open.
+func firstFit(items []Item, capacity core.Size, place func(bin int, batch []Item)) int {
+	var total core.Size
 	for _, it := range items {
-		placed := false
-		for b := range p.Bins {
-			if p.Bins[b].Load+it.Size <= p.Capacity {
-				p.Bins[b].Items = append(p.Bins[b].Items, it.ID)
-				p.Bins[b].Load += it.Size
-				placed = true
-				break
+		total = core.AddSat(total, it.Size)
+	}
+	leaves := 1
+	for bound := min(len(items), 2*int(core.CeilDiv(total, capacity))+1); leaves < bound; {
+		leaves *= 2
+	}
+	free := make([]core.Size, 2*leaves)
+	for i := range free {
+		free[i] = capacity
+	}
+	opened := 0
+	for i := 0; i < len(items); {
+		size, node := items[i].Size, 1
+		for node < leaves {
+			node *= 2
+			if free[node] < size {
+				node++
 			}
 		}
-		if !placed {
-			p.Bins = append(p.Bins, Bin{Items: []int{it.ID}, Load: it.Size})
+		take := 1
+		for i+take < len(items) && items[i+take].Size == size && size <= free[node]-core.Size(take)*size {
+			take++
+		}
+		bin := node - leaves
+		if place != nil {
+			place(bin, items[i:i+take])
+		}
+		i += take
+		opened = max(opened, bin+1)
+		free[node] -= core.Size(take) * size
+		for node > 1 {
+			node /= 2
+			free[node] = max(free[2*node], free[2*node+1])
 		}
 	}
+	return opened
 }

@@ -26,6 +26,9 @@ func TestPackRejectsOversizedItem(t *testing.T) {
 	if !errors.Is(err, ErrItemTooLarge) {
 		t.Errorf("Pack() error = %v, want ErrItemTooLarge", err)
 	}
+	if _, err := Count(items(5, 12), 10); !errors.Is(err, ErrItemTooLarge) {
+		t.Errorf("Count() error = %v, want ErrItemTooLarge", err)
+	}
 }
 
 func TestPackRejectsNonPositiveItem(t *testing.T) {
@@ -310,6 +313,56 @@ func TestPackDecreasingIgnoresInputOrder(t *testing.T) {
 		}
 		if err := want.Validate(base); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
+		}
+	}
+}
+
+// refFirstFit is First Fit as the paper states it: each item, in order, into
+// the first open bin with room, scanning the bins one by one. firstFit's tree
+// and batches are held to it.
+func refFirstFit(items []Item, capacity core.Size) []Bin {
+	var bins []Bin
+	for _, it := range items {
+		placed := false
+		for b := range bins {
+			if bins[b].Load+it.Size <= capacity {
+				bins[b].Items = append(bins[b].Items, it.ID)
+				bins[b].Load += it.Size
+				placed = true
+				break
+			}
+		}
+		if !placed {
+			bins = append(bins, Bin{Items: []int{it.ID}, Load: it.Size})
+		}
+	}
+	return bins
+}
+
+// TestPackMatchesReferenceFirstFit holds Pack and Count to the bin-by-bin
+// scan on random items, with runs of equal sizes among them, at capacities
+// from the largest size up: the same bins, each with the same items in the
+// same order, and Count says how many.
+func TestPackMatchesReferenceFirstFit(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 2000; trial++ {
+		top := 1 + rng.Intn(40)
+		items := make([]Item, 1+rng.Intn(300))
+		for i := range items {
+			items[i] = Item{ID: i, Size: core.Size(1 + rng.Intn(top))}
+		}
+		capacity := core.Size(top + rng.Intn(3*top))
+		p, err := Pack(items, capacity, FirstFitDecreasing)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ordered := slices.Clone(items)
+		slices.SortFunc(ordered, bySizeDecreasing)
+		if want := refFirstFit(ordered, capacity); !reflect.DeepEqual(p.Bins, want) {
+			t.Fatalf("capacity %d: Pack's bins differ from the reference's\n got %v\nwant %v", capacity, p.Bins, want)
+		}
+		if n, err := Count(ordered, capacity); err != nil || n != p.NumBins() {
+			t.Fatalf("capacity %d: Count = %d, %v; Pack opened %d bins", capacity, n, err, p.NumBins())
 		}
 	}
 }

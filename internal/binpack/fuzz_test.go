@@ -1,6 +1,8 @@
 package binpack
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -8,7 +10,7 @@ import (
 
 // FuzzPack checks the packing invariants (every item exactly once, no bin
 // over capacity, never fewer bins than ⌈Σ sizes / capacity⌉) on arbitrary
-// inputs.
+// inputs, and holds Pack to the reference first fit and Count to Pack.
 func FuzzPack(f *testing.F) {
 	f.Add([]byte{7, 6, 5, 4, 3, 2, 1}, byte(10))
 	f.Add([]byte{50, 50, 50}, byte(100))
@@ -34,6 +36,14 @@ func FuzzPack(f *testing.F) {
 		}
 		if lb := sizeBound(items, capacity); p.NumBins() < lb {
 			t.Fatalf("%d bins, below the lower bound %d", p.NumBins(), lb)
+		}
+		ordered := slices.Clone(items)
+		slices.SortFunc(ordered, bySizeDecreasing)
+		if want := refFirstFit(ordered, capacity); !reflect.DeepEqual(p.Bins, want) {
+			t.Fatalf("bins %v differ from the reference's %v", p.Bins, want)
+		}
+		if n, err := Count(items, capacity); err != nil || n != p.NumBins() {
+			t.Fatalf("Count = %d, %v; Pack opened %d bins", n, err, p.NumBins())
 		}
 	})
 }

@@ -139,9 +139,11 @@ func (s *InputSet) IDsBySizeDescending() []int {
 	for i := range ids {
 		ids[i] = i
 	}
-	// IDs start ascending, so a stable sort by size alone breaks ties by ID.
-	slices.SortStableFunc(ids, func(a, b int) int {
-		return cmp.Compare(s.inputs[b].Size, s.inputs[a].Size)
+	slices.SortFunc(ids, func(a, b int) int {
+		if c := cmp.Compare(s.inputs[b].Size, s.inputs[a].Size); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
 	})
 	return ids
 }

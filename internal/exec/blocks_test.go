@@ -126,10 +126,11 @@ type instance struct {
 }
 
 // portfolioInstances solves seeded workload draws with every member of the
-// portfolio: a2a.Solve as the affine plane, the plane plus a remainder,
-// BinPackPair, BigSmallSplit and TripleCover, a2a.Greedy and a2a.Exact, and
-// x2y.Solve, x2y.Greedy and x2y.Exact. A schema a dispatch must take from a
-// given construction is checked to come from it.
+// portfolio: a2a.Solve as the affine plane, the plane plus a remainder, a
+// design over bins and BigSmallSplit, a2a.BinPackPair and a2a.TripleCover,
+// a2a.Greedy and a2a.Exact, and x2y.Solve, x2y.Greedy and x2y.Exact. A
+// schema a dispatch must take from a given construction is checked to come
+// from it.
 func portfolioInstances(t *testing.T) []instance {
 	t.Helper()
 	draw := func(spec workload.SizeSpec, m int, seed int64) *core.InputSet {
@@ -143,6 +144,7 @@ func portfolioInstances(t *testing.T) []instance {
 		return draw(workload.SizeSpec{Dist: workload.Uniform, Min: min, Max: max}, m, seed)
 	}
 	var out []instance
+	binnedDesigns := []string{"a2a/binned/triple-cover", "a2a/binned/plane-remainder", "a2a/binned/triple-cover"}
 	add := func(name string, sh shape, member string, solve func() (*core.MappingSchema, error)) {
 		ms, err := solve()
 		if err != nil && !errors.Is(err, a2a.ErrNodeBudget) && !errors.Is(err, x2y.ErrNodeBudget) {
@@ -171,12 +173,15 @@ func portfolioInstances(t *testing.T) []instance {
 		medium := uniform(15, 8, 10, seed)
 		xs, ys := uniform(30, 1, 40, seed), uniform(50, 1, 40, seed+10)
 		txs, tys := uniform(4, 1, 9, seed), uniform(5, 1, 9, seed+10)
-		add(fmt.Sprintf("a2a.Solve bin-pack-pair seed=%d", seed), shape{numA: 60}, "a2a/bin-pack-pair/first-fit-decreasing",
+		add(fmt.Sprintf("a2a.BinPackPair seed=%d", seed), shape{numA: 60}, "a2a/bin-pack-pair/first-fit-decreasing",
+			func() (*core.MappingSchema, error) { return a2a.BinPackPair(big, 256) })
+		// Every input is at most q/3, so Solve lays the bins on a design.
+		add(fmt.Sprintf("a2a.Solve binned seed=%d", seed), shape{numA: 60}, binnedDesigns[seed-1],
 			func() (*core.MappingSchema, error) { return a2a.Solve(big, 256) })
 		add(fmt.Sprintf("a2a.Solve big-small-split seed=%d", seed), shape{numA: 40}, "a2a/big-small-split/first-fit-decreasing",
 			func() (*core.MappingSchema, error) { return a2a.Solve(large, 100) })
-		add(fmt.Sprintf("a2a.Solve triple-cover seed=%d", seed), shape{numA: 15}, "a2a/triple-cover",
-			func() (*core.MappingSchema, error) { return a2a.Solve(medium, 30) })
+		add(fmt.Sprintf("a2a.TripleCover seed=%d", seed), shape{numA: 15}, "a2a/triple-cover",
+			func() (*core.MappingSchema, error) { return a2a.TripleCover(medium, 30) })
 		add(fmt.Sprintf("a2a.Greedy seed=%d", seed), shape{numA: 60}, "",
 			func() (*core.MappingSchema, error) { return a2a.Greedy(big, 256) })
 		add(fmt.Sprintf("a2a.Exact seed=%d", seed), shape{numA: 8}, "",

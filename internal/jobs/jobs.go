@@ -16,7 +16,8 @@
 //
 // A job may carry an opaque journal payload (Restore's last argument), set
 // in the critical section that enqueues it and reported by its snapshots
-// until OnFinish has seen it finish; cmd/pland marks its journaled jobs so.
+// until OnFinish has seen it finish; cmd/pland marks its journaled jobs so,
+// and journals them from OnEnqueue, in that same critical section.
 //
 // Each Manager counts in its own pland_jobs_* series, registered when New
 // builds it: Stats reads its counts from them, and WritePrometheus hands
@@ -83,6 +84,12 @@ type Config struct {
 	// polling; 0 means 15 minutes. The manager's next call after that
 	// evicts it.
 	ResultTTL time.Duration
+	// OnEnqueue, when non-nil, observes every job Submit or Restore
+	// enqueues, with its queued snapshot, before any worker can run it. It
+	// runs under the manager lock, as OnFinish does. cmd/pland uses it to
+	// append a journaled job's submit record, so the record precedes the
+	// job's done record and no checkpoint falls between the enqueue and it.
+	OnEnqueue func(Snapshot)
 	// OnFinish, when non-nil, observes every terminal transition with the
 	// job's final snapshot. It runs under the manager lock — implementations
 	// must be fast and must not call back into the Manager. cmd/pland uses
@@ -242,6 +249,9 @@ func (m *Manager) Restore(id, kind string, fn Func, payload []byte) (Snapshot, e
 	m.metrics.submitted.Inc()
 	m.metrics.queueDepth.Inc()
 	snap := j.snapshot()
+	if m.cfg.OnEnqueue != nil {
+		m.cfg.OnEnqueue(snap)
+	}
 	m.cond.Signal()
 	m.mu.Unlock()
 	return snap, nil

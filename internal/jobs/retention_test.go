@@ -160,6 +160,36 @@ func TestOnFinishHook(t *testing.T) {
 	}
 }
 
+// TestOnEnqueueHookPrecedesTheRun pins the OnEnqueue contract: it fires
+// once per enqueued job, with its queued snapshot and payload, and before the
+// job can run, so before OnFinish.
+func TestOnEnqueueHookPrecedesTheRun(t *testing.T) {
+	var mu sync.Mutex
+	var events []string
+	record := func(event string, s Snapshot) {
+		mu.Lock()
+		events = append(events, fmt.Sprintf("%s %s %s %s", event, s.ID, s.State, s.Payload))
+		mu.Unlock()
+	}
+	m := New(Config{Workers: 2, QueueDepth: 4, ResultTTL: time.Hour,
+		OnEnqueue: func(s Snapshot) { record("enqueue", s) },
+		OnFinish:  func(s Snapshot) { record("finish", s) }})
+	defer m.Shutdown(context.Background())
+
+	for _, id := range []string{"a", "b"} {
+		if _, err := m.Restore(id, "plan", func(context.Context) (any, error) { return nil, nil }, []byte(id)); err != nil {
+			t.Fatalf("Restore(%s): %v", id, err)
+		}
+		waitTerminal(t, m, id)
+	}
+	want := []string{"enqueue a queued a", "finish a succeeded a", "enqueue b queued b", "finish b succeeded b"}
+	mu.Lock()
+	defer mu.Unlock()
+	if fmt.Sprint(events) != fmt.Sprint(want) {
+		t.Fatalf("hook events %q, want %q", events, want)
+	}
+}
+
 // TestRestore re-enqueues a job under a caller-chosen ID, as boot-time WAL
 // recovery does, and refuses duplicates.
 func TestRestore(t *testing.T) {
