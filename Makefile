@@ -3,8 +3,8 @@ BENCH_COUNT ?= 6
 BASE ?= origin/main
 THRESHOLD ?= 15
 # The benchmarks the regression gate watches. This is the one place they are
-# listed: bench-compare and CI's bench-regression job both go through
-# bench-gate.
+# listed: bench runs them, and bench-compare and CI's bench-regression job
+# both go through bench-gate.
 BENCH_MATCH := ^Benchmark(A2AEqualSized|A2AExactTiny|A2AGreedy|X2YExactTiny|X2YGreedy|PlannerCold|PlannerCached|SchemaJSON|PlanReplyEncode|PlanReplyDecode|ExecStream|ExecStreamSpill|SkewJoin|SimJoin|SessionDelta|SessionRebuild|CoverSet|Auditor)
 
 .PHONY: test bench bench-gate bench-compare baselines
@@ -13,14 +13,9 @@ test: ## tier-1: build everything, run every test
 	$(GO) build ./... && $(GO) test ./...
 
 bench: ## one pass over the regression-gated benchmark suite (stdout)
-	@$(GO) test -run '^$$' -bench 'BenchmarkCoverSet' -count=$(BENCH_COUNT) -benchtime=0.2s ./internal/core \
-	  && $(GO) test -run '^$$' -bench 'BenchmarkAuditor' -count=$(BENCH_COUNT) -benchtime=0.2s ./internal/exec \
-	  && $(GO) test -run '^$$' -bench 'BenchmarkA2AEqualSized$$|BenchmarkA2AExactTiny$$|BenchmarkA2AGreedy$$|BenchmarkX2YExactTiny$$|BenchmarkX2YGreedy$$|BenchmarkPlannerCold$$|BenchmarkPlannerCached$$|BenchmarkSchemaJSON$$|BenchmarkExecStream$$|BenchmarkExecStreamSpill$$' -count=$(BENCH_COUNT) -benchtime=0.3s . \
-	  && $(GO) test -run '^$$' -bench 'BenchmarkPlanReplyEncode$$' -count=$(BENCH_COUNT) -benchtime=0.3s ./cmd/pland \
-	  && $(GO) test -run '^$$' -bench 'BenchmarkPlanReplyDecode$$' -count=$(BENCH_COUNT) -benchtime=0.3s ./pkg/assign/plandclient \
-	  && $(GO) test -run '^$$' -bench 'BenchmarkSkewJoin$$|BenchmarkSimJoin$$' -count=$(BENCH_COUNT) -benchtime=0.3s ./cmd/skewjoin ./cmd/simjoin \
-	  && $(GO) test -run '^$$' -bench 'BenchmarkSessionDelta|BenchmarkSessionRebuild$$' -count=$(BENCH_COUNT) -benchtime=0.3s ./internal/stream \
-	  && $(GO) test -run '^$$' -bench 'BenchmarkSessionDeltaJournaled$$' -count=$(BENCH_COUNT) -benchtime=0.3s ./internal/wal
+	@$(GO) test -run '^$$' -bench '$(BENCH_MATCH)' -count=$(BENCH_COUNT) -benchtime=0.3s \
+	  ./internal/core ./internal/exec . ./cmd/pland ./pkg/assign/plandclient \
+	  ./cmd/skewjoin ./cmd/simjoin ./internal/stream ./internal/wal
 
 # Both targets below keep their intermediate files in a private mktemp
 # directory that is removed on exit, so two runs on one box do not clobber

@@ -522,3 +522,38 @@ func TestSessionCreatesReserveTheirSlots(t *testing.T) {
 		t.Fatalf("recovery restored %d sessions, want %d", live, cfg.MaxSessions)
 	}
 }
+
+// TestDurableJobSubmitHasWALAppendStage: a job submit on a durable server
+// appends its submit record inside the enqueue, and the submit's trace shows
+// that as a "wal_append" stage of the POST /v2/jobs span.
+func TestDurableJobSubmitHasWALAppendStage(t *testing.T) {
+	cfg := durableConfig(t.TempDir())
+	cfg.TraceSampleRate = 1
+	s, err := newDurableServer(assign.NewPlanner(assign.PlannerConfig{}), cfg)
+	if err != nil {
+		t.Fatalf("newDurableServer: %v", err)
+	}
+	srv := httptest.NewServer(s)
+	t.Cleanup(func() {
+		srv.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		s.Close(ctx)
+	})
+	ctx := context.Background()
+	job, err := plandclient.New(srv.URL).SubmitPlan(ctx, plandclient.PlanRequest{
+		Problem: "A2A", Capacity: 10, Sizes: []assign.Size{3, 3, 2}, TimeoutMS: -1,
+	})
+	if err != nil {
+		t.Fatalf("SubmitPlan: %v", err)
+	}
+	for _, rec := range traceRecords(t, s, job.TraceID) {
+		if rec.Route == "/v2/jobs" {
+			if findSpan(rec.Root, "wal_append") == nil {
+				t.Fatalf("the submit's span has no wal_append stage: %+v", rec.Root)
+			}
+			return
+		}
+	}
+	t.Fatalf("trace %s holds no /v2/jobs record", job.TraceID)
+}

@@ -115,10 +115,16 @@ func (s *server) submitJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var payload []byte // the WAL submit record's body; none without a WAL
+	walAppended := func() {}
 	if s.wal != nil {
 		payload, _ = json.Marshal(body) // a body decoded from JSON re-encodes
+		// Restore appends the submit record in its critical section (the
+		// manager's OnEnqueue hook, which has no request context): that
+		// append is the section's only I/O, so the call is the stage.
+		walAppended = obs.SpanFrom(r.Context()).Stage("wal_append")
 	}
 	snap, err := s.jobs.Restore(r.PathValue("id"), body.Type, s.traceJobFunc(body.Type, r.Context(), run), payload)
+	walAppended()
 	switch {
 	case errors.Is(err, jobs.ErrQueueFull):
 		writeAPIError(w, newAPIError(http.StatusTooManyRequests, plandclient.CodeQueueFull,

@@ -3,6 +3,7 @@ package a2a
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -21,21 +22,18 @@ func TestBigSmallSplitWithOneBigInput(t *testing.T) {
 	}
 }
 
-func TestBigSmallSplitFallsBackWithoutBigInputs(t *testing.T) {
+// TestBigSmallSplitRefusesWithoutBigInputs: with no input above q/2 there is
+// nothing for BigSmallSplit to split, and the error points at Solve, which
+// serves every instance.
+func TestBigSmallSplitRefusesWithoutBigInputs(t *testing.T) {
 	set := core.MustNewInputSet([]core.Size{3, 3, 2, 2})
 	ms, err := BigSmallSplit(set, 10)
-	if err != nil {
-		t.Fatal(err)
+	if err == nil || !strings.Contains(err.Error(), "use Solve") {
+		t.Fatalf("BigSmallSplit = %v, %v; want an error naming Solve", ms, err)
 	}
-	if err := ms.ValidateA2A(set); err != nil {
-		t.Errorf("ValidateA2A: %v", err)
-	}
-	bpp, err := BinPackPair(set, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ms.NumReducers() != bpp.NumReducers() {
-		t.Errorf("fallback used %d reducers, BinPackPair %d", ms.NumReducers(), bpp.NumReducers())
+	// One input alone needs no reducer, big or not.
+	if ms, err := BigSmallSplit(core.MustNewInputSet([]core.Size{3}), 10); err != nil || ms.NumReducers() != 0 {
+		t.Errorf("one small input: %v, %v", ms, err)
 	}
 }
 

@@ -14,8 +14,8 @@ const binnedPrefix = "a2a/binned/"
 
 // binnedDesign is an equal-sized design laid over the bins of a
 // First-Fit-Decreasing packing at capacity floor(q/n): each bin is one unit
-// input and a reducer holds n of them. n = 2 stands for BinPackPair, whose
-// bins of q/2 meet two to a reducer.
+// input and a reducer holds n of them. At n = 2 the design is every pair of
+// bins, C(B,2) reducers, which BinPackPair builds.
 type binnedDesign struct {
 	n, bins int
 	design  equalDesign
@@ -31,31 +31,30 @@ func (a binnedDesign) below(b binnedDesign) bool {
 	return a.design.copies*b.bins < b.design.copies*a.bins
 }
 
-// solveBinned serves different-sized inputs that are all at most q/2. It
-// prices BinPackPair, and for every n from 3 to floor(q/w_max) (at most
-// maxPlaneOrder; past it the equal-sized dispatch lays its planes over runs
-// of units anyway) the equal-sized dispatch over the B bins of an FFD
-// packing at floor(q/n), at k = n; that is what Solve would build for B unit
-// inputs at capacity n. It builds only the cheapest, and a design only where
-// it beats BinPackPair on fewer reducers, then less communication.
+// solveBinned serves different-sized inputs that are all at most q/2 and do
+// not fit one reducer. It prices, for every n from 2 to floor(q/w_max) (at
+// most maxPlaneOrder; past it the equal-sized dispatch lays its planes over
+// runs of units anyway), the equal-sized dispatch over the B bins of an FFD
+// packing at floor(q/n), at k = n: what Solve would build for B unit inputs
+// at capacity n. At n = 2 that is BinPackPair's every pair of q/2 bins. It
+// builds only the cheapest, and a design only where it beats the pairs on
+// fewer reducers, then less communication: on a tie in reducers the built
+// design's communication is compared with the pairs' W·(B₂−1), every input
+// shipped once per other bin.
 //
 // Pricing one n is an FFD count over the items ordered once, and the
 // equal-sized dispatch's count. An n is skipped uncounted when its bins'
-// lower bound ceil(W/floor(q/n)) already prices above the cheapest so far.
+// lower bound ceil(W/floor(q/n)) does not price below the cheapest so far.
 func solveBinned(set *core.InputSet, q core.Size) (*core.MappingSchema, error) {
 	items := binpack.ItemsFromIDs(set, set.IDsBySizeDescending())
-	pairBins, err := binpack.Count(items, q/2)
+	pair, err := priceBinned(items, q, 2)
 	if err != nil {
 		return nil, err
 	}
-	pair := binnedDesign{n: 2, bins: pairBins, design: equalDesign{price: price{
-		reducers: BinPackPairReducerCount(pairBins),
-		copies:   pairBins * (pairBins - 1),
-	}}}
 	best := pair
 	for n := 3; n <= min(int(q/set.MaxSize()), maxPlaneOrder); n++ {
 		least := int(core.CeilDiv(set.TotalSize(), q/core.Size(n))) // more than n, since W > q
-		if best.below(binnedDesign{n, least, equalSizedDesign(least, n)}) {
+		if !(binnedDesign{n, least, equalSizedDesign(least, n)}).below(best) {
 			continue
 		}
 		cand, err := priceBinned(items, q, n)
@@ -66,23 +65,19 @@ func solveBinned(set *core.InputSet, q core.Size) (*core.MappingSchema, error) {
 			best = cand
 		}
 	}
-	if best.n == 2 {
-		return BinPackPair(set, q)
+	if best.n > 2 {
+		ms, err := buildBinned(items, q, best)
+		if err != nil || best.design.reducers < pair.design.reducers ||
+			core.SchemaCost(ms).Communication < core.MulSat(set.TotalSize(), core.Size(pair.bins-1)) {
+			return ms, err
+		}
 	}
-	ms, err := buildBinned(items, q, best)
-	if err != nil || best.design.reducers < pair.design.reducers {
-		return ms, err
-	}
-	// As many reducers: the bins' loads decide the communication.
-	paired, err := BinPackPair(set, q)
-	if err != nil || !betterSchema(ms, paired, set) {
-		return paired, err
-	}
-	return ms, nil
+	return packPairs(set, q, items)
 }
 
-// priceBinned prices the design over the FFD bins of items at floor(q/n), for
-// n >= 3: what buildBinned builds.
+// priceBinned prices the design over the FFD bins of items at floor(q/n):
+// what buildBinned builds for n >= 3, and BinPackPair's pairs for n = 2. The
+// items must not fit one reducer, so there are more than n bins.
 func priceBinned(items []binpack.Item, q core.Size, n int) (binnedDesign, error) {
 	bins, err := binpack.Count(items, q/core.Size(n))
 	return binnedDesign{n, bins, equalSizedDesign(bins, n)}, err

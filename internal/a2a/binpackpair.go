@@ -14,6 +14,8 @@ import (
 // dispatches automatically).
 var ErrHasBigInputs = errors.New("a2a: instance has inputs larger than q/2; use BigSmallSplit")
 
+const binPackPairAlgorithm = "a2a/bin-pack-pair/first-fit-decreasing"
+
 // BinPackPair is the paper's bin-packing-based approximation for
 // different-sized inputs that are all at most q/2. The inputs are packed into
 // bins of capacity floor(q/2) by First-Fit Decreasing; each pair
@@ -25,25 +27,30 @@ var ErrHasBigInputs = errors.New("a2a: instance has inputs larger than q/2; use 
 // If the packing uses b bins the schema uses b(b-1)/2 reducers (one reducer
 // when b == 1).
 func BinPackPair(set *core.InputSet, q core.Size) (*core.MappingSchema, error) {
-	const algorithm = "a2a/bin-pack-pair/first-fit-decreasing"
 	if set.Len() == 0 {
-		return emptySchema(q, algorithm), nil
+		return emptySchema(q, binPackPairAlgorithm), nil
 	}
 	if err := CheckFeasible(set, q); err != nil {
 		return nil, err
 	}
 	if set.Len() == 1 {
-		return emptySchema(q, algorithm), nil
+		return emptySchema(q, binPackPairAlgorithm), nil
 	}
 	half := q / 2
 	if set.MaxSize() > half {
 		return nil, fmt.Errorf("%w: max input size %d > q/2 = %d", ErrHasBigInputs, set.MaxSize(), half)
 	}
-	packing, err := binpack.Pack(binpack.ItemsFromInputSet(set), half, binpack.FirstFitDecreasing)
+	return packPairs(set, q, binpack.ItemsFromInputSet(set))
+}
+
+// packPairs builds BinPackPair's schema for the set's items, packing them at
+// q/2; items already in First-Fit Decreasing's order are packed as given.
+func packPairs(set *core.InputSet, q core.Size, items []binpack.Item) (*core.MappingSchema, error) {
+	packing, err := binpack.Pack(items, q/2, binpack.FirstFitDecreasing)
 	if err != nil {
 		return nil, fmt.Errorf("a2a: packing inputs into q/2 bins: %w", err)
 	}
-	return pairBins(set, q, algorithm, packing.Bins), nil
+	return pairBins(set, q, binPackPairAlgorithm, packing.Bins), nil
 }
 
 // pairBins assembles the schema that assigns every pair of the given bins to
@@ -95,13 +102,4 @@ func mergeSortedIDs(a, b []int) []int {
 	}
 	out = append(out, a[i:]...)
 	return append(out, b[j:]...)
-}
-
-// BinPackPairReducerCount predicts the number of reducers BinPackPair will
-// use given the number of bins produced by the packing step.
-func BinPackPairReducerCount(bins int) int {
-	if bins <= 1 {
-		return bins
-	}
-	return bins * (bins - 1) / 2
 }

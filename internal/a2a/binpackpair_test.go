@@ -61,15 +61,6 @@ func TestBinPackPairDegenerate(t *testing.T) {
 	}
 }
 
-func TestBinPackPairReducerCount(t *testing.T) {
-	if BinPackPairReducerCount(0) != 0 || BinPackPairReducerCount(1) != 1 {
-		t.Error("degenerate bin counts wrong")
-	}
-	if BinPackPairReducerCount(5) != 10 {
-		t.Errorf("BinPackPairReducerCount(5) = %d, want 10", BinPackPairReducerCount(5))
-	}
-}
-
 func TestBinPackPairRespectsPredictedReducerCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 20; trial++ {
@@ -88,8 +79,9 @@ func TestBinPackPairRespectsPredictedReducerCount(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := BinPackPairReducerCount(packing.NumBins()); ms.NumReducers() != want {
-			t.Errorf("reducers = %d, want %d for %d bins", ms.NumReducers(), want, packing.NumBins())
+		// One reducer per pair of bins, or one for a single bin.
+		if b := packing.NumBins(); ms.NumReducers() != max(1, b*(b-1)/2) {
+			t.Errorf("reducers = %d for %d bins", ms.NumReducers(), b)
 		}
 	}
 }

@@ -25,7 +25,8 @@
 //     of q/n on a design (below).
 //   - BigSmallSplit: the extension for inputs larger than q/2 ("big" inputs),
 //     which pairs big inputs directly and packs the small inputs into the
-//     residual capacity next to each big input.
+//     residual capacity next to each big input. It needs a big input; Solve
+//     dispatches to it on those instances.
 //   - TripleCover: a Steiner-triple cover for medium inputs (above q/4, any
 //     three still fitting), where the bin-packing constructions degenerate
 //     to one pair per reducer.
@@ -79,18 +80,24 @@
 // Decreasing into bins of floor(q/n), take each bin as one unit input, and
 // lay the units on the equal-sized dispatch's design at k = n — what Solve
 // builds for that many unit inputs at capacity n. Each reducer then holds n
-// whole bins, at most q. Solve prices every n from 3 to floor(q/w_max), at
-// most 64, from an FFD bin count and the design's count, and builds only the
-// cheapest, where it beats BinPackPair (fewer reducers, then less
-// communication); an n whose bin-count lower bound ceil(W/floor(q/n)) already
-// prices above the best so far is not counted. The count is binpack.Count
+// whole bins, at most q. Solve prices every n from 2 to floor(q/w_max), at
+// most 64, from an FFD bin count and the design's count; at n = 2 that
+// design is every pair of the B bins, C(B,2) reducers, so one loop prices
+// the pairs and the designs alike. It builds only the cheapest, and a design
+// only where it beats the pairs on fewer reducers, or on as many and less
+// communication than their exact W·(B−1), so the pairs are never built to be
+// compared. An n whose bin-count lower bound ceil(W/floor(q/n)) does not
+// price below the best so far is not counted. The count is binpack.Count
 // over the inputs ordered once, the same pass binpack.Pack runs for the
-// build. So wherever every input is at most q/3 the design can win: on the
-// benchmark's Zipf planning shapes (about 500 inputs, 24 bins of q/2) a
-// triple cover over bins of q/3 takes 246 reducers and 19 copies of each
-// input where the pairs take 276 and 23, and the similarity join's 300
-// documents at q = 4,000 take 72 reducers on AG(2, 8) instead of 112. Inputs
-// above q/2 keep BigSmallSplit, and equal-sized inputs their own dispatch.
+// build. The builds stay two: BinPackPair merges two sorted bins per
+// reducer, and a design deals each input out to the reducers of its bin,
+// each the faster on its own shape. So wherever every input is at most q/3
+// the design can win: on the benchmark's Zipf planning shapes (about 500
+// inputs, 24 bins of q/2) a triple cover over bins of q/3 takes 246 reducers
+// and 19 copies of each input where the pairs take 276 and 23, and the
+// similarity join's 300 documents at q = 4,000 take 72 reducers on AG(2, 8)
+// instead of 112. Inputs above q/2 keep BigSmallSplit, and equal-sized
+// inputs their own dispatch.
 //
 // Planning cost is the paper's trade-off, so the algorithms decide on counts
 // and words and materialise one schema, once: Solve prices TripleCover from

@@ -25,6 +25,14 @@ func FuzzSolve(f *testing.F) {
 	f.Add([]byte{2, 2, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 2, 1, 0, 2, 1, 0, 2, 1, 0, 2, 1, 0}, byte(7))
 	f.Add([]byte{9, 1, 4, 0, 7, 2, 9, 3, 0, 5, 8, 1, 6, 2, 0, 9, 4, 1, 3, 7, 0, 2, 5, 9, 1, 6, 0, 3, 8, 2, 4, 0,
 		1, 7, 9, 2, 5, 0, 3, 6, 9, 1, 4, 0, 7, 2, 9, 3, 0, 5, 8, 1, 6, 2, 0, 9, 4, 1, 3, 7, 0, 2, 5, 9}, byte(64))
+	// Few bins of q/2: three or four, where a design prices the same as the
+	// pairs and the loop skips it, and seven or eight, where a plane plus a
+	// remainder has as many reducers as the pairs and less communication.
+	f.Add([]byte{3, 24, 20, 23, 13, 22, 24, 11}, byte(77))
+	f.Add([]byte{4, 0, 0, 9, 14, 19, 0, 10, 3, 3, 9, 12}, byte(86))
+	f.Add([]byte{0, 19, 20, 2, 19, 2, 7, 1, 3, 16, 2, 19, 13}, byte(68))
+	f.Add([]byte{13, 13, 10, 16, 27, 14, 14, 9, 8, 20, 14, 0, 16, 23, 23, 26, 10}, byte(86))
+	f.Add([]byte{3, 0, 0, 1, 8, 8, 18, 1, 13, 16, 8, 1, 13, 0, 17, 13, 13, 4, 13, 3, 7, 8, 12, 0}, byte(56))
 	f.Fuzz(func(t *testing.T, raw []byte, qRaw byte) {
 		if len(raw) > 64 {
 			raw = raw[:64]

@@ -6,10 +6,10 @@ import "repro/internal/core"
 // appropriate algorithm. When every input has the same size it builds the
 // cheapest of the equal-sized grouping algorithm, the affine plane, the plane
 // plus a remainder and, at three inputs per reducer, the Steiner-triple cover.
-// When an input exceeds q/2 it builds BigSmallSplit. Otherwise it prices
-// BinPackPair's pairs of q/2 bins against each n-bin design over FFD bins of
-// floor(q/n), and builds the cheapest; the design needs every input to be at
-// most q/3. It returns core.ErrInfeasible (wrapped) when no schema exists.
+// When an input exceeds q/2 it builds BigSmallSplit. Otherwise it prices the
+// n-bin designs over FFD bins of floor(q/n), of which n = 2 is BinPackPair's
+// pairs of q/2 bins, and builds the cheapest; n >= 3 needs every input to be
+// at most q/3. It returns core.ErrInfeasible (wrapped) when no schema exists.
 func Solve(set *core.InputSet, q core.Size) (*core.MappingSchema, error) {
 	if err := CheckFeasible(set, q); err != nil {
 		return nil, err
@@ -24,14 +24,15 @@ func Solve(set *core.InputSet, q core.Size) (*core.MappingSchema, error) {
 	if err != nil || set.MinSize() == set.MaxSize() {
 		return primary, err // the equal-sized dispatch prices the triple cover itself
 	}
-	// In the medium-sized-input regime (inputs larger than q/4 but any three
-	// still fitting together) the bin-packing and grouping constructions
-	// degenerate to one pair per reducer; the Steiner-triple cover packs
-	// three inputs per reducer there. Keep the cheaper schema — and build the
-	// cover only when its reducer count, known from m alone, says it can be
-	// (outside the medium regime it is C(m,2)/3 reducers against a handful).
-	if usable, profitable := TripleCoverApplicable(set, q); usable && profitable &&
-		tripleCoverReducers(set.Len()) <= primary.NumReducers() {
+	// In the medium-sized-input regime (inputs larger than q/4, so q/2 bins
+	// hold one each, but any three still fitting together) the bin-packing
+	// and grouping constructions degenerate to one pair per reducer; the
+	// Steiner-triple cover packs three inputs per reducer there. Keep the
+	// cheaper schema — and build the cover only when its reducer count,
+	// known from m alone, says it can be (outside the medium regime it is
+	// C(m,2)/3 reducers against a handful). TripleCover refuses an instance
+	// whose three largest inputs do not fit.
+	if set.MaxSize() > q/4 && tripleCoverReducers(set.Len()) <= primary.NumReducers() {
 		triple, err := TripleCover(set, q)
 		if err == nil && betterSchema(triple, primary, set) {
 			return triple, nil

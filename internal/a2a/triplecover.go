@@ -149,17 +149,3 @@ func boseTriples(n int) [][3]int {
 	}
 	return out
 }
-
-// TripleCoverApplicable reports whether TripleCover can be used for the
-// instance (at least three inputs, and the three largest fit together) and
-// whether it is expected to beat BinPackPair there (some input larger than
-// q/4, so q/2 bins cannot hold two inputs each).
-func TripleCoverApplicable(set *core.InputSet, q core.Size) (usable, profitable bool) {
-	if set.Len() < 3 {
-		return false, false
-	}
-	if err := checkTriplesFit(set, q); err != nil {
-		return false, false
-	}
-	return true, set.MaxSize() > q/4
-}

@@ -119,27 +119,6 @@ func TestTripleCoverDegenerate(t *testing.T) {
 	}
 }
 
-func TestTripleCoverApplicable(t *testing.T) {
-	set := core.MustNewInputSet([]core.Size{30, 30, 30, 30})
-	usable, profitable := TripleCoverApplicable(set, 100)
-	if !usable || !profitable {
-		t.Errorf("medium-sized inputs should be usable and profitable: %v %v", usable, profitable)
-	}
-	small := core.MustNewInputSet([]core.Size{5, 5, 5, 5})
-	usable, profitable = TripleCoverApplicable(small, 100)
-	if !usable || profitable {
-		t.Errorf("small inputs should be usable but not profitable: %v %v", usable, profitable)
-	}
-	big := core.MustNewInputSet([]core.Size{50, 40, 30})
-	if usable, _ := TripleCoverApplicable(big, 100); usable {
-		t.Error("three inputs exceeding q should not be usable")
-	}
-	pair := core.MustNewInputSet([]core.Size{30, 30})
-	if usable, _ := TripleCoverApplicable(pair, 100); usable {
-		t.Error("fewer than three inputs should not be usable")
-	}
-}
-
 func TestSolvePicksTripleCoverInMediumRegime(t *testing.T) {
 	// Equal sizes in (q/4, q/3]: the grouping algorithm degenerates to pairs,
 	// so Solve must switch to the triple cover.
@@ -174,6 +153,15 @@ func TestSolveKeepsPrimaryWhenTripleCoverLoses(t *testing.T) {
 	}
 	if strings.Contains(ms.Algorithm, "triple-cover") {
 		t.Errorf("triple cover should not be selected for tiny inputs (algorithm %q)", ms.Algorithm)
+	}
+	// Medium inputs whose three largest exceed q: TripleCover refuses them,
+	// and Solve keeps its primary schema.
+	set = core.MustNewInputSet([]core.Size{50, 40, 30, 30, 26})
+	if ms, err = Solve(set, 100); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(ms.Algorithm, "triple-cover") || ms.ValidateA2A(set) != nil {
+		t.Errorf("three largest above q: Solve built %q", ms.Algorithm)
 	}
 }
 
@@ -243,9 +231,11 @@ func TestCheckTriplesFitSumsTheThreeLargest(t *testing.T) {
 	}
 }
 
-// refSolve is Solve as it was before it counted first: the triple cover is
-// built whenever it applies and then compared.
-func refSolve(set *core.InputSet, q core.Size) (*core.MappingSchema, error) {
+// refSolve is Solve as it was before it counted first, over the given
+// dispatch between the constructive algorithms (solvePrimary, or a
+// reference of it): the triple cover is built whenever it applies and then
+// compared.
+func refSolve(set *core.InputSet, q core.Size, primaryOf func(*core.InputSet, core.Size) (*core.MappingSchema, error)) (*core.MappingSchema, error) {
 	if err := CheckFeasible(set, q); err != nil {
 		return nil, err
 	}
@@ -255,11 +245,11 @@ func refSolve(set *core.InputSet, q core.Size) (*core.MappingSchema, error) {
 	if set.TotalSize() <= q {
 		return singleReducer(set, q, "a2a/single-reducer"), nil
 	}
-	primary, err := solvePrimary(set, q)
+	primary, err := primaryOf(set, q)
 	if err != nil {
 		return nil, err
 	}
-	if usable, profitable := TripleCoverApplicable(set, q); usable && profitable {
+	if set.Len() >= 3 && checkTriplesFit(set, q) == nil && set.MaxSize() > q/4 {
 		triple, err := TripleCover(set, q)
 		if err == nil && betterSchema(triple, primary, set) {
 			return triple, nil
@@ -277,7 +267,7 @@ func TestSolveMatchesBuildBothReference(t *testing.T) {
 	check := func(set *core.InputSet, q core.Size) {
 		t.Helper()
 		got, gotErr := Solve(set, q)
-		want, wantErr := refSolve(set, q)
+		want, wantErr := refSolve(set, q, solvePrimary)
 		if (gotErr == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want) {
 			t.Fatalf("sizes=%v q=%d: Solve differs from the build-both reference (err %v, reference %v)",
 				set.Sizes(), q, gotErr, wantErr)

@@ -307,30 +307,32 @@ type Snapshot struct {
 }
 
 // Snapshot materializes the current schema, census and fingerprint
-// atomically.
+// atomically. It copies the session once, as the State it fingerprints: the
+// snapshot takes that state's IDs and sizes, and its member lists relabelled
+// to dense IDs in place once the fingerprint is taken.
 func (s *Session) Snapshot() *Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	st := s.stateLocked()
 	snap := &Snapshot{
 		Schema:      &core.MappingSchema{Problem: core.ProblemA2A, Capacity: s.cfg.Capacity, Algorithm: "stream/incremental"},
-		IDs:         append([]InputID(nil), s.ids...),
-		Sizes:       make([]core.Size, len(s.ids)),
+		IDs:         st.IDs,
+		Sizes:       st.Sizes,
 		Stats:       s.statsLocked(),
-		Fingerprint: s.stateLocked().Fingerprint(),
+		Fingerprint: st.Fingerprint(),
 	}
-	dense := make(map[InputID]int, len(s.ids))
-	for i, id := range snap.IDs {
+	dense := make(map[InputID]int, len(st.IDs))
+	for i, id := range st.IDs {
 		dense[id] = i
-		snap.Sizes[i] = s.inputs[id].size
 	}
-	for _, r := range s.reds {
+	for slot, r := range s.reds {
 		if r == nil {
 			continue
 		}
 		// Members are sorted by external ID and the dense mapping preserves
 		// order, so the dense inputs come out ascending.
-		inputs := make([]int, len(r.members))
-		for i, m := range r.members {
+		inputs := st.Reducers[slot].Members
+		for i, m := range inputs {
 			inputs[i] = dense[m]
 		}
 		snap.Schema.Reducers = append(snap.Schema.Reducers, core.Reducer{Inputs: inputs, Load: r.load})

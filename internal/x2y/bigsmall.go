@@ -11,17 +11,17 @@ import (
 // feasible instance big inputs can only occur on one side: a big X input and
 // a big Y input could never share a reducer, yet they must. The algorithm is:
 //
-//  1. If neither side has big inputs, fall back to GridWithSplit.
-//  2. Otherwise let the big inputs be on side S and the other side be T
-//     (every T input then has size <= q - max_S <= q/2). For each big input
-//     s in S, pack all of T into bins of capacity q - w_s and create one
-//     reducer {s} ∪ bin per bin; this covers every pair involving s.
-//  3. Cover the pairs between the small inputs of S and T with GridWithSplit.
+//  1. Let the big inputs be on side S and the other side be T (every T
+//     input then has size <= q - max_S <= q/2). For each big input s in S,
+//     pack all of T into bins of capacity q - w_s and create one reducer
+//     {s} ∪ bin per bin; this covers every pair involving s.
+//  2. Cover the pairs between the small inputs of S and T with GridWithSplit.
 //
 // Unlike the A2A problem, several big inputs may exist (they never have to
 // meet each other), which is exactly the skew-join situation: a handful of
 // heavy hitters on one side, many small inputs on the other. Every packing is
-// First-Fit Decreasing.
+// First-Fit Decreasing. An instance with no input above q/2 on either side is
+// an error: Solve serves those.
 func BigSmallSplit(xs, ys *core.InputSet, q core.Size) (*core.MappingSchema, error) {
 	const algorithm = "x2y/big-small-split/first-fit-decreasing"
 	if xs.Len() == 0 || ys.Len() == 0 {
@@ -33,20 +33,11 @@ func BigSmallSplit(xs, ys *core.InputSet, q core.Size) (*core.MappingSchema, err
 	bigX, smallX := xs.SplitBySize(q / 2)
 	bigY, smallY := ys.SplitBySize(q / 2)
 	if len(bigX) == 0 && len(bigY) == 0 {
-		ms, err := GridWithSplit(xs, ys, q)
-		if err != nil {
-			return nil, err
-		}
-		ms.Algorithm = algorithm
-		return ms, nil
-	}
-	if len(bigX) > 0 && len(bigY) > 0 {
-		// Guarded by CheckFeasible (their two maxima would exceed q), but a
-		// q/2 rounding corner can reach here; reject explicitly.
-		return nil, fmt.Errorf("%w: both sides have inputs larger than q/2", core.ErrInfeasible)
+		return nil, fmt.Errorf("x2y: BigSmallSplit needs an input larger than q/2 = %d; use Solve", q/2)
 	}
 
 	// Normalise so the big inputs are on the X side; flip back at the end.
+	// CheckFeasible leaves them on one side only.
 	flipped := false
 	if len(bigY) > 0 {
 		xs, ys = ys, xs
@@ -59,7 +50,7 @@ func BigSmallSplit(xs, ys *core.InputSet, q core.Size) (*core.MappingSchema, err
 	// them in packing order once.
 	yItems := packOrderItems(ys)
 
-	// Step 2: every big X input meets all of Y via residual-capacity bins.
+	// Step 1: every big X input meets all of Y via residual-capacity bins.
 	for _, bx := range bigX {
 		residual := q - xs.Size(bx)
 		pack, err := binpack.Pack(yItems, residual, binpack.FirstFitDecreasing)
@@ -71,7 +62,7 @@ func BigSmallSplit(xs, ys *core.InputSet, q core.Size) (*core.MappingSchema, err
 		}
 	}
 
-	// Step 3: small X inputs meet all of Y via the grid.
+	// Step 2: small X inputs meet all of Y via the grid.
 	if len(smallX) > 0 {
 		smallSet, err := subset(xs, smallX)
 		if err != nil {

@@ -3,6 +3,7 @@ package x2y
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -35,15 +36,14 @@ func TestBigSmallSplitHeavyHittersOnY(t *testing.T) {
 	}
 }
 
-func TestBigSmallSplitFallsBackToGrid(t *testing.T) {
+// TestBigSmallSplitRefusesWithoutBigInputs: with no input above q/2 on
+// either side there is nothing for BigSmallSplit to split, and the error
+// points at Solve, which serves every instance.
+func TestBigSmallSplitRefusesWithoutBigInputs(t *testing.T) {
 	xs := core.MustNewInputSet([]core.Size{2, 3})
 	ys := core.MustNewInputSet([]core.Size{2, 3})
-	ms, err := BigSmallSplit(xs, ys, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ms.ValidateX2Y(xs, ys); err != nil {
-		t.Errorf("ValidateX2Y: %v", err)
+	if ms, err := BigSmallSplit(xs, ys, 10); err == nil || !strings.Contains(err.Error(), "use Solve") {
+		t.Errorf("BigSmallSplit = %v, %v; want an error naming Solve", ms, err)
 	}
 }
 

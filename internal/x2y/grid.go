@@ -15,27 +15,28 @@ import (
 // Solve, which dispatches automatically).
 var ErrHasBigInputs = errors.New("x2y: instance has inputs larger than the per-side capacity share; use BigSmallSplit")
 
-// packSplit packs the two sides' items by First-Fit Decreasing into bins of
-// capacity xShare and q-xShare. The packings alone price the grid: b_x*b_y reducers, and since
-// every X-bin meets every Y-bin, communication b_y*ΣX + b_x*ΣY.
-func packSplit(xs, ys *core.InputSet, xItems, yItems []binpack.Item, q, xShare core.Size) (xPack, yPack *binpack.Packing, err error) {
+// countSplit counts the bins First-Fit Decreasing packs the two sides' items
+// into at capacities xShare and q-xShare. The counts alone price the grid:
+// b_x*b_y reducers, and since every X-bin meets every Y-bin, communication
+// b_y*ΣX + b_x*ΣY.
+func countSplit(xs, ys *core.InputSet, xItems, yItems []binpack.Item, q, xShare core.Size) (bx, by int, err error) {
 	yShare := q - xShare
 	if xShare <= 0 || yShare <= 0 {
-		return nil, nil, fmt.Errorf("x2y: invalid capacity split %d/%d for q=%d", xShare, yShare, q)
+		return 0, 0, fmt.Errorf("x2y: invalid capacity split %d/%d for q=%d", xShare, yShare, q)
 	}
 	if xs.MaxSize() > xShare {
-		return nil, nil, fmt.Errorf("%w: max X size %d > X share %d", ErrHasBigInputs, xs.MaxSize(), xShare)
+		return 0, 0, fmt.Errorf("%w: max X size %d > X share %d", ErrHasBigInputs, xs.MaxSize(), xShare)
 	}
 	if ys.MaxSize() > yShare {
-		return nil, nil, fmt.Errorf("%w: max Y size %d > Y share %d", ErrHasBigInputs, ys.MaxSize(), yShare)
+		return 0, 0, fmt.Errorf("%w: max Y size %d > Y share %d", ErrHasBigInputs, ys.MaxSize(), yShare)
 	}
-	if xPack, err = binpack.Pack(xItems, xShare, binpack.FirstFitDecreasing); err != nil {
-		return nil, nil, fmt.Errorf("x2y: packing X side: %w", err)
+	if bx, err = binpack.Count(xItems, xShare); err != nil {
+		return 0, 0, fmt.Errorf("x2y: packing X side: %w", err)
 	}
-	if yPack, err = binpack.Pack(yItems, yShare, binpack.FirstFitDecreasing); err != nil {
-		return nil, nil, fmt.Errorf("x2y: packing Y side: %w", err)
+	if by, err = binpack.Count(yItems, yShare); err != nil {
+		return 0, 0, fmt.Errorf("x2y: packing Y side: %w", err)
 	}
-	return xPack, yPack, nil
+	return bx, by, nil
 }
 
 // buildGrid assigns every (X-bin, Y-bin) pair to one reducer. Every bin is
@@ -87,8 +88,8 @@ func packOrderItems(set *core.InputSet) []binpack.Item {
 // candidate is the paper's even split q/2 wherever each side's inputs fit
 // their half; the others are splits proportional to the two sides' total
 // sizes and a small sweep in between.
-// Each candidate is packed and priced from its two packings; only the
-// winner's reducers are built.
+// Each candidate is priced from its two bin counts (binpack.Count, over each
+// side ordered once); only the winner is packed and its reducers built.
 func GridWithSplit(xs, ys *core.InputSet, q core.Size) (*core.MappingSchema, error) {
 	const algorithm = "x2y/grid-best-split/first-fit-decreasing"
 	if xs.Len() == 0 || ys.Len() == 0 {
@@ -98,29 +99,36 @@ func GridWithSplit(xs, ys *core.InputSet, q core.Size) (*core.MappingSchema, err
 		return nil, err
 	}
 	xItems, yItems := packOrderItems(xs), packOrderItems(ys)
-	var bestX, bestY *binpack.Packing
+	var best core.Size // the winning X share; every candidate is positive
 	var bestReducers int
 	var bestComm core.Size
 	var firstErr error
 	for _, s := range splitCandidates(xs, ys, q) {
-		xPack, yPack, err := packSplit(xs, ys, xItems, yItems, q, s)
+		bx, by, err := countSplit(xs, ys, xItems, yItems, q, s)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
 			continue
 		}
-		bx, by := xPack.NumBins(), yPack.NumBins()
 		reducers := bx * by
 		comm := core.Size(by)*xs.TotalSize() + core.Size(bx)*ys.TotalSize()
-		if bestX == nil || reducers < bestReducers || (reducers == bestReducers && comm < bestComm) {
-			bestX, bestY, bestReducers, bestComm = xPack, yPack, reducers, comm
+		if best == 0 || reducers < bestReducers || (reducers == bestReducers && comm < bestComm) {
+			best, bestReducers, bestComm = s, reducers, comm
 		}
 	}
-	if bestX == nil {
+	if best == 0 {
 		return nil, firstErr
 	}
-	return buildGrid(q, algorithm, bestX.Bins, bestY.Bins), nil
+	xPack, err := binpack.Pack(xItems, best, binpack.FirstFitDecreasing)
+	if err != nil {
+		return nil, err
+	}
+	yPack, err := binpack.Pack(yItems, q-best, binpack.FirstFitDecreasing)
+	if err != nil {
+		return nil, err
+	}
+	return buildGrid(q, algorithm, xPack.Bins, yPack.Bins), nil
 }
 
 // splitCandidates proposes X-side capacity shares to try.

@@ -46,8 +46,8 @@ func TestGridRejectsBigInputs(t *testing.T) {
 	xs := core.MustNewInputSet([]core.Size{6, 2})
 	ys := core.MustNewInputSet([]core.Size{2, 2})
 	// The even split leaves X no room for its 6.
-	if _, _, err := packSplit(xs, ys, binpack.ItemsFromInputSet(xs), binpack.ItemsFromInputSet(ys), 10, 5); !errors.Is(err, ErrHasBigInputs) {
-		t.Errorf("packSplit = %v, want ErrHasBigInputs", err)
+	if _, _, err := countSplit(xs, ys, binpack.ItemsFromInputSet(xs), binpack.ItemsFromInputSet(ys), 10, 5); !errors.Is(err, ErrHasBigInputs) {
+		t.Errorf("countSplit = %v, want ErrHasBigInputs", err)
 	}
 }
 
@@ -74,11 +74,11 @@ func TestGridSplitInvalidShare(t *testing.T) {
 	xs := core.MustNewInputSet([]core.Size{2})
 	ys := core.MustNewInputSet([]core.Size{2})
 	xItems, yItems := binpack.ItemsFromInputSet(xs), binpack.ItemsFromInputSet(ys)
-	if _, _, err := packSplit(xs, ys, xItems, yItems, 10, 0); err == nil {
-		t.Error("packSplit accepted a zero X share")
+	if _, _, err := countSplit(xs, ys, xItems, yItems, 10, 0); err == nil {
+		t.Error("countSplit accepted a zero X share")
 	}
-	if _, _, err := packSplit(xs, ys, xItems, yItems, 10, 10); err == nil {
-		t.Error("packSplit accepted a full-capacity X share")
+	if _, _, err := countSplit(xs, ys, xItems, yItems, 10, 10); err == nil {
+		t.Error("countSplit accepted a full-capacity X share")
 	}
 }
 
@@ -97,11 +97,11 @@ func TestGridWithSplitAtLeastAsGoodAsEvenSplit(t *testing.T) {
 		}
 		xs := core.MustNewInputSet(xSizes)
 		ys := core.MustNewInputSet(ySizes)
-		xPack, yPack, err := packSplit(xs, ys, binpack.ItemsFromInputSet(xs), binpack.ItemsFromInputSet(ys), q, q/2)
+		bx, by, err := countSplit(xs, ys, binpack.ItemsFromInputSet(xs), binpack.ItemsFromInputSet(ys), q, q/2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		even := xPack.NumBins() * yPack.NumBins()
+		even := bx * by
 		best, err := GridWithSplit(xs, ys, q)
 		if err != nil {
 			t.Fatal(err)
