@@ -67,6 +67,7 @@ func goldenInstances(t testing.TB) map[string]planner.Request {
 			Problem: core.ProblemA2A, Capacity: 120,
 			Set: mk(workload.SizeSpec{Dist: workload.Uniform, Min: 30, Max: 55}, 80, 3),
 		},
+		"a2a-one-big-m300": a2aOneBig(t),
 		"a2a-medium-triples-m60": {
 			Problem: core.ProblemA2A, Capacity: 90,
 			Set: mk(workload.SizeSpec{Dist: workload.Uniform, Min: 26, Max: 30}, 60, 5),
@@ -86,6 +87,24 @@ func goldenInstances(t testing.TB) map[string]planner.Request {
 			Y: mk(workload.SizeSpec{Dist: workload.Uniform, Min: 2, Max: 9}, 6, 17),
 		},
 	}
+}
+
+// a2aOneBig is the benchmark's a2a_big shape: 300 Zipf sizes in [1, 20] at
+// the q that fills about 16 bins of q/2 (at least 40), one of them raised
+// into (q/2, 5q/8].
+func a2aOneBig(t testing.TB) planner.Request {
+	t.Helper()
+	sizes, err := workload.Sizes(workload.SizeSpec{Dist: workload.Zipf, Min: 1, Max: 20, Skew: 1.5}, 300, 19)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total core.Size
+	for _, w := range sizes {
+		total += w
+	}
+	q := max(2*(total+15)/16, 40)
+	sizes[100] = q/2 + 1 + q/16
+	return planner.Request{Problem: core.ProblemA2A, Capacity: q, Set: core.MustNewInputSet(sizes)}
 }
 
 // schemaFingerprint hashes every structural detail of a schema: problem,
