@@ -15,11 +15,13 @@ import (
 //  1. Let B be the unique big input. Pack the remaining ("small") inputs
 //     into bins of capacity q - w_B and create one reducer {B} ∪ bin per
 //     bin; this covers every pair that involves B.
-//  2. Cover the pairs among small inputs with BinPackPair (bins of size q/2,
-//     every pair of bins in one reducer).
+//  2. Cover the pairs among small inputs with Solve over the small inputs
+//     alone: an A2A instance with nothing above q/2, so one reducer, the
+//     equal-sized dispatch, or the cheapest design over First-Fit-Decreasing
+//     bins of floor(q/n), of which BinPackPair's pairs of q/2 bins are n = 2.
 //
-// Both packing steps use First-Fit Decreasing. An instance of two or more
-// inputs with none above q/2 is an error: Solve serves those.
+// Step 1 packs by First-Fit Decreasing. An instance of two or more inputs
+// with none above q/2 is an error: Solve serves those.
 func BigSmallSplit(set *core.InputSet, q core.Size) (*core.MappingSchema, error) {
 	const algorithm = "a2a/big-small-split/first-fit-decreasing"
 	if set.Len() == 0 {
@@ -40,20 +42,16 @@ func BigSmallSplit(set *core.InputSet, q core.Size) (*core.MappingSchema, error)
 	bigSize := set.Size(big)
 	ms := &core.MappingSchema{Problem: core.ProblemA2A, Capacity: q, Algorithm: algorithm}
 
-	// Both packings come first, so the reducer list is sized once: one
-	// reducer per residual bin, one per pair of q/2 bins.
+	// Both steps' reducers come first, so the list is sized once: one
+	// reducer per residual bin, then the small inputs' own schema.
 	smallItems := binpack.ItemsFromIDs(set, smallIDs)
 	residualPacking, err := binpack.Pack(smallItems, q-bigSize, binpack.FirstFitDecreasing)
 	if err != nil {
 		return nil, fmt.Errorf("a2a: packing small inputs next to the big input: %w", err)
 	}
-	var pairs []core.Reducer // step 2: the small-small pairs
-	if len(smallIDs) >= 2 {
-		halfPacking, err := binpack.Pack(smallItems, q/2, binpack.FirstFitDecreasing)
-		if err != nil {
-			return nil, fmt.Errorf("a2a: packing small inputs into q/2 bins: %w", err)
-		}
-		pairs = pairBins(set, q, algorithm, halfPacking.Bins).Reducers
+	pairs, err := solveSmall(set, q, smallIDs)
+	if err != nil {
+		return nil, err
 	}
 	ms.Reducers = make([]core.Reducer, 0, len(residualPacking.Bins)+len(pairs))
 
@@ -65,4 +63,29 @@ func BigSmallSplit(set *core.InputSet, q core.Size) (*core.MappingSchema, error)
 	}
 	ms.Reducers = append(ms.Reducers, pairs...)
 	return ms, nil
+}
+
+// solveSmall covers the pairs among the inputs smallIDs, ascending and all at
+// most q/2: Solve's reducers over them as an instance of their own, each
+// member relabelled to its ID in set. The relabelling is monotone, so every
+// member list stays ascending.
+func solveSmall(set *core.InputSet, q core.Size, smallIDs []int) ([]core.Reducer, error) {
+	sizes := make([]core.Size, len(smallIDs))
+	for i, id := range smallIDs {
+		sizes[i] = set.Size(id)
+	}
+	small, err := core.NewInputSet(sizes)
+	if err != nil {
+		return nil, err
+	}
+	ms, err := Solve(small, q)
+	if err != nil {
+		return nil, fmt.Errorf("a2a: covering the small inputs' pairs: %w", err)
+	}
+	for _, r := range ms.Reducers {
+		for j, id := range r.Inputs {
+			r.Inputs[j] = smallIDs[id]
+		}
+	}
+	return ms.Reducers, nil
 }

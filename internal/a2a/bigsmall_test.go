@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/binpack"
 	"repro/internal/core"
+	"repro/internal/workload"
 )
 
 func TestBigSmallSplitWithOneBigInput(t *testing.T) {
@@ -105,5 +107,93 @@ func TestBigSmallSplitRandomInstancesValid(t *testing.T) {
 		if err := ms.ValidateA2A(set); err != nil {
 			t.Fatalf("q=%d sizes=%v invalid: %v", q, sizes, err)
 		}
+	}
+}
+
+// refBigSmallSplit is BigSmallSplit as the paper states it: step 1's residual
+// bins beside the big input, and BinPackPair's every pair of q/2 bins over the
+// small inputs for their own pairs.
+func refBigSmallSplit(set *core.InputSet, q core.Size) (*core.MappingSchema, error) {
+	bigIDs, smallIDs := set.SplitBySize(q / 2)
+	big := bigIDs[0]
+	residual, err := binpack.Pack(binpack.ItemsFromIDs(set, smallIDs), q-set.Size(big), binpack.FirstFitDecreasing)
+	if err != nil {
+		return nil, err
+	}
+	ms := &core.MappingSchema{Problem: core.ProblemA2A, Capacity: q, Algorithm: "a2a/big-small-split/first-fit-decreasing"}
+	for _, bin := range residual.Bins {
+		ms.AddReducerA2A(set, append([]int{big}, bin.Items...))
+	}
+	sizes := make([]core.Size, len(smallIDs))
+	for i, id := range smallIDs {
+		sizes[i] = set.Size(id)
+	}
+	pairs, err := BinPackPair(core.MustNewInputSet(sizes), q)
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range pairs.Reducers {
+		ids := make([]int, len(r.Inputs))
+		for j, id := range r.Inputs {
+			ids[j] = smallIDs[id]
+		}
+		ms.AddReducerA2A(set, ids)
+	}
+	return ms, nil
+}
+
+// TestBigSmallSplitNeverAbovePairs: on 1,200 draws of one input in
+// (q/2, 5q/8] beside small inputs, uniform or Zipf and capped at q/40, q/8 or
+// q - w_big, that fill 3 to 32 bins of q/2, BigSmallSplit is valid and never
+// above refBigSmallSplit: no more reducers, and no more communication where
+// it has as many. Its step 2 must beat the pairs on at least 40% of the
+// draws.
+func TestBigSmallSplitNeverAbovePairs(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	const draws = 1200
+	better, reducers, refReducers := 0, 0, 0
+	for trial := 0; trial < draws; trial++ {
+		q := core.Size(80 + rng.Intn(520))
+		big := q/2 + 1 + core.Size(rng.Int63n(int64(q/8)))
+		spec := workload.SizeSpec{Dist: workload.Uniform, Min: 1, Max: [...]core.Size{q / 40, q / 8, q - big}[trial%3]}
+		if trial%2 == 1 {
+			spec.Dist, spec.Skew = workload.Zipf, 1.5
+		}
+		pool, err := workload.Sizes(spec, 8000, rng.Int63())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes, fill := []core.Size{big}, core.Size(3+rng.Intn(30))*(q/2)
+		for _, w := range pool {
+			if fill -= w; fill < 0 {
+				break
+			}
+			sizes = append(sizes, w)
+		}
+		set := core.MustNewInputSet(sizes)
+		ms, err := BigSmallSplit(set, q)
+		if err != nil {
+			t.Fatalf("m=%d q=%d: %v", set.Len(), q, err)
+		}
+		if err := ms.ValidateA2A(set); err != nil {
+			t.Fatalf("m=%d q=%d: %v", set.Len(), q, err)
+		}
+		ref, err := refBigSmallSplit(set, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if betterSchema(ref, ms, set) {
+			t.Fatalf("m=%d q=%d: %d reducers and communication %d, the pairs %d and %d", set.Len(), q,
+				ms.NumReducers(), core.SchemaCost(ms).Communication, ref.NumReducers(), core.SchemaCost(ref).Communication)
+		}
+		if betterSchema(ms, ref, set) {
+			better++
+		}
+		reducers += ms.NumReducers()
+		refReducers += ref.NumReducers()
+	}
+	t.Logf("better than the pairs on %d of %d draws; %d reducers against %d", better, draws, reducers, refReducers)
+	if better*10 < draws*4 {
+		t.Fatalf("better than the pairs on %d of %d draws, want 40%%", better, draws)
 	}
 }

@@ -33,6 +33,16 @@ func FuzzSolve(f *testing.F) {
 	f.Add([]byte{0, 19, 20, 2, 19, 2, 7, 1, 3, 16, 2, 19, 13}, byte(68))
 	f.Add([]byte{13, 13, 10, 16, 27, 14, 14, 9, 8, 20, 14, 0, 16, 23, 23, 26, 10}, byte(86))
 	f.Add([]byte{3, 0, 0, 1, 8, 8, 18, 1, 13, 16, 8, 1, 13, 0, 17, 13, 13, 4, 13, 3, 7, 8, 12, 0}, byte(56))
+	// One input above q/2 beside small inputs at most q/3: BigSmallSplit
+	// covers the small inputs' pairs with Solve over them, here a plane plus
+	// a remainder, a triple cover, a plane and the groups over bins, each
+	// with fewer reducers than BinPackPair's pairs.
+	f.Add([]byte{19, 7, 6, 19, 19, 9, 7, 8, 8, 15, 2, 19, 14, 9, 17, 3, 6, 16, 4, 16, 16, 5, 13, 1, 4, 11, 8, 19, 6,
+		6, 1, 7, 17, 20, 14, 18, 1, 12, 2, 10, 13, 18, 1, 87, 12, 1}, byte(166))
+	f.Add([]byte{7, 29, 12, 16, 16, 21, 1, 24, 25, 20, 3, 26, 8, 12, 28, 29, 12, 4, 17, 25, 22, 5, 10, 16, 31, 30,
+		27, 7, 59, 3, 12, 30, 3, 16, 19, 19, 3, 17, 32, 20, 5, 6, 22, 3, 26, 9, 29}, byte(99))
+	f.Add([]byte{17, 49, 5, 50, 38, 16, 49, 19, 92, 41, 22, 44, 21, 8, 19}, byte(153))
+	f.Add([]byte{3, 40, 2, 2, 7, 3, 6, 7, 5, 5, 2, 1, 3, 7, 3, 1, 2, 2, 4, 6, 6, 1, 6, 4, 5, 6, 6, 0, 5, 5}, byte(71))
 	f.Fuzz(func(t *testing.T, raw []byte, qRaw byte) {
 		if len(raw) > 64 {
 			raw = raw[:64]
