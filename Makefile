@@ -5,7 +5,7 @@ THRESHOLD ?= 15
 # The benchmarks the regression gate watches. This is the one place they are
 # listed: bench runs them, and bench-compare and CI's bench-regression job
 # both go through bench-gate.
-BENCH_MATCH := ^Benchmark(A2AEqualSized|A2AExactTiny|A2AGreedy|X2YExactTiny|X2YGreedy|PlannerCold|PlannerCached|SchemaJSON|PlanReplyEncode|PlanReplyDecode|ExecStream|ExecStreamSpill|SkewJoin|SimJoin|SessionDelta|SessionRebuild|CoverSet|Auditor)
+BENCH_MATCH := ^Benchmark(A2AEqualSized|A2AExactTiny|A2AGreedy|A2ABigSmallSplit|X2YExactTiny|X2YGreedy|PlannerCold|PlannerCached|SchemaJSON|PlanReplyEncode|PlanReplyDecode|ExecStream|ExecStreamSpill|SkewJoin|SimJoin|SessionDelta|SessionRebuild|CoverSet|Auditor)
 
 .PHONY: test bench bench-gate bench-compare baselines
 

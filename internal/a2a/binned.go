@@ -40,7 +40,9 @@ func (a binnedDesign) below(b binnedDesign) bool {
 // builds only the cheapest, and a design only where it beats the pairs on
 // fewer reducers, then less communication: on a tie in reducers the built
 // design's communication is compared with the pairs' W·(B₂−1), every input
-// shipped once per other bin.
+// shipped once per other bin. The pairs can win it: a plane plus a remainder
+// ships its remainder bins more often than its plane bins, and FFD can leave
+// the remainder's bins the fullest.
 //
 // Pricing one n is an FFD count over the items ordered once, and the
 // equal-sized dispatch's count. An n is skipped uncounted when its bins'

@@ -135,6 +135,65 @@ func TestSolveOnBinsNeverAbovePairs(t *testing.T) {
 	}
 }
 
+// TestSolveKeepsThePairsOnACommunicationTie pins an instance where the
+// cheapest design over bins has as many reducers as the pairs and fewer
+// copies per bin, yet ships more. 7 inputs of 56, 7 of 34 and 10 of 33 at
+// q = 265 pack into 19 bins of 66: the 56s and the 34s alone, the 33s two
+// to a bin. Their plane plus a remainder (AG(2,4) over the first 16 bins, a
+// grid to the last three) takes 36 reducers, as many as the pairs of the 9
+// bins of 132, and 144 copies of 19 bins against 72 of 9. But the three
+// remainder bins, full, are shipped 16 times each and the plane's 16, only
+// 762 between them, 6 times: 7,740 against the pairs' W·8 = 7,680. So
+// solveBinned compares the built design's communication with the pairs' on
+// a tie in reducers, and keeps the pairs here.
+func TestSolveKeepsThePairsOnACommunicationTie(t *testing.T) {
+	var sizes []core.Size
+	for _, run := range []struct {
+		w core.Size
+		n int
+	}{{56, 7}, {34, 7}, {33, 10}} {
+		for range run.n {
+			sizes = append(sizes, run.w)
+		}
+	}
+	set, q := core.MustNewInputSet(sizes), core.Size(265)
+	items := binpack.ItemsFromIDs(set, set.IDsBySizeDescending())
+	pair, err := priceBinned(items, q, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	best := pair
+	for n := 3; n <= int(q/set.MaxSize()); n++ {
+		cand, err := priceBinned(items, q, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cand.below(best) {
+			best = cand
+		}
+	}
+	if best.n != 4 || best.bins != 19 || best.design.reducers != 36 || pair.bins != 9 {
+		t.Fatalf("priced n=%d over %d bins, %d reducers, the pairs over %d bins; want n=4 over 19, 36 reducers, 9",
+			best.n, best.bins, best.design.reducers, pair.bins)
+	}
+	design, err := buildBinned(items, q, best)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairsComm := set.TotalSize() * core.Size(pair.bins-1)
+	if got := core.SchemaCost(design).Communication; got != 7740 || pairsComm != 7680 {
+		t.Fatalf("the design ships %d and the pairs %d; want 7740 and 7680", got, pairsComm)
+	}
+	ms, err := Solve(set, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cost := core.SchemaCost(ms); ms.Algorithm != binPackPairAlgorithm || cost.Reducers != 36 || cost.Communication != pairsComm {
+		t.Fatalf("Solve built %s, %d reducers shipping %d; want the pairs, 36 shipping %d",
+			ms.Algorithm, cost.Reducers, cost.Communication, pairsComm)
+	}
+}
+
 // TestPriceBinnedPairsAreEveryPairOfBins: at n = 2 the equal-sized dispatch
 // prices every pair of B bins, C(B,2) reducers shipping each bin B-1 times,
 // for every B it can see (more than two bins, since the inputs do not fit

@@ -23,9 +23,12 @@
 //     bins of size q/2 by First-Fit Decreasing, as the paper states it, then
 //     assign every pair of bins to one reducer. Solve generalises it to bins
 //     of q/n on a design (below).
-//   - BigSmallSplit: the extension for inputs larger than q/2 ("big" inputs),
-//     which pairs big inputs directly and packs the small inputs into the
-//     residual capacity next to each big input. It needs a big input; Solve
+//   - BigSmallSplit: the extension for an input larger than q/2 (a "big"
+//     input; a feasible instance has at most one), which packs the small
+//     inputs into bins of the residual capacity next to the big input, and
+//     covers the small inputs' own pairs with Solve over them alone — an
+//     instance with nothing above q/2, so the designs over bins below serve
+//     it where they beat BinPackPair's pairs. It needs a big input; Solve
 //     dispatches to it on those instances.
 //   - TripleCover: a Steiner-triple cover for medium inputs (above q/4, any
 //     three still fitting), where the bin-packing constructions degenerate
@@ -96,8 +99,12 @@
 // inputs, 24 bins of q/2) a triple cover over bins of q/3 takes 246 reducers
 // and 19 copies of each input where the pairs take 276 and 23, and the
 // similarity join's 300 documents at q = 4,000 take 72 reducers on AG(2, 8)
-// instead of 112. Inputs above q/2 keep BigSmallSplit, and equal-sized
-// inputs their own dispatch.
+// instead of 112. An instance with an input above q/2 goes to
+// BigSmallSplit, whose small inputs take this same dispatch for their own
+// pairs: on the benchmark's a2a_big shapes (about 300 Zipf sizes at 16 bins
+// of q/2 beside one input above q/2) that takes 18,387 reducers over 150
+// draws where the pairs took 20,790. Equal-sized inputs keep their own
+// dispatch.
 //
 // Planning cost is the paper's trade-off, so the algorithms decide on counts
 // and words and materialise one schema, once: Solve prices TripleCover from

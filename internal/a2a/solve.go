@@ -6,7 +6,8 @@ import "repro/internal/core"
 // appropriate algorithm. When every input has the same size it builds the
 // cheapest of the equal-sized grouping algorithm, the affine plane, the plane
 // plus a remainder and, at three inputs per reducer, the Steiner-triple cover.
-// When an input exceeds q/2 it builds BigSmallSplit. Otherwise it prices the
+// When an input exceeds q/2 it builds BigSmallSplit, which serves the small
+// inputs' own pairs through Solve again. Otherwise it prices the
 // n-bin designs over FFD bins of floor(q/n), of which n = 2 is BinPackPair's
 // pairs of q/2 bins, and builds the cheapest; n >= 3 needs every input to be
 // at most q/3. It returns core.ErrInfeasible (wrapped) when no schema exists.

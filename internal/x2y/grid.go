@@ -89,7 +89,9 @@ func packOrderItems(set *core.InputSet) []binpack.Item {
 // their half; the others are splits proportional to the two sides' total
 // sizes and a small sweep in between.
 // Each candidate is priced from its two bin counts (binpack.Count, over each
-// side ordered once); only the winner is packed and its reducers built.
+// side ordered once); only the winner is packed and its reducers built. On a
+// feasible instance the split tight against X's largest input is always a
+// candidate, so some split wins.
 func GridWithSplit(xs, ys *core.InputSet, q core.Size) (*core.MappingSchema, error) {
 	const algorithm = "x2y/grid-best-split/first-fit-decreasing"
 	if xs.Len() == 0 || ys.Len() == 0 {
@@ -102,23 +104,16 @@ func GridWithSplit(xs, ys *core.InputSet, q core.Size) (*core.MappingSchema, err
 	var best core.Size // the winning X share; every candidate is positive
 	var bestReducers int
 	var bestComm core.Size
-	var firstErr error
 	for _, s := range splitCandidates(xs, ys, q) {
 		bx, by, err := countSplit(xs, ys, xItems, yItems, q, s)
 		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
+			return nil, err
 		}
 		reducers := bx * by
 		comm := core.Size(by)*xs.TotalSize() + core.Size(bx)*ys.TotalSize()
 		if best == 0 || reducers < bestReducers || (reducers == bestReducers && comm < bestComm) {
 			best, bestReducers, bestComm = s, reducers, comm
 		}
-	}
-	if best == 0 {
-		return nil, firstErr
 	}
 	xPack, err := binpack.Pack(xItems, best, binpack.FirstFitDecreasing)
 	if err != nil {
@@ -131,7 +126,9 @@ func GridWithSplit(xs, ys *core.InputSet, q core.Size) (*core.MappingSchema, err
 	return buildGrid(q, algorithm, xPack.Bins, yPack.Bins), nil
 }
 
-// splitCandidates proposes X-side capacity shares to try.
+// splitCandidates proposes X-side capacity shares to try: only shares that
+// leave room for each side's largest input, so countSplit accepts every one,
+// and at least one on a feasible instance.
 func splitCandidates(xs, ys *core.InputSet, q core.Size) []core.Size {
 	seen := map[core.Size]bool{}
 	var out []core.Size
@@ -161,12 +158,9 @@ func splitCandidates(xs, ys *core.InputSet, q core.Size) []core.Size {
 	for i := core.Size(1); i < 8; i++ {
 		add(q * i / 8)
 	}
-	// Tight against each side's largest input.
+	// Tight against each side's largest input. On a feasible instance
+	// (max X + max Y <= q) the first of these is always admitted.
 	add(xs.MaxSize())
 	add(q - ys.MaxSize())
-	if len(out) == 0 {
-		// Fall back to the only possibly feasible region midpoint.
-		out = append(out, q/2)
-	}
 	return out
 }

@@ -104,10 +104,10 @@ func BenchmarkX2YExactTiny(b *testing.B) {
 	}
 }
 
-// BenchmarkA2AGreedy times a2a.Greedy on plan_cold's a2a_big regime: about
+// a2aBigInstances draws plan_cold's a2a_big regime: four instances of about
 // 300 sizes in [1, 20] at 16 half-capacity bins, one of them raised above
-// q/2. One iteration solves four instances.
-func BenchmarkA2AGreedy(b *testing.B) {
+// q/2.
+func a2aBigInstances() ([]*core.InputSet, []core.Size) {
 	rng := rand.New(rand.NewSource(1))
 	sets := make([]*core.InputSet, 4)
 	qs := make([]core.Size, len(sets))
@@ -117,11 +117,35 @@ func BenchmarkA2AGreedy(b *testing.B) {
 		sizes[rng.Intn(len(sizes))] = q/2 + 1 + core.Size(rng.Intn(int(q/8)))
 		sets[n], qs[n] = core.MustNewInputSet(sizes), q
 	}
+	return sets, qs
+}
+
+// BenchmarkA2AGreedy times a2a.Greedy on a2aBigInstances. One iteration
+// solves all four.
+func BenchmarkA2AGreedy(b *testing.B) {
+	sets, qs := a2aBigInstances()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for n, set := range sets {
 			if _, err := a2a.Greedy(set, qs[n]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkA2ABigSmallSplit times a2a.Solve on a2aBigInstances, where it
+// builds BigSmallSplit: the big input beside bins of the small inputs, and
+// Solve over the small inputs for their own pairs. One iteration solves all
+// four.
+func BenchmarkA2ABigSmallSplit(b *testing.B) {
+	sets, qs := a2aBigInstances()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for n, set := range sets {
+			if _, err := a2a.Solve(set, qs[n]); err != nil {
 				b.Fatal(err)
 			}
 		}
