@@ -19,12 +19,12 @@ func CheckFeasible(set *core.InputSet, q core.Size) error {
 	}
 	// Find the two largest sizes.
 	var first, second core.Size
-	for _, in := range set.Inputs() {
-		if in.Size > first {
+	for id := range set.Len() {
+		if w := set.Size(id); w > first {
 			second = first
-			first = in.Size
-		} else if in.Size > second {
-			second = in.Size
+			first = w
+		} else if w > second {
+			second = w
 		}
 	}
 	if first+second > q {
