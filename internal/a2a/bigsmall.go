@@ -49,11 +49,11 @@ func BigSmallSplit(set *core.InputSet, q core.Size) (*core.MappingSchema, error)
 	if err != nil {
 		return nil, fmt.Errorf("a2a: packing small inputs next to the big input: %w", err)
 	}
-	pairs, err := solveSmall(set, q, smallIDs)
+	smallReducers, err := solveSmall(set, q, smallIDs)
 	if err != nil {
 		return nil, err
 	}
-	ms.Reducers = make([]core.Reducer, 0, len(residualPacking.Bins)+len(pairs))
+	ms.Reducers = make([]core.Reducer, 0, len(residualPacking.Bins)+len(smallReducers))
 
 	// Step 1: pair the big input with bins of small inputs that fit in the
 	// residual capacity q - w_B.
@@ -61,7 +61,7 @@ func BigSmallSplit(set *core.InputSet, q core.Size) (*core.MappingSchema, error)
 		ids := append([]int{big}, bin.Items...)
 		ms.AddReducerA2A(set, ids)
 	}
-	ms.Reducers = append(ms.Reducers, pairs...)
+	ms.Reducers = append(ms.Reducers, smallReducers...)
 	return ms, nil
 }
 

@@ -50,16 +50,16 @@ func packPairs(set *core.InputSet, q core.Size, items []binpack.Item) (*core.Map
 	if err != nil {
 		return nil, fmt.Errorf("a2a: packing inputs into q/2 bins: %w", err)
 	}
-	return pairBins(set, q, binPackPairAlgorithm, packing.Bins), nil
+	return pairBins(set, q, packing.Bins), nil
 }
 
-// pairBins assembles the schema that assigns every pair of the given bins to
-// one reducer (or a single reducer if there is only one bin). Each bin is
+// pairBins assembles BinPackPair's schema, which assigns every pair of the
+// given bins to one reducer (or a single reducer if there is only one bin). Each bin is
 // sorted and priced once up front; a reducer is then a linear merge of its
 // two bins with the loads pre-summed, instead of a per-reducer re-sort and
 // size recomputation — with b bins that turns b(b-1)/2 sorts into b.
-func pairBins(set *core.InputSet, q core.Size, algorithm string, bins []binpack.Bin) *core.MappingSchema {
-	ms := &core.MappingSchema{Problem: core.ProblemA2A, Capacity: q, Algorithm: algorithm}
+func pairBins(set *core.InputSet, q core.Size, bins []binpack.Bin) *core.MappingSchema {
+	ms := &core.MappingSchema{Problem: core.ProblemA2A, Capacity: q, Algorithm: binPackPairAlgorithm}
 	if len(bins) == 1 {
 		ms.AddReducerA2A(set, bins[0].Items)
 		return ms
