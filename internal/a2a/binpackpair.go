@@ -54,10 +54,11 @@ func packPairs(set *core.InputSet, q core.Size, items []binpack.Item) (*core.Map
 }
 
 // pairBins assembles BinPackPair's schema, which assigns every pair of the
-// given bins to one reducer (or a single reducer if there is only one bin). Each bin is
-// sorted and priced once up front; a reducer is then a linear merge of its
-// two bins with the loads pre-summed, instead of a per-reducer re-sort and
-// size recomputation — with b bins that turns b(b-1)/2 sorts into b.
+// given bins to one reducer (or a single reducer if there is only one bin).
+// Each bin is sorted and priced once up front; a reducer is then a linear
+// merge of its two bins with the loads pre-summed, instead of a per-reducer
+// re-sort and size recomputation — with b bins that turns b(b-1)/2 sorts
+// into b.
 func pairBins(set *core.InputSet, q core.Size, bins []binpack.Bin) *core.MappingSchema {
 	ms := &core.MappingSchema{Problem: core.ProblemA2A, Capacity: q, Algorithm: binPackPairAlgorithm}
 	if len(bins) == 1 {

@@ -127,8 +127,7 @@ func GridWithSplit(xs, ys *core.InputSet, q core.Size) (*core.MappingSchema, err
 }
 
 // splitCandidates proposes X-side capacity shares to try: only shares that
-// leave room for each side's largest input, so countSplit accepts every one,
-// and at least one on a feasible instance.
+// leave room for each side's largest input, so countSplit accepts every one.
 func splitCandidates(xs, ys *core.InputSet, q core.Size) []core.Size {
 	seen := map[core.Size]bool{}
 	var out []core.Size
